@@ -5,15 +5,16 @@ can never change *what* the job observes:
 
 * a **pure attempt loop** (:func:`run_map_attempts` /
   :func:`run_reduce_attempts`) executes the user code with the retry
-  budget.  Every fault decision it consults — scripted injector entries
-  and the :class:`~repro.mapreduce.failures.ChaosSchedule`'s
-  counter-hashed draws — is a pure function of ``(task_id, attempt)``,
-  so the outcome is identical whether the loop runs inline, on a thread,
-  or in a worker process;
+  budget.  It is the only code that instantiates and runs a mapper,
+  combiner/pre-aggregation or reducer.  Every fault decision it consults
+  — the :class:`~repro.mapreduce.failures.FailureInjector` and the
+  :class:`~repro.mapreduce.failures.ChaosSchedule`'s counter-hashed
+  draws — is a pure function of ``(task_id, attempt)``, so the outcome
+  is identical whether the loop runs inline, on a thread, or in a worker
+  process;
 * a **driver-side narrative replay** (in :mod:`repro.mapreduce.runner`)
   walks the outcomes in task order and reconstructs the node
-  assignments, blacklist evolution, backoffs and retry penalties exactly
-  as the original serial loop would have produced them.
+  assignments, blacklist evolution, backoffs and retry penalties.
 
 Three backends implement the dispatch half:
 
@@ -29,11 +30,12 @@ Three backends implement the dispatch half:
     never pickled), and distributed-cache entries are broadcast once per
     job via a versioned shared-memory segment instead of once per task.
 
-Order-dependent fault modes (a probabilistic ``FailureInjector``'s
-sequential RNG, or a chaos schedule with ``bad_nodes`` whose crash
-decisions depend on node placement) cannot be computed worker-side
-without changing results; the runner detects those and falls back to its
-legacy in-driver loop (see ``JobRunner._uses_order_dependent_faults``).
+The one fault that depends on *where* an attempt lands — a chaos
+schedule's ``bad_nodes`` — fires before any task code runs, so it never
+reaches the attempt loop: the replay, which decides the node, records
+such an attempt as failed and applies the loop's verdicts, in order, to
+the attempts that reached a healthy node.  Tasks re-executed after a
+node loss come back through the same backends as fault-free requests.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from repro.geo.trace import TraceArray
 from repro.mapreduce.cache import DistributedCache, FaultyCacheView
 from repro.mapreduce.config import BACKENDS, MapReduceConfig
 from repro.mapreduce.counters import Counters, STANDARD
-from repro.mapreduce.failures import ChaosSchedule, TaskFailure
+from repro.mapreduce.failures import ChaosSchedule, FailureInjector, TaskFailure
 from repro.mapreduce.job import MapContext, ReduceContext
 from repro.mapreduce.spill import (
     SpilledMapOutput,
@@ -94,7 +96,7 @@ class MapTaskRequest:
     conf: Any
     cache: DistributedCache
     chaos: ChaosSchedule | None
-    scripted: frozenset | None
+    injector: FailureInjector | None
     max_attempts: int
     #: When set (memory-budgeted runs), output larger than the budget is
     #: written to the spill directory *where the attempt ran* and the
@@ -125,7 +127,7 @@ class ReduceTaskRequest:
     conf: Any
     cache: DistributedCache
     chaos: ChaosSchedule | None
-    scripted: frozenset | None
+    injector: FailureInjector | None
     max_attempts: int
 
 
@@ -137,8 +139,9 @@ class MapOutcome:
     success: bool
     output: "list[tuple[Any, Any]] | SpilledMapOutput | None"
     counters: Counters | None
-    output_records: int
-    #: ``(attempt, reason, fault kind)`` per failed attempt, in order.
+    #: ``(attempt, reason, fault kind)`` per failed attempt, in order;
+    #: ``attempt`` counts the attempts that ran task code (the replay
+    #: renumbers around bad-node bounces).
     failures: list[tuple[int, str, str]] = field(default_factory=list)
     combined_output: list[tuple[Any, Any]] | None = None
     combine_counters: Counters | None = None
@@ -180,10 +183,9 @@ def run_combiner(
 def run_map_attempts(request: MapTaskRequest) -> MapOutcome:
     """Execute one map task's retry loop using only pure fault decisions.
 
-    Mirrors the runner's legacy loop attempt for attempt: the same cache
-    fault wrapping, the same injector-before-chaos precedence, the same
-    counter increments on success — minus anything node-dependent, which
-    the driver replays afterwards.
+    Per attempt: cache-fault wrapping, injector before chaos, task
+    counters on success — nothing node-dependent, which the driver
+    replays afterwards.
     """
     chunk = request.chunk
     failures: list[tuple[int, str, str]] = []
@@ -197,8 +199,8 @@ def run_map_attempts(request: MapTaskRequest) -> MapOutcome:
         ctx = MapContext(request.conf, counters, cache, request.task_id, request.node)
         mapper = request.mapper()
         try:
-            if request.scripted and (request.task_id, attempt) in request.scripted:
-                raise TaskFailure(request.task_id, attempt, "scripted failure")
+            if request.injector is not None:
+                request.injector.fail_attempt(request.task_id, attempt)
             if request.chaos is not None:
                 request.chaos.fail_attempt(request.task_id, attempt)
             mapper.setup(ctx)
@@ -252,12 +254,11 @@ def run_map_attempts(request: MapTaskRequest) -> MapOutcome:
             True,
             output,
             counters,
-            ctx.output_records,
             failures,
             combined_output,
             combine_counters,
         )
-    return MapOutcome(False, None, None, 0, failures)
+    return MapOutcome(False, None, None, failures)
 
 
 def run_reduce_attempts(request: ReduceTaskRequest) -> ReduceOutcome:
@@ -272,8 +273,8 @@ def run_reduce_attempts(request: ReduceTaskRequest) -> ReduceOutcome:
         )
         reducer = request.reducer()
         try:
-            if request.scripted and (request.task_id, attempt) in request.scripted:
-                raise TaskFailure(request.task_id, attempt, "scripted failure")
+            if request.injector is not None:
+                request.injector.fail_attempt(request.task_id, attempt)
             if request.chaos is not None:
                 request.chaos.fail_attempt(request.task_id, attempt)
             reducer.setup(ctx)
@@ -430,7 +431,7 @@ def _resolve_chunk(ref: tuple) -> Chunk:
 
 
 def _pool_run_map(message: tuple) -> MapOutcome:
-    (task_id, node, chunk_ref, mapper, combiner, conf, chaos, scripted,
+    (task_id, node, chunk_ref, mapper, combiner, conf, chaos, injector,
      max_attempts, cache_token, spill, aggregation) = message
     request = MapTaskRequest(
         task_id=task_id,
@@ -441,7 +442,7 @@ def _pool_run_map(message: tuple) -> MapOutcome:
         conf=conf,
         cache=_resolve_cache(cache_token),
         chaos=chaos,
-        scripted=scripted,
+        injector=injector,
         max_attempts=max_attempts,
         spill=spill,
         aggregation=aggregation,
@@ -450,7 +451,7 @@ def _pool_run_map(message: tuple) -> MapOutcome:
 
 
 def _pool_run_reduce(message: tuple) -> ReduceOutcome:
-    (task_id, groups, reducer, conf, chaos, scripted, max_attempts,
+    (task_id, groups, reducer, conf, chaos, injector, max_attempts,
      cache_token) = message
     request = ReduceTaskRequest(
         task_id=task_id,
@@ -459,7 +460,7 @@ def _pool_run_reduce(message: tuple) -> ReduceOutcome:
         conf=conf,
         cache=_resolve_cache(cache_token),
         chaos=chaos,
-        scripted=scripted,
+        injector=injector,
         max_attempts=max_attempts,
     )
     return run_reduce_attempts(request)
@@ -595,7 +596,7 @@ class ProcessBackend(ExecutionBackend):
                 r.combiner,
                 r.conf,
                 r.chaos,
-                r.scripted,
+                r.injector,
                 r.max_attempts,
                 self._cache_token,
                 r.spill,
@@ -616,7 +617,7 @@ class ProcessBackend(ExecutionBackend):
                 r.reducer,
                 r.conf,
                 r.chaos,
-                r.scripted,
+                r.injector,
                 r.max_attempts,
                 self._cache_token,
             )

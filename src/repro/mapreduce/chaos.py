@@ -311,6 +311,7 @@ def _fresh_runner(
     executor: str = "serial",
     max_workers: "int | None" = None,
     memory_budget_mb: "float | None" = None,
+    failure_injector=None,
 ):
     from repro.mapreduce.cluster import paper_cluster
     from repro.mapreduce.hdfs import SimulatedHDFS
@@ -329,6 +330,7 @@ def _fresh_runner(
         executor=executor,
         max_workers=max_workers,
         memory_budget_mb=memory_budget_mb,
+        failure_injector=failure_injector,
     )
 
 
@@ -343,6 +345,7 @@ def _run_once(
     executor: str = "serial",
     max_workers: "int | None" = None,
     memory_budget_mb: "float | None" = None,
+    failure_injector=None,
 ) -> _RunArtifacts:
     from repro.observability.events import EventKind
 
@@ -350,6 +353,7 @@ def _run_once(
         array, n_workers, chunk_size, chaos,
         executor=executor, max_workers=max_workers,
         memory_budget_mb=memory_budget_mb,
+        failure_injector=failure_injector,
     )
     try:
         signature = driver.run(runner, context)

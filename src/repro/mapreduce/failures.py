@@ -5,30 +5,29 @@ Hadoop's jobtracker monitors tasks and re-executes failed attempts (up to
 holds a replica of the input chunk.  This module provides the injection
 half in two tiers:
 
-* :class:`FailureInjector` — the original scripted/probabilistic
-  task-crash injector the unit tests and ablation benches use;
+* :class:`FailureInjector` — the scripted/probabilistic task-crash
+  injector the unit tests and ablation benches use;
 * :class:`ChaosSchedule` — a seeded, *counter-hashed* chaos schedule
   covering the full fault taxonomy of a real deployment
   (:class:`FaultKind`): task-attempt crashes, slow-node stragglers,
   mid-phase node loss (tasktracker + its datanode), shuffle-fetch
   failures, and distributed-cache load errors.
 
-Determinism model (docs/CHAOS.md): every ChaosSchedule decision is a pure
-hash of ``(seed, fault kind, stable identifiers)`` through the same
-splitmix64 pipeline as :mod:`repro.utils.hashrng` — never a sequential
-RNG draw.  Whether ``map-0003``'s second attempt crashes does not depend
-on how many other faults fired before it, so a schedule is reproducible
-event-for-event under the same seed and is unperturbed by executor
-interleaving ("threads" vs "serial").
+Determinism model (docs/CHAOS.md): every probabilistic decision of either
+tier is a pure hash of ``(seed, fault kind, stable identifiers)`` through
+the same splitmix64 pipeline as :mod:`repro.utils.hashrng` — never a
+sequential RNG draw.  Whether ``map-0003``'s second attempt crashes does
+not depend on how many other faults fired before it, so a schedule is
+reproducible event-for-event under the same seed and is unperturbed by
+where or in what order the backends run the attempts.
 
-The runner's retry loop catches :class:`TaskFailure` (and its subclass
+The backends' attempt loop catches :class:`TaskFailure` (and its subclass
 :class:`CacheLoadFailure`); a task exhausting its attempt budget raises
 :class:`JobFailedError` carrying the full failure chain.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -205,8 +204,10 @@ class ChaosSchedule:
     insensitive to executor interleaving.
 
     ``bad_nodes`` models chronically failing hardware (bad disk): every
-    attempt dispatched to such a node crashes, which is the scenario the
-    scheduler's per-node blacklist exists for.
+    attempt dispatched to such a node crashes before any task code runs,
+    which is the scenario the scheduler's per-node blacklist exists for.
+    Which node an attempt lands on is decided by the runner's driver-side
+    replay, so that is where :meth:`bad_node_crash` is consulted.
     """
 
     seed: int = 0
@@ -232,6 +233,12 @@ class ChaosSchedule:
                 raise ValueError(f"{name} must be within [0, 1], got {p}")
         if self.slow_factor < 1.0:
             raise ValueError("slow_factor must be >= 1")
+        if isinstance(self.bad_nodes, (str, bytes)):
+            # frozenset("worker02") is a set of characters: injects nothing.
+            raise TypeError(
+                f"bad_nodes must be a collection of node names, not a bare "
+                f"{type(self.bad_nodes).__name__}: {self.bad_nodes!r}"
+            )
         # Normalize collection types so schedules hash/compare cleanly.
         object.__setattr__(self, "bad_nodes", frozenset(self.bad_nodes))
         object.__setattr__(self, "faults", tuple(self.faults))
@@ -246,11 +253,22 @@ class ChaosSchedule:
                 and fault.attempt == attempt
             ):
                 raise TaskFailure(task_id, attempt, "scripted chaos crash")
-        if node is not None and node in self.bad_nodes:
-            raise TaskFailure(task_id, attempt, f"bad node {node}")
+        if node is not None:
+            crash = self.bad_node_crash(task_id, attempt, node)
+            if crash is not None:
+                raise crash
         if self.crash_prob > 0.0:
             if _hash_u01(self.seed, FaultKind.TASK_CRASH, task_id, attempt) < self.crash_prob:
                 raise TaskFailure(task_id, attempt, "chaos crash")
+
+    def bad_node_crash(
+        self, task_id: str, attempt: int, node: str
+    ) -> TaskFailure | None:
+        """The crash an attempt dispatched to ``node`` suffers before any
+        task code runs, or ``None`` on healthy hardware."""
+        if node in self.bad_nodes:
+            return TaskFailure(task_id, attempt, f"bad node {node}")
+        return None
 
     # -- distributed-cache load errors --------------------------------------
     def cache_load_fails(self, task_id: str, attempt: int) -> bool:
@@ -407,13 +425,15 @@ class FailureInjector:
     * ``scripted`` — an explicit set of ``(task_id, attempt)`` pairs that
       must fail (deterministic tests: "kill map-0003's first attempt").
     * ``probability`` — each attempt independently fails with this
-      probability, drawn from a seeded generator (chaos-style integration
-      tests; for draw-order-independent schedules use
-      :class:`ChaosSchedule` instead).
+      probability, decided by the same counter hash of
+      ``(seed, task_crash, task_id, attempt)`` as
+      :attr:`ChaosSchedule.crash_prob`.
 
-    A task whose every attempt up to the retry limit fails aborts the job
-    with :class:`JobFailedError`, exactly as Hadoop gives up after
-    ``max.attempts``.
+    Both are pure functions of ``(task_id, attempt)``, so the injector
+    travels to wherever the attempt runs (inline, thread, pool worker)
+    and answers the same there.  A task whose every attempt up to the
+    retry limit fails aborts the job with :class:`JobFailedError`,
+    exactly as Hadoop gives up after ``max.attempts``.
     """
 
     scripted: set[tuple[str, int]] = field(default_factory=set)
@@ -423,20 +443,16 @@ class FailureInjector:
     def __post_init__(self) -> None:
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError("probability must be within [0, 1]")
-        self._rng = np.random.default_rng(self.seed)
-        # The thread-pool executor calls fail_attempt concurrently;
-        # Generator draws are not thread-safe.
-        self._lock = threading.Lock()
 
     def fail_attempt(self, task_id: str, attempt: int) -> None:
         """Raise :class:`TaskFailure` if this attempt is doomed."""
         if (task_id, attempt) in self.scripted:
             raise TaskFailure(task_id, attempt, "scripted failure")
-        if self.probability > 0.0:
-            with self._lock:
-                doomed = self._rng.random() < self.probability
-            if doomed:
-                raise TaskFailure(task_id, attempt, "random failure")
+        if self.probability > 0.0 and (
+            _hash_u01(self.seed, FaultKind.TASK_CRASH, task_id, attempt)
+            < self.probability
+        ):
+            raise TaskFailure(task_id, attempt, "random failure")
 
     def script_failures(
         self, task_id: str, attempts: int, max_attempts: int = MAX_TASK_ATTEMPTS

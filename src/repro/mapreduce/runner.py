@@ -9,7 +9,8 @@ Execution follows the Hadoop lifecycle from Section III end-to-end:
    pool, or shared-memory process pool — see
    :mod:`repro.mapreduce.backends`), each over one chunk, with failure
    injection + retry on another replica holder;
-4. the optional combiner folds each map task's local output;
+4. the optional combiner (or pre-aggregation) folds each map task's
+   local output where the task ran;
 5. the shuffle partitions, transfers and sorts intermediate pairs;
 6. reduce tasks aggregate their key groups; output lands in HDFS;
 7. the cost model converts the executed DAG into simulated seconds.
@@ -18,22 +19,21 @@ Execution follows the Hadoop lifecycle from Section III end-to-end:
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 
 from repro.geo.trace import TraceArray
-from repro.mapreduce.aggregation import AggregationReducerFactory, preaggregate
+from repro.mapreduce.aggregation import AggregationReducerFactory
 from repro.mapreduce.backends import (
     MapOutcome,
     MapTaskRequest,
     ReduceOutcome,
     ReduceTaskRequest,
     create_backend,
-    run_combiner,
 )
-from repro.mapreduce.cache import DistributedCache, FaultyCacheView
+from repro.mapreduce.cache import DistributedCache
 from repro.mapreduce.config import MapReduceConfig
 from repro.mapreduce.counters import Counters, STANDARD
 from repro.mapreduce.failures import (
@@ -45,12 +45,7 @@ from repro.mapreduce.failures import (
     TaskFailure,
 )
 from repro.mapreduce.hdfs import SimulatedHDFS
-from repro.mapreduce.job import (
-    ARRAY_OUTPUT_KEY,
-    JobSpec,
-    MapContext,
-    ReduceContext,
-)
+from repro.mapreduce.job import ARRAY_OUTPUT_KEY, JobSpec
 from repro.mapreduce.scheduler import (
     MapPhasePlan,
     NodeBlacklist,
@@ -69,7 +64,13 @@ from repro.mapreduce.shuffle import (
     shuffle,
 )
 from repro.mapreduce.simtime import CostModel, JobTiming
-from repro.mapreduce.spill import MB, SpillManager, SpilledMapOutput, as_pairs
+from repro.mapreduce.spill import (
+    MB,
+    SpillManager,
+    SpilledMapOutput,
+    WorkerSpillSpec,
+    as_pairs,
+)
 from repro.mapreduce.types import Chunk
 from repro.observability.events import EventKind, Phase
 from repro.observability.history import JobHistory
@@ -134,12 +135,16 @@ class JobRunner:
     failure_injector:
         Optional :class:`FailureInjector`; injected crashes are retried up
         to ``max_attempts`` per task, preferring a different replica node.
+        Like every ``chaos`` decision except ``bad_nodes`` it is consulted
+        by the backends' attempt loop, where the attempt runs.
     chaos:
         Optional :class:`~repro.mapreduce.failures.ChaosSchedule` — the
         deterministic chaos engine.  Adds slow-node stragglers, cache-load
         and shuffle-fetch faults, and mid-phase node loss (tasktracker +
         datanode) on top of plain attempt crashes; all recovery costs are
-        charged to the job's retry penalty.
+        charged to the job's retry penalty.  ``bad_nodes`` crashes are
+        decided in the driver-side replay, which is what places attempts
+        on nodes; tasks lost with a node re-run through the backend.
     retry_policy:
         Optional :class:`~repro.mapreduce.scheduler.RetryPolicy`
         (attempt budget, exponential backoff, per-job node blacklist
@@ -295,67 +300,115 @@ class JobRunner:
         self.close()
 
     # -- backend dispatch ----------------------------------------------------
-    def _uses_order_dependent_faults(self) -> bool:
-        """Whether fault decisions depend on execution order or placement.
+    def _run_maps(
+        self,
+        job: JobSpec,
+        assignments: list[TaskAssignment],
+        spill_spec: WorkerSpillSpec | None,
+        cleanup: ExitStack,
+        inject_faults: bool = True,
+    ) -> list[MapOutcome]:
+        """Run ``assignments`` on the backend, one outcome each, in order.
 
-        A probabilistic :class:`FailureInjector` draws from a sequential
-        RNG (attempt outcomes depend on draw order), and a chaos
-        schedule's ``bad_nodes`` makes crashes depend on the retry node —
-        which depends on the shared blacklist's evolution.  Neither can
-        be computed by the pure worker-side attempt loop, so the runner
-        falls back to its legacy in-driver execution path for them.
+        Spilled outputs are registered with ``cleanup`` as they come back
+        so their files go away on every exit path of the job.  Envelopes
+        and contexts are labelled with the *planned* node, so where an
+        attempt (or a post-node-loss re-execution, which passes
+        ``inject_faults=False``) really ran cannot reach the job output.
         """
-        if self.failure_injector is not None and self.failure_injector.probability > 0:
-            return True
-        if self.chaos is not None and self.chaos.bad_nodes:
-            return True
-        return False
+        outcomes = self._backend.run_map_tasks([
+            MapTaskRequest(
+                task_id=a.task_id,
+                node=a.node,
+                chunk=a.chunk,
+                mapper=job.mapper,
+                combiner=job.combiner,
+                conf=job.conf,
+                cache=self.cache,
+                chaos=self.chaos if inject_faults else None,
+                injector=self.failure_injector if inject_faults else None,
+                max_attempts=self.max_attempts,
+                spill=spill_spec,
+                aggregation=job.aggregation if self.preagg else None,
+            )
+            for a in assignments
+        ])
+        for outcome in outcomes:
+            if isinstance(outcome.output, SpilledMapOutput):
+                cleanup.callback(outcome.output.delete)
+        return outcomes
 
-    def _scripted_set(self) -> frozenset | None:
-        """The injector's scripted ``(task_id, attempt)`` pairs, if any
-        (the only injector mechanism the pure attempt loop supports)."""
-        if self.failure_injector is None or not self.failure_injector.scripted:
-            return None
-        return frozenset(self.failure_injector.scripted)
+    def _replay_attempts(
+        self,
+        task_id: str,
+        outcome: MapOutcome | ReduceOutcome,
+        pick_node: Callable[[int, set[str]], str],
+        blacklist: NodeBlacklist,
+    ) -> list[tuple]:
+        """Replay one task's failure narrative in the driver.
+
+        ``pick_node(attempt, tried)`` places each attempt against the
+        evolving shared blacklist.  An attempt placed on one of the chaos
+        schedule's ``bad_nodes`` crashes before any task code runs, so it
+        consumes retry budget here without consuming a verdict; attempts
+        that reach a healthy node take the attempt loop's verdicts in
+        order.  Returns the failed attempts as
+        ``(attempt, node, reason, fault kind, backoff_s)`` and raises
+        :class:`JobFailedError` when they exhaust ``max_attempts``.
+        Called in task order, so every backend sees the same blacklist
+        evolution.
+        """
+        verdicts = iter(outcome.failures)
+        tried: set[str] = set()
+        failures: list[tuple] = []
+        for attempt in range(1, self.max_attempts + 1):
+            node = pick_node(attempt, tried)
+            crash = (
+                self.chaos.bad_node_crash(task_id, attempt, node)
+                if self.chaos is not None
+                else None
+            )
+            if crash is not None:
+                reason, kind = crash.reason, crash.kind
+            else:
+                verdict = next(verdicts, None)
+                if verdict is None:
+                    # The attempt loop counted the failures it saw;
+                    # bounces never reached it.
+                    outcome.counters.increment(
+                        STANDARD.GROUP_SCHEDULER,
+                        STANDARD.FAILED_TASKS,
+                        len(failures) - len(outcome.failures),
+                    )
+                    return failures
+                _, reason, kind = verdict
+            tried.add(node)
+            failures.append(
+                (attempt, node, reason, kind, self.retry_policy.backoff_s(attempt))
+            )
+            blacklist.record_failure(node)
+        attempt, _, reason, kind, _ = failures[-1]
+        raise JobFailedError(
+            task_id, self.max_attempts, failures
+        ) from TaskFailure(task_id, attempt, reason, kind)
 
     def _finalize_map_outcome(
         self,
         assignment: TaskAssignment,
         outcome: MapOutcome,
         blacklist: NodeBlacklist,
-    ) -> tuple[list[tuple[Any, Any]], Counters, float, int, list[tuple]]:
-        """Replay one map outcome's failure narrative in the driver.
-
-        Reconstructs exactly what the legacy serial loop would have
-        recorded: node choice per attempt (initial assignment, then
-        :meth:`_retry_node` against the evolving shared blacklist),
-        backoffs, the per-failure blacklist updates and the retry
-        penalty.  Called in task order, so the blacklist evolves in the
-        same order as serial execution.
-        """
-        chunk = assignment.chunk
-        tried: set[str] = set()
-        node = assignment.node
-        retry_penalty = 0.0
-        failures: list[tuple] = []
-        for attempt, reason, kind in outcome.failures:
-            tried.add(node)
-            backoff = self.retry_policy.backoff_s(attempt)
-            failures.append((attempt, node, reason, kind, backoff))
-            retry_penalty += assignment.duration + backoff
-            blacklist.record_failure(node)
-            node = self._retry_node(chunk, tried, blacklist)
-        if not outcome.success:
-            last = outcome.failures[-1]
-            raise JobFailedError(
-                assignment.task_id, self.max_attempts, failures
-            ) from TaskFailure(assignment.task_id, last[0], last[1], last[2])
-        return (
-            outcome.output,
-            outcome.counters,
-            retry_penalty,
-            outcome.output_records,
-            failures,
+    ) -> list[tuple]:
+        """Replay a map task: the planned node first, then
+        :meth:`_retry_node` against the blacklist."""
+        return self._replay_attempts(
+            assignment.task_id,
+            outcome,
+            lambda attempt, tried: (
+                assignment.node
+                if attempt == 1
+                else self._retry_node(assignment.chunk, tried, blacklist)
+            ),
+            blacklist,
         )
 
     def _finalize_reduce_outcome(
@@ -364,28 +417,21 @@ class JobRunner:
         outcome: ReduceOutcome,
         blacklist: NodeBlacklist,
         alive: list[str],
-    ) -> tuple[list[tuple[Any, Any]], Counters, list[tuple]]:
-        """Replay one reduce outcome's failure narrative (node rotation
-        over non-blacklisted alive workers, as the legacy loop does)."""
-        failures: list[tuple] = []
-        for attempt, reason, kind in outcome.failures:
+    ) -> list[tuple]:
+        """Replay a reduce task: attempts rotate over the non-blacklisted
+        alive workers."""
+
+        def pick_node(attempt: int, tried: set[str]) -> str:
             usable = [
                 n for n in alive if not blacklist.is_blacklisted(n)
             ] or alive
-            node = usable[(attempt - 1) % len(usable)]
-            backoff = self.retry_policy.backoff_s(attempt)
-            failures.append((attempt, node, reason, kind, backoff))
-            blacklist.record_failure(node)
-        if not outcome.success:
-            last = outcome.failures[-1]
-            raise JobFailedError(
-                task_id, self.max_attempts, failures
-            ) from TaskFailure(task_id, last[0], last[1], last[2])
-        return outcome.output, outcome.counters, failures
+            return usable[(attempt - 1) % len(usable)]
+
+        return self._replay_attempts(task_id, outcome, pick_node, blacklist)
 
     # -- map side -----------------------------------------------------------
     def _retry_node(
-        self, chunk: Chunk, tried: set[str], blacklist: NodeBlacklist | None = None
+        self, chunk: Chunk, tried: set[str], blacklist: NodeBlacklist
     ) -> str:
         """Pick the node for a retry attempt: untried replica, else any.
 
@@ -400,7 +446,7 @@ class JobRunner:
         ]
 
         def usable(node: str) -> bool:
-            return blacklist is None or not blacklist.is_blacklisted(node)
+            return not blacklist.is_blacklisted(node)
 
         for only_usable in (True, False):
             for replica in chunk.replicas:
@@ -414,81 +460,6 @@ class JobRunner:
             if untried:
                 return untried[0]
         return alive[0]
-
-    def _run_map_task(
-        self,
-        job: JobSpec,
-        assignment: TaskAssignment,
-        blacklist: NodeBlacklist | None = None,
-    ) -> tuple[list[tuple[Any, Any]], Counters, float, int, list[tuple]]:
-        """Run one map task with the retry policy.
-
-        Returns (output pairs, local counters, simulated retry penalty,
-        records emitted, failed attempts as
-        (attempt, node, reason, fault kind, backoff_s)).  The penalty for
-        each failed attempt is the wasted attempt's duration plus the
-        exponential re-dispatch backoff the retry policy imposes.
-        """
-        chunk = assignment.chunk
-        retry_penalty = 0.0
-        tried: set[str] = set()
-        node = assignment.node
-        last_error: TaskFailure | None = None
-        failures: list[tuple] = []
-        for attempt in range(1, self.max_attempts + 1):
-            tried.add(node)
-            counters = Counters()
-            cache = self.cache
-            if self.chaos is not None and self.chaos.cache_load_fails(
-                assignment.task_id, attempt
-            ):
-                # This attempt's tasktracker fails to localize the cache:
-                # the mapper's first cache read raises CacheLoadFailure.
-                cache = FaultyCacheView(self.cache, assignment.task_id, attempt)
-            ctx = MapContext(job.conf, counters, cache, assignment.task_id, node)
-            mapper = job.mapper()
-            try:
-                if self.failure_injector is not None:
-                    self.failure_injector.fail_attempt(assignment.task_id, attempt)
-                if self.chaos is not None:
-                    self.chaos.fail_attempt(assignment.task_id, attempt, node=node)
-                mapper.setup(ctx)
-                mapper.run(chunk, ctx)
-                mapper.cleanup(ctx)
-            except TaskFailure as exc:
-                last_error = exc
-                backoff = self.retry_policy.backoff_s(attempt)
-                failures.append((attempt, node, exc.reason, exc.kind, backoff))
-                retry_penalty += assignment.duration + backoff
-                if blacklist is not None:
-                    blacklist.record_failure(node)
-                node = self._retry_node(chunk, tried, blacklist)
-                continue
-            counters.increment(
-                STANDARD.GROUP_TASK, STANDARD.MAP_INPUT_RECORDS, chunk.n_records
-            )
-            counters.increment(
-                STANDARD.GROUP_TASK, STANDARD.MAP_OUTPUT_RECORDS, ctx.output_records
-            )
-            counters.increment(
-                STANDARD.GROUP_TASK, STANDARD.MAP_OUTPUT_BYTES, ctx.output_nbytes
-            )
-            counters.increment(
-                STANDARD.GROUP_SCHEDULER, STANDARD.FAILED_TASKS, attempt - 1
-            )
-            return ctx.output, counters, retry_penalty, ctx.output_records, failures
-        raise JobFailedError(
-            assignment.task_id, self.max_attempts, failures
-        ) from last_error
-
-    def _apply_combiner(
-        self, job: JobSpec, task_output: list[tuple[Any, Any]], task_id: str, node: str
-    ) -> tuple[list[tuple[Any, Any]], Counters]:
-        """Run the combiner over one map task's local output (the same
-        pure function backends run worker-side)."""
-        return run_combiner(
-            job.combiner, job.conf, self.cache, as_pairs(task_output), task_id, node
-        )
 
     # -- output side -----------------------------------------------------------
     def _write_output(self, path: str, records: list[tuple[Any, Any]]) -> None:
@@ -512,6 +483,12 @@ class JobRunner:
         """
         if self.hdfs.exists(job.output_path):
             raise FileExistsError(f"output path exists: {job.output_path}")
+        # Spill files (map output, shuffle partitions) are released here
+        # whether the job returns or raises.
+        with ExitStack() as cleanup:
+            return self._execute(job, cleanup)
+
+    def _execute(self, job: JobSpec, cleanup: ExitStack) -> JobResult:
         job_seq = self._spill.next_job() if self._spill is not None else 0
         spill_spec = (
             self._spill.worker_spec(job_seq) if self._spill is not None else None
@@ -542,56 +519,28 @@ class JobRunner:
             key=lambda a: a.task_id,
         )
 
-        legacy_faults = self._uses_order_dependent_faults()
         use_preagg = job.aggregation is not None and self.preagg
-        pre_combined: list[tuple[list, Counters] | None] = [None] * len(primary)
-        if legacy_faults:
-            # Legacy in-driver path: fault decisions depend on execution
-            # order / node placement, so dispatch exactly as before.
-            if self.executor == "threads" and len(primary) > 1:
-                workers = self.max_workers or max(self.cluster.total_map_slots(), 1)
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(
-                        pool.map(
-                            lambda a: self._run_map_task(job, a, blacklist), primary
-                        )
-                    )
-            else:
-                results = [self._run_map_task(job, a, blacklist) for a in primary]
-        else:
-            scripted = self._scripted_set()
-            self._backend.prepare_job(self.cache)
-            requests = [
-                MapTaskRequest(
-                    task_id=a.task_id,
-                    node=a.node,
-                    chunk=a.chunk,
-                    mapper=job.mapper,
-                    combiner=job.combiner,
-                    conf=job.conf,
-                    cache=self.cache,
-                    chaos=self.chaos,
-                    scripted=scripted,
-                    max_attempts=self.max_attempts,
-                    spill=spill_spec,
-                    aggregation=job.aggregation if use_preagg else None,
-                )
-                for a in primary
-            ]
-            outcomes = self._backend.run_map_tasks(requests)
-            results = []
-            for i, (a, outcome) in enumerate(zip(primary, outcomes)):
-                results.append(self._finalize_map_outcome(a, outcome, blacklist))
-                if outcome.combined_output is not None:
-                    pre_combined[i] = (
-                        outcome.combined_output, outcome.combine_counters
-                    )
+        self._backend.prepare_job(self.cache)
+        outcomes = self._run_maps(job, primary, spill_spec, cleanup)
+        task_failures = [
+            self._finalize_map_outcome(a, outcome, blacklist)
+            for a, outcome in zip(primary, outcomes)
+        ]
 
         # Mid-phase node loss: a tasktracker+datanode dies after its map
         # attempts completed; their outputs are gone and must re-execute on
         # surviving replica holders, and HDFS re-replicates the dead node's
-        # chunks.  Mutates ``results`` in place for the lost tasks.
-        node_loss = self._apply_node_loss(job, primary, results, blacklist)
+        # chunks.  Patches ``outcomes`` and ``task_failures`` in place for
+        # the lost tasks.
+        node_loss = self._apply_node_loss(
+            job,
+            primary,
+            outcomes,
+            task_failures,
+            lambda lost: self._run_maps(
+                job, lost, spill_spec, cleanup, inject_faults=False
+            ),
+        )
         if node_loss is not None:
             counters.increment(
                 STANDARD.GROUP_SCHEDULER, STANDARD.NODES_LOST, 1
@@ -606,12 +555,12 @@ class JobRunner:
         retry_penalty = 0.0
         map_failures: dict[str, list[tuple]] = {}
         map_spills: list[dict[str, Any]] = []
-        for assignment, (output, task_counters, penalty, _, failures) in zip(
-            primary, results
-        ):
-            counters.merge(task_counters)
-            retry_penalty += penalty
-            map_outputs.append(output)
+        for assignment, outcome, failures in zip(primary, outcomes, task_failures):
+            counters.merge(outcome.counters)
+            # Each failed attempt costs its wasted slot time plus the
+            # retry policy's re-dispatch backoff.
+            retry_penalty += sum(assignment.duration + f[4] for f in failures)
+            output = outcome.output
             if isinstance(output, SpilledMapOutput):
                 map_spills.append({
                     "task": assignment.task_id,
@@ -623,43 +572,14 @@ class JobRunner:
                 # account for them as their handles come back.
                 self._spill.stats.map_spills += 1
                 self._spill.stats.map_spill_bytes += output.nbytes
+            if outcome.combined_output is not None:
+                counters.merge(outcome.combine_counters)
+                output = outcome.combined_output
+            map_outputs.append(output)
             if failures:
                 map_failures[assignment.task_id] = failures
-        spill_handles = [o for o in map_outputs if isinstance(o, SpilledMapOutput)]
         if node_loss is not None:
             retry_penalty += node_loss["recovery_s"]
-
-        if use_preagg or job.combiner is not None:
-            # Backend outcomes carry worker-side combined/pre-aggregated
-            # output; tasks re-executed after node loss (and legacy-path
-            # tasks) fold here.  Both paths are the same pure function of
-            # the task output, so the result is byte-identical either
-            # way.  Pre-aggregation envelopes are always labelled with
-            # the *planned* assignment node, so a chaos re-execution on
-            # another node leaves the canonical merge tree — and the job
-            # output — untouched.
-            lost_indices = (
-                set(node_loss["lost_indices"]) if node_loss is not None else set()
-            )
-            combined = []
-            for i, (assignment, output) in enumerate(zip(primary, map_outputs)):
-                pre = pre_combined[i]
-                if pre is not None and i not in lost_indices:
-                    out, c_counters = pre
-                elif use_preagg:
-                    out, c_counters = preaggregate(
-                        job.aggregation,
-                        as_pairs(output),
-                        assignment.node,
-                        assignment.task_id,
-                    )
-                else:
-                    out, c_counters = self._apply_combiner(
-                        job, output, assignment.task_id, assignment.node
-                    )
-                counters.merge(c_counters)
-                combined.append(out)
-            map_outputs = combined
 
         setup_s = self.cost_model.job_setup_s + self.cost_model.cache_broadcast_time(
             self.cache.nbytes()
@@ -676,8 +596,6 @@ class JobRunner:
         if job.map_only:
             flat = [pair for output in map_outputs for pair in as_pairs(output)]
             self._write_output(job.output_path, flat)
-            for handle in spill_handles:
-                handle.delete()
             spill_s = sum(s["write_s"] for s in map_spills)
             timing = JobTiming(setup_s, plan.makespan, 0.0, retry_penalty, spill_s)
             self._emit_history(
@@ -703,8 +621,7 @@ class JobRunner:
             aggregation=job.aggregation if use_preagg else None,
             metadata_only=self.metadata_shuffle,
         )
-        for handle in spill_handles:
-            handle.delete()
+        cleanup.callback(sh.release)
         counters.increment(STANDARD.GROUP_TASK, STANDARD.SHUFFLE_BYTES, sh.shuffled_bytes)
         counters.increment(
             STANDARD.GROUP_SCHEDULER, STANDARD.REDUCE_TASKS, job.num_reducers
@@ -728,56 +645,38 @@ class JobRunner:
         reduce_factory = (
             AggregationReducerFactory(job.aggregation) if use_preagg else job.reducer
         )
-        if legacy_faults:
-            # Materialize one partition at a time (spilled partitions stay
-            # on disk until their reduce task runs).
-            reduce_results = [
-                self._run_reduce_task(
-                    job, f"reduce-{r:04d}", sh.partition(r), blacklist,
-                    factory=reduce_factory,
-                )
-                for r in range(sh.n_reducers)
-            ]
-        else:
-            scripted = self._scripted_set()
-            reduce_requests = [
-                ReduceTaskRequest(
-                    task_id=f"reduce-{r:04d}",
-                    groups=sh.raw_partition(r),
-                    reducer=reduce_factory,
-                    conf=job.conf,
-                    cache=self.cache,
-                    chaos=self.chaos,
-                    scripted=scripted,
-                    max_attempts=self.max_attempts,
-                )
-                for r in range(sh.n_reducers)
-            ]
-            outcomes = self._backend.run_reduce_tasks(reduce_requests)
-            alive = [
-                n.name
-                for n in self.cluster.tasktrackers()
-                if n.name not in self.hdfs.dead_nodes
-            ]
-            reduce_results = [
-                self._finalize_reduce_outcome(
-                    f"reduce-{r:04d}", outcome, blacklist, alive
-                )
-                for r, outcome in enumerate(outcomes)
-            ]
-        for r, (out, r_counters, r_failed) in enumerate(reduce_results):
+        reduce_outcomes = self._backend.run_reduce_tasks([
+            ReduceTaskRequest(
+                task_id=f"reduce-{r:04d}",
+                groups=sh.raw_partition(r),
+                reducer=reduce_factory,
+                conf=job.conf,
+                cache=self.cache,
+                chaos=self.chaos,
+                injector=self.failure_injector,
+                max_attempts=self.max_attempts,
+            )
+            for r in range(sh.n_reducers)
+        ])
+        alive = [
+            n.name
+            for n in self.cluster.tasktrackers()
+            if n.name not in self.hdfs.dead_nodes
+        ]
+        for r, outcome in enumerate(reduce_outcomes):
             task_id = f"reduce-{r:04d}"
-            counters.merge(r_counters)
-            reduce_output.extend(out)
+            r_failed = self._finalize_reduce_outcome(
+                task_id, outcome, blacklist, alive
+            )
+            counters.merge(outcome.counters)
+            reduce_output.extend(outcome.output)
             if r_failed:
                 reduce_failures[task_id] = r_failed
                 duration = self.cost_model.reduce_task_time(
                     sh.partition_bytes[r], job.reduce_cost_factor
                 )
                 for failure in r_failed:
-                    backoff = float(failure[4]) if len(failure) > 4 else 0.0
-                    retry_penalty += duration + backoff
-        sh.release()
+                    retry_penalty += duration + failure[4]
 
         blacklisted_now = sorted(blacklist.nodes())
         if len(blacklisted_now) > len(blacklisted):
@@ -871,16 +770,20 @@ class JobRunner:
         self,
         job: JobSpec,
         primary: list[TaskAssignment],
-        results: list[tuple],
-        blacklist: NodeBlacklist,
+        outcomes: list[MapOutcome],
+        task_failures: list[list[tuple]],
+        rerun: Callable[[list[TaskAssignment]], list[MapOutcome]],
     ) -> dict[str, Any] | None:
         """Inflict the chaos schedule's mid-phase node loss, if any.
 
         The victim (a tasktracker that is also a datanode) dies after its
         map attempts completed: their outputs vanish with it, so exactly
-        those tasks re-execute on surviving replica holders (``results``
-        is patched in place — counters are *replaced*, not merged, so
-        every re-executed record is accounted once), and the namenode
+        those tasks go back through the backend via ``rerun`` as ordinary
+        fault-free requests (``outcomes`` is patched in place — an
+        outcome is *replaced*, not merged, so every re-executed record is
+        accounted once; ``task_failures`` gains the ``node_loss`` record
+        whose wasted slot the job is charged for, and the new outcome's
+        ``FAILED_TASKS`` carries the task's whole chain), and the namenode
         re-replicates the dead datanode's chunks
         (:meth:`SimulatedHDFS.heal_report`).  The loss is declined when it
         would strand a chunk with zero replicas or leave fewer than two
@@ -907,43 +810,20 @@ class JobRunner:
         self._node_losses += 1
         self.hdfs.kill_datanode(victim)
 
-        lost = [(i, a) for i, a in enumerate(primary) if a.node == victim]
-        for i, a in lost:
-            _, _, penalty, _, failures = results[i]
-            rerun_node = self._retry_node(a.chunk, {victim}, blacklist)
-            new_failures = list(failures) + [(
-                len(failures) + 1,
+        lost = [i for i, a in enumerate(primary) if a.node == victim]
+        for i, outcome in zip(lost, rerun([primary[i] for i in lost])):
+            outcomes[i] = outcome
+            task_failures[i].append((
+                len(task_failures[i]) + 1,
                 victim,
                 f"node {victim} lost mid-phase; map output re-dispatched",
                 FaultKind.NODE_LOSS,
                 0.0,
-            )]
-            rerun_counters = Counters()
-            ctx = MapContext(
-                job.conf, rerun_counters, self.cache, a.task_id, rerun_node
-            )
-            mapper = job.mapper()
-            mapper.setup(ctx)
-            mapper.run(a.chunk, ctx)
-            mapper.cleanup(ctx)
-            rerun_counters.increment(
-                STANDARD.GROUP_TASK, STANDARD.MAP_INPUT_RECORDS, a.chunk.n_records
-            )
-            rerun_counters.increment(
-                STANDARD.GROUP_TASK, STANDARD.MAP_OUTPUT_RECORDS, ctx.output_records
-            )
-            rerun_counters.increment(
-                STANDARD.GROUP_TASK, STANDARD.MAP_OUTPUT_BYTES, ctx.output_nbytes
-            )
-            rerun_counters.increment(
-                STANDARD.GROUP_SCHEDULER, STANDARD.FAILED_TASKS, len(new_failures)
-            )
-            results[i] = (
-                ctx.output,
-                rerun_counters,
-                penalty + a.duration,  # the lost attempt's wasted slot time
-                ctx.output_records,
-                new_failures,
+            ))
+            outcome.counters.increment(
+                STANDARD.GROUP_SCHEDULER,
+                STANDARD.FAILED_TASKS,
+                len(task_failures[i]),
             )
 
         healed = self.hdfs.heal_report()
@@ -951,8 +831,7 @@ class JobRunner:
         rereplicate_s = self.cost_model.rereplication_time(heal_bytes)
         return {
             "victim": victim,
-            "lost": [a for _, a in lost],
-            "lost_indices": [i for i, _ in lost],
+            "lost": [primary[i] for i in lost],
             "healed": healed,
             "heal_bytes": heal_bytes,
             "detect_s": self.cost_model.node_loss_detect_s,
@@ -1232,59 +1111,3 @@ class JobRunner:
             output_path=job.output_path,
         )
         h.advance(t0 + timing.total_s)
-
-    def _run_reduce_task(
-        self,
-        job: JobSpec,
-        task_id: str,
-        groups: list[tuple[Any, list[Any]]],
-        blacklist: NodeBlacklist | None = None,
-        factory: Any | None = None,
-    ) -> tuple[list[tuple[Any, Any]], Counters, list[tuple]]:
-        """Run one reduce task with the same retry policy as map tasks.
-
-        ``factory`` overrides the job's declared reducer (the runner
-        passes the synthesized aggregation reducer for pre-aggregated
-        jobs); ``None`` uses ``job.reducer``.
-        """
-        alive = [
-            n.name
-            for n in self.cluster.tasktrackers()
-            if n.name not in self.hdfs.dead_nodes
-        ]
-        last_error: TaskFailure | None = None
-        failures: list[tuple] = []
-        for attempt in range(1, self.max_attempts + 1):
-            usable = [
-                n for n in alive
-                if blacklist is None or not blacklist.is_blacklisted(n)
-            ] or alive
-            node = usable[(attempt - 1) % len(usable)]
-            counters = Counters()
-            ctx = ReduceContext(job.conf, counters, self.cache, task_id, node)
-            reducer = (factory or job.reducer)()
-            try:
-                if self.failure_injector is not None:
-                    self.failure_injector.fail_attempt(task_id, attempt)
-                if self.chaos is not None:
-                    self.chaos.fail_attempt(task_id, attempt, node=node)
-                reducer.setup(ctx)
-                reducer.run(groups, ctx)
-                reducer.cleanup(ctx)
-            except TaskFailure as exc:
-                last_error = exc
-                backoff = self.retry_policy.backoff_s(attempt)
-                failures.append((attempt, node, exc.reason, exc.kind, backoff))
-                if blacklist is not None:
-                    blacklist.record_failure(node)
-                counters = Counters()
-                continue
-            n_values = sum(len(v) for _, v in groups)
-            counters.increment(STANDARD.GROUP_TASK, STANDARD.REDUCE_INPUT_GROUPS, len(groups))
-            counters.increment(STANDARD.GROUP_TASK, STANDARD.REDUCE_INPUT_RECORDS, n_values)
-            counters.increment(
-                STANDARD.GROUP_TASK, STANDARD.REDUCE_OUTPUT_RECORDS, ctx.output_records
-            )
-            counters.increment(STANDARD.GROUP_SCHEDULER, STANDARD.FAILED_TASKS, attempt - 1)
-            return ctx.output, counters, failures
-        raise JobFailedError(task_id, self.max_attempts, failures) from last_error

@@ -16,6 +16,8 @@ from repro.mapreduce.backends import (
 )
 from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.config import BACKENDS, MapReduceConfig
+from repro.mapreduce.counters import STANDARD
+from repro.mapreduce.failures import ChaosSchedule, FailureInjector
 from repro.mapreduce.hdfs import SimulatedHDFS
 from repro.mapreduce.job import JobSpec, Mapper, Reducer
 from repro.mapreduce.runner import JobRunner
@@ -156,18 +158,48 @@ def test_trace_array_jobs_identical_across_backends():
             assert g_counters == b_counters, backend
 
 
-def test_process_backend_uses_multiple_workers():
-    """With >1 chunk and max_workers=2 the map phase really crosses the
-    process boundary (worker PIDs differ from the driver's)."""
+def _run_pid_job(**runner_kwargs):
+    """Worker PIDs and result of a >1-chunk job on a 2-worker pool."""
     hdfs = _trace_hdfs()
     assert len(hdfs.chunks("input/traces")) > 1
-    with JobRunner(hdfs, executor="processes", max_workers=2) as runner:
-        runner.run(
+    with JobRunner(
+        hdfs, executor="processes", max_workers=2, **runner_kwargs
+    ) as runner:
+        result = runner.run(
             JobSpec("pids", PidMapper, ["input/traces"], "out/pids",
                     reducer=SumReducer, num_reducers=1)
         )
-        pids = [k for k, _ in hdfs.read_records("out/pids")]
+        stats = runner.spill_stats
+    return [k for k, _ in hdfs.read_records("out/pids")], result, stats
+
+
+def test_process_backend_uses_multiple_workers():
+    """With >1 chunk and max_workers=2 the map phase really crosses the
+    process boundary (worker PIDs differ from the driver's)."""
+    pids, _, _ = _run_pid_job()
     assert all(pid != os.getpid() for pid in pids)
+
+
+def test_probabilistic_injector_crosses_the_pool():
+    """Hashed injector draws are pure, so they travel to the workers —
+    a probabilistic injector must not pin the job to the driver."""
+    pids, result, _ = _run_pid_job(
+        failure_injector=FailureInjector(probability=0.3, seed=5),
+        max_attempts=12,
+    )
+    assert all(pid != os.getpid() for pid in pids)
+    assert result.counters.value(STANDARD.GROUP_SCHEDULER, STANDARD.FAILED_TASKS) > 0
+
+
+def test_bad_nodes_run_spills_like_the_fault_free_run():
+    """A bad node costs retries, not the memory budget: worker-side map
+    spills happen exactly as in the fault-free run."""
+    _, _, clean = _run_pid_job(memory_budget_mb=0.001)
+    _, result, flaky = _run_pid_job(
+        memory_budget_mb=0.001, chaos=ChaosSchedule(bad_nodes={"worker01"})
+    )
+    assert flaky.map_spills == clean.map_spills > 0
+    assert result.counters.value(STANDARD.GROUP_SCHEDULER, STANDARD.FAILED_TASKS) > 0
 
 
 # -- shared-memory lifecycle -------------------------------------------------

@@ -61,6 +61,13 @@ class TestChaosSchedule:
         with pytest.raises(ValueError, match="slow_factor"):
             ChaosSchedule(slow_factor=0.5)
 
+    @pytest.mark.parametrize("bare", ["worker02", b"worker02"])
+    def test_bad_nodes_rejects_bare_string(self, bare):
+        """frozenset("worker02") is eight characters, none a node name."""
+        with pytest.raises(TypeError, match="bad_nodes"):
+            ChaosSchedule(bad_nodes=bare)
+        assert ChaosSchedule(bad_nodes=["worker02"]).bad_nodes == {"worker02"}
+
     def test_unknown_fault_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
             Fault("disk_on_fire")

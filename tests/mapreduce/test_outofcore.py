@@ -11,6 +11,9 @@ and DJ-Cluster over 10^6 synthetic traces with the budget well below the
 dataset, byte-identical with spill events recorded.
 """
 
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,14 @@ from repro.mapreduce.chaos import (
     default_schedule,
 )
 from repro.mapreduce.config import BACKENDS
+from repro.mapreduce.failures import (
+    ChaosSchedule,
+    FailureInjector,
+    Fault,
+    FaultKind,
+    JobFailedError,
+    MAX_TASK_ATTEMPTS,
+)
 from repro.mapreduce.job import Mapper, Reducer
 
 SPILL_KINDS = {"spill_start", "spill_merge"}
@@ -30,9 +41,8 @@ SPILL_KINDS = {"spill_start", "spill_merge"}
 TINY_BUDGET_MB = 0.01
 
 #: Drivers whose campaign runs must actually spill under TINY_BUDGET_MB.
-#: Sampling (map-only: no shuffle, and the in-driver fault path keeps
-#: map outputs in memory) and MMC (per-user shuffles under the run-cut
-#: size) legitimately have nothing to spill at this corpus scale.
+#: Sampling (map-only: no shuffle) and MMC (per-user shuffles under the
+#: run-cut size) legitimately have nothing to spill at this corpus scale.
 SPILLING_DRIVERS = {"kmeans", "djcluster"}
 
 
@@ -70,21 +80,31 @@ def campaign():
 @pytest.mark.parametrize("driver", list(DRIVERS))
 def test_budget_is_invisible_under_chaos(campaign, driver, backend):
     array, context, schedule = campaign
-    kwargs = dict(executor=backend, max_workers=2)
-    base = _run_once(
-        DRIVERS[driver], array, context, 3, 64 * 1024, schedule, **kwargs
-    )
-    budgeted = _run_once(
-        DRIVERS[driver], array, context, 3, 64 * 1024, schedule,
-        memory_budget_mb=TINY_BUDGET_MB, **kwargs,
-    )
-    assert budgeted.signature == base.signature
-    assert budgeted.makespan_s == base.makespan_s
-    assert _normalize(budgeted.events) == _normalize(base.events)
-    n_spills = sum(1 for e in budgeted.events if e["kind"] in SPILL_KINDS)
-    if driver in SPILLING_DRIVERS:
-        assert n_spills > 0, "budgeted run never spilled — budget too large?"
-    assert not any(e["kind"] in SPILL_KINDS for e in base.events)
+    # The campaign default, then the same plus a chronically bad node
+    # and a probabilistic injector (failures the replay interleaves).
+    cases = [
+        (schedule, None),
+        (
+            dataclasses.replace(schedule, bad_nodes=frozenset({"worker02"})),
+            FailureInjector(probability=0.1, seed=9),
+        ),
+    ]
+    for chaos, injector in cases:
+        kwargs = dict(executor=backend, max_workers=2, failure_injector=injector)
+        base = _run_once(
+            DRIVERS[driver], array, context, 3, 64 * 1024, chaos, **kwargs
+        )
+        budgeted = _run_once(
+            DRIVERS[driver], array, context, 3, 64 * 1024, chaos,
+            memory_budget_mb=TINY_BUDGET_MB, **kwargs,
+        )
+        assert budgeted.signature == base.signature
+        assert budgeted.makespan_s == base.makespan_s
+        assert _normalize(budgeted.events) == _normalize(base.events)
+        n_spills = sum(1 for e in budgeted.events if e["kind"] in SPILL_KINDS)
+        if driver in SPILLING_DRIVERS:
+            assert n_spills > 0, "budgeted run never spilled — budget too large?"
+        assert not any(e["kind"] in SPILL_KINDS for e in base.events)
 
 
 class FanOut(Mapper):
@@ -98,9 +118,10 @@ class Total(Reducer):
         ctx.emit(key, sum(values))
 
 
-def _fanout_job(executor, budget):
-    """A shuffle-heavy job: every input record fans out 40 pairs, so both
-    the per-task map-output threshold and the shuffle run budget trip."""
+def _fanout_deployment(executor, budget, **runner_kwargs):
+    """HDFS, runner and spec of a shuffle-heavy job: every input record
+    fans out 40 pairs, so both the per-task map-output threshold and the
+    shuffle run budget trip."""
     from repro.mapreduce.cluster import paper_cluster
     from repro.mapreduce.hdfs import SimulatedHDFS
     from repro.mapreduce.job import JobSpec
@@ -108,15 +129,60 @@ def _fanout_job(executor, budget):
 
     hdfs = SimulatedHDFS(paper_cluster(3), chunk_size=2048, seed=0)
     hdfs.put_records("in", [(i, i) for i in range(600)], record_bytes=16)
-    with JobRunner(
-        hdfs, executor=executor, max_workers=2, memory_budget_mb=budget
-    ) as runner:
-        runner.run(
-            JobSpec("fan", FanOut, ["in"], "out", reducer=Total, num_reducers=3)
-        )
+    runner = JobRunner(
+        hdfs, executor=executor, max_workers=2, memory_budget_mb=budget,
+        **runner_kwargs,
+    )
+    spec = JobSpec("fan", FanOut, ["in"], "out", reducer=Total, num_reducers=3)
+    return hdfs, runner, spec
+
+
+def _fanout_job(executor, budget):
+    hdfs, runner, spec = _fanout_deployment(executor, budget)
+    with runner:
+        runner.run(spec)
         stats = runner.spill_stats
         events = [e.to_dict() for e in runner.history]
     return hdfs.read_records("out"), stats, events
+
+
+# The runner owns (and on close removes) its spill directory, so the two
+# hygiene tests below look inside it after the job but before close.
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_node_loss_rerun_leaves_no_spill_files(backend, tmp_path):
+    """A lost task's first ``.mapout`` must not outlive its re-execution."""
+    clean, clean_stats, _ = _fanout_job(backend, budget=0.002)
+    shm_before = set(os.listdir("/dev/shm"))
+    hdfs, runner, spec = _fanout_deployment(
+        backend, 0.002, spill_dir=str(tmp_path / "spill"),
+        chaos=ChaosSchedule(faults=[Fault(FaultKind.NODE_LOSS)]),
+    )
+    with runner:
+        runner.run(spec)
+        assert os.listdir(tmp_path / "spill") == []
+        assert runner.spill_stats.map_spills == clean_stats.map_spills > 0
+        assert any(e.kind == "node_lost" for e in runner.history)
+    assert hdfs.read_records("out") == clean
+    assert set(os.listdir("/dev/shm")) <= shm_before
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_failed_job_leaves_no_spill_files(backend, tmp_path):
+    """One task past its retry budget: its siblings' spilled outputs are
+    released on the exception path too."""
+    injector = FailureInjector()
+    injector.script_failures("map-0003", attempts=MAX_TASK_ATTEMPTS)
+    shm_before = set(os.listdir("/dev/shm"))
+    _, runner, spec = _fanout_deployment(
+        backend, 0.002, spill_dir=str(tmp_path / "spill"),
+        failure_injector=injector,
+    )
+    with runner:
+        with pytest.raises(JobFailedError, match="map-0003"):
+            runner.run(spec)
+        assert os.listdir(tmp_path / "spill") == []
+    assert set(os.listdir("/dev/shm")) <= shm_before
 
 
 def test_spill_events_record_io_and_cost():

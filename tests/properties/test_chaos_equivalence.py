@@ -16,6 +16,8 @@ found counterexample replays exactly.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,13 @@ from repro.attacks.mmc import build_mmc
 from repro.geo.synthetic import SyntheticConfig, generate_dataset
 from repro.mapreduce.chaos import DRIVERS, _run_once, default_schedule
 from repro.mapreduce.config import BACKENDS
-from repro.mapreduce.failures import ChaosSchedule, Fault, FaultKind, JobFailedError
+from repro.mapreduce.failures import (
+    ChaosSchedule,
+    FailureInjector,
+    Fault,
+    FaultKind,
+    JobFailedError,
+)
 
 # Each hypothesis example is a full simulated deployment, and every test
 # now runs once per execution backend — keep the counts small.
@@ -94,11 +102,30 @@ schedules = st.builds(
     shuffle_fetch_prob=st.sampled_from([0.0, 0.2]),
     slow_node_prob=st.sampled_from([0.0, 0.3]),
     node_loss_prob=st.sampled_from([0.0, 1.0]),
+    # At most two of the three workers: one healthy node always remains.
+    bad_nodes=st.frozensets(
+        st.integers(0, 2).map(lambda i: f"worker{i:02d}"), max_size=2
+    ),
     faults=scripted_faults,
 )
 
+injectors = st.one_of(
+    st.none(),
+    st.builds(
+        FailureInjector,
+        probability=st.sampled_from([0.1, 0.25]),
+        seed=st.integers(0, 2**32 - 1),
+    ),
+)
 
-def _assert_equivalent(name, corpus, context, clean_signatures, schedule, backend):
+#: ``None`` = unbounded; ~10 KB forces the spill paths (test_outofcore).
+budgets = st.sampled_from([None, 0.01])
+
+
+def _assert_equivalent(
+    name, corpus, context, clean_signatures, schedule, backend,
+    injector=None, budget=None,
+):
     # Two workers force real pool dispatch on threads/processes even on a
     # single-core runner (the backends short-circuit inline at 1 worker).
     workers = None if backend == "serial" else 2
@@ -106,6 +133,7 @@ def _assert_equivalent(name, corpus, context, clean_signatures, schedule, backen
         artifacts = _run_once(
             DRIVERS[name], corpus, context, 3, 64 * 1024, schedule,
             executor=backend, max_workers=workers,
+            failure_injector=injector, memory_budget_mb=budget,
         )
     except JobFailedError as err:
         # An aggressive schedule may legitimately exhaust a task's retry
@@ -116,70 +144,103 @@ def _assert_equivalent(name, corpus, context, clean_signatures, schedule, backen
         return
     assert artifacts.signature == clean_signatures[name], (
         f"{name} output diverged under chaos schedule "
-        f"[{schedule.describe()}] on backend {backend}"
+        f"[{schedule.describe()}] injector={injector} budget={budget} "
+        f"on backend {backend}"
     )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
-@given(schedule=schedules)
+@given(schedule=schedules, injector=injectors, budget=budgets)
 def test_sampling_equivalent_under_chaos(
-    corpus, context, clean_signatures, backend, schedule
+    corpus, context, clean_signatures, backend, schedule, injector, budget
 ):
-    _assert_equivalent("sampling", corpus, context, clean_signatures, schedule, backend)
+    _assert_equivalent(
+        "sampling", corpus, context, clean_signatures, schedule, backend,
+        injector, budget,
+    )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
-@given(schedule=schedules)
+@given(schedule=schedules, injector=injectors, budget=budgets)
 def test_djcluster_preprocessing_equivalent_under_chaos(
-    corpus, context, clean_signatures, backend, schedule
+    corpus, context, clean_signatures, backend, schedule, injector, budget
 ):
-    _assert_equivalent("djcluster", corpus, context, clean_signatures, schedule, backend)
+    _assert_equivalent(
+        "djcluster", corpus, context, clean_signatures, schedule, backend,
+        injector, budget,
+    )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
-@given(schedule=schedules)
+@given(schedule=schedules, injector=injectors, budget=budgets)
 def test_mmc_equivalent_under_chaos(
-    corpus, context, clean_signatures, backend, schedule
+    corpus, context, clean_signatures, backend, schedule, injector, budget
 ):
-    _assert_equivalent("mmc", corpus, context, clean_signatures, schedule, backend)
+    _assert_equivalent(
+        "mmc", corpus, context, clean_signatures, schedule, backend,
+        injector, budget,
+    )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=2, deadline=None)  # iterative: the slow driver
-@given(schedule=schedules)
+@given(schedule=schedules, injector=injectors, budget=budgets)
 def test_kmeans_equivalent_under_chaos(
-    corpus, context, clean_signatures, backend, schedule
+    corpus, context, clean_signatures, backend, schedule, injector, budget
 ):
-    _assert_equivalent("kmeans", corpus, context, clean_signatures, schedule, backend)
+    _assert_equivalent(
+        "kmeans", corpus, context, clean_signatures, schedule, backend,
+        injector, budget,
+    )
 
 
 # -- cross-backend byte-identity ---------------------------------------------
 #
 # The property tests above check output fingerprints per backend; this
-# pins the *whole observable execution* — every traced event dict, the
-# simulated makespan and the output signature — to be byte-identical
-# across serial, threaded and process execution under one fault-heavy
-# fixed schedule.
+# pins the *whole observable execution* — every traced event dict (and
+# with it every counter), the simulated makespan and the output signature
+# — to be byte-identical across serial, threaded and process execution
+# under fault-heavy fixed schedules: the campaign default, and the same
+# with a chronically bad node plus a probabilistic injector (the two
+# fault sources whose failures the driver-side replay interleaves).
+
+_FIXED = default_schedule(seed=3, node_loss=True)
+FIXED_CASES = [
+    (_FIXED, None),
+    (
+        dataclasses.replace(_FIXED, bad_nodes=frozenset({"worker02"})),
+        FailureInjector(probability=0.1, seed=9),
+    ),
+]
+
 
 @pytest.mark.parametrize("name", sorted(DRIVERS))
 def test_backends_byte_identical_under_fixed_chaos(name, corpus, context):
-    schedule = default_schedule(seed=3, node_loss=True)
-    runs = {}
-    for backend in BACKENDS:
-        workers = None if backend == "serial" else 2
-        runs[backend] = _run_once(
-            DRIVERS[name], corpus, context, 3, 64 * 1024, schedule,
-            executor=backend, max_workers=workers,
-        )
-    base = runs["serial"]
-    for backend in BACKENDS[1:]:
-        got = runs[backend]
-        assert got.signature == base.signature, backend
-        assert got.makespan_s == base.makespan_s, backend
-        assert got.events == base.events, backend
+    for schedule, injector in FIXED_CASES:
+        runs = {}
+        for backend in BACKENDS:
+            workers = None if backend == "serial" else 2
+            runs[backend] = _run_once(
+                DRIVERS[name], corpus, context, 3, 64 * 1024, schedule,
+                executor=backend, max_workers=workers,
+                failure_injector=injector,
+            )
+        base = runs["serial"]
+        if schedule.bad_nodes:
+            assert "worker02" in base.blacklisted
+            assert any(
+                e["kind"] == "attempt_failed"
+                and e["data"]["reason"] == "random failure"
+                for e in base.events
+            )
+        for backend in BACKENDS[1:]:
+            got = runs[backend]
+            assert got.signature == base.signature, backend
+            assert got.makespan_s == base.makespan_s, backend
+            assert got.events == base.events, backend
 
 
 # -- sequential baselines ----------------------------------------------------
