@@ -163,51 +163,47 @@ def preprocess_array(array: TraceArray, params: DJClusterParams) -> tuple[TraceA
 # Cluster merging (shared)
 # ---------------------------------------------------------------------------
 
-class _UnionFind:
-    """Disjoint sets over trace ids, used to join joinable neighborhoods.
-
-    Equivalent to Algorithm 5's "merge all joinable neighborhoods with
-    existing clusters or create new clusters": two neighborhoods sharing a
-    trace end up in one component.
-    """
-
-    def __init__(self) -> None:
-        self._parent: dict[int, int] = {}
-
-    def find(self, x: int) -> int:
-        parent = self._parent
-        root = parent.setdefault(x, x)
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:  # path compression
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[rb] = ra
-
-    def components(self) -> list[np.ndarray]:
-        groups: dict[int, list[int]] = {}
-        for x in self._parent:
-            groups.setdefault(self.find(x), []).append(x)
-        return [np.sort(np.array(ids, dtype=np.int64)) for _, ids in sorted(groups.items())]
-
-
 def _merge_neighborhoods(neighborhoods: list[np.ndarray]) -> list[np.ndarray]:
-    """Join all joinable neighborhoods into non-overlapping clusters."""
-    uf = _UnionFind()
-    for hood in neighborhoods:
-        if len(hood) == 0:
-            continue
-        first = int(hood[0])
-        uf.find(first)
-        for other in hood[1:]:
-            uf.union(first, int(other))
-    clusters = uf.components()
-    clusters.sort(key=lambda ids: (int(ids[0]), len(ids)))
-    return clusters
+    """Join all joinable neighborhoods into non-overlapping clusters.
+
+    Algorithm 5's "merge all joinable neighborhoods with existing
+    clusters or create new clusters" is connected components over the
+    trace ids, every neighborhood tying its members together.  Computed
+    array-at-a-time: ids are compacted to ``0..m-1``, each id starts as
+    its own label, and each round hooks the label of every member of a
+    neighborhood onto the neighborhood's smallest label, then flattens
+    the label forest by pointer jumping.  At the fixed point every
+    neighborhood — hence every component — carries one label, its
+    smallest id.  Clusters are ascending ``int64`` id arrays, ordered by
+    their first id.
+    """
+    hoods = [hood for hood in neighborhoods if len(hood)]
+    if not hoods:
+        return []
+    lengths = np.fromiter((len(hood) for hood in hoods), dtype=np.int64, count=len(hoods))
+    starts = np.cumsum(lengths) - lengths
+    flat = np.concatenate(hoods).astype(np.int64, copy=False)
+    ids = np.unique(flat)
+    # Narrow labels halve every per-round transient (they are all as long
+    # as ``flat``), which is what bounds the reducer's peak memory.
+    label_t = np.int32 if len(ids) <= np.iinfo(np.int32).max else np.int64
+    members = np.searchsorted(ids, flat).astype(label_t)
+    del flat
+    labels = np.arange(len(ids), dtype=label_t)
+    while True:
+        roots = labels[members]
+        lowest = np.repeat(np.minimum.reduceat(roots, starts), lengths)
+        if np.array_equal(roots, lowest):
+            break
+        np.minimum.at(labels, roots, lowest)
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    return np.split(ids[order], cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +333,13 @@ class NeighborhoodMapper(Mapper):
         # are exactly the per-point query_radius sets, so emissions (and
         # therefore shuffle bytes, counters, histories) are unchanged.
         hoods = self._tree.query_radius_batch(points, self._radius)
-        for i, hood in enumerate(hoods):
+        n_noise = 0
+        for hood in hoods:
             if len(hood) >= self._min_pts:
                 ctx.emit("all", hood, nbytes=int(hood.nbytes), n_records=1)
             else:
-                ctx.counters.increment("djcluster", "noise_traces", 1)
-            # The trace's own global id is offset + i; recorded for audit.
+                n_noise += 1
+        ctx.counters.increment("djcluster", "noise_traces", n_noise)
         ctx.counters.increment("djcluster", "traces_examined", len(points))
 
 

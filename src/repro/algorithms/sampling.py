@@ -90,13 +90,15 @@ def sample_array(
     else:
         reference = windows * window_s + window_s / 2.0
     delta = np.abs(ts - reference)
-    # Group = (user, window); pick the argmin of delta per group.
-    groups = np.stack([array.user_index.astype(np.int64), windows], axis=1)
-    _, group_ids = np.unique(groups, axis=0, return_inverse=True)
-    order = np.lexsort((delta, group_ids))
-    sorted_groups = group_ids[order]
+    # Group = (user, window); one sort by (user, window, delta) puts each
+    # group's argmin of delta first (ties: earliest row, the sort is stable).
+    users = array.user_index
+    order = np.lexsort((delta, windows, users))
+    sorted_users, sorted_windows = users[order], windows[order]
     first_of_group = np.ones(n, dtype=bool)
-    first_of_group[1:] = sorted_groups[1:] != sorted_groups[:-1]
+    first_of_group[1:] = (sorted_users[1:] != sorted_users[:-1]) | (
+        sorted_windows[1:] != sorted_windows[:-1]
+    )
     winners = np.sort(order[first_of_group])
     return array[winners]
 

@@ -78,6 +78,47 @@ def _radius_rect(lat: float, lon: float, radius_m: float) -> Rect:
     return Rect(min_lat, max(lon - dlon, -180.0), max_lat, min(lon + dlon, 180.0))
 
 
+def _check_radius_queries(points: np.ndarray, radius_m: float) -> np.ndarray:
+    """The (n, 2) float64 query array of a many-point radius query, or
+    ``ValueError``.  NaN compares false against everything, so unchecked
+    poison comes back as an empty — plausible, wrong — neighborhood."""
+    if not math.isfinite(radius_m):
+        raise ValueError(f"radius must be finite, got {radius_m!r}")
+    if radius_m < 0:
+        raise ValueError("radius must be non-negative")
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError("points must be an (n, 2) array")
+    if not np.isfinite(points).all():
+        raise ValueError("query points must be finite (no NaN/inf coordinates)")
+    return points
+
+
+def _split_hits_by_query(queries: np.ndarray, ids: np.ndarray, n: int) -> list[np.ndarray]:
+    """Per-query ascending id arrays from unordered (query, id) hit pairs.
+
+    Consumes both inputs.  The pairs are folded into one ``query * span +
+    (id - lowest id)`` key and sorted in place, which orders them by
+    ``(query, id)`` with no index array; id ranges too wide for that key
+    to fit an ``int64`` take the equivalent ``lexsort``.
+    """
+    bounds = np.cumsum(np.bincount(queries, minlength=n))[:-1]
+    low = int(ids.min())
+    span = int(ids.max()) - low + 1
+    if n * span <= np.iinfo(np.int64).max:
+        key = queries
+        key *= span
+        ids -= low
+        key += ids
+        key.sort()
+        key %= span
+        key += low
+        ids = key
+    else:
+        ids = ids[np.lexsort((ids, queries))]
+    return np.split(ids, bounds)
+
+
 @dataclass(frozen=True)
 class Rect:
     """Axis-aligned rectangle in (latitude, longitude) space."""
@@ -465,20 +506,16 @@ class RTree:
         carries the subset of query indices whose pruning rectangles
         intersect it, and the rect-vs-child-MBR test for that whole
         subset is a single broadcasted comparison instead of ``n``
-        independent traversals.  Leaf survivors are refined per query
-        with the same 1-D Haversine call the scalar path makes, so the
-        result arrays are exactly ``[query_radius(lat, lon, radius_m)
-        for lat, lon in points]`` (the property tests assert it).
+        independent traversals.  A leaf refines all of its surviving
+        (query, candidate) pairs with *one* flat Haversine call, and the
+        hits of the whole walk are ordered by ``(query, id)`` in a single
+        sort at the end.  Haversine is elementwise, so a pair's distance
+        does not depend on which call computed it: the result arrays are
+        exactly ``[query_radius(lat, lon, radius_m) for lat, lon in
+        points]`` (the property tests assert it).  The arrays are slices
+        of one shared ``int64`` buffer.
         """
-        if not math.isfinite(radius_m):
-            raise ValueError(f"radius must be finite, got {radius_m!r}")
-        if radius_m < 0:
-            raise ValueError("radius must be non-negative")
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[1] != 2:
-            raise ValueError("points must be an (n, 2) array")
-        if not np.isfinite(points).all():
-            raise ValueError("query points must be finite (no NaN/inf coordinates)")
+        points = _check_radius_queries(points, radius_m)
         n = len(points)
         empty = np.empty(0, dtype=np.int64)
         if n == 0 or self._root is None:
@@ -488,7 +525,8 @@ class RTree:
         rects = np.empty((n, 4), dtype=np.float64)
         for q in range(n):
             rects[q] = _radius_rect(points[q, 0], points[q, 1], radius_m).as_array()
-        out: list[list[np.ndarray]] = [[] for _ in range(n)]
+        hit_queries: list[np.ndarray] = []
+        hit_ids: list[np.ndarray] = []
         all_queries = np.arange(n, dtype=np.int64)
         stack: list[tuple[_Node, np.ndarray]] = [(self._root, all_queries)]
         while stack:
@@ -497,21 +535,22 @@ class RTree:
             if node.is_leaf:
                 pts = node.points
                 # (a, m) inclusion mask: leaf point inside each query rect.
-                mask = (
+                rows, cols = np.nonzero(
                     (pts[None, :, 0] >= qarr[:, 0, None])
                     & (pts[None, :, 1] >= qarr[:, 1, None])
                     & (pts[None, :, 0] <= qarr[:, 2, None])
                     & (pts[None, :, 1] <= qarr[:, 3, None])
                 )
-                for row in np.flatnonzero(mask.any(axis=1)):
-                    qi = int(active[row])
-                    cand_pts = pts[mask[row]]
-                    dist = haversine_m(
-                        points[qi, 0], points[qi, 1], cand_pts[:, 0], cand_pts[:, 1]
-                    )
-                    keep = dist <= radius_m
-                    if np.any(keep):
-                        out[qi].append(node.ids[mask[row]][keep])
+                if len(rows) == 0:
+                    continue
+                queries = active[rows]
+                dist = haversine_m(
+                    points[queries, 0], points[queries, 1], pts[cols, 0], pts[cols, 1]
+                )
+                keep = dist <= radius_m
+                if keep.any():
+                    hit_queries.append(queries[keep])
+                    hit_ids.append(node.ids[cols[keep]])
             else:
                 mbrs = node.child_mbrs()  # (c, 4)
                 # (a, c) intersection matrix: query rect vs child MBR.
@@ -523,9 +562,9 @@ class RTree:
                 )
                 for ci in np.flatnonzero(hit.any(axis=0)):
                     stack.append((node.children[ci], active[hit[:, ci]]))
-        return [
-            np.sort(np.concatenate(parts)) if parts else empty for parts in out
-        ]
+        if not hit_ids:
+            return [empty for _ in range(n)]
+        return _split_hits_by_query(np.concatenate(hit_queries), np.concatenate(hit_ids), n)
 
     def knn(self, lat: float, lon: float, k: int) -> list[tuple[int, float]]:
         """The ``k`` nearest points as ``(id, haversine_metres)``, nearest

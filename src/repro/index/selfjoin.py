@@ -15,10 +15,10 @@ while the MapReduce mapper keeps the paper's R-tree formulation.
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from repro.geo.distance import haversine_m
+from repro.index.rtree import _check_radius_queries
 
 __all__ = ["radius_self_join"]
 
@@ -34,13 +34,10 @@ def radius_self_join(points: np.ndarray, radius_m: float) -> list[np.ndarray]:
 
     Each point's neighborhood includes itself.  Memory per cell-pair
     comparison is O(|cell| * |neighbourhood|), fine for the dwell-cluster
-    densities mobility data exhibits.
+    densities mobility data exhibits.  Arguments are validated exactly
+    as :meth:`RTree.query_radius_batch` validates them.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise ValueError("points must be an (n, 2) array")
-    if radius_m < 0:
-        raise ValueError("radius must be non-negative")
+    points = _check_radius_queries(points, radius_m)
     n = len(points)
     if n == 0:
         return []

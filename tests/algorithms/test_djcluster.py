@@ -13,9 +13,10 @@ from repro.algorithms.djcluster import (
     run_preprocessing_pipeline,
     trace_speeds,
     _merge_neighborhoods,
-    _UnionFind,
 )
 from repro.geo.trace import TraceArray
+from repro.index.selfjoin import radius_self_join
+from tests.conftest import UnionFind
 
 
 def _array(lat, lon, ts, user="u"):
@@ -155,7 +156,7 @@ class TestPreprocessTableIVShape:
 
 class TestUnionFind:
     def test_components(self):
-        uf = _UnionFind()
+        uf = UnionFind()
         uf.union(1, 2)
         uf.union(2, 3)
         uf.union(10, 11)
@@ -291,8 +292,19 @@ class TestMapReduceClustering:
         from repro.algorithms.sampling import sample_array
 
         sampled = sample_array(small_array, 300.0)
-        runner.hdfs.chunk_size = 64 * (len(sampled) + 1)
+        runner.hdfs.chunk_size = 64 * 100  # several map tasks, one increment each
         runner.hdfs.put_trace_array("sampled", sampled)
         params = DJClusterParams(radius_m=30, min_pts=20)  # strict: most is noise
         mr = run_djcluster_mapreduce(runner, "sampled", params, workdir="w/n")
         assert len(mr.noise_ids) > 0
+        finish = runner.history.job_finish("dj-neighborhood-merge")
+        assert finish.data["n_map_tasks"] > 1
+        counted = finish.data["counters"]["djcluster"]
+        assert counted["traces_examined"] == len(mr.preprocessed)
+        # A trace is noise to its mapper when its own neighborhood is
+        # sparse; border points of a cluster still end up clustered.
+        sparse = sum(
+            len(hood) < params.min_pts
+            for hood in radius_self_join(mr.preprocessed.coordinates(), params.radius_m)
+        )
+        assert counted["noise_traces"] == sparse >= len(mr.noise_ids)

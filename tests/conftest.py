@@ -52,3 +52,45 @@ def city_points(n: int, seed: int = 0, spread: float = 0.05) -> np.ndarray:
     return np.column_stack(
         [39.9 + gen.normal(0, spread, n), 116.4 + gen.normal(0, spread, n)]
     )
+
+
+class UnionFind:
+    """Dict-based disjoint sets over trace ids: the test oracle for
+    DJ-Cluster's array merge kernel (the implementation it replaced)."""
+
+    def __init__(self) -> None:
+        self._parent: dict[int, int] = {}
+
+    def find(self, x: int) -> int:
+        parent = self._parent
+        root = parent.setdefault(x, x)
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:  # path compression
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self._parent[rb] = ra
+
+    def components(self) -> list[np.ndarray]:
+        groups: dict[int, list[int]] = {}
+        for x in self._parent:
+            groups.setdefault(self.find(x), []).append(x)
+        return [np.sort(np.array(ids, dtype=np.int64)) for ids in groups.values()]
+
+
+def merge_neighborhoods_oracle(neighborhoods) -> list[np.ndarray]:
+    """Reference ``_merge_neighborhoods``: one union per (first, other)
+    pair of every hood; clusters ascending, ordered by (first id, len)."""
+    uf = UnionFind()
+    for hood in neighborhoods:
+        if len(hood) == 0:
+            continue
+        first = int(hood[0])
+        uf.find(first)
+        for other in hood[1:]:
+            uf.union(first, int(other))
+    return sorted(uf.components(), key=lambda ids: (int(ids[0]), len(ids)))

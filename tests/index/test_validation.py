@@ -13,6 +13,7 @@ import pytest
 
 from repro.index.persistent import PersistentRTree, QueryEngine
 from repro.index.rtree import RTree
+from repro.index.selfjoin import radius_self_join
 from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.hdfs import SimulatedHDFS
 
@@ -63,6 +64,29 @@ def test_query_radius_batch_rejects_nan_points(tree):
         tree.query_radius_batch(points, 100.0)
     with pytest.raises(ValueError, match="radius must be finite"):
         tree.query_radius_batch(np.array([[40.0, 116.5]]), NAN)
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+def test_radius_self_join_rejects_non_finite_points(bad):
+    # Unvalidated, the poisoned row came back with an *empty* neighborhood
+    # (it must at least contain itself) behind a RuntimeWarning.
+    for column in (0, 1):
+        points = np.array([[40.0, 116.5], [40.0, 116.5], [40.001, 116.5]])
+        points[1, column] = bad
+        with pytest.raises(ValueError, match="query points must be finite"):
+            radius_self_join(points, 100.0)
+        with pytest.raises(ValueError, match="query points must be finite"):
+            radius_self_join(points, 0.0)
+
+
+@pytest.mark.parametrize("bad_radius", [NAN, INF, -INF])
+def test_radius_self_join_rejects_non_finite_radius(bad_radius):
+    # radius=nan used to return all-empty hoods: a plausible wrong answer.
+    points = np.array([[40.0, 116.5], [40.0, 116.5]])
+    with pytest.raises(ValueError, match="radius must be finite"):
+        radius_self_join(points, bad_radius)
+    with pytest.raises(ValueError, match="radius must be finite"):
+        radius_self_join(np.empty((0, 2)), bad_radius)
 
 
 def test_valid_queries_still_work(tree):

@@ -83,3 +83,34 @@ def test_deterministic(arr, window):
     a = sample_array(arr, window, "upper")
     b = sample_array(arr, window, "upper")
     assert np.array_equal(a.timestamp, b.timestamp)
+
+
+@st.composite
+def tie_heavy_arrays(draw):
+    """Whole-second timestamps on a short horizon: repeated instants and
+    pairs mirrored around a window's middle give exact ``delta`` ties."""
+    n = draw(st.integers(min_value=1, max_value=120))
+    ts = draw(st.lists(st.integers(min_value=0, max_value=240), min_size=n, max_size=n))
+    users = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=n, max_size=n))
+    # The latitude is the row number, so output rows name their input row.
+    return TraceArray.from_columns(
+        users, np.arange(n, dtype=np.float64), np.zeros(n), np.array(ts, dtype=np.float64)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_arrays(), st.sampled_from([1.0, 7.0, 10.0, 60.0]), techniques)
+def test_winners_equal_per_group_argmin(arr, window, technique):
+    ts = arr.timestamp
+    slots = np.floor_divide(ts, window).astype(np.int64)
+    if technique is SamplingTechnique.UPPER:
+        delta = np.abs(ts - (slots + 1) * window)
+    else:
+        delta = np.abs(ts - (slots * window + window / 2.0))
+    best: dict[tuple[int, int], int] = {}
+    for row, key in enumerate(zip(arr.user_index.tolist(), slots.tolist())):
+        # Strict "<": on an exact tie the earliest row keeps the window.
+        if key not in best or delta[row] < delta[best[key]]:
+            best[key] = row
+    out = sample_array(arr, window, technique)
+    assert out.latitude.astype(np.int64).tolist() == sorted(best.values())

@@ -1,12 +1,13 @@
-"""Property-based tests: the radius self-join equals per-point R-tree
-queries for arbitrary point sets and radii."""
+"""Property-based tests: the radius self-join and the batched R-tree
+query equal per-point R-tree queries for arbitrary point sets and radii."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index.rtree import RTree
+from repro.index.rtree import RTree, _radius_rect
 from repro.index.selfjoin import radius_self_join
+from tests.index.test_persistent_properties import _persist
 
 point_sets = st.lists(
     st.tuples(
@@ -30,17 +31,100 @@ def test_equals_rtree_queries(points, radius):
         assert np.array_equal(hood, want)
 
 
+def _assert_batch_equals_per_point(index, queries, radius):
+    """``index.query_radius_batch`` is element-identical, dtype included,
+    to one ``query_radius`` per row; returns the batch result."""
+    batch = index.query_radius_batch(queries, radius)
+    assert len(batch) == len(queries)
+    for (lat, lon), got in zip(queries, batch):
+        want = index.query_radius(lat, lon, radius)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+    return batch
+
+
 @settings(max_examples=80, deadline=None)
 @given(point_sets, radii)
 def test_batch_equals_per_point_queries(points, radius):
     pts = np.array(points)
-    tree = RTree.bulk_load(pts)
-    batch = tree.query_radius_batch(pts, radius)
-    assert len(batch) == len(pts)
-    for i, got in enumerate(batch):
-        want = tree.query_radius(pts[i, 0], pts[i, 1], radius)
-        assert got.dtype == want.dtype
+    _assert_batch_equals_per_point(RTree.bulk_load(pts), pts, radius)
+
+
+@settings(max_examples=40, deadline=None)
+@given(point_sets, st.floats(min_value=0.0, max_value=1_000.0))
+def test_batch_all_miss_queries_are_empty_int64(points, radius):
+    pts = np.array(points)
+    tree = RTree.bulk_load(pts, max_entries=4)
+    # The corpus lives in [35, 45] x [110, 120]; these queries are an
+    # ocean away, so every result must be an empty int64 array.
+    queries = pts * [-1.0, 1.0] - [0.0, 200.0]
+    batch = _assert_batch_equals_per_point(tree, queries, radius)
+    assert all(hit.dtype == np.int64 and hit.size == 0 for hit in batch)
+
+
+@settings(max_examples=40, deadline=None)
+@given(point_sets, st.sampled_from([0.0, 1.0, 5_000.0]), st.integers(0, 2**32 - 1))
+def test_batch_with_duplicate_points_and_zero_radius(points, radius, seed):
+    # Every point indexed (and queried) two or three times: radius 0 must
+    # return exactly the co-located copies, ascending.
+    rng = np.random.default_rng(seed)
+    pts = np.array(points)
+    pts = pts[rng.integers(0, len(pts), 3 * len(pts))]
+    tree = RTree.bulk_load(pts, max_entries=4)
+    batch = _assert_batch_equals_per_point(tree, pts, radius)
+    for i, hit in enumerate(batch):
+        assert i in hit
+        if radius == 0.0:
+            assert np.array_equal(hit, np.flatnonzero((pts == pts[i]).all(axis=1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=88.0, max_value=90.0),
+            st.floats(min_value=-180.0, max_value=180.0),
+        ),
+        min_size=1,
+        max_size=80,
+    ),
+    st.floats(min_value=0.0, max_value=400_000.0),
+    st.sampled_from([1.0, -1.0]),
+)
+def test_batch_with_pole_wrapping_rectangles(points, radius, hemisphere):
+    pts = np.array(points) * [hemisphere, 1.0]
+    tree = RTree.bulk_load(pts, max_entries=4)
+    _assert_batch_equals_per_point(tree, pts, radius)
+    # A query on the pole itself always gets the all-longitude rectangle.
+    pole = np.array([[90.0 * hemisphere, 0.0]])
+    rect = _radius_rect(pole[0, 0], pole[0, 1], radius)
+    assert (rect.min_lon, rect.max_lon) == (-180.0, 180.0)
+    _assert_batch_equals_per_point(tree, pole, radius)
+
+
+@settings(max_examples=25, deadline=None)
+@given(point_sets, radii)
+def test_batch_through_paged_persistent_index(points, radius):
+    # A 0.05 MB budget is far below the page set, so leaves are paged in
+    # and out while the one shared walk is in flight.
+    pts = np.array(points)
+    tree, persisted = _persist(points, budget_mb=0.05, max_entries=4)
+    batch = _assert_batch_equals_per_point(persisted, pts, radius)
+    for got, want in zip(batch, tree.query_radius_batch(pts, radius)):
         assert np.array_equal(got, want)
+    portable = persisted.to_portable().query_radius_batch(pts, radius)
+    assert all(np.array_equal(got, want) for got, want in zip(portable, batch))
+
+
+def test_batch_ids_too_wide_for_a_combined_sort_key():
+    # Ids spanning nearly all of int64 cannot be folded with the query
+    # index into one int64 sort key; the answers must not change.
+    rng = np.random.default_rng(5)
+    pts = np.column_stack((rng.uniform(39.9, 40.0, 60), rng.uniform(116.3, 116.4, 60)))
+    ids = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, 60, dtype=np.int64)
+    tree = RTree.bulk_load(pts, ids=ids, max_entries=4)
+    batch = _assert_batch_equals_per_point(tree, pts, 3_000.0)
+    assert max(len(hit) for hit in batch) > 1
 
 
 @settings(max_examples=80, deadline=None)
