@@ -2,9 +2,8 @@
 
 Times the fixed-initial-centroid k-means driver on serial / threads /
 processes over 10^5- and 10^6-trace synthetic corpora and writes the
-JSON document (``results/BENCH_backends.json``) that, once committed to
-``benchmarks/BENCH_backends.json``, becomes the baseline for
-``python -m repro bench --check``.
+JSON document (``results/BENCH_backends.json``) that, once committed,
+is the baseline for ``python -m repro bench --check``.
 
 Unlike the pytest-benchmark suites in this directory, these tests are
 gated behind the opt-in ``bench`` marker (``pytest benchmarks/ -m bench``)
@@ -23,11 +22,7 @@ import os
 import pytest
 
 from benchmarks.conftest import RESULTS_DIR, write_report
-from repro.mapreduce.bench import (
-    render_result,
-    run_backend_benchmark,
-    save_result,
-)
+from repro.mapreduce.bench import SUITES, save_result
 
 pytestmark = pytest.mark.bench
 
@@ -35,9 +30,10 @@ SIZES = (100_000, 1_000_000)
 
 
 def test_wallclock_backends():
-    doc = run_backend_benchmark(sizes=SIZES, iterations=2)
+    suite = SUITES["backends"]
+    doc = suite.run(sizes=SIZES, iterations=2)
     save_result(doc, RESULTS_DIR / "BENCH_backends.json")
-    write_report("BENCH_backends", render_result(doc).splitlines())
+    write_report("BENCH_backends", suite.render(doc).splitlines())
 
     by_size = {entry["size"]: entry for entry in doc["results"]}
     assert set(by_size) == set(SIZES)

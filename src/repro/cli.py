@@ -384,32 +384,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ben.add_argument(
         "--baseline", default=None,
-        help="baseline JSON for --check (default: benchmarks/BENCH_backends.json)",
+        help="baseline JSON for --check (default: the selected suite's committed "
+        "benchmarks/results/BENCH_<suite>.json)",
     )
     ben.add_argument(
         "--tolerance", type=float, default=0.25,
         help="fractional slowdown tolerated by --check (default 0.25)",
     )
     ben.add_argument(
-        "--spill", action="store_true",
+        "--budget-mb", type=float, default=8.0,
+        help="memory budget for the --spill budgeted cells (default 8)",
+    )
+    # One suite per run (repro.mapreduce.bench.SUITES); no flag selects
+    # the backends suite.
+    mode = ben.add_mutually_exclusive_group()
+    ben.set_defaults(suite="backends")
+    mode.add_argument(
+        "--spill", action="store_const", const="spill", dest="suite",
         help="benchmark out-of-core execution instead: the same run with "
         "and without a memory budget, wall-clock + peak RSS per cell "
         "(serial backend, combiner off; each cell in its own subprocess)",
     )
-    ben.add_argument(
-        "--budget-mb", type=float, default=8.0,
-        help="memory budget for the --spill budgeted cells (default 8)",
-    )
-    ben.add_argument(
-        "--multitenant", action="store_true",
+    mode.add_argument(
+        "--multitenant", action="store_const", const="multitenant", dest="suite",
         help="benchmark the multi-tenant JobService instead: a weighted "
         "tenant roster drains a mixed backlog under fair share; reports "
         "contended-window fairness, interleaved vs serial makespan, and "
         "the result-cache resubmission cell (fixed workload so the "
         "document doubles as a baseline; combine with --check/--out)",
     )
-    ben.add_argument(
-        "--query", action="store_true",
+    mode.add_argument(
+        "--query", action="store_const", const="query", dest="suite",
         help="benchmark the index serving path instead: persist the "
         "Figure-6 R-tree through the catalog under --budget-mb, prove "
         "the second ensure is a zero-job reuse hit, and answer a seeded "
@@ -417,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
         "in-memory tree (fixed workload so the document doubles as a "
         "baseline; combine with --check/--out)",
     )
-    ben.add_argument(
-        "--stream", action="store_true",
+    mode.add_argument(
+        "--stream", action="store_const", const="stream", dest="suite",
         help="benchmark the streaming layer instead: a warm windowed run "
         "over a stationary 10^5-point corpus under fixed feed chaos, a "
         "cold control proving the warm start saves k-means iterations, "
@@ -426,8 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
         "result-cache replay probe (fixed workload so the document "
         "doubles as a baseline; combine with --check/--out)",
     )
-    ben.add_argument(
-        "--shuffle", action="store_true",
+    mode.add_argument(
+        "--shuffle", action="store_const", const="shuffle", dest="suite",
         help="benchmark shuffle-byte minimization instead: the same "
         "10^6-trace k-means run with the object-level combiner vs the "
         "declared aggregation algebra (map-side vectorized pre-agg + "
@@ -436,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
         "per-mode byte-identical centroids (fixed workload so the "
         "document doubles as a baseline; combine with --check/--out)",
     )
-    ben.add_argument(
-        "--attack", action="store_true",
+    mode.add_argument(
+        "--attack", action="store_const", const="attack", dest="suite",
         help="benchmark the MapReduce linkage attack instead: an "
         "equivalence matrix proving the MR attack byte-identical to the "
         "serial reference on every backend, under a memory budget, and "
@@ -954,240 +959,43 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if report.ok else 1
 
     if args.command == "bench":
-        from repro.mapreduce.bench import (
-            DEFAULT_ATTACK_OUT,
-            DEFAULT_BASELINE,
-            DEFAULT_MULTITENANT_OUT,
-            DEFAULT_QUERY_OUT,
-            DEFAULT_SHUFFLE_OUT,
-            DEFAULT_SPILL_OUT,
-            DEFAULT_STREAM_OUT,
-            check_against_baseline,
-            check_attack_against_baseline,
-            check_attack_result,
-            check_multitenant_against_baseline,
-            check_multitenant_result,
-            check_query_against_baseline,
-            check_query_result,
-            check_shuffle_against_baseline,
-            check_shuffle_result,
-            check_stream_against_baseline,
-            check_stream_result,
-            load_result,
-            render_attack_result,
-            render_multitenant_result,
-            render_query_result,
-            render_result,
-            render_shuffle_result,
-            render_spill_result,
-            render_stream_result,
-            run_attack_benchmark,
-            run_backend_benchmark,
-            run_multitenant_benchmark,
-            run_query_benchmark,
-            run_shuffle_benchmark,
-            run_spill_benchmark,
-            run_stream_benchmark,
-            save_result,
-        )
+        from repro.mapreduce.bench import SUITES, compare_to_baseline, load_result, save_result
 
-        if args.attack:
-            try:
-                backends = [b.strip() for b in args.backends.split(",") if b.strip()]
-                doc = run_attack_benchmark(
-                    backends=backends,
-                    reps=args.iterations,
-                    max_workers=args.workers,
-                    budget_mb=args.budget_mb,
-                )
-            except (ValueError, RuntimeError) as exc:
-                raise SystemExit(f"bench: {exc}")
-            print(render_attack_result(doc))
-            problems = check_attack_result(doc)
-            if args.check:
-                # Compare before (possibly) overwriting the baseline.
-                baseline_path = args.baseline or DEFAULT_ATTACK_OUT
-                try:
-                    baseline = load_result(baseline_path)
-                    problems += check_attack_against_baseline(doc, baseline)
-                except FileNotFoundError:
-                    print(f"(no baseline at {baseline_path}; intrinsic gates only)")
-            if args.out or not args.check:
-                # Generation mode writes the artifact; --check without
-                # --out leaves the committed baseline untouched.
-                out = args.out or DEFAULT_ATTACK_OUT
-                print(f"result written to {save_result(doc, out)}")
-            if problems:
-                print("\nFAILED gates:")
-                for problem in problems:
-                    print(f"  {problem}")
-                return 1
-            print("all linkage-attack gates passed")
-            return 0
-
-        if args.shuffle:
-            try:
-                backends = [b.strip() for b in args.backends.split(",") if b.strip()]
-                doc = run_shuffle_benchmark(
-                    backends=backends,
-                    reps=args.iterations,
-                    max_workers=args.workers,
-                )
-            except (ValueError, RuntimeError) as exc:
-                raise SystemExit(f"bench: {exc}")
-            print(render_shuffle_result(doc))
-            problems = check_shuffle_result(doc)
-            if args.check:
-                # Compare before (possibly) overwriting the baseline.
-                baseline_path = args.baseline or DEFAULT_SHUFFLE_OUT
-                try:
-                    baseline = load_result(baseline_path)
-                    problems += check_shuffle_against_baseline(doc, baseline)
-                except FileNotFoundError:
-                    print(f"(no baseline at {baseline_path}; intrinsic gates only)")
-            if args.out or not args.check:
-                # Generation mode writes the artifact; --check without
-                # --out leaves the committed baseline untouched.
-                out = args.out or DEFAULT_SHUFFLE_OUT
-                print(f"result written to {save_result(doc, out)}")
-            if problems:
-                print("\nFAILED gates:")
-                for problem in problems:
-                    print(f"  {problem}")
-                return 1
-            print("all shuffle-byte gates passed")
-            return 0
-
-        if args.stream:
-            try:
-                doc = run_stream_benchmark()
-            except (ValueError, RuntimeError) as exc:
-                raise SystemExit(f"bench: {exc}")
-            print(render_stream_result(doc))
-            problems = check_stream_result(doc)
-            if args.check:
-                # Compare before (possibly) overwriting the baseline.
-                baseline_path = args.baseline or DEFAULT_STREAM_OUT
-                try:
-                    baseline = load_result(baseline_path)
-                    problems += check_stream_against_baseline(doc, baseline)
-                except FileNotFoundError:
-                    print(f"(no baseline at {baseline_path}; intrinsic gates only)")
-            if args.out or not args.check:
-                # Generation mode writes the artifact; --check without
-                # --out leaves the committed baseline untouched.
-                out = args.out or DEFAULT_STREAM_OUT
-                print(f"result written to {save_result(doc, out)}")
-            if problems:
-                print("\nFAILED gates:")
-                for problem in problems:
-                    print(f"  {problem}")
-                return 1
-            print("all streaming gates passed")
-            return 0
-
-        if args.query:
-            try:
-                sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-                doc = run_query_benchmark(sizes=sizes, budget_mb=args.budget_mb)
-            except (ValueError, RuntimeError) as exc:
-                raise SystemExit(f"bench: {exc}")
-            print(render_query_result(doc))
-            problems = check_query_result(doc)
-            if args.check:
-                # Compare before (possibly) overwriting the baseline.
-                baseline_path = args.baseline or DEFAULT_QUERY_OUT
-                try:
-                    baseline = load_result(baseline_path)
-                    problems += check_query_against_baseline(doc, baseline)
-                except FileNotFoundError:
-                    print(f"(no baseline at {baseline_path}; intrinsic gates only)")
-            if args.out or not args.check:
-                # Generation mode writes the artifact; --check without
-                # --out leaves the committed baseline untouched.
-                out = args.out or DEFAULT_QUERY_OUT
-                print(f"result written to {save_result(doc, out)}")
-            if problems:
-                print("\nFAILED gates:")
-                for problem in problems:
-                    print(f"  {problem}")
-                return 1
-            print("all serving gates passed")
-            return 0
-
-        if args.multitenant:
-            try:
-                doc = run_multitenant_benchmark()
-            except (ValueError, RuntimeError) as exc:
-                raise SystemExit(f"bench: {exc}")
-            print(render_multitenant_result(doc))
-            problems = check_multitenant_result(doc)
-            if args.check:
-                # Compare before (possibly) overwriting the baseline.
-                baseline_path = args.baseline or DEFAULT_MULTITENANT_OUT
-                try:
-                    baseline = load_result(baseline_path)
-                    problems += check_multitenant_against_baseline(doc, baseline)
-                except FileNotFoundError:
-                    print(f"(no baseline at {baseline_path}; intrinsic gates only)")
-            if args.out or not args.check:
-                # Generation mode writes the artifact; --check without
-                # --out leaves the committed baseline untouched.
-                out = args.out or DEFAULT_MULTITENANT_OUT
-                print(f"result written to {save_result(doc, out)}")
-            if problems:
-                print("\nFAILED gates:")
-                for problem in problems:
-                    print(f"  {problem}")
-                return 1
-            print("all fairness and result-cache gates passed")
-            return 0
-
-        if args.spill:
-            try:
-                sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-                doc = run_spill_benchmark(
-                    sizes=sizes,
-                    budget_mb=args.budget_mb,
-                    k=args.k,
-                    max_iter=args.max_iter,
-                )
-            except (ValueError, RuntimeError) as exc:
-                raise SystemExit(f"bench: {exc}")
-            print(render_spill_result(doc))
-            out = args.out or DEFAULT_SPILL_OUT
-            print(f"result written to {save_result(doc, out)}")
-            return 0
-
+        suite = SUITES[args.suite]
         try:
-            sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-            backends = [b.strip() for b in args.backends.split(",") if b.strip()]
-            doc = run_backend_benchmark(
-                sizes=sizes,
-                backends=backends,
-                iterations=args.iterations,
-                k=args.k,
-                max_iter=args.max_iter,
-                max_workers=args.workers,
-            )
+            options = vars(args) | {
+                "sizes": [int(s) for s in args.sizes.split(",") if s.strip()],
+                "backends": [b.strip() for b in args.backends.split(",") if b.strip()],
+            }
+            doc = suite.run(**{name: options[name] for name in suite.options})
         except (ValueError, RuntimeError) as exc:
             raise SystemExit(f"bench: {exc}")
-        print(render_result(doc))
-        if args.out:
-            print(f"result written to {save_result(doc, args.out)}")
+        print(suite.render(doc))
+        problems = suite.gates(doc)
+        baseline_path = args.baseline or suite.baseline
+        compared = ""
         if args.check:
-            baseline_path = args.baseline or DEFAULT_BASELINE
+            # Compare before (possibly) overwriting the baseline.
             try:
                 baseline = load_result(baseline_path)
+                problems += compare_to_baseline(suite, doc, baseline, args.tolerance)
+                compared = f"; within tolerance of baseline {baseline_path}"
             except FileNotFoundError:
-                raise SystemExit(f"bench: no baseline at {baseline_path}")
-            problems = check_against_baseline(doc, baseline, args.tolerance)
-            if problems:
-                print(f"\nREGRESSION vs {baseline_path}:")
-                for problem in problems:
-                    print(f"  {problem}")
-                return 1
-            print(f"\nwithin tolerance of baseline {baseline_path}")
+                if suite.wall_clock:
+                    raise SystemExit(f"bench: no baseline at {baseline_path}")
+                print(f"(no baseline at {baseline_path}; intrinsic gates only)")
+        # Generation mode writes the artifact; --check without --out
+        # leaves the committed baseline untouched, and a wall-clock
+        # document is only ever written where --out says.
+        out = args.out or (None if args.check or suite.wall_clock else suite.baseline)
+        if out:
+            print(f"result written to {save_result(doc, out)}")
+        if problems:
+            print(f"\nFAILED gates ({suite.name}):")
+            for problem in problems:
+                print(f"  {problem}")
+            return 1
+        print(f"\nall {suite.name} gates passed{compared}")
         return 0
 
     if args.command == "submit":
@@ -1316,17 +1124,16 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if ok else 1
 
     if args.command == "query":
-        import numpy as np
-
         from repro.index.persistent import IndexCatalog
-        from repro.index.rtree import Rect
         from repro.index.rtree_mr import build_rtree_mapreduce
-        from repro.mapreduce.bench import _query_workload, synthetic_corpus
-        from repro.mapreduce.cluster import paper_cluster
-        from repro.mapreduce.hdfs import MB, SimulatedHDFS
-        from repro.mapreduce.runner import JobRunner
+        from repro.mapreduce.bench import (
+            fresh_runner,
+            matches_reference,
+            query_workload,
+            synthetic_corpus,
+        )
+        from repro.mapreduce.hdfs import MB
         from repro.mapreduce.service import JobService
-        from repro.observability.events import EventKind
 
         def parse_floats(spec: str, n: int, what: str) -> tuple[float, ...]:
             parts = [p for p in spec.split(",") if p.strip()]
@@ -1359,14 +1166,10 @@ def main(argv: list[str] | None = None) -> int:
                 raise SystemExit("query: --knn k must be positive")
             explicit.append(("knn", (lat, lon, int(k))))
         corpus = synthetic_corpus(args.traces, seed=args.seed)
-        hdfs = SimulatedHDFS(
-            paper_cluster(4),
-            chunk_size=1 * MB,
-            seed=0,
-            memory_budget_mb=args.budget_mb,
-        )
-        hdfs.put_trace_array("input/traces", corpus)
-        with JobRunner(hdfs, executor="serial", memory_budget_mb=args.budget_mb) as runner:
+        with fresh_runner(
+            {"input/traces": corpus}, chunk_mb=1, budget_mb=args.budget_mb
+        ) as runner:
+            hdfs = runner.hdfs
             n_partitions = max(1, runner.cluster.total_reduce_slots() // 2)
             catalog = IndexCatalog(hdfs)
             index, built = catalog.ensure(
@@ -1380,16 +1183,11 @@ def main(argv: list[str] | None = None) -> int:
                 f"{entry.build_sim_seconds:.1f} sim s under a "
                 f"{args.budget_mb} MB budget"
             )
-            starts_before = sum(
-                1 for e in runner.history.events if e.kind == EventKind.JOB_START
-            )
+            starts_before = len(runner.history.jobs())
             index, rebuilt = catalog.ensure(
                 runner, "input/traces", n_partitions=n_partitions
             )
-            reuse_jobs = (
-                sum(1 for e in runner.history.events if e.kind == EventKind.JOB_START)
-                - starts_before
-            )
+            reuse_jobs = len(runner.history.jobs()) - starts_before
             if rebuilt or reuse_jobs:
                 print(f"WARNING: second ensure rebuilt ({reuse_jobs} job(s) ran)")
             else:
@@ -1399,9 +1197,7 @@ def main(argv: list[str] | None = None) -> int:
         if not args.no_verify:
             # The identical MapReduce build on an unbudgeted twin keeps
             # its merged tree in memory as the byte-identity reference.
-            ref_hdfs = SimulatedHDFS(paper_cluster(4), chunk_size=1 * MB, seed=0)
-            ref_hdfs.put_trace_array("input/traces", corpus)
-            with JobRunner(ref_hdfs, executor="serial") as ref_runner:
+            with fresh_runner({"input/traces": corpus}, chunk_mb=1) as ref_runner:
                 ref_tree = build_rtree_mapreduce(
                     ref_runner,
                     "input/traces",
@@ -1409,43 +1205,15 @@ def main(argv: list[str] | None = None) -> int:
                     workdir="tmp/rtree-ref",
                 ).tree
 
-        workload = explicit or _query_workload(corpus, args.queries, args.seed)
+        workload = explicit or query_workload(corpus, args.queries, args.seed)
 
         mismatches = 0
         with JobService(hdfs, tenants={args.tenant: 1.0}) as service:
             client = service.client(args.tenant)
             engine = client.query_engine(key=entry.key)
             for kind, params in workload:
-                if kind == "point":
-                    got = engine.point(*params)
-                    want = ref_tree.query_rect(
-                        Rect(params[0], params[1], params[0], params[1])
-                    ) if ref_tree is not None else None
-                    same = want is None or np.array_equal(got, want)
-                elif kind == "range":
-                    got = engine.range(*params)
-                    want = (
-                        ref_tree.query_rect(Rect(*params))
-                        if ref_tree is not None
-                        else None
-                    )
-                    same = want is None or np.array_equal(got, want)
-                elif kind == "radius":
-                    got = engine.radius(*params)
-                    want = (
-                        ref_tree.query_radius(*params)
-                        if ref_tree is not None
-                        else None
-                    )
-                    same = want is None or np.array_equal(got, want)
-                else:
-                    got = engine.knn(params[0], params[1], int(params[2]))
-                    want = (
-                        ref_tree.knn(params[0], params[1], int(params[2]))
-                        if ref_tree is not None
-                        else None
-                    )
-                    same = want is None or got == want
+                got = getattr(engine, kind)(*params)
+                same = ref_tree is None or matches_reference(ref_tree, kind, params, got)
                 mismatches += 0 if same else 1
                 last = engine.stats.last
                 verdict = "" if ref_tree is None else (

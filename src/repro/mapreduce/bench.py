@@ -13,25 +13,30 @@ across jobs), a distributed-cache entry updated every iteration (so the
 broadcast path is hot), and a combiner (so the shuffle stays small and
 the timing isolates map-side compute + transport).
 
-Results serialize to a small JSON document (see :func:`run_backend_benchmark`)
-that doubles as a regression baseline: :func:`check_against_baseline`
-compares a fresh run against a committed ``BENCH_backends.json`` and
-flags slowdowns beyond a tolerance.  Absolute times are only comparable
-on matching hardware, so the check compares raw seconds when the CPU
-count matches the baseline's and falls back to serial-normalized ratios
-(which cancel single-core speed) when it does not.
+That is the ``backends`` suite; six more (spill, multitenant, query,
+stream, shuffle, attack) measure one subsystem each.  Every suite is one
+:class:`Suite` declaration in :data:`SUITES`, and every result document
+doubles as a regression baseline: :func:`compare_to_baseline` holds a
+fresh run to the committed ``BENCH_<suite>.json``.  Absolute times are
+only comparable on matching hardware, so wall-clock is compared by the
+backends suite alone — raw seconds when the CPU count matches the
+baseline's, serial-normalized ratios (which cancel single-core speed)
+when it does not; every other suite compares its declared
+deterministic paths.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -45,81 +50,24 @@ __all__ = [
     "synthetic_corpus",
     "synthetic_corpus_blocks",
     "synthetic_stream_corpus",
-    "run_backend_benchmark",
-    "run_spill_benchmark",
-    "run_multitenant_benchmark",
-    "run_query_benchmark",
-    "run_stream_benchmark",
-    "run_shuffle_benchmark",
-    "run_attack_benchmark",
-    "check_against_baseline",
-    "check_shuffle_result",
-    "check_shuffle_against_baseline",
-    "render_shuffle_result",
-    "check_attack_result",
-    "check_attack_against_baseline",
-    "render_attack_result",
-    "check_multitenant_result",
-    "check_multitenant_against_baseline",
-    "check_query_result",
-    "check_query_against_baseline",
-    "check_stream_result",
-    "check_stream_against_baseline",
-    "render_result",
-    "render_spill_result",
-    "render_multitenant_result",
-    "render_query_result",
-    "render_stream_result",
-    "DEFAULT_SIZES",
-    "DEFAULT_BASELINE",
-    "DEFAULT_SPILL_OUT",
-    "DEFAULT_MULTITENANT_OUT",
-    "DEFAULT_QUERY_OUT",
-    "DEFAULT_STREAM_OUT",
-    "DEFAULT_SHUFFLE_OUT",
-    "DEFAULT_ATTACK_OUT",
-    "DEFAULT_TENANT_WEIGHTS",
+    "query_workload",
+    "matches_reference",
+    "fresh_runner",
+    "wall_clock_regressions",
+    "Suite",
+    "SUITES",
+    "compare_to_baseline",
+    "save_result",
+    "load_result",
 ]
 
 #: Corpus sizes the trajectory is measured over (traces).
 DEFAULT_SIZES = (100_000, 1_000_000)
 
-#: Committed baseline the ``--check`` mode compares against.
-DEFAULT_BASELINE = Path("benchmarks") / "BENCH_backends.json"
-
-#: Default artifact path for the spill-on/off trajectory.
-DEFAULT_SPILL_OUT = Path("benchmarks") / "results" / "BENCH_spill.json"
-
-#: Default artifact path (and ``--check`` baseline) for the
-#: multi-tenant contention benchmark.
-DEFAULT_MULTITENANT_OUT = Path("benchmarks") / "results" / "BENCH_multitenant.json"
-
 #: The contention roster: three tenants with 3:2:1 weights.
 DEFAULT_TENANT_WEIGHTS = {"alice": 3.0, "bob": 2.0, "carol": 1.0}
 
-#: Default artifact path (and ``--check`` baseline) for the
-#: query-serving trajectory.
-DEFAULT_QUERY_OUT = Path("benchmarks") / "results" / "BENCH_query.json"
-
-#: Default artifact path (and ``--check`` baseline) for the streaming
-#: trajectory.
-DEFAULT_STREAM_OUT = Path("benchmarks") / "results" / "BENCH_stream.json"
-
-#: Default artifact path (and ``--check`` baseline) for the
-#: shuffle-byte minimization trajectory.
-DEFAULT_SHUFFLE_OUT = Path("benchmarks") / "results" / "BENCH_shuffle.json"
-
-#: Default artifact path (and ``--check`` baseline) for the linkage
-#: attack trajectory.
-DEFAULT_ATTACK_OUT = Path("benchmarks") / "results" / "BENCH_attack.json"
-
 _SCHEMA = 1
-_SPILL_SCHEMA = 1
-_MULTITENANT_SCHEMA = 1
-_QUERY_SCHEMA = 1
-_STREAM_SCHEMA = 1
-_SHUFFLE_SCHEMA = 1
-_ATTACK_SCHEMA = 1
 
 
 def _blob_centers(rng: np.random.Generator, n_clusters: int) -> np.ndarray:
@@ -179,38 +127,113 @@ def synthetic_corpus_blocks(
         yield TraceArray.from_columns(["bench"], lat, lon, timestamp)
 
 
-def _time_one_run(
-    corpus: TraceArray,
-    backend: str,
+def fresh_runner(
+    datasets: Mapping[str, TraceArray | Iterable[TraceArray]],
     *,
-    k: int,
-    max_iter: int,
     chunk_mb: int,
-    max_workers: int | None,
-):
-    """One timed k-means run on a fresh deployment; returns (seconds, result)."""
+    backend: str = "serial",
+    max_workers: int | None = None,
+    budget_mb: float | None = None,
+    **runner_kwargs: Any,
+) -> JobRunner:
+    """A :class:`JobRunner` on a fresh 4-worker deployment holding ``datasets``.
+
+    Every benchmark cell starts from one of these, so no cell inherits
+    another's chunk placement, shared-memory segments or caches.  A
+    dataset given as an iterable of pieces is stream-ingested: the
+    corpus is never materialized driver-side, so a budgeted cell's
+    residency is governed by the chunk store alone.  ``budget_mb`` caps
+    the chunk store and the runner alike (the paged/spill path).
+    """
+    hdfs = SimulatedHDFS(
+        paper_cluster(4), chunk_size=chunk_mb * MB, seed=0, memory_budget_mb=budget_mb
+    )
+    for path, traces in datasets.items():
+        put = hdfs.put_trace_array if isinstance(traces, TraceArray) else hdfs.put_trace_stream
+        put(path, traces)
+    workers = None if backend == "serial" else max_workers
+    return JobRunner(
+        hdfs, executor=backend, max_workers=workers, memory_budget_mb=budget_mb, **runner_kwargs
+    )
+
+
+def _kmeans_cell(
+    traces: TraceArray | Iterable[TraceArray],
+    initial_centroids: np.ndarray,
+    *,
+    max_iter: int,
+    use_combiner: bool = False,
+    use_aggregation: bool = False,
+    **deployment: Any,
+) -> tuple[dict[str, Any], JobRunner]:
+    """One timed k-means run on a fresh deployment (:func:`fresh_runner`).
+
+    Returns the cell every k-means suite starts from — wall-clock plus
+    the deterministic simulated seconds, shuffle bytes, iteration count
+    and centroid digest — and the closed runner, whose history and spill
+    counters stay readable.
+    """
     from repro.algorithms.kmeans import run_kmeans_mapreduce
 
-    hdfs = SimulatedHDFS(paper_cluster(4), chunk_size=chunk_mb * MB, seed=0)
-    hdfs.put_trace_array("input/traces", corpus)
-    init = corpus.coordinates()[:k].copy()
-    workers = None if backend == "serial" else max_workers
-    with JobRunner(hdfs, executor=backend, max_workers=workers) as runner:
+    datasets = {"input/traces": traces}
+    with fresh_runner(datasets, reduce_locality=use_aggregation, **deployment) as runner:
         start = time.perf_counter()
         result = run_kmeans_mapreduce(
             runner,
             "input/traces",
-            k=k,
+            k=len(initial_centroids),
             max_iter=max_iter,
-            initial_centroids=init,
-            use_combiner=True,
+            initial_centroids=initial_centroids,
+            use_combiner=use_combiner,
+            use_aggregation=use_aggregation,
             workdir="tmp/kmeans",
         )
         elapsed = time.perf_counter() - start
-    return elapsed, result
+    digest = hashlib.sha256(np.ascontiguousarray(result.centroids).tobytes())
+    cell = {
+        "wall_s": elapsed,
+        "sim_seconds": result.total_sim_seconds,
+        "shuffle_bytes": int(sum(s.shuffle_bytes for s in result.history)),
+        "n_iterations": int(result.n_iterations),
+        "centroids_sha256": digest.hexdigest(),
+    }
+    return cell, runner
 
 
-def run_backend_benchmark(
+def _check_backends(backends: Sequence[str], iterations: int) -> None:
+    unknown = [b for b in backends if b not in BACKENDS]
+    if unknown:
+        raise ValueError(f"unknown backend(s) {unknown}; choose from {list(BACKENDS)}")
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+
+
+def _best_of(iterations: int, cell: Callable[[], dict[str, Any]]) -> dict[str, Any]:
+    """The fastest of ``iterations`` runs of ``cell`` (minimum is the
+    standard noise-robust estimator for repeated timings; everything
+    but ``wall_s`` is identical across repeats)."""
+    return min((cell() for _ in range(iterations)), key=lambda c: c["wall_s"])
+
+
+def _divergence(cells: Mapping[str, Mapping], keys: Sequence[str], where: str) -> list[str]:
+    """Cells whose ``keys`` differ from the first cell's — a benchmark of
+    diverging computations would be meaningless."""
+    (first, reference), *others = cells.items()
+    return [
+        f"{label!r} diverged from {first!r} {where}: {key} differ"
+        for label, cell in others
+        for key in keys
+        if cell[key] != reference[key]
+    ]
+
+
+def _require_identical(cells: Mapping[str, Mapping], keys: Sequence[str], where: str) -> None:
+    problems = _divergence(cells, keys, where)
+    if problems:
+        raise RuntimeError("; ".join(problems))
+
+
+def _run_backends(
     sizes: Sequence[int] = DEFAULT_SIZES,
     backends: Sequence[str] = BACKENDS,
     iterations: int = 2,
@@ -220,55 +243,37 @@ def run_backend_benchmark(
     # 2 MB chunks @ 64 modelled bytes/trace: ~4 map tasks at 10^5 traces,
     # ~31 at 10^6 — enough fan-out for the pools to matter at both sizes.
     chunk_mb: int = 2,
-    max_workers: int | None = None,
+    workers: int | None = None,
     seed: int = 0,
 ) -> dict[str, Any]:
     """Time the k-means driver on every backend at every corpus size.
 
     Each (size, backend) cell is run ``iterations`` times on a fresh
-    simulated deployment and the *best* wall-clock is kept (minimum is
-    the standard noise-robust estimator for repeated timings).  Before
+    simulated deployment and the *best* wall-clock is kept.  Before
     any timing is trusted, the run verifies every backend produced
-    byte-identical centroids and the same iteration count as serial —
+    byte-identical centroids and the same iteration count as the first —
     a benchmark of diverging computations would be meaningless.
     """
-    unknown = [b for b in backends if b not in BACKENDS]
-    if unknown:
-        raise ValueError(f"unknown backend(s) {unknown}; choose from {list(BACKENDS)}")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+    _check_backends(backends, iterations)
+
     results = []
     for size in sizes:
         corpus = synthetic_corpus(int(size), seed=seed)
-        times: dict[str, float] = {}
-        reference = None
-        for backend in backends:
-            best = None
-            for _ in range(iterations):
-                elapsed, result = _time_one_run(
-                    corpus,
-                    backend,
-                    k=k,
-                    max_iter=max_iter,
-                    chunk_mb=chunk_mb,
-                    max_workers=max_workers,
-                )
-                best = elapsed if best is None else min(best, elapsed)
-            if reference is None:
-                reference = result
-            else:
-                if not np.array_equal(result.centroids, reference.centroids):
-                    raise RuntimeError(
-                        f"backend {backend!r} diverged from {backends[0]!r} "
-                        f"at size {size}: centroids differ"
-                    )
-                if result.n_iterations != reference.n_iterations:
-                    raise RuntimeError(
-                        f"backend {backend!r} diverged from {backends[0]!r} "
-                        f"at size {size}: {result.n_iterations} != "
-                        f"{reference.n_iterations} iterations"
-                    )
-            times[backend] = best
+        cell = functools.partial(
+            _kmeans_cell,
+            corpus,
+            corpus.coordinates()[:k].copy(),
+            max_iter=max_iter,
+            use_combiner=True,
+            chunk_mb=chunk_mb,
+            max_workers=workers,
+        )
+        cells = {
+            backend: _best_of(iterations, lambda: cell(backend=backend)[0])
+            for backend in backends
+        }
+        _require_identical(cells, ("centroids_sha256", "n_iterations"), f"at size {size}")
+        times = {backend: c["wall_s"] for backend, c in cells.items()}
         entry: dict[str, Any] = {"size": int(size), "times_s": times}
         if "serial" in times:
             entry["speedup_vs_serial"] = {
@@ -286,24 +291,20 @@ def run_backend_benchmark(
             "seed": seed,
         },
         "cpu_count": os.cpu_count(),
-        "max_workers": max_workers,
+        "max_workers": workers,
         "iterations": iterations,
         "backends": list(backends),
         "results": results,
     }
 
 
-def _times_by_size(doc: Mapping[str, Any]) -> dict[int, dict[str, float]]:
-    return {int(e["size"]): dict(e["times_s"]) for e in doc.get("results", [])}
-
-
-def check_against_baseline(
+def wall_clock_regressions(
     current: Mapping[str, Any],
     baseline: Mapping[str, Any],
     tolerance: float = 0.25,
     min_seconds: float = 0.25,
 ) -> list[str]:
-    """Regressions of ``current`` versus a committed ``baseline``.
+    """The backends suite's compare step: wall-clock slowdowns.
 
     Returns a list of human-readable problems; empty means the run is
     within ``tolerance`` (fractional slowdown, default 25%) everywhere
@@ -317,28 +318,23 @@ def check_against_baseline(
     plausible tolerance, and a guard that cries wolf gets deleted.
     """
     problems: list[str] = []
-    if baseline.get("schema") != current.get("schema"):
-        problems.append(
-            f"schema mismatch: baseline {baseline.get('schema')} "
-            f"vs current {current.get('schema')}"
-        )
-        return problems
     same_host = baseline.get("cpu_count") == current.get("cpu_count")
-    cur, base = _times_by_size(current), _times_by_size(baseline)
-    for size in sorted(set(cur) & set(base)):
-        for backend in sorted(set(cur[size]) & set(base[size])):
-            if base[size][backend] < min_seconds:
+    sizes = _resolve("results.*.times_s", current, baseline)
+    for path, cur, base in sizes:
+        size = int(path.split(".")[1])
+        for backend in sorted(set(cur) & set(base)):
+            if base[backend] < min_seconds:
                 continue
             if same_host:
-                now, then = cur[size][backend], base[size][backend]
+                now, then = cur[backend], base[backend]
                 metric = "wall-clock"
             else:
-                if "serial" not in cur[size] or "serial" not in base[size]:
+                if "serial" not in cur or "serial" not in base:
                     continue
                 if backend == "serial":
                     continue
-                now = cur[size][backend] / cur[size]["serial"]
-                then = base[size][backend] / base[size]["serial"]
+                now = cur[backend] / cur["serial"]
+                then = base[backend] / base["serial"]
                 metric = "serial-normalized time"
             if now > then * (1.0 + tolerance):
                 problems.append(
@@ -347,28 +343,12 @@ def check_against_baseline(
                     f"(+{(now / then - 1.0) * 100:.0f}%, tolerance "
                     f"{tolerance * 100:.0f}%)"
                 )
-    if not set(cur) & set(base):
+    if not sizes:
         problems.append("no overlapping corpus sizes between run and baseline")
-    if problems:
-        # Provenance up front: a host mismatch is the first thing to rule
-        # out when a timing gate trips (a 1-core CI runner vs an 8-core
-        # laptop compares serial-normalized ratios, not raw seconds).
-        problems.insert(
-            0,
-            f"provenance: baseline recorded on cpu_count="
-            f"{baseline.get('cpu_count')}, this run on cpu_count="
-            f"{current.get('cpu_count')} ("
-            + (
-                "matching hosts, raw wall-clock compared"
-                if same_host
-                else "different hosts, serial-normalized ratios compared"
-            )
-            + ")",
-        )
     return problems
 
 
-def render_result(doc: Mapping[str, Any]) -> str:
+def _render_backends(doc: Mapping[str, Any]) -> str:
     """Terminal table for one benchmark document."""
     lines = [
         f"execution-backend wall-clock (k-means, k={doc['workload']['k']}, "
@@ -431,41 +411,21 @@ def _spill_cell(
     true: ``ru_maxrss`` is a lifetime high-water mark, so cells sharing
     a process would all report the largest cell's footprint.
     """
-    from repro.algorithms.kmeans import run_kmeans_mapreduce
-
-    hdfs = SimulatedHDFS(
-        paper_cluster(4),
-        chunk_size=chunk_mb * MB,
-        seed=0,
-        memory_budget_mb=budget_mb,
+    kmeans, runner = _kmeans_cell(
+        synthetic_corpus_blocks(int(size), seed=seed),
+        _blob_centers(np.random.default_rng(seed), k),
+        max_iter=max_iter,
+        chunk_mb=chunk_mb,
+        budget_mb=budget_mb,
     )
-    # Stream-ingest: the corpus is never materialized driver-side, so a
-    # budgeted cell's residency is governed by the chunk store alone.
-    hdfs.put_trace_stream("input/traces", synthetic_corpus_blocks(int(size), seed=seed))
-    init = _blob_centers(np.random.default_rng(seed), k)
-    with JobRunner(hdfs, executor="serial", memory_budget_mb=budget_mb) as runner:
-        start = time.perf_counter()
-        result = run_kmeans_mapreduce(
-            runner,
-            "input/traces",
-            k=k,
-            max_iter=max_iter,
-            initial_centroids=init,
-            use_combiner=False,
-            workdir="tmp/kmeans",
-        )
-        elapsed = time.perf_counter() - start
-        spill = runner.spill_stats.as_dict() if runner.spill_stats else None
-    paging = hdfs.spill_stats.as_dict() if hdfs.spill_stats else None
+    spill, paging = runner.spill_stats, runner.hdfs.spill_stats
     cell: dict[str, Any] = {
         "budget_mb": budget_mb,
-        "elapsed_s": elapsed,
-        "n_iterations": result.n_iterations,
-        "centroids_sha256": hashlib.sha256(
-            np.ascontiguousarray(result.centroids).tobytes()
-        ).hexdigest(),
-        "spill": spill,
-        "paging": paging,
+        "elapsed_s": kmeans["wall_s"],
+        "n_iterations": kmeans["n_iterations"],
+        "centroids_sha256": kmeans["centroids_sha256"],
+        "spill": spill.as_dict() if spill else None,
+        "paging": paging.as_dict() if paging else None,
     }
     if measure_rss:
         import resource
@@ -479,7 +439,7 @@ def _spill_cell(
     return cell
 
 
-def _spill_cell_subprocess(params: Mapping[str, Any]) -> dict[str, Any]:
+def _spill_cell_subprocess(**params: Any) -> dict[str, Any]:
     """Run :func:`_spill_cell` in a fresh interpreter and return its JSON."""
     import repro
 
@@ -487,8 +447,7 @@ def _spill_cell_subprocess(params: Mapping[str, Any]) -> dict[str, Any]:
         "import json, sys\n"
         "from repro.mapreduce.bench import _spill_cell\n"
         "params = json.load(sys.stdin)\n"
-        "json.dump(_spill_cell(params.pop('size'), params.pop('budget_mb'),"
-        " **params), sys.stdout)\n"
+        "json.dump(_spill_cell(**params), sys.stdout)\n"
     )
     env = dict(os.environ)
     pkg_root = str(Path(repro.__file__).resolve().parents[1])
@@ -497,7 +456,7 @@ def _spill_cell_subprocess(params: Mapping[str, Any]) -> dict[str, Any]:
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        input=json.dumps(dict(params)),
+        input=json.dumps(params),
         capture_output=True,
         text=True,
         env=env,
@@ -509,7 +468,7 @@ def _spill_cell_subprocess(params: Mapping[str, Any]) -> dict[str, Any]:
     return json.loads(proc.stdout)
 
 
-def run_spill_benchmark(
+def _run_spill(
     sizes: Sequence[int] = DEFAULT_SIZES,
     budget_mb: float = 8.0,
     *,
@@ -529,38 +488,27 @@ def run_spill_benchmark(
     ``isolate_cells=False`` keeps everything in-process for tests and
     reports ``peak_rss_mb: null``.
 
-    Centroids must be byte-identical across the two cells of a size:
-    the budget is an execution detail, never an answer change.
+    Centroids must be byte-identical across the two cells of a size —
+    the budget is an execution detail, never an answer change — which
+    :func:`_gates_spill` checks on the finished document.
     """
     if budget_mb <= 0:
         raise ValueError("budget_mb must be positive")
     results = []
     for size in sizes:
-        cells = {}
-        for label, budget in (("unbudgeted", None), ("budgeted", budget_mb)):
-            params = {
-                "size": int(size),
-                "budget_mb": budget,
-                "k": k,
-                "max_iter": max_iter,
-                "chunk_mb": chunk_mb,
-                "seed": seed,
-                "measure_rss": isolate_cells,
-            }
-            if isolate_cells:
-                cells[label] = _spill_cell_subprocess(params)
-            else:
-                cells[label] = _spill_cell(
-                    params.pop("size"), params.pop("budget_mb"), **params
-                )
-        if cells["budgeted"]["centroids_sha256"] != cells["unbudgeted"]["centroids_sha256"]:
-            raise RuntimeError(
-                f"budgeted run diverged at size {size}: centroids differ"
+        cell = _spill_cell_subprocess if isolate_cells else _spill_cell
+        cells = {
+            label: cell(
+                size=int(size),
+                budget_mb=budget,
+                k=k,
+                max_iter=max_iter,
+                chunk_mb=chunk_mb,
+                seed=seed,
+                measure_rss=isolate_cells,
             )
-        if cells["budgeted"]["n_iterations"] != cells["unbudgeted"]["n_iterations"]:
-            raise RuntimeError(
-                f"budgeted run diverged at size {size}: iteration counts differ"
-            )
+            for label, budget in (("unbudgeted", None), ("budgeted", budget_mb))
+        }
         entry: dict[str, Any] = {"size": int(size), "cells": cells}
         on, off = cells["budgeted"], cells["unbudgeted"]
         if on["peak_rss_mb"] is not None and off["peak_rss_mb"] is not None:
@@ -570,7 +518,7 @@ def run_spill_benchmark(
         )
         results.append(entry)
     return {
-        "schema": _SPILL_SCHEMA,
+        "schema": _SCHEMA,
         "workload": {
             "driver": "kmeans",
             "k": k,
@@ -587,12 +535,41 @@ def run_spill_benchmark(
     }
 
 
+def _gates_spill(doc: Mapping[str, Any]) -> list[str]:
+    """Intrinsic gates on one spill document (no baseline needed).
+
+    * at every size the budgeted and unbudgeted cells produced
+      byte-identical centroids in the same iteration count;
+    * the budget actually bit: some budgeted cell left memory (shuffle
+      runs spilled or chunks paged out).  A budget that never bit is an
+      untested claim — the rule the query gates apply to page faults.
+    """
+    problems: list[str] = []
+    for entry in doc.get("results", []):
+        problems += _divergence(
+            entry["cells"],
+            ("centroids_sha256", "n_iterations"),
+            f"at size {entry['size']}",
+        )
+    left_memory = any(
+        (cell.get("spill") or {}).get("runs_spilled", 0) > 0
+        or (cell.get("paging") or {}).get("pages_out", 0) > 0
+        for cell in (e["cells"]["budgeted"] for e in doc.get("results", []))
+    )
+    if not left_memory:
+        problems.append(
+            f"the {doc.get('budget_mb')} MB budget never bit: no budgeted cell "
+            "spilled a shuffle run or paged a chunk out"
+        )
+    return problems
+
+
 # ---------------------------------------------------------------------------
 # Multi-tenant contention benchmark (repro bench --multitenant).
 # ---------------------------------------------------------------------------
 
 
-def run_multitenant_benchmark(
+def _run_multitenant(
     n_traces: int = 50_000,
     tenants: Mapping[str, float] | None = None,
     jobs_per_tenant: int = 4,
@@ -717,7 +694,7 @@ def run_multitenant_benchmark(
             "entries": len(cache),
         }
     return {
-        "schema": _MULTITENANT_SCHEMA,
+        "schema": _SCHEMA,
         "workload": {
             "n_traces": int(n_traces),
             "jobs_per_tenant": int(jobs_per_tenant),
@@ -749,7 +726,7 @@ def run_multitenant_benchmark(
     }
 
 
-def check_multitenant_result(
+def _gates_multitenant(
     doc: Mapping[str, Any], fairness_tolerance: float = 0.2
 ) -> list[str]:
     """Intrinsic gates on one multi-tenant document (no baseline needed).
@@ -788,48 +765,7 @@ def check_multitenant_result(
     return problems
 
 
-def check_multitenant_against_baseline(
-    current: Mapping[str, Any],
-    baseline: Mapping[str, Any],
-    tolerance: float = 0.01,
-) -> list[str]:
-    """Drift of the *simulated* metrics versus a committed baseline.
-
-    Wall-clock is host-dependent and ignored; the simulated makespan,
-    serial sum, and per-tenant fairness shares are deterministic given
-    the same workload, so they must match within ``tolerance``
-    (fractional for times, absolute for shares).
-    """
-    problems: list[str] = []
-    if baseline.get("schema") != current.get("schema"):
-        problems.append(
-            f"schema mismatch: baseline {baseline.get('schema')} "
-            f"vs current {current.get('schema')}"
-        )
-        return problems
-    if baseline.get("workload") != current.get("workload"):
-        problems.append("workload mismatch: run with the baseline's parameters")
-        return problems
-    cur_sim, base_sim = current.get("simulated", {}), baseline.get("simulated", {})
-    for key in ("interleaved_makespan_s", "serial_s", "contended_window_s"):
-        now, then = float(cur_sim.get(key, 0.0)), float(base_sim.get(key, 0.0))
-        if then > 0 and abs(now - then) > then * tolerance:
-            problems.append(
-                f"simulated {key}: {now:.2f} vs baseline {then:.2f} "
-                f"(tolerance {tolerance:.0%})"
-            )
-    cur_fair, base_fair = current.get("fairness", {}), baseline.get("fairness", {})
-    for tenant in sorted(set(cur_fair) & set(base_fair)):
-        now = float(cur_fair[tenant].get("share", 0.0))
-        then = float(base_fair[tenant].get("share", 0.0))
-        if abs(now - then) > tolerance:
-            problems.append(
-                f"fairness share of {tenant}: {now:.3f} vs baseline {then:.3f}"
-            )
-    return problems
-
-
-def render_multitenant_result(doc: Mapping[str, Any]) -> str:
+def _render_multitenant(doc: Mapping[str, Any]) -> str:
     """Terminal table for one multi-tenant benchmark document."""
     w = doc["workload"]
     sim = doc["simulated"]
@@ -865,7 +801,7 @@ def render_multitenant_result(doc: Mapping[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def render_spill_result(doc: Mapping[str, Any]) -> str:
+def _render_spill(doc: Mapping[str, Any]) -> str:
     """Terminal table for one spill benchmark document."""
     w = doc["workload"]
     lines = [
@@ -907,7 +843,7 @@ def render_spill_result(doc: Mapping[str, Any]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _query_workload(
+def query_workload(
     corpus, n_queries: int, seed: int
 ) -> list[tuple[str, tuple[float, ...]]]:
     """A seeded mix of point/range/radius/kNN queries anchored on corpus
@@ -931,7 +867,22 @@ def _query_workload(
     return out
 
 
-def run_query_benchmark(
+def matches_reference(ref_tree, kind: str, args: tuple[float, ...], got: Any) -> bool:
+    """Whether ``got``, the served answer to one :func:`query_workload`
+    query, is byte-identical to the in-memory ``ref_tree``'s (kNN
+    including tie order)."""
+    from repro.index.rtree import Rect
+
+    if kind == "knn":
+        return got == ref_tree.knn(*args)
+    if kind == "radius":
+        return np.array_equal(got, ref_tree.query_radius(*args))
+    if kind == "point":
+        args = (args[0], args[1], args[0], args[1])
+    return np.array_equal(got, ref_tree.query_rect(Rect(*args)))
+
+
+def _run_query(
     sizes: Sequence[int] = DEFAULT_SIZES,
     budget_mb: float = 8.0,
     *,
@@ -957,9 +908,7 @@ def run_query_benchmark(
     baseline; wall-clock columns are recorded but never gated.
     """
     from repro.index.persistent import IndexCatalog, QueryEngine
-    from repro.index.rtree import Rect
     from repro.index.rtree_mr import build_rtree_mapreduce
-    from repro.observability.events import EventKind
 
     if budget_mb <= 0:
         raise ValueError("budget_mb must be positive")
@@ -971,9 +920,7 @@ def run_query_benchmark(
         # Reference: the identical build on an unbudgeted twin keeps the
         # merged tree in memory.  The simulator is deterministic, so this
         # tree is byte-for-byte the one the catalog persists below.
-        ref_hdfs = SimulatedHDFS(paper_cluster(4), chunk_size=chunk_mb * MB, seed=0)
-        ref_hdfs.put_trace_array("input/traces", corpus)
-        with JobRunner(ref_hdfs, executor="serial") as ref_runner:
+        with fresh_runner({"input/traces": corpus}, chunk_mb=chunk_mb) as ref_runner:
             n_partitions = max(1, ref_runner.cluster.total_reduce_slots() // 2)
             ref_tree = build_rtree_mapreduce(
                 ref_runner,
@@ -982,15 +929,11 @@ def run_query_benchmark(
                 workdir="tmp/rtree-ref",
             ).tree
 
-        hdfs = SimulatedHDFS(
-            paper_cluster(4),
-            chunk_size=chunk_mb * MB,
-            seed=0,
-            memory_budget_mb=budget_mb,
-        )
-        hdfs.put_trace_array("input/traces", corpus)
-        build_wall = time.perf_counter()
-        with JobRunner(hdfs, executor="serial", memory_budget_mb=budget_mb) as runner:
+        with fresh_runner(
+            {"input/traces": corpus}, chunk_mb=chunk_mb, budget_mb=budget_mb
+        ) as runner:
+            hdfs = runner.hdfs
+            build_wall = time.perf_counter()
             catalog = IndexCatalog(hdfs)
             index, built = catalog.ensure(
                 runner, "input/traces", n_partitions=n_partitions
@@ -1000,37 +943,18 @@ def run_query_benchmark(
                 raise RuntimeError(f"first ensure at size {size} was not a build")
             entry = catalog.entries()[0]
 
-            def n_job_starts() -> int:
-                return sum(
-                    1 for e in runner.history.events if e.kind == EventKind.JOB_START
-                )
-
-            before = n_job_starts()
+            before = len(runner.history.jobs())
             index, rebuilt = catalog.ensure(
                 runner, "input/traces", n_partitions=n_partitions
             )
-            reuse_jobs = n_job_starts() - before
+            reuse_jobs = len(runner.history.jobs()) - before
 
             engine = QueryEngine(index, hdfs=hdfs, history=runner.history)
             identical = True
             query_wall = time.perf_counter()
-            for kind, args in _query_workload(corpus, n_queries, seed):
-                if kind == "point":
-                    same = np.array_equal(
-                        engine.point(*args),
-                        ref_tree.query_rect(Rect(args[0], args[1], args[0], args[1])),
-                    )
-                elif kind == "range":
-                    same = np.array_equal(
-                        engine.range(*args), ref_tree.query_rect(Rect(*args))
-                    )
-                elif kind == "radius":
-                    same = np.array_equal(
-                        engine.radius(*args), ref_tree.query_radius(*args)
-                    )
-                else:
-                    same = engine.knn(*args) == ref_tree.knn(*args)
-                identical = identical and same
+            for kind, args in query_workload(corpus, n_queries, seed):
+                got = getattr(engine, kind)(*args)
+                identical = matches_reference(ref_tree, kind, args, got) and identical
             query_wall = time.perf_counter() - query_wall
             serving = engine.report()
         results.append(
@@ -1048,7 +972,7 @@ def run_query_benchmark(
             }
         )
     return {
-        "schema": _QUERY_SCHEMA,
+        "schema": _SCHEMA,
         "workload": {
             "driver": "query-serving",
             "n_queries": int(n_queries),
@@ -1062,7 +986,7 @@ def run_query_benchmark(
     }
 
 
-def check_query_result(doc: Mapping[str, Any]) -> list[str]:
+def _gates_query(doc: Mapping[str, Any]) -> list[str]:
     """Intrinsic gates on one query-serving document (no baseline needed).
 
     * every size answered byte-identically to the in-memory reference
@@ -1105,54 +1029,7 @@ def check_query_result(doc: Mapping[str, Any]) -> list[str]:
     return problems
 
 
-def check_query_against_baseline(
-    current: Mapping[str, Any],
-    baseline: Mapping[str, Any],
-    tolerance: float = 0.01,
-) -> list[str]:
-    """Drift of the deterministic serving metrics versus a baseline.
-
-    Build sim-seconds, page faults, fault bytes, simulated serving
-    latency and result counts are pure functions of (corpus seed, build
-    params, budget, workload); wall-clock columns are host-dependent and
-    ignored.
-    """
-    problems: list[str] = []
-    if baseline.get("schema") != current.get("schema"):
-        problems.append(
-            f"schema mismatch: baseline {baseline.get('schema')} "
-            f"vs current {current.get('schema')}"
-        )
-        return problems
-    if baseline.get("workload") != current.get("workload") or baseline.get(
-        "budget_mb"
-    ) != current.get("budget_mb"):
-        problems.append("workload mismatch: run with the baseline's parameters")
-        return problems
-    cur = {int(e["size"]): e for e in current.get("results", [])}
-    base = {int(e["size"]): e for e in baseline.get("results", [])}
-    for size in sorted(set(cur) & set(base)):
-        pairs = [
-            ("build_sim_seconds", cur[size], base[size]),
-            ("n_pages", cur[size], base[size]),
-            ("index_bytes", cur[size], base[size]),
-        ] + [
-            (key, cur[size]["serving"], base[size]["serving"])
-            for key in ("page_faults", "fault_bytes", "latency_s", "results")
-        ]
-        for key, now_doc, then_doc in pairs:
-            now, then = float(now_doc.get(key, 0.0)), float(then_doc.get(key, 0.0))
-            if abs(now - then) > max(abs(then) * tolerance, 1e-9):
-                problems.append(
-                    f"{size:,} points: {key} {now:g} vs baseline {then:g} "
-                    f"(tolerance {tolerance:.0%})"
-                )
-    if not set(cur) & set(base):
-        problems.append("no overlapping corpus sizes between run and baseline")
-    return problems
-
-
-def render_query_result(doc: Mapping[str, Any]) -> str:
+def _render_query(doc: Mapping[str, Any]) -> str:
     """Terminal table for one query-serving benchmark document."""
     w = doc["workload"]
     lines = [
@@ -1234,7 +1111,7 @@ def synthetic_stream_corpus(
     return TraceArray.from_columns(users[ui], lat, lon, ts, np.zeros(n))
 
 
-def run_stream_benchmark(
+def _run_stream(
     n_points: int = 100_000,
     n_users: int = 50,
     n_windows: int = 10,
@@ -1346,7 +1223,7 @@ def run_stream_benchmark(
     warm_it = warm.total_kmeans_iterations
     cold_it = cold.total_kmeans_iterations
     return {
-        "schema": _STREAM_SCHEMA,
+        "schema": _SCHEMA,
         "workload": {
             "driver": "streaming",
             "n_points": len(corpus),
@@ -1414,7 +1291,7 @@ def run_stream_benchmark(
     }
 
 
-def check_stream_result(doc: Mapping[str, Any]) -> list[str]:
+def _gates_stream(doc: Mapping[str, Any]) -> list[str]:
     """Intrinsic gates on one streaming document (no baseline needed).
 
     * the run covered at least 10 windows of at least 10^5 points;
@@ -1428,7 +1305,6 @@ def check_stream_result(doc: Mapping[str, Any]) -> list[str]:
       cache with zero map tasks.
     """
     problems: list[str] = []
-    w = doc.get("workload", {})
     stream = doc.get("stream", {})
     if int(stream.get("n_windows", 0)) < 10:
         problems.append(
@@ -1467,40 +1343,10 @@ def check_stream_result(doc: Mapping[str, Any]) -> list[str]:
         )
     if len(stream.get("windows", [])) != int(stream.get("n_windows", -1)):
         problems.append("stream: window row count does not match n_windows")
-    _ = w
     return problems
 
 
-def check_stream_against_baseline(
-    current: Mapping[str, Any],
-    baseline: Mapping[str, Any],
-) -> list[str]:
-    """Drift of the deterministic streaming sections versus a baseline.
-
-    The run signature, per-window rows (simulated latency included — the
-    simtime clock is deterministic), warm/cold iteration counts, and the
-    equivalence matrix are pure functions of the workload parameters;
-    only the wall-clock block is host-dependent and ignored.
-    """
-    problems: list[str] = []
-    if baseline.get("schema") != current.get("schema"):
-        problems.append(
-            f"schema mismatch: baseline {baseline.get('schema')} "
-            f"vs current {current.get('schema')}"
-        )
-        return problems
-    if baseline.get("workload") != current.get("workload"):
-        problems.append("workload mismatch: run with the baseline's parameters")
-        return problems
-    for section in ("stream", "warm_start", "equivalence", "result_cache"):
-        if current.get(section) != baseline.get(section):
-            problems.append(
-                f"deterministic section {section!r} drifted from the baseline"
-            )
-    return problems
-
-
-def render_stream_result(doc: Mapping[str, Any]) -> str:
+def _render_stream(doc: Mapping[str, Any]) -> str:
     """Terminal table for one streaming benchmark document."""
     w = doc["workload"]
     stream = doc["stream"]
@@ -1556,8 +1402,7 @@ def _shuffle_cell(
     *,
     k: int,
     max_iter: int,
-    chunk_mb: int,
-    max_workers: int | None,
+    **deployment: Any,
 ) -> dict[str, Any]:
     """One timed k-means run in one shuffle mode on a fresh deployment.
 
@@ -1567,72 +1412,46 @@ def _shuffle_cell(
     turns on map-side vectorized pre-aggregation, the metadata-only
     shuffle, and locality-aware reduce placement.
     """
-    from repro.algorithms.kmeans import run_kmeans_mapreduce
     from repro.observability.events import EventKind
 
     if mode not in ("combiner", "aggregation"):
         raise ValueError(f"unknown shuffle mode {mode!r}")
-    hdfs = SimulatedHDFS(paper_cluster(4), chunk_size=chunk_mb * MB, seed=0)
-    hdfs.put_trace_array("input/traces", corpus)
-    init = corpus.coordinates()[:k].copy()
-    workers = None if backend == "serial" else max_workers
-    with JobRunner(
-        hdfs,
-        executor=backend,
-        max_workers=workers,
-        reduce_locality=(mode == "aggregation"),
-    ) as runner:
-        start = time.perf_counter()
-        result = run_kmeans_mapreduce(
-            runner,
-            "input/traces",
-            k=k,
-            max_iter=max_iter,
-            initial_centroids=init,
-            use_combiner=(mode == "combiner"),
-            use_aggregation=(mode == "aggregation"),
-            workdir="tmp/kmeans",
-        )
-        elapsed = time.perf_counter() - start
-        preagg = {"envelopes": 0, "raw_records": 0, "cross_node_bytes": 0}
-        for event in runner.history.events:
-            if event.kind == EventKind.SHUFFLE_PREAGG:
-                preagg["envelopes"] += int(event.data.get("envelopes", 0))
-                preagg["raw_records"] += int(event.data.get("raw_records", 0))
-                preagg["cross_node_bytes"] += int(
-                    event.data.get("cross_node_bytes", 0)
-                )
-    return {
-        "wall_s": elapsed,
-        "sim_seconds": result.total_sim_seconds,
-        "shuffle_bytes": int(sum(s.shuffle_bytes for s in result.history)),
-        "n_iterations": int(result.n_iterations),
-        "centroids_sha256": hashlib.sha256(
-            np.ascontiguousarray(result.centroids).tobytes()
-        ).hexdigest(),
-        "preagg": preagg if mode == "aggregation" else None,
-    }
+    cell, runner = _kmeans_cell(
+        corpus,
+        corpus.coordinates()[:k].copy(),
+        max_iter=max_iter,
+        use_combiner=(mode == "combiner"),
+        use_aggregation=(mode == "aggregation"),
+        backend=backend,
+        **deployment,
+    )
+    preagg = {"envelopes": 0, "raw_records": 0, "cross_node_bytes": 0}
+    for event in runner.history.events:
+        if event.kind == EventKind.SHUFFLE_PREAGG:
+            for key in preagg:
+                preagg[key] += int(event.data.get(key, 0))
+    return {**cell, "preagg": preagg if mode == "aggregation" else None}
 
 
-def run_shuffle_benchmark(
+def _run_shuffle(
     n_traces: int = 1_000_000,
     backends: Sequence[str] = BACKENDS,
     *,
     k: int = 11,
     max_iter: int = 2,
     chunk_mb: int = 2,
-    max_workers: int | None = None,
+    workers: int | None = None,
     seed: int = 0,
-    reps: int = 2,
+    iterations: int = 2,
 ) -> dict[str, Any]:
     """Shuffle bytes moved: combiner-only vs the aggregation algebra.
 
     The same fixed-initial-centroid k-means run (k=``k``,
     ``max_iter`` iterations over 10^6 traces by default) is measured in
     two shuffle modes on every backend.  Per (mode, backend) cell the
-    best of ``reps`` wall-clocks is kept; the shuffle-byte totals,
+    best of ``iterations`` wall-clocks is kept; the shuffle-byte totals,
     simulated seconds, pre-agg accounting, and centroid digests are
-    deterministic and identical across reps.
+    deterministic and identical across repeats.
 
     Two identities gate the numbers before any ratio is reported: within
     a mode every backend must produce byte-identical centroids, and both
@@ -1641,48 +1460,28 @@ def run_shuffle_benchmark(
     folds task partials in arrival order while the aggregation reduce
     uses the canonical node-major merge tree.)
     """
-    unknown = [b for b in backends if b not in BACKENDS]
-    if unknown:
-        raise ValueError(f"unknown backend(s) {unknown}; choose from {list(BACKENDS)}")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    corpus = synthetic_corpus(int(n_traces), seed=seed)
+    _check_backends(backends, iterations)
+    cell = functools.partial(
+        _shuffle_cell,
+        synthetic_corpus(int(n_traces), seed=seed),
+        k=k,
+        max_iter=max_iter,
+        chunk_mb=chunk_mb,
+        max_workers=workers,
+    )
     modes: dict[str, dict[str, dict[str, Any]]] = {}
     for mode in ("combiner", "aggregation"):
-        cells: dict[str, dict[str, Any]] = {}
-        for backend in backends:
-            best: dict[str, Any] | None = None
-            for _ in range(reps):
-                cell = _shuffle_cell(
-                    corpus,
-                    backend,
-                    mode,
-                    k=k,
-                    max_iter=max_iter,
-                    chunk_mb=chunk_mb,
-                    max_workers=max_workers,
-                )
-                if best is None or cell["wall_s"] < best["wall_s"]:
-                    best = cell
-            cells[backend] = best
-        reference = cells[backends[0]]
-        for backend in backends:
-            if cells[backend]["centroids_sha256"] != reference["centroids_sha256"]:
-                raise RuntimeError(
-                    f"backend {backend!r} diverged from {backends[0]!r} in "
-                    f"mode {mode!r}: centroids differ"
-                )
-            if cells[backend]["shuffle_bytes"] != reference["shuffle_bytes"]:
-                raise RuntimeError(
-                    f"backend {backend!r} diverged from {backends[0]!r} in "
-                    f"mode {mode!r}: shuffle bytes differ"
-                )
-        modes[mode] = cells
+        modes[mode] = {
+            backend: _best_of(iterations, lambda: cell(backend, mode)) for backend in backends
+        }
+        _require_identical(
+            modes[mode], ("centroids_sha256", "shuffle_bytes"), f"in mode {mode!r}"
+        )
     first = backends[0]
     combiner_bytes = modes["combiner"][first]["shuffle_bytes"]
     agg_bytes = modes["aggregation"][first]["shuffle_bytes"]
     return {
-        "schema": _SHUFFLE_SCHEMA,
+        "schema": _SCHEMA,
         "workload": {
             "driver": "kmeans",
             "n_traces": int(n_traces),
@@ -1693,8 +1492,8 @@ def run_shuffle_benchmark(
             "seed": int(seed),
         },
         "cpu_count": os.cpu_count(),
-        "max_workers": max_workers,
-        "reps": int(reps),
+        "max_workers": workers,
+        "reps": int(iterations),
         "backends": list(backends),
         "modes": modes,
         "shuffle_bytes": {
@@ -1708,7 +1507,7 @@ def run_shuffle_benchmark(
     }
 
 
-def check_shuffle_result(doc: Mapping[str, Any], min_ratio: float = 10.0) -> list[str]:
+def _gates_shuffle(doc: Mapping[str, Any], min_ratio: float = 10.0) -> list[str]:
     """Intrinsic gates on one shuffle document (no baseline needed).
 
     * the aggregation algebra moves at least ``min_ratio`` x fewer
@@ -1728,15 +1527,9 @@ def check_shuffle_result(doc: Mapping[str, Any], min_ratio: float = 10.0) -> lis
         )
     modes = doc.get("modes", {})
     for mode, cells in modes.items():
-        digests = {c["centroids_sha256"] for c in cells.values()}
-        if len(digests) != 1:
-            problems.append(f"mode {mode!r}: centroids differ across backends")
-        volumes = {c["shuffle_bytes"] for c in cells.values()}
-        if len(volumes) != 1:
-            problems.append(f"mode {mode!r}: shuffle bytes differ across backends")
-        iters = {c["n_iterations"] for c in cells.values()}
-        if len(iters) != 1:
-            problems.append(f"mode {mode!r}: iteration counts differ across backends")
+        problems += _divergence(
+            cells, ("centroids_sha256", "shuffle_bytes", "n_iterations"), f"in mode {mode!r}"
+        )
     for backend, cell in modes.get("aggregation", {}).items():
         preagg = cell.get("preagg") or {}
         if preagg.get("envelopes", 0) <= 0:
@@ -1756,62 +1549,7 @@ def check_shuffle_result(doc: Mapping[str, Any], min_ratio: float = 10.0) -> lis
     return problems
 
 
-def check_shuffle_against_baseline(
-    current: Mapping[str, Any],
-    baseline: Mapping[str, Any],
-) -> list[str]:
-    """Drift of the deterministic shuffle sections versus a baseline.
-
-    Shuffle-byte totals, pre-agg accounting, centroid digests and
-    simulated seconds are pure functions of the workload parameters and
-    must match exactly; wall-clock columns are host-dependent and
-    ignored (cpu_count provenance is reported when a mismatch is found).
-    """
-    problems: list[str] = []
-    if baseline.get("schema") != current.get("schema"):
-        problems.append(
-            f"schema mismatch: baseline {baseline.get('schema')} "
-            f"vs current {current.get('schema')}"
-        )
-        return problems
-    if baseline.get("workload") != current.get("workload"):
-        problems.append("workload mismatch: run with the baseline's parameters")
-        return problems
-    if current.get("shuffle_bytes") != baseline.get("shuffle_bytes"):
-        problems.append(
-            f"shuffle_bytes section drifted: {current.get('shuffle_bytes')} "
-            f"vs baseline {baseline.get('shuffle_bytes')}"
-        )
-    cur_modes, base_modes = current.get("modes", {}), baseline.get("modes", {})
-    for mode in sorted(set(cur_modes) & set(base_modes)):
-        for backend in sorted(set(cur_modes[mode]) & set(base_modes[mode])):
-            now, then = cur_modes[mode][backend], base_modes[mode][backend]
-            for key in (
-                "shuffle_bytes",
-                "n_iterations",
-                "centroids_sha256",
-                "sim_seconds",
-                "preagg",
-            ):
-                if now.get(key) != then.get(key):
-                    problems.append(
-                        f"{mode}/{backend}: {key} {now.get(key)!r} vs "
-                        f"baseline {then.get(key)!r}"
-                    )
-    if not set(cur_modes) & set(base_modes):
-        problems.append("no overlapping modes between run and baseline")
-    if problems:
-        problems.insert(
-            0,
-            f"provenance: baseline recorded on cpu_count="
-            f"{baseline.get('cpu_count')}, this run on cpu_count="
-            f"{current.get('cpu_count')} (deterministic sections compared "
-            "exactly; wall-clock ignored)",
-        )
-    return problems
-
-
-def render_shuffle_result(doc: Mapping[str, Any]) -> str:
+def _render_shuffle(doc: Mapping[str, Any]) -> str:
     """Terminal table for one shuffle benchmark document."""
     w = doc["workload"]
     sb = doc["shuffle_bytes"]
@@ -1874,22 +1612,13 @@ def _attack_cell(
     from repro.attacks.linkage_mr import SYNTH_ATTACK_PARAMS, run_linkage_attack
     from repro.mapreduce.chaos import default_schedule
 
-    hdfs = SimulatedHDFS(
-        paper_cluster(4),
-        chunk_size=chunk_mb * MB,
-        seed=0,
-        memory_budget_mb=budget_mb,
-    )
-    hdfs.put_trace_array("input/train", training, record_bytes=64)
-    hdfs.put_trace_array("input/target", target, record_bytes=64)
-    workers = None if backend == "serial" else max_workers
-    chaos = default_schedule(chaos_seed) if chaos_seed is not None else None
-    with JobRunner(
-        hdfs,
-        executor=backend,
-        max_workers=workers,
-        chaos=chaos,
-        memory_budget_mb=budget_mb,
+    with fresh_runner(
+        {"input/train": training, "input/target": target},
+        chunk_mb=chunk_mb,
+        backend=backend,
+        max_workers=max_workers,
+        budget_mb=budget_mb,
+        chaos=default_schedule(chaos_seed) if chaos_seed is not None else None,
     ) as runner:
         start = time.perf_counter()
         outcome = run_linkage_attack(
@@ -1917,17 +1646,17 @@ def _attack_cell(
     }
 
 
-def run_attack_benchmark(
+def _run_attack(
     n_users: int = 100_000,
     backends: Sequence[str] = BACKENDS,
     *,
     equivalence_users: int = 40,
     chunk_mb: int = 2,
-    max_workers: int | None = None,
+    workers: int | None = None,
     seed: int = 0,
     budget_mb: float = 8.0,
     chaos_seed: int = 7,
-    reps: int = 1,
+    iterations: int = 1,
 ) -> dict[str, Any]:
     """The MapReduce linkage attack: exactness matrix + 10^5-user scale.
 
@@ -1939,7 +1668,7 @@ def run_attack_benchmark(
     the reference signature byte for byte (divergence raises before a
     document is even produced).  The *scale* block times the attack at
     ``n_users`` training users vs ``n_users`` pseudonymized targets
-    (10^10 candidate pairs) on the serial backend, best of ``reps``,
+    (10^10 candidate pairs) on the serial backend, best of ``iterations``,
     with the persistent-index audit proving the candidate blocking
     lossless.
     """
@@ -1950,69 +1679,26 @@ def run_attack_benchmark(
         synthetic_linkage_corpus,
     )
 
-    unknown = [b for b in backends if b not in BACKENDS]
-    if unknown:
-        raise ValueError(f"unknown backend(s) {unknown}; choose from {list(BACKENDS)}")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    _check_backends(backends, iterations)
+    # Both corpora are (training, target, truth) triples.
+    small = synthetic_linkage_corpus(int(equivalence_users), seed=seed)
+    reference_signature = linkage_signature(
+        deanonymization_attack_reference(*small, params=SYNTH_ATTACK_PARAMS)
+    )
+    cell = functools.partial(_attack_cell, chunk_mb=chunk_mb, max_workers=workers)
+    equivalence = {backend: cell(*small, backend) for backend in backends}
+    equivalence["serial+budget"] = cell(*small, "serial", budget_mb=budget_mb)
+    equivalence["serial+chaos"] = cell(*small, "serial", chaos_seed=chaos_seed)
+    _require_identical(
+        {"the serial reference attack": {"signature": reference_signature}, **equivalence},
+        ("signature",),
+        "in the equivalence block",
+    )
 
-    small_train, small_target, small_truth = synthetic_linkage_corpus(
-        int(equivalence_users), seed=seed
-    )
-    reference = deanonymization_attack_reference(
-        small_train, small_target, small_truth, params=SYNTH_ATTACK_PARAMS
-    )
-    reference_signature = linkage_signature(reference)
-    equivalence: dict[str, dict[str, Any]] = {}
-    for backend in backends:
-        equivalence[backend] = _attack_cell(
-            small_train,
-            small_target,
-            small_truth,
-            backend,
-            chunk_mb=chunk_mb,
-            max_workers=max_workers,
-        )
-    equivalence["serial+budget"] = _attack_cell(
-        small_train,
-        small_target,
-        small_truth,
-        "serial",
-        chunk_mb=chunk_mb,
-        max_workers=max_workers,
-        budget_mb=budget_mb,
-    )
-    equivalence["serial+chaos"] = _attack_cell(
-        small_train,
-        small_target,
-        small_truth,
-        "serial",
-        chunk_mb=chunk_mb,
-        max_workers=max_workers,
-        chaos_seed=chaos_seed,
-    )
-    for label, cell in equivalence.items():
-        if cell["signature"] != reference_signature:
-            raise RuntimeError(
-                f"equivalence cell {label!r} diverged from the serial "
-                "reference attack: signatures differ"
-            )
-
-    train, target, truth = synthetic_linkage_corpus(int(n_users), seed=seed)
-    scale: dict[str, Any] | None = None
-    for _ in range(reps):
-        cell = _attack_cell(
-            train,
-            target,
-            truth,
-            "serial",
-            chunk_mb=chunk_mb,
-            max_workers=max_workers,
-        )
-        if scale is None or cell["wall_s"] < scale["wall_s"]:
-            scale = cell
+    corpus = synthetic_linkage_corpus(int(n_users), seed=seed)
+    scale = _best_of(iterations, lambda: cell(*corpus, "serial"))
     return {
-        "schema": _ATTACK_SCHEMA,
+        "schema": _SCHEMA,
         "workload": {
             "driver": "linkage",
             "n_users": int(n_users),
@@ -2026,8 +1712,8 @@ def run_attack_benchmark(
             "chaos_seed": int(chaos_seed),
         },
         "cpu_count": os.cpu_count(),
-        "max_workers": max_workers,
-        "reps": int(reps),
+        "max_workers": workers,
+        "reps": int(iterations),
         "backends": list(backends),
         "reference_signature": reference_signature,
         "equivalence": equivalence,
@@ -2035,7 +1721,7 @@ def run_attack_benchmark(
     }
 
 
-def check_attack_result(
+def _gates_attack(
     doc: Mapping[str, Any], min_success: float = 0.9, min_blocking_ratio: float = 100.0
 ) -> list[str]:
     """Intrinsic gates on one attack document (no baseline needed).
@@ -2092,70 +1778,7 @@ def check_attack_result(
     return problems
 
 
-def check_attack_against_baseline(
-    current: Mapping[str, Any],
-    baseline: Mapping[str, Any],
-) -> list[str]:
-    """Drift of the deterministic attack sections versus a baseline.
-
-    Signatures, counters, success rates and simulated seconds are pure
-    functions of the workload parameters (the chaos cell's additionally
-    of the fixed schedule seed) and must match exactly; wall-clock
-    columns are host-dependent and ignored.
-    """
-    problems: list[str] = []
-    if baseline.get("schema") != current.get("schema"):
-        problems.append(
-            f"schema mismatch: baseline {baseline.get('schema')} "
-            f"vs current {current.get('schema')}"
-        )
-        return problems
-    if baseline.get("workload") != current.get("workload"):
-        problems.append("workload mismatch: run with the baseline's parameters")
-        return problems
-    if current.get("reference_signature") != baseline.get("reference_signature"):
-        problems.append(
-            f"reference signature drifted: {current.get('reference_signature')!r} "
-            f"vs baseline {baseline.get('reference_signature')!r}"
-        )
-    deterministic = (
-        "signature",
-        "sim_seconds",
-        "success_rate",
-        "linked",
-        "n_targets",
-        "pairs_scored",
-        "pairs_exact",
-        "cross_product",
-        "blocking_exact",
-    )
-    cur_cells = dict(current.get("equivalence", {}))
-    base_cells = dict(baseline.get("equivalence", {}))
-    if current.get("scale"):
-        cur_cells["scale"] = current["scale"]
-    if baseline.get("scale"):
-        base_cells["scale"] = baseline["scale"]
-    for label in sorted(set(cur_cells) & set(base_cells)):
-        now, then = cur_cells[label], base_cells[label]
-        for key in deterministic:
-            if now.get(key) != then.get(key):
-                problems.append(
-                    f"{label}: {key} {now.get(key)!r} vs baseline {then.get(key)!r}"
-                )
-    if not set(cur_cells) & set(base_cells):
-        problems.append("no overlapping cells between run and baseline")
-    if problems:
-        problems.insert(
-            0,
-            f"provenance: baseline recorded on cpu_count="
-            f"{baseline.get('cpu_count')}, this run on cpu_count="
-            f"{current.get('cpu_count')} (deterministic sections compared "
-            "exactly; wall-clock ignored)",
-        )
-    return problems
-
-
-def render_attack_result(doc: Mapping[str, Any]) -> str:
+def _render_attack(doc: Mapping[str, Any]) -> str:
     """Terminal table for one attack benchmark document."""
     w = doc["workload"]
     lines = [
@@ -2187,3 +1810,218 @@ def render_attack_result(doc: Mapping[str, Any]) -> str:
             f"serial reference signature {doc['reference_signature'][:16]}…",
         ]
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# The suites: one declaration per `repro bench` mode, one comparison.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One ``repro bench`` mode, declared (``--<name>`` selects it;
+    ``backends`` is the flagless default).
+
+    ``run`` takes the ``repro bench`` options named in ``options`` as
+    keyword arguments; ``gates`` are the intrinsic checks on one document
+    (no baseline needed).  ``pinned`` fields must equal the baseline's
+    before anything is compared, and ``compared`` lists the ``(path,
+    rule, tolerance)`` triples :func:`compare_to_baseline` holds against
+    it; everything else in a document is recorded, never compared.
+
+    ``wall_clock`` marks the one suite whose document *is* host-dependent
+    timing: it is held to :func:`wall_clock_regressions` instead of
+    declared paths, ``--check`` without a baseline is an error (there is
+    no intrinsic gate to fall back on), and it is written only where
+    ``--out`` says — a plain run must not replace a baseline recorded on
+    other hardware.
+    """
+
+    name: str
+    run: Callable[..., dict[str, Any]]
+    gates: Callable[[Mapping[str, Any]], list[str]]
+    render: Callable[[Mapping[str, Any]], str]
+    options: tuple[str, ...] = ()
+    pinned: tuple[str, ...] = ("schema", "workload")
+    compared: tuple[tuple[str, str, float], ...] = ()
+    wall_clock: bool = False
+
+    @property
+    def baseline(self) -> Path:
+        """The committed baseline, which is also the default ``--out``."""
+        return Path("benchmarks") / "results" / f"BENCH_{self.name}.json"
+
+
+#: The deterministic fields of one linkage-attack cell.
+_ATTACK_CELL = (
+    "{signature,sim_seconds,success_rate,linked,n_targets,"
+    "pairs_scored,pairs_exact,cross_product,blocking_exact}"
+)
+
+SUITES: dict[str, Suite] = {
+    suite.name: suite
+    for suite in (
+        # Diverging backends raise inside the run, and wall-clock has no
+        # intrinsic bar — only the baseline's — so there is nothing to gate.
+        Suite(
+            "backends", _run_backends, lambda doc: [], _render_backends,
+            options=("sizes", "backends", "iterations", "k", "max_iter", "workers"),
+            pinned=("schema",),
+            wall_clock=True,
+        ),
+        Suite(
+            "spill", _run_spill, _gates_spill, _render_spill,
+            options=("sizes", "budget_mb", "k", "max_iter"),
+        ),
+        Suite(
+            "multitenant", _run_multitenant, _gates_multitenant, _render_multitenant,
+            compared=(
+                ("simulated.{interleaved_makespan_s,serial_s,contended_window_s}", "rel", 0.01),
+                ("fairness.*.share", "abs", 0.01),
+            ),
+        ),
+        Suite(
+            "query", _run_query, _gates_query, _render_query,
+            options=("sizes", "budget_mb"),
+            pinned=("schema", "workload", "budget_mb"),
+            compared=(
+                ("results.*.{build_sim_seconds,n_pages,index_bytes}", "rel", 0.01),
+                ("results.*.serving.{page_faults,fault_bytes,latency_s,results}", "rel", 0.01),
+            ),
+        ),
+        Suite(
+            "stream", _run_stream, _gates_stream, _render_stream,
+            compared=(("{stream,warm_start,equivalence,result_cache}", "exact", 0.0),),
+        ),
+        Suite(
+            "shuffle", _run_shuffle, _gates_shuffle, _render_shuffle,
+            options=("backends", "iterations", "workers"),
+            compared=(
+                ("shuffle_bytes", "exact", 0.0),
+                (
+                    "modes.*.*.{shuffle_bytes,n_iterations,centroids_sha256,sim_seconds,preagg}",
+                    "exact",
+                    0.0,
+                ),
+            ),
+        ),
+        Suite(
+            "attack", _run_attack, _gates_attack, _render_attack,
+            options=("backends", "iterations", "workers", "budget_mb"),
+            compared=(
+                ("reference_signature", "exact", 0.0),
+                (f"equivalence.*.{_ATTACK_CELL}", "exact", 0.0),
+                (f"scale.{_ATTACK_CELL}", "exact", 0.0),
+            ),
+        ),
+    )
+}
+
+class _Absent:
+    """What a declared path resolves to on a side that does not have it."""
+
+    def __repr__(self) -> str:
+        return "<absent>"
+
+
+_ABSENT = _Absent()
+
+
+def _resolve(
+    pattern: str, current: Mapping[str, Any], baseline: Mapping[str, Any]
+) -> list[tuple[str, Any, Any]]:
+    """Every concrete ``(path, now, then)`` a declared path pattern names.
+
+    A pattern is dot-separated segments: a literal key, ``{a,b}``
+    alternatives, or ``*`` — every key the run and the baseline *share*,
+    so a run restricted to some sizes or backends is compared where it
+    overlaps.  A per-size ``results`` list is addressed by corpus size,
+    not by position.  A literal key missing from a side resolves to
+    ``_ABSENT`` there rather than vanishing, so it gets flagged.
+    """
+    matches = [("", current, baseline)]
+    for segment in pattern.split("."):
+        step = []
+        for path, *sides in matches:
+            now, then = (
+                {str(e["size"]): e for e in side} if isinstance(side, list) else side
+                for side in sides
+            )
+            now, then = (side if isinstance(side, Mapping) else {} for side in (now, then))
+            keys = now.keys() & then.keys() if segment == "*" else segment.strip("{}").split(",")
+            step += [
+                (f"{path}.{key}".lstrip("."), now.get(key, _ABSENT), then.get(key, _ABSENT))
+                for key in sorted(keys)
+            ]
+        matches = step
+    return matches
+
+
+def _drifted(rule: str, tolerance: float, now: Any, then: Any) -> bool:
+    """The three compare rules: ``exact`` equality, ``rel`` (fractional,
+    with a 1e-9 absolute floor so a zero baseline still compares) and
+    ``abs`` (absolute difference).  An absent side always drifts."""
+    if now is _ABSENT or then is _ABSENT:
+        return True
+    if rule == "exact":
+        return now != then
+    if rule == "rel":
+        return abs(float(now) - float(then)) > max(abs(float(then)) * tolerance, 1e-9)
+    if rule == "abs":
+        return abs(float(now) - float(then)) > tolerance
+    raise ValueError(f"unknown compare rule {rule!r}")
+
+
+def compare_to_baseline(
+    suite: Suite,
+    current: Mapping[str, Any],
+    baseline: Mapping[str, Any],
+    tolerance: float = 0.25,
+) -> list[str]:
+    """Drift of ``current`` versus a committed ``baseline``, for any suite.
+
+    Returns a list of human-readable problems; empty means no drift.
+    First the suite's pinned fields must match — a differing one yields
+    the single "schema mismatch" / "workload mismatch" message and
+    nothing else, because documents of different shapes or parameters
+    have nothing comparable in them.  Then every declared path is
+    resolved (:func:`_resolve`) and held to its rule (:func:`_drifted`);
+    a declared path that names nothing is itself a problem, never a
+    silent pass.  Wall-clock is host-dependent and ignored, except by
+    the ``wall_clock`` suite, which is *only* wall-clock and is held to
+    :func:`wall_clock_regressions` within ``tolerance`` instead.
+    """
+    for field in suite.pinned:
+        if baseline.get(field) != current.get(field):
+            return [
+                f"{field} mismatch: baseline {baseline.get(field)!r} vs current "
+                f"{current.get(field)!r} (run with the baseline's parameters)"
+            ]
+    problems = wall_clock_regressions(current, baseline, tolerance) if suite.wall_clock else []
+    for pattern, rule, path_tolerance in suite.compared:
+        matches = _resolve(pattern, current, baseline)
+        if not matches:
+            problems.append(f"{pattern}: names nothing this run and the baseline share")
+        for path, now, then in matches:
+            if _drifted(rule, path_tolerance, now, then):
+                now, then = (
+                    "(section)" if isinstance(side, (Mapping, list)) else repr(side)
+                    for side in (now, then)
+                )
+                how = f"{rule} {path_tolerance:g}" if path_tolerance else rule
+                problems.append(f"{path}: {now} vs baseline {then} ({how})")
+    if problems:
+        # Provenance up front: a host mismatch is the first thing to rule
+        # out when a gate trips (a 1-core CI runner vs an 8-core laptop
+        # compares serial-normalized ratios, not raw seconds).
+        if baseline.get("cpu_count") == current.get("cpu_count"):
+            hosts = "matching hosts, raw wall-clock comparable"
+        else:
+            hosts = "different hosts, only serial-normalized wall-clock comparable"
+        problems.insert(
+            0,
+            f"provenance: baseline recorded on cpu_count="
+            f"{baseline.get('cpu_count')}, this run on cpu_count="
+            f"{current.get('cpu_count')} ({hosts})",
+        )
+    return problems

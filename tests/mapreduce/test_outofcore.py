@@ -214,11 +214,10 @@ def test_worker_side_spill_on_processes_backend():
 
 
 def test_spill_benchmark_in_process_smoke(tmp_path):
-    from repro.mapreduce.bench import render_spill_result, run_spill_benchmark
+    from repro.mapreduce.bench import SUITES
 
-    doc = run_spill_benchmark(
-        sizes=[20_000], budget_mb=0.25, max_iter=2, isolate_cells=False
-    )
+    suite = SUITES["spill"]
+    doc = suite.run(sizes=[20_000], budget_mb=0.25, max_iter=2, isolate_cells=False)
     (entry,) = doc["results"]
     cells = entry["cells"]
     assert cells["budgeted"]["centroids_sha256"] == cells["unbudgeted"]["centroids_sha256"]
@@ -226,7 +225,8 @@ def test_spill_benchmark_in_process_smoke(tmp_path):
     assert cells["budgeted"]["paging"]["pages_out"] > 0
     assert cells["unbudgeted"]["spill"] is None
     assert cells["budgeted"]["peak_rss_mb"] is None  # not isolated
-    assert "budgeted" in render_spill_result(doc)
+    assert "budgeted" in suite.render(doc)
+    assert suite.gates(doc) == []
 
 
 @pytest.mark.bench

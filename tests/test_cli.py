@@ -172,3 +172,71 @@ class TestBenchCommand:
     def test_unknown_backend_exits(self):
         with pytest.raises(SystemExit, match="unknown backend"):
             main(["bench", "--sizes", "2000", "--backends", "fibers"])
+
+    def test_check_compares_before_writing(self, tmp_path, capsys):
+        """`--check --out X --baseline X` must judge the run against what X
+        held *before* the run replaced it, not against itself."""
+        import json
+
+        baseline = tmp_path / "baseline.json"
+        assert main([*self._ARGS, "--out", str(baseline)]) == 0
+        doctored = json.loads(baseline.read_text())
+        doctored["schema"] = 0
+        baseline.write_text(json.dumps(doctored))
+        capsys.readouterr()
+        assert main(
+            [*self._ARGS, "--check", "--out", str(baseline),
+             "--baseline", str(baseline)]
+        ) == 1
+        assert "schema mismatch: baseline 0 vs current 1" in capsys.readouterr().out
+        # ...and only then was the fresh document written over it.
+        assert json.loads(baseline.read_text())["schema"] == 1
+
+    def test_plain_run_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        """Wall-clock is host-specific: only --out names where it goes."""
+        monkeypatch.chdir(tmp_path)
+        assert main(self._ARGS) == 0
+        assert "result written" not in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_two_mode_flags_are_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--attack", "--shuffle"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_spill_check_runs_the_spill_gates(self, tmp_path, capsys):
+        args = ["bench", "--spill", "--sizes", "20000", "--max-iter", "2", "--check",
+                "--baseline", str(tmp_path / "absent.json")]
+        assert main([*args, "--budget-mb", "0.25"]) == 0
+        text = capsys.readouterr().out
+        assert "intrinsic gates only" in text and "all spill gates passed" in text
+        # A budget the corpus fits under checks nothing: that is a failure.
+        assert main([*args, "--budget-mb", "512"]) == 1
+        assert "never bit" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []  # --check without --out writes nothing
+
+    def test_gated_suite_checks_against_the_committed_baseline(self, tmp_path, capsys):
+        import json
+        from pathlib import Path
+
+        committed = (
+            Path(__file__).resolve().parents[1]
+            / "benchmarks" / "results" / "BENCH_multitenant.json"
+        )
+        before = committed.read_bytes()
+        args = ["bench", "--multitenant", "--check", "--baseline"]
+        assert main([*args, str(committed)]) == 0
+        assert "all multitenant gates passed" in capsys.readouterr().out
+        doctored = json.loads(before)
+        doctored["simulated"]["serial_s"] *= 1.05
+        drifted = tmp_path / "drifted.json"
+        drifted.write_text(json.dumps(doctored))
+        out = tmp_path / "fresh.json"
+        assert main([*args, str(drifted), "--out", str(out)]) == 1
+        text = capsys.readouterr().out
+        assert "FAILED gates (multitenant)" in text
+        assert "provenance: baseline recorded on cpu_count=" in text
+        assert "simulated.serial_s" in text and "rel 0.01" in text
+        assert json.loads(out.read_text())["schema"] == 1
+        assert committed.read_bytes() == before

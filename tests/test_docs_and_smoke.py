@@ -91,6 +91,42 @@ def test_cli_help_mentions_every_documented_subcommand():
     assert not missing, f"docs mention unknown subcommands {missing}"
 
 
+def test_benchmark_suites_table_matches_the_declarations():
+    """Docs and `repro bench` can't drift: the "Benchmark suites" table
+    in docs/PERFORMANCE.md has one row per declared suite, naming its
+    flag, baseline file, pinned fields and every compared path with its
+    rule — and the CLI's mode flags select exactly those suites."""
+    from repro.cli import build_parser
+    from repro.mapreduce.bench import SUITES
+
+    text = (REPO / "docs" / "PERFORMANCE.md").read_text()
+    section = text.split("## Benchmark suites", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("|") and len(cells) == 6 and cells[0] not in {"suite", "---"}:
+            rows[cells[0]] = cells
+    assert list(rows) == list(SUITES)
+    for name, suite in SUITES.items():
+        _, flag, baseline, pinned, compared, never = rows[name]
+        assert flag == ("(default)" if name == "backends" else f"`--{name}`")
+        assert f"(../{suite.baseline.as_posix()})" in baseline
+        assert pinned == ", ".join(f"`{field}`" for field in suite.pinned)
+        declared = "; ".join(
+            f"`{pattern}` {rule}" + (f" {tolerance:g}" if tolerance else "")
+            for pattern, rule, tolerance in suite.compared
+        )
+        if suite.compared:
+            assert compared == declared
+        else:
+            assert "`" not in compared or suite.wall_clock
+        assert never  # every suite records something it never compares
+    parser = build_parser()
+    assert parser.parse_args(["bench"]).suite == "backends"
+    for name in set(SUITES) - {"backends"}:
+        assert parser.parse_args(["bench", f"--{name}"]).suite == name
+
+
 @pytest.mark.parametrize("doc", DOCS, ids=lambda p: str(p.relative_to(REPO)))
 def test_markdown_links_resolve(doc):
     broken = []
