@@ -162,7 +162,7 @@ def decode_page(blob: bytes, page_id: int) -> _DecodedPage:
             f"page {page_id}: body length {len(body)} does not match "
             f"{n} entries"
         )
-    mbr = Rect(*(float(x) for x in mbr_arr))
+    mbr = Rect(*mbr_arr.tolist())
     if is_leaf:
         ids = np.frombuffer(body[offset : offset + 8 * n], dtype="<i8")
         points = np.frombuffer(body[offset + 8 * n :], dtype="<f8").reshape(n, 2)
@@ -223,9 +223,6 @@ class _PageSource:
             self._cache.popitem(last=False)
         return page
 
-    def node(self, page_id: int, mbr: Rect | None = None) -> "_PagedNode":
-        return _PagedNode(self, page_id, mbr)
-
 
 class _PagedChildren:
     """Lazy child sequence exposing the ``list[_Node]`` surface."""
@@ -241,8 +238,7 @@ class _PagedChildren:
         return len(self._child_ids)
 
     def __getitem__(self, i: int) -> "_PagedNode":
-        pid = int(self._child_ids[i])
-        return self._source.node(pid, Rect(*(float(x) for x in self._child_mbrs[i])))
+        return _PagedNode(self._source, int(self._child_ids[i]), self._child_mbrs[i])
 
     def __iter__(self) -> Iterator["_PagedNode"]:
         for i in range(len(self._child_ids)):
@@ -252,23 +248,29 @@ class _PagedChildren:
 class _PagedNode:
     """A node proxy with the exact ``_Node`` read surface.
 
-    ``mbr`` is known from the parent page without decoding this one (the
-    kNN best-first heap prioritizes children by MBR distance before ever
-    visiting them); everything else decodes on first access.
+    ``mbr`` comes from the parent page's entry row without decoding this
+    page, and the ``Rect`` is built only if someone reads it (traversals
+    prune on the parent's ``child_mbrs()`` array, so most proxies never
+    need one).  Everything else decodes on first access.
     """
 
     __slots__ = ("_source", "_page_id", "_mbr")
 
-    def __init__(self, source: _PageSource, page_id: int, mbr: Rect | None):
+    def __init__(self, source: _PageSource, page_id: int, mbr_row: np.ndarray | None):
         self._source = source
         self._page_id = page_id
-        self._mbr = mbr
+        self._mbr: Rect | np.ndarray | None = mbr_row
 
     @property
     def mbr(self) -> Rect:
-        if self._mbr is None:
-            self._mbr = self._source.decoded(self._page_id).mbr
-        return self._mbr
+        mbr = self._mbr
+        if not isinstance(mbr, Rect):
+            if mbr is None:
+                mbr = self._source.decoded(self._page_id).mbr
+            else:
+                mbr = Rect(*mbr.tolist())
+            self._mbr = mbr
+        return mbr
 
     @property
     def is_leaf(self) -> bool:
@@ -305,7 +307,7 @@ def _facade_tree(source: _PageSource, meta: dict[str, Any]) -> RTree:
     """
     tree = RTree(max_entries=int(meta["max_entries"]))
     if int(meta["n_pages"]) > 0:
-        tree._root = source.node(int(meta["root"]), None)
+        tree._root = _PagedNode(source, int(meta["root"]), None)
     tree._size = int(meta["size"])
     return tree
 
@@ -317,9 +319,10 @@ class _HDFSPageReader:
     """Locates a page blob via the meta record's chunk-start table.
 
     ``chunk_starts[i]`` is the first page id stored in chunk ``i`` of the
-    pages file, so a read is one bisect + one record index — no payload
-    scans.  Under a memory budget, touching a paged-out group counts a
-    page fault in the store's :class:`~repro.mapreduce.spill.SpillStats`.
+    pages file, so a read is one bisect, one chunk lookup by ordinal and
+    one record index — no payload scan, no listing of the file.  Under a
+    memory budget, touching a paged-out group counts a page fault in the
+    store's :class:`~repro.mapreduce.spill.SpillStats`.
     """
 
     def __init__(self, hdfs: "SimulatedHDFS", pages_path: str, chunk_starts, n_pages: int):
@@ -335,17 +338,17 @@ class _HDFSPageReader:
             )
         ordinal = bisect.bisect_right(self._chunk_starts, page_id) - 1
         try:
-            chunks = self._hdfs.chunks(self._pages_path)
+            chunk = self._hdfs.chunk(self._pages_path, ordinal)
         except FileNotFoundError as exc:
             raise IndexCorruptError(
                 f"pages file missing: {self._pages_path}"
             ) from exc
-        if ordinal < 0 or ordinal >= len(chunks):
+        except IndexError as exc:
             raise IndexCorruptError(
                 f"page {page_id}: chunk ordinal {ordinal} missing from "
                 f"{self._pages_path}"
-            )
-        payload = concrete_payload(chunks[ordinal].payload)
+            ) from exc
+        payload = concrete_payload(chunk.payload)
         if not isinstance(payload, RecordPayload):
             raise IndexCorruptError(
                 f"{self._pages_path}: chunk {ordinal} is not a record payload"
@@ -405,16 +408,18 @@ class PersistentRTree:
         current: list[tuple[int, bytes]] = []
         used = 0
         for page_id, blob in enumerate(pages):
+            # estimate_nbytes of an (int, bytes) record: ``used`` is the
+            # group's modelled size, handed to the payload below.
             size = 8 + len(blob)
             if current and used + size > group_bytes:
-                payloads.append(RecordPayload(current))
+                payloads.append(RecordPayload(current, used))
                 current, used = [], 0
             if not current:
                 chunk_starts.append(page_id)
             current.append((page_id, blob))
             used += size
         if current:
-            payloads.append(RecordPayload(current))
+            payloads.append(RecordPayload(current, used))
         hdfs.delete(f"{path}/pages", missing_ok=True)
         hdfs.delete(f"{path}/meta", missing_ok=True)
         hdfs.put_chunks(f"{path}/pages", payloads)

@@ -272,17 +272,22 @@ class RTree:
         n_slabs = max(1, int(math.ceil(math.sqrt(n_leaves))))
         slab_size = n_slabs * m
         order = np.argsort(points[:, 0], kind="stable")
-        leaves: list[_Node] = []
         for slab in _chunk_evenly(n, slab_size):
             slab_idx = order[slab]
-            slab_order = slab_idx[np.argsort(points[slab_idx, 1], kind="stable")]
-            for piece in _chunk_evenly(len(slab_order), m):
-                idx = slab_order[piece]
-                leaf = _Node(is_leaf=True)
-                leaf.ids = ids[idx].copy()
-                leaf.points = points[idx].copy()
-                leaf.recompute_mbr()
-                leaves.append(leaf)
+            order[slab] = slab_idx[np.argsort(points[slab_idx, 1], kind="stable")]
+        # A slab is a whole number of leaves: in packed order every leaf
+        # starts at a multiple of m, and one segmented min/max bounds all.
+        points, ids = points[order], ids[order]
+        starts = np.arange(0, n, m)
+        low = np.minimum.reduceat(points, starts, axis=0).tolist()
+        high = np.maximum.reduceat(points, starts, axis=0).tolist()
+        leaves: list[_Node] = []
+        for start, lo, hi in zip(starts.tolist(), low, high):
+            leaf = _Node(is_leaf=True)
+            leaf.ids = ids[start : start + m].copy()
+            leaf.points = points[start : start + m].copy()
+            leaf.mbr = Rect(*lo, *hi)
+            leaves.append(leaf)
         return leaves
 
     def _build_upper_levels(self, nodes: list[_Node]) -> _Node:
@@ -445,8 +450,9 @@ class RTree:
                     | (mbrs[:, 1] > qarr[3])
                     | (mbrs[:, 3] < qarr[1])
                 )
+                children = node.children
                 for i in np.flatnonzero(hit):
-                    stack.append(node.children[i])
+                    stack.append(children[i])
         if not out:
             return np.empty(0, dtype=np.int64)
         return np.sort(np.concatenate(out))
@@ -493,8 +499,9 @@ class RTree:
                     | (mbrs[:, 1] > qarr[3])
                     | (mbrs[:, 3] < qarr[1])
                 )
+                children = node.children
                 for i in np.flatnonzero(hit):
-                    stack.append(node.children[i])
+                    stack.append(children[i])
         if not out:
             return np.empty(0, dtype=np.int64)
         return np.sort(np.concatenate(out))
@@ -560,15 +567,24 @@ class RTree:
                     | (mbrs[None, :, 1] > qarr[:, 3, None])
                     | (mbrs[None, :, 3] < qarr[:, 1, None])
                 )
+                children = node.children
                 for ci in np.flatnonzero(hit.any(axis=0)):
-                    stack.append((node.children[ci], active[hit[:, ci]]))
+                    stack.append((children[ci], active[hit[:, ci]]))
         if not hit_ids:
             return [empty for _ in range(n)]
         return _split_hits_by_query(np.concatenate(hit_queries), np.concatenate(hit_ids), n)
 
     def knn(self, lat: float, lon: float, k: int) -> list[tuple[int, float]]:
         """The ``k`` nearest points as ``(id, haversine_metres)``, nearest
-        first.  Best-first search over node MBR min-distances."""
+        first.  Best-first search over node MBR min-distances.
+
+        A node's children are priced by one clamped Haversine call over
+        ``child_mbrs()`` — :meth:`Rect.min_dist_m` array-at-a-time — and
+        pushed in child order, so ties break as in the scalar search.  A
+        *node's* priority may differ from the scalar one in its last bit
+        (NumPy squares arrays by multiplying, scalars through ``pow``);
+        returned distances are leaf distances, always array-computed.
+        """
         if k <= 0:
             raise ValueError("k must be positive")
         if not (math.isfinite(lat) and math.isfinite(lon)):
@@ -584,19 +600,21 @@ class RTree:
         while heap and len(result) < k:
             dist, _, is_point, payload = heapq.heappop(heap)
             if is_point:
-                result.append((int(payload), dist))
+                result.append((payload, dist))
                 continue
             node: _Node = payload
             if node.is_leaf:
-                dists = haversine_m(lat, lon, node.points[:, 0], node.points[:, 1])
-                for pid, d in zip(node.ids, np.atleast_1d(dists)):
-                    heapq.heappush(heap, (float(d), next(counter), True, int(pid)))
+                points = node.points
+                dists = haversine_m(lat, lon, points[:, 0], points[:, 1]).tolist()
+                for pid, d in zip(node.ids.tolist(), dists):
+                    heapq.heappush(heap, (d, next(counter), True, pid))
             else:
-                for child in node.children:
-                    heapq.heappush(
-                        heap,
-                        (child.mbr.min_dist_m(lat, lon), next(counter), False, child),
-                    )
+                mbrs = node.child_mbrs()
+                clat = np.minimum(np.maximum(lat, mbrs[:, 0]), mbrs[:, 2])
+                clon = np.minimum(np.maximum(lon, mbrs[:, 1]), mbrs[:, 3])
+                dists = haversine_m(lat, lon, clat, clon).tolist()
+                for child, d in zip(node.children, dists):
+                    heapq.heappush(heap, (d, next(counter), False, child))
         return result
 
     # -- structure -----------------------------------------------------------

@@ -137,17 +137,22 @@ class SimulatedHDFS:
         chunks: list[Chunk] = []
         current: list[tuple[Any, Any]] = []
         used = 0
+        # A flat ``record_bytes`` only steers chunking; the running sum is
+        # the payload's modelled size only when it sums the estimates.
+        estimated = record_bytes is None
         for key, value in records:
             size = record_bytes if record_bytes is not None else (
                 estimate_nbytes(key) + estimate_nbytes(value)
             )
             if current and used + size > self.chunk_size:
-                chunks.append(self._new_chunk(RecordPayload(current), writer))
+                payload = RecordPayload(current, used if estimated else None)
+                chunks.append(self._new_chunk(payload, writer))
                 current, used = [], 0
             current.append((key, value))
             used += size
         if current:
-            chunks.append(self._new_chunk(RecordPayload(current), writer))
+            payload = RecordPayload(current, used if estimated else None)
+            chunks.append(self._new_chunk(payload, writer))
         self._commit(path, chunks)
 
     def put_trace_array(
@@ -257,19 +262,28 @@ class SimulatedHDFS:
     def ls(self) -> list[str]:
         return sorted(self._files)
 
+    def _readable(self, path: str, chunk: Chunk) -> Chunk:
+        alive = tuple(r for r in chunk.replicas if r not in self._dead_nodes)
+        if not alive:
+            raise IOError(f"chunk {chunk.chunk_id} of {path} lost all replicas")
+        return Chunk(chunk.chunk_id, chunk.payload, alive)
+
     def chunks(self, path: str) -> list[Chunk]:
         """Readable chunks of a file; raises if any chunk lost all replicas."""
         if path not in self._files:
             raise FileNotFoundError(f"HDFS path not found: {path}")
-        out = []
-        for chunk in self._files[path]:
-            alive = tuple(r for r in chunk.replicas if r not in self._dead_nodes)
-            if not alive:
-                raise IOError(
-                    f"chunk {chunk.chunk_id} of {path} lost all replicas"
-                )
-            out.append(Chunk(chunk.chunk_id, chunk.payload, alive))
-        return out
+        return [self._readable(path, chunk) for chunk in self._files[path]]
+
+    def chunk(self, path: str, ordinal: int) -> Chunk:
+        """``chunks(path)[ordinal]`` without listing the file: O(1),
+        ``IndexError`` past either end, and only *this* chunk's replicas
+        decide whether the read fails."""
+        if path not in self._files:
+            raise FileNotFoundError(f"HDFS path not found: {path}")
+        stored = self._files[path]
+        if not 0 <= ordinal < len(stored):
+            raise IndexError(f"{path} has no chunk {ordinal} (of {len(stored)})")
+        return self._readable(path, stored[ordinal])
 
     def read_records(self, path: str) -> list[tuple[Any, Any]]:
         """All records of a file, chunk order preserved."""

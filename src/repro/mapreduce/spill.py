@@ -37,6 +37,7 @@ import os
 import pickle
 import shutil
 import tempfile
+import threading
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
@@ -143,7 +144,9 @@ class PayloadStore:
     Reads rehydrate transparently and re-pin the payload.  At least one
     payload stays resident regardless of budget, so a budget smaller
     than a single chunk degrades to "one chunk at a time" rather than
-    thrashing to zero.
+    thrashing to zero.  One lock covers ``put``, ``get`` and their
+    paging: the threads backend reads chunks concurrently, and a re-pin
+    or an eviction is a check-then-act on the shared LRU.
     """
 
     def __init__(
@@ -161,42 +164,46 @@ class PayloadStore:
         self._resident_bytes = 0
         self._sizes: dict[str, int] = {}
         self._paged: dict[str, Path] = {}
+        self._lock = threading.Lock()
 
     @property
     def resident_bytes(self) -> int:
         return self._resident_bytes
 
     def put(self, chunk_id: str, payload: RecordPayload | ArrayPayload) -> None:
-        if chunk_id in self._sizes:
-            raise ValueError(f"chunk {chunk_id} already registered")
         size = resident_nbytes(payload)
-        self._sizes[chunk_id] = size
-        self._resident[chunk_id] = payload
-        self._resident_bytes += size
-        self._shrink()
+        with self._lock:
+            if chunk_id in self._sizes:
+                raise ValueError(f"chunk {chunk_id} already registered")
+            self._sizes[chunk_id] = size
+            self._resident[chunk_id] = payload
+            self._resident_bytes += size
+            self._shrink()
 
     def get(self, chunk_id: str) -> RecordPayload | ArrayPayload:
-        payload = self._resident.get(chunk_id)
-        if payload is not None:
-            # Re-pin: dicts iterate in insertion order, so re-inserting
-            # moves the entry to the MRU end.
-            del self._resident[chunk_id]
+        with self._lock:
+            payload = self._resident.get(chunk_id)
+            if payload is not None:
+                # Re-pin: dicts iterate in insertion order, so re-inserting
+                # moves the entry to the MRU end.
+                del self._resident[chunk_id]
+                self._resident[chunk_id] = payload
+                return payload
+            path = self._paged.get(chunk_id)
+            if path is None:
+                raise KeyError(f"unknown chunk {chunk_id}")
+            with open(path, "rb") as fh:
+                payload = pickle.load(fh)
+            size = self._sizes[chunk_id]
+            self.stats.pages_in += 1
+            self.stats.page_in_bytes += size
             self._resident[chunk_id] = payload
+            self._resident_bytes += size
+            self._shrink(keep=chunk_id)
             return payload
-        path = self._paged.get(chunk_id)
-        if path is None:
-            raise KeyError(f"unknown chunk {chunk_id}")
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        size = self._sizes[chunk_id]
-        self.stats.pages_in += 1
-        self.stats.page_in_bytes += size
-        self._resident[chunk_id] = payload
-        self._resident_bytes += size
-        self._shrink(keep=chunk_id)
-        return payload
 
     def _shrink(self, keep: str | None = None) -> None:
+        """Page LRU payloads out until under budget (caller holds the lock)."""
         while self._resident_bytes > self.budget_bytes and len(self._resident) > 1:
             victim = next(iter(self._resident))  # LRU = oldest insertion
             if victim == keep:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import pickle
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
@@ -74,16 +74,26 @@ def estimate_nbytes(value: Any) -> int:
 
 @dataclass
 class RecordPayload:
-    """A chunk payload holding explicit ``(key, value)`` records."""
+    """A chunk payload holding explicit ``(key, value)`` records.
+
+    ``size`` is the modelled byte count of ``records``: passed in by a
+    writer that summed it while chunking, else computed by the first
+    :meth:`nbytes` call and kept, so a record is sized (a pickle, for
+    object values) once per payload, not once per question.  Payloads
+    are immutable once written; ``size`` describes them as written.
+    """
 
     records: list[tuple[Any, Any]]
+    size: int | None = field(default=None, compare=False, repr=False)
 
     @property
     def n_records(self) -> int:
         return len(self.records)
 
     def nbytes(self) -> int:
-        return sum(estimate_nbytes(k) + estimate_nbytes(v) for k, v in self.records)
+        if self.size is None:
+            self.size = sum(estimate_nbytes(k) + estimate_nbytes(v) for k, v in self.records)
+        return self.size
 
     def iter_records(self) -> Iterator[tuple[Any, Any]]:
         return iter(self.records)

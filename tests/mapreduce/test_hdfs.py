@@ -60,6 +60,50 @@ class TestChunking:
         assert len(hdfs.read_trace_array("t")) == 0
 
 
+class TestSingleChunkRead:
+    """``chunk(path, i)`` is ``chunks(path)[i]`` without listing the file."""
+
+    def _file(self, **kwargs):
+        hdfs = SimulatedHDFS(paper_cluster(6), chunk_size=100, seed=2, **kwargs)
+        hdfs.put_records("f", [(i, i) for i in range(20)], record_bytes=16)
+        return hdfs
+
+    @pytest.mark.parametrize("budget", [None, 0.001])
+    def test_equals_the_listing_entry(self, budget):
+        hdfs = self._file(memory_budget_mb=budget)
+        listing = hdfs.chunks("f")
+        hdfs.kill_datanode(listing[1].replicas[0])
+        listing = hdfs.chunks("f")
+        for i, want in enumerate(listing):
+            got = hdfs.chunk("f", i)
+            assert (got.chunk_id, got.replicas) == (want.chunk_id, want.replicas)
+            assert list(got.records()) == list(want.records())
+
+    @pytest.mark.parametrize("ordinal", [-1, 4, 99])
+    def test_out_of_range_ordinal(self, ordinal):
+        with pytest.raises(IndexError, match="no chunk"):
+            self._file().chunk("f", ordinal)
+
+    def test_missing_file(self):
+        with pytest.raises(FileNotFoundError):
+            self._file().chunk("nope", 0)
+
+    def test_only_the_chunk_read_must_be_alive(self):
+        hdfs = self._file(replication=1)
+        dead = hdfs.chunks("f")[2].replicas[0]
+        survivors = [
+            i for i, c in enumerate(hdfs.chunks("f")) if dead not in c.replicas
+        ]
+        hdfs.kill_datanode(dead)
+        with pytest.raises(IOError, match="lost all replicas"):
+            hdfs.chunk("f", 2)
+        with pytest.raises(IOError, match="lost all replicas"):
+            hdfs.chunks("f")
+        assert survivors
+        for i in survivors:
+            assert hdfs.chunk("f", i).n_records > 0
+
+
 class TestNamespace:
     def test_no_clobber(self):
         hdfs = SimulatedHDFS(paper_cluster(4))

@@ -7,13 +7,20 @@ spilled map outputs reload exactly what was emitted.
 """
 
 import pickle
+import sys
+import threading
+import time
 
+import numpy as np
 import pytest
+
+from repro.algorithms.kmeans import run_kmeans_mapreduce
 
 from repro.mapreduce.bench import synthetic_corpus
 from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.hdfs import MB, SimulatedHDFS
 from repro.mapreduce.job import HashPartitioner
+from repro.mapreduce.runner import JobRunner
 from repro.mapreduce.spill import (
     PayloadStore,
     ShuffleSpiller,
@@ -102,6 +109,103 @@ class TestPayloadStore:
         assert stub.materialize().records == payload.records
         with pytest.raises(pickle.PicklingError, match="process boundary"):
             pickle.dumps(stub)
+
+
+class TestPayloadStoreUnderThreads:
+    """The threads backend reads chunks concurrently; a re-pin or an
+    eviction is a check-then-act on the shared LRU.  Unlocked, a reader
+    that lands between ``get``'s delete and re-insert finds the chunk
+    neither resident nor paged (``KeyError: unknown chunk``), or loses
+    the race with ``_shrink`` for the same dict entry."""
+
+    N_THREADS = 8  # more than the cores of any CI box we run on
+
+    @pytest.fixture(autouse=True)
+    def _eager_thread_switches(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    def _hammer(self, work, deadline_s=60.0):
+        """Run ``work(thread_index)`` on N threads; re-raise the first error."""
+        errors = []
+
+        def guarded(i):
+            try:
+                work(i)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=guarded, args=(i,), daemon=True)
+            for i in range(self.N_THREADS)
+        ]
+        for t in threads:
+            t.start()
+        end = time.monotonic() + deadline_s
+        for t in threads:
+            t.join(timeout=max(0.0, end - time.monotonic()))
+        assert not any(t.is_alive() for t in threads), "store deadlocked"
+        if errors:
+            raise errors[0]
+
+    def test_concurrent_gets_over_budget(self, tmp_path):
+        payloads = {f"c{i}": _payload(40, tag=f"t{i}-") for i in range(6)}
+        size = payloads["c0"].nbytes()
+        store = PayloadStore(2 * size + 1, SpillDirectory(tmp_path / "s"))
+        for cid, payload in payloads.items():
+            store.put(cid, payload)
+
+        def work(i):
+            rng = np.random.default_rng(i)
+            for cid in rng.choice(list(payloads), size=1500):
+                assert store.get(cid).records == payloads[cid].records
+
+        self._hammer(work)
+        # No lost update: the byte count is exactly what is resident, the
+        # budget held, and every page-in was matched by the counters.
+        assert store.resident_bytes == size * len(store._resident) <= store.budget_bytes
+        assert store.stats.page_in_bytes == size * store.stats.pages_in
+        assert store.stats.page_out_bytes == size * store.stats.pages_out
+        assert store.stats.pages_out - store.stats.pages_in == len(payloads) - len(store._resident)
+
+    def test_kmeans_on_threads_with_concurrent_readers(self):
+        corpus = synthetic_corpus(6000, seed=5)
+
+        def deployment(**budget):
+            hdfs = SimulatedHDFS(paper_cluster(4), chunk_size=32 * 1024, seed=0, **budget)
+            hdfs.put_trace_array("in", corpus)
+            return hdfs
+
+        def kmeans(hdfs, **runner):
+            with JobRunner(hdfs, **runner) as job_runner:
+                return run_kmeans_mapreduce(job_runner, "in", k=4, max_iter=3, seed=1)
+
+        want = kmeans(deployment(), executor="serial")
+        hdfs = deployment(memory_budget_mb=0.08)  # ~3 of 12 chunks resident
+        chunks = hdfs.chunks("in")
+        result = []
+
+        def work(i):
+            if i == 0:
+                result.append(kmeans(
+                    hdfs, executor="threads", max_workers=4, memory_budget_mb=0.08))
+                return
+            rng = np.random.default_rng(i)
+            for ordinal in rng.integers(0, len(chunks), size=1500):
+                chunk = chunks[ordinal]
+                assert len(chunk.trace_array()) == chunk.n_records
+
+        self._hammer(work)
+        assert hdfs.spill_stats.pages_in > len(chunks)
+        # Two readers paging the same chunk in at once would count it twice.
+        store = hdfs._store
+        assert store.resident_bytes == sum(store._sizes[c] for c in store._resident)
+        assert np.array_equal(result[0].centroids, want.centroids)
+        assert result[0].n_iterations == want.n_iterations
 
 
 class TestMapOutputSpill:
