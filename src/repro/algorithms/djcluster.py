@@ -164,25 +164,41 @@ def preprocess_array(array: TraceArray, params: DJClusterParams) -> tuple[TraceA
 # ---------------------------------------------------------------------------
 
 def _merge_neighborhoods(neighborhoods: list[np.ndarray]) -> list[np.ndarray]:
-    """Join all joinable neighborhoods into non-overlapping clusters.
-
-    Algorithm 5's "merge all joinable neighborhoods with existing
-    clusters or create new clusters" is connected components over the
-    trace ids, every neighborhood tying its members together.  Computed
-    array-at-a-time: ids are compacted to ``0..m-1``, each id starts as
-    its own label, and each round hooks the label of every member of a
-    neighborhood onto the neighborhood's smallest label, then flattens
-    the label forest by pointer jumping.  At the fixed point every
-    neighborhood — hence every component — carries one label, its
-    smallest id.  Clusters are ascending ``int64`` id arrays, ordered by
-    their first id.
+    """Join all joinable neighborhoods into non-overlapping clusters:
+    :func:`_merge_flat` over a list of id arrays.  Clusters are ascending
+    ``int64`` id arrays, ordered by their first id.
     """
     hoods = [hood for hood in neighborhoods if len(hood)]
     if not hoods:
         return []
     lengths = np.fromiter((len(hood) for hood in hoods), dtype=np.int64, count=len(hoods))
+    return _split_clusters(*_merge_flat(np.concatenate(hoods), lengths))
+
+
+def _split_clusters(members: np.ndarray, starts: np.ndarray) -> list[np.ndarray]:
+    return np.split(members, starts[1:]) if len(starts) else []
+
+
+def _merge_flat(flat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Connected components of concatenated, non-empty neighborhoods.
+
+    Algorithm 5's "merge all joinable neighborhoods with existing
+    clusters or create new clusters" is connected components over the
+    trace ids, every neighborhood (``lengths[i]`` consecutive ids of
+    ``flat``) tying its members together.  Computed array-at-a-time: ids
+    are compacted to ``0..m-1``, each id starts as its own label, and
+    each round hooks the label of every member of a neighborhood onto
+    the neighborhood's smallest label, then flattens the label forest by
+    pointer jumping.  At the fixed point every neighborhood — hence
+    every component — carries one label, its smallest id.  Returns
+    ``(members, starts)``: the clustered ids, cluster after cluster in
+    order of first id and ascending within each, and the offset at which
+    each cluster starts.
+    """
+    if len(flat) == 0:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     starts = np.cumsum(lengths) - lengths
-    flat = np.concatenate(hoods).astype(np.int64, copy=False)
+    flat = flat.astype(np.int64, copy=False)
     ids = np.unique(flat)
     # Narrow labels halve every per-round transient (they are all as long
     # as ``flat``), which is what bounds the reducer's peak memory.
@@ -203,7 +219,20 @@ def _merge_neighborhoods(neighborhoods: list[np.ndarray]) -> list[np.ndarray]:
             labels = jumped
     order = np.argsort(labels, kind="stable")
     cuts = np.flatnonzero(np.diff(labels[order])) + 1
-    return np.split(ids[order], cuts)
+    return ids[order], np.concatenate(([0], cuts))
+
+
+def _dense_clusters(
+    points: np.ndarray, params: DJClusterParams, groups: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Phases 2 and 3 on arrays: the merged dense neighborhoods of the
+    grid self-join, as :func:`_merge_flat` returns them.  With ``groups``
+    no neighborhood, hence no cluster, spans two groups."""
+    from repro.index.selfjoin import self_join_csr
+
+    ids, counts = self_join_csr(points, params.radius_m, groups)
+    dense = counts >= params.min_pts
+    return _merge_flat(ids[np.repeat(dense, counts)], counts[dense])
 
 
 # ---------------------------------------------------------------------------
@@ -270,20 +299,16 @@ def djcluster_sequential(
     if n == 0:
         return DJClusterResult(prepared, [], np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), params)
     points = prepared.coordinates()
-    neighborhoods = []
     if use_rtree:
         tree = RTree.bulk_load(points, max_entries=params.rtree_max_entries)
+        neighborhoods = []
         for i in range(n):
             hood = tree.query_radius(points[i, 0], points[i, 1], params.radius_m)
             if len(hood) >= params.min_pts:
                 neighborhoods.append(hood)
+        clusters = _merge_neighborhoods(neighborhoods)
     else:
-        from repro.index.selfjoin import radius_self_join
-
-        for hood in radius_self_join(points, params.radius_m):
-            if len(hood) >= params.min_pts:
-                neighborhoods.append(hood)
-    clusters = _merge_neighborhoods(neighborhoods)
+        clusters = _split_clusters(*_dense_clusters(points, params))
     labels, noise = _label_clusters(n, clusters)
     return DJClusterResult(prepared, clusters, noise, labels, params)
 

@@ -28,6 +28,7 @@ from repro.attacks.deanonymization import (
     DeanonymizationResult,
     deanonymization_attack,
     fingerprint_user,
+    fingerprint_users,
 )
 from repro.attacks.social import ColocationParams, colocation_graph, contact_events
 from repro.attacks.mmc_mr import run_mmc_mapreduce
@@ -51,6 +52,7 @@ __all__ = [
     "DeanonymizationResult",
     "deanonymization_attack",
     "fingerprint_user",
+    "fingerprint_users",
     "ColocationParams",
     "colocation_graph",
     "contact_events",

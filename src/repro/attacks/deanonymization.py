@@ -25,12 +25,63 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.algorithms.djcluster import DJClusterParams
-from repro.attacks.mmc import MobilityMarkovChain, build_mmc, mmc_link_score
-from repro.attacks.poi import poi_attack
-from repro.geo.trace import GeolocatedDataset, Trail
+from repro.algorithms.djcluster import DJClusterParams, _dense_clusters, preprocess_array
+from repro.attacks.mmc import MobilityMarkovChain, mmc_link_score, segmented_chains
+from repro.attacks.poi import segmented_pois
+from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
 
-__all__ = ["fingerprint_user", "deanonymization_attack", "DeanonymizationResult"]
+__all__ = [
+    "fingerprint_user",
+    "fingerprint_users",
+    "deanonymization_attack",
+    "DeanonymizationResult",
+]
+
+
+def fingerprint_users(
+    array: TraceArray,
+    params: DJClusterParams | None = None,
+    max_pois: int = 8,
+    attach_radius_m: float = 200.0,
+) -> dict[int, MobilityMarkovChain | None]:
+    """Mobility fingerprints (POIs + MMC) of every user of ``array``.
+
+    One segmented pass over all users at once; a user's fingerprint
+    depends on that user's rows alone and is the same to the bit whoever
+    shares the array.  Maps each user index in ``array.user_index`` to
+    the chain over the user's ``max_pois`` largest POIs, or to ``None``
+    when no POI can be extracted (trail too sparse), which the attack
+    treats as "unlinkable".
+    """
+    if params is None:
+        params = DJClusterParams()
+    if max_pois < 1:
+        raise ValueError("max_pois must be >= 1")
+    trails = array.sort_by_time()
+    prints: dict[int, MobilityMarkovChain | None] = dict.fromkeys(
+        np.unique(trails.user_index).tolist()
+    )
+    _, prepared = preprocess_array(trails, params)
+    members, starts = _dense_clusters(
+        prepared.coordinates(), params, groups=prepared.user_index
+    )
+    if len(starts) == 0:
+        return prints
+    states, labels, owners, n_states = segmented_pois(prepared, members, starts, max_pois)
+    transitions, visit_counts = segmented_chains(
+        trails, states, owners, n_states, attach_radius_m
+    )
+    at = cell = 0
+    for user, k in zip(owners.tolist(), n_states.tolist()):
+        prints[user] = MobilityMarkovChain(
+            states=states[at : at + k].copy(),
+            transitions=transitions[cell : cell + k * k].reshape(k, k).copy(),
+            visit_counts=visit_counts[at : at + k].copy(),
+            labels=labels[at : at + k],
+        )
+        at += k
+        cell += k * k
+    return prints
 
 
 def fingerprint_user(
@@ -39,20 +90,10 @@ def fingerprint_user(
     max_pois: int = 8,
     attach_radius_m: float = 200.0,
 ) -> MobilityMarkovChain | None:
-    """Build one individual's mobility fingerprint (POIs + MMC).
-
-    Returns ``None`` when no POIs can be extracted (trail too sparse),
-    which the attack treats as "unlinkable".
-    """
-    if params is None:
-        params = DJClusterParams()
-    pois = poi_attack(trail, params)
-    if not pois:
-        return None
-    top = pois[:max_pois]
-    coords = np.array([p.coordinate for p in top])
-    labels = [p.label for p in top]
-    return build_mmc(trail, coords, attach_radius_m=attach_radius_m, labels=labels)
+    """One individual's mobility fingerprint: :func:`fingerprint_users`
+    on a single trail."""
+    prints = fingerprint_users(trail.traces, params, max_pois, attach_radius_m)
+    return next(iter(prints.values()), None)
 
 
 @dataclass
@@ -91,6 +132,7 @@ def deanonymization_attack(
     params: DJClusterParams | None = None,
     max_pois: int = 8,
     max_match_dist_m: float = 500.0,
+    attach_radius_m: float = 200.0,
 ) -> DeanonymizationResult:
     """Link each pseudonymized trail of ``target`` to a ``training`` user.
 
@@ -105,14 +147,14 @@ def deanonymization_attack(
         params = DJClusterParams()
     train_prints: dict[str, MobilityMarkovChain] = {}
     for trail in training.trails():
-        fp = fingerprint_user(trail, params, max_pois)
+        fp = fingerprint_user(trail, params, max_pois, attach_radius_m)
         if fp is not None:
             train_prints[trail.user_id] = fp
 
     linkage: dict[str, str | None] = {}
     scores: dict[str, float] = {}
     for trail in target.trails():
-        fp = fingerprint_user(trail, params, max_pois)
+        fp = fingerprint_user(trail, params, max_pois, attach_radius_m)
         if fp is None or not train_prints:
             linkage[trail.user_id] = None
             continue

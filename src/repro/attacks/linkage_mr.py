@@ -8,10 +8,11 @@ thousand users.  This module runs the same attack as first-class
 MapReduce jobs:
 
 * **fingerprint jobs** (one per side) — mappers slice each chunk's rows
-  per user and ship raw *trail fragments*; reducers stitch a user's
-  fragments in file order and run the unchanged serial
-  :func:`~repro.attacks.deanonymization.fingerprint_user` (DJ-Cluster
-  POIs + MMC).  Shipping raw rows matters: preprocessing is not
+  per user and ship raw *trail fragments*; reducers stitch each user's
+  fragments in file order and fingerprint a block of users per
+  :func:`~repro.attacks.deanonymization.fingerprint_users` call
+  (DJ-Cluster POIs + MMC; the serial attack's ``fingerprint_user`` is
+  its one-user call).  Shipping raw rows matters: preprocessing is not
   idempotent (the speed filter and dedup compare original neighbours),
   so fingerprinting anything but the original per-user rows would break
   bit-equality with the serial reference.
@@ -58,9 +59,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.algorithms.djcluster import DJClusterParams
-from repro.attacks.deanonymization import DeanonymizationResult, fingerprint_user
+from repro.attacks.deanonymization import DeanonymizationResult, fingerprint_users
 from repro.attacks.mmc import MobilityMarkovChain, mmc_link_score
-from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
+from repro.geo.trace import _TRACE_DTYPE, GeolocatedDataset, TraceArray
 from repro.mapreduce.config import Configuration
 from repro.mapreduce.job import JobSpec, Mapper, Reducer
 from repro.mapreduce.types import ArrayPayload, Chunk, concrete_payload
@@ -108,6 +109,10 @@ _R_M = 6_371_008.8
 #: noise anyway.
 _POLAR_LAT = 85.0
 _POLAR_BAND = 1 << 40
+
+#: Rows a fingerprint reducer gathers (whole users, so up to one user
+#: more) per segmented pass: bounds the pass's transient arrays.
+_BLOCK_ROWS = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +234,9 @@ class TrailFragmentMapper(Mapper):
 
 
 class FingerprintReducer(Reducer):
-    """Stitch a user's fragments and run the serial fingerprint on them."""
+    """Stitch users' fragments (each user's in chunk-offset order) and
+    fingerprint them :data:`_BLOCK_ROWS` rows per ``fingerprint_users``
+    call: a task's Python cost follows its block count, not its users."""
 
     def setup(self, ctx) -> None:
         self._params, self._max_pois, self._attach_radius_m = ctx.cache.get(
@@ -237,22 +244,44 @@ class FingerprintReducer(Reducer):
         )
         self._role = ctx.conf.get_str("linkage.role")
 
-    def reduce(self, key, values, ctx) -> None:
-        fragments = sorted(values, key=lambda fragment: fragment[0])
-        lat = np.concatenate([f[1] for f in fragments])
-        lon = np.concatenate([f[2] for f in fragments])
-        ts = np.concatenate([f[3] for f in fragments])
-        trail = Trail(str(key), TraceArray.from_columns(str(key), lat, lon, ts))
-        fp = fingerprint_user(
-            trail, self._params, self._max_pois, attach_radius_m=self._attach_radius_m
+    def run(self, groups, ctx) -> None:
+        keys: list = []
+        rows: list[int] = []
+        fragments: list[tuple] = []
+        pending = 0
+        for key, values in groups:
+            mine = sorted(values, key=lambda fragment: fragment[0])
+            keys.append(key)
+            rows.append(sum(len(fragment[1]) for fragment in mine))
+            fragments += mine
+            pending += rows[-1]
+            if pending >= _BLOCK_ROWS:
+                self._fingerprint(keys, rows, fragments, ctx)
+                keys, rows, fragments, pending = [], [], [], 0
+        if keys:
+            self._fingerprint(keys, rows, fragments, ctx)
+
+    def _fingerprint(self, keys, rows, fragments, ctx) -> None:
+        data = np.empty(sum(rows), dtype=_TRACE_DTYPE)
+        data["user_idx"] = np.repeat(np.arange(len(keys), dtype=np.int32), rows)
+        for column, field in enumerate(("latitude", "longitude", "timestamp"), start=1):
+            data[field] = np.concatenate([fragment[column] for fragment in fragments])
+        data["altitude"] = -777.0
+        prints = fingerprint_users(
+            TraceArray(data, [str(key) for key in keys]),
+            self._params,
+            self._max_pois,
+            self._attach_radius_m,
         )
-        nbytes = 16
-        if fp is not None:
-            nbytes = int(fp.states.nbytes + fp.transitions.nbytes + fp.visit_counts.nbytes + 32)
-        # None fingerprints ride along: the driver needs the full target
-        # roster to report unlinkable pseudonyms, exactly like the serial
-        # attack does.
-        ctx.emit(key, (self._role, fp), nbytes=nbytes)
+        for user, key in enumerate(keys):
+            fp = prints.get(user)
+            nbytes = 16
+            if fp is not None:
+                nbytes = int(fp.states.nbytes + fp.transitions.nbytes + fp.visit_counts.nbytes + 32)
+            # None fingerprints ride along: the driver needs the full target
+            # roster to report unlinkable pseudonyms, exactly like the serial
+            # attack does.
+            ctx.emit(key, (self._role, fp), nbytes=nbytes)
 
 
 # ---------------------------------------------------------------------------
@@ -731,6 +760,7 @@ def deanonymization_attack_reference(
     params: DJClusterParams | None = None,
     max_pois: int = 8,
     max_match_dist_m: float = 500.0,
+    attach_radius_m: float = 200.0,
 ) -> DeanonymizationResult:
     """The serial attack on trace arrays (the MR job's ground truth)."""
     from repro.attacks.deanonymization import deanonymization_attack
@@ -742,4 +772,5 @@ def deanonymization_attack_reference(
         params=params,
         max_pois=max_pois,
         max_match_dist_m=max_match_dist_m,
+        attach_radius_m=attach_radius_m,
     )

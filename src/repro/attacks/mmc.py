@@ -170,6 +170,66 @@ def build_mmc(
     )
 
 
+def segmented_chains(
+    trails: TraceArray,
+    states: np.ndarray,
+    owners: np.ndarray,
+    n_states: np.ndarray,
+    attach_radius_m: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`visit_sequence` and :func:`build_mmc`'s counting (no
+    smoothing) for many users' chains at once.
+
+    ``trails`` holds the users' trails back to back in (user, time)
+    order; ``owners`` (ascending user indices) have ``n_states[i]`` POIs
+    each, listed owner after owner in ``states``.  Returns
+    ``(transitions, visit_counts)``: every chain's row-major transition
+    matrix, and its visit counts, laid end to end in owner order.  One
+    Haversine call prices every (trace, own POI) pair; visits and
+    transitions are two ``bincount``s.
+    """
+    k = n_states
+    first = np.cumsum(k) - k
+    users = trails.user_index
+    chain = np.minimum(np.searchsorted(owners, users), len(owners) - 1)
+    rows = np.flatnonzero(owners[chain] == users)
+    chain = chain[rows]
+    # dists[i, j]: trace i to the j-th POI of its own user, +inf past the
+    # user's last POI so argmin keeps visit_sequence's first-minimum rule.
+    per_row = k[chain]
+    pair_row = np.repeat(np.arange(len(rows)), per_row)
+    pair_col = np.arange(len(pair_row)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    state = first[chain][pair_row] + pair_col
+    at = rows[pair_row]
+    dists = np.full((len(rows), int(k.max())), np.inf)
+    dists[pair_row, pair_col] = haversine_m(
+        trails.latitude[at], trails.longitude[at], states[state, 0], states[state, 1]
+    )
+    nearest = np.argmin(dists, axis=1)
+    within = dists[np.arange(len(rows)), nearest] <= attach_radius_m
+    chain, nearest = chain[within], nearest[within]
+    visit = np.ones(len(chain), dtype=bool)
+    visit[1:] = (chain[1:] != chain[:-1]) | (nearest[1:] != nearest[:-1])
+    chain, nearest = chain[visit], nearest[visit]
+    visit_counts = np.bincount(first[chain] + nearest, minlength=len(states)).astype(np.float64)
+    cells = k * k
+    moved = chain[1:] == chain[:-1]
+    src = chain[:-1][moved]
+    counts = np.bincount(
+        (np.cumsum(cells) - cells)[src] + nearest[:-1][moved] * k[src] + nearest[1:][moved],
+        minlength=int(cells.sum()),
+    ).astype(np.float64)
+    # Cell -> its matrix row (= state); counts are whole numbers, so the
+    # row sums are exact in any order.
+    width = np.repeat(k, k)
+    row = np.repeat(np.arange(len(states)), width)
+    row_sums = np.bincount(row, weights=counts, minlength=len(states))[row]
+    transitions = np.where(
+        row_sums > 0, counts / np.where(row_sums == 0, 1, row_sums), 1.0 / width[row]
+    )
+    return transitions, visit_counts
+
+
 def _match_states(a: MobilityMarkovChain, b: MobilityMarkovChain, max_dist_m: float) -> list[tuple[int, int]]:
     """Greedy nearest-pair matching of two chains' POI sets."""
     if a.n_states == 0 or b.n_states == 0:

@@ -126,6 +126,56 @@ def label_home_work(pois: list[PointOfInterestEstimate]) -> list[PointOfInterest
     return pois
 
 
+def segmented_pois(
+    prepared: TraceArray, members: np.ndarray, starts: np.ndarray, max_pois: int
+) -> tuple[np.ndarray, list[str], np.ndarray, np.ndarray]:
+    """:func:`extract_pois`, :func:`label_home_work` and a top-``max_pois``
+    cut for the clusters of many users at once.
+
+    Cluster *c* is rows ``members[starts[c]:starts[c + 1]]`` of the
+    (user, time)-sorted ``prepared``, and no cluster spans two users.
+    Returns ``(states, labels, owners, n_states)``: the kept POIs' mean
+    coordinates and labels, user after user (``owners``, ascending user
+    indices, ``n_states`` POIs each), a user's largest first and equal
+    sizes in cluster order, like the stable sort.  Labels are chosen over
+    all of a user's clusters *before* the cut, as the serial attack does.
+    """
+    sizes = np.diff(np.append(starts, len(members)))
+    owner = prepared.user_index[members[starts]]
+    histograms = np.bincount(
+        np.repeat(np.arange(len(starts)), sizes) * 24 + _hours_of(prepared.timestamp[members]),
+        minlength=24 * len(starts),
+    ).reshape(-1, 24)
+    order = np.lexsort((-sizes, owner))
+    owner, sizes, histograms = owner[order], sizes[order], histograms[order]
+    first = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
+    rank = np.arange(len(owner)) - np.repeat(first, np.diff(np.append(first, len(owner))))
+    night = histograms[:, sorted(NIGHT_HOURS)].sum(axis=1)
+    work = histograms[:, sorted(WORK_HOURS)].sum(axis=1)
+    # ``max(pois, key=(fraction * n, n))`` is the first maximum: the head
+    # of each owner's clusters sorted by (-score, -n, rank).
+    home = np.lexsort((rank, -sizes, -(night / sizes * sizes), owner))[first]
+    is_home = np.zeros(len(owner), dtype=bool)
+    is_home[home] = True
+    runner_up = np.lexsort((rank, -sizes, -(work / sizes * sizes), is_home, owner))[first]
+    labels = np.array(["poi"] * len(owner), dtype=object)
+    labels[home] = "home"
+    labels[runner_up[~is_home[runner_up] & (work[runner_up] > 0)]] = "work"
+    keep = rank < max_pois
+    # A POI is its cluster's mean coordinate.  ``mean`` adds a cluster's
+    # rows one after the other; a segmented ``add.reduceat`` adds them in
+    # another order and lands an ulp away, so the means are taken cluster
+    # by cluster (and the dwell time, which has the same trap and which
+    # the chain never reads, is not computed at all).
+    points = prepared.coordinates()
+    lo = starts[order[keep]]
+    hi = lo + sizes[keep]
+    states = np.array(
+        [points[members[s:e]].mean(axis=0) for s, e in zip(lo.tolist(), hi.tolist())]
+    )
+    return (states, labels[keep].tolist(), *np.unique(owner[keep], return_counts=True))
+
+
 def poi_attack(
     trail: Trail | TraceArray,
     params: DJClusterParams | None = None,

@@ -94,15 +94,18 @@ def _check_radius_queries(points: np.ndarray, radius_m: float) -> np.ndarray:
     return points
 
 
-def _split_hits_by_query(queries: np.ndarray, ids: np.ndarray, n: int) -> list[np.ndarray]:
-    """Per-query ascending id arrays from unordered (query, id) hit pairs.
+def _order_hits_by_query(
+    queries: np.ndarray, ids: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unordered (query, id) hit pairs as one id array ordered by
+    ``(query, id)`` plus the hit count of each of the ``n`` queries.
 
     Consumes both inputs.  The pairs are folded into one ``query * span +
     (id - lowest id)`` key and sorted in place, which orders them by
     ``(query, id)`` with no index array; id ranges too wide for that key
     to fit an ``int64`` take the equivalent ``lexsort``.
     """
-    bounds = np.cumsum(np.bincount(queries, minlength=n))[:-1]
+    counts = np.bincount(queries, minlength=n)
     low = int(ids.min())
     span = int(ids.max()) - low + 1
     if n * span <= np.iinfo(np.int64).max:
@@ -116,7 +119,7 @@ def _split_hits_by_query(queries: np.ndarray, ids: np.ndarray, n: int) -> list[n
         ids = key
     else:
         ids = ids[np.lexsort((ids, queries))]
-    return np.split(ids, bounds)
+    return ids, counts
 
 
 @dataclass(frozen=True)
@@ -572,7 +575,10 @@ class RTree:
                     stack.append((children[ci], active[hit[:, ci]]))
         if not hit_ids:
             return [empty for _ in range(n)]
-        return _split_hits_by_query(np.concatenate(hit_queries), np.concatenate(hit_ids), n)
+        ids, counts = _order_hits_by_query(
+            np.concatenate(hit_queries), np.concatenate(hit_ids), n
+        )
+        return np.split(ids, np.cumsum(counts)[:-1])
 
     def knn(self, lat: float, lon: float, k: int) -> list[tuple[int, float]]:
         """The ``k`` nearest points as ``(id, haversine_metres)``, nearest

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.mapreduce.job import ConstantKeyPartitioner, HashPartitioner, Partitioner
 from repro.mapreduce.spill import ShuffleSpiller, SpilledPartition, as_groups, as_pairs
-from repro.mapreduce.types import estimate_nbytes
+from repro.mapreduce.types import SIZED_WITHOUT_PICKLE, estimate_nbytes
 
 __all__ = [
     "shuffle",
@@ -464,9 +464,16 @@ def _shuffle_generic(
     partitioner: Partitioner,
     n_reducers: int,
 ) -> ShuffleResult:
-    """Reference shuffle: one partitioner call + size estimate per record."""
+    """Reference shuffle: one partitioner call + size estimate per record.
+
+    A value whose size costs a pickle is sized once per *object* (one
+    fingerprint emitted to every blocking cell is charged per emission,
+    pickled once); the buckets keep every value alive, so an ``id``
+    names one object for the whole loop.
+    """
     buckets: list[list[tuple[Any, Any]]] = [[] for _ in range(n_reducers)]
     partition_bytes = [0] * n_reducers
+    pickled_sizes: dict[int, int] = {}
     for task_output in map_outputs:
         for key, value in as_pairs(task_output):
             part = partitioner.partition(key, n_reducers)
@@ -475,7 +482,13 @@ def _shuffle_generic(
                     f"partitioner returned {part} for {n_reducers} reducers"
                 )
             buckets[part].append((key, value))
-            partition_bytes[part] += estimate_nbytes(key) + estimate_nbytes(value)
+            if isinstance(value, SIZED_WITHOUT_PICKLE):
+                value_bytes = estimate_nbytes(value)
+            else:
+                value_bytes = pickled_sizes.get(id(value))
+                if value_bytes is None:
+                    value_bytes = pickled_sizes[id(value)] = estimate_nbytes(value)
+            partition_bytes[part] += estimate_nbytes(key) + value_bytes
     partitions = [group_sorted(bucket) for bucket in buckets]
     return ShuffleResult(partitions, sum(partition_bytes), partition_bytes)
 

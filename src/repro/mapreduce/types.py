@@ -28,6 +28,7 @@ from repro.geo.trace import TraceArray
 
 __all__ = [
     "estimate_nbytes",
+    "SIZED_WITHOUT_PICKLE",
     "RecordPayload",
     "ArrayPayload",
     "PagedPayload",
@@ -41,6 +42,13 @@ __all__ = [
 #: dataset holds 2,033,686 traces — 63 bytes per trace — so 64 bytes is the
 #: faithful conversion between trace counts and HDFS bytes.
 DEFAULT_RECORD_BYTES = 64
+
+
+#: What :func:`estimate_nbytes` sizes without a pickle (nothing else gets
+#: past its last cheap branch): callers that memoise sizes skip these.
+SIZED_WITHOUT_PICKLE = (
+    np.ndarray, TraceArray, bytes, bytearray, str, int, float, bool, type(None)
+)
 
 
 def estimate_nbytes(value: Any) -> int:
@@ -64,7 +72,7 @@ def estimate_nbytes(value: Any) -> int:
         return len(value)
     if isinstance(value, str):
         return len(value.encode("utf-8", errors="replace"))
-    if isinstance(value, (int, float, bool)) or value is None:
+    if isinstance(value, SIZED_WITHOUT_PICKLE):  # int, float, bool, None
         return 8
     try:
         return len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))

@@ -1,6 +1,7 @@
 """Tests for the MapReduce linkage attack (repro.attacks.linkage_mr)."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.mapreduce.config import BACKENDS
 from repro.mapreduce.hdfs import SimulatedHDFS
 from repro.mapreduce.runner import JobRunner
 from repro.observability.events import EventKind
+from tests.conftest import count_calls
 
 D = 500.0
 
@@ -121,6 +123,62 @@ class TestEquivalence:
         finally:
             runner.close()
         assert outcome.signature() == linkage_signature(reference)
+
+    def test_reference_follows_the_attach_radius(self):
+        # The serial reference used to hard-wire 200 m, so at any other
+        # radius the MR attack "diverged" from its own ground truth.
+        train, target, truth = synthetic_linkage_corpus(5, seed=0, pois_per_user=3)
+        signatures = {}
+        for radius in (3.0, 200.0):
+            reference = deanonymization_attack_reference(
+                train, target, truth, params=SYNTH_ATTACK_PARAMS, attach_radius_m=radius
+            )
+            runner = _deployment(train, target)
+            try:
+                outcome = run_linkage_attack(
+                    runner, "input/train", "input/target", truth,
+                    params=SYNTH_ATTACK_PARAMS, attach_radius_m=radius,
+                )
+            finally:
+                runner.close()
+            assert outcome.signature() == linkage_signature(reference)
+            assert outcome.result.scores == reference.scores
+            signatures[radius] = outcome.signature()
+        assert signatures[3.0] != signatures[200.0]  # the radius matters on this corpus
+
+    @pytest.mark.parametrize("budget_mb", [None, 0.002])
+    def test_row_blocks_do_not_show_in_the_output(self, corpus, reference, budget_mb, monkeypatch):
+        # 10 users x 30 rows a side over 2 reducers against a 60-row
+        # block: every reduce task cuts its partition into several
+        # fingerprint_users calls — under the budget its partition comes
+        # back from a spilled shuffle — and nothing downstream can tell.
+        from repro.attacks import linkage_mr
+
+        train, target, truth = corpus
+        calls = count_calls(monkeypatch, linkage_mr, "fingerprint_users")
+        outputs = {}
+        default_rows = linkage_mr._BLOCK_ROWS
+        for block_rows in (default_rows, 60):
+            monkeypatch.setattr(linkage_mr, "_BLOCK_ROWS", block_rows)
+            del calls[:]
+            runner = _deployment(train, target, budget_mb=budget_mb)
+            try:
+                outcome = run_linkage_attack(
+                    runner, "input/train", "input/target", truth,
+                    params=SYNTH_ATTACK_PARAMS, num_reducers=2,
+                )
+                outputs[block_rows] = [
+                    list(runner.hdfs.read_records(f"tmp/linkage/fingerprints-{side}"))
+                    for side in ("train", "target")
+                ]
+                spilled = sum(e.kind == EventKind.SPILL_MERGE for e in runner.history.events)
+            finally:
+                runner.close()
+            assert outcome.signature() == linkage_signature(reference)
+            assert (spilled > 0) == (budget_mb is not None)
+            assert sum(len(args[0]) for args in calls) == len(train) + len(target)
+            assert len(calls) == (4 if block_rows > 60 else 12)
+        assert pickle.dumps(outputs[60]) == pickle.dumps(outputs[default_rows])
 
     def test_audit_proves_blocking_lossless(self, corpus):
         train, target, truth = corpus

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.geo.distance import haversine_m
 from repro.geo.synthetic import SyntheticConfig, generate_dataset
 from repro.geo.trace import TraceArray
 from repro.mapreduce.cluster import paper_cluster
@@ -54,6 +55,20 @@ def city_points(n: int, seed: int = 0, spread: float = 0.05) -> np.ndarray:
     )
 
 
+def count_calls(monkeypatch, owner, name: str) -> list[tuple]:
+    """Wrap ``owner.name`` for the test's duration; returns the list that
+    collects each call's positional arguments (count-based cost tests)."""
+    calls: list[tuple] = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 class UnionFind:
     """Dict-based disjoint sets over trace ids: the test oracle for
     DJ-Cluster's array merge kernel (the implementation it replaced)."""
@@ -94,3 +109,45 @@ def merge_neighborhoods_oracle(neighborhoods) -> list[np.ndarray]:
         for other in hood[1:]:
             uf.union(first, int(other))
     return sorted(uf.components(), key=lambda ids: (int(ids[0]), len(ids)))
+
+
+def radius_self_join_oracle(points: np.ndarray, radius_m: float) -> list[np.ndarray]:
+    """Reference ``radius_self_join`` without groups: the per-cell grid
+    join it replaced — a dict of cells, one broadcast Haversine per cell
+    against its 3x3 neighbourhood, one ``np.sort`` per point."""
+    points = np.asarray(points, dtype=np.float64)
+    n = len(points)
+    if n == 0:
+        return []
+    if radius_m == 0:
+        _, inverse = np.unique(points, axis=0, return_inverse=True)
+        inverse = inverse.reshape(n)
+        return [np.flatnonzero(inverse == inverse[i]) for i in range(n)]
+    lat, lon = points[:, 0], points[:, 1]
+    bucket_m = max(radius_m, 1e-3)
+    lat_band = np.floor(lat / (bucket_m / 111_000.0)).astype(np.int64)
+    min_cos = max(float(np.min(np.cos(np.radians(lat)))), 1e-9)
+    lon_band = np.floor(lon / (bucket_m / (111_000.0 * min_cos))).astype(np.int64)
+    cells: dict[tuple[int, int], list[int]] = {}
+    for i in range(n):
+        cells.setdefault((int(lat_band[i]), int(lon_band[i])), []).append(i)
+    neighborhoods: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * n
+    for (clat, clon), members in cells.items():
+        cand = np.array(
+            [
+                j
+                for dl in (-1, 0, 1)
+                for dc in (-1, 0, 1)
+                for j in cells.get((clat + dl, clon + dc), ())
+            ],
+            dtype=np.int64,
+        )
+        close = np.atleast_2d(
+            haversine_m(
+                lat[members][:, None], lon[members][:, None],
+                lat[cand][None, :], lon[cand][None, :],
+            )
+        ) <= radius_m
+        for row, point_id in enumerate(members):
+            neighborhoods[point_id] = np.sort(cand[close[row]])
+    return neighborhoods

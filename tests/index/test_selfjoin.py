@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.geo import distance
+from repro.index import selfjoin
 from repro.index.rtree import RTree
-from repro.index.selfjoin import radius_self_join
+from repro.index.selfjoin import radius_self_join, self_join_csr
 
-from tests.conftest import city_points
+from tests.conftest import city_points, count_calls
 
 
 class TestEquivalenceWithRTree:
@@ -57,7 +59,62 @@ class TestSemantics:
         with pytest.raises(ValueError):
             radius_self_join(np.zeros((3, 2)), -1.0)
 
+    def test_groups_validation(self):
+        pts = np.zeros((3, 2))
+        for bad in (np.zeros(2, dtype=int), np.zeros((3, 1), dtype=int), np.zeros(3), ["a", "b", "c"]):
+            with pytest.raises(ValueError, match="one integer per point"):
+                radius_self_join(pts, 10.0, groups=bad)
+        assert radius_self_join(np.empty((0, 2)), 10.0, groups=np.empty(0, dtype=int)) == []
+
+    def test_groups_keep_co_located_rows_apart(self):
+        pts = np.array([[39.9, 116.4]] * 4 + [[39.9001, 116.4]])
+        hoods = radius_self_join(pts, 50.0, groups=np.array([7, 3, 7, 3, 7]))
+        assert [h.tolist() for h in hoods] == [[0, 2, 4], [1, 3], [0, 2, 4], [1, 3], [0, 2, 4]]
+        hoods = radius_self_join(pts, 0.0, groups=np.array([7, 3, 7, 3, 7]))
+        assert [h.tolist() for h in hoods] == [[0, 2], [1, 3], [0, 2], [1, 3], [4]]
+
+    def test_csr_form_is_the_unsplit_list(self):
+        pts = city_points(200, seed=36)
+        ids, counts = self_join_csr(pts, 400.0)
+        assert ids.dtype == counts.dtype == np.int64 and counts.sum() == len(ids)
+        hoods = radius_self_join(pts, 400.0)
+        assert np.array_equal(ids, np.concatenate(hoods))
+        assert np.array_equal(counts, [len(h) for h in hoods])
+
     def test_isolated_point_alone(self):
         pts = np.vstack([city_points(50, seed=35), [[45.0, 10.0]]])
         hoods = radius_self_join(pts, 100.0)
         assert list(hoods[-1]) == [50]
+
+
+class TestCost:
+    """Haversine calls follow candidate pairs, never cells or points."""
+
+    @staticmethod
+    def _join_counting_calls(monkeypatch, pts, radius, slab):
+        """Pairs per ``haversine_km`` call of one join at the given slab size."""
+        calls = count_calls(monkeypatch, distance, "haversine_km")
+        monkeypatch.setattr(selfjoin, "_SLAB_PAIRS", slab)
+        radius_self_join(pts, radius)
+        return [np.size(args[0]) for args in calls]
+
+    def test_one_call_for_a_thousand_cells(self, monkeypatch):
+        # A 0.1 degree lattice: every point alone in its cell, its own only candidate.
+        pts = np.array([[30.0 + 0.1 * i, 100.0 + 0.1 * j] for i in range(32) for j in range(32)])
+        assert self._join_counting_calls(monkeypatch, pts, 100.0, 1 << 18) == [len(pts)]
+
+    @pytest.mark.parametrize("slab", [1000, 4096, 90_000, 1 << 18])
+    def test_calls_are_candidates_over_slab_rounded_up(self, monkeypatch, slab):
+        # 300 points inside one 10 m cell: 300 x 300 candidates, one cell.
+        pts = city_points(300, seed=37, spread=1e-6)
+        sizes = self._join_counting_calls(monkeypatch, pts, 500.0, slab)
+        assert sum(sizes) == 300 * 300
+        assert len(sizes) == -(-300 * 300 // slab)
+        assert all(size == slab for size in sizes[:-1])
+
+    def test_slab_cuts_do_not_change_the_answer(self, monkeypatch):
+        pts = city_points(500, seed=38, spread=0.004)
+        want = radius_self_join(pts, 300.0)
+        monkeypatch.setattr(selfjoin, "_SLAB_PAIRS", 777)
+        got = radius_self_join(pts, 300.0)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))

@@ -1,9 +1,13 @@
 """Unit tests for shuffle and sort."""
 
+import numpy as np
 import pytest
 
+from repro.mapreduce import types
 from repro.mapreduce.job import ConstantKeyPartitioner, HashPartitioner, Partitioner
-from repro.mapreduce.shuffle import ShuffleResult, group_sorted, shuffle
+from repro.mapreduce.shuffle import ShuffleResult, _shuffle_generic, group_sorted, shuffle
+from repro.mapreduce.types import SIZED_WITHOUT_PICKLE, estimate_nbytes
+from tests.conftest import count_calls
 
 
 class TestGroupSorted:
@@ -78,3 +82,42 @@ class TestShuffle:
         assert result.records_for(0) == 2
         assert result.records_for(1) == 0
         assert result.n_reducers == 2
+
+
+class TestGenericShuffleSizesEachObjectOnce:
+    """One value object emitted under many keys (the linkage attack ships a
+    fingerprint to every blocking cell) is charged per emission, pickled once."""
+
+    def test_distinct_objects_not_emissions(self, monkeypatch):
+        values = [(role, f"user-{i}", np.arange(i + 3.0)) for i, role in enumerate([0, 1] * 10)]
+        equal_twin = (0, "user-0", np.arange(3.0))  # equal to values[0], another object
+        outputs = [
+            [(f"cell-{(i + step) % 7}", value) for i, value in enumerate(values) for step in range(4)],
+            [(f"cell-{i % 7}", value) for i, value in enumerate(values)] + [("cell-0", equal_twin)],
+        ]
+        charged = sum(
+            estimate_nbytes(key) + estimate_nbytes(value) for out in outputs for key, value in out
+        )
+        pickled = count_calls(monkeypatch, types.pickle, "dumps")
+        result = _shuffle_generic(outputs, HashPartitioner(), 3)
+        assert len(pickled) == len(values) + 1
+        assert {id(args[0]) for args in pickled} == {id(value) for value in values} | {id(equal_twin)}
+        assert result.shuffled_bytes == sum(result.partition_bytes) == charged
+        assert sum(result.records_for(p) for p in range(3)) == 5 * len(values) + 1
+
+    def test_scalar_and_array_streams_never_touch_the_memo(self, monkeypatch):
+        pickled = count_calls(monkeypatch, types.pickle, "dumps")
+        stream = [1, 2.5, True, None, "text", b"raw", bytearray(b"raw"), np.arange(4)]
+        assert all(isinstance(value, SIZED_WITHOUT_PICKLE) for value in stream)
+        result = _shuffle_generic([[(i, value) for i, value in enumerate(stream)]], HashPartitioner(), 2)
+        assert pickled == []
+        assert result.shuffled_bytes == 8 * len(stream) + 8 + 8 + 8 + 8 + 4 + 3 + 3 + 32
+
+    def test_everything_else_costs_estimate_nbytes_a_pickle(self, monkeypatch):
+        # SIZED_WITHOUT_PICKLE must name every branch estimate_nbytes has.
+        pickled = count_calls(monkeypatch, types.pickle, "dumps")
+        for value in ((1, 2), [1], {"a": 1}, {1}, np.float32(1.0), np.int64(1), 1j, object):
+            assert not isinstance(value, SIZED_WITHOUT_PICKLE)
+            before = len(pickled)
+            estimate_nbytes(value)
+            assert len(pickled) == before + 1

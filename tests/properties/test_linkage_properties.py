@@ -33,17 +33,29 @@ from repro.mapreduce.runner import JobRunner
 _R_M = 6_371_008.8
 
 
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=12, deadline=None)
 @given(
     n_users=st.integers(min_value=1, max_value=6),
     seed=st.integers(min_value=0, max_value=10_000),
     backend=st.sampled_from(BACKENDS),
     chunk_traces=st.sampled_from([11, 64, 100_000]),
+    # Every user has three clusters: a cut of 1 or 2 drops some, and a
+    # few-metre attachment radius (the jitter is ~4 m) drops whole visits,
+    # so the reference must be handed both to stay the reference.
+    max_pois=st.sampled_from([1, 2, 8]),
+    attach_radius_m=st.sampled_from([1.5, 3.0, 200.0]),
 )
-def test_mr_attack_equals_serial_reference(n_users, seed, backend, chunk_traces):
-    train, target, truth = synthetic_linkage_corpus(n_users, seed=seed)
+def test_mr_attack_equals_serial_reference(
+    n_users, seed, backend, chunk_traces, max_pois, attach_radius_m
+):
+    train, target, truth = synthetic_linkage_corpus(n_users, seed=seed, pois_per_user=3)
     reference = deanonymization_attack_reference(
-        train, target, truth, params=SYNTH_ATTACK_PARAMS
+        train,
+        target,
+        truth,
+        params=SYNTH_ATTACK_PARAMS,
+        max_pois=max_pois,
+        attach_radius_m=attach_radius_m,
     )
     hdfs = SimulatedHDFS(paper_cluster(3), chunk_size=64 * chunk_traces, seed=0)
     hdfs.put_trace_array("input/train", train, record_bytes=64)
@@ -56,6 +68,8 @@ def test_mr_attack_equals_serial_reference(n_users, seed, backend, chunk_traces)
             "input/target",
             truth,
             params=SYNTH_ATTACK_PARAMS,
+            max_pois=max_pois,
+            attach_radius_m=attach_radius_m,
         )
     finally:
         runner.close()

@@ -1,12 +1,18 @@
 """Property-based tests: the radius self-join and the batched R-tree
-query equal per-point R-tree queries for arbitrary point sets and radii."""
+query equal per-point R-tree queries for arbitrary point sets and radii;
+the self-join also equals the per-cell implementation it replaced (kept
+in ``tests/conftest.py``) anywhere on the globe, and ``groups`` filters
+its neighbourhoods to same-group rows and nothing else."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.geo.distance import haversine_m
+from repro.index import selfjoin
 from repro.index.rtree import RTree, _radius_rect
 from repro.index.selfjoin import radius_self_join
+from tests.conftest import radius_self_join_oracle
 from tests.index.test_persistent_properties import _persist
 
 point_sets = st.lists(
@@ -147,3 +153,106 @@ def test_monotone_in_radius(points, radius):
     big = radius_self_join(pts, radius * 2)
     for s, b in zip(small, big):
         assert set(s.tolist()) <= set(b.tolist())
+
+
+# -- the per-cell oracle, groups -----------------------------------------------------
+
+globe_points = st.lists(
+    st.tuples(
+        # Clumps at both poles, the equator and either side of the
+        # antimeridian, plus anywhere: cells with company, not just singletons.
+        st.sampled_from([-90.0, -89.99, 0.0, 45.0, 89.99, 90.0]),
+        st.sampled_from([-180.0, -179.999, 0.0, 179.999, 180.0]),
+        st.floats(min_value=-0.002, max_value=0.002),
+        st.floats(min_value=-0.002, max_value=0.002),
+    ),
+    min_size=1,
+    max_size=80,
+)
+group_labels = st.sampled_from([0, 1, 2, -7, 2**62, -(2**63)])
+
+
+def _on_globe(spots) -> np.ndarray:
+    pts = np.array([(lat + dlat, lon + dlon) for lat, lon, dlat, dlon in spots])
+    return np.column_stack((np.clip(pts[:, 0], -90.0, 90.0), np.clip(pts[:, 1], -180.0, 180.0)))
+
+
+def _assert_same_hoods(got, want):
+    assert len(got) == len(want)
+    for i, (hood, ref) in enumerate(zip(got, want)):
+        assert hood.dtype == np.int64
+        assert np.array_equal(hood, ref), f"row {i}"
+
+
+@settings(max_examples=80, deadline=None)
+@given(point_sets, radii)
+def test_equals_the_per_cell_implementation(points, radius):
+    pts = np.array(points)
+    _assert_same_hoods(radius_self_join(pts, radius), radius_self_join_oracle(pts, radius))
+
+
+@settings(max_examples=80, deadline=None)
+@given(globe_points, st.sampled_from([0.0, 1e-4, 50.0, 400.0, 30_000.0]))
+def test_equals_the_per_cell_implementation_at_poles_and_antimeridian(spots, radius):
+    # Same grid, same Haversine arguments: equal wherever the points lie
+    # (neither implementation joins across the antimeridian).
+    pts = _on_globe(spots)
+    _assert_same_hoods(radius_self_join(pts, radius), radius_self_join_oracle(pts, radius))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    point_sets,
+    st.floats(min_value=1.0, max_value=100_000.0),
+    st.lists(group_labels, min_size=120, max_size=120),
+)
+def test_groups_equal_brute_force_same_group_scan(points, radius, labels):
+    pts = np.array(points)
+    groups = np.array(labels[: len(pts)], dtype=np.int64)
+    hoods = radius_self_join(pts, radius, groups=groups)
+    for i, hood in enumerate(hoods):
+        near = haversine_m(pts[i, 0], pts[i, 1], pts[:, 0], pts[:, 1]) <= radius
+        assert np.array_equal(hood, np.flatnonzero(near & (groups == groups[i])))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    globe_points,
+    st.sampled_from([0.0, 1e-4, 50.0, 400.0, 30_000.0]),
+    st.lists(group_labels, min_size=80, max_size=80),
+)
+def test_groups_only_filter_the_ungrouped_join(spots, radius, labels):
+    # Also at radius 0 (exact-coordinate classes) and at the poles.
+    pts = _on_globe(spots)
+    pts = np.vstack((pts, pts[: len(pts) // 2]))  # exact duplicates
+    groups = np.array((labels + labels)[: len(pts)], dtype=np.int64)
+    want = [
+        hood[groups[hood] == groups[i]] for i, hood in enumerate(radius_self_join(pts, radius))
+    ]
+    _assert_same_hoods(radius_self_join(pts, radius, groups=groups), want)
+    for same in (np.zeros(len(pts), dtype=np.int8), np.full(len(pts), 5)):
+        _assert_same_hoods(radius_self_join(pts, radius, groups=same), radius_self_join(pts, radius))
+
+
+def test_cell_key_too_wide_to_fold_is_squeezed_first(monkeypatch):
+    # Millimetre cells over the whole globe: lat bands x lon bands alone
+    # overflow an int64, before the 40 groups multiply in.
+    rng = np.random.default_rng(8)
+    base = np.column_stack((rng.uniform(-80, 80, 150), rng.uniform(-180, 180, 150)))
+    pts = np.vstack((base, base + rng.uniform(-3e-9, 3e-9, base.shape), base[:50]))
+    groups = rng.integers(0, 40, len(pts)) * 10**15
+    squeezed = []
+    real = selfjoin._squeeze
+    monkeypatch.setattr(selfjoin, "_squeeze", lambda v: squeezed.append(len(v)) or real(v))
+    hoods = radius_self_join(pts, 1e-3, groups=groups)
+    assert squeezed == [len(pts)] * 3
+    assert sum(len(hood) for hood in hoods) > len(pts)
+    for i, hood in enumerate(hoods):
+        near = haversine_m(pts[i, 0], pts[i, 1], pts[:, 0], pts[:, 1]) <= 1e-3
+        assert np.array_equal(hood, np.flatnonzero(near & (groups == groups[i])))
+    del squeezed[:]
+    _assert_same_hoods(radius_self_join(pts, 1e-3), radius_self_join_oracle(pts, 1e-3))
+    assert squeezed == [len(pts)] * 3
+    # An everyday radius folds directly.
+    radius_self_join(pts, 100.0, groups=groups)
+    assert len(squeezed) == 3
