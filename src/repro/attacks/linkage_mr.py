@@ -152,6 +152,9 @@ def cover_cells(lat: float, lon: float, max_match_dist_m: float) -> set[tuple[in
     d = max_match_dist_m
     cells: set[tuple[int, int]] = set()
     dlat = math.degrees(d / _R_M)
+    # Haversine rounds: a point a few ulps outside the exact box can still
+    # measure <= d (and sit across a band edge, e.g. just below 0°).
+    dlat += 4.0 * math.ulp(abs(lat) + dlat)
     lat_lo, lat_hi = lat - dlat, lat + dlat
     if lat_hi > _POLAR_LAT:
         cells.add((_POLAR_BAND, 1))

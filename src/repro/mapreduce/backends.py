@@ -27,8 +27,9 @@ Three backends implement the dispatch half:
     A persistent ``multiprocessing`` pool.  ``TraceArray`` chunk
     payloads travel through ``multiprocessing.shared_memory`` segments
     (workers reconstruct zero-copy NumPy views; the trace payload is
-    never pickled), and distributed-cache entries are broadcast once per
-    job via a versioned shared-memory segment instead of once per task.
+    never pickled), distributed-cache entries are broadcast once per
+    job via a versioned shared-memory segment instead of once per task,
+    and a wave crosses as one batch of requests per worker.
 
 The one fault that depends on *where* an attempt lands — a chaos
 schedule's ``bad_nodes`` — fires before any task code runs, so it never
@@ -40,15 +41,15 @@ node loss come back through the same backends as fault-free requests.
 
 from __future__ import annotations
 
+import os
 import pickle
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from multiprocessing import get_all_start_methods, get_context, resource_tracker
 from multiprocessing import shared_memory
+from time import perf_counter, thread_time
 from typing import Any, Callable
-
-import numpy as np
 
 from repro.geo.trace import TraceArray
 from repro.mapreduce.cache import DistributedCache, FaultyCacheView
@@ -75,6 +76,7 @@ __all__ = [
     "ReduceTaskRequest",
     "MapOutcome",
     "ReduceOutcome",
+    "WaveRecord",
     "run_map_attempts",
     "run_reduce_attempts",
     "run_combiner",
@@ -131,10 +133,29 @@ class ReduceTaskRequest:
     max_attempts: int
 
 
+#: Where and when an attempt loop ran: ``(pid, start, end, cpu_s)``, start
+#: and end on ``perf_counter`` (one clock for the driver and its forked
+#: workers), ``cpu_s`` the running thread's CPU time.  Wall-clock facts:
+#: they feed :class:`WaveRecord` and nothing deterministic.
+Stamp = tuple[int, float, float, float]
+
+
+def _stamp(start: float, cpu_start: float) -> Stamp:
+    return (os.getpid(), start, perf_counter(), thread_time() - cpu_start)
+
+
 @dataclass
 class MapOutcome:
     """Result of a map task's attempt loop (node-free; the driver's
-    narrative replay adds node assignments and backoffs)."""
+    narrative replay adds node assignments and backoffs).
+
+    An outcome carries what the runner reads, because on the process
+    backend every byte of it is pickled through the result pipe.  The
+    runner shuffles ``combined_output`` whenever it is set and ``output``
+    only otherwise, so a combined task returns ``output=None`` — except a
+    :class:`~repro.mapreduce.spill.SpilledMapOutput` handle, which the
+    runner accounts in its spill statistics either way.
+    """
 
     success: bool
     output: "list[tuple[Any, Any]] | SpilledMapOutput | None"
@@ -143,8 +164,11 @@ class MapOutcome:
     #: ``attempt`` counts the attempts that ran task code (the replay
     #: renumbers around bad-node bounces).
     failures: list[tuple[int, str, str]] = field(default_factory=list)
+    #: The pre-aggregation's envelopes or the combiner's pairs; supersedes
+    #: ``output`` as the task's contribution to the shuffle.
     combined_output: list[tuple[Any, Any]] | None = None
     combine_counters: Counters | None = None
+    stamp: Stamp | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -153,6 +177,43 @@ class ReduceOutcome:
     output: list[tuple[Any, Any]] | None
     counters: Counters | None
     failures: list[tuple[int, str, str]] = field(default_factory=list)
+    stamp: Stamp | None = field(default=None, compare=False, repr=False)
+
+
+@dataclass
+class WorkerLoad:
+    """What one worker process did in a wave."""
+
+    tasks: int = 0
+    busy_s: float = 0.0  # summed attempt-loop wall time
+    cpu_s: float = 0.0
+
+
+@dataclass
+class WaveRecord:
+    """Wall-clock picture of one phase's dispatch through a backend.
+
+    Not deterministic and never part of a job's observable result: it
+    must not reach the history, the counters, a signature or simulated
+    time.  On the threads backend every task shares the driver's pid, so
+    the one worker's ``busy_s`` sums overlapping intervals.
+    """
+
+    #: Driver-side seconds inside ``run_map_tasks`` / ``run_reduce_tasks``
+    #: (summed when node loss sends a second wave through the map phase).
+    wall_s: float = 0.0
+    workers: dict[int, WorkerLoad] = field(default_factory=dict)  # by pid
+
+    def add(
+        self, wall_s: float, outcomes: "list[MapOutcome] | list[ReduceOutcome]"
+    ) -> None:
+        self.wall_s += wall_s
+        for outcome in outcomes:
+            pid, start, end, cpu_s = outcome.stamp
+            load = self.workers.setdefault(pid, WorkerLoad())
+            load.tasks += 1
+            load.busy_s += end - start
+            load.cpu_s += cpu_s
 
 
 # -- the pure attempt loops --------------------------------------------------
@@ -187,6 +248,7 @@ def run_map_attempts(request: MapTaskRequest) -> MapOutcome:
     counters on success — nothing node-dependent, which the driver
     replays afterwards.
     """
+    start, cpu_start = perf_counter(), thread_time()
     chunk = request.chunk
     failures: list[tuple[int, str, str]] = []
     for attempt in range(1, request.max_attempts + 1):
@@ -239,7 +301,7 @@ def run_map_attempts(request: MapTaskRequest) -> MapOutcome:
                 request.task_id,
                 request.node,
             )
-        output: "list[tuple[Any, Any]] | SpilledMapOutput" = ctx.output
+        output: "list[tuple[Any, Any]] | SpilledMapOutput | None" = ctx.output
         if (
             request.spill is not None
             and ctx.output_nbytes > request.spill.threshold_bytes
@@ -250,6 +312,8 @@ def run_map_attempts(request: MapTaskRequest) -> MapOutcome:
             output = spill_map_output(
                 request.spill, request.task_id, ctx.output, ctx.output_nbytes
             )
+        elif combined_output is not None:
+            output = None  # superseded: the runner would never read it
         return MapOutcome(
             True,
             output,
@@ -257,13 +321,15 @@ def run_map_attempts(request: MapTaskRequest) -> MapOutcome:
             failures,
             combined_output,
             combine_counters,
+            _stamp(start, cpu_start),
         )
-    return MapOutcome(False, None, None, failures)
+    return MapOutcome(False, None, None, failures, stamp=_stamp(start, cpu_start))
 
 
 def run_reduce_attempts(request: ReduceTaskRequest) -> ReduceOutcome:
     """Execute one reduce task's retry loop using only pure fault
     decisions (the reduce twin of :func:`run_map_attempts`)."""
+    start, cpu_start = perf_counter(), thread_time()
     failures: list[tuple[int, str, str]] = []
     groups = as_groups(request.groups)
     for attempt in range(1, request.max_attempts + 1):
@@ -296,8 +362,10 @@ def run_reduce_attempts(request: ReduceTaskRequest) -> ReduceOutcome:
         counters.increment(
             STANDARD.GROUP_SCHEDULER, STANDARD.FAILED_TASKS, attempt - 1
         )
-        return ReduceOutcome(True, ctx.output, counters, failures)
-    return ReduceOutcome(False, None, None, failures)
+        return ReduceOutcome(
+            True, ctx.output, counters, failures, _stamp(start, cpu_start)
+        )
+    return ReduceOutcome(False, None, None, failures, _stamp(start, cpu_start))
 
 
 # -- backends ----------------------------------------------------------------
@@ -364,12 +432,31 @@ class ThreadBackend(ExecutionBackend):
 
 # -- process backend ---------------------------------------------------------
 #
+# One rule: a byte crosses the process boundary only if the receiver reads
+# it, and fixed per-message cost is paid per wave, not per task.
+#
 # Worker-side globals.  Workers attach each shared-memory segment once and
-# keep the mapping for the life of the pool; the distributed cache is
-# unpickled once per broadcast version, not once per task.
+# keep the mapping (and the user table unpickled from its trailer) for the
+# life of the pool; the distributed cache is unpickled once per broadcast
+# version, not once per task.
 
-_WORKER_SEGMENTS: dict[str, tuple[Any, np.ndarray]] = {}
+_WORKER_SEGMENTS: dict[str, tuple[Any, TraceArray]] = {}
 _WORKER_CACHE: tuple[int, DistributedCache] = (0, DistributedCache())
+
+
+@dataclass(frozen=True)
+class _SegmentRef:
+    """A published :class:`TraceArray` chunk as it crosses to a worker:
+    names, counts and ids — the same size whatever the corpus holds."""
+
+    name: str
+    n_traces: int
+    #: Byte range of the pickled user table behind the packed records.
+    users_span: tuple[int, int]
+    record_bytes: int
+    offset: int
+    chunk_id: str
+    replicas: tuple[str, ...]
 
 
 def _untrack_shm(shm) -> None:
@@ -392,19 +479,6 @@ def _untrack_shm(shm) -> None:
         pass
 
 
-def _attach_segment(name: str, n_traces: int) -> np.ndarray:
-    entry = _WORKER_SEGMENTS.get(name)
-    if entry is None:
-        shm = shared_memory.SharedMemory(name=name)
-        _untrack_shm(shm)
-        from repro.geo.trace import _TRACE_DTYPE
-
-        data = np.ndarray((n_traces,), dtype=_TRACE_DTYPE, buffer=shm.buf)
-        entry = (shm, data)
-        _WORKER_SEGMENTS[name] = entry
-    return entry[1]
-
-
 def _resolve_cache(token: tuple[int, str | None, int]) -> DistributedCache:
     global _WORKER_CACHE
     version, name, nbytes = token
@@ -421,49 +495,33 @@ def _resolve_cache(token: tuple[int, str | None, int]) -> DistributedCache:
     return _WORKER_CACHE[1]
 
 
-def _resolve_chunk(ref: tuple) -> Chunk:
-    if ref[0] == "pickle":
-        return ref[1]
-    _, name, n_traces, users, record_bytes, offset, chunk_id, replicas = ref
-    data = _attach_segment(name, n_traces)
-    array = TraceArray(data, users)
-    return Chunk(chunk_id, ArrayPayload(array, record_bytes, offset), replicas)
+def _resolve_chunk(ref: _SegmentRef) -> Chunk:
+    entry = _WORKER_SEGMENTS.get(ref.name)
+    if entry is None:
+        shm = shared_memory.SharedMemory(name=ref.name)
+        _untrack_shm(shm)
+        users = pickle.loads(shm.buf[slice(*ref.users_span)])
+        entry = (shm, TraceArray.from_buffer(shm.buf, ref.n_traces, users))
+        _WORKER_SEGMENTS[ref.name] = entry
+    payload = ArrayPayload(entry[1], ref.record_bytes, ref.offset)
+    return Chunk(ref.chunk_id, payload, ref.replicas)
 
 
-def _pool_run_map(message: tuple) -> MapOutcome:
-    (task_id, node, chunk_ref, mapper, combiner, conf, chaos, injector,
-     max_attempts, cache_token, spill, aggregation) = message
-    request = MapTaskRequest(
-        task_id=task_id,
-        node=node,
-        chunk=_resolve_chunk(chunk_ref),
-        mapper=mapper,
-        combiner=combiner,
-        conf=conf,
-        cache=_resolve_cache(cache_token),
-        chaos=chaos,
-        injector=injector,
-        max_attempts=max_attempts,
-        spill=spill,
-        aggregation=aggregation,
-    )
-    return run_map_attempts(request)
-
-
-def _pool_run_reduce(message: tuple) -> ReduceOutcome:
-    (task_id, groups, reducer, conf, chaos, injector, max_attempts,
-     cache_token) = message
-    request = ReduceTaskRequest(
-        task_id=task_id,
-        groups=groups,
-        reducer=reducer,
-        conf=conf,
-        cache=_resolve_cache(cache_token),
-        chaos=chaos,
-        injector=injector,
-        max_attempts=max_attempts,
-    )
-    return run_reduce_attempts(request)
+def _pool_run_batch(message: tuple) -> "list[MapOutcome] | list[ReduceOutcome]":
+    """The pool's one entry point: a contiguous slice of a wave's
+    requests, in and out in request order.  The requests arrive without
+    their cache and with published chunks as :class:`_SegmentRef`; both
+    are resolved here, then the shared attempt loop runs each."""
+    run_attempts, cache_token, requests = message
+    cache = _resolve_cache(cache_token)
+    outcomes = []
+    for request in requests:
+        request.cache = cache
+        chunk = getattr(request, "chunk", None)  # reduce requests have none
+        if isinstance(chunk, _SegmentRef):
+            request.chunk = _resolve_chunk(chunk)
+        outcomes.append(run_attempts(request))
+    return outcomes
 
 
 class _ProcessState:
@@ -473,7 +531,8 @@ class _ProcessState:
 
     def __init__(self) -> None:
         self.pool = None
-        self.segments: dict[str, tuple] = {}  # chunk_id -> (shm, ref tuple)
+        #: chunk_id -> (shm, (name, n_traces, users_span))
+        self.segments: dict[str, tuple] = {}
         self.cache_shm = None
 
 
@@ -504,12 +563,18 @@ class ProcessBackend(ExecutionBackend):
     * Chunk payloads holding a :class:`TraceArray` are copied once into a
       named shared-memory segment keyed by ``chunk_id`` (chunk ids are
       unique for the life of an HDFS instance and payloads are
-      immutable); workers rebuild zero-copy views, so iterative drivers
-      like k-means ship each chunk across the process boundary exactly
-      once no matter how many jobs read it.
+      immutable), the pickled user table behind the records; workers
+      rebuild zero-copy views, so iterative drivers like k-means ship
+      each chunk — and its user table — across the process boundary
+      exactly once no matter how many jobs read it.
     * :meth:`prepare_job` pickles the distributed cache into a versioned
       segment; workers deserialize it once per version — once per worker
       per job, not once per task.
+    * A wave crosses as one contiguous batch per worker, one message and
+      one reply each: pickling shares what the batch's requests share
+      (mapper, conf, chaos schedule, …), so job constants are sent once
+      per batch, and an outcome carries only what the runner reads (see
+      :class:`MapOutcome`).
     * The pool is forked lazily on first use and reused across jobs;
       :meth:`close` (or garbage collection, via ``weakref.finalize``)
       tears everything down and unlinks the segments.
@@ -551,7 +616,10 @@ class ProcessBackend(ExecutionBackend):
         self._state.cache_shm = shm
         self._cache_token = (self._cache_version, shm.name, len(payload))
 
-    def _chunk_ref(self, chunk: Chunk) -> tuple:
+    def _chunk_ref(self, chunk: Chunk) -> "Chunk | _SegmentRef":
+        """What crosses in place of ``chunk``: a :class:`_SegmentRef` to
+        its published segment, or — no :class:`TraceArray` inside — the
+        chunk itself, pickled."""
         # Paged stubs hold a loader bound to the driver's PayloadStore
         # (which refuses to pickle); materialize before crossing to a
         # worker — the shared-memory path below never pickles the data
@@ -560,23 +628,20 @@ class ProcessBackend(ExecutionBackend):
         if not isinstance(payload, ArrayPayload):
             if payload is not chunk.payload:
                 chunk = Chunk(chunk.chunk_id, payload, chunk.replicas)
-            return ("pickle", chunk)
+            return chunk
         entry = self._state.segments.get(chunk.chunk_id)
         if entry is None:
             array = payload.array
+            users = pickle.dumps(array.users, protocol=pickle.HIGHEST_PROTOCOL)
             nbytes = array.data_nbytes
-            shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
+            shm = shared_memory.SharedMemory(create=True, size=nbytes + len(users))
             if nbytes:
                 array.copy_data_into(shm.buf)
-            base = (shm.name, len(array), array.users)
-            entry = (shm, base)
+            shm.buf[nbytes : nbytes + len(users)] = users
+            entry = (shm, (shm.name, len(array), (nbytes, nbytes + len(users))))
             self._state.segments[chunk.chunk_id] = entry
-        name, n_traces, users = entry[1]
-        return (
-            "shm",
-            name,
-            n_traces,
-            users,
+        return _SegmentRef(
+            *entry[1],
             payload.record_bytes,
             payload.offset,
             chunk.chunk_id,
@@ -584,47 +649,44 @@ class ProcessBackend(ExecutionBackend):
         )
 
     # -- dispatch ---------------------------------------------------------
-    def run_map_tasks(self, requests):
+    def _run_batches(self, run_attempts, requests, crossing):
+        """Run ``requests`` through the pool as contiguous batches of
+        ``crossing(request)`` — the request as it crosses: cache stripped,
+        chunk as a ref; outcomes come back in request order.
+
+        One batch per worker: the wave records (docs/PERFORMANCE.md, "The
+        process backend's transport") price every further round trip per
+        worker at 2-3 ms of a 60 ms wave, and finer batches re-balance
+        only a worker running below half speed.
+        """
         if len(requests) <= 1 or self.max_workers <= 1:
-            return [run_map_attempts(r) for r in requests]
-        messages = [
-            (
-                r.task_id,
-                r.node,
-                self._chunk_ref(r.chunk),
-                r.mapper,
-                r.combiner,
-                r.conf,
-                r.chaos,
-                r.injector,
-                r.max_attempts,
-                self._cache_token,
-                r.spill,
-                r.aggregation,
-            )
-            for r in requests
-        ]
+            return [run_attempts(r) for r in requests]
+        requests = [crossing(r) for r in requests]
         pool = self._ensure_pool()
-        return pool.map(_pool_run_map, messages, chunksize=1)
+        n = min(len(requests), self.max_workers)
+        cuts = [len(requests) * i // n for i in range(n + 1)]
+        pending = [
+            pool.apply_async(
+                _pool_run_batch,
+                ((run_attempts, self._cache_token, requests[lo:hi]),),
+            )
+            for lo, hi in zip(cuts, cuts[1:])
+        ]
+        for batch in pending:
+            batch.wait()  # a raising batch must not leave siblings running
+        return [outcome for batch in pending for outcome in batch.get()]
+
+    def run_map_tasks(self, requests):
+        return self._run_batches(
+            run_map_attempts,
+            requests,
+            lambda r: replace(r, cache=None, chunk=self._chunk_ref(r.chunk)),
+        )
 
     def run_reduce_tasks(self, requests):
-        if len(requests) <= 1 or self.max_workers <= 1:
-            return [run_reduce_attempts(r) for r in requests]
-        messages = [
-            (
-                r.task_id,
-                r.groups,
-                r.reducer,
-                r.conf,
-                r.chaos,
-                r.injector,
-                r.max_attempts,
-                self._cache_token,
-            )
-            for r in requests
-        ]
-        pool = self._ensure_pool()
-        return pool.map(_pool_run_reduce, messages, chunksize=1)
+        return self._run_batches(
+            run_reduce_attempts, requests, lambda r: replace(r, cache=None)
+        )
 
     def close(self) -> None:
         self._finalizer()

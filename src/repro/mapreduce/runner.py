@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Any, Callable
 
 
@@ -31,6 +32,7 @@ from repro.mapreduce.backends import (
     MapTaskRequest,
     ReduceOutcome,
     ReduceTaskRequest,
+    WaveRecord,
     create_backend,
 )
 from repro.mapreduce.cache import DistributedCache
@@ -93,6 +95,12 @@ class JobResult:
     #: layer's fair-share interleave replans these durations over the
     #: shared slot pool.
     reduce_plan: list[ReduceAssignment] = field(default_factory=list)
+    #: Wall-clock records of the map and reduce dispatch (wave wall, and
+    #: per worker process tasks / busy / CPU): where real time went, for
+    #: profiling only.  Not deterministic, so excluded from comparison and
+    #: never copied into the history, counters or simulated time.
+    map_wave: WaveRecord | None = field(default=None, compare=False, repr=False)
+    reduce_wave: WaveRecord | None = field(default=None, compare=False, repr=False)
 
     @property
     def sim_seconds(self) -> float:
@@ -306,6 +314,7 @@ class JobRunner:
         assignments: list[TaskAssignment],
         spill_spec: WorkerSpillSpec | None,
         cleanup: ExitStack,
+        wave: WaveRecord,
         inject_faults: bool = True,
     ) -> list[MapOutcome]:
         """Run ``assignments`` on the backend, one outcome each, in order.
@@ -315,7 +324,9 @@ class JobRunner:
         and contexts are labelled with the *planned* node, so where an
         attempt (or a post-node-loss re-execution, which passes
         ``inject_faults=False``) really ran cannot reach the job output.
+        ``wave`` gains the dispatch's wall-clock record.
         """
+        start = perf_counter()
         outcomes = self._backend.run_map_tasks([
             MapTaskRequest(
                 task_id=a.task_id,
@@ -333,6 +344,7 @@ class JobRunner:
             )
             for a in assignments
         ])
+        wave.add(perf_counter() - start, outcomes)
         for outcome in outcomes:
             if isinstance(outcome.output, SpilledMapOutput):
                 cleanup.callback(outcome.output.delete)
@@ -521,7 +533,8 @@ class JobRunner:
 
         use_preagg = job.aggregation is not None and self.preagg
         self._backend.prepare_job(self.cache)
-        outcomes = self._run_maps(job, primary, spill_spec, cleanup)
+        map_wave = WaveRecord()
+        outcomes = self._run_maps(job, primary, spill_spec, cleanup, map_wave)
         task_failures = [
             self._finalize_map_outcome(a, outcome, blacklist)
             for a, outcome in zip(primary, outcomes)
@@ -538,7 +551,7 @@ class JobRunner:
             outcomes,
             task_failures,
             lambda lost: self._run_maps(
-                job, lost, spill_spec, cleanup, inject_faults=False
+                job, lost, spill_spec, cleanup, map_wave, inject_faults=False
             ),
         )
         if node_loss is not None:
@@ -605,7 +618,8 @@ class JobRunner:
                 spill=self._spill_info(map_spills, None),
             )
             return JobResult(
-                job.name, job.output_path, counters, timing, plan, len(primary), 0
+                job.name, job.output_path, counters, timing, plan, len(primary), 0,
+                map_wave=map_wave,
             )
 
         spiller = (
@@ -645,6 +659,7 @@ class JobRunner:
         reduce_factory = (
             AggregationReducerFactory(job.aggregation) if use_preagg else job.reducer
         )
+        start = perf_counter()
         reduce_outcomes = self._backend.run_reduce_tasks([
             ReduceTaskRequest(
                 task_id=f"reduce-{r:04d}",
@@ -658,6 +673,8 @@ class JobRunner:
             )
             for r in range(sh.n_reducers)
         ])
+        reduce_wave = WaveRecord()
+        reduce_wave.add(perf_counter() - start, reduce_outcomes)
         alive = [
             n.name
             for n in self.cluster.tasktrackers()
@@ -764,6 +781,8 @@ class JobRunner:
             len(primary),
             job.num_reducers,
             reduce_plan=reduce_placements,
+            map_wave=map_wave,
+            reduce_wave=reduce_wave,
         )
 
     def _apply_node_loss(

@@ -178,6 +178,13 @@ class EventKind:
         )
 
 
+#: :meth:`EventKind.all` as a set, built once: it rebuilds its tuple from
+#: ``vars(cls)`` on every call, which was most of what an :class:`Event`
+#: cost.  A kind this snapshot does not hold is looked up the slow way, so
+#: one added to :class:`EventKind` after import is still known.
+_KNOWN_KINDS = frozenset(EventKind.all())
+
+
 class Phase:
     """Lifecycle phase names used by PHASE_* and TASK_* events."""
 
@@ -229,7 +236,7 @@ class Event:
     data: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in EventKind.all():
+        if self.kind not in _KNOWN_KINDS and self.kind not in EventKind.all():
             raise ValueError(f"unknown event kind {self.kind!r}")
         if self.ts < 0:
             raise ValueError(f"event timestamp must be >= 0, got {self.ts}")

@@ -185,6 +185,32 @@ def test_failed_job_leaves_no_spill_files(backend, tmp_path):
     assert set(os.listdir("/dev/shm")) <= shm_before
 
 
+class Poisoned(FanOut):
+    """Raises something that is not a :class:`TaskFailure` — a bug in user
+    code, not an injected fault — on one record of the middle chunk."""
+
+    def map(self, key, value, ctx):
+        if value == 300:
+            raise ZeroDivisionError("poisoned record 300")
+        super().map(key, value, ctx)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_raising_mapper_leaves_nothing_behind(backend, tmp_path):
+    """The exception surfaces as itself from the middle of a batch; its
+    siblings' spilled outputs and the segments go when the runner closes."""
+    shm_before = set(os.listdir("/dev/shm"))
+    _, runner, spec = _fanout_deployment(
+        backend, 0.002, spill_dir=str(tmp_path / "spill")
+    )
+    spec = dataclasses.replace(spec, mapper=Poisoned)
+    with runner:
+        with pytest.raises(ZeroDivisionError, match="poisoned record 300"):
+            runner.run(spec)
+    assert not (tmp_path / "spill").exists()
+    assert set(os.listdir("/dev/shm")) <= shm_before
+
+
 def test_spill_events_record_io_and_cost():
     _, _, events = _fanout_job("serial", budget=0.002)
     starts = [e for e in events if e["kind"] == "spill_start"]

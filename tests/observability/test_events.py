@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.observability.events import SCHEMA_VERSION, Event, EventKind, Phase
+from tests.conftest import count_calls
 
 
 class TestEventKind:
@@ -32,6 +33,21 @@ class TestEvent:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown event kind"):
             Event(seq=0, ts=0.0, kind="task_exploded", job="j")
+
+    def test_known_kind_is_validated_without_rebuilding_the_vocabulary(
+        self, monkeypatch
+    ):
+        """``EventKind.all()`` walks ``vars(cls)``; a valid event must not
+        pay for that walk (it was most of an event's cost)."""
+        calls = count_calls(monkeypatch, EventKind, "all")
+        for kind in EventKind.all():
+            Event(seq=0, ts=0.0, kind=kind, job="j")
+        assert len(calls) == 1  # this test's own call
+
+    def test_kind_added_after_import_is_known(self, monkeypatch):
+        monkeypatch.setattr(EventKind, "TASK_EXPLODED", "task_exploded", raising=False)
+        assert EventKind.all()[-1] == "task_exploded"
+        assert Event(seq=0, ts=0.0, kind="task_exploded", job="j").kind == "task_exploded"
 
     def test_negative_timestamp_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
