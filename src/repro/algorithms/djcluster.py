@@ -34,7 +34,6 @@ from repro.geo.distance import haversine_m
 from repro.geo.trace import TraceArray
 from repro.index.persistent import IndexCatalog
 from repro.index.rtree import RTree
-from repro.index.rtree_mr import build_rtree_mapreduce
 from repro.mapreduce.config import Configuration
 from repro.mapreduce.job import ConstantKeyPartitioner, JobSpec, Mapper, Reducer
 from repro.mapreduce.pipeline import JobPipeline, PipelineResult
@@ -434,7 +433,6 @@ def run_djcluster_mapreduce(
     rtree_curve: str = "hilbert",
     workdir: str = "tmp/djcluster",
     history_path: str | None = None,
-    use_persistent_index: bool = True,
     name_prefix: str = "dj",
 ) -> DJClusterResult:
     """The full MapReduced DJ-Cluster: preprocessing, R-tree build,
@@ -446,16 +444,15 @@ def run_djcluster_mapreduce(
     ``history_path`` or ``runner.history.save``) shows where the three
     phases spend their simulated time.
 
-    By default the neighborhood phase reads the **shared persistent
-    index**: the build goes through the
+    The neighborhood phase reads the **shared persistent index**: the
+    build goes through the
     :class:`~repro.index.persistent.IndexCatalog`, so a repeat run over
     the same preprocessed dataset version reuses the persisted pages
     with zero build jobs, and the mappers receive a portable page-set
     broadcast instead of a per-job pickled tree.  The facade answers are
     byte-identical to the in-memory tree (the differential suite in
-    ``tests/index`` proves it), so clusters do not change.
-    ``use_persistent_index=False`` keeps the legacy per-job in-memory
-    build — retained as the reference path for equivalence tests.
+    ``tests/index`` proves it), so clusters equal
+    :func:`djcluster_sequential`'s.
     """
     if params is None:
         params = DJClusterParams()
@@ -477,26 +474,14 @@ def run_djcluster_mapreduce(
     if n_rtree_partitions is None:
         n_rtree_partitions = max(1, runner.cluster.total_reduce_slots() // 2)
     build_t0 = runner.history.clock
-    if use_persistent_index:
-        catalog = IndexCatalog(hdfs)
-        index, _built = catalog.ensure(
-            runner,
-            preprocessed_path,
-            n_partitions=n_rtree_partitions,
-            curve=rtree_curve,
-            max_entries=params.rtree_max_entries,
-        )
-        runner.cache.replace(RTREE_CACHE_KEY, index.to_portable())
-    else:
-        build = build_rtree_mapreduce(
-            runner,
-            preprocessed_path,
-            n_partitions=n_rtree_partitions,
-            curve=rtree_curve,
-            max_entries=params.rtree_max_entries,
-            workdir=f"{workdir}/rtree",
-        )
-        runner.cache.replace(RTREE_CACHE_KEY, build.tree)
+    index, _built = IndexCatalog(hdfs).ensure(
+        runner,
+        preprocessed_path,
+        n_partitions=n_rtree_partitions,
+        curve=rtree_curve,
+        max_entries=params.rtree_max_entries,
+    )
+    runner.cache.replace(RTREE_CACHE_KEY, index.to_portable())
     rtree_sim_seconds = runner.history.clock - build_t0
 
     conf = Configuration(

@@ -293,7 +293,8 @@ class KMeansAggregation(Aggregation):
     shuffle: one 24-byte envelope per (node, cluster) crosses the
     network instead of one record per (map task, cluster).
     ``finalize`` mirrors :class:`KMeansReducer` (including the
-    empty-cluster skip), so both paths emit the same records.
+    empty-cluster skip), so a job emits the same records with the
+    aggregation declared or with the reducer.
     """
 
     #: sum_lat + sum_lon (float64) + count, matching the combiner's
@@ -376,12 +377,12 @@ def run_kmeans_mapreduce(
     republished them in the distributed cache for the next map phase.
 
     ``use_combiner`` enables the object-level combiner (ablation X3);
-    ``use_aggregation`` declares :class:`KMeansAggregation` on each
-    iteration's job, unlocking map-side vectorized pre-aggregation and
-    the metadata-only shuffle on runners with ``preagg`` enabled (the
-    shuffle-byte minimization benchmark).  The two knobs compose: a
-    runner with ``preagg=False`` falls back from the aggregation to the
-    combiner (if enabled) or the raw reducer.
+    ``use_aggregation`` declares :class:`KMeansAggregation` as each
+    iteration's reduce instead of :class:`KMeansReducer`: map-side
+    vectorized pre-aggregation and the metadata-only shuffle (the
+    shuffle-byte minimization benchmark).  Declaring the aggregation or
+    not *is* the ablation; with both knobs on, the pre-aggregation
+    supersedes the combiner.
 
     Every iteration's job emits its full event stream into
     ``runner.history`` and the driver adds one ``driver_annotation``
@@ -426,7 +427,7 @@ def run_kmeans_mapreduce(
             JobSpec(
                 name=f"{name_prefix}-iter-{iteration}",
                 mapper=KMeansMapper,
-                reducer=KMeansReducer,
+                reducer=None if use_aggregation else KMeansReducer,
                 combiner=KMeansCombiner if use_combiner else None,
                 aggregation=KMeansAggregation if use_aggregation else None,
                 input_paths=[input_path],

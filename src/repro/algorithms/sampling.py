@@ -142,9 +142,9 @@ class UserCensusMapper(Mapper):
     One ``np.unique`` pass over the chunk's user index yields each
     user's count; the job's declared
     :class:`~repro.mapreduce.aggregation.CountAggregation` folds the
-    per-chunk counts into corpus totals, so a pre-agg-enabled runner
-    ships one fixed-size envelope per (node, user) instead of one record
-    per (chunk, user).
+    per-chunk counts into corpus totals, so the runner ships one
+    fixed-size envelope per (node, user) instead of one record per
+    (chunk, user).
     """
 
     def run(self, chunk: Chunk, ctx) -> None:
@@ -170,18 +170,15 @@ def run_sampling_census_job(
     *how many representatives did each user keep?* — is the corpus
     rollup this job answers.  Its reduce is declared as a
     :class:`~repro.mapreduce.aggregation.CountAggregation` (an exactly
-    associative integer monoid), so on a pre-agg-enabled runner the
-    shuffle moves fixed-size aggregate envelopes instead of per-chunk
-    count records; with pre-aggregation disabled the same declaration
-    degrades to an ordinary sum reducer with identical output.
+    associative integer monoid), so the shuffle moves fixed-size
+    aggregate envelopes instead of per-chunk count records.
     """
 
-    from repro.mapreduce.aggregation import CountAggregation, CountSumReducer
+    from repro.mapreduce.aggregation import CountAggregation
 
     spec = JobSpec(
         name=name,
         mapper=UserCensusMapper,
-        reducer=CountSumReducer,
         aggregation=CountAggregation,
         input_paths=[input_path],
         output_path=output_path,

@@ -296,16 +296,14 @@ class BlockingMapper(Mapper):
 
     Training fingerprints are replicated to every cell of their POIs'
     conservative boxes; target fingerprints go only to the cells
-    containing their own POIs.  When the persistent-index audit is on,
-    target POIs are also batch-queried against the portable R-tree over
-    the training POI table to count exact candidate pairs.
+    containing their own POIs.  For the exactness audit, target POIs
+    are also batch-queried against the portable R-tree over the training
+    POI table to count exact candidate pairs.
     """
 
     def setup(self, ctx) -> None:
         self._d = ctx.conf.get_float("linkage.max_match_dist_m")
-        self._audit = bool(ctx.conf.get_int("linkage.audit", 0))
-        if self._audit:
-            self._index, self._owners = ctx.cache.get(INDEX_CACHE_KEY)
+        self._index, self._owners = ctx.cache.get(INDEX_CACHE_KEY)
 
     def run(self, chunk: Chunk, ctx) -> None:
         audit_points: list[np.ndarray] = []
@@ -325,10 +323,9 @@ class BlockingMapper(Mapper):
                 value = (1, str(user), fp, cells)
                 for cell in own:
                     ctx.emit(cell, value, nbytes=len(cells) * 16 + 64)
-                if self._audit:
-                    audit_points.append(np.asarray(fp.states, dtype=np.float64))
-                    audit_slices.append(len(fp.states))
-        if self._audit and audit_points:
+                audit_points.append(np.asarray(fp.states, dtype=np.float64))
+                audit_slices.append(len(fp.states))
+        if audit_points:
             points = np.concatenate(audit_points, axis=0)
             hits = self._index.query_radius_batch(points, self._d)
             at = 0
@@ -416,7 +413,8 @@ class LinkageAttackResult:
     n_target_fingerprints: int
     #: pairs scored by the blocking reduce (owner-cell deduplicated).
     pairs_scored: int
-    #: exact candidate pairs per the persistent index (None = audit off).
+    #: exact candidate pairs per the persistent index (None = a side had
+    #: no fingerprints, so nothing was scored or audited).
     pairs_exact: "int | None"
     #: what the serial attack would have scored.
     cross_product: int
@@ -444,7 +442,6 @@ def run_linkage_attack(
     max_match_dist_m: float = 500.0,
     num_reducers: "int | None" = None,
     workdir: str = "tmp/linkage",
-    use_persistent_index: bool = True,
     history_path: "str | None" = None,
 ) -> LinkageAttackResult:
     """Run the full linking attack as MapReduce jobs.
@@ -456,11 +453,11 @@ def run_linkage_attack(
     :func:`~repro.attacks.deanonymization.deanonymization_attack` on the
     same data, byte for byte, on every backend and chunking.
 
-    ``use_persistent_index=True`` publishes the training POI table
-    through the shared :class:`~repro.index.persistent.IndexCatalog` and
-    runs the exact candidate-pair audit (see module docstring); the
-    audit never changes the attack's output, only
-    ``pairs_exact``/``blocking_exact``.
+    Whenever both sides have fingerprints, the training POI table is
+    published through the shared
+    :class:`~repro.index.persistent.IndexCatalog` and the exact
+    candidate-pair audit runs (see module docstring); the audit never
+    changes the attack's output, only ``pairs_exact``/``blocking_exact``.
     """
     if params is None:
         params = DJClusterParams()
@@ -503,8 +500,10 @@ def run_linkage_attack(
         if fp is not None:
             n_target_fps += 1
 
-    audit = use_persistent_index and bool(train_fps) and n_target_fps > 0
-    if audit:
+    pairs_scored = 0
+    pairs_exact: "int | None" = None
+    best: dict[str, tuple[float, str]] = {}
+    if train_fps and n_target_fps:
         owners: list[str] = []
         lats: list[float] = []
         lons: list[float] = []
@@ -533,10 +532,6 @@ def run_linkage_attack(
             (index.to_portable(), np.asarray(owners, dtype=object)),
         )
 
-    pairs_scored = 0
-    pairs_exact: "int | None" = None
-    best: dict[str, tuple[float, str]] = {}
-    if train_fps and n_target_fps:
         hdfs.delete(links_path, missing_ok=True)
         link_result = runner.run(
             JobSpec(
@@ -545,22 +540,14 @@ def run_linkage_attack(
                 reducer=LinkageScoreReducer,
                 input_paths=[fps_train, fps_target],
                 output_path=links_path,
-                conf=Configuration(
-                    {
-                        "linkage.max_match_dist_m": max_match_dist_m,
-                        "linkage.audit": 1 if audit else 0,
-                    }
-                ),
+                conf=Configuration({"linkage.max_match_dist_m": max_match_dist_m}),
                 num_reducers=reducers,
                 map_cost_factor=1.2,
                 reduce_cost_factor=2.0,
             )
         )
         pairs_scored = link_result.counters.value(GROUP_LINKAGE, COUNTER_PAIRS_SCORED)
-        if audit:
-            pairs_exact = link_result.counters.value(
-                GROUP_LINKAGE, COUNTER_PAIRS_EXACT
-            )
+        pairs_exact = link_result.counters.value(GROUP_LINKAGE, COUNTER_PAIRS_EXACT)
         for pseud, (score, user) in hdfs.read_records(links_path):
             cand = (float(score), str(user))
             cur = best.get(str(pseud))
@@ -708,10 +695,8 @@ def run_attack_selfcheck(n_users: int = 8, seed: int = 11, verbose: bool = True)
     Returns True when everything matches (``repro attack --linkage
     --selfcheck`` exits non-zero otherwise).
     """
-    from repro.mapreduce.cluster import paper_cluster
     from repro.mapreduce.config import BACKENDS
-    from repro.mapreduce.hdfs import SimulatedHDFS
-    from repro.mapreduce.runner import JobRunner
+    from repro.mapreduce.runner import fresh_runner
 
     training, target, truth = synthetic_linkage_corpus(n_users, seed=seed)
     serial = deanonymization_attack_reference(
@@ -725,13 +710,14 @@ def run_attack_selfcheck(n_users: int = 8, seed: int = 11, verbose: bool = True)
     ok = True
     cells = [(backend, None) for backend in BACKENDS] + [("serial", 8.0)]
     for backend, budget in cells:
-        hdfs = SimulatedHDFS(
-            paper_cluster(3), chunk_size=16 * 1024, seed=0, memory_budget_mb=budget
-        )
-        hdfs.put_trace_array("input/train", training, record_bytes=64)
-        hdfs.put_trace_array("input/target", target, record_bytes=64)
-        runner = JobRunner(hdfs, executor=backend, memory_budget_mb=budget)
-        try:
+        with fresh_runner(
+            {"input/train": training, "input/target": target},
+            chunk_size=16 * 1024,
+            n_workers=3,
+            backend=backend,
+            budget_mb=budget,
+            record_bytes=64,
+        ) as runner:
             outcome = run_linkage_attack(
                 runner,
                 "input/train",
@@ -739,8 +725,6 @@ def run_attack_selfcheck(n_users: int = 8, seed: int = 11, verbose: bool = True)
                 truth,
                 params=SYNTH_ATTACK_PARAMS,
             )
-        finally:
-            runner.close()
         label = backend + (" (budgeted)" if budget else "")
         match = outcome.signature() == reference
         exact = outcome.blocking_exact in (True, None)

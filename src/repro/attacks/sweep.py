@@ -178,7 +178,6 @@ def run_sweep(
     chunk_size: int = 256 * 1024,
     executor: str = "serial",
     result_cache: bool = True,
-    use_persistent_index: bool = True,
     history_path: "str | None" = None,
 ) -> FrontierResult:
     """Attack every mechanism's release concurrently through one service.
@@ -228,7 +227,6 @@ def run_sweep(
                 max_pois=max_pois,
                 max_match_dist_m=max_match_dist_m,
                 workdir=f"tenants/{slug}/tmp/linkage",
-                use_persistent_index=use_persistent_index,
             )
             outcomes[slug] = outcome
             client.history.emit(

@@ -733,9 +733,8 @@ def main(argv: list[str] | None = None) -> int:
                 run_linkage_attack,
                 split_linkage_corpus,
             )
-            from repro.mapreduce.cluster import paper_cluster
-            from repro.mapreduce.hdfs import SimulatedHDFS
-            from repro.mapreduce.runner import JobRunner
+            from repro.mapreduce.hdfs import MB
+            from repro.mapreduce.runner import fresh_runner
 
             dataset = _load(args.input)
             train, target, truth = split_linkage_corpus(dataset.flat())
@@ -743,14 +742,13 @@ def main(argv: list[str] | None = None) -> int:
                 raise SystemExit(
                     "attack: corpus too small to split into training/target halves"
                 )
-            budget = args.memory_budget_mb
-            hdfs = SimulatedHDFS(paper_cluster(4), seed=0, memory_budget_mb=budget)
-            hdfs.put_trace_array("input/train", train, record_bytes=64)
-            hdfs.put_trace_array("input/target", target, record_bytes=64)
-            runner = JobRunner(
-                hdfs, executor=args.backend, memory_budget_mb=budget
-            )
-            try:
+            with fresh_runner(
+                {"input/train": train, "input/target": target},
+                chunk_size=64 * MB,
+                backend=args.backend,
+                budget_mb=args.memory_budget_mb,
+                record_bytes=64,
+            ) as runner:
                 outcome = run_linkage_attack(
                     runner,
                     "input/train",
@@ -763,8 +761,6 @@ def main(argv: list[str] | None = None) -> int:
                     max_match_dist_m=args.max_match_dist,
                     history_path=args.history,
                 )
-            finally:
-                runner.close()
             result = outcome.result
             linked = sum(1 for v in result.linkage.values() if v is not None)
             print(
@@ -1127,12 +1123,12 @@ def main(argv: list[str] | None = None) -> int:
         from repro.index.persistent import IndexCatalog
         from repro.index.rtree_mr import build_rtree_mapreduce
         from repro.mapreduce.bench import (
-            fresh_runner,
             matches_reference,
             query_workload,
             synthetic_corpus,
         )
         from repro.mapreduce.hdfs import MB
+        from repro.mapreduce.runner import fresh_runner
         from repro.mapreduce.service import JobService
 
         def parse_floats(spec: str, n: int, what: str) -> tuple[float, ...]:
@@ -1167,7 +1163,7 @@ def main(argv: list[str] | None = None) -> int:
             explicit.append(("knn", (lat, lon, int(k))))
         corpus = synthetic_corpus(args.traces, seed=args.seed)
         with fresh_runner(
-            {"input/traces": corpus}, chunk_mb=1, budget_mb=args.budget_mb
+            {"input/traces": corpus}, chunk_size=MB, budget_mb=args.budget_mb
         ) as runner:
             hdfs = runner.hdfs
             n_partitions = max(1, runner.cluster.total_reduce_slots() // 2)
@@ -1197,7 +1193,7 @@ def main(argv: list[str] | None = None) -> int:
         if not args.no_verify:
             # The identical MapReduce build on an unbudgeted twin keeps
             # its merged tree in memory as the byte-identity reference.
-            with fresh_runner({"input/traces": corpus}, chunk_mb=1) as ref_runner:
+            with fresh_runner({"input/traces": corpus}, chunk_size=MB) as ref_runner:
                 ref_tree = build_rtree_mapreduce(
                     ref_runner,
                     "input/traces",

@@ -13,21 +13,23 @@ over per-key partials:
   map task's output in one NumPy pass (integer rollups use
   ``np.add.reduceat`` on the columnar key/value arrays).
 
-With a declared aggregation the runner pre-aggregates map output inside
-the backend attempt loop — each map task ships one tiny
-:class:`AggregateEnvelope` per (partition, key-group) instead of its raw
-pairs — and the shuffle's metadata-only path coalesces each node's
+A declared aggregation *is* the job's reduce: the runner pre-aggregates
+map output inside the backend attempt loop — each map task ships one
+tiny :class:`AggregateEnvelope` per (partition, key-group) instead of its
+raw pairs — the shuffle's metadata-only path coalesces each node's
 envelopes so one fixed-size partial per (node, partition, key) crosses
-the network.
+the network, and the reduce task folds and finalizes them
+(:class:`AggregationReducer`).  The ablation is declaring the
+aggregation or not, job by job.
 
 Determinism contract
 --------------------
 Float addition is not associative, so a float-valued monoid's result
 depends on the merge tree.  The framework therefore fixes one canonical
-tree and uses it on **every** path (metadata-only shuffle, generic
-fallback shuffle, spilled shuffle, all three backends): within a key,
-envelopes are folded per *source node* in task order, then the node
-partials are folded in node-name order.  The transport-side coalescing
+tree and uses it however the envelopes travelled (coalesced or not,
+all three backends): within a key, envelopes are folded per *source
+node* in task order, then the node partials are folded in node-name
+order.  The transport-side coalescing
 in the metadata-only shuffle computes exactly the per-node fold the
 reducer would have computed, so shipping coalesced envelopes is
 byte-identical to shipping per-task envelopes.  Exactly-associative
@@ -48,12 +50,10 @@ __all__ = [
     "Aggregation",
     "AggregateEnvelope",
     "AggregationReducer",
-    "AggregationReducerFactory",
     "preaggregate",
     "fold_envelopes",
     "coalesce_by_node",
     "CountAggregation",
-    "CountSumReducer",
 ]
 
 
@@ -161,18 +161,6 @@ class CountAggregation(Aggregation):
         ]
 
 
-class CountSumReducer(Reducer):
-    """Legacy fallback reduce for :class:`CountAggregation` jobs.
-
-    A plain integer sum per key — what the synthesized aggregation
-    reduce computes when pre-aggregation is enabled.  Integer addition
-    is exactly associative, so both paths emit identical records.
-    """
-
-    def reduce(self, key: Any, values: list[Any], ctx: ReduceContext) -> None:
-        ctx.emit(key, int(sum(int(v) for v in values)))
-
-
 def preaggregate(
     aggregation: Aggregation,
     task_output: Sequence[tuple[Any, Any]],
@@ -231,24 +219,14 @@ def fold_envelopes(
 ) -> Any:
     """Fold one key's envelopes with the canonical merge tree.
 
-    Per source node in task order first, then across nodes in node-name
-    order; each fold seeds its accumulator with the first partial (never
-    ``zero``), so a pre-coalesced per-node envelope replays the exact
-    float operations of the per-task fold.
+    Per source node in task order first (:func:`coalesce_by_node`, the
+    very fold the transport applies — so a pre-coalesced per-node
+    envelope replays the exact float operations of the per-task fold),
+    then across nodes in node-name order; each fold seeds its
+    accumulator with the first partial, never ``zero``.
     """
-    ordered = _node_major(envelopes)
-    node_accs: list[Any] = []
-    i = 0
-    while i < len(ordered):
-        node = ordered[i].node
-        acc = ordered[i].value
-        i += 1
-        while i < len(ordered) and ordered[i].node == node:
-            acc = aggregation.merge(acc, ordered[i].value)
-            i += 1
-        node_accs.append(acc)
-    total = node_accs[0]
-    for acc in node_accs[1:]:
+    total, *node_accs = (env.value for env in coalesce_by_node(aggregation, envelopes))
+    for acc in node_accs:
         total = aggregation.merge(total, acc)
     return total
 
@@ -259,9 +237,9 @@ def coalesce_by_node(
     """One envelope per source node — the metadata-only transport merge.
 
     Each node's tasktracker folds its own tasks' partials (in task order)
-    before anything crosses the network, exactly the per-node fold of
-    :func:`fold_envelopes` — so reducers see the same canonical tree
-    whether or not coalescing happened.
+    before anything crosses the network; :func:`fold_envelopes` starts
+    with this same fold, so reducers see the same canonical tree whether
+    or not coalescing happened.  Nodes come out in node-name order.
     """
     ordered = _node_major(envelopes)
     out: list[AggregateEnvelope] = []
@@ -289,7 +267,7 @@ def coalesce_by_node(
 
 
 class AggregationReducer(Reducer):
-    """The reducer the runner synthesizes from a declared aggregation.
+    """The reduce of a job that declared an aggregation.
 
     Runs through the ordinary reduce attempt loop (same retries, chaos
     faults and counters as a user reducer), folding each key's envelopes
@@ -304,12 +282,3 @@ class AggregationReducer(Reducer):
         self.aggregation.finalize(key, acc, ctx)
 
 
-class AggregationReducerFactory:
-    """Picklable zero-arg factory for :class:`AggregationReducer` (the
-    process backend pickles reducer factories into worker messages)."""
-
-    def __init__(self, aggregation: Aggregation):
-        self.aggregation = aggregation
-
-    def __call__(self) -> AggregationReducer:
-        return AggregationReducer(self.aggregation)

@@ -105,11 +105,11 @@ class MapTaskRequest:
     #: outcome carries a :class:`~repro.mapreduce.spill.SpilledMapOutput`
     #: handle instead of the pair list.
     spill: WorkerSpillSpec | None = None
-    #: When set (a job with a declared aggregation on a pre-agg-enabled
-    #: runner), the attempt loop folds the task's output into one
-    #: aggregate envelope per key-group — the vectorized pre-aggregation
-    #: that supersedes the object-level combiner — and the outcome's
-    #: ``combined_output`` carries the envelope pairs.
+    #: When set (the job's declared aggregation), the attempt loop folds
+    #: the task's output into one aggregate envelope per key-group — the
+    #: vectorized pre-aggregation that supersedes the object-level
+    #: combiner — and the outcome's ``combined_output`` carries the
+    #: envelope pairs.
     aggregation: Any | None = None
 
 

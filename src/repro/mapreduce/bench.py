@@ -44,7 +44,7 @@ from repro.geo.trace import TraceArray
 from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.config import BACKENDS
 from repro.mapreduce.hdfs import MB, SimulatedHDFS
-from repro.mapreduce.runner import JobRunner
+from repro.mapreduce.runner import JobRunner, fresh_runner
 
 __all__ = [
     "synthetic_corpus",
@@ -52,7 +52,6 @@ __all__ = [
     "synthetic_stream_corpus",
     "query_workload",
     "matches_reference",
-    "fresh_runner",
     "wall_clock_regressions",
     "Suite",
     "SUITES",
@@ -127,46 +126,18 @@ def synthetic_corpus_blocks(
         yield TraceArray.from_columns(["bench"], lat, lon, timestamp)
 
 
-def fresh_runner(
-    datasets: Mapping[str, TraceArray | Iterable[TraceArray]],
-    *,
-    chunk_mb: int,
-    backend: str = "serial",
-    max_workers: int | None = None,
-    budget_mb: float | None = None,
-    **runner_kwargs: Any,
-) -> JobRunner:
-    """A :class:`JobRunner` on a fresh 4-worker deployment holding ``datasets``.
-
-    Every benchmark cell starts from one of these, so no cell inherits
-    another's chunk placement, shared-memory segments or caches.  A
-    dataset given as an iterable of pieces is stream-ingested: the
-    corpus is never materialized driver-side, so a budgeted cell's
-    residency is governed by the chunk store alone.  ``budget_mb`` caps
-    the chunk store and the runner alike (the paged/spill path).
-    """
-    hdfs = SimulatedHDFS(
-        paper_cluster(4), chunk_size=chunk_mb * MB, seed=0, memory_budget_mb=budget_mb
-    )
-    for path, traces in datasets.items():
-        put = hdfs.put_trace_array if isinstance(traces, TraceArray) else hdfs.put_trace_stream
-        put(path, traces)
-    workers = None if backend == "serial" else max_workers
-    return JobRunner(
-        hdfs, executor=backend, max_workers=workers, memory_budget_mb=budget_mb, **runner_kwargs
-    )
-
-
 def _kmeans_cell(
     traces: TraceArray | Iterable[TraceArray],
     initial_centroids: np.ndarray,
     *,
     max_iter: int,
+    chunk_mb: int,
     use_combiner: bool = False,
     use_aggregation: bool = False,
     **deployment: Any,
 ) -> tuple[dict[str, Any], JobRunner]:
-    """One timed k-means run on a fresh deployment (:func:`fresh_runner`).
+    """One timed k-means run on a fresh deployment
+    (:func:`~repro.mapreduce.runner.fresh_runner`).
 
     Returns the cell every k-means suite starts from — wall-clock plus
     the deterministic simulated seconds, shuffle bytes, iteration count
@@ -176,7 +147,9 @@ def _kmeans_cell(
     from repro.algorithms.kmeans import run_kmeans_mapreduce
 
     datasets = {"input/traces": traces}
-    with fresh_runner(datasets, reduce_locality=use_aggregation, **deployment) as runner:
+    with fresh_runner(
+        datasets, chunk_size=chunk_mb * MB, reduce_locality=use_aggregation, **deployment
+    ) as runner:
         start = time.perf_counter()
         result = run_kmeans_mapreduce(
             runner,
@@ -920,7 +893,7 @@ def _run_query(
         # Reference: the identical build on an unbudgeted twin keeps the
         # merged tree in memory.  The simulator is deterministic, so this
         # tree is byte-for-byte the one the catalog persists below.
-        with fresh_runner({"input/traces": corpus}, chunk_mb=chunk_mb) as ref_runner:
+        with fresh_runner({"input/traces": corpus}, chunk_size=chunk_mb * MB) as ref_runner:
             n_partitions = max(1, ref_runner.cluster.total_reduce_slots() // 2)
             ref_tree = build_rtree_mapreduce(
                 ref_runner,
@@ -930,7 +903,7 @@ def _run_query(
             ).tree
 
         with fresh_runner(
-            {"input/traces": corpus}, chunk_mb=chunk_mb, budget_mb=budget_mb
+            {"input/traces": corpus}, chunk_size=chunk_mb * MB, budget_mb=budget_mb
         ) as runner:
             hdfs = runner.hdfs
             build_wall = time.perf_counter()
@@ -1614,7 +1587,7 @@ def _attack_cell(
 
     with fresh_runner(
         {"input/train": training, "input/target": target},
-        chunk_mb=chunk_mb,
+        chunk_size=chunk_mb * MB,
         backend=backend,
         max_workers=max_workers,
         budget_mb=budget_mb,

@@ -313,23 +313,17 @@ def _fresh_runner(
     memory_budget_mb: "float | None" = None,
     failure_injector=None,
 ):
-    from repro.mapreduce.cluster import paper_cluster
-    from repro.mapreduce.hdfs import SimulatedHDFS
-    from repro.mapreduce.runner import JobRunner
+    from repro.mapreduce.runner import fresh_runner
 
-    hdfs = SimulatedHDFS(
-        paper_cluster(n_workers),
+    return fresh_runner(
+        {INPUT_PATH: array},
         chunk_size=chunk_size,
-        seed=0,
-        memory_budget_mb=memory_budget_mb,
-    )
-    hdfs.put_trace_array(INPUT_PATH, array, record_bytes=64)
-    return JobRunner(
-        hdfs,
-        chaos=chaos,
-        executor=executor,
+        n_workers=n_workers,
+        backend=executor,
         max_workers=max_workers,
-        memory_budget_mb=memory_budget_mb,
+        budget_mb=memory_budget_mb,
+        record_bytes=64,
+        chaos=chaos,
         failure_injector=failure_injector,
     )
 

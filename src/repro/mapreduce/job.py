@@ -3,8 +3,9 @@
 A MapReduce application on this substrate mirrors the Hadoop structure the
 paper describes in Section IV: the developer supplies a *Mapper* class, a
 *Reducer* class (optional — sampling and the DJ-Cluster preprocessing are
-map-only), optionally a *Combiner* (a reducer run on each mapper's local
-output, as in the k-means shuffle-volume optimization), and a *driver*
+map-only, and a declared aggregation is its own reduce), optionally a
+*Combiner* (a reducer run on each mapper's local output, as in the
+k-means shuffle-volume optimization), and a *driver*
 — here the declarative :class:`JobSpec` consumed by
 :class:`~repro.mapreduce.runner.JobRunner`.
 
@@ -191,20 +192,19 @@ class JobSpec:
     mapper:
         Mapper class (or zero-arg factory).  One fresh instance per task.
     reducer:
-        Reducer class/factory, or ``None`` for a map-only job (sampling,
-        DJ-Cluster preprocessing).
+        Reducer class/factory.  ``None`` with no ``aggregation`` either
+        makes a map-only job (sampling, DJ-Cluster preprocessing).
     combiner:
         Optional reducer class/factory applied to each map task's local
         output before the shuffle.
     aggregation:
         Optional :class:`~repro.mapreduce.aggregation.Aggregation`
         (class or instance) declaring the reduce as an associative
-        monoid.  A runner with pre-aggregation enabled then folds map
-        output into fixed-size aggregate envelopes worker-side, ships
-        them through the metadata-only shuffle, and synthesizes the
-        reduce from the monoid's ``finalize`` — the declared ``reducer``
-        (and ``combiner``) remain the fallback when pre-aggregation is
-        disabled, so the job always stays runnable on a legacy runner.
+        monoid.  The declaration is the decision: map output is folded
+        into fixed-size aggregate envelopes where the task ran (in place
+        of any ``combiner``), the envelopes cross the metadata-only
+        shuffle, and the reduce *is* the monoid's fold and ``finalize``
+        — a ``reducer`` is neither needed nor consulted.
     input_paths:
         HDFS paths whose chunks feed the map phase.
     output_path:
@@ -241,14 +241,11 @@ class JobSpec:
         self.mapper = _as_factory(self.mapper)
         self.reducer = _as_factory(self.reducer)
         self.combiner = _as_factory(self.combiner)
-        if self.combiner is not None and self.reducer is None:
+        if isinstance(self.aggregation, type):
+            self.aggregation = self.aggregation()
+        if self.combiner is not None and self.map_only:
             raise ValueError("a combiner requires a reduce phase")
-        if self.aggregation is not None:
-            if isinstance(self.aggregation, type):
-                self.aggregation = self.aggregation()
-            if self.reducer is None:
-                raise ValueError("an aggregation requires a reduce phase")
 
     @property
     def map_only(self) -> bool:
-        return self.reducer is None
+        return self.reducer is None and self.aggregation is None

@@ -18,15 +18,15 @@ Execution follows the Hadoop lifecycle from Section III end-to-end:
 
 from __future__ import annotations
 
+import functools
 import os
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Callable
-
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.geo.trace import TraceArray
-from repro.mapreduce.aggregation import AggregationReducerFactory
+from repro.mapreduce.aggregation import AggregationReducer
 from repro.mapreduce.backends import (
     MapOutcome,
     MapTaskRequest,
@@ -36,6 +36,7 @@ from repro.mapreduce.backends import (
     create_backend,
 )
 from repro.mapreduce.cache import DistributedCache
+from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.config import MapReduceConfig
 from repro.mapreduce.counters import Counters, STANDARD
 from repro.mapreduce.failures import (
@@ -73,11 +74,11 @@ from repro.mapreduce.spill import (
     WorkerSpillSpec,
     as_pairs,
 )
-from repro.mapreduce.types import Chunk
+from repro.mapreduce.types import Chunk, DEFAULT_RECORD_BYTES
 from repro.observability.events import EventKind, Phase
 from repro.observability.history import JobHistory
 
-__all__ = ["JobRunner", "JobResult"]
+__all__ = ["JobRunner", "JobResult", "fresh_runner"]
 
 
 @dataclass
@@ -185,27 +186,13 @@ class JobRunner:
     prefer_locality / speculative:
         Scheduler knobs (DESIGN.md locality ablation; straggler
         speculation).
-    preagg:
-        Map-side vectorized pre-aggregation (default on).  Only jobs
-        declaring a :class:`~repro.mapreduce.aggregation.Aggregation`
-        are affected: their map output is folded into fixed-size
-        aggregate envelopes worker-side and their reduce is synthesized
-        from the monoid.  ``False`` falls back to the declared
-        combiner/reducer — the ablation knob; outputs are byte-identical
-        either way.
-    metadata_shuffle:
-        When a pre-aggregated job's every map output is envelopes, ship
-        one coalesced envelope per (node, partition, key) and charge the
-        cost model for those bytes only (default on).  ``False`` pushes
-        envelopes through the generic shuffle — same outputs, legacy
-        byte accounting.
     reduce_locality:
-        Locality-aware reduce placement (default off, preserving legacy
-        placements): schedule each reducer on the node holding the
-        plurality of its partition's bytes and charge shuffle fetch for
-        bytes actually crossing nodes.  Requires the per-node byte
-        provenance the metadata-only shuffle records; jobs without it
-        keep legacy placement.
+        Locality-aware reduce placement (default off): schedule each
+        reducer on the node holding the plurality of its partition's
+        bytes and charge shuffle fetch for bytes actually crossing
+        nodes.  Requires the per-node byte provenance the metadata-only
+        shuffle records, so only jobs declaring an
+        :class:`~repro.mapreduce.aggregation.Aggregation` are affected.
     history:
         The :class:`~repro.observability.history.JobHistory` receiving
         this deployment's structured trace events.  One collector spans
@@ -231,8 +218,6 @@ class JobRunner:
         retry_policy: RetryPolicy | None = None,
         memory_budget_mb: float | None = None,
         spill_dir: str | None = None,
-        preagg: bool = True,
-        metadata_shuffle: bool = True,
         reduce_locality: bool = False,
     ):
         self.exec_config = MapReduceConfig(
@@ -268,8 +253,6 @@ class JobRunner:
         )
         self.prefer_locality = prefer_locality
         self.speculative = speculative
-        self.preagg = preagg
-        self.metadata_shuffle = metadata_shuffle
         self.reduce_locality = reduce_locality
         self.history = history if history is not None else JobHistory()
         #: Tenant label stamped into JOB_START events; ``None`` (solo
@@ -340,7 +323,7 @@ class JobRunner:
                 injector=self.failure_injector if inject_faults else None,
                 max_attempts=self.max_attempts,
                 spill=spill_spec,
-                aggregation=job.aggregation if self.preagg else None,
+                aggregation=job.aggregation,
             )
             for a in assignments
         ])
@@ -531,7 +514,6 @@ class JobRunner:
             key=lambda a: a.task_id,
         )
 
-        use_preagg = job.aggregation is not None and self.preagg
         self._backend.prepare_job(self.cache)
         map_wave = WaveRecord()
         outcomes = self._run_maps(job, primary, spill_spec, cleanup, map_wave)
@@ -623,7 +605,7 @@ class JobRunner:
             )
 
         spiller = (
-            self._spill.shuffle_spiller(job_seq, job.num_reducers, job.partitioner)
+            self._spill.shuffle_spiller(job_seq, job.num_reducers)
             if self._spill is not None
             else None
         )
@@ -632,8 +614,7 @@ class JobRunner:
             job.partitioner,
             job.num_reducers,
             spiller=spiller,
-            aggregation=job.aggregation if use_preagg else None,
-            metadata_only=self.metadata_shuffle,
+            aggregation=job.aggregation,
         )
         cleanup.callback(sh.release)
         counters.increment(STANDARD.GROUP_TASK, STANDARD.SHUFFLE_BYTES, sh.shuffled_bytes)
@@ -656,8 +637,12 @@ class JobRunner:
 
         reduce_output: list[tuple[Any, Any]] = []
         reduce_failures: dict[str, list[tuple]] = {}
+        # A declared aggregation is the reduce (a partial pickles into
+        # the process backend's worker messages).
         reduce_factory = (
-            AggregationReducerFactory(job.aggregation) if use_preagg else job.reducer
+            functools.partial(AggregationReducer, job.aggregation)
+            if job.aggregation is not None
+            else job.reducer
         )
         start = perf_counter()
         reduce_outcomes = self._backend.run_reduce_tasks([
@@ -1044,16 +1029,13 @@ class JobRunner:
             t_reduce = t_map + timing.map_s
             emit_shuffle_events(h, job.name, sh, t_reduce)
             if sh.preagg is not None:
-                preagg_data = dict(sh.preagg)
-                if sh.node_bytes is not None and reduce_placements:
-                    node_of = {p.task_id: p.node for p in reduce_placements}
-                    preagg_data["cross_node_bytes"] = sum(
-                        sh.partition_bytes[r]
-                        - sh.node_bytes[r].get(node_of[f"reduce-{r:04d}"], 0)
-                        for r in range(sh.n_reducers)
-                    )
+                # The metadata-only shuffle always records provenance, so
+                # the job's cross-node counter is already settled.
                 h.emit(
-                    EventKind.SHUFFLE_PREAGG, job.name, t_reduce, **preagg_data
+                    EventKind.SHUFFLE_PREAGG, job.name, t_reduce, **sh.preagg,
+                    cross_node_bytes=counters.value(
+                        STANDARD.GROUP_TASK, STANDARD.SHUFFLE_CROSS_NODE_BYTES
+                    ),
                 )
             if (
                 self.reduce_locality
@@ -1130,3 +1112,38 @@ class JobRunner:
             output_path=job.output_path,
         )
         h.advance(t0 + timing.total_s)
+
+
+def fresh_runner(
+    datasets: Mapping[str, TraceArray | Iterable[TraceArray]],
+    *,
+    chunk_size: int,
+    n_workers: int = 4,
+    backend: str = "serial",
+    max_workers: int | None = None,
+    budget_mb: float | None = None,
+    record_bytes: int = DEFAULT_RECORD_BYTES,
+    **runner_kwargs: Any,
+) -> JobRunner:
+    """A :class:`JobRunner` on a fresh ``paper_cluster(n_workers)``
+    deployment holding ``datasets``; use it as a context manager.
+
+    Every benchmark cell, selfcheck and equivalence-matrix cell starts
+    from one of these, so none inherits another's chunk placement,
+    shared-memory segments or caches.  ``chunk_size`` is in bytes.  A
+    dataset given as an iterable of pieces is stream-ingested: the
+    corpus is never materialized driver-side, so a budgeted cell's
+    residency is governed by the chunk store alone.  ``budget_mb`` caps
+    the chunk store and the runner alike (the paged/spill path), and the
+    serial backend ignores ``max_workers``.
+    """
+    hdfs = SimulatedHDFS(
+        paper_cluster(n_workers), chunk_size=chunk_size, seed=0, memory_budget_mb=budget_mb
+    )
+    for path, traces in datasets.items():
+        put = hdfs.put_trace_array if isinstance(traces, TraceArray) else hdfs.put_trace_stream
+        put(path, traces, record_bytes=record_bytes)
+    workers = None if backend == "serial" else max_workers
+    return JobRunner(
+        hdfs, executor=backend, max_workers=workers, memory_budget_mb=budget_mb, **runner_kwargs
+    )

@@ -285,9 +285,9 @@ def result_cache_key(
 
     Two submissions share a key iff they would provably compute the same
     output: same input files *at the same namenode versions*, same
-    mapper/reducer/combiner/partitioner identities, same conf, reducer
-    count and cost factors, and the same distributed-cache snapshot
-    content.  The job *name* and *output path* are deliberately
+    mapper/reducer/combiner/partitioner/aggregation identities, same
+    conf, reducer count and cost factors, and the same distributed-cache
+    snapshot content.  The job *name* and *output path* are deliberately
     excluded — resubmitting under a new name/output is exactly the hit
     case.
     """
@@ -299,14 +299,21 @@ def result_cache_key(
         if fp is None:
             return None
         parts.append(f"{tag}={fp}")
-    partitioner = job.partitioner
-    state_fp = _fingerprint_value(getattr(partitioner, "__dict__", {}))
-    if state_fp is None:
-        return None
-    parts.append(
-        f"partitioner={type(partitioner).__module__}."
-        f"{type(partitioner).__qualname__}:{state_fp}"
-    )
+    # The partitioner and the aggregation (which may *be* the reduce)
+    # are instances: their class names them, their state must be plain.
+    for tag, instance in (
+        ("partitioner", job.partitioner), ("aggregation", job.aggregation)
+    ):
+        if instance is None:
+            parts.append(f"{tag}=none")
+            continue
+        state_fp = _fingerprint_value(getattr(instance, "__dict__", {}))
+        if state_fp is None:
+            return None
+        parts.append(
+            f"{tag}={type(instance).__module__}."
+            f"{type(instance).__qualname__}:{state_fp}"
+        )
     conf_fp = _fingerprint_value(job.conf.as_dict())
     if conf_fp is None:
         return None

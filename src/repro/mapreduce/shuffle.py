@@ -13,10 +13,11 @@ import contextlib
 import gc
 import operator
 from collections import defaultdict
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.mapreduce.aggregation import AggregateEnvelope, coalesce_by_node
 from repro.mapreduce.job import ConstantKeyPartitioner, HashPartitioner, Partitioner
 from repro.mapreduce.spill import ShuffleSpiller, SpilledPartition, as_groups, as_pairs
 from repro.mapreduce.types import SIZED_WITHOUT_PICKLE, estimate_nbytes
@@ -231,7 +232,7 @@ class ShuffleResult:
         #: Per-partition ``{source node: bytes}`` provenance, recorded by
         #: the metadata-only path — the input of locality-aware reduce
         #: placement and cross-node-only byte charging.  ``None`` when the
-        #: shuffle has no provenance (every legacy path).
+        #: shuffle has no provenance (every job without an aggregation).
         self.node_bytes: list[dict[str, int]] | None = None
         #: Pre-aggregation facts of the metadata-only path (``None``
         #: otherwise): envelopes shipped after per-node coalescing, their
@@ -270,8 +271,8 @@ class ShuffleResult:
     def raw_records_for(self, partition: int) -> int:
         """Raw mapper records behind a partition's shipped records.
 
-        Equal to :meth:`records_for` on every legacy path; on the
-        metadata-only path each shipped envelope stands in for the many
+        Equal to :meth:`records_for` for a job without an aggregation; on
+        the metadata-only path each shipped envelope stands in for the many
         mapper records folded into it, and this reports that true count
         (the history layer's per-reducer accounting uses it).
         """
@@ -302,152 +303,154 @@ def shuffle(
     n_reducers: int,
     spiller: ShuffleSpiller | None = None,
     aggregation=None,
-    metadata_only: bool = True,
 ) -> ShuffleResult:
     """Partition, transfer and sort the map outputs.
 
     ``map_outputs`` is one list of (key, value) pairs per completed map
     task, in task order (entries may be
     :class:`~repro.mapreduce.spill.SpilledMapOutput` handles when a worker
-    spilled its output under a memory budget).  Returns sorted, grouped
-    input per reduce task and the total modelled bytes crossing the
-    network.
+    spilled its output under a memory budget); each is read once.
+    Returns sorted, grouped input per reduce task and the total modelled
+    bytes crossing the network.
 
-    With an ``aggregation`` (a job's declared monoid) and every map
-    output value a pre-aggregated
-    :class:`~repro.mapreduce.aggregation.AggregateEnvelope`, the
-    metadata-only path ships fixed-size envelopes — coalesced to one per
-    (source node, partition, key-group) — and records per-node byte
-    provenance; ``metadata_only=False`` (or any non-envelope value)
-    falls back to the ordinary paths, which move the same envelopes as
-    plain objects and produce byte-identical reduce output.
-
-    Known partitioners over homogeneous key streams dispatch to a
-    vectorized path (argsort grouping, FNV hashing in NumPy); custom
-    partitioners and mixed keys take the per-record generic loop.  With a
-    ``spiller`` (memory-budgeted runs), an external merge sort takes over
-    once the in-flight buffer exceeds the budget.  All paths produce
-    identical :class:`ShuffleResult` contents.
+    Every record passes through one routing stage (:func:`_route`:
+    partition, range check, wire size) into one of two sinks: in-memory
+    buckets, or — with a ``spiller`` (memory-budgeted runs) — the
+    external merge sort, which hands its buffer back to the in-memory
+    grouping when nothing spilled.  The framework's own partitioners
+    over homogeneous key streams skip the per-record loop for a
+    vectorized implementation of the same stage (argsort grouping, FNV
+    hashing in NumPy).  With an ``aggregation`` (a job's declared
+    monoid) every map output value is a pre-aggregated
+    :class:`~repro.mapreduce.aggregation.AggregateEnvelope`: they are
+    routed in memory — fixed-size metadata is never worth spilling —
+    then coalesced to one envelope per (source node, partition,
+    key-group), with per-node byte provenance recorded.  Without one,
+    all paths produce identical :class:`ShuffleResult` contents.
     """
     if n_reducers < 1:
         raise ValueError("n_reducers must be >= 1")
-    if aggregation is not None and metadata_only:
-        meta = _shuffle_metadata(map_outputs, partitioner, n_reducers, aggregation)
-        if meta is not None:
-            return meta
+    if aggregation is not None:
+        return _shuffle_metadata(map_outputs, partitioner, n_reducers, aggregation)
     if spiller is not None:
-        external = _shuffle_external(map_outputs, spiller)
-        if external is not None:
-            return external
+        return _shuffle_external(map_outputs, partitioner, n_reducers, spiller)
+    # Both in-memory paths end up holding every record, so load spilled
+    # outputs once, up front: a fast path that declines has not cost the
+    # generic one a second read.
+    map_outputs = [as_pairs(output) for output in map_outputs]
     fast = _shuffle_fast(map_outputs, partitioner, n_reducers)
     if fast is not None:
         return fast
     return _shuffle_generic(map_outputs, partitioner, n_reducers)
 
 
-def _shuffle_metadata(
+def _route(
+    pairs: Iterable[tuple[Any, Any]],
+    partitioner: Partitioner,
+    n_reducers: int,
+    pickled_sizes: dict[int, int],
+    envelopes: bool = False,
+) -> Iterator[tuple[int, int, Any, Any]]:
+    """The routing stage: ``(partition, wire bytes, key, value)`` per record.
+
+    The one per-record place that asks the partitioner, range-checks its
+    answer and sizes a record (:func:`_shuffle_fast` is its vectorized
+    twin).  An envelope travels at its fixed ``nbytes``; any other value
+    costs ``estimate_nbytes``, and one whose size costs a pickle is sized
+    once per *object* through ``pickled_sizes`` (one fingerprint emitted
+    to every blocking cell is charged per emission, pickled once).  The
+    memo is keyed by ``id``, so it is the caller's for as long as the
+    sink keeps the routed values alive — and no longer.
+    """
+    for key, value in pairs:
+        part = partitioner.partition(key, n_reducers)
+        if not 0 <= part < n_reducers:
+            raise ValueError(
+                f"partitioner returned {part} for {n_reducers} reducers"
+            )
+        if envelopes:
+            if not isinstance(value, AggregateEnvelope):
+                raise TypeError(
+                    "a declared aggregation shuffles pre-aggregated envelopes; "
+                    f"key {key!r} carries a raw {type(value).__name__}"
+                )
+            nbytes = value.nbytes
+        elif isinstance(value, SIZED_WITHOUT_PICKLE):
+            nbytes = estimate_nbytes(key) + estimate_nbytes(value)
+        else:
+            value_bytes = pickled_sizes.get(id(value))
+            if value_bytes is None:
+                value_bytes = pickled_sizes[id(value)] = estimate_nbytes(value)
+            nbytes = estimate_nbytes(key) + value_bytes
+        yield part, nbytes, key, value
+
+
+def _grouped(
+    buckets: list[list[tuple[Any, Any]]], partition_bytes: list[int]
+) -> ShuffleResult:
+    """The in-memory sink's result: each routed bucket sorted and grouped."""
+    partitions = [group_sorted(bucket) for bucket in buckets]
+    return ShuffleResult(partitions, sum(partition_bytes), partition_bytes)
+
+
+def _shuffle_generic(
     map_outputs: Sequence[list[tuple[Any, Any]]],
     partitioner: Partitioner,
     n_reducers: int,
-    aggregation,
-) -> ShuffleResult | None:
-    """Metadata-only shuffle of pre-aggregated envelopes, or ``None``.
+    envelopes: bool = False,
+) -> ShuffleResult:
+    """Reference shuffle: the routing stage into in-memory buckets.
 
-    Applies only when *every* map output value is an
-    :class:`~repro.mapreduce.aggregation.AggregateEnvelope` (a single
-    raw pair anywhere disqualifies the whole shuffle — correctness over
-    savings).  Each partition's envelopes are grouped by key exactly as
-    the generic path would, then coalesced so one fixed-size envelope
-    per (source node, key-group) crosses the network; the coalescing
-    replays the canonical per-node fold the reducer applies anyway, so
-    reduce output is byte-identical to the fallback paths.  Byte
-    accounting charges ``envelope_nbytes`` per shipped envelope and
-    records per-node provenance for locality-aware reduce placement.
+    The buckets keep every value alive, so one size memo serves the
+    whole shuffle.
     """
-    from repro.mapreduce.aggregation import AggregateEnvelope, coalesce_by_node
-
-    pairs_per_task: list[list[tuple[Any, Any]]] = []
-    for task_output in map_outputs:
-        pairs = as_pairs(task_output)
-        if not all(isinstance(v, AggregateEnvelope) for _, v in pairs):
-            return None
-        pairs_per_task.append(pairs)
     buckets: list[list[tuple[Any, Any]]] = [[] for _ in range(n_reducers)]
-    pre_coalesce = 0
-    raw_records = 0
-    for pairs in pairs_per_task:
-        for key, env in pairs:
-            part = partitioner.partition(key, n_reducers)
-            if not 0 <= part < n_reducers:
-                raise ValueError(
-                    f"partitioner returned {part} for {n_reducers} reducers"
-                )
-            buckets[part].append((key, env))
-            pre_coalesce += 1
-            raw_records += env.records
-    partitions: list[list[tuple[Any, list[Any]]]] = []
-    partition_bytes: list[int] = []
-    node_bytes: list[dict[str, int]] = []
-    n_envelopes = 0
-    for bucket in buckets:
-        groups = []
-        nbytes = 0
-        per_node: dict[str, int] = {}
-        for key, envs in group_sorted(bucket):
-            coalesced = coalesce_by_node(aggregation, envs)
-            groups.append((key, coalesced))
-            for env in coalesced:
-                nbytes += env.nbytes
-                per_node[env.node] = per_node.get(env.node, 0) + env.nbytes
-                n_envelopes += 1
-        partitions.append(groups)
-        partition_bytes.append(nbytes)
-        node_bytes.append(per_node)
-    result = ShuffleResult(partitions, sum(partition_bytes), partition_bytes)
-    result.node_bytes = node_bytes
-    result.preagg = {
-        "envelopes": n_envelopes,
-        "envelope_bytes": sum(partition_bytes),
-        "pre_coalesce_envelopes": pre_coalesce,
-        "raw_records": raw_records,
-    }
-    return result
+    partition_bytes = [0] * n_reducers
+    pickled_sizes: dict[int, int] = {}
+    for task_output in map_outputs:
+        for part, nbytes, key, value in _route(
+            as_pairs(task_output), partitioner, n_reducers, pickled_sizes, envelopes
+        ):
+            buckets[part].append((key, value))
+            partition_bytes[part] += nbytes
+    return _grouped(buckets, partition_bytes)
 
 
 def _shuffle_external(
     map_outputs: Sequence[list[tuple[Any, Any]]],
+    partitioner: Partitioner,
+    n_reducers: int,
     spiller: ShuffleSpiller,
-) -> ShuffleResult | None:
-    """Memory-budgeted external merge-sort shuffle, or ``None`` when the
-    in-memory paths should run instead.
+) -> ShuffleResult:
+    """Memory-budgeted shuffle: the routing stage into the spiller.
 
-    Feeds map outputs through the spiller in task order, cutting a stably
-    sorted run to disk whenever the buffer exceeds the budget, then k-way
-    merges the runs per partition.  Because each run covers a contiguous
-    arrival window and both the per-run sort and ``heapq.merge`` are
-    stable, equal keys come out in arrival order — the same groups, in the
-    same order, as the in-memory paths.
+    Routed records are fed in task order; the spiller cuts a stably
+    sorted run to disk whenever its buffer exceeds the budget, then
+    k-way merges the runs per partition.  Because each run covers a
+    contiguous arrival window and both the per-run sort and
+    ``heapq.merge`` are stable, equal keys come out in arrival order —
+    the same groups, in the same order, as the in-memory sink.
 
-    Returns ``None`` when nothing actually spilled (everything fit in the
-    budget) or when the key stream is unsortable *and* no run was cut yet
-    — in both cases the ordinary paths handle the original outputs.  If
-    keys turn unsortable *after* runs exist, the spilled records are
-    reloaded in arrival order and regrouped in memory (correctness over
-    budget — mirroring real Hadoop, where unsortable keys are simply a
-    job error).
+    When nothing spilled (everything fit in the budget) or the key
+    stream turned out unsortable, the spiller hands back what it holds,
+    already routed and sized, and the in-memory grouping finishes the
+    job (for keys that turn unsortable *after* runs exist that means
+    reloading them: correctness over budget — mirroring real Hadoop,
+    where unsortable keys are simply a job error).
     """
+    pickled_sizes: dict[int, int] = {}
     for task_output in map_outputs:
-        spiller.feed(as_pairs(task_output))
-        if spiller.disabled and not spiller.runs:
-            # Unsortable keys before any run was cut: the original outputs
-            # are intact, so skip straight to the in-memory paths.
-            return None
-    if spiller.disabled:
-        pairs = spiller.fallback_pairs()
-        return _shuffle_generic([pairs], spiller.partitioner, spiller.n_reducers)
+        runs_cut = len(spiller.runs)
+        spiller.feed(
+            _route(as_pairs(task_output), partitioner, n_reducers, pickled_sizes)
+        )
+        if len(spiller.runs) != runs_cut:
+            # The run took its records out of memory: their ids can
+            # name other objects from here on.
+            pickled_sizes.clear()
     spiller.finish()
-    if not spiller.spilled():
-        return None  # everything fit in the budget; no external state
+    if spiller.disabled or not spiller.spilled():
+        return _grouped(spiller.drain(), list(spiller.partition_bytes))
     partitions, merge_events = spiller.merge()
     result = ShuffleResult(
         partitions,
@@ -459,38 +462,53 @@ def _shuffle_external(
     return result
 
 
-def _shuffle_generic(
+def _shuffle_metadata(
     map_outputs: Sequence[list[tuple[Any, Any]]],
     partitioner: Partitioner,
     n_reducers: int,
+    aggregation,
 ) -> ShuffleResult:
-    """Reference shuffle: one partitioner call + size estimate per record.
+    """Metadata-only shuffle of pre-aggregated envelopes.
 
-    A value whose size costs a pickle is sized once per *object* (one
-    fingerprint emitted to every blocking cell is charged per emission,
-    pickled once); the buckets keep every value alive, so an ``id``
-    names one object for the whole loop.
+    Routing and grouping are the in-memory sink's; what is specific
+    here is the transport: each key-group's envelopes are coalesced so
+    one fixed-size envelope per (source node, key-group) crosses the
+    network.  The coalescing replays the canonical per-node fold the
+    reducer applies anyway, so reduce output is byte-identical to
+    shipping every per-task envelope.  Byte accounting charges
+    ``env.nbytes`` per shipped envelope and records per-node provenance
+    for locality-aware reduce placement.
     """
-    buckets: list[list[tuple[Any, Any]]] = [[] for _ in range(n_reducers)]
-    partition_bytes = [0] * n_reducers
-    pickled_sizes: dict[int, int] = {}
-    for task_output in map_outputs:
-        for key, value in as_pairs(task_output):
-            part = partitioner.partition(key, n_reducers)
-            if not 0 <= part < n_reducers:
-                raise ValueError(
-                    f"partitioner returned {part} for {n_reducers} reducers"
-                )
-            buckets[part].append((key, value))
-            if isinstance(value, SIZED_WITHOUT_PICKLE):
-                value_bytes = estimate_nbytes(value)
-            else:
-                value_bytes = pickled_sizes.get(id(value))
-                if value_bytes is None:
-                    value_bytes = pickled_sizes[id(value)] = estimate_nbytes(value)
-            partition_bytes[part] += estimate_nbytes(key) + value_bytes
-    partitions = [group_sorted(bucket) for bucket in buckets]
-    return ShuffleResult(partitions, sum(partition_bytes), partition_bytes)
+    routed = _shuffle_generic(map_outputs, partitioner, n_reducers, envelopes=True)
+    partitions: list[list[tuple[Any, list[Any]]]] = []
+    partition_bytes: list[int] = []
+    node_bytes: list[dict[str, int]] = []
+    pre_coalesce = n_envelopes = raw_records = 0
+    for groups in routed.partitions:
+        shipped = []
+        nbytes = 0
+        per_node: dict[str, int] = {}
+        for key, envs in groups:
+            pre_coalesce += len(envs)
+            coalesced = coalesce_by_node(aggregation, envs)
+            shipped.append((key, coalesced))
+            for env in coalesced:
+                nbytes += env.nbytes
+                per_node[env.node] = per_node.get(env.node, 0) + env.nbytes
+                n_envelopes += 1
+                raw_records += env.records
+        partitions.append(shipped)
+        partition_bytes.append(nbytes)
+        node_bytes.append(per_node)
+    result = ShuffleResult(partitions, sum(partition_bytes), partition_bytes)
+    result.node_bytes = node_bytes
+    result.preagg = {
+        "envelopes": n_envelopes,
+        "envelope_bytes": sum(partition_bytes),
+        "pre_coalesce_envelopes": pre_coalesce,
+        "raw_records": raw_records,
+    }
+    return result
 
 
 def _shuffle_fast(
@@ -589,8 +607,8 @@ def emit_shuffle_events(history, job_name: str, result: ShuffleResult, ts: float
             groups=result.groups_for(r),
             # Pre-aggregated partitions ship envelopes that each stand in
             # for many raw mapper records; surface the true count.  Keyed
-            # only on the metadata-only path so legacy histories keep
-            # their exact shape.
+            # only on the metadata-only path so every other history
+            # keeps its exact shape.
             **(
                 {"raw_records": result.raw_records_for(r)}
                 if result.preagg is not None

@@ -372,15 +372,6 @@ class _Run:
             fh.seek(offset)
             return pickle.load(fh)
 
-    def all_triples(self) -> list[tuple[int, Any, Any]]:
-        """Every triple of the run (fallback-path reload)."""
-        out: list[tuple[int, Any, Any]] = []
-        with open(self.path, "rb") as fh:
-            for offset, _ in sorted(self.segments.values()):
-                fh.seek(offset)
-                out.extend(pickle.load(fh))
-        return out
-
     def delete(self) -> None:
         try:
             os.unlink(self.path)
@@ -415,14 +406,16 @@ def _sortable_with(kind: str | None, key: Any) -> str | None:
 
 
 class ShuffleSpiller:
-    """External-sort accumulator for the shuffle's map-output stream.
+    """External-sort sink for the shuffle's routed map-output stream.
 
-    Feed map task outputs in task order; whenever the in-flight buffer's
-    estimated bytes exceed the budget, the buffer is stably sorted by key
-    and written as one run (per-partition pickled segments).  After the
-    last task, either no run was cut (the caller should use the ordinary
-    in-memory shuffle) or :meth:`merge` k-way merges every partition's
-    segments into grouped reduce input, spilled per partition.
+    Feed each map task's records in task order, already routed and sized
+    by the shuffle's routing stage; whenever the in-flight buffer's bytes
+    exceed the budget, the buffer is stably sorted by key and written as
+    one run (per-partition pickled segments).  After the last task,
+    either :meth:`merge` k-way merges every partition's segments into
+    grouped reduce input, spilled per partition, or — no run was cut, or
+    the keys cannot be stream-merged — :meth:`drain` hands the routed
+    records back for in-memory grouping.
 
     Byte-for-byte equivalence with the in-memory shuffle holds because
     (a) runs cover contiguous arrival windows and are each stably
@@ -430,9 +423,9 @@ class ShuffleSpiller:
     order, and (c) key-equality-implies-adjacency after sorting makes
     adjacent-run grouping identical to dict grouping.  Key streams
     without a shared natural total order (mixed str/number, NaN, exotic
-    types) cannot be stream-merged; :attr:`disabled` flips on and the
-    caller falls back to the in-memory path (``fallback_pairs`` restores
-    exact arrival order from the spilled ``seq`` indices).
+    types) cannot be stream-merged; :attr:`disabled` flips on, no further
+    run is cut, and ``drain`` restores exact arrival order from the
+    spilled ``seq`` indices.
     """
 
     def __init__(
@@ -440,14 +433,12 @@ class ShuffleSpiller:
         budget_bytes: int,
         directory: SpillDirectory,
         n_reducers: int,
-        partitioner,
         stats: SpillStats,
         stem: str = "shuffle",
     ):
         self.budget_bytes = int(budget_bytes)
         self.directory = directory
         self.n_reducers = n_reducers
-        self.partitioner = partitioner
         self.stats = stats
         self.stem = stem
         self.runs: list[_Run] = []
@@ -460,16 +451,10 @@ class ShuffleSpiller:
         self._kind: str | None = None
         self.partition_bytes = [0] * n_reducers
 
-    def feed(self, task_output: Iterable[tuple[Any, Any]]) -> None:
-        """Buffer one map task's output; cut a run if over budget."""
-        n_reducers = self.n_reducers
-        for key, value in task_output:
-            part = self.partitioner.partition(key, n_reducers)
-            if not 0 <= part < n_reducers:
-                raise ValueError(
-                    f"partitioner returned {part} for {n_reducers} reducers"
-                )
-            nbytes = estimate_nbytes(key) + estimate_nbytes(value)
+    def feed(self, routed: Iterable[tuple[int, int, Any, Any]]) -> None:
+        """Buffer one map task's ``(partition, bytes, key, value)`` records;
+        cut a run if over budget."""
+        for part, nbytes, key, value in routed:
             self.partition_bytes[part] += nbytes
             self._buffer.append((self._seq, key, value))
             self._parts.append(part)
@@ -517,22 +502,28 @@ class ShuffleSpiller:
         if self.runs and not self.disabled and self._buffer:
             self._cut_run()
 
-    def fallback_pairs(self) -> list[tuple[Any, Any]]:
-        """Every fed record in exact arrival order (in-memory fallback).
+    def drain(self) -> list[list[tuple[Any, Any]]]:
+        """Every fed record, per partition in arrival order (in-memory sink).
 
-        Used when the key stream turned out not to be externally
-        sortable after runs were already cut: reload everything and let
-        the in-memory shuffle (whose grouping handles arbitrary keys)
-        take over.  ``seq`` indices restore global arrival order across
-        the sorted runs.
+        Used when no run was cut — the buffer is simply handed over —
+        and when the key stream turned out not to be externally sortable
+        after runs were already cut: those are reloaded, and ``seq``
+        indices restore arrival order across the sorted runs.
         """
-        triples = [t for run in self.runs for t in run.all_triples()]
-        triples.extend(self._buffer)
-        triples.sort(key=operator.itemgetter(0))
+        by_part: list[list[tuple[int, Any, Any]]] = [
+            [] for _ in range(self.n_reducers)
+        ]
         for run in self.runs:
+            for part in run.segments:
+                by_part[part].extend(run.segment(part))
             run.delete()
         self.runs = []
-        return [(k, v) for _, k, v in triples]
+        for part, triple in zip(self._parts, self._buffer):
+            by_part[part].append(triple)
+        self._buffer, self._parts, self._buffer_bytes = [], [], 0
+        for triples in by_part:
+            triples.sort(key=operator.itemgetter(0))
+        return [[(k, v) for _, k, v in triples] for triples in by_part]
 
     def merge(self) -> tuple[list[SpilledPartition], list[dict[str, int]]]:
         """K-way merge every partition's run segments into grouped input.
@@ -601,14 +592,11 @@ class SpillManager:
             prefix=f"j{job_seq:04d}",
         )
 
-    def shuffle_spiller(
-        self, job_seq: int, n_reducers: int, partitioner
-    ) -> ShuffleSpiller:
+    def shuffle_spiller(self, job_seq: int, n_reducers: int) -> ShuffleSpiller:
         return ShuffleSpiller(
             self.budget_bytes,
             self.directory,
             n_reducers,
-            partitioner,
             self.stats,
             stem=f"j{job_seq:04d}-shuffle",
         )

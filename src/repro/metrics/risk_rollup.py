@@ -12,9 +12,9 @@ MapReduce job:
   equivalence tests) and emits one record per distinct
   ``(window, lat_band, lon_band, user)`` row in its chunk;
 * the job's reduce is declared as a
-  :class:`~repro.mapreduce.aggregation.CountAggregation`, so a
-  pre-agg-enabled runner ships one fixed-size envelope per (node, key)
-  instead of one record per (chunk, key) — the reduce output's *keys*
+  :class:`~repro.mapreduce.aggregation.CountAggregation`, so the
+  runner ships one fixed-size envelope per (node, key) instead of one
+  record per (chunk, key) — the reduce output's *keys*
   are the corpus-wide distinct (bucket, user) rows (the values only say
   how many chunks saw the row and are discarded);
 * :func:`window_risk_mapreduce` turns the output rows back into a
@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geo.synthetic import KM_PER_DEG_LAT
-from repro.mapreduce.aggregation import CountAggregation, CountSumReducer
+from repro.mapreduce.aggregation import CountAggregation
 from repro.mapreduce.config import Configuration
 from repro.mapreduce.job import JobSpec, Mapper
 from repro.mapreduce.runner import JobResult, JobRunner
@@ -115,9 +115,9 @@ def window_risk_mapreduce(
     """Compute :class:`WindowRisk` for a release as a MapReduce rollup.
 
     The job's reduce is a declared :class:`CountAggregation`: its only
-    role is deduplicating (bucket, user) rows across chunks, so on a
-    pre-agg-enabled runner the shuffle moves one fixed-size envelope per
-    (node, row) instead of one record per (chunk, row).  Returns the
+    role is deduplicating (bucket, user) rows across chunks, so the
+    shuffle moves one fixed-size envelope per (node, row) instead of one
+    record per (chunk, row).  Returns the
     risk score plus the underlying :class:`JobResult`; the score is
     bit-identical to driver-side
     :func:`~repro.metrics.privacy.window_reidentification_risk` on the
@@ -127,7 +127,6 @@ def window_risk_mapreduce(
     spec = JobSpec(
         name=name,
         mapper=RiskBucketMapper,
-        reducer=CountSumReducer,
         aggregation=CountAggregation,
         input_paths=[input_path],
         output_path=output_path,

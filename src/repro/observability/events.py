@@ -157,7 +157,7 @@ class EventKind:
     REDUCE_PLACEMENT = "reduce_placement"
     #: A linkage attack finished; data: driver, n_train_fingerprints,
     #: n_target_fingerprints, linked, success_rate, pairs_scored,
-    #: pairs_exact (present only when the persistent-index audit ran),
+    #: pairs_exact (present whenever both sides had fingerprints to audit),
     #: cross_product, signature.  Emitted once per
     #: ``run_linkage_attack`` call, job-scoped like driver_annotation.
     ATTACK_RESULT = "attack_result"

@@ -24,10 +24,8 @@ def run_selfcheck(verbose: bool = True) -> int:
     from repro.algorithms.kmeans import run_kmeans_mapreduce
     from repro.algorithms.sampling import run_sampling_job
     from repro.geo.synthetic import SyntheticConfig, generate_dataset
-    from repro.mapreduce.cluster import paper_cluster
     from repro.mapreduce.failures import FailureInjector
-    from repro.mapreduce.hdfs import SimulatedHDFS
-    from repro.mapreduce.runner import JobRunner
+    from repro.mapreduce.runner import fresh_runner
     from repro.observability.history import load_history
     from repro.observability.report import render_report, summarize
 
@@ -40,18 +38,20 @@ def run_selfcheck(verbose: bool = True) -> int:
     dataset, _ = generate_dataset(SyntheticConfig(n_users=3, days=1, seed=42))
     array = dataset.flat().sort_by_time()
 
-    hdfs = SimulatedHDFS(paper_cluster(3), chunk_size=64 * 1024, seed=0)
-    hdfs.put_trace_array("input/traces", array, record_bytes=64)
-    injector = FailureInjector(scripted={("map-0001", 1)})
-    runner = JobRunner(hdfs, failure_injector=injector)
-
     timings = {}
-    result = run_sampling_job(runner, "input/traces", "out/sampled", window_s=60.0)
-    timings[result.job_name] = result.timing
-    km = run_kmeans_mapreduce(
-        runner, "input/traces", k=3, max_iter=2, seed=7, use_combiner=True,
-        workdir="tmp/selfcheck-kmeans",
-    )
+    with fresh_runner(
+        {"input/traces": array},
+        chunk_size=64 * 1024,
+        n_workers=3,
+        record_bytes=64,
+        failure_injector=FailureInjector(scripted={("map-0001", 1)}),
+    ) as runner:
+        result = run_sampling_job(runner, "input/traces", "out/sampled", window_s=60.0)
+        timings[result.job_name] = result.timing
+        km = run_kmeans_mapreduce(
+            runner, "input/traces", k=3, max_iter=2, seed=7, use_combiner=True,
+            workdir="tmp/selfcheck-kmeans",
+        )
 
     history = runner.history
     say(

@@ -32,7 +32,7 @@ from repro.geo.trace import TraceArray
 from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.failures import ChaosSchedule, JobFailedError
 from repro.mapreduce.hdfs import SimulatedHDFS
-from repro.mapreduce.runner import JobRunner
+from repro.mapreduce.runner import fresh_runner
 from repro.mapreduce.service import JobService
 
 from repro.streaming.manager import StreamingJobManager, StreamRunResult
@@ -78,14 +78,14 @@ def run_stream(
     """
     if mode not in ("service", "runner"):
         raise ValueError(f"unknown mode {mode!r}; known: service, runner")
-    hdfs = SimulatedHDFS(
-        paper_cluster(n_workers),
-        chunk_size=chunk_size,
-        seed=0,
-        memory_budget_mb=memory_budget_mb,
-    )
     source = StreamSource(array, window_s, chaos=chaos, name=tenant)
     if mode == "service":
+        hdfs = SimulatedHDFS(
+            paper_cluster(n_workers),
+            chunk_size=chunk_size,
+            seed=0,
+            memory_budget_mb=memory_budget_mb,
+        )
         with JobService(
             hdfs,
             tenants={tenant: 1.0},
@@ -100,21 +100,20 @@ def run_stream(
             if history_path is not None:
                 client.history.save(history_path)
             return result
-    runner = JobRunner(
-        hdfs,
-        chaos=chaos,
-        executor=executor,
+    with fresh_runner(
+        {},
+        chunk_size=chunk_size,
+        n_workers=n_workers,
+        backend=executor,
         max_workers=max_workers,
-        memory_budget_mb=memory_budget_mb,
-    )
-    try:
+        budget_mb=memory_budget_mb,
+        chaos=chaos,
+    ) as runner:
         manager = StreamingJobManager(runner, name=tenant, **manager_kwargs)
         result = manager.run(source)
         if history_path is not None:
             runner.history.save(history_path)
         return result
-    finally:
-        runner.close()
 
 
 @dataclass

@@ -399,7 +399,6 @@ class StreamingJobManager:
                     sampled_path,
                     params=self.dj_params,
                     workdir=f"{wdir}/dj",
-                    use_persistent_index=True,
                     name_prefix=f"{self.name}-w{w:04d}-dj",
                 )
                 n_pois = dj.n_clusters

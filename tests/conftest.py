@@ -10,6 +10,7 @@ from repro.geo.synthetic import SyntheticConfig, generate_dataset
 from repro.geo.trace import TraceArray
 from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.hdfs import SimulatedHDFS
+from repro.mapreduce.job import Reducer
 from repro.mapreduce.runner import JobRunner
 
 
@@ -67,6 +68,16 @@ def count_calls(monkeypatch, owner, name: str) -> list[tuple]:
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+class CountSumReducer(Reducer):
+    """A plain integer sum per key: the test oracle for
+    :class:`~repro.mapreduce.aggregation.CountAggregation` jobs.  A
+    reference ``JobSpec`` declares this reducer and *no* aggregation, so
+    its raw records cross the ordinary shuffle."""
+
+    def reduce(self, key, values, ctx) -> None:
+        ctx.emit(key, int(sum(int(v) for v in values)))
 
 
 class UnionFind:

@@ -1,6 +1,8 @@
 """The aggregation algebra: monoid exactness, the canonical merge tree,
 map-side pre-aggregation, the metadata-only shuffle, and equivalence of
-every shuffle path under backends, memory budgets and chaos."""
+a declared aggregation with a reference job that declares only a reducer
+(``tests/conftest.py::CountSumReducer``) under backends, memory budgets
+and chaos."""
 
 import numpy as np
 import pytest
@@ -10,7 +12,6 @@ from repro.mapreduce.aggregation import (
     AggregateEnvelope,
     AggregationReducer,
     CountAggregation,
-    CountSumReducer,
     coalesce_by_node,
     fold_envelopes,
     preaggregate,
@@ -21,8 +22,9 @@ from repro.mapreduce.failures import ChaosSchedule, Fault, FaultKind
 from repro.mapreduce.hdfs import SimulatedHDFS
 from repro.mapreduce.job import HashPartitioner, JobSpec, Mapper, ReduceContext
 from repro.mapreduce.runner import JobRunner
-from repro.mapreduce.shuffle import shuffle
+from repro.mapreduce.shuffle import _shuffle_generic, shuffle
 from repro.observability.events import EventKind
+from tests.conftest import CountSumReducer
 
 BACKENDS = ("serial", "threads", "processes")
 
@@ -197,9 +199,12 @@ def test_metadata_shuffle_coalesces_and_accounts():
 
 
 def test_metadata_shuffle_reduce_matches_legacy_paths():
+    """Coalescing is invisible to the reduce: the same envelopes moved as
+    plain objects (the reference shuffle, and ``shuffle`` told of no
+    aggregation) fold to the same output."""
     agg, outs = _envelope_outputs()
     meta = shuffle(outs, HashPartitioner(), 2, aggregation=agg)
-    legacy = shuffle(outs, HashPartitioner(), 2, aggregation=agg, metadata_only=False)
+    legacy = _shuffle_generic(outs, HashPartitioner(), 2)
     no_agg = shuffle(outs, HashPartitioner(), 2)
     assert legacy.preagg is None and no_agg.preagg is None
 
@@ -215,12 +220,13 @@ def test_metadata_shuffle_reduce_matches_legacy_paths():
     assert reduce_out(meta) == [(1, 7), (2, 10), (3, 1)]
 
 
-def test_one_raw_pair_disables_metadata_shuffle():
+def test_one_raw_pair_is_rejected_by_an_aggregation_shuffle():
+    """A declared aggregation has chosen: its shuffle moves envelopes, and
+    a raw value is a caller error, not a silent change of path."""
     agg, outs = _envelope_outputs()
     outs[1] = outs[1] + [(9, 4)]  # a raw (key, int) pair sneaks in
-    sh = shuffle(outs, HashPartitioner(), 2, aggregation=agg)
-    assert sh.preagg is None
-    assert sh.node_bytes is None
+    with pytest.raises(TypeError, match="key 9 carries a raw int"):
+        shuffle(outs, HashPartitioner(), 2, aggregation=agg)
 
 
 def test_spilled_partition_accounting_matches_materialized():
@@ -231,7 +237,7 @@ def test_spilled_partition_accounting_matches_materialized():
     outputs = [[(k % 5, k) for k in range(i, 60, 3)] for i in range(3)]
     directory = SpillDirectory(None)
     try:
-        spiller = ShuffleSpiller(1, directory, 2, HashPartitioner(), SpillStats())
+        spiller = ShuffleSpiller(1, directory, 2, SpillStats())
         sh = shuffle(outputs, HashPartitioner(), 2, spiller=spiller)
         assert sh.spilled
         for r in range(2):
@@ -246,7 +252,7 @@ def test_spilled_partition_accounting_matches_materialized():
         directory.cleanup()
 
 
-# -- full-engine equivalence: backends x budget x shuffle path ----------------
+# -- full-engine equivalence: aggregation vs reference spec x backends x budget
 
 class _ModMapper(Mapper):
     def map(self, key, value, ctx):
@@ -259,46 +265,76 @@ def _count_hdfs():
     return hdfs
 
 
-def _count_spec():
-    return JobSpec(
-        "modsum", _ModMapper, ["in"], "out",
-        reducer=CountSumReducer, aggregation=CountAggregation, num_reducers=3,
-    )
+def _count_spec(aggregation=True):
+    """The job under test declares only the monoid; the reference job
+    declares only the oracle reducer, so its raw records are shuffled."""
+    how = {"aggregation": CountAggregation} if aggregation else {"reducer": CountSumReducer}
+    return JobSpec("modsum", _ModMapper, ["in"], "out", num_reducers=3, **how)
 
 
-def _run_count_job(backend, *, preagg=True, metadata=True, budget=None, chaos=None):
+def _run_count_job(backend, *, aggregation=True, budget=None, chaos=None):
     hdfs = _count_hdfs()
     workers = None if backend == "serial" else 2
     with JobRunner(
-        hdfs, executor=backend, max_workers=workers, preagg=preagg,
-        metadata_shuffle=metadata, memory_budget_mb=budget, chaos=chaos,
+        hdfs, executor=backend, max_workers=workers, memory_budget_mb=budget, chaos=chaos,
     ) as runner:
-        result = runner.run(_count_spec())
+        result = runner.run(_count_spec(aggregation))
         return sorted(hdfs.read_records("out")), result, runner.history
 
 
 EXPECTED = sorted((k, len(range(k, 199, 7))) for k in range(7))
 
+#: A task crash, a fetch timeout and a node loss, all scripted.
+FIXED_CHAOS = ChaosSchedule(
+    seed=5,
+    faults=(
+        Fault(FaultKind.TASK_CRASH, task="map-0002", attempt=1),
+        Fault(FaultKind.SHUFFLE_FETCH, task="reduce-0001"),
+        Fault(FaultKind.NODE_LOSS, node="worker01", job="modsum"),
+    ),
+)
+
+
+def test_aggregation_only_spec_has_a_reduce_phase():
+    spec = _count_spec()
+    assert spec.reducer is None and not spec.map_only
+    assert isinstance(spec.aggregation, CountAggregation)  # class -> instance
+
+
+def test_spec_without_reducer_or_aggregation_is_map_only():
+    assert JobSpec("m", _ModMapper, ["in"], "out").map_only
+    with pytest.raises(ValueError, match="a combiner requires a reduce phase"):
+        JobSpec("m", _ModMapper, ["in"], "out", combiner=CountSumReducer)
+    # Either declaration gives the combiner a reduce phase to feed.
+    JobSpec("m", _ModMapper, ["in"], "out", combiner=CountSumReducer, reducer=CountSumReducer)
+    JobSpec("m", _ModMapper, ["in"], "out", combiner=CountSumReducer, aggregation=CountAggregation)
+
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("budget", [None, 1])
 def test_shuffle_paths_identical_across_backends_and_budget(backend, budget):
-    """Pre-agg + metadata-only, pre-agg + legacy transport, and the raw
-    declared-reducer path all emit identical records on every backend,
-    with or without a memory budget."""
-    outputs = {}
-    for preagg, metadata in [(True, True), (True, False), (False, False)]:
-        records, result, _ = _run_count_job(
-            backend, preagg=preagg, metadata=metadata, budget=budget
-        )
-        outputs[(preagg, metadata)] = records
-        assert records == EXPECTED, (backend, preagg, metadata, budget)
-    assert len(set(map(tuple, outputs.values()))) == 1
+    """An aggregation-only spec (no ``reducer=``) and the reference spec
+    (oracle reducer, no aggregation) emit identical records on every
+    backend, with or without a memory budget."""
+    got, result, _ = _run_count_job(backend, budget=budget)
+    want, _, _ = _run_count_job(backend, aggregation=False, budget=budget)
+    assert got == want == EXPECTED, (backend, budget)
+    assert result.n_reduce_tasks == 3
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("budget", [None, 1])
+def test_aggregation_only_spec_under_chaos(backend, budget):
+    got, result, history = _run_count_job(backend, budget=budget, chaos=FIXED_CHAOS)
+    want, _, _ = _run_count_job(backend, aggregation=False, budget=budget, chaos=FIXED_CHAOS)
+    assert got == want == EXPECTED, (backend, budget)
+    assert result.counters.value(STANDARD.GROUP_SCHEDULER, STANDARD.FAILED_TASKS) >= 1
+    assert [e.kind for e in history.events_for("modsum")].count(EventKind.SHUFFLE_PREAGG) == 1
 
 
 def test_preagg_moves_fewer_bytes_than_raw():
     _, agg_result, _ = _run_count_job("serial")
-    _, raw_result, _ = _run_count_job("serial", preagg=False, metadata=False)
+    _, raw_result, _ = _run_count_job("serial", aggregation=False)
     agg_bytes = agg_result.counters.value(STANDARD.GROUP_TASK, STANDARD.SHUFFLE_BYTES)
     raw_bytes = raw_result.counters.value(STANDARD.GROUP_TASK, STANDARD.SHUFFLE_BYTES)
     assert 0 < agg_bytes < raw_bytes

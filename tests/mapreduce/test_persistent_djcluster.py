@@ -1,18 +1,21 @@
 """DJ-Cluster on the shared persistent index: an execution detail.
 
-The neighborhood phase now reads the catalog-managed persistent R-tree
-by default.  That switch must be invisible to the answers: clusters,
-labels and noise must be byte-identical to the legacy per-job in-memory
-build — on every execution backend, under a fixed chaos schedule, and
-under a memory budget.  And because the index is shared, a second
-``ensure`` over the same preprocessed dataset version must be a zero-job
-catalog hit.
+The neighborhood phase reads the catalog-managed persistent R-tree.
+That must be invisible to the answers: clusters, labels and noise must
+equal ``djcluster_sequential`` over the same preprocessed rows — on every
+execution backend, under a fixed chaos schedule, and under a memory
+budget.  And because the index is shared, a second ``ensure`` over the
+same preprocessed dataset version must be a zero-job catalog hit.
 """
 
 import numpy as np
 import pytest
 
-from repro.algorithms.djcluster import DJClusterParams, run_djcluster_mapreduce
+from repro.algorithms.djcluster import (
+    DJClusterParams,
+    djcluster_sequential,
+    run_djcluster_mapreduce,
+)
 from repro.mapreduce.chaos import INPUT_PATH, _build_corpus, _fresh_runner, default_schedule
 from repro.mapreduce.config import BACKENDS
 from repro.observability.events import EventKind
@@ -23,15 +26,13 @@ from repro.observability.events import EventKind
 PARAMS = DJClusterParams(radius_m=200.0, min_pts=4)
 
 
-def _run(use_persistent, *, backend="serial", chaos=None, budget=None):
+def _run(*, backend="serial", chaos=None, budget=None):
     runner = _fresh_runner(
         _build_corpus(3, 1, 42), 3, 64 * 1024, chaos,
         executor=backend, max_workers=2, memory_budget_mb=budget,
     )
     try:
-        result = run_djcluster_mapreduce(
-            runner, INPUT_PATH, PARAMS, use_persistent_index=use_persistent
-        )
+        result = run_djcluster_mapreduce(runner, INPUT_PATH, PARAMS)
         kinds = [e.kind for e in runner.history]
         return result, kinds
     finally:
@@ -49,35 +50,33 @@ def _assert_identical(a, b):
     )
 
 
+def _assert_equals_sequential(mr):
+    """The single-node clustering of the very rows the MR run clustered
+    (its preprocessing is per chunk, so the oracle starts after it)."""
+    assert mr.n_clusters > 0, "corpus produced no clusters — test is vacuous"
+    _assert_identical(mr, djcluster_sequential(mr.preprocessed, PARAMS, preprocess=False))
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_persistent_index_is_invisible_per_backend(backend):
-    legacy, legacy_kinds = _run(False, backend=backend)
-    shared, shared_kinds = _run(True, backend=backend)
-    assert legacy.n_clusters > 0, "corpus produced no clusters — test is vacuous"
-    _assert_identical(legacy, shared)
-    # Same simulated build cost: the catalog runs the same Figure-6 jobs.
-    # (The neighborhood stage drifts by microseconds — the broadcast now
-    # ships the portable page set, whose modeled size differs slightly
-    # from the pickled tree's.)
-    assert shared.stage_sim_seconds["preprocessing"] == legacy.stage_sim_seconds["preprocessing"]
-    assert shared.stage_sim_seconds["rtree_build"] == legacy.stage_sim_seconds["rtree_build"]
-    assert shared.sim_seconds == pytest.approx(legacy.sim_seconds, rel=1e-5)
-    assert EventKind.INDEX_PUBLISH in shared_kinds
-    assert EventKind.INDEX_PUBLISH not in legacy_kinds
+    shared, kinds = _run(backend=backend)
+    _assert_equals_sequential(shared)
+    assert EventKind.INDEX_PUBLISH in kinds
+    if backend != "serial":
+        serial, _ = _run()
+        _assert_identical(shared, serial)
+        assert shared.stage_sim_seconds == serial.stage_sim_seconds
 
 
 def test_persistent_index_is_invisible_under_chaos():
-    schedule = default_schedule(3)
-    legacy, _ = _run(False, chaos=schedule)
-    shared, _ = _run(True, chaos=schedule)
-    assert legacy.n_clusters > 0
-    _assert_identical(legacy, shared)
+    shared, _ = _run(chaos=default_schedule(3))
+    _assert_equals_sequential(shared)
 
 
 def test_persistent_index_is_invisible_under_memory_budget():
-    legacy, _ = _run(False)
-    budgeted, kinds = _run(True, budget=0.01)
-    _assert_identical(legacy, budgeted)
+    budgeted, kinds = _run(budget=0.01)
+    _assert_equals_sequential(budgeted)
+    _assert_identical(budgeted, _run()[0])
     assert EventKind.INDEX_PUBLISH in kinds
 
 

@@ -7,7 +7,7 @@ from concurrent.futures import CancelledError
 
 import pytest
 
-from repro.algorithms.sampling import SamplingMapper
+from repro.algorithms.sampling import SamplingMapper, UserCensusMapper
 from repro.geo.synthetic import SyntheticConfig, generate_dataset
 from repro.mapreduce.chaos import _trace_array_signature, run_multitenant_check
 from repro.mapreduce.cluster import paper_cluster
@@ -15,6 +15,7 @@ from repro.mapreduce.config import BACKENDS, Configuration
 from repro.mapreduce.hdfs import SimulatedHDFS
 from repro.mapreduce.job import JobSpec
 from repro.mapreduce.runner import JobRunner
+from repro.mapreduce.aggregation import CountAggregation
 from repro.mapreduce.service import (
     RESULT_CACHE_HITS,
     SERVICE_GROUP,
@@ -22,6 +23,7 @@ from repro.mapreduce.service import (
     JobStatus,
     QuotaExceededError,
     UnknownTenantError,
+    result_cache_key,
 )
 from repro.observability.report import summarize, tenant_accounting
 
@@ -149,6 +151,67 @@ def test_different_conf_is_not_a_hit():
         assert other.n_map_tasks > 0
         assert service.result_cache.hits == 0
         assert service.result_cache.misses == 2
+
+
+class _MaxAggregation(CountAggregation):
+    """A second toy monoid over the same mapper: per-key maximum."""
+
+    def merge(self, acc, partial):
+        return max(acc, partial)
+
+    def lift_pairs(self, pairs):
+        return None
+
+
+class _ScaledCount(CountAggregation):
+    """A parameterised monoid: its state is part of its identity."""
+
+    def __init__(self, scale):
+        self.scale = scale
+
+    def finalize(self, key, acc, ctx):
+        ctx.emit(key, int(acc) * self.scale)
+
+
+def _census_spec(name, out, aggregation=CountAggregation):
+    return JobSpec(
+        name=name, mapper=UserCensusMapper, aggregation=aggregation,
+        input_paths=["input/traces"], output_path=out, map_cost_factor=0.3,
+    )
+
+
+def test_cache_key_tells_aggregations_apart():
+    """With ``reducer=`` optional the monoid may be all that separates two
+    specs: same mapper + different aggregation must not share a key."""
+    hdfs = _hdfs()
+
+    def key(aggregation):
+        return result_cache_key(_census_spec("j", "out/j", aggregation), hdfs, {})
+
+    assert key(CountAggregation) is not None
+    assert key(CountAggregation) == key(CountAggregation())  # class or instance
+    assert key(CountAggregation) != key(_MaxAggregation)
+    assert key(_ScaledCount(2)) == key(_ScaledCount(2)) != key(_ScaledCount(3))
+    assert key(_ScaledCount(object())) is None  # unfingerprintable state: uncacheable
+    assert key(None) != key(CountAggregation)  # a map-only census is another job
+
+
+def test_different_aggregation_is_not_a_hit_and_resubmission_is():
+    with JobService(_hdfs(), tenants={"t": 1.0}) as service:
+        def run(name, aggregation):
+            spec = _census_spec(name, f"out/{name}", aggregation)
+            result = service.submit(spec, tenant="t").result(timeout=60)
+            return result, sorted(service.hdfs.read_records(f"out/{name}"))
+
+        first, sums = run("sum", CountAggregation)
+        other, maxima = run("max", _MaxAggregation)
+        assert first.n_map_tasks > 0 and other.n_map_tasks > 0
+        assert service.result_cache.hits == 0
+        assert maxima != sums  # several chunks per user: max of counts < their sum
+        again, sums_again = run("sum-again", CountAggregation)
+        assert again.n_map_tasks == 0
+        assert service.result_cache.hits == 1
+        assert sums_again == sums
 
 
 def test_cache_can_be_disabled():

@@ -4,10 +4,32 @@ import numpy as np
 import pytest
 
 from repro.mapreduce import types
+from repro.mapreduce.aggregation import CountAggregation, preaggregate
 from repro.mapreduce.job import ConstantKeyPartitioner, HashPartitioner, Partitioner
 from repro.mapreduce.shuffle import ShuffleResult, _shuffle_generic, group_sorted, shuffle
+from repro.mapreduce.spill import (
+    MB,
+    ShuffleSpiller,
+    SpillDirectory,
+    SpillStats,
+    SpilledMapOutput,
+    WorkerSpillSpec,
+    spill_map_output,
+)
 from repro.mapreduce.types import SIZED_WITHOUT_PICKLE, estimate_nbytes
 from tests.conftest import count_calls
+
+
+@pytest.fixture()
+def spiller_of(tmp_path):
+    """``spiller_of(budget_bytes, n_reducers)``: a spiller in a temp dir."""
+    directory = SpillDirectory(tmp_path / "spill")
+
+    def make(budget_bytes, n_reducers):
+        return ShuffleSpiller(budget_bytes, directory, n_reducers, SpillStats())
+
+    yield make
+    directory.cleanup()
 
 
 class TestGroupSorted:
@@ -73,6 +95,24 @@ class TestShuffle:
         with pytest.raises(ValueError):
             shuffle([[("k", 1)]], Bad(), 2)
 
+    @pytest.mark.parametrize("entry", ["in-memory", "envelope", "budgeted"])
+    def test_bad_partitioner_same_error_every_entry(self, entry, spiller_of):
+        """One routing stage, so one message — whichever sink it feeds."""
+
+        class Bad(Partitioner):
+            def partition(self, key, n):
+                return n  # off by one
+
+        outputs = [[(7, 1)]]
+        kwargs = {}
+        if entry == "envelope":
+            kwargs["aggregation"] = CountAggregation()
+            outputs = [preaggregate(kwargs["aggregation"], outputs[0], "n1", "map-0000")[0]]
+        elif entry == "budgeted":
+            kwargs["spiller"] = spiller_of(1, 2)
+        with pytest.raises(ValueError, match=r"^partitioner returned 2 for 2 reducers$"):
+            shuffle(outputs, Bad(), 2, **kwargs)
+
     def test_zero_reducers_rejected(self):
         with pytest.raises(ValueError):
             shuffle([], HashPartitioner(), 0)
@@ -84,17 +124,23 @@ class TestShuffle:
         assert result.n_reducers == 2
 
 
+def _fan_out_outputs():
+    """Two tasks emitting 20 value objects to many keys, plus an equal twin."""
+    values = [(role, f"user-{i}", np.arange(i + 3.0)) for i, role in enumerate([0, 1] * 10)]
+    equal_twin = (0, "user-0", np.arange(3.0))  # equal to values[0], another object
+    outputs = [
+        [(f"cell-{(i + step) % 7}", value) for i, value in enumerate(values) for step in range(4)],
+        [(f"cell-{i % 7}", value) for i, value in enumerate(values)] + [("cell-0", equal_twin)],
+    ]
+    return values, equal_twin, outputs
+
+
 class TestGenericShuffleSizesEachObjectOnce:
     """One value object emitted under many keys (the linkage attack ships a
     fingerprint to every blocking cell) is charged per emission, pickled once."""
 
     def test_distinct_objects_not_emissions(self, monkeypatch):
-        values = [(role, f"user-{i}", np.arange(i + 3.0)) for i, role in enumerate([0, 1] * 10)]
-        equal_twin = (0, "user-0", np.arange(3.0))  # equal to values[0], another object
-        outputs = [
-            [(f"cell-{(i + step) % 7}", value) for i, value in enumerate(values) for step in range(4)],
-            [(f"cell-{i % 7}", value) for i, value in enumerate(values)] + [("cell-0", equal_twin)],
-        ]
+        values, equal_twin, outputs = _fan_out_outputs()
         charged = sum(
             estimate_nbytes(key) + estimate_nbytes(value) for out in outputs for key, value in out
         )
@@ -104,6 +150,27 @@ class TestGenericShuffleSizesEachObjectOnce:
         assert {id(args[0]) for args in pickled} == {id(value) for value in values} | {id(equal_twin)}
         assert result.shuffled_bytes == sum(result.partition_bytes) == charged
         assert sum(result.records_for(p) for p in range(3)) == 5 * len(values) + 1
+
+    @pytest.mark.parametrize("budget_bytes", [10 * MB, 1], ids=["under-budget", "spilling"])
+    def test_budgeted(self, monkeypatch, spiller_of, budget_bytes):
+        """The external sink shares the routing stage's memo.  Under budget
+        nothing leaves memory, so every object is sized once; a cut run
+        takes its records out of memory (their ids may be reused), so the
+        second task's emissions are sized again — once per object, still
+        not once per emission."""
+        values, _, outputs = _fan_out_outputs()
+        want = _shuffle_generic(outputs, HashPartitioner(), 3)
+        sized = count_calls(monkeypatch, types.pickle, "dumps")
+        spiller = spiller_of(budget_bytes, 3)
+        result = shuffle(outputs, HashPartitioner(), 3, spiller=spiller)
+        n_sized = len(sized)  # before the comparison below materializes anything
+        assert result.spilled == (budget_bytes == 1)
+        assert n_sized == (2 * len(values) + 1 if result.spilled else len(values) + 1)
+        assert result.partition_bytes == want.partition_bytes
+        assert result.shuffled_bytes == want.shuffled_bytes
+        got = [[(k, [v[1] for v in vs]) for k, vs in p] for p in result.partitions]
+        assert got == [[(k, [v[1] for v in vs]) for k, vs in p] for p in want.partitions]
+        result.release()
 
     def test_scalar_and_array_streams_never_touch_the_memo(self, monkeypatch):
         pickled = count_calls(monkeypatch, types.pickle, "dumps")
@@ -121,3 +188,48 @@ class TestGenericShuffleSizesEachObjectOnce:
             before = len(pickled)
             estimate_nbytes(value)
             assert len(pickled) == before + 1
+
+
+class TestSingleRead:
+    """A spilled map output is a file: every entry of ``shuffle`` loads it once."""
+
+    @pytest.fixture()
+    def handle_outputs(self, tmp_path):
+        spec = WorkerSpillSpec(str(tmp_path), threshold_bytes=1)
+        return [
+            spill_map_output(spec, f"map-{t:04d}", [(i % 5, (t, i)) for i in range(30)], 480)
+            for t in range(3)
+        ]
+
+    @pytest.mark.parametrize(
+        "partitioner", [HashPartitioner(), ConstantKeyPartitioner()], ids=["hash", "constant"]
+    )
+    @pytest.mark.parametrize(
+        "budget_bytes", [None, 10 * MB, 64], ids=["unbudgeted", "under-budget", "spilling"]
+    )
+    def test_one_load_per_output(
+        self, monkeypatch, handle_outputs, spiller_of, partitioner, budget_bytes
+    ):
+        """Unbudgeted, under budget (the spiller hands its buffer to the
+        in-memory grouping: no second pass) and spilling alike — and the
+        three results are equal."""
+        want = _shuffle_generic(handle_outputs, partitioner, 2)
+        loads = count_calls(monkeypatch, SpilledMapOutput, "load")
+        spiller = None if budget_bytes is None else spiller_of(budget_bytes, 2)
+        result = shuffle(handle_outputs, partitioner, 2, spiller=spiller)
+        assert len(loads) == len(handle_outputs)
+        assert result.spilled == (budget_bytes == 64)
+        assert result.partitions == want.partitions
+        assert result.partition_bytes == want.partition_bytes
+        assert result.shuffled_bytes == want.shuffled_bytes
+        result.release()
+
+    def test_declined_fast_path_does_not_reload(self, monkeypatch, tmp_path):
+        """Str keys under the hash partitioner: the vectorized path looks
+        at the records and declines; the generic one must not re-read."""
+        spec = WorkerSpillSpec(str(tmp_path), threshold_bytes=1)
+        outputs = [spill_map_output(spec, "map-0000", [(f"u{i % 3}", i) for i in range(9)], 90)]
+        loads = count_calls(monkeypatch, SpilledMapOutput, "load")
+        result = shuffle(outputs, HashPartitioner(), 2)
+        assert len(loads) == 1
+        assert sum(result.records_for(r) for r in range(2)) == 9

@@ -227,8 +227,7 @@ def _reference(map_outputs, n_reducers):
 
 def _spilled(map_outputs, n_reducers, budget_bytes, tmp_path):
     spiller = ShuffleSpiller(
-        budget_bytes, SpillDirectory(tmp_path / "sp"), n_reducers,
-        HashPartitioner(), SpillStats(),
+        budget_bytes, SpillDirectory(tmp_path / "sp"), n_reducers, SpillStats()
     )
     sh = shuffle(map_outputs, HashPartitioner(), n_reducers, spiller=spiller)
     return [sh.partition(r) for r in range(n_reducers)], sh
@@ -284,17 +283,6 @@ class TestShuffleSpillerEquivalence:
         assert sh.partition_bytes == want_sh.partition_bytes
         sh.release()
 
-    def test_bad_partitioner_rejected(self, tmp_path):
-        class Bad:
-            def partition(self, key, n):
-                return n  # out of range
-
-        spiller = ShuffleSpiller(
-            64, SpillDirectory(tmp_path / "sp"), 2, Bad(), SpillStats()
-        )
-        with pytest.raises(ValueError, match="partitioner returned"):
-            spiller.feed([(1, 1)])
-
 
 class TestSpillManager:
     def test_specs_and_cleanup(self, tmp_path):
@@ -303,7 +291,7 @@ class TestSpillManager:
         assert j2 == j1 + 1
         spec = mgr.worker_spec(j1)
         assert spec.threshold_bytes == 1024 and str(mgr.directory.path) == spec.directory
-        spiller = mgr.shuffle_spiller(j1, 2, HashPartitioner())
+        spiller = mgr.shuffle_spiller(j1, 2)
         assert spiller.budget_bytes == 1024
         mgr.close()
         assert not (tmp_path / "mgr").exists()
@@ -355,14 +343,14 @@ class TestBudgetedHDFS:
 
 class TestSpilledReduceInput:
     def test_as_groups_round_trip(self, tmp_path):
-        spiller = ShuffleSpiller(
-            32, SpillDirectory(tmp_path / "sp"), 2, HashPartitioner(), SpillStats()
-        )
-        spiller.feed([(i % 3, i) for i in range(40)])
+        spiller = ShuffleSpiller(32, SpillDirectory(tmp_path / "sp"), 2, SpillStats())
+        # Routed records, as the shuffle's routing stage feeds them.
+        spiller.feed([(i % 3 % 2, 16, i % 3, i) for i in range(40)])
         spiller.finish()
         assert spiller.spilled()
         partitions, events = spiller.merge()
         assert len(partitions) == 2 and len(events) == 2
+        assert [e["bytes"] for e in events] == spiller.partition_bytes == [27 * 16, 13 * 16]
         for handle in partitions:
             groups = as_groups(handle)
             assert handle.n_groups == len(groups)

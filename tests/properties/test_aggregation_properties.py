@@ -13,7 +13,7 @@ from repro.mapreduce.aggregation import (
     preaggregate,
 )
 from repro.mapreduce.job import HashPartitioner, ReduceContext
-from repro.mapreduce.shuffle import shuffle
+from repro.mapreduce.shuffle import _shuffle_generic, shuffle
 
 int_pairs = st.lists(
     st.tuples(
@@ -63,18 +63,16 @@ def _reduce_out(agg, sh):
 @given(task_outputs, st.integers(min_value=1, max_value=5))
 def test_metadata_shuffle_law(outputs, n_reducers):
     """For any per-task integer outputs, reduce over the metadata-only
-    shuffle equals reduce over the legacy transport equals the sequential
-    per-key sum — and the metadata path never ships more bytes."""
+    shuffle equals reduce over the reference shuffle (the same envelopes
+    moved as plain objects) equals the sequential per-key sum — and the
+    metadata path never ships more bytes."""
     agg = CountAggregation()
     env_outputs = []
     for i, pairs in enumerate(outputs):
         env_pairs, _ = preaggregate(agg, pairs, f"n{i % 3}", f"map-{i:04d}")
         env_outputs.append(env_pairs)
     meta = shuffle(env_outputs, HashPartitioner(), n_reducers, aggregation=agg)
-    legacy = shuffle(
-        env_outputs, HashPartitioner(), n_reducers,
-        aggregation=agg, metadata_only=False,
-    )
+    legacy = _shuffle_generic(env_outputs, HashPartitioner(), n_reducers)
     want = Counter()
     for pairs in outputs:
         for k, v in pairs:

@@ -177,9 +177,7 @@ def test_external_shuffle_matches_in_memory(map_outputs, n_reducers):
     reference = shuffle(map_outputs, partitioner, n_reducers)
     directory = SpillDirectory(None)
     try:
-        spiller = ShuffleSpiller(
-            1, directory, n_reducers, partitioner, SpillStats()
-        )
+        spiller = ShuffleSpiller(1, directory, n_reducers, SpillStats())
         spilled = shuffle(map_outputs, partitioner, n_reducers, spiller=spiller)
         assert spilled.n_reducers == reference.n_reducers
         for r in range(n_reducers):
