@@ -25,12 +25,10 @@ import networkx as nx
 import numpy as np
 
 from repro.geo.distance import haversine_m
-from repro.geo.synthetic import KM_PER_DEG_LAT
+from repro.geo.grid import grid_cells, time_windows
 from repro.geo.trace import GeolocatedDataset, TraceArray
 
 __all__ = ["ColocationParams", "colocation_graph", "contact_events"]
-
-_M_PER_DEG_LAT = KM_PER_DEG_LAT * 1000.0
 
 
 @dataclass(frozen=True)
@@ -56,13 +54,10 @@ class ColocationParams:
 
 def _window_cells(array: TraceArray, params: ColocationParams) -> np.ndarray:
     """(window, cell_lat, cell_lon) bucket per trace, cell = radius-sized."""
-    cell_m = params.contact_radius_m
-    cell_lat = cell_m / _M_PER_DEG_LAT
-    lat_band = np.floor(array.latitude / cell_lat).astype(np.int64)
-    cos_band = np.maximum(np.cos(np.radians((lat_band + 0.5) * cell_lat)), 1e-9)
-    cell_lon = cell_m / (_M_PER_DEG_LAT * cos_band)
-    lon_band = np.floor(array.longitude / cell_lon).astype(np.int64)
-    window = np.floor_divide(array.timestamp, params.window_s).astype(np.int64)
+    lat_band, lon_band = grid_cells(
+        array.latitude, array.longitude, params.contact_radius_m
+    )
+    window = time_windows(array.timestamp, params.window_s)
     return np.stack([window, lat_band, lon_band], axis=1)
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geo.distance import haversine_m
+from repro.geo.grid import unique_rows
 from repro.index.rtree import _check_radius_queries, _order_hits_by_query
 
 __all__ = ["radius_self_join", "self_join_csr"]
@@ -76,7 +77,7 @@ def self_join_csr(
         # Exact-coordinate classes only (a pair an ulp apart is also at
         # Haversine distance 0): one cell per class, no two adjacent.
         lat_band = np.ones(n, dtype=np.int64)
-        lon_band = 2 * np.unique(points, axis=0, return_inverse=True)[1].reshape(n) + 1
+        lon_band = 2 * unique_rows(lat, lon, return_inverse=True)[1] + 1
     else:
         # Cells only need to be *at least* radius-sized; a floor keeps the
         # integer band computation finite for degenerate tiny radii (the

@@ -13,14 +13,14 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.attacks.poi import PointOfInterestEstimate
 from repro.geo.distance import haversine_m
-from repro.geo.synthetic import KM_PER_DEG_LAT, PointOfInterest
+from repro.geo.grid import grid_cells, time_windows, unique_rows
+from repro.geo.synthetic import PointOfInterest
 from repro.geo.trace import GeolocatedDataset, TraceArray
 from repro.sanitization.mixzones import MixZone
 
@@ -37,8 +37,6 @@ __all__ = [
     "WindowRisk",
     "window_reidentification_risk",
 ]
-
-_M_PER_DEG_LAT = KM_PER_DEG_LAT * 1000.0
 
 # Count of ratio computations whose denominator was empty (e.g. POI
 # recovery scored with no extracted or no true POIs).  Such ratios come
@@ -134,6 +132,15 @@ def poi_recovery(
     )
 
 
+def bucket_user_rows(array: TraceArray, cell_m: float, window_s: float):
+    """The distinct ``(window, lat band, lon band, user index)`` rows of a
+    release, as four sorted columns — the quasi-identifier table both
+    anonymity views count over."""
+    lat_band, lon_band = grid_cells(array.latitude, array.longitude, cell_m)
+    window = time_windows(array.timestamp, window_s)
+    return unique_rows(window, lat_band, lon_band, array.user_index)
+
+
 def anonymity_set_sizes(
     dataset: GeolocatedDataset | TraceArray,
     cell_m: float = 500.0,
@@ -145,17 +152,8 @@ def anonymity_set_sizes(
     actually achieves at that granularity.
     """
     array = dataset.flat() if isinstance(dataset, GeolocatedDataset) else dataset
-    if len(array) == 0:
-        return np.empty(0, dtype=np.int64)
-    cell_lat = cell_m / _M_PER_DEG_LAT
-    lat_band = np.floor(array.latitude / cell_lat).astype(np.int64)
-    cos_band = np.maximum(np.cos(np.radians((lat_band + 0.5) * cell_lat)), 1e-9)
-    cell_lon = cell_m / (_M_PER_DEG_LAT * cos_band)
-    lon_band = np.floor(array.longitude / cell_lon).astype(np.int64)
-    window = np.floor_divide(array.timestamp, window_s).astype(np.int64)
-    buckets = np.stack([window, lat_band, lon_band, array.user_index.astype(np.int64)], axis=1)
-    uniq = np.unique(buckets, axis=0)
-    _, counts = np.unique(uniq[:, :3], axis=0, return_counts=True)
+    *bucket, _ = bucket_user_rows(array, cell_m, window_s)
+    _, counts = unique_rows(*bucket, return_counts=True)
     return np.sort(counts)
 
 
@@ -205,22 +203,13 @@ def window_reidentification_risk(
     array = dataset.flat() if isinstance(dataset, GeolocatedDataset) else dataset
     if len(array) == 0:
         return WindowRisk(0, 0, 0.0, 0, 0.0)
-    cell_lat = cell_m / _M_PER_DEG_LAT
-    lat_band = np.floor(array.latitude / cell_lat).astype(np.int64)
-    cos_band = np.maximum(np.cos(np.radians((lat_band + 0.5) * cell_lat)), 1e-9)
-    cell_lon = cell_m / (_M_PER_DEG_LAT * cos_band)
-    lon_band = np.floor(array.longitude / cell_lon).astype(np.int64)
-    window = np.floor_divide(array.timestamp, window_s).astype(np.int64)
-    rows = np.stack(
-        [window, lat_band, lon_band, array.user_index.astype(np.int64)], axis=1
-    )
-    uniq = np.unique(rows, axis=0)  # one row per (bucket, user)
-    _, bucket_ids, counts = np.unique(
-        uniq[:, :3], axis=0, return_inverse=True, return_counts=True
+    *bucket, user = bucket_user_rows(array, cell_m, window_s)
+    _, bucket_ids, counts = unique_rows(
+        *bucket, return_inverse=True, return_counts=True
     )
     sizes = counts[bucket_ids]  # per (bucket, user) row: its bucket population
-    n_users = int(len(np.unique(uniq[:, 3])))
-    exposed = int(len(np.unique(uniq[sizes == 1, 3])))
+    n_users = int(len(np.unique(user)))
+    exposed = int(len(np.unique(user[sizes == 1])))
     return WindowRisk(
         n_users=n_users,
         exposed_users=exposed,
@@ -242,19 +231,11 @@ def mixzone_anonymity_sets(
     """
     array = dataset.flat() if isinstance(dataset, GeolocatedDataset) else dataset
     out: dict[int, np.ndarray] = {}
-    if len(array) == 0:
-        return {i: np.empty(0, dtype=np.int64) for i in range(len(zones))}
-    windows = np.floor_divide(array.timestamp, window_s).astype(np.int64)
+    windows = time_windows(array.timestamp, window_s)
     for zi, zone in enumerate(zones):
         inside = zone.contains(array.latitude, array.longitude)
-        if not inside.any():
-            out[zi] = np.empty(0, dtype=np.int64)
-            continue
-        pairs = np.stack(
-            [windows[inside], array.user_index[inside].astype(np.int64)], axis=1
-        )
-        uniq = np.unique(pairs, axis=0)
-        _, counts = np.unique(uniq[:, 0], return_counts=True)
+        zone_windows, _ = unique_rows(windows[inside], array.user_index[inside])
+        _, counts = np.unique(zone_windows, return_counts=True)
         out[zi] = np.sort(counts)
     return out
 
@@ -273,23 +254,13 @@ def home_work_anonymity(
     returned value is, per user, how many users share their exact
     (home cell, work cell) pair.  1 means uniquely identifiable.
     """
-    if cell_m <= 0:
-        raise ValueError("cell_m must be positive")
-    cell_lat = cell_m / _M_PER_DEG_LAT
-
-    def cell(lat: float, lon: float) -> tuple[int, int]:
-        lat_band = math.floor(lat / cell_lat)
-        cos_band = max(math.cos(math.radians((lat_band + 0.5) * cell_lat)), 1e-9)
-        cell_lon = cell_m / (_M_PER_DEG_LAT * cos_band)
-        return lat_band, math.floor(lon / cell_lon)
-
-    signature = {
-        user: (cell(*home), cell(*work)) for user, (home, work) in pairs.items()
-    }
-    counts: dict[tuple, int] = {}
-    for sig in signature.values():
-        counts[sig] = counts.get(sig, 0) + 1
-    return {user: counts[sig] for user, sig in signature.items()}
+    places = np.array(list(pairs.values()), dtype=np.float64).reshape(-1, 4)
+    home = grid_cells(places[:, 0], places[:, 1], cell_m)
+    work = grid_cells(places[:, 2], places[:, 3], cell_m)
+    _, signature, counts = unique_rows(
+        *home, *work, return_inverse=True, return_counts=True
+    )
+    return dict(zip(pairs, counts[signature].tolist()))
 
 
 @dataclass

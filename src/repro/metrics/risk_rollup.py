@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geo.synthetic import KM_PER_DEG_LAT
+from repro.geo.grid import unique_rows
 from repro.mapreduce.aggregation import CountAggregation
 from repro.mapreduce.config import Configuration
 from repro.mapreduce.job import JobSpec, Mapper
 from repro.mapreduce.runner import JobResult, JobRunner
 from repro.mapreduce.types import Chunk
-from repro.metrics.privacy import WindowRisk
+from repro.metrics.privacy import WindowRisk, bucket_user_rows
 from repro.observability.events import EventKind
 
 __all__ = [
@@ -42,15 +42,12 @@ __all__ = [
     "risk_from_rows",
 ]
 
-_M_PER_DEG_LAT = KM_PER_DEG_LAT * 1000.0
-
 
 class RiskBucketMapper(Mapper):
     """Distinct (window, cell, user) rows of one chunk (vectorized).
 
-    Uses the exact binning arithmetic of
-    :func:`repro.metrics.privacy.window_reidentification_risk` — same
-    band-centre cosine, same ``floor`` / ``floor_divide`` casts — so the
+    Bins through the same :func:`repro.metrics.privacy.bucket_user_rows`
+    as :func:`~repro.metrics.privacy.window_reidentification_risk`, so the
     union of all chunks' rows equals the driver-side row set.  Conf keys:
     ``risk.cell_m`` and ``risk.window_s``.
     """
@@ -59,21 +56,9 @@ class RiskBucketMapper(Mapper):
         cell_m = ctx.conf.get_float("risk.cell_m")
         window_s = ctx.conf.get_float("risk.window_s")
         array = chunk.trace_array()
-        if len(array) == 0:
-            return
-        cell_lat = cell_m / _M_PER_DEG_LAT
-        lat_band = np.floor(array.latitude / cell_lat).astype(np.int64)
-        cos_band = np.maximum(np.cos(np.radians((lat_band + 0.5) * cell_lat)), 1e-9)
-        cell_lon = cell_m / (_M_PER_DEG_LAT * cos_band)
-        lon_band = np.floor(array.longitude / cell_lon).astype(np.int64)
-        window = np.floor_divide(array.timestamp, window_s).astype(np.int64)
-        rows = np.stack(
-            [window, lat_band, lon_band, array.user_index.astype(np.int64)], axis=1
-        )
-        for w, la, lo, ui in np.unique(rows, axis=0).tolist():
-            ctx.emit(
-                (int(w), int(la), int(lo), array.users[ui]), 1, nbytes=40
-            )
+        rows = bucket_user_rows(array, cell_m, window_s)
+        for w, la, lo, ui in zip(*(column.tolist() for column in rows)):
+            ctx.emit((w, la, lo, array.users[ui]), 1, nbytes=40)
 
 
 def risk_from_rows(rows: "list[tuple[int, int, int, str]]") -> WindowRisk:
@@ -85,10 +70,10 @@ def risk_from_rows(rows: "list[tuple[int, int, int, str]]") -> WindowRisk:
     """
     if not rows:
         return WindowRisk(0, 0, 0.0, 0, 0.0)
-    buckets = np.array([r[:3] for r in rows], dtype=np.int64)
-    users = [r[3] for r in rows]
-    _, bucket_ids, counts = np.unique(
-        buckets, axis=0, return_inverse=True, return_counts=True
+    *bucket, users = zip(*rows)
+    _, bucket_ids, counts = unique_rows(
+        *(np.array(column, dtype=np.int64) for column in bucket),
+        return_inverse=True, return_counts=True,
     )
     sizes = counts[bucket_ids]
     n_users = len(set(users))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geo.distance import haversine_m
-from repro.geo.synthetic import KM_PER_DEG_LAT
+from repro.geo.grid import grid_cells, time_windows, unique_rows
 from repro.geo.trace import GeolocatedDataset, TraceArray
 
 __all__ = [
@@ -30,8 +30,6 @@ __all__ = [
     "UtilityReport",
     "utility_report",
 ]
-
-_M_PER_DEG_LAT = KM_PER_DEG_LAT * 1000.0
 
 
 def _match_by_time(original: TraceArray, sanitized: TraceArray) -> tuple[np.ndarray, np.ndarray]:
@@ -84,13 +82,7 @@ def trace_volume_ratio(
 
 
 def _visited_cells(array: TraceArray, cell_m: float) -> set[tuple[int, int]]:
-    if len(array) == 0:
-        return set()
-    cell_lat = cell_m / _M_PER_DEG_LAT
-    lat_band = np.floor(array.latitude / cell_lat).astype(np.int64)
-    cos_band = np.maximum(np.cos(np.radians((lat_band + 0.5) * cell_lat)), 1e-9)
-    cell_lon = cell_m / (_M_PER_DEG_LAT * cos_band)
-    lon_band = np.floor(array.longitude / cell_lon).astype(np.int64)
+    lat_band, lon_band = grid_cells(array.latitude, array.longitude, cell_m)
     return set(zip(lat_band.tolist(), lon_band.tolist()))
 
 
@@ -132,19 +124,13 @@ def range_query_error(
         return 0.0
 
     def buckets(array: TraceArray) -> dict[tuple[int, int, int], int]:
-        cell_lat = cell_m / _M_PER_DEG_LAT
-        lat_band = np.floor(array.latitude / cell_lat).astype(np.int64)
-        cos_band = np.maximum(np.cos(np.radians((lat_band + 0.5) * cell_lat)), 1e-9)
-        cell_lon = cell_m / (_M_PER_DEG_LAT * cos_band)
-        lon_band = np.floor(array.longitude / cell_lon).astype(np.int64)
-        window = np.floor_divide(array.timestamp, window_s).astype(np.int64)
-        keys, counts = np.unique(
-            np.stack([window, lat_band, lon_band], axis=1), axis=0, return_counts=True
-        )
-        return {tuple(int(v) for v in key): int(c) for key, c in zip(keys, counts)}
+        lat_band, lon_band = grid_cells(array.latitude, array.longitude, cell_m)
+        window = time_windows(array.timestamp, window_s)
+        keys, counts = unique_rows(window, lat_band, lon_band, return_counts=True)
+        return dict(zip(zip(*(key.tolist() for key in keys)), counts.tolist()))
 
     orig_counts = buckets(orig)
-    san_counts = buckets(san) if len(san) else {}
+    san_counts = buckets(san)
     rng = np.random.default_rng(seed)
     keys = list(orig_counts)
     picks = rng.choice(len(keys), size=min(n_queries, len(keys)), replace=False)

@@ -16,13 +16,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.sampling import SamplingTechnique, sample_array
-from repro.geo.synthetic import KM_PER_DEG_LAT
+from repro.geo.grid import grid_cells, unique_rows
 from repro.geo.trace import TraceArray
 from repro.sanitization.base import Sanitizer
 
 __all__ = ["SpatialAggregator", "TemporalAggregator"]
-
-_M_PER_DEG_LAT = KM_PER_DEG_LAT * 1000.0
 
 
 class SpatialAggregator(Sanitizer):
@@ -42,14 +40,8 @@ class SpatialAggregator(Sanitizer):
         self.cell_m = cell_m
 
     def _cells(self, array: TraceArray) -> np.ndarray:
-        cell_lat = self.cell_m / _M_PER_DEG_LAT
-        lat_band = np.floor(array.latitude / cell_lat)
-        cos_band = np.maximum(np.cos(np.radians((lat_band + 0.5) * cell_lat)), 1e-9)
-        cell_lon = self.cell_m / (_M_PER_DEG_LAT * cos_band)
-        lon_band = np.floor(array.longitude / cell_lon)
-        cells = np.stack([lat_band.astype(np.int64), lon_band.astype(np.int64)], axis=1)
-        _, inverse = np.unique(cells, axis=0, return_inverse=True)
-        return inverse
+        cells = grid_cells(array.latitude, array.longitude, self.cell_m)
+        return unique_rows(*cells, return_inverse=True)[1]
 
     def sanitize_array(self, array: TraceArray) -> TraceArray:
         if len(array) == 0:

@@ -19,13 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geo.synthetic import KM_PER_DEG_LAT
+from repro.geo.grid import grid_cells, time_windows, unique_rows
 from repro.geo.trace import GeolocatedDataset, TraceArray
 from repro.sanitization.base import Sanitizer
 
 __all__ = ["SpatialCloaking"]
-
-_M_PER_DEG_LAT = KM_PER_DEG_LAT * 1000.0
 
 
 class SpatialCloaking(Sanitizer):
@@ -67,20 +65,18 @@ class SpatialCloaking(Sanitizer):
         lets the MapReduce adaptation (:mod:`repro.sanitization.cloaking_mr`)
         cloak each coarsest-level bucket independently yet exactly.
         """
-        cell_lat = self.base_cell_m / _M_PER_DEG_LAT
-        lat_band = np.floor(array.latitude / cell_lat).astype(np.int64)
-        cos_band = np.maximum(np.cos(np.radians((lat_band + 0.5) * cell_lat)), 1e-9)
-        cell_lon = self.base_cell_m / (_M_PER_DEG_LAT * cos_band)
-        lon_band = np.floor(array.longitude / cell_lon).astype(np.int64)
-        window = np.floor_divide(array.timestamp, self.window_s).astype(np.int64)
+        lat_band, lon_band = grid_cells(
+            array.latitude, array.longitude, self.base_cell_m
+        )
+        window = time_windows(array.timestamp, self.window_s)
         return np.stack([window, lat_band, lon_band], axis=1)
 
     def _cell_ids(self, array: TraceArray, level: int) -> np.ndarray:
-        cells = self.base_cells(array).copy()
-        cells[:, 1] >>= level  # arithmetic shift floors negatives too
-        cells[:, 2] >>= level
-        _, inverse = np.unique(cells, axis=0, return_inverse=True)
-        return inverse
+        window, lat_band, lon_band = self.base_cells(array).T
+        # An arithmetic shift floors negatives too.
+        return unique_rows(
+            window, lat_band >> level, lon_band >> level, return_inverse=True
+        )[1]
 
     def sanitize_array(self, array: TraceArray) -> TraceArray:
         """Cloak an array that contains *all* users of the release.
@@ -102,9 +98,8 @@ class SpatialCloaking(Sanitizer):
             groups = self._cell_ids(array, level)
             # Count distinct users per group over pending traces only is
             # wrong — anonymity counts everyone present in the cell.
-            pairs = np.stack([groups, users.astype(np.int64)], axis=1)
-            uniq_pairs = np.unique(pairs, axis=0)
-            users_per_group = np.bincount(uniq_pairs[:, 0], minlength=int(groups.max()) + 1)
+            user_groups, _ = unique_rows(groups, users)
+            users_per_group = np.bincount(user_groups, minlength=int(groups.max()) + 1)
             ok = users_per_group[groups] >= self.k
             newly = pending & ok
             if newly.any():

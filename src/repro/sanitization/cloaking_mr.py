@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geo.synthetic import KM_PER_DEG_LAT
+from repro.geo.grid import unique_rows
 from repro.geo.trace import TraceArray
 from repro.mapreduce.config import Configuration
 from repro.mapreduce.job import JobSpec, Mapper, Reducer
@@ -33,8 +33,6 @@ from repro.mapreduce.types import Chunk
 from repro.sanitization.cloaking import SpatialCloaking
 
 __all__ = ["run_cloaking_mapreduce", "CloakBucketMapper", "CloakReducer"]
-
-_M_PER_DEG_LAT = KM_PER_DEG_LAT * 1000.0
 
 
 def _macro_buckets(array: TraceArray, cloak: SpatialCloaking) -> np.ndarray:
@@ -64,10 +62,8 @@ class CloakBucketMapper(Mapper):
 
     def run(self, chunk: Chunk, ctx) -> None:
         array = chunk.trace_array()
-        if len(array) == 0:
-            return
         buckets = _macro_buckets(array, self._cloak)
-        _, inverse = np.unique(buckets, axis=0, return_inverse=True)
+        _, inverse = unique_rows(*buckets.T, return_inverse=True)
         for group in np.unique(inverse):
             mask = inverse == group
             block = array[mask]

@@ -37,7 +37,7 @@ import numpy as np
 from repro.algorithms.djcluster import DJClusterParams, run_djcluster_mapreduce
 from repro.algorithms.kmeans import run_kmeans_mapreduce
 from repro.algorithms.sampling import run_sampling_job
-from repro.geo.synthetic import KM_PER_DEG_LAT
+from repro.geo.grid import grid_cells, unique_rows
 from repro.geo.trace import TraceArray
 from repro.metrics.privacy import WindowRisk, window_reidentification_risk
 from repro.observability.events import EventKind
@@ -51,8 +51,6 @@ __all__ = [
     "RiskTimeline",
     "StreamRunResult",
 ]
-
-_M_PER_DEG_LAT = KM_PER_DEG_LAT * 1000.0
 
 #: Event kinds that count as "served from a cache, zero tasks ran".
 _CACHE_HIT_KINDS = (EventKind.RESULT_CACHE_HIT, EventKind.INDEX_REUSE)
@@ -79,24 +77,20 @@ def _array_signature(array: TraceArray) -> str:
 def _top_cells(array: TraceArray, cell_m: float) -> dict[str, tuple[int, int]]:
     """Each user's modal grid cell (most visited; ties break to the
     lexicographically smallest cell) — the linkage quasi-identifier."""
-    if len(array) == 0:
-        return {}
-    cell_lat = cell_m / _M_PER_DEG_LAT
-    lat_band = np.floor(array.latitude / cell_lat).astype(np.int64)
-    cos_band = np.maximum(np.cos(np.radians((lat_band + 0.5) * cell_lat)), 1e-9)
-    cell_lon = cell_m / (_M_PER_DEG_LAT * cos_band)
-    lon_band = np.floor(array.longitude / cell_lon).astype(np.int64)
-    rows = np.stack(
-        [array.user_index.astype(np.int64), lat_band, lon_band], axis=1
+    lat_band, lon_band = grid_cells(array.latitude, array.longitude, cell_m)
+    (user, lat_band, lon_band), counts = unique_rows(
+        array.user_index, lat_band, lon_band, return_counts=True
     )
-    uniq, counts = np.unique(rows, axis=0, return_counts=True)
-    order = np.lexsort((uniq[:, 2], uniq[:, 1], -counts, uniq[:, 0]))
-    ranked = uniq[order]
-    first = np.ones(len(ranked), dtype=bool)
-    first[1:] = ranked[1:, 0] != ranked[:-1, 0]
+    # Stable, so equal counts keep the rows' (lat band, lon band) order.
+    order = np.lexsort((-counts, user))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = user[order][1:] != user[order][:-1]
+    top = order[first]
     return {
-        array.users[int(u)]: (int(la), int(lo))
-        for u, la, lo in ranked[first]
+        array.users[u]: (la, lo)
+        for u, la, lo in zip(
+            user[top].tolist(), lat_band[top].tolist(), lon_band[top].tolist()
+        )
     }
 
 
@@ -322,11 +316,6 @@ class StreamingJobManager:
         else:
             self.client.job_tags = tags
 
-    def _cache_hits(self) -> int:
-        return sum(
-            1 for e in self.client.history if e.kind in _CACHE_HIT_KINDS
-        )
-
     # -- one window ----------------------------------------------------------
     def process(self, dataset: WindowDataset) -> WindowResult:
         """Run the analysis chain over one sealed window."""
@@ -336,7 +325,7 @@ class StreamingJobManager:
         w = dataset.index
         wdir = f"{self.root}/{self.name}/work/w{w:04d}"
         clock0 = history.clock
-        hits0 = self._cache_hits()
+        events0 = len(history)
         self._set_tags({"stream": self.name, "window": w})
         try:
             window_array = (
@@ -449,7 +438,9 @@ class StreamingJobManager:
             risk=risk,
             linked_users=linked,
             latency_s=latency,
-            cache_hits=self._cache_hits() - hits0,
+            cache_hits=sum(
+                1 for e in history.events[events0:] if e.kind in _CACHE_HIT_KINDS
+            ),
         )
         self.results.append(result)
         self.timeline.append(result)
