@@ -429,7 +429,6 @@ def run_djcluster_mapreduce(
     runner: JobRunner,
     input_path: str,
     params: DJClusterParams | None = None,
-    n_rtree_partitions: int | None = None,
     rtree_curve: str = "hilbert",
     workdir: str = "tmp/djcluster",
     history_path: str | None = None,
@@ -471,13 +470,11 @@ def run_djcluster_mapreduce(
             sim_seconds=pre.sim_seconds, stage_sim_seconds={"preprocessing": pre.sim_seconds},
         )
 
-    if n_rtree_partitions is None:
-        n_rtree_partitions = max(1, runner.cluster.total_reduce_slots() // 2)
     build_t0 = runner.history.clock
     index, _built = IndexCatalog(hdfs).ensure(
         runner,
         preprocessed_path,
-        n_partitions=n_rtree_partitions,
+        n_partitions=max(1, runner.cluster.total_reduce_slots() // 2),
         curve=rtree_curve,
         max_entries=params.rtree_max_entries,
     )

@@ -365,7 +365,6 @@ def run_kmeans_mapreduce(
     init: str = "random",
     use_combiner: bool = False,
     use_aggregation: bool = False,
-    num_reducers: int | None = None,
     workdir: str = "tmp/kmeans",
     history_path: str | None = None,
     name_prefix: str = "kmeans",
@@ -433,7 +432,7 @@ def run_kmeans_mapreduce(
                 input_paths=[input_path],
                 output_path=out_path,
                 conf=conf,
-                num_reducers=num_reducers or min(k, runner.cluster.total_reduce_slots()),
+                num_reducers=min(k, runner.cluster.total_reduce_slots()),
                 map_cost_factor=cost_factor,
             )
         )

@@ -41,8 +41,6 @@ __all__ = [
     "sample_dataset",
     "SamplingMapper",
     "run_sampling_job",
-    "UserCensusMapper",
-    "run_sampling_census_job",
 ]
 
 
@@ -134,70 +132,6 @@ class SamplingMapper(Mapper):
         sampled = sample_array(chunk.trace_array(), window_s, technique)
         if len(sampled):
             ctx.emit_array(sampled)
-
-
-class UserCensusMapper(Mapper):
-    """Per-user record counts over one chunk (vectorized).
-
-    One ``np.unique`` pass over the chunk's user index yields each
-    user's count; the job's declared
-    :class:`~repro.mapreduce.aggregation.CountAggregation` folds the
-    per-chunk counts into corpus totals, so the runner ships one
-    fixed-size envelope per (node, user) instead of one record per
-    (chunk, user).
-    """
-
-    def run(self, chunk: Chunk, ctx) -> None:
-        array = chunk.trace_array()
-        if len(array) == 0:
-            return
-        idx, counts = np.unique(array.user_index, return_counts=True)
-        for i, count in zip(idx.tolist(), counts.tolist()):
-            ctx.emit(array.users[i], int(count), nbytes=16)
-
-
-def run_sampling_census_job(
-    runner: JobRunner,
-    input_path: str,
-    output_path: str,
-    name: str = "sampling-census",
-    num_reducers: int = 1,
-    history_path: "str | None" = None,
-) -> JobResult:
-    """Count each user's surviving records (the down-sampling census).
-
-    Sampling itself is map-only, so the natural follow-up question —
-    *how many representatives did each user keep?* — is the corpus
-    rollup this job answers.  Its reduce is declared as a
-    :class:`~repro.mapreduce.aggregation.CountAggregation` (an exactly
-    associative integer monoid), so the shuffle moves fixed-size
-    aggregate envelopes instead of per-chunk count records.
-    """
-
-    from repro.mapreduce.aggregation import CountAggregation
-
-    spec = JobSpec(
-        name=name,
-        mapper=UserCensusMapper,
-        aggregation=CountAggregation,
-        input_paths=[input_path],
-        output_path=output_path,
-        num_reducers=num_reducers,
-        map_cost_factor=0.3,  # one unique() pass per chunk
-    )
-    result = runner.run(spec)
-    runner.history.emit(
-        EventKind.DRIVER_ANNOTATION,
-        result.job_name,
-        runner.history.clock,
-        driver="sampling-census",
-        users=result.counters.value(
-            STANDARD.GROUP_TASK, STANDARD.REDUCE_OUTPUT_RECORDS
-        ),
-    )
-    if history_path is not None:
-        runner.history.save(history_path)
-    return result
 
 
 def run_sampling_job(

@@ -22,7 +22,7 @@ from repro.attacks.poi import (
     poi_attack,
     label_home_work,
 )
-from repro.attacks.mmc import MobilityMarkovChain, build_mmc, mmc_distance
+from repro.attacks.mmc import MobilityMarkovChain, build_mmc
 from repro.attacks.prediction import evaluate_next_place_prediction, PredictionReport
 from repro.attacks.deanonymization import (
     DeanonymizationResult,
@@ -36,7 +36,6 @@ from repro.attacks.semantics import (
     SemanticPlace,
     SemanticVisit,
     label_places,
-    semantic_trail,
 )
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "label_home_work",
     "MobilityMarkovChain",
     "build_mmc",
-    "mmc_distance",
     "evaluate_next_place_prediction",
     "PredictionReport",
     "DeanonymizationResult",
@@ -60,5 +58,4 @@ __all__ = [
     "SemanticPlace",
     "SemanticVisit",
     "label_places",
-    "semantic_trail",
 ]

@@ -22,7 +22,6 @@ from repro.geo.trace import Trail, TraceArray
 __all__ = [
     "MobilityMarkovChain",
     "build_mmc",
-    "mmc_distance",
     "mmc_link_score",
     "visit_sequence",
 ]
@@ -255,37 +254,25 @@ def _match_states(a: MobilityMarkovChain, b: MobilityMarkovChain, max_dist_m: fl
     return pairs
 
 
-def mmc_distance(
-    a: MobilityMarkovChain,
-    b: MobilityMarkovChain,
-    max_match_dist_m: float = 500.0,
-    unmatched_penalty: float = 1.0,
-) -> float:
-    """Dissimilarity between two mobility fingerprints (lower = closer).
-
-    States are matched greedily by spatial proximity; matched states
-    contribute the absolute difference of their stationary probabilities
-    plus the L1 gap between their outgoing transition rows (restricted to
-    matched columns); unmatched stationary mass pays ``unmatched_penalty``.
-    This is the linking-attack scoring function.
-    """
-    return _pair_score(a, b, _match_states(a, b, max_match_dist_m), unmatched_penalty)
-
-
 def mmc_link_score(
     a: MobilityMarkovChain,
     b: MobilityMarkovChain,
     max_match_dist_m: float = 500.0,
     unmatched_penalty: float = 1.0,
 ) -> "float | None":
-    """Linking score, or ``None`` when the chains share no nearby POIs.
+    """Dissimilarity between two mobility fingerprints (lower = closer),
+    or ``None`` when the chains share no nearby POIs.
+
+    States are matched greedily by spatial proximity; matched states
+    contribute the absolute difference of their stationary probabilities
+    plus the L1 gap between their outgoing transition rows (restricted to
+    matched columns); unmatched stationary mass pays ``unmatched_penalty``.
 
     When no POI of ``a`` lies within ``max_match_dist_m`` of any POI of
     ``b`` the chains carry *no spatial evidence* about each other; the
-    value :func:`mmc_distance` returns in that regime is the pure
-    unmatched-mass penalty — a constant independent of which candidate is
-    being scored, so "best by penalty" degenerates to whichever candidate
-    is enumerated first.  Returning ``None`` lets callers skip such pairs
+    score in that regime would be the pure unmatched-mass penalty — a
+    constant independent of which candidate is being scored, so "best by
+    penalty" degenerates to whichever candidate is enumerated first.  Returning ``None`` lets callers skip such pairs
     outright, which is also what makes spatial candidate blocking exact:
     every pair with a non-``None`` score has at least one POI pair within
     ``max_match_dist_m``, hence shares a blocking cell.

@@ -31,7 +31,7 @@ from repro.geo.distance import haversine_m
 from repro.geo.trajectory import Stay, segment_trail
 from repro.geo.trace import Trail, TraceArray
 
-__all__ = ["SemanticPlace", "SemanticVisit", "label_places", "semantic_trail"]
+__all__ = ["SemanticPlace", "SemanticVisit", "label_places"]
 
 
 @dataclass
@@ -190,10 +190,3 @@ def label_places(
     visits.sort(key=lambda v: v.start_ts)
     return places, visits
 
-
-def semantic_trail(
-    trail: Trail | TraceArray, **kwargs
-) -> list[str]:
-    """The trail as a sequence of semantic labels (the privacy payload)."""
-    _places, visits = label_places(trail, **kwargs)
-    return [v.label for v in visits]

@@ -172,12 +172,7 @@ def run_sweep(
     ground_truth: dict[str, str],
     mechanisms: list[str],
     params: DJClusterParams | None = None,
-    max_pois: int = 8,
-    max_match_dist_m: float = 500.0,
-    n_workers: int = 3,
-    chunk_size: int = 256 * 1024,
     executor: str = "serial",
-    result_cache: bool = True,
     history_path: "str | None" = None,
 ) -> FrontierResult:
     """Attack every mechanism's release concurrently through one service.
@@ -201,12 +196,9 @@ def run_sweep(
         raise ValueError(f"mechanism specs collide after slugging: {slugs}")
     releases = {slug: _sanitize(spec, target) for slug, spec in zip(slugs, mechanisms)}
 
-    hdfs = SimulatedHDFS(paper_cluster(n_workers), chunk_size=chunk_size, seed=0)
+    hdfs = SimulatedHDFS(paper_cluster(3), chunk_size=256 * 1024, seed=0)
     service = JobService(
-        hdfs,
-        tenants={slug: 1.0 for slug in slugs},
-        executor=executor,
-        result_cache=result_cache,
+        hdfs, tenants={slug: 1.0 for slug in slugs}, executor=executor
     )
     outcomes: dict[str, object] = {}
     errors: dict[str, BaseException] = {}
@@ -224,8 +216,6 @@ def run_sweep(
                 release_path,
                 ground_truth,
                 params=params,
-                max_pois=max_pois,
-                max_match_dist_m=max_match_dist_m,
                 workdir=f"tenants/{slug}/tmp/linkage",
             )
             outcomes[slug] = outcome

@@ -1,9 +1,11 @@
 """Command-line interface: ``python -m repro <command>``.
 
-A thin front-end over the :class:`~repro.toolkit.Gepeto` facade so a
-data curator can run the standard workflow — generate/load, inspect,
-sample, attack, sanitize — without writing Python.  Datasets on disk use
-the GeoLife directory layout (``<root>/<user>/Trajectory/*.plt``).
+Lets a data curator run the standard workflow — generate/load, inspect,
+sample, attack, sanitize — without writing Python.  Each subcommand calls
+the algorithm, attack, sanitization and engine modules directly (the
+:class:`~repro.toolkit.Gepeto` facade is the *library* front-end; the
+CLI does not go through it).  Datasets on disk use the GeoLife directory
+layout (``<root>/<user>/Trajectory/*.plt``).
 
 Commands
 --------
@@ -16,7 +18,7 @@ Commands
 ``sweep``      privacy-vs-utility frontier over sanitizer cells (docs/ATTACKS.md)
 ``history``    render a job-history trace report (docs/OBSERVABILITY.md)
 ``chaos``      seeded fault-injection campaign over a driver (docs/CHAOS.md)
-``bench``      wall-clock benchmark of the execution backends (docs/PERFORMANCE.md)
+``bench``      one of the seven suites, gated against its baseline (docs/PERFORMANCE.md)
 ``submit``     submit one job to a JobService and trace its future (docs/JOBSERVICE.md)
 ``service``    multi-tenant campaign over the algorithm drivers (docs/JOBSERVICE.md)
 ``query``      build/reuse a persistent R-tree and serve queries from it (docs/SERVING.md)
@@ -349,12 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser(
         "bench",
-        help="wall-clock benchmark of the execution backends",
+        help="run one benchmark suite, gated against its committed baseline",
         description=(
-            "Times the fixed-initial-centroid k-means driver on every "
-            "execution backend over synthetic corpora, prints a table, "
-            "and optionally writes the JSON document / checks it against "
-            "a committed baseline (docs/PERFORMANCE.md)."
+            "Runs one of the seven suites (a mode flag picks it), checks "
+            "the suite's intrinsic gates, prints a table, and optionally "
+            "writes the JSON document / checks it against a committed "
+            "baseline (docs/PERFORMANCE.md).  With no mode flag: times the "
+            "fixed-initial-centroid k-means driver on every execution "
+            "backend over synthetic corpora."
         ),
     )
     ben.add_argument(
@@ -706,7 +710,10 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "visualize":
         dataset = _load(args.input)
-        print(ascii_density_map(dataset, width=args.width, height=args.height))
+        try:
+            print(ascii_density_map(dataset, width=args.width, height=args.height))
+        except ValueError as exc:
+            raise SystemExit(f"visualize: {exc}")
         return 0
 
     if args.command == "sample":

@@ -6,7 +6,7 @@ This subpackage provides the geolocated-data layer that GEPETO operates on:
   :class:`~repro.geo.trace.Trail` / :class:`~repro.geo.trace.GeolocatedDataset`
   data model (Section II of the paper).
 * :mod:`repro.geo.distance` — vectorized distance metrics (Haversine,
-  Euclidean, squared Euclidean, Manhattan).
+  squared Euclidean).
 * :mod:`repro.geo.geolife` — reader/writer for the exact GeoLife PLT on-disk
   format (Figure 1 of the paper).
 * :mod:`repro.geo.synthetic` — a generative model producing GeoLife-like
@@ -22,9 +22,7 @@ from repro.geo.trace import (
 from repro.geo.distance import (
     haversine_km,
     haversine_m,
-    euclidean,
     squared_euclidean,
-    manhattan,
     get_metric,
     EARTH_RADIUS_KM,
 )
@@ -41,7 +39,7 @@ from repro.geo.synthetic import (
     generate_user,
     generate_dataset,
 )
-from repro.geo.trajectory import Stay, Trip, segment_trail, stays_as_array
+from repro.geo.trajectory import Stay, Trip, segment_trail
 from repro.geo.stats import (
     UserStats,
     corpus_summary,
@@ -57,9 +55,7 @@ __all__ = [
     "TraceArray",
     "haversine_km",
     "haversine_m",
-    "euclidean",
     "squared_euclidean",
-    "manhattan",
     "get_metric",
     "EARTH_RADIUS_KM",
     "read_plt",
@@ -74,7 +70,6 @@ __all__ = [
     "Stay",
     "Trip",
     "segment_trail",
-    "stays_as_array",
     "UserStats",
     "corpus_summary",
     "radius_of_gyration_m",

@@ -23,9 +23,7 @@ __all__ = [
     "EARTH_RADIUS_KM",
     "haversine_km",
     "haversine_m",
-    "euclidean",
     "squared_euclidean",
-    "manhattan",
     "get_metric",
     "pairwise",
     "METRICS",
@@ -60,7 +58,7 @@ def haversine_m(lat1, lon1, lat2, lon2) -> np.ndarray | float:
 def squared_euclidean(lat1, lon1, lat2, lon2) -> np.ndarray | float:
     """Squared Euclidean distance in degree² space.
 
-    Monotonically related to :func:`euclidean`, so nearest-centroid
+    Monotonically related to the Euclidean distance, so nearest-centroid
     assignment is identical while avoiding the square root (the speed
     argument made in Section VI).
     """
@@ -70,26 +68,11 @@ def squared_euclidean(lat1, lon1, lat2, lon2) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def euclidean(lat1, lon1, lat2, lon2) -> np.ndarray | float:
-    """Euclidean distance in degree space."""
-    return np.sqrt(squared_euclidean(lat1, lon1, lat2, lon2))
-
-
-def manhattan(lat1, lon1, lat2, lon2) -> np.ndarray | float:
-    """Manhattan (L1) distance in degree space."""
-    dlat = np.abs(np.asarray(lat2, dtype=np.float64) - np.asarray(lat1, dtype=np.float64))
-    dlon = np.abs(np.asarray(lon2, dtype=np.float64) - np.asarray(lon1, dtype=np.float64))
-    out = dlat + dlon
-    return out if out.ndim else float(out)
-
-
 #: Registry of named metrics, mirroring the k-means ``distanceMeasure``
 #: runtime argument (Table II).
 METRICS: dict[str, Callable] = {
     "haversine": haversine_km,
-    "euclidean": euclidean,
     "squared_euclidean": squared_euclidean,
-    "manhattan": manhattan,
 }
 
 #: Relative per-pair computational cost of each metric, used by the
@@ -98,8 +81,6 @@ METRICS: dict[str, Callable] = {
 #: vectorized kernels (trig + sqrt vs two multiplies).
 METRIC_COST: dict[str, float] = {
     "squared_euclidean": 1.0,
-    "euclidean": 1.3,
-    "manhattan": 1.0,
     "haversine": 3.2,
 }
 

@@ -19,12 +19,13 @@ import numpy as np
 
 from repro.geo.synthetic import KM_PER_DEG_LAT
 
-__all__ = ["grid_cells", "time_windows", "unique_rows"]
+__all__ = ["finite_column", "grid_cells", "time_windows", "unique_rows"]
 
 _M_PER_DEG_LAT = KM_PER_DEG_LAT * 1000.0
 
 
-def _finite_column(values, what: str) -> np.ndarray:
+def finite_column(values, what: str) -> np.ndarray:
+    """``values`` as float64, or ``ValueError("<what> must be finite …")``."""
     values = np.asarray(values, dtype=np.float64)
     if not np.isfinite(values).all():
         raise ValueError(f"{what} must be finite (no NaN/inf)")
@@ -38,8 +39,8 @@ def grid_cells(lat, lon, cell_m: float) -> tuple[np.ndarray, np.ndarray]:
     non-finite coordinate or a ``cell_m`` that is not positive and finite."""
     if not 0 < cell_m < math.inf:
         raise ValueError(f"cell_m must be positive and finite, got {cell_m!r}")
-    lat = _finite_column(lat, "coordinates")
-    lon = _finite_column(lon, "coordinates")
+    lat = finite_column(lat, "coordinates")
+    lon = finite_column(lon, "coordinates")
     cell_lat = cell_m / _M_PER_DEG_LAT
     lat_band = np.floor(lat / cell_lat).astype(np.int64)
     cos_band = np.maximum(np.cos(np.radians((lat_band + 0.5) * cell_lat)), 1e-9)
@@ -53,7 +54,7 @@ def time_windows(timestamp, window_s: float) -> np.ndarray:
     timestamp, validated like :func:`grid_cells`."""
     if not 0 < window_s < math.inf:
         raise ValueError(f"window_s must be positive and finite, got {window_s!r}")
-    timestamp = _finite_column(timestamp, "timestamps")
+    timestamp = finite_column(timestamp, "timestamps")
     return np.floor_divide(timestamp, window_s).astype(np.int64)
 
 

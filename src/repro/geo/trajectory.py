@@ -22,7 +22,7 @@ import numpy as np
 from repro.geo.distance import haversine_m
 from repro.geo.trace import Trail, TraceArray
 
-__all__ = ["Stay", "Trip", "segment_trail", "stays_as_array"]
+__all__ = ["Stay", "Trip", "segment_trail"]
 
 
 @dataclass(frozen=True)
@@ -131,14 +131,3 @@ def segment_trail(
     flush_trip(n)
     return stays, trips
 
-
-def stays_as_array(stays: list[Stay], user_id: str = "stays") -> TraceArray:
-    """Stays as a trace array (one trace per stay, at its start time)."""
-    if not stays:
-        return TraceArray.empty()
-    return TraceArray.from_columns(
-        [user_id],
-        np.array([s.latitude for s in stays]),
-        np.array([s.longitude for s in stays]),
-        np.array([s.start_ts for s in stays]),
-    )

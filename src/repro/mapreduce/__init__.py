@@ -32,7 +32,7 @@ depends on —
 
 from repro.mapreduce.config import Configuration
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.types import Chunk, RecordPayload, ArrayPayload, record_stream
+from repro.mapreduce.types import Chunk, RecordPayload, ArrayPayload
 from repro.mapreduce.cluster import ClusterSpec, Node, paper_cluster
 from repro.mapreduce.hdfs import SimulatedHDFS
 from repro.mapreduce.job import (
@@ -51,17 +51,12 @@ from repro.mapreduce.failures import FailureInjector, TaskFailure
 from repro.mapreduce.cache import DistributedCache
 from repro.observability.history import JobHistory, load_history
 
-# NOTE: repro.mapreduce.textio is intentionally not imported here — it
-# depends on repro.algorithms (which depends back on this package);
-# import it as a submodule: ``from repro.mapreduce import textio``.
-
 __all__ = [
     "Configuration",
     "Counters",
     "Chunk",
     "RecordPayload",
     "ArrayPayload",
-    "record_stream",
     "ClusterSpec",
     "Node",
     "paper_cluster",

@@ -139,8 +139,6 @@ class JobRunner:
         The filesystem (and, through it, the cluster topology).
     cost_model:
         Simulated-time constants; defaults to the Table III calibration.
-    cache:
-        The distributed cache visible to all tasks of all jobs run here.
     failure_injector:
         Optional :class:`FailureInjector`; injected crashes are retried up
         to ``max_attempts`` per task, preferring a different replica node.
@@ -193,27 +191,25 @@ class JobRunner:
         nodes.  Requires the per-node byte provenance the metadata-only
         shuffle records, so only jobs declaring an
         :class:`~repro.mapreduce.aggregation.Aggregation` are affected.
-    history:
-        The :class:`~repro.observability.history.JobHistory` receiving
-        this deployment's structured trace events.  One collector spans
-        every job the runner executes (successive jobs stack on one
-        cumulative simulated clock), so a driver's per-iteration jobs
-        land in a single exportable history.  Defaults to a fresh
-        collector; pass one explicitly to share a history across runners.
+
+    ``runner.history`` is the
+    :class:`~repro.observability.history.JobHistory` receiving this
+    deployment's structured trace events.  One collector spans every job
+    the runner executes (successive jobs stack on one cumulative simulated
+    clock), so a driver's per-iteration jobs land in a single exportable
+    history.
     """
 
     def __init__(
         self,
         hdfs: SimulatedHDFS,
         cost_model: CostModel | None = None,
-        cache: DistributedCache | None = None,
         failure_injector: FailureInjector | None = None,
         max_attempts: int = MAX_TASK_ATTEMPTS,
         executor: str = "serial",
         max_workers: int | None = None,
         prefer_locality: bool = True,
         speculative: bool = False,
-        history: JobHistory | None = None,
         chaos: ChaosSchedule | None = None,
         retry_policy: RetryPolicy | None = None,
         memory_budget_mb: float | None = None,
@@ -230,7 +226,8 @@ class JobRunner:
         self.hdfs = hdfs
         self.cluster = hdfs.cluster
         self.cost_model = cost_model or CostModel()
-        self.cache = cache or DistributedCache()
+        #: The distributed cache visible to all tasks of all jobs run here.
+        self.cache = DistributedCache()
         self.failure_injector = failure_injector
         self.chaos = chaos
         self.retry_policy = retry_policy or RetryPolicy(max_attempts=max_attempts)
@@ -254,7 +251,7 @@ class JobRunner:
         self.prefer_locality = prefer_locality
         self.speculative = speculative
         self.reduce_locality = reduce_locality
-        self.history = history if history is not None else JobHistory()
+        self.history = JobHistory()
         #: Tenant label stamped into JOB_START events; ``None`` (solo
         #: deployments) keeps histories byte-identical to pre-service
         #: runs.  Set by the :class:`~repro.mapreduce.service.JobService`
@@ -454,7 +451,7 @@ class JobRunner:
             ]
             if untried:
                 return untried[0]
-        return alive[0]
+        return next((n for n in alive if usable(n)), alive[0])
 
     # -- output side -----------------------------------------------------------
     def _write_output(self, path: str, records: list[tuple[Any, Any]]) -> None:

@@ -63,7 +63,7 @@ from repro.geo.trace import TraceArray
 from repro.mapreduce.cache import DistributedCache
 from repro.mapreduce.config import MapReduceConfig, validate_tenants
 from repro.mapreduce.counters import Counters
-from repro.mapreduce.failures import ChaosSchedule, FailureInjector
+from repro.mapreduce.failures import ChaosSchedule
 from repro.mapreduce.hdfs import SimulatedHDFS
 from repro.mapreduce.job import JobSpec
 from repro.mapreduce.runner import JobResult, JobRunner
@@ -71,7 +71,6 @@ from repro.mapreduce.scheduler import (
     FairShareJob,
     FairSharePlan,
     MapPhasePlan,
-    RetryPolicy,
     plan_fair_share,
 )
 from repro.mapreduce.simtime import CostModel, JobTiming
@@ -553,8 +552,10 @@ class ServiceReport:
 class JobService:
     """Multi-tenant front end over one :class:`JobRunner` deployment.
 
-    Parameters mirror :class:`~repro.mapreduce.runner.JobRunner` (they
-    configure the inner runner) plus the service-level knobs:
+    ``executor``, ``max_workers``, ``chaos``, ``memory_budget_mb`` and
+    ``spill_dir`` configure the inner
+    :class:`~repro.mapreduce.runner.JobRunner` (every other runner setting
+    keeps its default); the service-level knobs are:
 
     ``tenants``
         The roster: ``{name: weight}`` or ``{name: {"weight": w,
@@ -578,15 +579,9 @@ class JobService:
         self,
         hdfs: SimulatedHDFS,
         tenants: Mapping[str, Any] | None = None,
-        cost_model: CostModel | None = None,
         executor: str = "serial",
         max_workers: int | None = None,
-        prefer_locality: bool = True,
-        speculative: bool = False,
-        history: JobHistory | None = None,
         chaos: ChaosSchedule | None = None,
-        retry_policy: RetryPolicy | None = None,
-        failure_injector: FailureInjector | None = None,
         memory_budget_mb: float | None = None,
         spill_dir: str | None = None,
         result_cache: bool = True,
@@ -607,21 +602,15 @@ class JobService:
         )
         self.hdfs = hdfs
         self.cluster = hdfs.cluster
-        self.cost_model = cost_model or CostModel()
         self._runner = JobRunner(
             hdfs,
-            cost_model=self.cost_model,
             executor=executor,
             max_workers=max_workers,
-            prefer_locality=prefer_locality,
-            speculative=speculative,
-            history=history,
             chaos=chaos,
-            retry_policy=retry_policy,
-            failure_injector=failure_injector,
             memory_budget_mb=memory_budget_mb,
             spill_dir=spill_dir,
         )
+        self.cost_model = self._runner.cost_model
         self.history = self._runner.history
         self._tenants: dict[str, _TenantState] = {
             name: _TenantState(TenantSpec(name, k["weight"], k["max_queued"]))

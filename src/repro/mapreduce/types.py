@@ -5,8 +5,8 @@ opaque payload plus the record/byte counts the scheduler and cost model
 need.  Two payload kinds cover everything the toolkit does:
 
 * :class:`RecordPayload` — a list of ``(key, value)`` pairs, the classic
-  Hadoop record-at-a-time representation (used by tests, text inputs and
-  small intermediate datasets).
+  Hadoop record-at-a-time representation (used by tests and small
+  intermediate datasets).
 * :class:`ArrayPayload` — a columnar :class:`~repro.geo.trace.TraceArray`
   slice.  Map *tasks* in Hadoop process a whole chunk anyway; vectorized
   mappers exploit that by operating on the chunk's array in one NumPy pass
@@ -20,7 +20,7 @@ from __future__ import annotations
 import pickle
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "PagedPayload",
     "concrete_payload",
     "Chunk",
-    "record_stream",
     "DEFAULT_RECORD_BYTES",
 ]
 
@@ -221,8 +220,3 @@ class Chunk:
             raise TypeError(f"chunk {self.chunk_id} does not hold traces")
         return TraceArray.from_traces(values)
 
-
-def record_stream(chunks: Iterable[Chunk]) -> Iterator[tuple[Any, Any]]:
-    """Flatten an iterable of chunks into one record stream."""
-    for chunk in chunks:
-        yield from chunk.records()

@@ -22,7 +22,6 @@ from repro.sanitization.masks import (
 )
 from repro.sanitization.aggregation import SpatialAggregator, TemporalAggregator
 from repro.sanitization.cloaking import SpatialCloaking
-from repro.sanitization.cloaking_mr import run_cloaking_mapreduce
 from repro.sanitization.mixzones import MixZone, MixZoneSanitizer
 from repro.sanitization.pseudonyms import ANONYMOUS_ID, Pseudonymizer
 
@@ -40,7 +39,6 @@ __all__ = [
     "SpatialAggregator",
     "TemporalAggregator",
     "SpatialCloaking",
-    "run_cloaking_mapreduce",
     "MixZone",
     "MixZoneSanitizer",
 ]

@@ -9,9 +9,9 @@ users in that window; traces whose cell never reaches k users (even at
 the coarsest level) are suppressed.
 
 Cloaking inherently needs cross-user context, so it is **not** chunk-local
-(``chunk_local = False``): the MapReduce adaptation must shuffle traces by
-time window first, which :func:`cloak_dataset` documents and the facade's
-pipeline performs dataset-side.
+(``chunk_local = False``): a MapReduce adaptation would have to shuffle
+traces by time window first, so ``repro sanitize``, ``repro sweep`` and the
+facade cloak dataset-side (:meth:`SpatialCloaking.sanitize_dataset`).
 """
 
 from __future__ import annotations
@@ -61,9 +61,7 @@ class SpatialCloaking(Sanitizer):
 
         Coarser levels are derived by right-shifting the integer bands,
         so the hierarchy is a true quadtree: every level-``l`` cell is
-        the union of exactly ``4^l`` base cells.  This nesting is what
-        lets the MapReduce adaptation (:mod:`repro.sanitization.cloaking_mr`)
-        cloak each coarsest-level bucket independently yet exactly.
+        the union of exactly ``4^l`` base cells.
         """
         lat_band, lon_band = grid_cells(
             array.latitude, array.longitude, self.base_cell_m

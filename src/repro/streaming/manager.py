@@ -263,14 +263,10 @@ class StreamingJobManager:
         root: str = "streams",
         k: int = 4,
         max_iter: int = 12,
-        convergence_delta: float = 1e-4,
-        distance: str = "squared_euclidean",
         seed: int = 0,
         sampling_window_s: float = 600.0,
-        technique: str = "upper",
         warm_start: bool = True,
         dj_params: DJClusterParams | None = None,
-        pois: bool = True,
         risk_cell_m: float = 500.0,
         risk_window_s: float = 3600.0,
         risk_rollup: bool = False,
@@ -280,14 +276,10 @@ class StreamingJobManager:
         self.root = root
         self.k = k
         self.max_iter = max_iter
-        self.convergence_delta = convergence_delta
-        self.distance = distance
         self.seed = seed
         self.sampling_window_s = sampling_window_s
-        self.technique = technique
         self.warm_start = warm_start
         self.dj_params = dj_params if dj_params is not None else DJClusterParams()
-        self.pois = pois
         self.risk_cell_m = risk_cell_m
         self.risk_window_s = risk_window_s
         #: When on, step 4's risk score runs as the
@@ -343,7 +335,6 @@ class StreamingJobManager:
                     dataset.path,
                     sampled_path,
                     self.sampling_window_s,
-                    technique=self.technique,
                     name=f"{self.name}-w{w:04d}-sample",
                 )
                 sampled = hdfs.read_trace_array(sampled_path)
@@ -361,8 +352,6 @@ class StreamingJobManager:
                     client,
                     dataset.path,
                     k=self.k,
-                    distance=self.distance,
-                    convergence_delta=self.convergence_delta,
                     max_iter=self.max_iter,
                     seed=self.seed + w,
                     initial_centroids=self._prev_centroids if warm else None,
@@ -382,7 +371,7 @@ class StreamingJobManager:
                 converged = False
             # 3. windowed DJ-Cluster POIs over the sampled output,
             # against the catalog-ensured persistent index.
-            if self.pois and len(sampled):
+            if len(sampled):
                 dj = run_djcluster_mapreduce(
                     client,
                     sampled_path,

@@ -1,29 +1,26 @@
-"""Visualization and export: ASCII density maps, GeoJSON and CSV.
+"""Visualization: ASCII density maps and fixed-width tables.
 
 GEPETO "can be used to visualize ... a particular geolocated dataset".
 With no plotting stack available offline, visualization is text-first:
 
 * :func:`ascii_density_map` — a terminal heat map of trace density, with
   optional POI markers (the quickstart's visual);
-* :func:`to_geojson` — standard GeoJSON FeatureCollections for traces,
-  clusters and POIs, loadable in any GIS tool;
-* :func:`to_csv` — flat trace export.
+* :func:`cluster_summary_table` / :func:`mmc_transition_table` — the
+  extracted POIs and a Mobility Markov Chain as text tables.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.attacks.poi import PointOfInterestEstimate
+from repro.geo.grid import finite_column
 from repro.geo.trace import GeolocatedDataset, TraceArray
 
 __all__ = [
     "ascii_density_map",
-    "to_geojson",
-    "to_csv",
     "cluster_summary_table",
     "mmc_transition_table",
 ]
@@ -42,13 +39,17 @@ def ascii_density_map(
 
     ``markers`` is a sequence of (lat, lon, single-char label) overlays,
     e.g. POI positions.  Density is log-scaled so dwell clusters do not
-    wash out the commute corridors.
+    wash out the commute corridors.  ``ValueError`` for a non-finite
+    coordinate (a NaN bounding box would collapse the whole raster).
     """
     array = data.flat() if isinstance(data, GeolocatedDataset) else data
     if len(array) == 0:
         return "(empty dataset)"
     if width < 2 or height < 2:
         raise ValueError("width and height must each be >= 2")
+    finite_column(array.latitude, "coordinates")
+    finite_column(array.longitude, "coordinates")
+    finite_column([m[:2] for m in markers], "coordinates")
     min_lat, min_lon, max_lat, max_lon = array.bounding_box()
     span_lat = max(max_lat - min_lat, 1e-9)
     span_lon = max(max_lon - min_lon, 1e-9)
@@ -74,89 +75,6 @@ def ascii_density_map(
         f"n={len(array)}"
     )
     return f"{border}\n{body}\n{border}\n{legend}"
-
-
-def to_geojson(
-    data: GeolocatedDataset | TraceArray | None = None,
-    pois: Iterable[PointOfInterestEstimate] = (),
-    clusters: Sequence[np.ndarray] | None = None,
-    cluster_points: TraceArray | None = None,
-    max_traces: int = 10_000,
-) -> str:
-    """Serialize traces / POIs / clusters as a GeoJSON FeatureCollection.
-
-    Traces beyond ``max_traces`` are uniformly subsampled so exports stay
-    loadable.  GeoJSON positions are (longitude, latitude).
-    """
-    features: list[dict] = []
-    if data is not None:
-        array = data.flat() if isinstance(data, GeolocatedDataset) else data
-        n = len(array)
-        idx = np.arange(n)
-        if n > max_traces:
-            idx = np.linspace(0, n - 1, max_traces).astype(int)
-        users = array.user_ids()
-        for i in idx:
-            features.append(
-                {
-                    "type": "Feature",
-                    "geometry": {
-                        "type": "Point",
-                        "coordinates": [float(array.longitude[i]), float(array.latitude[i])],
-                    },
-                    "properties": {
-                        "kind": "trace",
-                        "user": str(users[i]),
-                        "timestamp": float(array.timestamp[i]),
-                    },
-                }
-            )
-    for poi in pois:
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {
-                    "type": "Point",
-                    "coordinates": [poi.longitude, poi.latitude],
-                },
-                "properties": {
-                    "kind": "poi",
-                    "label": poi.label,
-                    "n_traces": poi.n_traces,
-                    "dwell_time_s": poi.dwell_time_s,
-                },
-            }
-        )
-    if clusters is not None:
-        if cluster_points is None:
-            raise ValueError("clusters require cluster_points")
-        coords = cluster_points.coordinates()
-        for ci, ids in enumerate(clusters):
-            ring = coords[ids]
-            features.append(
-                {
-                    "type": "Feature",
-                    "geometry": {
-                        "type": "MultiPoint",
-                        "coordinates": [[float(lon), float(lat)] for lat, lon in ring],
-                    },
-                    "properties": {"kind": "cluster", "cluster": ci, "size": int(len(ids))},
-                }
-            )
-    return json.dumps({"type": "FeatureCollection", "features": features})
-
-
-def to_csv(data: GeolocatedDataset | TraceArray) -> str:
-    """Flat CSV export: ``user,latitude,longitude,timestamp,altitude``."""
-    array = data.flat() if isinstance(data, GeolocatedDataset) else data
-    lines = ["user,latitude,longitude,timestamp,altitude"]
-    users = array.user_ids()
-    for i in range(len(array)):
-        lines.append(
-            f"{users[i]},{array.latitude[i]:.6f},{array.longitude[i]:.6f},"
-            f"{array.timestamp[i]:.3f},{array.altitude[i]:.1f}"
-        )
-    return "\n".join(lines)
 
 
 def mmc_transition_table(mmc, max_states: int = 10) -> str:

@@ -29,7 +29,7 @@ class TestAssign:
     def test_tie_breaks_to_lowest_index(self):
         centroids = np.array([[0.0, 0.0], [2.0, 0.0]])
         pts = np.array([[1.0, 0.0]])
-        assert assign_points(pts, centroids, "euclidean")[0] == 0
+        assert assign_points(pts, centroids, "squared_euclidean")[0] == 0
 
     def test_haversine_and_euclidean_can_agree_on_blobs(self):
         pts, centers = three_blobs()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.attacks.semantics import label_places, semantic_trail
+from repro.attacks.semantics import label_places
 from repro.geo.trace import TraceArray
 
 
@@ -154,10 +154,11 @@ class TestDayEndpointHomeHeuristic:
 
 class TestSemanticTrail:
     def test_label_sequence(self):
-        seq = semantic_trail(_week_schedule(), min_stay_s=600)
+        _, visits = label_places(_week_schedule(), min_stay_s=600)
+        seq = [v.label for v in visits]
         assert seq.count("home") >= 5
         assert seq.count("work") >= 5
         assert "lunch" in seq
 
     def test_empty_trail(self):
-        assert semantic_trail(TraceArray.empty()) == []
+        assert label_places(TraceArray.empty()) == ([], [])

@@ -7,11 +7,9 @@ from repro.geo.distance import (
     EARTH_RADIUS_KM,
     METRIC_COST,
     METRICS,
-    euclidean,
     get_metric,
     haversine_km,
     haversine_m,
-    manhattan,
     pairwise,
     squared_euclidean,
 )
@@ -54,25 +52,18 @@ class TestHaversine:
 
 class TestPlanarMetrics:
     def test_squared_euclidean_matches_euclidean_squared(self):
-        d2 = squared_euclidean(0.0, 0.0, 3.0, 4.0)
-        d = euclidean(0.0, 0.0, 3.0, 4.0)
-        assert d2 == pytest.approx(25.0)
-        assert d == pytest.approx(5.0)
+        assert squared_euclidean(0.0, 0.0, 3.0, 4.0) == pytest.approx(25.0)
 
     def test_squared_preserves_order(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(50, 2))
         ref = np.zeros(2)
-        d1 = euclidean(ref[0], ref[1], a[:, 0], a[:, 1])
+        d1 = np.hypot(a[:, 0] - ref[0], a[:, 1] - ref[1])
         d2 = squared_euclidean(ref[0], ref[1], a[:, 0], a[:, 1])
         assert np.array_equal(np.argsort(d1), np.argsort(d2))
 
-    def test_manhattan(self):
-        assert manhattan(0.0, 0.0, 3.0, -4.0) == pytest.approx(7.0)
-
     def test_scalar_returns_float(self):
         assert isinstance(squared_euclidean(0.0, 0.0, 1.0, 1.0), float)
-        assert isinstance(manhattan(0.0, 0.0, 1.0, 1.0), float)
 
 
 class TestRegistry:
@@ -105,14 +96,14 @@ class TestPairwise:
 
     def test_accepts_callable(self):
         a = np.array([[0.0, 0.0]])
-        d = pairwise(manhattan, a, a)
+        d = pairwise(squared_euclidean, a, a)
         assert d[0, 0] == 0.0
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            pairwise("euclidean", np.zeros(3), np.zeros((2, 2)))
+            pairwise("squared_euclidean", np.zeros(3), np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            pairwise("euclidean", np.zeros((2, 3)), np.zeros((2, 2)))
+            pairwise("squared_euclidean", np.zeros((2, 3)), np.zeros((2, 2)))
 
     def test_haversine_pairwise_symmetric(self):
         pts = np.array([[39.9, 116.4], [40.0, 116.5], [39.8, 116.2]])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geo.trace import TraceArray
-from repro.geo.trajectory import Stay, segment_trail, stays_as_array
+from repro.geo.trajectory import segment_trail
 
 
 def _build(segments, user="u"):
@@ -120,16 +120,3 @@ class TestSegmentation:
         )
         assert near / len(stays) > 0.8
 
-
-class TestStaysAsArray:
-    def test_roundtrip(self):
-        stays = [
-            Stay(39.9, 116.4, 0.0, 600.0, 10),
-            Stay(39.95, 116.5, 1000.0, 2000.0, 20),
-        ]
-        arr = stays_as_array(stays)
-        assert len(arr) == 2
-        assert list(arr.timestamp) == [0.0, 1000.0]
-
-    def test_empty(self):
-        assert len(stays_as_array([])) == 0

@@ -220,6 +220,27 @@ class TestBlacklisting:
         ]
         assert [e.node for e in blacklist_events] == ["worker02"]
 
+    def test_last_resort_retry_avoids_the_blacklisted_node(self):
+        """Every alive node tried, one of them blacklisted: the retry goes
+        back to the healthy one instead of burning the budget on the bad
+        one (which sorts first among the alive nodes)."""
+        hdfs = make_deployment(n_workers=3)
+        hdfs.kill_datanode("worker00")
+        plan = JobRunner(hdfs).run(spec(out="probe")).map_plan
+        victim = next(a.task_id for a in plan.assignments if a.node == "worker02")
+        runner = JobRunner(
+            hdfs,
+            chaos=ChaosSchedule(bad_nodes={"worker01"}),
+            failure_injector=FailureInjector(scripted={(victim, 1)}),
+            retry_policy=RetryPolicy(blacklist_after=2),
+        )
+        runner.run(spec())
+        assert sum(v for _, v in hdfs.read_records("out")) == N_RECORDS
+        assert [
+            e.node for e in runner.history
+            if e.kind == EventKind.ATTEMPT_FAILED and e.task == victim
+        ] == ["worker02", "worker01"]
+
     def test_node_blacklist_crossing_semantics(self):
         bl = NodeBlacklist(threshold=2)
         assert not bl.record_failure("w")   # 1st failure: below threshold

@@ -5,15 +5,16 @@ same bytes as a solo run, on every backend and under chaos)."""
 
 from concurrent.futures import CancelledError
 
+import numpy as np
 import pytest
 
-from repro.algorithms.sampling import SamplingMapper, UserCensusMapper
+from repro.algorithms.sampling import SamplingMapper
 from repro.geo.synthetic import SyntheticConfig, generate_dataset
 from repro.mapreduce.chaos import _trace_array_signature, run_multitenant_check
 from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.config import BACKENDS, Configuration
 from repro.mapreduce.hdfs import SimulatedHDFS
-from repro.mapreduce.job import JobSpec
+from repro.mapreduce.job import JobSpec, Mapper
 from repro.mapreduce.runner import JobRunner
 from repro.mapreduce.aggregation import CountAggregation
 from repro.mapreduce.service import (
@@ -173,9 +174,19 @@ class _ScaledCount(CountAggregation):
         ctx.emit(key, int(acc) * self.scale)
 
 
+class _UserCensusMapper(Mapper):
+    """Per-user record counts over one chunk."""
+
+    def run(self, chunk, ctx):
+        array = chunk.trace_array()
+        idx, counts = np.unique(array.user_index, return_counts=True)
+        for i, count in zip(idx.tolist(), counts.tolist()):
+            ctx.emit(array.users[i], int(count), nbytes=16)
+
+
 def _census_spec(name, out, aggregation=CountAggregation):
     return JobSpec(
-        name=name, mapper=UserCensusMapper, aggregation=aggregation,
+        name=name, mapper=_UserCensusMapper, aggregation=aggregation,
         input_paths=["input/traces"], output_path=out, map_cost_factor=0.3,
     )
 

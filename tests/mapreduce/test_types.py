@@ -10,7 +10,6 @@ from repro.mapreduce.types import (
     DEFAULT_RECORD_BYTES,
     RecordPayload,
     estimate_nbytes,
-    record_stream,
 )
 
 
@@ -84,8 +83,3 @@ class TestChunk:
         c = Chunk("c0", RecordPayload([(1, "not a trace")]))
         with pytest.raises(TypeError):
             c.trace_array()
-
-    def test_record_stream_flattens(self):
-        c1 = Chunk("a", RecordPayload([(1, "x")]))
-        c2 = Chunk("b", RecordPayload([(2, "y")]))
-        assert list(record_stream([c1, c2])) == [(1, "x"), (2, "y")]

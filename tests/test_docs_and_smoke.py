@@ -6,11 +6,12 @@ Two cheap gates that keep the repo's surfaces honest:
   runs a miniature traced deployment end to end, so the tracing layer
   cannot silently rot;
 * the docs link/schema checks verify that every relative markdown link
-  resolves and that docs/OBSERVABILITY.md documents the full event
-  vocabulary.
+  resolves, that every module the prose names exists, and that
+  docs/OBSERVABILITY.md documents the full event vocabulary.
 """
 
 import json
+import pkgutil
 import re
 from pathlib import Path
 
@@ -139,6 +140,40 @@ def test_markdown_links_resolve(doc):
         if not (doc.parent / path).exists():
             broken.append(target)
     assert not broken, f"{doc.name}: broken relative links {broken}"
+
+
+def _resolves(dotted: str) -> bool:
+    try:
+        pkgutil.resolve_name(dotted)  # longest importable prefix, then attributes
+    except (ImportError, AttributeError):
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [d for d in DOCS if d.parent.name == "docs" or d.name in {"README.md", "DESIGN.md", "EXPERIMENTS.md"}],
+    ids=lambda p: str(p.relative_to(REPO)),
+)
+def test_modules_named_in_prose_exist(doc):
+    """A deleted module cannot linger in the docs: every ``repro.a.b``
+    dotted path, every ``src/repro/….py`` / ``<pkg>/<module>.py`` file
+    path and every entry of DESIGN.md's ``src/repro/`` tree resolves."""
+    text = doc.read_text()
+    src = REPO / "src" / "repro"
+    packages = "|".join(sorted(p.name for p in src.iterdir() if (p / "__init__.py").exists()))
+    missing = [m for m in set(re.findall(r"\brepro(?:\.[A-Za-z_]\w*)+", text)) if not _resolves(m)]
+    files = set(re.findall(rf"(?<![\w/.])(?:src/repro/)?((?:{packages})/\w+\.py)", text))
+    files |= set(re.findall(r"\bsrc/repro/(\w+\.py)", text))
+    if "```\nsrc/repro/\n" in text:
+        package = ""
+        for line in text.split("```\nsrc/repro/\n", 1)[1].split("```", 1)[0].splitlines():
+            if match := re.match(r"  (\w+/) ", line):
+                package = match.group(1)
+            elif match := re.match(r"  (  )?(\w+\.py) ", line):
+                files.add((package if match.group(1) else "") + match.group(2))
+    missing += [f for f in files if not (src / f).exists()]
+    assert not missing, f"{doc.name} names modules that do not exist: {sorted(missing)}"
 
 
 def test_observability_doc_covers_every_event_kind():

@@ -8,20 +8,36 @@ import inspect
 import pytest
 
 from repro.algorithms.djcluster import run_djcluster_mapreduce
+from repro.algorithms.kmeans import run_kmeans_mapreduce
 from repro.attacks.linkage_mr import run_linkage_attack
 from repro.attacks.sweep import run_sweep
-from repro.mapreduce.runner import JobRunner
+from repro.mapreduce.runner import JobRunner, fresh_runner
+from repro.mapreduce.service import JobService
 from repro.mapreduce.shuffle import shuffle
+from repro.streaming.manager import StreamingJobManager
 
 CENSUS = {
     JobRunner.__init__: (
-        "self", "hdfs", "cost_model", "cache", "failure_injector", "max_attempts",
-        "executor", "max_workers", "prefer_locality", "speculative", "history",
-        "chaos", "retry_policy", "memory_budget_mb", "spill_dir", "reduce_locality",
+        "self", "hdfs", "cost_model", "failure_injector", "max_attempts", "executor",
+        "max_workers", "prefer_locality", "speculative", "chaos", "retry_policy",
+        "memory_budget_mb", "spill_dir", "reduce_locality",
+    ),
+    fresh_runner: (
+        "datasets", "chunk_size", "n_workers", "backend", "max_workers", "budget_mb",
+        "record_bytes", "runner_kwargs",
+    ),
+    JobService.__init__: (
+        "self", "hdfs", "tenants", "executor", "max_workers", "chaos",
+        "memory_budget_mb", "spill_dir", "result_cache", "start",
     ),
     shuffle: ("map_outputs", "partitioner", "n_reducers", "spiller", "aggregation"),
     run_djcluster_mapreduce: (
-        "runner", "input_path", "params", "n_rtree_partitions", "rtree_curve",
+        "runner", "input_path", "params", "rtree_curve", "workdir", "history_path",
+        "name_prefix",
+    ),
+    run_kmeans_mapreduce: (
+        "runner", "input_path", "k", "distance", "convergence_delta", "max_iter",
+        "seed", "initial_centroids", "init", "use_combiner", "use_aggregation",
         "workdir", "history_path", "name_prefix",
     ),
     run_linkage_attack: (
@@ -30,9 +46,13 @@ CENSUS = {
         "workdir", "history_path",
     ),
     run_sweep: (
-        "training", "target", "ground_truth", "mechanisms", "params", "max_pois",
-        "max_match_dist_m", "n_workers", "chunk_size", "executor", "result_cache",
+        "training", "target", "ground_truth", "mechanisms", "params", "executor",
         "history_path",
+    ),
+    StreamingJobManager.__init__: (
+        "self", "client", "name", "root", "k", "max_iter", "seed",
+        "sampling_window_s", "warm_start", "dj_params", "risk_cell_m",
+        "risk_window_s", "risk_rollup",
     ),
 }
 

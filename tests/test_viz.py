@@ -1,13 +1,11 @@
-"""Unit tests for visualization/export."""
-
-import json
+"""Unit tests for visualization."""
 
 import numpy as np
 import pytest
 
 from repro.attacks.poi import PointOfInterestEstimate
 from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
-from repro.viz import ascii_density_map, cluster_summary_table, to_csv, to_geojson
+from repro.viz import ascii_density_map, cluster_summary_table
 
 
 def _ds(n=100, seed=0):
@@ -56,55 +54,31 @@ class TestAsciiMap:
         with pytest.raises(ValueError):
             ascii_density_map(_ds(), width=1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_coordinates_rejected(self, bad, tmp_path, capsys):
+        """One NaN used to collapse every point into row 0 under a
+        ``lat [nan, nan]`` legend; rows and markers are both checked, at
+        the facade and at ``repro visualize``."""
+        from repro.cli import main
+        from repro.geo.geolife import write_geolife_dataset
+        from repro.toolkit import Gepeto
+
+        rows = TraceArray.from_columns(["u"], [10.0, bad, 10.1], [20.0, 21.0, 20.1], [0.0, 1.0, 2.0])
+        dirty = GeolocatedDataset([Trail("u", rows)])
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            Gepeto(dirty).visualize()
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            Gepeto(_ds()).visualize(markers=[(39.9, bad, "H")])
+        write_geolife_dataset(dirty, tmp_path)
+        with pytest.raises(SystemExit, match="visualize: coordinates must be finite"):
+            main(["visualize", "--in", str(tmp_path)])
+
     def test_dense_cells_darker_than_sparse(self):
         out = ascii_density_map(_ds(2000, seed=1), width=30, height=10)
         # Both dense-ramp and blank characters should appear.
         body = "".join(out.splitlines()[1:-2])
         assert "@" in body or "%" in body or "#" in body
         assert " " in body
-
-
-class TestGeoJson:
-    def test_valid_geojson_with_traces(self):
-        doc = json.loads(to_geojson(_ds(10)))
-        assert doc["type"] == "FeatureCollection"
-        assert len(doc["features"]) == 10
-        feat = doc["features"][0]
-        # GeoJSON order: [lon, lat].
-        assert feat["geometry"]["coordinates"][0] == pytest.approx(116.4, abs=0.1)
-        assert feat["properties"]["kind"] == "trace"
-
-    def test_subsampling_bound(self):
-        doc = json.loads(to_geojson(_ds(500), max_traces=50))
-        assert len(doc["features"]) == 50
-
-    def test_pois_exported(self):
-        doc = json.loads(to_geojson(pois=[_poi()]))
-        (feat,) = doc["features"]
-        assert feat["properties"]["kind"] == "poi"
-        assert feat["properties"]["label"] == "home"
-
-    def test_clusters_require_points(self):
-        with pytest.raises(ValueError):
-            to_geojson(clusters=[np.array([0, 1])])
-
-    def test_clusters_exported_as_multipoints(self):
-        flat = _ds(10).flat()
-        doc = json.loads(
-            to_geojson(clusters=[np.array([0, 1, 2])], cluster_points=flat)
-        )
-        (feat,) = doc["features"]
-        assert feat["geometry"]["type"] == "MultiPoint"
-        assert feat["properties"]["size"] == 3
-
-
-class TestCsv:
-    def test_header_and_rows(self):
-        csv = to_csv(_ds(5))
-        lines = csv.splitlines()
-        assert lines[0] == "user,latitude,longitude,timestamp,altitude"
-        assert len(lines) == 6
-        assert lines[1].startswith("u,")
 
 
 class TestSummaryTable:
