@@ -26,6 +26,7 @@ from repro.algorithms.kmeans import (
     KMeansResult,
     KMeansIterationStats,
     assign_points,
+    nearest_centroid,
 )
 from repro.algorithms.djcluster import (
     DJClusterParams,
@@ -50,6 +51,7 @@ __all__ = [
     "KMeansResult",
     "KMeansIterationStats",
     "assign_points",
+    "nearest_centroid",
     "DJClusterParams",
     "DJClusterResult",
     "filter_moving_traces",

@@ -17,10 +17,12 @@ The optional **combiner** implements the related-work speed-up: partial
 per-cluster sums computed mapper-side, so only ``k`` small records per map
 task cross the shuffle instead of the whole dataset (ablation X3).
 
-Mappers are vectorized: one broadcasted distance evaluation per chunk
-assigns every trace at once; per-cluster point blocks are emitted so the
-shuffle-byte accounting still reflects the paper's per-trace intermediate
-volume.
+Mappers are vectorized: :func:`nearest_centroid` assigns a chunk's traces
+at once, ordering candidates by the cheapest monotone function of the
+distance (Section VI's squared-Euclidean argument, applied to Haversine
+too); one stable gather cuts the chunk into per-cluster point blocks,
+emitted so the shuffle-byte accounting still reflects the paper's
+per-trace intermediate volume.
 """
 
 from __future__ import annotations
@@ -29,7 +31,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.geo.distance import METRIC_COST, get_metric, pairwise
+from repro.geo.distance import (
+    EARTH_RADIUS_KM,
+    METRIC_COST,
+    get_metric,
+    haversine_arg,
+    haversine_km,
+    pairwise,
+)
+from repro.geo.grid import finite_column
 from repro.mapreduce.aggregation import Aggregation
 from repro.mapreduce.config import Configuration
 from repro.mapreduce.job import JobSpec, Mapper, Reducer
@@ -39,6 +49,7 @@ from repro.mapreduce.types import Chunk
 from repro.observability.events import EventKind
 
 __all__ = [
+    "nearest_centroid",
     "assign_points",
     "kmeans_sequential",
     "run_kmeans_mapreduce",
@@ -55,15 +66,59 @@ CENTROIDS_CACHE_KEY = "kmeans.centroids"
 _POINT_RECORD_BYTES = 16
 
 
+#: Relative band above a point's smallest Haversine argument ``a`` inside
+#: which the order of ``a`` is not trusted: ``sqrt`` maps adjacent doubles
+#: to one, so a strictly larger ``a`` can tie in distance.  Outside it
+#: ``sqrt`` (correctly rounded) leaves a gap of ~2,000 ulp, ``arcsin``
+#: (relative condition >= 1 on [0, 1]) cannot shrink it, and any ``arcsin``
+#: within 100 ulp plus one rounded multiply keeps the order strict.
+_TIE_BAND = 1e-12
+
+
+def nearest_centroid(
+    points: np.ndarray, centroids: np.ndarray, metric: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(index, distance)`` of the closest centroid for each (lat, lon) row.
+
+    Bit for bit the position and value of each row's first minimum in
+    ``pairwise(metric, points, centroids)`` — ties break toward the lowest
+    centroid index — without building that matrix: candidates are ordered
+    by the metric's cheapest monotone key
+    (:func:`~repro.geo.distance.haversine_arg` for Haversine; squared
+    Euclidean is its own), evaluated centroid-major so the reduction runs
+    down contiguous rows, and only the winners' keys are finished into
+    distances.  Non-finite coordinates are a ``ValueError``: a NaN centroid
+    would otherwise be every point's nearest, a NaN point poison a mean.
+    """
+    points = finite_column(points, "coordinates")
+    centroids = finite_column(centroids, "coordinates")
+    fn = get_metric(metric)
+    key = pairwise(haversine_arg if fn is haversine_km else fn, centroids, points)
+    best = key.min(axis=0)
+    index = np.argmax(key == best, axis=0)
+    if fn is not haversine_km:
+        return index, best
+    best = np.clip(best, 0.0, 1.0)
+    distance = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(best))
+    key[index, np.arange(len(points))] = np.inf
+    runner_up = np.clip(key.min(axis=0), 0.0, 1.0)
+    close = np.flatnonzero(runner_up <= best * (1.0 + _TIE_BAND))
+    if len(close):
+        lat, lon = points[close].T
+        rows = fn(lat[:, None], lon[:, None], centroids[:, 0], centroids[:, 1])
+        index[close] = np.argmin(rows, axis=1)
+        distance[close] = rows.min(axis=1)
+    return index, distance
+
+
 def assign_points(points: np.ndarray, centroids: np.ndarray, metric: str) -> np.ndarray:
     """Index of the closest centroid for each (lat, lon) row.
 
-    Ties break toward the lowest centroid index (NumPy ``argmin``), which
-    both the sequential and MapReduce paths share, so their assignments
-    are bit-identical given identical centroids.
+    Ties break toward the lowest centroid index, which both the sequential
+    and MapReduce paths share, so their assignments are bit-identical
+    given identical centroids.
     """
-    distances = pairwise(metric, points, centroids)
-    return np.argmin(distances, axis=1)
+    return nearest_centroid(points, centroids, metric)[0]
 
 
 def _update_centroids(
@@ -163,8 +218,7 @@ class KMeansResult:
 
 
 def _inertia(points: np.ndarray, centroids: np.ndarray, metric: str) -> float:
-    d = pairwise(metric, points, centroids)
-    return float(d.min(axis=1).sum())
+    return float(nearest_centroid(points, centroids, metric)[1].sum())
 
 
 def _hdfs_inertia(hdfs, path: str, centroids: np.ndarray, metric: str) -> float:
@@ -178,10 +232,7 @@ def _hdfs_inertia(hdfs, path: str, centroids: np.ndarray, metric: str) -> float:
     """
     total = 0.0
     for chunk in hdfs.chunks(path):
-        points = chunk.trace_array().coordinates()
-        if len(points):
-            d = pairwise(metric, points, centroids)
-            total += float(d.min(axis=1).sum())
+        total += _inertia(chunk.trace_array().coordinates(), centroids, metric)
     return total
 
 
@@ -209,7 +260,7 @@ def kmeans_sequential(
         raise ValueError("max_iter must be >= 1")
     get_metric(metric)
     centroids = (
-        np.array(initial_centroids, dtype=np.float64, copy=True)
+        finite_column(initial_centroids, "coordinates").copy()
         if initial_centroids is not None
         else _init_centroids(points, k, seed, init, metric)
     )
@@ -244,8 +295,10 @@ class KMeansMapper(Mapper):
 
     Loads current centroids from the distributed cache in ``setup`` (the
     paper's ``centroids <- load from file``), assigns every trace with one
-    broadcasted distance computation, and emits per-cluster point blocks
-    whose modelled size equals the per-trace intermediate volume.
+    :func:`nearest_centroid` call, groups the chunk with one stable sort of
+    the assignment and one gather, and emits each non-empty cluster's rows
+    (ascending id, chunk order inside) as one point block whose modelled
+    size equals the per-trace intermediate volume.
     """
 
     def setup(self, ctx) -> None:
@@ -256,11 +309,17 @@ class KMeansMapper(Mapper):
         points = chunk.trace_array().coordinates()
         if len(points) == 0:
             return
+        k = len(self._centroids)
         assignment = assign_points(points, self._centroids, self._metric)
-        for cid in np.unique(assignment):
-            block = points[assignment == cid]
+        # Ids of at most 16 bits take NumPy's stable radix sort.
+        order = np.argsort(assignment.astype(np.min_scalar_type(k - 1)), kind="stable")
+        grouped = points[order]
+        counts = np.bincount(assignment, minlength=k)
+        ends = np.cumsum(counts)
+        for cid in np.flatnonzero(counts).tolist():
+            block = grouped[ends[cid] - counts[cid] : ends[cid]]
             ctx.emit(
-                int(cid),
+                cid,
                 block,
                 nbytes=len(block) * _POINT_RECORD_BYTES,
                 n_records=len(block),
@@ -403,7 +462,7 @@ def run_kmeans_mapreduce(
     get_metric(distance)
     hdfs = runner.hdfs
     if initial_centroids is not None:
-        centroids = np.array(initial_centroids, dtype=np.float64, copy=True)
+        centroids = finite_column(initial_centroids, "coordinates").copy()
     else:
         # Seeding is the one step that wants the corpus in hand; with
         # explicit centroids the driver never materializes it at all.

@@ -22,6 +22,7 @@ import numpy as np
 __all__ = [
     "EARTH_RADIUS_KM",
     "haversine_km",
+    "haversine_arg",
     "haversine_m",
     "squared_euclidean",
     "get_metric",
@@ -48,6 +49,32 @@ def haversine_km(lat1, lon1, lat2, lon2) -> np.ndarray | float:
     a = np.sin(dlat / 2.0) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
     # Clip guards against tiny negative / >1 values from roundoff.
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
+
+
+def haversine_arg(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """The ``a`` inside :func:`haversine_km`, for array operands.
+
+    ``a -> 2R * arcsin(sqrt(clip(a)))`` is monotone, so ``a`` already
+    orders a point's candidates by great-circle distance at two sines per
+    pair.  The same elementwise operations in the same order as
+    :func:`haversine_km`, so the same bits (``s * s`` is what ``** 2``
+    does for arrays), in place on three buffers instead of ten
+    temporaries, and bit-equal with the two points swapped (sine is odd).
+    The latitudes and the longitudes must each broadcast to the result's
+    shape, as :func:`pairwise` passes them; scalars alone do not.
+    """
+    lat1 = np.radians(lat1)
+    lat2 = np.radians(lat2)
+    a = np.subtract(lat2, lat1)
+    np.divide(a, 2.0, out=a)
+    np.sin(a, out=a)
+    np.multiply(a, a, out=a)
+    b = np.subtract(np.radians(lon2), np.radians(lon1))
+    np.divide(b, 2.0, out=b)
+    np.sin(b, out=b)
+    np.multiply(b, b, out=b)
+    np.multiply(np.cos(lat1) * np.cos(lat2), b, out=b)
+    return np.add(a, b, out=a)
 
 
 def haversine_m(lat1, lon1, lat2, lon2) -> np.ndarray | float:

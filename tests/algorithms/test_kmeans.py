@@ -4,11 +4,21 @@ import numpy as np
 import pytest
 
 from repro.algorithms.kmeans import (
+    CENTROIDS_CACHE_KEY,
+    KMeansMapper,
     assign_points,
     kmeans_sequential,
+    nearest_centroid,
     run_kmeans_mapreduce,
 )
+from repro.geo.distance import pairwise
 from repro.geo.trace import TraceArray
+from repro.mapreduce.cache import DistributedCache
+from repro.mapreduce.config import Configuration
+from repro.mapreduce.counters import Counters
+from repro.mapreduce.job import MapContext
+from repro.mapreduce.runner import fresh_runner
+from repro.mapreduce.types import ArrayPayload, Chunk
 
 
 def three_blobs(n_per=100, seed=0):
@@ -245,3 +255,97 @@ class TestMapReduce:
         runner, _, _ = kmeans_env
         with pytest.raises(KeyError):
             run_kmeans_mapreduce(runner, "traces", 3, distance="cosine")
+
+
+class TestMapperBlocks:
+    """The mapper's one sort-and-gather emits what one ``np.unique`` and a
+    boolean mask per cluster emitted: same blocks, same rows in the same
+    order, same modelled sizes."""
+
+    @pytest.mark.parametrize("k", [1, 11, 300, 70_000])  # 70,000 > uint16: no radix sort
+    def test_blocks_equal_the_mask_based_ones(self, k):
+        rs = np.random.RandomState(k)
+        n = 1_500 if k <= 300 else 150  # the oracle's (n, k) matrix stays small
+        points = np.column_stack((rs.uniform(39, 41, n), rs.uniform(115, 117, n)))
+        centroids = np.column_stack((rs.uniform(39, 41, k), rs.uniform(115, 117, k)))
+        if k > 1:
+            centroids[k // 2 :] += 30.0  # far away: empty clusters, also past the last used id
+        cache = DistributedCache()
+        cache.put(CENTROIDS_CACHE_KEY, centroids)
+        conf = Configuration({"kmeans.distance": "squared_euclidean"})
+        ctx = MapContext(conf, Counters(), cache, "m0", "n0")
+        array = TraceArray.from_columns(["u"], points[:, 0], points[:, 1], np.arange(float(n)))
+        mapper = KMeansMapper()
+        mapper.setup(ctx)
+        mapper.run(Chunk("c0", ArrayPayload(array)), ctx)
+
+        assignment = np.argmin(pairwise("squared_euclidean", points, centroids), axis=1)
+        want = [(int(cid), points[assignment == cid]) for cid in np.unique(assignment)]
+        assert [key for key, _ in ctx.output] == [key for key, _ in want]
+        assert all(type(key) is int for key, _ in ctx.output)
+        for (_, got), (_, block) in zip(ctx.output, want):
+            assert np.array_equal(got, block) and got.flags.c_contiguous
+            assert np.array_equal(got.sum(axis=0), block.sum(axis=0))
+        assert len(want) < k or k == 1
+        assert ctx.output_records == n and ctx.output_nbytes == n * 16
+
+    def test_empty_chunk_emits_nothing(self):
+        cache = DistributedCache()
+        cache.put(CENTROIDS_CACHE_KEY, np.zeros((3, 2)))
+        ctx = MapContext(Configuration({}), Counters(), cache, "m0", "n0")
+        mapper = KMeansMapper()
+        mapper.setup(ctx)
+        mapper.run(Chunk("c0", ArrayPayload(TraceArray.empty())), ctx)
+        assert ctx.output == []
+
+
+BAD = [np.nan, np.inf, -np.inf]
+FINITE = "coordinates must be finite"
+
+
+class TestNonFiniteCoordinates:
+    """``argmin`` calls a NaN centroid every point's nearest, and a NaN
+    point poisons its cluster's mean: both are errors, not answers."""
+
+    @pytest.mark.parametrize("metric", ["haversine", "squared_euclidean"])
+    @pytest.mark.parametrize("bad", BAD)
+    def test_kernel_rejects_a_bad_point_or_centroid(self, metric, bad):
+        pts, centers = three_blobs(n_per=20)
+        poisoned = centers.copy()
+        poisoned[1, 0] = bad
+        for call in (nearest_centroid, assign_points):
+            with pytest.raises(ValueError, match=FINITE):
+                call(pts, poisoned, metric)
+        pts[7, 1] = bad
+        with pytest.raises(ValueError, match=FINITE):
+            assign_points(pts, centers, metric)
+
+    @pytest.mark.parametrize("metric", ["haversine", "squared_euclidean"])
+    @pytest.mark.parametrize("bad", BAD)
+    def test_sequential_driver_rejects_both(self, metric, bad):
+        pts, centers = three_blobs(n_per=20)
+        poisoned = centers.copy()
+        poisoned[2, 1] = bad
+        with pytest.raises(ValueError, match=FINITE):
+            kmeans_sequential(pts, 3, metric, initial_centroids=poisoned)
+        pts[0, 0] = bad
+        with pytest.raises(ValueError, match=FINITE):
+            kmeans_sequential(pts, 3, metric, seed=1)
+
+    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("metric", ["haversine", "squared_euclidean"])
+    def test_mapreduce_driver_rejects_both_on_every_backend(self, backend, metric):
+        pts, centers = three_blobs(n_per=200, seed=4)
+        pts[301] = (np.nan, 116.0)
+        array = TraceArray.from_columns(["u"], pts[:, 0], pts[:, 1], np.arange(600.0))
+        with fresh_runner(
+            {"traces": array}, chunk_size=64 * 150, backend=backend, max_workers=2
+        ) as runner:
+            # From inside a map task the error surfaces as itself.
+            with pytest.raises(ValueError, match=FINITE):
+                run_kmeans_mapreduce(runner, "traces", 3, metric, initial_centroids=centers)
+            # Bad initial centroids are refused before any job runs.
+            centers[0, 0] = np.inf
+            with pytest.raises(ValueError, match=FINITE):
+                run_kmeans_mapreduce(runner, "traces", 3, metric, initial_centroids=centers)
+            assert not runner.hdfs.exists("tmp/kmeans/clusters-1")

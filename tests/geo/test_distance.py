@@ -8,6 +8,7 @@ from repro.geo.distance import (
     METRIC_COST,
     METRICS,
     get_metric,
+    haversine_arg,
     haversine_km,
     haversine_m,
     pairwise,
@@ -48,6 +49,64 @@ class TestHaversine:
         # ~11 m apart; haversine is famously stable here.
         d = haversine_m(39.9, 116.4, 39.9001, 116.4)
         assert d == pytest.approx(11.13, rel=0.01)
+
+
+def _recorded_haversine(lat1, lon1, lat2, lon2):
+    """``haversine_km`` as the commit before ``haversine_arg`` had it,
+    returning the argument too: the bits both must keep."""
+    lat1, lon1, lat2, lon2 = map(np.radians, (lat1, lon1, lat2, lon2))
+    dlat = lat2 - lat1
+    dlon = lon2 - lon1
+    a = np.sin(dlat / 2.0) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2.0) ** 2
+    return a, 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
+
+
+def _coordinate_columns(n, seed, near=None):
+    """(n, 2) rows over the globe, poles and date line in; every fifth
+    row metres from (and one exactly on) its row of ``near``."""
+    rs = np.random.RandomState(seed)
+    rows = np.column_stack((rs.uniform(-90, 90, n), rs.uniform(-180, 180, n)))
+    rows[:4] = [(90.0, 0.0), (-90.0, 180.0), (0.0, -180.0), (0.0, 180.0)]
+    if near is not None:
+        rows[4::5] = near[4 : len(rows) : 5] + rs.normal(0, 1e-5, rows[4::5].shape)
+        rows[4] = near[4]
+    return rows
+
+
+class TestHaversineArgument:
+    def test_bit_equal_to_the_argument_inside_haversine_km_in_both_orders(self):
+        p = _coordinate_columns(500, 1)
+        c = _coordinate_columns(13, 2, near=p)
+        want, _ = _recorded_haversine(p[:, :1], p[:, 1:], c[:, 0], c[:, 1])
+        point_major = haversine_arg(p[:, :1], p[:, 1:], c[:, 0], c[:, 1])
+        centroid_major = haversine_arg(c[:, :1], c[:, 1:], p[:, 0], p[:, 1])
+        assert np.array_equal(point_major, want)
+        assert np.array_equal(centroid_major, want.T)  # sine is odd
+        assert np.array_equal(pairwise(haversine_arg, c, p), want.T)
+
+    def test_finishing_the_argument_gives_haversine_km(self):
+        p = _coordinate_columns(300, 3)
+        c = _coordinate_columns(300, 4, near=p)
+        a = haversine_arg(p[:, 0], p[:, 1], c[:, 0], c[:, 1])
+        finished = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
+        assert np.array_equal(finished, haversine_km(p[:, 0], p[:, 1], c[:, 0], c[:, 1]))
+
+    def test_one_array_operand_is_enough(self):
+        c = _coordinate_columns(9, 5)
+        want, _ = _recorded_haversine(39.9, 116.4, c[:, 0], c[:, 1])
+        assert np.array_equal(haversine_arg(39.9, 116.4, c[:, 0], c[:, 1]), want)
+
+    def test_haversine_km_keeps_its_recorded_bits(self):
+        p = _coordinate_columns(400, 6)
+        c = _coordinate_columns(400, 7, near=p)
+        _, want = _recorded_haversine(p[:, 0], p[:, 1], c[:, 0], c[:, 1])
+        assert np.array_equal(haversine_km(p[:, 0], p[:, 1], c[:, 0], c[:, 1]), want)
+        _, matrix = _recorded_haversine(p[:, :1], p[:, 1:], c[:11, 0], c[:11, 1])
+        assert np.array_equal(pairwise("haversine", p, c[:11]), matrix)
+        for (la1, lo1), (la2, lo2) in zip(p[:50].tolist(), c[:50].tolist()):
+            _, scalar = _recorded_haversine(la1, lo1, la2, lo2)
+            got = haversine_km(la1, lo1, la2, lo2)
+            assert got == scalar and np.ndim(got) == 0
 
 
 class TestPlanarMetrics:

@@ -31,8 +31,8 @@ SURFACE = {
     "repro.algorithms": ("djcluster kmeans sampling", """
         SamplingTechnique sample_trail sample_dataset sample_array
         SamplingMapper run_sampling_job kmeans_sequential run_kmeans_mapreduce
-        KMeansResult KMeansIterationStats assign_points DJClusterParams
-        DJClusterResult filter_moving_traces remove_redundant_traces
+        KMeansResult KMeansIterationStats assign_points nearest_centroid
+        DJClusterParams DJClusterResult filter_moving_traces remove_redundant_traces
         preprocess_array djcluster_sequential run_djcluster_mapreduce
         run_preprocessing_pipeline"""),
     "repro.attacks": (
@@ -271,3 +271,15 @@ def test_every_parameter_is_passed_by_some_call_site(func):
 def test_every_kept_entry_says_why():
     for reason in [*KEPT.values(), *UNSET_BUT_KEPT.values()]:
         assert len(reason) > 20 and "own test" not in reason
+
+
+def test_the_assignment_kernels_are_exported_and_reached():
+    """``nearest_centroid`` and its Haversine key are leaf exports whose
+    reacher is ``run_kmeans_mapreduce`` (the three ``kmeans_*`` e2e
+    workloads): the mapper assigns through the one and the one orders by
+    the other, through the ``pairwise`` name the e2e tracer wraps."""
+    assert "nearest_centroid" in _all_of(_SRC_TREES["repro.algorithms.kmeans"])
+    assert "haversine_arg" in _all_of(_SRC_TREES["repro.geo.distance"])
+    used = _uses(_SRC_TREES["repro.algorithms.kmeans"])
+    assert {"nearest_centroid", "haversine_arg", "pairwise"} <= used
+    assert any("run_kmeans_mapreduce" in _uses(tree) for tree in _REACHERS)
