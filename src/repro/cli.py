@@ -18,7 +18,7 @@ Commands
 ``sweep``      privacy-vs-utility frontier over sanitizer cells (docs/ATTACKS.md)
 ``history``    render a job-history trace report (docs/OBSERVABILITY.md)
 ``chaos``      seeded fault-injection campaign over a driver (docs/CHAOS.md)
-``bench``      one of the seven suites, gated against its baseline (docs/PERFORMANCE.md)
+``bench``      one of the six deterministic suites, gated against its baseline (docs/PERFORMANCE.md)
 ``submit``     submit one job to a JobService and trace its future (docs/JOBSERVICE.md)
 ``service``    multi-tenant campaign over the algorithm drivers (docs/JOBSERVICE.md)
 ``query``      build/reuse a persistent R-tree and serve queries from it (docs/SERVING.md)
@@ -353,12 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run one benchmark suite, gated against its committed baseline",
         description=(
-            "Runs one of the seven suites (a mode flag picks it), checks "
+            "Runs one of the six suites (a mode flag picks it), checks "
             "the suite's intrinsic gates, prints a table, and optionally "
             "writes the JSON document / checks it against a committed "
-            "baseline (docs/PERFORMANCE.md).  With no mode flag: times the "
-            "fixed-initial-centroid k-means driver on every execution "
-            "backend over synthetic corpora."
+            "baseline (docs/PERFORMANCE.md).  Every document is a pure "
+            "function of the code and the parameters; wall-clock and peak "
+            "RSS are measured by benchmarks/e2e/run.py."
         ),
     )
     ben.add_argument(
@@ -371,10 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(BACKENDS),
         help="comma-separated subset of: " + ", ".join(BACKENDS),
     )
-    ben.add_argument(
-        "--iterations", type=int, default=2,
-        help="timing repeats per cell; the best is kept",
-    )
     ben.add_argument("--k", type=int, default=4, help="k-means cluster count")
     ben.add_argument("--max-iter", type=int, default=3, help="k-means iterations")
     ben.add_argument(
@@ -384,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--out", help="write the JSON result document here")
     ben.add_argument(
         "--check", action="store_true",
-        help="compare against --baseline and exit 1 on regression",
+        help="compare against --baseline and exit 1 on drift",
     )
     ben.add_argument(
         "--baseline", default=None,
@@ -392,26 +388,20 @@ def build_parser() -> argparse.ArgumentParser:
         "benchmarks/results/BENCH_<suite>.json)",
     )
     ben.add_argument(
-        "--tolerance", type=float, default=0.25,
-        help="fractional slowdown tolerated by --check (default 0.25)",
-    )
-    ben.add_argument(
         "--budget-mb", type=float, default=8.0,
-        help="memory budget for the --spill budgeted cells (default 8)",
+        help="memory budget for the budgeted cells (default 8)",
     )
-    # One suite per run (repro.mapreduce.bench.SUITES); no flag selects
-    # the backends suite.
-    mode = ben.add_mutually_exclusive_group()
-    ben.set_defaults(suite="backends")
+    # One suite per run (repro.mapreduce.bench.SUITES).
+    mode = ben.add_mutually_exclusive_group(required=True)
     mode.add_argument(
         "--spill", action="store_const", const="spill", dest="suite",
-        help="benchmark out-of-core execution instead: the same run with "
-        "and without a memory budget, wall-clock + peak RSS per cell "
-        "(serial backend, combiner off; each cell in its own subprocess)",
+        help="benchmark out-of-core execution: the same run with and "
+        "without a memory budget, spill and paging counters per cell "
+        "(serial backend, combiner off)",
     )
     mode.add_argument(
         "--multitenant", action="store_const", const="multitenant", dest="suite",
-        help="benchmark the multi-tenant JobService instead: a weighted "
+        help="benchmark the multi-tenant JobService: a weighted "
         "tenant roster drains a mixed backlog under fair share; reports "
         "contended-window fairness, interleaved vs serial makespan, and "
         "the result-cache resubmission cell (fixed workload so the "
@@ -419,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mode.add_argument(
         "--query", action="store_const", const="query", dest="suite",
-        help="benchmark the index serving path instead: persist the "
+        help="benchmark the index serving path: persist the "
         "Figure-6 R-tree through the catalog under --budget-mb, prove "
         "the second ensure is a zero-job reuse hit, and answer a seeded "
         "point/range/radius/kNN workload byte-identically to the "
@@ -428,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mode.add_argument(
         "--stream", action="store_const", const="stream", dest="suite",
-        help="benchmark the streaming layer instead: a warm windowed run "
+        help="benchmark the streaming layer: a warm windowed run "
         "over a stationary 10^5-point corpus under fixed feed chaos, a "
         "cold control proving the warm start saves k-means iterations, "
         "the batch-vs-stream equivalence matrix on every backend, and a "
@@ -437,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mode.add_argument(
         "--shuffle", action="store_const", const="shuffle", dest="suite",
-        help="benchmark shuffle-byte minimization instead: the same "
+        help="benchmark shuffle-byte minimization: the same "
         "10^6-trace k-means run with the object-level combiner vs the "
         "declared aggregation algebra (map-side vectorized pre-agg + "
         "metadata-only shuffle + locality-aware reduce placement) on "
@@ -447,10 +437,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mode.add_argument(
         "--attack", action="store_const", const="attack", dest="suite",
-        help="benchmark the MapReduce linkage attack instead: an "
+        help="benchmark the MapReduce linkage attack: an "
         "equivalence matrix proving the MR attack byte-identical to the "
         "serial reference on every backend, under a memory budget, and "
-        "under a fixed chaos schedule, plus a timed 10^5-user scale cell "
+        "under a fixed chaos schedule, plus a 10^5-user scale cell "
         "whose persistent-index audit proves the candidate blocking "
         "lossless (fixed workload so the document doubles as a "
         "baseline; combine with --check/--out)",
@@ -970,6 +960,10 @@ def main(argv: list[str] | None = None) -> int:
                 "sizes": [int(s) for s in args.sizes.split(",") if s.strip()],
                 "backends": [b.strip() for b in args.backends.split(",") if b.strip()],
             }
+            if not options["sizes"]:
+                raise ValueError("--sizes names no corpus size")
+            if not options["backends"]:
+                raise ValueError("--backends names no backend")
             doc = suite.run(**{name: options[name] for name in suite.options})
         except (ValueError, RuntimeError) as exc:
             raise SystemExit(f"bench: {exc}")
@@ -978,19 +972,15 @@ def main(argv: list[str] | None = None) -> int:
         baseline_path = args.baseline or suite.baseline
         compared = ""
         if args.check:
-            # Compare before (possibly) overwriting the baseline.
             try:
-                baseline = load_result(baseline_path)
-                problems += compare_to_baseline(suite, doc, baseline, args.tolerance)
-                compared = f"; within tolerance of baseline {baseline_path}"
+                problems += compare_to_baseline(suite, doc, load_result(baseline_path))
+                compared = f"; no drift from baseline {baseline_path}"
             except FileNotFoundError:
-                if suite.wall_clock:
-                    raise SystemExit(f"bench: no baseline at {baseline_path}")
                 print(f"(no baseline at {baseline_path}; intrinsic gates only)")
-        # Generation mode writes the artifact; --check without --out
-        # leaves the committed baseline untouched, and a wall-clock
-        # document is only ever written where --out says.
-        out = args.out or (None if args.check or suite.wall_clock else suite.baseline)
+        # Generation mode rewrites the committed baseline only with a
+        # document that passed its gates; --check and a failing run write
+        # only where --out says.
+        out = args.out or (None if args.check or problems else suite.baseline)
         if out:
             print(f"result written to {save_result(doc, out)}")
         if problems:

@@ -1,28 +1,19 @@
-"""Wall-clock benchmarking of the execution backends (``repro bench``).
+"""The deterministic benchmark suites behind ``repro bench``.
 
 The simulator's cost model answers "what would this cost on the paper's
-cluster?"; this module answers the orthogonal question "what does it
-cost *here*, on real silicon?" by timing the same fixed-initial-centroid
-k-means driver on every execution backend over synthetic corpora of
-10^5–10^6 traces.
-
-The workload is chosen to exercise exactly what the backends differ in:
-multiple chunks (so there is parallelism to find), an iterative driver
-(so the process backend's per-chunk shared-memory segments are reused
-across jobs), a distributed-cache entry updated every iteration (so the
-broadcast path is hot), and a combiner (so the shuffle stays small and
-the timing isolates map-side compute + transport).
-
-That is the ``backends`` suite; six more (spill, multitenant, query,
-stream, shuffle, attack) measure one subsystem each.  Every suite is one
+cluster?"; each suite here runs one subsystem (spill, multitenant,
+query, stream, shuffle, attack) at a fixed workload and records what the
+run *did* — simulated seconds, shuffle bytes, spill and paging counters,
+page faults, iteration counts, result digests.  Every suite is one
 :class:`Suite` declaration in :data:`SUITES`, and every result document
 doubles as a regression baseline: :func:`compare_to_baseline` holds a
-fresh run to the committed ``BENCH_<suite>.json``.  Absolute times are
-only comparable on matching hardware, so wall-clock is compared by the
-backends suite alone — raw seconds when the CPU count matches the
-baseline's, serial-normalized ratios (which cancel single-core speed)
-when it does not; every other suite compares its declared
-deterministic paths.
+fresh run's declared paths to the committed ``BENCH_<suite>.json``.
+
+A document is a pure function of the code and the parameters: nothing
+here reads a clock or a resource meter, so two runs write identical
+files.  Wall-clock and peak RSS are measured in one place,
+``benchmarks/e2e/run.py`` (docs/PERFORMANCE.md, "Where wall-clock is
+measured"), which imports this module's corpus generators.
 """
 
 from __future__ import annotations
@@ -30,10 +21,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
-import subprocess
-import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -52,7 +39,6 @@ __all__ = [
     "synthetic_stream_corpus",
     "query_workload",
     "matches_reference",
-    "wall_clock_regressions",
     "Suite",
     "SUITES",
     "compare_to_baseline",
@@ -136,13 +122,12 @@ def _kmeans_cell(
     use_aggregation: bool = False,
     **deployment: Any,
 ) -> tuple[dict[str, Any], JobRunner]:
-    """One timed k-means run on a fresh deployment
+    """One k-means run on a fresh deployment
     (:func:`~repro.mapreduce.runner.fresh_runner`).
 
-    Returns the cell every k-means suite starts from — wall-clock plus
-    the deterministic simulated seconds, shuffle bytes, iteration count
-    and centroid digest — and the closed runner, whose history and spill
-    counters stay readable.
+    Returns the cell every k-means suite starts from — simulated
+    seconds, shuffle bytes, iteration count and centroid digest — and
+    the closed runner, whose history and spill counters stay readable.
     """
     from repro.algorithms.kmeans import run_kmeans_mapreduce
 
@@ -150,7 +135,6 @@ def _kmeans_cell(
     with fresh_runner(
         datasets, chunk_size=chunk_mb * MB, reduce_locality=use_aggregation, **deployment
     ) as runner:
-        start = time.perf_counter()
         result = run_kmeans_mapreduce(
             runner,
             "input/traces",
@@ -161,10 +145,8 @@ def _kmeans_cell(
             use_aggregation=use_aggregation,
             workdir="tmp/kmeans",
         )
-        elapsed = time.perf_counter() - start
     digest = hashlib.sha256(np.ascontiguousarray(result.centroids).tobytes())
     cell = {
-        "wall_s": elapsed,
         "sim_seconds": result.total_sim_seconds,
         "shuffle_bytes": int(sum(s.shuffle_bytes for s in result.history)),
         "n_iterations": int(result.n_iterations),
@@ -173,19 +155,10 @@ def _kmeans_cell(
     return cell, runner
 
 
-def _check_backends(backends: Sequence[str], iterations: int) -> None:
+def _check_backends(backends: Sequence[str]) -> None:
     unknown = [b for b in backends if b not in BACKENDS]
     if unknown:
         raise ValueError(f"unknown backend(s) {unknown}; choose from {list(BACKENDS)}")
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-
-
-def _best_of(iterations: int, cell: Callable[[], dict[str, Any]]) -> dict[str, Any]:
-    """The fastest of ``iterations`` runs of ``cell`` (minimum is the
-    standard noise-robust estimator for repeated timings; everything
-    but ``wall_s`` is identical across repeats)."""
-    return min((cell() for _ in range(iterations)), key=lambda c: c["wall_s"])
 
 
 def _divergence(cells: Mapping[str, Mapping], keys: Sequence[str], where: str) -> list[str]:
@@ -206,144 +179,6 @@ def _require_identical(cells: Mapping[str, Mapping], keys: Sequence[str], where:
         raise RuntimeError("; ".join(problems))
 
 
-def _run_backends(
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    backends: Sequence[str] = BACKENDS,
-    iterations: int = 2,
-    *,
-    k: int = 4,
-    max_iter: int = 3,
-    # 2 MB chunks @ 64 modelled bytes/trace: ~4 map tasks at 10^5 traces,
-    # ~31 at 10^6 — enough fan-out for the pools to matter at both sizes.
-    chunk_mb: int = 2,
-    workers: int | None = None,
-    seed: int = 0,
-) -> dict[str, Any]:
-    """Time the k-means driver on every backend at every corpus size.
-
-    Each (size, backend) cell is run ``iterations`` times on a fresh
-    simulated deployment and the *best* wall-clock is kept.  Before
-    any timing is trusted, the run verifies every backend produced
-    byte-identical centroids and the same iteration count as the first —
-    a benchmark of diverging computations would be meaningless.
-    """
-    _check_backends(backends, iterations)
-
-    results = []
-    for size in sizes:
-        corpus = synthetic_corpus(int(size), seed=seed)
-        cell = functools.partial(
-            _kmeans_cell,
-            corpus,
-            corpus.coordinates()[:k].copy(),
-            max_iter=max_iter,
-            use_combiner=True,
-            chunk_mb=chunk_mb,
-            max_workers=workers,
-        )
-        cells = {
-            backend: _best_of(iterations, lambda: cell(backend=backend)[0])
-            for backend in backends
-        }
-        _require_identical(cells, ("centroids_sha256", "n_iterations"), f"at size {size}")
-        times = {backend: c["wall_s"] for backend, c in cells.items()}
-        entry: dict[str, Any] = {"size": int(size), "times_s": times}
-        if "serial" in times:
-            entry["speedup_vs_serial"] = {
-                b: times["serial"] / t for b, t in times.items() if b != "serial"
-            }
-        results.append(entry)
-    return {
-        "schema": _SCHEMA,
-        "workload": {
-            "driver": "kmeans",
-            "k": k,
-            "max_iter": max_iter,
-            "chunk_mb": chunk_mb,
-            "combiner": True,
-            "seed": seed,
-        },
-        "cpu_count": os.cpu_count(),
-        "max_workers": workers,
-        "iterations": iterations,
-        "backends": list(backends),
-        "results": results,
-    }
-
-
-def wall_clock_regressions(
-    current: Mapping[str, Any],
-    baseline: Mapping[str, Any],
-    tolerance: float = 0.25,
-    min_seconds: float = 0.25,
-) -> list[str]:
-    """The backends suite's compare step: wall-clock slowdowns.
-
-    Returns a list of human-readable problems; empty means the run is
-    within ``tolerance`` (fractional slowdown, default 25%) everywhere
-    the two documents overlap.  When the CPU counts match, raw seconds
-    are compared; otherwise each backend's time is normalized by the
-    same run's serial time first, so a faster or slower host doesn't
-    mask (or fake) a regression in the parallel machinery itself.
-
-    Cells whose baseline wall-clock is under ``min_seconds`` are
-    skipped: at tens of milliseconds, scheduler jitter alone exceeds any
-    plausible tolerance, and a guard that cries wolf gets deleted.
-    """
-    problems: list[str] = []
-    same_host = baseline.get("cpu_count") == current.get("cpu_count")
-    sizes = _resolve("results.*.times_s", current, baseline)
-    for path, cur, base in sizes:
-        size = int(path.split(".")[1])
-        for backend in sorted(set(cur) & set(base)):
-            if base[backend] < min_seconds:
-                continue
-            if same_host:
-                now, then = cur[backend], base[backend]
-                metric = "wall-clock"
-            else:
-                if "serial" not in cur or "serial" not in base:
-                    continue
-                if backend == "serial":
-                    continue
-                now = cur[backend] / cur["serial"]
-                then = base[backend] / base["serial"]
-                metric = "serial-normalized time"
-            if now > then * (1.0 + tolerance):
-                problems.append(
-                    f"{backend} @ {size:,} traces: {metric} regressed "
-                    f"{now:.3f} vs baseline {then:.3f} "
-                    f"(+{(now / then - 1.0) * 100:.0f}%, tolerance "
-                    f"{tolerance * 100:.0f}%)"
-                )
-    if not sizes:
-        problems.append("no overlapping corpus sizes between run and baseline")
-    return problems
-
-
-def _render_backends(doc: Mapping[str, Any]) -> str:
-    """Terminal table for one benchmark document."""
-    lines = [
-        f"execution-backend wall-clock (k-means, k={doc['workload']['k']}, "
-        f"{doc['workload']['max_iter']} iterations, combiner on; "
-        f"cpu_count={doc['cpu_count']}, best of {doc['iterations']})",
-        "",
-        f"{'traces':>12}  " + "".join(f"{b:>12}" for b in doc["backends"]),
-    ]
-    for entry in doc["results"]:
-        row = f"{entry['size']:>12,}  "
-        row += "".join(f"{entry['times_s'][b]:>11.3f}s" for b in doc["backends"])
-        lines.append(row)
-        speedups = entry.get("speedup_vs_serial")
-        if speedups:
-            row = f"{'vs serial':>12}  " + f"{'1.00x':>12}"
-            row += "".join(
-                f"{speedups[b]:>11.2f}x" for b in doc["backends"] if b != "serial"
-            )
-            lines.append(row)
-    return "\n".join(lines)
-
-
 def save_result(doc: Mapping[str, Any], path: str | Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -357,32 +192,19 @@ def load_result(path: str | Path) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Out-of-core (spill) benchmark: wall-clock + peak RSS, budget on vs off.
+# Out-of-core (spill) benchmark: the same run with and without a budget.
 # ---------------------------------------------------------------------------
 
 
 def _spill_cell(
-    size: int,
-    budget_mb: float | None,
-    *,
-    k: int = 4,
-    max_iter: int = 3,
-    chunk_mb: int = 2,
-    seed: int = 0,
-    measure_rss: bool = True,
+    size: int, budget_mb: float | None, *, k: int, max_iter: int, chunk_mb: int, seed: int
 ) -> dict[str, Any]:
-    """One (size, budget) measurement: k-means without a combiner.
+    """One (size, budget) cell: k-means without a combiner.
 
     The combiner is deliberately off so every map task emits one pair
     per trace — it is the map-output and shuffle volume that a memory
     budget has to tame, and with a combiner on there is nothing to
-    spill.  The serial backend is used because ``ru_maxrss`` only
-    meters *this* process; pool workers would hide their footprint in
-    children.
-
-    Meant to run inside a fresh subprocess when ``measure_rss`` is
-    true: ``ru_maxrss`` is a lifetime high-water mark, so cells sharing
-    a process would all report the largest cell's footprint.
+    spill.
     """
     kmeans, runner = _kmeans_cell(
         synthetic_corpus_blocks(int(size), seed=seed),
@@ -392,53 +214,13 @@ def _spill_cell(
         budget_mb=budget_mb,
     )
     spill, paging = runner.spill_stats, runner.hdfs.spill_stats
-    cell: dict[str, Any] = {
+    return {
         "budget_mb": budget_mb,
-        "elapsed_s": kmeans["wall_s"],
         "n_iterations": kmeans["n_iterations"],
         "centroids_sha256": kmeans["centroids_sha256"],
         "spill": spill.as_dict() if spill else None,
         "paging": paging.as_dict() if paging else None,
     }
-    if measure_rss:
-        import resource
-
-        # ru_maxrss is KiB on Linux, bytes on macOS.
-        unit = 1024 if sys.platform == "darwin" else 1
-        peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
-        cell["peak_rss_mb"] = peak_kib / 1024.0
-    else:
-        cell["peak_rss_mb"] = None
-    return cell
-
-
-def _spill_cell_subprocess(**params: Any) -> dict[str, Any]:
-    """Run :func:`_spill_cell` in a fresh interpreter and return its JSON."""
-    import repro
-
-    code = (
-        "import json, sys\n"
-        "from repro.mapreduce.bench import _spill_cell\n"
-        "params = json.load(sys.stdin)\n"
-        "json.dump(_spill_cell(**params), sys.stdout)\n"
-    )
-    env = dict(os.environ)
-    pkg_root = str(Path(repro.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = pkg_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        input=json.dumps(params),
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"spill benchmark cell failed (rc={proc.returncode}):\n{proc.stderr}"
-        )
-    return json.loads(proc.stdout)
 
 
 def _run_spill(
@@ -449,17 +231,14 @@ def _run_spill(
     max_iter: int = 3,
     chunk_mb: int = 2,
     seed: int = 0,
-    isolate_cells: bool = True,
 ) -> dict[str, Any]:
-    """Spill-on/off trajectory: wall-clock and peak RSS at each size.
+    """Spill-on/off trajectory: what left memory at each size.
 
-    For each corpus size, the same combiner-less k-means run is timed
-    twice — once unbudgeted (everything resident) and once under
-    ``budget_mb`` (chunk store pages, map outputs and shuffle spill to
-    disk).  Each cell runs in its own subprocess so ``ru_maxrss`` — a
-    per-process lifetime high-water mark — meters that cell alone;
-    ``isolate_cells=False`` keeps everything in-process for tests and
-    reports ``peak_rss_mb: null``.
+    For each corpus size, the same combiner-less k-means run executes
+    twice on the serial backend — once unbudgeted (everything resident)
+    and once under ``budget_mb`` (chunk store pages, map outputs and
+    shuffle spill to disk) — and each cell records its spill and paging
+    counters.
 
     Centroids must be byte-identical across the two cells of a size —
     the budget is an execution detail, never an answer change — which
@@ -467,29 +246,18 @@ def _run_spill(
     """
     if budget_mb <= 0:
         raise ValueError("budget_mb must be positive")
-    results = []
-    for size in sizes:
-        cell = _spill_cell_subprocess if isolate_cells else _spill_cell
-        cells = {
-            label: cell(
-                size=int(size),
-                budget_mb=budget,
-                k=k,
-                max_iter=max_iter,
-                chunk_mb=chunk_mb,
-                seed=seed,
-                measure_rss=isolate_cells,
-            )
-            for label, budget in (("unbudgeted", None), ("budgeted", budget_mb))
+    results = [
+        {
+            "size": int(size),
+            "cells": {
+                label: _spill_cell(
+                    int(size), budget, k=k, max_iter=max_iter, chunk_mb=chunk_mb, seed=seed
+                )
+                for label, budget in (("unbudgeted", None), ("budgeted", budget_mb))
+            },
         }
-        entry: dict[str, Any] = {"size": int(size), "cells": cells}
-        on, off = cells["budgeted"], cells["unbudgeted"]
-        if on["peak_rss_mb"] is not None and off["peak_rss_mb"] is not None:
-            entry["rss_saved_mb"] = off["peak_rss_mb"] - on["peak_rss_mb"]
-        entry["slowdown"] = (
-            on["elapsed_s"] / off["elapsed_s"] if off["elapsed_s"] > 0 else None
-        )
-        results.append(entry)
+        for size in sizes
+    ]
     return {
         "schema": _SCHEMA,
         "workload": {
@@ -502,8 +270,6 @@ def _run_spill(
             "seed": seed,
         },
         "budget_mb": budget_mb,
-        "cpu_count": os.cpu_count(),
-        "isolated_cells": isolate_cells,
         "results": results,
     }
 
@@ -563,9 +329,7 @@ def _run_multitenant(
     result-cache cell, which must come back as a hit with **zero** map
     tasks.
 
-    Reported metrics split into the real and the simulated: wall-clock
-    to drain the backlog (host-dependent, excluded from baseline
-    checks) and the fair-share interleave's simulated makespan vs the
+    Reported: the fair-share interleave's simulated makespan vs the
     serial sum, the contended-window fairness shares, and the cache
     economics — all deterministic, so they double as a regression
     baseline.
@@ -588,7 +352,6 @@ def _run_multitenant(
     hdfs = SimulatedHDFS(paper_cluster(4), chunk_size=chunk_mb * MB, seed=0)
     hdfs.put_trace_array("input/traces", corpus)
     futures: dict[tuple[str, str], Any] = {}
-    wall_start = time.perf_counter()
     with JobService(hdfs, tenants=weights, start=False) as service:
         # Backlog model: everything queues against a paused dispatcher,
         # so the drain order is a pure function of the weights.
@@ -650,7 +413,6 @@ def _run_multitenant(
         futures[(resubmit_tenant, resubmission.name)] = hit_future
         service.start()
         service.wait()
-        wall = time.perf_counter() - wall_start
         report = service.report()
         hit_result = hit_future.result()
         cache = service.result_cache
@@ -676,8 +438,6 @@ def _run_multitenant(
             "chunk_mb": chunk_mb,
             "seed": seed,
         },
-        "cpu_count": os.cpu_count(),
-        "wall_clock_s": wall,
         "simulated": {
             "interleaved_makespan_s": report.interleaved_makespan_s,
             "serial_s": report.serial_s,
@@ -769,7 +529,6 @@ def _render_multitenant(doc: Mapping[str, Any]) -> str:
         f"{doc['result_cache']['misses']} miss(es); resubmission "
         f"{resub['job']!r} ran {resub['n_map_tasks']} map tasks "
         f"(setup charge {resub['setup_charge_s']:.1f} sim s)",
-        f"wall-clock {doc['wall_clock_s']:.2f}s on cpu_count={doc['cpu_count']}",
     ]
     return "\n".join(lines)
 
@@ -778,36 +537,26 @@ def _render_spill(doc: Mapping[str, Any]) -> str:
     """Terminal table for one spill benchmark document."""
     w = doc["workload"]
     lines = [
-        f"out-of-core wall-clock + peak RSS (k-means, k={w['k']}, "
+        f"out-of-core execution (k-means, k={w['k']}, "
         f"{w['max_iter']} iterations, no combiner, serial backend; "
         f"budget {doc['budget_mb']} MB)",
         "",
-        f"{'traces':>12}  {'mode':>10}  {'wall':>9}  {'peak RSS':>10}  "
-        f"{'spilled':>10}  {'paged out':>10}",
+        f"{'traces':>12}  {'mode':>10}  {'runs':>6}  {'spilled':>10}  "
+        f"{'pages out':>9}  {'paged out':>10}  {'paged in':>10}",
     ]
     for entry in doc["results"]:
         for label in ("unbudgeted", "budgeted"):
             cell = entry["cells"][label]
-            rss = (
-                f"{cell['peak_rss_mb']:>8.1f}MB"
-                if cell["peak_rss_mb"] is not None
-                else f"{'n/a':>10}"
-            )
             spill = cell.get("spill") or {}
+            paging = cell.get("paging") or {}
             spilled = spill.get("run_bytes", 0) + spill.get("map_spill_bytes", 0)
-            paged = (cell.get("paging") or {}).get("page_out_bytes", 0)
             lines.append(
                 f"{entry['size']:>12,}  {label:>10}  "
-                f"{cell['elapsed_s']:>8.2f}s  {rss}  "
-                f"{spilled / MB:>8.1f}MB  {paged / MB:>8.1f}MB"
+                f"{spill.get('runs_spilled', 0):>6}  {spilled / MB:>8.1f}MB  "
+                f"{paging.get('pages_out', 0):>9}  "
+                f"{paging.get('page_out_bytes', 0) / MB:>8.1f}MB  "
+                f"{paging.get('page_in_bytes', 0) / MB:>8.1f}MB"
             )
-        extras = []
-        if entry.get("slowdown") is not None:
-            extras.append(f"slowdown {entry['slowdown']:.2f}x")
-        if entry.get("rss_saved_mb") is not None:
-            extras.append(f"RSS saved {entry['rss_saved_mb']:.1f} MB")
-        if extras:
-            lines.append(f"{'':>12}  {', '.join(extras)}")
     return "\n".join(lines)
 
 
@@ -878,7 +627,7 @@ def _run_query(
 
     Page-fault counts, fault bytes, and simulated serving latency are
     deterministic given the workload, so they double as the regression
-    baseline; wall-clock columns are recorded but never gated.
+    baseline.
     """
     from repro.index.persistent import IndexCatalog, QueryEngine
     from repro.index.rtree_mr import build_rtree_mapreduce
@@ -906,12 +655,10 @@ def _run_query(
             {"input/traces": corpus}, chunk_size=chunk_mb * MB, budget_mb=budget_mb
         ) as runner:
             hdfs = runner.hdfs
-            build_wall = time.perf_counter()
             catalog = IndexCatalog(hdfs)
             index, built = catalog.ensure(
                 runner, "input/traces", n_partitions=n_partitions
             )
-            build_wall = time.perf_counter() - build_wall
             if not built:
                 raise RuntimeError(f"first ensure at size {size} was not a build")
             entry = catalog.entries()[0]
@@ -924,11 +671,9 @@ def _run_query(
 
             engine = QueryEngine(index, hdfs=hdfs, history=runner.history)
             identical = True
-            query_wall = time.perf_counter()
             for kind, args in query_workload(corpus, n_queries, seed):
                 got = getattr(engine, kind)(*args)
                 identical = matches_reference(ref_tree, kind, args, got) and identical
-            query_wall = time.perf_counter() - query_wall
             serving = engine.report()
         results.append(
             {
@@ -937,8 +682,6 @@ def _run_query(
                 "n_pages": int(index.meta["n_pages"]),
                 "index_bytes": int(index.meta["page_bytes"]),
                 "build_sim_seconds": float(entry.build_sim_seconds),
-                "build_wall_s": build_wall,
-                "query_wall_s": query_wall,
                 "reuse": {"built_first": bool(built), "rebuilt": bool(rebuilt), "jobs": int(reuse_jobs)},
                 "identical_to_inmemory": bool(identical),
                 "serving": serving,
@@ -954,7 +697,6 @@ def _run_query(
             "seed": seed,
         },
         "budget_mb": budget_mb,
-        "cpu_count": os.cpu_count(),
         "results": results,
     }
 
@@ -1022,10 +764,6 @@ def _render_query(doc: Mapping[str, Any]) -> str:
             f"{serving['page_faults']:>7}  {serving['fault_bytes'] / MB:>7.1f}MB  "
             f"{serving['mean_latency_ms']:>9.2f}ms  "
             f"{'yes' if entry['identical_to_inmemory'] else 'NO':>9}"
-        )
-        lines.append(
-            f"{'':>12}  build wall {entry['build_wall_s']:.2f}s, "
-            f"{w['n_queries']} queries in {entry['query_wall_s']:.3f}s wall"
         )
     return "\n".join(lines)
 
@@ -1113,9 +851,8 @@ def _run_stream(
       job sequence and as streaming runs on every executor backend —
       all byte-identical.
 
-    Everything but the wall-clock block is deterministic given the
-    parameters, so the document doubles as a regression baseline for
-    ``repro bench --stream --check``.
+    Everything is deterministic given the parameters, so the document
+    doubles as a regression baseline for ``repro bench --stream --check``.
     """
     from repro.algorithms.djcluster import DJClusterParams
     from repro.algorithms.sampling import run_sampling_job
@@ -1149,12 +886,10 @@ def _run_stream(
     # Warm streaming run on a service kept open for the replay probe.
     hdfs = SimulatedHDFS(paper_cluster(6), chunk_size=chunk_mb * MB, seed=0)
     source = StreamSource(corpus, window_s, chaos=chaos, name=tenant)
-    warm_wall = time.perf_counter()
     with JobService(hdfs, tenants={tenant: 1.0, "replay": 1.0}) as service:
         client = service.client(tenant)
         manager = StreamingJobManager(client, name=tenant, **manager_kwargs)
         warm = manager.run(source)
-        warm_wall = time.perf_counter() - warm_wall
         # Result-cache probe: a second tenant resubmits the first
         # non-empty window's sampling job verbatim under a fresh output
         # path.  The cache key is (spec fingerprint, input dataset
@@ -1177,21 +912,17 @@ def _run_stream(
         replay_hits = service.result_cache.hits if service.result_cache else 0
 
     # Cold control: identical schedule, no warm start.
-    cold_wall = time.perf_counter()
     cold = run_stream(
         corpus, window_s, mode="service", chaos=chaos, tenant=tenant,
         chunk_size=chunk_mb * MB, warm_start=False, **manager_kwargs,
     )
-    cold_wall = time.perf_counter() - cold_wall
 
     # Equivalence matrix: batch baseline vs every executor backend.
-    equiv_wall = time.perf_counter()
     report = run_stream_equivalence(
         corpus, window_s, chaos=chaos,
         executors=tuple(executors), max_workers=2,
         tenant=tenant, chunk_size=chunk_mb * MB, **manager_kwargs,
     )
-    equiv_wall = time.perf_counter() - equiv_wall
 
     warm_it = warm.total_kmeans_iterations
     cold_it = cold.total_kmeans_iterations
@@ -1214,12 +945,6 @@ def _run_stream(
                 "lost_batch_prob": chaos.lost_batch_prob,
                 "dup_batch_prob": chaos.dup_batch_prob,
             },
-        },
-        "cpu_count": os.cpu_count(),
-        "wall_clock_s": {
-            "warm": warm_wall,
-            "cold": cold_wall,
-            "equivalence": equiv_wall,
         },
         "stream": {
             "signature": warm.signature(),
@@ -1324,7 +1049,6 @@ def _render_stream(doc: Mapping[str, Any]) -> str:
     w = doc["workload"]
     stream = doc["stream"]
     ws = doc["warm_start"]
-    wall = doc["wall_clock_s"]
     lines = [
         f"streaming windows ({stream['total_points']:,} points, "
         f"{stream['n_windows']} windows of {w['window_s']:g}s, "
@@ -1356,9 +1080,6 @@ def _render_stream(doc: Mapping[str, Any]) -> str:
         f"result cache: replay {cache['replay_job']!r} "
         f"{'hit' if cache['cache_hit'] else 'MISS'} "
         f"({cache['n_map_tasks']} map tasks)",
-        f"wall-clock warm {wall['warm']:.2f}s, cold {wall['cold']:.2f}s, "
-        f"equivalence {wall['equivalence']:.2f}s "
-        f"on cpu_count={doc['cpu_count']}",
     ]
     return "\n".join(lines)
 
@@ -1377,7 +1098,7 @@ def _shuffle_cell(
     max_iter: int,
     **deployment: Any,
 ) -> dict[str, Any]:
-    """One timed k-means run in one shuffle mode on a fresh deployment.
+    """One k-means run in one shuffle mode on a fresh deployment.
 
     ``mode="combiner"`` is the object-level combiner path (the previous
     best); ``mode="aggregation"`` declares the k-means reduce as its
@@ -1415,16 +1136,14 @@ def _run_shuffle(
     chunk_mb: int = 2,
     workers: int | None = None,
     seed: int = 0,
-    iterations: int = 2,
 ) -> dict[str, Any]:
     """Shuffle bytes moved: combiner-only vs the aggregation algebra.
 
     The same fixed-initial-centroid k-means run (k=``k``,
     ``max_iter`` iterations over 10^6 traces by default) is measured in
-    two shuffle modes on every backend.  Per (mode, backend) cell the
-    best of ``iterations`` wall-clocks is kept; the shuffle-byte totals,
+    two shuffle modes on every backend; the shuffle-byte totals,
     simulated seconds, pre-agg accounting, and centroid digests are
-    deterministic and identical across repeats.
+    deterministic.
 
     Two identities gate the numbers before any ratio is reported: within
     a mode every backend must produce byte-identical centroids, and both
@@ -1433,7 +1152,7 @@ def _run_shuffle(
     folds task partials in arrival order while the aggregation reduce
     uses the canonical node-major merge tree.)
     """
-    _check_backends(backends, iterations)
+    _check_backends(backends)
     cell = functools.partial(
         _shuffle_cell,
         synthetic_corpus(int(n_traces), seed=seed),
@@ -1444,9 +1163,7 @@ def _run_shuffle(
     )
     modes: dict[str, dict[str, dict[str, Any]]] = {}
     for mode in ("combiner", "aggregation"):
-        modes[mode] = {
-            backend: _best_of(iterations, lambda: cell(backend, mode)) for backend in backends
-        }
+        modes[mode] = {backend: cell(backend, mode) for backend in backends}
         _require_identical(
             modes[mode], ("centroids_sha256", "shuffle_bytes"), f"in mode {mode!r}"
         )
@@ -1464,9 +1181,7 @@ def _run_shuffle(
             "cluster_workers": 4,
             "seed": int(seed),
         },
-        "cpu_count": os.cpu_count(),
         "max_workers": workers,
-        "reps": int(iterations),
         "backends": list(backends),
         "modes": modes,
         "shuffle_bytes": {
@@ -1528,11 +1243,10 @@ def _render_shuffle(doc: Mapping[str, Any]) -> str:
     sb = doc["shuffle_bytes"]
     lines = [
         f"shuffle-byte minimization (k-means, {w['n_traces']:,} traces, "
-        f"k={w['k']}, {w['max_iter']} iterations; cpu_count={doc['cpu_count']}, "
-        f"best of {doc['reps']})",
+        f"k={w['k']}, {w['max_iter']} iterations)",
         "",
         f"{'mode':>12}  {'backend':>10}  {'shuffle':>12}  {'cross-node':>11}  "
-        f"{'sim':>9}  {'wall':>8}",
+        f"{'sim':>9}",
     ]
     for mode in ("combiner", "aggregation"):
         for backend in doc["backends"]:
@@ -1544,7 +1258,7 @@ def _render_shuffle(doc: Mapping[str, Any]) -> str:
             )
             lines.append(
                 f"{mode:>12}  {backend:>10}  {cell['shuffle_bytes']:>11,}B  "
-                f"{cross}  {cell['sim_seconds']:>8.1f}s  {cell['wall_s']:>7.2f}s"
+                f"{cross}  {cell['sim_seconds']:>8.1f}s"
             )
     agg = doc["modes"]["aggregation"][doc["backends"][0]]
     lines += [
@@ -1574,13 +1288,13 @@ def _attack_cell(
     budget_mb: float | None = None,
     chaos_seed: int | None = None,
 ) -> dict[str, Any]:
-    """One timed MapReduce linkage attack on a fresh deployment.
+    """One MapReduce linkage attack on a fresh deployment.
 
     ``budget_mb`` forces the paged/spill path; ``chaos_seed`` runs the
     attack under the chaos campaign's :func:`default fault schedule
-    <repro.mapreduce.chaos.default_schedule>`.  Everything but ``wall_s``
-    is a deterministic function of the inputs (and, for the chaos cell,
-    the seed).
+    <repro.mapreduce.chaos.default_schedule>`.  The cell is a
+    deterministic function of the inputs (and, for the chaos cell, the
+    seed).
     """
     from repro.attacks.linkage_mr import SYNTH_ATTACK_PARAMS, run_linkage_attack
     from repro.mapreduce.chaos import default_schedule
@@ -1593,7 +1307,6 @@ def _attack_cell(
         budget_mb=budget_mb,
         chaos=default_schedule(chaos_seed) if chaos_seed is not None else None,
     ) as runner:
-        start = time.perf_counter()
         outcome = run_linkage_attack(
             runner,
             "input/train",
@@ -1601,10 +1314,8 @@ def _attack_cell(
             truth,
             params=SYNTH_ATTACK_PARAMS,
         )
-        elapsed = time.perf_counter() - start
     linked = sum(1 for v in outcome.result.linkage.values() if v is not None)
     return {
-        "wall_s": elapsed,
         "sim_seconds": round(float(outcome.sim_seconds), 6),
         "signature": outcome.signature(),
         "success_rate": round(float(outcome.result.success_rate), 9),
@@ -1629,7 +1340,6 @@ def _run_attack(
     seed: int = 0,
     budget_mb: float = 8.0,
     chaos_seed: int = 7,
-    iterations: int = 1,
 ) -> dict[str, Any]:
     """The MapReduce linkage attack: exactness matrix + 10^5-user scale.
 
@@ -1639,11 +1349,10 @@ def _run_attack(
     MapReduce attack on every backend, under a ``budget_mb`` memory
     budget, and under a fixed chaos schedule — every cell must reproduce
     the reference signature byte for byte (divergence raises before a
-    document is even produced).  The *scale* block times the attack at
+    document is even produced).  The *scale* block runs the attack at
     ``n_users`` training users vs ``n_users`` pseudonymized targets
-    (10^10 candidate pairs) on the serial backend, best of ``iterations``,
-    with the persistent-index audit proving the candidate blocking
-    lossless.
+    (10^10 candidate pairs) on the serial backend, with the
+    persistent-index audit proving the candidate blocking lossless.
     """
     from repro.attacks.linkage_mr import (
         SYNTH_ATTACK_PARAMS,
@@ -1652,7 +1361,7 @@ def _run_attack(
         synthetic_linkage_corpus,
     )
 
-    _check_backends(backends, iterations)
+    _check_backends(backends)
     # Both corpora are (training, target, truth) triples.
     small = synthetic_linkage_corpus(int(equivalence_users), seed=seed)
     reference_signature = linkage_signature(
@@ -1669,7 +1378,7 @@ def _run_attack(
     )
 
     corpus = synthetic_linkage_corpus(int(n_users), seed=seed)
-    scale = _best_of(iterations, lambda: cell(*corpus, "serial"))
+    scale = cell(*corpus, "serial")
     return {
         "schema": _SCHEMA,
         "workload": {
@@ -1684,9 +1393,7 @@ def _run_attack(
             "budget_mb": float(budget_mb),
             "chaos_seed": int(chaos_seed),
         },
-        "cpu_count": os.cpu_count(),
         "max_workers": workers,
-        "reps": int(iterations),
         "backends": list(backends),
         "reference_signature": reference_signature,
         "equivalence": equivalence,
@@ -1756,11 +1463,10 @@ def _render_attack(doc: Mapping[str, Any]) -> str:
     w = doc["workload"]
     lines = [
         f"linkage attack ({w['n_users']:,} users vs {w['n_users']:,} pseudonyms; "
-        f"equivalence on {w['equivalence_users']} users; "
-        f"cpu_count={doc['cpu_count']}, best of {doc['reps']})",
+        f"equivalence on {w['equivalence_users']} users)",
         "",
         f"{'cell':>14}  {'success':>8}  {'linked':>7}  {'pairs':>10}  "
-        f"{'exact':>5}  {'sim':>9}  {'wall':>8}",
+        f"{'exact':>5}  {'sim':>9}",
     ]
     cells = dict(doc.get("equivalence", {}))
     if doc.get("scale"):
@@ -1770,7 +1476,7 @@ def _render_attack(doc: Mapping[str, Any]) -> str:
         lines.append(
             f"{label:>14}  {cell['success_rate']:>8.2%}  {cell['linked']:>7,}  "
             f"{cell['pairs_scored']:>10,}  {exact:>5}  "
-            f"{cell['sim_seconds']:>8.1f}s  {cell['wall_s']:>7.2f}s"
+            f"{cell['sim_seconds']:>8.1f}s"
         )
     scale = doc.get("scale") or {}
     if scale:
@@ -1792,8 +1498,7 @@ def _render_attack(doc: Mapping[str, Any]) -> str:
 
 @dataclass(frozen=True)
 class Suite:
-    """One ``repro bench`` mode, declared (``--<name>`` selects it;
-    ``backends`` is the flagless default).
+    """One ``repro bench`` mode, declared (``--<name>`` selects it).
 
     ``run`` takes the ``repro bench`` options named in ``options`` as
     keyword arguments; ``gates`` are the intrinsic checks on one document
@@ -1801,13 +1506,6 @@ class Suite:
     before anything is compared, and ``compared`` lists the ``(path,
     rule, tolerance)`` triples :func:`compare_to_baseline` holds against
     it; everything else in a document is recorded, never compared.
-
-    ``wall_clock`` marks the one suite whose document *is* host-dependent
-    timing: it is held to :func:`wall_clock_regressions` instead of
-    declared paths, ``--check`` without a baseline is an error (there is
-    no intrinsic gate to fall back on), and it is written only where
-    ``--out`` says — a plain run must not replace a baseline recorded on
-    other hardware.
     """
 
     name: str
@@ -1817,7 +1515,6 @@ class Suite:
     options: tuple[str, ...] = ()
     pinned: tuple[str, ...] = ("schema", "workload")
     compared: tuple[tuple[str, str, float], ...] = ()
-    wall_clock: bool = False
 
     @property
     def baseline(self) -> Path:
@@ -1834,17 +1531,13 @@ _ATTACK_CELL = (
 SUITES: dict[str, Suite] = {
     suite.name: suite
     for suite in (
-        # Diverging backends raise inside the run, and wall-clock has no
-        # intrinsic bar — only the baseline's — so there is nothing to gate.
-        Suite(
-            "backends", _run_backends, lambda doc: [], _render_backends,
-            options=("sizes", "backends", "iterations", "k", "max_iter", "workers"),
-            pinned=("schema",),
-            wall_clock=True,
-        ),
         Suite(
             "spill", _run_spill, _gates_spill, _render_spill,
             options=("sizes", "budget_mb", "k", "max_iter"),
+            pinned=("schema", "workload", "budget_mb"),
+            compared=(
+                ("results.*.cells.*.{n_iterations,centroids_sha256,spill,paging}", "exact", 0.0),
+            ),
         ),
         Suite(
             "multitenant", _run_multitenant, _gates_multitenant, _render_multitenant,
@@ -1868,7 +1561,7 @@ SUITES: dict[str, Suite] = {
         ),
         Suite(
             "shuffle", _run_shuffle, _gates_shuffle, _render_shuffle,
-            options=("backends", "iterations", "workers"),
+            options=("backends", "workers"),
             compared=(
                 ("shuffle_bytes", "exact", 0.0),
                 (
@@ -1880,7 +1573,7 @@ SUITES: dict[str, Suite] = {
         ),
         Suite(
             "attack", _run_attack, _gates_attack, _render_attack,
-            options=("backends", "iterations", "workers", "budget_mb"),
+            options=("backends", "workers", "budget_mb"),
             compared=(
                 ("reference_signature", "exact", 0.0),
                 (f"equivalence.*.{_ATTACK_CELL}", "exact", 0.0),
@@ -1946,10 +1639,7 @@ def _drifted(rule: str, tolerance: float, now: Any, then: Any) -> bool:
 
 
 def compare_to_baseline(
-    suite: Suite,
-    current: Mapping[str, Any],
-    baseline: Mapping[str, Any],
-    tolerance: float = 0.25,
+    suite: Suite, current: Mapping[str, Any], baseline: Mapping[str, Any]
 ) -> list[str]:
     """Drift of ``current`` versus a committed ``baseline``, for any suite.
 
@@ -1960,9 +1650,7 @@ def compare_to_baseline(
     have nothing comparable in them.  Then every declared path is
     resolved (:func:`_resolve`) and held to its rule (:func:`_drifted`);
     a declared path that names nothing is itself a problem, never a
-    silent pass.  Wall-clock is host-dependent and ignored, except by
-    the ``wall_clock`` suite, which is *only* wall-clock and is held to
-    :func:`wall_clock_regressions` within ``tolerance`` instead.
+    silent pass.
     """
     for field in suite.pinned:
         if baseline.get(field) != current.get(field):
@@ -1970,7 +1658,7 @@ def compare_to_baseline(
                 f"{field} mismatch: baseline {baseline.get(field)!r} vs current "
                 f"{current.get(field)!r} (run with the baseline's parameters)"
             ]
-    problems = wall_clock_regressions(current, baseline, tolerance) if suite.wall_clock else []
+    problems = []
     for pattern, rule, path_tolerance in suite.compared:
         matches = _resolve(pattern, current, baseline)
         if not matches:
@@ -1983,18 +1671,4 @@ def compare_to_baseline(
                 )
                 how = f"{rule} {path_tolerance:g}" if path_tolerance else rule
                 problems.append(f"{path}: {now} vs baseline {then} ({how})")
-    if problems:
-        # Provenance up front: a host mismatch is the first thing to rule
-        # out when a gate trips (a 1-core CI runner vs an 8-core laptop
-        # compares serial-normalized ratios, not raw seconds).
-        if baseline.get("cpu_count") == current.get("cpu_count"):
-            hosts = "matching hosts, raw wall-clock comparable"
-        else:
-            hosts = "different hosts, only serial-normalized wall-clock comparable"
-        problems.insert(
-            0,
-            f"provenance: baseline recorded on cpu_count="
-            f"{baseline.get('cpu_count')}, this run on cpu_count="
-            f"{current.get('cpu_count')} ({hosts})",
-        )
     return problems

@@ -1,7 +1,9 @@
-"""The benchmark harness: corpus synthesis, the timing run's divergence
-guard, and — for every suite — the gates and the one baseline
-comparison that gate CI, exercised on the committed ``BENCH_*.json``."""
+"""The benchmark harness: corpus synthesis, the rule that a ``repro
+bench`` document is a pure function of code and parameters, and — for
+every suite — the gates and the one baseline comparison that gate CI,
+exercised on the committed ``BENCH_*.json``."""
 
+import ast
 import copy
 import re
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.mapreduce.bench as bench
 from repro.mapreduce.bench import (
     SUITES,
     Suite,
@@ -16,26 +19,32 @@ from repro.mapreduce.bench import (
     load_result,
     save_result,
     synthetic_corpus,
-    wall_clock_regressions,
 )
 
 REPO = Path(__file__).resolve().parents[2]
-BACKENDS_SUITE = SUITES["backends"]
+
+#: The three suites cheap enough to run inside tier-1, at reduced parameters.
+CHEAP_RUNS = {
+    "spill": dict(sizes=[20_000], budget_mb=0.25, max_iter=2),
+    "multitenant": dict(n_traces=5_000),
+    "query": dict(sizes=[5_000], budget_mb=0.05, n_queries=8),
+}
+
+#: Every key that held a clock, a resource meter or a host property.
+HOST_KEYS = {
+    "wall_s", "elapsed_s", "wall_clock_s", "build_wall_s", "query_wall_s",
+    "times_s", "peak_rss_mb", "rss_saved_mb", "slowdown", "cpu_count",
+    "isolated_cells", "reps", "iterations",
+}
 
 
-def _doc(times_by_size, cpu_count=4, schema=1):
+@pytest.fixture(scope="module")
+def cheap_documents():
+    """Two runs of each cheap suite with the same parameters."""
     return {
-        "schema": schema,
-        "cpu_count": cpu_count,
-        "results": [
-            {"size": size, "times_s": dict(times)}
-            for size, times in times_by_size.items()
-        ],
+        name: [SUITES[name].run(**kwargs) for _ in range(2)]
+        for name, kwargs in CHEAP_RUNS.items()
     }
-
-
-def compare_backends(current, baseline, tolerance=0.25):
-    return compare_to_baseline(BACKENDS_SUITE, current, baseline, tolerance)
 
 
 # -- synthetic corpus --------------------------------------------------------
@@ -50,81 +59,47 @@ def test_synthetic_corpus_shape_and_determinism():
     assert not np.array_equal(synthetic_corpus(500, seed=4).latitude, a.latitude)
 
 
-# -- the benchmark run -------------------------------------------------------
+# -- a document is a pure function of code and parameters --------------------
 
-def test_small_benchmark_run_and_roundtrip(tmp_path):
-    doc = BACKENDS_SUITE.run(
-        sizes=(2_000,), backends=("serial", "threads"), iterations=1,
-        max_iter=2, workers=2,
+@pytest.mark.parametrize("name", CHEAP_RUNS)
+def test_two_runs_write_identical_documents(cheap_documents, name, tmp_path):
+    first, second = (
+        save_result(doc, tmp_path / f"{i}.json") for i, doc in enumerate(cheap_documents[name])
     )
-    (entry,) = doc["results"]
-    assert entry["size"] == 2_000
-    assert set(entry["times_s"]) == {"serial", "threads"}
-    assert all(t > 0 for t in entry["times_s"].values())
-    assert entry["speedup_vs_serial"].keys() == {"threads"}
-    assert "traces" in BACKENDS_SUITE.render(doc)
+    assert first.read_bytes() == second.read_bytes()
+    assert load_result(first) == cheap_documents[name][0]
 
-    path = save_result(doc, tmp_path / "bench.json")
-    assert load_result(path) == doc
+
+def test_bench_reads_no_clock():
+    tree = ast.parse(Path(bench.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[0])
+    assert not imported & {"time", "resource", "subprocess"}
+    assert not any(hasattr(suite, "wall_clock") for suite in SUITES.values())
+    assert list(SUITES) == ["spill", "multitenant", "query", "stream", "shuffle", "attack"]
 
 
 def test_benchmark_rejects_bad_arguments():
     with pytest.raises(ValueError, match="unknown backend"):
-        BACKENDS_SUITE.run(sizes=(100,), backends=("serial", "fibers"))
-    with pytest.raises(ValueError, match="iterations"):
-        BACKENDS_SUITE.run(sizes=(100,), iterations=0)
-
-
-# -- the wall-clock regression check (the backends suite's compare step) -----
-
-def test_check_passes_within_tolerance():
-    base = _doc({1000: {"serial": 1.0, "processes": 0.5}})
-    cur = _doc({1000: {"serial": 1.2, "processes": 0.6}})
-    assert compare_backends(cur, base, tolerance=0.25) == []
-
-
-def test_check_flags_absolute_regression_on_same_host():
-    base = _doc({1000: {"serial": 1.0, "processes": 0.5}})
-    cur = _doc({1000: {"serial": 1.0, "processes": 0.8}})
-    problems = compare_backends(cur, base, tolerance=0.25)
-    # The provenance header leads, then the one regressed cell.
-    assert len(problems) == 2
-    assert "provenance" in problems[0] and "cpu_count=4" in problems[0]
-    assert "raw wall-clock" in problems[0]
-    assert "processes" in problems[1] and "wall-clock" in problems[1]
-
-
-def test_check_normalizes_on_different_host():
-    base = _doc({1000: {"serial": 1.0, "processes": 0.5}}, cpu_count=4)
-    # Host is 3x slower overall but the processes/serial ratio is intact:
-    # not a regression in the backend machinery.
-    cur = _doc({1000: {"serial": 3.0, "processes": 1.5}}, cpu_count=2)
-    assert compare_backends(cur, base, tolerance=0.25) == []
-    # Same hosts, but the ratio itself collapsed: flagged.
-    worse = _doc({1000: {"serial": 3.0, "processes": 3.0}}, cpu_count=2)
-    problems = compare_backends(worse, base, tolerance=0.25)
-    assert len(problems) == 2
-    assert "provenance" in problems[0] and "different hosts" in problems[0]
-    assert "serial-normalized" in problems[1]
-
-
-def test_check_skips_noise_floor_cells():
-    base = _doc({1000: {"serial": 0.05}})
-    cur = _doc({1000: {"serial": 0.2}})  # 4x, but 50 ms is jitter territory
-    assert wall_clock_regressions(cur, base, min_seconds=0.25) == []
-    assert wall_clock_regressions(cur, base, min_seconds=0.01) != []
-    assert compare_backends(cur, base) == []
+        SUITES["shuffle"].run(backends=("serial", "fibers"))
+    with pytest.raises(ValueError, match="budget_mb"):
+        SUITES["spill"].run(sizes=(100,), budget_mb=0)
 
 
 def test_check_reports_schema_mismatch_and_no_overlap():
-    base = _doc({1000: {"serial": 1.0}}, schema=0)
-    cur = _doc({1000: {"serial": 1.0}})
-    assert "schema mismatch" in compare_backends(cur, base)[0]
+    suite = SUITES["spill"]
+    baseline = load_result(REPO / suite.baseline)
+    assert "schema mismatch" in compare_to_baseline(suite, baseline | {"schema": 0}, baseline)[0]
 
-    base = _doc({1000: {"serial": 1.0}})
-    cur = _doc({2000: {"serial": 1.0}})
-    problems = compare_backends(cur, base)
-    assert any("no overlapping corpus sizes" in p for p in problems)
+    elsewhere = copy.deepcopy(baseline)
+    for entry in elsewhere["results"]:
+        entry["size"] += 1
+    (problem,) = compare_to_baseline(suite, elsewhere, baseline)
+    assert "names nothing this run and the baseline share" in problem
 
 
 # -- every suite's gates and baseline comparison, on the committed baselines --
@@ -158,11 +133,6 @@ def _leaves(node, path=()):
 def _declared_rule(suite, path, value):
     """The ``(rule, tolerance)`` the suite declares for a leaf path — a
     declared pattern covers everything beneath it — or ``None``."""
-    if suite.wall_clock:
-        # The wall-clock rule holds every timed cell above its 0.25 s
-        # noise floor to the --tolerance slowdown.
-        timed = len(path) == 4 and path[0] == "results" and path[2] == "times_s"
-        return ("slowdown", 0.25) if timed and value >= 0.25 else None
     for pattern, rule, tolerance in suite.compared:
         segments = pattern.split(".")
         if len(segments) <= len(path) and all(
@@ -216,40 +186,42 @@ def test_a_leaf_is_flagged_iff_its_path_is_declared(suite_and_baseline):
             checked["ignored"] += 1
             continue
         dotted = ".".join(str(key) for key in path)
-        # (e) the provenance line leads; then exactly the one flagged path,
-        # reported at the declared depth.
-        assert len(problems) == 2, (path, problems)
-        assert problems[0].startswith("provenance: baseline recorded on cpu_count=")
+        # Exactly the one flagged path, reported at the declared depth.
+        (problem,) = problems
         checked["flagged"] += 1
         rule, tolerance = declared
-        if rule == "slowdown":
-            inside = _with_leaf(baseline, path, value * (1 + tolerance * 0.5))
-            assert compare_to_baseline(suite, inside, baseline) == [], path
-            continue
-        flagged = problems[1].split(":")[0]
+        flagged = problem.split(":")[0]
         assert dotted == flagged or dotted.startswith(flagged + "."), problems
         if rule != "exact":
             # Nudged inside the tolerance: not flagged.
             nudge = (abs(value) if rule == "rel" else 1.0) * tolerance * 0.5
             inside = _with_leaf(baseline, path, value + nudge)
             assert compare_to_baseline(suite, inside, baseline) == [], path
-    # Wall-clock and provenance fields exist in every document and are
-    # never compared (outside the wall-clock suite); every suite but
-    # spill holds something to its baseline.
-    assert checked["ignored"] > 0
-    assert (checked["flagged"] > 0) == (suite.name != "spill")
+    # Every suite holds something to its baseline, and every suite but
+    # stream (all of it pinned or compared) records something it does not.
+    assert checked["flagged"] > 0
+    assert (checked["ignored"] > 0) == (suite.name != "stream")
 
 
-def test_wall_clock_fields_are_never_declared():
-    never = {
-        "wall_s", "elapsed_s", "wall_clock_s", "build_wall_s", "query_wall_s",
-        "cpu_count", "max_workers", "reps", "peak_rss_mb",
-        "speedup_vs_serial", "slowdown", "ratio", "savings_pct",
-    }
+def _keys(node):
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield key
+            yield from _keys(child)
+    elif isinstance(node, list):
+        for child in node:
+            yield from _keys(child)
+
+
+def test_wall_clock_fields_are_never_declared(cheap_documents):
+    """No suite declares a host-dependent key, no document a cheap suite
+    produces holds one at any depth, and no committed baseline does."""
     for suite in SUITES.values():
         for pattern, _, _ in suite.compared:
-            keys = set(re.findall(r"\w+", pattern))
-            assert not keys & never, (suite.name, pattern)
+            assert not set(re.findall(r"\w+", pattern)) & HOST_KEYS, (suite.name, pattern)
+        assert not set(_keys(load_result(REPO / suite.baseline))) & HOST_KEYS, suite.name
+    for name, (doc, _) in cheap_documents.items():
+        assert not set(_keys(doc)) & HOST_KEYS, name
 
 
 def test_a_pinned_mismatch_is_the_single_message(suite_and_baseline):
@@ -257,13 +229,11 @@ def test_a_pinned_mismatch_is_the_single_message(suite_and_baseline):
     for field in suite.pinned:
         current = copy.deepcopy(baseline)
         current[field] = {"other": True} if field == "workload" else _perturbed(baseline[field])
-        # Drift elsewhere is not reported once a pinned field differs.
-        current["cpu_count"] = 99
         problems = compare_to_baseline(suite, current, baseline)
         assert len(problems) == 1, problems
         assert problems[0].startswith(f"{field} mismatch"), problems
     assert {"schema"} <= set(suite.pinned)
-    assert ("budget_mb" in suite.pinned) == (suite.name == "query")
+    assert ("budget_mb" in suite.pinned) == (suite.name in {"spill", "query"})
 
 
 def test_a_declared_path_matching_nothing_is_an_error(suite_and_baseline):
@@ -274,7 +244,7 @@ def test_a_declared_path_matching_nothing_is_an_error(suite_and_baseline):
             compared=((pattern, "exact", 0.0),),
         )
         problems = compare_to_baseline(bogus, baseline, baseline)
-        assert len(problems) == 2 and "no_such_section" in problems[1], problems
+        assert len(problems) == 1 and "no_such_section" in problems[0], problems
     # Present in the baseline, gone from the run: flagged, not skipped.
     for pattern, _, _ in suite.compared:
         head = pattern.split(".")[0]

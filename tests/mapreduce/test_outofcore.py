@@ -243,14 +243,13 @@ def test_spill_benchmark_in_process_smoke(tmp_path):
     from repro.mapreduce.bench import SUITES
 
     suite = SUITES["spill"]
-    doc = suite.run(sizes=[20_000], budget_mb=0.25, max_iter=2, isolate_cells=False)
+    doc = suite.run(sizes=[20_000], budget_mb=0.25, max_iter=2)
     (entry,) = doc["results"]
     cells = entry["cells"]
     assert cells["budgeted"]["centroids_sha256"] == cells["unbudgeted"]["centroids_sha256"]
     assert cells["budgeted"]["spill"]["runs_spilled"] > 0
     assert cells["budgeted"]["paging"]["pages_out"] > 0
     assert cells["unbudgeted"]["spill"] is None
-    assert cells["budgeted"]["peak_rss_mb"] is None  # not isolated
     assert "budgeted" in suite.render(doc)
     assert suite.gates(doc) == []
 

@@ -144,34 +144,47 @@ class TestCommands:
 
 
 class TestBenchCommand:
-    _ARGS = ["bench", "--sizes", "2000", "--iterations", "1",
-             "--backends", "serial,threads", "--max-iter", "2",
-             "--workers", "2"]
+    _SPILL = ["bench", "--spill", "--sizes", "20000", "--max-iter", "2", "--budget-mb"]
+    _ARGS = [*_SPILL, "0.25"]
+    # A budget the corpus fits under checks nothing: the spill gates fail.
+    _FAILING = [*_SPILL, "512"]
 
     def test_prints_table_and_writes_json(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
         assert main([*self._ARGS, "--out", str(out)]) == 0
         text = capsys.readouterr().out
-        assert "serial" in text and "threads" in text
+        assert "unbudgeted" in text and "budgeted" in text
         assert out.exists()
 
     def test_check_against_own_run_passes(self, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"
         assert main([*self._ARGS, "--out", str(baseline)]) == 0
-        assert main(
-            [*self._ARGS, "--check", "--baseline", str(baseline),
-             "--tolerance", "1000"]
-        ) == 0
-        assert "within tolerance" in capsys.readouterr().out
-
-    def test_check_missing_baseline_exits(self, tmp_path):
-        with pytest.raises(SystemExit, match="no baseline"):
-            main([*self._ARGS, "--check", "--baseline",
-                  str(tmp_path / "absent.json")])
+        assert main([*self._ARGS, "--check", "--baseline", str(baseline)]) == 0
+        assert "no drift from baseline" in capsys.readouterr().out
 
     def test_unknown_backend_exits(self):
         with pytest.raises(SystemExit, match="unknown backend"):
-            main(["bench", "--sizes", "2000", "--backends", "fibers"])
+            main(["bench", "--shuffle", "--backends", "fibers"])
+
+    @pytest.mark.parametrize(
+        ("option", "message"),
+        [
+            ("--sizes", "--sizes names no corpus size"),
+            ("--backends", "--backends names no backend"),
+        ],
+    )
+    def test_an_empty_list_is_a_usage_error(self, option, message, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match=f"bench: {message}"):
+            main(["bench", "--spill", option, " , "])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_mode_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--spill --multitenant --query --stream --shuffle --attack is required" in err
 
     def test_check_compares_before_writing(self, tmp_path, capsys):
         """`--check --out X --baseline X` must judge the run against what X
@@ -193,11 +206,32 @@ class TestBenchCommand:
         assert json.loads(baseline.read_text())["schema"] == 1
 
     def test_plain_run_writes_nothing(self, tmp_path, monkeypatch, capsys):
-        """Wall-clock is host-specific: only --out names where it goes."""
+        """A generation run that fails its own gates leaves the committed
+        baseline (the default --out, relative to the cwd) as it was."""
+        from repro.mapreduce.bench import SUITES
+
         monkeypatch.chdir(tmp_path)
+        baseline = tmp_path / SUITES["spill"].baseline
+        baseline.parent.mkdir(parents=True)
+        baseline.write_text("the committed baseline\n")
+        assert main(self._FAILING) == 1
+        text = capsys.readouterr().out
+        assert "never bit" in text and "result written" not in text
+        assert baseline.read_text() == "the committed baseline\n"
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [baseline]
+        # A passing one replaces it.
         assert main(self._ARGS) == 0
-        assert "result written" not in capsys.readouterr().out
-        assert list(tmp_path.iterdir()) == []
+        assert f"result written to {SUITES['spill'].baseline}" in capsys.readouterr().out
+        assert baseline.read_text() != "the committed baseline\n"
+
+    def test_out_receives_a_failing_document(self, tmp_path, monkeypatch, capsys):
+        import json
+
+        monkeypatch.chdir(tmp_path)
+        assert main([*self._FAILING, "--out", "failing.json"]) == 1
+        assert "FAILED gates (spill)" in capsys.readouterr().out
+        assert json.loads((tmp_path / "failing.json").read_text())["budget_mb"] == 512.0
+        assert [p.name for p in tmp_path.iterdir()] == ["failing.json"]
 
     def test_two_mode_flags_are_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -236,7 +270,6 @@ class TestBenchCommand:
         assert main([*args, str(drifted), "--out", str(out)]) == 1
         text = capsys.readouterr().out
         assert "FAILED gates (multitenant)" in text
-        assert "provenance: baseline recorded on cpu_count=" in text
         assert "simulated.serial_s" in text and "rel 0.01" in text
         assert json.loads(out.read_text())["schema"] == 1
         assert committed.read_bytes() == before

@@ -110,21 +110,17 @@ def test_benchmark_suites_table_matches_the_declarations():
     assert list(rows) == list(SUITES)
     for name, suite in SUITES.items():
         _, flag, baseline, pinned, compared, never = rows[name]
-        assert flag == ("(default)" if name == "backends" else f"`--{name}`")
+        assert flag == f"`--{name}`"
         assert f"(../{suite.baseline.as_posix()})" in baseline
         assert pinned == ", ".join(f"`{field}`" for field in suite.pinned)
         declared = "; ".join(
             f"`{pattern}` {rule}" + (f" {tolerance:g}" if tolerance else "")
             for pattern, rule, tolerance in suite.compared
         )
-        if suite.compared:
-            assert compared == declared
-        else:
-            assert "`" not in compared or suite.wall_clock
-        assert never  # every suite records something it never compares
+        assert suite.compared and compared == declared
+        assert never
     parser = build_parser()
-    assert parser.parse_args(["bench"]).suite == "backends"
-    for name in set(SUITES) - {"backends"}:
+    for name in SUITES:
         assert parser.parse_args(["bench", f"--{name}"]).suite == name
 
 
@@ -158,7 +154,8 @@ def _resolves(dotted: str) -> bool:
 def test_modules_named_in_prose_exist(doc):
     """A deleted module cannot linger in the docs: every ``repro.a.b``
     dotted path, every ``src/repro/….py`` / ``<pkg>/<module>.py`` file
-    path and every entry of DESIGN.md's ``src/repro/`` tree resolves."""
+    path and every entry of DESIGN.md's ``src/repro/`` tree resolves —
+    and every module under ``src/repro`` has an entry in that tree."""
     text = doc.read_text()
     src = REPO / "src" / "repro"
     packages = "|".join(sorted(p.name for p in src.iterdir() if (p / "__init__.py").exists()))
@@ -166,14 +163,39 @@ def test_modules_named_in_prose_exist(doc):
     files = set(re.findall(rf"(?<![\w/.])(?:src/repro/)?((?:{packages})/\w+\.py)", text))
     files |= set(re.findall(r"\bsrc/repro/(\w+\.py)", text))
     if "```\nsrc/repro/\n" in text:
-        package = ""
+        package, tree = "", set()
         for line in text.split("```\nsrc/repro/\n", 1)[1].split("```", 1)[0].splitlines():
             if match := re.match(r"  (\w+/) ", line):
                 package = match.group(1)
             elif match := re.match(r"  (  )?(\w+\.py) ", line):
-                files.add((package if match.group(1) else "") + match.group(2))
+                tree.add((package if match.group(1) else "") + match.group(2))
+        files |= tree
+        modules = {
+            p.relative_to(src).as_posix() for p in src.rglob("*.py") if p.name != "__init__.py"
+        }
+        assert sorted(modules - tree) == [], f"{doc.name}'s module tree omits these"
     missing += [f for f in files if not (src / f).exists()]
     assert not missing, f"{doc.name} names modules that do not exist: {sorted(missing)}"
+
+
+def test_benchmark_files_named_in_prose_exist():
+    """A deleted benchmark or result file cannot linger in the docs or in
+    CI: every ``BENCH_<name>.json|txt`` and ``benchmarks/….py`` they name
+    exists."""
+    missing = []
+    for doc in [*DOCS, REPO / ".github" / "workflows" / "ci.yml"]:
+        text = doc.read_text()
+        results = set(re.findall(r"\bBENCH_\w+\.(?:json|txt)\b", text))
+        missing += [
+            f"{doc.name}: {name}" for name in results
+            if not (REPO / "benchmarks" / "results" / name).exists()
+        ]
+        scripts = set(re.findall(r"\bbenchmarks/[\w/]+\.py\b", text))
+        if doc.parent.name == "benchmarks":  # its README names its own files bare
+            bare = re.findall(r"(?<![\w/])test_\w+\.py\b", text)
+            scripts |= {f"benchmarks/{name}" for name in bare}
+        missing += [f"{doc.name}: {path}" for path in scripts if not (REPO / path).exists()]
+    assert not missing
 
 
 def test_observability_doc_covers_every_event_kind():

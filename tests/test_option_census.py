@@ -3,6 +3,7 @@ a job runs, written out.  Each independent option doubles the
 configurations the equivalence suites must cover, so adding (or
 dropping) one has to show up here as a one-line diff."""
 
+import dataclasses
 import inspect
 
 import pytest
@@ -60,6 +61,23 @@ CENSUS = {
 @pytest.mark.parametrize("func", CENSUS, ids=lambda f: f.__qualname__)
 def test_parameter_census(func):
     assert tuple(inspect.signature(func).parameters) == CENSUS[func]
+
+
+def test_bench_surface_census():
+    """What a curator can set on ``repro bench`` and what a suite declares."""
+    from repro.cli import build_parser
+    from repro.mapreduce.bench import Suite
+
+    (subparsers,) = (a for a in build_parser()._actions if a.dest == "command")
+    flags = [a.option_strings[-1] for a in subparsers.choices["bench"]._actions]
+    assert flags == [
+        "--help", "--sizes", "--backends", "--k", "--max-iter", "--workers", "--out",
+        "--check", "--baseline", "--budget-mb",
+        "--spill", "--multitenant", "--query", "--stream", "--shuffle", "--attack",
+    ]
+    assert [field.name for field in dataclasses.fields(Suite)] == [
+        "name", "run", "gates", "render", "options", "pinned", "compared",
+    ]
 
 
 def test_count_sum_reducer_is_a_test_oracle_only():

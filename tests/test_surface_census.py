@@ -3,7 +3,7 @@ parameter under ``src/repro`` is reached by something a curator runs, or
 says here why it stays.
 
 *Reached* means used from a reacher: the ``repro`` CLI (whose ``bench``
-subcommand is the seven suites), ``benchmarks/`` (the e2e workloads and
+subcommand is the six suites), ``benchmarks/`` (the e2e workloads and
 their tracer, the table/figure/ablation tests) or ``examples/`` (which
 drive the ``Gepeto`` facade, README's public API).  Tests are not reachers
 for modules and names: what only its own unit test imports is deleted with
@@ -283,3 +283,15 @@ def test_the_assignment_kernels_are_exported_and_reached():
     used = _uses(_SRC_TREES["repro.algorithms.kmeans"])
     assert {"nearest_centroid", "haversine_arg", "pairwise"} <= used
     assert any("run_kmeans_mapreduce" in _uses(tree) for tree in _REACHERS)
+
+
+def test_the_bench_exports_are_pinned_and_e2e_reaches_the_generators():
+    """``repro.mapreduce.bench`` exports the six suites' harness and the
+    three corpus generators, whose reacher is ``benchmarks/e2e/workloads.py``."""
+    assert _all_of(_SRC_TREES["repro.mapreduce.bench"]) == [
+        "synthetic_corpus", "synthetic_corpus_blocks", "synthetic_stream_corpus",
+        "query_workload", "matches_reference", "Suite", "SUITES",
+        "compare_to_baseline", "save_result", "load_result",
+    ]
+    e2e = _uses(_FILES[REPO / "benchmarks" / "e2e" / "workloads.py"])
+    assert {"synthetic_corpus", "synthetic_corpus_blocks", "synthetic_stream_corpus"} <= e2e
