@@ -12,7 +12,8 @@ import pytest
 from benchmarks.conftest import make_runner, write_report
 from repro.algorithms.djcluster import DJClusterParams, run_djcluster_mapreduce
 from repro.algorithms.sampling import sample_array
-from repro.mapreduce.failures import FailureInjector
+from repro.mapreduce.failures import ChaosSchedule
+from repro.mapreduce.scheduler import RetryPolicy
 
 PARAMS = DJClusterParams(radius_m=100.0, min_pts=8)
 
@@ -60,8 +61,8 @@ def failure_overhead(sampled_10min, dj_result):
         n_workers=5,
         chunk_mb=1,
         path="in",
-        failure_injector=FailureInjector(probability=0.08, seed=13),
-        max_attempts=10,
+        chaos=ChaosSchedule(seed=13, crash_prob=0.08),
+        retry_policy=RetryPolicy(max_attempts=10),
     )
     flaky = run_djcluster_mapreduce(flaky_runner, "in", PARAMS, workdir="dj")
     lines = [

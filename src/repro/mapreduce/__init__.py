@@ -47,7 +47,7 @@ from repro.mapreduce.job import (
 from repro.mapreduce.runner import JobRunner, JobResult
 from repro.mapreduce.pipeline import JobPipeline
 from repro.mapreduce.simtime import CostModel
-from repro.mapreduce.failures import FailureInjector, TaskFailure
+from repro.mapreduce.failures import TaskFailure
 from repro.mapreduce.cache import DistributedCache
 from repro.observability.history import JobHistory, load_history
 
@@ -72,7 +72,6 @@ __all__ = [
     "JobResult",
     "JobPipeline",
     "CostModel",
-    "FailureInjector",
     "TaskFailure",
     "DistributedCache",
     "JobHistory",

@@ -7,9 +7,9 @@ can never change *what* the job observes:
   :func:`run_reduce_attempts`) executes the user code with the retry
   budget.  It is the only code that instantiates and runs a mapper,
   combiner/pre-aggregation or reducer.  Every fault decision it consults
-  — the :class:`~repro.mapreduce.failures.FailureInjector` and the
-  :class:`~repro.mapreduce.failures.ChaosSchedule`'s counter-hashed
-  draws — is a pure function of ``(task_id, attempt)``, so the outcome
+  — the :class:`~repro.mapreduce.failures.ChaosSchedule`'s scripted
+  faults and counter-hashed draws — is a pure function of
+  ``(task_id, attempt)``, so the outcome
   is identical whether the loop runs inline, on a thread, or in a worker
   process;
 * a **driver-side narrative replay** (in :mod:`repro.mapreduce.runner`)
@@ -55,7 +55,7 @@ from repro.geo.trace import TraceArray
 from repro.mapreduce.cache import DistributedCache, FaultyCacheView
 from repro.mapreduce.config import BACKENDS, MapReduceConfig
 from repro.mapreduce.counters import Counters, STANDARD
-from repro.mapreduce.failures import ChaosSchedule, FailureInjector, TaskFailure
+from repro.mapreduce.failures import ChaosSchedule, TaskFailure
 from repro.mapreduce.job import MapContext, ReduceContext
 from repro.mapreduce.spill import (
     SpilledMapOutput,
@@ -98,7 +98,6 @@ class MapTaskRequest:
     conf: Any
     cache: DistributedCache
     chaos: ChaosSchedule | None
-    injector: FailureInjector | None
     max_attempts: int
     #: When set (memory-budgeted runs), output larger than the budget is
     #: written to the spill directory *where the attempt ran* and the
@@ -129,7 +128,6 @@ class ReduceTaskRequest:
     conf: Any
     cache: DistributedCache
     chaos: ChaosSchedule | None
-    injector: FailureInjector | None
     max_attempts: int
 
 
@@ -244,7 +242,7 @@ def run_combiner(
 def run_map_attempts(request: MapTaskRequest) -> MapOutcome:
     """Execute one map task's retry loop using only pure fault decisions.
 
-    Per attempt: cache-fault wrapping, injector before chaos, task
+    Per attempt: cache-fault wrapping, the chaos crash check, task
     counters on success — nothing node-dependent, which the driver
     replays afterwards.
     """
@@ -261,8 +259,6 @@ def run_map_attempts(request: MapTaskRequest) -> MapOutcome:
         ctx = MapContext(request.conf, counters, cache, request.task_id, request.node)
         mapper = request.mapper()
         try:
-            if request.injector is not None:
-                request.injector.fail_attempt(request.task_id, attempt)
             if request.chaos is not None:
                 request.chaos.fail_attempt(request.task_id, attempt)
             mapper.setup(ctx)
@@ -339,8 +335,6 @@ def run_reduce_attempts(request: ReduceTaskRequest) -> ReduceOutcome:
         )
         reducer = request.reducer()
         try:
-            if request.injector is not None:
-                request.injector.fail_attempt(request.task_id, attempt)
             if request.chaos is not None:
                 request.chaos.fail_attempt(request.task_id, attempt)
             reducer.setup(ctx)

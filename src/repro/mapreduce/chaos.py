@@ -303,31 +303,6 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def _fresh_runner(
-    array,
-    n_workers: int,
-    chunk_size: int,
-    chaos: ChaosSchedule | None,
-    executor: str = "serial",
-    max_workers: "int | None" = None,
-    memory_budget_mb: "float | None" = None,
-    failure_injector=None,
-):
-    from repro.mapreduce.runner import fresh_runner
-
-    return fresh_runner(
-        {INPUT_PATH: array},
-        chunk_size=chunk_size,
-        n_workers=n_workers,
-        backend=executor,
-        max_workers=max_workers,
-        budget_mb=memory_budget_mb,
-        record_bytes=64,
-        chaos=chaos,
-        failure_injector=failure_injector,
-    )
-
-
 def _run_once(
     driver: ChaosDriver,
     array,
@@ -339,15 +314,19 @@ def _run_once(
     executor: str = "serial",
     max_workers: "int | None" = None,
     memory_budget_mb: "float | None" = None,
-    failure_injector=None,
 ) -> _RunArtifacts:
+    from repro.mapreduce.runner import fresh_runner
     from repro.observability.events import EventKind
 
-    runner = _fresh_runner(
-        array, n_workers, chunk_size, chaos,
-        executor=executor, max_workers=max_workers,
-        memory_budget_mb=memory_budget_mb,
-        failure_injector=failure_injector,
+    runner = fresh_runner(
+        {INPUT_PATH: array},
+        chunk_size=chunk_size,
+        n_workers=n_workers,
+        backend=executor,
+        max_workers=max_workers,
+        budget_mb=memory_budget_mb,
+        record_bytes=64,
+        chaos=chaos,
     )
     try:
         signature = driver.run(runner, context)

@@ -3,18 +3,16 @@
 Hadoop's jobtracker monitors tasks and re-executes failed attempts (up to
 ``mapred.map.max.attempts``, default 4), preferring a different node that
 holds a replica of the input chunk.  This module provides the injection
-half in two tiers:
+half: :class:`ChaosSchedule`, a seeded, *counter-hashed* chaos schedule
+covering the full fault taxonomy of a real deployment
+(:class:`FaultKind`): task-attempt crashes, slow-node stragglers,
+mid-phase node loss (tasktracker + its datanode), shuffle-fetch
+failures, and distributed-cache load errors.  It is the only way a
+fault enters a run: scripted :class:`Fault` entries target exact
+attempts, probabilistic knobs draw the rest.
 
-* :class:`FailureInjector` — the scripted/probabilistic task-crash
-  injector the unit tests and ablation benches use;
-* :class:`ChaosSchedule` — a seeded, *counter-hashed* chaos schedule
-  covering the full fault taxonomy of a real deployment
-  (:class:`FaultKind`): task-attempt crashes, slow-node stragglers,
-  mid-phase node loss (tasktracker + its datanode), shuffle-fetch
-  failures, and distributed-cache load errors.
-
-Determinism model (docs/CHAOS.md): every probabilistic decision of either
-tier is a pure hash of ``(seed, fault kind, stable identifiers)`` through
+Determinism model (docs/CHAOS.md): every probabilistic decision is a
+pure hash of ``(seed, fault kind, stable identifiers)`` through
 the same splitmix64 pipeline as :mod:`repro.utils.hashrng` — never a
 sequential RNG draw.  Whether ``map-0003``'s second attempt crashes does
 not depend on how many other faults fired before it, so a schedule is
@@ -28,7 +26,7 @@ The backends' attempt loop catches :class:`TaskFailure` (and its subclass
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +40,6 @@ __all__ = [
     "FaultKind",
     "Fault",
     "ChaosSchedule",
-    "FailureInjector",
     "MAX_TASK_ATTEMPTS",
     "emit_attempt_failures",
 ]
@@ -141,7 +138,7 @@ class JobFailedError(RuntimeError):
         super().__init__(message)
         self.task_id = task_id
         self.max_attempts = max_attempts
-        #: ``(attempt, node, reason[, fault kind])`` per failed attempt.
+        #: ``(attempt, node, reason, kind, backoff_s)`` per failed attempt.
         self.failures = [tuple(f) for f in failures]
 
     @property
@@ -160,6 +157,8 @@ class Fault:
     (``job=None`` = the first job where the node is still alive).  Feed
     kinds (late/lost/dup batch) match on ``(feed, window)``; leaving
     ``feed`` or ``window`` at ``None`` matches every feed or window.
+    A fault that could never fire (a task-scoped kind without ``task``,
+    ``slow_node`` without ``node``, ``attempt < 1``) is rejected.
     """
 
     kind: str
@@ -175,6 +174,13 @@ class Fault:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; known: {FaultKind.ALL}"
             )
+        task_scoped = (FaultKind.TASK_CRASH, FaultKind.CACHE_LOAD, FaultKind.SHUFFLE_FETCH)
+        if self.kind in task_scoped and self.task is None:
+            raise ValueError(f"a {self.kind} fault needs a task")
+        if self.kind == FaultKind.SLOW_NODE and self.node is None:
+            raise ValueError("a slow_node fault needs a node")
+        if self.attempt < 1:
+            raise ValueError(f"attempt must be >= 1, got {self.attempt}")
 
 
 def _hash_u01(seed: int, *tokens) -> float:
@@ -233,6 +239,8 @@ class ChaosSchedule:
                 raise ValueError(f"{name} must be within [0, 1], got {p}")
         if self.slow_factor < 1.0:
             raise ValueError("slow_factor must be >= 1")
+        if self.max_node_losses < 0:
+            raise ValueError("max_node_losses must be >= 0")
         if isinstance(self.bad_nodes, (str, bytes)):
             # frozenset("worker02") is a set of characters: injects nothing.
             raise TypeError(
@@ -244,7 +252,7 @@ class ChaosSchedule:
         object.__setattr__(self, "faults", tuple(self.faults))
 
     # -- task crashes -------------------------------------------------------
-    def fail_attempt(self, task_id: str, attempt: int, node: str | None = None) -> None:
+    def fail_attempt(self, task_id: str, attempt: int) -> None:
         """Raise :class:`TaskFailure` if this attempt is doomed to crash."""
         for fault in self.faults:
             if (
@@ -253,10 +261,6 @@ class ChaosSchedule:
                 and fault.attempt == attempt
             ):
                 raise TaskFailure(task_id, attempt, "scripted chaos crash")
-        if node is not None:
-            crash = self.bad_node_crash(task_id, attempt, node)
-            if crash is not None:
-                raise crash
         if self.crash_prob > 0.0:
             if _hash_u01(self.seed, FaultKind.TASK_CRASH, task_id, attempt) < self.crash_prob:
                 raise TaskFailure(task_id, attempt, "chaos crash")
@@ -416,66 +420,6 @@ class ChaosSchedule:
         return " ".join(parts)
 
 
-@dataclass
-class FailureInjector:
-    """Decides which task attempts crash.
-
-    Two mechanisms compose:
-
-    * ``scripted`` — an explicit set of ``(task_id, attempt)`` pairs that
-      must fail (deterministic tests: "kill map-0003's first attempt").
-    * ``probability`` — each attempt independently fails with this
-      probability, decided by the same counter hash of
-      ``(seed, task_crash, task_id, attempt)`` as
-      :attr:`ChaosSchedule.crash_prob`.
-
-    Both are pure functions of ``(task_id, attempt)``, so the injector
-    travels to wherever the attempt runs (inline, thread, pool worker)
-    and answers the same there.  A task whose every attempt up to the
-    retry limit fails aborts the job with :class:`JobFailedError`,
-    exactly as Hadoop gives up after ``max.attempts``.
-    """
-
-    scripted: set[tuple[str, int]] = field(default_factory=set)
-    probability: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError("probability must be within [0, 1]")
-
-    def fail_attempt(self, task_id: str, attempt: int) -> None:
-        """Raise :class:`TaskFailure` if this attempt is doomed."""
-        if (task_id, attempt) in self.scripted:
-            raise TaskFailure(task_id, attempt, "scripted failure")
-        if self.probability > 0.0 and (
-            _hash_u01(self.seed, FaultKind.TASK_CRASH, task_id, attempt)
-            < self.probability
-        ):
-            raise TaskFailure(task_id, attempt, "random failure")
-
-    def script_failures(
-        self, task_id: str, attempts: int, max_attempts: int = MAX_TASK_ATTEMPTS
-    ) -> None:
-        """Schedule the first ``attempts`` attempts of a task to fail.
-
-        ``attempts`` must not exceed ``max_attempts`` (the runner's retry
-        budget): scripting more failures than the budget used to wedge
-        the retry loop in an unwinnable fight instead of failing the job,
-        so it is now rejected at scripting time.  Pass the runner's
-        actual ``max_attempts`` when it differs from the default.
-        """
-        if attempts > max_attempts:
-            raise ValueError(
-                f"cannot script {attempts} failures for {task_id}: the retry "
-                f"budget is {max_attempts} attempts, so the job would fail "
-                f"anyway — lower `attempts` or pass the runner's real "
-                f"max_attempts"
-            )
-        for attempt in range(1, attempts + 1):
-            self.scripted.add((task_id, attempt))
-
-
 def emit_attempt_failures(
     history,
     job_name: str,
@@ -486,24 +430,20 @@ def emit_attempt_failures(
 ) -> None:
     """Record a task's failed attempts in a job history.
 
-    ``failures`` holds ``(attempt, node, reason)`` triples — or
-    ``(attempt, node, reason, fault kind[, backoff_s])`` records from the
-    chaos-aware runner — in attempt order.  Attempts occupy the task's
+    ``failures`` holds the runner's ``(attempt, node, reason, fault kind,
+    backoff_s)`` records in attempt order.  Attempts occupy the task's
     slot back to back, so the *i*-th attempt crashes at
     ``t_start + i * attempt_duration`` — which keeps every fault/retry
     event strictly before the successful attempt's ``task_finish`` (the
     ordering guarantee the history layer validates).  Each failure yields
-    the triple ``fault_injected`` -> ``attempt_failed`` ->
+    three events, ``fault_injected`` -> ``attempt_failed`` ->
     ``attempt_retried`` so the Gantt can show the full recovery timeline.
     The history object is duck-typed (anything with ``emit``) so this
     module stays import-light.
     """
     from repro.observability.events import EventKind
 
-    for record in failures:
-        attempt, node, reason = record[0], record[1], record[2]
-        kind = record[3] if len(record) > 3 else FaultKind.TASK_CRASH
-        backoff_s = float(record[4]) if len(record) > 4 else 0.0
+    for attempt, node, reason, kind, backoff_s in failures:
         ts = t_start + attempt * attempt_duration
         history.emit(
             EventKind.FAULT_INJECTED,
@@ -530,6 +470,6 @@ def emit_attempt_failures(
             ts,
             task=task_id,
             attempt=attempt + 1,
-            backoff_s=backoff_s,
+            backoff_s=float(backoff_s),
             reason=f"re-dispatched after {kind}",
         )

@@ -7,8 +7,8 @@ Execution follows the Hadoop lifecycle from Section III end-to-end:
    preference (:mod:`repro.mapreduce.scheduler`);
 3. map tasks run on the configured execution backend (serial, thread
    pool, or shared-memory process pool — see
-   :mod:`repro.mapreduce.backends`), each over one chunk, with failure
-   injection + retry on another replica holder;
+   :mod:`repro.mapreduce.backends`), each over one chunk, with chaos
+   fault injection + retry on another replica holder;
 4. the optional combiner (or pre-aggregation) folds each map task's
    local output where the task ran;
 5. the shuffle partitions, transfers and sorts intermediate pairs;
@@ -41,10 +41,8 @@ from repro.mapreduce.config import MapReduceConfig
 from repro.mapreduce.counters import Counters, STANDARD
 from repro.mapreduce.failures import (
     ChaosSchedule,
-    FailureInjector,
     FaultKind,
     JobFailedError,
-    MAX_TASK_ATTEMPTS,
     TaskFailure,
 )
 from repro.mapreduce.hdfs import SimulatedHDFS
@@ -139,24 +137,21 @@ class JobRunner:
         The filesystem (and, through it, the cluster topology).
     cost_model:
         Simulated-time constants; defaults to the Table III calibration.
-    failure_injector:
-        Optional :class:`FailureInjector`; injected crashes are retried up
-        to ``max_attempts`` per task, preferring a different replica node.
-        Like every ``chaos`` decision except ``bad_nodes`` it is consulted
-        by the backends' attempt loop, where the attempt runs.
     chaos:
         Optional :class:`~repro.mapreduce.failures.ChaosSchedule` — the
-        deterministic chaos engine.  Adds slow-node stragglers, cache-load
-        and shuffle-fetch faults, and mid-phase node loss (tasktracker +
-        datanode) on top of plain attempt crashes; all recovery costs are
-        charged to the job's retry penalty.  ``bad_nodes`` crashes are
-        decided in the driver-side replay, which is what places attempts
-        on nodes; tasks lost with a node re-run through the backend.
+        deterministic chaos engine and the only way a fault enters a run:
+        scripted or probabilistic attempt crashes, slow-node stragglers,
+        cache-load and shuffle-fetch faults, and mid-phase node loss
+        (tasktracker + datanode); all recovery costs are charged to the
+        job's retry penalty.  Crashes are decided by the backends' attempt
+        loop, where the attempt runs, except ``bad_nodes`` crashes, which
+        the driver-side replay decides because it places attempts on
+        nodes; tasks lost with a node re-run through the backend.
     retry_policy:
-        Optional :class:`~repro.mapreduce.scheduler.RetryPolicy`
-        (attempt budget, exponential backoff, per-job node blacklist
-        threshold).  When given it overrides ``max_attempts``; when
-        omitted a default policy is built around ``max_attempts``.
+        Optional :class:`~repro.mapreduce.scheduler.RetryPolicy`: the
+        attempt budget (failed attempts are retried on a different
+        replica node where one exists), exponential backoff and the
+        per-job node blacklist threshold.  Defaults to Hadoop's.
     executor:
         Execution backend: ``"serial"`` (default), ``"threads"`` (thread
         pool sized to the cluster's map slots), or ``"processes"`` (a
@@ -204,8 +199,6 @@ class JobRunner:
         self,
         hdfs: SimulatedHDFS,
         cost_model: CostModel | None = None,
-        failure_injector: FailureInjector | None = None,
-        max_attempts: int = MAX_TASK_ATTEMPTS,
         executor: str = "serial",
         max_workers: int | None = None,
         prefer_locality: bool = True,
@@ -221,17 +214,13 @@ class JobRunner:
             max_workers=max_workers,
             memory_budget_mb=memory_budget_mb,
         )
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
         self.hdfs = hdfs
         self.cluster = hdfs.cluster
         self.cost_model = cost_model or CostModel()
         #: The distributed cache visible to all tasks of all jobs run here.
         self.cache = DistributedCache()
-        self.failure_injector = failure_injector
         self.chaos = chaos
-        self.retry_policy = retry_policy or RetryPolicy(max_attempts=max_attempts)
-        self.max_attempts = self.retry_policy.max_attempts
+        self.retry_policy = retry_policy or RetryPolicy()
         #: Node losses already inflicted this deployment (the chaos
         #: schedule's ``max_node_losses`` budget spans all jobs run here).
         self._node_losses = 0
@@ -317,8 +306,7 @@ class JobRunner:
                 conf=job.conf,
                 cache=self.cache,
                 chaos=self.chaos if inject_faults else None,
-                injector=self.failure_injector if inject_faults else None,
-                max_attempts=self.max_attempts,
+                max_attempts=self.retry_policy.max_attempts,
                 spill=spill_spec,
                 aggregation=job.aggregation,
             )
@@ -346,14 +334,15 @@ class JobRunner:
         that reach a healthy node take the attempt loop's verdicts in
         order.  Returns the failed attempts as
         ``(attempt, node, reason, fault kind, backoff_s)`` and raises
-        :class:`JobFailedError` when they exhaust ``max_attempts``.
+        :class:`JobFailedError` when they exhaust the retry budget.
         Called in task order, so every backend sees the same blacklist
         evolution.
         """
         verdicts = iter(outcome.failures)
         tried: set[str] = set()
         failures: list[tuple] = []
-        for attempt in range(1, self.max_attempts + 1):
+        max_attempts = self.retry_policy.max_attempts
+        for attempt in range(1, max_attempts + 1):
             node = pick_node(attempt, tried)
             crash = (
                 self.chaos.bad_node_crash(task_id, attempt, node)
@@ -381,7 +370,7 @@ class JobRunner:
             blacklist.record_failure(node)
         attempt, _, reason, kind, _ = failures[-1]
         raise JobFailedError(
-            task_id, self.max_attempts, failures
+            task_id, max_attempts, failures
         ) from TaskFailure(task_id, attempt, reason, kind)
 
     def _finalize_map_outcome(
@@ -650,8 +639,7 @@ class JobRunner:
                 conf=job.conf,
                 cache=self.cache,
                 chaos=self.chaos,
-                injector=self.failure_injector,
-                max_attempts=self.max_attempts,
+                max_attempts=self.retry_policy.max_attempts,
             )
             for r in range(sh.n_reducers)
         ])

@@ -372,7 +372,7 @@ def emit_map_phase_events(
 
     ``t0`` is the phase start on the history's simulated clock; planned
     start/end times are relative to it.  ``failures_by_task`` maps a task
-    id to its failed attempts ``(attempt, node, reason[, kind, backoff])``
+    id to its failed attempts ``(attempt, node, reason, kind, backoff_s)``
     (see :func:`~repro.mapreduce.failures.emit_attempt_failures`); attempts are
     modelled as back-to-back occupations of the task's slot, so a retried
     task finishes ``(attempts - 1) * duration`` later than planned — the

@@ -24,7 +24,7 @@ def run_selfcheck(verbose: bool = True) -> int:
     from repro.algorithms.kmeans import run_kmeans_mapreduce
     from repro.algorithms.sampling import run_sampling_job
     from repro.geo.synthetic import SyntheticConfig, generate_dataset
-    from repro.mapreduce.failures import FailureInjector
+    from repro.mapreduce.failures import ChaosSchedule, Fault, FaultKind
     from repro.mapreduce.runner import fresh_runner
     from repro.observability.history import load_history
     from repro.observability.report import render_report, summarize
@@ -44,7 +44,7 @@ def run_selfcheck(verbose: bool = True) -> int:
         chunk_size=64 * 1024,
         n_workers=3,
         record_bytes=64,
-        failure_injector=FailureInjector(scripted={("map-0001", 1)}),
+        chaos=ChaosSchedule(faults=(Fault(FaultKind.TASK_CRASH, task="map-0001"),)),
     ) as runner:
         result = run_sampling_job(runner, "input/traces", "out/sampled", window_s=60.0)
         timings[result.job_name] = result.timing

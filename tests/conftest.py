@@ -9,6 +9,7 @@ from repro.geo.distance import haversine_m
 from repro.geo.synthetic import SyntheticConfig, generate_dataset
 from repro.geo.trace import TraceArray
 from repro.mapreduce.cluster import paper_cluster
+from repro.mapreduce.failures import Fault, FaultKind
 from repro.mapreduce.hdfs import SimulatedHDFS
 from repro.mapreduce.job import Reducer
 from repro.mapreduce.runner import JobRunner
@@ -68,6 +69,15 @@ def count_calls(monkeypatch, owner, name: str) -> list[tuple]:
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def crash_faults(task: str, attempts: int = 1) -> tuple[Fault, ...]:
+    """Scripted crashes of ``task``'s first ``attempts`` attempts, for a
+    :class:`ChaosSchedule`'s ``faults``."""
+    return tuple(
+        Fault(FaultKind.TASK_CRASH, task=task, attempt=attempt)
+        for attempt in range(1, attempts + 1)
+    )
 
 
 class CountSumReducer(Reducer):

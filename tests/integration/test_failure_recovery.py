@@ -12,9 +12,11 @@ from repro.algorithms.kmeans import run_kmeans_mapreduce
 from repro.algorithms.sampling import run_sampling_job, sample_array
 from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.counters import STANDARD
-from repro.mapreduce.failures import FailureInjector
+from repro.mapreduce.failures import ChaosSchedule
 from repro.mapreduce.hdfs import SimulatedHDFS
 from repro.mapreduce.runner import JobRunner
+from repro.mapreduce.scheduler import RetryPolicy
+from tests.conftest import crash_faults
 
 
 @pytest.fixture(scope="module")
@@ -37,10 +39,8 @@ class TestSamplingUnderFailures:
         want = hdfs_clean.read_trace_array("out").sort_by_time()
 
         hdfs_flaky = _hdfs(sampled)
-        inj = FailureInjector()
-        inj.script_failures("map-0000", attempts=2)
-        inj.script_failures("map-0002", attempts=1)
-        flaky = JobRunner(hdfs_flaky, failure_injector=inj)
+        chaos = ChaosSchedule(faults=crash_faults("map-0000", 2) + crash_faults("map-0002"))
+        flaky = JobRunner(hdfs_flaky, chaos=chaos)
         res = run_sampling_job(flaky, "traces", "out", 300.0)
         got = hdfs_flaky.read_trace_array("out").sort_by_time()
         assert len(got) == len(want)
@@ -49,8 +49,11 @@ class TestSamplingUnderFailures:
 
     def test_random_failures_chaos_run(self, sampled):
         hdfs = _hdfs(sampled)
-        inj = FailureInjector(probability=0.15, seed=9)
-        runner = JobRunner(hdfs, failure_injector=inj, max_attempts=12)
+        runner = JobRunner(
+            hdfs,
+            chaos=ChaosSchedule(seed=9, crash_prob=0.15),
+            retry_policy=RetryPolicy(max_attempts=12),
+        )
         run_sampling_job(runner, "traces", "out", 300.0)
         seq = sample_array(sampled, 300.0)
         # Same count up to chunk-boundary artifacts.
@@ -68,9 +71,12 @@ class TestKMeansUnderFailures:
             convergence_delta=1e-10,
         )
         hdfs_b = _hdfs(sampled)
-        inj = FailureInjector(probability=0.1, seed=5)
         flaky = run_kmeans_mapreduce(
-            JobRunner(hdfs_b, failure_injector=inj, max_attempts=12),
+            JobRunner(
+                hdfs_b,
+                chaos=ChaosSchedule(seed=5, crash_prob=0.1),
+                retry_policy=RetryPolicy(max_attempts=12),
+            ),
             "traces", 4, initial_centroids=init, max_iter=5, convergence_delta=1e-10,
         )
         assert np.abs(clean.centroids - flaky.centroids).max() < 1e-9
@@ -86,10 +92,11 @@ class TestThreadsWithFailures:
         want = hdfs_a.read_trace_array("out").sort_by_time()
 
         hdfs_b = _hdfs(sampled)
-        inj = FailureInjector()
-        inj.script_failures("map-0001", attempts=2)
         threads = JobRunner(
-            hdfs_b, failure_injector=inj, executor="threads", max_workers=6
+            hdfs_b,
+            chaos=ChaosSchedule(faults=crash_faults("map-0001", 2)),
+            executor="threads",
+            max_workers=6,
         )
         run_sampling_job(threads, "traces", "out", 300.0)
         got = hdfs_b.read_trace_array("out").sort_by_time()
@@ -98,10 +105,12 @@ class TestThreadsWithFailures:
 
     def test_thread_pool_with_random_failures_completes(self, sampled):
         hdfs = _hdfs(sampled)
-        inj = FailureInjector(probability=0.2, seed=5)
         runner = JobRunner(
-            hdfs, failure_injector=inj, executor="threads", max_workers=8,
-            max_attempts=15,
+            hdfs,
+            chaos=ChaosSchedule(seed=5, crash_prob=0.2),
+            executor="threads",
+            max_workers=8,
+            retry_policy=RetryPolicy(max_attempts=15),
         )
         res = run_sampling_job(runner, "traces", "out", 300.0)
         assert hdfs.file_records("out") > 0

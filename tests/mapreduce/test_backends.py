@@ -31,17 +31,14 @@ from repro.mapreduce.cache import DistributedCache
 from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.config import BACKENDS, MapReduceConfig
 from repro.mapreduce.counters import STANDARD
-from repro.mapreduce.failures import (
-    ChaosSchedule,
-    FailureInjector,
-    Fault,
-    FaultKind,
-)
+from repro.mapreduce.failures import ChaosSchedule
 from repro.mapreduce.hdfs import SimulatedHDFS
 from repro.mapreduce.job import Configuration, JobSpec, Mapper, Reducer
 from repro.mapreduce.runner import JobRunner
+from repro.mapreduce.scheduler import RetryPolicy
 from repro.mapreduce.spill import SpilledMapOutput, WorkerSpillSpec
 from repro.mapreduce.types import ArrayPayload, Chunk, RecordPayload
+from tests.conftest import crash_faults
 
 
 class WordCountMapper(Mapper):
@@ -202,11 +199,11 @@ def test_process_backend_uses_multiple_workers():
 
 
 def test_probabilistic_injector_crosses_the_pool():
-    """Hashed injector draws are pure, so they travel to the workers —
-    a probabilistic injector must not pin the job to the driver."""
+    """Hashed crash draws are pure, so they travel to the workers — a
+    probabilistic schedule must not pin the job to the driver."""
     pids, result, _ = _run_pid_job(
-        failure_injector=FailureInjector(probability=0.3, seed=5),
-        max_attempts=12,
+        chaos=ChaosSchedule(seed=5, crash_prob=0.3),
+        retry_policy=RetryPolicy(max_attempts=12),
     )
     assert all(pid != os.getpid() for pid in pids)
     assert result.counters.value(STANDARD.GROUP_SCHEDULER, STANDARD.FAILED_TASKS) > 0
@@ -285,7 +282,7 @@ class NapMapper(Mapper):
 def _map_request(task: int, chunk: Chunk, mapper, **fields) -> MapTaskRequest:
     defaults = dict(
         combiner=None, conf=Configuration(), cache=DistributedCache(),
-        chaos=None, injector=None, max_attempts=4,
+        chaos=None, max_attempts=4,
     )
     return MapTaskRequest(
         f"map-{task:04d}", "worker01", chunk, mapper, **{**defaults, **fields}
@@ -433,12 +430,10 @@ def test_batches_preserve_request_order(workers, n_tasks):
 
 
 def test_failure_inside_a_batch_lands_on_its_task_only():
-    """Tasks 3 (chaos crash) and 7 (scripted injector, twice) sit in the
-    middle of the two 6-task batches."""
-    injector = FailureInjector()
-    injector.script_failures("map-0007", attempts=2)
-    chaos = ChaosSchedule(faults=[Fault(FaultKind.TASK_CRASH, task="map-0003")])
-    requests = _record_requests(12, chaos=chaos, injector=injector)
+    """Tasks 3 (one scripted crash) and 7 (two) sit in the middle of the
+    two 6-task batches."""
+    chaos = ChaosSchedule(faults=crash_faults("map-0003") + crash_faults("map-0007", 2))
+    requests = _record_requests(12, chaos=chaos)
     with ProcessBackend(2) as backend:
         pooled = backend.run_map_tasks(requests)
     assert pooled == SerialBackend().run_map_tasks(requests)

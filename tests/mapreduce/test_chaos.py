@@ -13,7 +13,6 @@ from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.counters import STANDARD
 from repro.mapreduce.failures import (
     ChaosSchedule,
-    FailureInjector,
     Fault,
     FaultKind,
     JobFailedError,
@@ -25,6 +24,7 @@ from repro.mapreduce.job import JobSpec, Mapper, Reducer
 from repro.mapreduce.runner import JobRunner
 from repro.mapreduce.scheduler import NodeBlacklist, RetryPolicy
 from repro.observability.events import EventKind
+from tests.conftest import crash_faults
 
 N_RECORDS = 24
 
@@ -72,6 +72,24 @@ class TestChaosSchedule:
         with pytest.raises(ValueError, match="unknown fault kind"):
             Fault("disk_on_fire")
 
+    @pytest.mark.parametrize("fault, message", [
+        (dict(kind=FaultKind.TASK_CRASH), "needs a task"),
+        (dict(kind=FaultKind.CACHE_LOAD), "needs a task"),
+        (dict(kind=FaultKind.SHUFFLE_FETCH, node="worker01"), "needs a task"),
+        (dict(kind=FaultKind.SLOW_NODE), "needs a node"),
+        (dict(kind=FaultKind.TASK_CRASH, task="map-0000", attempt=0), "attempt"),
+    ])
+    def test_fault_that_can_never_fire_rejected(self, fault, message):
+        with pytest.raises(ValueError, match=message):
+            Fault(**fault)
+
+    def test_fault_scopes_that_can_fire_accepted(self):
+        Fault(FaultKind.NODE_LOSS)  # node=None: the first alive node
+        Fault(FaultKind.LATE_BATCH)  # feed/window=None: every batch
+        with pytest.raises(ValueError, match="max_node_losses"):
+            ChaosSchedule(max_node_losses=-1)
+        ChaosSchedule(max_node_losses=0)
+
     def test_scripted_crash_hits_exact_attempt(self):
         chaos = ChaosSchedule(faults=[Fault(FaultKind.TASK_CRASH, task="map-0001", attempt=2)])
         chaos.fail_attempt("map-0001", 1)  # survives
@@ -82,9 +100,10 @@ class TestChaosSchedule:
     def test_bad_node_crashes_every_attempt(self):
         chaos = ChaosSchedule(bad_nodes={"worker03"})
         for attempt in (1, 2, 3):
-            with pytest.raises(TaskFailure, match="bad node"):
-                chaos.fail_attempt("map-0000", attempt, node="worker03")
-        chaos.fail_attempt("map-0000", 1, node="worker01")
+            crash = chaos.bad_node_crash("map-0000", attempt, "worker03")
+            assert crash.attempt == attempt and crash.reason == "bad node worker03"
+        assert chaos.bad_node_crash("map-0000", 1, "worker01") is None
+        chaos.fail_attempt("map-0000", 1)  # the attempt loop never sees nodes
 
     def test_decisions_are_order_independent(self):
         """Counter-hashed draws: the same query gives the same answer no
@@ -230,8 +249,7 @@ class TestBlacklisting:
         victim = next(a.task_id for a in plan.assignments if a.node == "worker02")
         runner = JobRunner(
             hdfs,
-            chaos=ChaosSchedule(bad_nodes={"worker01"}),
-            failure_injector=FailureInjector(scripted={(victim, 1)}),
+            chaos=ChaosSchedule(bad_nodes={"worker01"}, faults=crash_faults(victim)),
             retry_policy=RetryPolicy(blacklist_after=2),
         )
         runner.run(spec())
@@ -254,12 +272,7 @@ class TestBlacklisting:
 class TestRetryExhaustion:
     def test_exhaustion_raises_job_failed_with_chain(self):
         hdfs = make_deployment()
-        chaos = ChaosSchedule(
-            faults=[
-                Fault(FaultKind.TASK_CRASH, task="map-0000", attempt=a)
-                for a in range(1, MAX_TASK_ATTEMPTS + 1)
-            ]
-        )
+        chaos = ChaosSchedule(faults=crash_faults("map-0000", MAX_TASK_ATTEMPTS))
         runner = JobRunner(hdfs, chaos=chaos)
         with pytest.raises(JobFailedError, match="failed") as excinfo:
             runner.run(spec())
@@ -295,28 +308,6 @@ class TestBitReproducibility:
         assert first[0] == second[0]
         assert first[1] == second[1]
         assert first[2] == second[2]
-
-
-class TestScriptFailuresGuard:
-    """Regression: scripting more failures than the retry budget used to
-    wedge the retry loop instead of failing the job cleanly."""
-
-    def test_overbudget_script_rejected(self):
-        inj = FailureInjector()
-        with pytest.raises(ValueError, match="retry budget"):
-            inj.script_failures("map-0000", attempts=MAX_TASK_ATTEMPTS + 1)
-        assert not inj.scripted  # nothing partially scripted
-
-    def test_budget_boundary_still_allowed(self):
-        inj = FailureInjector()
-        inj.script_failures("map-0000", attempts=MAX_TASK_ATTEMPTS)
-        assert len(inj.scripted) == MAX_TASK_ATTEMPTS
-
-    def test_custom_budget_respected(self):
-        inj = FailureInjector()
-        inj.script_failures("map-0000", attempts=6, max_attempts=6)
-        with pytest.raises(ValueError, match="retry budget"):
-            inj.script_failures("map-0001", attempts=3, max_attempts=2)
 
 
 class TestRetryPolicy:

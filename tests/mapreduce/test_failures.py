@@ -1,13 +1,15 @@
-"""Failure injection and retry-policy tests."""
+"""Scripted and probabilistic task crashes, retried under the policy."""
 
 import pytest
 
 from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.counters import STANDARD
-from repro.mapreduce.failures import FailureInjector, MAX_TASK_ATTEMPTS, TaskFailure
+from repro.mapreduce.failures import ChaosSchedule, MAX_TASK_ATTEMPTS
 from repro.mapreduce.hdfs import SimulatedHDFS
 from repro.mapreduce.job import JobSpec, Mapper, Reducer
 from repro.mapreduce.runner import JobRunner
+from repro.mapreduce.scheduler import RetryPolicy
+from tests.conftest import crash_faults
 
 
 class EchoMapper(Mapper):
@@ -27,51 +29,10 @@ def loaded_hdfs():
     return hdfs
 
 
-class TestInjector:
-    def test_scripted_failure_fires(self):
-        inj = FailureInjector(scripted={("map-0000", 1)})
-        with pytest.raises(TaskFailure):
-            inj.fail_attempt("map-0000", 1)
-        inj.fail_attempt("map-0000", 2)  # second attempt survives
-        inj.fail_attempt("map-0001", 1)  # other tasks unaffected
-
-    def test_script_failures_helper(self):
-        inj = FailureInjector()
-        inj.script_failures("map-0003", attempts=2)
-        assert ("map-0003", 1) in inj.scripted
-        assert ("map-0003", 2) in inj.scripted
-        assert ("map-0003", 3) not in inj.scripted
-
-    def test_probability_validated(self):
-        with pytest.raises(ValueError):
-            FailureInjector(probability=1.5)
-
-    def test_probability_deterministic_with_seed(self):
-        hits_a = []
-        inj = FailureInjector(probability=0.5, seed=7)
-        for i in range(20):
-            try:
-                inj.fail_attempt(f"t{i}", 1)
-                hits_a.append(False)
-            except TaskFailure:
-                hits_a.append(True)
-        inj2 = FailureInjector(probability=0.5, seed=7)
-        hits_b = []
-        for i in range(20):
-            try:
-                inj2.fail_attempt(f"t{i}", 1)
-                hits_b.append(False)
-            except TaskFailure:
-                hits_b.append(True)
-        assert hits_a == hits_b
-        assert any(hits_a) and not all(hits_a)
-
-
 class TestRunnerRetries:
     def test_map_retry_succeeds_and_is_counted(self, loaded_hdfs):
-        inj = FailureInjector()
-        inj.script_failures("map-0000", attempts=2)
-        runner = JobRunner(loaded_hdfs, failure_injector=inj)
+        chaos = ChaosSchedule(faults=crash_faults("map-0000", 2))
+        runner = JobRunner(loaded_hdfs, chaos=chaos)
         res = runner.run(JobSpec("j", EchoMapper, ["in"], "out", reducer=SumReducer))
         assert dict(loaded_hdfs.read_records("out"))  # output produced
         assert res.counters.value(STANDARD.GROUP_SCHEDULER, STANDARD.FAILED_TASKS) == 2
@@ -80,40 +41,40 @@ class TestRunnerRetries:
     def test_output_identical_with_and_without_failures(self, loaded_hdfs):
         clean = JobRunner(loaded_hdfs)
         clean.run(JobSpec("j", EchoMapper, ["in"], "clean", reducer=SumReducer))
-        inj = FailureInjector()
-        inj.script_failures("map-0000", attempts=1)
-        inj.script_failures("reduce-0000", attempts=1)
-        flaky = JobRunner(loaded_hdfs, failure_injector=inj)
+        chaos = ChaosSchedule(faults=crash_faults("map-0000") + crash_faults("reduce-0000"))
+        flaky = JobRunner(loaded_hdfs, chaos=chaos)
         flaky.run(JobSpec("j", EchoMapper, ["in"], "flaky", reducer=SumReducer))
         assert dict(loaded_hdfs.read_records("clean")) == dict(
             loaded_hdfs.read_records("flaky")
         )
 
     def test_task_exceeding_attempts_fails_job(self, loaded_hdfs):
-        inj = FailureInjector()
-        inj.script_failures("map-0000", attempts=MAX_TASK_ATTEMPTS)
-        runner = JobRunner(loaded_hdfs, failure_injector=inj)
+        chaos = ChaosSchedule(faults=crash_faults("map-0000", MAX_TASK_ATTEMPTS))
+        runner = JobRunner(loaded_hdfs, chaos=chaos)
         with pytest.raises(RuntimeError, match="failed"):
             runner.run(JobSpec("j", EchoMapper, ["in"], "out", reducer=SumReducer))
 
     def test_reduce_retry(self, loaded_hdfs):
-        inj = FailureInjector()
-        inj.script_failures("reduce-0000", attempts=2)
-        runner = JobRunner(loaded_hdfs, failure_injector=inj)
+        chaos = ChaosSchedule(faults=crash_faults("reduce-0000", 2))
+        runner = JobRunner(loaded_hdfs, chaos=chaos)
         res = runner.run(
             JobSpec("j", EchoMapper, ["in"], "out", reducer=SumReducer, num_reducers=1)
         )
         assert res.counters.value(STANDARD.GROUP_SCHEDULER, STANDARD.FAILED_TASKS) == 2
 
     def test_random_failures_still_converge(self, loaded_hdfs):
-        inj = FailureInjector(probability=0.2, seed=11)
-        runner = JobRunner(loaded_hdfs, failure_injector=inj, max_attempts=10)
+        runner = JobRunner(
+            loaded_hdfs,
+            chaos=ChaosSchedule(seed=11, crash_prob=0.2),
+            retry_policy=RetryPolicy(max_attempts=10),
+        )
         runner.run(JobSpec("j", EchoMapper, ["in"], "out", reducer=SumReducer))
         assert sum(v for _, v in loaded_hdfs.read_records("out")) == 12
 
     def test_max_attempts_validated(self, loaded_hdfs):
-        with pytest.raises(ValueError):
-            JobRunner(loaded_hdfs, max_attempts=0)
+        """The retry policy is the one attempt budget, validated there."""
+        with pytest.raises(ValueError, match="max_attempts"):
+            JobRunner(loaded_hdfs, retry_policy=RetryPolicy(max_attempts=0))
 
 
 class TestDatanodeLossDuringJob:

@@ -26,13 +26,13 @@ from repro.mapreduce.chaos import (
 from repro.mapreduce.config import BACKENDS
 from repro.mapreduce.failures import (
     ChaosSchedule,
-    FailureInjector,
     Fault,
     FaultKind,
     JobFailedError,
     MAX_TASK_ATTEMPTS,
 )
 from repro.mapreduce.job import Mapper, Reducer
+from tests.conftest import crash_faults
 
 SPILL_KINDS = {"spill_start", "spill_merge"}
 
@@ -81,16 +81,10 @@ def campaign():
 def test_budget_is_invisible_under_chaos(campaign, driver, backend):
     array, context, schedule = campaign
     # The campaign default, then the same plus a chronically bad node
-    # and a probabilistic injector (failures the replay interleaves).
-    cases = [
-        (schedule, None),
-        (
-            dataclasses.replace(schedule, bad_nodes=frozenset({"worker02"})),
-            FailureInjector(probability=0.1, seed=9),
-        ),
-    ]
-    for chaos, injector in cases:
-        kwargs = dict(executor=backend, max_workers=2, failure_injector=injector)
+    # (bounces the replay interleaves with the attempt loop's crashes).
+    cases = [schedule, dataclasses.replace(schedule, bad_nodes=frozenset({"worker02"}))]
+    for chaos in cases:
+        kwargs = dict(executor=backend, max_workers=2)
         base = _run_once(
             DRIVERS[driver], array, context, 3, 64 * 1024, chaos, **kwargs
         )
@@ -171,12 +165,10 @@ def test_node_loss_rerun_leaves_no_spill_files(backend, tmp_path):
 def test_failed_job_leaves_no_spill_files(backend, tmp_path):
     """One task past its retry budget: its siblings' spilled outputs are
     released on the exception path too."""
-    injector = FailureInjector()
-    injector.script_failures("map-0003", attempts=MAX_TASK_ATTEMPTS)
     shm_before = set(os.listdir("/dev/shm"))
     _, runner, spec = _fanout_deployment(
         backend, 0.002, spill_dir=str(tmp_path / "spill"),
-        failure_injector=injector,
+        chaos=ChaosSchedule(faults=crash_faults("map-0003", MAX_TASK_ATTEMPTS)),
     )
     with runner:
         with pytest.raises(JobFailedError, match="map-0003"):

@@ -16,8 +16,9 @@ from repro.algorithms.djcluster import (
     djcluster_sequential,
     run_djcluster_mapreduce,
 )
-from repro.mapreduce.chaos import INPUT_PATH, _build_corpus, _fresh_runner, default_schedule
+from repro.mapreduce.chaos import INPUT_PATH, _build_corpus, default_schedule
 from repro.mapreduce.config import BACKENDS
+from repro.mapreduce.runner import fresh_runner
 from repro.observability.events import EventKind
 
 #: DJ-Cluster over the tiny chaos corpus: every point stationary enough
@@ -26,11 +27,15 @@ from repro.observability.events import EventKind
 PARAMS = DJClusterParams(radius_m=200.0, min_pts=4)
 
 
-def _run(*, backend="serial", chaos=None, budget=None):
-    runner = _fresh_runner(
-        _build_corpus(3, 1, 42), 3, 64 * 1024, chaos,
-        executor=backend, max_workers=2, memory_budget_mb=budget,
+def _deployment(**kwargs):
+    return fresh_runner(
+        {INPUT_PATH: _build_corpus(3, 1, 42)},
+        chunk_size=64 * 1024, n_workers=3, record_bytes=64, **kwargs,
     )
+
+
+def _run(*, backend="serial", chaos=None, budget=None):
+    runner = _deployment(backend=backend, max_workers=2, budget_mb=budget, chaos=chaos)
     try:
         result = run_djcluster_mapreduce(runner, INPUT_PATH, PARAMS)
         kinds = [e.kind for e in runner.history]
@@ -83,7 +88,7 @@ def test_persistent_index_is_invisible_under_memory_budget():
 def test_second_ensure_over_same_version_is_zero_job_hit():
     from repro.index.persistent import IndexCatalog
 
-    runner = _fresh_runner(_build_corpus(3, 1, 42), 3, 64 * 1024, None)
+    runner = _deployment()
     try:
         result = run_djcluster_mapreduce(runner, INPUT_PATH, PARAMS)
         assert result.preprocessed is not None
@@ -109,7 +114,7 @@ def test_rerun_after_repreprocessing_rebuilds_not_reuses():
     """Re-running the driver rewrites the preprocessed dataset, bumping
     its namenode version: the catalog key changes, so the second run
     publishes a second index rather than unsafely reusing the first."""
-    runner = _fresh_runner(_build_corpus(3, 1, 42), 3, 64 * 1024, None)
+    runner = _deployment()
     try:
         first = run_djcluster_mapreduce(runner, INPUT_PATH, PARAMS, workdir="tmp/dj-a")
         second = run_djcluster_mapreduce(runner, INPUT_PATH, PARAMS, workdir="tmp/dj-b")

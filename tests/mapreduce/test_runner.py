@@ -241,12 +241,11 @@ class TestJobResultSummary:
         assert "map-only" in res.summary()
 
     def test_retries_mentioned(self, small_hdfs):
-        from repro.mapreduce.failures import FailureInjector
+        from repro.mapreduce.failures import ChaosSchedule
+        from tests.conftest import crash_faults
 
         _wordcount_input(small_hdfs)
-        inj = FailureInjector()
-        inj.script_failures("map-0000", attempts=1)
-        runner = JobRunner(small_hdfs, failure_injector=inj)
+        runner = JobRunner(small_hdfs, chaos=ChaosSchedule(faults=crash_faults("map-0000")))
         res = runner.run(JobSpec("wc", WordCountMapper, ["in"], "out", reducer=SumReducer))
         assert "retried" in res.summary()
 

@@ -13,9 +13,10 @@ from repro.algorithms.kmeans import run_kmeans_mapreduce
 from repro.algorithms.sampling import run_sampling_job
 from repro.geo.synthetic import SyntheticConfig, generate_dataset
 from repro.mapreduce.cluster import paper_cluster
-from repro.mapreduce.failures import FailureInjector
+from repro.mapreduce.failures import ChaosSchedule
 from repro.mapreduce.hdfs import SimulatedHDFS
 from repro.mapreduce.runner import JobRunner
+from tests.conftest import crash_faults
 
 
 @pytest.fixture(scope="module")
@@ -25,8 +26,7 @@ def traced_run():
     array = dataset.flat().sort_by_time()
     hdfs = SimulatedHDFS(paper_cluster(3), chunk_size=64 * 1024, seed=0)
     hdfs.put_trace_array("input/traces", array, record_bytes=64)
-    injector = FailureInjector(scripted={("map-0001", 1)})
-    runner = JobRunner(hdfs, failure_injector=injector)
+    runner = JobRunner(hdfs, chaos=ChaosSchedule(faults=crash_faults("map-0001")))
     sampling = run_sampling_job(
         runner, "input/traces", "out/sampled", window_s=60.0
     )

@@ -30,13 +30,8 @@ from repro.attacks.mmc import build_mmc
 from repro.geo.synthetic import SyntheticConfig, generate_dataset
 from repro.mapreduce.chaos import DRIVERS, _run_once, default_schedule
 from repro.mapreduce.config import BACKENDS
-from repro.mapreduce.failures import (
-    ChaosSchedule,
-    FailureInjector,
-    Fault,
-    FaultKind,
-    JobFailedError,
-)
+from repro.mapreduce.failures import ChaosSchedule, Fault, FaultKind, JobFailedError
+from repro.mapreduce.runner import fresh_runner
 
 # Each hypothesis example is a full simulated deployment, and every test
 # now runs once per execution backend — keep the counts small.
@@ -109,22 +104,12 @@ schedules = st.builds(
     faults=scripted_faults,
 )
 
-injectors = st.one_of(
-    st.none(),
-    st.builds(
-        FailureInjector,
-        probability=st.sampled_from([0.1, 0.25]),
-        seed=st.integers(0, 2**32 - 1),
-    ),
-)
-
 #: ``None`` = unbounded; ~10 KB forces the spill paths (test_outofcore).
 budgets = st.sampled_from([None, 0.01])
 
 
 def _assert_equivalent(
-    name, corpus, context, clean_signatures, schedule, backend,
-    injector=None, budget=None,
+    name, corpus, context, clean_signatures, schedule, backend, budget=None
 ):
     # Two workers force real pool dispatch on threads/processes even on a
     # single-core runner (the backends short-circuit inline at 1 worker).
@@ -132,8 +117,7 @@ def _assert_equivalent(
     try:
         artifacts = _run_once(
             DRIVERS[name], corpus, context, 3, 64 * 1024, schedule,
-            executor=backend, max_workers=workers,
-            failure_injector=injector, memory_budget_mb=budget,
+            executor=backend, max_workers=workers, memory_budget_mb=budget,
         )
     except JobFailedError as err:
         # An aggressive schedule may legitimately exhaust a task's retry
@@ -144,56 +128,51 @@ def _assert_equivalent(
         return
     assert artifacts.signature == clean_signatures[name], (
         f"{name} output diverged under chaos schedule "
-        f"[{schedule.describe()}] injector={injector} budget={budget} "
-        f"on backend {backend}"
+        f"[{schedule.describe()}] budget={budget} on backend {backend}"
     )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
-@given(schedule=schedules, injector=injectors, budget=budgets)
+@given(schedule=schedules, budget=budgets)
 def test_sampling_equivalent_under_chaos(
-    corpus, context, clean_signatures, backend, schedule, injector, budget
+    corpus, context, clean_signatures, backend, schedule, budget
 ):
     _assert_equivalent(
-        "sampling", corpus, context, clean_signatures, schedule, backend,
-        injector, budget,
+        "sampling", corpus, context, clean_signatures, schedule, backend, budget
     )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
-@given(schedule=schedules, injector=injectors, budget=budgets)
+@given(schedule=schedules, budget=budgets)
 def test_djcluster_preprocessing_equivalent_under_chaos(
-    corpus, context, clean_signatures, backend, schedule, injector, budget
+    corpus, context, clean_signatures, backend, schedule, budget
 ):
     _assert_equivalent(
-        "djcluster", corpus, context, clean_signatures, schedule, backend,
-        injector, budget,
+        "djcluster", corpus, context, clean_signatures, schedule, backend, budget
     )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=MAX_EXAMPLES, deadline=None)
-@given(schedule=schedules, injector=injectors, budget=budgets)
+@given(schedule=schedules, budget=budgets)
 def test_mmc_equivalent_under_chaos(
-    corpus, context, clean_signatures, backend, schedule, injector, budget
+    corpus, context, clean_signatures, backend, schedule, budget
 ):
     _assert_equivalent(
-        "mmc", corpus, context, clean_signatures, schedule, backend,
-        injector, budget,
+        "mmc", corpus, context, clean_signatures, schedule, backend, budget
     )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=2, deadline=None)  # iterative: the slow driver
-@given(schedule=schedules, injector=injectors, budget=budgets)
+@given(schedule=schedules, budget=budgets)
 def test_kmeans_equivalent_under_chaos(
-    corpus, context, clean_signatures, backend, schedule, injector, budget
+    corpus, context, clean_signatures, backend, schedule, budget
 ):
     _assert_equivalent(
-        "kmeans", corpus, context, clean_signatures, schedule, backend,
-        injector, budget,
+        "kmeans", corpus, context, clean_signatures, schedule, backend, budget
     )
 
 
@@ -204,38 +183,31 @@ def test_kmeans_equivalent_under_chaos(
 # with it every counter), the simulated makespan and the output signature
 # — to be byte-identical across serial, threaded and process execution
 # under fault-heavy fixed schedules: the campaign default, and the same
-# with a chronically bad node plus a probabilistic injector (the two
-# fault sources whose failures the driver-side replay interleaves).
+# with a chronically bad node (the driver-side replay's bounces, which it
+# interleaves with the attempt loop's hashed crashes).
 
 _FIXED = default_schedule(seed=3, node_loss=True)
-FIXED_CASES = [
-    (_FIXED, None),
-    (
-        dataclasses.replace(_FIXED, bad_nodes=frozenset({"worker02"})),
-        FailureInjector(probability=0.1, seed=9),
-    ),
-]
+FIXED_CASES = [_FIXED, dataclasses.replace(_FIXED, bad_nodes=frozenset({"worker02"}))]
 
 
 @pytest.mark.parametrize("name", sorted(DRIVERS))
 def test_backends_byte_identical_under_fixed_chaos(name, corpus, context):
-    for schedule, injector in FIXED_CASES:
+    for schedule in FIXED_CASES:
         runs = {}
         for backend in BACKENDS:
             workers = None if backend == "serial" else 2
             runs[backend] = _run_once(
                 DRIVERS[name], corpus, context, 3, 64 * 1024, schedule,
                 executor=backend, max_workers=workers,
-                failure_injector=injector,
             )
         base = runs["serial"]
         if schedule.bad_nodes:
+            # Both fault sources the replay interleaves really fired.
             assert "worker02" in base.blacklisted
-            assert any(
-                e["kind"] == "attempt_failed"
-                and e["data"]["reason"] == "random failure"
-                for e in base.events
-            )
+            reasons = {
+                e["data"]["reason"] for e in base.events if e["kind"] == "attempt_failed"
+            }
+            assert {"bad node worker02", "chaos crash"} <= reasons
         for backend in BACKENDS[1:]:
             got = runs[backend]
             assert got.signature == base.signature, backend
@@ -252,9 +224,10 @@ def test_backends_byte_identical_under_fixed_chaos(name, corpus, context):
 # MMC decomposition is exact for any chunking.
 
 def _single_chunk_runner(corpus, chaos=None):
-    from repro.mapreduce.chaos import _fresh_runner
-
-    return _fresh_runner(corpus, 3, 1 << 30, chaos)
+    return fresh_runner(
+        {"input/traces": corpus}, chunk_size=1 << 30, n_workers=3, record_bytes=64,
+        chaos=chaos,
+    )
 
 
 def test_sampling_matches_sequential_even_under_chaos(corpus):

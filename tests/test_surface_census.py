@@ -60,8 +60,7 @@ SURFACE = {
         Configuration Counters Chunk RecordPayload ArrayPayload ClusterSpec Node
         paper_cluster SimulatedHDFS Mapper Reducer Partitioner HashPartitioner
         JobSpec MapContext ReduceContext JobRunner JobResult JobPipeline
-        CostModel FailureInjector TaskFailure DistributedCache JobHistory
-        load_history"""),
+        CostModel TaskFailure DistributedCache JobHistory load_history"""),
     "repro.metrics": ("predictability privacy risk_rollup utility", """
         spatial_distortion_m trace_volume_ratio coverage_ratio range_query_error
         UtilityReport utility_report poi_recovery PoiRecoveryReport
