@@ -9,7 +9,6 @@ partitioning function.
 
 from repro.index.spacefilling import (
     zorder_key,
-    hilbert_key,
     get_curve,
     CURVES,
     normalize_to_grid,
@@ -28,7 +27,6 @@ from repro.index.selfjoin import radius_self_join
 __all__ = [
     "radius_self_join",
     "zorder_key",
-    "hilbert_key",
     "get_curve",
     "CURVES",
     "normalize_to_grid",

@@ -34,6 +34,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.geo.distance import haversine_m
+from repro.geo.grid import finite_column
 
 __all__ = ["Rect", "RTree", "DEFAULT_MAX_ENTRIES"]
 
@@ -56,26 +57,39 @@ _M_PER_DEG_LAT = 111_000.0
 _DEG_EPS = 1e-12
 
 
-def _radius_rect(lat: float, lon: float, radius_m: float) -> Rect:
-    """Degree-space pruning rectangle covering the Haversine disc.
+def _radius_rects(lat: np.ndarray, lon: np.ndarray, radius_m: float) -> np.ndarray:
+    """Degree-space pruning rectangles covering the Haversine discs of
+    radius ``radius_m`` around each ``(lat, lon)``, as ``(n, 4)`` rows of
+    ``(min_lat, min_lon, max_lat, max_lon)``.
 
     Conservative by construction: longitude width uses the smallest
     cosine over the rectangle's latitude band (widest meridian
-    convergence), and a band touching a pole spans all longitudes.
+    convergence), and a band touching a pole spans all longitudes.  Every
+    operation is elementwise, so a row's bits do not depend on the rows
+    beside it.
     """
     pad = _DEG_EPS if radius_m > 0 else 0.0
     dlat = radius_m / _M_PER_DEG_LAT + pad
-    min_lat = max(lat - dlat, -90.0)
-    max_lat = min(lat + dlat, 90.0)
-    if lat - dlat <= -90.0 or lat + dlat >= 90.0:
-        # Disc may wrap a pole: every longitude is reachable.
-        return Rect(min_lat, -180.0, max_lat, 180.0)
-    cos_band = max(
-        min(math.cos(math.radians(min_lat)), math.cos(math.radians(max_lat))),
-        1e-9,
+    low, high = lat - dlat, lat + dlat
+    rects = np.empty((len(low), 4), dtype=np.float64)
+    rects[:, 0] = min_lat = np.maximum(low, -90.0)
+    rects[:, 2] = max_lat = np.minimum(high, 90.0)
+    cos_band = np.maximum(
+        np.minimum(np.cos(np.radians(min_lat)), np.cos(np.radians(max_lat))), 1e-9
     )
     dlon = radius_m / (_M_PER_DEG_LAT * cos_band) + pad
-    return Rect(min_lat, max(lon - dlon, -180.0), max_lat, min(lon + dlon, 180.0))
+    rects[:, 1] = np.maximum(lon - dlon, -180.0)
+    rects[:, 3] = np.minimum(lon + dlon, 180.0)
+    # A disc that may wrap a pole reaches every longitude.
+    polar = (low <= -90.0) | (high >= 90.0)
+    rects[polar, 1] = -180.0
+    rects[polar, 3] = 180.0
+    return rects
+
+
+def _radius_rect(lat: float, lon: float, radius_m: float) -> Rect:
+    """The pruning rectangle of one query: a one-row :func:`_radius_rects`."""
+    return Rect(*_radius_rects(np.array([lat]), np.array([lon]), radius_m)[0].tolist())
 
 
 def _check_radius_queries(points: np.ndarray, radius_m: float) -> np.ndarray:
@@ -248,10 +262,12 @@ class RTree:
         STR packs points into ``ceil(n/M)`` full leaves arranged in a
         near-square tile grid: sort by latitude, cut into vertical slabs,
         sort each slab by longitude, cut into leaves.  Upper levels pack
-        node centres the same way.
+        node centres the same way.  A non-finite coordinate is a
+        ``ValueError``: NaN compares false against every MBR, so it would
+        be indexed but never found.
         """
         tree = cls(max_entries=max_entries)
-        points = np.asarray(points, dtype=np.float64)
+        points = finite_column(points, "points")
         if points.ndim != 2 or points.shape[1] != 2:
             raise ValueError("points must be an (n, 2) array")
         n = len(points)
@@ -530,11 +546,9 @@ class RTree:
         empty = np.empty(0, dtype=np.int64)
         if n == 0 or self._root is None:
             return [empty for _ in range(n)]
-        # Rects come from the same scalar helper as query_radius, so the
-        # pruning geometry is bit-identical to the per-point path.
-        rects = np.empty((n, 4), dtype=np.float64)
-        for q in range(n):
-            rects[q] = _radius_rect(points[q, 0], points[q, 1], radius_m).as_array()
+        # query_radius takes one row of the same elementwise kernel, so
+        # the pruning geometry is bit-identical to the per-point path.
+        rects = _radius_rects(points[:, 0], points[:, 1], radius_m)
         hit_queries: list[np.ndarray] = []
         hit_ids: list[np.ndarray] = []
         all_queries = np.arange(n, dtype=np.int64)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.geo.grid import finite_column
 from repro.index.rtree import RTree
 from repro.index.spacefilling import DEFAULT_ORDER, get_curve
 from repro.mapreduce.config import Configuration
@@ -168,6 +169,32 @@ class RTreeBuildResult:
         return float(sizes.max() / sizes.mean())
 
 
+def _dataset_bounds(hdfs, path: str) -> tuple[float, float, float, float] | None:
+    """``(min_lat, min_lon, max_lat, max_lon)`` of a trace file, or
+    ``None`` when it holds no trace.
+
+    Folds each chunk's bounding box in chunk order, so under a memory
+    budget the chunks page in one at a time, in file order, and none stays
+    referenced after its turn.  ``ValueError`` for a non-finite
+    coordinate: its NaN would become a bound.
+    """
+    bounds = None
+    for chunk in hdfs.chunks(path):
+        array = chunk.trace_array()
+        if len(array) == 0:
+            continue
+        finite_column(array.latitude, "coordinates")
+        finite_column(array.longitude, "coordinates")
+        box = array.bounding_box()
+        if bounds is not None:
+            box = (
+                min(bounds[0], box[0]), min(bounds[1], box[1]),
+                max(bounds[2], box[2]), max(bounds[3], box[3]),
+            )
+        bounds = box
+    return bounds
+
+
 def build_rtree_mapreduce(
     runner: JobRunner,
     input_path: str,
@@ -181,18 +208,18 @@ def build_rtree_mapreduce(
     """Run the full Figure 6 pipeline and return the merged global R-tree.
 
     ``input_path`` must hold traces (array or trace-record chunks).  The
-    dataset MBR needed by the curve is computed by the driver from the
-    namenode's chunk metadata — a cheap sequential pass, like the paper's
-    driver-side initialization steps.
+    dataset MBR needed by the curve is folded by the driver chunk by chunk
+    (:func:`_dataset_bounds`) — a cheap sequential pass, like the paper's
+    driver-side initialization steps, holding one chunk at a time.  A
+    non-finite coordinate is a ``ValueError`` before any job runs.
     """
     if n_partitions < 1:
         raise ValueError("n_partitions must be >= 1")
     get_curve(curve)  # validate early
     hdfs = runner.hdfs
-    all_points = hdfs.read_trace_array(input_path)
-    if len(all_points) == 0:
+    bounds = _dataset_bounds(hdfs, input_path)
+    if bounds is None:
         return RTreeBuildResult(RTree(max_entries=max_entries), np.empty(0), {}, 0.0, 0.0, 0.0, curve)
-    bounds = all_points.bounding_box()
 
     conf = Configuration(
         {

@@ -7,13 +7,16 @@ values" while preserving data locality.  Both curves here map a point on a
 
 * **Z-order** interleaves the bits of the two grid coordinates — cheap,
   decent locality, with the well-known "Z jumps" between quadrants;
-* **Hilbert** follows the Hilbert curve — slightly costlier, strictly
-  better locality (no long jumps), which yields better-balanced, more
-  compact partitions (the Figure 6 ablation bench measures exactly this).
+* **Hilbert** follows the Hilbert curve — strictly better locality (no
+  long jumps), which yields better-balanced, more compact partitions (the
+  Figure 6 ablation bench measures exactly this).
 
-Everything is vectorized: keys for a million points are computed with a
-handful of NumPy passes (``order`` iterations for Hilbert), never a
-per-point Python loop.
+Everything is vectorized, never a per-point Python loop: Z-order spreads
+bits with five shift-and-mask passes per coordinate, and Hilbert reads a
+1,024-entry automaton table built at import, one whole-array gather per
+four curve levels (four gathers at the default order 16).  Both curves
+reject non-finite coordinates and bounds (``normalize_to_grid``): a NaN
+span reads as "degenerate" and would silently drop an axis.
 """
 
 from __future__ import annotations
@@ -22,12 +25,13 @@ from typing import Callable
 
 import numpy as np
 
+from repro.geo.grid import finite_column
+
 __all__ = [
     "normalize_to_grid",
     "morton_interleave",
     "zorder_key",
     "hilbert_key",
-    "hilbert_xy_from_key",
     "CURVES",
     "get_curve",
     "DEFAULT_ORDER",
@@ -48,10 +52,13 @@ def normalize_to_grid(
 
     ``bounds`` is ``(min_x, min_y, max_x, max_y)``.  Degenerate extents
     (all points sharing one coordinate) collapse to cell 0 on that axis.
+    A non-finite coordinate or bound is a ``ValueError``.
     """
     if not 1 <= order <= 31:
         raise ValueError("order must be within [1, 31]")
-    min_x, min_y, max_x, max_y = bounds
+    min_x, min_y, max_x, max_y = finite_column(bounds, "bounds").tolist()
+    x = finite_column(x, "coordinates")
+    y = finite_column(y, "coordinates")
     if max_x < min_x or max_y < min_y:
         raise ValueError("invalid bounds: max < min")
     size = (1 << order) - 1
@@ -60,10 +67,10 @@ def normalize_to_grid(
     gx = np.zeros(len(np.atleast_1d(x)), dtype=np.uint64)
     gy = np.zeros(len(np.atleast_1d(y)), dtype=np.uint64)
     if span_x > 0:
-        fx = (np.asarray(x, dtype=np.float64) - min_x) / span_x
+        fx = (x - min_x) / span_x
         gx = np.clip(np.floor(fx * (size + 1)), 0, size).astype(np.uint64)
     if span_y > 0:
-        fy = (np.asarray(y, dtype=np.float64) - min_y) / span_y
+        fy = (y - min_y) / span_y
         gy = np.clip(np.floor(fy * (size + 1)), 0, size).astype(np.uint64)
     return gx, gy
 
@@ -98,6 +105,36 @@ def zorder_key(
     return morton_interleave(gx, gy)
 
 
+def _hilbert_table() -> np.ndarray:
+    """The 4-state Hilbert automaton, four curve levels per entry.
+
+    A state is the transform the ``xy2d`` rotate-and-fold has applied to
+    the coordinates so far: bit 0 says x and y are swapped, bit 1 that
+    both are complemented.  The two commute, so composing one more fold
+    XORs the flags.  Entry ``state << 8 | x_nibble << 4 | y_nibble`` holds
+    the nibbles' 8 key bits in its low byte and the state after them in
+    bits 8-9 — where the next lookup's index wants it.
+    """
+    table = np.empty(4 << 8, dtype=np.int64)
+    for state in range(4):
+        for x_nibble in range(16):
+            for y_nibble in range(16):
+                flags, digits = state, 0
+                for bit in (3, 2, 1, 0):
+                    rx = (x_nibble >> bit & 1) ^ (flags >> 1)
+                    ry = (y_nibble >> bit & 1) ^ (flags >> 1)
+                    if flags & 1:
+                        rx, ry = ry, rx
+                    digits = digits << 2 | (3 * rx) ^ ry
+                    if ry == 0:
+                        flags ^= 1 | rx << 1
+                table[state << 8 | x_nibble << 4 | y_nibble] = digits | flags << 8
+    return table
+
+
+_HILBERT = _hilbert_table()
+
+
 def hilbert_key(
     x: np.ndarray,
     y: np.ndarray,
@@ -106,62 +143,27 @@ def hilbert_key(
 ) -> np.ndarray:
     """Hilbert-curve key of each point, as uint64.
 
-    Vectorized form of the classic ``xy2d`` rotate-and-fold algorithm:
-    one pass per curve level over the whole arrays.
+    The classic ``xy2d`` rotate-and-fold run as a table-driven automaton:
+    each of ``ceil(order / 4)`` whole-array gathers consumes four bits of
+    both grid coordinates and emits eight key bits.  An order that is not
+    a multiple of four is padded with leading zero levels; from an
+    unrotated state each of those adds key digit 0 and one swap, so the
+    walk starts swapped when their number is odd.
     """
     gx, gy = normalize_to_grid(x, y, bounds, order)
-    rx = np.zeros_like(gx)
-    ry = np.zeros_like(gy)
-    d = np.zeros_like(gx)
-    gx = gx.copy()
-    gy = gy.copy()
-    s = np.uint64(1 << (order - 1))
-    n = np.uint64(1 << order)
-    one = np.uint64(1)
-    zero = np.uint64(0)
-    while s > 0:
-        rx = np.where((gx & s) > 0, one, zero)
-        ry = np.where((gy & s) > 0, one, zero)
-        d += s * s * ((np.uint64(3) * rx) ^ ry)
-        # Rotate the quadrant so the curve stays continuous; the forward
-        # transform reflects within the full n x n grid (classic xy2d).
-        swap = ry == 0
-        flip = swap & (rx == 1)
-        gx_f = np.where(flip, n - one - gx, gx)
-        gy_f = np.where(flip, n - one - gy, gy)
-        gx_new = np.where(swap, gy_f, gx_f)
-        gy_new = np.where(swap, gx_f, gy_f)
-        gx, gy = gx_new, gy_new
-        s = np.uint64(int(s) >> 1)
-    return d
-
-
-def hilbert_xy_from_key(
-    d: np.ndarray, order: int = DEFAULT_ORDER
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse Hilbert mapping (``d2xy``), vectorized; for property tests."""
-    d = np.asarray(d, dtype=np.uint64).copy()
-    gx = np.zeros_like(d)
-    gy = np.zeros_like(d)
-    t = d.copy()
-    one = np.uint64(1)
-    s = np.uint64(1)
-    top = np.uint64(1 << order)
-    while s < top:
-        rx = (t // np.uint64(2)) & one
-        ry = (t ^ rx) & one
-        # Rotate back.
-        swap = ry == 0
-        flip = swap & (rx == 1)
-        gx_f = np.where(flip, s - one - gx, gx)
-        gy_f = np.where(flip, s - one - gy, gy)
-        gx_r = np.where(swap, gy_f, gx_f)
-        gy_r = np.where(swap, gx_f, gy_f)
-        gx = gx_r + s * rx
-        gy = gy_r + s * ry
-        t = t // np.uint64(4)
-        s = np.uint64(int(s) << 1)
-    return gx, gy
+    # Grid cells are below 2**31: the int64 view is the same numbers.
+    gx, gy = gx.view(np.int64), gy.view(np.int64)
+    steps = -(-order // 4)
+    entry = np.full(gx.shape, (4 * steps - order) % 2 << 8, dtype=np.int64)
+    key = np.zeros(gx.shape, dtype=np.int64)
+    for shift in range(4 * steps - 4, -1, -4):
+        index = entry & 0x300
+        index |= (gx >> shift & 15) << 4
+        index |= gy >> shift & 15
+        entry = _HILBERT[index]
+        key <<= 8
+        key |= entry & 0xFF
+    return key.view(np.uint64)
 
 
 #: Registry of curve implementations by name (the paper tests both).

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.geo.distance import haversine_m
 from repro.geo.synthetic import SyntheticConfig, generate_dataset
 from repro.geo.trace import TraceArray
+from repro.index.spacefilling import DEFAULT_ORDER, normalize_to_grid
 from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.failures import Fault, FaultKind
 from repro.mapreduce.hdfs import SimulatedHDFS
@@ -172,3 +175,66 @@ def radius_self_join_oracle(points: np.ndarray, radius_m: float) -> list[np.ndar
         for row, point_id in enumerate(members):
             neighborhoods[point_id] = np.sort(cand[close[row]])
     return neighborhoods
+
+
+def hilbert_key_oracle(x, y, bounds, order: int = DEFAULT_ORDER) -> np.ndarray:
+    """Reference ``hilbert_key``: the classic ``xy2d`` rotate-and-fold the
+    table-driven automaton replaced, one whole-array pass per curve level."""
+    gx, gy = normalize_to_grid(x, y, bounds, order)
+    d = np.zeros_like(gx)
+    s = np.uint64(1 << (order - 1))
+    n = np.uint64(1 << order)
+    one = np.uint64(1)
+    zero = np.uint64(0)
+    while s > 0:
+        rx = np.where((gx & s) > 0, one, zero)
+        ry = np.where((gy & s) > 0, one, zero)
+        d += s * s * ((np.uint64(3) * rx) ^ ry)
+        # Rotate the quadrant so the curve stays continuous; the forward
+        # transform reflects within the full n x n grid.
+        swap = ry == 0
+        flip = swap & (rx == 1)
+        gx_f = np.where(flip, n - one - gx, gx)
+        gy_f = np.where(flip, n - one - gy, gy)
+        gx, gy = np.where(swap, gy_f, gx_f), np.where(swap, gx_f, gy_f)
+        s = np.uint64(int(s) >> 1)
+    return d
+
+
+def hilbert_xy_from_key_oracle(d, order: int = DEFAULT_ORDER) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse Hilbert mapping (``d2xy``): the grid cell of each key."""
+    t = np.asarray(d, dtype=np.uint64).copy()
+    gx = np.zeros_like(t)
+    gy = np.zeros_like(t)
+    one = np.uint64(1)
+    s = np.uint64(1)
+    top = np.uint64(1 << order)
+    while s < top:
+        rx = (t // np.uint64(2)) & one
+        ry = (t ^ rx) & one
+        swap = ry == 0
+        flip = swap & (rx == 1)
+        gx_f = np.where(flip, s - one - gx, gx)
+        gy_f = np.where(flip, s - one - gy, gy)
+        gx = np.where(swap, gy_f, gx_f) + s * rx
+        gy = np.where(swap, gx_f, gy_f) + s * ry
+        t = t // np.uint64(4)
+        s = np.uint64(int(s) << 1)
+    return gx, gy
+
+
+def radius_rect_oracle(lat: float, lon: float, radius_m: float) -> tuple[float, ...]:
+    """Reference pruning rectangle ``(min_lat, min_lon, max_lat, max_lon)``
+    of one radius query, in ``math``-module scalars: the per-query helper
+    the array form replaced."""
+    pad = 1e-12 if radius_m > 0 else 0.0
+    dlat = radius_m / 111_000.0 + pad
+    min_lat = max(lat - dlat, -90.0)
+    max_lat = min(lat + dlat, 90.0)
+    if lat - dlat <= -90.0 or lat + dlat >= 90.0:
+        return (min_lat, -180.0, max_lat, 180.0)
+    cos_band = max(
+        min(math.cos(math.radians(min_lat)), math.cos(math.radians(max_lat))), 1e-9
+    )
+    dlon = radius_m / (111_000.0 * cos_band) + pad
+    return (min_lat, max(lon - dlon, -180.0), max_lat, min(lon + dlon, 180.0))

@@ -5,12 +5,13 @@ import pytest
 
 from repro.geo.distance import haversine_m
 from repro.geo.trace import TraceArray
-from repro.index.rtree_mr import build_rtree_mapreduce
+from repro.index.rtree_mr import _dataset_bounds, build_rtree_mapreduce
 from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.hdfs import SimulatedHDFS
 from repro.mapreduce.runner import JobRunner
+from repro.mapreduce.spill import PayloadStore
 
-from tests.conftest import city_points
+from tests.conftest import city_points, count_calls
 
 
 @pytest.fixture()
@@ -89,3 +90,36 @@ class TestBuild:
         b = build_rtree_mapreduce(runner, "traces", n_partitions=4, workdir="w/b")
         assert np.array_equal(a.boundaries, b.boundaries)
         assert a.partition_sizes == b.partition_sizes
+
+
+class TestDatasetBounds:
+    @staticmethod
+    def _budgeted():
+        pts = city_points(20_000, seed=3, spread=0.2)
+        hdfs = SimulatedHDFS(
+            paper_cluster(3), chunk_size=32 * 1024, seed=0, memory_budget_mb=0.25
+        )
+        hdfs.put_trace_array(
+            "traces", TraceArray.from_columns(["u"], pts[:, 0], pts[:, 1], np.arange(20_000.0))
+        )
+        return hdfs
+
+    def test_fold_equals_the_concatenated_read_and_pages_alike(self, monkeypatch):
+        """Chunk by chunk, the driver gets the four floats one whole-file
+        read gave, touching the chunk store with the same gets in the same
+        order, so the same page-ins."""
+        gets = count_calls(monkeypatch, PayloadStore, "get")
+        whole, folded = self._budgeted(), self._budgeted()
+        want = whole.read_trace_array("traces").bounding_box()
+        whole_gets, whole_pages_in = [args[1] for args in gets], whole.spill_stats.pages_in
+        gets.clear()
+        got = _dataset_bounds(folded, "traces")
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+        assert [args[1] for args in gets] == whole_gets
+        assert folded.spill_stats.pages_in == whole_pages_in > 0
+        assert len(whole_gets) == len(folded.chunks("traces")) > 5
+
+    def test_empty_file_has_no_bounds(self):
+        hdfs = SimulatedHDFS(paper_cluster(3), seed=0)
+        hdfs.put_trace_array("empty", TraceArray.empty())
+        assert _dataset_bounds(hdfs, "empty") is None

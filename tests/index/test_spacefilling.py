@@ -7,11 +7,11 @@ from repro.index.spacefilling import (
     CURVES,
     get_curve,
     hilbert_key,
-    hilbert_xy_from_key,
     morton_interleave,
     normalize_to_grid,
     zorder_key,
 )
+from tests.conftest import hilbert_key_oracle, hilbert_xy_from_key_oracle
 
 
 def _full_grid(order):
@@ -46,6 +46,24 @@ class TestNormalizeToGrid:
         with pytest.raises(ValueError):
             normalize_to_grid(np.zeros(1), np.zeros(1), (0, 0, 1, 1), order=32)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("curve", [zorder_key, hilbert_key])
+    def test_non_finite_coordinates_rejected(self, curve, bad):
+        # Unchecked, a NaN bound made the span "degenerate": every point's
+        # cell on that axis became 0 and the curve lost an axis.
+        xs, ys = np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.0, 2.0])
+        for column in (xs, ys):
+            poisoned = column.copy()
+            poisoned[1] = bad
+            args = (poisoned, ys) if column is xs else (xs, poisoned)
+            with pytest.raises(ValueError, match="coordinates must be finite"):
+                curve(*args, (0.0, 0.0, 2.0, 2.0))
+        for i in range(4):
+            bounds = [0.0, 0.0, 2.0, 2.0]
+            bounds[i] = bad
+            with pytest.raises(ValueError, match="bounds must be finite"):
+                curve(xs, ys, tuple(bounds))
+
 
 class TestMorton:
     def test_interleave_known_values(self):
@@ -68,6 +86,18 @@ class TestMorton:
 
 
 class TestHilbert:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6, 8])
+    def test_full_grid_equals_rotate_and_fold(self, order):
+        xs, ys, bounds, _ = _full_grid(order)
+        keys = hilbert_key(xs, ys, bounds, order=order)
+        assert keys.dtype == np.uint64
+        assert np.array_equal(keys, hilbert_key_oracle(xs, ys, bounds, order=order))
+
+    @pytest.mark.parametrize("order", [1, 7, 16, 29, 31])
+    def test_empty_input(self, order):
+        keys = hilbert_key(np.empty(0), np.empty(0), (0.0, 0.0, 1.0, 1.0), order=order)
+        assert keys.dtype == np.uint64 and keys.shape == (0,)
+
     @pytest.mark.parametrize("order", [1, 2, 4, 6])
     def test_bijective(self, order):
         xs, ys, bounds, n = _full_grid(order)
@@ -80,7 +110,7 @@ class TestHilbert:
         xs, ys, bounds, n = _full_grid(order)
         gx, gy = normalize_to_grid(xs, ys, bounds, order)
         keys = hilbert_key(xs, ys, bounds, order=order)
-        bx, by = hilbert_xy_from_key(keys, order=order)
+        bx, by = hilbert_xy_from_key_oracle(keys, order=order)
         assert np.array_equal(bx, gx)
         assert np.array_equal(by, gy)
 

@@ -11,11 +11,15 @@ import math
 import numpy as np
 import pytest
 
+from repro.geo.trace import TraceArray
 from repro.index.persistent import PersistentRTree, QueryEngine
 from repro.index.rtree import RTree
+from repro.index.rtree_mr import build_rtree_mapreduce
 from repro.index.selfjoin import radius_self_join
 from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.hdfs import SimulatedHDFS
+from repro.mapreduce.runner import JobRunner
+from tests.conftest import city_points, count_calls
 
 NAN = float("nan")
 INF = float("inf")
@@ -110,3 +114,32 @@ def test_query_engine_rejects_non_finite_parameters(tree):
         engine.knn(NAN, 116.5, 3)
     # Rejected queries are never counted as served.
     assert engine.stats.n_queries == 0
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+def test_bulk_load_rejects_non_finite_points(bad):
+    # Unvalidated, the row was indexed but no query could ever find it.
+    for column in (0, 1):
+        points = city_points(100, seed=4)
+        points[17, column] = bad
+        with pytest.raises(ValueError, match="points must be finite"):
+            RTree.bulk_load(points)
+
+
+@pytest.mark.parametrize("bad", [NAN, INF])
+def test_build_rtree_mapreduce_rejects_non_finite_rows_before_any_job(monkeypatch, bad):
+    # One NaN row among 500 made the bounds (nan, ...): every point's x
+    # cell became 0, the curve lost an axis, and the NaN point was indexed
+    # as the tree's 501st entry.  The driver's bounds pass must stop it.
+    pts = city_points(501, seed=9)
+    pts[250, 0] = bad
+    hdfs = SimulatedHDFS(paper_cluster(3), chunk_size=8 * 1024, seed=0)
+    hdfs.put_trace_array(
+        "traces", TraceArray.from_columns(["u"], pts[:, 0], pts[:, 1], np.arange(501.0))
+    )
+    runner = JobRunner(hdfs)
+    jobs = count_calls(monkeypatch, runner, "run")
+    for curve in ("hilbert", "zorder"):
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            build_rtree_mapreduce(runner, "traces", n_partitions=4, curve=curve)
+    assert jobs == []

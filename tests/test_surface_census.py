@@ -51,7 +51,7 @@ SURFACE = {
         segment_trail UserStats corpus_summary radius_of_gyration_m
         sampling_interval_stats user_stats"""),
     "repro.index": ("persistent rtree rtree_mr selfjoin spacefilling", """
-        radius_self_join zorder_key hilbert_key get_curve CURVES
+        radius_self_join zorder_key get_curve CURVES
         normalize_to_grid RTree Rect build_rtree_mapreduce RTreeBuildResult
         IndexCatalog IndexCorruptError PersistentRTree PortableIndex QueryEngine"""),
     "repro.mapreduce": ("""
@@ -88,8 +88,6 @@ KEPT = {
     "repro.index.selfjoin.radius_self_join":
         "the documented per-row form of self_join_csr (DESIGN.md, docs/PERFORMANCE.md); "
         "the oracle suites compare it, split per row, against the per-cell reference",
-    "repro.index.spacefilling.hilbert_xy_from_key":
-        "the inverse curve: the reference hilbert_key is proved bijective against",
     **dict.fromkeys(
         (
             f"repro.metrics.privacy.{name}"
