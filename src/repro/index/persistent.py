@@ -13,9 +13,9 @@ artifact and puts a query path in front of it:
   groups are resident.
 * :class:`PersistentRTree` — save/open of a bulk-loaded
   :class:`~repro.index.rtree.RTree`.  Opening builds a *facade* tree
-  whose nodes decode lazily from pages; the facade reuses ``RTree``'s
-  own traversal code verbatim, so every answer (including kNN tie
-  order) is byte-identical to the in-memory tree.
+  whose node handles are page ids, decoded once per visit; the facade
+  runs ``RTree``'s own traversal code, so every answer (including kNN
+  tie order) is byte-identical to the in-memory tree.
 * :class:`IndexCatalog` — a namenode-side registry keyed by (dataset
   version, build parameters): ``ensure`` answers repeat builds with a
   zero-job catalog hit and records ``index_publish`` /
@@ -42,7 +42,7 @@ import struct
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, TYPE_CHECKING
+from typing import Any, Callable, TYPE_CHECKING
 
 import numpy as np
 
@@ -127,15 +127,16 @@ def _encode_internal_page(
     return _HEADER.pack(PAGE_MAGIC, zlib.crc32(body) & 0xFFFFFFFF) + body
 
 
-@dataclass
+@dataclass(slots=True)
 class _DecodedPage:
-    """One node page, decoded and validated."""
+    """One node page, decoded and validated: an in-memory ``_Node``'s
+    read surface, with child page ids as its ``children`` handles."""
 
     is_leaf: bool
     mbr: Rect
     ids: np.ndarray | None = None
     points: np.ndarray | None = None
-    child_ids: np.ndarray | None = None
+    children: list[int] | None = None
     child_mbrs: np.ndarray | None = None
 
 
@@ -167,9 +168,9 @@ def decode_page(blob: bytes, page_id: int) -> _DecodedPage:
         ids = np.frombuffer(body[offset : offset + 8 * n], dtype="<i8")
         points = np.frombuffer(body[offset + 8 * n :], dtype="<f8").reshape(n, 2)
         return _DecodedPage(True, mbr, ids=ids, points=points)
-    child_ids = np.frombuffer(body[offset : offset + 8 * n], dtype="<i8")
+    children = np.frombuffer(body[offset : offset + 8 * n], dtype="<i8").tolist()
     child_mbrs = np.frombuffer(body[offset + 8 * n :], dtype="<f8").reshape(n, 4)
-    return _DecodedPage(False, mbr, child_ids=child_ids, child_mbrs=child_mbrs)
+    return _DecodedPage(False, mbr, children=children, child_mbrs=child_mbrs)
 
 
 def _pages_from_tree(tree: RTree) -> list[bytes]:
@@ -184,7 +185,7 @@ def _pages_from_tree(tree: RTree) -> list[bytes]:
         else:
             child_ids = [encode(c) for c in node.children]
             pages[page_id] = _encode_internal_page(
-                child_ids, node.child_mbrs(), node.mbr
+                child_ids, node.child_mbrs, node.mbr
             )
         return page_id
 
@@ -193,7 +194,7 @@ def _pages_from_tree(tree: RTree) -> list[bytes]:
     return pages  # type: ignore[return-value]
 
 
-# -- lazy facade over a page source -----------------------------------------
+# -- the facade: RTree over a page source ------------------------------------
 
 
 class _PageSource:
@@ -224,92 +225,26 @@ class _PageSource:
         return page
 
 
-class _PagedChildren:
-    """Lazy child sequence exposing the ``list[_Node]`` surface."""
+class _PagedTree(RTree):
+    """``RTree``'s own traversals over persisted pages.
 
-    __slots__ = ("_source", "_child_ids", "_child_mbrs")
-
-    def __init__(self, source: _PageSource, child_ids, child_mbrs):
-        self._source = source
-        self._child_ids = child_ids
-        self._child_mbrs = child_mbrs
-
-    def __len__(self) -> int:
-        return len(self._child_ids)
-
-    def __getitem__(self, i: int) -> "_PagedNode":
-        return _PagedNode(self._source, int(self._child_ids[i]), self._child_mbrs[i])
-
-    def __iter__(self) -> Iterator["_PagedNode"]:
-        for i in range(len(self._child_ids)):
-            yield self[i]
-
-
-class _PagedNode:
-    """A node proxy with the exact ``_Node`` read surface.
-
-    ``mbr`` comes from the parent page's entry row without decoding this
-    page, and the ``Rect`` is built only if someone reads it (traversals
-    prune on the parent's ``child_mbrs()`` array, so most proxies never
-    need one).  Everything else decodes on first access.
+    A handle is a page id and resolves through the decoded-page LRU, so
+    pruning, refinement and tie-breaking are the in-memory tree's code:
+    answers are byte-identical by construction rather than by
+    reimplementation.  The height is the meta record's, so the scans'
+    leaf-parent depth costs no page read.
     """
 
-    __slots__ = ("_source", "_page_id", "_mbr")
+    def __init__(self, source: _PageSource, meta: dict[str, Any]):
+        super().__init__(max_entries=int(meta["max_entries"]))
+        self._resolve = source.decoded
+        self._height = int(meta["height"])
+        if int(meta["n_pages"]) > 0:
+            self._root = int(meta["root"])
+        self._size = int(meta["size"])
 
-    def __init__(self, source: _PageSource, page_id: int, mbr_row: np.ndarray | None):
-        self._source = source
-        self._page_id = page_id
-        self._mbr: Rect | np.ndarray | None = mbr_row
-
-    @property
-    def mbr(self) -> Rect:
-        mbr = self._mbr
-        if not isinstance(mbr, Rect):
-            if mbr is None:
-                mbr = self._source.decoded(self._page_id).mbr
-            else:
-                mbr = Rect(*mbr.tolist())
-            self._mbr = mbr
-        return mbr
-
-    @property
-    def is_leaf(self) -> bool:
-        return self._source.decoded(self._page_id).is_leaf
-
-    @property
-    def ids(self) -> np.ndarray:
-        return self._source.decoded(self._page_id).ids
-
-    @property
-    def points(self) -> np.ndarray:
-        return self._source.decoded(self._page_id).points
-
-    @property
-    def children(self) -> _PagedChildren:
-        page = self._source.decoded(self._page_id)
-        return _PagedChildren(self._source, page.child_ids, page.child_mbrs)
-
-    def child_mbrs(self) -> np.ndarray:
-        return self._source.decoded(self._page_id).child_mbrs
-
-    def n_entries(self) -> int:
-        page = self._source.decoded(self._page_id)
-        return len(page.ids) if page.is_leaf else len(page.child_ids)
-
-
-def _facade_tree(source: _PageSource, meta: dict[str, Any]) -> RTree:
-    """An ``RTree`` whose root is a lazy page proxy.
-
-    The facade reuses the in-memory tree's own query methods unmodified
-    — identical pruning, identical refinement, identical tie-breaking —
-    which is what makes persistent answers byte-identical by
-    construction rather than by reimplementation.
-    """
-    tree = RTree(max_entries=int(meta["max_entries"]))
-    if int(meta["n_pages"]) > 0:
-        tree._root = _PagedNode(source, int(meta["root"]), None)
-    tree._size = int(meta["size"])
-    return tree
+    def height(self) -> int:
+        return self._height
 
 
 # -- HDFS-backed storage -----------------------------------------------------
@@ -387,8 +322,7 @@ class PersistentRTree:
         reader = _HDFSPageReader(
             hdfs, f"{path}/pages", meta["chunk_starts"], int(meta["n_pages"])
         )
-        self._source = _PageSource(reader)
-        self._tree = _facade_tree(self._source, meta)
+        self._tree = _PagedTree(_PageSource(reader), meta)
 
     # -- lifecycle ----------------------------------------------------------
     @classmethod
@@ -535,8 +469,7 @@ class PortableIndex:
     def tree(self) -> RTree:
         if self._tree is None:
             blobs = self._blobs
-            source = _PageSource(lambda pid: blobs[pid])
-            self._tree = _facade_tree(source, self._meta)
+            self._tree = _PagedTree(_PageSource(lambda pid: blobs[pid]), self._meta)
         return self._tree
 
     def __len__(self) -> int:

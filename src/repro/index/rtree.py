@@ -20,7 +20,10 @@ plus the queries DJ-Cluster needs: rectangle search, radius search
 
 Hot-path note: each internal node keeps its children's MBRs in one
 ``(fanout, 4)`` NumPy array so that the overlap test per visited node is a
-single vectorized comparison, not a per-child Python loop.
+single vectorized comparison, not a per-child Python loop.  Traversals
+walk child *handles* and resolve each one once: in memory a handle is the
+node itself, on persisted pages it is a page id (``persistent.py``), so
+one traversal code answers both.
 """
 
 from __future__ import annotations
@@ -205,7 +208,12 @@ class Rect:
 
 
 class _Node:
-    """Internal tree node: a leaf over points, or a parent over nodes."""
+    """In-memory tree node: a leaf over points, or a parent over nodes.
+
+    Its read surface is a decoded page's (``persistent._DecodedPage``):
+    ``is_leaf``, ``ids`` and ``points`` of a leaf, ``children`` (handles;
+    here the nodes themselves) and ``child_mbrs`` of a parent.
+    """
 
     __slots__ = ("is_leaf", "ids", "points", "children", "mbr")
 
@@ -225,12 +233,17 @@ class _Node:
                 mbr = mbr.union(child.mbr)
             self.mbr = mbr
 
+    @property
     def child_mbrs(self) -> np.ndarray:
-        """(n_children, 4) array of child MBRs for vectorized pruning."""
-        return np.array([c.mbr.as_array() for c in self.children])
+        """``(n_children, 4)`` rows of the child MBRs, for vectorized pruning.
 
-    def n_entries(self) -> int:
-        return len(self.ids) if self.is_leaf else len(self.children)
+        Derived on each read, not kept: a kept array would enter the
+        pickle, whose length is a phase-2 small tree's modelled size, and
+        leaving it out costs a Python ``__getstate__``/``__setstate__``
+        per node on every build (docs/PERFORMANCE.md).
+        """
+        mbrs = (child.mbr for child in self.children)
+        return np.array([(m.min_lat, m.min_lon, m.max_lat, m.max_lon) for m in mbrs])
 
 
 def _chunk_evenly(n: int, size: int) -> Iterator[slice]:
@@ -240,6 +253,10 @@ def _chunk_evenly(n: int, size: int) -> Iterator[slice]:
 
 class RTree:
     """An R-tree over (latitude, longitude) points with integer ids."""
+
+    #: Handle -> node, called once per node a traversal visits.  The
+    #: identity in memory; a class attribute, so no tree pickle carries it.
+    _resolve = staticmethod(lambda node: node)
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
         if max_entries < 2:
@@ -442,45 +459,70 @@ class RTree:
         return sibling
 
     # -- queries ------------------------------------------------------------
+    def _scan(self, box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ids and points of every entry inside ``box`` — ``(min_lat,
+        min_lon, max_lat, max_lon)``, inclusive — in no particular order.
+
+        A depth-first walk that resolves each node it visits once.  At a
+        leaf-parent it resolves the hit leaves in the order the walk would
+        pop them (last hit first) and tests their concatenated points with
+        one mask, instead of one mask per leaf.
+        """
+        lo_lat, lo_lon, hi_lat, hi_lon = box.tolist()
+        resolve = self._resolve
+        leaf_parent = self.height() - 2
+        found_ids: list[np.ndarray] = []
+        found_points: list[np.ndarray] = []
+        stack = [(self._root, 0)]
+        while stack:
+            handle, depth = stack.pop()
+            node = resolve(handle)
+            if node.is_leaf:  # the root of a one-leaf tree
+                leaves = [node]
+            else:
+                mbrs = node.child_mbrs
+                hit = np.flatnonzero(~(
+                    (mbrs[:, 0] > hi_lat)
+                    | (mbrs[:, 2] < lo_lat)
+                    | (mbrs[:, 1] > hi_lon)
+                    | (mbrs[:, 3] < lo_lon)
+                )).tolist()
+                children = node.children
+                if depth < leaf_parent:
+                    stack.extend((children[i], depth + 1) for i in hit)
+                    continue
+                leaves = [resolve(children[i]) for i in reversed(hit)]
+                if not leaves:
+                    continue
+            points = np.concatenate([leaf.points for leaf in leaves])
+            inside = (
+                (points[:, 0] >= lo_lat)
+                & (points[:, 1] >= lo_lon)
+                & (points[:, 0] <= hi_lat)
+                & (points[:, 1] <= hi_lon)
+            )
+            if inside.any():
+                found_ids.append(np.concatenate([leaf.ids for leaf in leaves])[inside])
+                found_points.append(points[inside])
+        if not found_ids:
+            return np.empty(0, dtype=np.int64), np.empty((0, 2))
+        return np.concatenate(found_ids), np.concatenate(found_points)
+
     def query_rect(self, rect: Rect) -> np.ndarray:
-        """Ids of all points inside ``rect`` (inclusive bounds)."""
+        """Ids of all points inside ``rect`` (inclusive bounds), sorted."""
+        box = rect.as_array()
+        # NaN compares false against every MBR: an empty, plausible answer.
+        if not np.isfinite(box).all():
+            raise ValueError(f"query rectangle must be finite, got {rect}")
         if self._root is None:
             return np.empty(0, dtype=np.int64)
-        out: list[np.ndarray] = []
-        stack = [self._root]
-        qarr = rect.as_array()
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                pts = node.points
-                mask = (
-                    (pts[:, 0] >= qarr[0])
-                    & (pts[:, 1] >= qarr[1])
-                    & (pts[:, 0] <= qarr[2])
-                    & (pts[:, 1] <= qarr[3])
-                )
-                if mask.any():
-                    out.append(node.ids[mask])
-            else:
-                mbrs = node.child_mbrs()
-                hit = ~(
-                    (mbrs[:, 0] > qarr[2])
-                    | (mbrs[:, 2] < qarr[0])
-                    | (mbrs[:, 1] > qarr[3])
-                    | (mbrs[:, 3] < qarr[1])
-                )
-                children = node.children
-                for i in np.flatnonzero(hit):
-                    stack.append(children[i])
-        if not out:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(np.concatenate(out))
+        return np.sort(self._scan(box)[0])
 
     def query_radius(self, lat: float, lon: float, radius_m: float) -> np.ndarray:
         """Ids of points within ``radius_m`` metres (Haversine) of a point.
 
         A latitude/longitude bounding box prunes the tree; survivors are
-        refined with the exact Haversine distance.
+        refined with one exact Haversine call.
         """
         if not math.isfinite(radius_m):
             raise ValueError(f"radius must be finite, got {radius_m!r}")
@@ -490,40 +532,9 @@ class RTree:
             raise ValueError(f"query coordinates must be finite, got ({lat!r}, {lon!r})")
         if self._root is None:
             return np.empty(0, dtype=np.int64)
-        rect = _radius_rect(lat, lon, radius_m)
-        out: list[np.ndarray] = []
-        stack = [self._root]
-        qarr = rect.as_array()
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                pts = node.points
-                mask = (
-                    (pts[:, 0] >= qarr[0])
-                    & (pts[:, 1] >= qarr[1])
-                    & (pts[:, 0] <= qarr[2])
-                    & (pts[:, 1] <= qarr[3])
-                )
-                if mask.any():
-                    cand_pts = pts[mask]
-                    dist = haversine_m(lat, lon, cand_pts[:, 0], cand_pts[:, 1])
-                    keep = dist <= radius_m
-                    if np.any(keep):
-                        out.append(node.ids[mask][keep])
-            else:
-                mbrs = node.child_mbrs()
-                hit = ~(
-                    (mbrs[:, 0] > qarr[2])
-                    | (mbrs[:, 2] < qarr[0])
-                    | (mbrs[:, 1] > qarr[3])
-                    | (mbrs[:, 3] < qarr[1])
-                )
-                children = node.children
-                for i in np.flatnonzero(hit):
-                    stack.append(children[i])
-        if not out:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(np.concatenate(out))
+        ids, points = self._scan(_radius_rect(lat, lon, radius_m).as_array())
+        keep = haversine_m(lat, lon, points[:, 0], points[:, 1]) <= radius_m
+        return np.sort(ids[keep])
 
     def query_radius_batch(self, points: np.ndarray, radius_m: float) -> list[np.ndarray]:
         """Per-point :meth:`query_radius` for an (n, 2) array of queries.
@@ -552,9 +563,10 @@ class RTree:
         hit_queries: list[np.ndarray] = []
         hit_ids: list[np.ndarray] = []
         all_queries = np.arange(n, dtype=np.int64)
-        stack: list[tuple[_Node, np.ndarray]] = [(self._root, all_queries)]
+        stack = [(self._root, all_queries)]
         while stack:
-            node, active = stack.pop()
+            handle, active = stack.pop()
+            node = self._resolve(handle)
             qarr = rects[active]  # (a, 4)
             if node.is_leaf:
                 pts = node.points
@@ -576,7 +588,7 @@ class RTree:
                     hit_queries.append(queries[keep])
                     hit_ids.append(node.ids[cols[keep]])
             else:
-                mbrs = node.child_mbrs()  # (c, 4)
+                mbrs = node.child_mbrs  # (c, 4)
                 # (a, c) intersection matrix: query rect vs child MBR.
                 hit = ~(
                     (mbrs[None, :, 0] > qarr[:, 2, None])
@@ -599,22 +611,27 @@ class RTree:
         first.  Best-first search over node MBR min-distances.
 
         A node's children are priced by one clamped Haversine call over
-        ``child_mbrs()`` — :meth:`Rect.min_dist_m` array-at-a-time — and
+        ``child_mbrs`` — :meth:`Rect.min_dist_m` array-at-a-time — and
         pushed in child order, so ties break as in the scalar search.  A
         *node's* priority may differ from the scalar one in its last bit
         (NumPy squares arrays by multiplying, scalars through ``pow``);
         returned distances are leaf distances, always array-computed.
         """
+        # 1.5 would act as 2 and True as 1: plausible, wrong neighbour counts.
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ValueError(f"k must be an integer, got {k!r}")
         if k <= 0:
             raise ValueError("k must be positive")
         if not (math.isfinite(lat) and math.isfinite(lon)):
             raise ValueError(f"query coordinates must be finite, got ({lat!r}, {lon!r})")
         if self._root is None:
             return []
+        resolve = self._resolve
         counter = itertools.count()
-        # Heap holds (min_dist, tiebreak, kind, payload).
+        # Heap holds (min_dist, tiebreak, is_point, id or node handle).  The
+        # root is alone in it, so its key is never compared.
         heap: list[tuple[float, int, bool, object]] = [
-            (self._root.mbr.min_dist_m(lat, lon), next(counter), False, self._root)
+            (0.0, next(counter), False, self._root)
         ]
         result: list[tuple[int, float]] = []
         while heap and len(result) < k:
@@ -622,14 +639,14 @@ class RTree:
             if is_point:
                 result.append((payload, dist))
                 continue
-            node: _Node = payload
+            node = resolve(payload)
             if node.is_leaf:
                 points = node.points
                 dists = haversine_m(lat, lon, points[:, 0], points[:, 1]).tolist()
                 for pid, d in zip(node.ids.tolist(), dists):
                     heapq.heappush(heap, (d, next(counter), True, pid))
             else:
-                mbrs = node.child_mbrs()
+                mbrs = node.child_mbrs
                 clat = np.minimum(np.maximum(lat, mbrs[:, 0]), mbrs[:, 2])
                 clon = np.minimum(np.maximum(lon, mbrs[:, 1]), mbrs[:, 3])
                 dists = haversine_m(lat, lon, clat, clon).tolist()
@@ -643,14 +660,15 @@ class RTree:
 
     @property
     def bounds(self) -> Rect | None:
-        return self._root.mbr if self._root is not None else None
+        return self._resolve(self._root).mbr if self._root is not None else None
 
     def height(self) -> int:
         """Number of levels (0 for an empty tree, 1 for a single leaf)."""
-        h, node = 0, self._root
-        while node is not None:
+        h, handle = 0, self._root
+        while handle is not None:
             h += 1
-            node = node.children[0] if not node.is_leaf else None
+            node = self._resolve(handle)
+            handle = None if node.is_leaf else node.children[0]
         return h
 
     def iter_entries(self) -> Iterator[tuple[int, float, float]]:
@@ -659,7 +677,7 @@ class RTree:
             return
         stack = [self._root]
         while stack:
-            node = stack.pop()
+            node = self._resolve(stack.pop())
             if node.is_leaf:
                 for pid, pt in zip(node.ids, node.points):
                     yield int(pid), float(pt[0]), float(pt[1])
@@ -667,24 +685,32 @@ class RTree:
                 stack.extend(node.children)
 
     def check_invariants(self) -> None:
-        """Validate MBR containment and leaf-depth uniformity (tests)."""
+        """Validate MBR containment, the child-MBR rows and leaf-depth
+        uniformity at :meth:`height` (tests)."""
         if self._root is None:
             return
         depths: set[int] = set()
 
-        def visit(node: _Node, depth: int) -> None:
+        def visit(handle, depth: int) -> Rect:
+            node = self._resolve(handle)
             if node.is_leaf:
                 depths.add(depth)
                 assert node.mbr == Rect.of_points(node.points)
-            else:
-                mbr = node.children[0].mbr
-                for child in node.children:
-                    mbr = mbr.union(child.mbr)
-                    visit(child, depth + 1)
-                assert node.mbr == mbr, "internal MBR does not cover children"
+                return node.mbr
+            mbrs = [visit(child, depth + 1) for child in node.children]
+            assert np.array_equal(
+                node.child_mbrs, [m.as_array() for m in mbrs]
+            ), "child MBR rows do not match the children"
+            mbr = mbrs[0]
+            for other in mbrs[1:]:
+                mbr = mbr.union(other)
+            assert node.mbr == mbr, "internal MBR does not cover children"
+            return mbr
 
         visit(self._root, 0)
-        assert len(depths) == 1, f"leaves at different depths: {depths}"
+        assert depths == {self.height() - 1}, (
+            f"leaves at depths {depths} in a tree of height {self.height()}"
+        )
 
     # -- merging (Figure 6, phase 3) ------------------------------------------
     @classmethod

@@ -73,6 +73,28 @@ def test_a_query_never_lists_the_pages_file(monkeypatch, budget_mb):
     assert len(decodes) < int(index.meta["n_pages"])
 
 
+@pytest.mark.parametrize("budget_mb", [None, 0.02])
+def test_a_scan_asks_for_each_page_it_visits_once(monkeypatch, budget_mb):
+    """A range or radius scan resolves every page it visits through one
+    ``decoded`` call: no attribute read goes back to the page source (it
+    used to ask about three times per page).  Which pages, in which order,
+    is ``golden_page_touches.json``'s business."""
+    hdfs, pts, _ = _index(budget_mb)
+    asked = _count_calls(monkeypatch, persistent._PageSource, "decoded")
+    index = PersistentRTree.open(hdfs, "idx")
+    lat, lon = pts[0].tolist()
+    scans = [
+        lambda: index.query_point(lat, lon),
+        lambda: index.query_rect(Rect(39.5, 115.5, 40.0, 116.5)),
+        lambda: index.query_radius(lat, lon, 5_000.0),
+    ]
+    for scan in scans:
+        asked.clear()
+        assert len(scan()) > 0
+        pages = [page_id for _, page_id in asked]
+        assert len(pages) == len(set(pages)) >= int(index.meta["height"])
+
+
 # -- write side ---------------------------------------------------------------
 
 

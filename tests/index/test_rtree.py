@@ -120,8 +120,10 @@ class TestBulkLoad:
         tree.check_invariants()
 
         def check(node):
-            assert node.n_entries() <= 8
-            if not node.is_leaf:
+            if node.is_leaf:
+                assert len(node.ids) <= 8
+            else:
+                assert len(node.children) == len(node.child_mbrs) <= 8
                 for child in node.children:
                     check(child)
 

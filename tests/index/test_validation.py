@@ -13,7 +13,7 @@ import pytest
 
 from repro.geo.trace import TraceArray
 from repro.index.persistent import PersistentRTree, QueryEngine
-from repro.index.rtree import RTree
+from repro.index.rtree import Rect, RTree
 from repro.index.rtree_mr import build_rtree_mapreduce
 from repro.index.selfjoin import radius_self_join
 from repro.mapreduce.cluster import paper_cluster
@@ -43,6 +43,41 @@ def test_knn_rejects_non_finite_coordinates(tree, bad_lat, bad_lon):
 def test_knn_keeps_positive_k_validation(tree):
     with pytest.raises(ValueError, match="k must be positive"):
         tree.knn(40.0, 116.5, 0)
+
+
+@pytest.fixture(scope="module")
+def twins(tree):
+    """The in-memory tree, its persisted pages and their portable copy."""
+    hdfs = SimulatedHDFS(paper_cluster(2), chunk_size=64 * 1024, seed=0)
+    persisted = PersistentRTree.save(hdfs, "idx", tree, group_bytes=2048)
+    return {"memory": tree, "persisted": persisted, "portable": persisted.to_portable()}
+
+
+@pytest.mark.parametrize("kind", ["memory", "persisted", "portable"])
+@pytest.mark.parametrize("bad_k", [1.5, True, np.float64(3.0)])
+def test_knn_rejects_non_integer_k(twins, kind, bad_k):
+    # k=1.5 used to return two neighbours and k=True one.
+    with pytest.raises(ValueError, match="k must be an integer"):
+        twins[kind].knn(40.0, 116.5, bad_k)
+    assert len(twins[kind].knn(40.0, 116.5, np.int64(3))) == 3
+
+
+def test_rtree_query_rect_rejects_nan(tree):
+    # NaN passes Rect's own check (it compares false) and matched nothing.
+    with pytest.raises(ValueError, match="must be finite"):
+        tree.query_rect(Rect(NAN, 115.0, 41.0, 118.0))
+    with pytest.raises(ValueError, match="must be finite"):
+        RTree().query_rect(Rect(NAN, NAN, NAN, NAN))
+
+
+def test_persisted_query_point_rejects_nan(twins):
+    with pytest.raises(ValueError, match="must be finite"):
+        twins["persisted"].query_point(NAN, 116.5)
+
+
+def test_portable_query_rect_rejects_nan(twins):
+    with pytest.raises(ValueError, match="must be finite"):
+        twins["portable"].query_rect(Rect(39.0, 115.0, 41.0, NAN))
 
 
 @pytest.mark.parametrize("bad_lat, bad_lon", [(NAN, 116.5), (40.0, NAN), (-INF, 116.5)])

@@ -111,35 +111,39 @@ _free = st.tuples(
 tie_heavy_points = st.lists(st.one_of(_site, _site, _free), min_size=1, max_size=120)
 
 
-def reference_knn(root, lat, lon, k):
+def reference_knn(tree, lat, lon, k):
     """Best-first kNN with one scalar ``Rect.min_dist_m`` per child and one
     Haversine call per leaf point: the definition that ``RTree.knn``'s
-    array-at-a-time expansion must reproduce, tie for tie."""
+    array-at-a-time expansion must reproduce, tie for tie.  It walks the
+    tree's node handles through the tree's own resolver."""
     counter = itertools.count()
-    heap = [(root.mbr.min_dist_m(lat, lon), next(counter), False, root)]
+    root = tree._resolve(tree._root)
+    heap = [(root.mbr.min_dist_m(lat, lon), next(counter), False, tree._root)]
     result = []
     while heap and len(result) < k:
         dist, _, is_point, payload = heapq.heappop(heap)
         if is_point:
             result.append((payload, dist))
-        elif payload.is_leaf:
-            for pid, point in zip(payload.ids, payload.points):
+            continue
+        node = tree._resolve(payload)
+        if node.is_leaf:
+            for pid, point in zip(node.ids, node.points):
                 d = haversine_m(lat, lon, point[:1], point[1:])[0]
                 heapq.heappush(heap, (float(d), next(counter), True, int(pid)))
         else:
-            for child in payload.children:
-                heapq.heappush(
-                    heap, (child.mbr.min_dist_m(lat, lon), next(counter), False, child)
-                )
+            for child, row in zip(node.children, node.child_mbrs):
+                mbr = Rect(*row.tolist())
+                heapq.heappush(heap, (mbr.min_dist_m(lat, lon), next(counter), False, child))
     return result
 
 
-def _leaves(node):
+def _leaves(tree, handle):
+    node = tree._resolve(handle)
     if node.is_leaf:
         yield node
     else:
         for child in node.children:
-            yield from _leaves(child)
+            yield from _leaves(tree, child)
 
 
 @settings(max_examples=60, deadline=None)
@@ -155,7 +159,7 @@ def test_knn_equals_scalar_reference_search(points, query, k, fanout):
     points, for ``k`` below and above a leaf (and the whole tree)."""
     tree = RTree.bulk_load(np.array(points), max_entries=fanout)
     lat, lon = query
-    want = reference_knn(tree._root, lat, lon, k)
+    want = reference_knn(tree, lat, lon, k)
     assert len(want) == min(k, len(points))
     assert tree.knn(lat, lon, k) == want
 
@@ -165,9 +169,9 @@ def test_knn_equals_scalar_reference_search(points, query, k, fanout):
     paged = PersistentRTree.save(hdfs, "idx", tree, group_bytes=1024)
     assert paged.knn(lat, lon, k) == want
     assert paged.to_portable().knn(lat, lon, k) == want
-    # The reference run over the page proxies reads ``.mbr`` on every
-    # child it prices, i.e. the Rect a proxy builds from its parent's row.
-    assert reference_knn(paged.tree._root, lat, lon, k) == want
+    # The reference run over the pages prices every child by the Rect of
+    # its row in the parent page, as it does in memory.
+    assert reference_knn(paged.tree, lat, lon, k) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -178,7 +182,7 @@ def test_bulk_load_leaf_mbrs_are_exact(points, fanout):
     point leaves and all-duplicate leaves included."""
     pts = np.array(points)
     tree = RTree.bulk_load(pts, max_entries=fanout)
-    leaves = list(_leaves(tree._root))
+    leaves = list(_leaves(tree, tree._root))
     assert [leaf.mbr for leaf in leaves] == [Rect.of_points(leaf.points) for leaf in leaves]
     assert all(1 <= len(leaf.ids) <= fanout for leaf in leaves)
     ids = np.concatenate([leaf.ids for leaf in leaves])
