@@ -18,11 +18,11 @@ per-cluster sums computed mapper-side, so only ``k`` small records per map
 task cross the shuffle instead of the whole dataset (ablation X3).
 
 Mappers are vectorized: :func:`nearest_centroid` assigns a chunk's traces
-at once, ordering candidates by the cheapest monotone function of the
-distance (Section VI's squared-Euclidean argument, applied to Haversine
-too); one stable gather cuts the chunk into per-cluster point blocks,
-emitted so the shuffle-byte accounting still reflects the paper's
-per-trace intermediate volume.
+at once, ranking candidates by a cheap key monotone in the distance
+(Section VI's squared-Euclidean argument, applied to Haversine as the dot
+product of unit vectors); one stable gather cuts the chunk into
+per-cluster point blocks, emitted so the shuffle-byte accounting still
+reflects the paper's per-trace intermediate volume.
 """
 
 from __future__ import annotations
@@ -74,6 +74,84 @@ _POINT_RECORD_BYTES = 16
 #: within 100 ulp plus one rounded multiply keeps the order strict.
 _TIE_BAND = 1e-12
 
+#: Absolute band, in units of ``a``, below which the unit-sphere key's
+#: gap ``(g_best - g_runner) / 2`` does not prove ``haversine_arg``'s
+#: order.  With ``u = 2**-53``, every ``sin``/``cos`` within 1 ulp (what
+#: NumPy's own accuracy tests hold float64 to) and all coordinates within
+#: ±180°: each unit vector is off by at most 7.4 u in norm, so by
+#: Cauchy–Schwarz plus the three rounded multiply-adds the key is off by
+#: ``E_g`` ≤ 18 u; ``haversine_arg`` is off by ``H_a`` ≤ 17 u +
+#: u·(|Δφ| + |Δλ|) ≤ 30 u, absolute.  Both are measured against the exact
+#: ``a* = (1 - p̂·ĉ) / 2`` of the same rounded radians.  If the gap exceeds
+#: ``E_g + 2 H_a`` (≈ 78 u ≈ 8.6e-15) plus ``2·_TIE_BAND·â``, ``â`` the
+#: winner's clipped ``(1 - g) / 2``, then every other centroid's ``a`` is
+#: strictly above the winner's and, clipped, beyond ``_TIE_BAND`` of it:
+#: the winner is ``haversine_arg``'s first minimum and outside that
+#: kernel's own tie band, so the index and the finished distance are its.
+#: An ``a`` at or above 1 (antipodes, out-of-range latitudes) only fits
+#: under a gap of ``E_g + H_a + _TIE_BAND``, inside the band.  2e-14
+#: holds at 2-ulp ``sin``/``cos`` too (≈ 113 u); the subtraction term
+#: grows with the coordinates, so the band is scaled by their largest
+#: magnitude over 180°.  Points inside it take the exact row.
+_DOT_BAND = 2e-14
+
+
+def _unit_sphere_cos(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """``cos θ = p̂·ĉ`` of each pair: ``pairwise``'s signature, but trig
+    once per operand row — each side's unit vector from its own ``cos`` and
+    ``sin`` — and three broadcast multiply-adds per pair.  Only a ranking
+    key: larger is closer, ``a = (1 - cos θ) / 2`` in exact arithmetic."""
+    lat1, lon1, lat2, lon2 = (np.radians(x) for x in (lat1, lon1, lat2, lon2))
+    cos1, cos2 = np.cos(lat1), np.cos(lat2)
+    out = (cos1 * np.cos(lon1)) * (cos2 * np.cos(lon2))
+    term = np.multiply(cos1 * np.sin(lon1), cos2 * np.sin(lon2))
+    out += term
+    np.multiply(np.sin(lat1), np.sin(lat2), out=term)
+    out += term
+    return out
+
+
+def _exact_rows(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """The full ``haversine_km`` row of each point: the near-tie fallback,
+    deliberately not through ``pairwise``."""
+    lat, lon = points.T
+    return haversine_km(lat[:, None], lon[:, None], centroids[:, 0], centroids[:, 1])
+
+
+def _nearest(
+    points: np.ndarray, centroids: np.ndarray, metric: str, finish: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The kernel of both public functions.  With ``finish`` false the
+    Haversine branch computes no distance beyond the near-tie rows' and
+    returns ``None`` for them."""
+    points = finite_column(points, "coordinates")
+    centroids = finite_column(centroids, "coordinates")
+    if len(centroids) == 0:
+        raise ValueError("nearest_centroid needs at least one centroid")
+    fn = get_metric(metric)
+    if fn is not haversine_km:
+        key = pairwise(fn, centroids, points)
+        best = key.min(axis=0)
+        return np.argmax(key == best, axis=0), best
+    key = pairwise(_unit_sphere_cos, centroids, points)
+    best = key.max(axis=0)
+    index = np.argmax(key == best, axis=0)
+    key[index, np.arange(len(points))] = -np.inf
+    gap = (best - key.max(axis=0)) / 2.0
+    a_best = np.clip((1.0 - best) / 2.0, 0.0, 1.0)
+    scale = max(180.0, np.abs(points).max(initial=0.0), np.abs(centroids).max()) / 180.0
+    close = np.flatnonzero(gap <= _DOT_BAND * scale + 2.0 * _TIE_BAND * a_best)
+    distance = None
+    if finish:
+        a = haversine_arg(centroids[index, 0], centroids[index, 1], points[:, 0], points[:, 1])
+        distance = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
+    if len(close):
+        rows = _exact_rows(points[close], centroids)
+        index[close] = np.argmin(rows, axis=1)
+        if finish:
+            distance[close] = rows.min(axis=1)
+    return index, distance
+
 
 def nearest_centroid(
     points: np.ndarray, centroids: np.ndarray, metric: str
@@ -82,43 +160,28 @@ def nearest_centroid(
 
     Bit for bit the position and value of each row's first minimum in
     ``pairwise(metric, points, centroids)`` — ties break toward the lowest
-    centroid index — without building that matrix: candidates are ordered
-    by the metric's cheapest monotone key
-    (:func:`~repro.geo.distance.haversine_arg` for Haversine; squared
-    Euclidean is its own), evaluated centroid-major so the reduction runs
-    down contiguous rows, and only the winners' keys are finished into
-    distances.  Non-finite coordinates are a ``ValueError``: a NaN centroid
-    would otherwise be every point's nearest, a NaN point poison a mean.
+    centroid index — without building that matrix: candidates are ranked
+    by a cheap monotone key evaluated centroid-major, so the reduction runs
+    down contiguous rows, and only the winners are finished into
+    distances.  Squared Euclidean is its own key; Haversine is ranked by
+    the dot product of unit vectors (trig per point and per centroid, not
+    per pair), and a point whose winner that product cannot prove takes
+    its exact ``haversine_km`` row.  Non-finite coordinates are a
+    ``ValueError``: a NaN centroid would otherwise be every point's
+    nearest, a NaN point poison a mean.  So is an empty centroid set.
     """
-    points = finite_column(points, "coordinates")
-    centroids = finite_column(centroids, "coordinates")
-    fn = get_metric(metric)
-    key = pairwise(haversine_arg if fn is haversine_km else fn, centroids, points)
-    best = key.min(axis=0)
-    index = np.argmax(key == best, axis=0)
-    if fn is not haversine_km:
-        return index, best
-    best = np.clip(best, 0.0, 1.0)
-    distance = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(best))
-    key[index, np.arange(len(points))] = np.inf
-    runner_up = np.clip(key.min(axis=0), 0.0, 1.0)
-    close = np.flatnonzero(runner_up <= best * (1.0 + _TIE_BAND))
-    if len(close):
-        lat, lon = points[close].T
-        rows = fn(lat[:, None], lon[:, None], centroids[:, 0], centroids[:, 1])
-        index[close] = np.argmin(rows, axis=1)
-        distance[close] = rows.min(axis=1)
-    return index, distance
+    return _nearest(points, centroids, metric, finish=True)
 
 
 def assign_points(points: np.ndarray, centroids: np.ndarray, metric: str) -> np.ndarray:
     """Index of the closest centroid for each (lat, lon) row.
 
-    Ties break toward the lowest centroid index, which both the sequential
-    and MapReduce paths share, so their assignments are bit-identical
-    given identical centroids.
+    :func:`nearest_centroid`'s index without its distances.  Ties break
+    toward the lowest centroid index, which both the sequential and
+    MapReduce paths share, so their assignments are bit-identical given
+    identical centroids.
     """
-    return nearest_centroid(points, centroids, metric)[0]
+    return _nearest(points, centroids, metric, finish=False)[0]
 
 
 def _update_centroids(
@@ -217,6 +280,15 @@ class KMeansResult:
         return self.total_sim_seconds / len(self.history)
 
 
+def _check_counts(k, max_iter) -> None:
+    """Both drivers' guard, before any job: ``max_iter=0`` would return the
+    initial centroids as a result, ``True`` act as 1, ``k=0`` fail deep in
+    NumPy or the job runner."""
+    for name, value in (("k", k), ("max_iter", max_iter)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _inertia(points: np.ndarray, centroids: np.ndarray, metric: str) -> float:
     return float(nearest_centroid(points, centroids, metric)[1].sum())
 
@@ -253,11 +325,10 @@ def kmeans_sequential(
     the ``convergencedelta`` runtime argument of Table II.  ``init``
     selects ``"random"`` (the paper) or ``"kmeans++"`` seeding.
     """
+    _check_counts(k, max_iter)
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError("points must be an (n, 2) array")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     get_metric(metric)
     centroids = (
         finite_column(initial_centroids, "coordinates").copy()
@@ -459,6 +530,7 @@ def run_kmeans_mapreduce(
     (``{name_prefix}-iter-{i}``) so several runs can share one history
     without colliding — the streaming layer passes a per-window prefix.
     """
+    _check_counts(k, max_iter)
     get_metric(distance)
     hdfs = runner.hdfs
     if initial_centroids is not None:

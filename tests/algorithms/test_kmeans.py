@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.algorithms import kmeans
 from repro.algorithms.kmeans import (
     CENTROIDS_CACHE_KEY,
     KMeansMapper,
@@ -13,6 +14,7 @@ from repro.algorithms.kmeans import (
 )
 from repro.geo.distance import pairwise
 from repro.geo.trace import TraceArray
+from repro.mapreduce.bench import synthetic_corpus
 from repro.mapreduce.cache import DistributedCache
 from repro.mapreduce.config import Configuration
 from repro.mapreduce.counters import Counters
@@ -297,6 +299,127 @@ class TestMapperBlocks:
         mapper.setup(ctx)
         mapper.run(Chunk("c0", ArrayPayload(TraceArray.empty())), ctx)
         assert ctx.output == []
+
+
+class TestCountArguments:
+    """Unchecked, ``max_iter=0`` would return the initial centroids as a
+    result, ``True`` act as 1, and ``k=0`` fail inside NumPy or the runner."""
+
+    BAD = [
+        ({"max_iter": 0}, "max_iter"),
+        ({"max_iter": True}, "max_iter"),
+        ({"max_iter": 2.0}, "max_iter"),
+        ({"k": 0}, "k"),
+        ({"k": True}, "k"),
+        ({"k": 3.0}, "k"),
+    ]
+
+    @staticmethod
+    def _call(driver, pts, runner, k=3, **kwargs):
+        init = pts[: int(k)] if isinstance(k, int) else None
+        if driver == "sequential":
+            return kmeans_sequential(pts, k, initial_centroids=init, **kwargs)
+        return run_kmeans_mapreduce(runner, "traces", k, initial_centroids=init, **kwargs)
+
+    @pytest.mark.parametrize("driver", ["sequential", "mapreduce"])
+    @pytest.mark.parametrize("kwargs, name", BAD)
+    def test_both_drivers_reject_before_any_job(self, kmeans_env, driver, kwargs, name):
+        runner, pts, _ = kmeans_env
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got "):
+            self._call(driver, pts, runner, **kwargs)
+        assert not runner.hdfs.exists("tmp/kmeans/clusters-1")
+        assert len(runner.history.events) == 0
+
+    @pytest.mark.parametrize("driver", ["sequential", "mapreduce"])
+    def test_numpy_integers_are_integers(self, kmeans_env, driver):
+        runner, pts, _ = kmeans_env
+        res = self._call(driver, pts, runner, k=np.int64(3), max_iter=np.int32(2))
+        assert res.centroids.shape == (3, 2) and 1 <= res.n_iterations <= 2
+
+    @pytest.mark.parametrize("metric", ["haversine", "squared_euclidean"])
+    def test_kernel_names_an_empty_centroid_set(self, metric):
+        pts, _ = three_blobs(n_per=5)
+        for call in (nearest_centroid, assign_points):
+            with pytest.raises(ValueError, match="at least one centroid"):
+                call(pts, np.empty((0, 2)), metric)
+
+
+class TestExactRowFallback:
+    """The unit-sphere key proves the winner on Table III's corpus, so the
+    exact Haversine row is a near-tie path, not the common one."""
+
+    @pytest.fixture()
+    def fallback_rows(self, monkeypatch):
+        rows = []
+        exact = kmeans._exact_rows
+
+        def counting(points, centroids):
+            rows.append(len(points))
+            return exact(points, centroids)
+
+        monkeypatch.setattr(kmeans, "_exact_rows", counting)
+        return rows
+
+    @staticmethod
+    def _corpus():
+        # The e2e k-means workload's corpus at --scale 1 and its initial centroids.
+        points = synthetic_corpus(200_000, seed=3).coordinates()
+        return points, points[:11].copy()
+
+    def test_a_benchmark_chunk_never_falls_back(self, fallback_rows):
+        points, init = self._corpus()
+        nearest_centroid(points[:8192], init, "haversine")
+        assert fallback_rows == []
+
+    def test_a_benchmark_run_almost_never_falls_back(self, fallback_rows):
+        points, init = self._corpus()
+        res = kmeans_sequential(
+            points, 11, "haversine", convergence_delta=-1.0, max_iter=8, initial_centroids=init
+        )
+        # Eight assignment passes and the inertia pass: 1.8 M rows, of
+        # which this corpus holds one genuine near-tie (two centroids
+        # 0.4 mm apart in distance, 1.8e-14 apart in the argument).
+        assert res.n_iterations == 8
+        assert sum(fallback_rows) <= 1e-5 * 9 * len(points)
+
+    def test_a_duplicated_centroid_sends_its_whole_cluster_to_the_exact_row(self, fallback_rows):
+        points, init = self._corpus()
+        chunk = points[:8192]
+        init[4] = init[9]
+        index, distance = nearest_centroid(chunk, init, "haversine")
+        full = pairwise("haversine", chunk, init)
+        assert np.array_equal(index, np.argmin(full, axis=1))
+        assert np.array_equal(distance, full.min(axis=1))
+        assert fallback_rows == [np.count_nonzero(index == 4)] and fallback_rows[0] > 0
+        assert np.count_nonzero(index == 9) == 0
+
+    @staticmethod
+    def _check(point, centroids):
+        points, centroids = np.array([point]), np.array(centroids)
+        index, distance = nearest_centroid(points, centroids, "haversine")
+        full = pairwise("haversine", points, centroids)
+        assert np.array_equal(index, np.argmin(full, axis=1))
+        assert np.array_equal(distance, full.min(axis=1))
+        return index, distance
+
+    def test_the_relative_tie_band_is_inside_the_band(self, fallback_rows):
+        # a = 0.5 for both centroids, 5e-14 apart: beyond the absolute
+        # band, within 2 * _TIE_BAND * a.
+        self._check((0.0, 0.0), [(0.0, 90.0), (0.0, 90.0 + 5.7e-12)])
+        assert fallback_rows == [1]
+
+    @pytest.mark.parametrize("turns, rows", [(0, []), (10, [1])])
+    def test_coordinates_beyond_180_widen_the_band(self, fallback_rows, turns, rows):
+        # Arguments 1e-13 apart, the same place ten turns round: there
+        # haversine_arg's subtraction error grows twentyfold.
+        lon = 360.0 * turns
+        self._check((0.0, lon), [(0.0, lon + 1.0), (0.0, lon + 1.0 + 6.6e-10)])
+        assert fallback_rows == rows
+
+    def test_a_point_on_a_centroid_past_the_pole_is_at_distance_zero(self):
+        # (95°, 0°) is (85°, 180°), and its computed argument is -8.7e-19.
+        index, distance = self._check((85.0, 180.0), [(0.0, 0.0), (95.0, 0.0)])
+        assert index.tolist() == [1] and distance.tolist() == [0.0]
 
 
 BAD = [np.nan, np.inf, -np.inf]
