@@ -266,10 +266,6 @@ class KMeansResult:
     history: list[KMeansIterationStats] = field(default_factory=list)
 
     @property
-    def k(self) -> int:
-        return len(self.centroids)
-
-    @property
     def total_sim_seconds(self) -> float:
         return sum(s.sim_seconds for s in self.history)
 
@@ -430,9 +426,6 @@ class KMeansAggregation(Aggregation):
     #: sum_lat + sum_lon (float64) + count, matching the combiner's
     #: modelled 24-byte record.
     envelope_nbytes = 24
-
-    def zero(self):
-        return (np.zeros(2), 0)
 
     def lift(self, key, block):
         return (block.sum(axis=0), len(block))

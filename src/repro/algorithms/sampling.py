@@ -23,9 +23,11 @@ trail starts.
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
+from repro.geo.grid import time_windows
 from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
 from repro.mapreduce.config import Configuration
 from repro.mapreduce.counters import STANDARD
@@ -72,16 +74,16 @@ def sample_array(
 
     Fully vectorized: traces are bucketed into windows, the per-trace
     distance to the window's reference instant is computed in one pass,
-    and a single lexicographic sort picks each group's minimum.
+    and a single lexicographic sort picks each group's minimum.  A
+    ``window_s`` that is not positive and finite, or a non-finite
+    timestamp, is a ``ValueError``.
     """
     technique = SamplingTechnique.parse(technique)
-    if window_s <= 0:
-        raise ValueError("window_s must be positive")
+    ts = array.timestamp
+    windows = time_windows(ts, window_s)
     n = len(array)
     if n == 0:
         return array
-    ts = array.timestamp
-    windows = np.floor_divide(ts, window_s).astype(np.int64)
     # Reference instant inside each window (Fig. 2: end; Fig. 3: middle).
     if technique is SamplingTechnique.UPPER:
         reference = (windows + 1) * window_s
@@ -158,8 +160,8 @@ def run_sampling_job(
     (each ``run`` becomes a submit + fair-share-scheduled wait).
     """
     technique = SamplingTechnique.parse(technique)
-    if window_s <= 0:
-        raise ValueError("window_s must be positive")
+    if not 0 < window_s < math.inf:
+        raise ValueError(f"window_s must be positive and finite, got {window_s!r}")
     conf = Configuration(
         {
             "sampling.window_s": window_s,

@@ -53,15 +53,6 @@ class MobilityMarkovChain:
     def n_states(self) -> int:
         return len(self.states)
 
-    def predict_next(self, state: int) -> int:
-        """Most likely next state from ``state``."""
-        if not 0 <= state < self.n_states:
-            raise IndexError(f"state {state} out of range")
-        return int(np.argmax(self.transitions[state]))
-
-    def next_distribution(self, state: int) -> np.ndarray:
-        return self.transitions[state].copy()
-
     def stationary_distribution(self, tol: float = 1e-12, max_iter: int = 10_000) -> np.ndarray:
         """Long-run visit distribution via power iteration.
 
@@ -80,35 +71,6 @@ class MobilityMarkovChain:
                 return nxt
             pi = nxt
         return pi
-
-    def log_likelihood(self, sequence: np.ndarray) -> float:
-        """Log2-likelihood of a visit sequence under this chain.
-
-        The model-quality score for held-out evaluation: higher (less
-        negative) means the chain explains the sequence better.  A
-        transition with probability 0 yields ``-inf`` (use smoothing when
-        building the chain to avoid it).
-        """
-        seq = np.asarray(sequence, dtype=np.int64)
-        if len(seq) < 2:
-            return 0.0
-        if seq.min() < 0 or seq.max() >= self.n_states:
-            raise IndexError("sequence contains out-of-range states")
-        probs = self.transitions[seq[:-1], seq[1:]]
-        with np.errstate(divide="ignore"):
-            return float(np.sum(np.log2(probs)))
-
-    def simulate(self, start: int, steps: int, seed: int = 0) -> np.ndarray:
-        """Generate a synthetic visit sequence (for what-if analyses)."""
-        rng = np.random.default_rng(seed)
-        seq = np.empty(steps + 1, dtype=np.int64)
-        seq[0] = start
-        state = start
-        for i in range(1, steps + 1):
-            state = int(rng.choice(self.n_states, p=self.transitions[state]))
-            seq[i] = state
-        return seq
-
 
 def visit_sequence(
     array: TraceArray, poi_coords: np.ndarray, attach_radius_m: float = 200.0

@@ -105,10 +105,6 @@ class SweepCell:
             "signature": self.signature,
         }
 
-    @classmethod
-    def from_doc(cls, doc: dict) -> "SweepCell":
-        return cls(**doc)
-
 
 @dataclass
 class FrontierResult:
@@ -127,14 +123,6 @@ class FrontierResult:
             "n_target_users": self.n_target_users,
             "cells": [c.to_doc() for c in self.cells],
         }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "FrontierResult":
-        return cls(
-            n_train_users=doc["n_train_users"],
-            n_target_users=doc["n_target_users"],
-            cells=[SweepCell.from_doc(c) for c in doc["cells"]],
-        )
 
     def save(self, path: "str | Path") -> Path:
         path = Path(path)

@@ -710,7 +710,10 @@ def main(argv: list[str] | None = None) -> int:
         from repro.algorithms.sampling import sample_dataset
 
         dataset = _load(args.input)
-        sampled = sample_dataset(dataset, args.window, args.technique)
+        try:
+            sampled = sample_dataset(dataset, args.window, args.technique)
+        except ValueError as exc:
+            raise SystemExit(f"sample: {exc}")
         write_geolife_dataset(sampled, args.out)
         print(
             f"sampled {len(dataset):,} -> {len(sampled):,} traces "
@@ -1245,12 +1248,15 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 with open(args.report) as fh:
                     doc = _json.load(fh)
-                timeline = RiskTimeline.from_doc(doc)
+                # --out writes one timeline, or {tenant: timeline} for --tenants > 1.
+                docs = [doc] if "schema" in doc else [doc[name] for name in sorted(doc)]
+                timelines = [RiskTimeline.from_doc(d) for d in docs]
             except FileNotFoundError:
                 raise SystemExit(f"stream: no such timeline file: {args.report}")
-            except (ValueError, KeyError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:
                 raise SystemExit(f"stream: cannot read {args.report}: {exc}")
-            print(timeline.render())
+            for timeline in timelines:
+                print(timeline.render())
             return 0
 
         if args.selfcheck:

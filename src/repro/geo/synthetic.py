@@ -98,10 +98,6 @@ class SyntheticUser:
     def home(self) -> PointOfInterest:
         return self.pois[0]
 
-    @property
-    def work(self) -> PointOfInterest:
-        return self.pois[1]
-
 
 def _deg_per_km_lon(lat: float) -> float:
     return 1.0 / (KM_PER_DEG_LAT * math.cos(math.radians(lat)))

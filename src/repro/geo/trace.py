@@ -8,8 +8,8 @@ individuals.
 
 Two representations coexist here:
 
-* :class:`MobilityTrace` — a small frozen record, convenient for examples,
-  tests and the record-at-a-time MapReduce layer.
+* :class:`MobilityTrace` — a small frozen record: one row of a
+  :class:`TraceArray`, and the value of its record-at-a-time view.
 * :class:`TraceArray` — a columnar NumPy view over many traces, used by the
   vectorized kernels (distance computation, sampling, filtering).  Following
   the HPC guidance, anything on the hot path works on :class:`TraceArray`
@@ -18,7 +18,7 @@ Two representations coexist here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -59,19 +59,6 @@ class MobilityTrace:
         if not -180.0 <= self.longitude <= 180.0:
             raise ValueError(f"longitude out of range: {self.longitude!r}")
 
-    @property
-    def coordinate(self) -> tuple[float, float]:
-        """(latitude, longitude) pair in decimal degrees."""
-        return (self.latitude, self.longitude)
-
-    def with_user(self, user_id: str) -> "MobilityTrace":
-        """Return a copy re-attributed to ``user_id`` (pseudonymization)."""
-        return replace(self, user_id=user_id)
-
-    def with_coordinate(self, latitude: float, longitude: float) -> "MobilityTrace":
-        """Return a copy moved to a new coordinate (used by sanitizers)."""
-        return replace(self, latitude=latitude, longitude=longitude)
-
 
 # Structured dtype backing TraceArray.  user ids are stored as an index into
 # a side table of strings so the hot columns stay numeric and contiguous.
@@ -92,7 +79,7 @@ class TraceArray:
     All heavy per-trace computation (speed estimation, distance to centroids,
     window bucketing) runs over these contiguous NumPy columns.  The class is
     deliberately append-free: build it in one shot with
-    :meth:`from_traces` / :meth:`from_columns`, then slice with NumPy masks.
+    :meth:`from_columns`, then slice with NumPy masks.
     """
 
     __slots__ = ("_data", "_users")
@@ -104,17 +91,6 @@ class TraceArray:
         self._users = tuple(users)
 
     # -- constructors ---------------------------------------------------
-    @classmethod
-    def from_traces(cls, traces: Iterable[MobilityTrace]) -> "TraceArray":
-        """Build from an iterable of :class:`MobilityTrace` records."""
-        traces = list(traces)
-        users: dict[str, int] = {}
-        data = np.empty(len(traces), dtype=_TRACE_DTYPE)
-        for i, t in enumerate(traces):
-            idx = users.setdefault(t.user_id, len(users))
-            data[i] = (idx, t.latitude, t.longitude, t.timestamp, t.altitude)
-        return cls(data, list(users))
-
     @classmethod
     def from_columns(
         cls,
@@ -281,9 +257,6 @@ class TraceArray:
             )
         return TraceArray(self._data[item], self._users)
 
-    def __repr__(self) -> str:
-        return f"TraceArray(n={len(self)}, users={len(self._users)})"
-
     # -- transforms ---------------------------------------------------------
     def with_coordinates(self, latitude: np.ndarray, longitude: np.ndarray) -> "TraceArray":
         """A copy with replaced coordinates (used by sanitizers).
@@ -341,18 +314,8 @@ class Trail:
             if np.any(np.diff(ts) < 0):
                 self.traces = self.traces.sort_by_time()
 
-    @classmethod
-    def from_traces(cls, traces: Iterable[MobilityTrace]) -> "Trail":
-        arr = TraceArray.from_traces(traces)
-        if not len(arr):
-            raise ValueError("cannot build a Trail from zero traces")
-        return cls(user_id=arr.users[0], traces=arr.sort_by_time())
-
     def __len__(self) -> int:
         return len(self.traces)
-
-    def __iter__(self) -> Iterator[MobilityTrace]:
-        return iter(self.traces)
 
     def duration_s(self) -> float:
         """Trail duration in seconds (0 for a single trace)."""
@@ -385,16 +348,6 @@ class GeolocatedDataset:
         else:
             self._trails[trail.user_id] = trail
         self._flat = None
-
-    @classmethod
-    def from_traces(cls, traces: Iterable[MobilityTrace]) -> "GeolocatedDataset":
-        by_user: dict[str, list[MobilityTrace]] = {}
-        for t in traces:
-            by_user.setdefault(t.user_id, []).append(t)
-        ds = cls()
-        for user, ts in by_user.items():
-            ds.add_trail(Trail.from_traces(ts))
-        return ds
 
     @classmethod
     def from_array(cls, array: TraceArray) -> "GeolocatedDataset":
@@ -450,31 +403,3 @@ class GeolocatedDataset:
             if new is not None and len(new):
                 out.add_trail(new)
         return out
-
-    def subset(self, user_ids: Iterable[str]) -> "GeolocatedDataset":
-        """Restrict to the given users (missing ids are ignored)."""
-        out = GeolocatedDataset()
-        for user in user_ids:
-            if user in self._trails:
-                out.add_trail(self._trails[user])
-        return out
-
-    def filter_time(self, start: float | None = None, end: float | None = None) -> "GeolocatedDataset":
-        """Restrict to traces with ``start <= timestamp < end``.
-
-        Either bound may be ``None`` (open).  Trails left empty by the
-        filter are dropped.  The standard tool for train/release splits
-        in linking-attack evaluations.
-        """
-        def _one(trail: Trail) -> Trail | None:
-            ts = trail.traces.timestamp
-            mask = np.ones(len(ts), dtype=bool)
-            if start is not None:
-                mask &= ts >= start
-            if end is not None:
-                mask &= ts < end
-            if not mask.any():
-                return None
-            return Trail(trail.user_id, trail.traces[mask])
-
-        return self.map_trails(_one)

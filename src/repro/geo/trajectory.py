@@ -53,10 +53,6 @@ class Trip:
     def duration_s(self) -> float:
         return self.end_ts - self.start_ts
 
-    @property
-    def mean_speed_ms(self) -> float:
-        return self.distance_m / self.duration_s if self.duration_s > 0 else 0.0
-
 
 def segment_trail(
     trail: Trail | TraceArray,
@@ -130,4 +126,3 @@ def segment_trail(
             i += 1
     flush_trip(n)
     return stays, trips
-

@@ -303,7 +303,26 @@ class _HDFSPageReader:
         return bytes(blob)
 
 
-class PersistentRTree:
+class _TreeQueries:
+    """The index queries, delegating to ``self.tree``'s own code."""
+
+    def query_point(self, lat: float, lon: float) -> np.ndarray:
+        return self.tree.query_rect(Rect(lat, lon, lat, lon))
+
+    def query_rect(self, rect: Rect) -> np.ndarray:
+        return self.tree.query_rect(rect)
+
+    def query_radius(self, lat: float, lon: float, radius_m: float) -> np.ndarray:
+        return self.tree.query_radius(lat, lon, radius_m)
+
+    def query_radius_batch(self, points: np.ndarray, radius_m: float) -> list[np.ndarray]:
+        return self.tree.query_radius_batch(points, radius_m)
+
+    def knn(self, lat: float, lon: float, k: int) -> list[tuple[int, float]]:
+        return self.tree.knn(lat, lon, k)
+
+
+class PersistentRTree(_TreeQueries):
     """A bulk-loaded R-tree persisted as checksummed node pages in HDFS.
 
     Layout under ``path``:
@@ -386,37 +405,10 @@ class PersistentRTree:
             )
         return cls(hdfs, path, meta)
 
-    # -- structure ----------------------------------------------------------
     @property
     def tree(self) -> RTree:
         """The lazy facade tree (the full ``RTree`` query surface)."""
         return self._tree
-
-    def __len__(self) -> int:
-        return self._tree._size
-
-    @property
-    def bounds(self) -> Rect | None:
-        return self._tree.bounds
-
-    def height(self) -> int:
-        return int(self.meta["height"])
-
-    # -- queries (delegating to RTree's own code) ----------------------------
-    def query_point(self, lat: float, lon: float) -> np.ndarray:
-        return self._tree.query_rect(Rect(lat, lon, lat, lon))
-
-    def query_rect(self, rect: Rect) -> np.ndarray:
-        return self._tree.query_rect(rect)
-
-    def query_radius(self, lat: float, lon: float, radius_m: float) -> np.ndarray:
-        return self._tree.query_radius(lat, lon, radius_m)
-
-    def query_radius_batch(self, points: np.ndarray, radius_m: float) -> list[np.ndarray]:
-        return self._tree.query_radius_batch(points, radius_m)
-
-    def knn(self, lat: float, lon: float, k: int) -> list[tuple[int, float]]:
-        return self._tree.knn(lat, lon, k)
 
     # -- portability ---------------------------------------------------------
     def to_portable(self) -> "PortableIndex":
@@ -444,7 +436,7 @@ class PersistentRTree:
         return PortableIndex(meta, blobs)
 
 
-class PortableIndex:
+class PortableIndex(_TreeQueries):
     """A picklable page set with the same lazy facade on top.
 
     Equality of answers with :class:`PersistentRTree` (and hence with
@@ -471,24 +463,6 @@ class PortableIndex:
             blobs = self._blobs
             self._tree = _PagedTree(_PageSource(lambda pid: blobs[pid]), self._meta)
         return self._tree
-
-    def __len__(self) -> int:
-        return int(self._meta["size"])
-
-    def query_point(self, lat: float, lon: float) -> np.ndarray:
-        return self.tree.query_rect(Rect(lat, lon, lat, lon))
-
-    def query_rect(self, rect: Rect) -> np.ndarray:
-        return self.tree.query_rect(rect)
-
-    def query_radius(self, lat: float, lon: float, radius_m: float) -> np.ndarray:
-        return self.tree.query_radius(lat, lon, radius_m)
-
-    def query_radius_batch(self, points: np.ndarray, radius_m: float) -> list[np.ndarray]:
-        return self.tree.query_radius_batch(points, radius_m)
-
-    def knn(self, lat: float, lon: float, k: int) -> list[tuple[int, float]]:
-        return self.tree.knn(lat, lon, k)
 
 
 # -- catalog -----------------------------------------------------------------
@@ -573,10 +547,6 @@ class IndexCatalog:
         never a silent rebuild."""
         entry = self.entry(key)
         return PersistentRTree.open(self._hdfs, entry.path)
-
-    def delete(self, key: str) -> None:
-        for part in ("entry", "meta", "pages"):
-            self._hdfs.delete(f"{self.path_for(key)}/{part}", missing_ok=True)
 
     # -- ensure --------------------------------------------------------------
     def ensure(

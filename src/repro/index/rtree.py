@@ -6,17 +6,12 @@ while higher levels aggregate an increasing number of datapoints.  When
 querying an R-Tree only the bounding rectangles intersecting the current
 query are traversed." (Section VII-C.)
 
-This implementation provides both construction paths the reproduction
-needs:
-
-* **STR bulk load** (:meth:`RTree.bulk_load`) — sort-tile-recursive
-  packing, used by the MapReduce phase-2 reducers to index a partition;
-* **dynamic insert** with Guttman's quadratic split (:meth:`RTree.insert`)
-  — the classic algorithm, used in tests as the reference behaviour;
-
-plus the queries DJ-Cluster needs: rectangle search, radius search
-(metres, Haversine-refined) and k-nearest-neighbours, and the phase-3
-**merge** of small R-trees into a global index.
+Every tree is built by **STR bulk load** (:meth:`RTree.bulk_load`), the
+sort-tile-recursive packing the MapReduce phase-2 reducers index a
+partition with.  It serves the queries DJ-Cluster needs: rectangle
+search, radius search (metres, Haversine-refined) and
+k-nearest-neighbours, plus the phase-3 **merge** of small R-trees into a
+global index.
 
 Hot-path note: each internal node keeps its children's MBRs in one
 ``(fanout, 4)`` NumPy array so that the overlap test per visited node is a
@@ -152,32 +147,6 @@ class Rect:
         if self.max_lat < self.min_lat or self.max_lon < self.min_lon:
             raise ValueError(f"degenerate rect: {self}")
 
-    @classmethod
-    def of_points(cls, points: np.ndarray) -> "Rect":
-        """MBR of an (n, 2) array of (lat, lon) rows."""
-        if len(points) == 0:
-            raise ValueError("cannot bound zero points")
-        return cls(
-            float(points[:, 0].min()),
-            float(points[:, 1].min()),
-            float(points[:, 0].max()),
-            float(points[:, 1].max()),
-        )
-
-    def intersects(self, other: "Rect") -> bool:
-        return not (
-            other.min_lat > self.max_lat
-            or other.max_lat < self.min_lat
-            or other.min_lon > self.max_lon
-            or other.max_lon < self.min_lon
-        )
-
-    def contains_point(self, lat: float, lon: float) -> bool:
-        return (
-            self.min_lat <= lat <= self.max_lat
-            and self.min_lon <= lon <= self.max_lon
-        )
-
     def union(self, other: "Rect") -> "Rect":
         return Rect(
             min(self.min_lat, other.min_lat),
@@ -185,13 +154,6 @@ class Rect:
             max(self.max_lat, other.max_lat),
             max(self.max_lon, other.max_lon),
         )
-
-    def area(self) -> float:
-        return (self.max_lat - self.min_lat) * (self.max_lon - self.min_lon)
-
-    def enlargement(self, other: "Rect") -> float:
-        """Area increase needed to absorb ``other`` (Guttman's criterion)."""
-        return self.union(other).area() - self.area()
 
     def as_array(self) -> np.ndarray:
         return np.array([self.min_lat, self.min_lon, self.max_lat, self.max_lon])
@@ -225,13 +187,11 @@ class _Node:
         self.mbr: Rect | None = None
 
     def recompute_mbr(self) -> None:
-        if self.is_leaf:
-            self.mbr = Rect.of_points(self.points)
-        else:
-            mbr = self.children[0].mbr
-            for child in self.children[1:]:
-                mbr = mbr.union(child.mbr)
-            self.mbr = mbr
+        """The union of the children's MBRs (a leaf's is set when packed)."""
+        mbr = self.children[0].mbr
+        for child in self.children[1:]:
+            mbr = mbr.union(child.mbr)
+        self.mbr = mbr
 
     @property
     def child_mbrs(self) -> np.ndarray:
@@ -262,6 +222,8 @@ class RTree:
         if max_entries < 2:
             raise ValueError("max_entries must be >= 2")
         self.max_entries = max_entries
+        # No traversal reads it, but it is part of the pickle whose length
+        # is a phase-2 small tree's modelled size.
         self.min_entries = max(1, max_entries // 2)
         self._root: _Node | None = None
         self._size = 0
@@ -353,110 +315,6 @@ class RTree:
                     parents.append(parent)
             nodes = parents
         return nodes[0]
-
-    # -- dynamic insert (Guttman, quadratic split) -----------------------------
-    def insert(self, point_id: int, lat: float, lon: float) -> None:
-        """Insert one point, splitting overflowing nodes quadratically."""
-        if self._root is None:
-            leaf = _Node(is_leaf=True)
-            leaf.ids = np.array([point_id], dtype=np.int64)
-            leaf.points = np.array([[lat, lon]])
-            leaf.recompute_mbr()
-            self._root = leaf
-            self._size = 1
-            return
-        split = self._insert_into(self._root, point_id, lat, lon)
-        if split is not None:
-            new_root = _Node(is_leaf=False)
-            new_root.children = [self._root, split]
-            new_root.recompute_mbr()
-            self._root = new_root
-        self._size += 1
-
-    def _insert_into(self, node: _Node, point_id: int, lat: float, lon: float) -> _Node | None:
-        point_rect = Rect(lat, lon, lat, lon)
-        if node.is_leaf:
-            node.ids = np.append(node.ids, np.int64(point_id))
-            node.points = np.vstack([node.points, [lat, lon]])
-            node.recompute_mbr()
-            if len(node.ids) > self.max_entries:
-                return self._split_leaf(node)
-            return None
-        # ChooseLeaf: the child needing least enlargement (ties: least area).
-        best = min(
-            node.children,
-            key=lambda c: (c.mbr.enlargement(point_rect), c.mbr.area()),
-        )
-        split = self._insert_into(best, point_id, lat, lon)
-        if split is not None:
-            node.children.append(split)
-        node.recompute_mbr()
-        if len(node.children) > self.max_entries:
-            return self._split_internal(node)
-        return None
-
-    @staticmethod
-    def _quadratic_seeds(rects: list[Rect]) -> tuple[int, int]:
-        """PickSeeds: the pair wasting the most area if grouped together."""
-        worst, seeds = -1.0, (0, 1)
-        for i, j in itertools.combinations(range(len(rects)), 2):
-            waste = rects[i].union(rects[j]).area() - rects[i].area() - rects[j].area()
-            if waste > worst:
-                worst, seeds = waste, (i, j)
-        return seeds
-
-    def _distribute(self, rects: list[Rect]) -> tuple[list[int], list[int]]:
-        """Quadratic-split distribution of entry indices into two groups."""
-        i, j = self._quadratic_seeds(rects)
-        group_a, group_b = [i], [j]
-        mbr_a, mbr_b = rects[i], rects[j]
-        rest = [k for k in range(len(rects)) if k not in (i, j)]
-        for k in rest:
-            # Force the remainder into a group that must reach min_entries.
-            need_a = self.min_entries - len(group_a)
-            need_b = self.min_entries - len(group_b)
-            remaining = len(rects) - len(group_a) - len(group_b)
-            if need_a >= remaining:
-                group_a.append(k)
-                mbr_a = mbr_a.union(rects[k])
-                continue
-            if need_b >= remaining:
-                group_b.append(k)
-                mbr_b = mbr_b.union(rects[k])
-                continue
-            grow_a = mbr_a.enlargement(rects[k])
-            grow_b = mbr_b.enlargement(rects[k])
-            if (grow_a, mbr_a.area(), len(group_a)) <= (grow_b, mbr_b.area(), len(group_b)):
-                group_a.append(k)
-                mbr_a = mbr_a.union(rects[k])
-            else:
-                group_b.append(k)
-                mbr_b = mbr_b.union(rects[k])
-        return group_a, group_b
-
-    def _split_leaf(self, node: _Node) -> _Node:
-        rects = [
-            Rect(p[0], p[1], p[0], p[1]) for p in node.points
-        ]
-        group_a, group_b = self._distribute(rects)
-        sibling = _Node(is_leaf=True)
-        sibling.ids = node.ids[group_b].copy()
-        sibling.points = node.points[group_b].copy()
-        node.ids = node.ids[group_a].copy()
-        node.points = node.points[group_a].copy()
-        node.recompute_mbr()
-        sibling.recompute_mbr()
-        return sibling
-
-    def _split_internal(self, node: _Node) -> _Node:
-        rects = [c.mbr for c in node.children]
-        group_a, group_b = self._distribute(rects)
-        sibling = _Node(is_leaf=False)
-        sibling.children = [node.children[i] for i in group_b]
-        node.children = [node.children[i] for i in group_a]
-        node.recompute_mbr()
-        sibling.recompute_mbr()
-        return sibling
 
     # -- queries ------------------------------------------------------------
     def _scan(self, box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -658,10 +516,6 @@ class RTree:
     def __len__(self) -> int:
         return self._size
 
-    @property
-    def bounds(self) -> Rect | None:
-        return self._resolve(self._root).mbr if self._root is not None else None
-
     def height(self) -> int:
         """Number of levels (0 for an empty tree, 1 for a single leaf)."""
         h, handle = 0, self._root
@@ -670,47 +524,6 @@ class RTree:
             node = self._resolve(handle)
             handle = None if node.is_leaf else node.children[0]
         return h
-
-    def iter_entries(self) -> Iterator[tuple[int, float, float]]:
-        """All (id, lat, lon) entries, leaf order."""
-        if self._root is None:
-            return
-        stack = [self._root]
-        while stack:
-            node = self._resolve(stack.pop())
-            if node.is_leaf:
-                for pid, pt in zip(node.ids, node.points):
-                    yield int(pid), float(pt[0]), float(pt[1])
-            else:
-                stack.extend(node.children)
-
-    def check_invariants(self) -> None:
-        """Validate MBR containment, the child-MBR rows and leaf-depth
-        uniformity at :meth:`height` (tests)."""
-        if self._root is None:
-            return
-        depths: set[int] = set()
-
-        def visit(handle, depth: int) -> Rect:
-            node = self._resolve(handle)
-            if node.is_leaf:
-                depths.add(depth)
-                assert node.mbr == Rect.of_points(node.points)
-                return node.mbr
-            mbrs = [visit(child, depth + 1) for child in node.children]
-            assert np.array_equal(
-                node.child_mbrs, [m.as_array() for m in mbrs]
-            ), "child MBR rows do not match the children"
-            mbr = mbrs[0]
-            for other in mbrs[1:]:
-                mbr = mbr.union(other)
-            assert node.mbr == mbr, "internal MBR does not cover children"
-            return mbr
-
-        visit(self._root, 0)
-        assert depths == {self.height() - 1}, (
-            f"leaves at depths {depths} in a tree of height {self.height()}"
-        )
 
     # -- merging (Figure 6, phase 3) ------------------------------------------
     @classmethod

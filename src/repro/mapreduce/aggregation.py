@@ -41,8 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-import numpy as np
-
 from repro.mapreduce.counters import Counters, STANDARD
 from repro.mapreduce.job import ReduceContext, Reducer
 
@@ -53,7 +51,6 @@ __all__ = [
     "preaggregate",
     "fold_envelopes",
     "coalesce_by_node",
-    "CountAggregation",
 ]
 
 
@@ -83,10 +80,6 @@ class Aggregation:
     #: binary record.  Subclasses override to match their partial layout.
     envelope_nbytes: int = 24
 
-    def zero(self) -> Any:
-        """Identity partial (used only for empty folds)."""
-        raise NotImplementedError
-
     def lift(self, key: Any, value: Any) -> Any:
         """One raw mapper output value as a partial."""
         raise NotImplementedError
@@ -112,53 +105,6 @@ class Aggregation:
         (the exactness tests pin this down).
         """
         return None
-
-
-class CountAggregation(Aggregation):
-    """Sum of integer values per key — an exactly associative monoid.
-
-    The vectorized form runs ``np.add.reduceat`` over the columnar
-    int64 key/value layout: one stable argsort groups the keys, one
-    reduceat produces every per-key partial sum.  Integer addition is
-    exact, so the fast path is bit-identical to the object loop and the
-    result is invariant under any merge tree.
-    """
-
-    #: key int64 + count int64, packed.
-    envelope_nbytes = 16
-
-    def zero(self) -> int:
-        return 0
-
-    def lift(self, key: Any, value: Any) -> int:
-        return int(value)
-
-    def merge(self, acc: int, partial: int) -> int:
-        return acc + partial
-
-    def finalize(self, key: Any, acc: int, ctx: ReduceContext) -> None:
-        ctx.emit(key, int(acc))
-
-    def lift_pairs(
-        self, pairs: Sequence[tuple[Any, Any]]
-    ) -> list[tuple[Any, Any]] | None:
-        if not pairs:
-            return []
-        if not all(
-            type(k) is int and type(v) is int for k, v in pairs
-        ):
-            return None
-        keys = np.fromiter((k for k, _ in pairs), dtype=np.int64, count=len(pairs))
-        values = np.fromiter((v for _, v in pairs), dtype=np.int64, count=len(pairs))
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        bounds = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-        starts = np.concatenate(([0], bounds))
-        sums = np.add.reduceat(values[order], starts)
-        return [
-            (int(k), int(s))
-            for k, s in zip(sorted_keys[starts].tolist(), sums.tolist())
-        ]
 
 
 def preaggregate(

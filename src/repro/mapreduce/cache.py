@@ -22,11 +22,6 @@ class DistributedCache:
     def __init__(self) -> None:
         self._entries: dict[str, Any] = {}
 
-    def put(self, name: str, value: Any) -> None:
-        if name in self._entries:
-            raise KeyError(f"cache entry already exists: {name!r}")
-        self._entries[name] = value
-
     def replace(self, name: str, value: Any) -> None:
         """Overwrite an entry (e.g. centroids updated between iterations)."""
         self._entries[name] = value
@@ -35,9 +30,6 @@ class DistributedCache:
         if name not in self._entries:
             raise KeyError(f"no such cache entry: {name!r}")
         return self._entries[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._entries
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._entries)
@@ -86,15 +78,3 @@ class FaultyCacheView:
         from repro.mapreduce.failures import CacheLoadFailure
 
         raise CacheLoadFailure(self._task_id, self._attempt, entry=name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._cache
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._cache)
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def nbytes(self) -> int:
-        return self._cache.nbytes()

@@ -63,9 +63,6 @@ class ClusterSpec:
             raise ValueError("cluster has no tasktrackers")
 
     # -- lookups ------------------------------------------------------------
-    def node(self, name: str) -> Node:
-        return self._nodes[name]
-
     def nodes(self) -> list[Node]:
         return list(self._nodes.values())
 
@@ -75,12 +72,6 @@ class ClusterSpec:
     def tasktrackers(self) -> list[Node]:
         return [n for n in self._nodes.values() if n.is_tasktracker]
 
-    def racks(self) -> dict[str, list[Node]]:
-        out: dict[str, list[Node]] = {}
-        for node in self._nodes.values():
-            out.setdefault(node.rack, []).append(node)
-        return out
-
     def rack_of(self, node_name: str) -> str:
         return self._nodes[node_name].rack
 
@@ -89,15 +80,6 @@ class ClusterSpec:
 
     def total_reduce_slots(self) -> int:
         return sum(n.reduce_slots for n in self.tasktrackers())
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __repr__(self) -> str:
-        return (
-            f"ClusterSpec(nodes={len(self)}, racks={len(self.racks())}, "
-            f"map_slots={self.total_map_slots()}, reduce_slots={self.total_reduce_slots()})"
-        )
 
 
 def paper_cluster(

@@ -10,7 +10,7 @@ every mapper/reducer at ``setup`` time, mirroring Hadoop's ``Configuration``
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 __all__ = ["Configuration", "MapReduceConfig", "BACKENDS", "validate_tenants"]
 
@@ -166,33 +166,9 @@ class Configuration:
         self._values: dict[str, Any] = dict(values or {})
         self._values.update(kwargs)
 
-    def copy(self, **overrides: Any) -> "Configuration":
-        """A copy with ``overrides`` applied (used when chaining jobs)."""
-        merged = dict(self._values)
-        merged.update(overrides)
-        return Configuration(merged)
-
     # -- raw access -------------------------------------------------------
-    def get(self, key: str, default: Any = None) -> Any:
-        return self._values.get(key, default)
-
     def __getitem__(self, key: str) -> Any:
         return self._values[key]
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._values
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._values)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Configuration) and self._values == other._values
-
-    def __repr__(self) -> str:
-        return f"Configuration({self._values!r})"
 
     def as_dict(self) -> dict[str, Any]:
         return dict(self._values)
@@ -215,26 +191,5 @@ class Configuration:
     def get_float(self, key: str, default: float | object = _MISSING) -> float:
         return self._typed(key, default, float)
 
-    def get_bool(self, key: str, default: bool | object = _MISSING) -> bool:
-        def caster(v: Any) -> bool:
-            if isinstance(v, bool):
-                return v
-            if isinstance(v, str):
-                low = v.strip().lower()
-                if low in ("true", "1", "yes"):
-                    return True
-                if low in ("false", "0", "no"):
-                    return False
-                raise ValueError(f"not a boolean: {v!r}")
-            return bool(v)
-
-        return self._typed(key, default, caster)
-
     def get_str(self, key: str, default: str | object = _MISSING) -> str:
         return self._typed(key, default, str)
-
-    def require(self, *keys: str) -> None:
-        """Raise ``KeyError`` listing any missing required keys."""
-        missing = [k for k in keys if k not in self._values]
-        if missing:
-            raise KeyError(f"missing required configuration keys: {missing}")

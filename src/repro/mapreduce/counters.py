@@ -91,15 +91,6 @@ class Counters:
     # Backwards-compatible alias; ``to_dict`` is the canonical spelling.
     as_dict = to_dict
 
-    @classmethod
-    def from_dict(cls, data: dict[str, dict[str, int]]) -> "Counters":
-        """Inverse of :meth:`to_dict`: ``from_dict(c.to_dict()) == c``."""
-        counters = cls()
-        for group, names in data.items():
-            for name, amount in names.items():
-                counters.increment(group, name, int(amount))
-        return counters
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Counters):
             return NotImplemented
@@ -118,7 +109,3 @@ class Counters:
         for group, names in state.items():
             for name, amount in names.items():
                 self._groups[group][name] = int(amount)
-
-    def __repr__(self) -> str:
-        lines = [f"{g}.{n}={v}" for g, n, v in self]
-        return "Counters(" + ", ".join(lines) + ")"

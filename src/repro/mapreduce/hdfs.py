@@ -13,7 +13,7 @@ datanode loss by serving the surviving replicas.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -289,16 +289,6 @@ class SimulatedHDFS:
         """All records of a file, chunk order preserved."""
         return [rec for chunk in self.chunks(path) for rec in chunk.records()]
 
-    def iter_records(self, path: str) -> Iterator[tuple[Any, Any]]:
-        """Stream a file's records chunk by chunk.
-
-        Under a memory budget each chunk rehydrates only while it is
-        being iterated, so a full-file scan stays within ~one chunk of
-        resident memory (the streaming read twin of
-        :meth:`put_trace_stream`)."""
-        for chunk in self.chunks(path):
-            yield from chunk.records()
-
     def read_trace_array(self, path: str) -> TraceArray:
         """All traces of a file as one columnar array."""
         arrays = [chunk.trace_array() for chunk in self.chunks(path)]
@@ -331,13 +321,6 @@ class SimulatedHDFS:
         elif not missing_ok:
             raise FileNotFoundError(f"HDFS path not found: {path}")
 
-    def rename(self, src: str, dst: str) -> None:
-        if src not in self._files:
-            raise FileNotFoundError(f"HDFS path not found: {src}")
-        self._check_absent(dst)
-        self._files[dst] = self._files.pop(src)
-        self._versions[dst] = self._versions.pop(src)
-
     def copy(self, src: str, dst: str, writer: str | None = None) -> int:
         """Server-side copy: clone ``src``'s chunks under a new path.
 
@@ -363,22 +346,17 @@ class SimulatedHDFS:
             raise KeyError(f"not a datanode: {node_name}")
         self._dead_nodes.add(node_name)
 
-    def heal(self) -> int:
+    def heal_report(self) -> list[tuple[str, str, int]]:
         """Re-replicate under-replicated chunks onto alive datanodes.
 
         Models the namenode's background re-replication after datanode
         loss: every chunk with fewer than ``replication`` alive replicas
         (but at least one) gains copies on alive nodes, preferring nodes
-        on a different rack than the surviving replicas.  Returns the
-        number of new replicas created; chunks with zero alive replicas
-        are left as-is (data loss — surfaced on the next read).
-        """
-        return len(self.heal_report())
-
-    def heal_report(self) -> list[tuple[str, str, int]]:
-        """:meth:`heal`, but returns one ``(chunk_id, node, nbytes)`` per
-        new replica — the detail the chaos recovery path charges to the
-        cost model and emits as ``replica_healed`` events."""
+        on a different rack than the surviving replicas; chunks with zero
+        alive replicas are left as-is (data loss — surfaced on the next
+        read).  Returns one ``(chunk_id, node, nbytes)`` per new replica:
+        the detail the chaos recovery path charges to the cost model and
+        emits as ``replica_healed`` events."""
         alive = set(self._alive_datanodes())
         created: list[tuple[str, str, int]] = []
         for path, chunks in self._files.items():
@@ -397,9 +375,6 @@ class SimulatedHDFS:
                     created.append((chunk.chunk_id, pick, chunk.nbytes))
                 chunks[i] = Chunk(chunk.chunk_id, chunk.payload, tuple(surviving))
         return created
-
-    def revive_datanode(self, node_name: str) -> None:
-        self._dead_nodes.discard(node_name)
 
     @property
     def dead_nodes(self) -> frozenset[str]:

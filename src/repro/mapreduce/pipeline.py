@@ -30,12 +30,6 @@ class PipelineResult:
     sim_seconds: float
     output_path: str
 
-    def stage(self, name: str) -> JobResult:
-        for result in self.stages:
-            if result.job_name == name:
-                return result
-        raise KeyError(f"no pipeline stage named {name!r}")
-
 
 class JobPipeline:
     """A linear chain of jobs where stage *i+1* reads stage *i*'s output.

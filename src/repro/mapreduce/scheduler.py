@@ -141,10 +141,6 @@ class ReduceAssignment:
     start_time: float
     duration: float
 
-    @property
-    def end_time(self) -> float:
-        return self.start_time + self.duration
-
 
 @dataclass
 class MapPhasePlan:

@@ -8,7 +8,7 @@ control plane layered on top of it:
 * **submit → future.**  ``submit(job, tenant=...)`` validates the tenant
   and its admission quota, snapshots the tenant's distributed cache, and
   enqueues the job; the returned :class:`JobFuture` exposes
-  status/result/cancel, exactly like ``concurrent.futures``.
+  status/result, like ``concurrent.futures``.
 * **Weighted fair share.**  A background dispatcher drains the queue in
   stride-scheduling order: each tenant carries a virtual time that grows
   by ``slot_seconds / weight`` per job it runs, and the next job always
@@ -136,14 +136,14 @@ class TenantSpec:
 
 
 class JobFuture:
-    """Handle to one submitted job: status / result / cancel.
+    """Handle to one submitted job: status / result.
 
     The contract mirrors ``concurrent.futures.Future``: ``result()``
     blocks until the job finishes and either returns its
     :class:`~repro.mapreduce.runner.JobResult` or re-raises the job's
-    exception (``CancelledError`` for cancelled submissions).
-    ``cancel()`` succeeds only while the job is still queued — the
-    data plane never aborts a running job mid-task.
+    exception (``CancelledError`` for a submission still queued when the
+    service closed without waiting — the data plane never aborts a
+    running job mid-task).
     """
 
     def __init__(self, tenant: str, job_name: str) -> None:
@@ -159,15 +159,11 @@ class JobFuture:
         self._exception: BaseException | None = None
         self._done = threading.Event()
         self._lock = threading.Lock()
-        self._cancel_fn = None  # installed by the service
 
     # -- inspection ---------------------------------------------------------
     @property
     def status(self) -> str:
         return self._status
-
-    def done(self) -> bool:
-        return self._done.is_set()
 
     def result(self, timeout: float | None = None) -> JobResult:
         if not self._done.wait(timeout):
@@ -178,19 +174,6 @@ class JobFuture:
             raise self._exception
         assert self._result is not None
         return self._result
-
-    def exception(self, timeout: float | None = None) -> BaseException | None:
-        if not self._done.wait(timeout):
-            raise TimeoutError(f"job {self.job_name!r} still {self._status}")
-        if self._status == JobStatus.CANCELLED:
-            return CancelledError(self.job_name)
-        return self._exception
-
-    def cancel(self) -> bool:
-        """Withdraw the job if it has not been dispatched yet."""
-        if self._cancel_fn is None:
-            return False
-        return self._cancel_fn(self)
 
     # -- resolution (service-side) ------------------------------------------
     def _mark_running(self, dispatch_index: int) -> None:
@@ -215,12 +198,6 @@ class JobFuture:
             self._status = JobStatus.CANCELLED
             self._done.set()
             return True
-
-    def __repr__(self) -> str:
-        return (
-            f"JobFuture({self.job_name!r}, tenant={self.tenant!r}, "
-            f"status={self._status!r})"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -711,7 +688,6 @@ class JobService:
             )
         spec = replace(job, name=f"{tenant}:{job.name}")
         future = JobFuture(tenant, spec.name)
-        future._cancel_fn = self._cancel
         with self._cond:
             if self._stop:
                 raise RuntimeError("service is closed")
@@ -742,23 +718,6 @@ class JobService:
             )
             self._cond.notify_all()
         return future
-
-    def run(self, job: JobSpec, tenant: str = "default") -> JobResult:
-        """Submit and block until done (single-tenant convenience)."""
-        return self.submit(job, tenant=tenant).result()
-
-    def _cancel(self, future: JobFuture) -> bool:
-        with self._cond:
-            for state in self._tenants.values():
-                for sub in state.queue:
-                    if sub.future is future:
-                        if not future._mark_cancelled():
-                            return False
-                        state.queue.remove(sub)
-                        self._outstanding -= 1
-                        self._cond.notify_all()
-                        return True
-        return False
 
     # -- dispatch -----------------------------------------------------------
     def _pick_locked(self) -> _Submission | None:

@@ -253,10 +253,6 @@ class ShuffleResult:
     def n_reducers(self) -> int:
         return len(self._partitions)
 
-    def partition(self, r: int) -> list[tuple[Any, list[Any]]]:
-        """One partition's groups, materialized."""
-        return as_groups(self._partitions[r])
-
     def raw_partition(self, r: int) -> "list[tuple[Any, list[Any]]] | SpilledPartition":
         """One partition as stored — a spill handle stays a handle, so it
         can cross to a worker process without shipping the data."""

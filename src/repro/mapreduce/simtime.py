@@ -84,11 +84,6 @@ class CostModel:
     #: Local-disk read cost per MB merged back from spilled runs.
     spill_read_s_per_mb: float = 0.005
 
-    @property
-    def map_cost_s_per_mb(self) -> float:
-        """Total per-MB map cost at unit cost factor (I/O + compute)."""
-        return self.map_io_s_per_mb + self.map_compute_s_per_mb
-
     def map_task_time(self, chunk: Chunk, locality: str, cost_factor: float = 1.0) -> float:
         """Duration of one map attempt over ``chunk`` read at ``locality``."""
         mb = chunk.nbytes / MB_F
@@ -165,11 +160,3 @@ class JobTiming:
     @property
     def total_s(self) -> float:
         return self.setup_s + self.map_s + self.reduce_s + self.retry_penalty_s
-
-    def __repr__(self) -> str:
-        spill = f", spill={self.spill_s:.1f}" if self.spill_s else ""
-        return (
-            f"JobTiming(total={self.total_s:.1f}s: setup={self.setup_s:.1f}, "
-            f"map={self.map_s:.1f}, reduce={self.reduce_s:.1f}, "
-            f"retries={self.retry_penalty_s:.1f}{spill})"
-        )

@@ -166,10 +166,6 @@ class PayloadStore:
         self._paged: dict[str, Path] = {}
         self._lock = threading.Lock()
 
-    @property
-    def resident_bytes(self) -> int:
-        return self._resident_bytes
-
     def put(self, chunk_id: str, payload: RecordPayload | ArrayPayload) -> None:
         size = resident_nbytes(payload)
         with self._lock:

@@ -205,18 +205,10 @@ class Chunk:
         return self.payload.iter_records()
 
     def trace_array(self) -> TraceArray:
-        """The chunk's traces as a columnar array (vectorized-mapper path).
-
-        Record payloads whose values are :class:`MobilityTrace` objects are
-        converted; anything else raises ``TypeError``.
-        """
+        """The chunk's traces as a columnar array (vectorized-mapper path);
+        ``TypeError`` for a chunk of records."""
         payload = concrete_payload(self.payload)
-        if isinstance(payload, ArrayPayload):
-            return payload.array
-        from repro.geo.trace import MobilityTrace
-
-        values = [v for _, v in payload.records]
-        if not all(isinstance(v, MobilityTrace) for v in values):
+        if not isinstance(payload, ArrayPayload):
             raise TypeError(f"chunk {self.chunk_id} does not hold traces")
-        return TraceArray.from_traces(values)
+        return payload.array
 

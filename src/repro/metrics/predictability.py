@@ -136,16 +136,6 @@ class PredictabilityReport:
     s_real: float
     pi_max: float
 
-    def as_row(self) -> dict[str, float]:
-        return {
-            "n_visits": float(self.n_visits),
-            "n_states": float(self.n_states),
-            "s_rand": self.s_rand,
-            "s_unc": self.s_unc,
-            "s_real": self.s_real,
-            "pi_max": self.pi_max,
-        }
-
 
 def predictability_report(visits) -> PredictabilityReport:
     """Compute all predictability quantities for a visit sequence."""

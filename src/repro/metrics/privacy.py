@@ -271,15 +271,6 @@ class PrivacyReport:
     deanonymization_rate: float = float("nan")
     min_anonymity_set: int = 0
 
-    def as_row(self) -> dict[str, float]:
-        return {
-            "poi_precision": self.poi.precision,
-            "poi_recall": self.poi.recall,
-            "poi_f1": self.poi.f1,
-            "deanonymization_rate": self.deanonymization_rate,
-            "min_anonymity_set": float(self.min_anonymity_set),
-        }
-
 
 def privacy_report(
     extracted: list[PointOfInterestEstimate],

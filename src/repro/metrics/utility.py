@@ -152,14 +152,6 @@ class UtilityReport:
     volume_ratio: float
     coverage: float
 
-    def as_row(self) -> dict[str, float]:
-        return {
-            "mean_distortion_m": self.mean_distortion_m,
-            "median_distortion_m": self.median_distortion_m,
-            "volume_ratio": self.volume_ratio,
-            "coverage": self.coverage,
-        }
-
 
 def utility_report(
     original: GeolocatedDataset | TraceArray,

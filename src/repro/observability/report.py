@@ -96,15 +96,6 @@ class JobSummary:
         return max(loads) / mean
 
     @property
-    def cross_node_shuffle_bytes(self) -> int | None:
-        """Bytes that actually crossed nodes, when provenance was recorded."""
-        if self.reduce_placement:
-            return sum(r.get("cross_bytes", 0) for r in self.reduce_placement.values())
-        if self.preagg is not None and "cross_node_bytes" in self.preagg:
-            return int(self.preagg["cross_node_bytes"])
-        return None
-
-    @property
     def combiner_reduction(self) -> float | None:
         """input/output record ratio of the combiner, if one ran."""
         if not self.combiner or not self.combiner.get("output_records"):
@@ -480,9 +471,13 @@ def _render_job(history: JobHistory, summary: JobSummary, gantt: bool, width: in
         )
     if summary.preagg is not None:
         p = summary.preagg
-        cross = summary.cross_node_shuffle_bytes
+        # Bytes that actually crossed nodes, when provenance was recorded.
+        if summary.reduce_placement:
+            cross = sum(r.get("cross_bytes", 0) for r in summary.reduce_placement.values())
+        else:
+            cross = p.get("cross_node_bytes")
         cross_txt = (
-            f"; {_fmt_bytes(cross)} crossed nodes" if cross is not None else ""
+            f"; {_fmt_bytes(int(cross))} crossed nodes" if cross is not None else ""
         )
         lines.append(
             f"  pre-agg shuffle: {p.get('raw_records', 0):,} raw records as "

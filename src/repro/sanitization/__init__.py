@@ -12,7 +12,7 @@ protocol: a pure transformation ``GeolocatedDataset -> GeolocatedDataset``
 whose privacy/utility trade-off is measured by :mod:`repro.metrics`.
 """
 
-from repro.sanitization.base import Sanitizer, SanitizerMapper, run_sanitization_job
+from repro.sanitization.base import Sanitizer
 from repro.sanitization.masks import (
     DonutMask,
     GaussianMask,
@@ -29,8 +29,6 @@ __all__ = [
     "ANONYMOUS_ID",
     "Pseudonymizer",
     "Sanitizer",
-    "SanitizerMapper",
-    "run_sanitization_job",
     "DonutMask",
     "GaussianMask",
     "PlanarLaplaceMask",

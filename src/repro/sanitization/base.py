@@ -1,11 +1,7 @@
-"""Sanitizer protocol and the generic MapReduce sanitization job.
+"""The sanitizer protocol.
 
 A sanitizer is a deterministic-given-its-seed transformation of a trace
-array.  Trail-local mechanisms (masks, aggregation, mix zones) distribute
-trivially as map-only jobs: the :class:`SanitizerMapper` applies the
-sanitizer to each chunk, exactly like the sampling job of Section V.
-Mechanisms needing cross-user context (spatial cloaking) document their
-own semantics.
+array; :meth:`Sanitizer.sanitize_dataset` applies it trail by trail.
 """
 
 from __future__ import annotations
@@ -13,22 +9,12 @@ from __future__ import annotations
 import abc
 
 from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
-from repro.mapreduce.config import Configuration
-from repro.mapreduce.job import JobSpec, Mapper
-from repro.mapreduce.runner import JobResult, JobRunner
-from repro.mapreduce.types import Chunk
 
-__all__ = ["Sanitizer", "SanitizerMapper", "run_sanitization_job", "SANITIZER_CACHE_KEY"]
-
-#: Distributed-cache key under which the driver ships the sanitizer object.
-SANITIZER_CACHE_KEY = "sanitization.sanitizer"
+__all__ = ["Sanitizer"]
 
 
 class Sanitizer(abc.ABC):
     """Base class of all geo-sanitization mechanisms."""
-
-    #: Whether the mechanism is per-chunk safe (pure map-only distribution).
-    chunk_local: bool = True
 
     @abc.abstractmethod
     def sanitize_array(self, array: TraceArray) -> TraceArray:
@@ -43,43 +29,3 @@ class Sanitizer(abc.ABC):
             return Trail(out.users[0], out.sort_by_time())
 
         return dataset.map_trails(_one)
-
-    def __call__(self, dataset: GeolocatedDataset) -> GeolocatedDataset:
-        return self.sanitize_dataset(dataset)
-
-
-class SanitizerMapper(Mapper):
-    """Map-only application of a cached sanitizer to each chunk."""
-
-    def setup(self, ctx) -> None:
-        self._sanitizer: Sanitizer = ctx.cache.get(SANITIZER_CACHE_KEY)
-        if not self._sanitizer.chunk_local:
-            raise ValueError(
-                f"{type(self._sanitizer).__name__} is not chunk-local and "
-                "cannot run as a map-only job"
-            )
-
-    def run(self, chunk: Chunk, ctx) -> None:
-        out = self._sanitizer.sanitize_array(chunk.trace_array())
-        if len(out):
-            ctx.emit_array(out)
-
-
-def run_sanitization_job(
-    runner: JobRunner,
-    sanitizer: Sanitizer,
-    input_path: str,
-    output_path: str,
-    name: str = "sanitize",
-) -> JobResult:
-    """Run a sanitizer over an HDFS trace file as a map-only job."""
-    runner.cache.replace(SANITIZER_CACHE_KEY, sanitizer)
-    spec = JobSpec(
-        name=name,
-        mapper=SanitizerMapper,
-        input_paths=[input_path],
-        output_path=output_path,
-        conf=Configuration({"sanitization.kind": type(sanitizer).__name__}),
-        map_cost_factor=0.7,
-    )
-    return runner.run(spec)

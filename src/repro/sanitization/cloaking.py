@@ -8,10 +8,10 @@ fine cell, the cell is repeatedly doubled until it covers ≥ k distinct
 users in that window; traces whose cell never reaches k users (even at
 the coarsest level) are suppressed.
 
-Cloaking inherently needs cross-user context, so it is **not** chunk-local
-(``chunk_local = False``): a MapReduce adaptation would have to shuffle
-traces by time window first, so ``repro sanitize``, ``repro sweep`` and the
-facade cloak dataset-side (:meth:`SpatialCloaking.sanitize_dataset`).
+Cloaking inherently needs cross-user context, so it is not chunk-local:
+a MapReduce adaptation would have to shuffle traces by time window
+first, so ``repro sanitize``, ``repro sweep`` and the facade cloak
+dataset-side (:meth:`SpatialCloaking.sanitize_dataset`).
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ class SpatialCloaking(Sanitizer):
     max_levels:
         How many doublings are attempted before suppressing the traces.
     """
-
-    chunk_local = False
 
     def __init__(self, k: int, base_cell_m: float = 250.0, window_s: float = 3600.0, max_levels: int = 6):
         if k < 1:

@@ -122,10 +122,6 @@ class PlanarLaplaceMask(Sanitizer):
         theta = 2.0 * math.pi * hash_uniform(keys, stream=1)
         return _displace(array, r * np.sin(theta), r * np.cos(theta))
 
-    @property
-    def expected_displacement_m(self) -> float:
-        return 2.0 / self.epsilon
-
     def __repr__(self) -> str:
         return f"PlanarLaplaceMask(epsilon={self.epsilon}, seed={self.seed})"
 

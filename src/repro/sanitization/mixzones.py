@@ -114,6 +114,3 @@ class MixZoneSanitizer(Sanitizer):
                 if mask.any():
                     out.add_trail(Trail(pseud, sanitized[mask].sort_by_time()))
         return out
-
-    def __repr__(self) -> str:
-        return f"MixZoneSanitizer(zones={len(self.zones)}, seed={self.seed})"

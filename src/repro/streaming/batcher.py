@@ -130,9 +130,3 @@ class MicroBatcher:
         )
         self._emit(EventKind.WINDOW_CLOSE, **dataset.to_doc())
         return dataset
-
-    def run(self, source: StreamSource) -> list[WindowDataset]:
-        """Seal every window of the stream, in order."""
-        return [
-            self.close_window(source, w) for w in range(source.n_windows)
-        ]

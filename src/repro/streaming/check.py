@@ -152,22 +152,6 @@ class StreamCheckReport:
             for c in self.cells
         )
 
-    def render(self) -> str:
-        lines = ["stream equivalence (baseline: batch-job sequence)"]
-        rows = [self.baseline, *self.cells]
-        for out in rows:
-            if out.clean_failure:
-                status = f"clean failure: {out.failed}"
-            else:
-                status = (
-                    f"sig={out.signature[:12]} windows={out.n_windows} "
-                    f"k-it={out.kmeans_iterations} late={out.late_points} "
-                    f"lost={out.lost_points} hits={out.cache_hits}"
-                )
-            lines.append(f"  {out.label:<28} {status}")
-        lines.append(f"identical: {'yes' if self.identical else 'NO'}")
-        return "\n".join(lines)
-
 
 def _outcome(label: str, array, window_s, **kwargs) -> StreamOutcome:
     try:

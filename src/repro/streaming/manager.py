@@ -11,9 +11,7 @@ seals, it runs the paper's analysis chain as ordinary MapReduce jobs —
 3. **windowed DJ-Cluster POIs** (Section VII) over the sampled output,
    reading catalog-ensured persistent R-tree indexes;
 4. a **re-identification risk score**
-   (:func:`repro.metrics.privacy.window_reidentification_risk`, or the
-   shuffle-light :func:`repro.metrics.risk_rollup.window_risk_mapreduce`
-   job when ``risk_rollup`` is on — same score either way) plus a
+   (:func:`repro.metrics.privacy.window_reidentification_risk`) plus a
    cross-window top-cell linkage count, appended to the
    :class:`RiskTimeline`.
 
@@ -269,7 +267,6 @@ class StreamingJobManager:
         dj_params: DJClusterParams | None = None,
         risk_cell_m: float = 500.0,
         risk_window_s: float = 3600.0,
-        risk_rollup: bool = False,
     ):
         self.client = client
         self.name = name
@@ -282,12 +279,6 @@ class StreamingJobManager:
         self.dj_params = dj_params if dj_params is not None else DJClusterParams()
         self.risk_cell_m = risk_cell_m
         self.risk_window_s = risk_window_s
-        #: When on, step 4's risk score runs as the
-        #: :func:`~repro.metrics.risk_rollup.window_risk_mapreduce` job
-        #: (an aggregation-declared rollup whose shuffle moves fixed-size
-        #: envelopes) instead of the driver-side pass.  Both produce the
-        #: same :class:`WindowRisk`, so signature chains are unchanged.
-        self.risk_rollup = risk_rollup
         self.batcher = MicroBatcher(
             client.hdfs, name=name, root=root, history=client.history,
             job=f"{name}-ingest",
@@ -387,23 +378,9 @@ class StreamingJobManager:
                 n_pois = 0
                 cluster_digest = _digest(b"")
             # 4. rolling re-identification risk + cross-window linkage.
-            if self.risk_rollup and dataset.n_points:
-                from repro.metrics.risk_rollup import window_risk_mapreduce
-
-                hdfs.delete(f"{wdir}/risk", missing_ok=True)
-                risk, _ = window_risk_mapreduce(
-                    client,
-                    dataset.path,
-                    f"{wdir}/risk",
-                    cell_m=self.risk_cell_m,
-                    window_s=self.risk_window_s,
-                    name=f"{self.name}-w{w:04d}-risk",
-                )
-            else:
-                risk = window_reidentification_risk(
-                    window_array, cell_m=self.risk_cell_m,
-                    window_s=self.risk_window_s,
-                )
+            risk = window_reidentification_risk(
+                window_array, cell_m=self.risk_cell_m, window_s=self.risk_window_s,
+            )
             top = _top_cells(window_array, self.risk_cell_m)
             linked = sum(
                 1 for user, cell in top.items()

@@ -142,15 +142,3 @@ class StreamSource:
     def arrivals(self, window: int) -> list[FeedBatch]:
         """Batches delivered while ``window`` is open, in canonical order."""
         return [b for b in self.batches if b.arrival_window == window]
-
-    @property
-    def n_batches(self) -> int:
-        return len(self.batches)
-
-    @property
-    def late_batches(self) -> int:
-        return sum(1 for b in self.batches if b.late and not b.duplicate)
-
-    @property
-    def dup_batches(self) -> int:
-        return sum(1 for b in self.batches if b.duplicate)

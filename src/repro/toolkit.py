@@ -23,21 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from repro.algorithms.djcluster import (
-    DJClusterParams,
-    DJClusterResult,
-    djcluster_sequential,
-    run_djcluster_mapreduce,
-)
-from repro.algorithms.kmeans import KMeansResult, kmeans_sequential, run_kmeans_mapreduce
+from repro.algorithms.djcluster import DJClusterParams, DJClusterResult, run_djcluster_mapreduce
+from repro.algorithms.kmeans import KMeansResult, run_kmeans_mapreduce
 from repro.algorithms.sampling import SamplingTechnique, run_sampling_job, sample_dataset
-from repro.attacks.deanonymization import DeanonymizationResult, deanonymization_attack
 from repro.attacks.poi import PointOfInterestEstimate, poi_attack
-from repro.geo.geolife import read_geolife_dataset, write_geolife_dataset
+from repro.geo.geolife import read_geolife_dataset
 from repro.geo.synthetic import SyntheticConfig, SyntheticUser, generate_dataset
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import GeolocatedDataset
 from repro.index.rtree_mr import RTreeBuildResult, build_rtree_mapreduce
 from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.hdfs import MB, SimulatedHDFS
@@ -73,10 +65,6 @@ class Gepeto:
         dataset, users = generate_dataset(SyntheticConfig(**config))
         return cls(dataset), users
 
-    def save_geolife(self, root: str | Path) -> list[Path]:
-        """Serialize in GeoLife PLT layout."""
-        return write_geolife_dataset(self.dataset, root)
-
     # -- local (sequential) operations --------------------------------------
     def sample(self, window_s: float, technique: "str | SamplingTechnique" = "upper") -> "Gepeto":
         """Temporal down-sampling (Section V), sequential path."""
@@ -85,14 +73,6 @@ class Gepeto:
     def sanitize(self, sanitizer: Sanitizer) -> "Gepeto":
         """Apply a geo-sanitization mechanism."""
         return Gepeto(sanitizer.sanitize_dataset(self.dataset))
-
-    def kmeans(self, k: int, distance: str = "squared_euclidean", **kwargs) -> KMeansResult:
-        """Cluster all traces with sequential k-means (Section VI)."""
-        return kmeans_sequential(self.dataset.flat().coordinates(), k, distance, **kwargs)
-
-    def djcluster(self, params: DJClusterParams = DJClusterParams()) -> DJClusterResult:
-        """DJ-Cluster over the full dataset (Section VII), sequential."""
-        return djcluster_sequential(self.dataset.flat(), params)
 
     def poi_attack_all(
         self, params: DJClusterParams = DJClusterParams()
@@ -103,45 +83,9 @@ class Gepeto:
             for trail in self.dataset.trails()
         }
 
-    def deanonymize(
-        self,
-        target: "Gepeto",
-        ground_truth: dict[str, str],
-        params: DJClusterParams = DJClusterParams(),
-    ) -> DeanonymizationResult:
-        """Link ``target``'s pseudonymized trails back to this dataset."""
-        return deanonymization_attack(self.dataset, target.dataset, ground_truth, params)
-
     def utility_versus(self, original: "Gepeto", cell_m: float = 500.0) -> UtilityReport:
         """Utility of this (sanitized) dataset relative to ``original``."""
         return utility_report(original.dataset, self.dataset, cell_m)
-
-    def social_graph(self, params=None):
-        """Co-location social-relation discovery over all users."""
-        from repro.attacks.social import ColocationParams, colocation_graph
-
-        return colocation_graph(self.dataset, params or ColocationParams())
-
-    def semantic_places(self, user_id: str, **kwargs):
-        """Semantic place labelling for one user; see
-        :func:`repro.attacks.semantics.label_places`."""
-        from repro.attacks.semantics import label_places
-
-        return label_places(self.dataset.trail(user_id), **kwargs)
-
-    def predictability(self, user_id: str, poi_coords, attach_radius_m: float = 200.0):
-        """Song-et-al. predictability report of one user's visit sequence."""
-        import numpy as np
-
-        from repro.attacks.mmc import visit_sequence
-        from repro.metrics.predictability import predictability_report
-
-        visits = visit_sequence(
-            self.dataset.trail(user_id).traces,
-            np.asarray(poi_coords, dtype=float),
-            attach_radius_m,
-        )
-        return predictability_report(visits)
 
     def visualize(self, width: int = 72, height: int = 24, markers=()) -> str:
         """ASCII density map of the dataset."""
@@ -171,9 +115,6 @@ class Gepeto:
     # -- introspection ---------------------------------------------------------
     def __len__(self) -> int:
         return len(self.dataset)
-
-    def __repr__(self) -> str:
-        return f"Gepeto({self.dataset!r})"
 
 
 @dataclass
@@ -218,26 +159,3 @@ class GepetoCluster:
         return build_rtree_mapreduce(
             self.runner, self.input_path, n_partitions, curve=curve, **kwargs
         )
-
-    def learn_mmcs(self, poi_coords, input_path: str | None = None, **kwargs):
-        """MapReduced per-user Mobility Markov Chain learning (the
-        paper's planned MMC extension); see
-        :func:`repro.attacks.mmc_mr.run_mmc_mapreduce`."""
-        from repro.attacks.mmc_mr import run_mmc_mapreduce
-
-        return run_mmc_mapreduce(
-            self.runner, input_path or self.input_path, poi_coords, **kwargs
-        )
-
-    def sanitize(self, sanitizer, input_path: str | None = None, output_path: str = "output/sanitized"):
-        """Map-only sanitization job over the uploaded dataset."""
-        from repro.sanitization.base import run_sanitization_job
-
-        self.runner.hdfs.delete(output_path, missing_ok=True)
-        return run_sanitization_job(
-            self.runner, sanitizer, input_path or self.input_path, output_path
-        )
-
-    def read_traces(self, path: str) -> TraceArray:
-        """Fetch a job's trace output from HDFS."""
-        return self.runner.hdfs.read_trace_array(path)

@@ -273,7 +273,7 @@ class TestMapperBlocks:
         if k > 1:
             centroids[k // 2 :] += 30.0  # far away: empty clusters, also past the last used id
         cache = DistributedCache()
-        cache.put(CENTROIDS_CACHE_KEY, centroids)
+        cache.replace(CENTROIDS_CACHE_KEY, centroids)
         conf = Configuration({"kmeans.distance": "squared_euclidean"})
         ctx = MapContext(conf, Counters(), cache, "m0", "n0")
         array = TraceArray.from_columns(["u"], points[:, 0], points[:, 1], np.arange(float(n)))
@@ -293,7 +293,7 @@ class TestMapperBlocks:
 
     def test_empty_chunk_emits_nothing(self):
         cache = DistributedCache()
-        cache.put(CENTROIDS_CACHE_KEY, np.zeros((3, 2)))
+        cache.replace(CENTROIDS_CACHE_KEY, np.zeros((3, 2)))
         ctx = MapContext(Configuration({}), Counters(), cache, "m0", "n0")
         mapper = KMeansMapper()
         mapper.setup(ctx)

@@ -78,6 +78,18 @@ class TestSampleArray:
         with pytest.raises(ValueError):
             sample_array(_array([1.0]), 0.0)
 
+    @pytest.mark.parametrize("window", [-1.0, float("nan"), float("inf")])
+    def test_window_must_be_positive_and_finite(self, window):
+        # NaN passed a ``<= 0`` check and sampled to one trace per user.
+        with pytest.raises(ValueError, match="window_s must be positive and finite"):
+            sample_array(_array([1.0]), window)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_timestamp(self, bad):
+        # Cast to an int64 window, NaN would be a plausible INT64_MIN window.
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            sample_array(_array([1.0, bad]), 60.0)
+
     def test_representative_is_original_trace(self):
         arr = _array([3, 17, 42], lat=[1.0, 2.0, 3.0])
         out = sample_array(arr, 60.0)
@@ -150,8 +162,9 @@ class TestMapReduceJob:
 
     def test_job_parameters_validated(self, runner):
         runner.hdfs.put_records("traces", [(0, 0)])
-        with pytest.raises(ValueError):
-            run_sampling_job(runner, "traces", "out", -5.0)
+        for window in (-5.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="window_s must be positive and finite"):
+                run_sampling_job(runner, "traces", "out", window)
         with pytest.raises(ValueError):
             run_sampling_job(runner, "traces", "out", 60.0, technique="mean")
 

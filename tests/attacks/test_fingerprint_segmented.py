@@ -214,7 +214,7 @@ def test_block_equals_one_user_at_a_time(seed, n_users, max_pois, attach_radius_
 def _reduce(groups, role="train", params=(PARAMS, MAX_POIS, ATTACH_RADIUS_M)):
     """One FingerprintReducer task over ``groups``; its context."""
     cache = DistributedCache()
-    cache.put(PARAMS_CACHE_KEY, params)
+    cache.replace(PARAMS_CACHE_KEY, params)
     ctx = ReduceContext(
         Configuration({"linkage.role": role}), Counters(), cache, "reduce-0000", "n1"
     )

@@ -274,7 +274,7 @@ class TestCorpusHelpers:
 
 class TestSweep:
     def test_frontier_smoke_and_roundtrip(self, tmp_path):
-        from repro.attacks.sweep import FrontierResult, run_sweep
+        from repro.attacks.sweep import run_sweep
 
         train, target, truth = synthetic_linkage_corpus(6, seed=2)
         frontier = run_sweep(
@@ -296,10 +296,7 @@ class TestSweep:
         import json
 
         doc = json.loads(path.read_text())
-        restored = FrontierResult.from_doc(doc)
-        assert [c.to_doc() for c in restored.cells] == [
-            c.to_doc() for c in frontier.cells
-        ]
+        assert doc["cells"] == [c.to_doc() for c in frontier.cells]
 
     def test_colliding_slugs_rejected(self):
         from repro.attacks.sweep import run_sweep

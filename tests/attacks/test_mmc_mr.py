@@ -76,8 +76,8 @@ class TestBehaviour:
         array = _multi_user_array({"a": [0, 1, 0, 1, 0, 1]})
         runner = runner_factory(array, 1000)
         models = run_mmc_mapreduce(runner, "traces", POIS)
-        assert models["a"].predict_next(0) == 1
-        assert models["a"].predict_next(1) == 0
+        assert np.argmax(models["a"].transitions[0]) == 1
+        assert np.argmax(models["a"].transitions[1]) == 0
 
     def test_validation(self, runner_factory):
         array = _multi_user_array({"a": [0, 1]})

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from typing import Any, Sequence
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ import pytest
 from repro.geo.distance import haversine_m
 from repro.geo.synthetic import SyntheticConfig, generate_dataset
 from repro.geo.trace import TraceArray
+from repro.index.rtree import Rect
 from repro.index.spacefilling import DEFAULT_ORDER, normalize_to_grid
+from repro.mapreduce.aggregation import Aggregation
 from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.failures import Fault, FaultKind
 from repro.mapreduce.hdfs import SimulatedHDFS
-from repro.mapreduce.job import Reducer
+from repro.mapreduce.job import ReduceContext, Reducer
 from repro.mapreduce.runner import JobRunner
 
 
@@ -83,9 +86,88 @@ def crash_faults(task: str, attempts: int = 1) -> tuple[Fault, ...]:
     )
 
 
+def seal_all(batcher, source) -> list:
+    """Seal every window of a stream source, in order."""
+    return [batcher.close_window(source, w) for w in range(source.n_windows)]
+
+
+def check_invariants(tree) -> None:
+    """Validate an R-tree's MBR containment, its child-MBR rows and
+    leaf-depth uniformity at ``tree.height()``; in memory or on pages."""
+    if tree._root is None:
+        return
+    depths: set[int] = set()
+
+    def visit(handle, depth: int) -> Rect:
+        node = tree._resolve(handle)
+        if node.is_leaf:
+            depths.add(depth)
+            assert node.mbr == Rect(*node.points.min(axis=0), *node.points.max(axis=0))
+            return node.mbr
+        mbrs = [visit(child, depth + 1) for child in node.children]
+        assert np.array_equal(
+            node.child_mbrs, [m.as_array() for m in mbrs]
+        ), "child MBR rows do not match the children"
+        mbr = mbrs[0]
+        for other in mbrs[1:]:
+            mbr = mbr.union(other)
+        assert node.mbr == mbr, "internal MBR does not cover children"
+        return mbr
+
+    visit(tree._root, 0)
+    assert depths == {tree.height() - 1}, (
+        f"leaves at depths {depths} in a tree of height {tree.height()}"
+    )
+
+
+class CountAggregation(Aggregation):
+    """Sum of integer values per key — an exactly associative monoid, the
+    tests' example of a declared reduce.
+
+    The vectorized form runs ``np.add.reduceat`` over the columnar
+    int64 key/value layout: one stable argsort groups the keys, one
+    reduceat produces every per-key partial sum.  Integer addition is
+    exact, so the fast path is bit-identical to the object loop and the
+    result is invariant under any merge tree.
+    """
+
+    #: key int64 + count int64, packed.
+    envelope_nbytes = 16
+
+    def lift(self, key: Any, value: Any) -> int:
+        return int(value)
+
+    def merge(self, acc: int, partial: int) -> int:
+        return acc + partial
+
+    def finalize(self, key: Any, acc: int, ctx: ReduceContext) -> None:
+        ctx.emit(key, int(acc))
+
+    def lift_pairs(
+        self, pairs: Sequence[tuple[Any, Any]]
+    ) -> list[tuple[Any, Any]] | None:
+        if not pairs:
+            return []
+        if not all(
+            type(k) is int and type(v) is int for k, v in pairs
+        ):
+            return None
+        keys = np.fromiter((k for k, _ in pairs), dtype=np.int64, count=len(pairs))
+        values = np.fromiter((v for _, v in pairs), dtype=np.int64, count=len(pairs))
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        bounds = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+        starts = np.concatenate(([0], bounds))
+        sums = np.add.reduceat(values[order], starts)
+        return [
+            (int(k), int(s))
+            for k, s in zip(sorted_keys[starts].tolist(), sums.tolist())
+        ]
+
+
 class CountSumReducer(Reducer):
     """A plain integer sum per key: the test oracle for
-    :class:`~repro.mapreduce.aggregation.CountAggregation` jobs.  A
+    :class:`CountAggregation` jobs.  A
     reference ``JobSpec`` declares this reducer and *no* aggregation, so
     its raw records cross the ordinary shuffle."""
 

@@ -52,7 +52,6 @@ class TestGenerateUser:
         assert user.pois[0].label == "home"
         assert user.pois[1].label == "work"
         assert user.home is user.pois[0]
-        assert user.work is user.pois[1]
 
     def test_trail_sorted_and_dense(self):
         cfg = SyntheticConfig(n_users=1, days=1, seed=5)

@@ -12,10 +12,30 @@ def make_trace(**kw):
     return MobilityTrace(**base)
 
 
+def traces_array(traces):
+    """The columnar array of some :class:`MobilityTrace` records."""
+    return TraceArray.from_columns(
+        [t.user_id for t in traces],
+        [t.latitude for t in traces],
+        [t.longitude for t in traces],
+        [t.timestamp for t in traces],
+        [t.altitude for t in traces],
+    )
+
+
+def make_trail(traces):
+    arr = traces_array(traces)
+    return Trail(arr.users[0], arr)
+
+
+def make_dataset(traces):
+    return GeolocatedDataset.from_array(traces_array(traces))
+
+
 class TestMobilityTrace:
     def test_fields_and_coordinate(self):
         t = make_trace(altitude=120.0)
-        assert t.coordinate == (39.9, 116.4)
+        assert (t.latitude, t.longitude) == (39.9, 116.4)
         assert t.altitude == 120.0
 
     def test_latitude_bounds_validated(self):
@@ -32,19 +52,6 @@ class TestMobilityTrace:
         make_trace(latitude=90.0, longitude=-180.0)
         make_trace(latitude=-90.0, longitude=180.0)
 
-    def test_with_user_pseudonymizes(self):
-        t = make_trace()
-        p = t.with_user("pseudonym-1")
-        assert p.user_id == "pseudonym-1"
-        assert p.coordinate == t.coordinate
-        assert t.user_id == "alice"  # original untouched (frozen)
-
-    def test_with_coordinate(self):
-        t = make_trace()
-        moved = t.with_coordinate(40.0, 117.0)
-        assert moved.coordinate == (40.0, 117.0)
-        assert moved.timestamp == t.timestamp
-
     def test_frozen(self):
         t = make_trace()
         with pytest.raises(Exception):
@@ -56,9 +63,9 @@ class TestTraceArray:
         traces = [
             make_trace(timestamp=float(i), latitude=39.9 + i * 0.001) for i in range(5)
         ]
-        arr = TraceArray.from_traces(traces)
+        arr = traces_array(traces)
         assert len(arr) == 5
-        back = list(arr)
+        back = [arr[i] for i in range(len(arr))]
         assert back == traces
 
     def test_from_columns_single_user_broadcast(self):
@@ -85,7 +92,7 @@ class TestTraceArray:
             )
 
     def test_getitem_int_returns_trace(self):
-        arr = TraceArray.from_traces([make_trace(timestamp=5.0)])
+        arr = traces_array([make_trace(timestamp=5.0)])
         t = arr[0]
         assert isinstance(t, MobilityTrace)
         assert t.timestamp == 5.0
@@ -187,27 +194,22 @@ class TestTrail:
         assert list(trail.traces.timestamp) == [1.0, 2.0, 3.0]
 
     def test_duration(self):
-        trail = Trail.from_traces(
+        trail = make_trail(
             [make_trace(timestamp=10.0), make_trace(timestamp=70.0)]
         )
         assert trail.duration_s() == 60.0
 
-    def test_from_traces_empty_raises(self):
-        with pytest.raises(ValueError):
-            Trail.from_traces([])
-
-
 class TestGeolocatedDataset:
     def test_from_traces_groups_users(self):
         traces = [make_trace(user_id=u, timestamp=float(i)) for i, u in enumerate("abab")]
-        ds = GeolocatedDataset.from_traces(traces)
+        ds = make_dataset(traces)
         assert ds.num_users() == 2
         assert len(ds) == 4
         assert len(ds.trail("a")) == 2
 
     def test_add_trail_merges_same_user(self):
-        t1 = Trail.from_traces([make_trace(timestamp=1.0)])
-        t2 = Trail.from_traces([make_trace(timestamp=2.0)])
+        t1 = make_trail([make_trace(timestamp=1.0)])
+        t2 = make_trail([make_trace(timestamp=2.0)])
         ds = GeolocatedDataset([t1])
         ds.add_trail(t2)
         assert ds.num_users() == 1
@@ -215,59 +217,27 @@ class TestGeolocatedDataset:
         assert list(ds.trail("alice").traces.timestamp) == [1.0, 2.0]
 
     def test_flat_is_cached_and_invalidated(self):
-        ds = GeolocatedDataset.from_traces([make_trace(timestamp=1.0)])
+        ds = make_dataset([make_trace(timestamp=1.0)])
         flat1 = ds.flat()
         assert ds.flat() is flat1
-        ds.add_trail(Trail.from_traces([make_trace(user_id="bob")]))
+        ds.add_trail(make_trail([make_trace(user_id="bob")]))
         assert len(ds.flat()) == 2
 
     def test_map_trails_drop(self):
-        ds = GeolocatedDataset.from_traces(
+        ds = make_dataset(
             [make_trace(user_id="a"), make_trace(user_id="b")]
         )
         kept = ds.map_trails(lambda t: t if t.user_id == "a" else None)
         assert kept.user_ids == ["a"]
 
-    def test_subset(self):
-        ds = GeolocatedDataset.from_traces(
-            [make_trace(user_id=u) for u in "abc"]
-        )
-        sub = ds.subset(["a", "c", "missing"])
-        assert sub.user_ids == ["a", "c"]
-
     def test_from_array_roundtrip(self):
         traces = [make_trace(user_id=u, timestamp=float(i)) for i, u in enumerate("aabb")]
-        ds = GeolocatedDataset.from_traces(traces)
+        ds = make_dataset(traces)
         ds2 = GeolocatedDataset.from_array(ds.flat())
         assert ds2.user_ids == ds.user_ids
         assert len(ds2) == len(ds)
 
     def test_contains(self):
-        ds = GeolocatedDataset.from_traces([make_trace()])
+        ds = make_dataset([make_trace()])
         assert "alice" in ds
         assert "bob" not in ds
-
-    def test_filter_time_bounds(self):
-        ds = GeolocatedDataset.from_traces(
-            [make_trace(timestamp=float(t)) for t in range(10)]
-        )
-        window = ds.filter_time(3.0, 7.0)
-        assert list(window.trail("alice").traces.timestamp) == [3.0, 4.0, 5.0, 6.0]
-
-    def test_filter_time_open_bounds(self):
-        ds = GeolocatedDataset.from_traces(
-            [make_trace(timestamp=float(t)) for t in range(5)]
-        )
-        assert len(ds.filter_time(start=2.0)) == 3
-        assert len(ds.filter_time(end=2.0)) == 2
-        assert len(ds.filter_time()) == 5
-
-    def test_filter_time_drops_empty_trails(self):
-        ds = GeolocatedDataset.from_traces(
-            [
-                make_trace(user_id="early", timestamp=0.0),
-                make_trace(user_id="late", timestamp=100.0),
-            ]
-        )
-        out = ds.filter_time(start=50.0)
-        assert out.user_ids == ["late"]

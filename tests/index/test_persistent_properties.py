@@ -23,6 +23,8 @@ from repro.index.rtree import Rect, RTree
 from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.hdfs import SimulatedHDFS
 
+from tests.conftest import check_invariants
+
 points_strategy = st.lists(
     st.tuples(
         st.floats(min_value=39.0, max_value=41.0, allow_nan=False),
@@ -147,9 +149,9 @@ def test_facade_passes_tree_invariants():
         (rng.uniform(39.0, 41.0, 500), rng.uniform(115.0, 118.0, 500))
     )
     _, persisted = _persist([tuple(p) for p in pts], None)
-    persisted.tree.check_invariants()
-    assert len(persisted) == 500
-    assert persisted.height() == persisted.tree.height()
+    check_invariants(persisted.tree)
+    assert len(persisted.tree) == 500
+    assert persisted.meta["height"] == persisted.tree.height()
 
 
 def test_empty_tree_round_trip():
@@ -157,6 +159,6 @@ def test_empty_tree_round_trip():
     hdfs = SimulatedHDFS(paper_cluster(2), chunk_size=64 * 1024, seed=0)
     PersistentRTree.save(hdfs, "idx", empty)
     reopened = PersistentRTree.open(hdfs, "idx")
-    assert len(reopened) == 0
+    assert len(reopened.tree) == 0
     assert reopened.query_rect(Rect(0, 0, 90, 180)).size == 0
     assert reopened.knn(40.0, 116.5, 3) == []

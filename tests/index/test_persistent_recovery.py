@@ -163,7 +163,9 @@ def test_catalog_rebuild_restores_byte_identical_answers():
         want_knn = index.knn(40.0, 116.4, 7)
         meta = dict(index.meta)
 
-        catalog.delete(catalog.entries()[0].key)
+        key = catalog.entries()[0].key
+        for part in ("entry", "meta", "pages"):
+            hdfs.delete(f"{catalog.path_for(key)}/{part}")
         rebuilt, built_again = catalog.ensure(runner, "input/traces", n_partitions=2)
         assert built_again
         assert rebuilt.meta == meta

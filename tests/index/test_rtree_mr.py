@@ -5,6 +5,7 @@ import pytest
 
 from repro.geo.distance import haversine_m
 from repro.geo.trace import TraceArray
+from repro.index.rtree import Rect
 from repro.index.rtree_mr import _dataset_bounds, build_rtree_mapreduce
 from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.hdfs import SimulatedHDFS
@@ -31,8 +32,8 @@ class TestBuild:
         pts, runner = env
         res = build_rtree_mapreduce(runner, "traces", n_partitions=6, curve=curve, workdir=f"w/{curve}")
         assert len(res.tree) == len(pts)
-        ids = sorted(i for i, _, _ in res.tree.iter_entries())
-        assert ids == list(range(len(pts)))
+        ids = res.tree.query_rect(Rect(-90, -180, 90, 180))
+        assert ids.tolist() == list(range(len(pts)))
 
     def test_queries_match_brute_force(self, env):
         pts, runner = env

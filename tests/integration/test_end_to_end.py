@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from repro import Gepeto
-from repro.algorithms.djcluster import DJClusterParams
+from repro.algorithms.djcluster import DJClusterParams, djcluster_sequential
 from repro.algorithms.sampling import run_sampling_job
 from repro.attacks.poi import extract_pois, label_home_work
+from repro.geo.geolife import write_geolife_dataset
+from repro.geo.trace import GeolocatedDataset
 from repro.metrics.privacy import poi_recovery
 from repro.metrics.utility import utility_report
 from repro.sanitization import GaussianMask
@@ -27,8 +29,8 @@ def workflow():
 class TestFullPipeline:
     def test_geolife_disk_roundtrip_feeds_pipeline(self, workflow, tmp_path):
         toolkit, _ = workflow
-        one_user = Gepeto(toolkit.dataset.subset([toolkit.dataset.user_ids[0]]))
-        one_user.save_geolife(tmp_path)
+        one_user = GeolocatedDataset([toolkit.dataset.trail(toolkit.dataset.user_ids[0])])
+        write_geolife_dataset(one_user, tmp_path)
         reloaded = Gepeto.from_geolife(tmp_path)
         assert len(reloaded) == len(one_user)
         sampled = reloaded.sample(60.0)
@@ -67,7 +69,7 @@ class TestFullPipeline:
         gt = [p for user in truth for p in user.pois]
 
         def attack(gep):
-            res = gep.djcluster(params)
+            res = djcluster_sequential(gep.dataset.flat(), params)
             return extract_pois(res)
 
         clean_recovery = poi_recovery(attack(sampled), gt, match_radius_m=150.0)
@@ -103,8 +105,8 @@ class TestScalingKnobs:
         c8 = small.deploy(n_workers=8, chunk_size_mb=1)
         r2 = c2.sample(600.0)
         r8 = c8.sample(600.0)
-        a = c2.read_traces(r2.output_path).sort_by_time()
-        b = c8.read_traces(r8.output_path).sort_by_time()
+        a = c2.runner.hdfs.read_trace_array(r2.output_path).sort_by_time()
+        b = c8.runner.hdfs.read_trace_array(r8.output_path).sort_by_time()
         assert len(a) == len(b)
         assert np.allclose(a.timestamp, b.timestamp)
 

@@ -11,7 +11,6 @@ from repro.algorithms.kmeans import KMeansAggregation
 from repro.mapreduce.aggregation import (
     AggregateEnvelope,
     AggregationReducer,
-    CountAggregation,
     coalesce_by_node,
     fold_envelopes,
     preaggregate,
@@ -24,7 +23,7 @@ from repro.mapreduce.job import HashPartitioner, JobSpec, Mapper, ReduceContext
 from repro.mapreduce.runner import JobRunner
 from repro.mapreduce.shuffle import _shuffle_generic, shuffle
 from repro.observability.events import EventKind
-from tests.conftest import CountSumReducer
+from tests.conftest import CountAggregation, CountSumReducer
 
 BACKENDS = ("serial", "threads", "processes")
 
@@ -212,7 +211,7 @@ def test_metadata_shuffle_reduce_matches_legacy_paths():
         reducer = AggregationReducer(agg)
         ctx = ReduceContext(None, None, None, "reduce-0000", "n1")
         for r in range(sh.n_reducers):
-            for key, values in sh.partition(r):
+            for key, values in sh.partitions[r]:
                 reducer.reduce(key, values, ctx)
         return sorted(ctx.output)
 
@@ -241,7 +240,7 @@ def test_spilled_partition_accounting_matches_materialized():
         sh = shuffle(outputs, HashPartitioner(), 2, spiller=spiller)
         assert sh.spilled
         for r in range(2):
-            groups = sh.partition(r)
+            groups = sh.partitions[r]
             assert sh.records_for(r) == sum(len(vs) for _, vs in groups)
             assert sh.groups_for(r) == len(groups)
             # No pre-aggregation: every shipped record IS a raw record.

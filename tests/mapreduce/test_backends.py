@@ -318,7 +318,7 @@ def _record_requests(n_tasks: int, **fields) -> list[MapTaskRequest]:
 def _pooled_kmeans_outcomes(**fields):
     """Three k-means map tasks over 8,192-trace chunks, through a pool."""
     cache = DistributedCache()
-    cache.put(CENTROIDS_CACHE_KEY, np.array([[39.85, 116.35], [39.95, 116.45]]))
+    cache.replace(CENTROIDS_CACHE_KEY, np.array([[39.85, 116.35], [39.95, 116.45]]))
     conf = Configuration({"kmeans.distance": "haversine", "kmeans.k": 2})
     requests = [
         _map_request(i, chunk, KMeansMapper, conf=conf, cache=cache, **fields)

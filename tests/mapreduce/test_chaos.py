@@ -24,7 +24,7 @@ from repro.mapreduce.job import JobSpec, Mapper, Reducer
 from repro.mapreduce.runner import JobRunner
 from repro.mapreduce.scheduler import NodeBlacklist, RetryPolicy
 from repro.observability.events import EventKind
-from tests.conftest import crash_faults
+from tests.conftest import crash_faults, seal_all
 
 N_RECORDS = 24
 
@@ -413,7 +413,7 @@ class TestFeedFaults:
         source = StreamSource(corpus, 3 * 3600.0, chaos=chaos)
         history = JobHistory()
         hdfs = SimulatedHDFS(paper_cluster(3), chunk_size=64 * 1024, seed=0)
-        datasets = MicroBatcher(hdfs, history=history).run(source)
+        datasets = seal_all(MicroBatcher(hdfs, history=history), source)
         delivered = sum(d.n_points for d in datasets)
         lost = sum(d.lost_points for d in datasets)
         assert delivered + lost == len(corpus)

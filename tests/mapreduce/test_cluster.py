@@ -35,10 +35,9 @@ class TestClusterSpec:
 
     def test_lookups(self):
         spec = ClusterSpec([Node("a", "r1"), Node("b", "r2")])
-        assert spec.node("a").rack == "r1"
+        assert spec.rack_of("a") == "r1"
         assert spec.rack_of("b") == "r2"
-        assert len(spec) == 2
-        assert set(spec.racks()) == {"r1", "r2"}
+        assert [n.name for n in spec.nodes()] == ["a", "b"]
 
     def test_slot_totals(self):
         spec = ClusterSpec(
@@ -52,10 +51,10 @@ class TestPaperCluster:
     def test_paper_deployment_roles(self):
         spec = paper_cluster(n_workers=5)
         # 7 nodes overall: namenode, jobtracker and 5 workers (Section VI).
-        assert len(spec) == 7
+        assert len(spec.nodes()) == 7
         assert spec.namenode == "namenode"
         assert spec.jobtracker == "jobtracker"
-        nn = spec.node("namenode")
+        (nn,) = [n for n in spec.nodes() if n.name == "namenode"]
         assert not nn.is_datanode and not nn.is_tasktracker
         assert len(spec.datanodes()) == 5
         assert len(spec.tasktrackers()) == 5

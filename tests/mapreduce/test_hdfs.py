@@ -126,14 +126,6 @@ class TestNamespace:
         assert hdfs.ls() == ["a", "b"]
         assert hdfs.exists("a") and not hdfs.exists("c")
 
-    def test_rename(self):
-        hdfs = SimulatedHDFS(paper_cluster(4))
-        hdfs.put_records("src", [(1, 1)])
-        hdfs.rename("src", "dst")
-        assert hdfs.exists("dst") and not hdfs.exists("src")
-        with pytest.raises(FileNotFoundError):
-            hdfs.rename("src", "x")
-
 
 class TestReplicaPlacement:
     def _multi_rack_cluster(self):
@@ -186,14 +178,6 @@ class TestFailures:
         with pytest.raises(IOError, match="lost all replicas"):
             hdfs.chunks("f")
 
-    def test_revive(self):
-        hdfs = SimulatedHDFS(paper_cluster(3), seed=0)
-        hdfs.put_records("f", [(1, 1)])
-        node = hdfs.chunks("f")[0].replicas[0]
-        hdfs.kill_datanode(node)
-        hdfs.revive_datanode(node)
-        assert node in hdfs.chunks("f")[0].replicas
-
     def test_kill_non_datanode_rejected(self):
         hdfs = SimulatedHDFS(paper_cluster(3))
         with pytest.raises(KeyError):
@@ -213,7 +197,7 @@ class TestHealing:
         hdfs.put_records("f", [(i, i) for i in range(40)])
         victim = hdfs.chunks("f")[0].replicas[0]
         hdfs.kill_datanode(victim)
-        created = hdfs.heal()
+        created = len(hdfs.heal_report())
         assert created > 0
         for replicas in hdfs.replica_report("f").values():
             alive = [r for r in replicas if r != victim]
@@ -228,7 +212,7 @@ class TestHealing:
         survivors = [replicas[0]]
         for r in replicas[1:]:
             hdfs.kill_datanode(r)
-        hdfs.heal()
+        len(hdfs.heal_report())
         (new_replicas,) = hdfs.replica_report("f").values()
         fresh = [r for r in new_replicas if r not in survivors]
         assert fresh
@@ -239,8 +223,8 @@ class TestHealing:
         hdfs = SimulatedHDFS(paper_cluster(6), replication=3, seed=3)
         hdfs.put_records("f", [(i, i) for i in range(10)])
         hdfs.kill_datanode(hdfs.chunks("f")[0].replicas[0])
-        hdfs.heal()
-        assert hdfs.heal() == 0
+        len(hdfs.heal_report())
+        assert len(hdfs.heal_report()) == 0
 
     def test_heal_skips_fully_lost_chunks(self):
         hdfs = SimulatedHDFS(paper_cluster(3), replication=2, seed=0)
@@ -248,14 +232,14 @@ class TestHealing:
         (replicas,) = hdfs.replica_report("f").values()
         for node in replicas:
             hdfs.kill_datanode(node)
-        assert hdfs.heal() == 0
+        assert len(hdfs.heal_report()) == 0
         with pytest.raises(IOError):
             hdfs.chunks("f")
 
     def test_healthy_cluster_heals_nothing(self):
         hdfs = SimulatedHDFS(paper_cluster(6), replication=3, seed=0)
         hdfs.put_records("f", [(i, i) for i in range(10)])
-        assert hdfs.heal() == 0
+        assert len(hdfs.heal_report()) == 0
 
 
 class TestValidation:

@@ -104,7 +104,7 @@ def test_second_ensure_over_same_version_is_zero_job_hit():
         assert not built
         assert sum(1 for e in runner.history if e.kind == EventKind.JOB_START) == n_jobs
         assert [e.kind for e in runner.history].count(EventKind.INDEX_REUSE) == 1
-        assert len(index) == entry.n_points
+        assert len(index.tree) == entry.n_points
         assert runner.history.validate() == []
     finally:
         runner.close()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mapreduce import types
-from repro.mapreduce.aggregation import CountAggregation, preaggregate
+from repro.mapreduce.aggregation import preaggregate
 from repro.mapreduce.job import ConstantKeyPartitioner, HashPartitioner, Partitioner
 from repro.mapreduce.shuffle import ShuffleResult, _shuffle_generic, group_sorted, shuffle
 from repro.mapreduce.spill import (
@@ -17,7 +17,7 @@ from repro.mapreduce.spill import (
     spill_map_output,
 )
 from repro.mapreduce.types import SIZED_WITHOUT_PICKLE, estimate_nbytes
-from tests.conftest import count_calls
+from tests.conftest import CountAggregation, count_calls
 
 
 @pytest.fixture()

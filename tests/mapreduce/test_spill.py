@@ -69,7 +69,7 @@ class TestPayloadStore:
         for i, p in enumerate(payloads):
             store.put(f"c{i}", p)
         assert store.stats.pages_out > 0
-        assert store.resident_bytes <= budget
+        assert store._resident_bytes <= budget
         # Every chunk — paged or resident — reads back byte-identical.
         for i, p in enumerate(payloads):
             assert store.get(f"c{i}").records == p.records
@@ -167,7 +167,7 @@ class TestPayloadStoreUnderThreads:
         self._hammer(work)
         # No lost update: the byte count is exactly what is resident, the
         # budget held, and every page-in was matched by the counters.
-        assert store.resident_bytes == size * len(store._resident) <= store.budget_bytes
+        assert store._resident_bytes == size * len(store._resident) <= store.budget_bytes
         assert store.stats.page_in_bytes == size * store.stats.pages_in
         assert store.stats.page_out_bytes == size * store.stats.pages_out
         assert store.stats.pages_out - store.stats.pages_in == len(payloads) - len(store._resident)
@@ -203,7 +203,7 @@ class TestPayloadStoreUnderThreads:
         assert hdfs.spill_stats.pages_in > len(chunks)
         # Two readers paging the same chunk in at once would count it twice.
         store = hdfs._store
-        assert store.resident_bytes == sum(store._sizes[c] for c in store._resident)
+        assert store._resident_bytes == sum(store._sizes[c] for c in store._resident)
         assert np.array_equal(result[0].centroids, want.centroids)
         assert result[0].n_iterations == want.n_iterations
 
@@ -222,7 +222,7 @@ class TestMapOutputSpill:
 
 def _reference(map_outputs, n_reducers):
     sh = shuffle(map_outputs, HashPartitioner(), n_reducers)
-    return [sh.partition(r) for r in range(n_reducers)], sh
+    return [sh.partitions[r] for r in range(n_reducers)], sh
 
 
 def _spilled(map_outputs, n_reducers, budget_bytes, tmp_path):
@@ -230,7 +230,7 @@ def _spilled(map_outputs, n_reducers, budget_bytes, tmp_path):
         budget_bytes, SpillDirectory(tmp_path / "sp"), n_reducers, SpillStats()
     )
     sh = shuffle(map_outputs, HashPartitioner(), n_reducers, spiller=spiller)
-    return [sh.partition(r) for r in range(n_reducers)], sh
+    return [sh.partitions[r] for r in range(n_reducers)], sh
 
 
 class TestShuffleSpillerEquivalence:
@@ -331,14 +331,6 @@ class TestBudgetedHDFS:
             aw, ag = cw.trace_array(), cg.trace_array()
             assert (aw.latitude == ag.latitude).all()
             assert (aw.user_index == ag.user_index).all()
-
-    def test_iter_records_streams_whole_file(self):
-        hdfs = SimulatedHDFS(
-            paper_cluster(3), chunk_size=4 * 1024, seed=0, memory_budget_mb=0.005
-        )
-        corpus = synthetic_corpus(2000, seed=3)
-        hdfs.put_trace_array("f", corpus)
-        assert list(hdfs.iter_records("f")) == hdfs.read_records("f")
 
 
 class TestSpilledReduceInput:

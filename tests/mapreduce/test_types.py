@@ -72,13 +72,6 @@ class TestChunk:
         assert len(c.trace_array()) == 3
         assert c.n_records == 3
 
-    def test_trace_array_from_trace_records(self):
-        traces = [
-            MobilityTrace("u", 0.0, 0.0, float(i)) for i in range(3)
-        ]
-        c = Chunk("c0", RecordPayload([(i, t) for i, t in enumerate(traces)]))
-        assert len(c.trace_array()) == 3
-
     def test_trace_array_rejects_non_traces(self):
         c = Chunk("c0", RecordPayload([(1, "not a trace")]))
         with pytest.raises(TypeError):

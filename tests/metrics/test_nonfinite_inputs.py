@@ -13,14 +13,12 @@ import pytest
 
 from repro.attacks.social import contact_events
 from repro.geo.trace import TraceArray
-from repro.mapreduce.runner import fresh_runner
 from repro.metrics.privacy import (
     anonymity_set_sizes,
     home_work_anonymity,
     mixzone_anonymity_sets,
     window_reidentification_risk,
 )
-from repro.metrics.risk_rollup import window_risk_mapreduce
 from repro.metrics.utility import coverage_ratio, range_query_error
 from repro.sanitization.aggregation import SpatialAggregator
 from repro.sanitization.cloaking import SpatialCloaking
@@ -101,11 +99,3 @@ def test_cell_size_must_be_positive(cell_m):
     ):
         with pytest.raises(ValueError, match="cell_m must be positive"):
             call()
-
-
-def test_the_rollup_job_fails_on_a_nan_row_instead_of_scoring_it():
-    """The MR twin bins through the same kernel, so its mapper raises the
-    same error out of the job."""
-    with fresh_runner({"in": _array(lat=np.nan)}, chunk_size=64 * 1024, n_workers=2) as runner:
-        with pytest.raises(ValueError, match="coordinates must be finite"):
-            window_risk_mapreduce(runner, "in", "out")

@@ -111,7 +111,3 @@ class TestReport:
         # Schedule-driven synthetic users are far from random.
         if report.n_visits >= 6:
             assert report.pi_max > 1.0 / max(report.n_states, 1)
-
-    def test_as_row_keys(self):
-        row = predictability_report([0, 1, 0]).as_row()
-        assert set(row) == {"n_visits", "n_states", "s_rand", "s_unc", "s_real", "pi_max"}

@@ -153,7 +153,7 @@ class TestHomeWorkAnonymity:
         pairs = {
             u.user_id: (
                 (u.home.latitude, u.home.longitude),
-                (u.work.latitude, u.work.longitude),
+                (u.pois[1].latitude, u.pois[1].longitude),
             )
             for u in users
         }
@@ -174,10 +174,9 @@ class TestPrivacyReport:
         report = privacy_report(
             ex, gt, deanonymization_rate=0.25, anonymity_sets=np.array([3, 5])
         )
-        row = report.as_row()
-        assert row["poi_recall"] == 1.0
-        assert row["deanonymization_rate"] == 0.25
-        assert row["min_anonymity_set"] == 3.0
+        assert report.poi.recall == 1.0
+        assert report.deanonymization_rate == 0.25
+        assert report.min_anonymity_set == 3
 
 
 class TestDivisionGuards:

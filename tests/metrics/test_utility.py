@@ -137,12 +137,5 @@ class TestReport:
         masked = GaussianMask(50.0, seed=2).sanitize_dataset(ds)
         report = utility_report(ds, masked)
         assert isinstance(report, UtilityReport)
-        row = report.as_row()
-        assert set(row) == {
-            "mean_distortion_m",
-            "median_distortion_m",
-            "volume_ratio",
-            "coverage",
-        }
-        assert row["volume_ratio"] == 1.0
-        assert row["mean_distortion_m"] > 0
+        assert report.volume_ratio == 1.0
+        assert report.mean_distortion_m > 0

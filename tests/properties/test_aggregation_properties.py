@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from repro.mapreduce.aggregation import (
     AggregationReducer,
-    CountAggregation,
     coalesce_by_node,
     fold_envelopes,
     preaggregate,
 )
 from repro.mapreduce.job import HashPartitioner, ReduceContext
 from repro.mapreduce.shuffle import _shuffle_generic, shuffle
+
+from tests.conftest import CountAggregation
 
 int_pairs = st.lists(
     st.tuples(
@@ -54,7 +55,7 @@ def _reduce_out(agg, sh):
     reducer = AggregationReducer(agg)
     ctx = ReduceContext(None, None, None, "reduce-0000", "n1")
     for r in range(sh.n_reducers):
-        for key, values in sh.partition(r):
+        for key, values in sh.partitions[r]:
             reducer.reduce(key, values, ctx)
     return sorted(ctx.output)
 

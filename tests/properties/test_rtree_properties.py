@@ -13,6 +13,8 @@ from repro.index.rtree import Rect, RTree
 from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.hdfs import SimulatedHDFS
 
+from tests.conftest import check_invariants
+
 points_strategy = st.lists(
     st.tuples(
         st.floats(min_value=39.0, max_value=41.0, allow_nan=False),
@@ -28,7 +30,7 @@ points_strategy = st.lists(
 def test_bulk_load_invariants(points, fanout):
     pts = np.array(points)
     tree = RTree.bulk_load(pts, max_entries=fanout)
-    tree.check_invariants()
+    check_invariants(tree)
     assert len(tree) == len(pts)
 
 
@@ -83,19 +85,6 @@ def test_knn_matches_brute_force(points, k):
     got_dists = np.sort(d[got])
     # Compare by distance (ids may tie); sets of distances must agree.
     assert np.allclose(got_dists, want_dists)
-
-
-@settings(max_examples=30, deadline=None)
-@given(points_strategy)
-def test_insert_path_equals_bulk_load(points):
-    pts = np.array(points)
-    dynamic = RTree(max_entries=6)
-    for i, p in enumerate(pts):
-        dynamic.insert(i, p[0], p[1])
-    dynamic.check_invariants()
-    bulk = RTree.bulk_load(pts, max_entries=6)
-    rect = Rect(39.5, 115.5, 40.5, 117.5)
-    assert set(dynamic.query_rect(rect).tolist()) == set(bulk.query_rect(rect).tolist())
 
 
 # -- kNN expansion and bulk-load MBRs: exact, not approximately equal ---------
@@ -178,12 +167,14 @@ def test_knn_equals_scalar_reference_search(points, query, k, fanout):
 @given(tie_heavy_points, st.integers(min_value=2, max_value=16))
 def test_bulk_load_leaf_mbrs_are_exact(points, fanout):
     """The segmented min/max of the bulk load bounds each leaf exactly as
-    ``Rect.of_points`` over that leaf's own rows — short last leaf, one
+    the min/max of that leaf's own rows — short last leaf, one
     point leaves and all-duplicate leaves included."""
     pts = np.array(points)
     tree = RTree.bulk_load(pts, max_entries=fanout)
     leaves = list(_leaves(tree, tree._root))
-    assert [leaf.mbr for leaf in leaves] == [Rect.of_points(leaf.points) for leaf in leaves]
+    assert [leaf.mbr for leaf in leaves] == [
+        Rect(*leaf.points.min(axis=0), *leaf.points.max(axis=0)) for leaf in leaves
+    ]
     assert all(1 <= len(leaf.ids) <= fanout for leaf in leaves)
     ids = np.concatenate([leaf.ids for leaf in leaves])
     assert np.array_equal(np.sort(ids), np.arange(len(pts)))

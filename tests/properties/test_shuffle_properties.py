@@ -181,8 +181,8 @@ def test_external_shuffle_matches_in_memory(map_outputs, n_reducers):
         spilled = shuffle(map_outputs, partitioner, n_reducers, spiller=spiller)
         assert spilled.n_reducers == reference.n_reducers
         for r in range(n_reducers):
-            assert _canon_groups(spilled.partition(r)) == _canon_groups(
-                reference.partition(r)
+            assert _canon_groups(spilled.partitions[r]) == _canon_groups(
+                reference.partitions[r]
             )
         assert spilled.shuffled_bytes == reference.shuffled_bytes
         assert spilled.partition_bytes == reference.partition_bytes

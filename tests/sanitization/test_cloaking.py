@@ -79,9 +79,6 @@ class TestCloaking:
             # coarse cell centroid, far from its true fine position.
             assert d.mean() > 250.0
 
-    def test_not_chunk_local(self):
-        assert SpatialCloaking(k=2).chunk_local is False
-
     def test_validation(self):
         with pytest.raises(ValueError):
             SpatialCloaking(k=0)

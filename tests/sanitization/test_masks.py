@@ -224,8 +224,3 @@ class TestDatasetLevel:
         out = GaussianMask(50.0, seed=1).sanitize_dataset(ds)
         assert out.user_ids == ["u"]
         assert len(out) == 100
-
-    def test_callable_protocol(self):
-        ds = GeolocatedDataset([Trail("u", _array(10))])
-        out = GaussianMask(50.0)(ds)
-        assert len(out) == 10

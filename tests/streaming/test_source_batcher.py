@@ -20,6 +20,8 @@ from repro.observability.events import EventKind
 from repro.observability.history import JobHistory
 from repro.streaming import MicroBatcher, StreamSource
 
+from tests.conftest import seal_all
+
 WINDOW_S = 3 * 3600.0
 
 
@@ -130,7 +132,7 @@ class TestMicroBatcher:
         source = StreamSource(corpus, WINDOW_S)
         hdfs = fresh_hdfs()
         batcher = MicroBatcher(hdfs)
-        datasets = batcher.run(source)
+        datasets = seal_all(batcher, source)
         assert len(datasets) == source.n_windows
         assert sum(d.n_points for d in datasets) == len(corpus)
         for dataset in datasets:
@@ -149,9 +151,9 @@ class TestMicroBatcher:
         source = StreamSource(corpus, WINDOW_S, chaos=chaos)
         moved = len(source.arrivals(1)[0].points)
         hdfs = fresh_hdfs()
-        datasets = MicroBatcher(hdfs).run(source)
+        datasets = seal_all(MicroBatcher(hdfs), source)
         clean = MicroBatcher(fresh_hdfs())
-        clean_datasets = clean.run(StreamSource(corpus, WINDOW_S))
+        clean_datasets = seal_all(clean, StreamSource(corpus, WINDOW_S))
         assert datasets[0].n_points == clean_datasets[0].n_points - moved
         assert datasets[1].n_points == clean_datasets[1].n_points + moved
         assert datasets[1].late_points == moved
@@ -164,10 +166,10 @@ class TestMicroBatcher:
             seed=1, faults=(Fault(FaultKind.DUP_BATCH, feed=feed, window=0),)
         )
         hdfs_dup, hdfs_clean = fresh_hdfs(), fresh_hdfs()
-        dup = MicroBatcher(hdfs_dup).run(
-            StreamSource(corpus, WINDOW_S, chaos=chaos)
+        dup = seal_all(
+            MicroBatcher(hdfs_dup), StreamSource(corpus, WINDOW_S, chaos=chaos)
         )
-        clean = MicroBatcher(hdfs_clean).run(StreamSource(corpus, WINDOW_S))
+        clean = seal_all(MicroBatcher(hdfs_clean), StreamSource(corpus, WINDOW_S))
         assert dup[0].dup_points == len(
             [b for b in StreamSource(corpus, WINDOW_S).batches
              if b.feed == feed and b.window == 0][0].points
@@ -181,7 +183,7 @@ class TestMicroBatcher:
     def test_window_events_emitted_in_order(self, corpus):
         source = StreamSource(corpus, WINDOW_S)
         history = JobHistory()
-        MicroBatcher(fresh_hdfs(), history=history).run(source)
+        seal_all(MicroBatcher(fresh_hdfs(), history=history), source)
         kinds = [
             e.kind
             for e in history.events

@@ -83,6 +83,26 @@ class TestCommands:
         assert "->" in msg
         assert list(out_dir.glob("*/Trajectory/*.plt"))
 
+    @pytest.mark.parametrize("window", ["nan", "inf", "-1", "0"])
+    def test_sample_rejects_a_window_that_is_not_positive_and_finite(
+        self, corpus_dir, tmp_path, window
+    ):
+        out_dir = tmp_path / "sampled"
+        with pytest.raises(SystemExit, match="^sample: window_s must be positive and finite"):
+            main(["sample", "--in", str(corpus_dir), "--out", str(out_dir), "--window", window])
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("tenants", [1, 2])
+    def test_stream_report_renders_what_out_wrote(self, tmp_path, capsys, tenants):
+        doc = tmp_path / "timeline.json"
+        args = ["stream", "--users", "2", "--tenants", str(tenants), "--out", str(doc)]
+        assert main(args) == 0
+        ran = capsys.readouterr().out
+        assert main(["stream", "--report", str(doc)]) == 0
+        report = capsys.readouterr().out
+        assert report.count("risk timeline:") == tenants
+        assert set(report.splitlines()) <= set(ran.splitlines())
+
     def test_attack(self, corpus_dir, tmp_path, capsys):
         sampled = tmp_path / "sampled"
         main(["sample", "--in", str(corpus_dir), "--out", str(sampled), "--window", "60"])

@@ -53,7 +53,7 @@ CENSUS = {
     StreamingJobManager.__init__: (
         "self", "client", "name", "root", "k", "max_iter", "seed",
         "sampling_window_s", "warm_start", "dj_params", "risk_cell_m",
-        "risk_window_s", "risk_rollup",
+        "risk_window_s",
     ),
 }
 

@@ -1,6 +1,8 @@
 """The surface census: every module, exported name and entry-point
 parameter under ``src/repro`` is reached by something a curator runs, or
-says here why it stays.
+says here why it stays.  Its body-level twin, the reach census
+(``make_reach_census.py`` writes ``reach_census.json``), does the same for
+every function; the last tests here gate that file.
 
 *Reached* means used from a reacher: the ``repro`` CLI (whose ``bench``
 subcommand is the six suites), ``benchmarks/`` (the e2e workloads and
@@ -16,10 +18,13 @@ diff here; the walks make an unreached one a failing test.
 import ast
 import importlib
 import inspect
+import json
 from pathlib import Path
 
 import pytest
 
+from tests.make_reach_census import CENSUS as REACH_CENSUS
+from tests.make_reach_census import EXECUTED, TAGS, safety_test, src_functions
 from tests.test_option_census import CENSUS
 
 REPO = Path(__file__).resolve().parent.parent
@@ -61,7 +66,7 @@ SURFACE = {
         paper_cluster SimulatedHDFS Mapper Reducer Partitioner HashPartitioner
         JobSpec MapContext ReduceContext JobRunner JobResult JobPipeline
         CostModel TaskFailure DistributedCache JobHistory load_history"""),
-    "repro.metrics": ("predictability privacy risk_rollup utility", """
+    "repro.metrics": ("predictability privacy utility", """
         spatial_distortion_m trace_volume_ratio coverage_ratio range_query_error
         UtilityReport utility_report poi_recovery PoiRecoveryReport
         anonymity_set_sizes mixzone_anonymity_sets PrivacyReport privacy_report
@@ -71,8 +76,7 @@ SURFACE = {
         Event EventKind Phase SCHEMA_VERSION JobHistory TaskSpan load_history
         JobSummary summarize summarize_job render_gantt render_report"""),
     "repro.sanitization": ("aggregation base cloaking masks mixzones pseudonyms", """
-        ANONYMOUS_ID Pseudonymizer Sanitizer SanitizerMapper
-        run_sanitization_job DonutMask GaussianMask PlanarLaplaceMask
+        ANONYMOUS_ID Pseudonymizer Sanitizer DonutMask GaussianMask PlanarLaplaceMask
         UniformNoiseMask RoundingMask SpatialAggregator TemporalAggregator
         SpatialCloaking MixZone MixZoneSanitizer"""),
     "repro.streaming": ("batcher check manager source", """
@@ -292,3 +296,41 @@ def test_the_bench_exports_are_pinned_and_e2e_reaches_the_generators():
     ]
     e2e = _uses(_FILES[REPO / "benchmarks" / "e2e" / "workloads.py"])
     assert {"synthetic_corpus", "synthetic_corpus_blocks", "synthetic_stream_corpus"} <= e2e
+
+
+_REACH = json.loads(REACH_CENSUS.read_text())
+
+
+def test_the_reach_census_lists_every_function():
+    """A function added, renamed or deleted under ``src/repro`` is a diff
+    of ``reach_census.json``: rerun ``tests/make_reach_census.py``."""
+    assert sorted(_REACH) == sorted(src_functions())
+
+
+def test_every_unexecuted_function_says_why_it_stays():
+    for key, value in _REACH.items():
+        if value != EXECUTED:
+            tag, sep, why = value.partition(":")
+            assert tag in TAGS and sep and why.strip(), f"{key}: {value!r}"
+
+
+def _test_exists(test_id: str) -> bool:
+    path, *names = test_id.split("::")
+    if not path.startswith("tests/") or not (REPO / path).is_file() or not names:
+        return False
+    scope = _FILES[REPO / path].body
+    for name in names:
+        found = [
+            node for node in scope
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name == name
+        ]
+        if not found:
+            return False
+        scope = found[0].body
+    return True
+
+
+def test_every_safety_reason_names_a_tier1_test_that_exists():
+    safety = {key: safety_test(value) for key, value in _REACH.items() if safety_test(value)}
+    assert safety
+    assert sorted(key for key, test in safety.items() if not _test_exists(test)) == []

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from repro import Gepeto
-from repro.algorithms.djcluster import DJClusterParams
+from repro.algorithms.djcluster import DJClusterParams, djcluster_sequential
+from repro.algorithms.kmeans import kmeans_sequential
+from repro.attacks.deanonymization import deanonymization_attack
+from repro.attacks.mmc import visit_sequence
+from repro.attacks.mmc_mr import run_mmc_mapreduce
+from repro.attacks.semantics import label_places
+from repro.attacks.social import ColocationParams, colocation_graph
+from repro.geo.geolife import write_geolife_dataset
+from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
+from repro.metrics.predictability import predictability_report
 from repro.sanitization import GaussianMask
 
 
@@ -23,8 +32,8 @@ class TestConstruction:
 
     def test_geolife_roundtrip(self, gep, tmp_path):
         toolkit, _ = gep
-        small = Gepeto(toolkit.dataset.subset([toolkit.dataset.user_ids[0]]))
-        small.save_geolife(tmp_path)
+        small = GeolocatedDataset([toolkit.dataset.trail(toolkit.dataset.user_ids[0])])
+        write_geolife_dataset(small, tmp_path)
         back = Gepeto.from_geolife(tmp_path)
         assert len(back) == len(small)
 
@@ -45,14 +54,15 @@ class TestLocalOperations:
 
     def test_kmeans(self, gep):
         toolkit, _ = gep
-        res = toolkit.sample(300.0).kmeans(k=4, seed=1, max_iter=30)
+        coords = toolkit.sample(300.0).dataset.flat().coordinates()
+        res = kmeans_sequential(coords, 4, seed=1, max_iter=30)
         assert res.centroids.shape == (4, 2)
 
     def test_djcluster_and_poi_attack(self, gep):
         toolkit, truth = gep
         sampled = toolkit.sample(60.0)
         params = DJClusterParams(radius_m=80, min_pts=5)
-        res = sampled.djcluster(params)
+        res = djcluster_sequential(sampled.dataset.flat(), params)
         assert res.n_clusters > 0
         pois = sampled.poi_attack_all(params)
         assert set(pois) == set(sampled.dataset.user_ids)
@@ -64,22 +74,21 @@ class TestLocalOperations:
 
     def test_social_graph(self, gep):
         toolkit, _ = gep
-        graph = toolkit.social_graph()
+        graph = colocation_graph(toolkit.dataset, ColocationParams())
         assert set(graph.nodes) == set(toolkit.dataset.user_ids)
 
     def test_semantic_places(self, gep):
         toolkit, truth = gep
-        places, visits = toolkit.semantic_places(truth[0].user_id, min_stay_s=600)
+        places, visits = label_places(toolkit.dataset.trail(truth[0].user_id), min_stay_s=600)
         assert places and visits
         assert any(p.label == "home" for p in places)
 
     def test_predictability(self, gep):
-        import numpy as np
-
         toolkit, truth = gep
         user = truth[0]
         coords = np.array([(p.latitude, p.longitude) for p in user.pois])
-        report = toolkit.predictability(user.user_id, coords)
+        visits = visit_sequence(toolkit.dataset.trail(user.user_id).traces, coords, 200.0)
+        report = predictability_report(visits)
         assert report.n_states >= 1
         assert 0.0 <= report.pi_max <= 1.0
 
@@ -95,7 +104,7 @@ class TestDeployment:
         toolkit, _ = gep
         cluster = toolkit.deploy(n_workers=4, chunk_size_mb=64)
         result = cluster.sample(60.0)
-        sampled = cluster.read_traces(result.output_path)
+        sampled = cluster.runner.hdfs.read_trace_array(result.output_path)
         seq = toolkit.sample(60.0)
         assert len(sampled) == len(seq)
 
@@ -120,25 +129,14 @@ class TestDeployment:
         assert len(res.tree) == len(sampled)
 
     def test_mr_mmc_learning(self, gep):
-        import numpy as np
-
         toolkit, truth = gep
         sampled = toolkit.sample(60.0)
         cluster = sampled.deploy(n_workers=4, chunk_size_mb=1)
         pois = np.array(
             [(p.latitude, p.longitude) for u in truth for p in u.pois]
         )
-        models = cluster.learn_mmcs(pois)
+        models = run_mmc_mapreduce(cluster.runner, cluster.input_path, pois)
         assert set(models) == set(sampled.dataset.user_ids)
-
-    def test_mr_sanitize(self, gep):
-        from repro.sanitization import GaussianMask
-
-        toolkit, _ = gep
-        cluster = toolkit.sample(300.0).deploy(n_workers=4, chunk_size_mb=64)
-        res = cluster.sanitize(GaussianMask(100.0, seed=2))
-        out = cluster.read_traces(res.output_path)
-        assert len(out) == len(toolkit.sample(300.0))
 
 
 class TestDeanonymization:
@@ -146,8 +144,6 @@ class TestDeanonymization:
         toolkit, _ = Gepeto.synthetic(n_users=3, days=4, seed=55)
         sampled = toolkit.sample(60.0)
         # Pseudonymize a copy as the "released" dataset.
-        from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
-
         target = GeolocatedDataset()
         truth_map = {}
         for trail in sampled.dataset.trails():
@@ -162,8 +158,8 @@ class TestDeanonymization:
                 )
             )
             truth_map[pseud] = trail.user_id
-        result = sampled.deanonymize(
-            Gepeto(target), truth_map, DJClusterParams(radius_m=80, min_pts=5)
+        result = deanonymization_attack(
+            sampled.dataset, target, truth_map, DJClusterParams(radius_m=80, min_pts=5)
         )
         # Identical data: the fingerprints must match their own user.
         assert result.success_rate == 1.0
