@@ -21,6 +21,7 @@ by their constant unmatched-mass penalty.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,15 @@ __all__ = [
     "deanonymization_attack",
     "DeanonymizationResult",
 ]
+
+
+def _check_fingerprint_args(max_pois: int, attach_radius_m: float) -> None:
+    """``max_pois`` is an integer >= 1; ``attach_radius_m`` is finite and
+    >= 0 (a NaN radius would attach no trace and leave every row uniform)."""
+    if isinstance(max_pois, bool) or not isinstance(max_pois, (int, np.integer)) or max_pois < 1:
+        raise ValueError(f"max_pois must be an integer >= 1, got {max_pois!r}")
+    if not (math.isfinite(attach_radius_m) and attach_radius_m >= 0.0):
+        raise ValueError(f"attach_radius_m must be finite and >= 0, got {attach_radius_m!r}")
 
 
 def fingerprint_users(
@@ -55,8 +65,7 @@ def fingerprint_users(
     """
     if params is None:
         params = DJClusterParams()
-    if max_pois < 1:
-        raise ValueError("max_pois must be >= 1")
+    _check_fingerprint_args(max_pois, attach_radius_m)
     trails = array.sort_by_time()
     prints: dict[int, MobilityMarkovChain | None] = dict.fromkeys(
         np.unique(trails.user_index).tolist()
@@ -74,9 +83,9 @@ def fingerprint_users(
     at = cell = 0
     for user, k in zip(owners.tolist(), n_states.tolist()):
         prints[user] = MobilityMarkovChain(
-            states=states[at : at + k].copy(),
-            transitions=transitions[cell : cell + k * k].reshape(k, k).copy(),
-            visit_counts=visit_counts[at : at + k].copy(),
+            states=states[at : at + k],
+            transitions=transitions[cell : cell + k * k].reshape(k, k),
+            visit_counts=visit_counts[at : at + k],
             labels=labels[at : at + k],
         )
         at += k

@@ -54,13 +54,19 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.algorithms.djcluster import DJClusterParams
-from repro.attacks.deanonymization import DeanonymizationResult, fingerprint_users
-from repro.attacks.mmc import MobilityMarkovChain, mmc_link_score
+from repro.attacks.deanonymization import (
+    DeanonymizationResult,
+    _check_fingerprint_args,
+    fingerprint_users,
+)
+from repro.attacks.mmc import mmc_link_score
+from repro.geo.grid import finite_column, ragged_arange, unique_rows
 from repro.geo.trace import _TRACE_DTYPE, GeolocatedDataset, TraceArray
 from repro.mapreduce.config import Configuration
 from repro.mapreduce.job import JobSpec, Mapper, Reducer
@@ -74,7 +80,7 @@ __all__ = [
     "linkage_signature",
     "split_linkage_corpus",
     "synthetic_linkage_corpus",
-    "blocking_cell",
+    "blocking_cells",
     "cover_cells",
     "TrailFragmentMapper",
     "FingerprintReducer",
@@ -128,70 +134,127 @@ def _lon_width_deg(band: int, w_lat: float, max_match_dist_m: float) -> float:
     return 2.0 * max_match_dist_m / (_M_PER_DEG * cos_c)
 
 
-def blocking_cell(lat: float, lon: float, max_match_dist_m: float) -> tuple[int, int]:
-    """The grid cell containing one POI (a hashable, sortable int pair)."""
-    if abs(lat) > _POLAR_LAT:
-        return (_POLAR_BAND, 1 if lat > 0 else -1)
-    w_lat = _lat_width_deg(max_match_dist_m)
-    band = math.floor(lat / w_lat)
-    return (band, math.floor(lon / _lon_width_deg(band, w_lat, max_match_dist_m)))
+def _check_match_dist(max_match_dist_m: float) -> float:
+    d = float(max_match_dist_m)
+    if not (math.isfinite(d) and d > 0.0):
+        raise ValueError(
+            f"max_match_dist_m must be positive and finite, got {max_match_dist_m!r}"
+        )
+    return d
 
 
-def cover_cells(lat: float, lon: float, max_match_dist_m: float) -> set[tuple[int, int]]:
-    """Every cell that could contain a point within ``max_match_dist_m``.
+def _points(lat, lon) -> tuple[np.ndarray, np.ndarray]:
+    lat = finite_column(lat, "coordinates")
+    lon = finite_column(lon, "coordinates")
+    if lat.ndim != 1 or lat.shape != lon.shape:
+        raise ValueError("lat and lon must be 1-D arrays of one length")
+    return lat, lon
+
+
+def _floor(values: np.ndarray) -> np.ndarray:
+    """``math.floor`` of every value, as ``int64``."""
+    floors = np.floor(values)
+    if len(floors) and float(np.abs(floors).max()) >= 2.0**62:
+        raise ValueError("max_match_dist_m is too small for an int64 blocking grid")
+    return floors.astype(np.int64)
+
+
+def _lon_widths(band: np.ndarray, w_lat: float, max_match_dist_m: float) -> np.ndarray:
+    """:func:`_lon_width_deg` of every band, computed once per distinct
+    band.  The trigonometry of the blocking grid goes through ``math``,
+    so a cell does not depend on which NumPy build computed it."""
+    distinct, inverse = np.unique(band, return_inverse=True)
+    widths = [_lon_width_deg(b, w_lat, max_match_dist_m) for b in distinct.tolist()]
+    return np.array(widths, dtype=np.float64)[inverse.reshape(-1)]
+
+
+def blocking_cells(lat, lon, max_match_dist_m: float) -> tuple[np.ndarray, np.ndarray]:
+    """The grid cell containing each POI: ``(band, j)`` as ``int64`` arrays.
+
+    Beyond ±``_POLAR_LAT`` a hemisphere's points share the one cell
+    ``(_POLAR_BAND, ±1)``.
+    """
+    d = _check_match_dist(max_match_dist_m)
+    lat, lon = _points(lat, lon)
+    w_lat = _lat_width_deg(d)
+    polar = np.abs(lat) > _POLAR_LAT
+    band = np.full(len(lat), _POLAR_BAND, dtype=np.int64)
+    j = np.where(lat > 0, 1, -1).astype(np.int64)
+    band[~polar] = _floor(lat[~polar] / w_lat)
+    j[~polar] = _floor(lon[~polar] / _lon_widths(band[~polar], w_lat, d))
+    return band, j
+
+
+def cover_cells(lat, lon, max_match_dist_m: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every cell that could contain a point within ``max_match_dist_m``
+    of each POI, as ``(point, band, j)`` rows (a cell may repeat for one
+    point).
 
     The cover is conservative (it may include cells no reachable point
     maps to) but never lossy: for any point ``p`` with
-    ``haversine(p, (lat, lon)) <= max_match_dist_m``,
-    ``blocking_cell(p) ∈ cover_cells((lat, lon))``.  The latitude span
-    uses the exact haversine bound ``Δφ ≤ d/R``; the longitude span uses
+    ``haversine(p, q) <= max_match_dist_m``, ``p``'s blocking cell is
+    among ``q``'s cover cells.  The latitude span uses the exact
+    haversine bound ``Δφ ≤ d/R``; the longitude span uses
     ``sin(Δλ/2) ≤ sin(d/2R)/cos(φ_edge)`` with the cosine taken at the
     most poleward latitude the box reaches.  Boxes crossing the
     antimeridian also cover their wrapped image.
     """
-    d = max_match_dist_m
-    cells: set[tuple[int, int]] = set()
+    d = _check_match_dist(max_match_dist_m)
+    lat, lon = _points(lat, lon)
     dlat = math.degrees(d / _R_M)
     # Haversine rounds: a point a few ulps outside the exact box can still
     # measure <= d (and sit across a band edge, e.g. just below 0°).
-    dlat += 4.0 * math.ulp(abs(lat) + dlat)
+    dlat = dlat + 4.0 * np.spacing(np.abs(lat) + dlat)
     lat_lo, lat_hi = lat - dlat, lat + dlat
-    if lat_hi > _POLAR_LAT:
-        cells.add((_POLAR_BAND, 1))
-    if lat_lo < -_POLAR_LAT:
-        cells.add((_POLAR_BAND, -1))
-    lo = max(lat_lo, -_POLAR_LAT)
-    hi = min(lat_hi, _POLAR_LAT)
-    if lo > hi:
-        return cells
-    edge = min(max(abs(lat_lo), abs(lat_hi)), 89.9)
-    sin_half = math.sin(d / (2.0 * _R_M)) / max(math.cos(math.radians(edge)), 1e-9)
-    dlon = math.degrees(2.0 * math.asin(min(1.0, sin_half)))
+    north = np.flatnonzero(lat_hi > _POLAR_LAT)
+    south = np.flatnonzero(lat_lo < -_POLAR_LAT)
+    lo = np.maximum(lat_lo, -_POLAR_LAT)
+    hi = np.minimum(lat_hi, _POLAR_LAT)
+    live = np.flatnonzero(lo <= hi)
+    edge = np.minimum(np.maximum(np.abs(lat_lo[live]), np.abs(lat_hi[live])), 89.9)
+    sin_d = math.sin(d / (2.0 * _R_M))
+    dlon = np.array([
+        math.degrees(2.0 * math.asin(min(1.0, sin_d / max(math.cos(math.radians(e)), 1e-9))))
+        for e in edge.tolist()
+    ], dtype=np.float64)
+    west, east = lon[live] - dlon, lon[live] + dlon
+    # One row per (live point q, band) pair; then the row's longitude
+    # spans: the box's own, and its images across the antimeridian.
     w_lat = _lat_width_deg(d)
-    for band in range(math.floor(lo / w_lat), math.floor(hi / w_lat) + 1):
-        w_lon = _lon_width_deg(band, w_lat, d)
-        spans = [(lon - dlon, lon + dlon)]
-        if lon - dlon < -180.0:
-            spans.append((lon - dlon + 360.0, 180.0))
-        if lon + dlon > 180.0:
-            spans.append((-180.0, lon + dlon - 360.0))
-        for span_lo, span_hi in spans:
-            for j in range(math.floor(span_lo / w_lon), math.floor(span_hi / w_lon) + 1):
-                cells.add((band, j))
-    return cells
+    first = _floor(lo[live] / w_lat)
+    q, k = ragged_arange(_floor(hi[live] / w_lat) - first + 1)
+    band = first[q] + k
+    west, east = west[q], east[q]
+    wraps_west, wraps_east = west < -180.0, east > 180.0
+    n_west, n_east = int(wraps_west.sum()), int(wraps_east.sum())
+    row = np.concatenate(
+        (np.arange(len(q)), np.flatnonzero(wraps_west), np.flatnonzero(wraps_east))
+    )
+    span_lo = np.concatenate((west, west[wraps_west] + 360.0, np.full(n_east, -180.0)))
+    span_hi = np.concatenate((east, np.full(n_west, 180.0), east[wraps_east] - 360.0))
+    w_lon = _lon_widths(band, w_lat, d)[row]
+    j_first = _floor(span_lo / w_lon)
+    span, k = ragged_arange(_floor(span_hi / w_lon) - j_first + 1)
+    j = j_first[span] + k
+    poles = len(north) + len(south)
+    return (
+        np.concatenate((live[q[row[span]]], north, south)),
+        np.concatenate((band[row[span]], np.full(poles, _POLAR_BAND, dtype=np.int64))),
+        np.concatenate(
+            (j, np.ones(len(north), dtype=np.int64), np.full(len(south), -1, dtype=np.int64))
+        ),
+    )
 
 
-def _own_cells(fp: MobilityMarkovChain, max_match_dist_m: float) -> set[tuple[int, int]]:
-    return {
-        blocking_cell(float(s[0]), float(s[1]), max_match_dist_m) for s in fp.states
-    }
-
-
-def _cover_of(fp: MobilityMarkovChain, max_match_dist_m: float) -> set[tuple[int, int]]:
-    cells: set[tuple[int, int]] = set()
-    for s in fp.states:
-        cells |= cover_cells(float(s[0]), float(s[1]), max_match_dist_m)
-    return cells
+def _cells_by_print(
+    n_prints: int, owner: np.ndarray, band: np.ndarray, j: np.ndarray
+) -> list[tuple]:
+    """Each fingerprint's distinct ``(band, j)`` cells as a sorted tuple of
+    int pairs; ``owner[r]`` (``0..n_prints - 1``) names row r's fingerprint."""
+    owner, band, j = unique_rows(owner, band, j)
+    cells = list(zip(band.tolist(), j.tolist()))
+    bounds = np.searchsorted(owner, np.arange(n_prints + 1)).tolist()
+    return [tuple(cells[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -306,39 +369,40 @@ class BlockingMapper(Mapper):
         self._index, self._owners = ctx.cache.get(INDEX_CACHE_KEY)
 
     def run(self, chunk: Chunk, ctx) -> None:
-        audit_points: list[np.ndarray] = []
-        audit_slices: list[int] = []
-        for user, (role, fp) in chunk.records():
-            if fp is None:
-                continue
-            if role == "train":
-                cover = _cover_of(fp, self._d)
-                cells = tuple(sorted(cover))
-                value = (0, str(user), fp, cells)
-                for cell in cover:
-                    ctx.emit(cell, value, nbytes=len(cells) * 16 + 64)
-            else:
-                own = _own_cells(fp, self._d)
-                cells = tuple(sorted(own))
-                value = (1, str(user), fp, cells)
-                for cell in own:
-                    ctx.emit(cell, value, nbytes=len(cells) * 16 + 64)
-                audit_points.append(np.asarray(fp.states, dtype=np.float64))
-                audit_slices.append(len(fp.states))
-        if audit_points:
-            points = np.concatenate(audit_points, axis=0)
-            hits = self._index.query_radius_batch(points, self._d)
-            at = 0
-            pairs = 0
-            for n_states in audit_slices:
-                ids = [hit for hit in hits[at : at + n_states] if len(hit)]
-                at += n_states
-                if not ids:
-                    continue
-                rows = np.unique(np.concatenate(ids))
-                pairs += len(np.unique(self._owners[rows]))
-            if pairs:
-                ctx.counters.increment(GROUP_LINKAGE, COUNTER_PAIRS_EXACT, pairs)
+        prints = [
+            (role == "train", str(user), fp)
+            for user, (role, fp) in chunk.records()
+            if fp is not None
+        ]
+        if not prints:
+            return
+        # Every POI of the chunk's fingerprints, and which one it is of.
+        lat, lon = np.concatenate([fp.states for _, _, fp in prints]).T
+        owner = np.repeat(np.arange(len(prints)), [fp.n_states for _, _, fp in prints])
+        train = np.array([is_train for is_train, _, _ in prints], dtype=bool)[owner]
+        at, cover_band, cover_j = cover_cells(lat[train], lon[train], self._d)
+        own_band, own_j = blocking_cells(lat[~train], lon[~train], self._d)
+        cells = _cells_by_print(
+            len(prints),
+            np.concatenate((owner[train][at], owner[~train])),
+            np.concatenate((cover_band, own_band)),
+            np.concatenate((cover_j, own_j)),
+        )
+        for (is_train, user, fp), mine in zip(prints, cells):
+            value = (0 if is_train else 1, user, fp, mine)
+            for cell in mine:
+                ctx.emit(cell, value, nbytes=len(mine) * 16 + 64)
+        if train.all():
+            return
+        # The audit: distinct (target, training owner) pairs with a POI
+        # pair within the match distance.
+        hits = self._index.query_radius_batch(
+            np.column_stack((lat[~train], lon[~train])), self._d
+        )
+        target = np.repeat(owner[~train], [len(hit) for hit in hits])
+        pairs = len(set(zip(target.tolist(), self._owners[np.concatenate(hits)].tolist())))
+        if pairs:
+            ctx.counters.increment(GROUP_LINKAGE, COUNTER_PAIRS_EXACT, pairs)
 
 
 class LinkageScoreReducer(Reducer):
@@ -353,15 +417,26 @@ class LinkageScoreReducer(Reducer):
         self._d = ctx.conf.get_float("linkage.max_match_dist_m")
 
     def reduce(self, key, values, ctx) -> None:
-        trains: list[tuple[str, MobilityMarkovChain, frozenset]] = []
-        targets: list[tuple[str, MobilityMarkovChain, frozenset]] = []
-        for role, user, fp, cells in values:
-            (targets if role else trains).append((user, fp, frozenset(cells)))
+        # Both sides of a pair hold ``key``, so ``key`` owns the pair iff
+        # they share no smaller cell: only the cells below ``key`` (a
+        # prefix of the sorted list) are compared.
+        targets = [
+            (user, fp, frozenset(cells[: bisect_left(cells, key)]))
+            for role, user, fp, cells in values
+            if role
+        ]
+        if not targets:
+            return
+        trains = [
+            (user, fp, frozenset(cells[: bisect_left(cells, key)]))
+            for role, user, fp, cells in values
+            if not role
+        ]
         scored = 0
-        for pseud, target_fp, target_cells in targets:
+        for pseud, target_fp, target_below in targets:
             best: tuple[float, str] | None = None
-            for user, train_fp, train_cells in trains:
-                if min(target_cells & train_cells) != key:
+            for user, train_fp, train_below in trains:
+                if not target_below.isdisjoint(train_below):
                     continue
                 score = mmc_link_score(
                     target_fp, train_fp, max_match_dist_m=self._d
@@ -461,6 +536,9 @@ def run_linkage_attack(
     """
     if params is None:
         params = DJClusterParams()
+    # Checked here, before any job runs, not inside a reduce task.
+    _check_match_dist(max_match_dist_m)
+    _check_fingerprint_args(max_pois, attach_radius_m)
     hdfs = runner.hdfs
     t0 = runner.history.clock
     fps_train = f"{workdir}/fingerprints-train"
@@ -504,33 +582,20 @@ def run_linkage_attack(
     pairs_exact: "int | None" = None
     best: dict[str, tuple[float, str]] = {}
     if train_fps and n_target_fps:
-        owners: list[str] = []
-        lats: list[float] = []
-        lons: list[float] = []
-        ranks: list[float] = []
-        for user, fp in train_fps:
-            for rank, state in enumerate(fp.states):
-                owners.append(user)
-                lats.append(float(state[0]))
-                lons.append(float(state[1]))
-                ranks.append(float(rank))
+        # The training POI table: owner, coordinates, and the POI's rank
+        # as the timestamp.
+        counts = [fp.n_states for _, fp in train_fps]
+        owners = np.repeat(np.array([user for user, _ in train_fps], dtype=object), counts)
+        states = np.concatenate([fp.states for _, fp in train_fps])
+        ranks = np.concatenate([np.arange(k, dtype=np.float64) for k in counts])
         hdfs.delete(poi_path, missing_ok=True)
         hdfs.put_trace_array(
-            poi_path,
-            TraceArray.from_columns(
-                owners,
-                np.asarray(lats),
-                np.asarray(lons),
-                np.asarray(ranks),
-            ),
+            poi_path, TraceArray.from_columns(owners, states[:, 0], states[:, 1], ranks)
         )
         from repro.index.persistent import IndexCatalog
 
         index, _built = IndexCatalog(hdfs).ensure(runner, poi_path)
-        runner.cache.replace(
-            INDEX_CACHE_KEY,
-            (index.to_portable(), np.asarray(owners, dtype=object)),
-        )
+        runner.cache.replace(INDEX_CACHE_KEY, (index.to_portable(), owners))
 
         hdfs.delete(links_path, missing_ok=True)
         link_result = runner.run(

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.geo.distance import haversine_m
+from repro.geo.grid import ragged_arange
 from repro.geo.trace import Trail, TraceArray
 
 __all__ = [
@@ -25,6 +26,10 @@ __all__ = [
     "mmc_link_score",
     "visit_sequence",
 ]
+
+#: ``np.allclose(row_sums, 1.0, atol=1e-9)``'s bound on ``|row_sum - 1|``
+#: (its default ``rtol`` of 1e-5 counts once, against the 1).
+_ROW_SUM_TOL = 1e-9 + 1e-5
 
 
 @dataclass
@@ -44,7 +49,8 @@ class MobilityMarkovChain:
         n = len(self.states)
         if self.transitions.shape != (n, n):
             raise ValueError("transition matrix shape mismatch")
-        if not np.allclose(self.transitions.sum(axis=1), 1.0, atol=1e-9):
+        # NaN fails the comparison, so a NaN row is rejected too.
+        if not np.all(np.abs(self.transitions.sum(axis=1) - 1.0) <= _ROW_SUM_TOL):
             raise ValueError("transition matrix rows must sum to 1")
         if not self.labels:
             self.labels = [f"state_{i}" for i in range(n)]
@@ -158,8 +164,7 @@ def segmented_chains(
     # dists[i, j]: trace i to the j-th POI of its own user, +inf past the
     # user's last POI so argmin keeps visit_sequence's first-minimum rule.
     per_row = k[chain]
-    pair_row = np.repeat(np.arange(len(rows)), per_row)
-    pair_col = np.arange(len(pair_row)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    pair_row, pair_col = ragged_arange(per_row)
     state = first[chain][pair_row] + pair_col
     at = rows[pair_row]
     dists = np.full((len(rows), int(k.max())), np.inf)
@@ -204,15 +209,16 @@ def _match_states(a: MobilityMarkovChain, b: MobilityMarkovChain, max_dist_m: fl
     used_a: set[int] = set()
     used_b: set[int] = set()
     order = np.argsort(d, axis=None)
-    for flat in order:
-        i, j = np.unravel_index(flat, d.shape)
-        if d[i, j] > max_dist_m:
+    width = d.shape[1]
+    for flat, dist in zip(order.tolist(), d.ravel()[order].tolist()):
+        if dist > max_dist_m:
             break
+        i, j = divmod(flat, width)
         if i in used_a or j in used_b:
             continue
-        pairs.append((int(i), int(j)))
-        used_a.add(int(i))
-        used_b.add(int(j))
+        pairs.append((i, j))
+        used_a.add(i)
+        used_b.add(j)
     return pairs
 
 
@@ -251,8 +257,12 @@ def _pair_score(
     pairs: list[tuple[int, int]],
     unmatched_penalty: float,
 ) -> float:
-    pi_a = a.stationary_distribution()
-    pi_b = b.stationary_distribution()
+    # Python floats: the same IEEE operations as NumPy scalars, in the
+    # same order, without a NumPy call per term.
+    pi_a = a.stationary_distribution().tolist()
+    pi_b = b.stationary_distribution().tolist()
+    rows_a = a.transitions.tolist()
+    rows_b = b.transitions.tolist()
     matched_a = {i for i, _ in pairs}
     matched_b = {j for _, j in pairs}
     score = 0.0
@@ -260,7 +270,7 @@ def _pair_score(
         score += abs(pi_a[i] - pi_b[j])
         # Compare transition rows over the common matched state space.
         for i2, j2 in pairs:
-            score += abs(a.transitions[i, i2] - b.transitions[j, j2]) * pi_a[i]
+            score += abs(rows_a[i][i2] - rows_b[j][j2]) * pi_a[i]
     score += unmatched_penalty * float(
         sum(pi_a[i] for i in range(a.n_states) if i not in matched_a)
         + sum(pi_b[j] for j in range(b.n_states) if j not in matched_b)

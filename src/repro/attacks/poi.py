@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.algorithms.djcluster import DJClusterParams, DJClusterResult, djcluster_sequential
+from repro.geo.grid import ragged_arange
 from repro.geo.trace import Trail, TraceArray
 
 __all__ = [
@@ -162,18 +163,43 @@ def segmented_pois(
     labels[home] = "home"
     labels[runner_up[~is_home[runner_up] & (work[runner_up] > 0)]] = "work"
     keep = rank < max_pois
-    # A POI is its cluster's mean coordinate.  ``mean`` adds a cluster's
-    # rows one after the other; a segmented ``add.reduceat`` adds them in
-    # another order and lands an ulp away, so the means are taken cluster
-    # by cluster (and the dwell time, which has the same trap and which
-    # the chain never reads, is not computed at all).
-    points = prepared.coordinates()
-    lo = starts[order[keep]]
-    hi = lo + sizes[keep]
-    states = np.array(
-        [points[members[s:e]].mean(axis=0) for s, e in zip(lo.tolist(), hi.tolist())]
-    )
+    # A POI is its cluster's mean coordinate.  (The dwell time, which the
+    # chain never reads, is not computed at all.)
+    states = _segment_means(prepared.coordinates(), members, starts[order[keep]], sizes[keep])
     return (states, labels[keep].tolist(), *np.unique(owner[keep], return_counts=True))
+
+
+def _segment_means(
+    points: np.ndarray, members: np.ndarray, lo: np.ndarray, sizes: np.ndarray
+) -> np.ndarray:
+    """``points[members[lo[i]:lo[i] + sizes[i]]].mean(axis=0)`` for every
+    segment *i* (``sizes`` >= 1), bit for bit, in one reduction per
+    power-of-two size class.
+
+    ``mean(axis=0)`` of an (m, 2) array adds its rows one after the
+    other — the row axis is the outer loop of the reduction, never the
+    pairwise-summed inner one — then divides by m.  A segmented
+    ``add.reduceat`` runs along the segment instead, sums pairwise, and
+    lands an ulp away.  Stacking a size class as (rows, segments, 2) and
+    reducing over the leading axis keeps the row-after-row order; the
+    rows a short segment lacks are -0.0, which adds to any float without
+    changing a bit (signed zeros included).  A class holds sizes of one
+    bit length, so the padding at most doubles the stacked rows.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    lo = np.asarray(lo, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    means = np.empty((len(sizes), points.shape[1]))
+    size_class = np.frexp(sizes)[1]  # the bit length of each size
+    for bits in np.unique(size_class).tolist():
+        segment = np.flatnonzero(size_class == bits)
+        length = sizes[segment]
+        # Row ``at`` of segment ``column`` is member ``lo + at``.
+        column, at = ragged_arange(length)
+        stack = np.full((int(length.max()), len(segment), points.shape[1]), -0.0)
+        stack[at, column] = points[members[lo[segment][column] + at]]
+        means[segment] = np.add.reduce(stack, axis=0) / length[:, None]
+    return means
 
 
 def poi_attack(

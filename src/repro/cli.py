@@ -742,25 +742,28 @@ def main(argv: list[str] | None = None) -> int:
                 raise SystemExit(
                     "attack: corpus too small to split into training/target halves"
                 )
-            with fresh_runner(
-                {"input/train": train, "input/target": target},
-                chunk_size=64 * MB,
-                backend=args.backend,
-                budget_mb=args.memory_budget_mb,
-                record_bytes=64,
-            ) as runner:
-                outcome = run_linkage_attack(
-                    runner,
-                    "input/train",
-                    "input/target",
-                    truth,
-                    params=DJClusterParams(
-                        radius_m=args.radius, min_pts=args.min_pts
-                    ),
-                    max_pois=args.max_pois,
-                    max_match_dist_m=args.max_match_dist,
-                    history_path=args.history,
-                )
+            try:
+                with fresh_runner(
+                    {"input/train": train, "input/target": target},
+                    chunk_size=64 * MB,
+                    backend=args.backend,
+                    budget_mb=args.memory_budget_mb,
+                    record_bytes=64,
+                ) as runner:
+                    outcome = run_linkage_attack(
+                        runner,
+                        "input/train",
+                        "input/target",
+                        truth,
+                        params=DJClusterParams(
+                            radius_m=args.radius, min_pts=args.min_pts
+                        ),
+                        max_pois=args.max_pois,
+                        max_match_dist_m=args.max_match_dist,
+                        history_path=args.history,
+                    )
+            except ValueError as exc:
+                raise SystemExit(f"attack: {exc}")
             result = outcome.result
             linked = sum(1 for v in result.linkage.values() if v is not None)
             print(

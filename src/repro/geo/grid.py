@@ -8,7 +8,8 @@ binning and the one place its inputs are validated (a NaN casts to
 :func:`unique_rows` is the row-wise ``np.unique`` as a ``lexsort`` of the
 columns plus one adjacent-difference pass, 10-50x faster than NumPy's
 sort of structured records (docs/PERFORMANCE.md, "stream_windows: where
-the window went").
+the window went"); :func:`ragged_arange` numbers the rows of segments laid
+end to end.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from repro.geo.synthetic import KM_PER_DEG_LAT
 
-__all__ = ["finite_column", "grid_cells", "time_windows", "unique_rows"]
+__all__ = ["finite_column", "grid_cells", "ragged_arange", "time_windows", "unique_rows"]
 
 _M_PER_DEG_LAT = KM_PER_DEG_LAT * 1000.0
 
@@ -84,3 +85,12 @@ def unique_rows(*columns, return_inverse: bool = False, return_counts: bool = Fa
     if return_counts:
         out.append(np.diff(starts, append=n))
     return out[0] if len(out) == 1 else tuple(out)
+
+
+def ragged_arange(counts) -> tuple[np.ndarray, np.ndarray]:
+    """``(segment, k)`` for every segment ``r`` and ``0 <= k < counts[r]``,
+    segment after segment: the row and column of each element of ragged
+    rows of lengths ``counts``, laid end to end."""
+    counts = np.asarray(counts, dtype=np.int64)
+    segment = np.repeat(np.arange(len(counts)), counts)
+    return segment, np.arange(len(segment)) - np.repeat(np.cumsum(counts) - counts, counts)

@@ -8,7 +8,7 @@ import pytest
 
 from repro.attacks.linkage_mr import (
     SYNTH_ATTACK_PARAMS,
-    blocking_cell,
+    blocking_cells,
     cover_cells,
     deanonymization_attack_reference,
     linkage_signature,
@@ -24,6 +24,9 @@ from repro.mapreduce.hdfs import SimulatedHDFS
 from repro.mapreduce.runner import JobRunner
 from repro.observability.events import EventKind
 from tests.conftest import count_calls
+
+from .blocking_oracle import cell as blocking_cell
+from .blocking_oracle import cover, oracle_cell, oracle_cover
 
 D = 500.0
 
@@ -46,7 +49,7 @@ class TestBlockingGeometry:
 
     def test_cover_contains_own_cell(self):
         for lat, lon in [(0.0, 0.0), (48.85, 2.35), (-33.9, 151.2), (64.1, -21.9)]:
-            assert blocking_cell(lat, lon, D) in cover_cells(lat, lon, D)
+            assert blocking_cell(lat, lon, D) in cover(lat, lon, D)
 
     def test_cover_never_drops_a_nearby_point(self):
         rng = np.random.default_rng(0)
@@ -68,15 +71,88 @@ class TestBlockingGeometry:
                 plon += 360.0
             if haversine_m(lat, lon, plat, plon) > D:
                 continue
-            assert blocking_cell(plat, plon, D) in cover_cells(lat, lon, D)
+            assert blocking_cell(plat, plon, D) in cover(lat, lon, D)
 
     def test_polar_caps_collapse_to_one_cell(self):
         assert blocking_cell(89.0, 10.0, D) == blocking_cell(86.0, -170.0, D)
         assert blocking_cell(-89.0, 10.0, D) != blocking_cell(89.0, 10.0, D)
 
     def test_antimeridian_cover_wraps(self):
-        cover = cover_cells(10.0, 179.999, D)
-        assert blocking_cell(10.0, -179.999, D) in cover
+        assert blocking_cell(10.0, -179.999, D) in cover(10.0, 179.999, D)
+
+    @pytest.mark.parametrize("d", [100.0, D, 2_000.0])
+    def test_one_batch_equals_the_scalar_oracle_point_by_point(self, d):
+        rng = np.random.default_rng(int(d))
+        lat = np.concatenate((
+            rng.uniform(-89.9, 89.9, 300),
+            [0.0, -0.0, 84.999, 85.0, 85.001, -84.999, -85.001, 89.999, -89.999, 10.0, 10.0],
+            # One ulp either side of band edges.
+            np.nextafter(np.arange(-5, 5) * 2.0 * d / 110_000.0, np.inf),
+            np.nextafter(np.arange(-5, 5) * 2.0 * d / 110_000.0, -np.inf),
+        ))
+        lon = np.concatenate((
+            rng.uniform(-180.0, 180.0, 300),
+            [0.0, 0.0, 179.9999, -179.9999, 180.0, -180.0, 0.0, 120.0, -60.0, 179.999, -179.999],
+            rng.uniform(-180.0, 180.0, 20),
+        ))
+        band, j = blocking_cells(lat, lon, d)
+        point, cover_band, cover_j = cover_cells(lat, lon, d)
+        covers = [set() for _ in lat]
+        for p, b, c in zip(point.tolist(), cover_band.tolist(), cover_j.tolist()):
+            covers[p].add((b, c))
+        for i, (a, o) in enumerate(zip(lat.tolist(), lon.tolist())):
+            assert (int(band[i]), int(j[i])) == oracle_cell(a, o, d)
+            assert covers[i] == oracle_cover(a, o, d)
+
+    def test_empty_batches(self):
+        band, j = blocking_cells([], [], D)
+        assert band.dtype == j.dtype == np.int64 and len(band) == len(j) == 0
+        assert all(len(column) == 0 for column in cover_cells([], [], D))
+
+    @pytest.mark.parametrize("d", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_bad_match_distance(self, d):
+        with pytest.raises(ValueError, match="max_match_dist_m"):
+            blocking_cells([1.0], [2.0], d)
+        with pytest.raises(ValueError, match="max_match_dist_m"):
+            cover_cells([1.0], [2.0], d)
+
+    @pytest.mark.parametrize("lat, lon", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+    def test_rejects_non_finite_points(self, lat, lon):
+        with pytest.raises(ValueError, match="finite"):
+            blocking_cells([0.0, lat], [0.0, lon], D)
+        with pytest.raises(ValueError, match="finite"):
+            cover_cells([0.0, lat], [0.0, lon], D)
+
+
+class TestArgumentChecks:
+    """Bad attack parameters fail before any job runs, with a named error."""
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(max_match_dist_m=math.nan), "max_match_dist_m"),
+            (dict(max_match_dist_m=0.0), "max_match_dist_m"),
+            (dict(max_match_dist_m=-1.0), "max_match_dist_m"),
+            (dict(max_match_dist_m=math.inf), "max_match_dist_m"),
+            (dict(max_pois=0), "max_pois"),
+            (dict(max_pois=2.5), "max_pois"),
+            (dict(max_pois=True), "max_pois"),
+            (dict(attach_radius_m=math.nan), "attach_radius_m"),
+            (dict(attach_radius_m=-1.0), "attach_radius_m"),
+        ],
+    )
+    def test_rejected_before_the_first_job(self, kwargs, message):
+        train, target, truth = synthetic_linkage_corpus(2, seed=1)
+        runner = _deployment(train, target)
+        try:
+            with pytest.raises(ValueError, match=message):
+                run_linkage_attack(
+                    runner, "input/train", "input/target", truth,
+                    params=SYNTH_ATTACK_PARAMS, **kwargs,
+                )
+            assert runner.history.clock == 0.0
+        finally:
+            runner.close()
 
 
 class TestEquivalence:

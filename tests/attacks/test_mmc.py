@@ -127,3 +127,93 @@ class TestMMCDistance:
         a2 = build_mmc(_trail_visiting([0, 1, 0, 1, 0]), POIS)
         b = build_mmc(_trail_visiting([2, 0, 2, 0, 2, 2, 0]), POIS)
         assert mmc_link_score(a1, a2) < mmc_link_score(a1, b)
+
+
+
+def _random_chains(rng, n_chains):
+    """Chains of 1-6 states near one city, with some uniform (unvisited) rows."""
+    chains = []
+    for k in rng.integers(1, 7, n_chains).tolist():
+        counts = rng.integers(0, 4, (k, k)).astype(np.float64)
+        sums = counts.sum(axis=1, keepdims=True)
+        chains.append(MobilityMarkovChain(
+            states=np.column_stack((rng.uniform(39.8, 40.0, k), rng.uniform(116.2, 116.5, k))),
+            transitions=np.where(sums > 0, counts / np.where(sums == 0, 1, sums), 1.0 / k),
+            visit_counts=rng.integers(0, 5, k).astype(np.float64),
+        ))
+    return chains
+
+
+class TestRowSumCheck:
+    @pytest.mark.parametrize("err, ok", [(1.0e-5, True), (1.2e-5, False)])
+    def test_row_tolerance_is_allclose(self, err, ok):
+        # allclose(rtol=1e-5, atol=1e-9) against 1: |row sum - 1| <= 1.001e-5.
+        rows = np.array([[0.5 + err, 0.5], [0.5, 0.5]])
+        assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-9) is ok
+
+        def make():
+            return MobilityMarkovChain(
+                states=np.zeros((2, 2)), transitions=rows, visit_counts=np.zeros(2)
+            )
+
+        if ok:
+            make()
+        else:
+            with pytest.raises(ValueError, match="sum to 1"):
+                make()
+
+    def test_nan_row_rejected(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            MobilityMarkovChain(
+                states=np.zeros((2, 2)),
+                transitions=np.array([[np.nan, 0.5], [0.5, 0.5]]),
+                visit_counts=np.zeros(2),
+            )
+
+
+class TestLinkScoreTerms:
+    def test_link_scores_are_the_numpy_scalar_scores(self):
+        # The scoring as NumPy-scalar arithmetic, term by term: the
+        # Python-float scoring must land on the same bits.
+        from repro.geo.distance import haversine_m
+
+        def oracle(a, b, max_dist_m=500.0, penalty=1.0):
+            d = np.atleast_2d(haversine_m(
+                a.states[:, None, 0], a.states[:, None, 1],
+                b.states[None, :, 0], b.states[None, :, 1],
+            ))
+            pairs, used_a, used_b = [], set(), set()
+            for flat in np.argsort(d, axis=None):
+                i, j = np.unravel_index(flat, d.shape)
+                if d[i, j] > max_dist_m:
+                    break
+                if i in used_a or j in used_b:
+                    continue
+                pairs.append((int(i), int(j)))
+                used_a.add(int(i))
+                used_b.add(int(j))
+            if not pairs:
+                return None
+            pi_a, pi_b = a.stationary_distribution(), b.stationary_distribution()
+            score = 0.0
+            for i, j in pairs:
+                score += abs(pi_a[i] - pi_b[j])
+                for i2, j2 in pairs:
+                    score += abs(a.transitions[i, i2] - b.transitions[j, j2]) * pi_a[i]
+            score += penalty * float(
+                sum(pi_a[i] for i in range(a.n_states) if i not in used_a)
+                + sum(pi_b[j] for j in range(b.n_states) if j not in used_b)
+            )
+            return float(score)
+
+        chains = _random_chains(np.random.default_rng(5), 30)
+        scored = 0
+        for a in chains:
+            for b in chains:
+                want = oracle(a, b, 5_000.0)
+                got = mmc_link_score(a, b, max_match_dist_m=5_000.0)
+                assert (got is None) == (want is None)
+                if got is not None:
+                    scored += 1
+                    assert got.hex() == want.hex()
+        assert scored > 100

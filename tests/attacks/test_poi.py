@@ -206,3 +206,45 @@ class TestEndToEndOnSynthetic:
             for p in pois
         )
         assert best < 100.0, "home POI not recovered within 100 m"
+
+
+class TestSegmentMeans:
+    """``_segment_means`` is ``mean(axis=0)`` per segment, to the bit."""
+
+    @staticmethod
+    def _case(seed=0):
+        rng = np.random.default_rng(seed)
+        sizes = np.concatenate((np.arange(1, 41), [64, 65, 127, 200], rng.integers(1, 30, 60)))
+        rng.shuffle(sizes)
+        # Magnitudes far apart, so the summation order shows in the last bits.
+        points = rng.uniform(-1.0, 1.0, (int(sizes.sum()) + 50, 2)) * 10.0 ** rng.integers(
+            -8, 3, (int(sizes.sum()) + 50, 2)
+        )
+        points[:5] = [[-0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [-0.0, -0.0]]
+        members = rng.permutation(len(points))[: int(sizes.sum())]
+        members[:3] = [0, 3, 4]  # a segment of negative zeros leads
+        lo = np.cumsum(sizes) - sizes
+        return points, members, lo, sizes
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_equal_to_mean_per_segment(self, seed):
+        from repro.attacks.poi import _segment_means
+
+        points, members, lo, sizes = self._case(seed)
+        got = _segment_means(points, members, lo, sizes)
+        want = np.array([points[members[s : s + m]].mean(axis=0) for s, m in zip(lo, sizes)])
+        assert got.tobytes() == want.tobytes()
+
+    def test_trap_is_armed(self):
+        # A pairwise segmented sum lands elsewhere on this data, so the
+        # test above would see a change of summation order.
+        points, members, lo, sizes = self._case(0)
+        pairwise = np.add.reduceat(points[members], lo, axis=0) / sizes[:, None]
+        want = np.array([points[members[s : s + m]].mean(axis=0) for s, m in zip(lo, sizes)])
+        assert pairwise.tobytes() != want.tobytes()
+
+    def test_empty(self):
+        from repro.attacks.poi import _segment_means
+
+        got = _segment_means(np.zeros((3, 2)), np.zeros(0, dtype=np.int64), [], [])
+        assert got.shape == (0, 2)

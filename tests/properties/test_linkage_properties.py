@@ -17,8 +17,6 @@ from hypothesis import strategies as st
 
 from repro.attacks.linkage_mr import (
     SYNTH_ATTACK_PARAMS,
-    blocking_cell,
-    cover_cells,
     deanonymization_attack_reference,
     linkage_signature,
     run_linkage_attack,
@@ -29,6 +27,8 @@ from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.config import BACKENDS
 from repro.mapreduce.hdfs import SimulatedHDFS
 from repro.mapreduce.runner import JobRunner
+from tests.attacks.blocking_oracle import cell as blocking_cell
+from tests.attacks.blocking_oracle import cover as cover_cells
 
 _R_M = 6_371_008.8
 

@@ -103,6 +103,21 @@ class TestCommands:
         assert report.count("risk timeline:") == tenants
         assert set(report.splitlines()) <= set(ran.splitlines())
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--max-match-dist", "nan", "max_match_dist_m must be positive and finite"),
+            ("--max-match-dist", "-5", "max_match_dist_m must be positive and finite"),
+            ("--max-match-dist", "0", "max_match_dist_m must be positive and finite"),
+            ("--max-match-dist", "inf", "max_match_dist_m must be positive and finite"),
+            ("--max-pois", "0", "max_pois must be an integer >= 1"),
+        ],
+    )
+    def test_linkage_rejects_a_bad_parameter_in_one_line(self, corpus_dir, flag, value, message):
+        # Each of these used to end in a traceback from inside a job.
+        with pytest.raises(SystemExit, match=f"^attack: {message}"):
+            main(["attack", "--in", str(corpus_dir), "--linkage", f"{flag}={value}"])
+
     def test_attack(self, corpus_dir, tmp_path, capsys):
         sampled = tmp_path / "sampled"
         main(["sample", "--in", str(corpus_dir), "--out", str(sampled), "--window", "60"])
