@@ -46,7 +46,7 @@ from typing import Any, Callable, TYPE_CHECKING
 
 import numpy as np
 
-from repro.index.rtree import DEFAULT_MAX_ENTRIES, Rect, RTree
+from repro.index.rtree import DEFAULT_MAX_ENTRIES, NodeView, Rect, RTree
 from repro.index.spacefilling import DEFAULT_ORDER
 from repro.mapreduce.simtime import CostModel
 from repro.mapreduce.types import RecordPayload, concrete_payload
@@ -103,46 +103,22 @@ class IndexCorruptError(RuntimeError):
 # -- page codec -------------------------------------------------------------
 
 
-def _encode_leaf_page(ids: np.ndarray, points: np.ndarray, mbr: Rect) -> bytes:
-    n = len(ids)
+def _encode_page(is_leaf: bool, mbr: np.ndarray, keys, rows: np.ndarray) -> bytes:
+    """One node block: a leaf's ids and points, or a parent's child page
+    ids and child MBRs, after the node's own MBR."""
     body = (
-        _BODY_PREFIX.pack(1, n)
-        + mbr.as_array().astype("<f8").tobytes()
-        + np.ascontiguousarray(ids, dtype="<i8").tobytes()
-        + np.ascontiguousarray(points, dtype="<f8").tobytes()
+        _BODY_PREFIX.pack(is_leaf, len(keys))
+        + np.ascontiguousarray(mbr, dtype="<f8").tobytes()
+        + np.ascontiguousarray(keys, dtype="<i8").tobytes()
+        + np.ascontiguousarray(rows, dtype="<f8").tobytes()
     )
     return _HEADER.pack(PAGE_MAGIC, zlib.crc32(body) & 0xFFFFFFFF) + body
 
 
-def _encode_internal_page(
-    child_ids: list[int], child_mbrs: np.ndarray, mbr: Rect
-) -> bytes:
-    n = len(child_ids)
-    body = (
-        _BODY_PREFIX.pack(0, n)
-        + mbr.as_array().astype("<f8").tobytes()
-        + np.asarray(child_ids, dtype="<i8").tobytes()
-        + np.ascontiguousarray(child_mbrs, dtype="<f8").tobytes()
-    )
-    return _HEADER.pack(PAGE_MAGIC, zlib.crc32(body) & 0xFFFFFFFF) + body
-
-
-@dataclass(slots=True)
-class _DecodedPage:
-    """One node page, decoded and validated: an in-memory ``_Node``'s
-    read surface, with child page ids as its ``children`` handles."""
-
-    is_leaf: bool
-    mbr: Rect
-    ids: np.ndarray | None = None
-    points: np.ndarray | None = None
-    children: list[int] | None = None
-    child_mbrs: np.ndarray | None = None
-
-
-def decode_page(blob: bytes, page_id: int) -> _DecodedPage:
+def decode_page(blob: bytes, page_id: int) -> NodeView:
     """Decode one node block, raising :class:`IndexCorruptError` on a
-    short read, bad magic, checksum mismatch or inconsistent length."""
+    short read, bad magic, checksum mismatch or inconsistent length.  Its
+    ``children`` are the child page ids."""
     if len(blob) < _HEADER.size + _BODY_PREFIX.size + _MBR_BYTES:
         raise IndexCorruptError(
             f"page {page_id}: truncated block ({len(blob)} bytes)"
@@ -155,7 +131,7 @@ def decode_page(blob: bytes, page_id: int) -> _DecodedPage:
         raise IndexCorruptError(f"page {page_id}: checksum mismatch")
     is_leaf, n = _BODY_PREFIX.unpack_from(body, 0)
     offset = _BODY_PREFIX.size
-    mbr_arr = np.frombuffer(body[offset : offset + _MBR_BYTES], dtype="<f8")
+    mbr = np.frombuffer(body[offset : offset + _MBR_BYTES], dtype="<f8")
     offset += _MBR_BYTES
     per_entry = _LEAF_ENTRY_BYTES if is_leaf else _CHILD_ENTRY_BYTES
     if len(body) != offset + n * per_entry:
@@ -163,35 +139,30 @@ def decode_page(blob: bytes, page_id: int) -> _DecodedPage:
             f"page {page_id}: body length {len(body)} does not match "
             f"{n} entries"
         )
-    mbr = Rect(*mbr_arr.tolist())
+    keys = np.frombuffer(body[offset : offset + 8 * n], dtype="<i8")
     if is_leaf:
-        ids = np.frombuffer(body[offset : offset + 8 * n], dtype="<i8")
         points = np.frombuffer(body[offset + 8 * n :], dtype="<f8").reshape(n, 2)
-        return _DecodedPage(True, mbr, ids=ids, points=points)
-    children = np.frombuffer(body[offset : offset + 8 * n], dtype="<i8").tolist()
+        return NodeView(True, mbr, ids=keys, points=points)
     child_mbrs = np.frombuffer(body[offset + 8 * n :], dtype="<f8").reshape(n, 4)
-    return _DecodedPage(False, mbr, children=children, child_mbrs=child_mbrs)
+    return NodeView(False, mbr, children=keys.tolist(), child_mbrs=child_mbrs)
 
 
 def _pages_from_tree(tree: RTree) -> list[bytes]:
-    """DFS-preorder page blobs of a tree (root at page 0)."""
-    pages: list[bytes | None] = []
-
-    def encode(node) -> int:
-        page_id = len(pages)
-        pages.append(None)
-        if node.is_leaf:
-            pages[page_id] = _encode_leaf_page(node.ids, node.points, node.mbr)
-        else:
-            child_ids = [encode(c) for c in node.children]
-            pages[page_id] = _encode_internal_page(
-                child_ids, node.child_mbrs, node.mbr
-            )
-        return page_id
-
-    if tree._root is not None:
-        encode(tree._root)
-    return pages  # type: ignore[return-value]
+    """The page blobs of a tree, numbered in DFS preorder (root at page 0)."""
+    if tree._root is None:
+        return []
+    page_of, views, stack = {}, [], [tree._root]
+    while stack:
+        page_of[node := stack.pop()] = len(views)
+        views.append(view := tree._resolve(node))
+        if not view.is_leaf:
+            stack.extend(reversed(view.children))
+    return [
+        _encode_page(True, view.mbr, view.ids, view.points)
+        if view.is_leaf
+        else _encode_page(False, view.mbr, [page_of[c] for c in view.children], view.child_mbrs)
+        for view in views
+    ]
 
 
 # -- the facade: RTree over a page source ------------------------------------
@@ -208,10 +179,10 @@ class _PageSource:
 
     def __init__(self, reader: Callable[[int], bytes], cache_pages: int = 128):
         self._reader = reader
-        self._cache: OrderedDict[int, _DecodedPage] = OrderedDict()
+        self._cache: OrderedDict[int, NodeView] = OrderedDict()
         self._cache_pages = max(1, cache_pages)
 
-    def decoded(self, page_id: int) -> _DecodedPage:
+    def decoded(self, page_id: int) -> NodeView:
         try:
             page = self._cache[page_id]
             self._cache.move_to_end(page_id)
@@ -242,9 +213,6 @@ class _PagedTree(RTree):
         if int(meta["n_pages"]) > 0:
             self._root = int(meta["root"])
         self._size = int(meta["size"])
-
-    def height(self) -> int:
-        return self._height
 
 
 # -- HDFS-backed storage -----------------------------------------------------

@@ -13,12 +13,16 @@ search, radius search (metres, Haversine-refined) and
 k-nearest-neighbours, plus the phase-3 **merge** of small R-trees into a
 global index.
 
-Hot-path note: each internal node keeps its children's MBRs in one
-``(fanout, 4)`` NumPy array so that the overlap test per visited node is a
-single vectorized comparison, not a per-child Python loop.  Traversals
-walk child *handles* and resolve each one once: in memory a handle is the
-node itself, on persisted pages it is a page id (``persistent.py``), so
-one traversal code answers both.
+A tree is arrays, not a graph of node objects: one leaf buffer
+(``_ids``, ``_points``) and, per level from the root down, an ``(m, 4)``
+MBR array and an offset array, node ``j``'s children (or, on the leaf
+level, its rows of the leaf buffer) being ``offsets[j]:offsets[j + 1]``
+of the level below.  Each level is laid out in its parents' order, so
+child MBRs are a slice and a phase-2 small tree pickles as a few
+buffers.  Traversals resolve each node handle they visit once to a
+:class:`NodeView`: in memory a handle is ``(depth, index)``, on
+persisted pages a page id (``persistent.py``), so one traversal code
+answers both.
 """
 
 from __future__ import annotations
@@ -27,14 +31,14 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.geo.distance import haversine_m
-from repro.geo.grid import finite_column
+from repro.geo.grid import finite_column, ragged_arange
 
-__all__ = ["Rect", "RTree", "DEFAULT_MAX_ENTRIES"]
+__all__ = ["Rect", "RTree", "NodeView", "DEFAULT_MAX_ENTRIES"]
 
 #: Default node fanout (Guttman's M).
 DEFAULT_MAX_ENTRIES = 32
@@ -58,7 +62,8 @@ _DEG_EPS = 1e-12
 def _radius_rects(lat: np.ndarray, lon: np.ndarray, radius_m: float) -> np.ndarray:
     """Degree-space pruning rectangles covering the Haversine discs of
     radius ``radius_m`` around each ``(lat, lon)``, as ``(n, 4)`` rows of
-    ``(min_lat, min_lon, max_lat, max_lon)``.
+    ``(min_lat, min_lon, max_lat, max_lon)``, clamped to [−180°, 180°]
+    (:func:`_radius_boxes` adds the part of a disc beyond ±180°).
 
     Conservative by construction: longitude width uses the smallest
     cosine over the rectangle's latitude band (widest meridian
@@ -85,9 +90,33 @@ def _radius_rects(lat: np.ndarray, lon: np.ndarray, radius_m: float) -> np.ndarr
     return rects
 
 
-def _radius_rect(lat: float, lon: float, radius_m: float) -> Rect:
-    """The pruning rectangle of one query: a one-row :func:`_radius_rects`."""
-    return Rect(*_radius_rects(np.array([lat]), np.array([lon]), radius_m)[0].tolist())
+def _radius_boxes(lat: np.ndarray, lon: np.ndarray, radius_m: float) -> tuple[np.ndarray, ...]:
+    """Pruning boxes of radius queries at ``(lat, lon)``, and the query each
+    box belongs to.  Row ``i < n`` is query ``i``'s :func:`_radius_rects`
+    row; the part of a disc beyond ±180° — the clamped rectangle of the
+    query moved by ∓360° — is one more row, unless it meets the first row
+    (the disc reaches round to itself), which then spans every longitude.
+    A query's boxes are disjoint, so no point is found twice."""
+    boxes = _radius_rects(lat, lon, radius_m)
+    owner = np.arange(len(boxes))
+    # Only a rectangle clamped at ±180° can have a part beyond the seam.
+    edge = np.flatnonzero((boxes[:, 1] == -180.0) | (boxes[:, 3] == 180.0))
+    if len(edge) == 0:
+        return boxes, owner
+    rows, owner = [boxes], [owner]
+    for shift in (360.0, -360.0):
+        part, first = _radius_rects(lat[edge], lon[edge] + shift, radius_m), boxes[edge]
+        found = part[:, 1] <= part[:, 3]
+        meets = found & (part[:, 1] <= first[:, 3]) & (part[:, 3] >= first[:, 1])
+        boxes[edge[meets], 1], boxes[edge[meets], 3] = -180.0, 180.0
+        rows.append(part[found & ~meets])
+        owner.append(edge[found & ~meets])
+    return np.concatenate(rows), np.concatenate(owner)
+
+
+def _is_count(value) -> bool:
+    """Whether ``value`` is an integer, ``bool`` excluded."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_radius_queries(points: np.ndarray, radius_m: float) -> np.ndarray:
@@ -162,71 +191,84 @@ class Rect:
         """Lower bound on the Haversine distance from a point to this rect.
 
         Clamps the point into the rectangle and measures to the clamped
-        point — exact for points outside, zero inside.
+        point — exact for points outside, zero inside.  Longitude goes to
+        the other edge where the way round ±180° is shorter.
         """
         clat = min(max(lat, self.min_lat), self.max_lat)
         clon = min(max(lon, self.min_lon), self.max_lon)
+        east, west = (self.min_lon - lon) % 360.0, (lon - self.max_lon) % 360.0
+        if lon < self.min_lon and west < east:
+            clon = self.max_lon
+        elif lon > self.max_lon and east < west:
+            clon = self.min_lon
         return float(haversine_m(lat, lon, clat, clon))
 
 
-class _Node:
-    """In-memory tree node: a leaf over points, or a parent over nodes.
+@dataclass(slots=True)
+class NodeView:
+    """The read surface of one node, in memory or on a page.
 
-    Its read surface is a decoded page's (``persistent._DecodedPage``):
-    ``is_leaf``, ``ids`` and ``points`` of a leaf, ``children`` (handles;
-    here the nodes themselves) and ``child_mbrs`` of a parent.
+    ``mbr`` is the node's own ``(min_lat, min_lon, max_lat, max_lon)``
+    row.  A leaf has ``ids`` and ``points``; a parent has ``children``
+    (handles: ``(depth, index)`` in memory, page ids on disk) and their
+    ``(n_children, 4)`` ``child_mbrs``.
     """
 
-    __slots__ = ("is_leaf", "ids", "points", "children", "mbr")
-
-    def __init__(self, is_leaf: bool):
-        self.is_leaf = is_leaf
-        self.ids: np.ndarray | None = None  # leaf: (n,) int64
-        self.points: np.ndarray | None = None  # leaf: (n, 2) float64
-        self.children: list[_Node] = []  # internal
-        self.mbr: Rect | None = None
-
-    def recompute_mbr(self) -> None:
-        """The union of the children's MBRs (a leaf's is set when packed)."""
-        mbr = self.children[0].mbr
-        for child in self.children[1:]:
-            mbr = mbr.union(child.mbr)
-        self.mbr = mbr
-
-    @property
-    def child_mbrs(self) -> np.ndarray:
-        """``(n_children, 4)`` rows of the child MBRs, for vectorized pruning.
-
-        Derived on each read, not kept: a kept array would enter the
-        pickle, whose length is a phase-2 small tree's modelled size, and
-        leaving it out costs a Python ``__getstate__``/``__setstate__``
-        per node on every build (docs/PERFORMANCE.md).
-        """
-        mbrs = (child.mbr for child in self.children)
-        return np.array([(m.min_lat, m.min_lon, m.max_lat, m.max_lon) for m in mbrs])
+    is_leaf: bool
+    mbr: np.ndarray
+    ids: np.ndarray | None = None
+    points: np.ndarray | None = None
+    children: list | None = None
+    child_mbrs: np.ndarray | None = None
 
 
-def _chunk_evenly(n: int, size: int) -> Iterator[slice]:
-    for start in range(0, n, size):
-        yield slice(start, min(start + size, n))
+def _str_order(xy: np.ndarray, m: int) -> np.ndarray:
+    """Sort-tile-recursive order of ``(n, 2)`` positions packed ``m`` to a
+    node: sort by latitude, cut near-square vertical slabs of whole nodes,
+    sort each slab by longitude.  Consecutive ``m``-runs are the nodes."""
+    n = len(xy)
+    slab = max(1, math.ceil(math.sqrt(-(-n // m)))) * m
+    order = np.argsort(xy[:, 0], kind="stable")
+    for start in range(0, n, slab):
+        run = order[start : start + slab]
+        order[start : start + slab] = run[np.argsort(xy[run, 1], kind="stable")]
+    return order
+
+
+def _bounds(low: np.ndarray, high: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """MBR rows of the runs of rows beginning at ``starts``: the segmented
+    minimum of ``low`` beside the segmented maximum of ``high``."""
+    return np.hstack((np.minimum.reduceat(low, starts), np.maximum.reduceat(high, starts)))
+
+
+def _regroup(off: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of ``nodes`` (node ``j`` owns ``off[j]:off[j + 1]``)
+    laid end to end in that order, and their new offsets."""
+    counts = np.diff(off)[nodes]
+    segment, k = ragged_arange(counts)
+    return off[:-1][nodes][segment] + k, np.concatenate(([0], np.cumsum(counts)))
+
+
+def _concat_levels(levels: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """One level out of same-depth ``(mbrs, offsets)`` levels of several
+    trees, their entries concatenated in the same order."""
+    ends = np.cumsum([off[-1] for _, off in levels])
+    offsets = [off[1:] + (end - off[-1]) for (_, off), end in zip(levels, ends)]
+    return np.concatenate([mbrs for mbrs, _ in levels]), np.concatenate([[0], *offsets])
 
 
 class RTree:
-    """An R-tree over (latitude, longitude) points with integer ids."""
-
-    #: Handle -> node, called once per node a traversal visits.  The
-    #: identity in memory; a class attribute, so no tree pickle carries it.
-    _resolve = staticmethod(lambda node: node)
+    """An R-tree over (latitude, longitude) points with integer ids, as
+    STR-packed arrays (see the module docstring for the layout)."""
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
-        if max_entries < 2:
-            raise ValueError("max_entries must be >= 2")
-        self.max_entries = max_entries
-        # No traversal reads it, but it is part of the pickle whose length
-        # is a phase-2 small tree's modelled size.
-        self.min_entries = max(1, max_entries // 2)
-        self._root: _Node | None = None
-        self._size = 0
+        # 2.5 would pack like 2 and True like 1: plausible, wrong trees.
+        if not _is_count(max_entries) or max_entries < 2:
+            raise ValueError(f"max_entries must be an integer >= 2, got {max_entries!r}")
+        self.max_entries = int(max_entries)
+        # The arrays come with the first node (see _pack).
+        self._root: tuple[int, int] | None = None
+        self._size = self._height = 0
 
     # -- construction -------------------------------------------------------
     @classmethod
@@ -250,71 +292,55 @@ class RTree:
         if points.ndim != 2 or points.shape[1] != 2:
             raise ValueError("points must be an (n, 2) array")
         n = len(points)
-        if ids is None:
-            ids = np.arange(n, dtype=np.int64)
-        else:
-            ids = np.asarray(ids, dtype=np.int64)
-            if len(ids) != n:
-                raise ValueError("ids length mismatch")
+        ids = np.arange(n, dtype=np.int64) if ids is None else np.asarray(ids, dtype=np.int64)
+        if len(ids) != n:
+            raise ValueError("ids length mismatch")
         if n == 0:
             return tree
-        leaves = tree._str_pack_leaves(points, ids)
-        tree._root = tree._build_upper_levels(leaves)
-        tree._size = n
-        return tree
-
-    def _str_pack_leaves(self, points: np.ndarray, ids: np.ndarray) -> list[_Node]:
-        m = self.max_entries
-        n = len(points)
-        n_leaves = -(-n // m)
-        n_slabs = max(1, int(math.ceil(math.sqrt(n_leaves))))
-        slab_size = n_slabs * m
-        order = np.argsort(points[:, 0], kind="stable")
-        for slab in _chunk_evenly(n, slab_size):
-            slab_idx = order[slab]
-            order[slab] = slab_idx[np.argsort(points[slab_idx, 1], kind="stable")]
+        order = _str_order(points, tree.max_entries)
         # A slab is a whole number of leaves: in packed order every leaf
         # starts at a multiple of m, and one segmented min/max bounds all.
-        points, ids = points[order], ids[order]
-        starts = np.arange(0, n, m)
-        low = np.minimum.reduceat(points, starts, axis=0).tolist()
-        high = np.maximum.reduceat(points, starts, axis=0).tolist()
-        leaves: list[_Node] = []
-        for start, lo, hi in zip(starts.tolist(), low, high):
-            leaf = _Node(is_leaf=True)
-            leaf.ids = ids[start : start + m].copy()
-            leaf.points = points[start : start + m].copy()
-            leaf.mbr = Rect(*lo, *hi)
-            leaves.append(leaf)
-        return leaves
+        starts = np.arange(0, n, tree.max_entries)
+        mbrs = _bounds(points[order], points[order], starts)
+        tree._pack([(mbrs, np.append(starts, n), order)], ids, points)
+        return tree
 
-    def _build_upper_levels(self, nodes: list[_Node]) -> _Node:
-        while len(nodes) > 1:
-            centers = np.array(
-                [
-                    (
-                        (c.mbr.min_lat + c.mbr.max_lat) / 2.0,
-                        (c.mbr.min_lon + c.mbr.max_lon) / 2.0,
-                    )
-                    for c in nodes
-                ]
-            )
-            m = self.max_entries
-            n_parents = -(-len(nodes) // m)
-            n_slabs = max(1, int(math.ceil(math.sqrt(n_parents))))
-            slab_size = n_slabs * m
-            order = np.argsort(centers[:, 0], kind="stable")
-            parents: list[_Node] = []
-            for slab in _chunk_evenly(len(nodes), slab_size):
-                slab_idx = order[slab]
-                slab_order = slab_idx[np.argsort(centers[slab_idx, 1], kind="stable")]
-                for piece in _chunk_evenly(len(slab_order), m):
-                    parent = _Node(is_leaf=False)
-                    parent.children = [nodes[i] for i in slab_order[piece]]
-                    parent.recompute_mbr()
-                    parents.append(parent)
-            nodes = parents
-        return nodes[0]
+    def _pack(self, levels: list, ids: np.ndarray, points: np.ndarray) -> None:
+        """Pack STR parents (MBR: the ``minimum/maximum.reduceat`` of their
+        children's) over the top level of the forest ``levels`` up to one
+        root, then lay the tree out as this tree's arrays.  ``levels`` runs
+        top down as ``(mbrs, offsets, entries)``: node ``j``'s children are
+        rows ``entries[offsets[j]:offsets[j + 1]]`` (``entries`` ``None``:
+        the rows themselves) of the level below, or of ``ids`` / ``points``."""
+        m = self.max_entries
+        mbrs = levels[0][0]
+        while len(mbrs) > 1:
+            order = _str_order((mbrs[:, :2] + mbrs[:, 2:]) / 2.0, m)
+            starts = np.arange(0, len(order), m)
+            mbrs = _bounds(mbrs[order, :2], mbrs[order, 2:], starts)
+            levels.insert(0, (mbrs, np.append(starts, len(order)), order))
+        # Top down, each level takes its parents' order, so that every
+        # parent's children sit side by side.
+        nodes = np.zeros(1, dtype=np.int64)
+        self._levels = []
+        for mbrs, offsets, entries in levels:
+            rows, new_offsets = _regroup(offsets, nodes)
+            self._levels.append((mbrs[nodes], new_offsets))
+            nodes = rows if entries is None else entries[rows]
+        self._ids, self._points = ids[nodes], points[nodes]
+        self._root, self._size, self._height = (0, 0), len(nodes), len(levels)
+
+    def _resolve(self, node: tuple[int, int]) -> NodeView:
+        """The view of node ``(depth, index)``: array slices, no copies."""
+        depth, j = node
+        mbrs, offsets = self._levels[depth]
+        lo, hi = offsets[j : j + 2].tolist()
+        if depth + 1 == self._height:
+            return NodeView(True, mbrs[j], ids=self._ids[lo:hi], points=self._points[lo:hi])
+        below = self._levels[depth + 1][0][lo:hi]
+        return NodeView(
+            False, mbrs[j], children=[(depth + 1, c) for c in range(lo, hi)], child_mbrs=below
+        )
 
     # -- queries ------------------------------------------------------------
     def _scan(self, box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -379,18 +405,16 @@ class RTree:
     def query_radius(self, lat: float, lon: float, radius_m: float) -> np.ndarray:
         """Ids of points within ``radius_m`` metres (Haversine) of a point.
 
-        A latitude/longitude bounding box prunes the tree; survivors are
-        refined with one exact Haversine call.
+        A latitude/longitude bounding box prunes the tree (two boxes for
+        a disc across ±180°); survivors are refined with one exact
+        Haversine call.
         """
-        if not math.isfinite(radius_m):
-            raise ValueError(f"radius must be finite, got {radius_m!r}")
-        if radius_m < 0:
-            raise ValueError("radius must be non-negative")
-        if not (math.isfinite(lat) and math.isfinite(lon)):
-            raise ValueError(f"query coordinates must be finite, got ({lat!r}, {lon!r})")
+        query = _check_radius_queries([[lat, lon]], radius_m)
         if self._root is None:
             return np.empty(0, dtype=np.int64)
-        ids, points = self._scan(_radius_rect(lat, lon, radius_m).as_array())
+        boxes, _ = _radius_boxes(query[:, 0], query[:, 1], radius_m)
+        found = [self._scan(box) for box in boxes]  # two boxes across ±180°
+        ids, points = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
         keep = haversine_m(lat, lon, points[:, 0], points[:, 1]) <= radius_m
         return np.sort(ids[keep])
 
@@ -398,17 +422,16 @@ class RTree:
         """Per-point :meth:`query_radius` for an (n, 2) array of queries.
 
         One shared tree walk answers every query: each visited node
-        carries the subset of query indices whose pruning rectangles
-        intersect it, and the rect-vs-child-MBR test for that whole
-        subset is a single broadcasted comparison instead of ``n``
-        independent traversals.  A leaf refines all of its surviving
-        (query, candidate) pairs with *one* flat Haversine call, and the
-        hits of the whole walk are ordered by ``(query, id)`` in a single
-        sort at the end.  Haversine is elementwise, so a pair's distance
-        does not depend on which call computed it: the result arrays are
-        exactly ``[query_radius(lat, lon, radius_m) for lat, lon in
-        points]`` (the property tests assert it).  The arrays are slices
-        of one shared ``int64`` buffer.
+        carries the subset of pruning boxes that intersect it, and the
+        box-vs-child-MBR test for that whole subset is a single
+        broadcasted comparison instead of ``n`` independent traversals.
+        A leaf refines all of its surviving (query, candidate) pairs with
+        *one* flat Haversine call, and the hits of the whole walk are
+        ordered by ``(query, id)`` in a single sort at the end.  Haversine
+        is elementwise, so a pair's distance does not depend on which call
+        computed it: the result arrays are exactly ``[query_radius(lat,
+        lon, radius_m) for lat, lon in points]`` (the property tests
+        assert it).  The arrays are slices of one shared ``int64`` buffer.
         """
         points = _check_radius_queries(points, radius_m)
         n = len(points)
@@ -417,18 +440,18 @@ class RTree:
             return [empty for _ in range(n)]
         # query_radius takes one row of the same elementwise kernel, so
         # the pruning geometry is bit-identical to the per-point path.
-        rects = _radius_rects(points[:, 0], points[:, 1], radius_m)
-        hit_queries: list[np.ndarray] = []
+        boxes, owner = _radius_boxes(points[:, 0], points[:, 1], radius_m)
+        centres = points[owner]
+        hit_boxes: list[np.ndarray] = []
         hit_ids: list[np.ndarray] = []
-        all_queries = np.arange(n, dtype=np.int64)
-        stack = [(self._root, all_queries)]
+        stack = [(self._root, np.arange(len(boxes)))]
         while stack:
             handle, active = stack.pop()
             node = self._resolve(handle)
-            qarr = rects[active]  # (a, 4)
+            qarr = boxes[active]  # (a, 4)
             if node.is_leaf:
                 pts = node.points
-                # (a, m) inclusion mask: leaf point inside each query rect.
+                # (a, m) inclusion mask: leaf point inside each query box.
                 rows, cols = np.nonzero(
                     (pts[None, :, 0] >= qarr[:, 0, None])
                     & (pts[None, :, 1] >= qarr[:, 1, None])
@@ -437,17 +460,17 @@ class RTree:
                 )
                 if len(rows) == 0:
                     continue
-                queries = active[rows]
+                hits = active[rows]
                 dist = haversine_m(
-                    points[queries, 0], points[queries, 1], pts[cols, 0], pts[cols, 1]
+                    centres[hits, 0], centres[hits, 1], pts[cols, 0], pts[cols, 1]
                 )
                 keep = dist <= radius_m
                 if keep.any():
-                    hit_queries.append(queries[keep])
+                    hit_boxes.append(hits[keep])
                     hit_ids.append(node.ids[cols[keep]])
             else:
                 mbrs = node.child_mbrs  # (c, 4)
-                # (a, c) intersection matrix: query rect vs child MBR.
+                # (a, c) intersection matrix: query box vs child MBR.
                 hit = ~(
                     (mbrs[None, :, 0] > qarr[:, 2, None])
                     | (mbrs[None, :, 2] < qarr[:, 0, None])
@@ -460,7 +483,7 @@ class RTree:
         if not hit_ids:
             return [empty for _ in range(n)]
         ids, counts = _order_hits_by_query(
-            np.concatenate(hit_queries), np.concatenate(hit_ids), n
+            owner[np.concatenate(hit_boxes)], np.concatenate(hit_ids), n
         )
         return np.split(ids, np.cumsum(counts)[:-1])
 
@@ -469,14 +492,15 @@ class RTree:
         first.  Best-first search over node MBR min-distances.
 
         A node's children are priced by one clamped Haversine call over
-        ``child_mbrs`` — :meth:`Rect.min_dist_m` array-at-a-time — and
-        pushed in child order, so ties break as in the scalar search.  A
-        *node's* priority may differ from the scalar one in its last bit
-        (NumPy squares arrays by multiplying, scalars through ``pow``);
-        returned distances are leaf distances, always array-computed.
+        ``child_mbrs`` — :meth:`Rect.min_dist_m` array-at-a-time, the
+        way round ±180° included — and pushed in child order, so ties
+        break as in the scalar search.  A *node's* priority may differ
+        from the scalar one in its last bit (NumPy squares arrays by
+        multiplying, scalars through ``pow``); returned distances are leaf
+        distances, always array-computed.
         """
         # 1.5 would act as 2 and True as 1: plausible, wrong neighbour counts.
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        if not _is_count(k):
             raise ValueError(f"k must be an integer, got {k!r}")
         if k <= 0:
             raise ValueError("k must be positive")
@@ -492,6 +516,7 @@ class RTree:
             (0.0, next(counter), False, self._root)
         ]
         result: list[tuple[int, float]] = []
+        seam = None  # may a bound's nearest longitude lie across ±180°?
         while heap and len(result) < k:
             dist, _, is_point, payload = heapq.heappop(heap)
             if is_point:
@@ -504,9 +529,19 @@ class RTree:
                 for pid, d in zip(node.ids.tolist(), dists):
                     heapq.heappush(heap, (d, next(counter), True, pid))
             else:
+                if seam is None:
+                    # Every MBR lies in the root's longitudes: only a box
+                    # that wide, that far off, is nearer the way round.
+                    _, low, _, high = node.mbr.tolist()
+                    seam = 2.0 * max(lon - low, high - lon) + high - low > 360.0
                 mbrs = node.child_mbrs
                 clat = np.minimum(np.maximum(lat, mbrs[:, 0]), mbrs[:, 2])
                 clon = np.minimum(np.maximum(lon, mbrs[:, 1]), mbrs[:, 3])
+                if seam:  # the other edge, where the way round is shorter
+                    lo, hi = mbrs[:, 1], mbrs[:, 3]
+                    east, west = (lo - lon) % 360.0, (lon - hi) % 360.0
+                    clon = np.where((lon < lo) & (west < east), hi, clon)
+                    clon = np.where((lon > hi) & (east < west), lo, clon)
                 dists = haversine_m(lat, lon, clat, clon).tolist()
                 for child, d in zip(node.children, dists):
                     heapq.heappush(heap, (d, next(counter), False, child))
@@ -518,12 +553,7 @@ class RTree:
 
     def height(self) -> int:
         """Number of levels (0 for an empty tree, 1 for a single leaf)."""
-        h, handle = 0, self._root
-        while handle is not None:
-            h += 1
-            node = self._resolve(handle)
-            handle = None if node.is_leaf else node.children[0]
-        return h
+        return self._height
 
     # -- merging (Figure 6, phase 3) ------------------------------------------
     @classmethod
@@ -531,31 +561,30 @@ class RTree:
         """Merge small R-trees into one global index.
 
         When all inputs have equal height (the common case for STR-packed
-        equal-size partitions) their roots are packed under new upper
-        levels directly.  Mixed heights fall back to re-packing all leaf
-        nodes, which preserves the entries while keeping the tree balanced.
+        equal-size partitions) their levels are concatenated and their
+        roots packed under new upper levels.  Mixed heights fall back to
+        re-packing all leaves (each tree's last leaf first), which keeps
+        the entries while keeping the tree balanced.
         """
         trees = [t for t in trees if t._root is not None]
         if not trees:
             return cls()
         if len(trees) == 1:
             return trees[0]
-        max_entries = trees[0].max_entries
-        merged = cls(max_entries=max_entries)
-        heights = {t.height() for t in trees}
-        if len(heights) == 1:
-            roots = [t._root for t in trees]
-            merged._root = merged._build_upper_levels(roots)
+        merged = cls(max_entries=trees[0].max_entries)
+        if len({t.height() for t in trees}) == 1:
+            levels = [
+                (*_concat_levels(list(depth)), None) for depth in zip(*(t._levels for t in trees))
+            ]
         else:
-            leaves: list[_Node] = []
-            for t in trees:
-                stack = [t._root]
-                while stack:
-                    node = stack.pop()
-                    if node.is_leaf:
-                        leaves.append(node)
-                    else:
-                        stack.extend(node.children)
-            merged._root = merged._build_upper_levels(leaves)
-        merged._size = sum(len(t) for t in trees)
+            mbrs, offsets = _concat_levels([t._levels[-1] for t in trees])
+            counts = [len(t._levels[-1][0]) for t in trees]
+            reverse = np.repeat(np.cumsum(counts), counts) - 1 - ragged_arange(counts)[1]
+            rows, offsets = _regroup(offsets, reverse)
+            levels = [(mbrs[reverse], offsets, rows)]
+        merged._pack(
+            levels,
+            np.concatenate([t._ids for t in trees]),
+            np.concatenate([t._points for t in trees]),
+        )
         return merged

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geo.grid import finite_column
-from repro.index.rtree import RTree
+from repro.index.rtree import RTree, _is_count
 from repro.index.spacefilling import DEFAULT_ORDER, get_curve
 from repro.mapreduce.config import Configuration
 from repro.mapreduce.job import JobSpec, Mapper, Partitioner, Reducer
@@ -215,11 +215,15 @@ def build_rtree_mapreduce(
     """
     if n_partitions < 1:
         raise ValueError("n_partitions must be >= 1")
+    # 0 would route every point to partition 0, 2.5 sample like 2.
+    if not _is_count(sample_per_chunk) or sample_per_chunk < 1:
+        raise ValueError(f"sample_per_chunk must be an integer >= 1, got {sample_per_chunk!r}")
+    empty = RTree(max_entries=max_entries)  # validates max_entries before any job
     get_curve(curve)  # validate early
     hdfs = runner.hdfs
     bounds = _dataset_bounds(hdfs, input_path)
     if bounds is None:
-        return RTreeBuildResult(RTree(max_entries=max_entries), np.empty(0), {}, 0.0, 0.0, 0.0, curve)
+        return RTreeBuildResult(empty, np.empty(0), {}, 0.0, 0.0, 0.0, curve)
 
     conf = Configuration(
         {

@@ -25,15 +25,11 @@ import numpy as np
 
 from repro.geo.distance import haversine_m
 from repro.geo.grid import unique_rows
-from repro.index.rtree import _check_radius_queries, _order_hits_by_query
+# Below the true ~111,195 m/deg of the Haversine sphere, so a grid cell is
+# at least radius-sized in both axes and no pair escapes the 3x3 join.
+from repro.index.rtree import _M_PER_DEG_LAT, _check_radius_queries, _order_hits_by_query
 
 __all__ = ["radius_self_join", "self_join_csr"]
-
-# Deliberately below the true ~111,195 m/deg of the Haversine sphere so a
-# grid cell is always *at least* radius-sized in both axes; with the exact
-# constant two in-radius points could straddle two band boundaries and
-# escape the 3x3 neighbourhood join.
-_M_PER_DEG_LAT = 111_000.0
 
 #: (row, candidate) pairs refined per Haversine call: the join's
 #: transients are a dozen arrays of this length whatever the cell

@@ -100,18 +100,19 @@ def check_invariants(tree) -> None:
 
     def visit(handle, depth: int) -> Rect:
         node = tree._resolve(handle)
+        mbr = Rect(*node.mbr.tolist())
         if node.is_leaf:
             depths.add(depth)
-            assert node.mbr == Rect(*node.points.min(axis=0), *node.points.max(axis=0))
-            return node.mbr
+            assert mbr == Rect(*node.points.min(axis=0), *node.points.max(axis=0))
+            return mbr
         mbrs = [visit(child, depth + 1) for child in node.children]
         assert np.array_equal(
             node.child_mbrs, [m.as_array() for m in mbrs]
         ), "child MBR rows do not match the children"
-        mbr = mbrs[0]
+        union = mbrs[0]
         for other in mbrs[1:]:
-            mbr = mbr.union(other)
-        assert node.mbr == mbr, "internal MBR does not cover children"
+            union = union.union(other)
+        assert mbr == union, "internal MBR does not cover children"
         return mbr
 
     visit(tree._root, 0)

@@ -12,9 +12,14 @@ concatenating the input to take its bounding box, so it pins what those
 changes promised to keep: every curve key, hence every boundary and
 partition, every page, every simulated second and every page-in.
 
+The budgeted cells' ``pages_in`` / ``pages_out`` were re-recorded once,
+when a phase-2 small tree became STR-packed arrays: a small tree's
+pickle is its modelled record size, so the 1 MB store pages it
+differently; every other field kept its bits.
+
 A kernel change must never change this file.  Re-record it only for a
-deliberate change of the curve, the sampling, the page format or the
-cost model::
+deliberate change of the curve, the sampling, the page format, the cost
+model or a small tree's modelled size::
 
     PYTHONPATH=src python tests/index/make_build_golden.py
 

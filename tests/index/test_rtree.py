@@ -97,7 +97,8 @@ class TestBulkLoad:
         tree = RTree.bulk_load(pts, max_entries=8)
         check_invariants(tree)
 
-        def check(node):
+        def check(handle):
+            node = tree._resolve(handle)
             if node.is_leaf:
                 assert len(node.ids) <= 8
             else:

@@ -178,3 +178,53 @@ def test_build_rtree_mapreduce_rejects_non_finite_rows_before_any_job(monkeypatc
         with pytest.raises(ValueError, match="coordinates must be finite"):
             build_rtree_mapreduce(runner, "traces", n_partitions=4, curve=curve)
     assert jobs == []
+
+
+@pytest.mark.parametrize("bad", [2.5, True, 1, 0, np.float64(8.0)])
+def test_rtree_requires_an_integer_fanout_of_at_least_two(bad):
+    # 2.5 packed like 2 and True like 1: a plausible, wrong tree.
+    with pytest.raises(ValueError, match="max_entries must be"):
+        RTree(max_entries=bad)
+    with pytest.raises(ValueError, match="max_entries must be"):
+        RTree.bulk_load(city_points(50, seed=1), max_entries=bad)
+    assert RTree.bulk_load(city_points(50, seed=1), max_entries=np.int64(4)).max_entries == 4
+
+
+@pytest.fixture
+def five_thousand():
+    pts = city_points(5_000, seed=21)
+    hdfs = SimulatedHDFS(paper_cluster(3), chunk_size=16 * 1024, seed=0)
+    hdfs.put_trace_array(
+        "traces", TraceArray.from_columns(["u"], pts[:, 0], pts[:, 1], np.arange(5_000.0))
+    )
+    return JobRunner(hdfs)
+
+
+def test_build_rtree_mapreduce_rejects_a_fractional_fanout(monkeypatch, five_thousand):
+    # max_entries=2.5 used to build a tree silently.
+    jobs = count_calls(monkeypatch, five_thousand, "run")
+    with pytest.raises(ValueError, match="max_entries must be an integer >= 2"):
+        build_rtree_mapreduce(five_thousand, "traces", n_partitions=4, max_entries=2.5)
+    assert jobs == []
+
+
+def test_build_rtree_mapreduce_rejects_a_zero_sample(monkeypatch, five_thousand):
+    # sample_per_chunk=0 sampled nothing, so every point of a 4-partition
+    # build went to partition 0.
+    jobs = count_calls(monkeypatch, five_thousand, "run")
+    for bad in (0, 2.5, True):
+        with pytest.raises(ValueError, match="sample_per_chunk must be"):
+            build_rtree_mapreduce(
+                five_thousand, "traces", n_partitions=4, sample_per_chunk=bad
+            )
+    assert jobs == []
+
+
+def test_build_rtree_mapreduce_rejects_a_fanout_of_one_before_any_job(
+    monkeypatch, five_thousand
+):
+    # max_entries=1 used to fail only in a phase-2 reducer, after phase 1 ran.
+    jobs = count_calls(monkeypatch, five_thousand, "run")
+    with pytest.raises(ValueError, match="max_entries must be an integer >= 2"):
+        build_rtree_mapreduce(five_thousand, "traces", n_partitions=4, max_entries=1)
+    assert jobs == []

@@ -99,6 +99,8 @@ REASONS: dict[str, str] = {
         "test_kmeans_lift_pairs_matches_object_loop_bitwise folds it against lift_pairs",
     "repro.index.rtree:Rect.min_dist_m": "oracle: test_rtree_properties' scalar "
         "best-first kNN prices children with it",
+    "repro.index.rtree:Rect.union": "oracle: tests/conftest.py's check_invariants "
+        "folds a node's child MBRs with it against the packed reduceat bounds",
     "repro.mapreduce.counters:Counters.__eq__": "oracle: the backend suites compare "
         "pooled outcomes, counters included, with the serial backend's",
     "repro.geo.trace:MobilityTrace.__post_init__": "safety: "

@@ -1,7 +1,7 @@
 """Property-based tests: the batched radius query's pruning rectangles,
 built for all queries in one array pass, are bit for bit the per-query
-rectangles — the one-row ``_radius_rect`` that ``query_radius`` prunes
-with, and the ``math``-module helper the array form replaced (kept in
+rectangles — the one-row call that ``query_radius`` prunes with, and the
+``math``-module helper the array form replaced (kept in
 ``tests/conftest.py``) — at the poles, at the ±180° clamp and for radii
 from 0 to 5 km."""
 
@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index.rtree import _radius_rect, _radius_rects
+from repro.index.rtree import _radius_rects
 from tests.conftest import radius_rect_oracle
 
 #: Anywhere, plus the places the rectangle is clamped or widened:
@@ -39,11 +39,8 @@ def test_array_rectangles_equal_the_per_query_rectangles(points, radius):
     pts = np.array(points, dtype=np.float64)
     rects = _radius_rects(pts[:, 0], pts[:, 1], radius)
     assert rects.shape == (len(pts), 4) and rects.dtype == np.float64
-    one_row = [_radius_rect(lat, lon, radius) for lat, lon in points]
-    assert np.array_equal(
-        _bits(rects),
-        _bits([(r.min_lat, r.min_lon, r.max_lat, r.max_lon) for r in one_row]),
-    )
+    one_row = [_radius_rects(np.array([lat]), np.array([lon]), radius)[0] for lat, lon in points]
+    assert np.array_equal(_bits(rects), _bits(one_row))
     assert np.array_equal(_bits(rects), _bits([radius_rect_oracle(*p, radius) for p in points]))
 
 

@@ -107,7 +107,7 @@ def reference_knn(tree, lat, lon, k):
     tree's node handles through the tree's own resolver."""
     counter = itertools.count()
     root = tree._resolve(tree._root)
-    heap = [(root.mbr.min_dist_m(lat, lon), next(counter), False, tree._root)]
+    heap = [(Rect(*root.mbr).min_dist_m(lat, lon), next(counter), False, tree._root)]
     result = []
     while heap and len(result) < k:
         dist, _, is_point, payload = heapq.heappop(heap)
@@ -172,7 +172,7 @@ def test_bulk_load_leaf_mbrs_are_exact(points, fanout):
     pts = np.array(points)
     tree = RTree.bulk_load(pts, max_entries=fanout)
     leaves = list(_leaves(tree, tree._root))
-    assert [leaf.mbr for leaf in leaves] == [
+    assert [Rect(*leaf.mbr) for leaf in leaves] == [
         Rect(*leaf.points.min(axis=0), *leaf.points.max(axis=0)) for leaf in leaves
     ]
     assert all(1 <= len(leaf.ids) <= fanout for leaf in leaves)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.geo.distance import haversine_m
 from repro.index import selfjoin
-from repro.index.rtree import RTree, _radius_rect
+from repro.index.rtree import RTree, _radius_rects
 from repro.index.selfjoin import radius_self_join
 from tests.conftest import radius_self_join_oracle
 from tests.index.test_persistent_properties import _persist
@@ -103,8 +103,8 @@ def test_batch_with_pole_wrapping_rectangles(points, radius, hemisphere):
     _assert_batch_equals_per_point(tree, pts, radius)
     # A query on the pole itself always gets the all-longitude rectangle.
     pole = np.array([[90.0 * hemisphere, 0.0]])
-    rect = _radius_rect(pole[0, 0], pole[0, 1], radius)
-    assert (rect.min_lon, rect.max_lon) == (-180.0, 180.0)
+    rect = _radius_rects(pole[:, 0], pole[:, 1], radius)[0]
+    assert (rect[1], rect[3]) == (-180.0, 180.0)
     _assert_batch_equals_per_point(tree, pole, radius)
 
 
