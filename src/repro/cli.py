@@ -18,7 +18,6 @@ Commands
 ``sweep``      privacy-vs-utility frontier over sanitizer cells (docs/ATTACKS.md)
 ``history``    render a job-history trace report (docs/OBSERVABILITY.md)
 ``chaos``      seeded fault-injection campaign over a driver (docs/CHAOS.md)
-``bench``      one of the six deterministic suites, gated against its baseline (docs/PERFORMANCE.md)
 ``submit``     submit one job to a JobService and trace its future (docs/JOBSERVICE.md)
 ``service``    multi-tenant campaign over the algorithm drivers (docs/JOBSERVICE.md)
 ``query``      build/reuse a persistent R-tree and serve queries from it (docs/SERVING.md)
@@ -347,103 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="serial",
         help="execution backend to run the campaign on (the report must "
         "be identical for all of them)",
-    )
-
-    ben = sub.add_parser(
-        "bench",
-        help="run one benchmark suite, gated against its committed baseline",
-        description=(
-            "Runs one of the six suites (a mode flag picks it), checks "
-            "the suite's intrinsic gates, prints a table, and optionally "
-            "writes the JSON document / checks it against a committed "
-            "baseline (docs/PERFORMANCE.md).  Every document is a pure "
-            "function of the code and the parameters; wall-clock and peak "
-            "RSS are measured by benchmarks/e2e/run.py."
-        ),
-    )
-    ben.add_argument(
-        "--sizes",
-        default=",".join(str(s) for s in (100_000, 1_000_000)),
-        help="comma-separated corpus sizes in traces",
-    )
-    ben.add_argument(
-        "--backends",
-        default=",".join(BACKENDS),
-        help="comma-separated subset of: " + ", ".join(BACKENDS),
-    )
-    ben.add_argument("--k", type=int, default=4, help="k-means cluster count")
-    ben.add_argument("--max-iter", type=int, default=3, help="k-means iterations")
-    ben.add_argument(
-        "--workers", type=int, default=None,
-        help="pool size for threads/processes (default: backend-specific)",
-    )
-    ben.add_argument("--out", help="write the JSON result document here")
-    ben.add_argument(
-        "--check", action="store_true",
-        help="compare against --baseline and exit 1 on drift",
-    )
-    ben.add_argument(
-        "--baseline", default=None,
-        help="baseline JSON for --check (default: the selected suite's committed "
-        "benchmarks/results/BENCH_<suite>.json)",
-    )
-    ben.add_argument(
-        "--budget-mb", type=float, default=8.0,
-        help="memory budget for the budgeted cells (default 8)",
-    )
-    # One suite per run (repro.mapreduce.bench.SUITES).
-    mode = ben.add_mutually_exclusive_group(required=True)
-    mode.add_argument(
-        "--spill", action="store_const", const="spill", dest="suite",
-        help="benchmark out-of-core execution: the same run with and "
-        "without a memory budget, spill and paging counters per cell "
-        "(serial backend, combiner off)",
-    )
-    mode.add_argument(
-        "--multitenant", action="store_const", const="multitenant", dest="suite",
-        help="benchmark the multi-tenant JobService: a weighted "
-        "tenant roster drains a mixed backlog under fair share; reports "
-        "contended-window fairness, interleaved vs serial makespan, and "
-        "the result-cache resubmission cell (fixed workload so the "
-        "document doubles as a baseline; combine with --check/--out)",
-    )
-    mode.add_argument(
-        "--query", action="store_const", const="query", dest="suite",
-        help="benchmark the index serving path: persist the "
-        "Figure-6 R-tree through the catalog under --budget-mb, prove "
-        "the second ensure is a zero-job reuse hit, and answer a seeded "
-        "point/range/radius/kNN workload byte-identically to the "
-        "in-memory tree (fixed workload so the document doubles as a "
-        "baseline; combine with --check/--out)",
-    )
-    mode.add_argument(
-        "--stream", action="store_const", const="stream", dest="suite",
-        help="benchmark the streaming layer: a warm windowed run "
-        "over a stationary 10^5-point corpus under fixed feed chaos, a "
-        "cold control proving the warm start saves k-means iterations, "
-        "the batch-vs-stream equivalence matrix on every backend, and a "
-        "result-cache replay probe (fixed workload so the document "
-        "doubles as a baseline; combine with --check/--out)",
-    )
-    mode.add_argument(
-        "--shuffle", action="store_const", const="shuffle", dest="suite",
-        help="benchmark shuffle-byte minimization: the same "
-        "10^6-trace k-means run with the object-level combiner vs the "
-        "declared aggregation algebra (map-side vectorized pre-agg + "
-        "metadata-only shuffle + locality-aware reduce placement) on "
-        "every backend; gates the >=10x shuffle-byte reduction and "
-        "per-mode byte-identical centroids (fixed workload so the "
-        "document doubles as a baseline; combine with --check/--out)",
-    )
-    mode.add_argument(
-        "--attack", action="store_const", const="attack", dest="suite",
-        help="benchmark the MapReduce linkage attack: an "
-        "equivalence matrix proving the MR attack byte-identical to the "
-        "serial reference on every backend, under a memory budget, and "
-        "under a fixed chaos schedule, plus a 10^5-user scale cell "
-        "whose persistent-index audit proves the candidate blocking "
-        "lossless (fixed workload so the document doubles as a "
-        "baseline; combine with --check/--out)",
     )
 
     smt = sub.add_parser(
@@ -957,46 +859,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"chaotic run history exported to {args.history}")
         return 0 if report.ok else 1
 
-    if args.command == "bench":
-        from repro.mapreduce.bench import SUITES, compare_to_baseline, load_result, save_result
-
-        suite = SUITES[args.suite]
-        try:
-            options = vars(args) | {
-                "sizes": [int(s) for s in args.sizes.split(",") if s.strip()],
-                "backends": [b.strip() for b in args.backends.split(",") if b.strip()],
-            }
-            if not options["sizes"]:
-                raise ValueError("--sizes names no corpus size")
-            if not options["backends"]:
-                raise ValueError("--backends names no backend")
-            doc = suite.run(**{name: options[name] for name in suite.options})
-        except (ValueError, RuntimeError) as exc:
-            raise SystemExit(f"bench: {exc}")
-        print(suite.render(doc))
-        problems = suite.gates(doc)
-        baseline_path = args.baseline or suite.baseline
-        compared = ""
-        if args.check:
-            try:
-                problems += compare_to_baseline(suite, doc, load_result(baseline_path))
-                compared = f"; no drift from baseline {baseline_path}"
-            except FileNotFoundError:
-                print(f"(no baseline at {baseline_path}; intrinsic gates only)")
-        # Generation mode rewrites the committed baseline only with a
-        # document that passed its gates; --check and a failing run write
-        # only where --out says.
-        out = args.out or (None if args.check or problems else suite.baseline)
-        if out:
-            print(f"result written to {save_result(doc, out)}")
-        if problems:
-            print(f"\nFAILED gates ({suite.name}):")
-            for problem in problems:
-                print(f"  {problem}")
-            return 1
-        print(f"\nall {suite.name} gates passed{compared}")
-        return 0
-
     if args.command == "submit":
         from repro.algorithms.sampling import SamplingMapper
         from repro.mapreduce.cluster import paper_cluster
@@ -1150,19 +1012,28 @@ def main(argv: list[str] | None = None) -> int:
             raise SystemExit("query: --traces must be positive")
         if args.budget_mb is not None and args.budget_mb <= 0:
             raise SystemExit("query: --budget-mb must be positive")
+        if args.queries < 1:
+            raise SystemExit("query: --queries must be positive")
         explicit: list[tuple[str, tuple[float, ...]]] = []
         if args.point:
             explicit.append(("point", parse_floats(args.point, 2, "--point")))
         if args.range_query:
-            explicit.append(("range", parse_floats(args.range_query, 4, "--range")))
+            rect = parse_floats(args.range_query, 4, "--range")
+            if rect[0] > rect[2] or rect[1] > rect[3]:
+                raise SystemExit(
+                    f"query: --range wants min_lat <= max_lat and min_lon <= max_lon, "
+                    f"got {args.range_query!r}"
+                )
+            explicit.append(("range", rect))
         if args.radius_query:
-            explicit.append(
-                ("radius", parse_floats(args.radius_query, 3, "--radius-query"))
-            )
+            lat, lon, radius = parse_floats(args.radius_query, 3, "--radius-query")
+            if radius < 0:
+                raise SystemExit("query: --radius-query radius must be non-negative")
+            explicit.append(("radius", (lat, lon, radius)))
         if args.knn:
             lat, lon, k = parse_floats(args.knn, 3, "--knn")
-            if k < 1:
-                raise SystemExit("query: --knn k must be positive")
+            if k < 1 or k != int(k):
+                raise SystemExit(f"query: --knn k must be a positive integer, got {k:g}")
             explicit.append(("knn", (lat, lon, int(k))))
         corpus = synthetic_corpus(args.traces, seed=args.seed)
         with fresh_runner(

@@ -1,19 +1,22 @@
-"""The deterministic benchmark suites behind ``repro bench``.
+"""The six deterministic benchmark suites and their golden documents.
 
 The simulator's cost model answers "what would this cost on the paper's
 cluster?"; each suite here runs one subsystem (spill, multitenant,
-query, stream, shuffle, attack) at a fixed workload and records what the
-run *did* — simulated seconds, shuffle bytes, spill and paging counters,
-page faults, iteration counts, result digests.  Every suite is one
-:class:`Suite` declaration in :data:`SUITES`, and every result document
-doubles as a regression baseline: :func:`compare_to_baseline` holds a
-fresh run's declared paths to the committed ``BENCH_<suite>.json``.
+query, stream, shuffle, attack) at one fixed workload and records what
+the run *did* — simulated seconds, shuffle bytes, spill and paging
+counters, page faults, iteration counts, result digests.  Every suite is
+one :class:`Suite` in :data:`SUITES`: a run function that takes no
+arguments and gates that check the finished document.
 
-A document is a pure function of the code and the parameters: nothing
-here reads a clock or a resource meter, so two runs write identical
-files.  Wall-clock and peak RSS are measured in one place,
-``benchmarks/e2e/run.py`` (docs/PERFORMANCE.md, "Where wall-clock is
-measured"), which imports this module's corpus generators.
+A document is a pure function of the code: nothing here reads a clock
+or a resource meter, so every run writes the same bytes.  That makes
+each committed ``BENCH_<suite>.json`` a golden: a suite is correct iff
+its gates pass and :func:`save_result` writes the committed file byte
+for byte (``tests/make_bench_goldens.py`` regenerates them,
+``tests/test_bench_goldens.py`` checks them).  Wall-clock and peak RSS
+are measured in one place, ``benchmarks/e2e/run.py`` (docs/PERFORMANCE.md,
+"Where wall-clock is measured"), which imports this module's corpus
+generators.
 """
 
 from __future__ import annotations
@@ -41,16 +44,11 @@ __all__ = [
     "matches_reference",
     "Suite",
     "SUITES",
-    "compare_to_baseline",
     "save_result",
-    "load_result",
 ]
 
-#: Corpus sizes the trajectory is measured over (traces).
-DEFAULT_SIZES = (100_000, 1_000_000)
-
-#: The contention roster: three tenants with 3:2:1 weights.
-DEFAULT_TENANT_WEIGHTS = {"alice": 3.0, "bob": 2.0, "carol": 1.0}
+#: Corpus sizes the spill and query trajectories are measured over (traces).
+SIZES = (100_000, 1_000_000)
 
 _SCHEMA = 1
 
@@ -155,12 +153,6 @@ def _kmeans_cell(
     return cell, runner
 
 
-def _check_backends(backends: Sequence[str]) -> None:
-    unknown = [b for b in backends if b not in BACKENDS]
-    if unknown:
-        raise ValueError(f"unknown backend(s) {unknown}; choose from {list(BACKENDS)}")
-
-
 def _divergence(cells: Mapping[str, Mapping], keys: Sequence[str], where: str) -> list[str]:
     """Cells whose ``keys`` differ from the first cell's — a benchmark of
     diverging computations would be meaningless."""
@@ -180,15 +172,12 @@ def _require_identical(cells: Mapping[str, Mapping], keys: Sequence[str], where:
 
 
 def save_result(doc: Mapping[str, Any], path: str | Path) -> Path:
+    """Write ``doc`` in the golden format: sorted keys, two-space indent,
+    one trailing newline."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return path
-
-
-def load_result(path: str | Path) -> dict[str, Any]:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +196,7 @@ def _spill_cell(
     spill.
     """
     kmeans, runner = _kmeans_cell(
-        synthetic_corpus_blocks(int(size), seed=seed),
+        synthetic_corpus_blocks(size, seed=seed),
         _blob_centers(np.random.default_rng(seed), k),
         max_iter=max_iter,
         chunk_mb=chunk_mb,
@@ -223,40 +212,31 @@ def _spill_cell(
     }
 
 
-def _run_spill(
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    budget_mb: float = 8.0,
-    *,
-    k: int = 4,
-    max_iter: int = 3,
-    chunk_mb: int = 2,
-    seed: int = 0,
-) -> dict[str, Any]:
+def _run_spill() -> dict[str, Any]:
     """Spill-on/off trajectory: what left memory at each size.
 
     For each corpus size, the same combiner-less k-means run executes
     twice on the serial backend — once unbudgeted (everything resident)
-    and once under ``budget_mb`` (chunk store pages, map outputs and
-    shuffle spill to disk) — and each cell records its spill and paging
-    counters.
+    and once under a 1 MB budget (chunk store pages, map outputs and
+    shuffle spill to disk; the budget bites at both sizes) — and each
+    cell records its spill and paging counters.
 
     Centroids must be byte-identical across the two cells of a size —
     the budget is an execution detail, never an answer change — which
     :func:`_gates_spill` checks on the finished document.
     """
-    if budget_mb <= 0:
-        raise ValueError("budget_mb must be positive")
+    budget_mb, k, max_iter, chunk_mb, seed = 1.0, 4, 3, 2, 0
     results = [
         {
-            "size": int(size),
+            "size": size,
             "cells": {
                 label: _spill_cell(
-                    int(size), budget, k=k, max_iter=max_iter, chunk_mb=chunk_mb, seed=seed
+                    size, budget, k=k, max_iter=max_iter, chunk_mb=chunk_mb, seed=seed
                 )
                 for label, budget in (("unbudgeted", None), ("budgeted", budget_mb))
             },
         }
-        for size in sizes
+        for size in SIZES
     ]
     return {
         "schema": _SCHEMA,
@@ -275,7 +255,7 @@ def _run_spill(
 
 
 def _gates_spill(doc: Mapping[str, Any]) -> list[str]:
-    """Intrinsic gates on one spill document (no baseline needed).
+    """The gates on one spill document.
 
     * at every size the budgeted and unbudgeted cells produced
       byte-identical centroids in the same iteration count;
@@ -304,25 +284,18 @@ def _gates_spill(doc: Mapping[str, Any]) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Multi-tenant contention benchmark (repro bench --multitenant).
+# Multi-tenant contention benchmark.
 # ---------------------------------------------------------------------------
 
 
-def _run_multitenant(
-    n_traces: int = 50_000,
-    tenants: Mapping[str, float] | None = None,
-    jobs_per_tenant: int = 4,
-    *,
-    k: int = 4,
-    chunk_mb: int = 1,
-    seed: int = 0,
-) -> dict[str, Any]:
+def _run_multitenant() -> dict[str, Any]:
     """Contention run: a weighted tenant roster floods one JobService.
 
-    Every tenant submits a mixed backlog — single-pass k-means jobs
-    (map + combine + shuffle + reduce, per-job centroids through the
-    tenant's distributed cache) and map-only sampling jobs (per-tenant
-    window sizes, so nothing dedups across tenants) — against a *paused*
+    Every tenant of a 3:2:1 roster submits a backlog of four jobs over
+    one 50,000-trace corpus — two single-pass k-means jobs (map + combine
+    + shuffle + reduce, per-job centroids through the tenant's
+    distributed cache) and two map-only sampling jobs (per-tenant window
+    sizes, so nothing dedups across tenants) — against a *paused*
     service, then the dispatcher opens and drains the whole backlog
     under weighted fair share.  The first tenant additionally resubmits
     its first sampling spec verbatim under a fresh output path: the
@@ -331,8 +304,7 @@ def _run_multitenant(
 
     Reported: the fair-share interleave's simulated makespan vs the
     serial sum, the contended-window fairness shares, and the cache
-    economics — all deterministic, so they double as a regression
-    baseline.
+    economics — all deterministic.
     """
     from repro.algorithms.kmeans import (
         CENTROIDS_CACHE_KEY,
@@ -345,10 +317,9 @@ def _run_multitenant(
     from repro.mapreduce.job import JobSpec
     from repro.mapreduce.service import JobService
 
-    weights = dict(tenants) if tenants else dict(DEFAULT_TENANT_WEIGHTS)
-    if jobs_per_tenant < 2:
-        raise ValueError("jobs_per_tenant must be >= 2 (the mix needs both kinds)")
-    corpus = synthetic_corpus(int(n_traces), seed=seed)
+    n_traces, jobs_per_tenant, k, chunk_mb, seed = 50_000, 4, 4, 1, 0
+    weights = {"alice": 3.0, "bob": 2.0, "carol": 1.0}
+    corpus = synthetic_corpus(n_traces, seed=seed)
     hdfs = SimulatedHDFS(paper_cluster(4), chunk_size=chunk_mb * MB, seed=0)
     hdfs.put_trace_array("input/traces", corpus)
     futures: dict[tuple[str, str], Any] = {}
@@ -431,8 +402,8 @@ def _run_multitenant(
     return {
         "schema": _SCHEMA,
         "workload": {
-            "n_traces": int(n_traces),
-            "jobs_per_tenant": int(jobs_per_tenant),
+            "n_traces": n_traces,
+            "jobs_per_tenant": jobs_per_tenant,
             "mix": "kmeans single-pass + map-only sampling",
             "k": k,
             "chunk_mb": chunk_mb,
@@ -459,19 +430,17 @@ def _run_multitenant(
     }
 
 
-def _gates_multitenant(
-    doc: Mapping[str, Any], fairness_tolerance: float = 0.2
-) -> list[str]:
-    """Intrinsic gates on one multi-tenant document (no baseline needed).
+def _gates_multitenant(doc: Mapping[str, Any]) -> list[str]:
+    """The gates on one multi-tenant document.
 
     * no tenant's contended-window slot share deviates from its weight
-      share by more than ``fairness_tolerance`` (the paper-level 20%
-      fair-share gate);
+      share by more than 20% (the paper-level fair-share gate);
     * the resubmission cell was a result-cache hit that ran zero map
       tasks;
     * the fair-share interleave is no slower than running the same jobs
       back to back.
     """
+    fairness_tolerance = 0.2
     problems: list[str] = []
     sim = doc.get("simulated", {})
     deviation = float(sim.get("max_abs_fairness_deviation", 1.0))
@@ -498,70 +467,8 @@ def _gates_multitenant(
     return problems
 
 
-def _render_multitenant(doc: Mapping[str, Any]) -> str:
-    """Terminal table for one multi-tenant benchmark document."""
-    w = doc["workload"]
-    sim = doc["simulated"]
-    lines = [
-        f"multi-tenant contention ({w['n_traces']:,} traces, "
-        f"{w['jobs_per_tenant']} jobs/tenant, {w['mix']})",
-        "",
-        f"{'tenant':<10} {'weight':>7} {'jobs':>5} {'hits':>5} "
-        f"{'slot-s':>9} {'share':>7} {'fair':>7} {'dev':>8}",
-    ]
-    for tenant in sorted(doc["fairness"]):
-        row = doc["fairness"][tenant]
-        lines.append(
-            f"{tenant:<10} {row['weight']:>7.1f} {row['jobs']:>5} "
-            f"{row['cache_hits']:>5} {row['slot_seconds']:>9.1f} "
-            f"{row['share']:>6.1%} {row['weight_share']:>6.1%} "
-            f"{row['deviation']:>+7.1%}"
-        )
-    resub = doc["result_cache"]["resubmission"]
-    lines += [
-        "",
-        f"interleaved makespan {sim['interleaved_makespan_s']:.1f} sim s "
-        f"vs serial {sim['serial_s']:.1f} sim s "
-        f"({sim['speedup_vs_serial']:.2f}x), "
-        f"max fairness deviation {sim['max_abs_fairness_deviation']:.1%} "
-        f"over a {sim['contended_window_s']:.1f} s contended window",
-        f"result cache: {doc['result_cache']['hits']} hit(s) / "
-        f"{doc['result_cache']['misses']} miss(es); resubmission "
-        f"{resub['job']!r} ran {resub['n_map_tasks']} map tasks "
-        f"(setup charge {resub['setup_charge_s']:.1f} sim s)",
-    ]
-    return "\n".join(lines)
-
-
-def _render_spill(doc: Mapping[str, Any]) -> str:
-    """Terminal table for one spill benchmark document."""
-    w = doc["workload"]
-    lines = [
-        f"out-of-core execution (k-means, k={w['k']}, "
-        f"{w['max_iter']} iterations, no combiner, serial backend; "
-        f"budget {doc['budget_mb']} MB)",
-        "",
-        f"{'traces':>12}  {'mode':>10}  {'runs':>6}  {'spilled':>10}  "
-        f"{'pages out':>9}  {'paged out':>10}  {'paged in':>10}",
-    ]
-    for entry in doc["results"]:
-        for label in ("unbudgeted", "budgeted"):
-            cell = entry["cells"][label]
-            spill = cell.get("spill") or {}
-            paging = cell.get("paging") or {}
-            spilled = spill.get("run_bytes", 0) + spill.get("map_spill_bytes", 0)
-            lines.append(
-                f"{entry['size']:>12,}  {label:>10}  "
-                f"{spill.get('runs_spilled', 0):>6}  {spilled / MB:>8.1f}MB  "
-                f"{paging.get('pages_out', 0):>9}  "
-                f"{paging.get('page_out_bytes', 0) / MB:>8.1f}MB  "
-                f"{paging.get('page_in_bytes', 0) / MB:>8.1f}MB"
-            )
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
-# Query-serving benchmark (repro bench --query).
+# Query-serving benchmark.
 # ---------------------------------------------------------------------------
 
 
@@ -604,41 +511,30 @@ def matches_reference(ref_tree, kind: str, args: tuple[float, ...], got: Any) ->
     return np.array_equal(got, ref_tree.query_rect(Rect(*args)))
 
 
-def _run_query(
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    budget_mb: float = 8.0,
-    *,
-    n_queries: int = 64,
-    chunk_mb: int = 2,
-    seed: int = 0,
-) -> dict[str, Any]:
+def _run_query() -> dict[str, Any]:
     """The serving trajectory: build once, reuse from the catalog, query.
 
     For each corpus size the same Figure-6 MapReduce build runs twice —
     once on an *unbudgeted* twin deployment whose in-memory tree is kept
     as the byte-identity reference, and once through the
     :class:`~repro.index.persistent.IndexCatalog` on a deployment capped
-    at ``budget_mb`` (pages live in the spilling payload store, so at
-    10^6 points the index is served mostly from disk).  A second
-    ``ensure`` on the catalog must come back as an ``index_reuse`` hit
-    that runs **zero** jobs, and a seeded point/range/radius/kNN workload
-    through the :class:`~repro.index.persistent.QueryEngine` must answer
+    at 8 MB (pages live in the spilling payload store, so at 10^6 points
+    the index is served mostly from disk).  A second ``ensure`` on the
+    catalog must come back as an ``index_reuse`` hit that runs **zero**
+    jobs, and a seeded 64-query point/range/radius/kNN workload through
+    the :class:`~repro.index.persistent.QueryEngine` must answer
     byte-identically to the in-memory reference.
 
     Page-fault counts, fault bytes, and simulated serving latency are
-    deterministic given the workload, so they double as the regression
-    baseline.
+    deterministic given the workload.
     """
     from repro.index.persistent import IndexCatalog, QueryEngine
     from repro.index.rtree_mr import build_rtree_mapreduce
 
-    if budget_mb <= 0:
-        raise ValueError("budget_mb must be positive")
-    if n_queries < 4:
-        raise ValueError("n_queries must be >= 4 (one of each kind)")
+    budget_mb, n_queries, chunk_mb, seed = 8.0, 64, 2, 0
     results = []
-    for size in sizes:
-        corpus = synthetic_corpus(int(size), seed=seed)
+    for size in SIZES:
+        corpus = synthetic_corpus(size, seed=seed)
         # Reference: the identical build on an unbudgeted twin keeps the
         # merged tree in memory.  The simulator is deterministic, so this
         # tree is byte-for-byte the one the catalog persists below.
@@ -677,7 +573,7 @@ def _run_query(
             serving = engine.report()
         results.append(
             {
-                "size": int(size),
+                "size": size,
                 "n_points": int(entry.n_points),
                 "n_pages": int(index.meta["n_pages"]),
                 "index_bytes": int(index.meta["page_bytes"]),
@@ -691,7 +587,7 @@ def _run_query(
         "schema": _SCHEMA,
         "workload": {
             "driver": "query-serving",
-            "n_queries": int(n_queries),
+            "n_queries": n_queries,
             "mix": "point/range/radius/knn round-robin",
             "chunk_mb": chunk_mb,
             "seed": seed,
@@ -702,7 +598,7 @@ def _run_query(
 
 
 def _gates_query(doc: Mapping[str, Any]) -> list[str]:
-    """Intrinsic gates on one query-serving document (no baseline needed).
+    """The gates on one query-serving document.
 
     * every size answered byte-identically to the in-memory reference
       tree (the whole point of the persistent format);
@@ -744,32 +640,8 @@ def _gates_query(doc: Mapping[str, Any]) -> list[str]:
     return problems
 
 
-def _render_query(doc: Mapping[str, Any]) -> str:
-    """Terminal table for one query-serving benchmark document."""
-    w = doc["workload"]
-    lines = [
-        f"index serving ({w['n_queries']} queries, {w['mix']}; "
-        f"budget {doc['budget_mb']} MB)",
-        "",
-        f"{'points':>12}  {'index':>9}  {'build sim':>10}  {'reuse':>6}  "
-        f"{'faults':>7}  {'paged in':>9}  {'sim latency':>12}  {'identical':>9}",
-    ]
-    for entry in doc["results"]:
-        serving = entry["serving"]
-        reuse = entry["reuse"]
-        hit = "hit" if not reuse["rebuilt"] and reuse["jobs"] == 0 else "MISS"
-        lines.append(
-            f"{entry['n_points']:>12,}  {entry['index_bytes'] / MB:>7.1f}MB  "
-            f"{entry['build_sim_seconds']:>9.1f}s  {hit:>6}  "
-            f"{serving['page_faults']:>7}  {serving['fault_bytes'] / MB:>7.1f}MB  "
-            f"{serving['mean_latency_ms']:>9.2f}ms  "
-            f"{'yes' if entry['identical_to_inmemory'] else 'NO':>9}"
-        )
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
-# Streaming benchmark (repro bench --stream).
+# Streaming benchmark.
 # ---------------------------------------------------------------------------
 
 
@@ -822,21 +694,12 @@ def synthetic_stream_corpus(
     return TraceArray.from_columns(users[ui], lat, lon, ts, np.zeros(n))
 
 
-def _run_stream(
-    n_points: int = 100_000,
-    n_users: int = 50,
-    n_windows: int = 10,
-    window_s: float = 3600.0,
-    *,
-    k: int = 8,
-    chunk_mb: int = 2,
-    seed: int = 0,
-    executors: Sequence[str] = ("serial", "threads", "processes"),
-) -> dict[str, Any]:
+def _run_stream() -> dict[str, Any]:
     """The streaming trajectory: warm windows, cold control, equivalence.
 
-    Three measurements over one stationary corpus under a fixed,
-    feed-only chaos schedule (late/lost/duplicate batches — no engine
+    Three measurements over one stationary corpus (10^5 points from 50
+    users over ten one-hour windows) under a fixed, feed-only chaos
+    schedule (late/lost/duplicate batches — no engine
     faults, so every run completes):
 
     * a **warm** streaming run through a single-tenant
@@ -851,8 +714,7 @@ def _run_stream(
       job sequence and as streaming runs on every executor backend —
       all byte-identical.
 
-    Everything is deterministic given the parameters, so the document
-    doubles as a regression baseline for ``repro bench --stream --check``.
+    Everything in the document is deterministic.
     """
     from repro.algorithms.djcluster import DJClusterParams
     from repro.algorithms.sampling import run_sampling_job
@@ -862,11 +724,11 @@ def _run_stream(
     from repro.streaming.manager import StreamingJobManager
     from repro.streaming.source import StreamSource
 
-    if n_windows < 2:
-        raise ValueError("n_windows must be >= 2 (warm start needs a history)")
+    n_points, n_users, n_windows, window_s, k, chunk_mb, seed = (
+        100_000, 50, 10, 3600.0, 8, 2, 0
+    )
     corpus = synthetic_stream_corpus(
-        int(n_points), n_users=n_users, n_windows=n_windows,
-        window_s=window_s, seed=seed,
+        n_points, n_users=n_users, n_windows=n_windows, window_s=window_s, seed=seed
     )
     chaos = ChaosSchedule(
         seed=seed + 101,
@@ -920,7 +782,7 @@ def _run_stream(
     # Equivalence matrix: batch baseline vs every executor backend.
     report = run_stream_equivalence(
         corpus, window_s, chaos=chaos,
-        executors=tuple(executors), max_workers=2,
+        executors=BACKENDS, max_workers=2,
         tenant=tenant, chunk_size=chunk_mb * MB, **manager_kwargs,
     )
 
@@ -931,10 +793,10 @@ def _run_stream(
         "workload": {
             "driver": "streaming",
             "n_points": len(corpus),
-            "n_users": int(n_users),
-            "n_windows": int(n_windows),
-            "window_s": float(window_s),
-            "k": int(k),
+            "n_users": n_users,
+            "n_windows": n_windows,
+            "window_s": window_s,
+            "k": k,
             "max_iter": int(manager_kwargs["max_iter"]),
             "sampling_window_s": float(manager_kwargs["sampling_window_s"]),
             "chunk_mb": chunk_mb,
@@ -990,7 +852,7 @@ def _run_stream(
 
 
 def _gates_stream(doc: Mapping[str, Any]) -> list[str]:
-    """Intrinsic gates on one streaming document (no baseline needed).
+    """The gates on one streaming document.
 
     * the run covered at least 10 windows of at least 10^5 points;
     * warm-started k-means spent **strictly fewer** total iterations
@@ -1044,48 +906,8 @@ def _gates_stream(doc: Mapping[str, Any]) -> list[str]:
     return problems
 
 
-def _render_stream(doc: Mapping[str, Any]) -> str:
-    """Terminal table for one streaming benchmark document."""
-    w = doc["workload"]
-    stream = doc["stream"]
-    ws = doc["warm_start"]
-    lines = [
-        f"streaming windows ({stream['total_points']:,} points, "
-        f"{stream['n_windows']} windows of {w['window_s']:g}s, "
-        f"k={w['k']}, feed chaos on)",
-        "",
-        f"{'win':>4} {'points':>8} {'late':>6} {'lost':>6} {'dup':>5} "
-        f"{'sampled':>8} {'k-it':>5} {'warm':>5} {'pois':>5} "
-        f"{'risk':>6} {'sim-lat':>9} {'hits':>5}",
-    ]
-    for r in stream["windows"]:
-        lines.append(
-            f"{r['window']:>4} {r['n_points']:>8,} {r['late_points']:>6} "
-            f"{r['lost_points']:>6} {r['dup_points']:>5} "
-            f"{r['n_sampled']:>8,} {r['kmeans_iterations']:>5} "
-            f"{('yes' if r['warm_start'] else 'no'):>5} {r['n_pois']:>5} "
-            f"{r['risk']:>6.3f} {r['latency_s']:>8.1f}s {r['cache_hits']:>5}"
-        )
-    cells = doc["equivalence"]["cells"]
-    matrix = ", ".join(
-        f"{c['label']}={'ok' if c['match'] else 'FAIL'}" for c in cells
-    )
-    cache = doc["result_cache"]
-    lines += [
-        "",
-        f"warm start: {ws['warm_iterations']} iterations vs "
-        f"{ws['cold_iterations']} cold "
-        f"({ws['saved_iterations']} saved, {ws['savings_pct']:.0f}%)",
-        f"equivalence: {matrix}",
-        f"result cache: replay {cache['replay_job']!r} "
-        f"{'hit' if cache['cache_hit'] else 'MISS'} "
-        f"({cache['n_map_tasks']} map tasks)",
-    ]
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
-# Shuffle-byte minimization benchmark (repro bench --shuffle).
+# Shuffle-byte minimization benchmark.
 # ---------------------------------------------------------------------------
 
 
@@ -1108,8 +930,6 @@ def _shuffle_cell(
     """
     from repro.observability.events import EventKind
 
-    if mode not in ("combiner", "aggregation"):
-        raise ValueError(f"unknown shuffle mode {mode!r}")
     cell, runner = _kmeans_cell(
         corpus,
         corpus.coordinates()[:k].copy(),
@@ -1127,21 +947,12 @@ def _shuffle_cell(
     return {**cell, "preagg": preagg if mode == "aggregation" else None}
 
 
-def _run_shuffle(
-    n_traces: int = 1_000_000,
-    backends: Sequence[str] = BACKENDS,
-    *,
-    k: int = 11,
-    max_iter: int = 2,
-    chunk_mb: int = 2,
-    workers: int | None = None,
-    seed: int = 0,
-) -> dict[str, Any]:
+def _run_shuffle() -> dict[str, Any]:
     """Shuffle bytes moved: combiner-only vs the aggregation algebra.
 
-    The same fixed-initial-centroid k-means run (k=``k``,
-    ``max_iter`` iterations over 10^6 traces by default) is measured in
-    two shuffle modes on every backend; the shuffle-byte totals,
+    The same fixed-initial-centroid k-means run (k=11, two iterations
+    over 10^6 traces) is measured in two shuffle modes on every backend,
+    each at its default pool size; the shuffle-byte totals,
     simulated seconds, pre-agg accounting, and centroid digests are
     deterministic.
 
@@ -1152,37 +963,36 @@ def _run_shuffle(
     folds task partials in arrival order while the aggregation reduce
     uses the canonical node-major merge tree.)
     """
-    _check_backends(backends)
+    n_traces, k, max_iter, chunk_mb, seed = 1_000_000, 11, 2, 2, 0
     cell = functools.partial(
         _shuffle_cell,
-        synthetic_corpus(int(n_traces), seed=seed),
+        synthetic_corpus(n_traces, seed=seed),
         k=k,
         max_iter=max_iter,
         chunk_mb=chunk_mb,
-        max_workers=workers,
     )
     modes: dict[str, dict[str, dict[str, Any]]] = {}
     for mode in ("combiner", "aggregation"):
-        modes[mode] = {backend: cell(backend, mode) for backend in backends}
+        modes[mode] = {backend: cell(backend, mode) for backend in BACKENDS}
         _require_identical(
             modes[mode], ("centroids_sha256", "shuffle_bytes"), f"in mode {mode!r}"
         )
-    first = backends[0]
+    first = BACKENDS[0]
     combiner_bytes = modes["combiner"][first]["shuffle_bytes"]
     agg_bytes = modes["aggregation"][first]["shuffle_bytes"]
     return {
         "schema": _SCHEMA,
         "workload": {
             "driver": "kmeans",
-            "n_traces": int(n_traces),
-            "k": int(k),
-            "max_iter": int(max_iter),
-            "chunk_mb": int(chunk_mb),
+            "n_traces": n_traces,
+            "k": k,
+            "max_iter": max_iter,
+            "chunk_mb": chunk_mb,
             "cluster_workers": 4,
-            "seed": int(seed),
+            "seed": seed,
         },
-        "max_workers": workers,
-        "backends": list(backends),
+        "max_workers": None,
+        "backends": list(BACKENDS),
         "modes": modes,
         "shuffle_bytes": {
             "combiner": int(combiner_bytes),
@@ -1195,17 +1005,18 @@ def _run_shuffle(
     }
 
 
-def _gates_shuffle(doc: Mapping[str, Any], min_ratio: float = 10.0) -> list[str]:
-    """Intrinsic gates on one shuffle document (no baseline needed).
+def _gates_shuffle(doc: Mapping[str, Any]) -> list[str]:
+    """The gates on one shuffle document.
 
-    * the aggregation algebra moves at least ``min_ratio`` x fewer
-      shuffle bytes than the combiner-only path — the headline claim;
+    * the aggregation algebra moves at least 10x fewer shuffle bytes
+      than the combiner-only path — the headline claim;
     * within each mode, every backend produced byte-identical centroids
       and identical shuffle-byte totals;
     * the aggregation cells actually pre-aggregated (envelopes > 0 and
       raw records folded > envelopes shipped);
     * cross-node bytes never exceed total shuffle bytes.
     """
+    min_ratio = 10.0
     problems: list[str] = []
     ratio = (doc.get("shuffle_bytes") or {}).get("ratio")
     if ratio is None or float(ratio) < min_ratio:
@@ -1237,43 +1048,8 @@ def _gates_shuffle(doc: Mapping[str, Any], min_ratio: float = 10.0) -> list[str]
     return problems
 
 
-def _render_shuffle(doc: Mapping[str, Any]) -> str:
-    """Terminal table for one shuffle benchmark document."""
-    w = doc["workload"]
-    sb = doc["shuffle_bytes"]
-    lines = [
-        f"shuffle-byte minimization (k-means, {w['n_traces']:,} traces, "
-        f"k={w['k']}, {w['max_iter']} iterations)",
-        "",
-        f"{'mode':>12}  {'backend':>10}  {'shuffle':>12}  {'cross-node':>11}  "
-        f"{'sim':>9}",
-    ]
-    for mode in ("combiner", "aggregation"):
-        for backend in doc["backends"]:
-            cell = doc["modes"][mode][backend]
-            cross = (
-                f"{cell['preagg']['cross_node_bytes']:>10,}B"
-                if cell.get("preagg")
-                else f"{'-':>11}"
-            )
-            lines.append(
-                f"{mode:>12}  {backend:>10}  {cell['shuffle_bytes']:>11,}B  "
-                f"{cross}  {cell['sim_seconds']:>8.1f}s"
-            )
-    agg = doc["modes"]["aggregation"][doc["backends"][0]]
-    lines += [
-        "",
-        f"shuffle bytes: combiner {sb['combiner']:,} B -> aggregation "
-        f"{sb['aggregation']:,} B ({sb['ratio']:.1f}x fewer; "
-        f"{sb['cross_node_bytes']:,} B actually crossed nodes)",
-        f"pre-agg: {agg['preagg']['raw_records']:,} raw records folded into "
-        f"{agg['preagg']['envelopes']:,} envelopes",
-    ]
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
-# Linkage attack benchmark (repro bench --attack).
+# Linkage attack benchmark.
 # ---------------------------------------------------------------------------
 
 
@@ -1284,7 +1060,6 @@ def _attack_cell(
     backend: str,
     *,
     chunk_mb: int,
-    max_workers: int | None,
     budget_mb: float | None = None,
     chaos_seed: int | None = None,
 ) -> dict[str, Any]:
@@ -1303,7 +1078,6 @@ def _attack_cell(
         {"input/train": training, "input/target": target},
         chunk_size=chunk_mb * MB,
         backend=backend,
-        max_workers=max_workers,
         budget_mb=budget_mb,
         chaos=default_schedule(chaos_seed) if chaos_seed is not None else None,
     ) as runner:
@@ -1330,27 +1104,17 @@ def _attack_cell(
     }
 
 
-def _run_attack(
-    n_users: int = 100_000,
-    backends: Sequence[str] = BACKENDS,
-    *,
-    equivalence_users: int = 40,
-    chunk_mb: int = 2,
-    workers: int | None = None,
-    seed: int = 0,
-    budget_mb: float = 8.0,
-    chaos_seed: int = 7,
-) -> dict[str, Any]:
+def _run_attack() -> dict[str, Any]:
     """The MapReduce linkage attack: exactness matrix + 10^5-user scale.
 
-    Two blocks.  The *equivalence* block runs a small
+    Two blocks.  The *equivalence* block runs a 40-user
     :func:`~repro.attacks.linkage_mr.synthetic_linkage_corpus` through
     the tie-break-fixed serial reference attack, then through the
-    MapReduce attack on every backend, under a ``budget_mb`` memory
-    budget, and under a fixed chaos schedule — every cell must reproduce
-    the reference signature byte for byte (divergence raises before a
-    document is even produced).  The *scale* block runs the attack at
-    ``n_users`` training users vs ``n_users`` pseudonymized targets
+    MapReduce attack on every backend (default pool sizes), under an
+    8 MB memory budget, and under a fixed chaos schedule — every cell
+    must reproduce the reference signature byte for byte (divergence
+    raises before a document is even produced).  The *scale* block runs
+    the attack at 10^5 training users vs 10^5 pseudonymized targets
     (10^10 candidate pairs) on the serial backend, with the
     persistent-index audit proving the candidate blocking lossless.
     """
@@ -1361,14 +1125,16 @@ def _run_attack(
         synthetic_linkage_corpus,
     )
 
-    _check_backends(backends)
+    n_users, equivalence_users, chunk_mb, seed, budget_mb, chaos_seed = (
+        100_000, 40, 2, 0, 8.0, 7
+    )
     # Both corpora are (training, target, truth) triples.
-    small = synthetic_linkage_corpus(int(equivalence_users), seed=seed)
+    small = synthetic_linkage_corpus(equivalence_users, seed=seed)
     reference_signature = linkage_signature(
         deanonymization_attack_reference(*small, params=SYNTH_ATTACK_PARAMS)
     )
-    cell = functools.partial(_attack_cell, chunk_mb=chunk_mb, max_workers=workers)
-    equivalence = {backend: cell(*small, backend) for backend in backends}
+    cell = functools.partial(_attack_cell, chunk_mb=chunk_mb)
+    equivalence = {backend: cell(*small, backend) for backend in BACKENDS}
     equivalence["serial+budget"] = cell(*small, "serial", budget_mb=budget_mb)
     equivalence["serial+chaos"] = cell(*small, "serial", chaos_seed=chaos_seed)
     _require_identical(
@@ -1377,45 +1143,43 @@ def _run_attack(
         "in the equivalence block",
     )
 
-    corpus = synthetic_linkage_corpus(int(n_users), seed=seed)
+    corpus = synthetic_linkage_corpus(n_users, seed=seed)
     scale = cell(*corpus, "serial")
     return {
         "schema": _SCHEMA,
         "workload": {
             "driver": "linkage",
-            "n_users": int(n_users),
-            "equivalence_users": int(equivalence_users),
+            "n_users": n_users,
+            "equivalence_users": equivalence_users,
             "radius_m": float(SYNTH_ATTACK_PARAMS.radius_m),
             "min_pts": int(SYNTH_ATTACK_PARAMS.min_pts),
-            "chunk_mb": int(chunk_mb),
+            "chunk_mb": chunk_mb,
             "cluster_workers": 4,
-            "seed": int(seed),
-            "budget_mb": float(budget_mb),
-            "chaos_seed": int(chaos_seed),
+            "seed": seed,
+            "budget_mb": budget_mb,
+            "chaos_seed": chaos_seed,
         },
-        "max_workers": workers,
-        "backends": list(backends),
+        "max_workers": None,
+        "backends": list(BACKENDS),
         "reference_signature": reference_signature,
         "equivalence": equivalence,
         "scale": scale,
     }
 
 
-def _gates_attack(
-    doc: Mapping[str, Any], min_success: float = 0.9, min_blocking_ratio: float = 100.0
-) -> list[str]:
-    """Intrinsic gates on one attack document (no baseline needed).
+def _gates_attack(doc: Mapping[str, Any]) -> list[str]:
+    """The gates on one attack document.
 
     * every equivalence cell (backends, memory budget, chaos) reproduced
       the serial reference signature byte for byte;
     * every non-chaos cell's persistent-index audit proved the candidate
       blocking lossless (``pairs_scored == pairs_exact``);
     * the scale attack actually de-anonymizes: success rate at least
-      ``min_success`` with at least one link;
+      0.9 with at least one link;
     * the blocking actually blocks: the scale cell scored at least
-      ``min_blocking_ratio`` x fewer pairs than the serial cross
-      product.
+      100x fewer pairs than the serial cross product.
     """
+    min_success, min_blocking_ratio = 0.9, 100.0
     problems: list[str] = []
     reference = doc.get("reference_signature")
     equivalence = doc.get("equivalence", {})
@@ -1458,217 +1222,36 @@ def _gates_attack(
     return problems
 
 
-def _render_attack(doc: Mapping[str, Any]) -> str:
-    """Terminal table for one attack benchmark document."""
-    w = doc["workload"]
-    lines = [
-        f"linkage attack ({w['n_users']:,} users vs {w['n_users']:,} pseudonyms; "
-        f"equivalence on {w['equivalence_users']} users)",
-        "",
-        f"{'cell':>14}  {'success':>8}  {'linked':>7}  {'pairs':>10}  "
-        f"{'exact':>5}  {'sim':>9}",
-    ]
-    cells = dict(doc.get("equivalence", {}))
-    if doc.get("scale"):
-        cells["scale"] = doc["scale"]
-    for label, cell in cells.items():
-        exact = {True: "yes", False: "NO", None: "-"}[cell.get("blocking_exact")]
-        lines.append(
-            f"{label:>14}  {cell['success_rate']:>8.2%}  {cell['linked']:>7,}  "
-            f"{cell['pairs_scored']:>10,}  {exact:>5}  "
-            f"{cell['sim_seconds']:>8.1f}s"
-        )
-    scale = doc.get("scale") or {}
-    if scale:
-        lines += [
-            "",
-            f"blocking: {scale['pairs_scored']:,} pairs scored of "
-            f"{scale['cross_product']:,} serial cross product "
-            f"({scale['cross_product'] / max(scale['pairs_scored'], 1):,.0f}x fewer)",
-            f"all {len(doc.get('equivalence', {}))} equivalence cells match the "
-            f"serial reference signature {doc['reference_signature'][:16]}…",
-        ]
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
-# The suites: one declaration per `repro bench` mode, one comparison.
+# The suites: one run, its gates, one golden document each.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Suite:
-    """One ``repro bench`` mode, declared (``--<name>`` selects it).
-
-    ``run`` takes the ``repro bench`` options named in ``options`` as
-    keyword arguments; ``gates`` are the intrinsic checks on one document
-    (no baseline needed).  ``pinned`` fields must equal the baseline's
-    before anything is compared, and ``compared`` lists the ``(path,
-    rule, tolerance)`` triples :func:`compare_to_baseline` holds against
-    it; everything else in a document is recorded, never compared.
-    """
+    """One benchmark suite: ``run()`` produces its document and ``gates``
+    are the checks on it (an empty list means it passed).  The document
+    is correct iff the gates pass and :func:`save_result` writes
+    :attr:`baseline` byte for byte."""
 
     name: str
-    run: Callable[..., dict[str, Any]]
+    run: Callable[[], dict[str, Any]]
     gates: Callable[[Mapping[str, Any]], list[str]]
-    render: Callable[[Mapping[str, Any]], str]
-    options: tuple[str, ...] = ()
-    pinned: tuple[str, ...] = ("schema", "workload")
-    compared: tuple[tuple[str, str, float], ...] = ()
 
     @property
     def baseline(self) -> Path:
-        """The committed baseline, which is also the default ``--out``."""
+        """The committed golden document, relative to the repository root."""
         return Path("benchmarks") / "results" / f"BENCH_{self.name}.json"
 
-
-#: The deterministic fields of one linkage-attack cell.
-_ATTACK_CELL = (
-    "{signature,sim_seconds,success_rate,linked,n_targets,"
-    "pairs_scored,pairs_exact,cross_product,blocking_exact}"
-)
 
 SUITES: dict[str, Suite] = {
     suite.name: suite
     for suite in (
-        Suite(
-            "spill", _run_spill, _gates_spill, _render_spill,
-            options=("sizes", "budget_mb", "k", "max_iter"),
-            pinned=("schema", "workload", "budget_mb"),
-            compared=(
-                ("results.*.cells.*.{n_iterations,centroids_sha256,spill,paging}", "exact", 0.0),
-            ),
-        ),
-        Suite(
-            "multitenant", _run_multitenant, _gates_multitenant, _render_multitenant,
-            compared=(
-                ("simulated.{interleaved_makespan_s,serial_s,contended_window_s}", "rel", 0.01),
-                ("fairness.*.share", "abs", 0.01),
-            ),
-        ),
-        Suite(
-            "query", _run_query, _gates_query, _render_query,
-            options=("sizes", "budget_mb"),
-            pinned=("schema", "workload", "budget_mb"),
-            compared=(
-                ("results.*.{build_sim_seconds,n_pages,index_bytes}", "rel", 0.01),
-                ("results.*.serving.{page_faults,fault_bytes,latency_s,results}", "rel", 0.01),
-            ),
-        ),
-        Suite(
-            "stream", _run_stream, _gates_stream, _render_stream,
-            compared=(("{stream,warm_start,equivalence,result_cache}", "exact", 0.0),),
-        ),
-        Suite(
-            "shuffle", _run_shuffle, _gates_shuffle, _render_shuffle,
-            options=("backends", "workers"),
-            compared=(
-                ("shuffle_bytes", "exact", 0.0),
-                (
-                    "modes.*.*.{shuffle_bytes,n_iterations,centroids_sha256,sim_seconds,preagg}",
-                    "exact",
-                    0.0,
-                ),
-            ),
-        ),
-        Suite(
-            "attack", _run_attack, _gates_attack, _render_attack,
-            options=("backends", "workers", "budget_mb"),
-            compared=(
-                ("reference_signature", "exact", 0.0),
-                (f"equivalence.*.{_ATTACK_CELL}", "exact", 0.0),
-                (f"scale.{_ATTACK_CELL}", "exact", 0.0),
-            ),
-        ),
+        Suite("spill", _run_spill, _gates_spill),
+        Suite("multitenant", _run_multitenant, _gates_multitenant),
+        Suite("query", _run_query, _gates_query),
+        Suite("stream", _run_stream, _gates_stream),
+        Suite("shuffle", _run_shuffle, _gates_shuffle),
+        Suite("attack", _run_attack, _gates_attack),
     )
 }
-
-class _Absent:
-    """What a declared path resolves to on a side that does not have it."""
-
-    def __repr__(self) -> str:
-        return "<absent>"
-
-
-_ABSENT = _Absent()
-
-
-def _resolve(
-    pattern: str, current: Mapping[str, Any], baseline: Mapping[str, Any]
-) -> list[tuple[str, Any, Any]]:
-    """Every concrete ``(path, now, then)`` a declared path pattern names.
-
-    A pattern is dot-separated segments: a literal key, ``{a,b}``
-    alternatives, or ``*`` — every key the run and the baseline *share*,
-    so a run restricted to some sizes or backends is compared where it
-    overlaps.  A per-size ``results`` list is addressed by corpus size,
-    not by position.  A literal key missing from a side resolves to
-    ``_ABSENT`` there rather than vanishing, so it gets flagged.
-    """
-    matches = [("", current, baseline)]
-    for segment in pattern.split("."):
-        step = []
-        for path, *sides in matches:
-            now, then = (
-                {str(e["size"]): e for e in side} if isinstance(side, list) else side
-                for side in sides
-            )
-            now, then = (side if isinstance(side, Mapping) else {} for side in (now, then))
-            keys = now.keys() & then.keys() if segment == "*" else segment.strip("{}").split(",")
-            step += [
-                (f"{path}.{key}".lstrip("."), now.get(key, _ABSENT), then.get(key, _ABSENT))
-                for key in sorted(keys)
-            ]
-        matches = step
-    return matches
-
-
-def _drifted(rule: str, tolerance: float, now: Any, then: Any) -> bool:
-    """The three compare rules: ``exact`` equality, ``rel`` (fractional,
-    with a 1e-9 absolute floor so a zero baseline still compares) and
-    ``abs`` (absolute difference).  An absent side always drifts."""
-    if now is _ABSENT or then is _ABSENT:
-        return True
-    if rule == "exact":
-        return now != then
-    if rule == "rel":
-        return abs(float(now) - float(then)) > max(abs(float(then)) * tolerance, 1e-9)
-    if rule == "abs":
-        return abs(float(now) - float(then)) > tolerance
-    raise ValueError(f"unknown compare rule {rule!r}")
-
-
-def compare_to_baseline(
-    suite: Suite, current: Mapping[str, Any], baseline: Mapping[str, Any]
-) -> list[str]:
-    """Drift of ``current`` versus a committed ``baseline``, for any suite.
-
-    Returns a list of human-readable problems; empty means no drift.
-    First the suite's pinned fields must match — a differing one yields
-    the single "schema mismatch" / "workload mismatch" message and
-    nothing else, because documents of different shapes or parameters
-    have nothing comparable in them.  Then every declared path is
-    resolved (:func:`_resolve`) and held to its rule (:func:`_drifted`);
-    a declared path that names nothing is itself a problem, never a
-    silent pass.
-    """
-    for field in suite.pinned:
-        if baseline.get(field) != current.get(field):
-            return [
-                f"{field} mismatch: baseline {baseline.get(field)!r} vs current "
-                f"{current.get(field)!r} (run with the baseline's parameters)"
-            ]
-    problems = []
-    for pattern, rule, path_tolerance in suite.compared:
-        matches = _resolve(pattern, current, baseline)
-        if not matches:
-            problems.append(f"{pattern}: names nothing this run and the baseline share")
-        for path, now, then in matches:
-            if _drifted(rule, path_tolerance, now, then):
-                now, then = (
-                    "(section)" if isinstance(side, (Mapping, list)) else repr(side)
-                    for side in (now, then)
-                )
-                how = f"{rule} {path_tolerance:g}" if path_tolerance else rule
-                problems.append(f"{path}: {now} vs baseline {then} ({how})")
-    return problems

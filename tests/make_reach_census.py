@@ -5,7 +5,8 @@ that file pins the *names* a curator reaches, this one says, for every
 function under ``src/repro`` (methods and nested functions included),
 whether something a curator runs actually calls it.  A *reacher* is one
 of the runs listed in ``REACHERS``: the five ``--selfcheck``s, every CLI
-subcommand once per mode flag, the six ``repro bench --check`` suites,
+subcommand once per mode flag, the six benchmark suites (the five
+``test_bench_goldens.py`` checks and ``make_bench_goldens.py attack``),
 the seven ``examples/*.py``, the six serial-backend e2e workloads (through
 ``benchmarks/e2e/workloads.py``, at a fifth of their benchmark size) and
 the paper-table tests under ``benchmarks/``.  Each runs in its own
@@ -115,9 +116,6 @@ REASONS: dict[str, str] = {
     "repro.mapreduce.backends:ExecutionBackend.__exit__": "safety: "
         "tests/mapreduce/test_backends.py::test_failure_inside_a_batch_lands_on_its_task_only "
         "closes a pool on every exit path",
-    "repro.mapreduce.bench:_Absent.__repr__": "safety: "
-        "tests/mapreduce/test_bench.py::test_a_declared_path_matching_nothing_is_an_error "
-        "names a missing path in a drift report",
     "repro.mapreduce.failures:JobFailedError.__init__": "safety: "
         "tests/mapreduce/test_chaos.py::TestRetryExhaustion::"
         "test_exhaustion_raises_job_failed_with_chain raises the typed error of a spent retry budget",
@@ -210,11 +208,6 @@ _CLI = [
     ["service", "--selfcheck"],
     ["attack", "--linkage", "--selfcheck"],
     ["stream", "--selfcheck"],
-    ["bench", "--multitenant", "--check", "--out", f"{WORK}/BENCH_multitenant.json"],
-    ["bench", "--query", "--check"],
-    ["bench", "--stream", "--check"],
-    ["bench", "--shuffle", "--check"],
-    ["bench", "--spill", "--check", "--budget-mb", "1"],
     ["chaos"],
     ["chaos", "--node-loss", "--memory-budget-mb", "1"],
     ["submit", "--resubmit"],
@@ -230,10 +223,14 @@ _CLI = [
 
 #: ``(label, kind, payload)``: ``cli`` runs each argv in turn through
 #: ``python -m repro`` in one interpreter (so later steps read what earlier
-#: ones wrote), ``script`` runs a file as ``__main__``, ``e2e`` drives one
-#: benchmark workload, ``pytest`` runs pytest with the given arguments.
+#: ones wrote), ``script`` runs ``[file, *arguments]`` as ``__main__``,
+#: ``e2e`` drives one benchmark workload, ``pytest`` runs pytest with the
+#: given arguments.
 REACHERS: list[tuple[str, str, object]] = [
-    ("bench --attack", "cli", [["bench", "--attack", "--check"]]),
+    ("make_bench_goldens.py attack", "script",
+     [str(REPO / "tests" / "make_bench_goldens.py"), "attack"]),
+    ("test_bench_goldens.py", "pytest",
+     ["tests/test_bench_goldens.py", "-q", "-p", "no:cacheprovider"]),
     ("benchmarks", "pytest", ["benchmarks", "--ignore=benchmarks/e2e", "-q", "-p", "no:cacheprovider"]),
     *((" ".join(argv), "cli", [argv]) for argv in _CLI),
     ("corpus subcommands", "cli", [
@@ -264,7 +261,7 @@ REACHERS: list[tuple[str, str, object]] = [
         ["history", f"{WORK}/stream.json", "--window"],
         ["history", f"{WORK}/stream.json", "--tenant", "tenant0"],
     ]),
-    *((f"examples/{p.name}", "script", str(p)) for p in sorted((REPO / "examples").glob("*.py"))),
+    *((f"examples/{p.name}", "script", [str(p)]) for p in sorted((REPO / "examples").glob("*.py"))),
     *(
         (f"e2e {name}", "e2e", name)
         for name in ("kmeans_serial", "kmeans_spill", "attack_chain", "index_serve",
@@ -333,9 +330,9 @@ def _run(kind: str, payload, plugin) -> int:
                     return 1
         return 0
     if kind == "script":
-        sys.argv = [payload]
+        sys.argv = list(payload)
         try:
-            runpy.run_path(payload, run_name="__main__")
+            runpy.run_path(payload[0], run_name="__main__")
         except SystemExit as exc:
             return 0 if exc.code in (None, 0) else 1
         return 0

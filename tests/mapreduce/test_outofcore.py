@@ -231,18 +231,18 @@ def test_worker_side_spill_on_processes_backend():
     assert not any(e["kind"] in SPILL_KINDS for e in base_events)
 
 
-def test_spill_benchmark_in_process_smoke(tmp_path):
+def test_spill_benchmark_in_process_smoke():
     from repro.mapreduce.bench import SUITES
 
     suite = SUITES["spill"]
-    doc = suite.run(sizes=[20_000], budget_mb=0.25, max_iter=2)
-    (entry,) = doc["results"]
-    cells = entry["cells"]
-    assert cells["budgeted"]["centroids_sha256"] == cells["unbudgeted"]["centroids_sha256"]
-    assert cells["budgeted"]["spill"]["runs_spilled"] > 0
-    assert cells["budgeted"]["paging"]["pages_out"] > 0
-    assert cells["unbudgeted"]["spill"] is None
-    assert "budgeted" in suite.render(doc)
+    doc = suite.run()
+    assert [entry["size"] for entry in doc["results"]] == [100_000, 1_000_000]
+    for entry in doc["results"]:
+        cells = entry["cells"]
+        assert cells["budgeted"]["centroids_sha256"] == cells["unbudgeted"]["centroids_sha256"]
+        assert cells["budgeted"]["spill"]["runs_spilled"] > 0
+        assert cells["budgeted"]["paging"]["pages_out"] > 0
+        assert cells["unbudgeted"]["spill"] is None
     assert suite.gates(doc) == []
 
 

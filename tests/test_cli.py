@@ -178,133 +178,37 @@ class TestCommands:
             main([])
 
 
-class TestBenchCommand:
-    _SPILL = ["bench", "--spill", "--sizes", "20000", "--max-iter", "2", "--budget-mb"]
-    _ARGS = [*_SPILL, "0.25"]
-    # A budget the corpus fits under checks nothing: the spill gates fail.
-    _FAILING = [*_SPILL, "512"]
+class TestQueryCommand:
+    """Bad query arguments are a one-line ``query:`` exit before anything
+    is built: the corpus generator must never be reached."""
 
-    def test_prints_table_and_writes_json(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        assert main([*self._ARGS, "--out", str(out)]) == 0
-        text = capsys.readouterr().out
-        assert "unbudgeted" in text and "budgeted" in text
-        assert out.exists()
+    class Built(Exception):
+        pass
 
-    def test_check_against_own_run_passes(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        assert main([*self._ARGS, "--out", str(baseline)]) == 0
-        assert main([*self._ARGS, "--check", "--baseline", str(baseline)]) == 0
-        assert "no drift from baseline" in capsys.readouterr().out
+    @pytest.fixture(autouse=True)
+    def no_build(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise self.Built
 
-    def test_unknown_backend_exits(self):
-        with pytest.raises(SystemExit, match="unknown backend"):
-            main(["bench", "--shuffle", "--backends", "fibers"])
+        monkeypatch.setattr("repro.mapreduce.bench.synthetic_corpus", refuse)
 
     @pytest.mark.parametrize(
-        ("option", "message"),
+        ("args", "message"),
         [
-            ("--sizes", "--sizes names no corpus size"),
-            ("--backends", "--backends names no backend"),
+            (["--queries", "-3"], "--queries must be positive"),
+            (["--queries", "0"], "--queries must be positive"),
+            (["--radius-query", "40,116,-5"], "radius must be non-negative"),
+            (["--range", "40,117,39,116"], "min_lat <= max_lat and min_lon <= max_lon"),
+            (["--knn", "40,116,2.5"], "k must be a positive integer, got 2.5"),
         ],
+        ids=["queries-negative", "queries-zero", "radius-negative", "range-inverted",
+             "knn-fractional"],
     )
-    def test_an_empty_list_is_a_usage_error(self, option, message, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        with pytest.raises(SystemExit, match=f"bench: {message}"):
-            main(["bench", "--spill", option, " , "])
-        assert list(tmp_path.iterdir()) == []
+    def test_bad_argument_exits_before_any_job(self, args, message):
+        with pytest.raises(SystemExit, match=f"^query: .*{message}"):
+            main(["query", "--traces", "2000", *args])
 
-    def test_no_mode_flag_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--spill --multitenant --query --stream --shuffle --attack is required" in err
-
-    def test_check_compares_before_writing(self, tmp_path, capsys):
-        """`--check --out X --baseline X` must judge the run against what X
-        held *before* the run replaced it, not against itself."""
-        import json
-
-        baseline = tmp_path / "baseline.json"
-        assert main([*self._ARGS, "--out", str(baseline)]) == 0
-        doctored = json.loads(baseline.read_text())
-        doctored["schema"] = 0
-        baseline.write_text(json.dumps(doctored))
-        capsys.readouterr()
-        assert main(
-            [*self._ARGS, "--check", "--out", str(baseline),
-             "--baseline", str(baseline)]
-        ) == 1
-        assert "schema mismatch: baseline 0 vs current 1" in capsys.readouterr().out
-        # ...and only then was the fresh document written over it.
-        assert json.loads(baseline.read_text())["schema"] == 1
-
-    def test_plain_run_writes_nothing(self, tmp_path, monkeypatch, capsys):
-        """A generation run that fails its own gates leaves the committed
-        baseline (the default --out, relative to the cwd) as it was."""
-        from repro.mapreduce.bench import SUITES
-
-        monkeypatch.chdir(tmp_path)
-        baseline = tmp_path / SUITES["spill"].baseline
-        baseline.parent.mkdir(parents=True)
-        baseline.write_text("the committed baseline\n")
-        assert main(self._FAILING) == 1
-        text = capsys.readouterr().out
-        assert "never bit" in text and "result written" not in text
-        assert baseline.read_text() == "the committed baseline\n"
-        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [baseline]
-        # A passing one replaces it.
-        assert main(self._ARGS) == 0
-        assert f"result written to {SUITES['spill'].baseline}" in capsys.readouterr().out
-        assert baseline.read_text() != "the committed baseline\n"
-
-    def test_out_receives_a_failing_document(self, tmp_path, monkeypatch, capsys):
-        import json
-
-        monkeypatch.chdir(tmp_path)
-        assert main([*self._FAILING, "--out", "failing.json"]) == 1
-        assert "FAILED gates (spill)" in capsys.readouterr().out
-        assert json.loads((tmp_path / "failing.json").read_text())["budget_mb"] == 512.0
-        assert [p.name for p in tmp_path.iterdir()] == ["failing.json"]
-
-    def test_two_mode_flags_are_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "--attack", "--shuffle"])
-        assert exc.value.code == 2
-        assert "not allowed with argument" in capsys.readouterr().err
-
-    def test_spill_check_runs_the_spill_gates(self, tmp_path, capsys):
-        args = ["bench", "--spill", "--sizes", "20000", "--max-iter", "2", "--check",
-                "--baseline", str(tmp_path / "absent.json")]
-        assert main([*args, "--budget-mb", "0.25"]) == 0
-        text = capsys.readouterr().out
-        assert "intrinsic gates only" in text and "all spill gates passed" in text
-        # A budget the corpus fits under checks nothing: that is a failure.
-        assert main([*args, "--budget-mb", "512"]) == 1
-        assert "never bit" in capsys.readouterr().out
-        assert list(tmp_path.iterdir()) == []  # --check without --out writes nothing
-
-    def test_gated_suite_checks_against_the_committed_baseline(self, tmp_path, capsys):
-        import json
-        from pathlib import Path
-
-        committed = (
-            Path(__file__).resolve().parents[1]
-            / "benchmarks" / "results" / "BENCH_multitenant.json"
-        )
-        before = committed.read_bytes()
-        args = ["bench", "--multitenant", "--check", "--baseline"]
-        assert main([*args, str(committed)]) == 0
-        assert "all multitenant gates passed" in capsys.readouterr().out
-        doctored = json.loads(before)
-        doctored["simulated"]["serial_s"] *= 1.05
-        drifted = tmp_path / "drifted.json"
-        drifted.write_text(json.dumps(doctored))
-        out = tmp_path / "fresh.json"
-        assert main([*args, str(drifted), "--out", str(out)]) == 1
-        text = capsys.readouterr().out
-        assert "FAILED gates (multitenant)" in text
-        assert "simulated.serial_s" in text and "rel 0.01" in text
-        assert json.loads(out.read_text())["schema"] == 1
-        assert committed.read_bytes() == before
+    def test_edge_values_are_accepted(self):
+        with pytest.raises(self.Built):
+            main(["query", "--traces", "2000", "--queries", "1", "--range", "39,116,39,116",
+                  "--radius-query", "40,116,0", "--knn", "40,116,3"])

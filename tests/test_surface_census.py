@@ -4,10 +4,11 @@ says here why it stays.  Its body-level twin, the reach census
 (``make_reach_census.py`` writes ``reach_census.json``), does the same for
 every function; the last tests here gate that file.
 
-*Reached* means used from a reacher: the ``repro`` CLI (whose ``bench``
-subcommand is the six suites), ``benchmarks/`` (the e2e workloads and
-their tracer, the table/figure/ablation tests) or ``examples/`` (which
-drive the ``Gepeto`` facade, README's public API).  Tests are not reachers
+*Reached* means used from a reacher: the ``repro`` CLI, ``benchmarks/``
+(the e2e workloads and their tracer, the table/figure/ablation tests) or
+``examples/`` (which drive the ``Gepeto`` facade, README's public API).
+The benchmark goldens' generator is a test script, so the suites it runs
+are kept with that reason.  Tests are not reachers
 for modules and names: what only its own unit test imports is deleted with
 that test, unless a test compares another implementation against it (an
 oracle, kept with that reason).  For a parameter any call site counts,
@@ -92,6 +93,11 @@ KEPT = {
     "repro.index.selfjoin.radius_self_join":
         "the documented per-row form of self_join_csr (DESIGN.md, docs/PERFORMANCE.md); "
         "the oracle suites compare it, split per row, against the per-cell reference",
+    **dict.fromkeys(
+        ("repro.mapreduce.bench.SUITES", "repro.mapreduce.bench.save_result"),
+        "the six benchmark suites and their golden format: tests/make_bench_goldens.py "
+        "writes BENCH_<suite>.json, test_bench_goldens.py and CI byte-check them",
+    ),
     **dict.fromkeys(
         (
             f"repro.metrics.privacy.{name}"
@@ -287,12 +293,12 @@ def test_the_assignment_kernels_are_exported_and_reached():
 
 
 def test_the_bench_exports_are_pinned_and_e2e_reaches_the_generators():
-    """``repro.mapreduce.bench`` exports the six suites' harness and the
-    three corpus generators, whose reacher is ``benchmarks/e2e/workloads.py``."""
+    """``repro.mapreduce.bench`` exports the six suites, their golden
+    format and the three corpus generators, whose reacher is
+    ``benchmarks/e2e/workloads.py``."""
     assert _all_of(_SRC_TREES["repro.mapreduce.bench"]) == [
         "synthetic_corpus", "synthetic_corpus_blocks", "synthetic_stream_corpus",
-        "query_workload", "matches_reference", "Suite", "SUITES",
-        "compare_to_baseline", "save_result", "load_result",
+        "query_workload", "matches_reference", "Suite", "SUITES", "save_result",
     ]
     e2e = _uses(_FILES[REPO / "benchmarks" / "e2e" / "workloads.py"])
     assert {"synthetic_corpus", "synthetic_corpus_blocks", "synthetic_stream_corpus"} <= e2e
