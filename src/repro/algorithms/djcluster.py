@@ -26,6 +26,7 @@ clusters are non-overlapping with at least ``MinPts`` traces each.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,7 @@ import numpy as np
 from repro.geo.distance import haversine_m
 from repro.geo.trace import TraceArray
 from repro.index.persistent import IndexCatalog
-from repro.index.rtree import RTree
+from repro.index.rtree import RTree, _is_count
 from repro.mapreduce.config import Configuration
 from repro.mapreduce.job import ConstantKeyPartitioner, JobSpec, Mapper, Reducer
 from repro.mapreduce.pipeline import JobPipeline, PipelineResult
@@ -75,14 +76,24 @@ class DJClusterParams:
     rtree_max_entries: int = 32
 
     def __post_init__(self) -> None:
+        # Checked here, before any job runs: a NaN threshold keeps no trace
+        # (NaN compares false), 2.5 points act as 3 and an infinite radius
+        # fails only inside a map task, jobs later.
+        for name in ("radius_m", "speed_threshold_ms", "dedup_tolerance_m"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.radius_m <= 0:
             raise ValueError("radius_m must be positive")
-        if self.min_pts < 1:
-            raise ValueError("min_pts must be >= 1")
+        if not _is_count(self.min_pts) or self.min_pts < 1:
+            raise ValueError(f"min_pts must be an integer >= 1, got {self.min_pts!r}")
         if self.speed_threshold_ms < 0:
             raise ValueError("speed_threshold_ms must be non-negative")
         if self.dedup_tolerance_m < 0:
             raise ValueError("dedup_tolerance_m must be non-negative")
+        if not _is_count(self.rtree_max_entries) or self.rtree_max_entries < 2:
+            raise ValueError(
+                f"rtree_max_entries must be an integer >= 2, got {self.rtree_max_entries!r}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -184,38 +195,55 @@ def _merge_flat(flat: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.n
     Algorithm 5's "merge all joinable neighborhoods with existing
     clusters or create new clusters" is connected components over the
     trace ids, every neighborhood (``lengths[i]`` consecutive ids of
-    ``flat``) tying its members together.  Computed array-at-a-time: ids
-    are compacted to ``0..m-1``, each id starts as its own label, and
-    each round hooks the label of every member of a neighborhood onto
-    the neighborhood's smallest label, then flattens the label forest by
-    pointer jumping.  At the fixed point every neighborhood — hence
-    every component — carries one label, its smallest id.  Returns
-    ``(members, starts)``: the clustered ids, cluster after cluster in
-    order of first id and ascending within each, and the offset at which
-    each cluster starts.
+    ``flat``) tying its members together.  Computed array-at-a-time: each
+    round hooks the label of every member of a neighborhood onto the
+    neighborhood's smallest label (an id's first label is the smallest id
+    of its neighborhoods), then flattens the label forest by pointer
+    jumping.  At the fixed point every neighborhood — hence every
+    component — carries one label, its smallest id.  Returns ``(members,
+    starts)``: the clustered ids, cluster after cluster in order of first
+    id and ascending within each, and the offset at which each cluster
+    starts.
+
+    Every caller passes row numbers ``0 <= id < n``: ids that span no
+    more than ``flat`` is long are labelled over that span directly, and
+    the ids never seen are dropped at the end.  Wider (sparse) ids are
+    first compacted to ``0..m-1`` by a sort.  Either way labels keep the
+    ids' order, so the clusters are the same.
     """
     if len(flat) == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     starts = np.cumsum(lengths) - lengths
     flat = flat.astype(np.int64, copy=False)
-    ids = np.unique(flat)
-    # Narrow labels halve every per-round transient (they are all as long
-    # as ``flat``), which is what bounds the reducer's peak memory.
-    label_t = np.int32 if len(ids) <= np.iinfo(np.int32).max else np.int64
-    members = np.searchsorted(ids, flat).astype(label_t)
+    low = int(flat.min())
+    span = int(flat.max()) - low + 1
+    if span <= len(flat):
+        ids, members = None, flat - low if low else flat
+    else:
+        ids = np.unique(flat)
+        members, span = np.searchsorted(ids, flat), len(ids)
     del flat
-    labels = np.arange(len(ids), dtype=label_t)
+    # Narrow labels halve every per-round transient (they are all as long
+    # as ``flat``), which is what bounds the reducer's peak memory; the
+    # members stay ``intp``, the index type a gather reads without a cast.
+    # Label ``span`` (its own label) marks an id no neighborhood holds.
+    label_t = np.int32 if span < np.iinfo(np.int32).max else np.int64
+    labels = np.full(span + 1, span, dtype=label_t)
+    roots, lowest = members, np.minimum.reduceat(members, starts).astype(label_t)
     while True:
-        roots = labels[members]
-        lowest = np.repeat(np.minimum.reduceat(roots, starts), lengths)
-        if np.array_equal(roots, lowest):
-            break
-        np.minimum.at(labels, roots, lowest)
+        np.minimum.at(labels, roots, np.repeat(lowest, lengths))
         while True:
             jumped = labels[labels]
             if np.array_equal(jumped, labels):
                 break
             labels = jumped
+        roots = np.take(labels, members)
+        lowest = np.minimum.reduceat(roots, starts)
+        if np.array_equal(lowest, np.maximum.reduceat(roots, starts)):
+            break
+    seen = np.flatnonzero(labels[:-1] < span)
+    labels = labels[seen]
+    ids = seen + low if ids is None else ids
     order = np.argsort(labels, kind="stable")
     cuts = np.flatnonzero(np.diff(labels[order])) + 1
     return ids[order], np.concatenate(([0], cuts))

@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.geo.distance import (
+    _DOT_BAND,
+    _TIE_BAND,
     EARTH_RADIUS_KM,
     METRIC_COST,
     get_metric,
@@ -66,34 +68,8 @@ CENTROIDS_CACHE_KEY = "kmeans.centroids"
 _POINT_RECORD_BYTES = 16
 
 
-#: Relative band above a point's smallest Haversine argument ``a`` inside
-#: which the order of ``a`` is not trusted: ``sqrt`` maps adjacent doubles
-#: to one, so a strictly larger ``a`` can tie in distance.  Outside it
-#: ``sqrt`` (correctly rounded) leaves a gap of ~2,000 ulp, ``arcsin``
-#: (relative condition >= 1 on [0, 1]) cannot shrink it, and any ``arcsin``
-#: within 100 ulp plus one rounded multiply keeps the order strict.
-_TIE_BAND = 1e-12
-
-#: Absolute band, in units of ``a``, below which the unit-sphere key's
-#: gap ``(g_best - g_runner) / 2`` does not prove ``haversine_arg``'s
-#: order.  With ``u = 2**-53``, every ``sin``/``cos`` within 1 ulp (what
-#: NumPy's own accuracy tests hold float64 to) and all coordinates within
-#: ±180°: each unit vector is off by at most 7.4 u in norm, so by
-#: Cauchy–Schwarz plus the three rounded multiply-adds the key is off by
-#: ``E_g`` ≤ 18 u; ``haversine_arg`` is off by ``H_a`` ≤ 17 u +
-#: u·(|Δφ| + |Δλ|) ≤ 30 u, absolute.  Both are measured against the exact
-#: ``a* = (1 - p̂·ĉ) / 2`` of the same rounded radians.  If the gap exceeds
-#: ``E_g + 2 H_a`` (≈ 78 u ≈ 8.6e-15) plus ``2·_TIE_BAND·â``, ``â`` the
-#: winner's clipped ``(1 - g) / 2``, then every other centroid's ``a`` is
-#: strictly above the winner's and, clipped, beyond ``_TIE_BAND`` of it:
-#: the winner is ``haversine_arg``'s first minimum and outside that
-#: kernel's own tie band, so the index and the finished distance are its.
-#: An ``a`` at or above 1 (antipodes, out-of-range latitudes) only fits
-#: under a gap of ``E_g + H_a + _TIE_BAND``, inside the band.  2e-14
-#: holds at 2-ulp ``sin``/``cos`` too (≈ 113 u); the subtraction term
-#: grows with the coordinates, so the band is scaled by their largest
-#: magnitude over 180°.  Points inside it take the exact row.
-_DOT_BAND = 2e-14
+# The near-tie bands, ``_TIE_BAND`` and ``_DOT_BAND``, and their proof
+# live in ``repro.geo.distance``, beside the radius kernel they also bound.
 
 
 def _unit_sphere_cos(lat1, lon1, lat2, lon2) -> np.ndarray:

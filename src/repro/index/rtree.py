@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.geo.distance import haversine_m
+from repro.geo.distance import RadiusBand, haversine_m, radius_band, unit_vectors, within_radius
 from repro.geo.grid import finite_column, ragged_arange
 
 __all__ = ["Rect", "RTree", "NodeView", "DEFAULT_MAX_ENTRIES"]
@@ -119,20 +119,20 @@ def _is_count(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_radius_queries(points: np.ndarray, radius_m: float) -> np.ndarray:
-    """The (n, 2) float64 query array of a many-point radius query, or
+def _check_radius_queries(points: np.ndarray, radius_m: float) -> tuple[np.ndarray, RadiusBand]:
+    """The (n, 2) float64 query array of a many-point radius query and the
+    :func:`~repro.geo.distance.radius_band` its answers are decided by, or
     ``ValueError``.  NaN compares false against everything, so unchecked
-    poison comes back as an empty — plausible, wrong — neighborhood."""
-    if not math.isfinite(radius_m):
-        raise ValueError(f"radius must be finite, got {radius_m!r}")
-    if radius_m < 0:
-        raise ValueError("radius must be non-negative")
+    poison comes back as an empty — plausible, wrong — neighborhood.  The
+    band sizes itself by the queries alone: a candidate that passed a
+    pruning box (clamped to ±90°, ±180°) adds no larger coordinate."""
     points = np.asarray(points, dtype=np.float64)
+    band = radius_band(radius_m, points)  # validates the radius first
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError("points must be an (n, 2) array")
     if not np.isfinite(points).all():
         raise ValueError("query points must be finite (no NaN/inf coordinates)")
-    return points
+    return points, band
 
 
 def _order_hits_by_query(
@@ -406,16 +406,21 @@ class RTree:
         """Ids of points within ``radius_m`` metres (Haversine) of a point.
 
         A latitude/longitude bounding box prunes the tree (two boxes for
-        a disc across ±180°); survivors are refined with one exact
-        Haversine call.
+        a disc across ±180°); survivors are refined by the unit-sphere
+        radius kernel (:func:`~repro.geo.distance.within_radius`), whose
+        answer is Haversine's, bit for bit.
         """
-        query = _check_radius_queries([[lat, lon]], radius_m)
+        query, band = _check_radius_queries([[lat, lon]], radius_m)
         if self._root is None:
             return np.empty(0, dtype=np.int64)
         boxes, _ = _radius_boxes(query[:, 0], query[:, 1], radius_m)
         found = [self._scan(box) for box in boxes]  # two boxes across ±180°
         ids, points = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
-        keep = haversine_m(lat, lon, points[:, 0], points[:, 1]) <= radius_m
+        pairs = np.arange(len(ids))
+        keep = within_radius(
+            band, unit_vectors(query), query, np.zeros_like(pairs),
+            unit_vectors(points), points, pairs,
+        )
         return np.sort(ids[keep])
 
     def query_radius_batch(self, points: np.ndarray, radius_m: float) -> list[np.ndarray]:
@@ -426,14 +431,15 @@ class RTree:
         box-vs-child-MBR test for that whole subset is a single
         broadcasted comparison instead of ``n`` independent traversals.
         A leaf refines all of its surviving (query, candidate) pairs with
-        *one* flat Haversine call, and the hits of the whole walk are
-        ordered by ``(query, id)`` in a single sort at the end.  Haversine
-        is elementwise, so a pair's distance does not depend on which call
-        computed it: the result arrays are exactly ``[query_radius(lat,
-        lon, radius_m) for lat, lon in points]`` (the property tests
-        assert it).  The arrays are slices of one shared ``int64`` buffer.
+        *one* radius-kernel call (unit vectors of the leaf's points are
+        computed at the visit, the queries' once), and the hits of the
+        whole walk are ordered by ``(query, id)`` in a single sort at the
+        end.  The kernel decides each pair on its own, exactly as Haversine
+        would: the result arrays are exactly ``[query_radius(lat, lon,
+        radius_m) for lat, lon in points]`` (the property tests assert
+        it).  The arrays are slices of one shared ``int64`` buffer.
         """
-        points = _check_radius_queries(points, radius_m)
+        points, band = _check_radius_queries(points, radius_m)
         n = len(points)
         empty = np.empty(0, dtype=np.int64)
         if n == 0 or self._root is None:
@@ -441,7 +447,7 @@ class RTree:
         # query_radius takes one row of the same elementwise kernel, so
         # the pruning geometry is bit-identical to the per-point path.
         boxes, owner = _radius_boxes(points[:, 0], points[:, 1], radius_m)
-        centres = points[owner]
+        vectors = unit_vectors(points)
         hit_boxes: list[np.ndarray] = []
         hit_ids: list[np.ndarray] = []
         stack = [(self._root, np.arange(len(boxes)))]
@@ -461,10 +467,9 @@ class RTree:
                 if len(rows) == 0:
                     continue
                 hits = active[rows]
-                dist = haversine_m(
-                    centres[hits, 0], centres[hits, 1], pts[cols, 0], pts[cols, 1]
+                keep = within_radius(
+                    band, vectors, points, owner[hits], unit_vectors(pts), pts, cols
                 )
-                keep = dist <= radius_m
                 if keep.any():
                     hit_boxes.append(hits[keep])
                     hit_ids.append(node.ids[cols[keep]])

@@ -1,5 +1,7 @@
 """Unit tests for DJ-Cluster (Section VII, Figure 5, Table IV)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,26 @@ class TestParams:
             DJClusterParams(speed_threshold_ms=-1)
         with pytest.raises(ValueError):
             DJClusterParams(dedup_tolerance_m=-1)
+
+    # Each was accepted: NaN speed kept no trace (0 clusters from 0 traces
+    # after two jobs), 2.5 points acted as 3, True as 1, an infinite radius
+    # failed inside a map task four jobs in, a one-entry node cannot split.
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("speed_threshold_ms", math.nan),
+            ("min_pts", 2.5),
+            ("min_pts", True),
+            ("radius_m", math.inf),
+            ("dedup_tolerance_m", math.nan),
+            ("rtree_max_entries", 1),
+        ],
+        ids=["nan-speed", "fractional-min-pts", "bool-min-pts", "inf-radius",
+             "nan-dedup", "one-entry-nodes"],
+    )
+    def test_bad_parameter_is_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DJClusterParams(**{field: value})
 
 
 class TestSpeeds:

@@ -37,6 +37,7 @@ from repro.attacks.mmc import build_mmc
 from repro.attacks.poi import poi_attack
 from repro.geo import distance
 from repro.geo.trace import Trail, TraceArray
+from repro.index import selfjoin
 from repro.mapreduce.cache import DistributedCache
 from repro.mapreduce.config import Configuration
 from repro.mapreduce.counters import Counters
@@ -285,15 +286,18 @@ def test_block_cut_changes_neither_output_nor_order(monkeypatch):
 def test_reduce_task_cost_follows_blocks_not_users(monkeypatch):
     """Haversine calls per FingerprintReducer task: the per-user pipeline
     made at least five per user (two filters, >= 1 per grid cell, one per
-    MMC, more per cluster); a block makes four, whoever is in it."""
+    MMC, more per cluster); a block makes three, whoever is in it.  The
+    block's one self-join slab is decided on unit vectors, which call
+    Haversine only for pairs inside the radius kernel's band."""
     calls = count_calls(monkeypatch, distance, "haversine_km")
+    slabs = count_calls(monkeypatch, selfjoin, "within_radius")
     per_block = {}
     for n_users in (5, 80):
         train, _, _ = synthetic_linkage_corpus(n_users, seed=9)
         users = _columns_by_user(train)
-        del calls[:]
+        del calls[:], slabs[:]
         ctx = _reduce(_fragment_groups(users), params=(SYNTH_ATTACK_PARAMS, 8, 200.0))
         assert sum(fp is not None for _, (_, fp) in ctx.output) == n_users
-        per_block[n_users] = len(calls)
-    # speed filter, dedup, one self-join slab, one (trace x own POI) call
-    assert per_block == {5: 4, 80: 4}
+        per_block[n_users] = (len(calls), len(slabs))
+    # speed filter, dedup, one (trace x own POI) call; one self-join slab
+    assert per_block == {5: (3, 1), 80: (3, 1)}

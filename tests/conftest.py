@@ -260,6 +260,19 @@ def radius_self_join_oracle(points: np.ndarray, radius_m: float) -> list[np.ndar
     return neighborhoods
 
 
+def radius_brute_force(points: np.ndarray, radius_m: float) -> list[np.ndarray]:
+    """Reference radius neighbourhoods from every pair: row *i*'s ids with
+    ``haversine_m <= radius_m``, one full Haversine row per point.  At
+    radius 0 the index's rule instead: identical coordinates only."""
+    points = np.asarray(points, dtype=np.float64)
+    lat, lon = points[:, 0], points[:, 1]
+    if radius_m == 0:
+        return [np.flatnonzero((lat == a) & (lon == b)) for a, b in points.tolist()]
+    return [
+        np.flatnonzero(haversine_m(a, b, lat, lon) <= radius_m) for a, b in points.tolist()
+    ]
+
+
 def hilbert_key_oracle(x, y, bounds, order: int = DEFAULT_ORDER) -> np.ndarray:
     """Reference ``hilbert_key``: the classic ``xy2d`` rotate-and-fold the
     table-driven automaton replaced, one whole-array pass per curve level."""

@@ -88,29 +88,36 @@ class TestSemantics:
 
 
 class TestCost:
-    """Haversine calls follow candidate pairs, never cells or points."""
+    """Radius-kernel pair evaluations follow candidate pairs in slabs of
+    ``_SLAB_PAIRS``, never cells or points; Haversine runs only for a slab
+    with pairs inside the kernel's band."""
 
     @staticmethod
     def _join_counting_calls(monkeypatch, pts, radius, slab):
-        """Pairs per ``haversine_km`` call of one join at the given slab size."""
-        calls = count_calls(monkeypatch, distance, "haversine_km")
+        """Pairs per radius-kernel call of one join at the given slab size,
+        and the number of ``haversine_km`` calls."""
+        kernel = count_calls(monkeypatch, selfjoin, "within_radius")
+        haversine = count_calls(monkeypatch, distance, "haversine_km")
         monkeypatch.setattr(selfjoin, "_SLAB_PAIRS", slab)
         radius_self_join(pts, radius)
-        return [np.size(args[0]) for args in calls]
+        return [np.size(args[3]) for args in kernel], len(haversine)
 
     def test_one_call_for_a_thousand_cells(self, monkeypatch):
-        # A 0.1 degree lattice: every point alone in its cell, its own only candidate.
+        # A 0.1 degree lattice: every point alone in its cell, its own only
+        # candidate, at distance 0 — far inside the band, so no Haversine.
         pts = np.array([[30.0 + 0.1 * i, 100.0 + 0.1 * j] for i in range(32) for j in range(32)])
-        assert self._join_counting_calls(monkeypatch, pts, 100.0, 1 << 18) == [len(pts)]
+        assert self._join_counting_calls(monkeypatch, pts, 100.0, 1 << 18) == ([len(pts)], 0)
 
     @pytest.mark.parametrize("slab", [1000, 4096, 90_000, 1 << 18])
     def test_calls_are_candidates_over_slab_rounded_up(self, monkeypatch, slab):
-        # 300 points inside one 10 m cell: 300 x 300 candidates, one cell.
+        # 300 points inside one 10 m cell: 300 x 300 candidates, one cell,
+        # every pair centimetres apart at a 500 m radius: none in the band.
         pts = city_points(300, seed=37, spread=1e-6)
-        sizes = self._join_counting_calls(monkeypatch, pts, 500.0, slab)
+        sizes, haversine_calls = self._join_counting_calls(monkeypatch, pts, 500.0, slab)
         assert sum(sizes) == 300 * 300
         assert len(sizes) == -(-300 * 300 // slab)
         assert all(size == slab for size in sizes[:-1])
+        assert haversine_calls == 0
 
     def test_slab_cuts_do_not_change_the_answer(self, monkeypatch):
         pts = city_points(500, seed=38, spread=0.004)
@@ -118,3 +125,20 @@ class TestCost:
         monkeypatch.setattr(selfjoin, "_SLAB_PAIRS", 777)
         got = radius_self_join(pts, 300.0)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_a_fold_too_wide_even_squeezed_takes_coarser_cubes(monkeypatch):
+    """Past what squeezing can fit (over a million distinct cubes on every
+    axis) the cubes double until the key fits: more candidates, the same
+    neighbourhoods."""
+    pts = city_points(400, seed=39, spread=0.01)
+    want = radius_self_join(pts, 150.0)
+    squeezed = []
+    real = selfjoin._squeeze
+    monkeypatch.setattr(selfjoin, "_squeeze", lambda v: squeezed.append(len(v)) or real(v))
+    # About 35 cubes an axis at 150 m, 9 at four times the side.
+    monkeypatch.setattr(selfjoin, "_KEY_LIMIT", 2000)
+    got = radius_self_join(pts, 150.0)
+    assert squeezed == [len(pts)] * 6  # twice squeezed and still too wide
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+

@@ -12,7 +12,7 @@ from repro.geo.distance import haversine_m
 from repro.index import selfjoin
 from repro.index.rtree import RTree, _radius_rects
 from repro.index.selfjoin import radius_self_join
-from tests.conftest import radius_self_join_oracle
+from tests.conftest import radius_brute_force, radius_self_join_oracle
 from tests.index.test_persistent_properties import _persist
 
 point_sets = st.lists(
@@ -194,10 +194,14 @@ def test_equals_the_per_cell_implementation(points, radius):
 @settings(max_examples=80, deadline=None)
 @given(globe_points, st.sampled_from([0.0, 1e-4, 50.0, 400.0, 30_000.0]))
 def test_equals_the_per_cell_implementation_at_poles_and_antimeridian(spots, radius):
-    # Same grid, same Haversine arguments: equal wherever the points lie
-    # (neither implementation joins across the antimeridian).
+    # The per-cell grid never joined across the antimeridian; the unit-
+    # sphere grid does.  So every per-cell answer is kept, and the whole
+    # answer is brute-force Haversine's, wherever the points lie.
     pts = _on_globe(spots)
-    _assert_same_hoods(radius_self_join(pts, radius), radius_self_join_oracle(pts, radius))
+    hoods = radius_self_join(pts, radius)
+    _assert_same_hoods(hoods, radius_brute_force(pts, radius))
+    for hood, per_cell in zip(hoods, radius_self_join_oracle(pts, radius)):
+        assert np.isin(per_cell, hood).all()
 
 
 @settings(max_examples=80, deadline=None)
