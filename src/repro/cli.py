@@ -31,6 +31,8 @@ import datetime as _dt
 import math
 import sys
 
+import numpy as np
+
 from repro.algorithms.djcluster import DJClusterParams
 from repro.attacks.poi import poi_attack
 from repro.geo.geolife import read_geolife_dataset, write_geolife_dataset
@@ -552,6 +554,45 @@ def _load(path: str):
     return dataset
 
 
+def query_workload(
+    corpus, n_queries: int, seed: int
+) -> list[tuple[str, tuple[float, ...]]]:
+    """A seeded mix of point/range/radius/kNN queries anchored on corpus
+    points (so point lookups actually hit) — deterministic given ``seed``."""
+    rng = np.random.default_rng(seed + 1000)
+    coords = corpus.coordinates()
+    anchors = coords[rng.integers(0, len(coords), n_queries)]
+    kinds = ("point", "range", "radius", "knn")
+    out: list[tuple[str, tuple[float, ...]]] = []
+    for i in range(n_queries):
+        lat, lon = float(anchors[i, 0]), float(anchors[i, 1])
+        kind = kinds[i % len(kinds)]
+        if kind == "point":
+            out.append(("point", (lat, lon)))
+        elif kind == "range":
+            out.append(("range", (lat - 0.01, lon - 0.01, lat + 0.01, lon + 0.01)))
+        elif kind == "radius":
+            out.append(("radius", (lat, lon, 250.0)))
+        else:
+            out.append(("knn", (lat, lon, 8)))
+    return out
+
+
+def matches_reference(ref_tree, kind: str, args: tuple[float, ...], got) -> bool:
+    """Whether ``got``, the served answer to one :func:`query_workload`
+    query, is byte-identical to the in-memory ``ref_tree``'s (kNN
+    including tie order)."""
+    from repro.index.rtree import Rect
+
+    if kind == "knn":
+        return got == ref_tree.knn(*args)
+    if kind == "radius":
+        return np.array_equal(got, ref_tree.query_radius(*args))
+    if kind == "point":
+        args = (args[0], args[1], args[0], args[1])
+    return np.array_equal(got, ref_tree.query_rect(Rect(*args)))
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
@@ -987,11 +1028,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "query":
         from repro.index.persistent import IndexCatalog
         from repro.index.rtree_mr import build_rtree_mapreduce
-        from repro.mapreduce.bench import (
-            matches_reference,
-            query_workload,
-            synthetic_corpus,
-        )
+        from repro.mapreduce.bench import synthetic_corpus
         from repro.mapreduce.hdfs import MB
         from repro.mapreduce.runner import fresh_runner
         from repro.mapreduce.service import JobService
@@ -1010,8 +1047,10 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.traces < 1:
             raise SystemExit("query: --traces must be positive")
-        if args.budget_mb is not None and args.budget_mb <= 0:
-            raise SystemExit("query: --budget-mb must be positive")
+        if args.budget_mb is not None and not (
+            math.isfinite(args.budget_mb) and args.budget_mb > 0
+        ):
+            raise SystemExit("query: --budget-mb must be positive and finite")
         if args.queries < 1:
             raise SystemExit("query: --queries must be positive")
         explicit: list[tuple[str, tuple[float, ...]]] = []

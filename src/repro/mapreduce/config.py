@@ -9,6 +9,7 @@ every mapper/reducer at ``setup`` time, mirroring Hadoop's ``Configuration``
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -86,9 +87,9 @@ class MapReduceConfig:
                     f"memory_budget_mb must be a positive number or None, "
                     f"got {self.memory_budget_mb!r}"
                 )
-            if self.memory_budget_mb <= 0:
+            if not (math.isfinite(self.memory_budget_mb) and self.memory_budget_mb > 0):
                 raise ValueError(
-                    f"memory_budget_mb must be positive (got "
+                    f"memory_budget_mb must be positive and finite (got "
                     f"{self.memory_budget_mb}); pass None for unbounded"
                 )
         if self.tenants is not None:

@@ -13,6 +13,7 @@ datanode loss by serving the surviving replicas.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -56,8 +57,12 @@ class SimulatedHDFS:
             raise ValueError("chunk_size must be positive")
         if replication < 1:
             raise ValueError("replication must be >= 1")
-        if memory_budget_mb is not None and memory_budget_mb <= 0:
-            raise ValueError("memory_budget_mb must be positive")
+        if memory_budget_mb is not None and not (
+            math.isfinite(memory_budget_mb) and memory_budget_mb > 0
+        ):
+            raise ValueError(
+                f"memory_budget_mb must be positive and finite (got {memory_budget_mb})"
+            )
         self.cluster = cluster
         self.chunk_size = chunk_size
         self.replication = replication

@@ -24,11 +24,9 @@ from repro.streaming.manager import (
     WindowResult,
 )
 from repro.streaming.check import (
-    StreamCheckReport,
     StreamOutcome,
     run_multitenant_stream,
     run_stream,
-    run_stream_equivalence,
     run_stream_selfcheck,
 )
 
@@ -43,8 +41,6 @@ __all__ = [
     "StreamRunResult",
     "run_stream",
     "StreamOutcome",
-    "StreamCheckReport",
-    "run_stream_equivalence",
     "run_multitenant_stream",
     "run_stream_selfcheck",
 ]

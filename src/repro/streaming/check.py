@@ -23,7 +23,7 @@ that as an acceptable outcome, mirroring
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,8 +41,6 @@ from repro.streaming.source import StreamSource
 __all__ = [
     "run_stream",
     "StreamOutcome",
-    "StreamCheckReport",
-    "run_stream_equivalence",
     "run_multitenant_stream",
     "run_stream_selfcheck",
 ]
@@ -134,25 +132,6 @@ class StreamOutcome:
         return self.failed is not None
 
 
-@dataclass
-class StreamCheckReport:
-    """Equivalence matrix: the batch baseline vs every streaming cell."""
-
-    baseline: StreamOutcome
-    cells: list[StreamOutcome] = field(default_factory=list)
-
-    @property
-    def identical(self) -> bool:
-        """Every completed cell matches the baseline byte for byte (a
-        clean failure only counts when the baseline failed too)."""
-        if self.baseline.clean_failure:
-            return all(c.clean_failure for c in self.cells)
-        return all(
-            not c.clean_failure and c.signature == self.baseline.signature
-            for c in self.cells
-        )
-
-
 def _outcome(label: str, array, window_s, **kwargs) -> StreamOutcome:
     try:
         res = run_stream(array, window_s, **kwargs)
@@ -167,41 +146,6 @@ def _outcome(label: str, array, window_s, **kwargs) -> StreamOutcome:
         lost_points=res.lost_points,
         cache_hits=res.total_cache_hits,
     )
-
-
-def run_stream_equivalence(
-    array: TraceArray,
-    window_s: float,
-    chaos: ChaosSchedule | None = None,
-    executors: tuple[str, ...] = ("serial", "threads"),
-    budgets: tuple[float | None, ...] = (None,),
-    max_workers: int | None = 2,
-    **manager_kwargs,
-) -> StreamCheckReport:
-    """Batch baseline vs (executor × budget) streaming cells.
-
-    Every cell gets a fresh deployment and the same chaos schedule; the
-    report's ``identical`` property is the streaming invariant.
-    """
-    baseline = _outcome(
-        "batch/serial", array, window_s,
-        mode="runner", executor="serial", chaos=chaos, **manager_kwargs,
-    )
-    report = StreamCheckReport(baseline=baseline)
-    for executor in executors:
-        workers = None if executor == "serial" else max_workers
-        for budget in budgets:
-            label = f"stream/{executor}" + (
-                f"/budget={budget:g}MB" if budget is not None else ""
-            )
-            report.cells.append(
-                _outcome(
-                    label, array, window_s,
-                    mode="service", executor=executor, max_workers=workers,
-                    memory_budget_mb=budget, chaos=chaos, **manager_kwargs,
-                )
-            )
-    return report
 
 
 def run_multitenant_stream(

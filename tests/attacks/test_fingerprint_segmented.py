@@ -4,7 +4,7 @@ Three references hold ``fingerprint_users`` (and the reducer built on it)
 in place:
 
 * the golden recorded from the commit that still fingerprinted one user
-  at a time (``make_fingerprint_golden.py`` says what each user traps);
+  at a time (``tests/goldens/attacks.py`` says what each user traps);
 * the per-user pipeline itself, kept here as an oracle composed from the
   public single-trail API (``poi_attack`` + ``build_mmc``);
 * ``fingerprint_user``: a user's fingerprint may not depend on who
@@ -43,15 +43,15 @@ from repro.mapreduce.config import Configuration
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import ReduceContext
 from tests.conftest import count_calls
-
-from .make_fingerprint_golden import (
+from tests.goldens import differences
+from tests.goldens.attacks import (
     ATTACH_RADIUS_M,
-    GOLDEN,
     MAX_POIS,
     PARAMS,
     corpus,
-    fingerprint_doc,
+    fingerprints_text,
 )
+from tests.goldens.registry import GOLDENS, check, committed
 
 
 def _dumps(fp) -> bytes:
@@ -95,14 +95,10 @@ def _by_name(array: TraceArray, prints: dict) -> dict:
 
 
 def _assert_matches_golden(got: dict) -> None:
-    golden = json.loads(GOLDEN.read_text())
-    assert set(got) == set(golden["users"])
-    same_numpy = golden["numpy"].split(".")[0] == np.__version__.split(".")[0]
-    for name, want in golden["users"].items():
-        doc = fingerprint_doc(got[name])
-        if doc is not None and not same_numpy:
-            doc["pickle_len"] = want["pickle_len"]
-        assert doc == want, name
+    names = list(corpus())
+    assert set(got) == set(names)
+    text = fingerprints_text({name: got[name] for name in names})
+    assert differences(GOLDENS["fingerprints"], committed("fingerprints"), text) == []
 
 
 # -- golden ------------------------------------------------------------------------
@@ -110,7 +106,7 @@ def _assert_matches_golden(got: dict) -> None:
 
 def test_golden_traps_are_armed():
     """The record is only worth pinning while each trap still bites."""
-    users = json.loads(GOLDEN.read_text())["users"]
+    users = json.loads(committed("fingerprints"))["users"]
     assert [n for n, fp in users.items() if fp is None] == ["single", "moving", "twin-a", "twin-b"]
     assert "home" not in users["many"]["labels"] and len(users["many"]["labels"]) == MAX_POIS
     assert users["lone"]["labels"] == ["home"]
@@ -120,10 +116,7 @@ def test_golden_traps_are_armed():
 
 
 def test_one_user_at_a_time_matches_golden():
-    _assert_matches_golden({
-        name: fingerprint_user(_trail(name, columns), PARAMS, MAX_POIS, ATTACH_RADIUS_M)
-        for name, columns in corpus().items()
-    })
+    assert check("fingerprints") == []
 
 
 @pytest.mark.parametrize("interleave", [False, True])

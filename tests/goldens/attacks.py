@@ -1,15 +1,30 @@
-"""Regenerates ``golden_fingerprints.json`` (checked in next to this file).
+"""The attack goldens.
 
-The golden holds, for a fixed adversarial corpus, what the *per-user*
-fingerprint pipeline produced on the commit before fingerprints were
-computed a block of users at a time: each user's POI coordinates,
-transition matrix and visit counts as ``float.hex``, the home/work
-labels, and the length of the fingerprint's pickle (the reduce output is
-pickled, so label identity and array layout reach ``hdfs.bytes_written``
-and the simulated clock).  The segmented pass promised the same bits;
-``test_fingerprint_segmented.py`` holds it to them.
+``golden_linkage_jobs.json`` pins what the MapReduce linkage attack
+*ships*, not only what it concludes.  For each case below, on the serial
+backend with and without a budget that makes the blocking shuffle spill:
+every job's ``job_finish`` counters and the SHA-256 of the whole job
+history (the shuffle sizes records by pickling them, so a fingerprint
+whose pickle grows by one byte moves these); the SHA-256 of each HDFS
+output, pickled (NumPy-bound: the array reconstructor's module path moved
+in NumPy 2); and the outcome.  Recorded on the commit before the attack
+computed cells, POI means and chains a fingerprint block at a time.
 
-The corpus is one case per trap:
+=========  ==========================================================
+``city``   30 users with three POIs each, the bench corpus's geometry
+``seam``   12 users astride the antimeridian and the 85° polar cap,
+           so covers wrap and collapse into the polar cell
+=========  ==========================================================
+
+``golden_fingerprints.json`` holds, for a fixed adversarial corpus, what
+the per-user fingerprint pipeline produced on the commit before
+fingerprints were computed a block of users at a time: each user's POI
+coordinates, transition matrix and visit counts as ``float.hex``, the
+home/work labels, and the length of the fingerprint's pickle (the reduce
+output is pickled, so label identity and array layout reach the
+simulated clock; NumPy-bound like the outputs above).  POI coordinates
+are sums and one division, transitions ratios of whole numbers, so the
+floats do not depend on the NumPy build.  One user per trap:
 
 =============  ======================================================
 ``single``     one row: nothing to cluster
@@ -28,32 +43,87 @@ The corpus is one case per trap:
 ``uniform``    two squares of traces 99 m from their centroids: two POIs,
                no trace attaches, the transition rows stay uniform
 =============  ======================================================
-
-A CPU-side optimisation must never change the JSON.  Re-record it only
-for a deliberate change of the attack::
-
-    PYTHONPATH=src python tests/attacks/make_fingerprint_golden.py
-
-and say so in the change.  Inputs come from ``RandomState`` (a frozen
-stream).  POI coordinates are sums and one division, transitions are
-ratios of whole numbers, so the floats do not depend on the NumPy build;
-the pickle length does (the array reconstructor's module path moved in
-NumPy 2), so it is compared only under the major version recorded here.
 """
 
 from __future__ import annotations
 
 import json
 import pickle
-from pathlib import Path
 
 import numpy as np
 
 from repro.algorithms.djcluster import DJClusterParams
 from repro.attacks.deanonymization import fingerprint_user
+from repro.attacks.linkage_mr import (
+    SYNTH_ATTACK_PARAMS,
+    run_linkage_attack,
+    synthetic_linkage_corpus,
+)
 from repro.geo.trace import Trail, TraceArray
+from repro.mapreduce.runner import fresh_runner
+from tests.goldens import dump, sha256
 
-GOLDEN = Path(__file__).parent / "golden_fingerprints.json"
+CASES = {
+    "city": dict(n_users=30, seed=5, pois_per_user=3),
+    "seam": dict(
+        n_users=12, seed=8, pois_per_user=3, region=((84.96, 85.04), (179.9, 179.96))
+    ),
+}
+#: A budget small enough that the blocking shuffle spills sorted runs.
+BUDGETS = {"plain": None, "spill": 0.005}
+OUTPUTS = ("fingerprints-train", "fingerprints-target", "links")
+
+
+def run_case(case: str, budget_mb: "float | None") -> dict:
+    train, target, truth = synthetic_linkage_corpus(**CASES[case])
+    with fresh_runner(
+        {"input/train": train, "input/target": target},
+        chunk_size=16 * 1024,
+        n_workers=3,
+        backend="serial",
+        budget_mb=budget_mb,
+        record_bytes=64,
+    ) as runner:
+        outcome = run_linkage_attack(
+            runner, "input/train", "input/target", truth, params=SYNTH_ATTACK_PARAMS
+        )
+        outputs = {
+            name: sha256(
+                pickle.dumps(
+                    list(runner.hdfs.read_records(f"tmp/linkage/{name}")),
+                    protocol=pickle.HIGHEST_PROTOCOL,
+                )
+            )
+            for name in OUTPUTS
+        }
+        history = runner.history.to_json_obj()
+    jobs = {
+        event["job"]: event["data"]["counters"]
+        for event in history["events"]
+        if event["kind"] == "job_finish"
+    }
+    return {
+        "signature": outcome.signature(),
+        "pairs_scored": outcome.pairs_scored,
+        "pairs_exact": outcome.pairs_exact,
+        "sim_seconds": outcome.sim_seconds.hex(),
+        "history_sha256": sha256(json.dumps(history, sort_keys=True).encode()),
+        "spilled": any(event["kind"] == "spill_start" for event in history["events"]),
+        "jobs": jobs,
+        "outputs_sha256": outputs,
+    }
+
+
+def build_linkage() -> str:
+    return dump({
+        "numpy": np.__version__,
+        "runs": {
+            f"{case}/{label}": run_case(case, budget)
+            for case in CASES
+            for label, budget in BUDGETS.items()
+        },
+    })
+
 
 PARAMS = DJClusterParams(radius_m=150.0, min_pts=3)
 MAX_POIS = 3
@@ -155,16 +225,17 @@ def fingerprint_doc(fp) -> dict | None:
     }
 
 
-def record() -> dict:
-    users = {}
-    for name, (lat, lon, ts) in corpus().items():
-        trail = Trail(name, TraceArray.from_columns(name, lat, lon, ts))
-        users[name] = fingerprint_doc(fingerprint_user(trail, PARAMS, MAX_POIS, ATTACH_RADIUS_M))
-    return {"numpy": np.__version__, "users": users}
+def fingerprints_text(prints: dict) -> str:
+    """The golden's text for ``{user: fingerprint}`` (indent 1, in user order)."""
+    users = {name: fingerprint_doc(fp) for name, fp in prints.items()}
+    return json.dumps({"numpy": np.__version__, "users": users}, indent=1) + "\n"
 
 
-if __name__ == "__main__":
-    doc = record()
-    GOLDEN.write_text(json.dumps(doc, indent=1) + "\n")
-    for name, fp in doc["users"].items():
-        print(f"{name:9s}", None if fp is None else (fp["labels"], fp["visit_counts"]))
+def build_fingerprints() -> str:
+    return fingerprints_text({
+        name: fingerprint_user(
+            Trail(name, TraceArray.from_columns(name, lat, lon, ts)),
+            PARAMS, MAX_POIS, ATTACH_RADIUS_M,
+        )
+        for name, (lat, lon, ts) in corpus().items()
+    })

@@ -1,32 +1,18 @@
-"""Regenerates ``golden_kmeans.json`` (checked in next to this file).
+"""``golden_kmeans.json``: what k-means *answers*, bit for bit.
 
-The golden is what k-means *answers*, bit for bit: for one seeded
-30,000-point corpus, every cell of ``{haversine, squared_euclidean}`` x
-``{KMeansReducer, +combiner, +aggregation}`` x ``{serial, threads,
-processes}`` x ``{unbudgeted, 1 MB budget}`` run for four iterations —
-a SHA-256 of the centroid bytes, ``float.hex()`` of the inertia,
-per-iteration ``shuffle_bytes`` / ``max_centroid_move`` / ``sim_seconds``
-and the map-output record and byte counters — plus ``kmeans_sequential``'s
-centroids and a SHA of its final assignment.  It was recorded from the
-commit *before* nearest-centroid assignment moved onto
-``nearest_centroid`` (argmin on the Haversine argument, one stable gather
-in the mapper), so it pins what that change promised to keep: every
-assignment, every emitted block, every counter, every simulated second.
-
-A change of kernel must never change this file.  Re-record it only for a
-deliberate change of a metric's bits or of the k-means job's shape::
-
-    PYTHONPATH=src python tests/algorithms/make_kmeans_golden.py
-
-and say so in the change.  The corpus comes from ``RandomState`` (a
-frozen stream).
+For one seeded 30,000-point corpus, every cell of ``{haversine,
+squared_euclidean}`` x ``{KMeansReducer, +combiner, +aggregation}`` x
+``{serial, threads, processes}`` x ``{unbudgeted, 1 MB budget}`` run for
+four iterations: a SHA-256 of the centroid bytes, ``float.hex()`` of the
+inertia, per-iteration ``shuffle_bytes`` / ``max_centroid_move`` /
+``sim_seconds`` and the map-output record and byte counters; plus
+``kmeans_sequential``'s centroids and a SHA of its final assignment.
+Recorded on the commit before assignment moved onto ``nearest_centroid``
+(argmin on the Haversine argument, one stable gather in the mapper), so a
+kernel change must never change it.
 """
 
 from __future__ import annotations
-
-import hashlib
-import json
-from pathlib import Path
 
 import numpy as np
 
@@ -34,8 +20,7 @@ from repro.algorithms.kmeans import assign_points, kmeans_sequential, run_kmeans
 from repro.geo.trace import TraceArray
 from repro.mapreduce.counters import STANDARD
 from repro.mapreduce.runner import fresh_runner
-
-GOLDEN = Path(__file__).parent / "golden_kmeans.json"
+from tests.goldens import dump, sha256
 
 N_POINTS = 30_000
 K = 7
@@ -45,10 +30,6 @@ METRICS = ("haversine", "squared_euclidean")
 REDUCES = {"reducer": (False, False), "combiner": (True, False), "aggregation": (False, True)}
 BACKENDS = ("serial", "threads", "processes")
 BUDGETS_MB = (None, 1)
-
-
-def _sha(array: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
 def corpus() -> TraceArray:
@@ -96,7 +77,7 @@ def mapreduce_cell(array, centroids, metric, reduce, backend, budget_mb) -> dict
         )
     task = STANDARD.GROUP_TASK
     return {
-        "centroids_sha256": _sha(result.centroids),
+        "centroids_sha256": sha256(result.centroids),
         "inertia": float(result.inertia).hex(),
         "iterations": [
             {
@@ -119,7 +100,7 @@ def sequential_cell(points, centroids, metric) -> dict:
     return {
         "centroids": [[float(x).hex() for x in row] for row in result.centroids],
         "inertia": float(result.inertia).hex(),
-        "assignment_sha256": _sha(
+        "assignment_sha256": sha256(
             assign_points(points, result.centroids, metric).astype("<i8")
         ),
     }
@@ -129,21 +110,14 @@ def cell_name(metric, reduce, backend, budget_mb) -> str:
     return f"{metric}/{reduce}/{backend}/{'unbudgeted' if budget_mb is None else f'{budget_mb}MB'}"
 
 
-def record(backends=BACKENDS) -> dict:
-    """The JSON-safe record the golden holds (for ``backends`` only)."""
+def build() -> str:
     array = corpus()
     points = array.coordinates()
     centroids = initial_centroids(points)
-    return {
+    return dump({
         "sequential": {m: sequential_cell(points, centroids, m) for m in METRICS},
         "mapreduce": {
             cell_name(m, r, b, mb): mapreduce_cell(array, centroids, m, r, b, mb)
-            for m in METRICS for r in REDUCES for b in backends for mb in BUDGETS_MB
+            for m in METRICS for r in REDUCES for b in BACKENDS for mb in BUDGETS_MB
         },
-    }
-
-
-if __name__ == "__main__":
-    doc = record()
-    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}: {len(doc['mapreduce'])} MapReduce cells")
+    })

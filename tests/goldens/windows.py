@@ -1,31 +1,18 @@
-"""Regenerates ``golden_window_metrics.json`` (checked in next to this file).
+"""``golden_window_metrics.json``: what the quasi-identifier binning answers.
 
-The golden is what the quasi-identifier binning *answers*: a small
-chaotic stream's per-window ``WindowResult.signature()``,
+A small chaotic stream's per-window ``WindowResult.signature()``,
 ``WindowRisk.to_doc()``, ``cache_hits`` and ``_top_cells``, plus digests
 of every grid / distinct-row consumer on one fixed corpus
 (``anonymity_set_sizes``, ``mixzone_anonymity_sets``, ``SpatialCloaking``,
 ``SpatialAggregator``, the co-location attack, ``range_query_error``,
-``coverage_ratio``, ``home_work_anonymity``).  It was recorded from the
-commit *before* those sites moved onto ``repro.geo.grid`` (``grid_cells``
-+ ``unique_rows`` in place of ten copies of the band arithmetic and
-fourteen ``np.unique(axis=0)`` calls), so it pins what that change
-promised to keep: every band, every distinct-row order, every count.
-
-A change of sort kernel must never change this file.  Re-record it only
-for a deliberate change of the grid definition or of the analysis chain::
-
-    PYTHONPATH=src python tests/streaming/make_window_golden.py
-
-and say so in the change.  The fixed corpus comes from ``RandomState``
-(a frozen stream) and is digested as integers or group means.
+``coverage_ratio``, ``home_work_anonymity``).  Recorded on the commit
+before those sites moved onto ``repro.geo.grid`` (``grid_cells`` +
+``unique_rows`` in place of ten copies of the band arithmetic and
+fourteen ``np.unique(axis=0)`` calls): every band, every distinct-row
+order, every count.
 """
 
 from __future__ import annotations
-
-import hashlib
-import json
-from pathlib import Path
 
 import numpy as np
 
@@ -44,8 +31,7 @@ from repro.sanitization.cloaking import SpatialCloaking
 from repro.sanitization.mixzones import MixZone
 from repro.streaming.manager import StreamingJobManager, _top_cells
 from repro.streaming.source import StreamSource
-
-GOLDEN = Path(__file__).parent / "golden_window_metrics.json"
+from tests.goldens import dump, sha256
 
 WINDOW_S = 1800.0
 #: Two hemispheres, so bands of both signs are binned and sorted.
@@ -54,18 +40,11 @@ N_POINTS = 6_000
 N_USERS = 12
 
 
-def _digest(*arrays: np.ndarray) -> str:
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a).tobytes())
-    return h.hexdigest()[:16]
-
-
 def _array_digest(array: TraceArray) -> str:
-    return _digest(
+    return sha256(
         np.asarray(array.user_index, dtype="<i8"), array.latitude,
         array.longitude, array.timestamp,
-    )
+    )[:16]
 
 
 def stream_corpus() -> TraceArray:
@@ -139,7 +118,7 @@ def corpus_metrics() -> dict:
     pairs = {u: (pts[0], pts[1]) for u, pts in first_seen.items()}
     return {
         "anonymity_set_sizes": {
-            f"{cell_m:g}m/{window_s:g}s": _digest(anonymity_set_sizes(array, cell_m, window_s))
+            f"{cell_m:g}m/{window_s:g}s": sha256(anonymity_set_sizes(array, cell_m, window_s))[:16]
             for cell_m, window_s in ((500.0, 3600.0), (150.0, 900.0))
         },
         "mixzone_anonymity_sets": {str(z): sizes.tolist() for z, sizes in mix.items()},
@@ -152,12 +131,5 @@ def corpus_metrics() -> dict:
     }
 
 
-def record() -> dict:
-    """The JSON-safe record the golden holds."""
-    return {"windows": stream_windows(), "corpus": corpus_metrics()}
-
-
-if __name__ == "__main__":
-    doc = record()
-    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN}: {len(doc['windows'])} windows")
+def build() -> str:
+    return dump({"windows": stream_windows(), "corpus": corpus_metrics()})

@@ -15,8 +15,8 @@ from repro.index.persistent import PersistentRTree
 from repro.index.rtree import RTree
 from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.hdfs import SimulatedHDFS
-
-from . import make_build_golden, make_packed_shapes_golden, make_serving_golden
+from tests.goldens import index as index_goldens
+from tests.goldens import serving
 
 #: Just west of +180°, looking for the points just east of −180°.
 QUERY = (10.0005, 179.9999)
@@ -106,9 +106,9 @@ def test_no_index_golden_reaches_the_seam():
     """The R-tree goldens' corpora and queries lie far from ±180°, so the
     seam fix leaves every recorded answer, page and counter alone."""
     corpora = [
-        make_build_golden.corpus().coordinates(),
-        make_serving_golden._corpus(),
-        *(points for _, points in make_packed_shapes_golden.shapes().values()),
+        index_goldens.corpus().coordinates(),
+        serving._corpus(),
+        *(points for _, points in index_goldens.shapes().values()),
     ]
     for points in corpora:
         if len(points):

@@ -1,8 +1,7 @@
 """Tree shapes the Figure 6 golden never reaches are pinned, page byte
 and answer for answer: empty, one leaf, a partial last leaf and slab,
 all-duplicate points, fanouts 2 and 64, and equal- and mixed-height
-merges.  See ``make_packed_shapes_golden.py`` for what the golden holds
-and when it may be re-recorded.
+merges (``tests/goldens/index.py``).
 """
 
 import json
@@ -11,21 +10,14 @@ import numpy as np
 import pytest
 
 from repro.index.rtree import RTree
+from tests.goldens.registry import changed, committed
 
-from .make_packed_shapes_golden import GOLDEN, record_shape, shapes
-
-GOLDEN_DOC = json.loads(GOLDEN.read_text())
-
-
-@pytest.fixture(scope="module")
-def built():
-    return shapes()
+GOLDEN_DOC = json.loads(committed("packed_shapes"))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DOC))
-def test_shape_matches_recorded_golden(built, name):
-    tree, points = built[name]
-    assert record_shape(tree, points) == GOLDEN_DOC[name]
+def test_shape_matches_recorded_golden(name):
+    assert changed("packed_shapes", f"{name}/*") == []
 
 
 def test_golden_is_worth_pinning():

@@ -1,28 +1,20 @@
 """Every radius neighbourhood of the index and of DJ-Cluster is pinned,
 id for id: batch and single R-tree queries in memory and on budgeted
 pages, the self-join with and without groups, and DJ-Cluster both
-sequential and MapReduced, on four corpora at six radii.  See ``make_radius_golden.py``
-for what the golden holds and when it may be re-recorded.
+sequential and MapReduced, on four corpora at six radii
+(``tests/goldens/index.py``).
 """
 
 import json
 
-import pytest
+from tests.goldens.index import RADII, corpora
+from tests.goldens.registry import check, committed
 
-from .make_radius_golden import GOLDEN, RADII, corpora, record
-
-GOLDEN_DOC = json.loads(GOLDEN.read_text())
-
-
-@pytest.fixture(scope="module")
-def recorded():
-    return record()
+GOLDEN_DOC = json.loads(committed("radius"))
 
 
-def test_neighbourhoods_match_recorded_golden(recorded):
-    assert recorded.keys() == GOLDEN_DOC.keys()
-    for key, want in GOLDEN_DOC.items():
-        assert recorded[key] == want, key
+def test_neighbourhoods_match_recorded_golden():
+    assert check("radius") == []
 
 
 def test_golden_is_worth_pinning():

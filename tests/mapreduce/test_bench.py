@@ -1,20 +1,24 @@
-"""The benchmark harness: corpus synthesis, the rule that a suite's
-document reads no clock, and — for every suite — the gates, exercised on
-the committed ``BENCH_*.json``.  That a fresh run writes those files byte
-for byte is ``tests/test_bench_goldens.py``."""
+"""The benchmark corpora and suites: corpus synthesis, the rule that no
+golden build reads a clock, and — for every suite — the gates, exercised
+on the committed ``BENCH_*.json``.  That a fresh run writes those files
+byte for byte is ``tests/test_bench_goldens.py``."""
 
 import ast
 import copy
+import inspect
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro.mapreduce.bench as bench
-from repro.mapreduce.bench import SUITES, save_result, synthetic_corpus
+from repro.mapreduce.bench import synthetic_corpus
+from tests.goldens.registry import GOLDENS, built, committed
+from tests.goldens.suites import _gates_spill, bench_json
 
-REPO = Path(__file__).resolve().parents[2]
+SUITES = [name for name, golden in GOLDENS.items() if golden.path.startswith("benchmarks/")]
 
 #: Every key that held a clock, a resource meter or a host property.
 HOST_KEYS = {
@@ -22,10 +26,6 @@ HOST_KEYS = {
     "times_s", "peak_rss_mb", "rss_saved_mb", "slowdown", "cpu_count",
     "isolated_cells", "reps", "iterations",
 }
-
-
-def _committed(suite):
-    return json.loads((REPO / suite.baseline).read_text())
 
 
 # -- synthetic corpus --------------------------------------------------------
@@ -40,43 +40,43 @@ def test_synthetic_corpus_shape_and_determinism():
     assert not np.array_equal(synthetic_corpus(500, seed=4).latitude, a.latitude)
 
 
-# -- a document is a pure function of the code ----------------------------------
+# -- a golden is a pure function of the code ----------------------------------------
 
 def test_bench_reads_no_clock():
-    tree = ast.parse(Path(bench.__file__).read_text())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported |= {alias.name.split(".")[0] for alias in node.names}
-        elif isinstance(node, ast.ImportFrom):
-            imported.add((node.module or "").split(".")[0])
-    assert not imported & {"time", "resource", "subprocess"}
-    assert not any(hasattr(suite, "wall_clock") for suite in SUITES.values())
-    assert list(SUITES) == ["spill", "multitenant", "query", "stream", "shuffle", "attack"]
+    """No module that defines a golden build (nor the corpora they draw
+    on) imports a clock, a resource meter or a subprocess, and every
+    build takes no argument."""
+    modules = {bench, *(sys.modules[g.build.__module__] for g in GOLDENS.values())}
+    for module in modules:
+        imported = set()
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").split(".")[0])
+        assert not imported & {"time", "resource", "subprocess"}, module.__name__
+    for golden in GOLDENS.values():
+        assert inspect.signature(golden.build).parameters == {}, golden.name
+    assert SUITES == ["spill", "multitenant", "query", "stream", "shuffle", "attack"]
 
 
 # Spill is the suite whose run goes through disk: spill files and paged chunks.
 @pytest.mark.parametrize("name", ["spill"])
-def test_two_runs_write_identical_documents(name, tmp_path):
+def test_two_runs_write_identical_documents(name):
     """Two runs in one process write the same bytes: nothing a run leaves
     behind reaches the next document."""
-    docs = [SUITES[name].run() for _ in range(2)]
-    first, second = (save_result(doc, tmp_path / f"{i}.json") for i, doc in enumerate(docs))
-    assert first.read_bytes() == second.read_bytes()
-    assert json.loads(first.read_text()) == docs[0]
+    assert GOLDENS[name].build() == built(name)
 
 
 # -- every suite's gates, on the committed documents ------------------------------
 
-@pytest.mark.parametrize("name", list(SUITES))
-def test_committed_baseline_passes_its_own_gates_and_comparison(name, tmp_path):
+@pytest.mark.parametrize("name", SUITES)
+def test_committed_baseline_passes_its_own_gates_and_comparison(name):
     """The committed document passes its gates and is already in the
     golden format, so the byte comparison compares content only."""
-    suite = SUITES[name]
-    committed = _committed(suite)
-    assert suite.gates(committed) == []
-    rewritten = save_result(committed, tmp_path / "doc.json")
-    assert rewritten.read_bytes() == (REPO / suite.baseline).read_bytes()
+    text = committed(name)
+    assert GOLDENS[name].problems(text) == []
+    assert bench_json(json.loads(text)) == text
 
 
 def _keys(node):
@@ -91,21 +91,20 @@ def _keys(node):
 
 def test_wall_clock_fields_are_never_declared():
     """No committed document holds a host-dependent key at any depth."""
-    for suite in SUITES.values():
-        assert not set(_keys(_committed(suite))) & HOST_KEYS, suite.name
+    for name in SUITES:
+        assert not set(_keys(json.loads(committed(name)))) & HOST_KEYS, name
 
 
 def test_spill_gates_catch_divergence_and_a_budget_that_never_bit():
-    suite = SUITES["spill"]
-    baseline = _committed(suite)
+    baseline = json.loads(committed("spill"))
     diverged = copy.deepcopy(baseline)
     diverged["results"][0]["cells"]["budgeted"]["centroids_sha256"] = "0" * 64
-    assert any("centroids_sha256" in p for p in suite.gates(diverged))
+    assert any("centroids_sha256" in p for p in _gates_spill(diverged))
     iterations = copy.deepcopy(baseline)
     iterations["results"][1]["cells"]["budgeted"]["n_iterations"] += 1
-    assert any("n_iterations" in p for p in suite.gates(iterations))
+    assert any("n_iterations" in p for p in _gates_spill(iterations))
     idle = copy.deepcopy(baseline)
     for entry in idle["results"]:
         cell = entry["cells"]["budgeted"]
         cell["spill"]["runs_spilled"] = cell["paging"]["pages_out"] = 0
-    assert any("never bit" in p for p in suite.gates(idle))
+    assert any("never bit" in p for p in _gates_spill(idle))

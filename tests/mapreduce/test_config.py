@@ -2,11 +2,15 @@
 
 import pytest
 
+from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.config import (
     Configuration,
     MapReduceConfig,
     validate_tenants,
 )
+from repro.mapreduce.hdfs import SimulatedHDFS
+from repro.mapreduce.runner import JobRunner
+from repro.mapreduce.service import JobService
 
 
 class TestConfiguration:
@@ -105,3 +109,32 @@ class TestValidateTenants:
 
     def test_none_means_single_tenant(self):
         assert MapReduceConfig("serial").tenants is None
+
+
+class TestMemoryBudget:
+    """A budget that is not a finite positive number fails at construction
+    with an error that names it, not later inside ``int(budget * MB)``."""
+
+    BAD = pytest.mark.parametrize("budget", [float("nan"), float("inf"), -float("inf")])
+
+    @BAD
+    def test_config_rejects_it(self, budget):
+        with pytest.raises(ValueError, match="memory_budget_mb must be positive and finite"):
+            MapReduceConfig("serial", memory_budget_mb=budget)
+
+    @BAD
+    def test_hdfs_rejects_it(self, budget):
+        with pytest.raises(ValueError, match="memory_budget_mb must be positive and finite"):
+            SimulatedHDFS(paper_cluster(2), memory_budget_mb=budget)
+
+    @BAD
+    def test_runner_rejects_it(self, budget):
+        hdfs = SimulatedHDFS(paper_cluster(2))
+        with pytest.raises(ValueError, match="memory_budget_mb must be positive and finite"):
+            JobRunner(hdfs, memory_budget_mb=budget)
+
+    @BAD
+    def test_service_rejects_it(self, budget):
+        hdfs = SimulatedHDFS(paper_cluster(2))
+        with pytest.raises(ValueError, match="memory_budget_mb must be positive and finite"):
+            JobService(hdfs, memory_budget_mb=budget)

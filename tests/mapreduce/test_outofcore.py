@@ -12,6 +12,7 @@ dataset, byte-identical with spill events recorded.
 """
 
 import dataclasses
+import json
 import os
 
 import numpy as np
@@ -232,10 +233,10 @@ def test_worker_side_spill_on_processes_backend():
 
 
 def test_spill_benchmark_in_process_smoke():
-    from repro.mapreduce.bench import SUITES
+    from tests.goldens.registry import GOLDENS, built
 
-    suite = SUITES["spill"]
-    doc = suite.run()
+    text = built("spill")  # the run the golden check makes, shared
+    doc = json.loads(text)
     assert [entry["size"] for entry in doc["results"]] == [100_000, 1_000_000]
     for entry in doc["results"]:
         cells = entry["cells"]
@@ -243,7 +244,7 @@ def test_spill_benchmark_in_process_smoke():
         assert cells["budgeted"]["spill"]["runs_spilled"] > 0
         assert cells["budgeted"]["paging"]["pages_out"] > 0
         assert cells["unbudgeted"]["spill"] is None
-    assert suite.gates(doc) == []
+    assert GOLDENS["spill"].problems(text) == []
 
 
 @pytest.mark.bench

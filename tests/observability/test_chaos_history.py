@@ -1,7 +1,7 @@
 """Chaos-run histories: golden report, ordering + timing under recovery.
 
 Two halves.  The golden half pins the exact ``repro history`` rendering
-of a handcrafted chaos trace (``make_chaos_golden.py``) — fault events
+of a handcrafted chaos trace (``tests/goldens/histories.py``) — fault events
 in the Gantt, the recovery summary lines, the critical path through a
 re-dispatched task.  The live half runs a *real* chaotic deployment and
 checks the invariants the docs promise survive recovery: the event
@@ -15,13 +15,11 @@ import pytest
 from repro.observability.events import EventKind
 from repro.observability.history import load_history
 from repro.observability.report import render_report, summarize_job
+from tests.goldens.histories import JOB
+from tests.goldens.registry import GOLDENS, REPO, check
 
-from .make_chaos_golden import (
-    GOLDEN_HISTORY,
-    GOLDEN_REPORT,
-    JOB,
-    build_chaos_golden,
-)
+GOLDEN_HISTORY = REPO / GOLDENS["chaos_history"].path
+GOLDEN_REPORT = REPO / GOLDENS["chaos_report"].path
 
 
 @pytest.fixture(scope="module")
@@ -31,11 +29,7 @@ def golden():
 
 class TestGoldenChaosTrace:
     def test_golden_in_sync_with_generator(self):
-        import json
-
-        assert json.loads(GOLDEN_HISTORY.read_text()) == (
-            build_chaos_golden().to_json_obj()
-        )
+        assert check("chaos_history") == []
 
     def test_golden_report_in_sync(self, golden):
         assert render_report(golden) == GOLDEN_REPORT.read_text()

@@ -1,6 +1,6 @@
 """Derived metrics + the `repro history` CLI, on the golden history.
 
-``golden_history.json`` (regenerated by ``make_golden.py``) is a small
+``golden_history.json`` (built by ``tests/goldens/histories.py``) is a small
 handcrafted trace with every report feature present at once: a retried
 task, a rack-local straggler with a speculative duplicate, a skewed
 shuffle and a combiner.

@@ -13,8 +13,7 @@ from repro.mapreduce.runner import fresh_runner
 from repro.observability.events import EventKind
 from repro.streaming.manager import _CACHE_HIT_KINDS, StreamingJobManager
 from repro.streaming.source import StreamSource
-
-from .make_window_golden import WINDOW_S, stream_corpus
+from tests.goldens.windows import WINDOW_S, stream_corpus
 
 
 def _full_scan(history) -> int:

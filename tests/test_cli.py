@@ -118,6 +118,19 @@ class TestCommands:
         with pytest.raises(SystemExit, match=f"^attack: {message}"):
             main(["attack", "--in", str(corpus_dir), "--linkage", f"{flag}={value}"])
 
+    @pytest.mark.parametrize("budget", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["query", "chaos", "stream", "attack"])
+    def test_a_budget_that_is_not_finite_exits_in_one_line(self, corpus_dir, command, budget):
+        # nan used to fail inside int(budget * MB), inf with a traceback.
+        argv = {
+            "query": ["query", "--traces", "2000", "--budget-mb", budget],
+            "chaos": ["chaos", "--memory-budget-mb", budget],
+            "stream": ["stream", "--memory-budget-mb", budget],
+            "attack": ["attack", "--in", str(corpus_dir), "--linkage", "--memory-budget-mb", budget],
+        }[command]
+        with pytest.raises(SystemExit, match=f"^{command}: .*budget.* must be positive and finite"):
+            main(argv)
+
     def test_attack(self, corpus_dir, tmp_path, capsys):
         sampled = tmp_path / "sampled"
         main(["sample", "--in", str(corpus_dir), "--out", str(sampled), "--window", "60"])

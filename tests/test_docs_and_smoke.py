@@ -94,12 +94,10 @@ def test_cli_help_mentions_every_documented_subcommand():
 
 def test_benchmark_suites_table_matches_the_declarations():
     """Docs and the suites can't drift: the "Benchmark suites" table in
-    docs/PERFORMANCE.md has one row per suite, in ``SUITES`` order,
-    linking its golden, saying what its gates assert, and naming where it
-    is checked — tier-1 for the suites ``test_bench_goldens.py`` runs,
-    CI for the rest."""
-    from repro.mapreduce.bench import SUITES
-    from tests.test_bench_goldens import TIER1
+    docs/PERFORMANCE.md has one row per ``BENCH_*.json`` golden, in
+    registry order, linking it, saying what its gates assert, and naming
+    where it is checked — tier-1 or CI."""
+    from tests.goldens.registry import GOLDENS
 
     text = (REPO / "docs" / "PERFORMANCE.md").read_text()
     section = text.split("## Benchmark suites", 1)[1].split("\n## ", 1)[0]
@@ -108,12 +106,13 @@ def test_benchmark_suites_table_matches_the_declarations():
         cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
         if line.startswith("|") and len(cells) == 4 and cells[0] not in {"suite", "---"}:
             rows[cells[0]] = cells
-    assert list(rows) == list(SUITES)
-    for name, suite in SUITES.items():
+    suites = {n: g for n, g in GOLDENS.items() if g.path.startswith("benchmarks/")}
+    assert list(rows) == list(suites)
+    for name, golden in suites.items():
         _, document, gates, where = rows[name]
-        assert document == f"[`{suite.baseline.name}`](../{suite.baseline.as_posix()})"
+        assert document == f"[`{golden.path.rsplit('/', 1)[1]}`](../{golden.path})"
         assert gates
-        assert where == ("tier-1" if name in TIER1 else "CI")
+        assert where == ("tier-1" if golden.tier1 else "CI")
 
 
 @pytest.mark.parametrize("doc", DOCS, ids=lambda p: str(p.relative_to(REPO)))
@@ -199,7 +198,7 @@ def test_observability_doc_covers_every_event_kind():
 
 
 def test_golden_history_in_sync_with_generator():
-    """`make_golden.py` and the checked-in golden file must agree."""
-    from tests.observability.make_golden import GOLDEN, build_golden
+    """``tests/goldens/histories.py`` and the checked-in golden agree."""
+    from tests.goldens.registry import check
 
-    assert json.loads(GOLDEN.read_text()) == build_golden().to_json_obj()
+    assert check("history") == []

@@ -12,11 +12,11 @@ from repro.algorithms.djcluster import run_djcluster_mapreduce
 from repro.algorithms.kmeans import run_kmeans_mapreduce
 from repro.attacks.linkage_mr import run_linkage_attack
 from repro.attacks.sweep import run_sweep
-from repro.mapreduce import bench
 from repro.mapreduce.runner import JobRunner, fresh_runner
 from repro.mapreduce.service import JobService
 from repro.mapreduce.shuffle import shuffle
 from repro.streaming.manager import StreamingJobManager
+from tests.goldens import suites
 
 CENSUS = {
     JobRunner.__init__: (
@@ -59,8 +59,8 @@ CENSUS = {
     # One workload per benchmark suite: its document is a golden.
     **dict.fromkeys(
         (
-            bench._run_spill, bench._run_multitenant, bench._run_query,
-            bench._run_stream, bench._run_shuffle, bench._run_attack,
+            suites._run_spill, suites._run_multitenant, suites._run_query,
+            suites._run_stream, suites._run_shuffle, suites._run_attack,
         ),
         (),
     ),
@@ -74,15 +74,18 @@ def test_parameter_census(func):
 
 def test_bench_surface_census():
     """A curator sets nothing on a benchmark suite: there is no ``bench``
-    subcommand, and a suite is a name, a run and its gates."""
+    subcommand, and a suite is a golden whose build is its run."""
     from repro.cli import build_parser
-    from repro.mapreduce.bench import SUITES, Suite
+    from tests.goldens import Golden
+    from tests.goldens.registry import GOLDENS
 
     (subparsers,) = (a for a in build_parser()._actions if a.dest == "command")
     assert "bench" not in subparsers.choices
-    assert tuple(field.name for field in dataclasses.fields(Suite)) == ("name", "run", "gates")
-    assert [suite.run for suite in SUITES.values()] == [
-        func for func in CENSUS if func.__module__ == bench.__name__
+    assert tuple(field.name for field in dataclasses.fields(Golden)) == (
+        "name", "path", "build", "gates", "tier1", "numpy_fields",
+    )
+    assert [g.build for g in GOLDENS.values() if g.path.startswith("benchmarks/")] == [
+        func for func in CENSUS if func.__module__ == suites.__name__
     ]
 
 

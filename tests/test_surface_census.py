@@ -7,11 +7,9 @@ every function; the last tests here gate that file.
 *Reached* means used from a reacher: the ``repro`` CLI, ``benchmarks/``
 (the e2e workloads and their tracer, the table/figure/ablation tests) or
 ``examples/`` (which drive the ``Gepeto`` facade, README's public API).
-The benchmark goldens' generator is a test script, so the suites it runs
-are kept with that reason.  Tests are not reachers
-for modules and names: what only its own unit test imports is deleted with
-that test, unless a test compares another implementation against it (an
-oracle, kept with that reason).  For a parameter any call site counts,
+Tests are not reachers for modules and names: what only its own unit test
+imports is deleted with that test, unless a test compares another
+implementation against it (an oracle, kept with that reason).  For a parameter any call site counts,
 tests included.  The pinned lists make a new module or export a one-line
 diff here; the walks make an unreached one a failing test.
 """
@@ -83,8 +81,7 @@ SURFACE = {
     "repro.streaming": ("batcher check manager source", """
         FeedBatch StreamSource MicroBatcher WindowDataset StreamingJobManager
         WindowResult RiskTimeline StreamRunResult run_stream StreamOutcome
-        StreamCheckReport run_stream_equivalence run_multitenant_stream
-        run_stream_selfcheck"""),
+        run_multitenant_stream run_stream_selfcheck"""),
     "repro.utils": ("hashrng", "splitmix64 trace_keys hash_uniform hash_normal"),
 }
 
@@ -93,11 +90,6 @@ KEPT = {
     "repro.index.selfjoin.radius_self_join":
         "the documented per-row form of self_join_csr (DESIGN.md, docs/PERFORMANCE.md); "
         "the oracle suites compare it, split per row, against the per-cell reference",
-    **dict.fromkeys(
-        ("repro.mapreduce.bench.SUITES", "repro.mapreduce.bench.save_result"),
-        "the six benchmark suites and their golden format: tests/make_bench_goldens.py "
-        "writes BENCH_<suite>.json, test_bench_goldens.py and CI byte-check them",
-    ),
     **dict.fromkeys(
         (
             f"repro.metrics.privacy.{name}"
@@ -293,12 +285,11 @@ def test_the_assignment_kernels_are_exported_and_reached():
 
 
 def test_the_bench_exports_are_pinned_and_e2e_reaches_the_generators():
-    """``repro.mapreduce.bench`` exports the six suites, their golden
-    format and the three corpus generators, whose reacher is
-    ``benchmarks/e2e/workloads.py``."""
+    """``repro.mapreduce.bench`` exports the three corpus generators, whose
+    reacher is ``benchmarks/e2e/workloads.py``; the suites that run on
+    them are goldens under ``tests/goldens``."""
     assert _all_of(_SRC_TREES["repro.mapreduce.bench"]) == [
         "synthetic_corpus", "synthetic_corpus_blocks", "synthetic_stream_corpus",
-        "query_workload", "matches_reference", "Suite", "SUITES", "save_result",
     ]
     e2e = _uses(_FILES[REPO / "benchmarks" / "e2e" / "workloads.py"])
     assert {"synthetic_corpus", "synthetic_corpus_blocks", "synthetic_stream_corpus"} <= e2e
