@@ -304,7 +304,7 @@ def _label_clusters(n: int, clusters: list[np.ndarray]) -> tuple[np.ndarray, np.
 
 def djcluster_sequential(
     array: TraceArray,
-    params: DJClusterParams | None = None,
+    params: DJClusterParams = DJClusterParams(),
     preprocess: bool = True,
     use_rtree: bool = False,
 ) -> DJClusterResult:
@@ -316,8 +316,6 @@ def djcluster_sequential(
     sets, far faster in Python); ``use_rtree=True`` switches to per-point
     R-tree queries — the paper's formulation, kept for cross-validation.
     """
-    if params is None:
-        params = DJClusterParams()
     if preprocess:
         _, prepared = preprocess_array(array, params)
     else:
@@ -456,10 +454,9 @@ def run_preprocessing_pipeline(
 def run_djcluster_mapreduce(
     runner: JobRunner,
     input_path: str,
-    params: DJClusterParams | None = None,
+    params: DJClusterParams = DJClusterParams(),
     rtree_curve: str = "hilbert",
     workdir: str = "tmp/djcluster",
-    history_path: str | None = None,
     name_prefix: str = "dj",
 ) -> DJClusterResult:
     """The full MapReduced DJ-Cluster: preprocessing, R-tree build,
@@ -467,8 +464,8 @@ def run_djcluster_mapreduce(
 
     Cluster ids reference rows of the returned ``preprocessed`` array.
     Every constituent job traces into ``runner.history`` and the driver
-    annotates each stage boundary, so the exported history (via
-    ``history_path`` or ``runner.history.save``) shows where the three
+    annotates each stage boundary, so the exported history
+    (``runner.history.save``) shows where the three
     phases spend their simulated time.
 
     The neighborhood phase reads the **shared persistent index**: the
@@ -481,8 +478,6 @@ def run_djcluster_mapreduce(
     ``tests/index`` proves it), so clusters equal
     :func:`djcluster_sequential`'s.
     """
-    if params is None:
-        params = DJClusterParams()
     hdfs = runner.hdfs
     pre = run_preprocessing_pipeline(
         runner, input_path, params, workdir, name_prefix=name_prefix
@@ -491,8 +486,6 @@ def run_djcluster_mapreduce(
     prepared = hdfs.read_trace_array(preprocessed_path)
     n = len(prepared)
     if n == 0:
-        if history_path is not None:
-            runner.history.save(history_path)
         return DJClusterResult(
             prepared, [], np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), params,
             sim_seconds=pre.sim_seconds, stage_sim_seconds={"preprocessing": pre.sim_seconds},
@@ -549,8 +542,6 @@ def run_djcluster_mapreduce(
         n_noise=int(len(noise)),
         stage_sim_seconds={k: float(v) for k, v in stage_sim.items()},
     )
-    if history_path is not None:
-        runner.history.save(history_path)
     return DJClusterResult(
         prepared,
         clusters,

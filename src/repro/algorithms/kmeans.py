@@ -186,8 +186,6 @@ def _init_centroids(
     closest centroid so far — the classic fix for the paper's noted
     sensitivity of k-means "to changes in the input conditions".
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if len(points) < k:
         raise ValueError(f"cannot pick {k} centroids from {len(points)} points")
     rng = np.random.default_rng(seed)
@@ -465,7 +463,6 @@ def run_kmeans_mapreduce(
     use_combiner: bool = False,
     use_aggregation: bool = False,
     workdir: str = "tmp/kmeans",
-    history_path: str | None = None,
     name_prefix: str = "kmeans",
 ) -> KMeansResult:
     """The k-means driver (Algorithm 3): one MapReduce job per iteration.
@@ -485,8 +482,8 @@ def run_kmeans_mapreduce(
     Every iteration's job emits its full event stream into
     ``runner.history`` and the driver adds one ``driver_annotation``
     event per iteration (centroid movement, convergence), so the history
-    file is the per-iteration trace Table III's analysis needs; pass
-    ``history_path`` to export it (``.json``/``.jsonl``).
+    file is the per-iteration trace Table III's analysis needs;
+    ``runner.history.save(path)`` exports it (``.json``/``.jsonl``).
 
     ``runner`` may also be a
     :class:`~repro.mapreduce.service.TenantClient`: the per-iteration
@@ -569,8 +566,6 @@ def run_kmeans_mapreduce(
         if converged_now:
             converged = True
             break
-    if history_path is not None:
-        runner.history.save(history_path)
     return KMeansResult(
         centroids=centroids,
         n_iterations=iteration,

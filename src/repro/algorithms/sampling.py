@@ -143,14 +143,13 @@ def run_sampling_job(
     window_s: float,
     technique: "str | SamplingTechnique" = SamplingTechnique.UPPER,
     name: str = "sampling",
-    history_path: "str | None" = None,
 ) -> JobResult:
     """Run the MapReduce sampling job (Section V's Hadoop application).
 
     The user specifies the window size, the technique and the input and
     output folders — exactly the parameters the paper lists.  The run's
-    structured trace accumulates in ``runner.history``; pass
-    ``history_path`` to also export it as a JSON/JSONL history file
+    structured trace accumulates in ``runner.history``;
+    ``runner.history.save(path)`` exports it as a JSON/JSONL history file
     readable by ``python -m repro history``.
 
     ``runner`` is anything runner-shaped: a
@@ -188,6 +187,4 @@ def run_sampling_job(
             STANDARD.GROUP_TASK, STANDARD.MAP_OUTPUT_RECORDS
         ),
     )
-    if history_path is not None:
-        runner.history.save(history_path)
     return result

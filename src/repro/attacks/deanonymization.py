@@ -50,7 +50,7 @@ def _check_fingerprint_args(max_pois: int, attach_radius_m: float) -> None:
 
 def fingerprint_users(
     array: TraceArray,
-    params: DJClusterParams | None = None,
+    params: DJClusterParams = DJClusterParams(),
     max_pois: int = 8,
     attach_radius_m: float = 200.0,
 ) -> dict[int, MobilityMarkovChain | None]:
@@ -63,8 +63,6 @@ def fingerprint_users(
     when no POI can be extracted (trail too sparse), which the attack
     treats as "unlinkable".
     """
-    if params is None:
-        params = DJClusterParams()
     _check_fingerprint_args(max_pois, attach_radius_m)
     trails = array.sort_by_time()
     prints: dict[int, MobilityMarkovChain | None] = dict.fromkeys(
@@ -95,7 +93,7 @@ def fingerprint_users(
 
 def fingerprint_user(
     trail: Trail,
-    params: DJClusterParams | None = None,
+    params: DJClusterParams = DJClusterParams(),
     max_pois: int = 8,
     attach_radius_m: float = 200.0,
 ) -> MobilityMarkovChain | None:
@@ -138,7 +136,7 @@ def deanonymization_attack(
     training: GeolocatedDataset,
     target: GeolocatedDataset,
     ground_truth: dict[str, str],
-    params: DJClusterParams | None = None,
+    params: DJClusterParams = DJClusterParams(),
     max_pois: int = 8,
     max_match_dist_m: float = 500.0,
     attach_radius_m: float = 200.0,
@@ -152,8 +150,6 @@ def deanonymization_attack(
     it (every candidate's :func:`~repro.attacks.mmc.mmc_link_score` is
     ``None``).
     """
-    if params is None:
-        params = DJClusterParams()
     train_prints: dict[str, MobilityMarkovChain] = {}
     for trail in training.trails():
         fp = fingerprint_user(trail, params, max_pois, attach_radius_m)

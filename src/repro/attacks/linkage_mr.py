@@ -511,13 +511,12 @@ def run_linkage_attack(
     training_path: str,
     target_path: str,
     ground_truth: "dict[str, str] | None" = None,
-    params: DJClusterParams | None = None,
+    params: DJClusterParams = DJClusterParams(),
     max_pois: int = 8,
     attach_radius_m: float = 200.0,
     max_match_dist_m: float = 500.0,
     num_reducers: "int | None" = None,
     workdir: str = "tmp/linkage",
-    history_path: "str | None" = None,
 ) -> LinkageAttackResult:
     """Run the full linking attack as MapReduce jobs.
 
@@ -534,8 +533,6 @@ def run_linkage_attack(
     candidate-pair audit runs (see module docstring); the audit never
     changes the attack's output, only ``pairs_exact``/``blocking_exact``.
     """
-    if params is None:
-        params = DJClusterParams()
     # Checked here, before any job runs, not inside a reduce task.
     _check_match_dist(max_match_dist_m)
     _check_fingerprint_args(max_pois, attach_radius_m)
@@ -653,8 +650,6 @@ def run_linkage_attack(
     runner.history.emit(
         EventKind.ATTACK_RESULT, "linkage-score", runner.history.clock, **data
     )
-    if history_path is not None:
-        runner.history.save(history_path)
     return outcome
 
 
@@ -809,7 +804,7 @@ def deanonymization_attack_reference(
     training: TraceArray,
     target: TraceArray,
     ground_truth: dict[str, str],
-    params: DJClusterParams | None = None,
+    params: DJClusterParams = DJClusterParams(),
     max_pois: int = 8,
     max_match_dist_m: float = 500.0,
     attach_radius_m: float = 200.0,

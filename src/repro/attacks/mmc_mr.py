@@ -114,15 +114,13 @@ def run_mmc_mapreduce(
     smoothing: float = 0.0,
     num_reducers: int | None = None,
     output_path: str = "tmp/mmc/models",
-    history_path: str | None = None,
 ) -> dict[str, MobilityMarkovChain]:
     """Learn one MMC per user over a shared POI state space, at scale.
 
     ``poi_coords`` is the (n_pois, 2) state table — typically the cluster
     centroids of a prior (MapReduced) DJ-Cluster run.  Returns a chain
     for every user with at least one attached trace.  The runner's job
-    history records the run; pass ``history_path`` to export it
-    (``.json``/``.jsonl``), like the other algorithm drivers.
+    history records the run, like the other algorithm drivers'.
     """
     poi_coords = np.asarray(poi_coords, dtype=np.float64)
     if poi_coords.ndim != 2 or poi_coords.shape[1] != 2:
@@ -157,6 +155,4 @@ def run_mmc_mapreduce(
             transitions=transitions,
             visit_counts=visit_counts,
         )
-    if history_path is not None:
-        runner.history.save(history_path)
     return models

@@ -204,7 +204,7 @@ def _segment_means(
 
 def poi_attack(
     trail: Trail | TraceArray,
-    params: DJClusterParams | None = None,
+    params: DJClusterParams = DJClusterParams(),
     min_traces: int = 1,
 ) -> list[PointOfInterestEstimate]:
     """The end-to-end POI inference attack on one individual's trail.
@@ -213,8 +213,6 @@ def poi_attack(
     resulting POIs.  This is the sequential attack path; for dataset-scale
     attacks use the MapReduced DJ-Cluster and :func:`extract_pois`.
     """
-    if params is None:
-        params = DJClusterParams()
     array = trail.traces if isinstance(trail, Trail) else trail
     result = djcluster_sequential(array, params)
     return label_home_work(extract_pois(result, min_traces=min_traces))

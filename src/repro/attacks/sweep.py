@@ -159,7 +159,7 @@ def run_sweep(
     target: TraceArray,
     ground_truth: dict[str, str],
     mechanisms: list[str],
-    params: DJClusterParams | None = None,
+    params: DJClusterParams = DJClusterParams(),
     executor: str = "serial",
     history_path: "str | None" = None,
 ) -> FrontierResult:

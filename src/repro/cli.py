@@ -241,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="render a Gantt/summary report from a job-history file",
         description=(
             "Reads a .json/.jsonl job-history file written by "
-            "JobHistory.save (every JobRunner records one; algorithm "
-            "drivers expose history_path=...) and renders per-job "
+            "JobHistory.save (every JobRunner records one in "
+            "runner.history) and renders per-job "
             "summaries: phase breakdown, critical path, straggler "
             "ranking, locality mix, combiner effectiveness, per-reducer "
             "shuffle bytes, and a per-task text Gantt timeline."
@@ -703,8 +703,9 @@ def main(argv: list[str] | None = None) -> int:
                         ),
                         max_pois=args.max_pois,
                         max_match_dist_m=args.max_match_dist,
-                        history_path=args.history,
                     )
+                    if args.history:
+                        runner.history.save(args.history)
             except ValueError as exc:
                 raise SystemExit(f"attack: {exc}")
             result = outcome.result
@@ -1166,7 +1167,7 @@ def main(argv: list[str] | None = None) -> int:
                 timelines = [RiskTimeline.from_doc(d) for d in docs]
             except FileNotFoundError:
                 raise SystemExit(f"stream: no such timeline file: {args.report}")
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, LookupError, TypeError) as exc:
                 raise SystemExit(f"stream: cannot read {args.report}: {exc}")
             for timeline in timelines:
                 print(timeline.render())
@@ -1262,8 +1263,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.history:
             print(f"history exported to {args.history}")
         return 0
-
-    raise SystemExit(f"unhandled command {args.command!r}")  # pragma: no cover
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -61,8 +61,6 @@ class SampleCurveMapper(Mapper):
     def run(self, chunk: Chunk, ctx) -> None:
         points, _ = _chunk_points_ids(chunk)
         n = len(points)
-        if n == 0:
-            return
         sample_size = min(ctx.conf.get_int("rtree.sample_per_chunk", 1024), n)
         # Seeded per task id with a *stable* hash: builtin hash() is
         # salted per interpreter, which made the sampled boundaries (and
@@ -87,14 +85,8 @@ class BoundaryReducer(Reducer):
 
     def reduce(self, key, values, ctx) -> None:
         pooled = np.sort(np.concatenate([np.atleast_1d(v) for v in values]))
-        p = ctx.conf.get_int("rtree.partitions")
-        if p < 1:
-            raise ValueError("rtree.partitions must be >= 1")
-        if len(pooled) == 0:
-            boundaries = np.empty(0)
-        else:
-            quantiles = np.arange(1, p) / p
-            boundaries = np.quantile(pooled, quantiles)
+        p = ctx.conf.get_int("rtree.partitions")  # >= 1: the driver checks it
+        boundaries = np.quantile(pooled, np.arange(1, p) / p)
         ctx.emit("boundaries", boundaries, nbytes=boundaries.nbytes)
 
 
@@ -115,8 +107,6 @@ class PartitionAssignMapper(Mapper):
 
     def run(self, chunk: Chunk, ctx) -> None:
         points, ids = _chunk_points_ids(chunk)
-        if len(points) == 0:
-            return
         keys = self._curve(points[:, 0], points[:, 1], self._bounds, self._order)
         pids = np.searchsorted(self._boundaries, keys.astype(np.float64), side="right")
         for pid in np.unique(pids):

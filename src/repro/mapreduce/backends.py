@@ -53,7 +53,7 @@ from typing import Any, Callable
 
 from repro.geo.trace import TraceArray
 from repro.mapreduce.cache import DistributedCache, FaultyCacheView
-from repro.mapreduce.config import BACKENDS, MapReduceConfig
+from repro.mapreduce.config import MapReduceConfig
 from repro.mapreduce.counters import Counters, STANDARD
 from repro.mapreduce.failures import ChaosSchedule, TaskFailure
 from repro.mapreduce.job import MapContext, ReduceContext
@@ -687,7 +687,8 @@ class ProcessBackend(ExecutionBackend):
 
 
 def create_backend(config: MapReduceConfig, n_workers: int) -> ExecutionBackend:
-    """Build the backend named by ``config.backend``.
+    """Build the backend named by ``config.backend`` (one of
+    :data:`BACKENDS`: :class:`MapReduceConfig` refuses any other name).
 
     ``n_workers`` is the resolved pool size (the runner applies the
     backend-specific default when ``config.max_workers`` is ``None``).
@@ -696,9 +697,4 @@ def create_backend(config: MapReduceConfig, n_workers: int) -> ExecutionBackend:
         return SerialBackend()
     if config.backend == "threads":
         return ThreadBackend(n_workers)
-    if config.backend == "processes":
-        return ProcessBackend(n_workers)
-    raise ValueError(
-        f"unknown executor backend {config.backend!r}; "
-        f"choose one of {', '.join(BACKENDS)}"
-    )
+    return ProcessBackend(n_workers)

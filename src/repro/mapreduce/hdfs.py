@@ -177,8 +177,6 @@ class SimulatedHDFS:
         chunks = []
         for start in range(0, max(len(array), 1), per_chunk):
             piece = array[start : start + per_chunk]
-            if len(piece) == 0 and start > 0:
-                break
             chunks.append(
                 self._new_chunk(ArrayPayload(piece, record_bytes, offset=start), writer)
             )

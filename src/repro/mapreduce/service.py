@@ -59,7 +59,6 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.geo.trace import TraceArray
 from repro.mapreduce.cache import DistributedCache
 from repro.mapreduce.config import MapReduceConfig, validate_tenants
 from repro.mapreduce.counters import Counters
@@ -214,16 +213,9 @@ def _fingerprint_value(value: Any) -> str | None:
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return repr(value)
-    if isinstance(value, bytes):
-        return f"bytes:{hashlib.sha256(value).hexdigest()}"
     if isinstance(value, np.ndarray):
         body = hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()
         return f"ndarray:{value.dtype}:{value.shape}:{body}"
-    if isinstance(value, TraceArray):
-        data = getattr(value, "_data")
-        users = getattr(value, "_users")
-        body = hashlib.sha256(np.ascontiguousarray(data).tobytes()).hexdigest()
-        return f"tracearray:{users!r}:{body}"
     if isinstance(value, (list, tuple)):
         parts = [_fingerprint_value(v) for v in value]
         if any(p is None for p in parts):
@@ -329,8 +321,6 @@ class ResultCache:
     def store(self, key: str, output_path: str) -> int | None:
         """Copy a finished job's output into the cache; returns bytes
         copied, or ``None`` if the key was already cached."""
-        if key in self._entries and self.hdfs.exists(self._entries[key]):
-            return None
         path = f"{self.prefix}/{key}"
         if self.hdfs.exists(path):
             self._entries[key] = path
@@ -720,11 +710,10 @@ class JobService:
         return future
 
     # -- dispatch -----------------------------------------------------------
-    def _pick_locked(self) -> _Submission | None:
-        """The fair-share choice: min ``(vtime, name)`` tenant, FIFO jobs."""
+    def _pick_locked(self) -> _Submission:
+        """The fair-share choice: min ``(vtime, name)`` tenant, FIFO jobs
+        (the caller has seen a non-empty queue)."""
         pending = [s for s in self._tenants.values() if s.queue]
-        if not pending:
-            return None
         state = min(pending, key=lambda s: (s.vtime, s.spec.name))
         return state.queue.popleft()
 
@@ -738,10 +727,6 @@ class JobService:
                 if self._stop and not any(s.queue for s in self._tenants.values()):
                     return
                 sub = self._pick_locked()
-                if sub is None:
-                    if self._stop:
-                        return
-                    continue
                 state = self._tenants[sub.tenant]
                 state.running += 1
                 index = self._dispatched

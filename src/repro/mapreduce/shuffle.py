@@ -117,8 +117,6 @@ def _group_from_arrays(
     A stable argsort keeps values in arrival order within each key, so
     the output is element-identical to the generic dict-and-sort path.
     """
-    if len(positions) == 0:
-        return []
     order = np.argsort(sub_keys, kind="stable")
     sorted_keys = sub_keys[order]
     flat = positions[order]

@@ -195,17 +195,14 @@ class PayloadStore:
             self.stats.page_in_bytes += size
             self._resident[chunk_id] = payload
             self._resident_bytes += size
-            self._shrink(keep=chunk_id)
+            self._shrink()
             return payload
 
-    def _shrink(self, keep: str | None = None) -> None:
-        """Page LRU payloads out until under budget (caller holds the lock)."""
+    def _shrink(self) -> None:
+        """Page LRU payloads out until under budget (caller holds the lock).
+        The payload just put or read is the MRU one, so it stays."""
         while self._resident_bytes > self.budget_bytes and len(self._resident) > 1:
             victim = next(iter(self._resident))  # LRU = oldest insertion
-            if victim == keep:
-                victim = next(
-                    cid for cid in self._resident if cid != keep
-                )
             payload = self._resident.pop(victim)
             size = self._sizes[victim]
             self._resident_bytes -= size
@@ -464,8 +461,6 @@ class ShuffleSpiller:
             self._cut_run()
 
     def _cut_run(self) -> None:
-        if not self._buffer:
-            return
         order = sorted(range(len(self._buffer)),
                        key=lambda i: _key_of(self._buffer[i]))
         # `sorted` is stable and the buffer is in arrival (seq) order, so

@@ -330,3 +330,10 @@ class TestMapReduceClustering:
             for hood in radius_self_join(mr.preprocessed.coordinates(), params.radius_m)
         )
         assert counted["noise_traces"] == sparse >= len(mr.noise_ids)
+
+
+def test_centroids_of_a_clusterless_result_are_an_empty_table():
+    lonely = TraceArray.from_columns(["u"], [40.0], [116.0], [0.0])
+    result = djcluster_sequential(lonely, DJClusterParams(min_pts=5))
+    assert result.n_clusters == 0
+    assert result.cluster_centroids().shape == (0, 2)

@@ -88,6 +88,15 @@ class TestSequential:
         with pytest.raises(ValueError):
             kmeans_sequential(np.zeros((10, 2)), 2, max_iter=0)
 
+    def test_an_empty_cluster_emits_no_centroid(self):
+        from repro.algorithms.kmeans import KMeansAggregation, KMeansReducer
+        from repro.mapreduce.job import ReduceContext
+
+        ctx = ReduceContext(Configuration({}), Counters(), DistributedCache(), "reduce-0000", "")
+        KMeansReducer().reduce(0, [np.empty((0, 2))], ctx)
+        KMeansAggregation().finalize(1, (np.zeros(2), 0), ctx)
+        assert ctx.output == []
+
     def test_unknown_metric_rejected(self):
         with pytest.raises(KeyError):
             kmeans_sequential(np.zeros((10, 2)), 2, metric="cosine")
@@ -176,6 +185,11 @@ def kmeans_env(runner):
 
 
 class TestMapReduce:
+    def test_initial_centroids_of_the_wrong_shape_rejected(self, kmeans_env):
+        runner, _, _ = kmeans_env
+        with pytest.raises(ValueError, match=r"initial centroids must be \(3, 2\)"):
+            run_kmeans_mapreduce(runner, "traces", 3, initial_centroids=np.zeros((2, 2)))
+
     def test_matches_sequential_exactly(self, kmeans_env):
         runner, pts, centers = kmeans_env
         init = pts[[0, 200, 400]]

@@ -1,5 +1,7 @@
 """Unit tests for the de-anonymization (linking) attack."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -180,7 +182,9 @@ class TestTieBreakAndEvidence:
             run_djcluster_mapreduce,
         ):
             default = inspect.signature(fn).parameters["params"].default
-            assert default is None, f"{fn.__name__} shares a mutable default"
+            assert default == DJClusterParams(), fn.__name__
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                default.radius_m = 1.0  # shared, so it must not be mutable
 
 
 class TestResultArithmetic:

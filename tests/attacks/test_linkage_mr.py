@@ -381,6 +381,30 @@ class TestSweep:
         with pytest.raises(ValueError, match="collide"):
             run_sweep(train, target, truth, ["gaussian:100", "gaussian 100"])
 
+    def test_no_mechanism_rejected(self):
+        from repro.attacks.sweep import run_sweep
+
+        train, target, truth = synthetic_linkage_corpus(2, seed=2)
+        with pytest.raises(ValueError, match="at least one mechanism"):
+            run_sweep(train, target, truth, [])
+
+    def test_a_failed_cell_fails_the_sweep_naming_it(self, monkeypatch):
+        import repro.attacks.sweep as sweep
+
+        real = sweep.run_linkage_attack
+
+        def attack(client, train_path, *args, **kwargs):
+            if "gaussian" in train_path:
+                raise ValueError("cell broke")
+            return real(client, train_path, *args, **kwargs)
+
+        monkeypatch.setattr(sweep, "run_linkage_attack", attack)
+        train, target, truth = synthetic_linkage_corpus(2, seed=2)
+        with pytest.raises(RuntimeError, match="sweep cell 'gaussian-100' failed") as info:
+            sweep.run_sweep(train, target, truth, ["none", "gaussian:100"],
+                            params=SYNTH_ATTACK_PARAMS)
+        assert str(info.value.__cause__) == "cell broke"
+
     def test_sweep_cell_events_emitted(self, tmp_path):
         from repro.attacks.sweep import run_sweep
         from repro.observability.history import load_history
@@ -400,3 +424,42 @@ class TestSweep:
         assert len(cells) == 1
         assert cells[0].data["mechanism"] == "none"
         assert cells[0].data["tenant"] == "none"
+
+
+class TestDegenerateInputs:
+    """Inputs the attack cannot use are refused with a typed error, and
+    inputs with nothing to link link nothing."""
+
+    def test_blocking_grid_refuses_bad_coordinates(self):
+        with pytest.raises(ValueError, match="1-D arrays of one length"):
+            blocking_cells([40.0, 41.0], [116.0], D)
+        with pytest.raises(ValueError, match="too small for an int64 blocking grid"):
+            blocking_cells([40.0], [116.0], 1e-13)
+
+    def test_fingerprint_job_refuses_a_record_file(self):
+        _, target, truth = synthetic_linkage_corpus(2, seed=2)
+        hdfs = SimulatedHDFS(paper_cluster(3), chunk_size=16 * 1024, seed=0)
+        hdfs.put_records("input/train", [(0, "not a trace")])
+        hdfs.put_trace_array("input/target", target, record_bytes=64)
+        with pytest.raises(TypeError, match="fingerprint jobs read trace-array files"):
+            run_linkage_attack(JobRunner(hdfs), "input/train", "input/target", truth,
+                               params=SYNTH_ATTACK_PARAMS)
+
+    def test_empty_training_links_nothing_and_audits_nothing(self):
+        train, target, truth = synthetic_linkage_corpus(2, seed=2)
+        runner = _deployment(train[np.arange(0)], target)
+        outcome = run_linkage_attack(runner, "input/train", "input/target", truth,
+                                     params=SYNTH_ATTACK_PARAMS)
+        assert outcome.pairs_exact is None and outcome.blocking_exact is None
+        assert set(outcome.result.linkage.values()) == {None}
+
+    def test_a_target_without_fingerprint_is_unlinked(self):
+        train, target, truth = synthetic_linkage_corpus(2, seed=2)
+        stray = TraceArray.from_columns(["anon-stray"], [40.0], [116.0], [target.timestamp[0]])
+        target = TraceArray.concatenate([target, stray])
+        outcome = run_linkage_attack(_deployment(train, target, chunk_size=64), "input/train",
+                                     "input/target", truth, params=SYNTH_ATTACK_PARAMS)
+        assert outcome.result.linkage["anon-stray"] is None
+        assert outcome.result.linkage == deanonymization_attack_reference(
+            train, target, truth, SYNTH_ATTACK_PARAMS
+        ).linkage

@@ -117,6 +117,13 @@ class TestMMCDistance:
         mmc = build_mmc(_trail_visiting([0, 1, 0, 2, 0]), POIS)
         assert mmc_link_score(mmc, mmc) == pytest.approx(0.0, abs=1e-9)
 
+    def test_a_chain_without_states_shares_nothing(self):
+        empty = MobilityMarkovChain(
+            states=np.empty((0, 2)), transitions=np.empty((0, 0)), visit_counts=np.empty(0)
+        )
+        mmc = build_mmc(_trail_visiting([0, 1, 0]), POIS)
+        assert mmc_link_score(empty, mmc) is None and mmc_link_score(mmc, empty) is None
+
     def test_symmetric_up_to_matching(self):
         a = build_mmc(_trail_visiting([0, 1, 0, 1, 2]), POIS)
         b = build_mmc(_trail_visiting([0, 2, 0, 2, 1]), POIS)

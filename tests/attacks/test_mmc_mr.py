@@ -107,3 +107,8 @@ class TestAtScale:
         for mmc in models.values():
             assert np.allclose(mmc.transitions.sum(axis=1), 1.0)
             assert mmc.visit_counts.sum() > 0
+
+
+def test_an_empty_input_learns_no_chain(runner_factory):
+    runner = runner_factory(TraceArray.from_columns(["u"], [], [], []), 4)
+    assert run_mmc_mapreduce(runner, "traces", POIS) == {}

@@ -99,6 +99,19 @@ class TestLabelling:
         assert labels.count("home") == 1
         assert labels.count("work") <= 1
 
+    def test_a_second_workplace_is_demoted_to_errand(self):
+        """Two places with a working-hours signature: the one with more
+        working-hour dwell keeps "work"."""
+        spec = []
+        for day in range(5):
+            base = MONDAY + day * DAY
+            spec.append((*HOME, base + 0 * 3600, 6 * 3600))
+            spec.append((*WORK, base + 9 * 3600, 5 * 3600))
+            spec.append((*CAFE, base + 15 * 3600, 2 * 3600))
+        places, _ = label_places(_visits(spec), min_stay_s=600)
+        by_site = {(round(p.latitude, 2), round(p.longitude, 2)): p.label for p in places}
+        assert by_site[WORK] == "work" and by_site[CAFE] == "errand"
+
     def test_visits_reference_places_in_time_order(self, labelled):
         places, visits = labelled
         assert visits

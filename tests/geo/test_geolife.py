@@ -122,6 +122,11 @@ class TestDatasetLayout:
         back = read_geolife_dataset(tmp_path, user_ids=["001"])
         assert back.user_ids == ["001"]
 
+    def test_user_directory_without_trajectories_is_skipped(self, tmp_path):
+        write_geolife_dataset(GeolocatedDataset([_trail(3, "000")]), tmp_path)
+        (tmp_path / "002").mkdir()
+        assert read_geolife_dataset(tmp_path).user_ids == ["000"]
+
     def test_read_missing_root(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_geolife_dataset(tmp_path / "absent")

@@ -86,3 +86,10 @@ class TestSummaries:
     def test_empty_corpus(self):
         summary = corpus_summary(GeolocatedDataset())
         assert summary["n_users"] == 0.0
+
+
+def test_interval_stats_when_every_gap_is_a_logger_off_period():
+    arr = TraceArray.from_columns(["u"], [40.0] * 3, [116.0] * 3, [0.0, 3600.0, 7200.0])
+    assert sampling_interval_stats(arr) == {
+        "median_s": 0.0, "p90_s": 0.0, "mean_s": 0.0, "n_gaps": 2.0,
+    }

@@ -112,3 +112,14 @@ class TestGenerateDataset:
         one = generate_dataset(SyntheticConfig(n_users=1, days=1, seed=4))[0]
         three = generate_dataset(SyntheticConfig(n_users=1, days=3, seed=4))[0]
         assert len(three) > 1.5 * len(one)
+
+
+def test_segments_too_short_for_one_fix_are_empty():
+    from repro.geo.synthetic import PointOfInterest, _log_timestamps, _trip_segment
+
+    rng = np.random.default_rng(0)
+    sparse = SyntheticConfig(n_users=1, days=1, min_log_interval_s=60.0, max_log_interval_s=61.0)
+    assert len(_log_timestamps(rng, sparse, 100.0, 0.0)) == 0
+    here = PointOfInterest("home", 40.0, 116.0)
+    lat, lon, ts, duration = _trip_segment(rng, sparse, here, here, 100.0, 10.0)
+    assert len(lat) == len(lon) == len(ts) == 0 and duration == 30.0

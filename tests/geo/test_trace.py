@@ -241,3 +241,8 @@ class TestGeolocatedDataset:
         ds = make_dataset([make_trace()])
         assert "alice" in ds
         assert "bob" not in ds
+
+
+def test_trace_array_refuses_a_foreign_dtype():
+    with pytest.raises(TypeError, match="expected dtype"):
+        TraceArray(np.zeros(3), ["u"])

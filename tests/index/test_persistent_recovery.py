@@ -9,9 +9,13 @@ wiped, ``ensure`` must rebuild an index whose answers are byte-identical
 to the original's.
 """
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
+from repro.geo.trace import TraceArray
 from repro.index.persistent import (
     IndexCatalog,
     IndexCorruptError,
@@ -120,8 +124,6 @@ def test_missing_pages_fail_at_read():
 
 def _catalog_deployment():
     rng = np.random.default_rng(5)
-    from repro.geo.trace import TraceArray
-
     lat = rng.uniform(39.6, 40.3, 4000)
     lon = rng.uniform(116.0, 116.8, 4000)
     ts = np.arange(4000, dtype=np.float64)
@@ -171,3 +173,90 @@ def test_catalog_rebuild_restores_byte_identical_answers():
         assert rebuilt.meta == meta
         assert np.array_equal(rebuilt.query_rect(RECT), want_rect)
         assert rebuilt.knn(40.0, 116.4, 7) == want_knn
+
+
+EVERYWHERE = Rect(-90.0, -180.0, 90.0, 180.0)  # a query that reads every page
+
+
+def _meta(hdfs):
+    return hdfs._files["idx/meta"][0].payload.records[0][1]
+
+
+def test_body_length_mismatch_is_typed_error():
+    """A block whose checksum holds but whose body is longer than its
+    entry count says (a torn write re-checksummed) is refused."""
+    hdfs, _ = _deployment()
+
+    def pad_body(pid, blob):
+        body = blob[8:] + b"\0" * 8
+        return pid, b"RTP1" + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF) + body
+
+    _corrupt_record(hdfs, pad_body)
+    with pytest.raises(IndexCorruptError, match="body length"):
+        PersistentRTree.open(hdfs, "idx").query_rect(RECT)
+
+
+def test_page_past_the_meta_count_is_typed_error():
+    hdfs, _ = _deployment()
+    _meta(hdfs)["n_pages"] -= 1
+    with pytest.raises(IndexCorruptError, match="out of range"):
+        PersistentRTree.open(hdfs, "idx").query_rect(EVERYWHERE)
+
+
+def test_lost_pages_chunk_is_typed_error():
+    hdfs, _ = _deployment()
+    hdfs._files["idx/pages"].pop()
+    with pytest.raises(IndexCorruptError, match="chunk ordinal .* missing"):
+        PersistentRTree.open(hdfs, "idx").query_rect(EVERYWHERE)
+
+
+def test_non_record_pages_chunk_is_typed_error():
+    hdfs, _ = _deployment()
+    hdfs.put_trace_array("traces", TraceArray.from_columns(["u"], [40.0], [116.0], [0.0]))
+    hdfs._files["idx/pages"][0] = hdfs._files["traces"][0]
+    with pytest.raises(IndexCorruptError, match="not a record payload"):
+        PersistentRTree.open(hdfs, "idx").query_rect(EVERYWHERE)
+
+
+def test_page_missing_from_its_chunk_is_typed_error():
+    hdfs, _ = _deployment()
+    hdfs._files["idx/pages"][0].payload.records.pop()
+    with pytest.raises(IndexCorruptError, match="missing from chunk 0"):
+        PersistentRTree.open(hdfs, "idx").query_rect(EVERYWHERE)
+
+
+@pytest.mark.parametrize(
+    ("records", "match"),
+    [
+        ([], "not an index meta record"),
+        ([("meta", "garbled")], "not an index meta record"),
+        ([("meta", {"format": "rtree-pages-v0"})], "unknown index format"),
+    ],
+)
+def test_garbled_meta_is_typed_error(records, match):
+    hdfs, _ = _deployment()
+    hdfs.delete("idx/meta")
+    hdfs.put_records("idx/meta", records)
+    with pytest.raises(IndexCorruptError, match=match):
+        PersistentRTree.open(hdfs, "idx")
+
+
+def test_portable_copy_refuses_a_foreign_page_id():
+    hdfs, _ = _deployment()
+    _corrupt_record(hdfs, lambda pid, blob: (10**6, blob))
+    with pytest.raises(IndexCorruptError, match="out of range"):
+        PersistentRTree.open(hdfs, "idx").to_portable()
+
+
+def test_portable_copy_refuses_a_missing_page():
+    hdfs, _ = _deployment()
+    hdfs._files["idx/pages"][0].payload.records.pop()
+    with pytest.raises(IndexCorruptError, match="expected .* pages, found"):
+        PersistentRTree.open(hdfs, "idx").to_portable()
+
+
+def test_page_groups_must_hold_bytes():
+    hdfs = SimulatedHDFS(paper_cluster(2), chunk_size=64 * 1024, seed=0)
+    tree = RTree.bulk_load(np.array([[40.0, 116.0]]), max_entries=8)
+    with pytest.raises(ValueError, match="group_bytes must be positive"):
+        PersistentRTree.save(hdfs, "idx", tree, group_bytes=0)

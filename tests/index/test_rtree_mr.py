@@ -93,6 +93,13 @@ class TestBuild:
         assert a.partition_sizes == b.partition_sizes
 
 
+def test_build_over_an_empty_file_is_an_empty_index():
+    hdfs = SimulatedHDFS(paper_cluster(3), chunk_size=64 * 1024, seed=0)
+    hdfs.put_trace_array("empty", TraceArray.from_columns(["u"], [], [], []))
+    result = build_rtree_mapreduce(JobRunner(hdfs), "empty", n_partitions=2)
+    assert result.partition_sizes == {} and result.balance_ratio == 1.0
+
+
 class TestDatasetBounds:
     @staticmethod
     def _budgeted():

@@ -2,17 +2,20 @@
 
 The reach census is the body-level twin of ``test_surface_census.py``:
 that file pins the *names* a curator reaches, this one says, for every
-function under ``src/repro`` (methods and nested functions included),
-whether something a curator runs actually calls it.  A *reacher* is one
-of the runs listed in ``REACHERS``: the five ``--selfcheck``s, every CLI
-subcommand once per mode flag, the six benchmark suites (the five
-``test_bench_goldens.py`` rebuilds and ``make_goldens.py attack``; the
-kernel goldens are tests, not reachers), the seven ``examples/*.py``, the six serial-backend e2e workloads (through
-``benchmarks/e2e/workloads.py``, at a fifth of their benchmark size) and
-the paper-table tests under ``benchmarks/``.  Each runs in its own
-interpreter under a ``sys.setprofile`` / ``threading.setprofile`` hook
-that records every Python frame entered; a run that exits non-zero, or
-any tracked file that differs afterwards, fails the census.
+function under ``src/repro`` (methods and nested functions included) and
+for every statement inside one, whether something a curator runs
+actually runs it.  A *reacher* is one of the runs listed in
+``REACHERS``: the five ``--selfcheck``s, every CLI subcommand once per
+mode flag, the six benchmark suites (the five ``test_bench_goldens.py``
+rebuilds and ``make_goldens.py attack``; the kernel goldens are tests,
+not reachers), the seven ``examples/*.py``, the six serial-backend e2e
+workloads (through ``benchmarks/e2e/workloads.py``, at a fifth of their
+benchmark size) and the paper-table tests under ``benchmarks/``.  Each
+runs in its own interpreter under a ``sys.settrace`` /
+``threading.settrace`` hook: the global tracer records every Python
+frame entered and hands a line tracer to code under ``src/repro`` only;
+a run that exits non-zero, or any tracked file that differs afterwards,
+fails the census.
 
 A function no reacher calls is deleted, or carries one reason in
 ``REASONS``, tagged with one of ``TAGS``:
@@ -23,17 +26,36 @@ A function no reacher calls is deleted, or carries one reason in
 ``oracle``       a test compares another implementation against it;
 ``safety: <test id>``  a typed error, out-of-core or recovery path that
                  the named tier-1 test drives (checked: the census runs
-                 those tests under the same hook and fails unless each
-                 one calls its function);
+                 tier-1 under the same hook and fails unless that test
+                 calls its function);
 ``kept``         a ``KEPT`` entry of the surface census, or a name
                  README's quickstart calls.
 
-Run it from the repository root (about three minutes on two cores)::
+The line pass.  A statement of an executed function counts as run when
+one of its own lines (not those of its nested bodies) fires a line
+event; a statement the compiler emits no code for (a docstring, ``pass``,
+``else:``) is none.  A statement no reacher runs is, in this order:
+
+- ``test: <id>``, the first tier-1 test (sorted node id, parameters
+  dropped) that runs it: the census runs ``tests/`` in two shards under
+  the hook, tracing only the code objects that hold such statements;
+- a tag of a ``STATEMENT_REASONS`` range that covers it: what no
+  in-process test can run (a pool worker's side, a path only a
+  subprocess takes);
+- else the census fails, and the statement is deleted or given a test.
+
+``reach_census.json`` lists functions under ``"functions"`` and those
+statements under ``"statements"``, as runs of consecutive statements
+with one verdict, keyed by line offsets from their function's ``def``
+(``repro.mapreduce.scheduler:emit_map_phase_events +52..+87``) so an
+edit above a function does not move the keys below it.
+
+Run it from the repository root (seven to nine minutes on two cores)::
 
     PYTHONPATH=src python tests/make_reach_census.py
 
-CI regenerates it and fails on any diff, so a function added without a
-reacher or a reason is a red build.
+CI regenerates it and fails on any diff, so a function or a branch added
+without a reacher, a test or a reason is a red build.
 """
 
 from __future__ import annotations
@@ -46,6 +68,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -162,7 +185,13 @@ REASONS: dict[str, str] = {
 }
 
 
-# -- the functions -------------------------------------------------------------
+#: ``"module:qualname +a..+b"`` (line offsets from the ``def``) ->
+#: ``"<tag>: <one line>"`` for the statements of an executed function in
+#: those lines that neither a reacher nor an in-process tier-1 test runs.
+STATEMENT_REASONS: dict[str, str] = {}
+
+
+# -- the functions and their statements ----------------------------------------
 
 
 def _module_name(path: Path) -> str:
@@ -182,16 +211,86 @@ def _defs(node: ast.AST, prefix: str):
             yield from _defs(child, prefix)
 
 
-def src_functions() -> dict[str, tuple[str, str, set[int]]]:
-    """``module:qualname`` -> (path under ``src/``, name, the lines a code
-    object of it may start on: the ``def`` or its first decorator)."""
-    out = {}
+def _src_defs():
+    """``(path under src/, module:qualname, def node)`` for every function."""
     for path in sorted(PACKAGE.rglob("*.py")):
         rel = str(path.relative_to(SRC))
         module = _module_name(path)
         for qualname, node in _defs(ast.parse(path.read_text()), ""):
-            lines = {node.lineno, *(d.lineno for d in node.decorator_list[:1])}
-            out[f"{module}:{qualname}"] = (rel, node.name, lines)
+            yield rel, f"{module}:{qualname}", node
+
+
+def _starts(node: ast.AST) -> set[int]:
+    """The lines a function's code object may start on: the ``def`` or
+    its first decorator."""
+    return {node.lineno, *(d.lineno for d in node.decorator_list[:1])}
+
+
+def src_functions() -> dict[str, tuple[str, str, set[int]]]:
+    """``module:qualname`` -> (path under ``src/``, name, its start lines)."""
+    return {key: (rel, node.name, _starts(node)) for rel, key, node in _src_defs()}
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _children(node: ast.AST):
+    """The statements directly nested in ``node``'s bodies."""
+    for field in ("body", "orelse", "finalbody"):
+        yield from getattr(node, field, ())
+    for part in [*getattr(node, "handlers", ()), *getattr(node, "cases", ())]:
+        yield from part.body
+
+
+def _span(node: ast.AST) -> set[int]:
+    return set(range(node.lineno, node.end_lineno + 1))
+
+
+def _code_lines(path: Path, starts: dict[tuple[str, int], str]) -> dict[str, set[int]]:
+    """Function key -> the lines its compiled code (comprehensions and
+    lambdas inside it included) attributes instructions to."""
+    lines: dict[str, set[int]] = {}
+
+    def walk(code, owner):
+        key = starts.get((code.co_name, code.co_firstlineno))
+        target = lines.setdefault(key, set()) if key else owner
+        if target is not None:
+            target.update(line for _, _, line in code.co_lines() if line)
+        for const in code.co_consts:
+            if hasattr(const, "co_lines"):
+                walk(const, target)
+
+    walk(compile(path.read_text(), str(path), "exec"), None)
+    return lines
+
+
+def src_statements() -> dict[str, tuple[str, int, list[tuple[int, frozenset[int]]]]]:
+    """``module:qualname`` -> (path under ``src/``, ``def`` line, its
+    statements as ``(first line, own lines that carry code)``, in source
+    order).  A nested ``def`` or ``class`` is one statement of its
+    enclosing function: its header, not its body."""
+    by_path: dict[str, list] = {}
+    for rel, key, node in _src_defs():
+        by_path.setdefault(rel, []).append((key, node))
+    out = {}
+    for rel, defs in by_path.items():
+        starts = {(node.name, line): key for key, node in defs for line in _starts(node)}
+        code = _code_lines(SRC / rel, starts)
+
+        def statements(node):
+            for stmt in _children(node):
+                yield stmt
+                if not isinstance(stmt, _SCOPES):
+                    yield from statements(stmt)
+
+        for key, node in defs:
+            found = []
+            for stmt in statements(node):
+                own = _span(stmt).union(*map(_span, getattr(stmt, "decorator_list", ())))
+                own -= set().union(*map(_span, _children(stmt)))
+                if own & code.get(key, set()):
+                    found.append((min(own), frozenset(own & code[key])))
+            out[key] = (rel, node.lineno, sorted(found, key=lambda s: s[0]))
     return out
 
 
@@ -208,17 +307,17 @@ _CLI = [
     ["service", "--selfcheck"],
     ["attack", "--linkage", "--selfcheck"],
     ["stream", "--selfcheck"],
-    ["chaos"],
+    ["chaos", "--history", f"{WORK}/chaos.json"],
     ["chaos", "--node-loss", "--memory-budget-mb", "1"],
-    ["submit", "--resubmit"],
+    ["submit", "--resubmit", "--history", f"{WORK}/submit.json"],
     ["service"],
     ["service", "--no-chaos"],
-    ["query", "--traces", "5000", "--queries", "8"],
+    ["query", "--traces", "5000", "--queries", "8", "--history", f"{WORK}/query.json"],
     ["query", "--traces", "5000", "--point", "39.9,116.4", "--range", "39.8,116.3,40.0,116.5",
      "--radius-query", "39.9,116.4,500", "--knn", "39.9,116.4,5"],
-    ["stream"],
+    ["stream", "--history", f"{WORK}/stream-solo.json"],
     ["stream", "--no-warm-start"],
-    ["sweep", "--users", "6", "--out", f"{WORK}/frontier.json"],
+    ["sweep", "--users", "6", "--out", f"{WORK}/frontier.json", "--history", f"{WORK}/sweep.json"],
 ]
 
 #: ``(label, kind, payload)``: ``cli`` runs each argv in turn through
@@ -279,42 +378,80 @@ E2E_SEED = 2013
 # -- one run under the hook (a child interpreter) -------------------------------
 
 
-def _record(kind: str, payload, out: str) -> int:
-    """Run one reacher with the hook installed; write the frames it
-    entered under ``src/repro`` to ``out`` as ``{test id: [[path, name,
-    line], ...]}`` (one key, ``""``, outside pytest)."""
-    sink = {"": set()}
-    current = [sink[""]]
+def _test_id(nodeid: str) -> str:
+    """A pytest node id without its parameters."""
+    return nodeid.split("[", 1)[0]
 
-    def hook(frame, event, arg):
-        if event == "call":
-            current[0].add(frame.f_code)
+
+def _record(kind: str, payload, out: str, focus: str | None = None) -> int:
+    """Run one reacher with the hook installed; write what it ran under
+    ``src/repro`` to ``out`` as ``{"codes": {test id: [[path, name,
+    line], ...]}, "lines": {test id: {path: [line, ...]}}}`` (one test id,
+    ``""``, outside pytest).  With ``focus`` (a JSON file ``{"lines":
+    {path: [line, ...]}, "tests": [test id, ...]}``) only code objects
+    holding one of those lines get a line tracer, and codes are kept
+    only for the listed tests."""
+    prefix = str(SRC) + os.sep
+    wanted = watch = None
+    if focus:
+        spec = json.loads(Path(focus).read_text())
+        wanted = {prefix + path: set(lines) for path, lines in spec["lines"].items()}
+        watch = set(spec["tests"])
+    sink = {"": (set(), set())}
+    current = [sink[""]]
+    verdicts: dict = {}
+
+    def verdict(code) -> tuple[bool, bool]:
+        """(is it ours, does it get a line tracer)."""
+        ours = code.co_filename.startswith(prefix)
+        if not ours or wanted is None:
+            return ours, ours
+        want = wanted.get(code.co_filename, ())
+        return True, any(line in want for _, _, line in code.co_lines())
+
+    def lines(frame, event, arg):
+        if event == "line":
+            current[0][1].add((frame.f_code.co_filename, frame.f_lineno))
+        return lines
+
+    def calls(frame, event, arg):
+        code = frame.f_code
+        found = verdicts.get(code)
+        if found is None:
+            found = verdicts[code] = verdict(code)
+        if found[0]:
+            current[0][0].add(code)
+        return lines if found[1] else None
 
     class PerTest:
-        """Under ``pytest``, files each test's frames under its node id."""
+        """Under ``pytest``, files what each test runs under its id."""
 
         def pytest_runtest_logstart(self, nodeid, location):
-            current[0] = sink.setdefault(nodeid, set())
+            current[0] = sink.setdefault(_test_id(nodeid), (set(), set()))
 
         def pytest_runtest_logfinish(self, nodeid, location):
             current[0] = sink[""]
 
-    threading.setprofile(hook)
-    sys.setprofile(hook)
+    threading.settrace(calls)
+    sys.settrace(calls)
     try:
         code = _run(kind, payload, PerTest())
     finally:
-        sys.setprofile(None)
-        threading.setprofile(None)
-    prefix = str(SRC) + os.sep
-    frames = {
-        test: sorted(
-            [c.co_filename[len(prefix):], c.co_name, c.co_firstlineno]
-            for c in codes if c.co_filename.startswith(prefix)
-        )
-        for test, codes in sink.items()
-    }
-    Path(out).write_text(json.dumps(frames))
+        sys.settrace(None)
+        threading.settrace(None)
+    record = {"codes": {}, "lines": {}}
+    for test, (codes, hits) in sink.items():
+        if watch is None or test in watch:
+            record["codes"][test] = sorted(
+                [c.co_filename[len(prefix):], c.co_name, c.co_firstlineno] for c in codes
+            )
+        by_path: dict[str, list[int]] = {}
+        for path, line in sorted(hits):
+            if wanted is None or line in wanted.get(path, ()):
+                by_path.setdefault(path[len(prefix):], []).append(line)
+        if by_path:
+            record["lines"][test] = by_path
+    Path(out).write_text(json.dumps(record))
     return code
 
 
@@ -362,13 +499,16 @@ def _run(kind: str, payload, plugin) -> int:
     raise ValueError(f"unknown reacher kind {kind!r}")
 
 
-def _spawn(label: str, kind: str, payload, workdir: Path) -> dict[str, list]:
-    """Run one reacher in a child interpreter; its recorded frames."""
-    out = workdir / "frames.json"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(REPO)]),
-               TMPDIR=str(workdir))
+def _spawn(label: str, kind: str, payload, workdir: Path, focus: dict | None = None) -> dict:
+    """Run one reacher in a child interpreter; what it ran."""
+    out = workdir / "record.json"
     command = [sys.executable, str(Path(__file__).resolve()), "--child", kind,
                json.dumps(payload).replace(WORK, str(workdir)), str(out)]
+    if focus is not None:
+        (workdir / "focus.json").write_text(json.dumps(focus))
+        command.append(str(workdir / "focus.json"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(REPO)]),
+               TMPDIR=str(workdir))
     done = subprocess.run(command, cwd=REPO, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"reacher {label!r} failed (exit {done.returncode}):\n"
@@ -378,6 +518,21 @@ def _spawn(label: str, kind: str, payload, workdir: Path) -> dict[str, list]:
 
 
 # -- the census ----------------------------------------------------------------
+
+#: Tier-1 runs under the hook in this many interleaved shards of its files,
+#: with one Hypothesis seed, so the same tree always names the same tests.
+TIER1_SHARDS = 2
+#: The tier-1 tests that check ``reach_census.json`` itself: the census is
+#: rewriting that file, so its attribution pass leaves them out.
+CENSUS_CHECKS = [
+    f"tests/test_surface_census.py::{name}"
+    for name in (
+        "test_the_reach_census_lists_every_function",
+        "test_every_unexecuted_function_says_why_it_stays",
+        "test_every_safety_reason_names_a_tier1_test_that_exists",
+        "test_every_statement_no_reacher_runs_is_tested_or_tagged",
+    )
+]
 
 
 def _tracked_digest() -> dict[str, str]:
@@ -390,75 +545,156 @@ def _tracked_digest() -> dict[str, str]:
     }
 
 
-def _keys(frames, index) -> set[str]:
-    return {index[tuple(f)] for f in frames if tuple(f) in index}
-
-
 def safety_test(reason: str) -> str | None:
     """The tier-1 test id a ``safety:`` reason names, else ``None``."""
     tag, _, rest = reason.partition(":")
     return rest.split()[0] if tag == "safety" and rest.split() else None
 
 
-def build_census(workers: int = 2) -> dict[str, str]:
+def _span_key(function: str, start: int, end: int) -> str:
+    return f"{function} +{start}..+{end}"
+
+
+def _parse_span_key(key: str) -> tuple[str, int, int]:
+    function, _, span = key.rpartition(" ")
+    start, _, end = span.partition("..")
+    return function, int(start), int(end)
+
+
+def _run_all(runs, workers: int) -> list[dict]:
+    with tempfile.TemporaryDirectory(prefix="reach-census-") as tmp:
+        def one(run):
+            workdir = Path(tmp) / hashlib.sha256(run[0].encode()).hexdigest()[:16]
+            workdir.mkdir()
+            return _spawn(*run[:3], workdir, *run[3:])
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(one, runs))
+
+
+def build_census(workers: int = 2) -> tuple[dict[str, dict[str, str]], Counter]:
+    """Write ``reach_census.json``; return it with the statement counts:
+    ``missed`` (no reacher runs it), ``tested`` (a tier-1 test does) and
+    ``tagged``."""
     functions = src_functions()
     index = {(path, name, line): key
              for key, (path, name, lines) in functions.items() for line in lines}
+
+    def keys(frames) -> set[str]:
+        return {index[tuple(f)] for f in frames if tuple(f) in index}
+
     before = _tracked_digest()
     reached: set[str] = set()
-    with tempfile.TemporaryDirectory(prefix="reach-census-") as tmp:
-        def one(reacher):
-            label = reacher[0]
-            workdir = Path(tmp) / hashlib.sha256(label.encode()).hexdigest()[:16]
-            workdir.mkdir()
-            return _spawn(*reacher, workdir)
+    fired: set[tuple[str, int]] = set()
+    for record in _run_all(REACHERS, workers):
+        for frames in record["codes"].values():
+            reached |= keys(frames)
+        for by_path in record["lines"].values():
+            fired |= {(path, line) for path, lines in by_path.items() for line in lines}
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for frames in pool.map(one, REACHERS):
-                for test_frames in frames.values():
-                    reached |= _keys(test_frames, index)
+    # Statements of executed functions no reacher ran: tier-1 names a test.
+    table = src_statements()
+    missed = {
+        (key, first): (path, own)
+        for key, (path, _, statements) in table.items() if key in reached
+        for first, own in statements if not any((path, line) in fired for line in own)
+    }
+    focus_lines: dict[str, set[int]] = {}
+    for path, own in missed.values():
+        focus_lines.setdefault(path, set()).update(own)
+    safety = {key: safety_test(r) for key, r in REASONS.items() if safety_test(r)}
+    focus = {"lines": {path: sorted(lines) for path, lines in focus_lines.items()},
+             "tests": sorted(set(safety.values()))}
+    files = sorted(str(f.relative_to(REPO)) for f in (REPO / "tests").rglob("test_*.py"))
+    shards = [
+        (f"tier-1 shard {i + 1}/{TIER1_SHARDS}", "pytest",
+         [*files[i::TIER1_SHARDS], *(f"--deselect={t}" for t in CENSUS_CHECKS),
+          "--hypothesis-seed=0", "-q", "-p", "no:cacheprovider"], focus)
+        for i in range(TIER1_SHARDS)
+    ]
+    first_test: dict[tuple[str, int], str] = {}
+    called_by: dict[str, set[str]] = {}
+    for record in _run_all(shards, workers):
+        for test, frames in record["codes"].items():
+            called_by.setdefault(test, set()).update(keys(frames))
+        for test, by_path in record["lines"].items():
+            for path, lines in by_path.items():
+                for line in lines:
+                    if test < first_test.get((path, line), "~"):
+                        first_test[path, line] = test
 
-        safety = {key: safety_test(r) for key, r in REASONS.items() if safety_test(r)}
-        workdir = Path(tmp) / "safety"
-        workdir.mkdir()
-        per_test = _spawn("safety tests", "pytest",
-                          ["-q", "-p", "no:cacheprovider", *sorted(set(safety.values()))],
-                          workdir) if safety else {}
     problems = [
         f"{key}: its safety test {test} does not call it"
-        for key, test in sorted(safety.items())
-        if key not in set().union(*(
-            _keys(frames, index) for node, frames in per_test.items()
-            if node == test or node.startswith(test + "[")
-        ))
+        for key, test in sorted(safety.items()) if key not in called_by.get(test, ())
     ]
     after = _tracked_digest()
     problems += [f"a reacher changed the tracked file {f}"
                  for f in sorted(before) if before[f] != after.get(f)]
     problems += [f"{key}: a reason for a function that does not exist"
                  for key in sorted(set(REASONS) - set(functions))]
-    census = {}
+    census: dict[str, dict[str, str]] = {"functions": {}, "statements": {}}
     for key in sorted(functions):
         if key in reached:
-            census[key] = EXECUTED
+            census["functions"][key] = EXECUTED
         elif key in REASONS:
-            census[key] = REASONS[key]
+            census["functions"][key] = REASONS[key]
         else:
-            census[key] = "unreached"
+            census["functions"][key] = "unreached"
             problems.append(f"{key}: no reacher calls it and no reason keeps it")
+    problems += [f"{key}: reached now, drop its reason"
+                 for key in sorted(REASONS) if key in reached]
+
+    tags: dict[str, list[tuple[int, int, str]]] = {}
+    for span, reason in STATEMENT_REASONS.items():
+        function, start, end = _parse_span_key(span)
+        if function not in reached:
+            problems.append(f"{span}: a reason for statements of no executed function")
+        tags.setdefault(function, []).append((start, end, span))
+    used: set[str] = set()
+    counts: Counter = Counter()
+    for key in sorted(reached & set(table)):
+        path, def_line, statements = table[key]
+        run: list = []  # [start, end, verdict] of the open range
+        for first, own in statements:
+            if (key, first) not in missed:
+                run = []
+                continue
+            offset = first - def_line
+            tests = [first_test[path, line] for line in own if (path, line) in first_test]
+            spans = [span for start, end, span in tags.get(key, ()) if start <= offset <= end]
+            counts["missed"] += 1
+            if tests:
+                verdict = f"test: {min(tests)}"
+                counts["tested"] += 1
+            elif spans:
+                verdict = STATEMENT_REASONS[spans[0]]
+                used.add(spans[0])
+                counts["tagged"] += 1
+            else:
+                verdict = "unreached"
+                problems.append(f"{key} line {first}: no reacher or test runs it "
+                                "and no reason keeps it")
+            if run and run[2] == verdict:
+                del census["statements"][_span_key(key, run[0], run[1])]
+                run[1] = max(run[1], max(own) - def_line)
+            else:
+                run = [offset, max(own) - def_line, verdict]
+            census["statements"][_span_key(key, run[0], run[1])] = verdict
+    problems += [f"{span}: every statement it covers is run now, drop its reason"
+                 for span in sorted(set(STATEMENT_REASONS) - used)]
     CENSUS.write_text(json.dumps(census, indent=1, sort_keys=True) + "\n")
-    stale = sorted(key for key in REASONS if key in reached)
-    problems += [f"{key}: reached now, drop its reason" for key in stale]
     if problems:
         raise SystemExit("\n".join(problems))
-    return census
+    return census, counts
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--child"]:
-        _, _, kind, payload, out = sys.argv
-        sys.exit(_record(kind, json.loads(payload), out))
-    result = build_census()
-    kept = sum(value != EXECUTED for value in result.values())
-    print(f"wrote {CENSUS}: {len(result)} functions, {len(result) - kept} executed, "
-          f"{kept} kept with a reason")
+        _, _, kind, payload, out, *focus = sys.argv
+        sys.exit(_record(kind, json.loads(payload), out, *focus))
+    result, counts = build_census()
+    kept = sum(value != EXECUTED for value in result["functions"].values())
+    print(f"wrote {CENSUS}: {len(result['functions'])} functions, "
+          f"{len(result['functions']) - kept} executed, {kept} kept with a reason; "
+          f"{counts['missed']} statements no reacher runs: {counts['tested']} run by a "
+          f"tier-1 test, {counts['tagged']} tagged")

@@ -102,6 +102,29 @@ def test_create_backend_dispatch():
     backend.close()
 
 
+def test_releasing_segments_already_gone_is_harmless():
+    """Shared-memory cleanup is best effort: a segment something else
+    already closed or unlinked must not stop the rest of the release."""
+    from repro.mapreduce.backends import _ProcessState, _release_process_state
+
+    class Gone:
+        def close(self):
+            raise FileNotFoundError("already unlinked")
+
+        unlink = close
+
+    state = _ProcessState()
+    state.segments["c0"] = (Gone(), None)
+    state.cache_shm = Gone()
+    _release_process_state(state)
+    assert state.segments == {} and state.cache_shm is None
+    backend = ProcessBackend(2)
+    backend._state.cache_shm = Gone()
+    backend.prepare_job(DistributedCache())
+    assert not isinstance(backend._state.cache_shm, Gone)
+    backend.close()
+
+
 @pytest.mark.parametrize("workers", [0, -1, -7])
 def test_runner_rejects_nonpositive_workers(workers):
     hdfs = _wordcount_hdfs()

@@ -108,3 +108,9 @@ def test_spill_gates_catch_divergence_and_a_budget_that_never_bit():
         cell = entry["cells"]["budgeted"]
         cell["spill"]["runs_spilled"] = cell["paging"]["pages_out"] = 0
     assert any("never bit" in p for p in _gates_spill(idle))
+
+
+@pytest.mark.parametrize("kwargs", [{"n_users": 0}, {"n_windows": 0}])
+def test_stream_corpus_needs_users_and_windows(kwargs):
+    with pytest.raises(ValueError, match="n_users and n_windows must be positive"):
+        bench.synthetic_stream_corpus(100, **kwargs)

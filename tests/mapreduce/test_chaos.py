@@ -68,6 +68,19 @@ class TestChaosSchedule:
             ChaosSchedule(bad_nodes=bare)
         assert ChaosSchedule(bad_nodes=["worker02"]).bad_nodes == {"worker02"}
 
+    def test_scripted_cache_load_and_slow_node_faults(self):
+        chaos = ChaosSchedule(
+            slow_factor=4.0,
+            faults=[
+                Fault(FaultKind.CACHE_LOAD, task="map-0000"),
+                Fault(FaultKind.SLOW_NODE, node="worker01"),
+            ],
+        )
+        assert chaos.cache_load_fails("map-0000", 1)
+        assert not chaos.cache_load_fails("map-0000", 2)
+        assert chaos.node_slowdown("worker01") == 4.0
+        assert chaos.node_slowdown("worker02") == 1.0
+
     def test_unknown_fault_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
             Fault("disk_on_fire")
@@ -284,6 +297,14 @@ class TestRetryExhaustion:
         # The chain names the attempt numbers in order.
         assert [f[0] for f in err.failures] == list(range(1, MAX_TASK_ATTEMPTS + 1))
 
+    def test_reduce_exhaustion_raises_job_failed(self):
+        hdfs = make_deployment()
+        chaos = ChaosSchedule(faults=crash_faults("reduce-0000", MAX_TASK_ATTEMPTS))
+        with pytest.raises(JobFailedError) as excinfo:
+            JobRunner(hdfs, chaos=chaos).run(spec())
+        assert excinfo.value.task_id == "reduce-0000"
+        assert len(excinfo.value.failure_chain) == MAX_TASK_ATTEMPTS
+
     def test_job_failed_error_is_still_a_runtime_error(self):
         assert issubclass(JobFailedError, RuntimeError)
 
@@ -425,3 +446,39 @@ class TestFeedFaults:
             if e.kind == EventKind.WATERMARK
         ]
         assert marks == [source.window_bounds(w)[1] for w in range(source.n_windows)]
+
+
+class TestCampaignRefusalsAndFailures:
+    def test_unknown_driver_rejected(self):
+        from repro.mapreduce.chaos import run_chaos_campaign, run_multitenant_check
+
+        for run in (run_chaos_campaign, run_multitenant_check):
+            with pytest.raises(ValueError, match=r"unknown chaos driver\(s\) \['nope'\]"):
+                run(drivers=["nope"])
+
+    def test_a_tenant_failure_names_driver_and_tenant(self, monkeypatch):
+        from repro.mapreduce import chaos
+
+        def tenant_side_breaks(runner, context):
+            if "prefix" in context:
+                raise ValueError("tenant side broke")
+            return "solo"
+
+        monkeypatch.setitem(chaos.DRIVERS, "boom", chaos.ChaosDriver("boom", "t", tenant_side_breaks))
+        with pytest.raises(RuntimeError, match="driver 'boom' failed for tenant 'alice'"):
+            chaos.run_multitenant_check(drivers=["boom"], with_chaos=False)
+
+    def test_selfcheck_reports_every_failed_invariant(self, monkeypatch, capsys):
+        from types import SimpleNamespace
+
+        from repro.mapreduce import chaos
+
+        broken = SimpleNamespace(driver="kmeans", faults={}, equivalent=False, reproducible=False)
+        monkeypatch.setattr(chaos, "run_chaos_campaign",
+                            lambda **kwargs: SimpleNamespace(outcomes=[broken]))
+        assert chaos.run_chaos_selfcheck(verbose=False) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "chaos selfcheck FAILED: selfcheck schedule injected no faults at all",
+            "chaos selfcheck FAILED: kmeans: output diverged under faults",
+            "chaos selfcheck FAILED: kmeans: same seed replay diverged",
+        ]

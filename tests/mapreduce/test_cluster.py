@@ -25,6 +25,10 @@ class TestClusterSpec:
         with pytest.raises(ValueError):
             ClusterSpec([])
 
+    def test_storage_only_cluster_rejected(self):
+        with pytest.raises(ValueError, match="no tasktrackers"):
+            ClusterSpec([Node("a", "r", is_tasktracker=False)])
+
     def test_unknown_namenode_rejected(self):
         with pytest.raises(ValueError, match="namenode"):
             ClusterSpec([Node("a", "r")], namenode="ghost")

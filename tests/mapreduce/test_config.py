@@ -122,6 +122,11 @@ class TestMemoryBudget:
         with pytest.raises(ValueError, match="memory_budget_mb must be positive and finite"):
             MapReduceConfig("serial", memory_budget_mb=budget)
 
+    @pytest.mark.parametrize("budget", [True, "8"])
+    def test_config_rejects_a_non_number(self, budget):
+        with pytest.raises(ValueError, match="memory_budget_mb must be a positive number"):
+            MapReduceConfig("serial", memory_budget_mb=budget)
+
     @BAD
     def test_hdfs_rejects_it(self, budget):
         with pytest.raises(ValueError, match="memory_budget_mb must be positive and finite"):

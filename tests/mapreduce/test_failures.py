@@ -4,7 +4,7 @@ import pytest
 
 from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.counters import STANDARD
-from repro.mapreduce.failures import ChaosSchedule, MAX_TASK_ATTEMPTS
+from repro.mapreduce.failures import MAX_TASK_ATTEMPTS, ChaosSchedule, Fault, FaultKind
 from repro.mapreduce.hdfs import SimulatedHDFS
 from repro.mapreduce.job import JobSpec, Mapper, Reducer
 from repro.mapreduce.runner import JobRunner
@@ -87,3 +87,39 @@ class TestDatanodeLossDuringJob:
         res = runner.run(JobSpec("j", EchoMapper, ["in"], "out", reducer=SumReducer))
         assert sum(v for _, v in hdfs.read_records("out")) == 12
         assert all(a.node != victim for a in res.map_plan.assignments)
+
+
+class TestNodeLossDeclined:
+    """A scripted node loss is declined, not half-applied, when the
+    deployment could not survive it."""
+
+    def _run(self, hdfs, fault):
+        runner = JobRunner(hdfs, chaos=ChaosSchedule(faults=[fault]))
+        runner.run(JobSpec("j", EchoMapper, ["in"], "out", reducer=SumReducer))
+        assert sum(v for _, v in hdfs.read_records("out")) == 12
+        return runner
+
+    def test_without_a_second_replica(self):
+        hdfs = SimulatedHDFS(paper_cluster(3), chunk_size=64, replication=1, seed=2)
+        hdfs.put_records("in", [(i, 1) for i in range(12)], record_bytes=16)
+        self._run(hdfs, Fault(FaultKind.NODE_LOSS))
+        assert hdfs.dead_nodes == frozenset()
+
+    def test_when_it_would_strand_a_chunk(self):
+        hdfs = SimulatedHDFS(paper_cluster(3), chunk_size=64, replication=2, seed=2)
+        hdfs.put_records("in", [(i, 1) for i in range(12)], record_bytes=16)
+        first, second = hdfs.chunks("in")[0].replicas
+        hdfs.kill_datanode(first)
+        self._run(hdfs, Fault(FaultKind.NODE_LOSS, node=second))
+        assert hdfs.dead_nodes == {first}
+
+    def test_scoped_to_another_job(self):
+        hdfs = SimulatedHDFS(paper_cluster(3), chunk_size=64, replication=2, seed=2)
+        hdfs.put_records("in", [(i, 1) for i in range(12)], record_bytes=16)
+        self._run(hdfs, Fault(FaultKind.NODE_LOSS, job="other"))
+        assert hdfs.dead_nodes == frozenset()
+
+
+def test_describe_names_the_bad_nodes():
+    chaos = ChaosSchedule(seed=3, bad_nodes=frozenset({"worker02", "worker01"}))
+    assert chaos.describe() == "seed=3 bad=worker01,worker02"

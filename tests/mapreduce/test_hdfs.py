@@ -248,3 +248,14 @@ class TestValidation:
             SimulatedHDFS(paper_cluster(3), chunk_size=0)
         with pytest.raises(ValueError):
             SimulatedHDFS(paper_cluster(3), replication=0)
+
+    def test_write_with_every_datanode_dead(self):
+        hdfs = SimulatedHDFS(paper_cluster(2), replication=1, seed=0)
+        for node in hdfs.cluster.datanodes():
+            hdfs.kill_datanode(node.name)
+        with pytest.raises(RuntimeError, match="no alive datanodes"):
+            hdfs.put_records("f", [(0, 0)])
+
+    def test_replica_report_of_a_missing_file(self):
+        with pytest.raises(FileNotFoundError, match="nowhere"):
+            SimulatedHDFS(paper_cluster(2)).replica_report("nowhere")

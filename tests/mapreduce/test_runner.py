@@ -6,6 +6,7 @@ import pytest
 from repro.geo.trace import TraceArray
 from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.counters import STANDARD
+from repro.mapreduce.failures import ChaosSchedule
 from repro.mapreduce.hdfs import SimulatedHDFS
 from repro.mapreduce.job import JobSpec, Mapper, Reducer
 from repro.mapreduce.runner import JobRunner
@@ -252,30 +253,33 @@ class TestJobResultSummary:
 
 class TestSpeculativeExecution:
     def test_output_unchanged_and_counted(self):
-        """The runner executes primary attempts only; speculation shows
-        up in counters and (possibly) a shorter simulated map phase."""
+        """A slow node makes stragglers; speculation backs them up.  The
+        runner executes primary attempts only, so the output and the
+        input counters are unchanged, while the plan's duplicates show up
+        as ``speculative_launch`` events and a shorter map phase."""
         hdfs = SimulatedHDFS(paper_cluster(4), chunk_size=64 * 1000, seed=0)
-        # One big chunk + several small: classic straggler layout.
-        arr_big = TraceArray.from_columns(
-            ["u"], np.zeros(5000), np.zeros(5000), np.arange(5000.0)
-        )
-        hdfs.put_trace_array("big", arr_big)
-        hdfs.put_records("small", [(i, 1) for i in range(12)], record_bytes=16)
+        n = 20_000  # 20 chunks of 1,000 records
+        arr = TraceArray.from_columns(["u"], np.zeros(n), np.zeros(n), np.arange(float(n)))
+        hdfs.put_trace_array("traces", arr, record_bytes=64)
+        chaos = ChaosSchedule(seed=0, slow_node_prob=0.1, slow_factor=8.0)
 
         class CountMapper(Mapper):
             def run(self, chunk, ctx):
                 ctx.emit("n", chunk.n_records)
 
-        plain = JobRunner(hdfs, speculative=False)
-        spec = JobRunner(hdfs, speculative=True)
-        r1 = plain.run(JobSpec("j", CountMapper, ["big", "small"], "o1", reducer=SumReducer))
-        r2 = spec.run(JobSpec("j", CountMapper, ["big", "small"], "o2", reducer=SumReducer))
-        assert dict(hdfs.read_records("o1")) == dict(hdfs.read_records("o2"))
-        assert r2.timing.map_s <= r1.timing.map_s + 1e-9
+        plain = JobRunner(hdfs, speculative=False, chaos=chaos)
+        spec = JobRunner(hdfs, speculative=True, chaos=chaos)
+        r1 = plain.run(JobSpec("j", CountMapper, ["traces"], "o1", reducer=SumReducer))
+        r2 = spec.run(JobSpec("j", CountMapper, ["traces"], "o2", reducer=SumReducer))
+        assert dict(hdfs.read_records("o1")) == dict(hdfs.read_records("o2")) == {"n": n}
+        assert [e for e in plain.history if e.kind == "speculative_launch"] == []
+        assert [e for e in spec.history if e.kind == "speculative_launch"]
+        assert r2.timing.map_s < r1.timing.map_s
+        assert spec.history.validate() == []
         # Speculative attempts never run twice in the data plane.
         assert r1.counters.value(STANDARD.GROUP_TASK, STANDARD.MAP_INPUT_RECORDS) == (
             r2.counters.value(STANDARD.GROUP_TASK, STANDARD.MAP_INPUT_RECORDS)
-        )
+        ) == n
 
 
 class TestMultipleInputs:

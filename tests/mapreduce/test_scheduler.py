@@ -6,6 +6,8 @@ from repro.mapreduce.cluster import ClusterSpec, Node, paper_cluster
 from repro.mapreduce.scheduler import (
     FairShareJob,
     Locality,
+    NodeBlacklist,
+    RetryPolicy,
     plan_fair_share,
     plan_map_phase,
     plan_reduce_phase,
@@ -261,3 +263,57 @@ class TestFairShare:
         plan = plan_fair_share([], paper_cluster(2))
         assert plan.tasks == [] and plan.makespan == 0.0
         assert plan.contended_window() == 0.0
+
+
+class TestRefusalsAndFallbacks:
+    """Every configuration a planner cannot honour is a typed error; the
+    corner cases it can honour take their documented fallback."""
+
+    @pytest.mark.parametrize(
+        ("build", "error", "match"),
+        [
+            (lambda: RetryPolicy(backoff_base_s=-1.0), ValueError, "backoff_base_s"),
+            (lambda: RetryPolicy(backoff_factor=0.5), ValueError, "backoff_factor"),
+            (lambda: NodeBlacklist(threshold=0), ValueError, "threshold"),
+            (lambda: FairShareJob("a", 0.0, "j", 0, (1.0,)), ValueError, "weight must be positive"),
+            (lambda: plan_map_phase([_chunk("c0", [])], SLOTLESS, _flat_time), RuntimeError,
+             "zero map slots"),
+            (lambda: plan_reduce_phase(1, SLOTLESS, lambda r: 1.0), RuntimeError,
+             "zero reduce slots"),
+            (lambda: plan_reduce_phase(1, paper_cluster(2), lambda r: 1.0,
+                                       dead_nodes=ALL_DEAD), RuntimeError, "no alive tasktrackers"),
+            (lambda: plan_fair_share([FairShareJob("a", 1.0, "j", 0, (1.0,))], SLOTLESS),
+             RuntimeError, "zero map slots"),
+            (lambda: plan_fair_share([FairShareJob("a", 1.0, "j", 0, (), (1.0,))], SLOTLESS),
+             RuntimeError, "zero reduce slots"),
+        ],
+        ids=["backoff-base", "backoff-factor", "blacklist-threshold", "fair-weight",
+             "map-slotless", "reduce-slotless", "reduce-all-dead", "fair-map-slotless",
+             "fair-reduce-slotless"],
+    )
+    def test_refused(self, build, error, match):
+        with pytest.raises(error, match=match):
+            build()
+
+    def test_straggler_on_a_one_node_cluster_gets_no_duplicate(self):
+        cluster = ClusterSpec([Node("n0", "r0", map_slots=4)])
+        chunks = [_chunk(f"c{i}", ["n0"]) for i in range(4)]
+        plan = plan_map_phase(
+            chunks, cluster, lambda c, loc: 100.0 if c.chunk_id == "c0" else 1.0,
+            speculative=True,
+        )
+        assert not any(a.speculative for a in plan.assignments)
+
+    def test_pin_to_an_unknown_node_falls_back_to_any_slot(self):
+        cluster = paper_cluster(2)
+        pinned, _ = plan_reduce_phase(1, cluster, lambda r: 1.0, pinned_nodes={0: "ghost"})
+        unpinned, _ = plan_reduce_phase(1, cluster, lambda r: 1.0)
+        assert pinned == unpinned
+
+    def test_shares_of_an_idle_plan_are_zero(self):
+        plan = plan_fair_share([FairShareJob("a", 1.0, "j", 0, (0.0,))], paper_cluster(2))
+        assert plan.tenant_shares() == {"a": 0.0}
+
+
+SLOTLESS = ClusterSpec([Node("n0", "r0", map_slots=0, reduce_slots=0)])
+ALL_DEAD = frozenset(n.name for n in paper_cluster(2).tasktrackers())

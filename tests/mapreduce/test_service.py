@@ -332,3 +332,79 @@ def test_history_tags_tenants_and_accounting_rolls_up():
             assert row["total_s"] > 0
     finally:
         service.close()
+
+
+# -- refusals and cache corner cases -----------------------------------------
+
+def test_refusals_are_typed_errors():
+    with JobService(_hdfs(), tenants={"t": 1.0}, start=False) as service:
+        queued = service.submit(_sampling_spec("q", "out/q"), tenant="t")
+        with pytest.raises(TimeoutError, match="still queued"):
+            queued.result(timeout=0.01)
+        with pytest.raises(UnknownTenantError, match="known tenants: t"):
+            service.client("mallory")
+        client = service.client("t")
+        with pytest.raises(ValueError, match="exactly one of path= or key="):
+            client.query_engine()
+        with pytest.raises(ValueError, match="exactly one of path= or key="):
+            client.query_engine(path="idx", key="k")
+        service.start()
+    with pytest.raises(RuntimeError, match="service is closed"):
+        service.submit(_sampling_spec("late", "out/late"), tenant="t")
+
+
+def test_a_hit_onto_an_existing_output_fails_its_future():
+    with JobService(_hdfs(), tenants={"t": 1.0}) as service:
+        service.submit(_sampling_spec("a", "out/a"), tenant="t").result(timeout=60)
+        again = service.submit(_sampling_spec("b", "out/a"), tenant="t")
+        with pytest.raises(FileExistsError, match="out/a"):
+            again.result(timeout=60)
+
+
+def test_a_cached_copy_deleted_behind_the_cache_is_a_miss():
+    with JobService(_hdfs(), tenants={"t": 1.0}) as service:
+        service.submit(_sampling_spec("a", "out/a"), tenant="t").result(timeout=60)
+        (cached,) = [p for p in service.hdfs.ls() if p.startswith(".cache/")]
+        service.hdfs.delete(cached)
+        rerun = service.submit(_sampling_spec("b", "out/b"), tenant="t").result(timeout=60)
+        assert rerun.n_map_tasks > 0
+        assert service.result_cache.hits == 0 and service.hdfs.exists(cached)
+
+
+def test_a_new_service_adopts_the_copy_a_previous_one_cached():
+    hdfs = _hdfs()
+    with JobService(hdfs, tenants={"t": 1.0}) as first:
+        first.submit(_sampling_spec("a", "out/a"), tenant="t").result(timeout=60)
+    with JobService(hdfs, tenants={"t": 1.0}) as second:
+        second.submit(_sampling_spec("b", "out/b"), tenant="t").result(timeout=60)
+        assert len(second.result_cache) == 1
+        hit = second.submit(_sampling_spec("c", "out/c"), tenant="t").result(timeout=60)
+        assert hit.n_map_tasks == 0
+
+
+class _Opaque:
+    """A value no digest can describe."""
+
+
+def test_unfingerprintable_jobs_are_uncacheable():
+    hdfs = _hdfs()
+    spec = _sampling_spec("s", "out/s")
+    assert result_cache_key(spec, hdfs, {}) is not None
+
+    def closure_mapper():
+        return SamplingMapper()
+
+    for job in (
+        JobSpec("s", closure_mapper, ["input/traces"], "out/s"),
+        JobSpec("s", SamplingMapper, ["input/traces"], "out/s",
+                conf=Configuration({"opaque": _Opaque()})),
+        JobSpec("s", SamplingMapper, ["input/traces"], "out/s",
+                conf=Configuration({"raw": b"bytes"})),
+    ):
+        assert result_cache_key(job, hdfs, {}) is None
+
+
+def test_speedup_of_an_empty_report_is_one():
+    from repro.mapreduce.service import ServiceReport
+
+    assert ServiceReport({}, 0.0, 0.0, 0.0, plan=None).speedup == 1.0

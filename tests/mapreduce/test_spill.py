@@ -90,6 +90,10 @@ class TestPayloadStore:
         store.put("big", _payload(100))
         assert len(store._resident) == 1
 
+    def test_budget_must_be_positive(self, tmp_path):
+        with pytest.raises(ValueError, match="budget_bytes must be positive"):
+            PayloadStore(0, SpillDirectory(tmp_path / "s"))
+
     def test_duplicate_put_rejected(self, tmp_path):
         store = PayloadStore(MB, SpillDirectory(tmp_path / "s"))
         store.put("c", _payload(1))
@@ -265,6 +269,24 @@ class TestShuffleSpillerEquivalence:
         want, _ = _reference(outputs, 2)
         got, sh = _spilled(outputs, 2, budget_bytes=64, tmp_path=tmp_path)
         assert not sh.spilled and got == want
+
+    def test_nan_keys_fall_back_identically(self, tmp_path):
+        # NaN breaks the numbers' total order: no run may be merged on it.
+        outputs = [[(float(i % 5), i) for i in range(50)], [(float("nan"), "odd")]]
+        want, _ = _reference(outputs, 2)
+        got, sh = _spilled(outputs, 2, budget_bytes=64, tmp_path=tmp_path)
+        assert not sh.spilled
+        assert [[(repr(k), v) for k, v in p] for p in got] == [
+            [(repr(k), v) for k, v in p] for p in want
+        ]
+
+    def test_deleting_a_run_twice_is_harmless(self, tmp_path):
+        spiller = ShuffleSpiller(64, SpillDirectory(tmp_path / "sp"), 1, SpillStats())
+        spiller.feed((0, 16, i, i) for i in range(10))
+        (run,) = spiller.runs
+        run.delete()
+        run.delete()
+        assert not run.path.exists()
 
     def test_under_budget_uses_in_memory_path(self, tmp_path):
         outputs = [[(i, i) for i in range(5)]]

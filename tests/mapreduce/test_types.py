@@ -37,6 +37,13 @@ class TestEstimateNbytes:
     def test_generic_object_picklable(self):
         assert estimate_nbytes({"a": [1, 2, 3]}) > 0
 
+    def test_unpicklable_value_falls_back_to_its_object_size(self):
+        import sys
+        import threading
+
+        lock = threading.Lock()
+        assert estimate_nbytes(lock) == sys.getsizeof(lock)
+
 
 class TestRecordPayload:
     def test_counts(self):

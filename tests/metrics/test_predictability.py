@@ -19,6 +19,7 @@ class TestEntropies:
         assert random_entropy([0, 1, 2, 3]) == 2.0
         assert random_entropy([7, 7, 7]) == 0.0
         assert random_entropy([]) == 0.0
+        assert temporal_uncorrelated_entropy([]) == 0.0
 
     def test_uncorrelated_entropy_uniform(self):
         # Four equally frequent places: 2 bits.

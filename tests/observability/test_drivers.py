@@ -1,7 +1,7 @@
 """Acceptance: every algorithm driver exports a loadable job history.
 
-For each of the paper's three workloads, ``history_path=...`` must
-produce a JSON history file whose per-phase durations sum (plus the
+For each of the paper's three workloads, ``runner.history.save(path)``
+must produce a JSON history file whose per-phase durations sum (plus the
 retry penalty) to the job's reported ``JobTiming`` — the accounting
 contract in docs/OBSERVABILITY.md.
 """
@@ -27,9 +27,8 @@ def _assert_accounting(history):
 def test_sampling_history_export(small_array, runner, tmp_path):
     runner.hdfs.put_trace_array("traces", small_array)
     path = tmp_path / "sampling.json"
-    result = run_sampling_job(
-        runner, "traces", "out/sampled", window_s=60.0, history_path=path
-    )
+    result = run_sampling_job(runner, "traces", "out/sampled", window_s=60.0)
+    runner.history.save(path)
     history = load_history(path)
     assert history.jobs() == [result.job_name]
     _assert_accounting(history)
@@ -42,9 +41,9 @@ def test_kmeans_history_export(small_array, runner, tmp_path):
     runner.hdfs.put_trace_array("traces", sampled)
     path = tmp_path / "kmeans.jsonl"
     result = run_kmeans_mapreduce(
-        runner, "traces", k=3, max_iter=2, seed=5, workdir="w/km",
-        history_path=path,
+        runner, "traces", k=3, max_iter=2, seed=5, workdir="w/km"
     )
+    runner.history.save(path)
     history = load_history(path)
     assert history.jobs() == [
         f"kmeans-iter-{i}" for i in range(1, result.n_iterations + 1)
@@ -59,8 +58,9 @@ def test_djcluster_history_export(small_array, runner, tmp_path):
     path = tmp_path / "dj.json"
     result = run_djcluster_mapreduce(
         runner, "traces", DJClusterParams(radius_m=80, min_pts=5),
-        workdir="w/dj", history_path=path,
+        workdir="w/dj",
     )
+    runner.history.save(path)
     history = load_history(path)
     # Preprocessing pipeline (2 jobs) + neighborhood + merge stages.
     assert len(history.jobs()) >= 3

@@ -80,6 +80,13 @@ class TestEvent:
         assert type(d["bytes"]) is int and d["bytes"] == 4096
         assert type(d["skew"]) is float and d["skew"] == 1.25
 
+    def test_value_without_a_scalar_is_exported_as_text(self):
+        e = Event(
+            seq=0, ts=0.0, kind=EventKind.SHUFFLE_TRANSFER, job="j",
+            data={"pair": np.array([1, 2])},
+        )
+        assert e.to_dict()["data"] == {"pair": "[1 2]"}
+
     def test_timestamp_rounded_on_export(self):
         e = Event(seq=0, ts=1.23456789, kind=EventKind.JOB_START, job="j")
         assert e.to_dict()["ts"] == 1.234568

@@ -7,12 +7,18 @@ They are checked on a *real* traced deployment (see conftest.py), not a
 synthetic stream, so the runner's emission order is what is under test.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.observability.events import EventKind
 from repro.observability.history import JobHistory, load_history
+
+S, F = EventKind.JOB_START, EventKind.JOB_FINISH
+PS, PF = EventKind.PHASE_START, EventKind.PHASE_FINISH
+TS, TF = EventKind.TASK_START, EventKind.TASK_FINISH
+AF, AR = EventKind.ATTEMPT_FAILED, EventKind.ATTEMPT_RETRIED
 
 
 def _seq_of(history, job, kind, task=None):
@@ -197,8 +203,82 @@ class TestValidateCatchesBadStreams:
         h.emit(EventKind.JOB_FINISH, "j", 6.0)
         assert any("finish ts precedes start" in v for v in h.validate())
 
+    @pytest.mark.parametrize(
+        ("stream", "message"),
+        [
+            ([(S, 0), (F, 1), ("seq", 0)], "seq not strictly increasing at 0"),
+            ([(F, 0), (S, 0)], "j: job_finish before job_start"),
+            ([(S, 5), (F, 1)], "j: job_finish ts precedes job_start"),
+            ([(S, 0), (PF, 1), (F, 2)], "j: phase_finish(map) without start"),
+            ([(S, 0), (PS, 5), (PF, 4), (F, 6)], "j: phase map finish ts precedes start"),
+            ([(S, 0), (PS, 0), (F, 2)], "j: phase map never finished"),
+            ([(S, 0), (AF, 1), (F, 2)], "j/m: attempt_failed before task_start"),
+            ([(S, 0), (TS, 0), (TF, 1), (AR, 1), (F, 2)],
+             "j/m: attempt_retried after task_finish"),
+            ([(S, 0), (TF, 1), (F, 2)], "j/m: task_finish without start"),
+            ([(S, 0), (TS, 5), (TF, 4), (F, 6)], "j/m: finish ts precedes start"),
+            ([(S, 0), (TS, 0), (F, 2)], "j/m: task_start without task_finish"),
+            ([(S, 0)], "j: job never finished"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_each_violation_has_its_message(self, stream, message):
+        """One bad stream per check; ``("seq", n)`` rewinds the last
+        event's ``seq`` to ``n``."""
+        h = JobHistory()
+        for kind, ts in stream:
+            if kind == "seq":
+                h.events[-1] = dataclasses.replace(h.events[-1], seq=ts)
+                continue
+            task = "m" if kind in (TS, TF, AF, AR) else None
+            h.emit(kind, "j", float(ts), task=task, phase="map")
+        assert h.validate() == [message]
+
+    def test_spans_refuse_a_finish_without_start(self):
+        h = JobHistory()
+        h.emit(EventKind.TASK_FINISH, "j", 1.0, task="m", phase="map")
+        with pytest.raises(ValueError, match="task_finish without task_start: j/m"):
+            h.task_spans("j")
+
     def test_advance_never_moves_backwards(self):
         h = JobHistory()
         h.advance(10.0)
         h.advance(5.0)
         assert h.clock == 10.0
+
+
+def test_selfcheck_reports_every_broken_invariant(monkeypatch, capsys):
+    """Each check of ``repro history --selfcheck`` fails with its own line
+    when the layer it guards breaks."""
+    import repro.mapreduce.failures as failures
+    import repro.observability.history as history_module
+    import repro.observability.report as report
+    from repro.observability.selfcheck import run_selfcheck
+
+    real_fault, real_load = failures.Fault, history_module.load_history
+
+    def reload(path):
+        reloaded = real_load(path)
+        if str(path).endswith(".json"):
+            reloaded.events.pop()
+        return reloaded
+
+    monkeypatch.setattr(failures, "Fault", lambda kind, task: real_fault(kind, task="map-9999"))
+    monkeypatch.setattr(JobHistory, "validate", lambda self: ["a violation"])
+    monkeypatch.setattr(JobHistory, "phase_durations", lambda self, job: {})
+    monkeypatch.setattr(history_module, "load_history", reload)
+    monkeypatch.setattr(report, "summarize", lambda history: [])
+    monkeypatch.setattr(report, "render_report", lambda history: "")
+    assert run_selfcheck(verbose=False) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[1].strip() for line in lines] == [
+        "ordering violations",
+        "sampling",
+        "injected task failure produced no attempt_failed event",
+        ".json round-trip altered the event stream",
+        ".jsonl reload fails validation",
+        "summarized 0 of 3 jobs",
+        "report is missing 'critical path'",
+        "report is missing 'sim s'",
+        "report is missing 'node-local'",
+    ]

@@ -13,10 +13,13 @@ import pytest
 from repro.cli import main
 from repro.observability.history import load_history
 from repro.observability.report import (
+    _fmt_bytes,
     render_gantt,
     render_report,
+    render_window_report,
     summarize,
     summarize_job,
+    window_accounting,
 )
 
 GOLDEN = Path(__file__).parent / "golden_history.json"
@@ -112,6 +115,48 @@ class TestRendering:
         assert "map-only" in text  # sampling job has no reduce phase
 
 
+class TestOptionalSections:
+    """Report lines that only some runs produce: a pre-aggregated
+    shuffle, pinned reducers, result-cache hits, streaming windows."""
+
+    @pytest.mark.parametrize("reduce_locality", [False, True], ids=["spread", "pinned"])
+    def test_preaggregated_shuffle(self, reduce_locality):
+        from repro.algorithms.kmeans import run_kmeans_mapreduce
+        from repro.geo.synthetic import SyntheticConfig, generate_dataset
+        from repro.mapreduce.cluster import paper_cluster
+        from repro.mapreduce.hdfs import SimulatedHDFS
+        from repro.mapreduce.runner import JobRunner
+
+        dataset, _ = generate_dataset(SyntheticConfig(n_users=3, days=1, seed=9))
+        hdfs = SimulatedHDFS(paper_cluster(3), chunk_size=64 * 1024, seed=0)
+        hdfs.put_trace_array("input/traces", dataset.flat().sort_by_time(), record_bytes=64)
+        runner = JobRunner(hdfs, reduce_locality=reduce_locality)
+        run_kmeans_mapreduce(runner, "input/traces", k=3, max_iter=1, seed=7,
+                             use_aggregation=True)
+        text = render_report(runner.history, gantt=False)
+        assert "  pre-agg shuffle: " in text and " crossed nodes)" in text
+        assert ("  reduce placement: " in text) == reduce_locality
+
+    def test_result_cache_hit_is_marked(self):
+        from tests.mapreduce.test_service import _hdfs, _sampling_spec
+        from repro.mapreduce.service import JobService
+
+        with JobService(_hdfs(), tenants={"t": 1.0}) as service:
+            for name in ("a", "b"):
+                service.submit(_sampling_spec(name, f"out/{name}"), tenant="t").result(60)
+        assert "t:b [tenant t] (result-cache hit)" in render_report(service.history)
+
+    def test_window_report_of_a_batch_history(self, golden):
+        assert window_accounting(summarize(golden)) == {}
+        for tenant in (None, "tenant0"):
+            assert render_window_report(golden, tenant=tenant) == (
+                "history contains no window-tagged jobs (not a streaming run?)"
+            )
+
+    def test_megabytes(self):
+        assert _fmt_bytes(3 * 1024 * 1024) == "3.00 MB"
+
+
 class TestCli:
     def test_report_command(self, capsys):
         assert main(["history", str(GOLDEN)]) == 0
@@ -152,3 +197,17 @@ class TestCli:
         path = h.save(tmp_path / "truncated.json")
         assert main(["history", str(path), "--validate-only"]) == 1
         assert "never finished" in capsys.readouterr().out
+
+    def test_report_of_a_history_with_violations_exits_one(self, tmp_path, capsys):
+        """An unfinished job is left out of the report, and the violation
+        turns the exit status."""
+        from repro.observability.events import EventKind
+        from repro.observability.history import JobHistory
+
+        h = JobHistory()
+        h.emit(EventKind.JOB_START, "j", 0.0)
+        path = h.save(tmp_path / "truncated.json")
+        assert main(["history", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "WARNING: 1 ordering violation(s); run --validate-only" in out
+        assert "== j" not in out

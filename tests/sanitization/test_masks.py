@@ -12,6 +12,8 @@ from repro.sanitization.masks import (
     RoundingMask,
     UniformNoiseMask,
 )
+from repro.sanitization.mixzones import MixZone, MixZoneSanitizer
+from repro.sanitization.pseudonyms import Pseudonymizer
 
 
 def _array(n=500, seed=0):
@@ -224,3 +226,25 @@ class TestDatasetLevel:
         out = GaussianMask(50.0, seed=1).sanitize_dataset(ds)
         assert out.user_ids == ["u"]
         assert len(out) == 100
+
+
+@pytest.mark.parametrize(
+    "mechanism",
+    [
+        PlanarLaplaceMask(epsilon=0.01, seed=1),
+        RoundingMask(cell_m=500.0),
+        Pseudonymizer(seed=1),
+        MixZoneSanitizer([MixZone(39.92, 116.45, 500.0)]),
+    ],
+    ids=lambda m: type(m).__name__,
+)
+def test_an_empty_array_stays_empty(mechanism):
+    empty = TraceArray.from_columns(["u"], [], [], [])
+    assert len(mechanism.sanitize_array(empty)) == 0
+
+
+def test_a_trail_sanitized_to_nothing_leaves_the_dataset():
+    empty = Trail("u", TraceArray.from_columns(["u"], [], [], []))
+    kept = Trail("v", TraceArray.from_columns(["v"], [40.0] * 3, [116.0] * 3, [0.0, 1.0, 2.0]))
+    out = RoundingMask(cell_m=500.0).sanitize_dataset(GeolocatedDataset([empty, kept]))
+    assert out.user_ids == ["v"]

@@ -133,3 +133,32 @@ def test_multitenant_streams_are_fair_and_complete(corpus):
     for r in results.values():
         assert len(r.results) == len(r.datasets) > 0
     assert set(report.tenants) == {"alice", "bob"}
+
+
+def test_bad_arguments_rejected(corpus):
+    with pytest.raises(ValueError, match="unknown mode 'batch'"):
+        run_stream(corpus, WINDOW_S, mode="batch")
+    with pytest.raises(ValueError, match="tenants must not be empty"):
+        run_multitenant_stream(corpus, WINDOW_S, {})
+
+
+def test_runner_mode_exports_its_history(corpus, tmp_path):
+    from repro.observability.history import load_history
+
+    path = tmp_path / "stream.json"
+    result = run_stream(corpus, WINDOW_S, mode="runner", history_path=str(path),
+                        **MANAGER_KWARGS)
+    history = load_history(path)
+    assert history.validate() == []
+    assert history.jobs() and len(result.results) > 1
+
+
+def test_a_clean_failure_is_an_outcome_not_an_error(corpus, monkeypatch):
+    import repro.streaming.check as check
+
+    def fails(*args, **kwargs):
+        raise JobFailedError("map-0000", 4)
+
+    monkeypatch.setattr(check, "run_stream", fails)
+    outcome = check._outcome("cell", corpus, WINDOW_S)
+    assert outcome.clean_failure and outcome.failed == "task map-0000 failed 4 attempts"

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import numpy as np
 import pytest
 
 from repro.cli import main, parse_mechanism
@@ -213,9 +214,13 @@ class TestQueryCommand:
             (["--radius-query", "40,116,-5"], "radius must be non-negative"),
             (["--range", "40,117,39,116"], "min_lat <= max_lat and min_lon <= max_lon"),
             (["--knn", "40,116,2.5"], "k must be a positive integer, got 2.5"),
+            (["--point", "40"], "--point wants 2 comma-separated values"),
+            (["--point", "40,east"], "bad --point: could not convert"),
+            (["--point", "40,nan"], "--point values must be finite"),
+            (["--traces", "0"], "--traces must be positive"),
         ],
         ids=["queries-negative", "queries-zero", "radius-negative", "range-inverted",
-             "knn-fractional"],
+             "knn-fractional", "point-arity", "point-word", "point-nan", "traces-zero"],
     )
     def test_bad_argument_exits_before_any_job(self, args, message):
         with pytest.raises(SystemExit, match=f"^query: .*{message}"):
@@ -225,3 +230,93 @@ class TestQueryCommand:
         with pytest.raises(self.Built):
             main(["query", "--traces", "2000", "--queries", "1", "--range", "39,116,39,116",
                   "--radius-query", "40,116,0", "--knn", "40,116,3"])
+
+
+class TestArgumentErrors:
+    """A bad argument or an unusable input is a one-line exit naming the
+    subcommand, before any job runs."""
+
+    @pytest.fixture()
+    def lone_trace_dir(self, tmp_path):
+        from repro.geo.geolife import write_geolife_dataset
+        from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
+
+        lone = Trail("000", TraceArray.from_columns(["000"], [40.0], [116.0], [1.3e9]))
+        write_geolife_dataset(GeolocatedDataset([lone]), tmp_path / "lone")
+        return tmp_path / "lone"
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["attack"], "attack: provide --in (or --linkage --selfcheck)"),
+            (["attack", "--in", "{lone}", "--linkage"],
+             "attack: corpus too small to split into training/target halves"),
+            (["sweep", "--mechanisms", " , "], "sweep: provide at least one --mechanisms spec"),
+            (["sweep", "--in", "{lone}", "--mechanisms", "none"],
+             "sweep: corpus too small to split into training/target halves"),
+            (["sweep", "--users", "2", "--mechanisms", "gaussian:100,gaussian 100"],
+             "sweep: mechanism specs collide after slugging"),
+            (["submit", "--users", "1", "--window", "0"], "submit: --window must be positive"),
+            (["service", "--weights", "alice"],
+             "service: bad --weights entry 'alice' (want name=weight)"),
+            (["service", "--weights", "alice=heavy"], "service: bad weight in 'alice=heavy'"),
+            (["service", "--weights", "alice=0"], "service: "),
+            (["stream", "--report", "{missing}"], "stream: no such timeline file: "),
+            (["stream", "--report", "{garbled}"], "stream: cannot read "),
+            (["stream", "--tenants", "0"], "stream: --tenants must be positive"),
+            (["stream", "--window-s", "0"], "stream: --window-s must be positive"),
+            (["stream", "--late-prob", "2"], "stream: "),
+        ],
+        ids=["attack-no-input", "attack-lone-trace", "sweep-no-mechanism", "sweep-lone-trace",
+             "sweep-colliding", "submit-window", "service-weight-entry", "service-weight",
+             "service-zero-weight", "stream-report-missing", "stream-report-garbled",
+             "stream-tenants", "stream-window", "stream-probability"],
+    )
+    def test_exits_with_one_line(self, argv, message, lone_trace_dir, tmp_path):
+        garbled = tmp_path / "garbled.json"
+        garbled.write_text("[1, 2]")
+        paths = {"lone": lone_trace_dir, "missing": tmp_path / "absent.json", "garbled": garbled}
+        argv = [arg.format(**paths) for arg in argv]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert str(info.value).startswith(message) and "\n" not in str(info.value)
+
+    def test_a_directory_without_geolife_data(self, tmp_path):
+        with pytest.raises(SystemExit, match="^no GeoLife data found under "):
+            main(["info", "--in", str(tmp_path)])
+
+    def test_a_stream_that_fails_under_chaos_exits_cleanly(self, monkeypatch):
+        from repro.mapreduce.failures import JobFailedError
+
+        def fails(*args, **kwargs):
+            raise JobFailedError("map-0000", 4)
+
+        monkeypatch.setattr("repro.streaming.check.run_stream", fails)
+        with pytest.raises(SystemExit, match="^stream: run failed cleanly under chaos: task map-0000"):
+            main(["stream", "--users", "1"])
+
+    def test_an_unlinked_pseudonym_is_listed(self, tmp_path, capsys):
+        from repro.geo.geolife import write_geolife_dataset
+        from repro.geo.synthetic import SyntheticConfig, generate_dataset
+        from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
+
+        dataset, _ = generate_dataset(SyntheticConfig(n_users=2, days=1, seed=5))
+        ts = dataset.flat().timestamp
+        late = ts.max() - np.arange(3.0)
+        stray = Trail("999", TraceArray.from_columns(["999"], [10.0] * 3, [10.0] * 3, late))
+        write_geolife_dataset(GeolocatedDataset([*dataset.trails(), stray]), tmp_path / "c")
+        assert main(["attack", "--in", str(tmp_path / "c"), "--linkage"]) == 0
+        assert "  anon-999         -> unlinked" in capsys.readouterr().out
+
+    def test_a_rebuilt_index_is_flagged(self, monkeypatch, capsys):
+        from repro.index.persistent import IndexCatalog
+
+        ensure = IndexCatalog.ensure
+
+        def always_rebuilt(self, *args, **kwargs):
+            index, _ = ensure(self, *args, **kwargs)
+            return index, True
+
+        monkeypatch.setattr(IndexCatalog, "ensure", always_rebuilt)
+        main(["query", "--traces", "2000", "--queries", "2"])
+        assert "WARNING: second ensure rebuilt (0 job(s) ran)" in capsys.readouterr().out

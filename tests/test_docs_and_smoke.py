@@ -10,7 +10,6 @@ Two cheap gates that keep the repo's surfaces honest:
   docs/OBSERVABILITY.md documents the full event vocabulary.
 """
 
-import json
 import pkgutil
 import re
 from pathlib import Path

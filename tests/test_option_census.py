@@ -34,18 +34,17 @@ CENSUS = {
     ),
     shuffle: ("map_outputs", "partitioner", "n_reducers", "spiller", "aggregation"),
     run_djcluster_mapreduce: (
-        "runner", "input_path", "params", "rtree_curve", "workdir", "history_path",
-        "name_prefix",
+        "runner", "input_path", "params", "rtree_curve", "workdir", "name_prefix",
     ),
     run_kmeans_mapreduce: (
         "runner", "input_path", "k", "distance", "convergence_delta", "max_iter",
         "seed", "initial_centroids", "init", "use_combiner", "use_aggregation",
-        "workdir", "history_path", "name_prefix",
+        "workdir", "name_prefix",
     ),
     run_linkage_attack: (
         "runner", "training_path", "target_path", "ground_truth", "params",
         "max_pois", "attach_radius_m", "max_match_dist_m", "num_reducers",
-        "workdir", "history_path",
+        "workdir",
     ),
     run_sweep: (
         "training", "target", "ground_truth", "mechanisms", "params", "executor",

@@ -18,6 +18,7 @@ import ast
 import importlib
 import inspect
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -301,11 +302,11 @@ _REACH = json.loads(REACH_CENSUS.read_text())
 def test_the_reach_census_lists_every_function():
     """A function added, renamed or deleted under ``src/repro`` is a diff
     of ``reach_census.json``: rerun ``tests/make_reach_census.py``."""
-    assert sorted(_REACH) == sorted(src_functions())
+    assert sorted(_REACH["functions"]) == sorted(src_functions())
 
 
 def test_every_unexecuted_function_says_why_it_stays():
-    for key, value in _REACH.items():
+    for key, value in _REACH["functions"].items():
         if value != EXECUTED:
             tag, sep, why = value.partition(":")
             assert tag in TAGS and sep and why.strip(), f"{key}: {value!r}"
@@ -328,6 +329,29 @@ def _test_exists(test_id: str) -> bool:
 
 
 def test_every_safety_reason_names_a_tier1_test_that_exists():
-    safety = {key: safety_test(value) for key, value in _REACH.items() if safety_test(value)}
+    safety = {
+        key: safety_test(value)
+        for key, value in [*_REACH["functions"].items(), *_REACH["statements"].items()]
+        if safety_test(value)
+    }
     assert safety
     assert sorted(key for key, test in safety.items() if not _test_exists(test)) == []
+
+
+def test_every_statement_no_reacher_runs_is_tested_or_tagged():
+    """A statement of an executed function that no reacher runs names
+    the tier-1 test that runs it, or carries a tag; its key names the
+    function and the lines as offsets from its ``def``."""
+    bad = []
+    for key, value in _REACH["statements"].items():
+        function, _, span = key.rpartition(" ")
+        tag, _, why = value.partition(":")
+        if _REACH["functions"].get(function) != EXECUTED or not re.fullmatch(
+            r"\+\d+\.\.\+\d+", span
+        ):
+            bad.append(f"{key}: not a span of an executed function")
+        elif tag == "test" and not _test_exists(why.strip()):
+            bad.append(f"{key}: no tier-1 test {why.strip()}")
+        elif tag != "test" and (tag not in TAGS or not why.strip()):
+            bad.append(f"{key}: {value!r}")
+    assert bad == []
