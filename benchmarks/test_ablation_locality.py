@@ -4,17 +4,12 @@
 data chunks ... priority is given to neighboring nodes."  This bench
 turns the jobtracker's locality preference off and measures what it
 buys: the node-local map fraction and the simulated map-phase time
-(remote reads pay a per-MB network penalty in the cost model).  A
-second knob does the same for the *reduce* side: locality-aware reduce
-placement pins each reducer to the node holding the plurality of its
-partition's pre-aggregated envelopes, so only the minority remainder
-crosses the network.
+(remote reads pay a per-MB network penalty in the cost model).
 """
 
 import pytest
 
 from benchmarks.conftest import write_report
-from repro.algorithms.kmeans import run_kmeans_mapreduce
 from repro.algorithms.sampling import run_sampling_job
 from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.counters import STANDARD
@@ -57,42 +52,6 @@ def _local_fraction(sched) -> float:
     return local / total if total else 0.0
 
 
-@pytest.fixture(scope="module")
-def placement_runs(corpus_66mb):
-    """Aggregation-declared k-means with reduce placement on vs off."""
-    array, _ = corpus_66mb
-    init = array.coordinates()[:8].copy()
-    out = {}
-    for pinned in (True, False):
-        hdfs = SimulatedHDFS(
-            paper_cluster(10, nodes_per_rack=4), chunk_size=4 * MB, seed=0
-        )
-        hdfs.put_trace_array("in", array)
-        runner = JobRunner(hdfs, reduce_locality=pinned)
-        res = run_kmeans_mapreduce(
-            runner, "in", 8, max_iter=1, initial_centroids=init,
-            use_aggregation=True, workdir="km",
-        )
-        cross = runner.history.job_finish("kmeans-iter-1").data["counters"][
-            STANDARD.GROUP_TASK
-        ].get(STANDARD.SHUFFLE_CROSS_NODE_BYTES, 0)
-        out[pinned] = (res, int(cross))
-    on_res, on_cross = out[True]
-    off_res, off_cross = out[False]
-    total = on_res.history[0].shuffle_bytes
-    lines = [
-        "Ablation - locality-aware reduce placement "
-        "(aggregation k-means, 66 MB corpus, k=8, 1 iteration)",
-        f"{'placement':<14} {'cross-node B':>13} {'of total B':>11} {'reduce sim s':>13}",
-        f"{'pinned':<14} {on_cross:>13,} {total:>11,} "
-        f"{on_res.history[0].sim_seconds:>13.2f}",
-        f"{'heap order':<14} {off_cross:>13,} {total:>11,} "
-        f"{off_res.history[0].sim_seconds:>13.2f}",
-    ]
-    print(write_report("ablation_reduce_placement", lines))
-    return out
-
-
 def test_locality_preference_raises_local_fraction(locality_runs):
     _, on_sched = locality_runs[True]
     _, off_sched = locality_runs[False]
@@ -114,40 +73,6 @@ def test_outputs_identical_either_way(locality_runs):
     on_out = on_res.counters.value(STANDARD.GROUP_TASK, STANDARD.MAP_OUTPUT_RECORDS)
     off_out = off_res.counters.value(STANDARD.GROUP_TASK, STANDARD.MAP_OUTPUT_RECORDS)
     assert on_out == off_out
-
-
-def test_reduce_placement_cuts_cross_node_bytes(placement_runs):
-    _, on_cross = placement_runs[True]
-    _, off_cross = placement_runs[False]
-    assert on_cross < off_cross
-
-
-def test_reduce_placement_keeps_minority_share(placement_runs):
-    """Pinning keeps at least the plurality node's bytes local, so the
-    crossing remainder is a strict minority of the shuffled volume."""
-    on_res, on_cross = placement_runs[True]
-    total = on_res.history[0].shuffle_bytes
-    assert 0 <= on_cross < total
-
-
-def test_reduce_placement_sim_time_within_noise(placement_runs):
-    """Pinning trades reduce-slot spread for locality: when two
-    partitions' plurality bytes live on the same node their reducers
-    serialize on its slots.  At metadata-only volumes the fetch saving
-    is tiny, so allow a small bounded makespan cost — the win shows up
-    in cross-node bytes, not sim seconds, at this scale."""
-    on_res, _ = placement_runs[True]
-    off_res, _ = placement_runs[False]
-    assert on_res.history[0].sim_seconds <= off_res.history[0].sim_seconds * 1.10
-
-
-def test_reduce_placement_outputs_identical(placement_runs):
-    on_res, _ = placement_runs[True]
-    off_res, _ = placement_runs[False]
-    assert on_res.centroids.tobytes() == off_res.centroids.tobytes()
-    assert (
-        on_res.history[0].shuffle_bytes == off_res.history[0].shuffle_bytes
-    )
 
 
 def test_benchmark_locality_scheduling(benchmark, locality_runs, corpus_128mb):

@@ -52,7 +52,6 @@ one attack per tenant through a shared service).
 
 from __future__ import annotations
 
-import hashlib
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -67,7 +66,7 @@ from repro.attacks.deanonymization import (
 )
 from repro.attacks.mmc import mmc_link_score
 from repro.geo.grid import finite_column, ragged_arange, unique_rows
-from repro.geo.trace import _TRACE_DTYPE, GeolocatedDataset, TraceArray
+from repro.geo.trace import _TRACE_DTYPE, GeolocatedDataset, TraceArray, digest
 from repro.mapreduce.config import Configuration
 from repro.mapreduce.job import JobSpec, Mapper, Reducer
 from repro.mapreduce.types import ArrayPayload, Chunk, concrete_payload
@@ -462,21 +461,15 @@ def linkage_signature(result: DeanonymizationResult) -> str:
     Order-insensitive over pseudonyms (sorted), exact over scores
     (``float.hex``) — equal signatures mean byte-identical attacks.
     """
-    h = hashlib.sha256()
+    rows = []
     for pseud in sorted(result.linkage):
         link = result.linkage[pseud]
         score = result.scores.get(pseud)
-        h.update(
-            "\t".join(
-                (
-                    pseud,
-                    link if link is not None else "-",
-                    score.hex() if score is not None else "-",
-                )
-            ).encode()
+        rows.append(
+            f"{pseud}\t{link if link is not None else '-'}\t"
+            f"{score.hex() if score is not None else '-'}\n".encode()
         )
-        h.update(b"\n")
-    return h.hexdigest()
+    return digest(*rows)
 
 
 @dataclass
@@ -755,8 +748,8 @@ def run_attack_selfcheck(n_users: int = 8, seed: int = 11, verbose: bool = True)
     Returns True when everything matches (``repro attack --linkage
     --selfcheck`` exits non-zero otherwise).
     """
+    from repro.mapreduce.chaos import run_cell
     from repro.mapreduce.config import BACKENDS
-    from repro.mapreduce.runner import fresh_runner
 
     training, target, truth = synthetic_linkage_corpus(n_users, seed=seed)
     serial = deanonymization_attack_reference(
@@ -768,23 +761,17 @@ def run_attack_selfcheck(n_users: int = 8, seed: int = 11, verbose: bool = True)
         f"success={serial.success_rate:.2f} signature={reference[:12]}…"
     ]
     ok = True
-    cells = [(backend, None) for backend in BACKENDS] + [("serial", 8.0)]
-    for backend, budget in cells:
-        with fresh_runner(
-            {"input/train": training, "input/target": target},
-            chunk_size=16 * 1024,
-            n_workers=3,
-            backend=backend,
-            budget_mb=budget,
-            record_bytes=64,
-        ) as runner:
-            outcome = run_linkage_attack(
-                runner,
-                "input/train",
-                "input/target",
-                truth,
-                params=SYNTH_ATTACK_PARAMS,
-            )
+
+    def drive(runner, _tenant):
+        return run_linkage_attack(
+            runner, "input/train", "input/target", truth, params=SYNTH_ATTACK_PARAMS
+        )
+
+    for backend, budget in [(backend, None) for backend in BACKENDS] + [("serial", 8.0)]:
+        outcome = run_cell(
+            drive, {"input/train": training, "input/target": target},
+            chunk_size=16 * 1024, backend=backend, budget_mb=budget,
+        ).output
         label = backend + (" (budgeted)" if budget else "")
         match = outcome.signature() == reference
         exact = outcome.blocking_exact in (True, None)

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 import re
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -173,8 +172,8 @@ def run_sweep(
     driver-side so they land in the artifact even if a cell's attack
     links nothing.
     """
-    from repro.mapreduce.cluster import paper_cluster
-    from repro.mapreduce.hdfs import SimulatedHDFS
+    from repro.mapreduce.chaos import fan_out
+    from repro.mapreduce.runner import fresh_hdfs
     from repro.mapreduce.service import JobService
 
     if not mechanisms:
@@ -184,62 +183,43 @@ def run_sweep(
         raise ValueError(f"mechanism specs collide after slugging: {slugs}")
     releases = {slug: _sanitize(spec, target) for slug, spec in zip(slugs, mechanisms)}
 
-    hdfs = SimulatedHDFS(paper_cluster(3), chunk_size=256 * 1024, seed=0)
-    service = JobService(
-        hdfs, tenants={slug: 1.0 for slug in slugs}, executor=executor
-    )
-    outcomes: dict[str, object] = {}
-    errors: dict[str, BaseException] = {}
+    specs = dict(zip(slugs, mechanisms))
 
-    def cell_workload(slug: str, spec: str) -> None:
+    def cell_workload(slug: str):
         client = service.client(slug)
         train_path = f"tenants/{slug}/input/train"
         release_path = f"tenants/{slug}/input/target"
-        try:
-            client.hdfs.put_trace_array(train_path, training, record_bytes=64)
-            client.hdfs.put_trace_array(release_path, releases[slug], record_bytes=64)
-            outcome = run_linkage_attack(
-                client,
-                train_path,
-                release_path,
-                ground_truth,
-                params=params,
-                workdir=f"tenants/{slug}/tmp/linkage",
-            )
-            outcomes[slug] = outcome
-            client.history.emit(
-                EventKind.SWEEP_CELL,
-                "linkage-sweep",
-                client.history.clock,
-                mechanism=spec,
-                tenant=slug,
-                success_rate=outcome.result.success_rate,
-                linked=sum(
-                    1 for v in outcome.result.linkage.values() if v is not None
-                ),
-                n_targets=outcome.result.n_targets,
-                sim_seconds=outcome.sim_seconds,
-            )
-        except BaseException as exc:  # reported after join, with its tenant
-            errors[slug] = exc
+        client.hdfs.put_trace_array(train_path, training, record_bytes=64)
+        client.hdfs.put_trace_array(release_path, releases[slug], record_bytes=64)
+        outcome = run_linkage_attack(
+            client,
+            train_path,
+            release_path,
+            ground_truth,
+            params=params,
+            workdir=f"tenants/{slug}/tmp/linkage",
+        )
+        client.history.emit(
+            EventKind.SWEEP_CELL,
+            "linkage-sweep",
+            client.history.clock,
+            mechanism=specs[slug],
+            tenant=slug,
+            success_rate=outcome.result.success_rate,
+            linked=sum(
+                1 for v in outcome.result.linkage.values() if v is not None
+            ),
+            n_targets=outcome.result.n_targets,
+            sim_seconds=outcome.sim_seconds,
+        )
+        return outcome
 
-    try:
-        threads = [
-            threading.Thread(target=cell_workload, args=(slug, spec), name=slug)
-            for slug, spec in zip(slugs, mechanisms)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+    hdfs = fresh_hdfs({}, chunk_size=256 * 1024, n_workers=3)
+    with JobService(hdfs, tenants=dict.fromkeys(slugs, 1.0), executor=executor) as service:
+        outcomes = fan_out(cell_workload, slugs, "sweep cell {!r} failed")
         report = service.report().render()
         if history_path is not None:
-            service.client(slugs[0]).history.save(history_path)
-    finally:
-        service.close()
-    if errors:
-        slug, exc = sorted(errors.items())[0]
-        raise RuntimeError(f"sweep cell {slug!r} failed: {exc!r}") from exc
+            service.history.save(history_path)
 
     frontier = FrontierResult(
         n_train_users=len(set(training.user_ids().tolist())),

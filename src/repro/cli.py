@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         "history invariants (used by the CI smoke step)",
     )
 
-    from repro.mapreduce.chaos import driver_names
+    from repro.mapreduce.chaos import DRIVERS
 
     cha = sub.add_parser(
         "chaos",
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     cha.add_argument(
         "--driver",
         action="append",
-        choices=driver_names(),
+        choices=list(DRIVERS),
         help="driver(s) to campaign over (default: all)",
     )
     cha.add_argument("--seed", type=int, default=0, help="chaos schedule seed")
@@ -393,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     svc.add_argument(
         "--driver",
         action="append",
-        choices=driver_names(),
+        choices=list(DRIVERS),
         help="driver(s) to campaign over (default: all)",
     )
     svc.add_argument("--seed", type=int, default=0, help="chaos schedule seed")
@@ -865,11 +865,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "chaos":
-        from repro.mapreduce.chaos import (
-            ChaosSchedule,
-            run_chaos_campaign,
-            run_chaos_selfcheck,
-        )
+        from repro.mapreduce.chaos import ChaosSchedule, run_chaos_campaign, run_chaos_selfcheck
 
         if args.selfcheck:
             return run_chaos_selfcheck()
@@ -903,36 +899,32 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "submit":
         from repro.algorithms.sampling import SamplingMapper
-        from repro.mapreduce.cluster import paper_cluster
         from repro.mapreduce.config import Configuration
-        from repro.mapreduce.hdfs import SimulatedHDFS
         from repro.mapreduce.job import JobSpec
+        from repro.mapreduce.runner import fresh_hdfs
         from repro.mapreduce.service import JobService
 
-        dataset, _ = generate_dataset(
-            SyntheticConfig(n_users=args.users, days=args.days, seed=args.seed)
-        )
-        array = dataset.flat().sort_by_time()
-        hdfs = SimulatedHDFS(paper_cluster(3), chunk_size=64 * 1024, seed=0)
-        hdfs.put_trace_array("input/traces", array, record_bytes=64)
-        if args.window <= 0:
-            raise SystemExit("submit: --window must be positive")
-        conf = Configuration(
-            {"sampling.window_s": args.window, "sampling.technique": "upper"}
-        )
+        if not (math.isfinite(args.window) and args.window > 0):
+            raise SystemExit("submit: --window must be positive and finite")
+        try:
+            dataset, _ = generate_dataset(
+                SyntheticConfig(n_users=args.users, days=args.days, seed=args.seed)
+            )
+            hdfs = fresh_hdfs(
+                {"input/traces": dataset.flat().sort_by_time()},
+                chunk_size=64 * 1024, n_workers=3, record_bytes=64,
+            )
+            # Paused service: the future is observably QUEUED before start().
+            service = JobService(hdfs, tenants={args.tenant: 1.0}, start=False)
+        except ValueError as exc:
+            raise SystemExit(f"submit: {exc}")
+        conf = Configuration({"sampling.window_s": args.window, "sampling.technique": "upper"})
 
         def sampling_spec(name: str, out: str) -> JobSpec:
-            return JobSpec(
-                name=name,
-                mapper=SamplingMapper,
-                input_paths=["input/traces"],
-                output_path=out,
-                conf=conf,
-                map_cost_factor=0.6,
-            )
+            return JobSpec(name, SamplingMapper, ["input/traces"], out, conf=conf,
+                           map_cost_factor=0.6)
 
-        # Paused service: the future is observably QUEUED before start().
-        with JobService(hdfs, tenants={args.tenant: 1.0}, start=False) as service:
+        with service:
             future = service.submit(sampling_spec("sampling", "out/sampled"),
                                     tenant=args.tenant)
             print(
@@ -973,36 +965,29 @@ def main(argv: list[str] | None = None) -> int:
 
         def show(outcomes) -> bool:
             for o in outcomes:
-                verdict = "identical" if o.ok else "DIVERGED"
+                verdict = (
+                    f"failed cleanly: {o.failure}" if o.failure
+                    else f"outputs {'identical' if o.ok else 'DIVERGED'} to solo"
+                )
                 tenants_txt = ", ".join(sorted(o.signatures))
                 chaos_txt = "chaos" if o.chaos_active else "fault-free"
-                print(
-                    f"  {o.driver:<10} [{chaos_txt}] tenants {tenants_txt}: "
-                    f"outputs {verdict} to solo"
-                )
+                print(f"  {o.driver:<10} [{chaos_txt}] tenants {tenants_txt}: {verdict}")
             return all(o.ok for o in outcomes)
 
         if args.selfcheck:
-            ok = True
-            for with_chaos in (False, True):
-                outcomes = run_multitenant_check(
-                    seed=args.seed, with_chaos=with_chaos
-                )
-                ok = show(outcomes) and ok
-            print(
-                "service selfcheck OK: every tenant matched solo"
-                if ok
-                else "service selfcheck FAILED"
-            )
+            ok = all([show(run_multitenant_check(seed=args.seed, with_chaos=chaos))
+                      for chaos in (False, True)])
+            print("service selfcheck OK: every tenant matched solo" if ok
+                  else "service selfcheck FAILED")
             return 0 if ok else 1
 
         tenants: dict[str, float] = {}
         for part in args.weights.split(","):
             name, sep, weight = part.partition("=")
             if not sep:
-                raise SystemExit(
-                    f"service: bad --weights entry {part!r} (want name=weight)"
-                )
+                raise SystemExit(f"service: bad --weights entry {part!r} (want name=weight)")
+            if name.strip() in tenants:
+                raise SystemExit(f"service: tenant {name.strip()!r} appears twice in --weights")
             try:
                 tenants[name.strip()] = float(weight)
             except ValueError:
@@ -1185,8 +1170,8 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.tenants < 1:
             raise SystemExit("stream: --tenants must be positive")
-        if args.window_s <= 0:
-            raise SystemExit("stream: --window-s must be positive")
+        if not (math.isfinite(args.window_s) and args.window_s > 0):
+            raise SystemExit("stream: --window-s must be positive and finite")
         dataset, _ = generate_dataset(
             SyntheticConfig(n_users=args.users, days=args.days, seed=args.seed)
         )

@@ -18,12 +18,22 @@ Two representations coexist here:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 __all__ = ["MobilityTrace", "TraceArray", "Trail", "GeolocatedDataset"]
+
+
+def digest(*blobs: bytes) -> str:
+    """The hex SHA-256 of ``blobs`` back to back: the one output digest
+    every equivalence check compares."""
+    h = hashlib.sha256()
+    for blob in blobs:
+        h.update(blob)
+    return h.hexdigest()
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,6 +292,17 @@ class TraceArray:
             raise ValueError("empty TraceArray has no time span")
         ts = self._data["timestamp"]
         return float(ts.min()), float(ts.max())
+
+    def signature(self) -> str:
+        """Order-sensitive :func:`digest` of the user table and the
+        user, latitude, longitude and timestamp columns (not altitude)."""
+        return digest(
+            ",".join(self.users).encode(),
+            *(
+                np.ascontiguousarray(column).tobytes()
+                for column in (self.user_index, self.latitude, self.longitude, self.timestamp)
+            ),
+        )
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         """(min_lat, min_lon, max_lat, max_lon); raises on empty array."""

@@ -26,6 +26,7 @@ The backends' attempt loop catches :class:`TaskFailure` (and its subclass
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -113,6 +114,12 @@ class CacheLoadFailure(TaskFailure):
             kind=FaultKind.CACHE_LOAD,
         )
         self.entry = entry
+
+
+def require_count(name: str, value, least: int) -> None:
+    """Reject ``value`` unless it is an integer (``bool`` excluded) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class JobFailedError(RuntimeError):
@@ -237,10 +244,12 @@ class ChaosSchedule:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1], got {p}")
+        # NaN passes every comparison below and breaks replays (NaN != NaN).
+        if not math.isfinite(self.slow_factor):
+            raise ValueError(f"slow_factor must be finite, got {self.slow_factor!r}")
         if self.slow_factor < 1.0:
             raise ValueError("slow_factor must be >= 1")
-        if self.max_node_losses < 0:
-            raise ValueError("max_node_losses must be >= 0")
+        require_count("max_node_losses", self.max_node_losses, 0)
         if isinstance(self.bad_nodes, (str, bytes)):
             # frozenset("worker02") is a set of characters: injects nothing.
             raise TypeError(

@@ -76,7 +76,7 @@ from repro.mapreduce.types import Chunk, DEFAULT_RECORD_BYTES
 from repro.observability.events import EventKind, Phase
 from repro.observability.history import JobHistory
 
-__all__ = ["JobRunner", "JobResult", "fresh_runner"]
+__all__ = ["JobRunner", "JobResult", "fresh_hdfs", "fresh_runner"]
 
 
 @dataclass
@@ -179,13 +179,6 @@ class JobRunner:
     prefer_locality / speculative:
         Scheduler knobs (DESIGN.md locality ablation; straggler
         speculation).
-    reduce_locality:
-        Locality-aware reduce placement (default off): schedule each
-        reducer on the node holding the plurality of its partition's
-        bytes and charge shuffle fetch for bytes actually crossing
-        nodes.  Requires the per-node byte provenance the metadata-only
-        shuffle records, so only jobs declaring an
-        :class:`~repro.mapreduce.aggregation.Aggregation` are affected.
 
     ``runner.history`` is the
     :class:`~repro.observability.history.JobHistory` receiving this
@@ -207,7 +200,6 @@ class JobRunner:
         retry_policy: RetryPolicy | None = None,
         memory_budget_mb: float | None = None,
         spill_dir: str | None = None,
-        reduce_locality: bool = False,
     ):
         self.exec_config = MapReduceConfig(
             backend=executor,
@@ -239,7 +231,6 @@ class JobRunner:
         )
         self.prefer_locality = prefer_locality
         self.speculative = speculative
-        self.reduce_locality = reduce_locality
         self.history = JobHistory()
         #: Tenant label stamped into JOB_START events; ``None`` (solo
         #: deployments) keeps histories byte-identical to pre-service
@@ -673,44 +664,14 @@ class JobRunner:
                 len(blacklisted_now) - len(blacklisted),
             )
 
-        # Locality-aware reduce placement: pin each reducer to the alive
-        # node holding the plurality of its partition's bytes (ties break
-        # on node name), and charge the fetch term of its duration for
-        # the bytes that actually cross nodes.  Needs the per-node byte
-        # provenance only the metadata-only shuffle records.
-        pinned: dict[int, str] | None = None
-        if self.reduce_locality and sh.node_bytes is not None:
-            alive_slotted = {
-                n.name
-                for n in self.cluster.tasktrackers()
-                if n.name not in self.hdfs.dead_nodes and n.reduce_slots > 0
-            }
-            pinned = {}
-            for r in range(sh.n_reducers):
-                local = {
-                    node: b
-                    for node, b in sh.node_bytes[r].items()
-                    if node in alive_slotted
-                }
-                if local:
-                    pinned[r] = max(sorted(local), key=lambda n: local[n])
-
-        def _reduce_duration(r: int) -> float:
-            cross = None
-            if pinned is not None:
-                on_node = sh.node_bytes[r].get(pinned.get(r, ""), 0)
-                cross = sh.partition_bytes[r] - on_node
-            return self.cost_model.reduce_task_time(
-                sh.partition_bytes[r], job.reduce_cost_factor, cross_nbytes=cross
-            )
-
         reduce_placements, reduce_makespan = plan_reduce_phase(
             job.num_reducers,
             self.cluster,
-            _reduce_duration,
+            lambda r: self.cost_model.reduce_task_time(
+                sh.partition_bytes[r], job.reduce_cost_factor
+            ),
             dead_nodes=self.hdfs.dead_nodes,
             node_slowdown=slowdown,
-            pinned_nodes=pinned,
         )
         if sh.node_bytes is not None:
             node_of = {p.task_id: p.node for p in reduce_placements}
@@ -1022,25 +983,6 @@ class JobRunner:
                         STANDARD.GROUP_TASK, STANDARD.SHUFFLE_CROSS_NODE_BYTES
                     ),
                 )
-            if (
-                self.reduce_locality
-                and sh.node_bytes is not None
-                and reduce_placements
-            ):
-                for p in sorted(reduce_placements, key=lambda p: p.task_id):
-                    r = int(p.task_id.rsplit("-", 1)[1])
-                    local_b = sh.node_bytes[r].get(p.node, 0)
-                    h.emit(
-                        EventKind.REDUCE_PLACEMENT,
-                        job.name,
-                        t_reduce,
-                        task=p.task_id,
-                        node=p.node,
-                        reducer=p.task_id,
-                        bytes=sh.partition_bytes[r],
-                        local_bytes=local_b,
-                        cross_bytes=sh.partition_bytes[r] - local_b,
-                    )
             if spill is not None:
                 for s in spill["merges"]:
                     h.emit(
@@ -1099,6 +1041,34 @@ class JobRunner:
         h.advance(t0 + timing.total_s)
 
 
+def fresh_hdfs(
+    datasets: Mapping[str, TraceArray | Iterable[TraceArray]],
+    *,
+    chunk_size: int,
+    n_workers: int = 4,
+    budget_mb: float | None = None,
+    record_bytes: int = DEFAULT_RECORD_BYTES,
+) -> SimulatedHDFS:
+    """A fresh ``paper_cluster(n_workers)`` HDFS holding ``datasets``.
+
+    Every benchmark cell, selfcheck and equivalence-matrix cell starts
+    from one of these (through :func:`fresh_runner`, or a
+    :class:`~repro.mapreduce.service.JobService` built on it), so none
+    inherits another's chunk placement, shared-memory segments or
+    caches.  ``chunk_size`` is in bytes.  A dataset given as an iterable
+    of pieces is stream-ingested: the corpus is never materialized
+    driver-side, so a budgeted cell's residency is governed by the chunk
+    store alone.  ``budget_mb`` caps the chunk store (the paged path).
+    """
+    hdfs = SimulatedHDFS(
+        paper_cluster(n_workers), chunk_size=chunk_size, seed=0, memory_budget_mb=budget_mb
+    )
+    for path, traces in datasets.items():
+        put = hdfs.put_trace_array if isinstance(traces, TraceArray) else hdfs.put_trace_stream
+        put(path, traces, record_bytes=record_bytes)
+    return hdfs
+
+
 def fresh_runner(
     datasets: Mapping[str, TraceArray | Iterable[TraceArray]],
     *,
@@ -1110,24 +1080,15 @@ def fresh_runner(
     record_bytes: int = DEFAULT_RECORD_BYTES,
     **runner_kwargs: Any,
 ) -> JobRunner:
-    """A :class:`JobRunner` on a fresh ``paper_cluster(n_workers)``
-    deployment holding ``datasets``; use it as a context manager.
-
-    Every benchmark cell, selfcheck and equivalence-matrix cell starts
-    from one of these, so none inherits another's chunk placement,
-    shared-memory segments or caches.  ``chunk_size`` is in bytes.  A
-    dataset given as an iterable of pieces is stream-ingested: the
-    corpus is never materialized driver-side, so a budgeted cell's
-    residency is governed by the chunk store alone.  ``budget_mb`` caps
-    the chunk store and the runner alike (the paged/spill path), and the
-    serial backend ignores ``max_workers``.
+    """A :class:`JobRunner` on a :func:`fresh_hdfs` deployment; use it as
+    a context manager.  ``budget_mb`` caps the chunk store and the runner
+    alike (the paged/spill path), and the serial backend ignores
+    ``max_workers``.
     """
-    hdfs = SimulatedHDFS(
-        paper_cluster(n_workers), chunk_size=chunk_size, seed=0, memory_budget_mb=budget_mb
+    hdfs = fresh_hdfs(
+        datasets, chunk_size=chunk_size, n_workers=n_workers, budget_mb=budget_mb,
+        record_bytes=record_bytes,
     )
-    for path, traces in datasets.items():
-        put = hdfs.put_trace_array if isinstance(traces, TraceArray) else hdfs.put_trace_stream
-        put(path, traces, record_bytes=record_bytes)
     workers = None if backend == "serial" else max_workers
     return JobRunner(
         hdfs, executor=backend, max_workers=workers, memory_budget_mb=budget_mb, **runner_kwargs

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.mapreduce.cluster import ClusterSpec
 from repro.mapreduce.counters import Counters, STANDARD
-from repro.mapreduce.failures import MAX_TASK_ATTEMPTS, emit_attempt_failures
+from repro.mapreduce.failures import MAX_TASK_ATTEMPTS, emit_attempt_failures, require_count
 from repro.mapreduce.types import Chunk
 from repro.observability.events import EventKind, Phase
 from repro.observability.history import JobHistory
@@ -67,14 +68,15 @@ class RetryPolicy:
     blacklist_after: int = 3
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+        require_count("max_attempts", self.max_attempts, 1)
+        require_count("blacklist_after", self.blacklist_after, 1)
+        for name in ("backoff_base_s", "backoff_factor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.backoff_base_s < 0:
             raise ValueError("backoff_base_s must be >= 0")
         if self.backoff_factor < 1.0:
             raise ValueError("backoff_factor must be >= 1")
-        if self.blacklist_after < 1:
-            raise ValueError("blacklist_after must be >= 1")
 
     def backoff_s(self, failed_attempt: int) -> float:
         """Simulated wait before re-dispatching after ``failed_attempt``."""
@@ -296,7 +298,6 @@ def plan_reduce_phase(
     task_time_fn: Callable[[int], float],
     dead_nodes: frozenset[str] = frozenset(),
     node_slowdown: Callable[[str], float] | None = None,
-    pinned_nodes: dict[int, str] | None = None,
 ) -> tuple[list[ReduceAssignment], float]:
     """Plan reduce tasks over reduce slots; returns (placements, makespan).
 
@@ -305,25 +306,15 @@ def plan_reduce_phase(
     the makespan is an LPT list-schedule over the reduce slots.  Each
     placement carries its slot-packed start time and duration so the
     job-history layer can materialize per-reducer timelines.
-
-    ``pinned_nodes`` maps a reducer index to the tasktracker that should
-    host it (locality-aware placement: the node already holding the
-    plurality of that partition's map-output bytes).  A pinned reducer
-    takes the earliest-free reduce slot **on that node**; reducers without
-    a pin — or whose pin is dead, unknown, or slotless — keep the legacy
-    earliest-free-slot-anywhere behaviour, so ``pinned_nodes=None``
-    reproduces the old plan exactly.
     """
     workers = [n for n in cluster.tasktrackers() if n.name not in dead_nodes]
     if not workers:
         raise RuntimeError("no alive tasktrackers")
     counter = itertools.count()
     slots: list[tuple[float, int, str]] = []
-    slotted_nodes: set[str] = set()
     for node in workers:
         for _ in range(max(node.reduce_slots, 0)):
             heapq.heappush(slots, (0.0, next(counter), node.name))
-            slotted_nodes.add(node.name)
     if not slots:
         raise RuntimeError("cluster has zero reduce slots")
     placements: list[ReduceAssignment] = []
@@ -332,19 +323,7 @@ def plan_reduce_phase(
         ((task_time_fn(r), r) for r in range(n_reducers)), reverse=True
     )
     for duration, r in durations:
-        pin = pinned_nodes.get(r) if pinned_nodes else None
-        if pin is not None and pin not in slotted_nodes:
-            pin = None
-        if pin is None:
-            free_time, _, node_name = heapq.heappop(slots)
-        else:
-            # Earliest-free slot on the pinned node; stash the rest.
-            stash: list[tuple[float, int, str]] = []
-            while slots[0][2] != pin:
-                stash.append(heapq.heappop(slots))
-            free_time, _, node_name = heapq.heappop(slots)
-            for entry in stash:
-                heapq.heappush(slots, entry)
+        free_time, _, node_name = heapq.heappop(slots)
         if node_slowdown is not None:
             duration *= node_slowdown(node_name)
         placements.append(

@@ -228,9 +228,8 @@ class ShuffleResult:
         self.spill_runs: list[dict[str, int]] = []
         self.spill_merges: list[dict[str, int]] = []
         #: Per-partition ``{source node: bytes}`` provenance, recorded by
-        #: the metadata-only path — the input of locality-aware reduce
-        #: placement and cross-node-only byte charging.  ``None`` when the
-        #: shuffle has no provenance (every job without an aggregation).
+        #: the metadata-only path — the input of the cross-node byte
+        #: counter.  ``None`` when the shuffle has no provenance (every job without an aggregation).
         self.node_bytes: list[dict[str, int]] | None = None
         #: Pre-aggregation facts of the metadata-only path (``None``
         #: otherwise): envelopes shipped after per-node coalescing, their
@@ -471,7 +470,7 @@ def _shuffle_metadata(
     reducer applies anyway, so reduce output is byte-identical to
     shipping every per-task envelope.  Byte accounting charges
     ``env.nbytes`` per shipped envelope and records per-node provenance
-    for locality-aware reduce placement.
+    for the cross-node byte counter.
     """
     routed = _shuffle_generic(map_outputs, partitioner, n_reducers, envelopes=True)
     partitions: list[list[tuple[Any, list[Any]]]] = []

@@ -96,26 +96,12 @@ class CostModel:
             time += mb * self.remote_read_s_per_mb
         return time
 
-    def reduce_task_time(
-        self,
-        input_nbytes: int,
-        cost_factor: float = 1.0,
-        cross_nbytes: int | None = None,
-    ) -> float:
-        """Duration of one reduce attempt: fetch + sort/merge + reduce.
-
-        ``cross_nbytes`` is the portion of the input that actually crossed
-        the network.  When locality-aware reduce placement knows per-node
-        byte provenance it passes the cross-node share here, so the fetch
-        term charges only real network traffic; the sort/merge/reduce term
-        always covers the full input.  ``None`` (the default) charges the
-        whole input as fetched — the legacy behaviour.
-        """
+    def reduce_task_time(self, input_nbytes: int, cost_factor: float = 1.0) -> float:
+        """Duration of one reduce attempt: fetch + sort/merge + reduce."""
         mb = input_nbytes / MB_F
-        fetch_mb = mb if cross_nbytes is None else cross_nbytes / MB_F
         return (
             self.task_startup_s
-            + fetch_mb * self.shuffle_s_per_mb
+            + mb * self.shuffle_s_per_mb
             + mb * self.reduce_s_per_mb * cost_factor
         )
 

@@ -143,18 +143,10 @@ class EventKind:
     #: of raw pairs; data: envelopes (shipped after per-node coalescing),
     #: envelope_bytes, pre_coalesce_envelopes (map-side envelope count
     #: before transport coalescing), raw_records (mapper records the
-    #: envelopes stand in for), and — when locality-aware placement
-    #: recorded provenance — cross_node_bytes (the share that actually
-    #: crossed nodes).  Emitted once per job, only when the
+    #: envelopes stand in for) and cross_node_bytes (the share that
+    #: actually crossed nodes).  Emitted once per job, only when the
     #: metadata-only path ran.
     SHUFFLE_PREAGG = "shuffle_preagg"
-    #: Locality-aware reduce placement pinned one reducer to the node
-    #: holding the plurality of its partition's bytes; data: reducer,
-    #: bytes (total partition bytes), local_bytes (already on the chosen
-    #: node), cross_bytes (fetched over the network).  Emitted per reduce
-    #: task, only when the runner's ``reduce_locality`` knob is on and
-    #: the shuffle recorded per-node byte provenance.
-    REDUCE_PLACEMENT = "reduce_placement"
     #: A linkage attack finished; data: driver, n_train_fingerprints,
     #: n_target_fingerprints, linked, success_rate, pairs_scored,
     #: pairs_exact (present whenever both sides had fingerprints to audit),

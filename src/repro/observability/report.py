@@ -60,9 +60,6 @@ class JobSummary:
     #: Metadata-only shuffle accounting (the SHUFFLE_PREAGG event's data;
     #: None when the job shipped raw pairs).
     preagg: dict[str, int] | None = None
-    #: Per-reducer locality-aware placement rows keyed by task id
-    #: (REDUCE_PLACEMENT events; empty when placement pinning was off).
-    reduce_placement: dict[str, dict[str, int]] = field(default_factory=dict)
     combiner: dict[str, int] | None = None
     failed_attempts: int = 0
     speculative_launches: int = 0
@@ -70,6 +67,7 @@ class JobSummary:
     counters: dict[str, dict[str, int]] = field(default_factory=dict)
     # Chaos-engine recovery facts (all zero/empty on fault-free runs).
     faults: dict[str, int] = field(default_factory=dict)
+    retries: int = 0
     backoff_s: float = 0.0
     nodes_lost: list[str] = field(default_factory=list)
     nodes_blacklisted: list[str] = field(default_factory=list)
@@ -172,6 +170,7 @@ def summarize_job(history: JobHistory, job: str) -> JobSummary:
     failed = 0
     speculative = 0
     faults: dict[str, int] = {}
+    retries = 0
     backoff_s = 0.0
     nodes_lost: list[str] = []
     nodes_blacklisted: list[str] = []
@@ -181,7 +180,6 @@ def summarize_job(history: JobHistory, job: str) -> JobSummary:
     refetched_bytes = 0
     cache_hit = False
     preagg: dict[str, int] | None = None
-    reduce_placement: dict[str, dict[str, int]] = {}
     for event in history.events_for(job):
         if event.kind == EventKind.RESULT_CACHE_HIT:
             cache_hit = True
@@ -191,10 +189,6 @@ def summarize_job(history: JobHistory, job: str) -> JobSummary:
             )
         elif event.kind == EventKind.SHUFFLE_PREAGG:
             preagg = {k: int(v) for k, v in event.data.items()}
-        elif event.kind == EventKind.REDUCE_PLACEMENT:
-            reduce_placement[str(event.task)] = {
-                k: int(v) for k, v in event.data.items() if k != "reducer"
-            }
         elif event.kind == EventKind.ATTEMPT_FAILED:
             failed += 1
         elif event.kind == EventKind.SPECULATIVE_LAUNCH:
@@ -203,6 +197,7 @@ def summarize_job(history: JobHistory, job: str) -> JobSummary:
             kind = str(event.data.get("fault", "unknown"))
             faults[kind] = faults.get(kind, 0) + 1
         elif event.kind == EventKind.ATTEMPT_RETRIED:
+            retries += 1
             backoff_s += float(event.data.get("backoff_s", 0.0))
         elif event.kind == EventKind.NODE_LOST:
             nodes_lost.append(str(event.node))
@@ -242,13 +237,13 @@ def summarize_job(history: JobHistory, job: str) -> JobSummary:
         stragglers=_rank_stragglers(spans),
         shuffle_bytes_per_reducer=shuffle,
         preagg=preagg,
-        reduce_placement=reduce_placement,
         combiner=combiner,
         failed_attempts=failed,
         speculative_launches=speculative,
         critical_path=_critical_path(timing, spans),
         counters={g: dict(names) for g, names in counters.items()},
         faults=faults,
+        retries=retries,
         backoff_s=backoff_s,
         nodes_lost=nodes_lost,
         nodes_blacklisted=nodes_blacklisted,
@@ -471,11 +466,7 @@ def _render_job(history: JobHistory, summary: JobSummary, gantt: bool, width: in
         )
     if summary.preagg is not None:
         p = summary.preagg
-        # Bytes that actually crossed nodes, when provenance was recorded.
-        if summary.reduce_placement:
-            cross = sum(r.get("cross_bytes", 0) for r in summary.reduce_placement.values())
-        else:
-            cross = p.get("cross_node_bytes")
+        cross = p.get("cross_node_bytes")
         cross_txt = (
             f"; {_fmt_bytes(int(cross))} crossed nodes" if cross is not None else ""
         )
@@ -483,18 +474,6 @@ def _render_job(history: JobHistory, summary: JobSummary, gantt: bool, width: in
             f"  pre-agg shuffle: {p.get('raw_records', 0):,} raw records as "
             f"{p.get('envelopes', 0):,} envelopes "
             f"({_fmt_bytes(p.get('envelope_bytes', 0))}{cross_txt})"
-        )
-    if summary.reduce_placement:
-        pinned_local = sum(
-            r.get("local_bytes", 0) for r in summary.reduce_placement.values()
-        )
-        pinned_total = sum(
-            r.get("bytes", 0) for r in summary.reduce_placement.values()
-        )
-        lines.append(
-            f"  reduce placement: {len(summary.reduce_placement)} reducers "
-            f"pinned to data, {_fmt_bytes(pinned_local)} of "
-            f"{_fmt_bytes(pinned_total)} served node-locally"
         )
     if summary.combiner_reduction is not None:
         c = summary.combiner

@@ -24,7 +24,6 @@ from repro.streaming.manager import (
     WindowResult,
 )
 from repro.streaming.check import (
-    StreamOutcome,
     run_multitenant_stream,
     run_stream,
     run_stream_selfcheck,
@@ -40,7 +39,6 @@ __all__ = [
     "RiskTimeline",
     "StreamRunResult",
     "run_stream",
-    "StreamOutcome",
     "run_multitenant_stream",
     "run_stream_selfcheck",
 ]

@@ -4,35 +4,31 @@ The streaming layer's core invariant extends the chaos engine's: a
 windowed streaming run over a fixed schedule — corpus, window size,
 chaos seed, analysis parameters — must be **byte-identical** to the
 equivalent sequence of batch jobs.  "Equivalent batch jobs" is not a
-re-implementation: :func:`run_stream` executes the *same*
-:class:`~repro.streaming.manager.StreamingJobManager` either through a
-multi-tenant :class:`~repro.mapreduce.service.JobService` (``mode=
-"service"``: submit → future, fair share, result cache, snapshot
-isolation) or directly on a bare
-:class:`~repro.mapreduce.runner.JobRunner` (``mode="runner"``: the
-batch sequence).  If the whole service control plane is invisible in
-the per-window output fingerprints, streaming adds scheduling — never
-answers.
+re-implementation: a streaming run is one cell
+(:func:`repro.mapreduce.chaos.run_cell`) of the *same*
+:class:`~repro.streaming.manager.StreamingJobManager` drive
+(:func:`stream_drive`), either through a single-tenant
+:class:`~repro.mapreduce.service.JobService` (submit → future, fair
+share, result cache, snapshot isolation) or directly on a bare
+:class:`~repro.mapreduce.runner.JobRunner` (the batch sequence).  If the
+whole service control plane is invisible in the per-window output
+fingerprints, streaming adds scheduling — never answers.
 
 A run that cannot complete (a chaos schedule exhausting some task's
-retry budget) must fail *cleanly* with
-:class:`~repro.mapreduce.failures.JobFailedError`; the harness records
-that as an acceptable outcome, mirroring
-``tests/properties/test_chaos_equivalence.py``.
+retry budget) fails *cleanly*: the cell records its
+:class:`~repro.mapreduce.failures.JobFailedError` as an outcome, and
+:func:`run_stream` raises it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.geo.synthetic import SyntheticConfig, generate_dataset
 from repro.geo.trace import TraceArray
-from repro.mapreduce.cluster import paper_cluster
-from repro.mapreduce.failures import ChaosSchedule, JobFailedError
-from repro.mapreduce.hdfs import SimulatedHDFS
-from repro.mapreduce.runner import fresh_runner
+from repro.mapreduce.chaos import run_cell
+from repro.mapreduce.failures import ChaosSchedule
+from repro.mapreduce.runner import fresh_hdfs
 from repro.mapreduce.service import JobService
 
 from repro.streaming.manager import StreamingJobManager, StreamRunResult
@@ -40,7 +36,7 @@ from repro.streaming.source import StreamSource
 
 __all__ = [
     "run_stream",
-    "StreamOutcome",
+    "stream_drive",
     "run_multitenant_stream",
     "run_stream_selfcheck",
 ]
@@ -49,6 +45,25 @@ __all__ = [
 #: campaign defaults: small enough to be fast, wide enough to shuffle).
 N_WORKERS = 6
 CHUNK_SIZE = 64 * 1024
+
+
+def stream_drive(
+    array: TraceArray,
+    window_s: float,
+    chaos: ChaosSchedule | None = None,
+    tenant: str = "stream",
+    **manager_kwargs,
+):
+    """The :func:`~repro.mapreduce.chaos.run_cell` drive of one streaming
+    run: ``tenant``'s manager over a fresh feed of ``array`` cut into
+    ``window_s`` windows, with the feed faults of ``chaos``.  The drive
+    returns the :class:`StreamRunResult`."""
+    source = StreamSource(array, window_s, chaos=chaos, name=tenant)
+
+    def drive(client, _tenant) -> StreamRunResult:
+        return StreamingJobManager(client, name=tenant, **manager_kwargs).run(source)
+
+    return drive
 
 
 def run_stream(
@@ -72,33 +87,12 @@ def run_stream(
     sequence on a bare :class:`JobRunner` — the batch equivalent.  The
     same ``chaos`` schedule feeds both the engine (task crashes, node
     loss, ...) and the stream source (late/lost/duplicate batches), so
-    one seed fixes the whole scenario.
+    one seed fixes the whole scenario.  A clean failure is raised.
     """
     if mode not in ("service", "runner"):
         raise ValueError(f"unknown mode {mode!r}; known: service, runner")
-    source = StreamSource(array, window_s, chaos=chaos, name=tenant)
-    if mode == "service":
-        hdfs = SimulatedHDFS(
-            paper_cluster(n_workers),
-            chunk_size=chunk_size,
-            seed=0,
-            memory_budget_mb=memory_budget_mb,
-        )
-        with JobService(
-            hdfs,
-            tenants={tenant: 1.0},
-            executor=executor,
-            max_workers=max_workers,
-            chaos=chaos,
-            memory_budget_mb=memory_budget_mb,
-        ) as service:
-            client = service.client(tenant)
-            manager = StreamingJobManager(client, name=tenant, **manager_kwargs)
-            result = manager.run(source)
-            if history_path is not None:
-                client.history.save(history_path)
-            return result
-    with fresh_runner(
+    cell = run_cell(
+        stream_drive(array, window_s, chaos, tenant, **manager_kwargs),
         {},
         chunk_size=chunk_size,
         n_workers=n_workers,
@@ -106,46 +100,12 @@ def run_stream(
         max_workers=max_workers,
         budget_mb=memory_budget_mb,
         chaos=chaos,
-    ) as runner:
-        manager = StreamingJobManager(runner, name=tenant, **manager_kwargs)
-        result = manager.run(source)
-        if history_path is not None:
-            runner.history.save(history_path)
-        return result
-
-
-@dataclass
-class StreamOutcome:
-    """One cell of the equivalence matrix."""
-
-    label: str
-    signature: str | None = None
-    n_windows: int = 0
-    kmeans_iterations: int = 0
-    late_points: int = 0
-    lost_points: int = 0
-    cache_hits: int = 0
-    failed: str | None = None
-
-    @property
-    def clean_failure(self) -> bool:
-        return self.failed is not None
-
-
-def _outcome(label: str, array, window_s, **kwargs) -> StreamOutcome:
-    try:
-        res = run_stream(array, window_s, **kwargs)
-    except JobFailedError as err:
-        return StreamOutcome(label=label, failed=str(err))
-    return StreamOutcome(
-        label=label,
-        signature=res.signature(),
-        n_windows=len(res.results),
-        kmeans_iterations=res.total_kmeans_iterations,
-        late_points=res.late_points,
-        lost_points=res.lost_points,
-        cache_hits=res.total_cache_hits,
+        tenants={tenant: 1.0} if mode == "service" else None,
+        history_path=history_path,
     )
+    if cell.failure is not None:
+        raise cell.failure
+    return cell.output
 
 
 def run_multitenant_stream(
@@ -172,16 +132,9 @@ def run_multitenant_stream(
     names = sorted(tenants)
     users = sorted(set(array.users))
     assignment = {u: names[i % len(names)] for i, u in enumerate(users)}
-    hdfs = SimulatedHDFS(
-        paper_cluster(N_WORKERS), chunk_size=CHUNK_SIZE, seed=0,
-        memory_budget_mb=memory_budget_mb,
-    )
     with JobService(
-        hdfs,
-        tenants=tenants,
-        executor=executor,
-        max_workers=max_workers,
-        chaos=chaos,
+        fresh_hdfs({}, chunk_size=CHUNK_SIZE, n_workers=N_WORKERS, budget_mb=memory_budget_mb),
+        tenants=tenants, executor=executor, max_workers=max_workers, chaos=chaos,
         memory_budget_mb=memory_budget_mb,
     ) as service:
         managers: dict[str, StreamingJobManager] = {}
@@ -234,46 +187,38 @@ def run_multitenant_stream(
 # Selfcheck
 # ---------------------------------------------------------------------------
 
-def _selfcheck_manager_kwargs() -> dict:
-    from repro.algorithms.djcluster import DJClusterParams
-
-    return {
-        "k": 3,
-        "max_iter": 8,
-        "sampling_window_s": 1800.0,
-        "dj_params": DJClusterParams(radius_m=200.0, min_pts=3),
-    }
-
-
 def run_stream_selfcheck(verbose: bool = False) -> bool:
     """End-to-end streaming smoke: equivalence, chaos, warm start.
 
-    Five runs over a small synthetic corpus: the batch baseline, the
+    Six cells over a small synthetic corpus: the batch baseline, the
     service path (with a memory budget and with the threads backend),
     both paths again under a feed+engine chaos schedule, and a
     cold-start run for the warm-start iteration bound.
     """
-    dataset, _ = generate_dataset(SyntheticConfig(n_users=3, days=1, seed=11))
-    array = dataset.flat()
-    window_s = 3 * 3600.0
-    kwargs = _selfcheck_manager_kwargs()
-    checks: list[tuple[str, bool]] = []
-
-    base = _outcome(
-        "batch/serial", array, window_s, mode="runner", **kwargs
-    )
-    for label, cell_kwargs in (
-        ("stream/serial+budget", dict(
-            mode="service", executor="serial", memory_budget_mb=8.0)),
-        ("stream/threads", dict(
-            mode="service", executor="threads", max_workers=2)),
-    ):
-        cell = _outcome(label, array, window_s, **cell_kwargs, **kwargs)
-        checks.append(
-            (f"{label} == batch", cell.signature == base.signature)
-        )
+    from repro.algorithms.djcluster import DJClusterParams
     from repro.mapreduce.failures import Fault, FaultKind
 
+    dataset, _ = generate_dataset(SyntheticConfig(n_users=3, days=1, seed=11))
+    array = dataset.flat()
+    service = {"stream": 1.0}
+    manager = dict(
+        k=3, max_iter=8, sampling_window_s=1800.0,
+        dj_params=DJClusterParams(radius_m=200.0, min_pts=3),
+    )
+
+    def cell(chaos=None, warm_start=True, **axes):
+        drive = stream_drive(array, 3 * 3600.0, chaos, warm_start=warm_start, **manager)
+        return run_cell(
+            drive, {}, n_workers=N_WORKERS, chunk_size=CHUNK_SIZE, chaos=chaos, **axes
+        )
+
+    base = cell()
+    checks = [
+        ("stream/serial+budget == batch",
+         cell(tenants=service, budget_mb=8.0).signature == base.signature),
+        ("stream/threads == batch",
+         cell(tenants=service, backend="threads", max_workers=2).signature == base.signature),
+    ]
     # The scripted late fault guarantees watermark handling is exercised
     # even if every probabilistic draw misses on this small feed count.
     chaos = ChaosSchedule(
@@ -285,14 +230,8 @@ def run_stream_selfcheck(verbose: bool = False) -> bool:
         dup_batch_prob=0.3,
         faults=(Fault(FaultKind.LATE_BATCH, window=0),),
     )
-    chaos_batch = _outcome(
-        "batch/serial+chaos", array, window_s,
-        mode="runner", chaos=chaos, **kwargs,
-    )
-    chaos_stream = _outcome(
-        "stream/serial+chaos", array, window_s,
-        mode="service", chaos=chaos, **kwargs,
-    )
+    chaos_batch = cell(chaos)
+    chaos_stream = cell(chaos, tenants=service)
     checks.append((
         "chaos stream == chaos batch",
         chaos_stream.signature == chaos_batch.signature
@@ -300,16 +239,13 @@ def run_stream_selfcheck(verbose: bool = False) -> bool:
     ))
     checks.append((
         "chaos rerouted feed batches",
-        chaos_stream.clean_failure
-        or (chaos_stream.late_points + chaos_stream.lost_points) > 0,
+        chaos_stream.failure is not None
+        or (chaos_stream.output.late_points + chaos_stream.output.lost_points) > 0,
     ))
-    cold = _outcome(
-        "batch/serial/cold", array, window_s,
-        mode="runner", warm_start=False, **kwargs,
-    )
+    cold = cell(warm_start=False)
     checks.append((
         "warm-start iterations <= cold-start",
-        base.kmeans_iterations <= cold.kmeans_iterations,
+        base.output.total_kmeans_iterations <= cold.output.total_kmeans_iterations,
     ))
     ok = all(passed for _, passed in checks)
     if verbose:

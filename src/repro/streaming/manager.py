@@ -26,7 +26,6 @@ equivalence invariant ``tests/streaming`` pins down.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -36,7 +35,7 @@ from repro.algorithms.djcluster import DJClusterParams, run_djcluster_mapreduce
 from repro.algorithms.kmeans import run_kmeans_mapreduce
 from repro.algorithms.sampling import run_sampling_job
 from repro.geo.grid import grid_cells, unique_rows
-from repro.geo.trace import TraceArray
+from repro.geo.trace import TraceArray, digest
 from repro.metrics.privacy import WindowRisk, window_reidentification_risk
 from repro.observability.events import EventKind
 
@@ -52,24 +51,6 @@ __all__ = [
 
 #: Event kinds that count as "served from a cache, zero tasks ran".
 _CACHE_HIT_KINDS = (EventKind.RESULT_CACHE_HIT, EventKind.INDEX_REUSE)
-
-
-def _digest(*blobs: bytes) -> str:
-    h = hashlib.sha256()
-    for blob in blobs:
-        h.update(blob)
-    return h.hexdigest()
-
-
-def _array_signature(array: TraceArray) -> str:
-    """Canonical fingerprint of a columnar trace array (order-sensitive)."""
-    return _digest(
-        ",".join(array.users).encode(),
-        np.ascontiguousarray(array.user_index).tobytes(),
-        np.ascontiguousarray(array.latitude).tobytes(),
-        np.ascontiguousarray(array.longitude).tobytes(),
-        np.ascontiguousarray(array.timestamp).tobytes(),
-    )
 
 
 def _top_cells(array: TraceArray, cell_m: float) -> dict[str, tuple[int, int]]:
@@ -130,7 +111,7 @@ class WindowResult:
             if self.centroids is not None
             else b""
         )
-        return _digest(
+        return digest(
             json.dumps(doc, sort_keys=True).encode(), centroid_bytes
         )
 
@@ -224,7 +205,7 @@ class StreamRunResult:
 
     def signature(self) -> str:
         """Digest over every window's output fingerprint, in order."""
-        return _digest(*(r.signature().encode() for r in self.results))
+        return digest(*(r.signature().encode() for r in self.results))
 
     @property
     def total_kmeans_iterations(self) -> int:
@@ -371,12 +352,12 @@ class StreamingJobManager:
                     name_prefix=f"{self.name}-w{w:04d}-dj",
                 )
                 n_pois = dj.n_clusters
-                cluster_digest = _digest(
+                cluster_digest = digest(
                     *(ids.tobytes() for ids in dj.clusters)
                 )
             else:
                 n_pois = 0
-                cluster_digest = _digest(b"")
+                cluster_digest = digest(b"")
             # 4. rolling re-identification risk + cross-window linkage.
             risk = window_reidentification_risk(
                 window_array, cell_m=self.risk_cell_m, window_s=self.risk_window_s,
@@ -393,7 +374,7 @@ class StreamingJobManager:
         result = WindowResult(
             window=dataset,
             sampled_path=sampled_path,
-            sampled_signature=_array_signature(sampled),
+            sampled_signature=sampled.signature(),
             n_sampled=len(sampled),
             kmeans_iterations=iterations,
             warm_start=warm,

@@ -13,7 +13,7 @@ from fnmatch import fnmatch
 from pathlib import Path
 
 from tests.goldens import Golden, differences, fields
-from tests.goldens import attacks, histories, index, kmeans, serving, suites, windows
+from tests.goldens import attacks, histories, index, kmeans, reports, serving, suites, windows
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -63,6 +63,7 @@ GOLDENS: dict[str, Golden] = {
             "chaos_report", "tests/observability/golden_chaos_report.txt",
             histories.build_chaos_report,
         ),
+        Golden("reports", "tests/golden_reports.json", reports.build),
     )
 }
 

@@ -63,9 +63,7 @@ def _kmeans_cell(
     from repro.algorithms.kmeans import run_kmeans_mapreduce
 
     datasets = {"input/traces": traces}
-    with fresh_runner(
-        datasets, chunk_size=chunk_mb * MB, reduce_locality=use_aggregation, **deployment
-    ) as runner:
+    with fresh_runner(datasets, chunk_size=chunk_mb * MB, **deployment) as runner:
         result = run_kmeans_mapreduce(
             runner,
             "input/traces",
@@ -539,9 +537,11 @@ def _run_stream() -> str:
     """
     from repro.algorithms.djcluster import DJClusterParams
     from repro.algorithms.sampling import run_sampling_job
+    from repro.mapreduce.chaos import run_cell
     from repro.mapreduce.failures import ChaosSchedule
+    from repro.mapreduce.runner import fresh_hdfs
     from repro.mapreduce.service import JobService
-    from repro.streaming.check import _outcome, run_stream
+    from repro.streaming.check import N_WORKERS, run_stream, stream_drive
     from repro.streaming.manager import StreamingJobManager
     from repro.streaming.source import StreamSource
 
@@ -567,7 +567,7 @@ def _run_stream() -> str:
     tenant = "bench-stream"
 
     # Warm streaming run on a service kept open for the replay probe.
-    hdfs = SimulatedHDFS(paper_cluster(6), chunk_size=chunk_mb * MB, seed=0)
+    hdfs = fresh_hdfs({}, chunk_size=chunk_mb * MB, n_workers=N_WORKERS)
     source = StreamSource(corpus, window_s, chaos=chaos, name=tenant)
     with JobService(hdfs, tenants={tenant: 1.0, "replay": 1.0}) as service:
         client = service.client(tenant)
@@ -602,21 +602,20 @@ def _run_stream() -> str:
 
     # Equivalence matrix: the batch baseline vs a streaming run on every
     # executor backend, each on a fresh deployment under the same chaos.
-    def outcome(label: str, mode: str, executor: str):
-        return _outcome(
-            label, corpus, window_s, mode=mode, executor=executor,
-            max_workers=None if executor == "serial" else 2, chaos=chaos,
-            tenant=tenant, chunk_size=chunk_mb * MB, **manager_kwargs,
+    def cell(executor: str, tenants=None):
+        return run_cell(
+            stream_drive(corpus, window_s, chaos, tenant, **manager_kwargs), {},
+            n_workers=N_WORKERS, chunk_size=chunk_mb * MB, backend=executor,
+            max_workers=None if executor == "serial" else 2, chaos=chaos, tenants=tenants,
         )
 
-    baseline = outcome("batch/serial", "runner", "serial")
-    cells = [baseline] + [
-        outcome(f"stream/{executor}", "service", executor) for executor in BACKENDS
-    ]
-    matches = [not c.clean_failure and c.signature == baseline.signature for c in cells]
+    labels = ["batch/serial"] + [f"stream/{executor}" for executor in BACKENDS]
+    cells = [cell("serial")] + [cell(executor, {tenant: 1.0}) for executor in BACKENDS]
+    baseline = cells[0]
+    matches = [c.failure is None and c.signature == baseline.signature for c in cells]
     # A clean failure counts only when the baseline failed too.
     identical = (
-        all(c.clean_failure for c in cells) if baseline.clean_failure else all(matches)
+        all(c.failure is not None for c in cells) if baseline.failure else all(matches)
     )
 
     warm_it = warm.total_kmeans_iterations
@@ -666,16 +665,16 @@ def _run_stream() -> str:
             "service_hits": int(replay_hits),
         },
         "equivalence": {
-            "baseline": baseline.label,
+            "baseline": labels[0],
             "identical": identical,
             "cells": [
                 {
-                    "label": c.label,
+                    "label": label,
                     "signature": c.signature,
                     "match": match,
                     "clean_failure": c.failed,
                 }
-                for c, match in zip(cells, matches)
+                for label, c, match in zip(labels, cells, matches)
             ],
         },
     })
@@ -755,8 +754,8 @@ def _shuffle_cell(
     ``mode="combiner"`` is the object-level combiner path (the previous
     best); ``mode="aggregation"`` declares the k-means reduce as its
     :class:`~repro.algorithms.kmeans.KMeansAggregation` monoid, which
-    turns on map-side vectorized pre-aggregation, the metadata-only
-    shuffle, and locality-aware reduce placement.
+    turns on map-side vectorized pre-aggregation and the metadata-only
+    shuffle.
     """
     from repro.observability.events import EventKind
 

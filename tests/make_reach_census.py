@@ -37,8 +37,8 @@ event; a statement the compiler emits no code for (a docstring, ``pass``,
 ``else:``) is none.  A statement no reacher runs is, in this order:
 
 - ``test: <id>``, the first tier-1 test (sorted node id, parameters
-  dropped) that runs it: the census runs ``tests/`` in two shards under
-  the hook, tracing only the code objects that hold such statements;
+  dropped) that runs it: the census runs ``tests/`` once under the
+  hook, tracing only the code objects that hold such statements;
 - a tag of a ``STATEMENT_REASONS`` range that covers it: what no
   in-process test can run (a pool worker's side, a path only a
   subprocess takes);
@@ -50,7 +50,7 @@ with one verdict, keyed by line offsets from their function's ``def``
 (``repro.mapreduce.scheduler:emit_map_phase_events +52..+87``) so an
 edit above a function does not move the keys below it.
 
-Run it from the repository root (seven to nine minutes on two cores)::
+Run it from the repository root (about ten minutes on two cores)::
 
     PYTHONPATH=src python tests/make_reach_census.py
 
@@ -521,7 +521,10 @@ def _spawn(label: str, kind: str, payload, workdir: Path, focus: dict | None = N
 
 #: Tier-1 runs under the hook in this many interleaved shards of its files,
 #: with one Hypothesis seed, so the same tree always names the same tests.
-TIER1_SHARDS = 2
+#: One: shards run side by side, and a test that checks machine-wide state
+#: (the shared-memory segments in /dev/shm) fails whenever the other
+#: shard's process-pool run overlaps it.
+TIER1_SHARDS = 1
 #: The tier-1 tests that check ``reach_census.json`` itself: the census is
 #: rewriting that file, so its attribution pass leaves them out.
 CENSUS_CHECKS = [

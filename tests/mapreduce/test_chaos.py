@@ -7,6 +7,9 @@ blacklist, retry exhaustion fails the job with the full failure chain,
 and no re-executed record is ever counted twice.
 """
 
+import re
+
+import numpy as np
 import pytest
 
 from repro.mapreduce.cluster import paper_cluster
@@ -60,6 +63,18 @@ class TestChaosSchedule:
     def test_slow_factor_validated(self):
         with pytest.raises(ValueError, match="slow_factor"):
             ChaosSchedule(slow_factor=0.5)
+
+    @pytest.mark.parametrize("setting, message", [
+        (dict(slow_factor=float("nan")), "slow_factor must be finite, got nan"),
+        (dict(slow_factor=float("inf")), "slow_factor must be finite, got inf"),
+        (dict(max_node_losses=True), "max_node_losses must be an integer >= 0, got True"),
+        (dict(max_node_losses=1.5), "max_node_losses must be an integer >= 0, got 1.5"),
+    ])
+    def test_non_finite_or_non_integer_settings_rejected(self, setting, message):
+        """A NaN slowdown makes every straggler's duration NaN, and the
+        replay then differs from itself (NaN != NaN)."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ChaosSchedule(**setting)
 
     @pytest.mark.parametrize("bare", ["worker02", b"worker02"])
     def test_bad_nodes_rejects_bare_string(self, bare):
@@ -342,6 +357,18 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(blacklist_after=0)
 
+    @pytest.mark.parametrize("setting, message", [
+        (dict(max_attempts=True), "max_attempts must be an integer >= 1, got True"),
+        (dict(max_attempts=2.5), "max_attempts must be an integer >= 1, got 2.5"),
+        (dict(backoff_base_s=float("nan")), "backoff_base_s must be finite, got nan"),
+        (dict(backoff_factor=float("nan")), "backoff_factor must be finite, got nan"),
+        (dict(blacklist_after=2.5), "blacklist_after must be an integer >= 1, got 2.5"),
+    ])
+    def test_non_finite_or_non_integer_settings_rejected(self, setting, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RetryPolicy(**setting)
+        assert RetryPolicy(max_attempts=np.int64(2)).max_attempts == 2
+
 
 class TestFeedFaults:
     """Feed-level chaos: the late/lost/dup batch modes the streaming
@@ -468,17 +495,40 @@ class TestCampaignRefusalsAndFailures:
         with pytest.raises(RuntimeError, match="driver 'boom' failed for tenant 'alice'"):
             chaos.run_multitenant_check(drivers=["boom"], with_chaos=False)
 
+    def test_retry_exhaustion_is_a_clean_failure_in_the_report(self):
+        """Every attempt crashes: the campaign reports the failure chain,
+        the replay fails with the same chain, and the campaign fails."""
+        from repro.mapreduce.chaos import run_chaos_campaign
+
+        report = run_chaos_campaign(drivers=["sampling"], schedule=ChaosSchedule(crash_prob=1.0))
+        (outcome,) = report.outcomes
+        assert outcome.failure.startswith("task map-0000 failed 4 attempts [attempt 1 on ")
+        assert outcome.reproducible and not outcome.equivalent and not report.ok
+        text = report.render()
+        assert f"  clean failure under faults: {outcome.failure}" in text
+        assert "same seed -> same failure chain" in text
+        assert text.endswith("campaign result: a task exhausted its retries; "
+                             "the run failed cleanly — see above")
+
     def test_selfcheck_reports_every_failed_invariant(self, monkeypatch, capsys):
         from types import SimpleNamespace
 
         from repro.mapreduce import chaos
 
-        broken = SimpleNamespace(driver="kmeans", faults={}, equivalent=False, reproducible=False)
+        broken = SimpleNamespace(
+            driver="kmeans", faults={}, equivalent=False, reproducible=False, failure=None
+        )
+        failed = SimpleNamespace(
+            driver="mmc", faults={}, equivalent=False, reproducible=True,
+            failure="task map-0000 failed 4 attempts",
+        )
         monkeypatch.setattr(chaos, "run_chaos_campaign",
-                            lambda **kwargs: SimpleNamespace(outcomes=[broken]))
+                            lambda **kwargs: SimpleNamespace(outcomes=[broken, failed]))
         assert chaos.run_chaos_selfcheck(verbose=False) == 1
         assert capsys.readouterr().out.splitlines() == [
             "chaos selfcheck FAILED: selfcheck schedule injected no faults at all",
             "chaos selfcheck FAILED: kmeans: output diverged under faults",
             "chaos selfcheck FAILED: kmeans: same seed replay diverged",
+            "chaos selfcheck FAILED: mmc: failed cleanly under faults: "
+            "task map-0000 failed 4 attempts",
         ]

@@ -18,12 +18,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.mapreduce.chaos import (
-    DRIVERS,
-    _build_corpus,
-    _run_once,
-    default_schedule,
-)
+from repro.mapreduce.chaos import DRIVERS, _inputs, default_schedule
 from repro.mapreduce.config import BACKENDS
 from repro.mapreduce.failures import (
     ChaosSchedule,
@@ -67,13 +62,7 @@ def _normalize(events):
 
 @pytest.fixture(scope="module")
 def campaign():
-    array = _build_corpus(3, 1, 42)
-    context = {}
-    from repro.algorithms.kmeans import kmeans_sequential
-
-    context["poi_coords"] = kmeans_sequential(
-        array.coordinates(), k=4, seed=0
-    ).centroids
+    _, array, context = _inputs()
     return array, context, default_schedule(3)
 
 
@@ -85,14 +74,10 @@ def test_budget_is_invisible_under_chaos(campaign, driver, backend):
     # (bounces the replay interleaves with the attempt loop's crashes).
     cases = [schedule, dataclasses.replace(schedule, bad_nodes=frozenset({"worker02"}))]
     for chaos in cases:
-        kwargs = dict(executor=backend, max_workers=2)
-        base = _run_once(
-            DRIVERS[driver], array, context, 3, 64 * 1024, chaos, **kwargs
-        )
-        budgeted = _run_once(
-            DRIVERS[driver], array, context, 3, 64 * 1024, chaos,
-            memory_budget_mb=TINY_BUDGET_MB, **kwargs,
-        )
+        kwargs = dict(chaos=chaos, backend=backend, max_workers=2)
+        base = DRIVERS[driver].cell(array, context, **kwargs)
+        budgeted = DRIVERS[driver].cell(array, context, budget_mb=TINY_BUDGET_MB, **kwargs)
+        assert base.failure is None and budgeted.failure is None
         assert budgeted.signature == base.signature
         assert budgeted.makespan_s == base.makespan_s
         assert _normalize(budgeted.events) == _normalize(base.events)
@@ -260,7 +245,6 @@ def test_acceptance_million_traces_spill_equivalence(driver, budget_mb):
     from repro.algorithms.djcluster import DJClusterParams, run_preprocessing_pipeline
     from repro.algorithms.kmeans import run_kmeans_mapreduce
     from repro.mapreduce.bench import synthetic_corpus_blocks
-    from repro.mapreduce.chaos import _trace_array_signature
     from repro.mapreduce.cluster import paper_cluster
     from repro.mapreduce.hdfs import MB, SimulatedHDFS
     from repro.mapreduce.runner import JobRunner
@@ -296,9 +280,7 @@ def test_acceptance_million_traces_spill_equivalence(driver, budget_mb):
                 pipeline = run_preprocessing_pipeline(
                     runner, "input/traces", DJClusterParams(), workdir="tmp/dj"
                 )
-                sig = _trace_array_signature(
-                    hdfs.read_trace_array(pipeline.output_path)
-                ).encode()
+                sig = hdfs.read_trace_array(pipeline.output_path).signature().encode()
             spilled = [
                 e for e in runner.history
                 if e.kind in ("spill_start", "spill_merge")

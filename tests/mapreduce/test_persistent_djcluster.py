@@ -16,7 +16,7 @@ from repro.algorithms.djcluster import (
     djcluster_sequential,
     run_djcluster_mapreduce,
 )
-from repro.mapreduce.chaos import INPUT_PATH, _build_corpus, default_schedule
+from repro.mapreduce.chaos import INPUT_PATH, _inputs, default_schedule
 from repro.mapreduce.config import BACKENDS
 from repro.mapreduce.runner import fresh_runner
 from repro.observability.events import EventKind
@@ -29,7 +29,7 @@ PARAMS = DJClusterParams(radius_m=200.0, min_pts=4)
 
 def _deployment(**kwargs):
     return fresh_runner(
-        {INPUT_PATH: _build_corpus(3, 1, 42)},
+        {INPUT_PATH: _inputs(["djcluster"])[1]},
         chunk_size=64 * 1024, n_workers=3, record_bytes=64, **kwargs,
     )
 

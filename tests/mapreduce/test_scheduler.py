@@ -304,12 +304,6 @@ class TestRefusalsAndFallbacks:
         )
         assert not any(a.speculative for a in plan.assignments)
 
-    def test_pin_to_an_unknown_node_falls_back_to_any_slot(self):
-        cluster = paper_cluster(2)
-        pinned, _ = plan_reduce_phase(1, cluster, lambda r: 1.0, pinned_nodes={0: "ghost"})
-        unpinned, _ = plan_reduce_phase(1, cluster, lambda r: 1.0)
-        assert pinned == unpinned
-
     def test_shares_of_an_idle_plan_are_zero(self):
         plan = plan_fair_share([FairShareJob("a", 1.0, "j", 0, (0.0,))], paper_cluster(2))
         assert plan.tenant_shares() == {"a": 0.0}

@@ -10,12 +10,11 @@ import pytest
 
 from repro.algorithms.sampling import SamplingMapper
 from repro.geo.synthetic import SyntheticConfig, generate_dataset
-from repro.mapreduce.chaos import _trace_array_signature, run_multitenant_check
+from repro.mapreduce.chaos import run_cell, run_multitenant_check
 from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.config import BACKENDS, Configuration
 from repro.mapreduce.hdfs import SimulatedHDFS
 from repro.mapreduce.job import JobSpec, Mapper
-from repro.mapreduce.runner import JobRunner
 from repro.mapreduce.service import (
     RESULT_CACHE_HITS,
     SERVICE_GROUP,
@@ -30,11 +29,14 @@ from repro.observability.report import summarize, tenant_accounting
 from tests.conftest import CountAggregation
 
 
-def _hdfs(n_workers=3):
+def _corpus():
     dataset, _ = generate_dataset(SyntheticConfig(n_users=2, days=1, seed=7))
-    corpus = dataset.flat().sort_by_time()
+    return dataset.flat().sort_by_time()
+
+
+def _hdfs(n_workers=3):
     hdfs = SimulatedHDFS(paper_cluster(n_workers), chunk_size=64 * 1024, seed=0)
-    hdfs.put_trace_array("input/traces", corpus)
+    hdfs.put_trace_array("input/traces", _corpus())
     return hdfs
 
 
@@ -128,11 +130,8 @@ def test_resubmission_is_cache_hit_with_zero_map_tasks():
         assert r2.n_map_tasks == 0
         assert r2.counters.value(SERVICE_GROUP, RESULT_CACHE_HITS) == 1
         assert service.result_cache.hits == 1
-        sig = _trace_array_signature(service.hdfs.read_trace_array("out/first"))
-        assert (
-            _trace_array_signature(service.hdfs.read_trace_array("out/again"))
-            == sig
-        )
+        sig = service.hdfs.read_trace_array("out/first").signature()
+        assert service.hdfs.read_trace_array("out/again").signature() == sig
         # A hit is charged one job-setup, not a map phase.
         assert r2.timing.map_s == 0.0
         assert r2.timing.setup_s == pytest.approx(service.cost_model.job_setup_s)
@@ -234,30 +233,18 @@ def test_cache_can_be_disabled():
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_two_tenants_byte_identical_to_solo(backend):
-    workers = None if backend == "serial" else 2
-    solo_hdfs = _hdfs()
-    with JobRunner(solo_hdfs, executor=backend, max_workers=workers) as runner:
-        runner.run(_sampling_spec("solo", "out/solo"))
-        solo_sig = _trace_array_signature(solo_hdfs.read_trace_array("out/solo"))
+    def drive(client, tenant):
+        out = "out/solo" if tenant is None else f"tenants/{tenant}/out"
+        client.run(_sampling_spec("samp", out))
+        return client.hdfs.read_trace_array(out)
 
-    hdfs = _hdfs()
-    with JobService(
-        hdfs, tenants={"alice": 2.0, "bob": 1.0},
-        executor=backend, max_workers=workers,
-    ) as service:
-        futures = {
-            t: service.client(t).submit(
-                _sampling_spec("samp", f"tenants/{t}/out")
-            )
-            for t in ("alice", "bob")
-        }
-        for tenant, future in futures.items():
-            future.result(timeout=120)
-            sig = _trace_array_signature(
-                hdfs.read_trace_array(f"tenants/{tenant}/out")
-            )
-            assert sig == solo_sig, (backend, tenant)
-    assert not service.history.validate()
+    axes = dict(backend=backend, max_workers=None if backend == "serial" else 2)
+    solo = run_cell(drive, {"input/traces": _corpus()}, **axes)
+    shared = run_cell(
+        drive, {"input/traces": _corpus()}, tenants={"alice": 2.0, "bob": 1.0}, **axes
+    )
+    assert shared.signatures == {"alice": solo.signature, "bob": solo.signature}
+    assert not shared.history.validate()
 
 
 def test_two_tenants_equivalent_under_chaos():

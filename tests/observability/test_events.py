@@ -10,7 +10,7 @@ from tests.conftest import count_calls
 class TestEventKind:
     def test_vocabulary_is_closed_and_unique(self):
         kinds = EventKind.all()
-        assert len(kinds) == len(set(kinds)) == 36
+        assert len(kinds) == len(set(kinds)) == 35
         assert "job_start" in kinds and "driver_annotation" in kinds
         assert "fault_injected" in kinds and "replica_healed" in kinds
         assert "spill_start" in kinds and "spill_merge" in kinds

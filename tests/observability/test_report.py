@@ -117,10 +117,9 @@ class TestRendering:
 
 class TestOptionalSections:
     """Report lines that only some runs produce: a pre-aggregated
-    shuffle, pinned reducers, result-cache hits, streaming windows."""
+    shuffle, result-cache hits, streaming windows."""
 
-    @pytest.mark.parametrize("reduce_locality", [False, True], ids=["spread", "pinned"])
-    def test_preaggregated_shuffle(self, reduce_locality):
+    def test_preaggregated_shuffle(self):
         from repro.algorithms.kmeans import run_kmeans_mapreduce
         from repro.geo.synthetic import SyntheticConfig, generate_dataset
         from repro.mapreduce.cluster import paper_cluster
@@ -130,12 +129,11 @@ class TestOptionalSections:
         dataset, _ = generate_dataset(SyntheticConfig(n_users=3, days=1, seed=9))
         hdfs = SimulatedHDFS(paper_cluster(3), chunk_size=64 * 1024, seed=0)
         hdfs.put_trace_array("input/traces", dataset.flat().sort_by_time(), record_bytes=64)
-        runner = JobRunner(hdfs, reduce_locality=reduce_locality)
+        runner = JobRunner(hdfs)
         run_kmeans_mapreduce(runner, "input/traces", k=3, max_iter=1, seed=7,
                              use_aggregation=True)
         text = render_report(runner.history, gantt=False)
         assert "  pre-agg shuffle: " in text and " crossed nodes)" in text
-        assert ("  reduce placement: " in text) == reduce_locality
 
     def test_result_cache_hit_is_marked(self):
         from tests.mapreduce.test_service import _hdfs, _sampling_spec

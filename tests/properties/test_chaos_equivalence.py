@@ -28,10 +28,11 @@ from repro.algorithms.kmeans import kmeans_sequential
 from repro.algorithms.sampling import sample_array
 from repro.attacks.mmc import build_mmc
 from repro.geo.synthetic import SyntheticConfig, generate_dataset
-from repro.mapreduce.chaos import DRIVERS, _run_once, default_schedule
+from repro.mapreduce.chaos import DRIVERS, default_schedule
 from repro.mapreduce.config import BACKENDS
-from repro.mapreduce.failures import ChaosSchedule, Fault, FaultKind, JobFailedError
+from repro.mapreduce.failures import ChaosSchedule, Fault, FaultKind
 from repro.mapreduce.runner import fresh_runner
+from repro.observability.report import summarize
 
 # Each hypothesis example is a full simulated deployment, and every test
 # now runs once per execution backend — keep the counts small.
@@ -53,7 +54,7 @@ def context(corpus):
 def clean_signatures(corpus, context):
     """Fingerprint of every driver's fault-free run, computed once."""
     return {
-        name: _run_once(driver, corpus, context, 3, 64 * 1024, None).signature
+        name: driver.cell(corpus, context).signature
         for name, driver in DRIVERS.items()
     }
 
@@ -114,19 +115,17 @@ def _assert_equivalent(
     # Two workers force real pool dispatch on threads/processes even on a
     # single-core runner (the backends short-circuit inline at 1 worker).
     workers = None if backend == "serial" else 2
-    try:
-        artifacts = _run_once(
-            DRIVERS[name], corpus, context, 3, 64 * 1024, schedule,
-            executor=backend, max_workers=workers, memory_budget_mb=budget,
-        )
-    except JobFailedError as err:
+    cell = DRIVERS[name].cell(
+        corpus, context, chaos=schedule, backend=backend, max_workers=workers, budget_mb=budget
+    )
+    if cell.failure is not None:
         # An aggressive schedule may legitimately exhaust a task's retry
         # budget — like Hadoop after max.attempts.  The contract is then a
         # *clean* failure carrying the full chain, never silent corruption.
-        assert len(err.failures) == err.max_attempts
-        assert err.failure_chain
+        assert len(cell.failure.failures) == cell.failure.max_attempts
+        assert cell.failure.failure_chain
         return
-    assert artifacts.signature == clean_signatures[name], (
+    assert cell.signature == clean_signatures[name], (
         f"{name} output diverged under chaos schedule "
         f"[{schedule.describe()}] budget={budget} on backend {backend}"
     )
@@ -196,14 +195,14 @@ def test_backends_byte_identical_under_fixed_chaos(name, corpus, context):
         runs = {}
         for backend in BACKENDS:
             workers = None if backend == "serial" else 2
-            runs[backend] = _run_once(
-                DRIVERS[name], corpus, context, 3, 64 * 1024, schedule,
-                executor=backend, max_workers=workers,
+            runs[backend] = DRIVERS[name].cell(
+                corpus, context, chaos=schedule, backend=backend, max_workers=workers
             )
         base = runs["serial"]
+        assert base.failure is None
         if schedule.bad_nodes:
             # Both fault sources the replay interleaves really fired.
-            assert "worker02" in base.blacklisted
+            assert any("worker02" in job.nodes_blacklisted for job in summarize(base.history))
             reasons = {
                 e["data"]["reason"] for e in base.events if e["kind"] == "attempt_failed"
             }

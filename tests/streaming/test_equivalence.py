@@ -20,12 +20,22 @@ from hypothesis import strategies as st
 from repro.geo.synthetic import SyntheticConfig, generate_dataset
 from repro.mapreduce.config import BACKENDS
 from repro.mapreduce.failures import ChaosSchedule, Fault, FaultKind, JobFailedError
-from repro.streaming.check import run_multitenant_stream, run_stream
+from repro.mapreduce.chaos import run_cell
+from repro.streaming.check import (
+    CHUNK_SIZE,
+    N_WORKERS,
+    run_multitenant_stream,
+    run_stream,
+    stream_drive,
+)
 
 MAX_EXAMPLES = 2
 WINDOW_S = 3 * 3600.0
 
 MANAGER_KWARGS = dict(k=3, max_iter=6, sampling_window_s=1800.0)
+
+#: The streaming side of every matrix: one tenant on a shared service.
+SERVICE = {"stream": 1.0}
 
 
 @pytest.fixture(scope="module")
@@ -58,18 +68,18 @@ schedules = st.builds(
 )
 
 
-def _run(corpus, schedule, **kwargs):
-    """(signature, None) on success, (None, error) on a clean failure."""
-    try:
-        result = run_stream(
-            corpus, WINDOW_S, chaos=schedule, **kwargs, **MANAGER_KWARGS
-        )
-    except JobFailedError as err:
+def _cell(corpus, schedule, **axes):
+    """One streaming cell: the batch sequence, or with ``tenants=SERVICE``
+    the service path."""
+    cell = run_cell(
+        stream_drive(corpus, WINDOW_S, schedule, **MANAGER_KWARGS), {},
+        n_workers=N_WORKERS, chunk_size=CHUNK_SIZE, chaos=schedule, **axes,
+    )
+    if cell.failure is not None:
         # Clean failure contract: the full per-attempt chain survives.
-        assert len(err.failures) == err.max_attempts
-        assert err.failure_chain
-        return None, err
-    return result.signature(), None
+        assert len(cell.failure.failures) == cell.failure.max_attempts
+        assert cell.failure.failure_chain
+    return cell
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -78,20 +88,17 @@ def _run(corpus, schedule, **kwargs):
 @given(schedule=schedules)
 def test_stream_equals_batch_under_chaos(corpus, backend, budget_mb, schedule):
     workers = None if backend == "serial" else 2
-    batch_sig, batch_err = _run(
-        corpus, schedule, mode="runner", executor="serial",
-        memory_budget_mb=budget_mb,
+    batch = _cell(corpus, schedule, budget_mb=budget_mb)
+    stream = _cell(
+        corpus, schedule, tenants=SERVICE, backend=backend, max_workers=workers,
+        budget_mb=budget_mb,
     )
-    stream_sig, stream_err = _run(
-        corpus, schedule, mode="service", executor=backend,
-        max_workers=workers, memory_budget_mb=budget_mb,
-    )
-    if batch_err is not None or stream_err is not None:
+    if batch.failure is not None or stream.failure is not None:
         # A schedule that kills one mode must kill the other: both modes
         # run the identical job sequence against the same chaos seed.
-        assert batch_err is not None and stream_err is not None
+        assert batch.failure is not None and stream.failure is not None
         return
-    assert stream_sig == batch_sig, (
+    assert stream.signature == batch.signature, (
         f"streaming diverged from the batch sequence under "
         f"[{schedule.describe()}] on backend {backend} "
         f"(budget={budget_mb})"
@@ -153,12 +160,17 @@ def test_runner_mode_exports_its_history(corpus, tmp_path):
     assert history.jobs() and len(result.results) > 1
 
 
-def test_a_clean_failure_is_an_outcome_not_an_error(corpus, monkeypatch):
-    import repro.streaming.check as check
+def test_a_clean_failure_is_an_outcome_not_an_error(corpus):
+    """The cell records a clean failure, solo or as a tenant; run_stream,
+    which returns results, raises it."""
 
-    def fails(*args, **kwargs):
+    def fails(client, tenant):
         raise JobFailedError("map-0000", 4)
 
-    monkeypatch.setattr(check, "run_stream", fails)
-    outcome = check._outcome("cell", corpus, WINDOW_S)
-    assert outcome.clean_failure and outcome.failed == "task map-0000 failed 4 attempts"
+    for tenants in (None, SERVICE):
+        cell = run_cell(fails, {}, tenants=tenants)
+        assert cell.failed == "task map-0000 failed 4 attempts"
+        assert cell.outputs == {} and cell.signature is None
+    with pytest.raises(JobFailedError, match="failed 4 attempts"):
+        run_stream(corpus, WINDOW_S, mode="runner", chaos=ChaosSchedule(crash_prob=1.0),
+                   **MANAGER_KWARGS)

@@ -257,20 +257,29 @@ class TestArgumentErrors:
             (["sweep", "--users", "2", "--mechanisms", "gaussian:100,gaussian 100"],
              "sweep: mechanism specs collide after slugging"),
             (["submit", "--users", "1", "--window", "0"], "submit: --window must be positive"),
+            (["submit", "--window", "nan"], "submit: --window must be positive and finite"),
+            (["submit", "--users", "0"], "submit: n_users and days must be positive"),
+            (["submit", "--users", "1", "--tenant", ""],
+             "submit: tenant names must be non-empty strings, got ''"),
             (["service", "--weights", "alice"],
              "service: bad --weights entry 'alice' (want name=weight)"),
             (["service", "--weights", "alice=heavy"], "service: bad weight in 'alice=heavy'"),
             (["service", "--weights", "alice=0"], "service: "),
+            (["service", "--weights", "alice=1,alice=2"],
+             "service: tenant 'alice' appears twice in --weights"),
             (["stream", "--report", "{missing}"], "stream: no such timeline file: "),
             (["stream", "--report", "{garbled}"], "stream: cannot read "),
             (["stream", "--tenants", "0"], "stream: --tenants must be positive"),
             (["stream", "--window-s", "0"], "stream: --window-s must be positive"),
+            (["stream", "--window-s", "nan"], "stream: --window-s must be positive and finite"),
             (["stream", "--late-prob", "2"], "stream: "),
         ],
         ids=["attack-no-input", "attack-lone-trace", "sweep-no-mechanism", "sweep-lone-trace",
-             "sweep-colliding", "submit-window", "service-weight-entry", "service-weight",
-             "service-zero-weight", "stream-report-missing", "stream-report-garbled",
-             "stream-tenants", "stream-window", "stream-probability"],
+             "sweep-colliding", "submit-window", "submit-window-nan", "submit-no-users",
+             "submit-empty-tenant", "service-weight-entry", "service-weight",
+             "service-zero-weight", "service-duplicate-tenant", "stream-report-missing",
+             "stream-report-garbled", "stream-tenants", "stream-window", "stream-window-nan",
+             "stream-probability"],
     )
     def test_exits_with_one_line(self, argv, message, lone_trace_dir, tmp_path):
         garbled = tmp_path / "garbled.json"
@@ -284,6 +293,13 @@ class TestArgumentErrors:
     def test_a_directory_without_geolife_data(self, tmp_path):
         with pytest.raises(SystemExit, match="^no GeoLife data found under "):
             main(["info", "--in", str(tmp_path)])
+
+    def test_a_chaos_campaign_whose_retries_run_out_reports_it_and_exits_1(self, capsys):
+        # This used to end in a JobFailedError traceback.
+        assert main(["chaos", "--driver", "sampling", "--crash-prob", "1"]) == 1
+        out = capsys.readouterr().out
+        assert "  clean failure under faults: task map-0000 failed 4 attempts [" in out
+        assert out.rstrip().endswith("the run failed cleanly — see above")
 
     def test_a_stream_that_fails_under_chaos_exits_cleanly(self, monkeypatch):
         from repro.mapreduce.failures import JobFailedError

@@ -10,14 +10,15 @@ Two cheap gates that keep the repo's surfaces honest:
   docs/OBSERVABILITY.md documents the full event vocabulary.
 """
 
+import json
 import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
-from repro.cli import main
 from repro.observability.events import EventKind, Phase
+from tests.goldens.registry import built
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -34,40 +35,43 @@ DOCS = sorted(
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 
-def test_history_selfcheck_smoke(capsys):
+def _selfcheck(command: str) -> str:
+    """The stdout of ``repro <command> --selfcheck``, asserted to exit 0,
+    from the reports golden's build (each run once per process)."""
+    run = json.loads(built("reports"))["runs"][f"{command} --selfcheck"]
+    assert run["exit"] == 0
+    return "\n".join(run["stdout"])
+
+
+def test_history_selfcheck_smoke():
     """The CI smoke step: `pytest -q` runs the selfcheck too."""
-    assert main(["history", "--selfcheck"]) == 0
-    assert "history selfcheck: ok" in capsys.readouterr().out
+    assert "history selfcheck: ok" in _selfcheck("history")
 
 
-def test_chaos_selfcheck_smoke(capsys):
+def test_chaos_selfcheck_smoke():
     """`python -m repro chaos --selfcheck`: all five drivers survive a
     fault-heavy seeded schedule with byte-identical outputs."""
-    assert main(["chaos", "--selfcheck"]) == 0
-    assert "chaos selfcheck: ok" in capsys.readouterr().out
+    assert "chaos selfcheck: ok" in _selfcheck("chaos")
 
 
-def test_service_selfcheck_smoke(capsys):
+def test_service_selfcheck_smoke():
     """`python -m repro service --selfcheck`: two tenants sharing one
     JobService (fault-free and chaotic) match solo runs byte for byte."""
-    assert main(["service", "--selfcheck"]) == 0
-    assert "service selfcheck OK" in capsys.readouterr().out
+    assert "service selfcheck OK" in _selfcheck("service")
 
 
-def test_stream_selfcheck_smoke(capsys):
+def test_stream_selfcheck_smoke():
     """`python -m repro stream --selfcheck`: the micro-batch pipeline's
     determinism, equivalence, chaos, and warm-start invariants hold on a
     miniature corpus."""
-    assert main(["stream", "--selfcheck"]) == 0
-    assert "stream selfcheck: ok" in capsys.readouterr().out
+    assert "stream selfcheck: ok" in _selfcheck("stream")
 
 
-def test_attack_selfcheck_smoke(capsys):
+def test_attack_selfcheck_smoke():
     """`python -m repro attack --linkage --selfcheck`: the MapReduce
     linkage attack matches the serial reference byte for byte on every
     backend, including a memory-budgeted deployment."""
-    assert main(["attack", "--linkage", "--selfcheck"]) == 0
-    assert "attack selfcheck: ok" in capsys.readouterr().out
+    assert "attack selfcheck: ok" in _selfcheck("attack --linkage")
 
 
 def test_cli_help_mentions_every_documented_subcommand():

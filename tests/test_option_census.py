@@ -22,7 +22,6 @@ CENSUS = {
     JobRunner.__init__: (
         "self", "hdfs", "cost_model", "executor", "max_workers", "prefer_locality",
         "speculative", "chaos", "retry_policy", "memory_budget_mb", "spill_dir",
-        "reduce_locality",
     ),
     fresh_runner: (
         "datasets", "chunk_size", "n_workers", "backend", "max_workers", "budget_mb",

@@ -81,7 +81,7 @@ SURFACE = {
         SpatialCloaking MixZone MixZoneSanitizer"""),
     "repro.streaming": ("batcher check manager source", """
         FeedBatch StreamSource MicroBatcher WindowDataset StreamingJobManager
-        WindowResult RiskTimeline StreamRunResult run_stream StreamOutcome
+        WindowResult RiskTimeline StreamRunResult run_stream
         run_multitenant_stream run_stream_selfcheck"""),
     "repro.utils": ("hashrng", "splitmix64 trace_keys hash_uniform hash_normal"),
 }
