@@ -26,15 +26,15 @@ clusters are non-overlapping with at least ``MinPts`` traces each.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.checks import count, non_negative, positive
 from repro.geo.distance import haversine_m
 from repro.geo.trace import TraceArray
 from repro.index.persistent import IndexCatalog
-from repro.index.rtree import RTree, _is_count
+from repro.index.rtree import RTree
 from repro.mapreduce.config import Configuration
 from repro.mapreduce.job import ConstantKeyPartitioner, JobSpec, Mapper, Reducer
 from repro.mapreduce.pipeline import JobPipeline, PipelineResult
@@ -79,21 +79,11 @@ class DJClusterParams:
         # Checked here, before any job runs: a NaN threshold keeps no trace
         # (NaN compares false), 2.5 points act as 3 and an infinite radius
         # fails only inside a map task, jobs later.
-        for name in ("radius_m", "speed_threshold_ms", "dedup_tolerance_m"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.radius_m <= 0:
-            raise ValueError("radius_m must be positive")
-        if not _is_count(self.min_pts) or self.min_pts < 1:
-            raise ValueError(f"min_pts must be an integer >= 1, got {self.min_pts!r}")
-        if self.speed_threshold_ms < 0:
-            raise ValueError("speed_threshold_ms must be non-negative")
-        if self.dedup_tolerance_m < 0:
-            raise ValueError("dedup_tolerance_m must be non-negative")
-        if not _is_count(self.rtree_max_entries) or self.rtree_max_entries < 2:
-            raise ValueError(
-                f"rtree_max_entries must be an integer >= 2, got {self.rtree_max_entries!r}"
-            )
+        positive("radius_m", self.radius_m)
+        count("min_pts", self.min_pts, 1)
+        non_negative("speed_threshold_ms", self.speed_threshold_ms)
+        non_negative("dedup_tolerance_m", self.dedup_tolerance_m)
+        count("rtree_max_entries", self.rtree_max_entries, 2)
 
 
 # ---------------------------------------------------------------------------

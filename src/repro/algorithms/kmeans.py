@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.checks import count, finite_column
 from repro.geo.distance import (
     _DOT_BAND,
     _TIE_BAND,
@@ -41,7 +42,6 @@ from repro.geo.distance import (
     haversine_km,
     pairwise,
 )
-from repro.geo.grid import finite_column
 from repro.mapreduce.aggregation import Aggregation
 from repro.mapreduce.config import Configuration
 from repro.mapreduce.job import JobSpec, Mapper, Reducer
@@ -250,15 +250,6 @@ class KMeansResult:
         return self.total_sim_seconds / len(self.history)
 
 
-def _check_counts(k, max_iter) -> None:
-    """Both drivers' guard, before any job: ``max_iter=0`` would return the
-    initial centroids as a result, ``True`` act as 1, ``k=0`` fail deep in
-    NumPy or the job runner."""
-    for name, value in (("k", k), ("max_iter", max_iter)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 def _inertia(points: np.ndarray, centroids: np.ndarray, metric: str) -> float:
     return float(nearest_centroid(points, centroids, metric)[1].sum())
 
@@ -295,7 +286,10 @@ def kmeans_sequential(
     the ``convergencedelta`` runtime argument of Table II.  ``init``
     selects ``"random"`` (the paper) or ``"kmeans++"`` seeding.
     """
-    _check_counts(k, max_iter)
+    # Both drivers check before any job: ``max_iter=0`` would return the
+    # initial centroids as a result, ``True`` act as 1, ``k=0`` fail deep
+    # in NumPy or the job runner.
+    k, max_iter = count("k", k, 1), count("max_iter", max_iter, 1)
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError("points must be an (n, 2) array")
@@ -496,7 +490,7 @@ def run_kmeans_mapreduce(
     (``{name_prefix}-iter-{i}``) so several runs can share one history
     without colliding — the streaming layer passes a per-window prefix.
     """
-    _check_counts(k, max_iter)
+    k, max_iter = count("k", k, 1), count("max_iter", max_iter, 1)
     get_metric(distance)
     hdfs = runner.hdfs
     if initial_centroids is not None:

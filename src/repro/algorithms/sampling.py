@@ -23,10 +23,10 @@ trail starts.
 from __future__ import annotations
 
 import enum
-import math
 
 import numpy as np
 
+from repro.checks import positive
 from repro.geo.grid import time_windows
 from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
 from repro.mapreduce.config import Configuration
@@ -159,8 +159,7 @@ def run_sampling_job(
     (each ``run`` becomes a submit + fair-share-scheduled wait).
     """
     technique = SamplingTechnique.parse(technique)
-    if not 0 < window_s < math.inf:
-        raise ValueError(f"window_s must be positive and finite, got {window_s!r}")
+    positive("window_s", window_s)
     conf = Configuration(
         {
             "sampling.window_s": window_s,

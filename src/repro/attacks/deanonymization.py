@@ -21,7 +21,6 @@ by their constant unmatched-mass penalty.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +28,7 @@ import numpy as np
 from repro.algorithms.djcluster import DJClusterParams, _dense_clusters, preprocess_array
 from repro.attacks.mmc import MobilityMarkovChain, mmc_link_score, segmented_chains
 from repro.attacks.poi import segmented_pois
+from repro.checks import count, non_negative
 from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
 
 __all__ = [
@@ -37,15 +37,6 @@ __all__ = [
     "deanonymization_attack",
     "DeanonymizationResult",
 ]
-
-
-def _check_fingerprint_args(max_pois: int, attach_radius_m: float) -> None:
-    """``max_pois`` is an integer >= 1; ``attach_radius_m`` is finite and
-    >= 0 (a NaN radius would attach no trace and leave every row uniform)."""
-    if isinstance(max_pois, bool) or not isinstance(max_pois, (int, np.integer)) or max_pois < 1:
-        raise ValueError(f"max_pois must be an integer >= 1, got {max_pois!r}")
-    if not (math.isfinite(attach_radius_m) and attach_radius_m >= 0.0):
-        raise ValueError(f"attach_radius_m must be finite and >= 0, got {attach_radius_m!r}")
 
 
 def fingerprint_users(
@@ -63,7 +54,9 @@ def fingerprint_users(
     when no POI can be extracted (trail too sparse), which the attack
     treats as "unlinkable".
     """
-    _check_fingerprint_args(max_pois, attach_radius_m)
+    # A NaN radius would attach no trace and leave every row uniform.
+    max_pois = count("max_pois", max_pois, 1)
+    non_negative("attach_radius_m", attach_radius_m)
     trails = array.sort_by_time()
     prints: dict[int, MobilityMarkovChain | None] = dict.fromkeys(
         np.unique(trails.user_index).tolist()

@@ -59,13 +59,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.algorithms.djcluster import DJClusterParams
-from repro.attacks.deanonymization import (
-    DeanonymizationResult,
-    _check_fingerprint_args,
-    fingerprint_users,
-)
+from repro.attacks.deanonymization import DeanonymizationResult, fingerprint_users
 from repro.attacks.mmc import mmc_link_score
-from repro.geo.grid import finite_column, ragged_arange, unique_rows
+from repro.checks import count, finite_column, non_negative, positive
+from repro.geo.grid import ragged_arange, unique_rows
 from repro.geo.trace import _TRACE_DTYPE, GeolocatedDataset, TraceArray, digest
 from repro.mapreduce.config import Configuration
 from repro.mapreduce.job import JobSpec, Mapper, Reducer
@@ -133,15 +130,6 @@ def _lon_width_deg(band: int, w_lat: float, max_match_dist_m: float) -> float:
     return 2.0 * max_match_dist_m / (_M_PER_DEG * cos_c)
 
 
-def _check_match_dist(max_match_dist_m: float) -> float:
-    d = float(max_match_dist_m)
-    if not (math.isfinite(d) and d > 0.0):
-        raise ValueError(
-            f"max_match_dist_m must be positive and finite, got {max_match_dist_m!r}"
-        )
-    return d
-
-
 def _points(lat, lon) -> tuple[np.ndarray, np.ndarray]:
     lat = finite_column(lat, "coordinates")
     lon = finite_column(lon, "coordinates")
@@ -173,7 +161,7 @@ def blocking_cells(lat, lon, max_match_dist_m: float) -> tuple[np.ndarray, np.nd
     Beyond ±``_POLAR_LAT`` a hemisphere's points share the one cell
     ``(_POLAR_BAND, ±1)``.
     """
-    d = _check_match_dist(max_match_dist_m)
+    d = positive("max_match_dist_m", max_match_dist_m)
     lat, lon = _points(lat, lon)
     w_lat = _lat_width_deg(d)
     polar = np.abs(lat) > _POLAR_LAT
@@ -198,7 +186,7 @@ def cover_cells(lat, lon, max_match_dist_m: float) -> tuple[np.ndarray, np.ndarr
     most poleward latitude the box reaches.  Boxes crossing the
     antimeridian also cover their wrapped image.
     """
-    d = _check_match_dist(max_match_dist_m)
+    d = positive("max_match_dist_m", max_match_dist_m)
     lat, lon = _points(lat, lon)
     dlat = math.degrees(d / _R_M)
     # Haversine rounds: a point a few ulps outside the exact box can still
@@ -527,8 +515,9 @@ def run_linkage_attack(
     changes the attack's output, only ``pairs_exact``/``blocking_exact``.
     """
     # Checked here, before any job runs, not inside a reduce task.
-    _check_match_dist(max_match_dist_m)
-    _check_fingerprint_args(max_pois, attach_radius_m)
+    positive("max_match_dist_m", max_match_dist_m)
+    count("max_pois", max_pois, 1)
+    non_negative("attach_radius_m", attach_radius_m)
     hdfs = runner.hdfs
     t0 = runner.history.clock
     fps_train = f"{workdir}/fingerprints-train"

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import networkx as nx
 import numpy as np
 
+from repro.checks import non_negative, positive
 from repro.geo.distance import haversine_m
 from repro.geo.grid import grid_cells, time_windows
 from repro.geo.trace import GeolocatedDataset, TraceArray
@@ -46,10 +47,9 @@ class ColocationParams:
     min_contact_s: float = 1800.0
 
     def __post_init__(self) -> None:
-        if self.contact_radius_m <= 0 or self.window_s <= 0:
-            raise ValueError("contact_radius_m and window_s must be positive")
-        if self.min_contact_s < 0:
-            raise ValueError("min_contact_s must be non-negative")
+        positive("contact_radius_m", self.contact_radius_m)
+        positive("window_s", self.window_s)
+        non_negative("min_contact_s", self.min_contact_s)
 
 
 def _window_cells(array: TraceArray, params: ColocationParams) -> np.ndarray:

@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import argparse
 import datetime as _dt
-import math
+import os
 import sys
 
 import numpy as np
 
 from repro.algorithms.djcluster import DJClusterParams
 from repro.attacks.poi import poi_attack
+from repro.checks import finite, non_negative, positive
 from repro.geo.geolife import read_geolife_dataset, write_geolife_dataset
 from repro.geo.synthetic import SyntheticConfig, generate_dataset
 from repro.sanitization import (
@@ -548,8 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str):
-    dataset = read_geolife_dataset(path)
-    if dataset.num_users() == 0:
+    dataset = read_geolife_dataset(path) if os.path.isdir(path) else None
+    if dataset is None or dataset.num_users() == 0:
         raise SystemExit(f"no GeoLife data found under {path}")
     return dataset
 
@@ -595,7 +596,14 @@ def matches_reference(ref_tree, kind: str, args: tuple[float, ...], got) -> bool
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except ValueError as exc:
+        # The one place a bad argument becomes an exit: one line, status 1.
+        raise SystemExit(f"{args.command}: {exc}")
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "generate":
         dataset, users = generate_dataset(
             SyntheticConfig(n_users=args.users, days=args.days, seed=args.seed)
@@ -643,20 +651,14 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "visualize":
         dataset = _load(args.input)
-        try:
-            print(ascii_density_map(dataset, width=args.width, height=args.height))
-        except ValueError as exc:
-            raise SystemExit(f"visualize: {exc}")
+        print(ascii_density_map(dataset, width=args.width, height=args.height))
         return 0
 
     if args.command == "sample":
         from repro.algorithms.sampling import sample_dataset
 
         dataset = _load(args.input)
-        try:
-            sampled = sample_dataset(dataset, args.window, args.technique)
-        except ValueError as exc:
-            raise SystemExit(f"sample: {exc}")
+        sampled = sample_dataset(dataset, args.window, args.technique)
         write_geolife_dataset(sampled, args.out)
         print(
             f"sampled {len(dataset):,} -> {len(sampled):,} traces "
@@ -685,29 +687,24 @@ def main(argv: list[str] | None = None) -> int:
                 raise SystemExit(
                     "attack: corpus too small to split into training/target halves"
                 )
-            try:
-                with fresh_runner(
-                    {"input/train": train, "input/target": target},
-                    chunk_size=64 * MB,
-                    backend=args.backend,
-                    budget_mb=args.memory_budget_mb,
-                    record_bytes=64,
-                ) as runner:
-                    outcome = run_linkage_attack(
-                        runner,
-                        "input/train",
-                        "input/target",
-                        truth,
-                        params=DJClusterParams(
-                            radius_m=args.radius, min_pts=args.min_pts
-                        ),
-                        max_pois=args.max_pois,
-                        max_match_dist_m=args.max_match_dist,
-                    )
-                    if args.history:
-                        runner.history.save(args.history)
-            except ValueError as exc:
-                raise SystemExit(f"attack: {exc}")
+            with fresh_runner(
+                {"input/train": train, "input/target": target},
+                chunk_size=64 * MB,
+                backend=args.backend,
+                budget_mb=args.memory_budget_mb,
+                record_bytes=64,
+            ) as runner:
+                outcome = run_linkage_attack(
+                    runner,
+                    "input/train",
+                    "input/target",
+                    truth,
+                    params=DJClusterParams(radius_m=args.radius, min_pts=args.min_pts),
+                    max_pois=args.max_pois,
+                    max_match_dist_m=args.max_match_dist,
+                )
+                if args.history:
+                    runner.history.save(args.history)
             result = outcome.result
             linked = sum(1 for v in result.linkage.values() if v is not None)
             print(
@@ -801,18 +798,15 @@ def main(argv: list[str] | None = None) -> int:
             radius_m=args.radius if args.radius is not None else defaults.radius_m,
             min_pts=args.min_pts if args.min_pts is not None else defaults.min_pts,
         )
-        try:
-            frontier = run_sweep(
-                train,
-                target,
-                truth,
-                mechanisms,
-                params=params,
-                executor=args.backend,
-                history_path=args.history,
-            )
-        except (ValueError, RuntimeError) as exc:
-            raise SystemExit(f"sweep: {exc}")
+        frontier = run_sweep(
+            train,
+            target,
+            truth,
+            mechanisms,
+            params=params,
+            executor=args.backend,
+            history_path=args.history,
+        )
         print(frontier.render())
         print()
         print(frontier.service_report)
@@ -869,29 +863,26 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.selfcheck:
             return run_chaos_selfcheck()
-        try:
-            schedule = ChaosSchedule(
-                seed=args.seed,
-                crash_prob=args.crash_prob,
-                cache_load_prob=args.cache_prob,
-                shuffle_fetch_prob=args.shuffle_prob,
-                slow_node_prob=args.slow_prob,
-                slow_factor=args.slow_factor,
-                node_loss_prob=1.0 if args.node_loss else 0.0,
-            )
-            report = run_chaos_campaign(
-                drivers=args.driver,
-                seed=args.seed,
-                schedule=schedule,
-                n_users=args.users,
-                days=args.days,
-                n_workers=args.workers,
-                history_path=args.history,
-                executor=args.backend,
-                memory_budget_mb=args.memory_budget_mb,
-            )
-        except ValueError as exc:
-            raise SystemExit(f"chaos: {exc}")
+        schedule = ChaosSchedule(
+            seed=args.seed,
+            crash_prob=args.crash_prob,
+            cache_load_prob=args.cache_prob,
+            shuffle_fetch_prob=args.shuffle_prob,
+            slow_node_prob=args.slow_prob,
+            slow_factor=args.slow_factor,
+            node_loss_prob=1.0 if args.node_loss else 0.0,
+        )
+        report = run_chaos_campaign(
+            drivers=args.driver,
+            seed=args.seed,
+            schedule=schedule,
+            n_users=args.users,
+            days=args.days,
+            n_workers=args.workers,
+            history_path=args.history,
+            executor=args.backend,
+            memory_budget_mb=args.memory_budget_mb,
+        )
         print(report.render())
         if args.history:
             print(f"chaotic run history exported to {args.history}")
@@ -904,20 +895,16 @@ def main(argv: list[str] | None = None) -> int:
         from repro.mapreduce.runner import fresh_hdfs
         from repro.mapreduce.service import JobService
 
-        if not (math.isfinite(args.window) and args.window > 0):
-            raise SystemExit("submit: --window must be positive and finite")
-        try:
-            dataset, _ = generate_dataset(
-                SyntheticConfig(n_users=args.users, days=args.days, seed=args.seed)
-            )
-            hdfs = fresh_hdfs(
-                {"input/traces": dataset.flat().sort_by_time()},
-                chunk_size=64 * 1024, n_workers=3, record_bytes=64,
-            )
-            # Paused service: the future is observably QUEUED before start().
-            service = JobService(hdfs, tenants={args.tenant: 1.0}, start=False)
-        except ValueError as exc:
-            raise SystemExit(f"submit: {exc}")
+        positive("--window", args.window)
+        dataset, _ = generate_dataset(
+            SyntheticConfig(n_users=args.users, days=args.days, seed=args.seed)
+        )
+        hdfs = fresh_hdfs(
+            {"input/traces": dataset.flat().sort_by_time()},
+            chunk_size=64 * 1024, n_workers=3, record_bytes=64,
+        )
+        # Paused service: the future is observably QUEUED before start().
+        service = JobService(hdfs, tenants={args.tenant: 1.0}, start=False)
         conf = Configuration({"sampling.window_s": args.window, "sampling.technique": "upper"})
 
         def sampling_spec(name: str, out: str) -> JobSpec:
@@ -992,19 +979,16 @@ def main(argv: list[str] | None = None) -> int:
                 tenants[name.strip()] = float(weight)
             except ValueError:
                 raise SystemExit(f"service: bad weight in {part!r}")
-        try:
-            outcomes = run_multitenant_check(
-                drivers=args.driver,
-                seed=args.seed,
-                with_chaos=not args.no_chaos,
-                tenants=tenants,
-                n_users=args.users,
-                days=args.days,
-                n_workers=args.workers,
-                executor=args.backend,
-            )
-        except ValueError as exc:
-            raise SystemExit(f"service: {exc}")
+        outcomes = run_multitenant_check(
+            drivers=args.driver,
+            seed=args.seed,
+            with_chaos=not args.no_chaos,
+            tenants=tenants,
+            n_users=args.users,
+            days=args.days,
+            n_workers=args.workers,
+            executor=args.backend,
+        )
         ok = show(outcomes)
         if outcomes:
             print()
@@ -1027,18 +1011,14 @@ def main(argv: list[str] | None = None) -> int:
                 values = tuple(float(p) for p in parts)
             except ValueError as exc:
                 raise SystemExit(f"query: bad {what}: {exc}")
-            if not all(math.isfinite(v) for v in values):
-                raise SystemExit(f"query: {what} values must be finite, got {spec!r}")
+            for value in values:
+                finite(f"{what} values", value)
             return values
 
-        if args.traces < 1:
-            raise SystemExit("query: --traces must be positive")
-        if args.budget_mb is not None and not (
-            math.isfinite(args.budget_mb) and args.budget_mb > 0
-        ):
-            raise SystemExit("query: --budget-mb must be positive and finite")
-        if args.queries < 1:
-            raise SystemExit("query: --queries must be positive")
+        positive("--traces", args.traces)
+        if args.budget_mb is not None:
+            positive("--budget-mb", args.budget_mb)
+        positive("--queries", args.queries)
         explicit: list[tuple[str, tuple[float, ...]]] = []
         if args.point:
             explicit.append(("point", parse_floats(args.point, 2, "--point")))
@@ -1052,8 +1032,7 @@ def main(argv: list[str] | None = None) -> int:
             explicit.append(("range", rect))
         if args.radius_query:
             lat, lon, radius = parse_floats(args.radius_query, 3, "--radius-query")
-            if radius < 0:
-                raise SystemExit("query: --radius-query radius must be non-negative")
+            non_negative("--radius-query radius", radius)
             explicit.append(("radius", (lat, lon, radius)))
         if args.knn:
             lat, lon, k = parse_floats(args.knn, 3, "--knn")
@@ -1168,25 +1147,20 @@ def main(argv: list[str] | None = None) -> int:
         from repro.mapreduce.failures import ChaosSchedule, JobFailedError
         from repro.streaming.check import run_multitenant_stream, run_stream
 
-        if args.tenants < 1:
-            raise SystemExit("stream: --tenants must be positive")
-        if not (math.isfinite(args.window_s) and args.window_s > 0):
-            raise SystemExit("stream: --window-s must be positive and finite")
+        positive("--tenants", args.tenants)
+        positive("--window-s", args.window_s)
         dataset, _ = generate_dataset(
             SyntheticConfig(n_users=args.users, days=args.days, seed=args.seed)
         )
         array = dataset.flat()
         chaos = None
         if args.late_prob or args.lost_prob or args.dup_prob:
-            try:
-                chaos = ChaosSchedule(
-                    seed=args.chaos_seed,
-                    late_batch_prob=args.late_prob,
-                    lost_batch_prob=args.lost_prob,
-                    dup_batch_prob=args.dup_prob,
-                )
-            except ValueError as exc:
-                raise SystemExit(f"stream: {exc}")
+            chaos = ChaosSchedule(
+                seed=args.chaos_seed,
+                late_batch_prob=args.late_prob,
+                lost_batch_prob=args.lost_prob,
+                dup_batch_prob=args.dup_prob,
+            )
         manager_kwargs = dict(
             k=args.k,
             max_iter=args.max_iter,
@@ -1225,8 +1199,6 @@ def main(argv: list[str] | None = None) -> int:
                 )
         except JobFailedError as exc:
             raise SystemExit(f"stream: run failed cleanly under chaos: {exc}")
-        except ValueError as exc:
-            raise SystemExit(f"stream: {exc}")
         for name in sorted(results):
             print(results[name].timeline.render())
             print(f"run signature: {results[name].signature()}")

@@ -26,6 +26,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from repro.checks import non_negative
+
 __all__ = [
     "EARTH_RADIUS_KM",
     "haversine_km",
@@ -241,10 +243,7 @@ def radius_band(radius_m: float, points: np.ndarray) -> RadiusBand:
     chord)`` cell index, so two such points' cells differ by at most one
     on every axis.  The radius is validated as the R-tree validates it.
     """
-    if not math.isfinite(radius_m):
-        raise ValueError(f"radius must be finite, got {radius_m!r}")
-    if radius_m < 0:
-        raise ValueError("radius must be non-negative")
+    non_negative("radius", radius_m)
     beta = _DOT_BAND * max(180.0, float(np.abs(points).max(initial=0.0))) / 180.0
     a_r = math.sin(min(radius_m / (2000.0 * EARTH_RADIUS_KM), math.pi / 2.0)) ** 2
     g_out = 1.0 - 2.0 * a_r * (1.0 + _TIE_BAND) - beta

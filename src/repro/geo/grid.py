@@ -14,23 +14,14 @@ end to end.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from repro.checks import finite_column, positive
 from repro.geo.synthetic import KM_PER_DEG_LAT
 
-__all__ = ["finite_column", "grid_cells", "ragged_arange", "time_windows", "unique_rows"]
+__all__ = ["grid_cells", "ragged_arange", "time_windows", "unique_rows"]
 
 _M_PER_DEG_LAT = KM_PER_DEG_LAT * 1000.0
-
-
-def finite_column(values, what: str) -> np.ndarray:
-    """``values`` as float64, or ``ValueError("<what> must be finite …")``."""
-    values = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(values).all():
-        raise ValueError(f"{what} must be finite (no NaN/inf)")
-    return values
 
 
 def grid_cells(lat, lon, cell_m: float) -> tuple[np.ndarray, np.ndarray]:
@@ -38,8 +29,7 @@ def grid_cells(lat, lon, cell_m: float) -> tuple[np.ndarray, np.ndarray]:
     bands ``cell_m`` metres tall, longitude bands as wide as ``cell_m`` is
     at the centre of the row's latitude band.  ``ValueError`` for a
     non-finite coordinate or a ``cell_m`` that is not positive and finite."""
-    if not 0 < cell_m < math.inf:
-        raise ValueError(f"cell_m must be positive and finite, got {cell_m!r}")
+    cell_m = positive("cell_m", cell_m)
     lat = finite_column(lat, "coordinates")
     lon = finite_column(lon, "coordinates")
     cell_lat = cell_m / _M_PER_DEG_LAT
@@ -53,8 +43,7 @@ def grid_cells(lat, lon, cell_m: float) -> tuple[np.ndarray, np.ndarray]:
 def time_windows(timestamp, window_s: float) -> np.ndarray:
     """int64 index of the ``window_s``-second window holding each
     timestamp, validated like :func:`grid_cells`."""
-    if not 0 < window_s < math.inf:
-        raise ValueError(f"window_s must be positive and finite, got {window_s!r}")
+    window_s = positive("window_s", window_s)
     timestamp = finite_column(timestamp, "timestamps")
     return np.floor_divide(timestamp, window_s).astype(np.int64)
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.checks import positive
 from repro.geo.distance import haversine_m
 from repro.geo.trace import Trail, TraceArray
 
@@ -66,8 +67,8 @@ def segment_trail(
     switched-off logger ends the stay).  Returns stays and trips in time
     order; every trace belongs to exactly one segment.
     """
-    if roam_radius_m <= 0 or min_stay_s <= 0:
-        raise ValueError("roam_radius_m and min_stay_s must be positive")
+    positive("roam_radius_m", roam_radius_m)
+    positive("min_stay_s", min_stay_s)
     array = (trail.traces if isinstance(trail, Trail) else trail).sort_by_time()
     n = len(array)
     if n == 0:

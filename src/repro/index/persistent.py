@@ -37,7 +37,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
-import math
 import struct
 import zlib
 from collections import OrderedDict
@@ -46,6 +45,7 @@ from typing import Any, Callable, TYPE_CHECKING
 
 import numpy as np
 
+from repro.checks import finite, positive
 from repro.index.rtree import DEFAULT_MAX_ENTRIES, NodeView, Rect, RTree
 from repro.index.spacefilling import DEFAULT_ORDER
 from repro.mapreduce.simtime import CostModel
@@ -321,8 +321,7 @@ class PersistentRTree(_TreeQueries):
         group_bytes: int = DEFAULT_PAGE_GROUP_BYTES,
     ) -> "PersistentRTree":
         """Serialize ``tree`` under ``path`` and return the opened index."""
-        if group_bytes <= 0:
-            raise ValueError("group_bytes must be positive")
+        positive("group_bytes", group_bytes)
         pages = _pages_from_tree(tree)
         payloads: list[RecordPayload] = []
         chunk_starts: list[int] = []
@@ -701,16 +700,11 @@ class QueryEngine:
             self._history.advance(t0 + latency)
         return result
 
-    @staticmethod
-    def _check_finite(**coords: float) -> None:
-        for name, value in coords.items():
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-
     # -- the query surface ---------------------------------------------------
     def point(self, lat: float, lon: float) -> np.ndarray:
         """Ids of entries at exactly (lat, lon)."""
-        self._check_finite(lat=lat, lon=lon)
+        finite("lat", lat)
+        finite("lon", lon)
         return self._serve(
             "point",
             lambda: self.index.query_point(lat, lon),
@@ -723,9 +717,10 @@ class QueryEngine:
         self, min_lat: float, min_lon: float, max_lat: float, max_lon: float
     ) -> np.ndarray:
         """Ids of entries inside the inclusive rectangle."""
-        self._check_finite(
-            min_lat=min_lat, min_lon=min_lon, max_lat=max_lat, max_lon=max_lon
-        )
+        finite("min_lat", min_lat)
+        finite("min_lon", min_lon)
+        finite("max_lat", max_lat)
+        finite("max_lon", max_lon)
         rect = Rect(min_lat, min_lon, max_lat, max_lon)
         return self._serve(
             "range",
@@ -736,7 +731,8 @@ class QueryEngine:
 
     def radius(self, lat: float, lon: float, radius_m: float) -> np.ndarray:
         """Ids of entries within ``radius_m`` Haversine metres."""
-        self._check_finite(lat=lat, lon=lon)
+        finite("lat", lat)
+        finite("lon", lon)
         return self._serve(
             "radius",
             lambda: self.index.query_radius(lat, lon, radius_m),
@@ -748,7 +744,8 @@ class QueryEngine:
 
     def knn(self, lat: float, lon: float, k: int) -> list[tuple[int, float]]:
         """The ``k`` nearest entries as ``(id, metres)``, nearest first."""
-        self._check_finite(lat=lat, lon=lon)
+        finite("lat", lat)
+        finite("lon", lon)
         return self._serve(
             "knn",
             lambda: self.index.knn(lat, lon, k),

@@ -36,7 +36,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.geo.distance import RadiusBand, haversine_m, radius_band, unit_vectors, within_radius
-from repro.geo.grid import finite_column, ragged_arange
+from repro.checks import count, finite, finite_column, positive
+from repro.geo.grid import ragged_arange
 
 __all__ = ["Rect", "RTree", "NodeView", "DEFAULT_MAX_ENTRIES"]
 
@@ -114,11 +115,6 @@ def _radius_boxes(lat: np.ndarray, lon: np.ndarray, radius_m: float) -> tuple[np
     return np.concatenate(rows), np.concatenate(owner)
 
 
-def _is_count(value) -> bool:
-    """Whether ``value`` is an integer, ``bool`` excluded."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _check_radius_queries(points: np.ndarray, radius_m: float) -> tuple[np.ndarray, RadiusBand]:
     """The (n, 2) float64 query array of a many-point radius query and the
     :func:`~repro.geo.distance.radius_band` its answers are decided by, or
@@ -130,9 +126,7 @@ def _check_radius_queries(points: np.ndarray, radius_m: float) -> tuple[np.ndarr
     band = radius_band(radius_m, points)  # validates the radius first
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError("points must be an (n, 2) array")
-    if not np.isfinite(points).all():
-        raise ValueError("query points must be finite (no NaN/inf coordinates)")
-    return points, band
+    return finite_column(points, "query points"), band
 
 
 def _order_hits_by_query(
@@ -263,9 +257,7 @@ class RTree:
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
         # 2.5 would pack like 2 and True like 1: plausible, wrong trees.
-        if not _is_count(max_entries) or max_entries < 2:
-            raise ValueError(f"max_entries must be an integer >= 2, got {max_entries!r}")
-        self.max_entries = int(max_entries)
+        self.max_entries = count("max_entries", max_entries, 2)
         # The arrays come with the first node (see _pack).
         self._root: tuple[int, int] | None = None
         self._size = self._height = 0
@@ -396,8 +388,7 @@ class RTree:
         """Ids of all points inside ``rect`` (inclusive bounds), sorted."""
         box = rect.as_array()
         # NaN compares false against every MBR: an empty, plausible answer.
-        if not np.isfinite(box).all():
-            raise ValueError(f"query rectangle must be finite, got {rect}")
+        finite_column(box, "query rectangle")
         if self._root is None:
             return np.empty(0, dtype=np.int64)
         return np.sort(self._scan(box)[0])
@@ -505,12 +496,10 @@ class RTree:
         distances, always array-computed.
         """
         # 1.5 would act as 2 and True as 1: plausible, wrong neighbour counts.
-        if not _is_count(k):
-            raise ValueError(f"k must be an integer, got {k!r}")
-        if k <= 0:
-            raise ValueError("k must be positive")
-        if not (math.isfinite(lat) and math.isfinite(lon)):
-            raise ValueError(f"query coordinates must be finite, got ({lat!r}, {lon!r})")
+        k = count("k", k, 0)
+        positive("k", k)
+        finite("lat", lat)
+        finite("lon", lon)
         if self._root is None:
             return []
         resolve = self._resolve

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.geo.grid import finite_column
-from repro.index.rtree import RTree, _is_count
+from repro.checks import count, finite_column
+from repro.index.rtree import RTree
 from repro.index.spacefilling import DEFAULT_ORDER, get_curve
 from repro.mapreduce.config import Configuration
 from repro.mapreduce.job import JobSpec, Mapper, Partitioner, Reducer
@@ -203,11 +203,9 @@ def build_rtree_mapreduce(
     driver-side initialization steps, holding one chunk at a time.  A
     non-finite coordinate is a ``ValueError`` before any job runs.
     """
-    if n_partitions < 1:
-        raise ValueError("n_partitions must be >= 1")
+    n_partitions = count("n_partitions", n_partitions, 1)
     # 0 would route every point to partition 0, 2.5 sample like 2.
-    if not _is_count(sample_per_chunk) or sample_per_chunk < 1:
-        raise ValueError(f"sample_per_chunk must be an integer >= 1, got {sample_per_chunk!r}")
+    sample_per_chunk = count("sample_per_chunk", sample_per_chunk, 1)
     empty = RTree(max_entries=max_entries)  # validates max_entries before any job
     get_curve(curve)  # validate early
     hdfs = runner.hdfs

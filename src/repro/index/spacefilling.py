@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.geo.grid import finite_column
+from repro.checks import finite_column
 
 __all__ = [
     "normalize_to_grid",

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from repro.checks import count
+
 __all__ = ["Node", "ClusterSpec", "paper_cluster"]
 
 
@@ -31,8 +33,8 @@ class Node:
     is_tasktracker: bool = True
 
     def __post_init__(self) -> None:
-        if self.map_slots < 0 or self.reduce_slots < 0:
-            raise ValueError("slot counts must be non-negative")
+        count("map_slots", self.map_slots, 0)
+        count("reduce_slots", self.reduce_slots, 0)
 
 
 class ClusterSpec:
@@ -97,8 +99,7 @@ def paper_cluster(
     ``nodes_per_rack`` so the rack-aware replica policy has something to
     work with.
     """
-    if n_workers < 1:
-        raise ValueError("need at least one worker node")
+    count("n_workers", n_workers, 1)
     nodes = [
         Node("namenode", rack="rack0", is_datanode=False, is_tasktracker=False),
         Node("jobtracker", rack="rack0", is_datanode=False, is_tasktracker=False),

@@ -9,9 +9,10 @@ every mapper/reducer at ``setup`` time, mirroring Hadoop's ``Configuration``
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
+
+from repro.checks import count, positive
 
 __all__ = ["Configuration", "MapReduceConfig", "BACKENDS", "validate_tenants"]
 
@@ -69,35 +70,11 @@ class MapReduceConfig:
                 f"choose one of {', '.join(BACKENDS)}"
             )
         if self.max_workers is not None:
-            if not isinstance(self.max_workers, int) or isinstance(self.max_workers, bool):
-                raise ValueError(
-                    f"max_workers must be a positive int or None, "
-                    f"got {self.max_workers!r}"
-                )
-            if self.max_workers < 1:
-                raise ValueError(
-                    f"max_workers must be >= 1 (got {self.max_workers}); "
-                    f"pass None to use the backend default"
-                )
+            count("max_workers", self.max_workers, 1)
         if self.memory_budget_mb is not None:
-            if isinstance(self.memory_budget_mb, bool) or not isinstance(
-                self.memory_budget_mb, (int, float)
-            ):
-                raise ValueError(
-                    f"memory_budget_mb must be a positive number or None, "
-                    f"got {self.memory_budget_mb!r}"
-                )
-            if not (math.isfinite(self.memory_budget_mb) and self.memory_budget_mb > 0):
-                raise ValueError(
-                    f"memory_budget_mb must be positive and finite (got "
-                    f"{self.memory_budget_mb}); pass None for unbounded"
-                )
+            positive("memory_budget_mb", self.memory_budget_mb)
         if self.tenants is not None:
             validate_tenants(self.tenants)
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def validate_tenants(tenants: Mapping[str, Any]) -> dict[str, dict[str, Any]]:
@@ -121,9 +98,7 @@ def validate_tenants(tenants: Mapping[str, Any]) -> dict[str, dict[str, Any]]:
     for name, knobs in tenants.items():
         if not isinstance(name, str) or not name.strip():
             raise ValueError(f"tenant names must be non-empty strings, got {name!r}")
-        if _is_number(knobs):
-            weight, max_queued = knobs, None
-        elif isinstance(knobs, Mapping):
+        if isinstance(knobs, Mapping):
             unknown = set(knobs) - {"weight", "max_queued"}
             if unknown:
                 raise ValueError(
@@ -133,26 +108,12 @@ def validate_tenants(tenants: Mapping[str, Any]) -> dict[str, dict[str, Any]]:
             weight = knobs.get("weight", 1.0)
             max_queued = knobs.get("max_queued")
         else:
-            raise ValueError(
-                f"tenant {name!r}: expected a weight or a knob dict, got {knobs!r}"
-            )
-        if not _is_number(weight) or not 0 < weight < float("inf"):
-            raise ValueError(
-                f"tenant {name!r}: weight must be a positive finite number "
-                f"(got {weight!r})"
-            )
-        if max_queued is not None:
-            if not isinstance(max_queued, int) or isinstance(max_queued, bool):
-                raise ValueError(
-                    f"tenant {name!r}: max_queued must be a positive int or "
-                    f"None, got {max_queued!r}"
-                )
-            if max_queued < 1:
-                raise ValueError(
-                    f"tenant {name!r}: max_queued must be >= 1 (got "
-                    f"{max_queued}); pass None for unlimited"
-                )
-        normalized[name] = {"weight": float(weight), "max_queued": max_queued}
+            weight, max_queued = knobs, None
+        normalized[name] = {
+            "weight": positive(f"tenant {name!r} weight", weight),
+            "max_queued": None if max_queued is None
+            else count(f"tenant {name!r} max_queued", max_queued, 1),
+        }
     return normalized
 
 

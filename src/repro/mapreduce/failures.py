@@ -26,12 +26,12 @@ The backends' attempt loop catches :class:`TaskFailure` (and its subclass
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from repro.checks import count, finite, probability
 from repro.utils.hashrng import hash_uniform
 
 __all__ = [
@@ -116,12 +116,6 @@ class CacheLoadFailure(TaskFailure):
         self.entry = entry
 
 
-def require_count(name: str, value, least: int) -> None:
-    """Reject ``value`` unless it is an integer (``bool`` excluded) >= ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 class JobFailedError(RuntimeError):
     """A task exhausted its retry budget and took the job down.
 
@@ -186,8 +180,7 @@ class Fault:
             raise ValueError(f"a {self.kind} fault needs a task")
         if self.kind == FaultKind.SLOW_NODE and self.node is None:
             raise ValueError("a slow_node fault needs a node")
-        if self.attempt < 1:
-            raise ValueError(f"attempt must be >= 1, got {self.attempt}")
+        count("attempt", self.attempt, 1)
 
 
 def _hash_u01(seed: int, *tokens) -> float:
@@ -241,15 +234,11 @@ class ChaosSchedule:
         for name in ("crash_prob", "cache_load_prob", "shuffle_fetch_prob",
                      "slow_node_prob", "node_loss_prob",
                      "late_batch_prob", "lost_batch_prob", "dup_batch_prob"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be within [0, 1], got {p}")
-        # NaN passes every comparison below and breaks replays (NaN != NaN).
-        if not math.isfinite(self.slow_factor):
-            raise ValueError(f"slow_factor must be finite, got {self.slow_factor!r}")
-        if self.slow_factor < 1.0:
-            raise ValueError("slow_factor must be >= 1")
-        require_count("max_node_losses", self.max_node_losses, 0)
+            probability(name, getattr(self, name))
+        # NaN would pass a bare comparison and break replays (NaN != NaN).
+        if finite("slow_factor", self.slow_factor) < 1.0:
+            raise ValueError(f"slow_factor must be >= 1, got {self.slow_factor!r}")
+        count("max_node_losses", self.max_node_losses, 0)
         if isinstance(self.bad_nodes, (str, bytes)):
             # frozenset("worker02") is a set of characters: injects nothing.
             raise TypeError(

@@ -13,11 +13,11 @@ datanode loss by serving the surviving replicas.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from repro.checks import count, positive
 from repro.geo.trace import TraceArray
 from repro.mapreduce.cluster import ClusterSpec
 from repro.mapreduce.spill import PayloadStore, SpillDirectory, SpillStats
@@ -53,16 +53,10 @@ class SimulatedHDFS:
         transparently on read — the disk-backed chunk store that lets a
         file exceed this machine's memory.  ``None`` keeps everything
         resident, the historical behaviour."""
-        if chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
-        if replication < 1:
-            raise ValueError("replication must be >= 1")
-        if memory_budget_mb is not None and not (
-            math.isfinite(memory_budget_mb) and memory_budget_mb > 0
-        ):
-            raise ValueError(
-                f"memory_budget_mb must be positive and finite (got {memory_budget_mb})"
-            )
+        positive("chunk_size", chunk_size)
+        count("replication", replication, 1)
+        if memory_budget_mb is not None:
+            positive("memory_budget_mb", memory_budget_mb)
         self.cluster = cluster
         self.chunk_size = chunk_size
         self.replication = replication

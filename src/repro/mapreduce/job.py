@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
+from repro.checks import count
 from repro.geo.trace import TraceArray
 from repro.mapreduce.cache import DistributedCache
 from repro.mapreduce.config import Configuration
@@ -236,8 +237,7 @@ class JobSpec:
     def __post_init__(self) -> None:
         if not self.input_paths:
             raise ValueError(f"job {self.name!r} has no input paths")
-        if self.num_reducers < 1:
-            raise ValueError("num_reducers must be >= 1")
+        count("num_reducers", self.num_reducers, 1)
         self.mapper = _as_factory(self.mapper)
         self.reducer = _as_factory(self.reducer)
         self.combiner = _as_factory(self.combiner)

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from repro.checks import count, finite, non_negative, positive
 from repro.mapreduce.cluster import ClusterSpec
 from repro.mapreduce.counters import Counters, STANDARD
-from repro.mapreduce.failures import MAX_TASK_ATTEMPTS, emit_attempt_failures, require_count
+from repro.mapreduce.failures import MAX_TASK_ATTEMPTS, emit_attempt_failures
 from repro.mapreduce.types import Chunk
 from repro.observability.events import EventKind, Phase
 from repro.observability.history import JobHistory
@@ -68,15 +68,11 @@ class RetryPolicy:
     blacklist_after: int = 3
 
     def __post_init__(self) -> None:
-        require_count("max_attempts", self.max_attempts, 1)
-        require_count("blacklist_after", self.blacklist_after, 1)
-        for name in ("backoff_base_s", "backoff_factor"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.backoff_base_s < 0:
-            raise ValueError("backoff_base_s must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
+        count("max_attempts", self.max_attempts, 1)
+        count("blacklist_after", self.blacklist_after, 1)
+        non_negative("backoff_base_s", self.backoff_base_s)
+        if finite("backoff_factor", self.backoff_factor) < 1.0:
+            raise ValueError(f"backoff_factor must be >= 1, got {self.backoff_factor!r}")
 
     def backoff_s(self, failed_attempt: int) -> float:
         """Simulated wait before re-dispatching after ``failed_attempt``."""
@@ -87,9 +83,7 @@ class NodeBlacklist:
     """Per-job tracker of node failures and blacklist state (thread-safe)."""
 
     def __init__(self, threshold: int):
-        if threshold < 1:
-            raise ValueError("threshold must be >= 1")
-        self.threshold = threshold
+        self.threshold = count("threshold", threshold, 1)
         self._failures: dict[str, int] = {}
         self._blacklisted: set[str] = set()
         self._lock = threading.Lock()
@@ -491,8 +485,7 @@ class FairShareJob:
     reduce_durations: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
-            raise ValueError(f"job {self.name!r}: weight must be positive")
+        positive(f"job {self.name!r}: weight", self.weight)
         if any(d < 0 for d in (*self.map_durations, *self.reduce_durations)):
             raise ValueError(f"job {self.name!r}: negative task duration")
 

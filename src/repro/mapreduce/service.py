@@ -60,7 +60,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from repro.mapreduce.cache import DistributedCache
-from repro.mapreduce.config import MapReduceConfig, validate_tenants
+from repro.mapreduce.config import validate_tenants
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.failures import ChaosSchedule
 from repro.mapreduce.hdfs import SimulatedHDFS
@@ -122,16 +122,13 @@ class TenantSpec:
     ``weight`` is the fair-share weight (2.0 gets twice the slot-seconds
     of 1.0 under contention); ``max_queued`` is the admission quota —
     the most jobs the tenant may have queued or running at once
-    (``None`` = unlimited).  Validation mirrors
-    :class:`~repro.mapreduce.config.MapReduceConfig`.
+    (``None`` = unlimited).  :class:`JobService` builds one per tenant
+    from its :func:`~repro.mapreduce.config.validate_tenants` roster.
     """
 
     name: str
     weight: float = 1.0
     max_queued: int | None = None
-
-    def __post_init__(self) -> None:
-        validate_tenants({self.name: {"weight": self.weight, "max_queued": self.max_queued}})
 
 
 class JobFuture:
@@ -527,7 +524,7 @@ class JobService:
     ``tenants``
         The roster: ``{name: weight}`` or ``{name: {"weight": w,
         "max_queued": q}}``, validated by
-        :class:`~repro.mapreduce.config.MapReduceConfig`.  ``None``
+        :func:`~repro.mapreduce.config.validate_tenants`.  ``None``
         declares the single tenant ``"default"`` with weight 1.
     ``result_cache``
         Enable the (dataset version, job spec) result cache
@@ -554,14 +551,7 @@ class JobService:
         result_cache: bool = True,
         start: bool = True,
     ):
-        # Validates backend/max_workers/memory budget *and* the tenant
-        # roster in one place (the MapReduceConfig bugfix ride-along).
-        self.config = MapReduceConfig(
-            backend=executor,
-            max_workers=max_workers,
-            memory_budget_mb=memory_budget_mb,
-            tenants=dict(tenants) if tenants is not None else None,
-        )
+        # The runner's MapReduceConfig checks backend, workers and budget.
         normalized = (
             validate_tenants(tenants)
             if tenants is not None

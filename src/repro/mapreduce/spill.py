@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable
 
+from repro.checks import positive
 from repro.mapreduce.types import (
     ArrayPayload,
     PagedPayload,
@@ -155,9 +156,7 @@ class PayloadStore:
         directory: SpillDirectory,
         stats: SpillStats | None = None,
     ):
-        if budget_bytes <= 0:
-            raise ValueError("budget_bytes must be positive")
-        self.budget_bytes = int(budget_bytes)
+        self.budget_bytes = int(positive("budget_bytes", budget_bytes))
         self.directory = directory
         self.stats = stats if stats is not None else SpillStats()
         self._resident: dict[str, RecordPayload | ArrayPayload] = {}
@@ -565,9 +564,7 @@ class SpillManager:
     """One runner's out-of-core state: budget, spill dir, stats, job seq."""
 
     def __init__(self, budget_bytes: int, root: str | os.PathLike | None = None):
-        if budget_bytes <= 0:
-            raise ValueError("budget_bytes must be positive")
-        self.budget_bytes = int(budget_bytes)
+        self.budget_bytes = int(positive("budget_bytes", budget_bytes))
         self.directory = SpillDirectory(root)
         self.stats = SpillStats()
         self._job_seq = 0

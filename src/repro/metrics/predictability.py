@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.checks import count
+
 __all__ = [
     "random_entropy",
     "temporal_uncorrelated_entropy",
@@ -99,8 +101,7 @@ def max_predictability(entropy_bits: float, n_states: int, tol: float = 1e-9) ->
     Returns 1.0 when the entropy is (near) zero and ``1/N`` when the
     entropy saturates at ``log2(N)``.
     """
-    if n_states < 1:
-        raise ValueError("n_states must be >= 1")
+    count("n_states", n_states, 1)
     if n_states == 1:
         return 1.0
     s_max = math.log2(n_states)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.sampling import SamplingTechnique, sample_array
+from repro.checks import positive
 from repro.geo.grid import grid_cells, unique_rows
 from repro.geo.trace import TraceArray
 from repro.sanitization.base import Sanitizer
@@ -35,8 +36,7 @@ class SpatialAggregator(Sanitizer):
     """
 
     def __init__(self, cell_m: float):
-        if cell_m <= 0:
-            raise ValueError("cell_m must be positive")
+        positive("cell_m", cell_m)
         self.cell_m = cell_m
 
     def _cells(self, array: TraceArray) -> np.ndarray:
@@ -61,8 +61,7 @@ class TemporalAggregator(Sanitizer):
     """Down-sampling (Section V) used as a sanitization mechanism."""
 
     def __init__(self, window_s: float, technique: "str | SamplingTechnique" = "upper"):
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
+        positive("window_s", window_s)
         self.window_s = window_s
         self.technique = SamplingTechnique.parse(technique)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.checks import count, positive
 from repro.geo.grid import grid_cells, time_windows, unique_rows
 from repro.geo.trace import GeolocatedDataset, TraceArray
 from repro.sanitization.base import Sanitizer
@@ -43,16 +44,12 @@ class SpatialCloaking(Sanitizer):
     """
 
     def __init__(self, k: int, base_cell_m: float = 250.0, window_s: float = 3600.0, max_levels: int = 6):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if base_cell_m <= 0 or window_s <= 0:
-            raise ValueError("base_cell_m and window_s must be positive")
-        if max_levels < 1:
-            raise ValueError("max_levels must be >= 1")
-        self.k = k
+        positive("base_cell_m", base_cell_m)
+        positive("window_s", window_s)
+        self.k = count("k", k, 1)
         self.base_cell_m = base_cell_m
         self.window_s = window_s
-        self.max_levels = max_levels
+        self.max_levels = count("max_levels", max_levels, 1)
 
     def base_cells(self, array: TraceArray) -> np.ndarray:
         """(window, base_lat, base_lon) per trace at the finest level.

@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 
+from repro.checks import non_negative, positive
 from repro.geo.synthetic import KM_PER_DEG_LAT
 from repro.geo.trace import TraceArray
 from repro.sanitization.base import Sanitizer
@@ -52,8 +53,7 @@ class GaussianMask(Sanitizer):
     """Add isotropic Gaussian noise of ``sigma_m`` metres to coordinates."""
 
     def __init__(self, sigma_m: float, seed: int = 0):
-        if sigma_m < 0:
-            raise ValueError("sigma_m must be non-negative")
+        non_negative("sigma_m", sigma_m)
         self.sigma_m = sigma_m
         self.seed = seed
 
@@ -73,8 +73,7 @@ class UniformNoiseMask(Sanitizer):
     """Displace each trace uniformly within a disc of ``radius_m`` metres."""
 
     def __init__(self, radius_m: float, seed: int = 0):
-        if radius_m < 0:
-            raise ValueError("radius_m must be non-negative")
+        non_negative("radius_m", radius_m)
         self.radius_m = radius_m
         self.seed = seed
 
@@ -104,8 +103,7 @@ class PlanarLaplaceMask(Sanitizer):
     """
 
     def __init__(self, epsilon: float, seed: int = 0):
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        positive("epsilon", epsilon)
         self.epsilon = epsilon
         self.seed = seed
 
@@ -136,8 +134,8 @@ class DonutMask(Sanitizer):
     """
 
     def __init__(self, r_min: float, r_max: float, seed: int = 0):
-        if not 0 <= r_min <= r_max:
-            raise ValueError("need 0 <= r_min <= r_max")
+        if non_negative("r_min", r_min) > non_negative("r_max", r_max):
+            raise ValueError("r_min must be <= r_max")
         self.r_min = r_min
         self.r_max = r_max
         self.seed = seed
@@ -164,8 +162,7 @@ class RoundingMask(Sanitizer):
     """
 
     def __init__(self, cell_m: float):
-        if cell_m <= 0:
-            raise ValueError("cell_m must be positive")
+        positive("cell_m", cell_m)
         self.cell_m = cell_m
 
     def sanitize_array(self, array: TraceArray) -> TraceArray:

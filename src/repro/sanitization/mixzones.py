@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.checks import positive
 from repro.geo.distance import haversine_m
 from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
 from repro.sanitization.base import Sanitizer
@@ -37,8 +38,7 @@ class MixZone:
     radius_m: float
 
     def __post_init__(self) -> None:
-        if self.radius_m <= 0:
-            raise ValueError("radius_m must be positive")
+        positive("radius_m", self.radius_m)
 
     def contains(self, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
         """Boolean mask of points inside the zone (vectorized)."""

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.checks import count, positive
 from repro.geo.synthetic import SyntheticConfig, generate_dataset
 from repro.geo.trace import TraceArray
 from repro.mapreduce.chaos import run_cell
@@ -47,6 +48,17 @@ N_WORKERS = 6
 CHUNK_SIZE = 64 * 1024
 
 
+def _check_manager_kwargs(manager_kwargs: dict) -> None:
+    """The manager's number arguments, checked in the caller's thread: in
+    a tenant thread of :func:`~repro.mapreduce.chaos.run_cell` a bad one
+    would surface as that fan-out's ``RuntimeError``, windows later."""
+    for name in ("k", "max_iter"):
+        if name in manager_kwargs:
+            count(name, manager_kwargs[name], 1)
+    if "sampling_window_s" in manager_kwargs:
+        positive("sampling_window_s", manager_kwargs["sampling_window_s"])
+
+
 def stream_drive(
     array: TraceArray,
     window_s: float,
@@ -58,6 +70,7 @@ def stream_drive(
     run: ``tenant``'s manager over a fresh feed of ``array`` cut into
     ``window_s`` windows, with the feed faults of ``chaos``.  The drive
     returns the :class:`StreamRunResult`."""
+    _check_manager_kwargs(manager_kwargs)
     source = StreamSource(array, window_s, chaos=chaos, name=tenant)
 
     def drive(client, _tenant) -> StreamRunResult:
@@ -129,6 +142,7 @@ def run_multitenant_stream(
     """
     if not tenants:
         raise ValueError("tenants must not be empty")
+    _check_manager_kwargs(manager_kwargs)
     names = sorted(tenants)
     users = sorted(set(array.users))
     assignment = {u: names[i % len(names)] for i, u in enumerate(users)}

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.checks import positive
 from repro.geo.trace import GeolocatedDataset, TraceArray
 from repro.mapreduce.failures import ChaosSchedule
 
@@ -76,8 +77,7 @@ class StreamSource:
     base_window: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
-        if self.window_s <= 0:
-            raise ValueError("window_s must be positive")
+        positive("window_s", self.window_s)
         array = (
             self.array.flat()
             if isinstance(self.array, GeolocatedDataset)

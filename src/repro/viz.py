@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.attacks.poi import PointOfInterestEstimate
-from repro.geo.grid import finite_column
+from repro.checks import count, finite_column
 from repro.geo.trace import GeolocatedDataset, TraceArray
 
 __all__ = [
@@ -45,8 +45,8 @@ def ascii_density_map(
     array = data.flat() if isinstance(data, GeolocatedDataset) else data
     if len(array) == 0:
         return "(empty dataset)"
-    if width < 2 or height < 2:
-        raise ValueError("width and height must each be >= 2")
+    count("width", width, 2)
+    count("height", height, 2)
     finite_column(array.latitude, "coordinates")
     finite_column(array.longitude, "coordinates")
     finite_column([m[:2] for m in markers], "coordinates")

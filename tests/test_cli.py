@@ -273,13 +273,28 @@ class TestArgumentErrors:
             (["stream", "--window-s", "0"], "stream: --window-s must be positive"),
             (["stream", "--window-s", "nan"], "stream: --window-s must be positive and finite"),
             (["stream", "--late-prob", "2"], "stream: "),
+            (["generate", "--out", "{missing}", "--users", "0"],
+             "generate: n_users and days must be positive"),
+            (["stream", "--users", "0"], "stream: n_users and days must be positive"),
+            (["sweep", "--users", "2", "--radius", "nan"],
+             "sweep: radius_m must be positive and finite, got nan"),
+            (["info", "--in", "{missing}"], "no GeoLife data found under "),
+            (["visualize", "--in", "{missing}"], "no GeoLife data found under "),
+            (["attack", "--in", "{missing}", "--linkage"], "no GeoLife data found under "),
+            (["stream", "--users", "1", "--k", "0"], "stream: k must be an integer >= 1, got 0"),
+            (["stream", "--users", "1", "--max-iter", "0"],
+             "stream: max_iter must be an integer >= 1, got 0"),
+            (["stream", "--users", "1", "--sampling-window", "nan"],
+             "stream: sampling_window_s must be positive and finite, got nan"),
         ],
         ids=["attack-no-input", "attack-lone-trace", "sweep-no-mechanism", "sweep-lone-trace",
              "sweep-colliding", "submit-window", "submit-window-nan", "submit-no-users",
              "submit-empty-tenant", "service-weight-entry", "service-weight",
              "service-zero-weight", "service-duplicate-tenant", "stream-report-missing",
              "stream-report-garbled", "stream-tenants", "stream-window", "stream-window-nan",
-             "stream-probability"],
+             "stream-probability", "generate-no-users", "stream-no-users", "sweep-radius-nan",
+             "info-missing", "visualize-missing", "attack-missing", "stream-k", "stream-max-iter",
+             "stream-sampling-window-nan"],
     )
     def test_exits_with_one_line(self, argv, message, lone_trace_dir, tmp_path):
         garbled = tmp_path / "garbled.json"

@@ -32,7 +32,7 @@ SRC = REPO / "src"
 
 #: ``package: (its modules, its __all__)``.
 SURFACE = {
-    "repro": ("__main__ cli toolkit viz", "Gepeto GepetoCluster __version__"),
+    "repro": ("__main__ checks cli toolkit viz", "Gepeto GepetoCluster __version__"),
     "repro.algorithms": ("djcluster kmeans sampling", """
         SamplingTechnique sample_trail sample_dataset sample_array
         SamplingMapper run_sampling_job kmeans_sequential run_kmeans_mapreduce
