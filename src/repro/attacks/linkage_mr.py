@@ -16,20 +16,29 @@ MapReduce jobs:
   idempotent (the speed filter and dedup compare original neighbours),
   so fingerprinting anything but the original per-user rows would break
   bit-equality with the serial reference.
-* **linkage job** — the shuffle is keyed by *candidate-blocking cell*:
-  a geographic grid of width ``2 × max_match_dist_m``.  Target
-  fingerprints go to the cells containing their POIs; training
-  fingerprints go to every cell of a conservatively-rounded
-  ``max_match_dist_m`` box around each POI.  Two fingerprints that share
-  no cell cannot have a POI pair within ``max_match_dist_m``, hence
-  (post tie-break fix) cannot link — so reducers score only plausible
-  pairs instead of the full cross product.  Each reducer emits its
-  per-pseudonym best link; the driver folds reducer outputs with the
-  same deterministic ``min((score, user_id))`` the serial attack uses.
+* **linkage job** (``linkage-score``) — the driver reads both
+  fingerprint files into one :class:`FingerprintTable` and broadcasts it
+  through the distributed cache.  The table gives every fingerprint an
+  ordinal and its sorted *candidate-blocking cells*: a geographic grid
+  of width ``2 × max_match_dist_m``, a target fingerprint in the cells
+  containing its POIs, a training fingerprint in every cell of a
+  conservatively-rounded ``max_match_dist_m`` box around each POI.
+  Mappers emit ``(cell, ordinal)``, each cell folded into one ``int64``,
+  so the blocking shuffle moves ints on its vectorized path and never a
+  chain (Meta-MapReduce, arXiv:1508.01171: ship who meets whom, not the
+  data).  Two fingerprints that share no cell cannot have a POI pair
+  within ``max_match_dist_m``, hence (post tie-break fix) cannot link —
+  so reducers score only plausible pairs instead of the full cross
+  product.  A reduce task prices the POI distances of all the pairs it
+  owns in one Haversine call, then scores each pair as
+  :func:`~repro.attacks.mmc.mmc_link_score` does, and emits each
+  cell's per-pseudonym best link; the driver folds reducer outputs with
+  the same deterministic ``min((score, user_id))`` the serial attack
+  uses.
 
-A pair sharing several cells is scored exactly once: both sides carry
-their sorted cell lists, and only the lexicographically smallest shared
-cell ("owner") scores the pair.
+A pair sharing several cells is scored exactly once: only the smallest
+cell both share (its "owner") scores it; the fold keeps the cells'
+``(band, j)`` order.
 
 **Exactness audit.** The training POI table is also published through the
 shared persistent R-tree :class:`~repro.index.persistent.IndexCatalog`;
@@ -52,6 +61,7 @@ one attack per tenant through a shared service).
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -60,8 +70,9 @@ import numpy as np
 
 from repro.algorithms.djcluster import DJClusterParams
 from repro.attacks.deanonymization import DeanonymizationResult, fingerprint_users
-from repro.attacks.mmc import mmc_link_score
+from repro.attacks.mmc import MobilityMarkovChain, _greedy_match, _pair_score
 from repro.checks import count, finite_column, non_negative, positive
+from repro.geo.distance import haversine_m
 from repro.geo.grid import ragged_arange, unique_rows
 from repro.geo.trace import _TRACE_DTYPE, GeolocatedDataset, TraceArray, digest
 from repro.mapreduce.config import Configuration
@@ -93,6 +104,8 @@ __all__ = [
 PARAMS_CACHE_KEY = "linkage.params"
 #: Distributed-cache key for (portable POI index, per-row owner users).
 INDEX_CACHE_KEY = "linkage.train_poi_index"
+#: Distributed-cache key for the :class:`FingerprintTable`.
+TABLE_CACHE_KEY = "linkage.fingerprints"
 
 GROUP_LINKAGE = "linkage"
 #: Pairs actually scored by reducers (owner-cell deduplicated).
@@ -110,7 +123,9 @@ _R_M = 6_371_008.8
 #: band geometry degenerates near the poles and mobility data there is
 #: noise anyway.
 _POLAR_LAT = 85.0
-_POLAR_BAND = 1 << 40
+#: Above every other band: the grid's bands and columns stay below it in
+#: magnitude (:func:`_floor`), so a cell folds into one int64 (:func:`_fold`).
+_POLAR_BAND = (1 << 31) - 1
 
 #: Rows a fingerprint reducer gathers (whole users, so up to one user
 #: more) per segmented pass: bounds the pass's transient arrays.
@@ -139,11 +154,23 @@ def _points(lat, lon) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _floor(values: np.ndarray) -> np.ndarray:
-    """``math.floor`` of every value, as ``int64``."""
+    """``math.floor`` of every value, as ``int64`` below ``_POLAR_BAND``
+    in magnitude."""
     floors = np.floor(values)
-    if len(floors) and float(np.abs(floors).max()) >= 2.0**62:
+    if len(floors) and float(np.abs(floors).max()) >= _POLAR_BAND:
         raise ValueError("max_match_dist_m is too small for an int64 blocking grid")
     return floors.astype(np.int64)
+
+
+def _fold(band: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Cells ``(band, j)`` as one ``int64`` each, ``band * 2**32 + j + 2**31``:
+    injective, and ascending in ``(band, j)`` order, over every cell the
+    grid makes (``|band|, |j| <= _POLAR_BAND``)."""
+    band = np.asarray(band, dtype=np.int64)
+    j = np.asarray(j, dtype=np.int64)
+    if len(band) and max(int(np.abs(band).max()), int(np.abs(j).max())) > _POLAR_BAND:
+        raise ValueError(f"blocking cells must lie within ±{_POLAR_BAND} to fold into int64")
+    return (band << 32) + (j + (1 << 31))
 
 
 def _lon_widths(band: np.ndarray, w_lat: float, max_match_dist_m: float) -> np.ndarray:
@@ -231,17 +258,6 @@ def cover_cells(lat, lon, max_match_dist_m: float) -> tuple[np.ndarray, np.ndarr
             (j, np.ones(len(north), dtype=np.int64), np.full(len(south), -1, dtype=np.int64))
         ),
     )
-
-
-def _cells_by_print(
-    n_prints: int, owner: np.ndarray, band: np.ndarray, j: np.ndarray
-) -> list[tuple]:
-    """Each fingerprint's distinct ``(band, j)`` cells as a sorted tuple of
-    int pairs; ``owner[r]`` (``0..n_prints - 1``) names row r's fingerprint."""
-    owner, band, j = unique_rows(owner, band, j)
-    cells = list(zip(band.tolist(), j.tolist()))
-    bounds = np.searchsorted(owner, np.arange(n_prints + 1)).tolist()
-    return [tuple(cells[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -341,100 +357,205 @@ class FingerprintReducer(Reducer):
 # Stage 2 — blocking shuffle + scoring reduce
 # ---------------------------------------------------------------------------
 
-class BlockingMapper(Mapper):
-    """Route fingerprints to candidate-blocking cells.
+@dataclass
+class FingerprintTable:
+    """Both sides' fingerprints, indexed by ordinal: stage 2's broadcast.
 
-    Training fingerprints are replicated to every cell of their POIs'
-    conservative boxes; target fingerprints go only to the cells
-    containing their own POIs.  For the exactness audit, target POIs
-    are also batch-queried against the portable R-tree over the training
-    POI table to count exact candidate pairs.
+    Ordinals ``0 .. n_train - 1`` are the training fingerprints in their
+    stage-1 file's order, the rest the targets' in theirs.  Fingerprint
+    ``o`` is ``chains[o]``; its POIs are also rows
+    ``state_offsets[o]:state_offsets[o + 1]`` of ``states`` (every
+    chain's states end to end), and its distinct blocking cells, folded
+    (:func:`_fold`) and ascending, are
+    ``cells[cell_offsets[o]:cell_offsets[o + 1]]``: a target's are the
+    cells holding its POIs, a training fingerprint's their covers.
+    """
+
+    users: list[str]
+    n_train: int
+    chains: list[MobilityMarkovChain]
+    states: np.ndarray
+    state_offsets: np.ndarray
+    cells: np.ndarray
+    cell_offsets: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        """The broadcast's modelled size, from array lengths: each chain's
+        arrays once, the cells, the offsets and the user ids."""
+        return (
+            sum(c.states.nbytes + c.transitions.nbytes + c.visit_counts.nbytes for c in self.chains)
+            + self.state_offsets.nbytes + self.cells.nbytes + self.cell_offsets.nbytes
+            + sum(len(user.encode()) for user in self.users)
+        )
+
+    @functools.cached_property
+    def ordinal(self) -> dict[tuple[str, str], int]:
+        """``(role, user) -> ordinal``, roles as stage 1 writes them."""
+        return {
+            ("train" if o < self.n_train else "target", user): o
+            for o, user in enumerate(self.users)
+        }
+
+
+def _fingerprint_table(train: list, target: list, max_match_dist_m: float) -> FingerprintTable:
+    """The table of ``train`` and ``target`` ``(user, fingerprint)`` lists:
+    one :func:`cover_cells` call over every training POI, one
+    :func:`blocking_cells` call over every target POI."""
+    chains = [fp for _, fp in train + target]
+    k = np.array([fp.n_states for fp in chains], dtype=np.int64)
+    state_offsets = np.concatenate(([0], np.cumsum(k)))
+    states = np.concatenate([fp.states for fp in chains])
+    owner = np.repeat(np.arange(len(chains)), k)
+    split = int(state_offsets[len(train)])
+    at, cover_band, cover_j = cover_cells(states[:split, 0], states[:split, 1], max_match_dist_m)
+    own_band, own_j = blocking_cells(states[split:, 0], states[split:, 1], max_match_dist_m)
+    cell_owner, cells = unique_rows(
+        np.concatenate((owner[:split][at], owner[split:])),
+        _fold(np.concatenate((cover_band, own_band)), np.concatenate((cover_j, own_j))),
+    )
+    return FingerprintTable(
+        users=[user for user, _ in train + target],
+        n_train=len(train),
+        chains=chains,
+        states=states,
+        state_offsets=state_offsets,
+        cells=cells,
+        cell_offsets=np.searchsorted(cell_owner, np.arange(len(chains) + 1)),
+    )
+
+
+class BlockingMapper(Mapper):
+    """Send each fingerprint's ordinal to each of its blocking cells.
+
+    Emits ``(folded cell, ordinal)`` int pairs read off the fingerprint
+    table, so the blocking shuffle moves 16 bytes a record and no chain.
+    For the exactness audit, target POIs are also batch-queried against
+    the portable R-tree over the training POI table to count exact
+    candidate pairs.
     """
 
     def setup(self, ctx) -> None:
         self._d = ctx.conf.get_float("linkage.max_match_dist_m")
         self._index, self._owners = ctx.cache.get(INDEX_CACHE_KEY)
+        self._table = ctx.cache.get(TABLE_CACHE_KEY)
 
     def run(self, chunk: Chunk, ctx) -> None:
-        prints = [
-            (role == "train", str(user), fp)
-            for user, (role, fp) in chunk.records()
-            if fp is not None
-        ]
-        if not prints:
-            return
-        # Every POI of the chunk's fingerprints, and which one it is of.
-        lat, lon = np.concatenate([fp.states for _, _, fp in prints]).T
-        owner = np.repeat(np.arange(len(prints)), [fp.n_states for _, _, fp in prints])
-        train = np.array([is_train for is_train, _, _ in prints], dtype=bool)[owner]
-        at, cover_band, cover_j = cover_cells(lat[train], lon[train], self._d)
-        own_band, own_j = blocking_cells(lat[~train], lon[~train], self._d)
-        cells = _cells_by_print(
-            len(prints),
-            np.concatenate((owner[train][at], owner[~train])),
-            np.concatenate((cover_band, own_band)),
-            np.concatenate((cover_j, own_j)),
+        table = self._table
+        prints = np.array(
+            [
+                table.ordinal[role, str(user)]
+                for user, (role, fp) in chunk.records()
+                if fp is not None
+            ],
+            dtype=np.int64,
         )
-        for (is_train, user, fp), mine in zip(prints, cells):
-            value = (0 if is_train else 1, user, fp, mine)
-            for cell in mine:
-                ctx.emit(cell, value, nbytes=len(mine) * 16 + 64)
-        if train.all():
+        first = table.cell_offsets[prints]
+        owner, k = ragged_arange(table.cell_offsets[prints + 1] - first)
+        for cell, ordinal in zip(table.cells[first[owner] + k].tolist(), prints[owner].tolist()):
+            ctx.emit(cell, ordinal, nbytes=16)
+        targets = prints[prints >= table.n_train]
+        if not len(targets):
             return
         # The audit: distinct (target, training owner) pairs with a POI
         # pair within the match distance.
-        hits = self._index.query_radius_batch(
-            np.column_stack((lat[~train], lon[~train])), self._d
-        )
-        target = np.repeat(owner[~train], [len(hit) for hit in hits])
+        first = table.state_offsets[targets]
+        poi, k = ragged_arange(table.state_offsets[targets + 1] - first)
+        hits = self._index.query_radius_batch(table.states[first[poi] + k], self._d)
+        target = np.repeat(targets[poi], [len(hit) for hit in hits])
         pairs = len(set(zip(target.tolist(), self._owners[np.concatenate(hits)].tolist())))
         if pairs:
             ctx.counters.increment(GROUP_LINKAGE, COUNTER_PAIRS_EXACT, pairs)
 
 
+def _owned_pairs(table: FingerprintTable, groups) -> list[tuple[int, int, int]]:
+    """``(cell, target, training)`` ordinals of every pair a task's cell
+    groups own: the pair's smallest shared cell is the group's, so a
+    pair sharing several cells is scored once."""
+    offsets, cells = table.cell_offsets, table.cells
+    listed: dict[int, list[int]] = {}
+    as_set: dict[int, frozenset[int]] = {}
+    owned = []
+    for key, ordinals in groups:
+        targets = [o for o in ordinals if o >= table.n_train]
+        if not targets:
+            continue
+        trains = [o for o in ordinals if o < table.n_train]
+        for target in targets:
+            if target not in listed:
+                listed[target] = cells[offsets[target] : offsets[target + 1]].tolist()
+            # Both sides hold ``key``, so ``key`` owns the pair iff none
+            # of the target's cells below it (a prefix of its sorted
+            # list) is also the training fingerprint's.
+            smaller = listed[target][: bisect_left(listed[target], key)]
+            for train in trains:
+                if smaller:
+                    if train not in as_set:
+                        mine = cells[offsets[train] : offsets[train + 1]]
+                        as_set[train] = frozenset(mine.tolist())
+                    if not as_set[train].isdisjoint(smaller):
+                        continue
+                owned.append((key, target, train))
+    return owned
+
+
+def _pair_distances(
+    states: np.ndarray, offsets: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Haversine metres from every state of fingerprint ``a[n]`` to every
+    state of ``b[n]``, all pairs in one call: pair ``n``'s row-major
+    ``(k_a, k_b)`` matrix is ``dists[starts[n]:starts[n + 1]]``.
+
+    Every element comes out bit for bit as ``_match_states``'s per-pair
+    broadcast computes it: the Haversine is elementwise, and its NumPy
+    ufuncs give an element the same bits wherever it sits in an array
+    (``tests/attacks/test_pair_distances.py`` gates this).
+    """
+    k_a = offsets[a + 1] - offsets[a]
+    k_b = offsets[b + 1] - offsets[b]
+    pair, flat = ragged_arange(k_a * k_b)
+    i, j = np.divmod(flat, k_b[pair])
+    rows_a = offsets[a][pair] + i
+    rows_b = offsets[b][pair] + j
+    dists = haversine_m(states[rows_a, 0], states[rows_a, 1], states[rows_b, 0], states[rows_b, 1])
+    return dists, np.concatenate(([0], np.cumsum(k_a * k_b)))
+
+
 class LinkageScoreReducer(Reducer):
-    """Score each plausible pair once and emit per-pseudonym cell bests.
+    """Score each pair a task's cells own once; emit per-pseudonym cell bests.
 
     A pair may co-occur in several cells; only its *owner* cell — the
     smallest cell both sides share — scores it, so the scored-pairs
-    counter is an exact pair count and no work is duplicated.
+    counter is an exact pair count and no work is duplicated.  One
+    Haversine call prices every owned pair's POI distances; the greedy
+    match and the score are :func:`~repro.attacks.mmc.mmc_link_score`'s.
     """
 
     def setup(self, ctx) -> None:
         self._d = ctx.conf.get_float("linkage.max_match_dist_m")
+        self._table = ctx.cache.get(TABLE_CACHE_KEY)
 
-    def reduce(self, key, values, ctx) -> None:
-        # Both sides of a pair hold ``key``, so ``key`` owns the pair iff
-        # they share no smaller cell: only the cells below ``key`` (a
-        # prefix of the sorted list) are compared.
-        targets = [
-            (user, fp, frozenset(cells[: bisect_left(cells, key)]))
-            for role, user, fp, cells in values
-            if role
-        ]
-        if not targets:
+    def run(self, groups, ctx) -> None:
+        table = self._table
+        owned = _owned_pairs(table, groups)
+        if not owned:
             return
-        trains = [
-            (user, fp, frozenset(cells[: bisect_left(cells, key)]))
-            for role, user, fp, cells in values
-            if not role
-        ]
+        _, targets, trains = (np.array(column, dtype=np.int64) for column in zip(*owned))
+        dists, starts = _pair_distances(table.states, table.state_offsets, targets, trains)
+        best: dict[tuple[int, int], tuple[float, str]] = {}
         scored = 0
-        for pseud, target_fp, target_below in targets:
-            best: tuple[float, str] | None = None
-            for user, train_fp, train_below in trains:
-                if not target_below.isdisjoint(train_below):
-                    continue
-                score = mmc_link_score(
-                    target_fp, train_fp, max_match_dist_m=self._d
-                )
-                if score is None:
-                    continue
-                scored += 1
-                if best is None or (score, user) < best:
-                    best = (score, user)
-            if best is not None:
-                ctx.emit(pseud, best, nbytes=24)
+        for (key, target, train), lo, hi in zip(owned, starts.tolist(), starts[1:].tolist()):
+            width = table.chains[train].n_states
+            matched = _greedy_match(dists[lo:hi].reshape(-1, width), self._d)
+            if not matched:
+                continue
+            score = _pair_score(table.chains[target], table.chains[train], matched, 1.0)
+            scored += 1
+            cand = (score, table.users[train])
+            if (key, target) not in best or cand < best[key, target]:
+                best[key, target] = cand
+        for (_key, target), cand in best.items():
+            ctx.emit(table.users[target], cand, nbytes=24)
         if scored:
             ctx.counters.increment(GROUP_LINKAGE, COUNTER_PAIRS_SCORED, scored)
 
@@ -551,22 +672,23 @@ def run_linkage_attack(
         if fp is not None
     ]
     roster: list[str] = []
-    n_target_fps = 0
+    target_fps = []
     for user, (_role, fp) in hdfs.read_records(fps_target):
         roster.append(str(user))
         if fp is not None:
-            n_target_fps += 1
+            target_fps.append((str(user), fp))
 
     pairs_scored = 0
     pairs_exact: "int | None" = None
     best: dict[str, tuple[float, str]] = {}
-    if train_fps and n_target_fps:
+    if train_fps and target_fps:
+        table = _fingerprint_table(train_fps, target_fps, max_match_dist_m)
         # The training POI table: owner, coordinates, and the POI's rank
         # as the timestamp.
-        counts = [fp.n_states for _, fp in train_fps]
-        owners = np.repeat(np.array([user for user, _ in train_fps], dtype=object), counts)
-        states = np.concatenate([fp.states for _, fp in train_fps])
-        ranks = np.concatenate([np.arange(k, dtype=np.float64) for k in counts])
+        counts = np.diff(table.state_offsets[: len(train_fps) + 1])
+        owners = np.repeat(np.array(table.users[: len(train_fps)], dtype=object), counts)
+        states = table.states[: len(owners)]
+        ranks = ragged_arange(counts)[1].astype(np.float64)
         hdfs.delete(poi_path, missing_ok=True)
         hdfs.put_trace_array(
             poi_path, TraceArray.from_columns(owners, states[:, 0], states[:, 1], ranks)
@@ -575,6 +697,7 @@ def run_linkage_attack(
 
         index, _built = IndexCatalog(hdfs).ensure(runner, poi_path)
         runner.cache.replace(INDEX_CACHE_KEY, (index.to_portable(), owners))
+        runner.cache.replace(TABLE_CACHE_KEY, table, nbytes=table.nbytes)
 
         hdfs.delete(links_path, missing_ok=True)
         link_result = runner.run(
@@ -611,10 +734,10 @@ def run_linkage_attack(
     outcome = LinkageAttackResult(
         result=DeanonymizationResult(linkage, dict(ground_truth or {}), scores),
         n_train_fingerprints=len(train_fps),
-        n_target_fingerprints=n_target_fps,
+        n_target_fingerprints=len(target_fps),
         pairs_scored=int(pairs_scored),
         pairs_exact=int(pairs_exact) if pairs_exact is not None else None,
-        cross_product=len(train_fps) * n_target_fps,
+        cross_product=len(train_fps) * len(target_fps),
         sim_seconds=float(runner.history.clock - t0),
     )
     data = {

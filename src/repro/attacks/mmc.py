@@ -204,7 +204,13 @@ def _match_states(a: MobilityMarkovChain, b: MobilityMarkovChain, max_dist_m: fl
         a.states[:, None, 0], a.states[:, None, 1],
         b.states[None, :, 0], b.states[None, :, 1],
     )
-    d = np.atleast_2d(d)
+    return _greedy_match(np.atleast_2d(d), max_dist_m)
+
+
+def _greedy_match(d: np.ndarray, max_dist_m: float) -> list[tuple[int, int]]:
+    """The greedy walk over an ``(n_a, n_b)`` distance matrix: closest
+    pairs first, each state matched at most once, none beyond
+    ``max_dist_m``."""
     pairs: list[tuple[int, int]] = []
     used_a: set[int] = set()
     used_b: set[int] = set()

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.algorithms.djcluster import DJClusterParams
 from repro.attacks.poi import poi_attack
-from repro.checks import finite, non_negative, positive
+from repro.checks import count, finite, non_negative, positive
 from repro.geo.geolife import read_geolife_dataset, write_geolife_dataset
 from repro.geo.synthetic import SyntheticConfig, generate_dataset
 from repro.sanitization import (
@@ -595,8 +595,16 @@ def matches_reference(ref_tree, kind: str, args: tuple[float, ...], got) -> bool
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
+        (command,) = (a.choices[args.command] for a in parser._actions if a.dest == "command")
+        for action in command._actions:
+            # argparse reads ``--flag=--`` as an empty list (appended to
+            # the list of an ``append`` flag), never calling the type.
+            value = getattr(args, action.dest, None)
+            if action.option_strings and isinstance(value, list) and (value == [] or [] in value):
+                raise ValueError(f"{action.option_strings[0]} needs a value, got '--'")
         return _run(args)
     except ValueError as exc:
         # The one place a bad argument becomes an exit: one line, status 1.
@@ -823,6 +831,7 @@ def _run(args: argparse.Namespace) -> int:
             return run_selfcheck()
         if not args.file:
             raise SystemExit("history: provide a history file or --selfcheck")
+        count("--width", args.width, 1)
         from repro.observability.history import load_history
         from repro.observability.report import render_report, render_window_report
 

@@ -21,10 +21,18 @@ class DistributedCache:
 
     def __init__(self) -> None:
         self._entries: dict[str, Any] = {}
+        #: Each entry's modelled size, taken once, as it is stored.
+        self._sizes: dict[str, int] = {}
 
-    def replace(self, name: str, value: Any) -> None:
-        """Overwrite an entry (e.g. centroids updated between iterations)."""
+    def replace(self, name: str, value: Any, nbytes: int | None = None) -> None:
+        """Overwrite an entry (e.g. centroids updated between iterations).
+
+        The entry is sized here, once: ``nbytes`` when the caller knows
+        its modelled size (as ``emit`` takes one), else
+        :func:`estimate_nbytes` of ``value``.
+        """
         self._entries[name] = value
+        self._sizes[name] = estimate_nbytes(value) if nbytes is None else int(nbytes)
 
     def get(self, name: str) -> Any:
         if name not in self._entries:
@@ -39,7 +47,10 @@ class DistributedCache:
 
     def nbytes(self) -> int:
         """Modelled broadcast payload size (for the cost model)."""
-        return sum(estimate_nbytes(v) for v in self._entries.values())
+        for name in self._entries.keys() - self._sizes.keys():
+            # Rebuilt from a snapshot: sized on first asking.
+            self._sizes[name] = estimate_nbytes(self._entries[name])
+        return sum(self._sizes.values())
 
     def snapshot(self) -> dict[str, Any]:
         """Shallow copy of all entries, in insertion order.
@@ -49,6 +60,13 @@ class DistributedCache:
         per tasktracker, so the simulated accounting is unchanged).
         """
         return dict(self._entries)
+
+    def copy(self) -> "DistributedCache":
+        """A shallow copy that keeps each entry's size."""
+        cache = DistributedCache()
+        cache._entries = dict(self._entries)
+        cache._sizes = dict(self._sizes)
+        return cache
 
     @classmethod
     def from_snapshot(cls, entries: dict[str, Any]) -> "DistributedCache":

@@ -358,7 +358,8 @@ class _Submission:
     order: int
     tenant: str
     job: JobSpec
-    snapshot: dict[str, Any]
+    #: The tenant's distributed cache as it stood at submission.
+    cache: DistributedCache
     future: JobFuture
     #: Extra JSON-safe labels stamped into the job's JOB_SUBMIT/JOB_START
     #: events (the streaming layer tags jobs with their window index).
@@ -681,7 +682,7 @@ class JobService:
                 order=next(self._seq),
                 tenant=tenant,
                 job=spec,
-                snapshot=state.cache.snapshot(),
+                cache=state.cache.copy(),
                 future=future,
                 tags=dict(tags) if tags else None,
             )
@@ -791,12 +792,12 @@ class JobService:
         result cache, executes on a miss, and stores cacheable outputs.
         """
         runner = self._runner
-        runner.cache = DistributedCache.from_snapshot(sub.snapshot)
+        runner.cache = sub.cache
         runner.tenant = sub.tenant
         runner.job_tags = sub.tags
         try:
             key = (
-                result_cache_key(sub.job, self.hdfs, sub.snapshot)
+                result_cache_key(sub.job, self.hdfs, sub.cache.snapshot())
                 if self.result_cache is not None
                 else None
             )

@@ -42,11 +42,11 @@ def ascii_density_map(
     wash out the commute corridors.  ``ValueError`` for a non-finite
     coordinate (a NaN bounding box would collapse the whole raster).
     """
+    count("width", width, 2)
+    count("height", height, 2)
     array = data.flat() if isinstance(data, GeolocatedDataset) else data
     if len(array) == 0:
         return "(empty dataset)"
-    count("width", width, 2)
-    count("height", height, 2)
     finite_column(array.latitude, "coordinates")
     finite_column(array.longitude, "coordinates")
     finite_column([m[:2] for m in markers], "coordinates")

@@ -325,6 +325,99 @@ class TestEquivalence:
         assert all(v is None for v in outcome.result.linkage.values())
 
 
+class TestBlockingShuffle:
+    """Stage 2 ships who meets whom: cell keys and fingerprint ordinals."""
+
+    def test_the_score_shuffle_moves_ints_on_the_vectorized_path(self, monkeypatch):
+        from repro.attacks.mmc import MobilityMarkovChain
+        from repro.mapreduce import shuffle
+
+        calls = []
+        fast = shuffle._shuffle_fast
+
+        def recording(map_outputs, partitioner, n_reducers):
+            result = fast(map_outputs, partitioner, n_reducers)
+            calls.append(([pair for output in map_outputs for pair in output], result))
+            return result
+
+        monkeypatch.setattr(shuffle, "_shuffle_fast", recording)
+        train, target, truth = synthetic_linkage_corpus(12, seed=3)
+        runner = _deployment(train, target)
+        try:
+            outcome = run_linkage_attack(runner, "input/train", "input/target", truth,
+                                         params=SYNTH_ATTACK_PARAMS)
+            (finish,) = (e for e in runner.history.events
+                         if e.kind == EventKind.JOB_FINISH and e.job == "linkage-score")
+        finally:
+            runner.close()
+        assert outcome.pairs_scored == outcome.pairs_exact > 0
+
+        def chains_in(value):
+            if isinstance(value, tuple):
+                return any(chains_in(v) for v in value)
+            return isinstance(value, MobilityMarkovChain)
+
+        assert not any(chains_in(value) for pairs, _ in calls for _, value in pairs)
+        ints = [(pairs, result) for pairs, result in calls
+                if pairs and all(type(k) is int and type(v) is int for k, v in pairs)]
+        (pairs, result), = ints
+        assert result is not None  # the vectorized path took it
+        task = finish.data["counters"]["task"]
+        assert len(pairs) == task["map_output_records"]
+        assert result.shuffled_bytes == task["shuffle_bytes"] == task["map_output_bytes"]
+        assert task["shuffle_bytes"] == 16 * len(pairs)
+
+    def test_seam_pairs_are_the_brute_force(self, monkeypatch):
+        # On the golden's seam corpus (covers wrap the antimeridian and
+        # reach the polar cell) the reduce tasks consider exactly the
+        # pairs sharing a blocking cell of the scalar oracle, each once,
+        # and score exactly those with a POI pair within the distance.
+        from repro.attacks import linkage_mr
+        from tests.goldens.attacks import CASES
+
+        seen, scored, tables = [], [], []
+        owned_pairs, pair_score = linkage_mr._owned_pairs, linkage_mr._pair_score
+
+        def owning(table, groups):
+            tables.append(table)
+            owned = owned_pairs(table, groups)
+            seen.extend((table.users[t], table.users[r]) for _, t, r in owned)
+            return owned
+
+        def scoring(a, b, matched, penalty):
+            ordinal = {id(chain): o for o, chain in enumerate(tables[-1].chains)}
+            scored.append((tables[-1].users[ordinal[id(a)]], tables[-1].users[ordinal[id(b)]]))
+            return pair_score(a, b, matched, penalty)
+
+        monkeypatch.setattr(linkage_mr, "_owned_pairs", owning)
+        monkeypatch.setattr(linkage_mr, "_pair_score", scoring)
+        train, target, truth = synthetic_linkage_corpus(**CASES["seam"])
+        runner = _deployment(train, target)
+        try:
+            outcome = run_linkage_attack(runner, "input/train", "input/target", truth,
+                                         params=SYNTH_ATTACK_PARAMS)
+        finally:
+            runner.close()
+        table = tables[0]
+        prints = list(zip(table.users, table.chains))
+        trains, targets = prints[: table.n_train], prints[table.n_train :]
+        sharing, near = set(), set()
+        for user, fp in targets:
+            own = {oracle_cell(lat, lon, D) for lat, lon in fp.states.tolist()}
+            for train_user, train_fp in trains:
+                covered = set().union(*(oracle_cover(lat, lon, D)
+                                        for lat, lon in train_fp.states.tolist()))
+                if own & covered:
+                    sharing.add((user, train_user))
+                dists = haversine_m(fp.states[:, None, 0], fp.states[:, None, 1],
+                                    train_fp.states[None, :, 0], train_fp.states[None, :, 1])
+                if (dists <= D).any():
+                    near.add((user, train_user))
+        assert len(seen) == len(set(seen)) and set(seen) == sharing
+        assert len(scored) == len(set(scored)) and set(scored) == near
+        assert outcome.pairs_scored == outcome.pairs_exact == len(near) > 0
+
+
 class TestCorpusHelpers:
     def test_split_is_disjoint_and_truthful(self):
         train, _, truth = synthetic_linkage_corpus(5, seed=9)

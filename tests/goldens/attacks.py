@@ -125,6 +125,26 @@ def build_linkage() -> str:
     })
 
 
+def gates_linkage(doc: dict) -> list[str]:
+    """Every run's blocking is exact (``pairs_scored == pairs_exact``),
+    and its ``linkage-score`` job shuffles the bytes its mappers emit:
+    the cost model charges what the job ships."""
+    problems = []
+    for label, run in doc["runs"].items():
+        if run["pairs_scored"] != run["pairs_exact"]:
+            problems.append(
+                f"{label}: scored {run['pairs_scored']} pairs, "
+                f"the audit counts {run['pairs_exact']}"
+            )
+        task = run["jobs"]["linkage-score"]["task"]
+        if task["map_output_bytes"] != task["shuffle_bytes"]:
+            problems.append(
+                f"{label}: linkage-score emits {task['map_output_bytes']} map output bytes "
+                f"but shuffles {task['shuffle_bytes']}"
+            )
+    return problems
+
+
 PARAMS = DJClusterParams(radius_m=150.0, min_pts=3)
 MAX_POIS = 3
 ATTACH_RADIUS_M = 60.0

@@ -34,7 +34,7 @@ GOLDENS: dict[str, Golden] = {
         Golden("kmeans", "tests/algorithms/golden_kmeans.json", kmeans.build),
         Golden(
             "linkage", "tests/attacks/golden_linkage_jobs.json", attacks.build_linkage,
-            numpy_fields=("runs/*/outputs_sha256/*",),
+            attacks.gates_linkage, numpy_fields=("runs/*/outputs_sha256/*",),
         ),
         Golden(
             "fingerprints", "tests/attacks/golden_fingerprints.json",

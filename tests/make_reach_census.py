@@ -98,6 +98,8 @@ _README = "kept: README's quickstart calls it"
 REASONS: dict[str, str] = {
     "repro.mapreduce.backends:_pool_run_batch": _POOL + "the pool's one entry point",
     "repro.mapreduce.backends:_resolve_cache": _POOL + "rebuilds the broadcast cache",
+    "repro.mapreduce.cache:DistributedCache.from_snapshot": _POOL + "turns the unpickled "
+        "snapshot back into a cache",
     "repro.mapreduce.backends:_resolve_chunk": _POOL + "attaches a chunk's shm segment",
     "repro.mapreduce.backends:_untrack_shm": _POOL + "keeps the worker's resource "
         "tracker off the driver's segments",
@@ -121,6 +123,9 @@ REASONS: dict[str, str] = {
     "repro.geo.trace:TraceArray.__iter__": _RECORD_VIEW,
     "repro.algorithms.kmeans:KMeansAggregation.lift": "oracle: test_aggregation's "
         "test_kmeans_lift_pairs_matches_object_loop_bitwise folds it against lift_pairs",
+    "repro.mapreduce.shuffle:_group_sorted_generic": "oracle: test_shuffle_fastpath and "
+        "test_shuffle_properties hold group_sorted's vectorized path to it; it also groups "
+        "the mixed or tuple key streams that path declines",
     "repro.index.rtree:Rect.min_dist_m": "oracle: test_rtree_properties' scalar "
         "best-first kNN prices children with it",
     "repro.index.rtree:Rect.union": "oracle: tests/conftest.py's check_invariants "
@@ -621,6 +626,8 @@ def build_census(workers: int = 2) -> tuple[dict[str, dict[str, str]], Counter]:
         for test, frames in record["codes"].items():
             called_by.setdefault(test, set()).update(keys(frames))
         for test, by_path in record["lines"].items():
+            if not test:
+                continue  # collection, not a test: a module-level call in a test file
             for path, lines in by_path.items():
                 for line in lines:
                     if test < first_test.get((path, line), "~"):

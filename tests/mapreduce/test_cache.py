@@ -8,6 +8,7 @@ from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.hdfs import SimulatedHDFS
 from repro.mapreduce.job import JobSpec, Mapper
 from repro.mapreduce.runner import JobRunner
+from repro.mapreduce.types import estimate_nbytes
 
 
 class TestDistributedCache:
@@ -32,6 +33,35 @@ class TestDistributedCache:
         cache = DistributedCache()
         cache.replace("arr", np.zeros(100))
         assert cache.nbytes() == 800
+
+    def test_an_entry_is_sized_once_as_it_is_stored(self, monkeypatch):
+        from repro.mapreduce import cache as cache_module
+
+        entries = {"index": {"nodes": list(range(50))}, "k": 3, "centroids": np.zeros((4, 2))}
+        cache = DistributedCache()
+        for name, value in entries.items():
+            cache.replace(name, value)
+        cache.replace("index", {"nodes": list(range(80))})
+        entries["index"] = {"nodes": list(range(80))}
+        expected = sum(estimate_nbytes(v) for v in entries.values())
+
+        sized = []
+        real = cache_module.estimate_nbytes
+        monkeypatch.setattr(
+            cache_module, "estimate_nbytes", lambda v: sized.append(v) or real(v)
+        )
+        assert cache.nbytes() == cache.nbytes() == expected
+        assert cache.copy().nbytes() == expected
+        assert sized == []
+        rebuilt = DistributedCache.from_snapshot(cache.snapshot())
+        assert rebuilt.nbytes() == rebuilt.nbytes() == expected
+        assert len(sized) == len(entries)
+
+    def test_a_caller_may_give_the_size(self):
+        cache = DistributedCache()
+        cache.replace("table", {"rows": [1, 2, 3]}, nbytes=24)
+        cache.replace("arr", np.zeros(10))
+        assert cache.nbytes() == 24 + 80
 
 
 class TestCacheVisibleToTasks:

@@ -7,21 +7,27 @@ Two families of invariants:
   chunking, and the blocking audit stays exact;
 * geometry: the candidate-blocking cover never drops a point with
   spatial evidence — for any two points within the match distance, the
-  cover of one contains the cell of the other.
+  cover of one contains the cell of the other — and every cell the grid
+  makes folds into its own int64 shuffle key, in cell order.
 """
 
 import math
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.attacks.linkage_mr import (
+    _POLAR_BAND,
     SYNTH_ATTACK_PARAMS,
+    _fold,
     deanonymization_attack_reference,
     linkage_signature,
     run_linkage_attack,
     synthetic_linkage_corpus,
 )
+from repro.attacks.linkage_mr import cover_cells as cover_cells_of
 from repro.geo.distance import haversine_m
 from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.config import BACKENDS
@@ -113,3 +119,61 @@ def test_cover_never_drops_a_point_within_match_distance(lat, lon, bearing, frac
     # Symmetric direction: the shuffle co-locates the pair whichever
     # side plays "training" (cover) and whichever plays "target" (cell).
     assert blocking_cell(lat, lon, d) in cover_cells(plat, plon, d)
+
+
+_CELL = st.integers(min_value=-_POLAR_BAND, max_value=_POLAR_BAND)
+
+
+@settings(max_examples=300, deadline=None)
+# The polar cells, and the extreme bands and columns _floor lets through.
+@example(a=(_POLAR_BAND, 1), b=(_POLAR_BAND, -1))
+@example(a=(_POLAR_BAND, _POLAR_BAND), b=(-_POLAR_BAND, -_POLAR_BAND))
+@example(a=(-_POLAR_BAND, _POLAR_BAND), b=(-_POLAR_BAND + 1, -_POLAR_BAND))
+@example(a=(0, -1), b=(-1, _POLAR_BAND))
+@given(a=st.tuples(_CELL, _CELL), b=st.tuples(_CELL, _CELL))
+def test_the_cell_fold_is_injective_and_keeps_cell_order(a, b):
+    folded = _fold(np.array([a[0], b[0]]), np.array([a[1], b[1]])).tolist()
+    assert (folded[0] == folded[1]) == (a == b)
+    assert (folded[0] < folded[1]) == (a < b)
+
+
+def _smallest_grid_distance(lat, lon) -> float:
+    """The smallest match distance (to a part in 10^12) at which the grid
+    still covers ``lat, lon`` without refusing."""
+    lo, hi = 1e-6, 1.0
+    while hi - lo > 1e-12 * hi:
+        mid = (lo + hi) / 2.0
+        try:
+            cover_cells_of([lat], [lon], mid)
+            hi = mid
+        except ValueError:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize(
+    "lat, lon",
+    [(0.0, 179.99999999), (0.0, -179.99999999), (-84.99999999, 180.0), (84.999999, -180.0)],
+    ids=["east-wrap", "west-wrap", "south-edge", "north-edge"],
+)
+def test_every_cell_of_the_finest_grid_folds(lat, lon):
+    # Down to the smallest distance _floor accepts, across both
+    # antimeridian wraps and into the polar cells, the grid's cells fold
+    # without collision; a hair finer and the grid itself refuses.
+    d = _smallest_grid_distance(lat, lon)
+    _point, band, j = cover_cells_of([lat, 89.0, -89.0], [lon, 0.0, 0.0], d)
+    cells = set(zip(band.tolist(), j.tolist()))
+    assert (_POLAR_BAND, 1) in cells and (_POLAR_BAND, -1) in cells
+    assert max(abs(column) for cell in cells - {(_POLAR_BAND, 1), (_POLAR_BAND, -1)}
+               for column in cell) > _POLAR_BAND // 2
+    assert len(set(_fold(band, j).tolist())) == len(cells)
+    with pytest.raises(ValueError, match="too small for an int64 blocking grid"):
+        cover_cells_of([lat], [lon], d * (1.0 - 1e-9))
+
+
+@pytest.mark.parametrize(
+    "band, j", [(_POLAR_BAND + 1, 0), (-_POLAR_BAND - 1, 0), (0, _POLAR_BAND + 1), (0, -(2**31))]
+)
+def test_a_cell_outside_the_grid_does_not_fold(band, j):
+    with pytest.raises(ValueError, match="to fold into int64"):
+        _fold(np.array([0, band]), np.array([0, j]))

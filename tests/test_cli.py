@@ -286,6 +286,11 @@ class TestArgumentErrors:
              "stream: max_iter must be an integer >= 1, got 0"),
             (["stream", "--users", "1", "--sampling-window", "nan"],
              "stream: sampling_window_s must be positive and finite, got nan"),
+            (["generate", "--out", "{missing}", "--users=--"],
+             "generate: --users needs a value, got '--'"),
+            (["history", "{garbled}", "--job=--"], "history: --job needs a value, got '--'"),
+            (["history", "{garbled}", "--width", "0"],
+             "history: --width must be an integer >= 1, got 0"),
         ],
         ids=["attack-no-input", "attack-lone-trace", "sweep-no-mechanism", "sweep-lone-trace",
              "sweep-colliding", "submit-window", "submit-window-nan", "submit-no-users",
@@ -294,7 +299,8 @@ class TestArgumentErrors:
              "stream-report-garbled", "stream-tenants", "stream-window", "stream-window-nan",
              "stream-probability", "generate-no-users", "stream-no-users", "sweep-radius-nan",
              "info-missing", "visualize-missing", "attack-missing", "stream-k", "stream-max-iter",
-             "stream-sampling-window-nan"],
+             "stream-sampling-window-nan", "generate-empty-users", "history-empty-job",
+             "history-zero-width"],
     )
     def test_exits_with_one_line(self, argv, message, lone_trace_dir, tmp_path):
         garbled = tmp_path / "garbled.json"

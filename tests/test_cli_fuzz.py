@@ -27,7 +27,8 @@ NOT_A_PROBABILITY = st.one_of(
     st.floats(max_value=-1e-9, allow_infinity=False).map(repr),
     st.floats(min_value=1.0 + 1e-9, allow_infinity=False).map(repr),
 )
-NOT_A_NUMBER = st.sampled_from(["", "x", "1e", "0x10"])
+#: ``"--"`` included: argparse reads ``--flag=--`` as an empty list.
+NOT_A_NUMBER = st.sampled_from(["", "x", "1e", "0x10", "--"])
 
 #: ``subcommand: (argv without the flag, {flag: hostile values})``.
 SURFACE = {

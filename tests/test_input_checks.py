@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.algorithms.sampling import run_sampling_job
 from repro.attacks.deanonymization import fingerprint_users
 from repro.attacks.linkage_mr import blocking_cells, cover_cells, run_linkage_attack
 from repro.checks import count, finite, non_negative, positive, probability
+from repro.cli import _run, build_parser
 from repro.geo.grid import grid_cells, time_windows
 from repro.geo.trace import TraceArray
 from repro.index.persistent import PersistentRTree, QueryEngine
@@ -45,7 +47,9 @@ from repro.sanitization import (
     TemporalAggregator,
     UniformNoiseMask,
 )
+from repro.viz import ascii_density_map
 
+HISTORY = Path(__file__).parent / "observability" / "golden_history.json"
 HOSTILE = [math.nan, math.inf, -math.inf, 0, -1, True, 1.5, "5"]
 
 ARRAY = TraceArray.from_columns(
@@ -159,7 +163,22 @@ TABLE = [
     ("SpatialCloaking", "window_s", positive, lambda v: SpatialCloaking(2, window_s=v)),
     ("SpatialCloaking", "max_levels", ONE, lambda v: SpatialCloaking(2, max_levels=v)),
     ("MixZone", "radius_m", positive, lambda v: MixZone(40.0, 116.0, v)),
+    ("ascii_density_map", "width", TWO, lambda v: ascii_density_map(ARRAY, width=v)),
+    ("ascii_density_map", "height", TWO, lambda v: ascii_density_map(ARRAY, height=v)),
+    ("ascii_density_map (no traces)", "width", TWO,
+     lambda v: ascii_density_map(ARRAY[np.arange(0)], width=v)),
+    ("repro history", "--width", ONE,
+     lambda v: _cli(["history", str(HISTORY), "--no-gantt"], width=v)),
 ]
+
+
+def _cli(argv, **values):
+    """``repro <argv>`` with ``values`` set past argparse, as numbers
+    from a caller would arrive."""
+    args = build_parser().parse_args(argv)
+    vars(args).update(values)
+    return _run(args)
+
 
 def _rejection(check, name, value) -> str | None:
     try:
