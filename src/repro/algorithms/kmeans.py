@@ -22,7 +22,10 @@ at once, ranking candidates by a cheap key monotone in the distance
 (Section VI's squared-Euclidean argument, applied to Haversine as the dot
 product of unit vectors); one stable gather cuts the chunk into
 per-cluster point blocks, emitted so the shuffle-byte accounting still
-reflects the paper's per-trace intermediate volume.
+reflects the paper's per-trace intermediate volume.  The points never
+move, so a stored chunk's unit vectors are derived once and kept on its
+:class:`~repro.geo.trace.TraceArray`: a round pays trig only for the
+``k`` centroids.
 """
 
 from __future__ import annotations
@@ -41,13 +44,14 @@ from repro.geo.distance import (
     haversine_arg,
     haversine_km,
     pairwise,
+    unit_vectors,
 )
 from repro.mapreduce.aggregation import Aggregation
 from repro.mapreduce.config import Configuration
 from repro.mapreduce.job import JobSpec, Mapper, Reducer
 from repro.mapreduce.runner import JobRunner
 from repro.mapreduce.counters import STANDARD
-from repro.mapreduce.types import Chunk
+from repro.mapreduce.types import Chunk, PagedPayload
 from repro.observability.events import EventKind
 
 __all__ = [
@@ -72,19 +76,14 @@ _POINT_RECORD_BYTES = 16
 # live in ``repro.geo.distance``, beside the radius kernel they also bound.
 
 
-def _unit_sphere_cos(lat1, lon1, lat2, lon2) -> np.ndarray:
-    """``cos θ = p̂·ĉ`` of each pair: ``pairwise``'s signature, but trig
-    once per operand row — each side's unit vector from its own ``cos`` and
-    ``sin`` — and three broadcast multiply-adds per pair.  Only a ranking
-    key: larger is closer, ``a = (1 - cos θ) / 2`` in exact arithmetic."""
-    lat1, lon1, lat2, lon2 = (np.radians(x) for x in (lat1, lon1, lat2, lon2))
-    cos1, cos2 = np.cos(lat1), np.cos(lat2)
-    out = (cos1 * np.cos(lon1)) * (cos2 * np.cos(lon2))
-    term = np.multiply(cos1 * np.sin(lon1), cos2 * np.sin(lon2))
-    out += term
-    np.multiply(np.sin(lat1), np.sin(lat2), out=term)
-    out += term
-    return out
+def _first_true(mask: np.ndarray) -> np.ndarray:
+    """Row of each column's first ``True`` in a ``(k, n)`` mask holding at
+    least one per column: ``k - max(mask · [k, k-1, …, 1])``, the weighted
+    max reducing down contiguous rows where ``argmax(axis=0)`` transposes
+    and loops per column."""
+    k = len(mask)
+    weights = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))
+    return k - (mask * weights[:, None]).max(axis=0).astype(np.intp)
 
 
 def _exact_rows(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -95,11 +94,11 @@ def _exact_rows(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def _nearest(
-    points: np.ndarray, centroids: np.ndarray, metric: str, finish: bool
+    points: np.ndarray, centroids: np.ndarray, metric: str, finish: bool, units: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The kernel of both public functions.  With ``finish`` false the
     Haversine branch computes no distance beyond the near-tie rows' and
-    returns ``None`` for them."""
+    returns ``None`` for them; ``units`` as the public functions take it."""
     points = finite_column(points, "coordinates")
     centroids = finite_column(centroids, "coordinates")
     if len(centroids) == 0:
@@ -108,10 +107,28 @@ def _nearest(
     if fn is not haversine_km:
         key = pairwise(fn, centroids, points)
         best = key.min(axis=0)
-        return np.argmax(key == best, axis=0), best
-    key = pairwise(_unit_sphere_cos, centroids, points)
+        return _first_true(key == best), best
+    if units is None:
+        units = unit_vectors(points)
+    elif units.shape != (3, len(points)):
+        raise ValueError(f"units must be (3, {len(points)}), got {units.shape}")
+    (cx, cy, cz), (px, py, pz) = unit_vectors(centroids)[:, :, None], units
+
+    def cos_angle(*_):
+        # cos θ = ĉ·p̂ of every (centroid, point) pair, three broadcast
+        # multiply-adds: a ranking key only, larger is closer, ``a = (1 -
+        # cos θ) / 2`` in exact arithmetic.  Called through ``pairwise``,
+        # whose coordinates it ignores, so the e2e tracer counts the key.
+        out = cx * px
+        term = np.multiply(cy, py)
+        out += term
+        np.multiply(cz, pz, out=term)
+        out += term
+        return out
+
+    key = pairwise(cos_angle, centroids, points)
     best = key.max(axis=0)
-    index = np.argmax(key == best, axis=0)
+    index = _first_true(key == best)
     key[index, np.arange(len(points))] = -np.inf
     gap = (best - key.max(axis=0)) / 2.0
     a_best = np.clip((1.0 - best) / 2.0, 0.0, 1.0)
@@ -130,7 +147,7 @@ def _nearest(
 
 
 def nearest_centroid(
-    points: np.ndarray, centroids: np.ndarray, metric: str
+    points: np.ndarray, centroids: np.ndarray, metric: str, *, units: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(index, distance)`` of the closest centroid for each (lat, lon) row.
 
@@ -145,11 +162,18 @@ def nearest_centroid(
     its exact ``haversine_km`` row.  Non-finite coordinates are a
     ``ValueError``: a NaN centroid would otherwise be every point's
     nearest, a NaN point poison a mean.  So is an empty centroid set.
+
+    ``units`` is the points' ``(3, n)``
+    :func:`~repro.geo.distance.unit_vectors` when the caller keeps them
+    (:meth:`TraceArray.unit_vectors`); Haversine derives them when it is
+    omitted, squared Euclidean ignores it.
     """
-    return _nearest(points, centroids, metric, finish=True)
+    return _nearest(points, centroids, metric, True, units)
 
 
-def assign_points(points: np.ndarray, centroids: np.ndarray, metric: str) -> np.ndarray:
+def assign_points(
+    points: np.ndarray, centroids: np.ndarray, metric: str, *, units: np.ndarray | None = None
+) -> np.ndarray:
     """Index of the closest centroid for each (lat, lon) row.
 
     :func:`nearest_centroid`'s index without its distances.  Ties break
@@ -157,7 +181,7 @@ def assign_points(points: np.ndarray, centroids: np.ndarray, metric: str) -> np.
     MapReduce paths share, so their assignments are bit-identical given
     identical centroids.
     """
-    return _nearest(points, centroids, metric, finish=False)[0]
+    return _nearest(points, centroids, metric, False, units)[0]
 
 
 def _update_centroids(
@@ -250,8 +274,20 @@ class KMeansResult:
         return self.total_sim_seconds / len(self.history)
 
 
-def _inertia(points: np.ndarray, centroids: np.ndarray, metric: str) -> float:
-    return float(nearest_centroid(points, centroids, metric)[1].sum())
+def _inertia(
+    points: np.ndarray, centroids: np.ndarray, metric: str, units: np.ndarray | None = None
+) -> float:
+    return float(nearest_centroid(points, centroids, metric, units=units)[1].sum())
+
+
+def _chunk_points(chunk: Chunk, metric: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """A stored chunk's coordinates and, for Haversine, its memoized unit
+    vectors.  A paged chunk (a memory budget is set) gets ``None``: the
+    kernel derives them per call, so the store's accounting stays the
+    bound on what is resident."""
+    array = chunk.trace_array()
+    keep = get_metric(metric) is haversine_km and not isinstance(chunk.payload, PagedPayload)
+    return array.coordinates(), array.unit_vectors() if keep else None
 
 
 def _hdfs_inertia(hdfs, path: str, centroids: np.ndarray, metric: str) -> float:
@@ -265,7 +301,8 @@ def _hdfs_inertia(hdfs, path: str, centroids: np.ndarray, metric: str) -> float:
     """
     total = 0.0
     for chunk in hdfs.chunks(path):
-        total += _inertia(chunk.trace_array().coordinates(), centroids, metric)
+        points, units = _chunk_points(chunk, metric)
+        total += _inertia(points, centroids, metric, units)
     return total
 
 
@@ -301,10 +338,13 @@ def kmeans_sequential(
     )
     if centroids.shape != (k, 2):
         raise ValueError(f"initial centroids must be ({k}, 2)")
+    # The points never move: their unit vectors are derived once, not per round.
+    haversine = get_metric(metric) is haversine_km
+    units = unit_vectors(finite_column(points, "coordinates")) if haversine else None
     converged = False
     iteration = 0
     for iteration in range(1, max_iter + 1):
-        assignment = assign_points(points, centroids, metric)
+        assignment = assign_points(points, centroids, metric, units=units)
         new_centroids = _update_centroids(points, assignment, centroids)
         move = _max_move(centroids, new_centroids, metric)
         centroids = new_centroids
@@ -315,7 +355,7 @@ def kmeans_sequential(
         centroids=centroids,
         n_iterations=iteration,
         converged=converged,
-        inertia=_inertia(points, centroids, metric),
+        inertia=_inertia(points, centroids, metric, units),
     )
 
 
@@ -330,7 +370,8 @@ class KMeansMapper(Mapper):
 
     Loads current centroids from the distributed cache in ``setup`` (the
     paper's ``centroids <- load from file``), assigns every trace with one
-    :func:`nearest_centroid` call, groups the chunk with one stable sort of
+    :func:`assign_points` call (Haversine against the unit vectors the
+    chunk keeps across rounds), groups the chunk with one stable sort of
     the assignment and one gather, and emits each non-empty cluster's rows
     (ascending id, chunk order inside) as one point block whose modelled
     size equals the per-trace intermediate volume.
@@ -341,11 +382,11 @@ class KMeansMapper(Mapper):
         self._metric = ctx.conf.get_str("kmeans.distance", "squared_euclidean")
 
     def run(self, chunk: Chunk, ctx) -> None:
-        points = chunk.trace_array().coordinates()
-        if len(points) == 0:
+        if chunk.n_records == 0:
             return
+        points, units = _chunk_points(chunk, self._metric)
         k = len(self._centroids)
-        assignment = assign_points(points, self._centroids, self._metric)
+        assignment = assign_points(points, self._centroids, self._metric, units=units)
         # Ids of at most 16 bits take NumPy's stable radix sort.
         order = np.argsort(assignment.astype(np.min_scalar_type(k - 1)), kind="stable")
         grouped = points[order]

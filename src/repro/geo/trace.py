@@ -24,6 +24,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.geo.distance import unit_vectors
+
 __all__ = ["MobilityTrace", "TraceArray", "Trail", "GeolocatedDataset"]
 
 
@@ -90,15 +92,27 @@ class TraceArray:
     window bucketing) runs over these contiguous NumPy columns.  The class is
     deliberately append-free: build it in one shot with
     :meth:`from_columns`, then slice with NumPy masks.
+
+    One derived column is memoized: :meth:`unit_vectors`, filled on first
+    use and dropped with the array.  It is not part of the array's state:
+    a pickle is the same bytes whether or not it is filled.
     """
 
-    __slots__ = ("_data", "_users")
+    __slots__ = ("_data", "_users", "_units")
 
     def __init__(self, data: np.ndarray, users: Sequence[str]):
         if data.dtype != _TRACE_DTYPE:
             raise TypeError(f"expected dtype {_TRACE_DTYPE}, got {data.dtype}")
         self._data = data
         self._users = tuple(users)
+        self._units: np.ndarray | None = None
+
+    def __getstate__(self):
+        return None, {"_data": self._data, "_users": self._users}
+
+    def __setstate__(self, state) -> None:
+        _, slots = state
+        self._data, self._users, self._units = slots["_data"], slots["_users"], None
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -239,6 +253,17 @@ class TraceArray:
         out[:, 0] = self.latitude
         out[:, 1] = self.longitude
         return out
+
+    def unit_vectors(self) -> np.ndarray:
+        """The read-only ``(3, n)`` :func:`~repro.geo.distance.unit_vectors`
+        of :meth:`coordinates`, derived on first call and kept for the
+        array's lifetime (24 B per trace).  The rows never change, so
+        iterative jobs (k-means rounds) pay the trig once per array."""
+        if self._units is None:
+            units = unit_vectors(self.coordinates())
+            units.flags.writeable = False
+            self._units = units
+        return self._units
 
     # -- protocol ---------------------------------------------------------
     def __len__(self) -> int:

@@ -38,6 +38,7 @@ monoids (integer counts) are invariant under any tree, canonical or not.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -115,10 +116,11 @@ def preaggregate(
 ) -> tuple[list[tuple[Any, AggregateEnvelope]], Counters]:
     """Fold one map task's output into one envelope per key-group.
 
-    The vectorized ``lift_pairs`` fast path is tried first; otherwise
-    values are grouped (:func:`~repro.mapreduce.shuffle.group_sorted`)
-    and folded object-by-object in arrival order.  Returns the envelope
-    pairs in sorted key order plus pre-agg accounting counters.
+    The vectorized ``lift_pairs`` fast path is tried first, its records
+    per key counted in one pass over the keys; otherwise values are
+    grouped (:func:`~repro.mapreduce.shuffle.group_sorted`) and folded
+    object-by-object in arrival order.  Returns the envelope pairs in
+    sorted key order plus pre-agg accounting counters.
     """
     from repro.mapreduce.shuffle import group_sorted
 
@@ -127,8 +129,7 @@ def preaggregate(
     records_per_key: list[tuple[Any, Any, int]] = []
     lifted = aggregation.lift_pairs(task_output)
     if lifted is not None:
-        grouped = group_sorted(list(task_output))
-        by_key = {k: len(vs) for k, vs in grouped}
+        by_key = Counter(key for key, _ in task_output)
         for key, partial in lifted:
             records_per_key.append((key, partial, by_key[key]))
     else:

@@ -21,7 +21,7 @@ from repro.mapreduce.failures import ChaosSchedule, Fault, FaultKind
 from repro.mapreduce.hdfs import SimulatedHDFS
 from repro.mapreduce.job import HashPartitioner, JobSpec, Mapper, ReduceContext
 from repro.mapreduce.runner import JobRunner
-from repro.mapreduce.shuffle import _shuffle_generic, shuffle
+from repro.mapreduce.shuffle import _shuffle_generic, group_sorted, shuffle
 from repro.observability.events import EventKind
 from tests.conftest import CountAggregation, CountSumReducer
 
@@ -82,6 +82,19 @@ def test_kmeans_lift_pairs_matches_object_loop_bitwise():
         assert fe.value[0].tobytes() == se.value[0].tobytes()
         assert fe.value[1] == se.value[1]
         assert fe.records == se.records
+
+
+def test_lifted_records_per_key_equal_the_grouped_counts():
+    """A mapper may emit one key several times per task: the fast path
+    counts its records per key in one pass, and each envelope's
+    ``records`` must be what grouping the task's output would count."""
+    rng = np.random.default_rng(3)
+    pairs = [(int(cid), rng.normal(size=(2, 2))) for cid in [2, 0, 2, 5, 2, 0, 1]]
+    fast, _ = preaggregate(KMeansAggregation(), pairs, "n1", "map-0000")
+    slow, _ = preaggregate(_ObjectOnlyKMeans(), pairs, "n1", "map-0000")
+    grouped = [(key, len(values)) for key, values in group_sorted(list(pairs))]
+    assert [(key, env.records) for key, env in fast] == grouped == [(0, 2), (1, 1), (2, 3), (5, 1)]
+    assert [env.records for _, env in slow] == [env.records for _, env in fast]
 
 
 # -- canonical merge tree ------------------------------------------------------
