@@ -28,18 +28,17 @@ from repro.sanitization import GaussianMask
 
 def split_and_pseudonymize(dataset, cut_ts):
     """Older identified data vs newer pseudonymized release."""
-    training = GeolocatedDataset()
-    release = GeolocatedDataset()
+    training, release = [], []
     truth = {}
     for i, trail in enumerate(dataset.trails()):
         arr = trail.traces
         old = arr[arr.timestamp < cut_ts]
         new = arr[arr.timestamp >= cut_ts]
         if len(old):
-            training.add_trail(Trail(trail.user_id, old))
+            training.append(Trail(trail.user_id, old))
         if len(new):
             pseud = f"pseudonym-{i:02d}"
-            release.add_trail(
+            release.append(
                 Trail(
                     pseud,
                     TraceArray.from_columns(
@@ -51,7 +50,7 @@ def split_and_pseudonymize(dataset, cut_ts):
                 )
             )
             truth[pseud] = trail.user_id
-    return training, release, truth
+    return GeolocatedDataset(training), GeolocatedDataset(release), truth
 
 
 def main() -> None:

@@ -118,7 +118,7 @@ def sample_dataset(
     technique: "str | SamplingTechnique" = SamplingTechnique.UPPER,
 ) -> GeolocatedDataset:
     """Down-sample every trail of a dataset (sequential reference path)."""
-    return dataset.map_trails(lambda t: sample_trail(t, window_s, technique))
+    return dataset.map_trails(lambda t: sample_trail(t, window_s, technique).traces)
 
 
 class SamplingMapper(Mapper):

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.geo.distance import haversine_m
 from repro.geo.grid import ragged_arange
-from repro.geo.trace import Trail, TraceArray
+from repro.geo.trace import Trail, TraceArray, as_array
 
 __all__ = [
     "MobilityMarkovChain",
@@ -120,7 +120,7 @@ def build_mmc(
         raise ValueError("poi_coords must be an (n, 2) array")
     if len(poi_coords) == 0:
         raise ValueError("an MMC needs at least one state")
-    array = trail.traces if isinstance(trail, Trail) else trail
+    array = as_array(trail)
     seq = visit_sequence(array, poi_coords, attach_radius_m)
     n = len(poi_coords)
     counts = np.full((n, n), float(smoothing))

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.algorithms.djcluster import DJClusterParams, DJClusterResult, djcluster_sequential
 from repro.geo.grid import ragged_arange
-from repro.geo.trace import Trail, TraceArray
+from repro.geo.trace import Trail, TraceArray, as_array
 
 __all__ = [
     "PointOfInterestEstimate",
@@ -213,7 +213,7 @@ def poi_attack(
     resulting POIs.  This is the sequential attack path; for dataset-scale
     attacks use the MapReduced DJ-Cluster and :func:`extract_pois`.
     """
-    array = trail.traces if isinstance(trail, Trail) else trail
+    array = as_array(trail)
     result = djcluster_sequential(array, params)
     return label_home_work(extract_pois(result, min_traces=min_traces))
 

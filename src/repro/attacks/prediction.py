@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.attacks.mmc import visit_sequence
-from repro.geo.trace import Trail, TraceArray
+from repro.geo.trace import Trail, TraceArray, as_array
 
 __all__ = ["PredictionReport", "evaluate_next_place_prediction"]
 
@@ -53,7 +53,7 @@ def evaluate_next_place_prediction(
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
     poi_coords = np.asarray(poi_coords, dtype=np.float64)
-    array = trail.traces if isinstance(trail, Trail) else trail
+    array = as_array(trail)
     seq = visit_sequence(array, poi_coords, attach_radius_m)
     n_states = len(poi_coords)
     if len(seq) < 3 or n_states == 0:

@@ -27,7 +27,7 @@ import numpy as np
 from repro.checks import non_negative, positive
 from repro.geo.distance import haversine_m
 from repro.geo.grid import grid_cells, time_windows
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import GeolocatedDataset, TraceArray, as_array
 
 __all__ = ["ColocationParams", "colocation_graph", "contact_events"]
 
@@ -72,7 +72,7 @@ def contact_events(
     Haversine after a coarse cell join over the window's 3x3 cell
     neighbourhood).
     """
-    array = dataset.flat() if isinstance(dataset, GeolocatedDataset) else dataset
+    array = as_array(dataset)
     if len(array) == 0:
         return {}
     buckets = _window_cells(array, params)
@@ -135,7 +135,7 @@ def colocation_graph(
     """The inferred social graph: nodes are users, edge weight is total
     contact seconds; only pairs above ``min_contact_s`` survive."""
     graph = nx.Graph()
-    array = dataset.flat() if isinstance(dataset, GeolocatedDataset) else dataset
+    array = as_array(dataset)
     graph.add_nodes_from(array.users)
     for (a, b), seconds in contact_events(dataset, params).items():
         if seconds >= params.min_contact_s:

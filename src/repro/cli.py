@@ -909,7 +909,7 @@ def _run(args: argparse.Namespace) -> int:
             SyntheticConfig(n_users=args.users, days=args.days, seed=args.seed)
         )
         hdfs = fresh_hdfs(
-            {"input/traces": dataset.flat().sort_by_time()},
+            {"input/traces": dataset.flat()},
             chunk_size=64 * 1024, n_workers=3, record_bytes=64,
         )
         # Paused service: the future is observably QUEUED before start().

@@ -132,7 +132,7 @@ def read_plt(source: str | Path | io.TextIOBase, user_id: str) -> Trail:
     for i, line in enumerate(body):
         lat[i], lon[i], alt[i], ts[i] = parse_plt_line(line)
     arr = TraceArray.from_columns([user_id], lat, lon, ts, alt)
-    return Trail(user_id, arr.sort_by_time())
+    return Trail(user_id, arr)
 
 
 def write_plt(trail: Trail, target: str | Path | io.TextIOBase) -> None:
@@ -200,10 +200,7 @@ def read_geolife_dataset(root: str | Path, user_ids: Iterable[str] | None = None
     restricts which users to load.  For corpora that should never be fully
     resident, use :func:`stream_geolife_trails` instead.
     """
-    ds = GeolocatedDataset()
-    for trail in stream_geolife_trails(root, user_ids):
-        ds.add_trail(trail)
-    return ds
+    return GeolocatedDataset(stream_geolife_trails(root, user_ids))
 
 
 def write_geolife_dataset(dataset: GeolocatedDataset, root: str | Path) -> list[Path]:

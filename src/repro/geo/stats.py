@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geo.distance import haversine_m
-from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
+from repro.geo.trace import GeolocatedDataset, Trail, TraceArray, as_array
 
 __all__ = [
     "radius_of_gyration_m",
@@ -35,7 +35,7 @@ def radius_of_gyration_m(trail: Trail | TraceArray) -> float:
     0 for a user who never moves; commuters land around half their
     home-work separation; returns 0 for empty input.
     """
-    array = trail.traces if isinstance(trail, Trail) else trail
+    array = as_array(trail)
     if len(array) == 0:
         return 0.0
     center_lat = float(np.mean(array.latitude))
@@ -50,7 +50,7 @@ def sampling_interval_stats(trail: Trail | TraceArray) -> dict[str, float]:
     Gaps above 10 minutes are treated as logger-off periods and excluded
     (GeoLife loggers run per outing, not continuously).
     """
-    array = (trail.traces if isinstance(trail, Trail) else trail).sort_by_time()
+    array = as_array(trail).sort_by_time()
     if len(array) < 2:
         return {"median_s": 0.0, "p90_s": 0.0, "mean_s": 0.0, "n_gaps": 0.0}
     dt = np.diff(array.timestamp)

@@ -240,7 +240,7 @@ def generate_user(cfg: SyntheticConfig, user_index: int) -> SyntheticUser:
     lon_all = np.concatenate(lon_parts) if lon_parts else np.empty(0)
     ts_all = np.concatenate(ts_parts) if ts_parts else np.empty(0)
     arr = TraceArray.from_columns([user_id], lat_all, lon_all, ts_all)
-    return SyntheticUser(user_id, pois, Trail(user_id, arr.sort_by_time()))
+    return SyntheticUser(user_id, pois, Trail(user_id, arr))
 
 
 def generate_dataset(cfg: SyntheticConfig) -> tuple[GeolocatedDataset, list[SyntheticUser]]:

@@ -6,18 +6,17 @@ accuracy, ...).  A *trail of traces* is the time-ordered collection of one
 individual's traces; a *geolocated dataset* is a set of trails from several
 individuals.
 
-Two representations coexist here:
-
-* :class:`MobilityTrace` — a small frozen record: one row of a
-  :class:`TraceArray`, and the value of its record-at-a-time view.
-* :class:`TraceArray` — a columnar NumPy view over many traces, used by the
-  vectorized kernels (distance computation, sampling, filtering).  Following
-  the HPC guidance, anything on the hot path works on :class:`TraceArray`
-  columns rather than Python-object lists.
+There is one trace model, the columnar :class:`TraceArray`: contiguous NumPy
+columns that every vectorized kernel and every MapReduce path works on.
+:class:`MobilityTrace` is one of its rows, built only when a caller indexes
+or iterates an array.  A :class:`Trail` is one user's time-sorted array, and
+a :class:`GeolocatedDataset` is one array sorted by user id and then by
+time, plus the offsets at which each user's rows start.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -83,6 +82,7 @@ _TRACE_DTYPE = np.dtype(
         ("altitude", np.float64),
     ]
 )
+_EMPTY = np.empty(0, dtype=_TRACE_DTYPE)
 
 
 class TraceArray:
@@ -372,80 +372,103 @@ class Trail:
 class GeolocatedDataset:
     """A set of trails from different individuals (Section II).
 
-    This is the object GEPETO's operations consume and produce.  It keeps a
-    per-user mapping to :class:`Trail` plus a lazily materialized flat
-    :class:`TraceArray` used by whole-dataset kernels.
+    This is the object GEPETO's operations consume and produce.  It is one
+    :class:`TraceArray` sorted by user id, then by timestamp, whose user
+    table is the ids in ``sorted()`` order, plus ``offsets``: user ``i``'s
+    rows are ``offsets[i]:offsets[i + 1]``.  Building one is one stable
+    sort; :meth:`flat` is the stored array; a trail is one slice.
     """
 
     def __init__(self, trails: Iterable[Trail] = ()):
-        self._trails: dict[str, Trail] = {}
-        for trail in trails:
-            self.add_trail(trail)
-        self._flat: TraceArray | None = None
+        """Trails of one user merge, in the order given on tied timestamps."""
+        trails = [trail for trail in trails if len(trail)]
+        data = np.concatenate([trail.traces._data for trail in trails] or [_EMPTY])
+        data["user_idx"] = np.repeat(np.arange(len(trails)), [len(t) for t in trails])
+        self._index(TraceArray(data, [trail.user_id for trail in trails]))
 
-    # -- construction ------------------------------------------------------
-    def add_trail(self, trail: Trail) -> None:
-        """Add a trail; merging if the user already has one."""
-        if trail.user_id in self._trails:
-            merged = TraceArray.concatenate(
-                [self._trails[trail.user_id].traces, trail.traces]
-            ).sort_by_time()
-            self._trails[trail.user_id] = Trail(trail.user_id, merged)
-        else:
-            self._trails[trail.user_id] = trail
-        self._flat = None
+    def _index(self, array: TraceArray) -> None:
+        """Hold ``array``'s rows stably sorted by (user id, timestamp)."""
+        table = np.asarray(array.users, dtype=object)
+        present = np.flatnonzero(np.bincount(array.user_index, minlength=len(table)))
+        users, ranks = np.unique(table[present], return_inverse=True)
+        remap = np.zeros(len(table), dtype=np.int32)
+        remap[present] = ranks
+        key = remap[array.user_index]
+        order = np.lexsort((array.timestamp, key))
+        data = array._data[order]
+        data["user_idx"] = key[order]
+        self._array = TraceArray(data, users)
+        self._offsets = np.searchsorted(data["user_idx"], np.arange(len(users) + 1))
 
     @classmethod
     def from_array(cls, array: TraceArray) -> "GeolocatedDataset":
-        ds = cls()
-        for idx, user in enumerate(array.users):
-            mask = array.user_index == idx
-            if mask.any():
-                ds.add_trail(Trail(user, array[mask].sort_by_time()))
-        return ds
+        """One trail per user of ``array``'s rows."""
+        dataset = cls.__new__(cls)
+        dataset._index(array)
+        return dataset
 
     # -- access --------------------------------------------------------------
     @property
     def user_ids(self) -> list[str]:
-        return sorted(self._trails)
+        return list(self._array.users)
+
+    def _rank(self, user_id: str) -> int | None:
+        i = bisect.bisect_left(self._array.users, user_id)
+        return i if self._array.users[i : i + 1] == (user_id,) else None
+
+    def _trail(self, i: int) -> Trail:
+        """User ``i``'s rows as a trail whose table is that one user."""
+        data = self._array._data[self._offsets[i] : self._offsets[i + 1]].copy()
+        data["user_idx"] = 0
+        user = self._array.users[i]
+        return Trail(user, TraceArray(data, (user,)))
 
     def trail(self, user_id: str) -> Trail:
-        return self._trails[user_id]
+        i = self._rank(user_id)
+        if i is None:
+            raise KeyError(user_id)
+        return self._trail(i)
 
     def trails(self) -> Iterator[Trail]:
-        for user in self.user_ids:
-            yield self._trails[user]
+        return map(self._trail, range(self.num_users()))
 
     def flat(self) -> TraceArray:
-        """All traces of all users as one :class:`TraceArray` (cached)."""
-        if self._flat is None:
-            self._flat = TraceArray.concatenate(
-                [self._trails[u].traces for u in self.user_ids]
-            )
-        return self._flat
+        """All traces of all users as one :class:`TraceArray`."""
+        return self._array
 
     def __len__(self) -> int:
         """Total number of traces across all trails."""
-        return sum(len(t) for t in self._trails.values())
+        return len(self._array)
 
     def num_users(self) -> int:
-        return len(self._trails)
+        return len(self._array.users)
 
     def __contains__(self, user_id: str) -> bool:
-        return user_id in self._trails
+        return self._rank(user_id) is not None
 
     def __repr__(self) -> str:
         return f"GeolocatedDataset(users={self.num_users()}, traces={len(self)})"
 
     # -- transforms -----------------------------------------------------------
     def map_trails(self, fn) -> "GeolocatedDataset":
-        """Apply ``fn(Trail) -> Trail | None`` to every trail.
+        """Apply ``fn(Trail) -> TraceArray | None`` to every trail.
 
-        Returning ``None`` drops the trail; used by sanitizers and samplers.
+        The result holds the rows of every returned array under their own
+        user ids, so ``fn`` may rename a trail or split it between users;
+        ``None`` or an empty array drops the trail.  Used by sanitizers and
+        samplers.
         """
-        out = GeolocatedDataset()
-        for trail in self.trails():
-            new = fn(trail)
-            if new is not None and len(new):
-                out.add_trail(new)
-        return out
+        outputs = (fn(trail) for trail in self.trails())
+        return GeolocatedDataset.from_array(
+            TraceArray.concatenate([out for out in outputs if out is not None])
+        )
+
+
+def as_array(data: "TraceArray | Trail | GeolocatedDataset") -> TraceArray:
+    """The :class:`TraceArray` behind a dataset (its :meth:`~GeolocatedDataset.flat`),
+    a trail (its ``traces``) or an array (itself)."""
+    if isinstance(data, GeolocatedDataset):
+        return data.flat()
+    if isinstance(data, Trail):
+        return data.traces
+    return data

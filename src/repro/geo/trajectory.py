@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.checks import positive
 from repro.geo.distance import haversine_m
-from repro.geo.trace import Trail, TraceArray
+from repro.geo.trace import Trail, TraceArray, as_array
 
 __all__ = ["Stay", "Trip", "segment_trail"]
 
@@ -69,7 +69,7 @@ def segment_trail(
     """
     positive("roam_radius_m", roam_radius_m)
     positive("min_stay_s", min_stay_s)
-    array = (trail.traces if isinstance(trail, Trail) else trail).sort_by_time()
+    array = as_array(trail).sort_by_time()
     n = len(array)
     if n == 0:
         return [], []

@@ -334,7 +334,7 @@ def _inputs(
     if unknown:
         raise ValueError(f"unknown chaos driver(s) {unknown}; known: {list(DRIVERS)}")
     dataset, _ = generate_dataset(SyntheticConfig(n_users=n_users, days=days, seed=data_seed))
-    array = dataset.flat().sort_by_time()
+    array = dataset.flat()
     context: dict = {}
     if "mmc" in chosen:
         context["poi_coords"] = kmeans_sequential(array.coordinates(), k=4, seed=0).centroids

@@ -21,7 +21,7 @@ from repro.attacks.poi import PointOfInterestEstimate
 from repro.geo.distance import haversine_m
 from repro.geo.grid import grid_cells, time_windows, unique_rows
 from repro.geo.synthetic import PointOfInterest
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import GeolocatedDataset, TraceArray, as_array
 from repro.sanitization.mixzones import MixZone
 
 __all__ = [
@@ -151,7 +151,7 @@ def anonymity_set_sizes(
     The distribution's minimum is the k-anonymity level the release
     actually achieves at that granularity.
     """
-    array = dataset.flat() if isinstance(dataset, GeolocatedDataset) else dataset
+    array = as_array(dataset)
     *bucket, _ = bucket_user_rows(array, cell_m, window_s)
     _, counts = unique_rows(*bucket, return_counts=True)
     return np.sort(counts)
@@ -200,7 +200,7 @@ def window_reidentification_risk(
     lets the streaming layer treat it as part of its equivalence
     signature.
     """
-    array = dataset.flat() if isinstance(dataset, GeolocatedDataset) else dataset
+    array = as_array(dataset)
     if len(array) == 0:
         return WindowRisk(0, 0, 0.0, 0, 0.0)
     *bucket, user = bucket_user_rows(array, cell_m, window_s)
@@ -229,7 +229,7 @@ def mixzone_anonymity_sets(
     Measured on the *original* dataset: it quantifies how much mixing
     each zone would provide if deployed.
     """
-    array = dataset.flat() if isinstance(dataset, GeolocatedDataset) else dataset
+    array = as_array(dataset)
     out: dict[int, np.ndarray] = {}
     windows = time_windows(array.timestamp, window_s)
     for zi, zone in enumerate(zones):

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.geo.distance import haversine_m
 from repro.geo.grid import grid_cells, time_windows, unique_rows
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import GeolocatedDataset, TraceArray, as_array
 
 __all__ = [
     "spatial_distortion_m",
@@ -60,8 +60,8 @@ def spatial_distortion_m(
 
     Returns ``(nan, nan)`` when no traces can be matched.
     """
-    orig = original.flat() if isinstance(original, GeolocatedDataset) else original
-    san = sanitized.flat() if isinstance(sanitized, GeolocatedDataset) else sanitized
+    orig = as_array(original)
+    san = as_array(sanitized)
     oi, si = _match_by_time(orig, san)
     if len(oi) == 0:
         return float("nan"), float("nan")
@@ -76,8 +76,8 @@ def trace_volume_ratio(
     sanitized: GeolocatedDataset | TraceArray,
 ) -> float:
     """|sanitized| / |original| (0 when the original is empty)."""
-    n_orig = len(original.flat()) if isinstance(original, GeolocatedDataset) else len(original)
-    n_san = len(sanitized.flat()) if isinstance(sanitized, GeolocatedDataset) else len(sanitized)
+    n_orig = len(original)
+    n_san = len(sanitized)
     return n_san / n_orig if n_orig else 0.0
 
 
@@ -92,8 +92,8 @@ def coverage_ratio(
     cell_m: float = 500.0,
 ) -> float:
     """Fraction of the original's visited cells still visited afterwards."""
-    orig = original.flat() if isinstance(original, GeolocatedDataset) else original
-    san = sanitized.flat() if isinstance(sanitized, GeolocatedDataset) else sanitized
+    orig = as_array(original)
+    san = as_array(sanitized)
     orig_cells = _visited_cells(orig, cell_m)
     if not orig_cells:
         return 1.0
@@ -118,8 +118,8 @@ def range_query_error(
     release answers density questions perfectly; 1 means all the mass
     moved or vanished.
     """
-    orig = original.flat() if isinstance(original, GeolocatedDataset) else original
-    san = sanitized.flat() if isinstance(sanitized, GeolocatedDataset) else sanitized
+    orig = as_array(original)
+    san = as_array(sanitized)
     if len(orig) == 0:
         return 0.0
 

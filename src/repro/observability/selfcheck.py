@@ -36,7 +36,7 @@ def run_selfcheck(verbose: bool = True) -> int:
             print(message)
 
     dataset, _ = generate_dataset(SyntheticConfig(n_users=3, days=1, seed=42))
-    array = dataset.flat().sort_by_time()
+    array = dataset.flat()
 
     timings = {}
     with fresh_runner(

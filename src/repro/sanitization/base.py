@@ -1,14 +1,16 @@
 """The sanitizer protocol.
 
 A sanitizer is a deterministic-given-its-seed transformation of a trace
-array; :meth:`Sanitizer.sanitize_dataset` applies it trail by trail.
+array; :meth:`Sanitizer.sanitize_dataset` applies it trail by trail, and
+the rows it returns land under whatever user ids they carry (a renamed
+trail, or one split between pseudonyms).
 """
 
 from __future__ import annotations
 
 import abc
 
-from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
+from repro.geo.trace import GeolocatedDataset, TraceArray
 
 __all__ = ["Sanitizer"]
 
@@ -22,10 +24,4 @@ class Sanitizer(abc.ABC):
 
     def sanitize_dataset(self, dataset: GeolocatedDataset) -> GeolocatedDataset:
         """Apply to every trail; trails sanitized to emptiness are dropped."""
-        def _one(trail: Trail) -> Trail | None:
-            out = self.sanitize_array(trail.traces)
-            if len(out) == 0:
-                return None
-            return Trail(out.users[0], out.sort_by_time())
-
-        return dataset.map_trails(_one)
+        return dataset.map_trails(lambda trail: self.sanitize_array(trail.traces))

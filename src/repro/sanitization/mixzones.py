@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.checks import positive
 from repro.geo.distance import haversine_m
-from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
+from repro.geo.trace import TraceArray
 from repro.sanitization.base import Sanitizer
 from repro.utils.hashrng import splitmix64
 
@@ -101,16 +101,3 @@ class MixZoneSanitizer(Sanitizer):
             outside.timestamp.copy(),
             outside.altitude.copy(),
         )
-
-    def sanitize_dataset(self, dataset: GeolocatedDataset) -> GeolocatedDataset:
-        out = GeolocatedDataset()
-        for trail in dataset.trails():
-            sanitized = self.sanitize_array(trail.traces)
-            if not len(sanitized):
-                continue
-            # One output trail per fresh pseudonym.
-            for idx, pseud in enumerate(sanitized.users):
-                mask = sanitized.user_index == idx
-                if mask.any():
-                    out.add_trail(Trail(pseud, sanitized[mask].sort_by_time()))
-        return out

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.checks import positive
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import GeolocatedDataset, TraceArray, as_array
 from repro.mapreduce.failures import ChaosSchedule
 
 __all__ = ["FeedBatch", "StreamSource"]
@@ -78,11 +78,7 @@ class StreamSource:
 
     def __post_init__(self) -> None:
         positive("window_s", self.window_s)
-        array = (
-            self.array.flat()
-            if isinstance(self.array, GeolocatedDataset)
-            else self.array
-        )
+        array = as_array(self.array)
         ordered = array.sort_by_time().compact()
         object.__setattr__(self, "array", ordered)
         n = len(ordered)

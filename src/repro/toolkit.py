@@ -109,7 +109,7 @@ class Gepeto:
         cluster = paper_cluster(n_workers=n_workers, map_slots=map_slots)
         hdfs = SimulatedHDFS(cluster, chunk_size=chunk_size_mb * MB)
         runner = JobRunner(hdfs, cost_model=cost_model, executor=executor)
-        hdfs.put_trace_array(path, self.dataset.flat().sort_by_time())
+        hdfs.put_trace_array(path, self.dataset.flat())
         return GepetoCluster(runner, path)
 
     # -- introspection ---------------------------------------------------------

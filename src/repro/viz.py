@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.attacks.poi import PointOfInterestEstimate
 from repro.checks import count, finite_column
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import GeolocatedDataset, TraceArray, as_array
 
 __all__ = [
     "ascii_density_map",
@@ -44,7 +44,7 @@ def ascii_density_map(
     """
     count("width", width, 2)
     count("height", height, 2)
-    array = data.flat() if isinstance(data, GeolocatedDataset) else data
+    array = as_array(data)
     if len(array) == 0:
         return "(empty dataset)"
     finite_column(array.latitude, "coordinates")

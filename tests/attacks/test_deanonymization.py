@@ -25,15 +25,14 @@ def split_corpus():
     dataset, users = generate_dataset(cfg)
     sampled = sample_dataset(dataset, 60.0)
     cut = cfg.start_timestamp + 2 * 86400.0
-    training = GeolocatedDataset()
-    target = GeolocatedDataset()
+    training, target = [], []
     ground_truth = {}
     for trail in sampled.trails():
         arr = trail.traces
         first = arr[arr.timestamp < cut]
         second = arr[arr.timestamp >= cut]
         if len(first):
-            training.add_trail(Trail(trail.user_id, first))
+            training.append(Trail(trail.user_id, first))
         if len(second):
             pseud = f"anon-{trail.user_id}"
             renamed = TraceArray.from_columns(
@@ -42,9 +41,9 @@ def split_corpus():
                 second.longitude.copy(),
                 second.timestamp.copy(),
             )
-            target.add_trail(Trail(pseud, renamed))
+            target.append(Trail(pseud, renamed))
             ground_truth[pseud] = trail.user_id
-    return training, target, ground_truth
+    return GeolocatedDataset(training), GeolocatedDataset(target), ground_truth
 
 
 PARAMS = DJClusterParams(radius_m=80, min_pts=5)
@@ -126,16 +125,13 @@ class TestTieBreakAndEvidence:
         from repro.attacks.linkage_mr import SYNTH_ATTACK_PARAMS
 
         train, target = one_user_corpus
-        tgt = GeolocatedDataset()
-        tgt.add_trail(_renamed_trail(target, "anon-x"))
+        tgt = GeolocatedDataset([_renamed_trail(target, "anon-x")])
         truth = {"anon-x": "alice"}
         # Two training identities with byte-identical trails are exactly
         # equidistant from the target; the winner must be the
         # lexicographically smaller id whatever the insertion order.
         for order in (("alice", "bob"), ("bob", "alice")):
-            training = GeolocatedDataset()
-            for user in order:
-                training.add_trail(_renamed_trail(train, user))
+            training = GeolocatedDataset(_renamed_trail(train, user) for user in order)
             result = deanonymization_attack(
                 training, tgt, truth, SYNTH_ATTACK_PARAMS
             )
@@ -155,10 +151,8 @@ class TestTieBreakAndEvidence:
             train.longitude + 40.0,
             train.timestamp.copy(),
         )
-        training = GeolocatedDataset()
-        training.add_trail(Trail("far", far))
-        tgt = GeolocatedDataset()
-        tgt.add_trail(_renamed_trail(target, "anon-x"))
+        training = GeolocatedDataset([Trail("far", far)])
+        tgt = GeolocatedDataset([_renamed_trail(target, "anon-x")])
         result = deanonymization_attack(
             training, tgt, {"anon-x": "far"}, SYNTH_ATTACK_PARAMS
         )

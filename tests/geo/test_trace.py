@@ -210,8 +210,7 @@ class TestGeolocatedDataset:
     def test_add_trail_merges_same_user(self):
         t1 = make_trail([make_trace(timestamp=1.0)])
         t2 = make_trail([make_trace(timestamp=2.0)])
-        ds = GeolocatedDataset([t1])
-        ds.add_trail(t2)
+        ds = GeolocatedDataset([t1, t2])
         assert ds.num_users() == 1
         assert len(ds.trail("alice")) == 2
         assert list(ds.trail("alice").traces.timestamp) == [1.0, 2.0]
@@ -220,14 +219,14 @@ class TestGeolocatedDataset:
         ds = make_dataset([make_trace(timestamp=1.0)])
         flat1 = ds.flat()
         assert ds.flat() is flat1
-        ds.add_trail(make_trail([make_trace(user_id="bob")]))
-        assert len(ds.flat()) == 2
+        grown = GeolocatedDataset([*ds.trails(), make_trail([make_trace(user_id="bob")])])
+        assert len(grown.flat()) == 2
 
     def test_map_trails_drop(self):
         ds = make_dataset(
             [make_trace(user_id="a"), make_trace(user_id="b")]
         )
-        kept = ds.map_trails(lambda t: t if t.user_id == "a" else None)
+        kept = ds.map_trails(lambda t: t.traces if t.user_id == "a" else None)
         assert kept.user_ids == ["a"]
 
     def test_from_array_roundtrip(self):
@@ -241,6 +240,8 @@ class TestGeolocatedDataset:
         ds = make_dataset([make_trace()])
         assert "alice" in ds
         assert "bob" not in ds
+        with pytest.raises(KeyError):
+            ds.trail("bob")
 
 
 def test_trace_array_refuses_a_foreign_dtype():

@@ -13,7 +13,9 @@ from fnmatch import fnmatch
 from pathlib import Path
 
 from tests.goldens import Golden, differences, fields
-from tests.goldens import attacks, histories, index, kmeans, reports, serving, suites, windows
+from tests.goldens import (
+    attacks, histories, index, kmeans, reports, serving, suites, trace_model, windows,
+)
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -64,6 +66,7 @@ GOLDENS: dict[str, Golden] = {
             histories.build_chaos_report,
         ),
         Golden("reports", "tests/golden_reports.json", reports.build),
+        Golden("trace_model", "tests/geo/golden_trace_model.json", trace_model.build),
     )
 }
 

@@ -65,7 +65,7 @@ class TestCloaking:
                 np.linspace(0, 3000, 10),
             ),
         )
-        ds.add_trail(loner)
+        ds = GeolocatedDataset([*ds.trails(), loner])
         cloak = SpatialCloaking(k=2, base_cell_m=250.0, window_s=3600.0, max_levels=6)
         out = cloak.sanitize_dataset(ds)
         if "loner" in out:
@@ -90,3 +90,13 @@ class TestCloaking:
     def test_empty_dataset(self):
         out = SpatialCloaking(k=2).sanitize_dataset(GeolocatedDataset())
         assert len(out.flat()) == 0
+
+    def test_a_cloaked_release_can_be_masked_per_trail(self):
+        """Every cloaked trail holds its own user's rows, so a per-trail
+        sanitizer applied after cloaking keeps each user apart."""
+        from repro.sanitization.masks import GaussianMask
+
+        cloaked = SpatialCloaking(k=2).sanitize_dataset(_multi_user(n_users=3))
+        out = GaussianMask(sigma_m=50.0, seed=1).sanitize_dataset(cloaked)
+        assert out.user_ids == cloaked.user_ids == ["u0", "u1", "u2"]
+        assert [len(t) for t in out.trails()] == [len(t) for t in cloaked.trails()]

@@ -80,3 +80,39 @@ class TestPseudonymizer:
             sampled, released, truth, DJClusterParams(radius_m=80, min_pts=5)
         )
         assert result.success_rate == 1.0
+
+
+class TestLinearInUsers:
+    """Pseudonymizing a dataset hashes each user once and sorts once."""
+
+    def test_one_pseudonym_per_trail(self, monkeypatch):
+        from repro.attacks.linkage_mr import synthetic_linkage_corpus
+
+        n_users = 60
+        training, _, _ = synthetic_linkage_corpus(n_users, seed=2)
+        dataset = GeolocatedDataset.from_array(training)
+        calls = []
+        hash_one = Pseudonymizer.pseudonym_for
+
+        def counted(self, user_id):
+            calls.append(user_id)
+            return hash_one(self, user_id)
+
+        monkeypatch.setattr(Pseudonymizer, "pseudonym_for", counted)
+        out = Pseudonymizer(seed=4).sanitize_dataset(dataset)
+        assert sorted(calls) == dataset.user_ids
+        assert out.num_users() == n_users
+
+    def test_anonymous_release_is_the_recorded_trail(self):
+        """Everyone merges into one ``unknown`` trail, tied timestamps in
+        user order: the trail ``golden_trace_model.json`` recorded."""
+        import json
+
+        from repro.geo.synthetic import generate_dataset
+        from tests.goldens.registry import committed
+        from tests.goldens.trace_model import SYNTHETIC, describe
+
+        dataset, _ = generate_dataset(SYNTHETIC)
+        out = describe(Pseudonymizer(anonymous=True).sanitize_dataset(dataset))
+        assert out["user_ids"] == [ANONYMOUS_ID]
+        assert out == json.loads(committed("trace_model"))["sanitized"]["anonymous"]

@@ -144,12 +144,12 @@ class TestDeanonymization:
         toolkit, _ = Gepeto.synthetic(n_users=3, days=4, seed=55)
         sampled = toolkit.sample(60.0)
         # Pseudonymize a copy as the "released" dataset.
-        target = GeolocatedDataset()
+        released = []
         truth_map = {}
         for trail in sampled.dataset.trails():
             pseud = f"x-{trail.user_id}"
             arr = trail.traces
-            target.add_trail(
+            released.append(
                 Trail(
                     pseud,
                     TraceArray.from_columns(
@@ -158,6 +158,7 @@ class TestDeanonymization:
                 )
             )
             truth_map[pseud] = trail.user_id
+        target = GeolocatedDataset(released)
         result = deanonymization_attack(
             sampled.dataset, target, truth_map, DJClusterParams(radius_m=80, min_pts=5)
         )
