@@ -12,7 +12,7 @@ import pytest
 
 from benchmarks.conftest import write_report
 from repro.algorithms.djcluster import DJClusterParams
-from repro.algorithms.sampling import sample_trail
+from repro.algorithms.sampling import sample_array
 from repro.attacks.poi import extract_pois_kmeans, poi_attack
 from repro.geo.synthetic import SyntheticConfig, generate_dataset
 from repro.metrics.privacy import poi_recovery
@@ -25,14 +25,14 @@ def clusterer_scores():
     dataset, users = generate_dataset(SyntheticConfig(n_users=10, days=2, seed=404))
     dj_scores, km_scores = [], []
     for user in users:
-        trail = sample_trail(dataset.trail(user.user_id), 60.0)
+        trail = sample_array(dataset.trail(user.user_id), 60.0)
         truth = user.pois
         dj = poi_attack(trail, PARAMS)
         dj_scores.append(poi_recovery(dj, truth, 150.0))
         # k-means gets the *true* k — the most charitable setting, which
         # a real adversary would not have.
         km = extract_pois_kmeans(
-            trail.traces, k=len(truth), min_traces=5, preprocess_params=PARAMS
+            trail, k=len(truth), min_traces=5, preprocess_params=PARAMS
         )
         km_scores.append(poi_recovery(km, truth, 150.0))
     dj_f1 = float(np.mean([s.f1 for s in dj_scores]))
@@ -74,6 +74,6 @@ def test_benchmark_poi_attack(benchmark, clusterer_scores):
     """Wall-clock of one user's full POI attack.  Depends on
     ``clusterer_scores`` so ``--benchmark-only`` still writes the report."""
     dataset, users = generate_dataset(SyntheticConfig(n_users=1, days=2, seed=7))
-    trail = sample_trail(dataset.trail(users[0].user_id), 60.0)
+    trail = sample_array(dataset.trail(users[0].user_id), 60.0)
     pois = benchmark(poi_attack, trail, PARAMS)
     assert pois

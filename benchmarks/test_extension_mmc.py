@@ -37,7 +37,7 @@ def mmc_models(corpus_128mb):
     )
     accs, lifts = [], []
     for user in long_users:
-        fine = sample_array(user.trail.traces, 60.0)
+        fine = sample_array(user.trail, 60.0)
         states = np.array([(p.latitude, p.longitude) for p in user.pois])
         report = evaluate_next_place_prediction(
             fine, states, train_fraction=0.6, attach_radius_m=250.0

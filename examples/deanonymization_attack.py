@@ -22,7 +22,7 @@ from repro.algorithms.sampling import sample_dataset
 from repro.attacks.deanonymization import deanonymization_attack
 from repro.attacks.poi import poi_attack
 from repro.attacks.prediction import evaluate_next_place_prediction
-from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
+from repro.geo.trace import GeolocatedDataset, TraceArray
 from repro.sanitization import GaussianMask
 
 
@@ -30,26 +30,19 @@ def split_and_pseudonymize(dataset, cut_ts):
     """Older identified data vs newer pseudonymized release."""
     training, release = [], []
     truth = {}
-    for i, trail in enumerate(dataset.trails()):
-        arr = trail.traces
+    for i, (user, arr) in enumerate(zip(dataset.user_ids, dataset.trails())):
         old = arr[arr.timestamp < cut_ts]
         new = arr[arr.timestamp >= cut_ts]
         if len(old):
-            training.append(Trail(trail.user_id, old))
+            training.append(old)
         if len(new):
             pseud = f"pseudonym-{i:02d}"
             release.append(
-                Trail(
-                    pseud,
-                    TraceArray.from_columns(
-                        [pseud],
-                        new.latitude.copy(),
-                        new.longitude.copy(),
-                        new.timestamp.copy(),
-                    ),
+                TraceArray.from_columns(
+                    [pseud], new.latitude.copy(), new.longitude.copy(), new.timestamp.copy()
                 )
             )
-            truth[pseud] = trail.user_id
+            truth[pseud] = user
     return GeolocatedDataset(training), GeolocatedDataset(release), truth
 
 
@@ -99,7 +92,7 @@ def main() -> None:
             continue
         coords = np.array([p.coordinate for p in pois])
         report = evaluate_next_place_prediction(trail, coords, train_fraction=0.6)
-        visits = visit_sequence(trail.traces, coords)
+        visits = visit_sequence(trail, coords)
         pred = predictability_report(visits)
         if report.n_predictions:
             print(

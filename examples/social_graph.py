@@ -16,22 +16,18 @@ import numpy as np
 
 from repro.attacks.social import ColocationParams, colocation_graph
 from repro.geo.synthetic import SyntheticConfig, generate_user
-from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
+from repro.geo.trace import GeolocatedDataset, TraceArray
 
 
-def shifted_clone(trail: Trail, new_user: str, jitter_m: float = 4.0, seed: int = 0) -> Trail:
+def shifted_clone(trail: TraceArray, new_user: str, jitter_m: float = 4.0, seed: int = 0) -> TraceArray:
     """A companion who moves with `trail` (same schedule, own GPS noise)."""
     rng = np.random.default_rng(seed)
-    arr = trail.traces
     sigma_deg = jitter_m / 111_320.0
-    return Trail(
-        new_user,
-        TraceArray.from_columns(
-            [new_user],
-            arr.latitude + rng.normal(0, sigma_deg, len(arr)),
-            arr.longitude + rng.normal(0, sigma_deg, len(arr)),
-            arr.timestamp.copy(),
-        ),
+    return TraceArray.from_columns(
+        [new_user],
+        trail.latitude + rng.normal(0, sigma_deg, len(trail)),
+        trail.longitude + rng.normal(0, sigma_deg, len(trail)),
+        trail.timestamp.copy(),
     )
 
 
@@ -48,10 +44,10 @@ def main() -> None:
     trails["100"] = shifted_clone(trails["000"], "100", seed=1)
     trails["101"] = shifted_clone(trails["001"], "101", seed=2)
     colleague = shifted_clone(trails["002"], "102", seed=3)
-    arr = colleague.traces
-    lo, hi = arr.time_span()
-    window = arr[(arr.timestamp >= lo) & (arr.timestamp <= lo + (hi - lo) * 0.5)]
-    trails["102"] = Trail("102", window)
+    lo, hi = colleague.time_span()
+    trails["102"] = colleague[
+        (colleague.timestamp >= lo) & (colleague.timestamp <= lo + (hi - lo) * 0.5)
+    ]
 
     dataset = GeolocatedDataset(trails.values())
     print(f"Population: {dataset}")

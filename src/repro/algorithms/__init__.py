@@ -14,7 +14,6 @@ with its **MapReduce adaptation** (Sections V–VII):
 
 from repro.algorithms.sampling import (
     SamplingTechnique,
-    sample_trail,
     sample_dataset,
     sample_array,
     SamplingMapper,
@@ -41,7 +40,6 @@ from repro.algorithms.djcluster import (
 
 __all__ = [
     "SamplingTechnique",
-    "sample_trail",
     "sample_dataset",
     "sample_array",
     "SamplingMapper",

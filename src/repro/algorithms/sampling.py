@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.checks import positive
 from repro.geo.grid import time_windows
-from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
+from repro.geo.trace import GeolocatedDataset, TraceArray
 from repro.mapreduce.config import Configuration
 from repro.mapreduce.counters import STANDARD
 from repro.mapreduce.job import JobSpec, Mapper
@@ -39,7 +39,6 @@ from repro.observability.events import EventKind
 __all__ = [
     "SamplingTechnique",
     "sample_array",
-    "sample_trail",
     "sample_dataset",
     "SamplingMapper",
     "run_sampling_job",
@@ -103,22 +102,13 @@ def sample_array(
     return array[winners]
 
 
-def sample_trail(
-    trail: Trail,
-    window_s: float,
-    technique: "str | SamplingTechnique" = SamplingTechnique.UPPER,
-) -> Trail:
-    """Down-sample one trail (sequential reference path)."""
-    return Trail(trail.user_id, sample_array(trail.traces, window_s, technique))
-
-
 def sample_dataset(
     dataset: GeolocatedDataset,
     window_s: float,
     technique: "str | SamplingTechnique" = SamplingTechnique.UPPER,
 ) -> GeolocatedDataset:
     """Down-sample every trail of a dataset (sequential reference path)."""
-    return dataset.map_trails(lambda t: sample_trail(t, window_s, technique).traces)
+    return dataset.map_trails(lambda trail: sample_array(trail, window_s, technique))
 
 
 class SamplingMapper(Mapper):

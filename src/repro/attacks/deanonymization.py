@@ -29,7 +29,7 @@ from repro.algorithms.djcluster import DJClusterParams, _dense_clusters, preproc
 from repro.attacks.mmc import MobilityMarkovChain, mmc_link_score, segmented_chains
 from repro.attacks.poi import segmented_pois
 from repro.checks import count, non_negative
-from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
+from repro.geo.trace import GeolocatedDataset, TraceArray
 
 __all__ = [
     "fingerprint_user",
@@ -85,14 +85,14 @@ def fingerprint_users(
 
 
 def fingerprint_user(
-    trail: Trail,
+    trail: TraceArray,
     params: DJClusterParams = DJClusterParams(),
     max_pois: int = 8,
     attach_radius_m: float = 200.0,
 ) -> MobilityMarkovChain | None:
     """One individual's mobility fingerprint: :func:`fingerprint_users`
     on a single trail."""
-    prints = fingerprint_users(trail.traces, params, max_pois, attach_radius_m)
+    prints = fingerprint_users(trail, params, max_pois, attach_radius_m)
     return next(iter(prints.values()), None)
 
 
@@ -144,17 +144,17 @@ def deanonymization_attack(
     ``None``).
     """
     train_prints: dict[str, MobilityMarkovChain] = {}
-    for trail in training.trails():
+    for user, trail in zip(training.user_ids, training.trails()):
         fp = fingerprint_user(trail, params, max_pois, attach_radius_m)
         if fp is not None:
-            train_prints[trail.user_id] = fp
+            train_prints[user] = fp
 
     linkage: dict[str, str | None] = {}
     scores: dict[str, float] = {}
-    for trail in target.trails():
+    for pseudonym, trail in zip(target.user_ids, target.trails()):
         fp = fingerprint_user(trail, params, max_pois, attach_radius_m)
         if fp is None or not train_prints:
-            linkage[trail.user_id] = None
+            linkage[pseudonym] = None
             continue
         best: tuple[float, str] | None = None
         for user, train_fp in train_prints.items():
@@ -164,8 +164,8 @@ def deanonymization_attack(
             if best is None or (score, user) < best:
                 best = (score, user)
         if best is None:
-            linkage[trail.user_id] = None
+            linkage[pseudonym] = None
         else:
-            linkage[trail.user_id] = best[1]
-            scores[trail.user_id] = best[0]
+            linkage[pseudonym] = best[1]
+            scores[pseudonym] = best[0]
     return DeanonymizationResult(linkage, dict(ground_truth), scores)

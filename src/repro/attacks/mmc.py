@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.geo.distance import haversine_m
 from repro.geo.grid import ragged_arange
-from repro.geo.trace import Trail, TraceArray, as_array
+from repro.geo.trace import TraceArray
 
 __all__ = [
     "MobilityMarkovChain",
@@ -81,7 +81,7 @@ class MobilityMarkovChain:
 def visit_sequence(
     array: TraceArray, poi_coords: np.ndarray, attach_radius_m: float = 200.0
 ) -> np.ndarray:
-    """Trail -> sequence of visited POI indices.
+    """A trail's sequence of visited POI indices.
 
     Each trace snaps to its nearest POI if within ``attach_radius_m``
     (otherwise it is transit and ignored); consecutive repeats collapse
@@ -104,7 +104,7 @@ def visit_sequence(
 
 
 def build_mmc(
-    trail: Trail | TraceArray,
+    trail: TraceArray,
     poi_coords: np.ndarray,
     attach_radius_m: float = 200.0,
     labels: list[str] | None = None,
@@ -120,8 +120,7 @@ def build_mmc(
         raise ValueError("poi_coords must be an (n, 2) array")
     if len(poi_coords) == 0:
         raise ValueError("an MMC needs at least one state")
-    array = as_array(trail)
-    seq = visit_sequence(array, poi_coords, attach_radius_m)
+    seq = visit_sequence(trail, poi_coords, attach_radius_m)
     n = len(poi_coords)
     counts = np.full((n, n), float(smoothing))
     if len(seq) >= 2:

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.algorithms.djcluster import DJClusterParams, DJClusterResult, djcluster_sequential
 from repro.geo.grid import ragged_arange
-from repro.geo.trace import Trail, TraceArray, as_array
+from repro.geo.trace import TraceArray
 
 __all__ = [
     "PointOfInterestEstimate",
@@ -203,7 +203,7 @@ def _segment_means(
 
 
 def poi_attack(
-    trail: Trail | TraceArray,
+    trail: TraceArray,
     params: DJClusterParams = DJClusterParams(),
     min_traces: int = 1,
 ) -> list[PointOfInterestEstimate]:
@@ -213,8 +213,7 @@ def poi_attack(
     resulting POIs.  This is the sequential attack path; for dataset-scale
     attacks use the MapReduced DJ-Cluster and :func:`extract_pois`.
     """
-    array = as_array(trail)
-    result = djcluster_sequential(array, params)
+    result = djcluster_sequential(trail, params)
     return label_home_work(extract_pois(result, min_traces=min_traces))
 
 

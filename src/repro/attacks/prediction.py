@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.attacks.mmc import visit_sequence
-from repro.geo.trace import Trail, TraceArray, as_array
+from repro.geo.trace import TraceArray
 
 __all__ = ["PredictionReport", "evaluate_next_place_prediction"]
 
@@ -39,7 +39,7 @@ class PredictionReport:
 
 
 def evaluate_next_place_prediction(
-    trail: Trail | TraceArray,
+    trail: TraceArray,
     poi_coords: np.ndarray,
     train_fraction: float = 0.7,
     attach_radius_m: float = 200.0,
@@ -53,8 +53,7 @@ def evaluate_next_place_prediction(
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
     poi_coords = np.asarray(poi_coords, dtype=np.float64)
-    array = as_array(trail)
-    seq = visit_sequence(array, poi_coords, attach_radius_m)
+    seq = visit_sequence(trail, poi_coords, attach_radius_m)
     n_states = len(poi_coords)
     if len(seq) < 3 or n_states == 0:
         return PredictionReport(0, 0, 0.0, 0.0, n_states)

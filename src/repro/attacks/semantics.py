@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.geo.distance import haversine_m
 from repro.geo.trajectory import Stay, segment_trail
-from repro.geo.trace import Trail, TraceArray
+from repro.geo.trace import TraceArray
 
 __all__ = ["SemanticPlace", "SemanticVisit", "label_places"]
 
@@ -105,7 +105,7 @@ def _classify(place: SemanticPlace) -> str:
 
 
 def label_places(
-    trail: Trail | TraceArray,
+    trail: TraceArray,
     roam_radius_m: float = 100.0,
     min_stay_s: float = 600.0,
     merge_radius_m: float = 150.0,

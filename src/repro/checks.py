@@ -20,7 +20,9 @@ import math
 
 import numpy as np
 
-__all__ = ["count", "finite", "finite_column", "non_negative", "positive", "probability"]
+__all__ = [
+    "count", "finite", "finite_column", "non_negative", "positive", "probability", "within",
+]
 
 _REAL = (int, float, np.integer, np.floating)
 
@@ -68,6 +70,15 @@ def probability(name: str, value) -> float:
     x = _real(name, value, "real")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"{name} must be within [0, 1], got {value!r}")
+    return x
+
+
+def within(name: str, value, low: float, high: float) -> float:
+    """``value`` as a ``float`` if it is a finite real number in
+    ``[low, high]``."""
+    x = finite(name, value)
+    if not low <= x <= high:
+        raise ValueError(f"{name} must be within [{low:g}, {high:g}], got {value!r}")
     return x
 
 

@@ -2,9 +2,10 @@
 
 This subpackage provides the geolocated-data layer that GEPETO operates on:
 
-* :mod:`repro.geo.trace` — the :class:`~repro.geo.trace.MobilityTrace` /
-  :class:`~repro.geo.trace.Trail` / :class:`~repro.geo.trace.GeolocatedDataset`
-  data model (Section II of the paper).
+* :mod:`repro.geo.trace` — the one trace model (Section II of the paper):
+  the columnar :class:`~repro.geo.trace.TraceArray`, of which a trail is a
+  one-user slice, and the :class:`~repro.geo.trace.GeolocatedDataset`, one
+  array sorted by user and time.
 * :mod:`repro.geo.distance` — vectorized distance metrics (Haversine,
   squared Euclidean).
 * :mod:`repro.geo.geolife` — reader/writer for the exact GeoLife PLT on-disk
@@ -13,12 +14,7 @@ This subpackage provides the geolocated-data layer that GEPETO operates on:
   datasets, used as the stand-in for the (proprietary-scale) GeoLife corpus.
 """
 
-from repro.geo.trace import (
-    MobilityTrace,
-    Trail,
-    GeolocatedDataset,
-    TraceArray,
-)
+from repro.geo.trace import GeolocatedDataset, TraceArray
 from repro.geo.distance import (
     haversine_km,
     haversine_m,
@@ -49,8 +45,6 @@ from repro.geo.stats import (
 )
 
 __all__ = [
-    "MobilityTrace",
-    "Trail",
     "GeolocatedDataset",
     "TraceArray",
     "haversine_km",

@@ -35,7 +35,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
+from repro.checks import finite, within
+from repro.geo.trace import GeolocatedDataset, TraceArray
 
 __all__ = [
     "GEOLIFE_EPOCH",
@@ -112,12 +113,15 @@ def format_plt_line(lat: float, lon: float, alt: float, timestamp: float) -> str
     )
 
 
-def read_plt(source: str | Path | io.TextIOBase, user_id: str) -> Trail:
-    """Read a single PLT trajectory file into a :class:`Trail`.
+def read_plt(source: str | Path | io.TextIOBase, user_id: str) -> TraceArray:
+    """Read a single PLT trajectory file into ``user_id``'s time-sorted trail.
 
     ``source`` may be a path or an open text stream.  Lines that do not
     parse (e.g. the six-line header) are skipped only within the header
-    region; malformed body lines raise.
+    region; malformed body lines raise, and so does a latitude outside
+    [-90, 90], a longitude outside [-180, 180] or a non-finite timestamp,
+    naming the file and the line.  Records of an unsorted file are stably
+    sorted by time.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -129,13 +133,25 @@ def read_plt(source: str | Path | io.TextIOBase, user_id: str) -> Trail:
     lon = np.empty(n)
     alt = np.empty(n)
     ts = np.empty(n)
-    for i, line in enumerate(body):
-        lat[i], lon[i], alt[i], ts[i] = parse_plt_line(line)
+    row = 0
+    try:
+        for row, line in enumerate(body):
+            lat[row], lon[row], alt[row], ts[row] = parse_plt_line(line)
+        # One vectorized test; the scalar checks word the first failure.
+        outside = ~(np.isfinite(ts) & (np.abs(lat) <= 90.0) & (np.abs(lon) <= 180.0))
+        if outside.any():
+            row = int(np.argmax(outside))
+            within("latitude", float(lat[row]), -90.0, 90.0)
+            within("longitude", float(lon[row]), -180.0, 180.0)
+            finite("timestamp", float(ts[row]))
+    except ValueError as exc:
+        where = getattr(source, "name", "PLT stream")
+        raise ValueError(f"{where}, line {row + 7}: {exc}") from None
     arr = TraceArray.from_columns([user_id], lat, lon, ts, alt)
-    return Trail(user_id, arr)
+    return arr.sort_by_time() if np.any(np.diff(ts) < 0) else arr
 
 
-def write_plt(trail: Trail, target: str | Path | io.TextIOBase) -> None:
+def write_plt(trail: TraceArray, target: str | Path | io.TextIOBase) -> None:
     """Write a trail as one PLT file (header + one record per trace)."""
     if isinstance(target, (str, Path)):
         Path(target).parent.mkdir(parents=True, exist_ok=True)
@@ -143,9 +159,8 @@ def write_plt(trail: Trail, target: str | Path | io.TextIOBase) -> None:
             write_plt(trail, fh)
         return
     target.write(PLT_HEADER)
-    arr = trail.traces
-    lat, lon, alt, ts = arr.latitude, arr.longitude, arr.altitude, arr.timestamp
-    for i in range(len(arr)):
+    lat, lon, alt, ts = trail.latitude, trail.longitude, trail.altitude, trail.timestamp
+    for i in range(len(trail)):
         target.write(format_plt_line(lat[i], lon[i], alt[i], ts[i]))
         target.write("\n")
 
@@ -176,10 +191,10 @@ def iter_plt_files(
 
 def stream_geolife_trails(
     root: str | Path, user_ids: Iterable[str] | None = None
-) -> Iterator[Trail]:
+) -> Iterator[TraceArray]:
     """Stream a GeoLife tree one trajectory at a time.
 
-    Each ``.plt`` file becomes an independent :class:`Trail` the moment it
+    Each ``.plt`` file becomes an independent one-user trail the moment it
     is yielded, so peak memory is one trajectory — never the corpus.  This
     is the ingestion path for datasets larger than RAM: feed the trails
     into ``SimulatedHDFS`` (which pages chunks to disk under a memory
@@ -211,11 +226,9 @@ def write_geolife_dataset(dataset: GeolocatedDataset, root: str | Path) -> list[
     """
     root = Path(root)
     written: list[Path] = []
-    for trail in dataset.trails():
-        first = _dt.datetime.fromtimestamp(
-            trail.traces.timestamp[0], tz=_dt.timezone.utc
-        )
-        path = root / trail.user_id / "Trajectory" / f"{first:%Y%m%d%H%M%S}.plt"
+    for user, trail in zip(dataset.user_ids, dataset.trails()):
+        first = _dt.datetime.fromtimestamp(trail.timestamp[0], tz=_dt.timezone.utc)
+        path = root / user / "Trajectory" / f"{first:%Y%m%d%H%M%S}.plt"
         write_plt(trail, path)
         written.append(path)
     return written

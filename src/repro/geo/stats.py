@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geo.distance import haversine_m
-from repro.geo.trace import GeolocatedDataset, Trail, TraceArray, as_array
+from repro.geo.trace import GeolocatedDataset, TraceArray
 
 __all__ = [
     "radius_of_gyration_m",
@@ -29,13 +29,12 @@ __all__ = [
 ]
 
 
-def radius_of_gyration_m(trail: Trail | TraceArray) -> float:
+def radius_of_gyration_m(array: TraceArray) -> float:
     """Radius of gyration: RMS Haversine distance to the centre of mass.
 
     0 for a user who never moves; commuters land around half their
     home-work separation; returns 0 for empty input.
     """
-    array = as_array(trail)
     if len(array) == 0:
         return 0.0
     center_lat = float(np.mean(array.latitude))
@@ -44,13 +43,13 @@ def radius_of_gyration_m(trail: Trail | TraceArray) -> float:
     return float(np.sqrt(np.mean(d**2)))
 
 
-def sampling_interval_stats(trail: Trail | TraceArray) -> dict[str, float]:
+def sampling_interval_stats(array: TraceArray) -> dict[str, float]:
     """Distribution of inter-fix intervals (seconds): median/p90/mean.
 
     Gaps above 10 minutes are treated as logger-off periods and excluded
     (GeoLife loggers run per outing, not continuously).
     """
-    array = as_array(trail).sort_by_time()
+    array = array.sort_by_time()
     if len(array) < 2:
         return {"median_s": 0.0, "p90_s": 0.0, "mean_s": 0.0, "n_gaps": 0.0}
     dt = np.diff(array.timestamp)
@@ -77,13 +76,14 @@ class UserStats:
     median_interval_s: float
 
 
-def user_stats(trail: Trail) -> UserStats:
-    """Compute the per-user summary for one trail."""
+def user_stats(trail: TraceArray) -> UserStats:
+    """Compute the per-user summary for one trail (a one-user array)."""
+    (user_id,) = trail.users
     intervals = sampling_interval_stats(trail)
     return UserStats(
-        user_id=trail.user_id,
+        user_id=user_id,
         n_traces=len(trail),
-        duration_s=trail.duration_s() if len(trail) else 0.0,
+        duration_s=float(np.ptp(trail.timestamp)) if len(trail) else 0.0,
         radius_of_gyration_m=radius_of_gyration_m(trail),
         median_interval_s=intervals["median_s"],
     )

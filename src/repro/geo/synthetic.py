@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
+from repro.geo.trace import GeolocatedDataset, TraceArray
 
 __all__ = [
     "SyntheticConfig",
@@ -92,7 +92,7 @@ class SyntheticUser:
 
     user_id: str
     pois: list[PointOfInterest]
-    trail: Trail
+    trail: TraceArray
 
     @property
     def home(self) -> PointOfInterest:
@@ -239,8 +239,10 @@ def generate_user(cfg: SyntheticConfig, user_index: int) -> SyntheticUser:
     lat_all = np.concatenate(lat_parts) if lat_parts else np.empty(0)
     lon_all = np.concatenate(lon_parts) if lon_parts else np.empty(0)
     ts_all = np.concatenate(ts_parts) if ts_parts else np.empty(0)
-    arr = TraceArray.from_columns([user_id], lat_all, lon_all, ts_all)
-    return SyntheticUser(user_id, pois, Trail(user_id, arr))
+    trail = TraceArray.from_columns([user_id], lat_all, lon_all, ts_all)
+    if np.any(np.diff(ts_all) < 0):
+        trail = trail.sort_by_time()
+    return SyntheticUser(user_id, pois, trail)
 
 
 def generate_dataset(cfg: SyntheticConfig) -> tuple[GeolocatedDataset, list[SyntheticUser]]:

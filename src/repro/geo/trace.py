@@ -7,25 +7,24 @@ individual's traces; a *geolocated dataset* is a set of trails from several
 individuals.
 
 There is one trace model, the columnar :class:`TraceArray`: contiguous NumPy
-columns that every vectorized kernel and every MapReduce path works on.
-:class:`MobilityTrace` is one of its rows, built only when a caller indexes
-or iterates an array.  A :class:`Trail` is one user's time-sorted array, and
-a :class:`GeolocatedDataset` is one array sorted by user id and then by
-time, plus the offsets at which each user's rows start.
+columns that every vectorized kernel and every MapReduce path works on.  A
+trace is one of its rows, never an object of its own; a trail is a
+one-user array in time order; a :class:`GeolocatedDataset` is one array
+sorted by user id and then by time, plus the offsets at which each user's
+rows start.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.geo.distance import unit_vectors
 
-__all__ = ["MobilityTrace", "TraceArray", "Trail", "GeolocatedDataset"]
+__all__ = ["TraceArray", "GeolocatedDataset"]
 
 
 def digest(*blobs: bytes) -> str:
@@ -35,40 +34,6 @@ def digest(*blobs: bytes) -> str:
     for blob in blobs:
         h.update(blob)
     return h.hexdigest()
-
-
-@dataclass(frozen=True, slots=True)
-class MobilityTrace:
-    """A single mobility trace (Section II of the paper).
-
-    Parameters
-    ----------
-    user_id:
-        Identifier of the device/individual.  May be a real identifier, a
-        pseudonym, or the value ``"unknown"`` for full anonymity.
-    latitude, longitude:
-        Spatial coordinate in decimal degrees (WGS84).
-    timestamp:
-        Seconds since the Unix epoch (float; sub-second precision allowed).
-    altitude:
-        Altitude in feet as in GeoLife logs (``-777`` means invalid).
-    speed:
-        Optional instantaneous speed in m/s when known (e.g. computed by the
-        DJ-Cluster preprocessing phase); ``nan`` when unknown.
-    """
-
-    user_id: str
-    latitude: float
-    longitude: float
-    timestamp: float
-    altitude: float = -777.0
-    speed: float = float("nan")
-
-    def __post_init__(self) -> None:
-        if not -90.0 <= self.latitude <= 90.0:
-            raise ValueError(f"latitude out of range: {self.latitude!r}")
-        if not -180.0 <= self.longitude <= 180.0:
-            raise ValueError(f"longitude out of range: {self.longitude!r}")
 
 
 # Structured dtype backing TraceArray.  user ids are stored as an index into
@@ -82,7 +47,6 @@ _TRACE_DTYPE = np.dtype(
         ("altitude", np.float64),
     ]
 )
-_EMPTY = np.empty(0, dtype=_TRACE_DTYPE)
 
 
 class TraceArray:
@@ -202,17 +166,15 @@ class TraceArray:
         if not arrays:
             return cls.empty()
         users: dict[str, int] = {}
-        chunks = []
-        for a in arrays:
-            remap = np.array(
-                [users.setdefault(u, len(users)) for u in a._users],
-                dtype=np.int32,
-            )
-            chunk = a._data.copy()
-            if len(remap):
-                chunk["user_idx"] = remap[a._data["user_idx"]]
-            chunks.append(chunk)
-        return cls(np.concatenate(chunks), list(users))
+        remaps = [
+            np.array([users.setdefault(u, len(users)) for u in a._users], dtype=np.int32)
+            for a in arrays
+        ]
+        data = np.concatenate([a._data for a in arrays])
+        data["user_idx"] = np.concatenate(
+            [remap[a.user_index] for remap, a in zip(remaps, arrays)]
+        )
+        return cls(data, list(users))
 
     # -- column access ---------------------------------------------------
     @property
@@ -269,28 +231,12 @@ class TraceArray:
     def __len__(self) -> int:
         return len(self._data)
 
-    def __iter__(self) -> Iterator[MobilityTrace]:
-        users = self._users
-        for row in self._data:
-            yield MobilityTrace(
-                user_id=users[row["user_idx"]],
-                latitude=float(row["latitude"]),
-                longitude=float(row["longitude"]),
-                timestamp=float(row["timestamp"]),
-                altitude=float(row["altitude"]),
-            )
-
-    def __getitem__(self, item) -> "TraceArray | MobilityTrace":
-        if isinstance(item, (int, np.integer)):
-            row = self._data[int(item)]
-            return MobilityTrace(
-                user_id=self._users[row["user_idx"]],
-                latitude=float(row["latitude"]),
-                longitude=float(row["longitude"]),
-                timestamp=float(row["timestamp"]),
-                altitude=float(row["altitude"]),
-            )
-        return TraceArray(self._data[item], self._users)
+    def __getitem__(self, item) -> "TraceArray":
+        """The rows a slice, boolean mask or index array selects."""
+        rows = self._data[item]
+        if rows.ndim != 1:
+            raise TypeError("index a TraceArray with a slice, a mask or an index array")
+        return TraceArray(rows, self._users)
 
     # -- transforms ---------------------------------------------------------
     def with_coordinates(self, latitude: np.ndarray, longitude: np.ndarray) -> "TraceArray":
@@ -305,6 +251,25 @@ class TraceArray:
         data["latitude"] = np.asarray(latitude, dtype=np.float64)
         data["longitude"] = np.asarray(longitude, dtype=np.float64)
         return TraceArray(data, self._users)
+
+    def renamed(self, codes: np.ndarray, names: Sequence[str]) -> "TraceArray":
+        """A copy whose row ``i`` belongs to ``names[codes[i]]``.
+
+        Names that coincide share one table entry, and the table lists the
+        names in the order of their first row, as :meth:`from_columns`
+        builds it from the same per-row ids.
+        """
+        table: dict[str, int] = {}
+        merged = np.array([table.setdefault(name, len(table)) for name in names], dtype=np.int64)
+        key = merged[codes]
+        present, first = np.unique(key, return_index=True)
+        by_first_row = present[np.argsort(first)]
+        rank = np.empty(len(table), dtype=np.int32)
+        rank[by_first_row] = np.arange(len(by_first_row), dtype=np.int32)
+        data = self._data.copy()
+        data["user_idx"] = rank[key]
+        listed = list(table)
+        return TraceArray(data, [listed[i] for i in by_first_row])
 
     def sort_by_time(self) -> "TraceArray":
         """Return a copy sorted by (user, timestamp) — the trail order."""
@@ -341,34 +306,6 @@ class TraceArray:
         )
 
 
-@dataclass
-class Trail:
-    """A trail of traces: the movements of one individual over time.
-
-    Invariant: all traces belong to ``user_id`` and are sorted by timestamp.
-    """
-
-    user_id: str
-    traces: TraceArray
-
-    def __post_init__(self) -> None:
-        if len(self.traces):
-            uniq = np.unique(self.traces.user_index)
-            if len(uniq) > 1:
-                raise ValueError("a Trail must contain a single user")
-            ts = self.traces.timestamp
-            if np.any(np.diff(ts) < 0):
-                self.traces = self.traces.sort_by_time()
-
-    def __len__(self) -> int:
-        return len(self.traces)
-
-    def duration_s(self) -> float:
-        """Trail duration in seconds (0 for a single trace)."""
-        lo, hi = self.traces.time_span()
-        return hi - lo
-
-
 class GeolocatedDataset:
     """A set of trails from different individuals (Section II).
 
@@ -379,15 +316,10 @@ class GeolocatedDataset:
     sort; :meth:`flat` is the stored array; a trail is one slice.
     """
 
-    def __init__(self, trails: Iterable[Trail] = ()):
-        """Trails of one user merge, in the order given on tied timestamps."""
-        trails = [trail for trail in trails if len(trail)]
-        data = np.concatenate([trail.traces._data for trail in trails] or [_EMPTY])
-        data["user_idx"] = np.repeat(np.arange(len(trails)), [len(t) for t in trails])
-        self._index(TraceArray(data, [trail.user_id for trail in trails]))
-
-    def _index(self, array: TraceArray) -> None:
-        """Hold ``array``'s rows stably sorted by (user id, timestamp)."""
+    def __init__(self, arrays: Iterable[TraceArray] = ()):
+        """The rows of ``arrays``, under the ids they carry: the rows of one
+        user merge, in the order given on tied timestamps."""
+        array = TraceArray.concatenate(list(arrays))
         table = np.asarray(array.users, dtype=object)
         present = np.flatnonzero(np.bincount(array.user_index, minlength=len(table)))
         users, ranks = np.unique(table[present], return_inverse=True)
@@ -403,9 +335,7 @@ class GeolocatedDataset:
     @classmethod
     def from_array(cls, array: TraceArray) -> "GeolocatedDataset":
         """One trail per user of ``array``'s rows."""
-        dataset = cls.__new__(cls)
-        dataset._index(array)
-        return dataset
+        return cls([array])
 
     # -- access --------------------------------------------------------------
     @property
@@ -416,20 +346,20 @@ class GeolocatedDataset:
         i = bisect.bisect_left(self._array.users, user_id)
         return i if self._array.users[i : i + 1] == (user_id,) else None
 
-    def _trail(self, i: int) -> Trail:
-        """User ``i``'s rows as a trail whose table is that one user."""
+    def _trail(self, i: int) -> TraceArray:
+        """User ``i``'s rows, time-sorted, under a table of that one user."""
         data = self._array._data[self._offsets[i] : self._offsets[i + 1]].copy()
         data["user_idx"] = 0
-        user = self._array.users[i]
-        return Trail(user, TraceArray(data, (user,)))
+        return TraceArray(data, self._array.users[i : i + 1])
 
-    def trail(self, user_id: str) -> Trail:
+    def trail(self, user_id: str) -> TraceArray:
         i = self._rank(user_id)
         if i is None:
             raise KeyError(user_id)
         return self._trail(i)
 
-    def trails(self) -> Iterator[Trail]:
+    def trails(self) -> Iterator[TraceArray]:
+        """Every user's trail, in :attr:`user_ids` order."""
         return map(self._trail, range(self.num_users()))
 
     def flat(self) -> TraceArray:
@@ -451,7 +381,7 @@ class GeolocatedDataset:
 
     # -- transforms -----------------------------------------------------------
     def map_trails(self, fn) -> "GeolocatedDataset":
-        """Apply ``fn(Trail) -> TraceArray | None`` to every trail.
+        """Apply ``fn(TraceArray) -> TraceArray | None`` to every trail.
 
         The result holds the rows of every returned array under their own
         user ids, so ``fn`` may rename a trail or split it between users;
@@ -459,16 +389,12 @@ class GeolocatedDataset:
         samplers.
         """
         outputs = (fn(trail) for trail in self.trails())
-        return GeolocatedDataset.from_array(
-            TraceArray.concatenate([out for out in outputs if out is not None])
-        )
+        return GeolocatedDataset(out for out in outputs if out is not None)
 
 
-def as_array(data: "TraceArray | Trail | GeolocatedDataset") -> TraceArray:
-    """The :class:`TraceArray` behind a dataset (its :meth:`~GeolocatedDataset.flat`),
-    a trail (its ``traces``) or an array (itself)."""
+def as_array(data: "TraceArray | GeolocatedDataset") -> TraceArray:
+    """The :class:`TraceArray` behind a dataset (its :meth:`~GeolocatedDataset.flat`)
+    or an array (itself)."""
     if isinstance(data, GeolocatedDataset):
         return data.flat()
-    if isinstance(data, Trail):
-        return data.traces
     return data

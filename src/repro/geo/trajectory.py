@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.checks import positive
 from repro.geo.distance import haversine_m
-from repro.geo.trace import Trail, TraceArray, as_array
+from repro.geo.trace import TraceArray
 
 __all__ = ["Stay", "Trip", "segment_trail"]
 
@@ -56,7 +56,7 @@ class Trip:
 
 
 def segment_trail(
-    trail: Trail | TraceArray,
+    trail: TraceArray,
     roam_radius_m: float = 100.0,
     min_stay_s: float = 300.0,
     max_gap_s: float = 3600.0,
@@ -69,7 +69,7 @@ def segment_trail(
     """
     positive("roam_radius_m", roam_radius_m)
     positive("min_stay_s", min_stay_s)
-    array = as_array(trail).sort_by_time()
+    array = trail.sort_by_time()
     n = len(array)
     if n == 0:
         return [], []

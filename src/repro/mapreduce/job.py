@@ -9,10 +9,10 @@ k-means shuffle-volume optimization), and a *driver*
 — here the declarative :class:`JobSpec` consumed by
 :class:`~repro.mapreduce.runner.JobRunner`.
 
-A map **task** processes one HDFS chunk.  The default ``run`` iterates the
-chunk's records and calls ``map(key, value, ctx)`` per record, exactly like
-Hadoop; vectorized mappers override ``run`` and process the chunk's
-columnar :class:`~repro.geo.trace.TraceArray` in one NumPy pass.
+A map **task** processes one HDFS chunk.  The default ``run`` iterates a
+chunk of records and calls ``map(key, value, ctx)`` per record, exactly
+like Hadoop; a mapper over traces overrides ``run`` and processes the
+chunk's columnar :class:`~repro.geo.trace.TraceArray` in one NumPy pass.
 """
 
 from __future__ import annotations
@@ -106,7 +106,8 @@ class Mapper:
         """Called once per task before any record (loads cache entries)."""
 
     def run(self, chunk: Chunk, ctx: MapContext) -> None:
-        """Process one chunk.  Default: record-at-a-time ``map`` calls."""
+        """Process one chunk.  Default: record-at-a-time ``map`` calls over
+        a chunk of records (a chunk of traces raises ``TypeError``)."""
         for key, value in chunk.records():
             self.map(key, value, ctx)
 

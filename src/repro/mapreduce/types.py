@@ -11,8 +11,8 @@ need.  Two payload kinds cover everything the toolkit does:
   slice.  Map *tasks* in Hadoop process a whole chunk anyway; vectorized
   mappers exploit that by operating on the chunk's array in one NumPy pass
   instead of a Python loop over millions of records (the HPC guides'
-  "vectorize the hot loop" rule).  ``records()`` still yields per-record
-  pairs so record-oriented mappers work on either payload.
+  "vectorize the hot loop" rule).  It has no record view: a mapper over
+  traces overrides ``run`` and reads ``chunk.trace_array()``.
 """
 
 from __future__ import annotations
@@ -102,9 +102,6 @@ class RecordPayload:
             self.size = sum(estimate_nbytes(k) + estimate_nbytes(v) for k, v in self.records)
         return self.size
 
-    def iter_records(self) -> Iterator[tuple[Any, Any]]:
-        return iter(self.records)
-
 
 @dataclass
 class ArrayPayload:
@@ -127,11 +124,6 @@ class ArrayPayload:
 
     def nbytes(self) -> int:
         return len(self.array) * self.record_bytes
-
-    def iter_records(self) -> Iterator[tuple[Any, Any]]:
-        """Record view: key = global row offset, value = MobilityTrace."""
-        for i, trace in enumerate(self.array):
-            yield self.offset + i, trace
 
 
 @dataclass
@@ -162,9 +154,6 @@ class PagedPayload:
 
     def nbytes(self) -> int:
         return self.nbytes_hint
-
-    def iter_records(self) -> Iterator[tuple[Any, Any]]:
-        return self.load().iter_records()
 
     def materialize(self) -> "RecordPayload | ArrayPayload":
         """The concrete payload (rehydrated from disk if paged out)."""
@@ -202,7 +191,15 @@ class Chunk:
         return self.payload.nbytes()
 
     def records(self) -> Iterator[tuple[Any, Any]]:
-        return self.payload.iter_records()
+        """The chunk's ``(key, value)`` records; ``TypeError`` for a chunk
+        of traces, which a mapper reads through :meth:`trace_array`."""
+        payload = concrete_payload(self.payload)
+        if not isinstance(payload, RecordPayload):
+            raise TypeError(
+                f"chunk {self.chunk_id} holds traces, not records: "
+                "override Mapper.run and read chunk.trace_array()"
+            )
+        return iter(payload.records)
 
     def trace_array(self) -> TraceArray:
         """The chunk's traces as a columnar array (vectorized-mapper path);

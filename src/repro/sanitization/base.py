@@ -24,4 +24,4 @@ class Sanitizer(abc.ABC):
 
     def sanitize_dataset(self, dataset: GeolocatedDataset) -> GeolocatedDataset:
         """Apply to every trail; trails sanitized to emptiness are dropped."""
-        return dataset.map_trails(lambda trail: self.sanitize_array(trail.traces))
+        return dataset.map_trails(self.sanitize_array)

@@ -90,14 +90,14 @@ class MixZoneSanitizer(Sanitizer):
         # Only a *gap* (>=1 suppressed trace between two kept ones) forces
         # a new pseudonym; renumber to consecutive segment ids.
         _, segments = np.unique(seg_raw, return_inverse=True)
-        users = outside.user_ids()
-        new_users = [
-            self._pseudonym(str(u), int(s)) for u, s in zip(users, segments)
-        ]
-        return TraceArray.from_columns(
-            new_users,
-            outside.latitude.copy(),
-            outside.longitude.copy(),
-            outside.timestamp.copy(),
-            outside.altitude.copy(),
+        # One pseudonym per distinct (user, segment) pair, not per row.
+        n_segments = int(segments.max()) + 1
+        pairs, codes = np.unique(
+            outside.user_index.astype(np.int64) * n_segments + segments, return_inverse=True
         )
+        users, segments = np.divmod(pairs, n_segments)
+        names = [
+            self._pseudonym(outside.users[user], segment)
+            for user, segment in zip(users.tolist(), segments.tolist())
+        ]
+        return outside.renamed(codes, names)

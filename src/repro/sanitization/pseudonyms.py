@@ -56,15 +56,7 @@ class Pseudonymizer(Sanitizer):
     def sanitize_array(self, array: TraceArray) -> TraceArray:
         if len(array) == 0:
             return array
-        mapping = [self.pseudonym_for(u) for u in array.users]
-        new_users = [mapping[i] for i in array.user_index]
-        return TraceArray.from_columns(
-            new_users,
-            array.latitude.copy(),
-            array.longitude.copy(),
-            array.timestamp.copy(),
-            array.altitude.copy(),
-        )
+        return array.renamed(array.user_index, [self.pseudonym_for(u) for u in array.users])
 
     def __repr__(self) -> str:
         return f"Pseudonymizer(seed={self.seed}, anonymous={self.anonymous})"

@@ -79,8 +79,8 @@ class Gepeto:
     ) -> dict[str, list[PointOfInterestEstimate]]:
         """Run the POI inference attack on every user."""
         return {
-            trail.user_id: poi_attack(trail, params)
-            for trail in self.dataset.trails()
+            user: poi_attack(trail, params)
+            for user, trail in zip(self.dataset.user_ids, self.dataset.trails())
         }
 
     def utility_versus(self, original: "Gepeto", cell_m: float = 500.0) -> UtilityReport:

@@ -8,9 +8,8 @@ from repro.algorithms.sampling import (
     run_sampling_job,
     sample_array,
     sample_dataset,
-    sample_trail,
 )
-from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
+from repro.geo.trace import GeolocatedDataset, TraceArray
 
 
 def _array(timestamps, user="u", lat=None):
@@ -118,16 +117,16 @@ class TestSampleArray:
 
 class TestTrailAndDataset:
     def test_sample_trail_keeps_user(self):
-        trail = Trail("alice", _array([1, 30, 61], user="alice"))
-        out = sample_trail(trail, 60.0)
-        assert out.user_id == "alice"
+        trail = _array([1, 30, 61], user="alice")
+        out = sample_array(trail, 60.0)
+        assert out.users == ("alice",)
         assert len(out) == 2
 
     def test_sample_dataset_all_users(self):
         ds = GeolocatedDataset(
             [
-                Trail("a", _array([1, 5, 70], user="a")),
-                Trail("b", _array([2, 80], user="b")),
+                _array([1, 5, 70], user="a"),
+                _array([2, 80], user="b"),
             ]
         )
         out = sample_dataset(ds, 60.0)

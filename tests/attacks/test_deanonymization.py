@@ -12,7 +12,7 @@ from repro.attacks.deanonymization import (
     fingerprint_user,
 )
 from repro.algorithms.sampling import sample_dataset
-from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
+from repro.geo.trace import GeolocatedDataset, TraceArray
 
 
 @pytest.fixture(scope="module")
@@ -27,22 +27,21 @@ def split_corpus():
     cut = cfg.start_timestamp + 2 * 86400.0
     training, target = [], []
     ground_truth = {}
-    for trail in sampled.trails():
-        arr = trail.traces
+    for user, arr in zip(sampled.user_ids, sampled.trails()):
         first = arr[arr.timestamp < cut]
         second = arr[arr.timestamp >= cut]
         if len(first):
-            training.append(Trail(trail.user_id, first))
+            training.append(first)
         if len(second):
-            pseud = f"anon-{trail.user_id}"
+            pseud = f"anon-{user}"
             renamed = TraceArray.from_columns(
                 [pseud],
                 second.latitude.copy(),
                 second.longitude.copy(),
                 second.timestamp.copy(),
             )
-            target.append(Trail(pseud, renamed))
-            ground_truth[pseud] = trail.user_id
+            target.append(renamed)
+            ground_truth[pseud] = user
     return GeolocatedDataset(training), GeolocatedDataset(target), ground_truth
 
 
@@ -59,11 +58,8 @@ class TestFingerprint:
         assert np.allclose(fp.transitions.sum(axis=1), 1.0)
 
     def test_sparse_trail_unlinkable(self):
-        trail = Trail(
-            "ghost",
-            TraceArray.from_columns(
-                ["ghost"], np.array([39.9]), np.array([116.4]), np.array([0.0])
-            ),
+        trail = TraceArray.from_columns(
+            ["ghost"], np.array([39.9]), np.array([116.4]), np.array([0.0])
         )
         assert fingerprint_user(trail, PARAMS) is None
 
@@ -96,15 +92,12 @@ class TestAttack:
         assert result.success_rate == 0.0
 
 
-def _renamed_trail(array: TraceArray, user: str) -> Trail:
-    return Trail(
-        user,
-        TraceArray.from_columns(
-            [user],
-            array.latitude.copy(),
-            array.longitude.copy(),
-            array.timestamp.copy(),
-        ),
+def _renamed_trail(array: TraceArray, user: str) -> TraceArray:
+    return TraceArray.from_columns(
+        [user],
+        array.latitude.copy(),
+        array.longitude.copy(),
+        array.timestamp.copy(),
     )
 
 
@@ -151,7 +144,7 @@ class TestTieBreakAndEvidence:
             train.longitude + 40.0,
             train.timestamp.copy(),
         )
-        training = GeolocatedDataset([Trail("far", far)])
+        training = GeolocatedDataset([far])
         tgt = GeolocatedDataset([_renamed_trail(target, "anon-x")])
         result = deanonymization_attack(
             training, tgt, {"anon-x": "far"}, SYNTH_ATTACK_PARAMS

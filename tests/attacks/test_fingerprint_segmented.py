@@ -36,7 +36,7 @@ from repro.attacks.linkage_mr import (
 from repro.attacks.mmc import build_mmc
 from repro.attacks.poi import poi_attack
 from repro.geo import distance
-from repro.geo.trace import Trail, TraceArray
+from repro.geo.trace import TraceArray
 from repro.index import selfjoin
 from repro.mapreduce.cache import DistributedCache
 from repro.mapreduce.config import Configuration
@@ -70,8 +70,9 @@ def per_user_oracle(trail, params, max_pois, attach_radius_m):
     )
 
 
-def _trail(name, columns) -> Trail:
-    return Trail(name, TraceArray.from_columns(name, *columns))
+def _trail(name, columns) -> TraceArray:
+    """``name``'s rows as a trail: in time order."""
+    return TraceArray.from_columns(name, *columns).sort_by_time()
 
 
 def _block(users: dict, rng=None) -> TraceArray:

@@ -194,11 +194,11 @@ class TestKMeansExtractor:
 
 class TestEndToEndOnSynthetic:
     def test_home_recovered_on_synthetic_user(self, small_corpus):
-        from repro.algorithms.sampling import sample_trail
+        from repro.algorithms.sampling import sample_array
 
         dataset, users = small_corpus
         user = users[0]
-        sampled = sample_trail(dataset.trail(user.user_id), 60.0)
+        sampled = sample_array(dataset.trail(user.user_id), 60.0)
         pois = poi_attack(sampled, DJClusterParams(radius_m=80, min_pts=6))
         assert pois, "no POIs extracted"
         best = min(

@@ -66,11 +66,11 @@ class TestEvaluation:
 
 class TestOnSyntheticUsers:
     def test_synthetic_user_beats_chance(self, small_corpus):
-        from repro.algorithms.sampling import sample_trail
+        from repro.algorithms.sampling import sample_array
 
         dataset, users = small_corpus
         user = users[1]
-        trail = sample_trail(dataset.trail(user.user_id), 60.0)
+        trail = sample_array(dataset.trail(user.user_id), 60.0)
         coords = np.array([(p.latitude, p.longitude) for p in user.pois])
         report = evaluate_next_place_prediction(trail, coords, train_fraction=0.6)
         if report.n_predictions >= 3:

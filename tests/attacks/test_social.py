@@ -5,19 +5,16 @@ import numpy as np
 import pytest
 
 from repro.attacks.social import ColocationParams, colocation_graph, contact_events
-from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
+from repro.geo.trace import GeolocatedDataset, TraceArray
 
 
 def _trail(user, lat, lon, timestamps):
     n = len(timestamps)
-    return Trail(
-        user,
-        TraceArray.from_columns(
-            [user],
-            np.full(n, lat) if np.isscalar(lat) else np.asarray(lat, float),
-            np.full(n, lon) if np.isscalar(lon) else np.asarray(lon, float),
-            np.asarray(timestamps, float),
-        ),
+    return TraceArray.from_columns(
+        [user],
+        np.full(n, lat) if np.isscalar(lat) else np.asarray(lat, float),
+        np.full(n, lon) if np.isscalar(lon) else np.asarray(lon, float),
+        np.asarray(timestamps, float),
     )
 
 

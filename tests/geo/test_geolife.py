@@ -17,7 +17,7 @@ from repro.geo.geolife import (
     write_geolife_dataset,
     write_plt,
 )
-from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
+from repro.geo.trace import GeolocatedDataset, TraceArray
 
 
 class TestEpochConversion:
@@ -69,15 +69,12 @@ class TestLineFormat:
 
 
 def _trail(n=5, user="007"):
-    return Trail(
-        user,
-        TraceArray.from_columns(
-            [user],
-            39.9 + np.arange(n) * 1e-4,
-            116.4 + np.arange(n) * 1e-4,
-            1_200_000_000.0 + np.arange(n) * 2.0,
-            np.full(n, 120.0),
-        ),
+    return TraceArray.from_columns(
+        [user],
+        39.9 + np.arange(n) * 1e-4,
+        116.4 + np.arange(n) * 1e-4,
+        1_200_000_000.0 + np.arange(n) * 2.0,
+        np.full(n, 120.0),
     )
 
 
@@ -89,8 +86,9 @@ class TestFileIO:
         buf.seek(0)
         back = read_plt(buf, "007")
         assert len(back) == 20
-        assert np.allclose(back.traces.latitude, trail.traces.latitude, atol=1e-6)
-        assert np.allclose(back.traces.timestamp, trail.traces.timestamp, atol=0.01)
+        assert back.users == ("007",)
+        assert np.allclose(back.latitude, trail.latitude, atol=1e-6)
+        assert np.allclose(back.timestamp, trail.timestamp, atol=0.01)
 
     def test_header_is_six_lines(self):
         buf = io.StringIO()
@@ -102,6 +100,45 @@ class TestFileIO:
     def test_read_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_plt(tmp_path / "nope.plt", "u")
+
+
+def _plt(*rows):
+    """A PLT stream of ``(lat, lon, timestamp)`` rows, written verbatim."""
+    lines = [format_plt_line(lat, lon, 0.0, ts) for lat, lon, ts in rows]
+    stream = io.StringIO(PLT_HEADER + "\n".join(lines) + "\n")
+    stream.name = "u/Trajectory/t.plt"
+    return stream
+
+
+class TestReadPltChecks:
+    """``read_plt`` refuses what no trace can be, naming the file and line."""
+
+    def test_latitude_bounds_validated(self):
+        with pytest.raises(ValueError, match=r"t\.plt, line 8: latitude must be within"):
+            read_plt(_plt((39.9, 116.4, 1e9), (91.5, 116.4, 1e9 + 1)), "u")
+        with pytest.raises(ValueError, match="line 7: latitude"):
+            read_plt(_plt((-90.5, 116.4, 1e9)), "u")
+
+    def test_longitude_bounds_validated(self):
+        with pytest.raises(ValueError, match="line 7: longitude must be within"):
+            read_plt(_plt((39.9, 180.5, 1e9)), "u")
+
+    def test_boundary_coordinates_allowed(self):
+        trail = read_plt(_plt((90.0, -180.0, 1e9), (-90.0, 180.0, 1e9 + 1)), "u")
+        assert trail.latitude.tolist() == [90.0, -90.0]
+
+    @pytest.mark.parametrize("field", [0, 1, 4])
+    def test_non_finite_fields_refused(self, field):
+        parts = format_plt_line(39.9, 116.4, 0.0, 1e9).split(",")
+        parts[field] = "nan"
+        stream = io.StringIO(PLT_HEADER + ",".join(parts) + "\n")
+        name = {0: "latitude", 1: "longitude", 4: "timestamp"}[field]
+        with pytest.raises(ValueError, match=f"PLT stream, line 7: {name} must be finite"):
+            read_plt(stream, "u")
+
+    def test_unsorted_file_is_sorted_by_time(self):
+        trail = read_plt(_plt((1.0, 0.0, 1e9 + 2), (2.0, 0.0, 1e9), (3.0, 0.0, 1e9 + 2)), "u")
+        assert trail.latitude.tolist() == [2.0, 1.0, 3.0]
 
 
 class TestDatasetLayout:

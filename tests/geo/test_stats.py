@@ -9,15 +9,12 @@ from repro.geo.stats import (
     sampling_interval_stats,
     user_stats,
 )
-from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
+from repro.geo.trace import GeolocatedDataset, TraceArray
 
 
 def _trail(lat, lon, ts, user="u"):
-    return Trail(
-        user,
-        TraceArray.from_columns(
-            [user], np.asarray(lat, float), np.asarray(lon, float), np.asarray(ts, float)
-        ),
+    return TraceArray.from_columns(
+        [user], np.asarray(lat, float), np.asarray(lon, float), np.asarray(ts, float)
     )
 
 

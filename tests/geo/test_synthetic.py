@@ -31,7 +31,7 @@ class TestGenerateUser:
         a = generate_user(cfg, 0)
         b = generate_user(cfg, 0)
         assert len(a.trail) == len(b.trail)
-        assert np.array_equal(a.trail.traces.latitude, b.trail.traces.latitude)
+        assert np.array_equal(a.trail.latitude, b.trail.latitude)
 
     def test_different_users_differ(self):
         cfg = SyntheticConfig(n_users=2, days=1, seed=9)
@@ -53,10 +53,19 @@ class TestGenerateUser:
         assert user.pois[1].label == "work"
         assert user.home is user.pois[0]
 
+    def test_trail_sorted_when_days_overlap(self):
+        """Dwells longer than a day push one day's log past the next day's
+        start; the trail is still in time order."""
+        cfg = SyntheticConfig(
+            n_users=1, days=2, dwell_mean_s=60_000.0,
+            min_log_interval_s=60.0, max_log_interval_s=120.0, seed=0,
+        )
+        assert np.all(np.diff(generate_user(cfg, 0).trail.timestamp) >= 0)
+
     def test_trail_sorted_and_dense(self):
         cfg = SyntheticConfig(n_users=1, days=1, seed=5)
         user = generate_user(cfg, 0)
-        ts = user.trail.traces.timestamp
+        ts = user.trail.timestamp
         assert np.all(np.diff(ts) >= 0)
         gaps = np.diff(ts)
         logged = gaps[gaps <= cfg.max_log_interval_s + 1e-9]
@@ -72,7 +81,7 @@ class TestGenerateUser:
 
         cfg = SyntheticConfig(n_users=1, days=2, seed=5)
         user = generate_user(cfg, 0)
-        arr = sample_array(user.trail.traces, 60.0)
+        arr = sample_array(user.trail, 60.0)
         step_m = np.asarray(
             haversine_m(
                 arr.latitude[:-1], arr.longitude[:-1], arr.latitude[1:], arr.longitude[1:]
@@ -88,7 +97,7 @@ class TestGenerateUser:
     def test_traces_near_pois_exist(self):
         cfg = SyntheticConfig(n_users=1, days=1, seed=7)
         user = generate_user(cfg, 0)
-        arr = user.trail.traces
+        arr = user.trail
         d_home = np.asarray(
             haversine_m(user.home.latitude, user.home.longitude, arr.latitude, arr.longitude)
         )

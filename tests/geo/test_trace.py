@@ -3,70 +3,34 @@
 import numpy as np
 import pytest
 
-from repro.geo.trace import GeolocatedDataset, MobilityTrace, Trail, TraceArray
+from repro.geo.trace import GeolocatedDataset, TraceArray
 
 
-def make_trace(**kw):
-    base = dict(user_id="alice", latitude=39.9, longitude=116.4, timestamp=1000.0)
-    base.update(kw)
-    return MobilityTrace(**base)
-
-
-def traces_array(traces):
-    """The columnar array of some :class:`MobilityTrace` records."""
+def make_array(users="alice", latitude=39.9, longitude=116.4, timestamps=(1000.0,)):
+    """Rows at one coordinate, one per timestamp, of ``users`` (one id, or
+    one id per row)."""
+    n = len(timestamps)
     return TraceArray.from_columns(
-        [t.user_id for t in traces],
-        [t.latitude for t in traces],
-        [t.longitude for t in traces],
-        [t.timestamp for t in traces],
-        [t.altitude for t in traces],
+        [users] if isinstance(users, str) else list(users),
+        np.full(n, latitude),
+        np.full(n, longitude),
+        np.asarray(timestamps, dtype=float),
     )
-
-
-def make_trail(traces):
-    arr = traces_array(traces)
-    return Trail(arr.users[0], arr)
-
-
-def make_dataset(traces):
-    return GeolocatedDataset.from_array(traces_array(traces))
-
-
-class TestMobilityTrace:
-    def test_fields_and_coordinate(self):
-        t = make_trace(altitude=120.0)
-        assert (t.latitude, t.longitude) == (39.9, 116.4)
-        assert t.altitude == 120.0
-
-    def test_latitude_bounds_validated(self):
-        with pytest.raises(ValueError, match="latitude"):
-            make_trace(latitude=91.0)
-        with pytest.raises(ValueError, match="latitude"):
-            make_trace(latitude=-90.5)
-
-    def test_longitude_bounds_validated(self):
-        with pytest.raises(ValueError, match="longitude"):
-            make_trace(longitude=180.5)
-
-    def test_boundary_coordinates_allowed(self):
-        make_trace(latitude=90.0, longitude=-180.0)
-        make_trace(latitude=-90.0, longitude=180.0)
-
-    def test_frozen(self):
-        t = make_trace()
-        with pytest.raises(Exception):
-            t.latitude = 0.0
 
 
 class TestTraceArray:
     def test_from_traces_roundtrip(self):
-        traces = [
-            make_trace(timestamp=float(i), latitude=39.9 + i * 0.001) for i in range(5)
-        ]
-        arr = traces_array(traces)
+        lat = 39.9 + np.arange(5) * 0.001
+        lon = np.full(5, 116.4)
+        ts = np.arange(5.0)
+        alt = np.full(5, 120.0)
+        arr = TraceArray.from_columns(["alice"] * 5, lat, lon, ts, alt)
         assert len(arr) == 5
-        back = [arr[i] for i in range(len(arr))]
-        assert back == traces
+        assert list(arr.user_ids()) == ["alice"] * 5
+        for column, expected in zip(
+            (arr.latitude, arr.longitude, arr.timestamp, arr.altitude), (lat, lon, ts, alt)
+        ):
+            assert np.array_equal(column, expected)
 
     def test_from_columns_single_user_broadcast(self):
         arr = TraceArray.from_columns(
@@ -91,11 +55,13 @@ class TestTraceArray:
                 ["a", "b"], np.zeros(3), np.zeros(3), np.zeros(3)
             )
 
-    def test_getitem_int_returns_trace(self):
-        arr = traces_array([make_trace(timestamp=5.0)])
-        t = arr[0]
-        assert isinstance(t, MobilityTrace)
-        assert t.timestamp == 5.0
+    def test_getitem_int_is_refused(self):
+        arr = make_array(timestamps=(5.0, 6.0))
+        with pytest.raises(TypeError, match="slice"):
+            arr[0]
+        with pytest.raises(TypeError):
+            list(arr)
+        assert arr[np.array([1])].timestamp.tolist() == [6.0]
 
     def test_getitem_slice_and_mask(self):
         arr = TraceArray.from_columns(
@@ -179,69 +145,72 @@ class TestTraceArray:
 
 
 class TestTrail:
+    """A trail is a one-user array in time order, as a dataset slices it."""
+
     def test_requires_single_user(self):
-        arr = TraceArray.from_columns(
-            ["a", "b"], np.zeros(2), np.zeros(2), np.arange(2.0)
-        )
-        with pytest.raises(ValueError):
-            Trail("a", arr)
+        ds = GeolocatedDataset.from_array(make_array(list("abab"), timestamps=range(4)))
+        for user, trail in zip(ds.user_ids, ds.trails()):
+            assert trail.users == (user,)
+            assert np.all(trail.user_index == 0)
 
     def test_auto_sorts(self):
-        arr = TraceArray.from_columns(
-            ["u"], np.zeros(3), np.zeros(3), np.array([3.0, 1.0, 2.0])
-        )
-        trail = Trail("u", arr)
-        assert list(trail.traces.timestamp) == [1.0, 2.0, 3.0]
+        ds = GeolocatedDataset([make_array("u", timestamps=(3.0, 1.0, 2.0))])
+        assert list(ds.trail("u").timestamp) == [1.0, 2.0, 3.0]
 
     def test_duration(self):
-        trail = make_trail(
-            [make_trace(timestamp=10.0), make_trace(timestamp=70.0)]
-        )
-        assert trail.duration_s() == 60.0
+        trail = GeolocatedDataset([make_array(timestamps=(70.0, 10.0))]).trail("alice")
+        assert trail.time_span() == (10.0, 70.0)
+
 
 class TestGeolocatedDataset:
     def test_from_traces_groups_users(self):
-        traces = [make_trace(user_id=u, timestamp=float(i)) for i, u in enumerate("abab")]
-        ds = make_dataset(traces)
+        ds = GeolocatedDataset.from_array(make_array(list("abab"), timestamps=range(4)))
         assert ds.num_users() == 2
         assert len(ds) == 4
         assert len(ds.trail("a")) == 2
 
     def test_add_trail_merges_same_user(self):
-        t1 = make_trail([make_trace(timestamp=1.0)])
-        t2 = make_trail([make_trace(timestamp=2.0)])
+        t1 = make_array(timestamps=(2.0,))
+        t2 = make_array(timestamps=(1.0, 3.0))
         ds = GeolocatedDataset([t1, t2])
         assert ds.num_users() == 1
-        assert len(ds.trail("alice")) == 2
-        assert list(ds.trail("alice").traces.timestamp) == [1.0, 2.0]
+        assert ds.trail("alice").users == ("alice",)
+        assert list(ds.trail("alice").timestamp) == [1.0, 2.0, 3.0]
 
     def test_flat_is_cached_and_invalidated(self):
-        ds = make_dataset([make_trace(timestamp=1.0)])
+        ds = GeolocatedDataset.from_array(make_array(timestamps=(1.0,)))
         flat1 = ds.flat()
         assert ds.flat() is flat1
-        grown = GeolocatedDataset([*ds.trails(), make_trail([make_trace(user_id="bob")])])
+        grown = GeolocatedDataset([*ds.trails(), make_array("bob")])
         assert len(grown.flat()) == 2
 
     def test_map_trails_drop(self):
-        ds = make_dataset(
-            [make_trace(user_id="a"), make_trace(user_id="b")]
-        )
-        kept = ds.map_trails(lambda t: t.traces if t.user_id == "a" else None)
+        ds = GeolocatedDataset.from_array(make_array(list("ab"), timestamps=(1.0, 1.0)))
+        kept = ds.map_trails(lambda t: t if t.users == ("a",) else None)
         assert kept.user_ids == ["a"]
 
     def test_from_array_roundtrip(self):
-        traces = [make_trace(user_id=u, timestamp=float(i)) for i, u in enumerate("aabb")]
-        ds = make_dataset(traces)
+        ds = GeolocatedDataset.from_array(make_array(list("aabb"), timestamps=range(4)))
         ds2 = GeolocatedDataset.from_array(ds.flat())
         assert ds2.user_ids == ds.user_ids
         assert len(ds2) == len(ds)
 
     def test_contains(self):
-        ds = make_dataset([make_trace()])
+        ds = GeolocatedDataset.from_array(make_array())
         assert "alice" in ds
         assert "bob" not in ds
         with pytest.raises(KeyError):
             ds.trail("bob")
+
+
+def test_renamed_merges_names_in_first_row_order():
+    arr = make_array(list("abcab"), timestamps=range(5))
+    out = arr.renamed(arr.user_index, ["y", "x", "y"])
+    expected = TraceArray.from_columns(
+        ["y", "x", "y", "y", "x"], arr.latitude, arr.longitude, arr.timestamp
+    )
+    assert out.users == expected.users == ("y", "x")
+    assert out.signature() == expected.signature()
 
 
 def test_trace_array_refuses_a_foreign_dtype():

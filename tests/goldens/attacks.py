@@ -59,7 +59,7 @@ from repro.attacks.linkage_mr import (
     run_linkage_attack,
     synthetic_linkage_corpus,
 )
-from repro.geo.trace import Trail, TraceArray
+from repro.geo.trace import TraceArray
 from repro.mapreduce.runner import fresh_runner
 from tests.goldens import dump, sha256
 
@@ -254,8 +254,7 @@ def fingerprints_text(prints: dict) -> str:
 def build_fingerprints() -> str:
     return fingerprints_text({
         name: fingerprint_user(
-            Trail(name, TraceArray.from_columns(name, lat, lon, ts)),
-            PARAMS, MAX_POIS, ATTACH_RADIUS_M,
+            TraceArray.from_columns(name, lat, lon, ts), PARAMS, MAX_POIS, ATTACH_RADIUS_M,
         )
         for name, (lat, lon, ts) in corpus().items()
     })

@@ -22,7 +22,7 @@ from repro.algorithms.sampling import sample_dataset
 from repro.attacks.linkage_mr import synthetic_linkage_corpus
 from repro.geo.geolife import read_geolife_dataset, write_plt
 from repro.geo.synthetic import SyntheticConfig, generate_dataset
-from repro.geo.trace import GeolocatedDataset, TraceArray, Trail
+from repro.geo.trace import GeolocatedDataset, TraceArray
 from repro.sanitization import (
     DonutMask,
     GaussianMask,
@@ -47,11 +47,8 @@ def describe(dataset: GeolocatedDataset) -> dict:
         "traces": len(dataset),
         "flat": dataset.flat().signature(),
         "trails": {
-            trail.user_id: sha256(
-                trail.traces.latitude, trail.traces.longitude,
-                trail.traces.timestamp, trail.traces.altitude,
-            )
-            for trail in dataset.trails()
+            user: sha256(trail.latitude, trail.longitude, trail.timestamp, trail.altitude)
+            for user, trail in zip(dataset.user_ids, dataset.trails())
         },
     }
 
@@ -59,18 +56,18 @@ def describe(dataset: GeolocatedDataset) -> dict:
 def mix_zones(dataset: GeolocatedDataset) -> list[MixZone]:
     """Two zones on rows of the first trail that the trail leaves again,
     so its segments take fresh pseudonyms."""
-    first = dataset.trail(dataset.user_ids[0]).traces
+    first = dataset.trail(dataset.user_ids[0])
     rows = (len(first) // 3, 2 * len(first) // 3)
     return [MixZone(float(first.latitude[i]), float(first.longitude[i]), 300.0) for i in rows]
 
 
 def geolife_round_trip() -> GeolocatedDataset:
     """Three ``.plt`` files, two of them one user's with a tied timestamp."""
-    def trail(user: str, start: float, n: int, lat0: float) -> Trail:
+    def trail(user: str, start: float, n: int, lat0: float) -> TraceArray:
         ts = start + 5.0 * np.arange(n)
         lat = lat0 + 1e-4 * np.arange(n)
         lon = 116.3 + 1e-4 * np.arange(n)
-        return Trail(user, TraceArray.from_columns([user], lat, lon, ts, np.full(n, 150.0)))
+        return TraceArray.from_columns([user], lat, lon, ts, np.full(n, 150.0))
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)

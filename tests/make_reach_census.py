@@ -82,10 +82,6 @@ EXECUTED = "executed"
 
 _POOL = "pool-worker: "
 _BASE = "interface: the base-class default; every reached subclass overrides it"
-_RECORD_VIEW = (
-    "interface: the record view Mapper.run's default loop reads an array chunk "
-    "through; every reached mapper overrides run"
-)
 _PRIVACY = (
     "kept: GEPETO's measure leg (surface census KEPT); "
     "tests/streaming/golden_window_metrics.json pins it"
@@ -119,8 +115,6 @@ REASONS: dict[str, str] = {
     "repro.mapreduce.job:Reducer.reduce": _BASE,
     "repro.mapreduce.job:Partitioner.partition": _BASE,
     "repro.sanitization.base:Sanitizer.sanitize_array": _BASE,
-    "repro.mapreduce.types:ArrayPayload.iter_records": _RECORD_VIEW,
-    "repro.geo.trace:TraceArray.__iter__": _RECORD_VIEW,
     "repro.algorithms.kmeans:KMeansAggregation.lift": "oracle: test_aggregation's "
         "test_kmeans_lift_pairs_matches_object_loop_bitwise folds it against lift_pairs",
     "repro.mapreduce.shuffle:_group_sorted_generic": "oracle: test_shuffle_fastpath and "
@@ -132,9 +126,9 @@ REASONS: dict[str, str] = {
         "folds a node's child MBRs with it against the packed reduceat bounds",
     "repro.mapreduce.counters:Counters.__eq__": "oracle: the backend suites compare "
         "pooled outcomes, counters included, with the serial backend's",
-    "repro.geo.trace:MobilityTrace.__post_init__": "safety: "
-        "tests/geo/test_trace.py::TestMobilityTrace::test_latitude_bounds_validated "
-        "rejects an out-of-range coordinate",
+    "repro.checks:within": "safety: "
+        "tests/geo/test_geolife.py::TestReadPltChecks::test_latitude_bounds_validated "
+        "words the refusal of an out-of-range coordinate read from a PLT file",
     "repro.index.selfjoin:_squeeze": "safety: "
         "tests/properties/test_selfjoin_properties.py::"
         "test_cell_key_too_wide_to_fold_is_squeezed_first keeps a cell key in int64",

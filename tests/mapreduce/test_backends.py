@@ -53,13 +53,19 @@ class SumReducer(Reducer):
 
 
 class CountMapper(Mapper):
-    def map(self, key, value, ctx):
-        ctx.emit("n", 1)
+    """One ``("n", 1)`` per trace of the chunk."""
+
+    def run(self, chunk, ctx):
+        for _ in range(len(chunk.trace_array())):
+            ctx.emit("n", 1)
 
 
 class PidMapper(Mapper):
-    def map(self, key, value, ctx):
-        ctx.emit(os.getpid(), 1)
+    """One ``(worker pid, 1)`` per trace of the chunk."""
+
+    def run(self, chunk, ctx):
+        for _ in range(len(chunk.trace_array())):
+            ctx.emit(os.getpid(), 1)
 
 
 class NearestPOIMapper(Mapper):
@@ -69,12 +75,14 @@ class NearestPOIMapper(Mapper):
     def setup(self, ctx):
         self._coords = ctx.cache.get("poi_coords")
 
-    def map(self, key, trace, ctx):
+    def run(self, chunk, ctx):
+        array = chunk.trace_array()
         d = np.hypot(
-            self._coords[:, 0] - trace.latitude,
-            self._coords[:, 1] - trace.longitude,
+            self._coords[None, :, 0] - array.latitude[:, None],
+            self._coords[None, :, 1] - array.longitude[:, None],
         )
-        ctx.emit(int(np.argmin(d)), 1)
+        for nearest in np.argmin(d, axis=1).tolist():
+            ctx.emit(nearest, 1)
 
 
 def _wordcount_hdfs():

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.geo.trace import MobilityTrace, TraceArray
+from repro.geo.trace import TraceArray
 from repro.mapreduce.types import (
     ArrayPayload,
     Chunk,
     DEFAULT_RECORD_BYTES,
+    PagedPayload,
     RecordPayload,
     estimate_nbytes,
 )
@@ -50,7 +51,7 @@ class TestRecordPayload:
         p = RecordPayload([(1, "a"), (2, "bb")])
         assert p.n_records == 2
         assert p.nbytes() == (8 + 1) + (8 + 2)
-        assert list(p.iter_records()) == [(1, "a"), (2, "bb")]
+        assert list(Chunk("c0", p).records()) == [(1, "a"), (2, "bb")]
 
 
 class TestArrayPayload:
@@ -64,13 +65,6 @@ class TestArrayPayload:
         assert p.n_records == 4
         assert p.nbytes() == 256
 
-    def test_iter_records_uses_global_offset(self):
-        p = ArrayPayload(self._array(3), offset=100)
-        keys = [k for k, _ in p.iter_records()]
-        assert keys == [100, 101, 102]
-        values = [v for _, v in p.iter_records()]
-        assert all(isinstance(v, MobilityTrace) for v in values)
-
 
 class TestChunk:
     def test_trace_array_from_array_payload(self):
@@ -78,6 +72,16 @@ class TestChunk:
         c = Chunk("c0", ArrayPayload(arr))
         assert len(c.trace_array()) == 3
         assert c.n_records == 3
+
+    def test_records_of_a_trace_chunk_raise(self):
+        """A chunk of traces has no record view, paged or not: a mapper
+        over traces overrides ``run`` and reads ``trace_array()``."""
+        array = TraceArray.from_columns(["u"], np.zeros(2), np.zeros(2), np.arange(2.0))
+        payload = ArrayPayload(array)
+        paged = PagedPayload(lambda: payload, "array", 2, payload.nbytes())
+        for chunk in (Chunk("c0", payload), Chunk("c1", paged)):
+            with pytest.raises(TypeError, match="override Mapper.run"):
+                chunk.records()
 
     def test_trace_array_rejects_non_traces(self):
         c = Chunk("c0", RecordPayload([(1, "not a trace")]))

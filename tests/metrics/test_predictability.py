@@ -104,7 +104,7 @@ class TestReport:
 
         dataset, users = small_corpus
         user = users[0]
-        arr = sample_array(dataset.trail(user.user_id).traces, 60.0)
+        arr = sample_array(dataset.trail(user.user_id), 60.0)
         coords = np.array([(p.latitude, p.longitude) for p in user.pois])
         visits = visit_sequence(arr, coords)
         report = predictability_report(visits)

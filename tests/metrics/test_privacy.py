@@ -5,7 +5,7 @@ import pytest
 
 from repro.attacks.poi import PointOfInterestEstimate
 from repro.geo.synthetic import PointOfInterest
-from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
+from repro.geo.trace import GeolocatedDataset, TraceArray
 from repro.metrics.privacy import (
     anonymity_set_sizes,
     mixzone_anonymity_sets,
@@ -68,11 +68,8 @@ class TestPoiRecovery:
 class TestAnonymitySets:
     def _two_user_ds(self):
         def mk(u):
-            return Trail(
-                u,
-                TraceArray.from_columns(
-                    [u], np.full(5, 39.9), np.full(5, 116.4), np.arange(5.0) * 60
-                ),
+            return TraceArray.from_columns(
+                [u], np.full(5, 39.9), np.full(5, 116.4), np.arange(5.0) * 60
             )
 
         return GeolocatedDataset([mk("a"), mk("b")])
@@ -84,8 +81,8 @@ class TestAnonymitySets:
     def test_separate_cells_are_singletons(self):
         ds = GeolocatedDataset(
             [
-                Trail("a", TraceArray.from_columns(["a"], np.full(3, 39.9), np.full(3, 116.4), np.arange(3.0))),
-                Trail("b", TraceArray.from_columns(["b"], np.full(3, 45.0), np.full(3, 10.0), np.arange(3.0))),
+                TraceArray.from_columns(["a"], np.full(3, 39.9), np.full(3, 116.4), np.arange(3.0)),
+                TraceArray.from_columns(["b"], np.full(3, 45.0), np.full(3, 10.0), np.arange(3.0)),
             ]
         )
         sizes = anonymity_set_sizes(ds, cell_m=500, window_s=3600)
@@ -100,9 +97,9 @@ class TestMixzoneSets:
         zone = MixZone(39.9, 116.4, 500.0)
         ds = GeolocatedDataset(
             [
-                Trail("a", TraceArray.from_columns(["a"], np.full(3, 39.9), np.full(3, 116.4), np.arange(3.0))),
-                Trail("b", TraceArray.from_columns(["b"], np.full(3, 39.9), np.full(3, 116.4), np.arange(3.0))),
-                Trail("c", TraceArray.from_columns(["c"], np.full(3, 45.0), np.full(3, 10.0), np.arange(3.0))),
+                TraceArray.from_columns(["a"], np.full(3, 39.9), np.full(3, 116.4), np.arange(3.0)),
+                TraceArray.from_columns(["b"], np.full(3, 39.9), np.full(3, 116.4), np.arange(3.0)),
+                TraceArray.from_columns(["c"], np.full(3, 45.0), np.full(3, 10.0), np.arange(3.0)),
             ]
         )
         sets = mixzone_anonymity_sets(ds, [zone], window_s=3600.0)
@@ -111,7 +108,7 @@ class TestMixzoneSets:
     def test_unvisited_zone_empty(self):
         zone = MixZone(0.0, 0.0, 100.0)
         ds = GeolocatedDataset(
-            [Trail("a", TraceArray.from_columns(["a"], np.full(3, 39.9), np.full(3, 116.4), np.arange(3.0)))]
+            [TraceArray.from_columns(["a"], np.full(3, 39.9), np.full(3, 116.4), np.arange(3.0))]
         )
         sets = mixzone_anonymity_sets(ds, [zone])
         assert len(sets[0]) == 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
+from repro.geo.trace import GeolocatedDataset, TraceArray
 from repro.metrics.utility import (
     UtilityReport,
     coverage_ratio,
@@ -18,14 +18,11 @@ def _ds(n=200, seed=0):
     rng = np.random.default_rng(seed)
     return GeolocatedDataset(
         [
-            Trail(
-                "u",
-                TraceArray.from_columns(
-                    ["u"],
-                    39.9 + rng.normal(0, 0.01, n),
-                    116.4 + rng.normal(0, 0.01, n),
-                    np.arange(n, dtype=float),
-                ),
+            TraceArray.from_columns(
+                ["u"],
+                39.9 + rng.normal(0, 0.01, n),
+                116.4 + rng.normal(0, 0.01, n),
+                np.arange(n, dtype=float),
             )
         ]
     )
@@ -48,11 +45,8 @@ class TestDistortion:
         ds = _ds()
         other = GeolocatedDataset(
             [
-                Trail(
-                    "different-user",
-                    TraceArray.from_columns(
-                        ["different-user"], np.zeros(3), np.zeros(3), np.arange(3.0)
-                    ),
+                TraceArray.from_columns(
+                    ["different-user"], np.zeros(3), np.zeros(3), np.arange(3.0)
                 )
             ]
         )

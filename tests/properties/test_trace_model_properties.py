@@ -1,16 +1,16 @@
 """Property-based tests: a dataset is its rows sorted by (user id, time).
 
-Draws cover an empty array, a single user, tied timestamps, user-table
-entries with no rows, a table naming one id twice, trails of one user
-given more than once, and ids whose string order differs from the order
-they were first seen in.
+Draws cover an empty array, no array at all, a single user, tied
+timestamps, user-table entries with no rows, a table naming one id twice,
+one user's rows spread over several arrays, and ids whose string order
+differs from the order they were first seen in.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geo.trace import _TRACE_DTYPE, GeolocatedDataset, Trail, TraceArray
+from repro.geo.trace import _TRACE_DTYPE, GeolocatedDataset, TraceArray
 
 IDS = ("b", "a", "B", "aa", "10", "9", "u-2", "u-10")
 
@@ -51,11 +51,11 @@ def assert_model(dataset: GeolocatedDataset, expected: list[tuple]) -> None:
     assert list(flat.users) == present
     assert len(dataset) == len(expected)
     trails = list(dataset.trails())
-    assert [trail.user_id for trail in trails] == present
-    for trail in trails:
-        assert trail.traces.users == (trail.user_id,)
-        assert dataset.trail(trail.user_id).traces.users == (trail.user_id,)
-    assert TraceArray.concatenate([t.traces for t in trails]).signature() == flat.signature()
+    assert [trail.users for trail in trails] == [(user,) for user in present]
+    for user, trail in zip(present, trails):
+        assert dataset.trail(user).signature() == trail.signature()
+        assert np.all(np.diff(trail.timestamp) >= 0)
+    assert TraceArray.concatenate(trails).signature() == flat.signature()
 
 
 @settings(max_examples=150, deadline=None)
@@ -67,15 +67,8 @@ def test_from_array_is_the_array_stably_sorted_by_user_then_time(array):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(arrays(), max_size=5))
 def test_trails_of_one_user_merge_in_the_order_given(pieces):
-    """Constructing from trails is one stable sort of their concatenation,
-    each trail's rows under its own id: on a tied timestamp the trail
-    given first comes first."""
-    trails = []
-    for array in pieces:
-        for user in dict.fromkeys(array.user_ids()):
-            mine = array[array.user_ids() == user]
-            trails.append(Trail(user, TraceArray.from_columns(
-                [user] * len(mine), mine.latitude, mine.longitude, mine.timestamp, mine.altitude,
-            )))
-    expected = stably_sorted([row for trail in trails for row in rows(trail.traces)])
-    assert_model(GeolocatedDataset(trails), expected)
+    """Constructing from arrays is one stable sort of their concatenation,
+    each row under its own id: on a tied timestamp the array given first
+    comes first."""
+    expected = stably_sorted([row for array in pieces for row in rows(array)])
+    assert_model(GeolocatedDataset(pieces), expected)

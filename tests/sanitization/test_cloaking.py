@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
+from repro.geo.trace import GeolocatedDataset, TraceArray
 from repro.sanitization.cloaking import SpatialCloaking
 
 
@@ -13,14 +13,11 @@ def _multi_user(n_users=5, n=60, spread=0.001, seed=0):
     trails = []
     for u in range(n_users):
         trails.append(
-            Trail(
-                f"u{u}",
-                TraceArray.from_columns(
-                    [f"u{u}"],
-                    39.9 + rng.normal(0, spread, n),
-                    116.4 + rng.normal(0, spread, n),
-                    np.sort(rng.uniform(0, 3000, n)),
-                ),
+            TraceArray.from_columns(
+                [f"u{u}"],
+                39.9 + rng.normal(0, spread, n),
+                116.4 + rng.normal(0, spread, n),
+                np.sort(rng.uniform(0, 3000, n)),
             )
         )
     return GeolocatedDataset(trails)
@@ -56,14 +53,11 @@ class TestCloaking:
         """A user far from the crowd either joins at a coarse level or is
         suppressed — never released at fine granularity alone."""
         ds = _multi_user(n_users=3)
-        loner = Trail(
-            "loner",
-            TraceArray.from_columns(
-                ["loner"],
-                np.full(10, 39.93),  # ~3 km away
-                np.full(10, 116.44),
-                np.linspace(0, 3000, 10),
-            ),
+        loner = TraceArray.from_columns(
+            ["loner"],
+            np.full(10, 39.93),  # ~3 km away
+            np.full(10, 116.44),
+            np.linspace(0, 3000, 10),
         )
         ds = GeolocatedDataset([*ds.trails(), loner])
         cloak = SpatialCloaking(k=2, base_cell_m=250.0, window_s=3600.0, max_levels=6)
@@ -71,7 +65,7 @@ class TestCloaking:
         if "loner" in out:
             from repro.geo.distance import haversine_m
 
-            released = out.trail("loner").traces
+            released = out.trail("loner")
             d = np.asarray(
                 haversine_m(39.93, 116.44, released.latitude, released.longitude)
             )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geo.distance import haversine_m
-from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
+from repro.geo.trace import GeolocatedDataset, TraceArray
 from repro.sanitization.masks import (
     DonutMask,
     GaussianMask,
@@ -222,7 +222,7 @@ class TestPlanarLaplaceMask:
 class TestDatasetLevel:
     def test_sanitize_dataset_keeps_structure(self):
         arr = _array(100)
-        ds = GeolocatedDataset([Trail("u", arr)])
+        ds = GeolocatedDataset([arr])
         out = GaussianMask(50.0, seed=1).sanitize_dataset(ds)
         assert out.user_ids == ["u"]
         assert len(out) == 100
@@ -244,7 +244,7 @@ def test_an_empty_array_stays_empty(mechanism):
 
 
 def test_a_trail_sanitized_to_nothing_leaves_the_dataset():
-    empty = Trail("u", TraceArray.from_columns(["u"], [], [], []))
-    kept = Trail("v", TraceArray.from_columns(["v"], [40.0] * 3, [116.0] * 3, [0.0, 1.0, 2.0]))
+    empty = TraceArray.from_columns(["u"], [], [], [])
+    kept = TraceArray.from_columns(["v"], [40.0] * 3, [116.0] * 3, [0.0, 1.0, 2.0])
     out = RoundingMask(cell_m=500.0).sanitize_dataset(GeolocatedDataset([empty, kept]))
     assert out.user_ids == ["v"]

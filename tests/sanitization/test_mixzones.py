@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
+from repro.geo.trace import GeolocatedDataset, TraceArray
 from repro.sanitization.mixzones import MixZone, MixZoneSanitizer
 
 
@@ -23,7 +23,7 @@ def _commuter(user="u", reps=2):
             lon.append(wlon)
             ts.append(t)
             t += 60.0
-    return Trail(user, TraceArray.from_columns([user], np.array(lat), np.array(lon), np.array(ts)))
+    return TraceArray.from_columns([user], np.array(lat), np.array(lon), np.array(ts))
 
 
 class TestMixZone:
@@ -52,17 +52,14 @@ class TestSanitizer:
     def test_segments_are_time_contiguous(self):
         out = MixZoneSanitizer([ZONE]).sanitize_dataset(GeolocatedDataset([_commuter()]))
         spans = sorted(
-            (t.traces.timestamp.min(), t.traces.timestamp.max()) for t in out.trails()
+            (t.timestamp.min(), t.timestamp.max()) for t in out.trails()
         )
         for (a_lo, a_hi), (b_lo, b_hi) in zip(spans, spans[1:]):
             assert a_hi < b_lo  # no pseudonym straddles a zone visit
 
     def test_no_zone_crossing_keeps_single_pseudonym(self):
-        trail = Trail(
-            "u",
-            TraceArray.from_columns(
-                ["u"], np.full(10, 39.90), np.full(10, 116.40), np.arange(10.0) * 60
-            ),
+        trail = TraceArray.from_columns(
+            ["u"], np.full(10, 39.90), np.full(10, 116.40), np.arange(10.0) * 60
         )
         out = MixZoneSanitizer([ZONE]).sanitize_dataset(GeolocatedDataset([trail]))
         assert out.num_users() == 1
@@ -80,11 +77,8 @@ class TestSanitizer:
         assert out.num_users() >= 6  # 3+ segments each, all distinct
 
     def test_entirely_inside_zone_suppressed(self):
-        trail = Trail(
-            "u",
-            TraceArray.from_columns(
-                ["u"], np.full(5, 39.92), np.full(5, 116.45), np.arange(5.0)
-            ),
+        trail = TraceArray.from_columns(
+            ["u"], np.full(5, 39.92), np.full(5, 116.45), np.arange(5.0)
         )
         out = MixZoneSanitizer([ZONE]).sanitize_dataset(GeolocatedDataset([trail]))
         assert len(out.flat()) == 0

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
+from repro.geo.trace import GeolocatedDataset, TraceArray
 from repro.sanitization.pseudonyms import ANONYMOUS_ID, Pseudonymizer
 
 
@@ -10,14 +10,11 @@ def _ds(users=("alice", "bob")):
     trails = []
     for i, user in enumerate(users):
         trails.append(
-            Trail(
-                user,
-                TraceArray.from_columns(
-                    [user],
-                    np.full(5, 39.9 + i * 0.01),
-                    np.full(5, 116.4),
-                    np.arange(5.0),
-                ),
+            TraceArray.from_columns(
+                [user],
+                np.full(5, 39.9 + i * 0.01),
+                np.full(5, 116.4),
+                np.arange(5.0),
             )
         )
     return GeolocatedDataset(trails)

@@ -239,9 +239,9 @@ class TestArgumentErrors:
     @pytest.fixture()
     def lone_trace_dir(self, tmp_path):
         from repro.geo.geolife import write_geolife_dataset
-        from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
+        from repro.geo.trace import GeolocatedDataset, TraceArray
 
-        lone = Trail("000", TraceArray.from_columns(["000"], [40.0], [116.0], [1.3e9]))
+        lone = TraceArray.from_columns(["000"], [40.0], [116.0], [1.3e9])
         write_geolife_dataset(GeolocatedDataset([lone]), tmp_path / "lone")
         return tmp_path / "lone"
 
@@ -335,12 +335,12 @@ class TestArgumentErrors:
     def test_an_unlinked_pseudonym_is_listed(self, tmp_path, capsys):
         from repro.geo.geolife import write_geolife_dataset
         from repro.geo.synthetic import SyntheticConfig, generate_dataset
-        from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
+        from repro.geo.trace import GeolocatedDataset, TraceArray
 
         dataset, _ = generate_dataset(SyntheticConfig(n_users=2, days=1, seed=5))
         ts = dataset.flat().timestamp
         late = ts.max() - np.arange(3.0)
-        stray = Trail("999", TraceArray.from_columns(["999"], [10.0] * 3, [10.0] * 3, late))
+        stray = TraceArray.from_columns(["999"], [10.0] * 3, [10.0] * 3, late)
         write_geolife_dataset(GeolocatedDataset([*dataset.trails(), stray]), tmp_path / "c")
         assert main(["attack", "--in", str(tmp_path / "c"), "--linkage"]) == 0
         assert "  anon-999         -> unlinked" in capsys.readouterr().out

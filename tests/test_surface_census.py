@@ -34,7 +34,7 @@ SRC = REPO / "src"
 SURFACE = {
     "repro": ("__main__ checks cli toolkit viz", "Gepeto GepetoCluster __version__"),
     "repro.algorithms": ("djcluster kmeans sampling", """
-        SamplingTechnique sample_trail sample_dataset sample_array
+        SamplingTechnique sample_dataset sample_array
         SamplingMapper run_sampling_job kmeans_sequential run_kmeans_mapreduce
         KMeansResult KMeansIterationStats assign_points nearest_centroid
         DJClusterParams DJClusterResult filter_moving_traces remove_redundant_traces
@@ -49,7 +49,7 @@ SURFACE = {
         contact_events run_mmc_mapreduce SemanticPlace SemanticVisit
         label_places"""),
     "repro.geo": ("distance geolife grid stats synthetic trace trajectory", """
-        MobilityTrace Trail GeolocatedDataset TraceArray haversine_km
+        GeolocatedDataset TraceArray haversine_km
         haversine_m squared_euclidean get_metric EARTH_RADIUS_KM read_plt
         write_plt read_geolife_dataset write_geolife_dataset GEOLIFE_EPOCH
         SyntheticConfig SyntheticUser generate_user generate_dataset Stay Trip

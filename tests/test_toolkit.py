@@ -12,7 +12,7 @@ from repro.attacks.mmc_mr import run_mmc_mapreduce
 from repro.attacks.semantics import label_places
 from repro.attacks.social import ColocationParams, colocation_graph
 from repro.geo.geolife import write_geolife_dataset
-from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
+from repro.geo.trace import GeolocatedDataset, TraceArray
 from repro.metrics.predictability import predictability_report
 from repro.sanitization import GaussianMask
 
@@ -87,7 +87,7 @@ class TestLocalOperations:
         toolkit, truth = gep
         user = truth[0]
         coords = np.array([(p.latitude, p.longitude) for p in user.pois])
-        visits = visit_sequence(toolkit.dataset.trail(user.user_id).traces, coords, 200.0)
+        visits = visit_sequence(toolkit.dataset.trail(user.user_id), coords, 200.0)
         report = predictability_report(visits)
         assert report.n_states >= 1
         assert 0.0 <= report.pi_max <= 1.0
@@ -146,18 +146,14 @@ class TestDeanonymization:
         # Pseudonymize a copy as the "released" dataset.
         released = []
         truth_map = {}
-        for trail in sampled.dataset.trails():
-            pseud = f"x-{trail.user_id}"
-            arr = trail.traces
+        for user, arr in zip(sampled.dataset.user_ids, sampled.dataset.trails()):
+            pseud = f"x-{user}"
             released.append(
-                Trail(
-                    pseud,
-                    TraceArray.from_columns(
-                        [pseud], arr.latitude.copy(), arr.longitude.copy(), arr.timestamp.copy()
-                    ),
+                TraceArray.from_columns(
+                    [pseud], arr.latitude.copy(), arr.longitude.copy(), arr.timestamp.copy()
                 )
             )
-            truth_map[pseud] = trail.user_id
+            truth_map[pseud] = user
         target = GeolocatedDataset(released)
         result = deanonymization_attack(
             sampled.dataset, target, truth_map, DJClusterParams(radius_m=80, min_pts=5)

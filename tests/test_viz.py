@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.attacks.poi import PointOfInterestEstimate
-from repro.geo.trace import GeolocatedDataset, Trail, TraceArray
+from repro.geo.trace import GeolocatedDataset, TraceArray
 from repro.viz import ascii_density_map, cluster_summary_table
 
 
@@ -12,14 +12,11 @@ def _ds(n=100, seed=0):
     rng = np.random.default_rng(seed)
     return GeolocatedDataset(
         [
-            Trail(
-                "u",
-                TraceArray.from_columns(
-                    ["u"],
-                    39.9 + rng.normal(0, 0.01, n),
-                    116.4 + rng.normal(0, 0.01, n),
-                    np.arange(n, dtype=float),
-                ),
+            TraceArray.from_columns(
+                ["u"],
+                39.9 + rng.normal(0, 0.01, n),
+                116.4 + rng.normal(0, 0.01, n),
+                np.arange(n, dtype=float),
             )
         ]
     )
@@ -57,20 +54,20 @@ class TestAsciiMap:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_coordinates_rejected(self, bad, tmp_path, capsys):
         """One NaN used to collapse every point into row 0 under a
-        ``lat [nan, nan]`` legend; rows and markers are both checked, at
-        the facade and at ``repro visualize``."""
+        ``lat [nan, nan]`` legend; rows and markers are both checked at
+        the facade, and ``repro visualize`` never reads such a row."""
         from repro.cli import main
         from repro.geo.geolife import write_geolife_dataset
         from repro.toolkit import Gepeto
 
         rows = TraceArray.from_columns(["u"], [10.0, bad, 10.1], [20.0, 21.0, 20.1], [0.0, 1.0, 2.0])
-        dirty = GeolocatedDataset([Trail("u", rows)])
+        dirty = GeolocatedDataset([rows])
         with pytest.raises(ValueError, match="coordinates must be finite"):
             Gepeto(dirty).visualize()
         with pytest.raises(ValueError, match="coordinates must be finite"):
             Gepeto(_ds()).visualize(markers=[(39.9, bad, "H")])
         write_geolife_dataset(dirty, tmp_path)
-        with pytest.raises(SystemExit, match="visualize: coordinates must be finite"):
+        with pytest.raises(SystemExit, match="visualize: .*line 8: latitude must be finite"):
             main(["visualize", "--in", str(tmp_path)])
 
     def test_dense_cells_darker_than_sparse(self):
