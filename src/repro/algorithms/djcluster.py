@@ -40,7 +40,7 @@ from repro.mapreduce.job import ConstantKeyPartitioner, JobSpec, Mapper, Reducer
 from repro.mapreduce.pipeline import JobPipeline, PipelineResult
 from repro.mapreduce.runner import JobRunner
 from repro.mapreduce.types import Chunk
-from repro.observability.events import EventKind
+from repro.observability.events import DJClusterRun
 
 __all__ = [
     "DJClusterParams",
@@ -524,13 +524,13 @@ def run_djcluster_mapreduce(
         "neighborhood_merge": res.sim_seconds,
     }
     runner.history.emit(
-        EventKind.DRIVER_ANNOTATION,
+        DJClusterRun(
+            n_clusters=len(clusters),
+            n_noise=int(len(noise)),
+            stage_sim_seconds={k: float(v) for k, v in stage_sim.items()},
+        ),
         res.job_name,
         runner.history.clock,
-        driver="djcluster",
-        n_clusters=len(clusters),
-        n_noise=int(len(noise)),
-        stage_sim_seconds={k: float(v) for k, v in stage_sim.items()},
     )
     return DJClusterResult(
         prepared,

@@ -52,7 +52,7 @@ from repro.mapreduce.job import JobSpec, Mapper, Reducer
 from repro.mapreduce.runner import JobRunner
 from repro.mapreduce.counters import STANDARD
 from repro.mapreduce.types import Chunk, PagedPayload
-from repro.observability.events import EventKind
+from repro.observability.events import KMeansIteration
 
 __all__ = [
     "nearest_centroid",
@@ -589,14 +589,14 @@ def run_kmeans_mapreduce(
         )
         converged_now = move <= convergence_delta
         runner.history.emit(
-            EventKind.DRIVER_ANNOTATION,
+            KMeansIteration(
+                iteration=iteration,
+                max_centroid_move=float(move),
+                converged=converged_now,
+                sim_seconds=result.sim_seconds,
+            ),
             result.job_name,
             runner.history.clock,
-            driver="kmeans",
-            iteration=iteration,
-            max_centroid_move=float(move),
-            converged=converged_now,
-            sim_seconds=result.sim_seconds,
         )
         if converged_now:
             converged = True

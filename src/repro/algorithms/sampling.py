@@ -34,7 +34,7 @@ from repro.mapreduce.counters import STANDARD
 from repro.mapreduce.job import JobSpec, Mapper
 from repro.mapreduce.runner import JobResult, JobRunner
 from repro.mapreduce.types import Chunk
-from repro.observability.events import EventKind
+from repro.observability.events import SamplingRun
 
 __all__ = [
     "SamplingTechnique",
@@ -166,14 +166,14 @@ def run_sampling_job(
     )
     result = runner.run(spec)
     runner.history.emit(
-        EventKind.DRIVER_ANNOTATION,
+        SamplingRun(
+            technique=technique.value,
+            window_s=float(window_s),
+            records_kept=result.counters.value(
+                STANDARD.GROUP_TASK, STANDARD.MAP_OUTPUT_RECORDS
+            ),
+        ),
         result.job_name,
         runner.history.clock,
-        driver="sampling",
-        technique=technique.value,
-        window_s=float(window_s),
-        records_kept=result.counters.value(
-            STANDARD.GROUP_TASK, STANDARD.MAP_OUTPUT_RECORDS
-        ),
     )
     return result

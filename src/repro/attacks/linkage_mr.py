@@ -78,7 +78,7 @@ from repro.geo.trace import _TRACE_DTYPE, GeolocatedDataset, TraceArray, digest
 from repro.mapreduce.config import Configuration
 from repro.mapreduce.job import JobSpec, Mapper, Reducer
 from repro.mapreduce.types import ArrayPayload, Chunk, concrete_payload
-from repro.observability.events import EventKind
+from repro.observability.events import AttackResult
 
 __all__ = [
     "LinkageAttackResult",
@@ -740,21 +740,17 @@ def run_linkage_attack(
         cross_product=len(train_fps) * len(target_fps),
         sim_seconds=float(runner.history.clock - t0),
     )
-    data = {
-        "driver": "linkage-attack",
-        "n_train_fingerprints": outcome.n_train_fingerprints,
-        "n_target_fingerprints": outcome.n_target_fingerprints,
-        "linked": sum(1 for v in linkage.values() if v is not None),
-        "success_rate": outcome.result.success_rate,
-        "pairs_scored": outcome.pairs_scored,
-        "cross_product": outcome.cross_product,
-        "signature": outcome.signature(),
-    }
-    if pairs_exact is not None:
-        data["pairs_exact"] = outcome.pairs_exact
-    runner.history.emit(
-        EventKind.ATTACK_RESULT, "linkage-score", runner.history.clock, **data
+    result = AttackResult(
+        n_train_fingerprints=outcome.n_train_fingerprints,
+        n_target_fingerprints=outcome.n_target_fingerprints,
+        linked=sum(1 for v in linkage.values() if v is not None),
+        success_rate=outcome.result.success_rate,
+        pairs_scored=outcome.pairs_scored,
+        cross_product=outcome.cross_product,
+        signature=outcome.signature(),
+        pairs_exact=None if pairs_exact is None else outcome.pairs_exact,
     )
+    runner.history.emit(result, "linkage-score", runner.history.clock)
     return outcome
 
 

@@ -43,7 +43,7 @@ from repro.attacks.linkage_mr import run_linkage_attack
 from repro.geo.trace import TraceArray
 from repro.metrics.privacy import window_reidentification_risk
 from repro.metrics.utility import spatial_distortion_m, trace_volume_ratio
-from repro.observability.events import EventKind
+from repro.observability import events as ev
 
 __all__ = ["SweepCell", "FrontierResult", "run_sweep", "tenant_slug"]
 
@@ -200,17 +200,18 @@ def run_sweep(
             workdir=f"tenants/{slug}/tmp/linkage",
         )
         client.history.emit(
-            EventKind.SWEEP_CELL,
+            ev.SweepCell(
+                mechanism=specs[slug],
+                tenant=slug,
+                success_rate=outcome.result.success_rate,
+                linked=sum(
+                    1 for v in outcome.result.linkage.values() if v is not None
+                ),
+                n_targets=outcome.result.n_targets,
+                sim_seconds=outcome.sim_seconds,
+            ),
             "linkage-sweep",
             client.history.clock,
-            mechanism=specs[slug],
-            tenant=slug,
-            success_rate=outcome.result.success_rate,
-            linked=sum(
-                1 for v in outcome.result.linkage.values() if v is not None
-            ),
-            n_targets=outcome.result.n_targets,
-            sim_seconds=outcome.sim_seconds,
         )
         return outcome
 

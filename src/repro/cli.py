@@ -1104,9 +1104,9 @@ def _run(args: argparse.Namespace) -> int:
                 )
                 shown = ", ".join(f"{p:g}" for p in params)
                 print(
-                    f"  {kind:<7} ({shown}): {last['n_results']} result(s), "
-                    f"{last['page_faults']} page fault(s), "
-                    f"{1000 * last['latency_s']:.2f} ms sim{verdict}"
+                    f"  {kind:<7} ({shown}): {last.n_results} result(s), "
+                    f"{last.page_faults} page fault(s), "
+                    f"{1000 * last.latency_s:.2f} ms sim{verdict}"
                 )
             report = engine.report()
             print(

@@ -77,6 +77,10 @@ def unix_to_ole_days(timestamp: float | np.ndarray) -> float | np.ndarray:
 
 def ole_days_to_unix(days: float | np.ndarray) -> float | np.ndarray:
     """Convert fractional days since 1899-12-30 to a Unix timestamp (s)."""
+    if isinstance(days, float):
+        # One parsed line's value: the array path's IEEE operations, without
+        # an array round trip per line.
+        return days * 86400.0 - _EPOCH_OFFSET_S
     return np.asarray(days, dtype=np.float64) * 86400.0 - _EPOCH_OFFSET_S
 
 
@@ -92,7 +96,7 @@ def parse_plt_line(line: str) -> tuple[float, float, float, float]:
     lat = float(parts[0])
     lon = float(parts[1])
     alt = float(parts[3])
-    ts = float(ole_days_to_unix(float(parts[4])))
+    ts = ole_days_to_unix(float(parts[4]))
     return lat, lon, alt, ts
 
 

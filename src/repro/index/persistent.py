@@ -40,7 +40,8 @@ import json
 import struct
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, TYPE_CHECKING
 
 import numpy as np
@@ -50,7 +51,7 @@ from repro.index.rtree import DEFAULT_MAX_ENTRIES, NodeView, Rect, RTree
 from repro.index.spacefilling import DEFAULT_ORDER
 from repro.mapreduce.simtime import CostModel
 from repro.mapreduce.types import RecordPayload, concrete_payload
-from repro.observability.events import EventKind
+from repro.observability.events import IndexPublish, IndexReuse, QueryServed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mapreduce.hdfs import SimulatedHDFS
@@ -552,14 +553,15 @@ class IndexCatalog:
             index = PersistentRTree.open(self._hdfs, entry.path)
             if h is not None:
                 h.emit(
-                    EventKind.INDEX_REUSE,
+                    IndexReuse(
+                        key=key,
+                        path=entry.path,
+                        input_path=input_path,
+                        dataset_version=entry.dataset_version,
+                        n_points=entry.n_points,
+                    ),
                     job,
                     h.clock,
-                    key=key,
-                    path=entry.path,
-                    input_path=input_path,
-                    dataset_version=entry.dataset_version,
-                    n_points=entry.n_points,
                 )
             return index, False
 
@@ -592,17 +594,18 @@ class IndexCatalog:
         self._hdfs.put_records(f"{path}/entry", [("entry", entry.__dict__)])
         if h is not None:
             h.emit(
-                EventKind.INDEX_PUBLISH,
+                IndexPublish(
+                    key=key,
+                    path=path,
+                    input_path=input_path,
+                    dataset_version=entry.dataset_version,
+                    n_points=entry.n_points,
+                    n_pages=int(index.meta["n_pages"]),
+                    page_bytes=int(index.meta["page_bytes"]),
+                    build_sim_seconds=build.sim_seconds,
+                ),
                 job,
                 h.clock,
-                key=key,
-                path=path,
-                input_path=input_path,
-                dataset_version=entry.dataset_version,
-                n_points=entry.n_points,
-                n_pages=int(index.meta["n_pages"]),
-                page_bytes=int(index.meta["page_bytes"]),
-                build_sim_seconds=build.sim_seconds,
             )
         return index, True
 
@@ -619,7 +622,8 @@ class QueryStats:
     fault_bytes: int = 0
     latency_s: float = 0.0
     results: int = 0
-    last: dict[str, Any] = field(default_factory=dict)
+    #: The latest query's ``query_served`` payload.
+    last: QueryServed | None = None
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -663,40 +667,27 @@ class QueryEngine:
             return 0, 0
         return stats.pages_in, stats.page_in_bytes
 
-    def _serve(self, kind: str, run: Callable[[], Any], n_results: Callable[[Any], int], **detail):
+    def _serve(self, run: Callable[[], Any], served: Callable[..., QueryServed]):
+        """Answer one query; ``served`` is its ``query_served`` payload
+        with the query's own fields bound."""
         before_faults, before_bytes = self._fault_counters()
         result = run()
         after_faults, after_bytes = self._fault_counters()
         faults = after_faults - before_faults
         fault_bytes = after_bytes - before_bytes
         latency = QUERY_DISPATCH_S + self._cost_model.spill_read_time(fault_bytes)
-        count = n_results(result)
+        count = len(result)
         self.stats.n_queries += 1
         self.stats.page_faults += faults
         self.stats.fault_bytes += fault_bytes
         self.stats.latency_s += latency
         self.stats.results += count
-        self.stats.last = {
-            "query": kind,
-            "n_results": count,
-            "page_faults": faults,
-            "fault_bytes": fault_bytes,
-            "latency_s": latency,
-            **detail,
-        }
+        self.stats.last = served(
+            n_results=count, page_faults=faults, fault_bytes=fault_bytes, latency_s=latency
+        )
         if self._history is not None:
             t0 = self._history.clock
-            self._history.emit(
-                EventKind.QUERY_SERVED,
-                self._job,
-                t0 + latency,
-                query=kind,
-                n_results=count,
-                page_faults=faults,
-                fault_bytes=fault_bytes,
-                latency_s=latency,
-                **detail,
-            )
+            self._history.emit(self.stats.last, self._job, t0 + latency)
             self._history.advance(t0 + latency)
         return result
 
@@ -706,11 +697,8 @@ class QueryEngine:
         finite("lat", lat)
         finite("lon", lon)
         return self._serve(
-            "point",
             lambda: self.index.query_point(lat, lon),
-            len,
-            lat=lat,
-            lon=lon,
+            partial(QueryServed, query="point", lat=lat, lon=lon),
         )
 
     def range(
@@ -723,10 +711,8 @@ class QueryEngine:
         finite("max_lon", max_lon)
         rect = Rect(min_lat, min_lon, max_lat, max_lon)
         return self._serve(
-            "range",
             lambda: self.index.query_rect(rect),
-            len,
-            rect=[float(x) for x in rect.as_array()],
+            partial(QueryServed, query="range", rect=[float(x) for x in rect.as_array()]),
         )
 
     def radius(self, lat: float, lon: float, radius_m: float) -> np.ndarray:
@@ -734,12 +720,8 @@ class QueryEngine:
         finite("lat", lat)
         finite("lon", lon)
         return self._serve(
-            "radius",
             lambda: self.index.query_radius(lat, lon, radius_m),
-            len,
-            lat=lat,
-            lon=lon,
-            radius_m=radius_m,
+            partial(QueryServed, query="radius", lat=lat, lon=lon, radius_m=radius_m),
         )
 
     def knn(self, lat: float, lon: float, k: int) -> list[tuple[int, float]]:
@@ -747,12 +729,8 @@ class QueryEngine:
         finite("lat", lat)
         finite("lon", lon)
         return self._serve(
-            "knn",
             lambda: self.index.knn(lat, lon, k),
-            len,
-            lat=lat,
-            lon=lon,
-            k=k,
+            partial(QueryServed, query="knn", lat=lat, lon=lon, k=k),
         )
 
     def report(self) -> dict[str, Any]:

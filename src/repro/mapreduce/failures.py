@@ -439,35 +439,22 @@ def emit_attempt_failures(
     The history object is duck-typed (anything with ``emit``) so this
     module stays import-light.
     """
-    from repro.observability.events import EventKind
+    from repro.observability import events as ev
 
     for attempt, node, reason, kind, backoff_s in failures:
         ts = t_start + attempt * attempt_duration
         history.emit(
-            EventKind.FAULT_INJECTED,
-            job_name,
-            ts,
-            task=task_id,
-            node=node,
-            attempt=attempt,
-            fault=kind,
-            reason=reason,
+            ev.FaultInjected(attempt=attempt, fault=kind, reason=reason),
+            job_name, ts, task=task_id, node=node,
         )
         history.emit(
-            EventKind.ATTEMPT_FAILED,
-            job_name,
-            ts,
-            task=task_id,
-            node=node,
-            attempt=attempt,
-            reason=reason,
+            ev.AttemptFailed(attempt=attempt, reason=reason),
+            job_name, ts, task=task_id, node=node,
         )
         history.emit(
-            EventKind.ATTEMPT_RETRIED,
-            job_name,
-            ts,
-            task=task_id,
-            attempt=attempt + 1,
-            backoff_s=float(backoff_s),
-            reason=f"re-dispatched after {kind}",
+            ev.AttemptRetried(
+                attempt=attempt + 1, backoff_s=float(backoff_s),
+                reason=f"re-dispatched after {kind}",
+            ),
+            job_name, ts, task=task_id,
         )

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 from repro.mapreduce.counters import Counters
 from repro.mapreduce.job import JobSpec
 from repro.mapreduce.runner import JobResult, JobRunner
-from repro.observability.events import EventKind
+from repro.observability.events import PipelineFinish, PipelineStart
 
 __all__ = ["JobPipeline", "PipelineResult"]
 
@@ -55,10 +55,7 @@ class JobPipeline:
         sim_seconds = 0.0
         current = input_path
         runner.history.emit(
-            EventKind.PIPELINE_START,
-            self.name,
-            runner.history.clock,
-            n_stages=len(self.stages),
+            PipelineStart(n_stages=len(self.stages)), self.name, runner.history.clock
         )
         for stage in self.stages:
             spec = stage(current)
@@ -68,10 +65,8 @@ class JobPipeline:
             sim_seconds += result.sim_seconds
             current = result.output_path
         runner.history.emit(
-            EventKind.PIPELINE_FINISH,
+            PipelineFinish(stages=[r.job_name for r in results], sim_seconds=sim_seconds),
             self.name,
             runner.history.clock,
-            stages=[r.job_name for r in results],
-            sim_seconds=sim_seconds,
         )
         return PipelineResult(results, counters, sim_seconds, current)

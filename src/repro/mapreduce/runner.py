@@ -21,9 +21,9 @@ from __future__ import annotations
 import functools
 import os
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 from repro.geo.trace import TraceArray
 from repro.mapreduce.aggregation import AggregationReducer
@@ -73,7 +73,8 @@ from repro.mapreduce.spill import (
     as_pairs,
 )
 from repro.mapreduce.types import Chunk, DEFAULT_RECORD_BYTES
-from repro.observability.events import EventKind, Phase
+from repro.observability import events as ev
+from repro.observability.events import Phase
 from repro.observability.history import JobHistory
 
 __all__ = ["JobRunner", "JobResult", "fresh_hdfs", "fresh_runner"]
@@ -126,6 +127,16 @@ class JobResult:
         if failed:
             parts.append(f"{failed} retried attempts")
         return "  ".join(parts)
+
+
+class _NodeLoss(NamedTuple):
+    """A mid-phase node loss: the victim, the map tasks re-run off it, and
+    the ``node_lost`` / ``replica_healed`` events it leaves."""
+
+    victim: str
+    lost: list[TaskAssignment]
+    event: ev.NodeLost
+    healed: ev.ReplicaHealed
 
 
 class JobRunner:
@@ -237,9 +248,9 @@ class JobRunner:
         #: runs.  Set by the :class:`~repro.mapreduce.service.JobService`
         #: dispatcher around each job it executes.
         self.tenant: str | None = None
-        #: Extra JSON-safe labels stamped into JOB_START alongside the
-        #: tenant (e.g. the streaming window index); also set by the
-        #: service dispatcher, ``None`` everywhere else.
+        #: The ``stream`` / ``window`` labels stamped into JOB_START
+        #: alongside the tenant; set by the service dispatcher and the
+        #: streaming manager, ``None`` everywhere else.
         self.job_tags: dict | None = None
         #: Simulated one-time deployment overhead (HDFS install + upload);
         #: reported separately, as the paper does (~25 s).
@@ -520,13 +531,13 @@ class JobRunner:
             counters.increment(
                 STANDARD.GROUP_SCHEDULER,
                 STANDARD.REPLICAS_HEALED,
-                len(node_loss["healed"]),
+                node_loss.healed.replicas,
             )
 
         map_outputs: list[list[tuple[Any, Any]]] = []
         retry_penalty = 0.0
         map_failures: dict[str, list[tuple]] = {}
-        map_spills: list[dict[str, Any]] = []
+        map_spills: list[tuple[str, ev.SpillStart]] = []
         for assignment, outcome, failures in zip(primary, outcomes, task_failures):
             counters.merge(outcome.counters)
             # Each failed attempt costs its wasted slot time plus the
@@ -534,12 +545,10 @@ class JobRunner:
             retry_penalty += sum(assignment.duration + f[4] for f in failures)
             output = outcome.output
             if isinstance(output, SpilledMapOutput):
-                map_spills.append({
-                    "task": assignment.task_id,
-                    "records": output.n_records,
-                    "bytes": output.nbytes,
-                    "write_s": self.cost_model.spill_write_time(output.nbytes),
-                })
+                map_spills.append((assignment.task_id, ev.SpillStart(
+                    source="map", records=output.n_records, bytes=output.nbytes,
+                    write_s=self.cost_model.spill_write_time(output.nbytes),
+                )))
                 # Worker-side spills can't reach the driver's counters;
                 # account for them as their handles come back.
                 self._spill.stats.map_spills += 1
@@ -551,7 +560,7 @@ class JobRunner:
             if failures:
                 map_failures[assignment.task_id] = failures
         if node_loss is not None:
-            retry_penalty += node_loss["recovery_s"]
+            retry_penalty += node_loss.event.detect_s + node_loss.healed.rereplicate_s
 
         setup_s = self.cost_model.job_setup_s + self.cost_model.cache_broadcast_time(
             self.cache.nbytes()
@@ -568,13 +577,12 @@ class JobRunner:
         if job.map_only:
             flat = [pair for output in map_outputs for pair in as_pairs(output)]
             self._write_output(job.output_path, flat)
-            spill_s = sum(s["write_s"] for s in map_spills)
+            spill_s = sum(s.write_s for _, s in map_spills)
             timing = JobTiming(setup_s, plan.makespan, 0.0, retry_penalty, spill_s)
             self._emit_history(
                 job, len(chunks), plan, map_failures, None, None, None,
                 timing, counters, len(primary), 0,
-                recovery=self._recovery_info(node_loss, [], blacklist),
-                spill=self._spill_info(map_spills, None),
+                node_loss, [], blacklist, map_spills, [],
             )
             return JobResult(
                 job.name, job.output_path, counters, timing, plan, len(primary), 0,
@@ -686,13 +694,19 @@ class JobRunner:
                 cross_total,
             )
         self._write_output(job.output_path, reduce_output)
-        spill_info = self._spill_info(map_spills, sh)
+        cost = self.cost_model
+        runs = [
+            ("shuffle", replace(run, write_s=cost.spill_write_time(run.bytes)))
+            for run in sh.spill_runs
+        ]
+        merges = [
+            replace(merge, read_s=cost.spill_read_time(merge.bytes))
+            for merge in sh.spill_merges
+        ]
         spill_s = (
-            sum(s["write_s"] for s in spill_info["map"])
-            + sum(s["write_s"] for s in spill_info["runs"])
-            + sum(s["read_s"] for s in spill_info["merges"])
-            if spill_info is not None
-            else 0.0
+            sum(s.write_s for _, s in map_spills)
+            + sum(s.write_s for _, s in runs)
+            + sum(m.read_s for m in merges)
         )
         timing = JobTiming(
             setup_s, plan.makespan, reduce_makespan, retry_penalty, spill_s
@@ -700,8 +714,7 @@ class JobRunner:
         self._emit_history(
             job, len(chunks), plan, map_failures, sh, reduce_placements,
             reduce_failures, timing, counters, len(primary), job.num_reducers,
-            recovery=self._recovery_info(node_loss, refetches, blacklist),
-            spill=spill_info,
+            node_loss, refetches, blacklist, map_spills + runs, merges,
         )
         return JobResult(
             job.name,
@@ -723,7 +736,7 @@ class JobRunner:
         outcomes: list[MapOutcome],
         task_failures: list[list[tuple]],
         rerun: Callable[[list[TaskAssignment]], list[MapOutcome]],
-    ) -> dict[str, Any] | None:
+    ) -> "_NodeLoss | None":
         """Inflict the chaos schedule's mid-phase node loss, if any.
 
         The victim (a tasktracker that is also a datanode) dies after its
@@ -778,23 +791,26 @@ class JobRunner:
 
         healed = self.hdfs.heal_report()
         heal_bytes = sum(nbytes for _, _, nbytes in healed)
-        rereplicate_s = self.cost_model.rereplication_time(heal_bytes)
-        return {
-            "victim": victim,
-            "lost": [primary[i] for i in lost],
-            "healed": healed,
-            "heal_bytes": heal_bytes,
-            "detect_s": self.cost_model.node_loss_detect_s,
-            "rereplicate_s": rereplicate_s,
-            "recovery_s": self.cost_model.node_loss_detect_s + rereplicate_s,
-        }
+        lost_tasks = [primary[i] for i in lost]
+        return _NodeLoss(
+            victim,
+            lost_tasks,
+            ev.NodeLost(
+                lost_tasks=sorted(a.task_id for a in lost_tasks),
+                detect_s=self.cost_model.node_loss_detect_s,
+            ),
+            ev.ReplicaHealed(
+                replicas=len(healed), nbytes=heal_bytes,
+                rereplicate_s=self.cost_model.rereplication_time(heal_bytes),
+            ),
+        )
 
     def _plan_shuffle_refetches(
         self,
         job: JobSpec,
         sh,
         primary: list[TaskAssignment],
-        node_loss: dict[str, Any] | None,
+        node_loss: "_NodeLoss | None",
     ) -> list[tuple[str, int, float, str]]:
         """Which reducers re-fetch map output, and at what simulated cost.
 
@@ -808,7 +824,7 @@ class JobRunner:
         if self.chaos is None:
             return refetches
         n_maps = max(len(primary), 1)
-        lost = node_loss["lost"] if node_loss is not None else []
+        lost = node_loss.lost if node_loss is not None else []
         for r in range(sh.n_reducers):
             task_id = f"reduce-{r:04d}"
             for _ in range(self.chaos.shuffle_fetch_failures(task_id)):
@@ -825,47 +841,10 @@ class JobRunner:
                     task_id,
                     nbytes,
                     self.cost_model.shuffle_refetch_time(nbytes),
-                    f"map outputs on {node_loss['victim']} re-fetched "
+                    f"map outputs on {node_loss.victim} re-fetched "
                     f"after node loss",
                 ))
         return refetches
-
-    def _spill_info(
-        self, map_spills: list[dict[str, Any]], sh
-    ) -> dict[str, list[dict[str, Any]]] | None:
-        """Bundle spill facts for history emission, with IO costs priced
-        by the cost model; ``None`` when nothing spilled, so unbudgeted
-        (and under-budget) histories stay byte-identical."""
-        runs: list[dict[str, Any]] = []
-        merges: list[dict[str, Any]] = []
-        if sh is not None and sh.spilled:
-            runs = [
-                dict(ev, write_s=self.cost_model.spill_write_time(ev["bytes"]))
-                for ev in sh.spill_runs
-            ]
-            merges = [
-                dict(ev, read_s=self.cost_model.spill_read_time(ev["bytes"]))
-                for ev in sh.spill_merges
-            ]
-        if not map_spills and not runs:
-            return None
-        return {"map": map_spills, "runs": runs, "merges": merges}
-
-    @staticmethod
-    def _recovery_info(
-        node_loss: dict[str, Any] | None,
-        refetches: list[tuple[str, int, float, str]],
-        blacklist: NodeBlacklist,
-    ) -> dict[str, Any] | None:
-        """Bundle recovery facts for history emission; None when nothing
-        happened, so fault-free histories stay byte-identical."""
-        if node_loss is None and not refetches and not blacklist.nodes():
-            return None
-        return {
-            "node_loss": node_loss,
-            "refetches": refetches,
-            "blacklist": blacklist,
-        }
 
     def _emit_history(
         self,
@@ -880,8 +859,11 @@ class JobRunner:
         counters: Counters,
         n_map_tasks: int,
         n_reduce_tasks: int,
-        recovery: dict[str, Any] | None = None,
-        spill: dict[str, list[dict[str, Any]]] | None = None,
+        node_loss: "_NodeLoss | None",
+        refetches: list[tuple[str, int, float, str]],
+        blacklist: NodeBlacklist,
+        spills: list[tuple[str, ev.SpillStart]],
+        merges: list[ev.SpillMerge],
     ) -> None:
         """Emit the job's full event stream onto the cumulative sim clock.
 
@@ -896,80 +878,57 @@ class JobRunner:
         """
         h = self.history
         t0 = h.clock
+        tags = self.job_tags or {}
         h.emit(
-            EventKind.JOB_START,
+            ev.JobStart(
+                input_paths=list(job.input_paths),
+                output_path=job.output_path,
+                n_chunks=n_chunks,
+                map_only=job.map_only,
+                num_reducers=0 if job.map_only else job.num_reducers,
+                combiner=job.combiner is not None,
+                tenant=self.tenant,
+                stream=tags.get("stream"),
+                window=tags.get("window"),
+            ),
             job.name,
             t0,
-            input_paths=list(job.input_paths),
-            output_path=job.output_path,
-            n_chunks=n_chunks,
-            map_only=job.map_only,
-            num_reducers=0 if job.map_only else job.num_reducers,
-            combiner=job.combiner is not None,
-            **({"tenant": self.tenant} if self.tenant is not None else {}),
-            **(self.job_tags or {}),
         )
-        h.emit(EventKind.PHASE_START, job.name, t0, phase=Phase.SETUP)
+        h.emit(ev.PhaseStart(phase=Phase.SETUP), job.name, t0)
         if len(self.cache):
             cache_nbytes = self.cache.nbytes()
             h.emit(
-                EventKind.CACHE_LOAD,
+                ev.CacheLoad(
+                    entries=sorted(self.cache),
+                    nbytes=cache_nbytes,
+                    broadcast_s=self.cost_model.cache_broadcast_time(cache_nbytes),
+                ),
                 job.name,
                 t0,
-                entries=sorted(self.cache),
-                nbytes=cache_nbytes,
-                broadcast_s=self.cost_model.cache_broadcast_time(cache_nbytes),
             )
         h.emit(
-            EventKind.PHASE_FINISH, job.name, t0 + timing.setup_s,
-            phase=Phase.SETUP, duration_s=timing.setup_s,
+            ev.PhaseFinish(phase=Phase.SETUP, duration_s=timing.setup_s),
+            job.name, t0 + timing.setup_s,
         )
         t_map = t0 + timing.setup_s
-        h.emit(EventKind.PHASE_START, job.name, t_map, phase=Phase.MAP)
+        h.emit(ev.PhaseStart(phase=Phase.MAP), job.name, t_map)
         emit_map_phase_events(h, job.name, plan, t_map, map_failures)
-        if recovery is not None and recovery["node_loss"] is not None:
-            nl = recovery["node_loss"]
+        if node_loss is not None:
             # The node died once its last map attempt had completed.
             ts = t_map + min(
-                max((a.end_time for a in nl["lost"]), default=0.0), timing.map_s
+                max((a.end_time for a in node_loss.lost), default=0.0), timing.map_s
             )
-            h.emit(
-                EventKind.NODE_LOST,
-                job.name,
-                ts,
-                node=nl["victim"],
-                lost_tasks=sorted(a.task_id for a in nl["lost"]),
-                detect_s=nl["detect_s"],
-            )
-            if nl["healed"]:
-                h.emit(
-                    EventKind.REPLICA_HEALED,
-                    job.name,
-                    ts,
-                    replicas=len(nl["healed"]),
-                    nbytes=nl["heal_bytes"],
-                    rereplicate_s=nl["rereplicate_s"],
-                )
-        if spill is not None:
-            # Spill IO happens on Hadoop's background spill thread while
-            # the map phase runs; everything is stamped at the phase end
-            # (the simulated clock has no per-task sub-timeline for it).
-            ts = t_map + timing.map_s
-            for s in spill["map"]:
-                h.emit(
-                    EventKind.SPILL_START, job.name, ts, task=s["task"],
-                    source="map", records=s["records"], bytes=s["bytes"],
-                    write_s=s["write_s"],
-                )
-            for s in spill["runs"]:
-                h.emit(
-                    EventKind.SPILL_START, job.name, ts, task="shuffle",
-                    source="shuffle", run=s["run"], records=s["records"],
-                    bytes=s["bytes"], write_s=s["write_s"],
-                )
+            h.emit(node_loss.event, job.name, ts, node=node_loss.victim)
+            if node_loss.healed.replicas:
+                h.emit(node_loss.healed, job.name, ts)
+        # Spill IO happens on Hadoop's background spill thread while the
+        # map phase runs; everything is stamped at the phase end (the
+        # simulated clock has no per-task sub-timeline for it).
+        for task, spill in spills:
+            h.emit(spill, job.name, t_map + timing.map_s, task=task)
         h.emit(
-            EventKind.PHASE_FINISH, job.name, t_map + timing.map_s,
-            phase=Phase.MAP, duration_s=timing.map_s,
+            ev.PhaseFinish(phase=Phase.MAP, duration_s=timing.map_s),
+            job.name, t_map + timing.map_s,
         )
         if sh is not None:
             t_reduce = t_map + timing.map_s
@@ -977,25 +936,12 @@ class JobRunner:
             if sh.preagg is not None:
                 # The metadata-only shuffle always records provenance, so
                 # the job's cross-node counter is already settled.
-                h.emit(
-                    EventKind.SHUFFLE_PREAGG, job.name, t_reduce, **sh.preagg,
-                    cross_node_bytes=counters.value(
-                        STANDARD.GROUP_TASK, STANDARD.SHUFFLE_CROSS_NODE_BYTES
-                    ),
-                )
-            if spill is not None:
-                for s in spill["merges"]:
-                    h.emit(
-                        EventKind.SPILL_MERGE, job.name, t_reduce,
-                        task=f"reduce-{s['partition']:04d}", runs=s["runs"],
-                        records=s["records"], groups=s["groups"],
-                        bytes=s["bytes"], read_s=s["read_s"],
-                    )
-            if recovery is not None:
-                emit_shuffle_refetch_events(
-                    h, job.name, recovery["refetches"], t_reduce
-                )
-            h.emit(EventKind.PHASE_START, job.name, t_reduce, phase=Phase.REDUCE)
+                cross = counters.value(STANDARD.GROUP_TASK, STANDARD.SHUFFLE_CROSS_NODE_BYTES)
+                h.emit(replace(sh.preagg, cross_node_bytes=cross), job.name, t_reduce)
+            for r, merge in enumerate(merges):
+                h.emit(merge, job.name, t_reduce, task=f"reduce-{r:04d}")
+            emit_shuffle_refetch_events(h, job.name, refetches, t_reduce)
+            h.emit(ev.PhaseStart(phase=Phase.REDUCE), job.name, t_reduce)
             records = {
                 f"reduce-{r:04d}": sh.records_for(r) for r in range(sh.n_reducers)
             }
@@ -1004,39 +950,26 @@ class JobRunner:
                 reduce_failures or {}, records,
             )
             h.emit(
-                EventKind.PHASE_FINISH, job.name, t_reduce + timing.reduce_s,
-                phase=Phase.REDUCE, duration_s=timing.reduce_s,
+                ev.PhaseFinish(phase=Phase.REDUCE, duration_s=timing.reduce_s),
+                job.name, t_reduce + timing.reduce_s,
             )
-        if recovery is not None:
-            blacklist = recovery["blacklist"]
-            for node in sorted(blacklist.nodes()):
-                h.emit(
-                    EventKind.NODE_BLACKLISTED,
-                    job.name,
-                    t_map + timing.map_s,
-                    node=node,
-                    failures=blacklist.failure_count(node),
-                    threshold=blacklist.threshold,
-                )
+        for node in sorted(blacklist.nodes()):
+            h.emit(
+                ev.NodeBlacklisted(
+                    failures=blacklist.failure_count(node), threshold=blacklist.threshold
+                ),
+                job.name, t_map + timing.map_s, node=node,
+            )
         h.emit(
-            EventKind.JOB_FINISH,
+            ev.JobFinish(
+                timing=timing.payload(),
+                counters=counters.to_dict(),
+                n_map_tasks=n_map_tasks,
+                n_reduce_tasks=n_reduce_tasks,
+                output_path=job.output_path,
+            ),
             job.name,
             t0 + timing.total_s,
-            timing={
-                "setup_s": timing.setup_s,
-                "map_s": timing.map_s,
-                "reduce_s": timing.reduce_s,
-                "retry_penalty_s": timing.retry_penalty_s,
-                "total_s": timing.total_s,
-                # Background spill IO, excluded from total_s; keyed only
-                # when spilling happened so unbudgeted histories don't
-                # change shape.
-                **({"spill_s": timing.spill_s} if timing.spill_s else {}),
-            },
-            counters=counters.to_dict(),
-            n_map_tasks=n_map_tasks,
-            n_reduce_tasks=n_reduce_tasks,
-            output_path=job.output_path,
         )
         h.advance(t0 + timing.total_s)
 

@@ -22,7 +22,8 @@ from repro.mapreduce.cluster import ClusterSpec
 from repro.mapreduce.counters import Counters, STANDARD
 from repro.mapreduce.failures import MAX_TASK_ATTEMPTS, emit_attempt_failures
 from repro.mapreduce.types import Chunk
-from repro.observability.events import EventKind, Phase
+from repro.observability import events as ev
+from repro.observability.events import Phase
 from repro.observability.history import JobHistory
 
 __all__ = [
@@ -354,15 +355,14 @@ def emit_map_phase_events(
     )
     for a in primary:
         history.emit(
-            EventKind.TASK_START,
+            ev.TaskStart(
+                phase=Phase.MAP, locality=a.locality, input_bytes=a.chunk.nbytes,
+                input_records=a.chunk.n_records,
+            ),
             job_name,
             t0 + a.start_time,
             task=a.task_id,
             node=a.node,
-            phase=Phase.MAP,
-            locality=a.locality,
-            input_bytes=a.chunk.nbytes,
-            input_records=a.chunk.n_records,
         )
         failures = failures_by_task.get(a.task_id, [])
         emit_attempt_failures(
@@ -371,16 +371,14 @@ def emit_map_phase_events(
         )
         attempts = 1 + len(failures)
         history.emit(
-            EventKind.TASK_FINISH,
+            ev.TaskFinish(
+                phase=Phase.MAP, duration_s=a.duration, attempts=attempts,
+                wasted_s=(attempts - 1) * a.duration, locality=a.locality,
+            ),
             job_name,
             t0 + a.start_time + attempts * a.duration,
             task=a.task_id,
             node=a.node,
-            phase=Phase.MAP,
-            duration_s=a.duration,
-            attempts=attempts,
-            wasted_s=(attempts - 1) * a.duration,
-            locality=a.locality,
         )
     for a in plan.assignments:
         if not a.speculative:
@@ -389,34 +387,29 @@ def emit_map_phase_events(
             (p for p in primary if p.task_id == a.task_id), None
         )
         history.emit(
-            EventKind.SPECULATIVE_LAUNCH,
+            ev.SpeculativeLaunch(
+                original_node=original.node if original else None, duration_s=a.duration
+            ),
             job_name,
             t0 + a.start_time,
             task=a.task_id,
             node=a.node,
-            original_node=original.node if original else None,
-            duration_s=a.duration,
         )
         history.emit(
-            EventKind.TASK_START,
+            ev.TaskStart(phase=Phase.MAP, locality=a.locality, speculative=True),
             job_name,
             t0 + a.start_time,
             task=a.task_id,
             node=a.node,
-            phase=Phase.MAP,
-            locality=a.locality,
-            speculative=True,
         )
         history.emit(
-            EventKind.TASK_FINISH,
+            ev.TaskFinish(
+                phase=Phase.MAP, duration_s=a.duration, locality=a.locality, speculative=True
+            ),
             job_name,
             t0 + a.end_time,
             task=a.task_id,
             node=a.node,
-            phase=Phase.MAP,
-            duration_s=a.duration,
-            locality=a.locality,
-            speculative=True,
         )
 
 
@@ -433,13 +426,13 @@ def emit_reduce_phase_events(
     records_by_task = records_by_task or {}
     for p in sorted(placements, key=lambda p: (p.start_time, p.task_id)):
         history.emit(
-            EventKind.TASK_START,
+            ev.TaskStart(
+                phase=Phase.REDUCE, input_records=records_by_task.get(p.task_id, 0)
+            ),
             job_name,
             t0 + p.start_time,
             task=p.task_id,
             node=p.node,
-            phase=Phase.REDUCE,
-            input_records=records_by_task.get(p.task_id, 0),
         )
         failures = failures_by_task.get(p.task_id, [])
         emit_attempt_failures(
@@ -448,15 +441,14 @@ def emit_reduce_phase_events(
         )
         attempts = 1 + len(failures)
         history.emit(
-            EventKind.TASK_FINISH,
+            ev.TaskFinish(
+                phase=Phase.REDUCE, duration_s=p.duration, attempts=attempts,
+                wasted_s=(attempts - 1) * p.duration,
+            ),
             job_name,
             t0 + p.start_time + attempts * p.duration,
             task=p.task_id,
             node=p.node,
-            phase=Phase.REDUCE,
-            duration_s=p.duration,
-            attempts=attempts,
-            wasted_s=(attempts - 1) * p.duration,
         )
 
 

@@ -73,7 +73,7 @@ from repro.mapreduce.scheduler import (
     plan_fair_share,
 )
 from repro.mapreduce.simtime import CostModel, JobTiming
-from repro.observability.events import EventKind
+from repro.observability import events as ev
 from repro.observability.history import JobHistory
 
 __all__ = [
@@ -689,13 +689,14 @@ class JobService:
             state.queue.append(sub)
             self._outstanding += 1
             queue_depth = sum(len(s.queue) for s in self._tenants.values())
+            tags = sub.tags or {}
             self.history.emit(
-                EventKind.JOB_SUBMIT,
+                ev.JobSubmit(
+                    tenant=tenant, queue_depth=queue_depth,
+                    stream=tags.get("stream"), window=tags.get("window"),
+                ),
                 spec.name,
                 self.history.clock,
-                tenant=tenant,
-                queue_depth=queue_depth,
-                **(sub.tags or {}),
             )
             self._cond.notify_all()
         return future
@@ -725,12 +726,9 @@ class JobService:
                 queued = sum(len(s.queue) for s in self._tenants.values())
             sub.future._mark_running(index)
             self.history.emit(
-                EventKind.JOB_DISPATCH,
+                ev.JobDispatch(tenant=sub.tenant, dispatch_index=index, queued=queued),
                 sub.job.name,
                 self.history.clock,
-                tenant=sub.tenant,
-                dispatch_index=index,
-                queued=queued,
             )
             result: JobResult | None = None
             exc: BaseException | None = None
@@ -808,12 +806,9 @@ class JobService:
                 nbytes = self.result_cache.store(key, sub.job.output_path)
                 if nbytes is not None:
                     self.history.emit(
-                        EventKind.RESULT_CACHE_STORE,
+                        ev.ResultCacheStore(tenant=sub.tenant, key=key, nbytes=nbytes),
                         sub.job.name,
                         self.history.clock,
-                        tenant=sub.tenant,
-                        key=key,
-                        nbytes=nbytes,
                     )
             if self.result_cache is not None:
                 self.result_cache.misses += 1
@@ -846,43 +841,39 @@ class JobService:
         timing = JobTiming(self.cost_model.job_setup_s, 0.0, 0.0)
         h = self.history
         t0 = h.clock
+        tags = sub.tags or {}
         h.emit(
-            EventKind.JOB_START,
+            ev.JobStart(
+                input_paths=list(job.input_paths),
+                output_path=job.output_path,
+                n_chunks=0,
+                map_only=job.map_only,
+                num_reducers=0,
+                combiner=job.combiner is not None,
+                tenant=sub.tenant,
+                stream=tags.get("stream"),
+                window=tags.get("window"),
+            ),
             job.name,
             t0,
-            input_paths=list(job.input_paths),
-            output_path=job.output_path,
-            n_chunks=0,
-            map_only=job.map_only,
-            num_reducers=0,
-            combiner=job.combiner is not None,
-            tenant=sub.tenant,
-            **(sub.tags or {}),
         )
         h.emit(
-            EventKind.RESULT_CACHE_HIT,
+            ev.ResultCacheHit(
+                tenant=sub.tenant, key=key, source_path=source, saved_map_tasks=saved_maps
+            ),
             job.name,
             t0,
-            tenant=sub.tenant,
-            key=key,
-            source_path=source,
-            saved_map_tasks=saved_maps,
         )
         h.emit(
-            EventKind.JOB_FINISH,
+            ev.JobFinish(
+                timing=timing.payload(),
+                counters=counters.to_dict(),
+                n_map_tasks=0,
+                n_reduce_tasks=0,
+                output_path=job.output_path,
+            ),
             job.name,
             t0 + timing.total_s,
-            timing={
-                "setup_s": timing.setup_s,
-                "map_s": 0.0,
-                "reduce_s": 0.0,
-                "retry_penalty_s": 0.0,
-                "total_s": timing.total_s,
-            },
-            counters=counters.to_dict(),
-            n_map_tasks=0,
-            n_reduce_tasks=0,
-            output_path=job.output_path,
         )
         h.advance(t0 + timing.total_s)
         return JobResult(

@@ -21,6 +21,9 @@ from repro.mapreduce.aggregation import AggregateEnvelope, coalesce_by_node
 from repro.mapreduce.job import ConstantKeyPartitioner, HashPartitioner, Partitioner
 from repro.mapreduce.spill import ShuffleSpiller, SpilledPartition, as_groups, as_pairs
 from repro.mapreduce.types import SIZED_WITHOUT_PICKLE, estimate_nbytes
+from repro.observability.events import (
+    ShufflePreagg, ShuffleRefetch, ShuffleTransfer, SpillMerge, SpillStart,
+)
 
 __all__ = [
     "shuffle",
@@ -222,29 +225,23 @@ class ShuffleResult:
         self.partition_bytes = (
             partition_bytes if partition_bytes is not None else [0] * len(partitions)
         )
-        #: Per-run / per-merge facts of the external path (empty when the
-        #: shuffle ran in memory); the runner turns these into
-        #: ``spill_start`` / ``spill_merge`` history events.
-        self.spill_runs: list[dict[str, int]] = []
-        self.spill_merges: list[dict[str, int]] = []
+        #: The external path's ``spill_start`` per run and ``spill_merge``
+        #: per partition (empty when the shuffle ran in memory); the
+        #: runner prices their IO and emits them.
+        self.spill_runs: list[SpillStart] = []
+        self.spill_merges: list[SpillMerge] = []
         #: Per-partition ``{source node: bytes}`` provenance, recorded by
         #: the metadata-only path — the input of the cross-node byte
         #: counter.  ``None`` when the shuffle has no provenance (every job without an aggregation).
         self.node_bytes: list[dict[str, int]] | None = None
-        #: Pre-aggregation facts of the metadata-only path (``None``
-        #: otherwise): envelopes shipped after per-node coalescing, their
-        #: modelled bytes, the raw mapper records they replaced, and the
-        #: per-task envelope count before coalescing.
-        self.preagg: dict[str, int] | None = None
+        #: The metadata-only path's ``shuffle_preagg`` (``None`` otherwise),
+        #: its ``cross_node_bytes`` left to the runner.
+        self.preagg: ShufflePreagg | None = None
 
     @property
     def partitions(self) -> list[list[tuple[Any, list[Any]]]]:
         """Every partition's groups, materialized (loads spilled ones)."""
         return [as_groups(p) for p in self._partitions]
-
-    @property
-    def spilled(self) -> bool:
-        return bool(self.spill_runs)
 
     @property
     def n_reducers(self) -> int:
@@ -495,12 +492,12 @@ def _shuffle_metadata(
         node_bytes.append(per_node)
     result = ShuffleResult(partitions, sum(partition_bytes), partition_bytes)
     result.node_bytes = node_bytes
-    result.preagg = {
-        "envelopes": n_envelopes,
-        "envelope_bytes": sum(partition_bytes),
-        "pre_coalesce_envelopes": pre_coalesce,
-        "raw_records": raw_records,
-    }
+    result.preagg = ShufflePreagg(
+        envelopes=n_envelopes,
+        envelope_bytes=sum(partition_bytes),
+        pre_coalesce_envelopes=pre_coalesce,
+        raw_records=raw_records,
+    )
     return result
 
 
@@ -586,28 +583,20 @@ def emit_shuffle_events(history, job_name: str, result: ShuffleResult, ts: float
     the inputs of the report layer's shuffle-skew metric.  The history
     object is duck-typed (anything with ``emit``).
     """
-    from repro.observability.events import EventKind
-
     for r in range(result.n_reducers):
-        history.emit(
-            EventKind.SHUFFLE_TRANSFER,
-            job_name,
-            ts,
-            task=f"reduce-{r:04d}",
-            reducer=f"reduce-{r:04d}",
+        task = f"reduce-{r:04d}"
+        transfer = ShuffleTransfer(
+            reducer=task,
             bytes=result.partition_bytes[r],
             records=result.records_for(r),
             groups=result.groups_for(r),
             # Pre-aggregated partitions ship envelopes that each stand in
-            # for many raw mapper records; surface the true count.  Keyed
+            # for many raw mapper records; surface the true count.  Set
             # only on the metadata-only path so every other history
             # keeps its exact shape.
-            **(
-                {"raw_records": result.raw_records_for(r)}
-                if result.preagg is not None
-                else {}
-            ),
+            raw_records=result.raw_records_for(r) if result.preagg is not None else None,
         )
+        history.emit(transfer, job_name, ts, task=task)
 
 
 def emit_shuffle_refetch_events(
@@ -623,15 +612,8 @@ def emit_shuffle_refetch_events(
     yields one ``shuffle_refetch`` event stamped alongside the original
     transfers, so the report layer can total re-fetched bytes per job.
     """
-    from repro.observability.events import EventKind
-
     for task_id, nbytes, refetch_s, reason in refetches:
         history.emit(
-            EventKind.SHUFFLE_REFETCH,
-            job_name,
-            ts,
-            task=task_id,
-            bytes=nbytes,
-            refetch_s=refetch_s,
-            reason=reason,
+            ShuffleRefetch(bytes=nbytes, refetch_s=refetch_s, reason=reason),
+            job_name, ts, task=task_id,
         )

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 from repro.mapreduce.scheduler import Locality
 from repro.mapreduce.types import Chunk
+from repro.observability.events import Timing
 
 __all__ = ["CostModel", "JobTiming", "MB_F"]
 
@@ -146,3 +147,10 @@ class JobTiming:
     @property
     def total_s(self) -> float:
         return self.setup_s + self.map_s + self.reduce_s + self.retry_penalty_s
+
+    def payload(self) -> Timing:
+        """The ``timing`` object of the job's ``job_finish`` event."""
+        return Timing(
+            setup_s=self.setup_s, map_s=self.map_s, reduce_s=self.reduce_s,
+            retry_penalty_s=self.retry_penalty_s, total_s=self.total_s, spill_s=self.spill_s,
+        )

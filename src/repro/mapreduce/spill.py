@@ -25,8 +25,8 @@ discipline under one knob, ``mapreduce.memory_budget_mb``:
 
 Everything here is deliberately observable: :class:`SpillStats` counts
 runs/pages/bytes, and the shuffle path records per-run and per-merge
-facts that the runner turns into ``spill_start`` / ``spill_merge``
-history events with simulated IO charges.
+facts as ``spill_start`` / ``spill_merge`` history payloads, whose
+simulated IO charge the runner's cost model fills in.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ from repro.mapreduce.types import (
     RecordPayload,
     estimate_nbytes,
 )
+from repro.observability.events import SpillMerge, SpillStart
 
 __all__ = [
     "MB",
@@ -434,7 +435,8 @@ class ShuffleSpiller:
         self.stats = stats
         self.stem = stem
         self.runs: list[_Run] = []
-        self.run_events: list[dict[str, int]] = []
+        #: One ``spill_start`` per cut run, ``write_s`` not yet priced.
+        self.run_events: list[SpillStart] = []
         self.disabled = False
         self._buffer: list[tuple[int, Any, Any]] = []
         self._buffer_bytes = 0
@@ -478,10 +480,10 @@ class ShuffleSpiller:
         self.runs.append(run)
         self.stats.runs_spilled += 1
         self.stats.run_bytes += run.nbytes
-        self.run_events.append(
-            {"run": len(self.runs) - 1, "records": run.n_records,
-             "bytes": run.nbytes}
-        )
+        self.run_events.append(SpillStart(
+            source="shuffle", run=len(self.runs) - 1, records=run.n_records,
+            bytes=run.nbytes, write_s=0.0,
+        ))
         self._buffer, self._parts, self._buffer_bytes = [], [], 0
 
     def spilled(self) -> bool:
@@ -515,16 +517,17 @@ class ShuffleSpiller:
             triples.sort(key=operator.itemgetter(0))
         return [[(k, v) for _, k, v in triples] for triples in by_part]
 
-    def merge(self) -> tuple[list[SpilledPartition], list[dict[str, int]]]:
+    def merge(self) -> tuple[list[SpilledPartition], list[SpillMerge]]:
         """K-way merge every partition's run segments into grouped input.
 
         Returns per-partition :class:`SpilledPartition` handles plus one
-        merge-event dict per partition.  Run files are deleted once
-        merged; each partition's groups live in their own spill file
-        until the reduce task (possibly in a worker process) loads them.
+        ``spill_merge`` payload per partition (``read_s`` not yet priced).
+        Run files are deleted once merged; each partition's groups live in
+        their own spill file until the reduce task (possibly in a worker
+        process) loads them.
         """
         partitions: list[SpilledPartition] = []
-        merge_events: list[dict[str, int]] = []
+        merge_events: list[SpillMerge] = []
         for part in range(self.n_reducers):
             streams = [run.segment(part) for run in self.runs]
             merged = heapq.merge(*streams, key=_key_of)
@@ -546,11 +549,10 @@ class ShuffleSpiller:
             partitions.append(handle)
             self.stats.merges += 1
             self.stats.merge_bytes += self.partition_bytes[part]
-            merge_events.append(
-                {"partition": part, "runs": sum(1 for s in streams if s),
-                 "records": n_records, "groups": len(groups),
-                 "bytes": self.partition_bytes[part]}
-            )
+            merge_events.append(SpillMerge(
+                runs=sum(1 for s in streams if s), records=n_records, groups=len(groups),
+                bytes=self.partition_bytes[part], read_s=0.0,
+            ))
         for run in self.runs:
             run.delete()
         self.runs = []

@@ -5,9 +5,10 @@ The paper's whole evaluation (Tables I, III, IV; Figures 2-6) consists of
 combiner savings.  This package is the first-class observability layer
 that makes those observations without ad-hoc timing code:
 
-* :mod:`repro.observability.events` — the typed event vocabulary
-  (job/phase/task start+finish, attempt failures, speculative launches,
-  shuffle transfers, cache loads, pipeline stages, driver annotations).
+* :mod:`repro.observability.events` — the typed event vocabulary: one
+  frozen payload class per event kind (job/phase/task start+finish,
+  attempt failures, speculative launches, shuffle transfers, cache loads,
+  pipeline stages, driver annotations, ...).
 * :mod:`repro.observability.history` — :class:`JobHistory`, the collector
   every :class:`~repro.mapreduce.runner.JobRunner` owns.  It receives
   events aligned to the :mod:`~repro.mapreduce.simtime` cost-model clock,
@@ -23,7 +24,7 @@ This package deliberately imports nothing from :mod:`repro.mapreduce`
 The on-disk schema is documented in ``docs/OBSERVABILITY.md``.
 """
 
-from repro.observability.events import Event, EventKind, Phase, SCHEMA_VERSION
+from repro.observability.events import Event, Payload, Phase, SCHEMA_VERSION
 from repro.observability.history import JobHistory, TaskSpan, load_history
 from repro.observability.report import (
     JobSummary,
@@ -35,7 +36,7 @@ from repro.observability.report import (
 
 __all__ = [
     "Event",
-    "EventKind",
+    "Payload",
     "Phase",
     "SCHEMA_VERSION",
     "JobHistory",

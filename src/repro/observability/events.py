@@ -2,179 +2,24 @@
 
 An :class:`Event` is one observation about the MapReduce lifecycle, with a
 timestamp on the **simulated clock** (the same cost-model seconds the
-paper's Table III reports).  Events are intentionally plain data — a kind,
-a job name, optional task/node, and a JSON-safe ``data`` payload — so a
-history file written today stays readable regardless of how the engine's
-internal classes evolve.  The full schema is documented in
+paper's Table III reports): a job name, optional task/node, and a
+:class:`Payload`.  Each event kind is one frozen payload class below, and
+the class *is* the kind's schema: its fields, in declaration order, are
+the keys of the on-disk ``data`` object, and a field still at its default
+is left out.  The three ``driver_annotation`` classes are told apart by
+their ``driver`` key.  What each field means is documented once, in
 ``docs/OBSERVABILITY.md``; :data:`SCHEMA_VERSION` gates compatibility.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from dataclasses import MISSING, dataclass, field, fields, make_dataclass
+from typing import Any, ClassVar, Mapping
 
-__all__ = ["Event", "EventKind", "Phase", "SCHEMA_VERSION"]
+__all__ = ["Event", "Payload", "PAYLOADS", "Phase", "SCHEMA_VERSION"]
 
 #: Version stamp written into every history file.
 SCHEMA_VERSION = 1
-
-
-class EventKind:
-    """Well-known event kinds (the closed vocabulary of the schema)."""
-
-    #: A job was submitted; data: input_paths, output_path, n_chunks,
-    #: map_only, num_reducers, combiner.
-    JOB_START = "job_start"
-    #: A job completed; data: timing {setup_s, map_s, reduce_s,
-    #: retry_penalty_s, total_s}, counters (nested group->name->int),
-    #: n_map_tasks, n_reduce_tasks.
-    JOB_FINISH = "job_finish"
-    #: A lifecycle phase (see :class:`Phase`) began; data: phase.
-    PHASE_START = "phase_start"
-    #: A phase ended; data: phase, duration_s.
-    PHASE_FINISH = "phase_finish"
-    #: A task attempt chain began on its planned node; data: phase,
-    #: locality (map tasks), input_bytes, input_records, speculative.
-    TASK_START = "task_start"
-    #: A task's successful attempt finished; data: phase, duration_s,
-    #: attempts, wasted_s, locality, speculative.
-    TASK_FINISH = "task_finish"
-    #: One attempt of a task crashed and will be retried; data: attempt,
-    #: reason.  Always emitted before the owning task's TASK_FINISH.
-    ATTEMPT_FAILED = "attempt_failed"
-    #: The scheduler duplicated a straggler onto another node; data:
-    #: original_node, duration_s.
-    SPECULATIVE_LAUNCH = "speculative_launch"
-    #: Intermediate data crossed the network to one reducer; data:
-    #: reducer, bytes, records, groups.
-    SHUFFLE_TRANSFER = "shuffle_transfer"
-    #: The distributed cache was broadcast to the tasktrackers; data:
-    #: entries, nbytes, broadcast_s.
-    CACHE_LOAD = "cache_load"
-    #: A multi-job pipeline began; data: n_stages.
-    PIPELINE_START = "pipeline_start"
-    #: A pipeline finished; data: stages (job names), sim_seconds.
-    PIPELINE_FINISH = "pipeline_finish"
-    #: A free-form annotation from an algorithm driver (e.g. one k-means
-    #: iteration converging); data: driver-specific.
-    DRIVER_ANNOTATION = "driver_annotation"
-    #: The chaos engine crashed a task attempt; data: attempt, fault
-    #: (one of :class:`repro.mapreduce.failures.FaultKind`), reason.
-    #: Always emitted between the owning task's TASK_START and
-    #: TASK_FINISH, immediately before the matching ATTEMPT_FAILED.
-    FAULT_INJECTED = "fault_injected"
-    #: The jobtracker re-dispatched a failed task attempt; data: attempt
-    #: (the retry's number), backoff_s (exponential-backoff wait charged
-    #: to the retry penalty), reason.  Emitted between TASK_START and
-    #: TASK_FINISH, after the ATTEMPT_FAILED it answers.
-    ATTEMPT_RETRIED = "attempt_retried"
-    #: A node crossed the per-job failure threshold and stopped receiving
-    #: task dispatches; data: failures, threshold.
-    NODE_BLACKLISTED = "node_blacklisted"
-    #: A tasktracker+datanode died mid-phase; data: lost_tasks (map tasks
-    #: whose outputs vanished and were re-dispatched), detect_s.
-    NODE_LOST = "node_lost"
-    #: The namenode re-replicated under-replicated chunks after node
-    #: loss; data: replicas, nbytes, rereplicate_s.
-    REPLICA_HEALED = "replica_healed"
-    #: A reducer re-fetched map output (fetch timeout, or the source node
-    #: died and the re-executed map's output was read from a surviving
-    #: replica); data: bytes, refetch_s, reason.
-    SHUFFLE_REFETCH = "shuffle_refetch"
-    #: The memory budget forced data to local disk: a map task spilled
-    #: its output worker-side (``source="map"``; data: records, bytes,
-    #: write_s) or the shuffle cut one sorted run (``source="shuffle"``;
-    #: data: run, records, bytes, write_s).  Only budgeted runs emit
-    #: these; they never change job outputs or counters.
-    SPILL_START = "spill_start"
-    #: The external shuffle k-way merged one reduce partition's spilled
-    #: runs; data: runs, records, groups, bytes, read_s.
-    SPILL_MERGE = "spill_merge"
-    #: A tenant handed a job to the :class:`~repro.mapreduce.service.JobService`
-    #: queue; data: tenant, queue_depth (jobs queued service-wide after
-    #: this submit, this one included).  Emitted at submit time, before
-    #: the fair-share dispatcher picks the job up.
-    JOB_SUBMIT = "job_submit"
-    #: The service's fair-share dispatcher pulled a queued job for
-    #: execution; data: tenant, dispatch_index (0-based global dispatch
-    #: order), queued (jobs still waiting service-wide).  Falls between
-    #: the job's JOB_SUBMIT and JOB_START.
-    JOB_DISPATCH = "job_dispatch"
-    #: The result cache satisfied a submission without running any tasks;
-    #: data: tenant, key (cache-key digest), source_path, saved_map_tasks.
-    #: Replaces the whole JOB_START..JOB_FINISH task timeline except the
-    #: job_start/job_finish pair itself.
-    RESULT_CACHE_HIT = "result_cache_hit"
-    #: A completed job's output was copied into the result cache for
-    #: future identical submissions; data: tenant, key, nbytes.
-    RESULT_CACHE_STORE = "result_cache_store"
-    #: An R-tree built by MapReduce was persisted as node pages in HDFS
-    #: and registered in the :class:`~repro.index.persistent.IndexCatalog`;
-    #: data: key, path, input_path, dataset_version, n_points, n_pages,
-    #: page_bytes, build_sim_seconds.
-    INDEX_PUBLISH = "index_publish"
-    #: The catalog answered an index request from an already-persisted
-    #: build — zero jobs ran; data: key, path, input_path,
-    #: dataset_version, n_points.
-    INDEX_REUSE = "index_reuse"
-    #: The serving path answered one point/range/radius/kNN query from
-    #: persisted pages (zero map tasks); data: query, n_results,
-    #: page_faults, fault_bytes, latency_s, plus query parameters.
-    QUERY_SERVED = "query_served"
-    #: The micro-batcher started accepting feed batches for one simtime
-    #: window; data: window (index), t_start, t_end (event-time bounds).
-    WINDOW_OPEN = "window_open"
-    #: The micro-batcher advanced the stream's watermark: every batch
-    #: with event time below it has been delivered, dropped (lost) or
-    #: reassigned to the next window (late); data: window, watermark
-    #: (event-time seconds).
-    WATERMARK = "watermark"
-    #: A window's dataset was sealed into HDFS via ``put_trace_stream``;
-    #: data: window, path, n_points, late_points, lost_points,
-    #: dup_points, n_feeds.
-    WINDOW_CLOSE = "window_close"
-    #: The per-window analysis jobs finished and the rolling risk score
-    #: was appended to the :class:`~repro.streaming.RiskTimeline`; data:
-    #: window, n_points, kmeans_iterations, warm_start, n_pois, risk,
-    #: min_anonymity, latency_s (simulated close-to-result seconds).
-    WINDOW_RESULT = "window_result"
-    #: The metadata-only shuffle shipped pre-aggregated envelopes instead
-    #: of raw pairs; data: envelopes (shipped after per-node coalescing),
-    #: envelope_bytes, pre_coalesce_envelopes (map-side envelope count
-    #: before transport coalescing), raw_records (mapper records the
-    #: envelopes stand in for) and cross_node_bytes (the share that
-    #: actually crossed nodes).  Emitted once per job, only when the
-    #: metadata-only path ran.
-    SHUFFLE_PREAGG = "shuffle_preagg"
-    #: A linkage attack finished; data: driver, n_train_fingerprints,
-    #: n_target_fingerprints, linked, success_rate, pairs_scored,
-    #: pairs_exact (present whenever both sides had fingerprints to audit),
-    #: cross_product, signature.  Emitted once per
-    #: ``run_linkage_attack`` call, job-scoped like driver_annotation.
-    ATTACK_RESULT = "attack_result"
-    #: One (sanitizer × attack) cell of a privacy-vs-utility sweep
-    #: finished; data: mechanism, tenant, success_rate, linked,
-    #: n_targets, window_risk, distortion_m, volume_ratio, sim_seconds.
-    #: Emitted by ``repro.attacks.sweep`` into the shared service
-    #: history.
-    SWEEP_CELL = "sweep_cell"
-
-    @classmethod
-    def all(cls) -> tuple[str, ...]:
-        """Every known kind, in declaration order."""
-        return tuple(
-            v
-            for k, v in vars(cls).items()
-            if not k.startswith("_") and isinstance(v, str)
-        )
-
-
-#: :meth:`EventKind.all` as a set, built once: it rebuilds its tuple from
-#: ``vars(cls)`` on every call, which was most of what an :class:`Event`
-#: cost.  A kind this snapshot does not hold is looked up the slow way, so
-#: one added to :class:`EventKind` after import is still known.
-_KNOWN_KINDS = frozenset(EventKind.all())
 
 
 class Phase:
@@ -189,6 +34,8 @@ class Phase:
 
 def _json_safe(value: Any) -> Any:
     """Coerce a payload value to JSON-serializable plain data."""
+    if isinstance(value, Payload):
+        return value.to_dict()
     if isinstance(value, Mapping):
         return {str(k): _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -209,7 +56,228 @@ def _json_safe(value: Any) -> Any:
     return str(value)
 
 
-@dataclass(frozen=True)
+class Payload:
+    """The data of one event kind; every subclass is made by :func:`_record`."""
+
+    __slots__ = ()
+    kind: ClassVar[str]
+    #: The ``driver`` key written first, for kinds that several drivers share.
+    driver: ClassVar[str | None] = None
+    #: ``(name, default)`` per field in declaration order; ``MISSING`` marks
+    #: a required one.
+    _fields: ClassVar[tuple[tuple[str, Any], ...]]
+    #: The fields that hold a nested record, with its class.
+    _nested: ClassVar[dict[str, type[Payload]]]
+
+    def to_dict(self) -> dict[str, Any]:
+        """The JSON-safe ``data`` object: declared order, defaults left out."""
+        out: dict[str, Any] = {} if self.driver is None else {"driver": self.driver}
+        for name, default in self._fields:
+            value = getattr(self, name)
+            if default is MISSING or value != default:
+                out[name] = _json_safe(value)
+        return out
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> "Payload":
+        """Rebuild from a ``data`` object; a key the class does not
+        declare, or a required one that is absent, is a ``ValueError``."""
+        data = dict(data)
+        data.pop("driver", None)
+        names = {name for name, _ in cls._fields}
+        for key in data:
+            if key not in names:
+                raise ValueError(f"{cls.kind} has no field {key!r}")
+        for name, default in cls._fields:
+            if default is MISSING and name not in data:
+                raise ValueError(f"{cls.kind} is missing field {name!r}")
+        for name, record in cls._nested.items():
+            data[name] = record.from_dict(data[name])
+        return cls(**data)
+
+
+#: kind -> {driver (None for single-class kinds) -> payload class}.
+PAYLOADS: dict[str, dict[str | None, type[Payload]]] = {}
+
+
+def _record(name: str, kind: str, driver: str | None = None, /, **types: Any) -> type:
+    """A frozen payload class with one field per keyword, in order: its
+    type, or ``(type, default)`` for a field left out at its default."""
+    cls = make_dataclass(
+        name,
+        [
+            (key, tp[0], field(default=tp[1])) if isinstance(tp, tuple) else (key, tp)
+            for key, tp in types.items()
+        ],
+        bases=(Payload,), frozen=True, slots=True, kw_only=True,
+    )
+    cls.__module__, cls.kind, cls.driver = __name__, kind, driver
+    cls._fields = tuple((f.name, f.default) for f in fields(cls))
+    cls._nested = {
+        f.name: f.type for f in fields(cls)
+        if isinstance(f.type, type) and issubclass(f.type, Payload)
+    }
+    return cls
+
+
+def _kind(name: str, kind: str, driver: str | None = None, /, **types: Any) -> type:
+    """:func:`_record`, registered as the payload of ``kind`` events."""
+    cls = _record(name, kind, driver, **types)
+    PAYLOADS.setdefault(kind, {})[driver] = cls
+    return cls
+
+
+def _payload_class(kind: str, data: Mapping[str, Any]) -> type[Payload]:
+    """The class of a ``kind`` event whose ``data`` is given."""
+    classes = PAYLOADS.get(kind)
+    if classes is None:
+        raise ValueError(f"unknown event kind {kind!r}")
+    if None in classes:
+        return classes[None]
+    driver = data.get("driver")
+    if driver not in classes:
+        raise ValueError(f"{kind} has no driver {driver!r}")
+    return classes[driver]
+
+
+#: The optional fields that are absent unless set.
+_STR, _INT, _FLOAT = (str | None, None), (int | None, None), (float | None, None)
+#: ``locality`` is "" when not recorded (reduce tasks), so a recorded null
+#: stays distinguishable on disk.
+_LOCALITY = (str | None, "")
+
+# Job lifecycle.
+JobStart = _kind(
+    "JobStart", "job_start", input_paths=list[str], output_path=str, n_chunks=int,
+    map_only=bool, num_reducers=int, combiner=bool, tenant=_STR, stream=_STR, window=_INT,
+)
+Timing = _record(
+    "Timing", "job_finish timing", setup_s=float, map_s=float, reduce_s=float,
+    retry_penalty_s=float, total_s=float, spill_s=(float, 0.0),
+)
+JobFinish = _kind(
+    "JobFinish", "job_finish", timing=Timing, counters=dict[str, dict[str, int]],
+    n_map_tasks=int, n_reduce_tasks=int, output_path=str,
+)
+PhaseStart = _kind("PhaseStart", "phase_start", phase=str)
+PhaseFinish = _kind("PhaseFinish", "phase_finish", phase=str, duration_s=float)
+TaskStart = _kind(
+    "TaskStart", "task_start", phase=str, locality=_LOCALITY, input_bytes=_INT,
+    input_records=_INT, speculative=(bool, False),
+)
+TaskFinish = _kind(
+    "TaskFinish", "task_finish", phase=str, duration_s=float, attempts=_INT, wasted_s=_FLOAT,
+    locality=_LOCALITY, speculative=(bool, False),
+)
+AttemptFailed = _kind("AttemptFailed", "attempt_failed", attempt=int, reason=str)
+SpeculativeLaunch = _kind(
+    "SpeculativeLaunch", "speculative_launch", original_node=str | None, duration_s=float,
+)
+ShuffleTransfer = _kind(
+    "ShuffleTransfer", "shuffle_transfer", reducer=str, bytes=int, records=int, groups=int,
+    raw_records=_INT,
+)
+CacheLoad = _kind("CacheLoad", "cache_load", entries=list[str], nbytes=int, broadcast_s=float)
+PipelineStart = _kind("PipelineStart", "pipeline_start", n_stages=int)
+PipelineFinish = _kind(
+    "PipelineFinish", "pipeline_finish", stages=list[str], sim_seconds=float,
+)
+
+# Driver annotations, one class per driver.
+KMeansIteration = _kind(
+    "KMeansIteration", "driver_annotation", "kmeans", iteration=int,
+    max_centroid_move=float, converged=bool, sim_seconds=float,
+)
+DJClusterRun = _kind(
+    "DJClusterRun", "driver_annotation", "djcluster", n_clusters=int, n_noise=int,
+    stage_sim_seconds=dict[str, float],
+)
+SamplingRun = _kind(
+    "SamplingRun", "driver_annotation", "sampling", technique=str, window_s=float,
+    records_kept=int,
+)
+
+# Chaos and recovery.
+FaultInjected = _kind("FaultInjected", "fault_injected", attempt=int, fault=str, reason=str)
+AttemptRetried = _kind(
+    "AttemptRetried", "attempt_retried", attempt=int, backoff_s=float, reason=str,
+)
+NodeBlacklisted = _kind("NodeBlacklisted", "node_blacklisted", failures=int, threshold=int)
+NodeLost = _kind("NodeLost", "node_lost", lost_tasks=list[str], detect_s=float)
+ReplicaHealed = _kind(
+    "ReplicaHealed", "replica_healed", replicas=int, nbytes=int, rereplicate_s=float,
+)
+ShuffleRefetch = _kind(
+    "ShuffleRefetch", "shuffle_refetch", bytes=int, refetch_s=float, reason=str,
+)
+
+# Out-of-core and shuffle accounting.
+SpillStart = _kind(
+    "SpillStart", "spill_start", source=str, run=_INT, records=int, bytes=int, write_s=float,
+)
+SpillMerge = _kind(
+    "SpillMerge", "spill_merge", runs=int, records=int, groups=int, bytes=int, read_s=float,
+)
+ShufflePreagg = _kind(
+    "ShufflePreagg", "shuffle_preagg", envelopes=int, envelope_bytes=int,
+    pre_coalesce_envelopes=int, raw_records=int, cross_node_bytes=_INT,
+)
+
+# The job service.
+JobSubmit = _kind(
+    "JobSubmit", "job_submit", tenant=str, queue_depth=int, stream=_STR, window=_INT,
+)
+JobDispatch = _kind(
+    "JobDispatch", "job_dispatch", tenant=str, dispatch_index=int, queued=int,
+)
+ResultCacheHit = _kind(
+    "ResultCacheHit", "result_cache_hit", tenant=str, key=str, source_path=str,
+    saved_map_tasks=int,
+)
+ResultCacheStore = _kind(
+    "ResultCacheStore", "result_cache_store", tenant=str, key=str, nbytes=int,
+)
+
+# The persistent index.
+IndexPublish = _kind(
+    "IndexPublish", "index_publish", key=str, path=str, input_path=str, dataset_version=int,
+    n_points=int, n_pages=int, page_bytes=int, build_sim_seconds=float,
+)
+IndexReuse = _kind(
+    "IndexReuse", "index_reuse", key=str, path=str, input_path=str, dataset_version=int,
+    n_points=int,
+)
+QueryServed = _kind(
+    "QueryServed", "query_served", query=str, n_results=int, page_faults=int,
+    fault_bytes=int, latency_s=float, lat=_FLOAT, lon=_FLOAT, radius_m=_FLOAT, k=_INT,
+    rect=(list[float] | None, None),
+)
+
+# Streaming.
+WindowOpen = _kind("WindowOpen", "window_open", window=int, t_start=float, t_end=float)
+Watermark = _kind("Watermark", "watermark", window=int, watermark=float)
+WindowClose = _kind(
+    "WindowClose", "window_close", window=int, path=str, n_points=int, n_feeds=int,
+    late_points=int, lost_points=int, dup_points=int,
+)
+WindowResult = _kind(
+    "WindowResult", "window_result", window=int, n_points=int, kmeans_iterations=int,
+    warm_start=bool, n_pois=int, risk=float, min_anonymity=int, latency_s=float,
+)
+
+# Attacks.
+AttackResult = _kind(
+    "AttackResult", "attack_result", "linkage-attack", n_train_fingerprints=int,
+    n_target_fingerprints=int, linked=int, success_rate=float, pairs_scored=int,
+    cross_product=int, signature=str, pairs_exact=_INT,
+)
+SweepCell = _kind(
+    "SweepCell", "sweep_cell", mechanism=str, tenant=str, success_rate=float, linked=int,
+    n_targets=int, sim_seconds=float,
+)
+
+
+@dataclass(frozen=True, slots=True)
 class Event:
     """One observation in a job history.
 
@@ -221,45 +289,52 @@ class Event:
 
     seq: int
     ts: float
-    kind: str
     job: str
+    payload: Payload
     task: str | None = None
     node: str | None = None
-    data: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in _KNOWN_KINDS and self.kind not in EventKind.all():
-            raise ValueError(f"unknown event kind {self.kind!r}")
         if self.ts < 0:
             raise ValueError(f"event timestamp must be >= 0, got {self.ts}")
+
+    @property
+    def kind(self) -> str:
+        return self.payload.kind
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe plain-dict form (the on-disk record)."""
         out: dict[str, Any] = {
             "seq": self.seq,
             "ts": round(float(self.ts), 6),
-            "kind": self.kind,
+            "kind": self.payload.kind,
             "job": self.job,
         }
         if self.task is not None:
             out["task"] = self.task
         if self.node is not None:
             out["node"] = self.node
-        if self.data:
-            out["data"] = _json_safe(self.data)
+        out["data"] = self.payload.to_dict()
         return out
 
     @classmethod
     def from_dict(cls, record: Mapping[str, Any]) -> "Event":
+        unknown = record.keys() - {"seq", "ts", "kind", "job", "task", "node", "data"}
+        if unknown:
+            raise ValueError(f"event record has unknown field {sorted(unknown)[0]!r}")
         try:
+            kind, data = str(record["kind"]), record.get("data", {})
+            if not isinstance(data, Mapping):
+                raise ValueError(f"{kind} data is not an object: {data!r}")
             return cls(
                 seq=int(record["seq"]),
                 ts=float(record["ts"]),
-                kind=str(record["kind"]),
                 job=str(record["job"]),
+                payload=_payload_class(kind, data).from_dict(data),
                 task=record.get("task"),
                 node=record.get("node"),
-                data=dict(record.get("data", {})),
             )
         except KeyError as exc:
             raise ValueError(f"event record missing field {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed event record: {exc}") from None

@@ -34,7 +34,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
-from repro.observability.events import SCHEMA_VERSION, Event, EventKind
+from repro.observability.events import (
+    SCHEMA_VERSION, AttemptFailed, AttemptRetried, Event, FaultInjected, JobFinish, JobStart,
+    Payload, PhaseFinish, PhaseStart, TaskFinish, TaskStart,
+)
 
 __all__ = ["JobHistory", "TaskSpan", "load_history"]
 
@@ -78,18 +81,16 @@ class JobHistory:
     # -- collection ---------------------------------------------------------
     def emit(
         self,
-        kind: str,
+        payload: Payload,
         job: str,
         ts: float,
         task: str | None = None,
         node: str | None = None,
-        **data: Any,
     ) -> Event:
         """Append one event; returns it (mainly for tests).  Thread-safe."""
         with self._emit_lock:
             event = Event(
-                seq=self._seq, ts=float(ts), kind=kind, job=job, task=task,
-                node=node, data=data,
+                seq=self._seq, ts=float(ts), job=job, payload=payload, task=task, node=node,
             )
             self._seq += 1
             self.events.append(event)
@@ -109,29 +110,29 @@ class JobHistory:
     # -- queries ------------------------------------------------------------
     def jobs(self) -> list[str]:
         """Job names in submission order."""
-        return [e.job for e in self.events if e.kind == EventKind.JOB_START]
+        return [e.job for e in self.events if isinstance(e.payload, JobStart)]
 
     def events_for(self, job: str) -> list[Event]:
         return [e for e in self.events if e.job == job]
 
     def job_start(self, job: str) -> Event:
-        return self._single(job, EventKind.JOB_START)
+        return self._single(job, JobStart)
 
     def job_finish(self, job: str) -> Event:
-        return self._single(job, EventKind.JOB_FINISH)
+        return self._single(job, JobFinish)
 
-    def _single(self, job: str, kind: str) -> Event:
+    def _single(self, job: str, kind: type[Payload]) -> Event:
         for event in self.events:
-            if event.job == job and event.kind == kind:
+            if event.job == job and isinstance(event.payload, kind):
                 return event
-        raise KeyError(f"no {kind} event for job {job!r}")
+        raise KeyError(f"no {kind.kind} event for job {job!r}")
 
     def phase_durations(self, job: str) -> dict[str, float]:
         """Phase name -> duration, from the job's ``phase_finish`` events."""
         return {
-            e.data["phase"]: float(e.data["duration_s"])
+            e.payload.phase: float(e.payload.duration_s)
             for e in self.events_for(job)
-            if e.kind == EventKind.PHASE_FINISH
+            if isinstance(e.payload, PhaseFinish)
         }
 
     def task_spans(self, job: str) -> list[TaskSpan]:
@@ -139,12 +140,11 @@ class JobHistory:
         starts: dict[tuple[str, bool], Event] = {}
         spans: list[TaskSpan] = []
         for event in self.events_for(job):
-            if event.kind == EventKind.TASK_START:
-                key = (event.task or "", bool(event.data.get("speculative")))
-                starts[key] = event
-            elif event.kind == EventKind.TASK_FINISH:
-                key = (event.task or "", bool(event.data.get("speculative")))
-                start = starts.get(key)
+            p = event.payload
+            if isinstance(p, TaskStart):
+                starts[(event.task or "", p.speculative)] = event
+            elif isinstance(p, TaskFinish):
+                start = starts.get((event.task or "", p.speculative))
                 if start is None:
                     raise ValueError(
                         f"task_finish without task_start: {event.job}/{event.task}"
@@ -154,12 +154,12 @@ class JobHistory:
                         job=event.job,
                         task=event.task or "",
                         node=event.node or "",
-                        phase=str(event.data.get("phase", "")),
+                        phase=p.phase,
                         start=start.ts,
                         end=event.ts,
-                        attempts=int(event.data.get("attempts", 1)),
-                        locality=event.data.get("locality"),
-                        speculative=bool(event.data.get("speculative")),
+                        attempts=p.attempts or 1,
+                        locality=p.locality or None,
+                        speculative=p.speculative,
                     )
                 )
         spans.sort(key=lambda s: (s.start, s.task, s.speculative))
@@ -191,43 +191,37 @@ class JobHistory:
         task_finished: set[tuple[str, bool]] = set()
 
         for event in events:
-            kind = event.kind
-            if kind == EventKind.JOB_START:
+            p = event.payload
+            if isinstance(p, JobStart):
                 job_started = event
-            elif kind == EventKind.JOB_FINISH:
+            elif isinstance(p, JobFinish):
                 job_finished = event
                 if job_started is None:
                     problems.append(f"{job}: job_finish before job_start")
                 elif event.ts < job_started.ts:
                     problems.append(f"{job}: job_finish ts precedes job_start")
-            elif kind == EventKind.PHASE_START:
-                phase_open[str(event.data.get("phase"))] = event
-            elif kind == EventKind.PHASE_FINISH:
-                phase = str(event.data.get("phase"))
-                start = phase_open.pop(phase, None)
+            elif isinstance(p, PhaseStart):
+                phase_open[p.phase] = event
+            elif isinstance(p, PhaseFinish):
+                start = phase_open.pop(p.phase, None)
                 if start is None:
-                    problems.append(f"{job}: phase_finish({phase}) without start")
+                    problems.append(f"{job}: phase_finish({p.phase}) without start")
                 elif event.ts < start.ts:
-                    problems.append(f"{job}: phase {phase} finish ts precedes start")
-            elif kind == EventKind.TASK_START:
-                key = (event.task or "", bool(event.data.get("speculative")))
-                task_started[key] = event
-            elif kind in (
-                EventKind.ATTEMPT_FAILED,
-                EventKind.FAULT_INJECTED,
-                EventKind.ATTEMPT_RETRIED,
-            ):
+                    problems.append(f"{job}: phase {p.phase} finish ts precedes start")
+            elif isinstance(p, TaskStart):
+                task_started[(event.task or "", p.speculative)] = event
+            elif isinstance(p, (AttemptFailed, FaultInjected, AttemptRetried)):
                 key = (event.task or "", False)
                 if key not in task_started:
                     problems.append(
-                        f"{job}/{event.task}: {kind} before task_start"
+                        f"{job}/{event.task}: {p.kind} before task_start"
                     )
                 if key in task_finished:
                     problems.append(
-                        f"{job}/{event.task}: {kind} after task_finish"
+                        f"{job}/{event.task}: {p.kind} after task_finish"
                     )
-            elif kind == EventKind.TASK_FINISH:
-                key = (event.task or "", bool(event.data.get("speculative")))
+            elif isinstance(p, TaskFinish):
+                key = (event.task or "", p.speculative)
                 start = task_started.get(key)
                 if start is None:
                     problems.append(f"{job}/{event.task}: task_finish without start")

@@ -7,9 +7,10 @@ how well the scheduler placed work (locality mix), what the combiner
 saved (record reduction), and how evenly the shuffle spread over the
 reducers (per-reducer bytes + skew).
 
-Counter names are read from the serialized history with the literal
-strings of the schema (``docs/OBSERVABILITY.md``) — this module never
-imports the engine, so a saved history file is self-contained.
+Payload fields are read off the event classes of
+:mod:`repro.observability.events`; counter names, with the literal strings
+of the schema (``docs/OBSERVABILITY.md``) — this module never imports the
+engine, so a saved history file is self-contained.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.observability.events import EventKind, Phase
+from repro.observability import events as ev
+from repro.observability.events import Phase
 from repro.observability.history import JobHistory, TaskSpan
 
 __all__ = [
@@ -57,9 +59,8 @@ class JobSummary:
     locality: dict[str, int] = field(default_factory=dict)
     stragglers: list[tuple[TaskSpan, float]] = field(default_factory=list)
     shuffle_bytes_per_reducer: dict[str, int] = field(default_factory=dict)
-    #: Metadata-only shuffle accounting (the SHUFFLE_PREAGG event's data;
-    #: None when the job shipped raw pairs).
-    preagg: dict[str, int] | None = None
+    #: Metadata-only shuffle accounting (None when the job shipped raw pairs).
+    preagg: ev.ShufflePreagg | None = None
     combiner: dict[str, int] | None = None
     failed_attempts: int = 0
     speculative_launches: int = 0
@@ -155,10 +156,10 @@ def _critical_path(
 
 def summarize_job(history: JobHistory, job: str) -> JobSummary:
     """Derive one job's metrics summary from its events."""
-    start = history.job_start(job)
-    finish = history.job_finish(job)
-    timing = {k: float(v) for k, v in finish.data.get("timing", {}).items()}
-    counters = finish.data.get("counters", {})
+    start_event = history.job_start(job)
+    start, finish = start_event.payload, history.job_finish(job).payload
+    timing = {k: float(v) for k, v in finish.timing.to_dict().items()}
+    counters = finish.counters
     spans = history.task_spans(job)
 
     locality: dict[str, int] = {}
@@ -179,36 +180,34 @@ def summarize_job(history: JobHistory, job: str) -> JobSummary:
     shuffle_refetches = 0
     refetched_bytes = 0
     cache_hit = False
-    preagg: dict[str, int] | None = None
+    preagg: ev.ShufflePreagg | None = None
     for event in history.events_for(job):
-        if event.kind == EventKind.RESULT_CACHE_HIT:
+        p = event.payload
+        if isinstance(p, ev.ResultCacheHit):
             cache_hit = True
-        elif event.kind == EventKind.SHUFFLE_TRANSFER:
-            shuffle[str(event.data.get("reducer", event.task))] = int(
-                event.data.get("bytes", 0)
-            )
-        elif event.kind == EventKind.SHUFFLE_PREAGG:
-            preagg = {k: int(v) for k, v in event.data.items()}
-        elif event.kind == EventKind.ATTEMPT_FAILED:
+        elif isinstance(p, ev.ShuffleTransfer):
+            shuffle[p.reducer] = int(p.bytes)
+        elif isinstance(p, ev.ShufflePreagg):
+            preagg = p
+        elif isinstance(p, ev.AttemptFailed):
             failed += 1
-        elif event.kind == EventKind.SPECULATIVE_LAUNCH:
+        elif isinstance(p, ev.SpeculativeLaunch):
             speculative += 1
-        elif event.kind == EventKind.FAULT_INJECTED:
-            kind = str(event.data.get("fault", "unknown"))
-            faults[kind] = faults.get(kind, 0) + 1
-        elif event.kind == EventKind.ATTEMPT_RETRIED:
+        elif isinstance(p, ev.FaultInjected):
+            faults[str(p.fault)] = faults.get(str(p.fault), 0) + 1
+        elif isinstance(p, ev.AttemptRetried):
             retries += 1
-            backoff_s += float(event.data.get("backoff_s", 0.0))
-        elif event.kind == EventKind.NODE_LOST:
+            backoff_s += float(p.backoff_s)
+        elif isinstance(p, ev.NodeLost):
             nodes_lost.append(str(event.node))
-        elif event.kind == EventKind.NODE_BLACKLISTED:
+        elif isinstance(p, ev.NodeBlacklisted):
             nodes_blacklisted.append(str(event.node))
-        elif event.kind == EventKind.REPLICA_HEALED:
-            replicas_healed += int(event.data.get("replicas", 0))
-            healed_bytes += int(event.data.get("nbytes", 0))
-        elif event.kind == EventKind.SHUFFLE_REFETCH:
+        elif isinstance(p, ev.ReplicaHealed):
+            replicas_healed += int(p.replicas)
+            healed_bytes += int(p.nbytes)
+        elif isinstance(p, ev.ShuffleRefetch):
             shuffle_refetches += 1
-            refetched_bytes += int(event.data.get("bytes", 0))
+            refetched_bytes += int(p.bytes)
 
     task_group: dict[str, Any] = counters.get("task", {})
     combiner = None
@@ -220,19 +219,15 @@ def summarize_job(history: JobHistory, job: str) -> JobSummary:
 
     return JobSummary(
         name=job,
-        start_ts=start.ts,
+        start_ts=start_event.ts,
         timing=timing,
         phases=history.phase_durations(job),
-        tenant=start.data.get("tenant"),
-        stream=start.data.get("stream"),
-        window=(
-            int(start.data["window"])
-            if start.data.get("window") is not None
-            else None
-        ),
+        tenant=start.tenant,
+        stream=start.stream,
+        window=start.window,
         cache_hit=cache_hit,
-        n_map_tasks=int(finish.data.get("n_map_tasks", 0)),
-        n_reduce_tasks=int(finish.data.get("n_reduce_tasks", 0)),
+        n_map_tasks=int(finish.n_map_tasks),
+        n_reduce_tasks=int(finish.n_reduce_tasks),
         locality=locality,
         stragglers=_rank_stragglers(spans),
         shuffle_bytes_per_reducer=shuffle,
@@ -348,11 +343,11 @@ def render_window_report(history: JobHistory, tenant: str | None = None) -> str:
     accounts = window_accounting(summaries)
     if not accounts:
         return "history contains no window-tagged jobs (not a streaming run?)"
-    closes: dict[tuple[str, int], dict[str, Any]] = {}
+    closes: dict[tuple[str, int], ev.WindowClose] = {}
     for event in history.events:
-        if event.kind == EventKind.WINDOW_CLOSE:
+        if isinstance(event.payload, ev.WindowClose):
             stream = str(event.job).removesuffix("-ingest")
-            closes[(stream, int(event.data.get("window", -1)))] = event.data
+            closes[(stream, event.payload.window)] = event.payload
     lines = [
         "== per-window accounting " + "=" * 37,
         f"{'stream':<14} {'win':>4} {'tenant':<10} {'jobs':>5} {'hits':>5} "
@@ -362,13 +357,17 @@ def render_window_report(history: JobHistory, tenant: str | None = None) -> str:
     for key in sorted(accounts):
         stream, window, who = key
         row = accounts[key]
-        close = closes.get((stream, window), {})
+        close = closes.get((stream, window))
+        points, late, lost, dup = (
+            (close.n_points, close.late_points, close.lost_points, close.dup_points)
+            if close is not None
+            else (0, 0, 0, 0)
+        )
         lines.append(
             f"{stream:<14} {window:>4} {who:<10} {row['jobs']:>5} "
             f"{row['cache_hits']:>5} {row['total_s']:>9.1f} "
             f"{row['map_tasks']:>6} {row['reduce_tasks']:>8} "
-            f"{close.get('n_points', 0):>8} {close.get('late_points', 0):>6} "
-            f"{close.get('lost_points', 0):>6} {close.get('dup_points', 0):>5}"
+            f"{points:>8} {late:>6} {lost:>6} {dup:>5}"
         )
     n_windows = len({(s, w) for s, w, _ in accounts})
     total = sum(r["total_s"] for r in accounts.values())
@@ -466,14 +465,14 @@ def _render_job(history: JobHistory, summary: JobSummary, gantt: bool, width: in
         )
     if summary.preagg is not None:
         p = summary.preagg
-        cross = p.get("cross_node_bytes")
         cross_txt = (
-            f"; {_fmt_bytes(int(cross))} crossed nodes" if cross is not None else ""
+            f"; {_fmt_bytes(int(p.cross_node_bytes))} crossed nodes"
+            if p.cross_node_bytes is not None
+            else ""
         )
         lines.append(
-            f"  pre-agg shuffle: {p.get('raw_records', 0):,} raw records as "
-            f"{p.get('envelopes', 0):,} envelopes "
-            f"({_fmt_bytes(p.get('envelope_bytes', 0))}{cross_txt})"
+            f"  pre-agg shuffle: {p.raw_records:,} raw records as "
+            f"{p.envelopes:,} envelopes ({_fmt_bytes(p.envelope_bytes)}{cross_txt})"
         )
     if summary.combiner_reduction is not None:
         c = summary.combiner

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.geo.trace import TraceArray
-from repro.observability.events import EventKind
+from repro.observability.events import Payload, Watermark, WindowClose, WindowOpen
 
 from repro.streaming.source import StreamSource
 
@@ -83,16 +83,14 @@ class MicroBatcher:
     def window_path(self, window: int) -> str:
         return f"{self.root}/{self.name}/window-{window:04d}"
 
-    def _emit(self, kind: str, **data) -> None:
+    def _emit(self, payload: Payload) -> None:
         if self.history is not None:
-            self.history.emit(kind, self.job, self.history.clock, **data)
+            self.history.emit(payload, self.job, self.history.clock)
 
     def close_window(self, source: StreamSource, window: int) -> WindowDataset:
         """Collect window ``window``'s deliveries and seal its dataset."""
         t_start, t_end = source.window_bounds(window)
-        self._emit(
-            EventKind.WINDOW_OPEN, window=window, t_start=t_start, t_end=t_end
-        )
+        self._emit(WindowOpen(window=window, t_start=t_start, t_end=t_end))
         pieces: list[TraceArray] = []
         seen: set[tuple[str, int]] = set()
         late_points = 0
@@ -108,7 +106,7 @@ class MicroBatcher:
                 late_points += len(batch)
             pieces.append(batch.points)
             feeds.add(batch.feed)
-        self._emit(EventKind.WATERMARK, window=window, watermark=t_end)
+        self._emit(Watermark(window=window, watermark=t_end))
         merged = (
             TraceArray.concatenate(pieces).sort_by_time().compact()
             if pieces
@@ -128,5 +126,9 @@ class MicroBatcher:
             lost_points=source.lost_by_window.get(window, 0),
             dup_points=dup_points,
         )
-        self._emit(EventKind.WINDOW_CLOSE, **dataset.to_doc())
+        self._emit(WindowClose(
+            window=dataset.index, path=dataset.path, n_points=dataset.n_points,
+            n_feeds=dataset.n_feeds, late_points=dataset.late_points,
+            lost_points=dataset.lost_points, dup_points=dataset.dup_points,
+        ))
         return dataset

@@ -37,7 +37,7 @@ from repro.algorithms.sampling import run_sampling_job
 from repro.geo.grid import grid_cells, unique_rows
 from repro.geo.trace import TraceArray, digest
 from repro.metrics.privacy import WindowRisk, window_reidentification_risk
-from repro.observability.events import EventKind
+from repro.observability import events as ev
 
 from repro.streaming.batcher import MicroBatcher, WindowDataset
 from repro.streaming.source import StreamSource
@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 #: Event kinds that count as "served from a cache, zero tasks ran".
-_CACHE_HIT_KINDS = (EventKind.RESULT_CACHE_HIT, EventKind.INDEX_REUSE)
+_CACHE_HITS = (ev.ResultCacheHit, ev.IndexReuse)
 
 
 def _top_cells(array: TraceArray, cell_m: float) -> dict[str, tuple[int, int]]:
@@ -386,24 +386,25 @@ class StreamingJobManager:
             linked_users=linked,
             latency_s=latency,
             cache_hits=sum(
-                1 for e in history.events[events0:] if e.kind in _CACHE_HIT_KINDS
+                1 for e in history.events[events0:] if isinstance(e.payload, _CACHE_HITS)
             ),
         )
         self.results.append(result)
         self.timeline.append(result)
         if history is not None:
             history.emit(
-                EventKind.WINDOW_RESULT,
+                ev.WindowResult(
+                    window=w,
+                    n_points=dataset.n_points,
+                    kmeans_iterations=iterations,
+                    warm_start=warm,
+                    n_pois=n_pois,
+                    risk=risk.risk,
+                    min_anonymity=risk.min_anonymity,
+                    latency_s=latency,
+                ),
                 self.batcher.job,
                 history.clock,
-                window=w,
-                n_points=dataset.n_points,
-                kmeans_iterations=iterations,
-                warm_start=warm,
-                n_pois=n_pois,
-                risk=risk.risk,
-                min_anonymity=risk.min_anonymity,
-                latency_s=latency,
             )
         return result
 

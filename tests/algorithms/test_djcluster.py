@@ -320,8 +320,8 @@ class TestMapReduceClustering:
         mr = run_djcluster_mapreduce(runner, "sampled", params, workdir="w/n")
         assert len(mr.noise_ids) > 0
         finish = runner.history.job_finish("dj-neighborhood-merge")
-        assert finish.data["n_map_tasks"] > 1
-        counted = finish.data["counters"]["djcluster"]
+        assert finish.payload.n_map_tasks > 1
+        counted = finish.payload.counters["djcluster"]
         assert counted["traces_examined"] == len(mr.preprocessed)
         # A trace is noise to its mapper when its own neighborhood is
         # sparse; border points of a cluster still end up clustered.

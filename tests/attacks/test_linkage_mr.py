@@ -22,7 +22,6 @@ from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.config import BACKENDS
 from repro.mapreduce.hdfs import SimulatedHDFS
 from repro.mapreduce.runner import JobRunner
-from repro.observability.events import EventKind
 from tests.conftest import count_calls
 
 from .blocking_oracle import cell as blocking_cell
@@ -247,7 +246,7 @@ class TestEquivalence:
                     list(runner.hdfs.read_records(f"tmp/linkage/fingerprints-{side}"))
                     for side in ("train", "target")
                 ]
-                spilled = sum(e.kind == EventKind.SPILL_MERGE for e in runner.history.events)
+                spilled = sum(e.kind == "spill_merge" for e in runner.history.events)
             finally:
                 runner.close()
             assert outcome.signature() == linkage_signature(reference)
@@ -288,15 +287,15 @@ class TestEquivalence:
             events = [
                 e
                 for e in runner.history.events
-                if e.kind == EventKind.ATTACK_RESULT
+                if e.kind == "attack_result"
             ]
         finally:
             runner.close()
         assert len(events) == 1
-        data = events[0].data
-        assert data["signature"] == outcome.signature()
-        assert data["pairs_scored"] == outcome.pairs_scored
-        assert data["cross_product"] == outcome.cross_product
+        result = events[0].payload
+        assert result.signature == outcome.signature()
+        assert result.pairs_scored == outcome.pairs_scored
+        assert result.cross_product == outcome.cross_product
 
     def test_no_evidence_pair_is_never_shuffled(self):
         # Two users half a planet apart share no blocking cell, so the
@@ -347,7 +346,7 @@ class TestBlockingShuffle:
             outcome = run_linkage_attack(runner, "input/train", "input/target", truth,
                                          params=SYNTH_ATTACK_PARAMS)
             (finish,) = (e for e in runner.history.events
-                         if e.kind == EventKind.JOB_FINISH and e.job == "linkage-score")
+                         if e.kind == "job_finish" and e.job == "linkage-score")
         finally:
             runner.close()
         assert outcome.pairs_scored == outcome.pairs_exact > 0
@@ -362,7 +361,7 @@ class TestBlockingShuffle:
                 if pairs and all(type(k) is int and type(v) is int for k, v in pairs)]
         (pairs, result), = ints
         assert result is not None  # the vectorized path took it
-        task = finish.data["counters"]["task"]
+        task = finish.payload.counters["task"]
         assert len(pairs) == task["map_output_records"]
         assert result.shuffled_bytes == task["shuffle_bytes"] == task["map_output_bytes"]
         assert task["shuffle_bytes"] == 16 * len(pairs)
@@ -513,10 +512,10 @@ class TestSweep:
             history_path=str(history_path),
         )
         history = load_history(history_path)
-        cells = [e for e in history.events if e.kind == EventKind.SWEEP_CELL]
+        cells = [e for e in history.events if e.kind == "sweep_cell"]
         assert len(cells) == 1
-        assert cells[0].data["mechanism"] == "none"
-        assert cells[0].data["tenant"] == "none"
+        assert cells[0].payload.mechanism == "none"
+        assert cells[0].payload.tenant == "none"
 
 
 class TestDegenerateInputs:

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import types
+import typing
+from dataclasses import MISSING
 from typing import Any, Sequence
 
 import numpy as np
@@ -19,6 +22,7 @@ from repro.mapreduce.failures import Fault, FaultKind
 from repro.mapreduce.hdfs import SimulatedHDFS
 from repro.mapreduce.job import ReduceContext, Reducer
 from repro.mapreduce.runner import JobRunner
+from repro.observability.events import PAYLOADS, Payload
 
 
 @pytest.fixture(scope="session")
@@ -84,6 +88,26 @@ def crash_faults(task: str, attempts: int = 1) -> tuple[Fault, ...]:
         Fault(FaultKind.TASK_CRASH, task=task, attempt=attempt)
         for attempt in range(1, attempts + 1)
     )
+
+
+def payload(kind: str, driver: str | None = None, **values: Any) -> Payload:
+    """A ``kind`` payload (the ``driver`` one, or the kind's first class):
+    ``values``, and the zero of its type for every other required field."""
+    classes = PAYLOADS[kind]
+    return _filled(classes[driver] if driver else next(iter(classes.values())), values)
+
+
+def _filled(cls: type[Payload], values: dict[str, Any]) -> Payload:
+    hints = typing.get_type_hints(cls)
+    for name, default in cls._fields:
+        if default is MISSING and name not in values:
+            tp = typing.get_origin(hints[name]) or hints[name]
+            values[name] = (
+                None if tp in (typing.Union, types.UnionType)
+                else _filled(tp, {}) if issubclass(tp, Payload)
+                else tp()
+            )
+    return cls(**values)
 
 
 def seal_all(batcher, source) -> list:

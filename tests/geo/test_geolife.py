@@ -34,6 +34,22 @@ class TestEpochConversion:
         # 1970-01-01 is 25569 days after 1899-12-30 (the Excel constant).
         assert float(unix_to_ole_days(0.0)) == pytest.approx(25569.0)
 
+    @pytest.mark.parametrize("days", [
+        39745.1201851852,      # 2008, a sub-second fraction
+        25569.0000011574074,   # a tenth of a second after the Unix epoch
+        25568.999999,          # just before it: a negative timestamp
+        1.5,                   # 1899-12-31 12:00
+        0.0,
+        -0.25,                 # before the OLE epoch itself
+    ])
+    def test_a_parsed_line_converts_like_the_array_path(self, days):
+        """``parse_plt_line`` converts on the Python float; its bits are
+        ``ole_days_to_unix``'s, the array conversion."""
+        line = f"39.9,116.4,0,0,{days!r},2008-10-24,02:53:04"
+        ts = parse_plt_line(line)[3]
+        assert ts.hex() == float(ole_days_to_unix(days)).hex()
+        assert ts.hex() == float(ole_days_to_unix(np.array([days]))[0]).hex()
+
 
 class TestLineFormat:
     def test_parse_known_line(self):

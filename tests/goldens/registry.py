@@ -14,7 +14,8 @@ from pathlib import Path
 
 from tests.goldens import Golden, differences, fields
 from tests.goldens import (
-    attacks, histories, index, kmeans, reports, serving, suites, trace_model, windows,
+    attacks, histories, history_shapes, index, kmeans, reports, serving, suites, trace_model,
+    windows,
 )
 
 REPO = Path(__file__).resolve().parents[2]
@@ -60,6 +61,10 @@ GOLDENS: dict[str, Golden] = {
         Golden(
             "chaos_history", "tests/observability/golden_chaos_history.json",
             histories.build_chaos_history, histories.gates,
+        ),
+        Golden(
+            "history_shapes", "tests/observability/golden_history_shapes.json",
+            history_shapes.build, history_shapes.gates,
         ),
         Golden(
             "chaos_report", "tests/observability/golden_chaos_report.txt",

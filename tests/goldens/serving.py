@@ -90,9 +90,9 @@ def build_serving() -> str:
         last = engine.stats.last
         queries.append([
             kind,
-            last["page_faults"],
-            last["fault_bytes"],
-            last["latency_s"],
+            last.page_faults,
+            last.fault_bytes,
+            last.latency_s,
             ids_sha([i for i, _ in answer] if kind == "knn" else answer),
         ])
     return _compact({

@@ -757,8 +757,6 @@ def _shuffle_cell(
     turns on map-side vectorized pre-aggregation and the metadata-only
     shuffle.
     """
-    from repro.observability.events import EventKind
-
     cell, runner = _kmeans_cell(
         corpus,
         corpus.coordinates()[:k].copy(),
@@ -770,9 +768,9 @@ def _shuffle_cell(
     )
     preagg = {"envelopes": 0, "raw_records": 0, "cross_node_bytes": 0}
     for event in runner.history.events:
-        if event.kind == EventKind.SHUFFLE_PREAGG:
+        if event.kind == "shuffle_preagg":
             for key in preagg:
-                preagg[key] += int(event.data.get(key, 0))
+                preagg[key] += int(getattr(event.payload, key))
     return {**cell, "preagg": preagg if mode == "aggregation" else None}
 
 

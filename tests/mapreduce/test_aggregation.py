@@ -22,7 +22,6 @@ from repro.mapreduce.hdfs import SimulatedHDFS
 from repro.mapreduce.job import HashPartitioner, JobSpec, Mapper, ReduceContext
 from repro.mapreduce.runner import JobRunner
 from repro.mapreduce.shuffle import _shuffle_generic, group_sorted, shuffle
-from repro.observability.events import EventKind
 from tests.conftest import CountAggregation, CountSumReducer
 
 BACKENDS = ("serial", "threads", "processes")
@@ -198,10 +197,10 @@ def test_metadata_shuffle_coalesces_and_accounts():
     assert sh.preagg is not None
     assert sh.node_bytes is not None
     # 5 per-task envelopes; key 2 appears twice on nodeA and coalesces.
-    assert sh.preagg["pre_coalesce_envelopes"] == 5
-    assert sh.preagg["envelopes"] == 4
-    assert sh.preagg["raw_records"] == 5
-    assert sh.preagg["envelope_bytes"] == 4 * agg.envelope_nbytes
+    assert sh.preagg.pre_coalesce_envelopes == 5
+    assert sh.preagg.envelopes == 4
+    assert sh.preagg.raw_records == 5
+    assert sh.preagg.envelope_bytes == 4 * agg.envelope_nbytes
     assert sh.shuffled_bytes == 4 * agg.envelope_nbytes
     for r in range(2):
         assert sh.partition_bytes[r] == sum(sh.node_bytes[r].values())
@@ -251,7 +250,7 @@ def test_spilled_partition_accounting_matches_materialized():
     try:
         spiller = ShuffleSpiller(1, directory, 2, SpillStats())
         sh = shuffle(outputs, HashPartitioner(), 2, spiller=spiller)
-        assert sh.spilled
+        assert sh.spill_runs
         for r in range(2):
             groups = sh.partitions[r]
             assert sh.records_for(r) == sum(len(vs) for _, vs in groups)
@@ -341,7 +340,7 @@ def test_aggregation_only_spec_under_chaos(backend, budget):
     want, _, _ = _run_count_job(backend, aggregation=False, budget=budget, chaos=FIXED_CHAOS)
     assert got == want == EXPECTED, (backend, budget)
     assert result.counters.value(STANDARD.GROUP_SCHEDULER, STANDARD.FAILED_TASKS) >= 1
-    assert [e.kind for e in history.events_for("modsum")].count(EventKind.SHUFFLE_PREAGG) == 1
+    assert [e.kind for e in history.events_for("modsum")].count("shuffle_preagg") == 1
 
 
 def test_preagg_moves_fewer_bytes_than_raw():
@@ -359,12 +358,12 @@ def test_shuffle_transfer_events_see_through_envelopes():
     _, _, history = _run_count_job("serial")
     transfers = [
         e for e in history.events_for("modsum")
-        if e.kind == EventKind.SHUFFLE_TRANSFER
+        if e.kind == "shuffle_transfer"
     ]
     assert len(transfers) == 3
     for e in transfers:
-        assert e.data["records"] <= e.data["raw_records"]
-    assert sum(e.data["raw_records"] for e in transfers) == 199
+        assert e.payload.records <= e.payload.raw_records
+    assert sum(e.payload.raw_records for e in transfers) == 199
 
 
 # -- chaos: metadata-only partitions survive failures -------------------------
@@ -392,10 +391,10 @@ def test_metadata_partition_survives_shuffle_fetch_and_node_loss():
         # The run really took the metadata-only path.
         preagg_events = [
             e for e in history.events_for("modsum")
-            if e.kind == EventKind.SHUFFLE_PREAGG
+            if e.kind == "shuffle_preagg"
         ]
         assert len(preagg_events) == 1
-        assert preagg_events[0].data["envelopes"] > 0
+        assert preagg_events[0].payload.envelopes > 0
 
 
 def test_chaos_run_is_bit_reproducible_on_metadata_path():

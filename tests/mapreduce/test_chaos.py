@@ -26,7 +26,6 @@ from repro.mapreduce.hdfs import SimulatedHDFS
 from repro.mapreduce.job import JobSpec, Mapper, Reducer
 from repro.mapreduce.runner import JobRunner
 from repro.mapreduce.scheduler import NodeBlacklist, RetryPolicy
-from repro.observability.events import EventKind
 from tests.conftest import crash_faults, seal_all
 
 N_RECORDS = 24
@@ -187,7 +186,7 @@ class TestNodeLossMidMap:
 
     def test_exactly_the_lost_tasks_are_rerun(self, lossy_run):
         _, runner, result = lossy_run
-        lost_events = [e for e in runner.history if e.kind == EventKind.NODE_LOST]
+        lost_events = [e for e in runner.history if e.kind == "node_lost"]
         assert len(lost_events) == 1
         event = lost_events[0]
         assert event.node == "worker01"
@@ -196,14 +195,14 @@ class TestNodeLossMidMap:
             for a in result.map_plan.assignments
             if a.node == "worker01" and not a.speculative
         )
-        assert event.data["lost_tasks"] == on_victim
+        assert event.payload.lost_tasks == on_victim
         assert on_victim, "victim should have held at least one map task"
         # Each re-dispatched task carries a node_loss fault event.
         redispatched = {
             e.task
             for e in runner.history
-            if e.kind == EventKind.FAULT_INJECTED
-            and e.data["fault"] == FaultKind.NODE_LOSS
+            if e.kind == "fault_injected"
+            and e.payload.fault == FaultKind.NODE_LOSS
         }
         assert redispatched == set(on_victim)
 
@@ -230,7 +229,7 @@ class TestNodeLossMidMap:
         """max_node_losses=1 is a deployment-wide budget, not per-job."""
         hdfs, runner, _ = lossy_run
         runner.run(spec(out="out2"))
-        assert len([e for e in runner.history if e.kind == EventKind.NODE_LOST]) == 1
+        assert len([e for e in runner.history if e.kind == "node_lost"]) == 1
         assert sum(v for _, v in hdfs.read_records("out2")) == N_RECORDS
 
 
@@ -242,9 +241,9 @@ class TestBlacklisting:
         runner = JobRunner(hdfs, chaos=chaos, retry_policy=policy)
         result = runner.run(spec())
         assert sum(v for _, v in hdfs.read_records("out")) == N_RECORDS
-        events = [e for e in runner.history if e.kind == EventKind.NODE_BLACKLISTED]
+        events = [e for e in runner.history if e.kind == "node_blacklisted"]
         assert [e.node for e in events] == ["worker02"]
-        assert events[0].data["failures"] >= events[0].data["threshold"] == 2
+        assert events[0].payload.failures >= events[0].payload.threshold == 2
         sched = result.counters.group(STANDARD.GROUP_SCHEDULER)
         assert sched[STANDARD.NODES_BLACKLISTED] == 1
 
@@ -259,11 +258,11 @@ class TestBlacklisting:
         crashes = [
             e
             for e in runner.history
-            if e.kind == EventKind.ATTEMPT_FAILED and e.node == "worker02"
+            if e.kind == "attempt_failed" and e.node == "worker02"
         ]
         assert crashes
         blacklist_events = [
-            e for e in runner.history if e.kind == EventKind.NODE_BLACKLISTED
+            e for e in runner.history if e.kind == "node_blacklisted"
         ]
         assert [e.node for e in blacklist_events] == ["worker02"]
 
@@ -284,7 +283,7 @@ class TestBlacklisting:
         assert sum(v for _, v in hdfs.read_records("out")) == N_RECORDS
         assert [
             e.node for e in runner.history
-            if e.kind == EventKind.ATTEMPT_FAILED and e.task == victim
+            if e.kind == "attempt_failed" and e.task == victim
         ] == ["worker02", "worker01"]
 
     def test_node_blacklist_crossing_semantics(self):
@@ -468,9 +467,9 @@ class TestFeedFaults:
         assert datasets[1].late_points > 0
         assert datasets[1].lost_points == source.lost_by_window[1] > 0
         marks = [
-            e.data["watermark"]
+            e.payload.watermark
             for e in history.events
-            if e.kind == EventKind.WATERMARK
+            if e.kind == "watermark"
         ]
         assert marks == [source.window_bounds(w)[1] for w in range(source.n_windows)]
 

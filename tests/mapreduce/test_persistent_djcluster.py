@@ -19,7 +19,6 @@ from repro.algorithms.djcluster import (
 from repro.mapreduce.chaos import INPUT_PATH, _inputs, default_schedule
 from repro.mapreduce.config import BACKENDS
 from repro.mapreduce.runner import fresh_runner
-from repro.observability.events import EventKind
 
 #: DJ-Cluster over the tiny chaos corpus: every point stationary enough
 #: to survive the speed filter needs a reachable neighborhood, so loosen
@@ -66,7 +65,7 @@ def _assert_equals_sequential(mr):
 def test_persistent_index_is_invisible_per_backend(backend):
     shared, kinds = _run(backend=backend)
     _assert_equals_sequential(shared)
-    assert EventKind.INDEX_PUBLISH in kinds
+    assert "index_publish" in kinds
     if backend != "serial":
         serial, _ = _run()
         _assert_identical(shared, serial)
@@ -82,7 +81,7 @@ def test_persistent_index_is_invisible_under_memory_budget():
     budgeted, kinds = _run(budget=0.01)
     _assert_equals_sequential(budgeted)
     _assert_identical(budgeted, _run()[0])
-    assert EventKind.INDEX_PUBLISH in kinds
+    assert "index_publish" in kinds
 
 
 def test_second_ensure_over_same_version_is_zero_job_hit():
@@ -94,7 +93,7 @@ def test_second_ensure_over_same_version_is_zero_job_hit():
         assert result.preprocessed is not None
         catalog = IndexCatalog(runner.hdfs)
         (entry,) = catalog.entries()
-        n_jobs = sum(1 for e in runner.history if e.kind == EventKind.JOB_START)
+        n_jobs = sum(1 for e in runner.history if e.kind == "job_start")
         index, built = catalog.ensure(
             runner,
             entry.input_path,
@@ -102,8 +101,8 @@ def test_second_ensure_over_same_version_is_zero_job_hit():
             max_entries=entry.params["max_entries"],
         )
         assert not built
-        assert sum(1 for e in runner.history if e.kind == EventKind.JOB_START) == n_jobs
-        assert [e.kind for e in runner.history].count(EventKind.INDEX_REUSE) == 1
+        assert sum(1 for e in runner.history if e.kind == "job_start") == n_jobs
+        assert [e.kind for e in runner.history].count("index_reuse") == 1
         assert len(index.tree) == entry.n_points
         assert runner.history.validate() == []
     finally:
@@ -120,7 +119,7 @@ def test_rerun_after_repreprocessing_rebuilds_not_reuses():
         second = run_djcluster_mapreduce(runner, INPUT_PATH, PARAMS, workdir="tmp/dj-b")
         _assert_identical(first, second)
         kinds = [e.kind for e in runner.history]
-        assert kinds.count(EventKind.INDEX_PUBLISH) == 2
-        assert kinds.count(EventKind.INDEX_REUSE) == 0
+        assert kinds.count("index_publish") == 2
+        assert kinds.count("index_reuse") == 0
     finally:
         runner.close()

@@ -164,8 +164,8 @@ class TestGenericShuffleSizesEachObjectOnce:
         spiller = spiller_of(budget_bytes, 3)
         result = shuffle(outputs, HashPartitioner(), 3, spiller=spiller)
         n_sized = len(sized)  # before the comparison below materializes anything
-        assert result.spilled == (budget_bytes == 1)
-        assert n_sized == (2 * len(values) + 1 if result.spilled else len(values) + 1)
+        assert bool(result.spill_runs) == (budget_bytes == 1)
+        assert n_sized == (2 * len(values) + 1 if result.spill_runs else len(values) + 1)
         assert result.partition_bytes == want.partition_bytes
         assert result.shuffled_bytes == want.shuffled_bytes
         got = [[(k, [v[1] for v in vs]) for k, vs in p] for p in result.partitions]
@@ -218,7 +218,7 @@ class TestSingleRead:
         spiller = None if budget_bytes is None else spiller_of(budget_bytes, 2)
         result = shuffle(handle_outputs, partitioner, 2, spiller=spiller)
         assert len(loads) == len(handle_outputs)
-        assert result.spilled == (budget_bytes == 64)
+        assert bool(result.spill_runs) == (budget_bytes == 64)
         assert result.partitions == want.partitions
         assert result.partition_bytes == want.partition_bytes
         assert result.shuffled_bytes == want.shuffled_bytes

@@ -243,13 +243,13 @@ class TestShuffleSpillerEquivalence:
         outputs = [[(i % 11, (t, i)) for i in range(60)] for t in range(4)]
         want, _ = _reference(outputs, n_reducers)
         got, sh = _spilled(outputs, n_reducers, budget_bytes=256, tmp_path=tmp_path)
-        assert sh.spilled and got == want
+        assert sh.spill_runs and got == want
 
     def test_str_keys_identical(self, tmp_path):
         outputs = [[(f"user{i % 7}", i * t) for i in range(40)] for t in range(3)]
         want, _ = _reference(outputs, 2)
         got, sh = _spilled(outputs, 2, budget_bytes=128, tmp_path=tmp_path)
-        assert sh.spilled and got == want
+        assert sh.spill_runs and got == want
 
     def test_equal_keys_keep_arrival_order(self, tmp_path):
         # Every record shares one key: grouping reduces to pure arrival
@@ -257,7 +257,7 @@ class TestShuffleSpillerEquivalence:
         outputs = [[(0, (t, i)) for i in range(30)] for t in range(5)]
         want, _ = _reference(outputs, 2)
         got, sh = _spilled(outputs, 2, budget_bytes=64, tmp_path=tmp_path)
-        assert sh.spilled and got == want
+        assert sh.spill_runs and got == want
 
     def test_unsortable_keys_fall_back_identically(self, tmp_path):
         # Int keys long enough to cut runs, then tuple keys: external
@@ -268,14 +268,14 @@ class TestShuffleSpillerEquivalence:
         ]
         want, _ = _reference(outputs, 2)
         got, sh = _spilled(outputs, 2, budget_bytes=64, tmp_path=tmp_path)
-        assert not sh.spilled and got == want
+        assert not sh.spill_runs and got == want
 
     def test_nan_keys_fall_back_identically(self, tmp_path):
         # NaN breaks the numbers' total order: no run may be merged on it.
         outputs = [[(float(i % 5), i) for i in range(50)], [(float("nan"), "odd")]]
         want, _ = _reference(outputs, 2)
         got, sh = _spilled(outputs, 2, budget_bytes=64, tmp_path=tmp_path)
-        assert not sh.spilled
+        assert not sh.spill_runs
         assert [[(repr(k), v) for k, v in p] for p in got] == [
             [(repr(k), v) for k, v in p] for p in want
         ]
@@ -292,7 +292,7 @@ class TestShuffleSpillerEquivalence:
         outputs = [[(i, i) for i in range(5)]]
         want, _ = _reference(outputs, 2)
         got, sh = _spilled(outputs, 2, budget_bytes=10 * MB, tmp_path=tmp_path)
-        assert not sh.spilled and got == want
+        assert not sh.spill_runs and got == want
 
     def test_spilled_result_metadata_lazy(self, tmp_path):
         outputs = [[(i % 4, i) for i in range(80)] for _ in range(3)]
@@ -364,7 +364,7 @@ class TestSpilledReduceInput:
         assert spiller.spilled()
         partitions, events = spiller.merge()
         assert len(partitions) == 2 and len(events) == 2
-        assert [e["bytes"] for e in events] == spiller.partition_bytes == [27 * 16, 13 * 16]
+        assert [e.bytes for e in events] == spiller.partition_bytes == [27 * 16, 13 * 16]
         for handle in partitions:
             groups = as_groups(handle)
             assert handle.n_groups == len(groups)

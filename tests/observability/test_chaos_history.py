@@ -12,7 +12,6 @@ per-phase durations plus the retry penalty still reproduce JobTiming.
 
 import pytest
 
-from repro.observability.events import EventKind
 from repro.observability.history import load_history
 from repro.observability.report import render_report, summarize_job
 from tests.goldens.histories import JOB
@@ -97,9 +96,9 @@ class TestLiveChaosInvariants:
     def test_chaos_events_present(self, chaotic_run):
         runner, _ = chaotic_run
         kinds = {e.kind for e in runner.history}
-        assert EventKind.FAULT_INJECTED in kinds
-        assert EventKind.ATTEMPT_RETRIED in kinds
-        assert EventKind.NODE_LOST in kinds
+        assert "fault_injected" in kinds
+        assert "attempt_retried" in kinds
+        assert "node_lost" in kinds
 
     def test_fault_events_sit_inside_their_task_span(self, chaotic_run):
         runner, _ = chaotic_run
@@ -107,12 +106,12 @@ class TestLiveChaosInvariants:
         for job in history.jobs():
             bounds = {}
             for e in history.events_for(job):
-                if e.kind == EventKind.TASK_START:
+                if e.kind == "task_start":
                     bounds.setdefault(e.task, [e.seq, None])
-                elif e.kind == EventKind.TASK_FINISH and e.task in bounds:
+                elif e.kind == "task_finish" and e.task in bounds:
                     bounds[e.task][1] = e.seq
             for e in history.events_for(job):
-                if e.kind in (EventKind.FAULT_INJECTED, EventKind.ATTEMPT_RETRIED):
+                if e.kind in ("fault_injected", "attempt_retried"):
                     start, finish = bounds[e.task]
                     assert start < e.seq < finish
 
@@ -120,10 +119,10 @@ class TestLiveChaosInvariants:
         runner, sampling = chaotic_run
         assert sampling.timing.retry_penalty_s > 0
         for job in runner.history.jobs():
-            timing = runner.history.job_finish(job).data["timing"]
+            timing = runner.history.job_finish(job).payload.timing
             phases = runner.history.phase_durations(job)
-            assert sum(phases.values()) + timing["retry_penalty_s"] == pytest.approx(
-                timing["total_s"]
+            assert sum(phases.values()) + timing.retry_penalty_s == pytest.approx(
+                timing.total_s
             ), job
 
     def test_report_renders_recovery_sections(self, chaotic_run):

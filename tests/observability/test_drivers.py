@@ -17,10 +17,10 @@ from repro.observability.history import load_history
 def _assert_accounting(history):
     assert history.validate() == []
     for job in history.jobs():
-        timing = history.job_finish(job).data["timing"]
+        timing = history.job_finish(job).payload.timing
         phases = history.phase_durations(job)
-        assert sum(phases.values()) + timing["retry_penalty_s"] == pytest.approx(
-            timing["total_s"]
+        assert sum(phases.values()) + timing.retry_penalty_s == pytest.approx(
+            timing.total_s
         ), job
 
 
@@ -32,8 +32,8 @@ def test_sampling_history_export(small_array, runner, tmp_path):
     history = load_history(path)
     assert history.jobs() == [result.job_name]
     _assert_accounting(history)
-    timing = history.job_finish(result.job_name).data["timing"]
-    assert timing["total_s"] == pytest.approx(result.timing.total_s)
+    timing = history.job_finish(result.job_name).payload.timing
+    assert timing.total_s == pytest.approx(result.timing.total_s)
 
 
 def test_kmeans_history_export(small_array, runner, tmp_path):
@@ -66,6 +66,6 @@ def test_djcluster_history_export(small_array, runner, tmp_path):
     assert len(history.jobs()) >= 3
     _assert_accounting(history)
     notes = [e for e in history if e.kind == "driver_annotation"]
-    assert notes and notes[-1].data["n_clusters"] == result.n_clusters
+    assert notes and notes[-1].payload.n_clusters == result.n_clusters
     pipelines = [e for e in history if e.kind == "pipeline_finish"]
     assert pipelines and pipelines[0].job == "dj-preprocessing"

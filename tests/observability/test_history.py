@@ -12,13 +12,13 @@ import json
 
 import pytest
 
-from repro.observability.events import EventKind
 from repro.observability.history import JobHistory, load_history
+from tests.conftest import payload
 
-S, F = EventKind.JOB_START, EventKind.JOB_FINISH
-PS, PF = EventKind.PHASE_START, EventKind.PHASE_FINISH
-TS, TF = EventKind.TASK_START, EventKind.TASK_FINISH
-AF, AR = EventKind.ATTEMPT_FAILED, EventKind.ATTEMPT_RETRIED
+S, F = "job_start", "job_finish"
+PS, PF = "phase_start", "phase_finish"
+TS, TF = "task_start", "task_finish"
+AF, AR = "attempt_failed", "attempt_retried"
 
 
 def _seq_of(history, job, kind, task=None):
@@ -45,31 +45,31 @@ class TestOrderingGuarantees:
         for job in history.jobs():
             starts: dict[tuple, int] = {}
             for e in history.events_for(job):
-                key = (e.task, bool(e.data.get("speculative")))
-                if e.kind == EventKind.TASK_START:
+                key = (e.task, getattr(e.payload, "speculative", False))
+                if e.kind == "task_start":
                     starts[key] = e.seq
-                elif e.kind == EventKind.TASK_FINISH:
+                elif e.kind == "task_finish":
                     assert key in starts, f"{job}/{e.task} finished unstarted"
                     assert e.seq > starts[key]
 
     def test_failed_attempts_precede_successful_attempt(self, traced_run):
         runner, _, _ = traced_run
         history = runner.history
-        failures = [e for e in history if e.kind == EventKind.ATTEMPT_FAILED]
+        failures = [e for e in history if e.kind == "attempt_failed"]
         assert failures, "injected failure produced no attempt_failed event"
         for failure in failures:
             (start,) = _seq_of(
-                history, failure.job, EventKind.TASK_START, failure.task
+                history, failure.job, "task_start", failure.task
             )
             (finish,) = _seq_of(
-                history, failure.job, EventKind.TASK_FINISH, failure.task
+                history, failure.job, "task_finish", failure.task
             )
             assert start < failure.seq < finish
             # ... and on the simulated clock, not just in emission order.
             finish_e = next(
                 e
                 for e in history.events_for(failure.job)
-                if e.kind == EventKind.TASK_FINISH and e.task == failure.task
+                if e.kind == "task_finish" and e.task == failure.task
             )
             assert failure.ts <= finish_e.ts
 
@@ -78,8 +78,8 @@ class TestOrderingGuarantees:
         history = runner.history
         for job in history.jobs():
             events = history.events_for(job)
-            start_seqs = [e.seq for e in events if e.kind == EventKind.PHASE_START]
-            finish_seqs = [e.seq for e in events if e.kind == EventKind.PHASE_FINISH]
+            start_seqs = [e.seq for e in events if e.kind == "phase_start"]
+            finish_seqs = [e.seq for e in events if e.kind == "phase_finish"]
             assert len(start_seqs) == len(finish_seqs) >= 2  # setup + map
 
 
@@ -98,10 +98,10 @@ class TestAccounting:
         runner, _, _ = traced_run
         history = runner.history
         for job in history.jobs():
-            timing = history.job_finish(job).data["timing"]
+            timing = history.job_finish(job).payload.timing
             phases = history.phase_durations(job)
-            assert sum(phases.values()) + timing["retry_penalty_s"] == pytest.approx(
-                timing["total_s"]
+            assert sum(phases.values()) + timing.retry_penalty_s == pytest.approx(
+                timing.total_s
             ), job
 
     def test_jobs_stack_on_cumulative_clock(self, traced_run):
@@ -117,19 +117,19 @@ class TestAccounting:
         notes = [
             e
             for e in runner.history
-            if e.kind == EventKind.DRIVER_ANNOTATION
-            and e.data.get("driver") == "kmeans"
+            if e.kind == "driver_annotation"
+            and e.payload.driver == "kmeans"
         ]
-        assert [n.data["iteration"] for n in notes] == list(
+        assert [n.payload.iteration for n in notes] == list(
             range(1, kmeans.n_iterations + 1)
         )
-        assert notes[-1].data["driver"] == "kmeans"
+        assert notes[-1].payload.driver == "kmeans"
         # The sampling driver annotates its run too.
         sampling_notes = [
             e
             for e in runner.history
-            if e.kind == EventKind.DRIVER_ANNOTATION
-            and e.data.get("driver") == "sampling"
+            if e.kind == "driver_annotation"
+            and e.payload.driver == "sampling"
         ]
         assert len(sampling_notes) == 1
 
@@ -176,31 +176,31 @@ class TestRoundTrip:
 class TestValidateCatchesBadStreams:
     def test_finish_without_start(self):
         h = JobHistory()
-        h.emit(EventKind.JOB_START, "j", 0.0)
-        h.emit(EventKind.TASK_FINISH, "j", 1.0, task="map-0000", phase="map")
-        h.emit(EventKind.JOB_FINISH, "j", 2.0)
+        h.emit(payload(S), "j", 0.0)
+        h.emit(payload(TF, phase="map"), "j", 1.0, task="map-0000")
+        h.emit(payload(F), "j", 2.0)
         assert any("task_finish without start" in v for v in h.validate())
 
     def test_attempt_failed_after_finish(self):
         h = JobHistory()
-        h.emit(EventKind.JOB_START, "j", 0.0)
-        h.emit(EventKind.TASK_START, "j", 0.0, task="m", phase="map")
-        h.emit(EventKind.TASK_FINISH, "j", 1.0, task="m", phase="map")
-        h.emit(EventKind.ATTEMPT_FAILED, "j", 0.5, task="m", attempt=1)
-        h.emit(EventKind.JOB_FINISH, "j", 2.0)
+        h.emit(payload(S), "j", 0.0)
+        h.emit(payload(TS, phase="map"), "j", 0.0, task="m")
+        h.emit(payload(TF, phase="map"), "j", 1.0, task="m")
+        h.emit(payload(AF, attempt=1), "j", 0.5, task="m")
+        h.emit(payload(F), "j", 2.0)
         assert any("attempt_failed after task_finish" in v for v in h.validate())
 
     def test_unfinished_job_flagged(self):
         h = JobHistory()
-        h.emit(EventKind.JOB_START, "j", 0.0)
+        h.emit(payload(S), "j", 0.0)
         assert any("never finished" in v for v in h.validate())
 
     def test_finish_timestamp_before_start_flagged(self):
         h = JobHistory()
-        h.emit(EventKind.JOB_START, "j", 0.0)
-        h.emit(EventKind.PHASE_START, "j", 5.0, phase="map")
-        h.emit(EventKind.PHASE_FINISH, "j", 4.0, phase="map", duration_s=1.0)
-        h.emit(EventKind.JOB_FINISH, "j", 6.0)
+        h.emit(payload(S), "j", 0.0)
+        h.emit(payload(PS, phase="map"), "j", 5.0)
+        h.emit(payload(PF, phase="map", duration_s=1.0), "j", 4.0)
+        h.emit(payload(F), "j", 6.0)
         assert any("finish ts precedes start" in v for v in h.validate())
 
     @pytest.mark.parametrize(
@@ -231,12 +231,13 @@ class TestValidateCatchesBadStreams:
                 h.events[-1] = dataclasses.replace(h.events[-1], seq=ts)
                 continue
             task = "m" if kind in (TS, TF, AF, AR) else None
-            h.emit(kind, "j", float(ts), task=task, phase="map")
+            phase = {"phase": "map"} if kind in (TS, TF, PS, PF) else {}
+            h.emit(payload(kind, **phase), "j", float(ts), task=task)
         assert h.validate() == [message]
 
     def test_spans_refuse_a_finish_without_start(self):
         h = JobHistory()
-        h.emit(EventKind.TASK_FINISH, "j", 1.0, task="m", phase="map")
+        h.emit(payload(TF, phase="map"), "j", 1.0, task="m")
         with pytest.raises(ValueError, match="task_finish without task_start: j/m"):
             h.task_spans("j")
 

@@ -6,6 +6,7 @@ task, a rack-local straggler with a speculative duplicate, a skewed
 shuffle and a combiner.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from repro.observability.report import (
     summarize_job,
     window_accounting,
 )
+from tests.conftest import payload
 
 GOLDEN = Path(__file__).parent / "golden_history.json"
 
@@ -180,6 +182,23 @@ class TestCli:
         with pytest.raises(SystemExit, match="--selfcheck"):
             main(["history"])
 
+    @pytest.mark.parametrize("flags", [[], ["--validate-only"]])
+    def test_misspelt_payload_key_is_one_line_exit(self, tmp_path, flags):
+        doc = json.loads(GOLDEN.read_text())
+        finish = next(e for e in doc["events"] if e["kind"] == "phase_finish")
+        finish["data"]["duraton_s"] = finish["data"].pop("duration_s")
+        bad = tmp_path / "misspelt.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="phase_finish has no field 'duraton_s'"):
+            load_history(bad)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["history", str(bad), *flags])
+        message = str(exit_info.value.code)
+        assert "\n" not in message
+        assert message == (
+            f"cannot read {bad}: phase_finish has no field 'duraton_s'"
+        )
+
     def test_corrupt_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -187,11 +206,10 @@ class TestCli:
             main(["history", str(bad)])
 
     def test_validate_only_reports_violations(self, tmp_path, capsys):
-        from repro.observability.events import EventKind
         from repro.observability.history import JobHistory
 
         h = JobHistory()
-        h.emit(EventKind.JOB_START, "j", 0.0)
+        h.emit(payload("job_start"), "j", 0.0)
         path = h.save(tmp_path / "truncated.json")
         assert main(["history", str(path), "--validate-only"]) == 1
         assert "never finished" in capsys.readouterr().out
@@ -199,11 +217,10 @@ class TestCli:
     def test_report_of_a_history_with_violations_exits_one(self, tmp_path, capsys):
         """An unfinished job is left out of the report, and the violation
         turns the exit status."""
-        from repro.observability.events import EventKind
         from repro.observability.history import JobHistory
 
         h = JobHistory()
-        h.emit(EventKind.JOB_START, "j", 0.0)
+        h.emit(payload("job_start"), "j", 0.0)
         path = h.save(tmp_path / "truncated.json")
         assert main(["history", str(path)]) == 1
         out = capsys.readouterr().out

@@ -83,7 +83,7 @@ def test_metadata_shuffle_law(outputs, n_reducers):
     if any(env_outputs):
         assert meta.preagg is not None
         assert meta.shuffled_bytes <= legacy.shuffled_bytes
-        assert meta.preagg["raw_records"] == sum(len(p) for p in outputs)
+        assert meta.preagg.raw_records == sum(len(p) for p in outputs)
 
 
 @settings(max_examples=40, deadline=None)

@@ -10,14 +10,14 @@ to compute, at a cost quadratic in the stream's length.
 
 import repro.streaming.manager as manager_module
 from repro.mapreduce.runner import fresh_runner
-from repro.observability.events import EventKind
-from repro.streaming.manager import _CACHE_HIT_KINDS, StreamingJobManager
+from repro.streaming.manager import _CACHE_HITS, StreamingJobManager
 from repro.streaming.source import StreamSource
+from tests.conftest import payload
 from tests.goldens.windows import WINDOW_S, stream_corpus
 
 
 def _full_scan(history) -> int:
-    return sum(1 for e in history if e.kind in _CACHE_HIT_KINDS)
+    return sum(1 for e in history if isinstance(e.payload, _CACHE_HITS))
 
 
 def test_cache_hits_per_window_equal_the_full_scan_difference(monkeypatch):
@@ -32,8 +32,8 @@ def test_cache_hits_per_window_equal_the_full_scan_difference(monkeypatch):
         out = real_sampling(client, *args, **kwargs)
         window = client.job_tags["window"]
         for i in range(window + 1):
-            kind = _CACHE_HIT_KINDS[i % len(_CACHE_HIT_KINDS)]
-            client.history.emit(kind, "injected", client.history.clock)
+            kind = _CACHE_HITS[i % len(_CACHE_HITS)].kind
+            client.history.emit(payload(kind), "injected", client.history.clock)
         return out
 
     monkeypatch.setattr(manager_module, "run_sampling_job", sampling_with_hits)
@@ -44,7 +44,7 @@ def test_cache_hits_per_window_equal_the_full_scan_difference(monkeypatch):
         history = runner.history
         for w in range(source.n_windows):
             # A hit outside any window belongs to no window.
-            history.emit(EventKind.RESULT_CACHE_HIT, "between-windows", history.clock)
+            history.emit(payload("result_cache_hit"), "between-windows", history.clock)
             sealed = manager.batcher.close_window(source, w)
             before = _full_scan(history)
             result = manager.process(sealed)

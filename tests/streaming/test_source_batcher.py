@@ -16,7 +16,6 @@ from repro.geo.trace import TraceArray
 from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.failures import ChaosSchedule, Fault, FaultKind
 from repro.mapreduce.hdfs import SimulatedHDFS
-from repro.observability.events import EventKind
 from repro.observability.history import JobHistory
 from repro.streaming import MicroBatcher, StreamSource
 
@@ -188,19 +187,19 @@ class TestMicroBatcher:
             e.kind
             for e in history.events
             if e.kind in (
-                EventKind.WINDOW_OPEN,
-                EventKind.WATERMARK,
-                EventKind.WINDOW_CLOSE,
+                "window_open",
+                "watermark",
+                "window_close",
             )
         ]
         expected = [
-            EventKind.WINDOW_OPEN, EventKind.WATERMARK, EventKind.WINDOW_CLOSE
+            "window_open", "watermark", "window_close"
         ] * source.n_windows
         assert kinds == expected
         # The watermark of window w is its end bound: everything below it
         # is delivered, counted late, or counted lost once w closes.
         marks = [
-            e for e in history.events if e.kind == EventKind.WATERMARK
+            e for e in history.events if e.kind == "watermark"
         ]
         for w, event in enumerate(marks):
-            assert event.data["watermark"] == source.window_bounds(w)[1]
+            assert event.payload.watermark == source.window_bounds(w)[1]

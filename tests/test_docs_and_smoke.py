@@ -13,11 +13,12 @@ Two cheap gates that keep the repo's surfaces honest:
 import json
 import pkgutil
 import re
+from dataclasses import MISSING
 from pathlib import Path
 
 import pytest
 
-from repro.observability.events import EventKind, Phase
+from repro.observability.events import PAYLOADS, Phase, Timing
 from tests.goldens.registry import built
 
 REPO = Path(__file__).resolve().parent.parent
@@ -193,9 +194,27 @@ def test_benchmark_files_named_in_prose_exist():
 
 
 def test_observability_doc_covers_every_event_kind():
+    """The kind table has one row per payload class, and its fields
+    column lists the class's fields in declaration order, each one with a
+    default marked ``?``; ``job_finish``'s row names every timing key."""
     text = (REPO / "docs" / "OBSERVABILITY.md").read_text()
-    missing = [kind for kind in EventKind.all() if f"`{kind}`" not in text]
-    assert not missing, f"docs/OBSERVABILITY.md missing event kinds {missing}"
+    rows = {}
+    for line in text.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        names = re.findall(r"`([^`]+)`", cells[0])
+        if len(cells) == 4 and names and names[0] in PAYLOADS:
+            key = (names[0], names[1] if len(names) > 1 else None)
+            assert key not in rows, f"two rows for {key}"
+            rows[key] = re.findall(r"`(\w+)`(\??)", cells[2])
+            if names[0] == "job_finish":
+                timing = set(re.findall(r"`(\w+)`", cells[3]))
+    classes = {
+        (kind, driver): [(name, "" if default is MISSING else "?") for name, default in cls._fields]
+        for kind, by_driver in PAYLOADS.items()
+        for driver, cls in by_driver.items()
+    }
+    assert rows == classes
+    assert {name for name, _ in Timing._fields} <= timing
     for phase in Phase.ORDER:
         assert phase in text
 

@@ -73,7 +73,7 @@ SURFACE = {
         PredictabilityReport max_predictability predictability_report
         random_entropy real_entropy temporal_uncorrelated_entropy"""),
     "repro.observability": ("events history report selfcheck", """
-        Event EventKind Phase SCHEMA_VERSION JobHistory TaskSpan load_history
+        Event Payload Phase SCHEMA_VERSION JobHistory TaskSpan load_history
         JobSummary summarize summarize_job render_gantt render_report"""),
     "repro.sanitization": ("aggregation base cloaking masks mixzones pseudonyms", """
         ANONYMOUS_ID Pseudonymizer Sanitizer DonutMask GaussianMask PlanarLaplaceMask
