@@ -88,9 +88,6 @@ class Counters:
             out.setdefault(group, {})[name] = value
         return out
 
-    # Backwards-compatible alias; ``to_dict`` is the canonical spelling.
-    as_dict = to_dict
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Counters):
             return NotImplemented

@@ -27,7 +27,7 @@ The backends' attempt loop catches :class:`TaskFailure` (and its subclass
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,11 +38,11 @@ __all__ = [
     "TaskFailure",
     "CacheLoadFailure",
     "JobFailedError",
+    "FailedAttempt",
     "FaultKind",
     "Fault",
     "ChaosSchedule",
     "MAX_TASK_ATTEMPTS",
-    "emit_attempt_failures",
 ]
 
 #: Hadoop's default maximum attempts per task before the job fails.
@@ -116,6 +116,17 @@ class CacheLoadFailure(TaskFailure):
         self.entry = entry
 
 
+class FailedAttempt(NamedTuple):
+    """One failed attempt of a task: where it ran, why and how it failed,
+    and the backoff before the next dispatch."""
+
+    attempt: int
+    node: str
+    reason: str
+    kind: str
+    backoff_s: float
+
+
 class JobFailedError(RuntimeError):
     """A task exhausted its retry budget and took the job down.
 
@@ -128,23 +139,19 @@ class JobFailedError(RuntimeError):
         self,
         task_id: str,
         max_attempts: int,
-        failures: Sequence[tuple] = (),
+        failures: Sequence[FailedAttempt] = (),
     ):
-        chain = "; ".join(
-            f"attempt {f[0]} on {f[1]}: {f[2]}" for f in failures
-        )
-        message = f"task {task_id} failed {max_attempts} attempts"
-        if chain:
-            message += f" [{chain}]"
-        super().__init__(message)
         self.task_id = task_id
         self.max_attempts = max_attempts
-        #: ``(attempt, node, reason, kind, backoff_s)`` per failed attempt.
-        self.failures = [tuple(f) for f in failures]
+        self.failures = list(failures)
+        message = f"task {task_id} failed {max_attempts} attempts"
+        if self.failures:
+            message += f" [{'; '.join(self.failure_chain)}]"
+        super().__init__(message)
 
     @property
     def failure_chain(self) -> list[str]:
-        return [f"attempt {f[0]} on {f[1]}: {f[2]}" for f in self.failures]
+        return [f"attempt {f.attempt} on {f.node}: {f.reason}" for f in self.failures]
 
 
 @dataclass(frozen=True)
@@ -417,44 +424,3 @@ class ChaosSchedule:
             parts.append(f"{len(self.faults)} scripted fault(s)")
         return " ".join(parts)
 
-
-def emit_attempt_failures(
-    history,
-    job_name: str,
-    task_id: str,
-    failures: list[tuple],
-    t_start: float,
-    attempt_duration: float,
-) -> None:
-    """Record a task's failed attempts in a job history.
-
-    ``failures`` holds the runner's ``(attempt, node, reason, fault kind,
-    backoff_s)`` records in attempt order.  Attempts occupy the task's
-    slot back to back, so the *i*-th attempt crashes at
-    ``t_start + i * attempt_duration`` — which keeps every fault/retry
-    event strictly before the successful attempt's ``task_finish`` (the
-    ordering guarantee the history layer validates).  Each failure yields
-    three events, ``fault_injected`` -> ``attempt_failed`` ->
-    ``attempt_retried`` so the Gantt can show the full recovery timeline.
-    The history object is duck-typed (anything with ``emit``) so this
-    module stays import-light.
-    """
-    from repro.observability import events as ev
-
-    for attempt, node, reason, kind, backoff_s in failures:
-        ts = t_start + attempt * attempt_duration
-        history.emit(
-            ev.FaultInjected(attempt=attempt, fault=kind, reason=reason),
-            job_name, ts, task=task_id, node=node,
-        )
-        history.emit(
-            ev.AttemptFailed(attempt=attempt, reason=reason),
-            job_name, ts, task=task_id, node=node,
-        )
-        history.emit(
-            ev.AttemptRetried(
-                attempt=attempt + 1, backoff_s=float(backoff_s),
-                reason=f"re-dispatched after {kind}",
-            ),
-            job_name, ts, task=task_id,
-        )

@@ -23,7 +23,7 @@ import os
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from repro.geo.trace import TraceArray
 from repro.mapreduce.aggregation import AggregationReducer
@@ -41,6 +41,7 @@ from repro.mapreduce.config import MapReduceConfig
 from repro.mapreduce.counters import Counters, STANDARD
 from repro.mapreduce.failures import (
     ChaosSchedule,
+    FailedAttempt,
     FaultKind,
     JobFailedError,
     TaskFailure,
@@ -53,17 +54,11 @@ from repro.mapreduce.scheduler import (
     ReduceAssignment,
     RetryPolicy,
     TaskAssignment,
-    emit_map_phase_events,
-    emit_reduce_phase_events,
     plan_map_phase,
     plan_reduce_phase,
     record_locality,
 )
-from repro.mapreduce.shuffle import (
-    emit_shuffle_events,
-    emit_shuffle_refetch_events,
-    shuffle,
-)
+from repro.mapreduce.shuffle import ShuffleResult, shuffle
 from repro.mapreduce.simtime import CostModel, JobTiming
 from repro.mapreduce.spill import (
     MB,
@@ -77,7 +72,9 @@ from repro.observability import events as ev
 from repro.observability.events import Phase
 from repro.observability.history import JobHistory
 
-__all__ = ["JobRunner", "JobResult", "fresh_hdfs", "fresh_runner"]
+__all__ = [
+    "JobRunner", "JobResult", "JobLabels", "JobEvents", "fresh_hdfs", "fresh_runner",
+]
 
 
 @dataclass
@@ -137,6 +134,269 @@ class _NodeLoss(NamedTuple):
     lost: list[TaskAssignment]
     event: ev.NodeLost
     healed: ev.ReplicaHealed
+
+
+class _ReduceSide(NamedTuple):
+    """What the shuffle and reduce phase of a job leave behind."""
+
+    sh: ShuffleResult
+    placements: list[ReduceAssignment]
+    makespan: float
+    failures: dict[str, list[FailedAttempt]]
+    refetches: list[tuple[str, ev.ShuffleRefetch]]
+    #: Shuffle spill runs and merges, priced.
+    runs: list[tuple[str, ev.SpillStart]]
+    merges: list[ev.SpillMerge]
+    #: Recovery costs, in the order the job's retry penalty adds them.
+    penalties: list[float]
+    wave: WaveRecord
+
+
+@dataclass(frozen=True)
+class JobLabels:
+    """Whom and what a job runs for, stamped into its ``job_submit`` and
+    ``job_start`` events: the service tenant, and the stream and window
+    of a streaming run.  ``JobLabels()`` (a solo run) stamps nothing."""
+
+    tenant: str | None = None
+    stream: str | None = None
+    window: int | None = None
+
+
+class JobEvents:
+    """The one writer of a job's event stream, on the history's
+    cumulative simulated clock.
+
+    The execution is simulated, so a job's events are written after it
+    succeeded, in chronological order from the clock origin ``t0``:
+    ``job_start`` on construction, then for a run :meth:`setup`,
+    :meth:`map_phase`, :meth:`reduce_phase` (jobs with reducers) and
+    :meth:`blacklist`, for a result-cache hit one ``result_cache_hit``,
+    and last :meth:`finish`, which closes the job and advances the
+    clock.  Phase durations exactly mirror :class:`JobTiming`; a retried
+    task's extra attempts are charged to the job's retry penalty, not the
+    phase clock.
+    """
+
+    def __init__(
+        self,
+        history: JobHistory,
+        job: JobSpec,
+        labels: JobLabels,
+        n_chunks: int,
+        num_reducers: int,
+    ):
+        self.history = history
+        self.job = job.name
+        self.output_path = job.output_path
+        self.t0 = history.clock
+        #: The map phase's start and end on the clock (set by the phases).
+        self.t_map = self.t_map_end = self.t0
+        self.emit(
+            ev.JobStart(
+                input_paths=list(job.input_paths),
+                output_path=job.output_path,
+                n_chunks=n_chunks,
+                map_only=job.map_only,
+                num_reducers=num_reducers,
+                combiner=job.combiner is not None,
+                tenant=labels.tenant,
+                stream=labels.stream,
+                window=labels.window,
+            ),
+            self.t0,
+        )
+
+    def emit(
+        self, payload: ev.Payload, ts: float, task: str | None = None, node: str | None = None
+    ) -> None:
+        self.history.emit(payload, self.job, ts, task=task, node=node)
+
+    def setup(self, setup_s: float, cache_load: ev.CacheLoad | None) -> None:
+        self.emit(ev.PhaseStart(phase=Phase.SETUP), self.t0)
+        if cache_load is not None:
+            self.emit(cache_load, self.t0)
+        self.t_map = self.t0 + setup_s
+        self.emit(ev.PhaseFinish(phase=Phase.SETUP, duration_s=setup_s), self.t_map)
+
+    def map_phase(
+        self,
+        map_s: float,
+        plan: MapPhasePlan,
+        failures: Mapping[str, list[FailedAttempt]],
+        node_loss: "_NodeLoss | None",
+        spills: list[tuple[str, ev.SpillStart]],
+    ) -> None:
+        """The map tasks in start order, then the speculative copies, the
+        node loss and the spills."""
+        t_map = self.t_map
+        self.t_map_end = t_map + map_s
+        self.emit(ev.PhaseStart(phase=Phase.MAP), t_map)
+        primary = sorted(
+            (a for a in plan.assignments if not a.speculative),
+            key=lambda a: (a.start_time, a.task_id),
+        )
+        for a in primary:
+            self._task(
+                Phase.MAP, a.task_id, a.node, t_map + a.start_time, a.duration,
+                failures.get(a.task_id, ()), locality=a.locality,
+                input_bytes=a.chunk.nbytes, input_records=a.chunk.n_records,
+            )
+        original = {a.task_id: a.node for a in primary}
+        for a in plan.assignments:
+            if not a.speculative:
+                continue
+            ts = t_map + a.start_time
+            self.emit(
+                ev.SpeculativeLaunch(
+                    original_node=original.get(a.task_id), duration_s=a.duration
+                ),
+                ts, a.task_id, a.node,
+            )
+            self.emit(
+                ev.TaskStart(phase=Phase.MAP, locality=a.locality, speculative=True),
+                ts, a.task_id, a.node,
+            )
+            self.emit(
+                ev.TaskFinish(
+                    phase=Phase.MAP, duration_s=a.duration, locality=a.locality,
+                    speculative=True,
+                ),
+                t_map + a.end_time, a.task_id, a.node,
+            )
+        if node_loss is not None:
+            # The node died once its last map attempt had completed.
+            ts = t_map + min(
+                max((a.end_time for a in node_loss.lost), default=0.0), map_s
+            )
+            self.emit(node_loss.event, ts, node=node_loss.victim)
+            if node_loss.healed.replicas:
+                self.emit(node_loss.healed, ts)
+        # Spill IO happens on Hadoop's background spill thread while the
+        # map phase runs; everything is stamped at the phase end (the
+        # simulated clock has no per-task sub-timeline for it).
+        for task, spill in spills:
+            self.emit(spill, self.t_map_end, task=task)
+        self.emit(ev.PhaseFinish(phase=Phase.MAP, duration_s=map_s), self.t_map_end)
+
+    def reduce_phase(
+        self,
+        reduce_s: float,
+        sh: ShuffleResult,
+        cross_node_bytes: int,
+        merges: list[ev.SpillMerge],
+        refetches: list[tuple[str, ev.ShuffleRefetch]],
+        placements: list[ReduceAssignment],
+        failures: Mapping[str, list[FailedAttempt]],
+    ) -> None:
+        """The shuffle, stamped at the map phase's end (it overlaps the
+        reduce fetch in the cost model), then the reduce tasks."""
+        t_reduce = self.t_map_end
+        records: dict[str, int] = {}
+        for r in range(sh.n_reducers):
+            task = f"reduce-{r:04d}"
+            records[task] = sh.records_for(r)
+            transfer = ev.ShuffleTransfer(
+                reducer=task,
+                bytes=sh.partition_bytes[r],
+                records=records[task],
+                groups=sh.groups_for(r),
+                # A pre-aggregated partition ships envelopes that each
+                # stand for many mapper records; only that path sets the
+                # true count, so every other history keeps its shape.
+                raw_records=sh.raw_records_for(r) if sh.preagg is not None else None,
+            )
+            self.emit(transfer, t_reduce, task=task)
+        if sh.preagg is not None:
+            self.emit(replace(sh.preagg, cross_node_bytes=cross_node_bytes), t_reduce)
+        for r, merge in enumerate(merges):
+            self.emit(merge, t_reduce, task=f"reduce-{r:04d}")
+        for task, refetch in refetches:
+            self.emit(refetch, t_reduce, task=task)
+        self.emit(ev.PhaseStart(phase=Phase.REDUCE), t_reduce)
+        for p in sorted(placements, key=lambda p: (p.start_time, p.task_id)):
+            self._task(
+                Phase.REDUCE, p.task_id, p.node, t_reduce + p.start_time, p.duration,
+                failures.get(p.task_id, ()), input_records=records.get(p.task_id, 0),
+            )
+        self.emit(
+            ev.PhaseFinish(phase=Phase.REDUCE, duration_s=reduce_s), t_reduce + reduce_s
+        )
+
+    def blacklist(self, blacklist: NodeBlacklist) -> None:
+        for node in sorted(blacklist.nodes()):
+            self.emit(
+                ev.NodeBlacklisted(
+                    failures=blacklist.failure_count(node), threshold=blacklist.threshold
+                ),
+                self.t_map_end, node=node,
+            )
+
+    def finish(
+        self, timing: JobTiming, counters: Counters, n_map_tasks: int, n_reduce_tasks: int
+    ) -> None:
+        end = self.t0 + timing.total_s
+        self.emit(
+            ev.JobFinish(
+                timing=timing.payload(),
+                counters=counters.to_dict(),
+                n_map_tasks=n_map_tasks,
+                n_reduce_tasks=n_reduce_tasks,
+                output_path=self.output_path,
+            ),
+            end,
+        )
+        self.history.advance(end)
+
+    def _task(
+        self,
+        phase: str,
+        task: str,
+        node: str,
+        t_start: float,
+        duration: float,
+        failures: Sequence[FailedAttempt],
+        locality: str = "",
+        input_bytes: int | None = None,
+        input_records: int | None = None,
+    ) -> None:
+        """One task: ``task_start``, per failed attempt ``fault_injected``
+        -> ``attempt_failed`` -> ``attempt_retried``, then ``task_finish``.
+
+        Attempts occupy the task's slot back to back, so attempt *i*
+        fails at ``t_start + i * duration`` and the task finishes
+        ``len(failures) * duration`` later than planned — after every
+        event of its recovery, the order the history validates.
+        """
+        self.emit(
+            ev.TaskStart(
+                phase=phase, locality=locality, input_bytes=input_bytes,
+                input_records=input_records,
+            ),
+            t_start, task, node,
+        )
+        attempts = 1 + len(failures)
+        for f in failures:
+            ts = t_start + f.attempt * duration
+            self.emit(
+                ev.FaultInjected(attempt=f.attempt, fault=f.kind, reason=f.reason),
+                ts, task, f.node,
+            )
+            self.emit(ev.AttemptFailed(attempt=f.attempt, reason=f.reason), ts, task, f.node)
+            self.emit(
+                ev.AttemptRetried(
+                    attempt=f.attempt + 1, backoff_s=f.backoff_s,
+                    reason=f"re-dispatched after {f.kind}",
+                ),
+                ts, task,
+            )
+        self.emit(
+            ev.TaskFinish(
+                phase=phase, duration_s=duration, attempts=attempts,
+                wasted_s=(attempts - 1) * duration, locality=locality,
+            ),
+            t_start + attempts * duration, task, node,
+        )
 
 
 class JobRunner:
@@ -243,15 +503,10 @@ class JobRunner:
         self.prefer_locality = prefer_locality
         self.speculative = speculative
         self.history = JobHistory()
-        #: Tenant label stamped into JOB_START events; ``None`` (solo
-        #: deployments) keeps histories byte-identical to pre-service
-        #: runs.  Set by the :class:`~repro.mapreduce.service.JobService`
-        #: dispatcher around each job it executes.
-        self.tenant: str | None = None
-        #: The ``stream`` / ``window`` labels stamped into JOB_START
-        #: alongside the tenant; set by the service dispatcher and the
-        #: streaming manager, ``None`` everywhere else.
-        self.job_tags: dict | None = None
+        #: The labels stamped into each job's ``job_start``; set by the
+        #: :class:`~repro.mapreduce.service.JobService` dispatcher and the
+        #: streaming manager around the jobs they run.
+        self.labels = JobLabels()
         #: Simulated one-time deployment overhead (HDFS install + upload);
         #: reported separately, as the paper does (~25 s).
         self.deploy_overhead_s = self.cost_model.deploy_overhead_s
@@ -326,7 +581,7 @@ class JobRunner:
         outcome: MapOutcome | ReduceOutcome,
         pick_node: Callable[[int, set[str]], str],
         blacklist: NodeBlacklist,
-    ) -> list[tuple]:
+    ) -> list[FailedAttempt]:
         """Replay one task's failure narrative in the driver.
 
         ``pick_node(attempt, tried)`` places each attempt against the
@@ -334,15 +589,14 @@ class JobRunner:
         schedule's ``bad_nodes`` crashes before any task code runs, so it
         consumes retry budget here without consuming a verdict; attempts
         that reach a healthy node take the attempt loop's verdicts in
-        order.  Returns the failed attempts as
-        ``(attempt, node, reason, fault kind, backoff_s)`` and raises
+        order.  Returns the failed attempts and raises
         :class:`JobFailedError` when they exhaust the retry budget.
         Called in task order, so every backend sees the same blacklist
         evolution.
         """
         verdicts = iter(outcome.failures)
         tried: set[str] = set()
-        failures: list[tuple] = []
+        failures: list[FailedAttempt] = []
         max_attempts = self.retry_policy.max_attempts
         for attempt in range(1, max_attempts + 1):
             node = pick_node(attempt, tried)
@@ -366,21 +620,21 @@ class JobRunner:
                     return failures
                 _, reason, kind = verdict
             tried.add(node)
-            failures.append(
-                (attempt, node, reason, kind, self.retry_policy.backoff_s(attempt))
-            )
+            failures.append(FailedAttempt(
+                attempt, node, reason, kind, float(self.retry_policy.backoff_s(attempt))
+            ))
             blacklist.record_failure(node)
-        attempt, _, reason, kind, _ = failures[-1]
+        last = failures[-1]
         raise JobFailedError(
             task_id, max_attempts, failures
-        ) from TaskFailure(task_id, attempt, reason, kind)
+        ) from TaskFailure(task_id, last.attempt, last.reason, last.kind)
 
     def _finalize_map_outcome(
         self,
         assignment: TaskAssignment,
         outcome: MapOutcome,
         blacklist: NodeBlacklist,
-    ) -> list[tuple]:
+    ) -> list[FailedAttempt]:
         """Replay a map task: the planned node first, then
         :meth:`_retry_node` against the blacklist."""
         return self._replay_attempts(
@@ -400,7 +654,7 @@ class JobRunner:
         outcome: ReduceOutcome,
         blacklist: NodeBlacklist,
         alive: list[str],
-    ) -> list[tuple]:
+    ) -> list[FailedAttempt]:
         """Replay a reduce task: attempts rotate over the non-blacklisted
         alive workers."""
 
@@ -536,16 +790,16 @@ class JobRunner:
 
         map_outputs: list[list[tuple[Any, Any]]] = []
         retry_penalty = 0.0
-        map_failures: dict[str, list[tuple]] = {}
-        map_spills: list[tuple[str, ev.SpillStart]] = []
+        map_failures: dict[str, list[FailedAttempt]] = {}
+        spills: list[tuple[str, ev.SpillStart]] = []
         for assignment, outcome, failures in zip(primary, outcomes, task_failures):
             counters.merge(outcome.counters)
             # Each failed attempt costs its wasted slot time plus the
             # retry policy's re-dispatch backoff.
-            retry_penalty += sum(assignment.duration + f[4] for f in failures)
+            retry_penalty += sum(assignment.duration + f.backoff_s for f in failures)
             output = outcome.output
             if isinstance(output, SpilledMapOutput):
-                map_spills.append((assignment.task_id, ev.SpillStart(
+                spills.append((assignment.task_id, ev.SpillStart(
                     source="map", records=output.n_records, bytes=output.nbytes,
                     write_s=self.cost_model.spill_write_time(output.nbytes),
                 )))
@@ -574,21 +828,82 @@ class JobRunner:
                 len(blacklisted),
             )
 
+        n_reduce_tasks = 0 if job.map_only else job.num_reducers
+        spill_s = sum(s.write_s for _, s in spills)
+        reduce: _ReduceSide | None = None
         if job.map_only:
             flat = [pair for output in map_outputs for pair in as_pairs(output)]
             self._write_output(job.output_path, flat)
-            spill_s = sum(s.write_s for _, s in map_spills)
-            timing = JobTiming(setup_s, plan.makespan, 0.0, retry_penalty, spill_s)
-            self._emit_history(
-                job, len(chunks), plan, map_failures, None, None, None,
-                timing, counters, len(primary), 0,
-                node_loss, [], blacklist, map_spills, [],
+        else:
+            reduce = self._run_reduces(
+                job, job_seq, map_outputs, primary, node_loss, blacklist, counters,
+                cleanup, slowdown,
             )
-            return JobResult(
-                job.name, job.output_path, counters, timing, plan, len(primary), 0,
-                map_wave=map_wave,
+            for penalty in reduce.penalties:
+                retry_penalty += penalty
+            spill_s = (
+                spill_s
+                + sum(s.write_s for _, s in reduce.runs)
+                + sum(m.read_s for m in reduce.merges)
             )
+        timing = JobTiming(
+            setup_s,
+            plan.makespan,
+            reduce.makespan if reduce is not None else 0.0,
+            retry_penalty,
+            spill_s,
+        )
 
+        events = JobEvents(self.history, job, self.labels, len(chunks), n_reduce_tasks)
+        cache_load = None
+        if len(self.cache):
+            cache_nbytes = self.cache.nbytes()
+            cache_load = ev.CacheLoad(
+                entries=sorted(self.cache),
+                nbytes=cache_nbytes,
+                broadcast_s=self.cost_model.cache_broadcast_time(cache_nbytes),
+            )
+        events.setup(timing.setup_s, cache_load)
+        events.map_phase(
+            timing.map_s, plan, map_failures, node_loss,
+            spills + (reduce.runs if reduce is not None else []),
+        )
+        if reduce is not None:
+            events.reduce_phase(
+                timing.reduce_s, reduce.sh,
+                counters.value(STANDARD.GROUP_TASK, STANDARD.SHUFFLE_CROSS_NODE_BYTES),
+                reduce.merges, reduce.refetches, reduce.placements, reduce.failures,
+            )
+        events.blacklist(blacklist)
+        events.finish(timing, counters, len(primary), n_reduce_tasks)
+        return JobResult(
+            job.name,
+            job.output_path,
+            counters,
+            timing,
+            plan,
+            len(primary),
+            n_reduce_tasks,
+            reduce_plan=reduce.placements if reduce is not None else [],
+            map_wave=map_wave,
+            reduce_wave=reduce.wave if reduce is not None else None,
+        )
+
+    def _run_reduces(
+        self,
+        job: JobSpec,
+        job_seq: int,
+        map_outputs: list,
+        primary: list[TaskAssignment],
+        node_loss: "_NodeLoss | None",
+        blacklist: NodeBlacklist,
+        counters: Counters,
+        cleanup: ExitStack,
+        slowdown: Callable[[str], float] | None,
+    ) -> "_ReduceSide":
+        """Shuffle the map outputs, run and replay the reduce tasks, plan
+        the reduce phase and write the job output."""
+        n_blacklisted = len(blacklist.nodes())
         spiller = (
             self._spill.shuffle_spiller(job_seq, job.num_reducers)
             if self._spill is not None
@@ -611,17 +926,18 @@ class JobRunner:
         # out and is re-fetched (from the re-executed map's output or a
         # surviving replica after node loss).  Data already lives in the
         # shuffle result, so only simulated time and events are affected.
-        refetches = self._plan_shuffle_refetches(job, sh, primary, node_loss)
+        penalties: list[float] = []
+        refetches = self._plan_shuffle_refetches(sh, primary, node_loss)
         if refetches:
             counters.increment(
                 STANDARD.GROUP_SCHEDULER,
                 STANDARD.SHUFFLE_REFETCHES,
                 len(refetches),
             )
-            retry_penalty += sum(r[2] for r in refetches)
+            penalties.append(sum(r.refetch_s for _, r in refetches))
 
         reduce_output: list[tuple[Any, Any]] = []
-        reduce_failures: dict[str, list[tuple]] = {}
+        failures: dict[str, list[FailedAttempt]] = {}
         # A declared aggregation is the reduce (a partial pickles into
         # the process backend's worker messages).
         reduce_factory = (
@@ -642,8 +958,8 @@ class JobRunner:
             )
             for r in range(sh.n_reducers)
         ])
-        reduce_wave = WaveRecord()
-        reduce_wave.add(perf_counter() - start, reduce_outcomes)
+        wave = WaveRecord()
+        wave.add(perf_counter() - start, reduce_outcomes)
         alive = [
             n.name
             for n in self.cluster.tasktrackers()
@@ -657,22 +973,21 @@ class JobRunner:
             counters.merge(outcome.counters)
             reduce_output.extend(outcome.output)
             if r_failed:
-                reduce_failures[task_id] = r_failed
+                failures[task_id] = r_failed
                 duration = self.cost_model.reduce_task_time(
                     sh.partition_bytes[r], job.reduce_cost_factor
                 )
-                for failure in r_failed:
-                    retry_penalty += duration + failure[4]
+                penalties.extend(duration + f.backoff_s for f in r_failed)
 
-        blacklisted_now = sorted(blacklist.nodes())
-        if len(blacklisted_now) > len(blacklisted):
+        newly_blacklisted = len(blacklist.nodes()) - n_blacklisted
+        if newly_blacklisted:
             counters.increment(
                 STANDARD.GROUP_SCHEDULER,
                 STANDARD.NODES_BLACKLISTED,
-                len(blacklisted_now) - len(blacklisted),
+                newly_blacklisted,
             )
 
-        reduce_placements, reduce_makespan = plan_reduce_phase(
+        placements, makespan = plan_reduce_phase(
             job.num_reducers,
             self.cluster,
             lambda r: self.cost_model.reduce_task_time(
@@ -682,7 +997,7 @@ class JobRunner:
             node_slowdown=slowdown,
         )
         if sh.node_bytes is not None:
-            node_of = {p.task_id: p.node for p in reduce_placements}
+            node_of = {p.task_id: p.node for p in placements}
             cross_total = sum(
                 sh.partition_bytes[r]
                 - sh.node_bytes[r].get(node_of[f"reduce-{r:04d}"], 0)
@@ -695,38 +1010,22 @@ class JobRunner:
             )
         self._write_output(job.output_path, reduce_output)
         cost = self.cost_model
-        runs = [
-            ("shuffle", replace(run, write_s=cost.spill_write_time(run.bytes)))
-            for run in sh.spill_runs
-        ]
-        merges = [
-            replace(merge, read_s=cost.spill_read_time(merge.bytes))
-            for merge in sh.spill_merges
-        ]
-        spill_s = (
-            sum(s.write_s for _, s in map_spills)
-            + sum(s.write_s for _, s in runs)
-            + sum(m.read_s for m in merges)
-        )
-        timing = JobTiming(
-            setup_s, plan.makespan, reduce_makespan, retry_penalty, spill_s
-        )
-        self._emit_history(
-            job, len(chunks), plan, map_failures, sh, reduce_placements,
-            reduce_failures, timing, counters, len(primary), job.num_reducers,
-            node_loss, refetches, blacklist, map_spills + runs, merges,
-        )
-        return JobResult(
-            job.name,
-            job.output_path,
-            counters,
-            timing,
-            plan,
-            len(primary),
-            job.num_reducers,
-            reduce_plan=reduce_placements,
-            map_wave=map_wave,
-            reduce_wave=reduce_wave,
+        return _ReduceSide(
+            sh=sh,
+            placements=placements,
+            makespan=makespan,
+            failures=failures,
+            refetches=refetches,
+            runs=[
+                ("shuffle", replace(run, write_s=cost.spill_write_time(run.bytes)))
+                for run in sh.spill_runs
+            ],
+            merges=[
+                replace(merge, read_s=cost.spill_read_time(merge.bytes))
+                for merge in sh.spill_merges
+            ],
+            penalties=penalties,
+            wave=wave,
         )
 
     def _apply_node_loss(
@@ -734,7 +1033,7 @@ class JobRunner:
         job: JobSpec,
         primary: list[TaskAssignment],
         outcomes: list[MapOutcome],
-        task_failures: list[list[tuple]],
+        task_failures: list[list[FailedAttempt]],
         rerun: Callable[[list[TaskAssignment]], list[MapOutcome]],
     ) -> "_NodeLoss | None":
         """Inflict the chaos schedule's mid-phase node loss, if any.
@@ -776,7 +1075,7 @@ class JobRunner:
         lost = [i for i, a in enumerate(primary) if a.node == victim]
         for i, outcome in zip(lost, rerun([primary[i] for i in lost])):
             outcomes[i] = outcome
-            task_failures[i].append((
+            task_failures[i].append(FailedAttempt(
                 len(task_failures[i]) + 1,
                 victim,
                 f"node {victim} lost mid-phase; map output re-dispatched",
@@ -807,171 +1106,43 @@ class JobRunner:
 
     def _plan_shuffle_refetches(
         self,
-        job: JobSpec,
-        sh,
+        sh: ShuffleResult,
         primary: list[TaskAssignment],
         node_loss: "_NodeLoss | None",
-    ) -> list[tuple[str, int, float, str]]:
+    ) -> list[tuple[str, ev.ShuffleRefetch]]:
         """Which reducers re-fetch map output, and at what simulated cost.
 
-        Returns ``(reduce task id, bytes, refetch_s, reason)`` per
-        re-fetch: chaos-scheduled fetch timeouts re-pull one map task's
+        Returns ``(reduce task id, shuffle_refetch)`` per re-fetch:
+        chaos-scheduled fetch timeouts re-pull one map task's
         contribution (~1/n_maps of the partition); after node loss every
         reducer re-fetches the lost tasks' share from the re-executed
         outputs / surviving replicas.
         """
-        refetches: list[tuple[str, int, float, str]] = []
+        refetches: list[tuple[str, ev.ShuffleRefetch]] = []
         if self.chaos is None:
             return refetches
+
+        def refetch(nbytes: int, reason: str) -> ev.ShuffleRefetch:
+            return ev.ShuffleRefetch(
+                bytes=nbytes,
+                refetch_s=self.cost_model.shuffle_refetch_time(nbytes),
+                reason=reason,
+            )
+
         n_maps = max(len(primary), 1)
         lost = node_loss.lost if node_loss is not None else []
         for r in range(sh.n_reducers):
             task_id = f"reduce-{r:04d}"
             for _ in range(self.chaos.shuffle_fetch_failures(task_id)):
                 nbytes = sh.partition_bytes[r] // n_maps
-                refetches.append((
-                    task_id,
-                    nbytes,
-                    self.cost_model.shuffle_refetch_time(nbytes),
-                    "fetch timeout",
-                ))
+                refetches.append((task_id, refetch(nbytes, "fetch timeout")))
             if lost:
                 nbytes = int(sh.partition_bytes[r] * len(lost) / n_maps)
-                refetches.append((
-                    task_id,
+                refetches.append((task_id, refetch(
                     nbytes,
-                    self.cost_model.shuffle_refetch_time(nbytes),
-                    f"map outputs on {node_loss.victim} re-fetched "
-                    f"after node loss",
-                ))
+                    f"map outputs on {node_loss.victim} re-fetched after node loss",
+                )))
         return refetches
-
-    def _emit_history(
-        self,
-        job: JobSpec,
-        n_chunks: int,
-        plan: MapPhasePlan,
-        map_failures: dict[str, list[tuple]],
-        sh,
-        reduce_placements,
-        reduce_failures: dict[str, list[tuple]] | None,
-        timing: JobTiming,
-        counters: Counters,
-        n_map_tasks: int,
-        n_reduce_tasks: int,
-        node_loss: "_NodeLoss | None",
-        refetches: list[tuple[str, int, float, str]],
-        blacklist: NodeBlacklist,
-        spills: list[tuple[str, ev.SpillStart]],
-        merges: list[ev.SpillMerge],
-    ) -> None:
-        """Emit the job's full event stream onto the cumulative sim clock.
-
-        The execution is simulated, so events are materialized post-hoc in
-        chronological order: job/setup at the clock origin, the map-phase
-        task timeline, shuffle transfers, the reduce-phase timeline, and
-        the closing ``job_finish`` carrying the timing breakdown and the
-        final counter snapshot.  Phase durations exactly mirror
-        :class:`JobTiming` (the acceptance invariant the history tests
-        pin down); per-task retry extensions are charged to the job-wide
-        retry penalty, not the phase clock.
-        """
-        h = self.history
-        t0 = h.clock
-        tags = self.job_tags or {}
-        h.emit(
-            ev.JobStart(
-                input_paths=list(job.input_paths),
-                output_path=job.output_path,
-                n_chunks=n_chunks,
-                map_only=job.map_only,
-                num_reducers=0 if job.map_only else job.num_reducers,
-                combiner=job.combiner is not None,
-                tenant=self.tenant,
-                stream=tags.get("stream"),
-                window=tags.get("window"),
-            ),
-            job.name,
-            t0,
-        )
-        h.emit(ev.PhaseStart(phase=Phase.SETUP), job.name, t0)
-        if len(self.cache):
-            cache_nbytes = self.cache.nbytes()
-            h.emit(
-                ev.CacheLoad(
-                    entries=sorted(self.cache),
-                    nbytes=cache_nbytes,
-                    broadcast_s=self.cost_model.cache_broadcast_time(cache_nbytes),
-                ),
-                job.name,
-                t0,
-            )
-        h.emit(
-            ev.PhaseFinish(phase=Phase.SETUP, duration_s=timing.setup_s),
-            job.name, t0 + timing.setup_s,
-        )
-        t_map = t0 + timing.setup_s
-        h.emit(ev.PhaseStart(phase=Phase.MAP), job.name, t_map)
-        emit_map_phase_events(h, job.name, plan, t_map, map_failures)
-        if node_loss is not None:
-            # The node died once its last map attempt had completed.
-            ts = t_map + min(
-                max((a.end_time for a in node_loss.lost), default=0.0), timing.map_s
-            )
-            h.emit(node_loss.event, job.name, ts, node=node_loss.victim)
-            if node_loss.healed.replicas:
-                h.emit(node_loss.healed, job.name, ts)
-        # Spill IO happens on Hadoop's background spill thread while the
-        # map phase runs; everything is stamped at the phase end (the
-        # simulated clock has no per-task sub-timeline for it).
-        for task, spill in spills:
-            h.emit(spill, job.name, t_map + timing.map_s, task=task)
-        h.emit(
-            ev.PhaseFinish(phase=Phase.MAP, duration_s=timing.map_s),
-            job.name, t_map + timing.map_s,
-        )
-        if sh is not None:
-            t_reduce = t_map + timing.map_s
-            emit_shuffle_events(h, job.name, sh, t_reduce)
-            if sh.preagg is not None:
-                # The metadata-only shuffle always records provenance, so
-                # the job's cross-node counter is already settled.
-                cross = counters.value(STANDARD.GROUP_TASK, STANDARD.SHUFFLE_CROSS_NODE_BYTES)
-                h.emit(replace(sh.preagg, cross_node_bytes=cross), job.name, t_reduce)
-            for r, merge in enumerate(merges):
-                h.emit(merge, job.name, t_reduce, task=f"reduce-{r:04d}")
-            emit_shuffle_refetch_events(h, job.name, refetches, t_reduce)
-            h.emit(ev.PhaseStart(phase=Phase.REDUCE), job.name, t_reduce)
-            records = {
-                f"reduce-{r:04d}": sh.records_for(r) for r in range(sh.n_reducers)
-            }
-            emit_reduce_phase_events(
-                h, job.name, reduce_placements, t_reduce,
-                reduce_failures or {}, records,
-            )
-            h.emit(
-                ev.PhaseFinish(phase=Phase.REDUCE, duration_s=timing.reduce_s),
-                job.name, t_reduce + timing.reduce_s,
-            )
-        for node in sorted(blacklist.nodes()):
-            h.emit(
-                ev.NodeBlacklisted(
-                    failures=blacklist.failure_count(node), threshold=blacklist.threshold
-                ),
-                job.name, t_map + timing.map_s, node=node,
-            )
-        h.emit(
-            ev.JobFinish(
-                timing=timing.payload(),
-                counters=counters.to_dict(),
-                n_map_tasks=n_map_tasks,
-                n_reduce_tasks=n_reduce_tasks,
-                output_path=job.output_path,
-            ),
-            job.name,
-            t0 + timing.total_s,
-        )
-        h.advance(t0 + timing.total_s)
 
 
 def fresh_hdfs(

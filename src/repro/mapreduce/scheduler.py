@@ -20,11 +20,9 @@ from typing import Callable, Sequence
 from repro.checks import count, finite, non_negative, positive
 from repro.mapreduce.cluster import ClusterSpec
 from repro.mapreduce.counters import Counters, STANDARD
-from repro.mapreduce.failures import MAX_TASK_ATTEMPTS, emit_attempt_failures
+from repro.mapreduce.failures import MAX_TASK_ATTEMPTS
 from repro.mapreduce.types import Chunk
-from repro.observability import events as ev
 from repro.observability.events import Phase
-from repro.observability.history import JobHistory
 
 __all__ = [
     "TaskAssignment",
@@ -34,8 +32,6 @@ __all__ = [
     "NodeBlacklist",
     "plan_map_phase",
     "plan_reduce_phase",
-    "emit_map_phase_events",
-    "emit_reduce_phase_events",
     "record_locality",
     "Locality",
     "FairShareJob",
@@ -329,127 +325,6 @@ def plan_reduce_phase(
         heapq.heappush(slots, (end, next(counter), node_name))
     placements.sort(key=lambda p: p.task_id)
     return placements, makespan
-
-
-def emit_map_phase_events(
-    history: JobHistory,
-    job_name: str,
-    plan: MapPhasePlan,
-    t0: float,
-    failures_by_task: dict[str, list[tuple]] | None = None,
-) -> None:
-    """Emit the map phase's task timeline into a job history.
-
-    ``t0`` is the phase start on the history's simulated clock; planned
-    start/end times are relative to it.  ``failures_by_task`` maps a task
-    id to its failed attempts ``(attempt, node, reason, kind, backoff_s)``
-    (see :func:`~repro.mapreduce.failures.emit_attempt_failures`); attempts are
-    modelled as back-to-back occupations of the task's slot, so a retried
-    task finishes ``(attempts - 1) * duration`` later than planned — the
-    same quantity the cost model charges as the job's retry penalty.
-    """
-    failures_by_task = failures_by_task or {}
-    primary = sorted(
-        (a for a in plan.assignments if not a.speculative),
-        key=lambda a: (a.start_time, a.task_id),
-    )
-    for a in primary:
-        history.emit(
-            ev.TaskStart(
-                phase=Phase.MAP, locality=a.locality, input_bytes=a.chunk.nbytes,
-                input_records=a.chunk.n_records,
-            ),
-            job_name,
-            t0 + a.start_time,
-            task=a.task_id,
-            node=a.node,
-        )
-        failures = failures_by_task.get(a.task_id, [])
-        emit_attempt_failures(
-            history, job_name, a.task_id, failures,
-            t_start=t0 + a.start_time, attempt_duration=a.duration,
-        )
-        attempts = 1 + len(failures)
-        history.emit(
-            ev.TaskFinish(
-                phase=Phase.MAP, duration_s=a.duration, attempts=attempts,
-                wasted_s=(attempts - 1) * a.duration, locality=a.locality,
-            ),
-            job_name,
-            t0 + a.start_time + attempts * a.duration,
-            task=a.task_id,
-            node=a.node,
-        )
-    for a in plan.assignments:
-        if not a.speculative:
-            continue
-        original = next(
-            (p for p in primary if p.task_id == a.task_id), None
-        )
-        history.emit(
-            ev.SpeculativeLaunch(
-                original_node=original.node if original else None, duration_s=a.duration
-            ),
-            job_name,
-            t0 + a.start_time,
-            task=a.task_id,
-            node=a.node,
-        )
-        history.emit(
-            ev.TaskStart(phase=Phase.MAP, locality=a.locality, speculative=True),
-            job_name,
-            t0 + a.start_time,
-            task=a.task_id,
-            node=a.node,
-        )
-        history.emit(
-            ev.TaskFinish(
-                phase=Phase.MAP, duration_s=a.duration, locality=a.locality, speculative=True
-            ),
-            job_name,
-            t0 + a.end_time,
-            task=a.task_id,
-            node=a.node,
-        )
-
-
-def emit_reduce_phase_events(
-    history: JobHistory,
-    job_name: str,
-    placements: Sequence[ReduceAssignment],
-    t0: float,
-    failures_by_task: dict[str, list[tuple]] | None = None,
-    records_by_task: dict[str, int] | None = None,
-) -> None:
-    """Emit the reduce phase's task timeline (same model as the map side)."""
-    failures_by_task = failures_by_task or {}
-    records_by_task = records_by_task or {}
-    for p in sorted(placements, key=lambda p: (p.start_time, p.task_id)):
-        history.emit(
-            ev.TaskStart(
-                phase=Phase.REDUCE, input_records=records_by_task.get(p.task_id, 0)
-            ),
-            job_name,
-            t0 + p.start_time,
-            task=p.task_id,
-            node=p.node,
-        )
-        failures = failures_by_task.get(p.task_id, [])
-        emit_attempt_failures(
-            history, job_name, p.task_id, failures,
-            t_start=t0 + p.start_time, attempt_duration=p.duration,
-        )
-        attempts = 1 + len(failures)
-        history.emit(
-            ev.TaskFinish(
-                phase=Phase.REDUCE, duration_s=p.duration, attempts=attempts,
-                wasted_s=(attempts - 1) * p.duration,
-            ),
-            job_name,
-            t0 + p.start_time + attempts * p.duration,
-            task=p.task_id,
-            node=p.node,
-        )
 
 
 # ---------------------------------------------------------------------------

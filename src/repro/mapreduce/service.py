@@ -43,8 +43,9 @@ control plane layered on top of it:
 Tenancy is threaded through observability: ``job_submit`` /
 ``job_dispatch`` / ``result_cache_hit`` / ``result_cache_store`` events
 land in the shared :class:`~repro.observability.history.JobHistory`, and
-``job_start`` events carry a ``tenant`` tag that `repro history` uses
-for per-tenant accounting and Gantt filtering.
+each job's :class:`~repro.mapreduce.runner.JobLabels` put its tenant into
+its ``job_start`` event, which `repro history` uses for per-tenant
+accounting and Gantt filtering.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import threading
 from collections import deque
 from concurrent.futures import CancelledError
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 import numpy as np
 
@@ -65,7 +66,7 @@ from repro.mapreduce.counters import Counters
 from repro.mapreduce.failures import ChaosSchedule
 from repro.mapreduce.hdfs import SimulatedHDFS
 from repro.mapreduce.job import JobSpec
-from repro.mapreduce.runner import JobResult, JobRunner
+from repro.mapreduce.runner import JobEvents, JobLabels, JobResult, JobRunner
 from repro.mapreduce.scheduler import (
     FairShareJob,
     FairSharePlan,
@@ -326,11 +327,6 @@ class ResultCache:
         self._entries[key] = path
         return nbytes
 
-    def serve(self, key: str, output_path: str) -> int:
-        """Materialize a hit: copy the cached output to ``output_path``."""
-        source = self._entries[key]
-        return self.hdfs.copy(source, output_path)
-
 
 # ---------------------------------------------------------------------------
 # The service
@@ -356,14 +352,20 @@ class _TenantState:
 @dataclass
 class _Submission:
     order: int
-    tenant: str
     job: JobSpec
     #: The tenant's distributed cache as it stood at submission.
     cache: DistributedCache
     future: JobFuture
-    #: Extra JSON-safe labels stamped into the job's JOB_SUBMIT/JOB_START
-    #: events (the streaming layer tags jobs with their window index).
-    tags: dict[str, Any] | None = None
+    #: The tenant, and what ``job_submit`` and ``job_start`` stamp.
+    labels: JobLabels
+
+
+class _Completed(NamedTuple):
+    """One job that ran: its demand for the fair-share replan, and its
+    solo task seconds."""
+
+    job: FairShareJob
+    solo_s: float
 
 
 class TenantClient:
@@ -387,10 +389,10 @@ class TenantClient:
             )
         self.service = service
         self.tenant = tenant
-        #: Labels attached to every subsequent submit (JSON-safe values);
-        #: the streaming manager sets ``{"window": i}`` around each
-        #: window's jobs so histories can be rolled up per window.
-        self.tags: dict[str, Any] | None = None
+        #: The labels of every subsequent submit; the streaming manager
+        #: sets the stream and window around each window's jobs so
+        #: histories can be rolled up per window.
+        self.labels = JobLabels(tenant)
 
     @property
     def hdfs(self) -> SimulatedHDFS:
@@ -413,7 +415,7 @@ class TenantClient:
         return self.service._tenants[self.tenant].cache
 
     def submit(self, job: JobSpec) -> JobFuture:
-        return self.service.submit(job, tenant=self.tenant, tags=self.tags)
+        return self.service.submit(job, tenant=self.tenant, labels=self.labels)
 
     def run(self, job: JobSpec) -> JobResult:
         """Submit and block — the drop-in for ``JobRunner.run``."""
@@ -584,10 +586,8 @@ class JobService:
         self._outstanding = 0
         self._stop = False
         self._started = start
-        #: Completed work in dispatch order, for the fair-share replan:
-        #: (tenant, weight, job name, order, map durations, reduce
-        #: durations, solo task seconds, cache hit).
-        self._completed: list[tuple] = []
+        #: Completed work in dispatch order, for the fair-share replan.
+        self._completed: list[_Completed] = []
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="jobservice-dispatcher", daemon=True
         )
@@ -649,7 +649,7 @@ class JobService:
         self,
         job: JobSpec,
         tenant: str = "default",
-        tags: dict[str, Any] | None = None,
+        labels: JobLabels = JobLabels(),
     ) -> JobFuture:
         """Queue ``job`` for ``tenant``; returns its :class:`JobFuture`.
 
@@ -657,9 +657,10 @@ class JobService:
         roster and :class:`QuotaExceededError` when the tenant is at its
         ``max_queued`` admission quota.  The tenant's distributed cache
         is snapshotted *now* — later mutations (e.g. the next k-means
-        iteration's centroids) don't leak into this job.  ``tags`` are
-        JSON-safe labels stamped into the job's ``job_submit`` and
-        ``job_start`` events (e.g. a streaming window index).
+        iteration's centroids) don't leak into this job.  ``labels``
+        carry the stream and window (of a streaming run) stamped into the
+        job's ``job_submit`` and ``job_start`` events; their tenant is
+        ``tenant``.
         """
         state = self._tenants.get(tenant)
         if state is None:
@@ -668,6 +669,7 @@ class JobService:
                 f"{', '.join(sorted(self._tenants))}"
             )
         spec = replace(job, name=f"{tenant}:{job.name}")
+        labels = replace(labels, tenant=tenant)
         future = JobFuture(tenant, spec.name)
         with self._cond:
             if self._stop:
@@ -680,20 +682,18 @@ class JobService:
                 )
             sub = _Submission(
                 order=next(self._seq),
-                tenant=tenant,
                 job=spec,
                 cache=state.cache.copy(),
                 future=future,
-                tags=dict(tags) if tags else None,
+                labels=labels,
             )
             state.queue.append(sub)
             self._outstanding += 1
             queue_depth = sum(len(s.queue) for s in self._tenants.values())
-            tags = sub.tags or {}
             self.history.emit(
                 ev.JobSubmit(
                     tenant=tenant, queue_depth=queue_depth,
-                    stream=tags.get("stream"), window=tags.get("window"),
+                    stream=labels.stream, window=labels.window,
                 ),
                 spec.name,
                 self.history.clock,
@@ -719,14 +719,14 @@ class JobService:
                 if self._stop and not any(s.queue for s in self._tenants.values()):
                     return
                 sub = self._pick_locked()
-                state = self._tenants[sub.tenant]
+                state = self._tenants[sub.labels.tenant]
                 state.running += 1
                 index = self._dispatched
                 self._dispatched += 1
                 queued = sum(len(s.queue) for s in self._tenants.values())
             sub.future._mark_running(index)
             self.history.emit(
-                ev.JobDispatch(tenant=sub.tenant, dispatch_index=index, queued=queued),
+                ev.JobDispatch(tenant=sub.labels.tenant, dispatch_index=index, queued=queued),
                 sub.job.name,
                 self.history.clock,
             )
@@ -747,27 +747,28 @@ class JobService:
                     state.jobs_done += 1
                     if cache_hit:
                         state.cache_hits += 1
-                    self._completed.append((
-                        sub.tenant,
-                        state.spec.weight,
-                        result.job_name,
-                        sub.order,
-                        tuple(
-                            a.duration
-                            for a in sorted(
-                                (x for x in result.map_plan.assignments
-                                 if not x.speculative),
-                                key=lambda a: a.task_id,
-                            )
-                        ),
-                        tuple(
-                            p.duration
-                            for p in sorted(
-                                result.reduce_plan, key=lambda p: p.task_id
-                            )
+                    self._completed.append(_Completed(
+                        FairShareJob(
+                            tenant=sub.labels.tenant,
+                            weight=state.spec.weight,
+                            name=result.job_name,
+                            order=sub.order,
+                            map_durations=tuple(
+                                a.duration
+                                for a in sorted(
+                                    (x for x in result.map_plan.assignments
+                                     if not x.speculative),
+                                    key=lambda a: a.task_id,
+                                )
+                            ),
+                            reduce_durations=tuple(
+                                p.duration
+                                for p in sorted(
+                                    result.reduce_plan, key=lambda p: p.task_id
+                                )
+                            ),
                         ),
                         result.timing.map_s + result.timing.reduce_s,
-                        cache_hit,
                     ))
                 self._cond.notify_all()
             sub.future.cache_hit = cache_hit
@@ -786,27 +787,27 @@ class JobService:
     def _execute(self, sub: _Submission) -> tuple[JobResult, bool]:
         """Run one submission on the inner runner (dispatcher thread only).
 
-        Installs the tenant's cache snapshot and tag, consults the
+        Installs the tenant's cache snapshot and labels, consults the
         result cache, executes on a miss, and stores cacheable outputs.
         """
         runner = self._runner
         runner.cache = sub.cache
-        runner.tenant = sub.tenant
-        runner.job_tags = sub.tags
+        runner.labels = sub.labels
         try:
             key = (
                 result_cache_key(sub.job, self.hdfs, sub.cache.snapshot())
                 if self.result_cache is not None
                 else None
             )
-            if key is not None and self.result_cache.lookup(key) is not None:
-                return self._serve_cache_hit(sub, key), True
+            source = self.result_cache.lookup(key) if key is not None else None
+            if source is not None:
+                return self._serve_cache_hit(sub, key, source), True
             result = runner.run(sub.job)
             if key is not None:
                 nbytes = self.result_cache.store(key, sub.job.output_path)
                 if nbytes is not None:
                     self.history.emit(
-                        ev.ResultCacheStore(tenant=sub.tenant, key=key, nbytes=nbytes),
+                        ev.ResultCacheStore(tenant=sub.labels.tenant, key=key, nbytes=nbytes),
                         sub.job.name,
                         self.history.clock,
                     )
@@ -814,14 +815,14 @@ class JobService:
                 self.result_cache.misses += 1
             return result, False
         finally:
-            runner.tenant = None
-            runner.job_tags = None
+            runner.labels = JobLabels()
 
-    def _serve_cache_hit(self, sub: _Submission, key: str) -> JobResult:
-        """Answer a submission from the result cache: zero tasks run.
+    def _serve_cache_hit(self, sub: _Submission, key: str, source: str) -> JobResult:
+        """Answer a submission from the result cache's ``source`` copy:
+        zero tasks run.
 
         The hit is charged one job setup (the jobtracker round-trip a
-        real Hadoop client still pays) and emits a normal
+        real Hadoop client still pays) and writes a normal
         ``job_start``/``job_finish`` pair around a ``result_cache_hit``
         event, so histories stay well-formed and the simulated clock
         advances consistently.
@@ -829,9 +830,7 @@ class JobService:
         job = sub.job
         if self.hdfs.exists(job.output_path):
             raise FileExistsError(f"output path exists: {job.output_path}")
-        assert self.result_cache is not None
-        source = self.result_cache.lookup(key)
-        self.result_cache.serve(key, job.output_path)
+        self.hdfs.copy(source, job.output_path)
         self.result_cache.hits += 1
         counters = Counters()
         counters.increment(SERVICE_GROUP, RESULT_CACHE_HITS, 1)
@@ -839,43 +838,14 @@ class JobService:
             len(self.hdfs.chunks(path)) for path in job.input_paths
         )
         timing = JobTiming(self.cost_model.job_setup_s, 0.0, 0.0)
-        h = self.history
-        t0 = h.clock
-        tags = sub.tags or {}
-        h.emit(
-            ev.JobStart(
-                input_paths=list(job.input_paths),
-                output_path=job.output_path,
-                n_chunks=0,
-                map_only=job.map_only,
-                num_reducers=0,
-                combiner=job.combiner is not None,
-                tenant=sub.tenant,
-                stream=tags.get("stream"),
-                window=tags.get("window"),
-            ),
-            job.name,
-            t0,
-        )
-        h.emit(
+        events = JobEvents(self.history, job, sub.labels, n_chunks=0, num_reducers=0)
+        events.emit(
             ev.ResultCacheHit(
-                tenant=sub.tenant, key=key, source_path=source, saved_map_tasks=saved_maps
+                tenant=sub.labels.tenant, key=key, source_path=source, saved_map_tasks=saved_maps
             ),
-            job.name,
-            t0,
+            events.t0,
         )
-        h.emit(
-            ev.JobFinish(
-                timing=timing.payload(),
-                counters=counters.to_dict(),
-                n_map_tasks=0,
-                n_reduce_tasks=0,
-                output_path=job.output_path,
-            ),
-            job.name,
-            t0 + timing.total_s,
-        )
-        h.advance(t0 + timing.total_s)
+        events.finish(timing, counters, n_map_tasks=0, n_reduce_tasks=0)
         return JobResult(
             job_name=job.name,
             output_path=job.output_path,
@@ -897,14 +867,7 @@ class JobService:
         contended for slots concurrently (the backlog model).
         """
         with self._lock:
-            completed = list(self._completed)
-        jobs = [
-            FairShareJob(
-                tenant=tenant, weight=weight, name=name, order=order,
-                map_durations=maps, reduce_durations=reduces,
-            )
-            for tenant, weight, name, order, maps, reduces, _, _ in completed
-        ]
+            jobs = [c.job for c in self._completed]
         return plan_fair_share(jobs, self.cluster, dead_nodes=self.hdfs.dead_nodes)
 
     def report(self) -> ServiceReport:
@@ -916,7 +879,7 @@ class JobService:
                 name: (s.spec.weight, s.jobs_done, s.cache_hits, s.slot_seconds)
                 for name, s in self._tenants.items()
             }
-        serial_s = sum(row[6] for row in completed)
+        serial_s = sum(c.solo_s for c in completed)
         window = plan.contended_window()
         shares = plan.tenant_shares(window)
         deviations = plan.fairness_deviations(window)

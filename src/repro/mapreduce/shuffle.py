@@ -21,17 +21,9 @@ from repro.mapreduce.aggregation import AggregateEnvelope, coalesce_by_node
 from repro.mapreduce.job import ConstantKeyPartitioner, HashPartitioner, Partitioner
 from repro.mapreduce.spill import ShuffleSpiller, SpilledPartition, as_groups, as_pairs
 from repro.mapreduce.types import SIZED_WITHOUT_PICKLE, estimate_nbytes
-from repro.observability.events import (
-    ShufflePreagg, ShuffleRefetch, ShuffleTransfer, SpillMerge, SpillStart,
-)
+from repro.observability.events import ShufflePreagg, SpillMerge, SpillStart
 
-__all__ = [
-    "shuffle",
-    "group_sorted",
-    "ShuffleResult",
-    "emit_shuffle_events",
-    "emit_shuffle_refetch_events",
-]
+__all__ = ["shuffle", "group_sorted", "ShuffleResult"]
 
 
 @contextlib.contextmanager
@@ -573,47 +565,3 @@ def _shuffle_fast(
             partitions[p].append((k, vals_sorted[s:e]))
     return ShuffleResult(partitions, sum(partition_bytes), partition_bytes)
 
-
-def emit_shuffle_events(history, job_name: str, result: ShuffleResult, ts: float) -> None:
-    """Record per-reducer shuffle transfers in a job history.
-
-    One ``shuffle_transfer`` event per reduce partition, stamped at the
-    map-phase end (the shuffle overlaps the reduce fetch in the cost
-    model), carrying the bytes/records/groups routed to that reducer —
-    the inputs of the report layer's shuffle-skew metric.  The history
-    object is duck-typed (anything with ``emit``).
-    """
-    for r in range(result.n_reducers):
-        task = f"reduce-{r:04d}"
-        transfer = ShuffleTransfer(
-            reducer=task,
-            bytes=result.partition_bytes[r],
-            records=result.records_for(r),
-            groups=result.groups_for(r),
-            # Pre-aggregated partitions ship envelopes that each stand in
-            # for many raw mapper records; surface the true count.  Set
-            # only on the metadata-only path so every other history
-            # keeps its exact shape.
-            raw_records=result.raw_records_for(r) if result.preagg is not None else None,
-        )
-        history.emit(transfer, job_name, ts, task=task)
-
-
-def emit_shuffle_refetch_events(
-    history,
-    job_name: str,
-    refetches: Sequence[tuple[str, int, float, str]],
-    ts: float,
-) -> None:
-    """Record shuffle re-fetches (chaos recovery) in a job history.
-
-    ``refetches`` holds ``(reduce task id, bytes, refetch_s, reason)`` per
-    failed-and-retried fetch, as planned by the runner's chaos path; each
-    yields one ``shuffle_refetch`` event stamped alongside the original
-    transfers, so the report layer can total re-fetched bytes per job.
-    """
-    for task_id, nbytes, refetch_s, reason in refetches:
-        history.emit(
-            ShuffleRefetch(bytes=nbytes, refetch_s=refetch_s, reason=reason),
-            job_name, ts, task=task_id,
-        )

@@ -13,8 +13,9 @@ their ``driver`` key.  What each field means is documented once, in
 
 from __future__ import annotations
 
+import types
 from dataclasses import MISSING, dataclass, field, fields, make_dataclass
-from typing import Any, ClassVar, Mapping
+from typing import Any, ClassVar, Mapping, get_origin
 
 __all__ = ["Event", "Payload", "PAYLOADS", "Phase", "SCHEMA_VERSION"]
 
@@ -66,6 +67,8 @@ class Payload:
     #: ``(name, default)`` per field in declaration order; ``MISSING`` marks
     #: a required one.
     _fields: ClassVar[tuple[tuple[str, Any], ...]]
+    #: Each field's declared type.
+    _types: ClassVar[dict[str, Any]]
     #: The fields that hold a nested record, with its class.
     _nested: ClassVar[dict[str, type[Payload]]]
 
@@ -81,19 +84,51 @@ class Payload:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Payload":
         """Rebuild from a ``data`` object; a key the class does not
-        declare, or a required one that is absent, is a ``ValueError``."""
+        declare, a required one that is absent, or a value that does not
+        fit its field's declared type is a ``ValueError``."""
         data = dict(data)
         data.pop("driver", None)
-        names = {name for name, _ in cls._fields}
-        for key in data:
-            if key not in names:
+        for key, value in data.items():
+            if key not in cls._types:
                 raise ValueError(f"{cls.kind} has no field {key!r}")
+            if not _fits(value, cls._types[key]):
+                raise ValueError(
+                    f"{cls.kind} field {key!r} must be {_type_name(cls._types[key])}, "
+                    f"got {value!r}"
+                )
         for name, default in cls._fields:
             if default is MISSING and name not in data:
                 raise ValueError(f"{cls.kind} is missing field {name!r}")
         for name, record in cls._nested.items():
             data[name] = record.from_dict(data[name])
         return cls(**data)
+
+
+def _fits(value: Any, tp: Any) -> bool:
+    """Whether a loaded JSON value fits a declared field type.  A
+    ``bool`` is no number, an ``int`` is a ``float``, and a nested record
+    is an object (its own fields are checked when it is rebuilt)."""
+    if isinstance(tp, types.UnionType):
+        return any(_fits(value, arg) for arg in tp.__args__)
+    if get_origin(tp) is list:
+        return isinstance(value, list) and all(_fits(v, tp.__args__[0]) for v in value)
+    if get_origin(tp) is dict:
+        return isinstance(value, Mapping) and all(
+            isinstance(k, str) and _fits(v, tp.__args__[1]) for k, v in value.items()
+        )
+    if isinstance(value, bool):
+        return tp is bool
+    if tp is float:
+        return isinstance(value, (int, float))
+    if issubclass(tp, Payload):
+        return isinstance(value, Mapping)
+    return isinstance(value, tp)
+
+
+def _type_name(tp: Any) -> str:
+    if isinstance(tp, type):
+        return "an object" if issubclass(tp, Payload) else tp.__name__
+    return str(tp).replace("NoneType", "None")
 
 
 #: kind -> {driver (None for single-class kinds) -> payload class}.
@@ -113,6 +148,7 @@ def _record(name: str, kind: str, driver: str | None = None, /, **types: Any) ->
     )
     cls.__module__, cls.kind, cls.driver = __name__, kind, driver
     cls._fields = tuple((f.name, f.default) for f in fields(cls))
+    cls._types = {f.name: f.type for f in fields(cls)}
     cls._nested = {
         f.name: f.type for f in fields(cls)
         if isinstance(f.type, type) and issubclass(f.type, Payload)

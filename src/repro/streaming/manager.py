@@ -27,7 +27,7 @@ equivalence invariant ``tests/streaming`` pins down.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -271,15 +271,6 @@ class StreamingJobManager:
         self._prev_centroids: np.ndarray | None = None
         self._prev_top_cells: dict[str, tuple[int, int]] = {}
 
-    # -- plumbing ------------------------------------------------------------
-    def _set_tags(self, tags: dict | None) -> None:
-        # TenantClient carries submit tags; a bare JobRunner stamps
-        # job_tags straight into its JOB_START events.
-        if hasattr(self.client, "tags"):
-            self.client.tags = tags
-        else:
-            self.client.job_tags = tags
-
     # -- one window ----------------------------------------------------------
     def process(self, dataset: WindowDataset) -> WindowResult:
         """Run the analysis chain over one sealed window."""
@@ -290,7 +281,10 @@ class StreamingJobManager:
         wdir = f"{self.root}/{self.name}/work/w{w:04d}"
         clock0 = history.clock
         events0 = len(history)
-        self._set_tags({"stream": self.name, "window": w})
+        # A TenantClient stamps its labels into each submit, a JobRunner
+        # into each job_start.
+        labels = client.labels
+        client.labels = replace(labels, stream=self.name, window=w)
         try:
             window_array = (
                 hdfs.read_trace_array(dataset.path)
@@ -369,7 +363,7 @@ class StreamingJobManager:
             )
             self._prev_top_cells = top
         finally:
-            self._set_tags(None)
+            client.labels = labels
         latency = history.clock - clock0
         result = WindowResult(
             window=dataset,

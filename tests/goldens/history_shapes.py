@@ -125,7 +125,7 @@ def index_serving() -> JobHistory:
 
 def stream() -> JobHistory:
     """Two windows through a service tenant: its jobs carry the tenant and
-    the stream tags."""
+    the stream labels."""
     traces = _traces(3, 13)
     window_s = float(np.ptp(traces.timestamp)) / 2 + 1.0
     source = StreamSource(traces, window_s, name="shapes")

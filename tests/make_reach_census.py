@@ -47,7 +47,7 @@ event; a statement the compiler emits no code for (a docstring, ``pass``,
 ``reach_census.json`` lists functions under ``"functions"`` and those
 statements under ``"statements"``, as runs of consecutive statements
 with one verdict, keyed by line offsets from their function's ``def``
-(``repro.mapreduce.scheduler:emit_map_phase_events +52..+87``) so an
+(``repro.mapreduce.runner:JobEvents.map_phase +27..+43``) so an
 edit above a function does not move the keys below it.
 
 Run it from the repository root (about ten minutes on two cores)::
@@ -165,6 +165,10 @@ REASONS: dict[str, str] = {
     "repro.mapreduce.spill:_StoreLoader.__reduce__": "safety: "
         "tests/mapreduce/test_spill.py::TestPayloadStore::test_paged_stub_refuses_to_pickle "
         "stops a paged chunk crossing a process boundary",
+    "repro.observability.events:_type_name": "safety: "
+        "tests/observability/test_report.py::TestCli::"
+        "test_mistyped_payload_value_is_one_line_exit names the type a history value "
+        "failed to have",
     "repro.index.selfjoin:radius_self_join": "kept: the per-row self-join the oracle "
         "suites compare against (surface census KEPT)",
     **dict.fromkeys(

@@ -13,7 +13,7 @@ class TestCounters:
     def test_zero_increment_creates_nothing(self):
         c = Counters()
         c.increment("g", "n", 0)
-        assert c.as_dict() == {}
+        assert c.to_dict() == {}
 
     def test_unknown_counter_is_zero(self):
         assert Counters().value("g", "n") == 0
@@ -90,8 +90,12 @@ class TestCountersRoundTrip:
         assert merged.value("task", "map_input_records") == 150
 
     def test_as_dict_alias(self):
+        """``to_dict`` is the one spelling, and it hands out a copy."""
         c = self._sample()
-        assert c.as_dict() == c.to_dict()
+        snapshot = c.to_dict()
+        snapshot["task"]["shuffle_bytes"] = 0
+        assert c.to_dict()["task"]["shuffle_bytes"] == 2048
+        assert not hasattr(c, "as_dict")
 
     def test_equality_ignores_insertion_order(self):
         a = Counters()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import types
 import typing
 
@@ -64,6 +65,26 @@ class TestEvent:
     def test_unknown_record_field_rejected(self):
         with pytest.raises(ValueError, match="unknown field 'nodes'"):
             Event.from_dict(_record("phase_start", {"phase": "map"}, nodes="w"))
+
+    @pytest.mark.parametrize("kind, data, message", [
+        ("task_finish", {"phase": "map", "duration_s": 1.0, "attempts": True},
+         "task_finish field 'attempts' must be int | None, got True"),
+        ("node_lost", {"lost_tasks": ["map-0000", 3], "detect_s": 1.0},
+         "node_lost field 'lost_tasks' must be list[str], got ['map-0000', 3]"),
+        ("job_finish", {"timing": 5, "counters": {}, "n_map_tasks": 0,
+                        "n_reduce_tasks": 0, "output_path": "o"},
+         "job_finish field 'timing' must be an object, got 5"),
+        ("speculative_launch", {"original_node": 7, "duration_s": 1.0},
+         "speculative_launch field 'original_node' must be str | None, got 7"),
+    ])
+    def test_value_of_the_wrong_type_rejected(self, kind, data, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Event.from_dict(_record(kind, data))
+
+    def test_an_int_is_a_float_and_an_optional_may_be_null(self):
+        data = {"phase": "map", "duration_s": 2, "attempts": None}
+        event = Event.from_dict(_record("task_finish", data))
+        assert event.payload == ev.TaskFinish(phase="map", duration_s=2.0)
 
     def test_data_that_is_not_an_object_is_rejected(self):
         with pytest.raises(ValueError, match="driver_annotation data is not an object"):

@@ -7,6 +7,7 @@ shuffle and a combiner.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,22 @@ class TestCli:
         assert message == (
             f"cannot read {bad}: phase_finish has no field 'duraton_s'"
         )
+
+    @pytest.mark.parametrize("flags", [[], ["--validate-only"]])
+    def test_mistyped_payload_value_is_one_line_exit(self, tmp_path, flags):
+        """A value of the wrong type fails the load, so neither the
+        validation nor the report sees it."""
+        doc = json.loads(GOLDEN.read_text())
+        finish = next(e for e in doc["events"] if e["kind"] == "task_finish")
+        finish["data"]["attempts"] = "2"
+        bad = tmp_path / "mistyped.json"
+        bad.write_text(json.dumps(doc))
+        expected = "task_finish field 'attempts' must be int | None, got '2'"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            load_history(bad)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["history", str(bad), *flags])
+        assert str(exit_info.value.code) == f"cannot read {bad}: {expected}"
 
     def test_corrupt_file(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -30,7 +30,7 @@ def test_cache_hits_per_window_equal_the_full_scan_difference(monkeypatch):
 
     def sampling_with_hits(client, *args, **kwargs):
         out = real_sampling(client, *args, **kwargs)
-        window = client.job_tags["window"]
+        window = client.labels.window
         for i in range(window + 1):
             kind = _CACHE_HITS[i % len(_CACHE_HITS)].kind
             client.history.emit(payload(kind), "injected", client.history.clock)
