@@ -49,6 +49,10 @@ _TRACE_DTYPE = np.dtype(
 )
 
 
+#: One packed row as an opaque record, for copies that need no fields.
+_ROW = np.dtype((np.void, _TRACE_DTYPE.itemsize))
+
+
 class TraceArray:
     """Columnar storage for a batch of mobility traces.
 
@@ -170,7 +174,9 @@ class TraceArray:
             np.array([users.setdefault(u, len(users)) for u in a._users], dtype=np.int32)
             for a in arrays
         ]
-        data = np.concatenate([a._data for a in arrays])
+        # Rows travel as opaque records: concatenating the structured dtype
+        # itself promotes it once per input.
+        data = np.concatenate([a._data.view(_ROW) for a in arrays]).view(_TRACE_DTYPE)
         data["user_idx"] = np.concatenate(
             [remap[a.user_index] for remap, a in zip(remaps, arrays)]
         )

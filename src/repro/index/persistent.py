@@ -7,10 +7,12 @@ artifact and puts a query path in front of it:
 
 * **Node pages** — every tree node serializes to one checksummed block
   (``RTP1`` magic + CRC-32 + a fixed little-endian body), DFS-numbered
-  with the root at page 0.  Pages are grouped into HDFS chunks, so under
-  ``mapreduce.memory_budget_mb`` they ride the PR-4 ``PayloadStore``
+  with the root at page 0.  Pages are grouped into HDFS chunks of one
+  record each: the group's first page id, keyed to its blocks end to end
+  in one ``bytes`` plus their int64 end offsets.  Under
+  ``mapreduce.memory_budget_mb`` the groups ride the ``PayloadStore``
   LRU: a million-point index serves queries while only the touched page
-  groups are resident.
+  groups are resident, and a page fault unpickles one buffer.
 * :class:`PersistentRTree` — save/open of a bulk-loaded
   :class:`~repro.index.rtree.RTree`.  Opening builds a *facade* tree
   whose node handles are page ids, decoded once per visit; the facade
@@ -29,7 +31,8 @@ artifact and puts a query path in front of it:
   to broadcast the shared index to DJ-Cluster's neighborhood mappers.
 
 Corruption never produces garbage answers: a truncated block, a bad
-checksum, or a missing catalog entry raises :class:`IndexCorruptError`.
+checksum, a group keyed by the wrong page, a torn offset table, or a
+missing catalog entry raises :class:`IndexCorruptError`.
 """
 
 from __future__ import annotations
@@ -72,6 +75,9 @@ __all__ = [
 
 #: Magic prefix of every serialized node page (version 1 of the format).
 PAGE_MAGIC = b"RTP1"
+
+#: The meta record's ``format``: node pages stored one group per record.
+PAGES_FORMAT = "rtree-pages-v2"
 
 #: Fixed header: magic + CRC-32 of the body.
 _HEADER = struct.Struct("<4sI")
@@ -116,10 +122,13 @@ def _encode_page(is_leaf: bool, mbr: np.ndarray, keys, rows: np.ndarray) -> byte
     return _HEADER.pack(PAGE_MAGIC, zlib.crc32(body) & 0xFFFFFFFF) + body
 
 
-def decode_page(blob: bytes, page_id: int) -> NodeView:
+def decode_page(blob: bytes | memoryview, page_id: int) -> NodeView:
     """Decode one node block, raising :class:`IndexCorruptError` on a
     short read, bad magic, checksum mismatch or inconsistent length.  Its
-    ``children`` are the child page ids."""
+    ``children`` are the child page ids.  A view into a page group is
+    copied once, so the node's arrays hold its own bytes, never the
+    group's."""
+    blob = bytes(blob)
     if len(blob) < _HEADER.size + _BODY_PREFIX.size + _MBR_BYTES:
         raise IndexCorruptError(
             f"page {page_id}: truncated block ({len(blob)} bytes)"
@@ -127,7 +136,7 @@ def decode_page(blob: bytes, page_id: int) -> NodeView:
     magic, crc = _HEADER.unpack_from(blob, 0)
     if magic != PAGE_MAGIC:
         raise IndexCorruptError(f"page {page_id}: bad magic {magic!r}")
-    body = blob[_HEADER.size :]
+    body = memoryview(blob)[_HEADER.size :]
     if zlib.crc32(body) & 0xFFFFFFFF != crc:
         raise IndexCorruptError(f"page {page_id}: checksum mismatch")
     is_leaf, n = _BODY_PREFIX.unpack_from(body, 0)
@@ -146,6 +155,50 @@ def decode_page(blob: bytes, page_id: int) -> NodeView:
         return NodeView(True, mbr, ids=keys, points=points)
     child_mbrs = np.frombuffer(body[offset + 8 * n :], dtype="<f8").reshape(n, 4)
     return NodeView(False, mbr, children=keys.tolist(), child_mbrs=child_mbrs)
+
+
+def _group_record(first: int, blobs: list[bytes], size: int) -> RecordPayload:
+    """One page group as one record ``(first, (blocks, ends))``: the
+    blocks end to end in one ``bytes`` and their int64 end offsets.
+    ``size`` is the modelled size of one ``(page_id, block)`` record per
+    page, Σ(8 + len(block)), so the group pages in and out as before."""
+    ends = np.cumsum([len(blob) for blob in blobs], dtype=np.int64)
+    return RecordPayload([(first, (b"".join(blobs), ends))], size)
+
+
+def _group(payload: Any, where: str) -> tuple[int, bytes, np.ndarray] | None:
+    """``(first page id, blocks, ends)`` of a stored page group, ``None``
+    for a chunk holding no record.  :class:`IndexCorruptError` unless it
+    is one record of that shape."""
+    if not isinstance(payload, RecordPayload):
+        raise IndexCorruptError(f"{where} is not a record payload")
+    if not payload.records:
+        return None
+    try:
+        ((first, (blocks, ends)),) = payload.records
+    except (TypeError, ValueError):
+        raise IndexCorruptError(f"{where} is not one page group") from None
+    if not (
+        isinstance(first, int)
+        and isinstance(blocks, bytes)
+        and isinstance(ends, np.ndarray)
+        and ends.dtype == np.int64
+        and ends.ndim == 1
+    ):
+        raise IndexCorruptError(f"{where} is not one page group")
+    return first, blocks, ends
+
+
+def _page_slice(blocks: bytes, ends: np.ndarray, pos: int, page_id: int, where: str) -> memoryview:
+    """The ``pos``-th block of a group, as a view into its buffer."""
+    start = int(ends[pos - 1]) if pos else 0
+    end = int(ends[pos])
+    if not 0 <= start <= end <= len(blocks):
+        raise IndexCorruptError(
+            f"page {page_id}: torn offsets {start}..{end} in {where} "
+            f"({len(blocks)}-byte buffer)"
+        )
+    return memoryview(blocks)[start:end]
 
 
 def _pages_from_tree(tree: RTree) -> list[bytes]:
@@ -220,13 +273,14 @@ class _PagedTree(RTree):
 
 
 class _HDFSPageReader:
-    """Locates a page blob via the meta record's chunk-start table.
+    """Locates a page block via the meta record's chunk-start table.
 
     ``chunk_starts[i]`` is the first page id stored in chunk ``i`` of the
     pages file, so a read is one bisect, one chunk lookup by ordinal and
-    one record index — no payload scan, no listing of the file.  Under a
-    memory budget, touching a paged-out group counts a page fault in the
-    store's :class:`~repro.mapreduce.spill.SpillStats`.
+    one slice of that chunk's group buffer — no payload scan, no listing
+    of the file.  Under a memory budget, touching a paged-out group
+    counts a page fault in the store's
+    :class:`~repro.mapreduce.spill.SpillStats`.
     """
 
     def __init__(self, hdfs: "SimulatedHDFS", pages_path: str, chunk_starts, n_pages: int):
@@ -235,7 +289,7 @@ class _HDFSPageReader:
         self._chunk_starts = list(chunk_starts)
         self._n_pages = n_pages
 
-    def __call__(self, page_id: int) -> bytes:
+    def __call__(self, page_id: int) -> memoryview:
         if not 0 <= page_id < self._n_pages:
             raise IndexCorruptError(
                 f"page {page_id} out of range (index has {self._n_pages} pages)"
@@ -252,24 +306,29 @@ class _HDFSPageReader:
                 f"page {page_id}: chunk ordinal {ordinal} missing from "
                 f"{self._pages_path}"
             ) from exc
-        payload = concrete_payload(chunk.payload)
-        if not isinstance(payload, RecordPayload):
+        where = f"chunk {ordinal} of {self._pages_path}"
+        group = _group(concrete_payload(chunk.payload), where)
+        if group is None:
+            raise IndexCorruptError(f"page {page_id} missing from {where}")
+        first, blocks, ends = group
+        start = self._chunk_starts[ordinal]
+        if first != start:
             raise IndexCorruptError(
-                f"{self._pages_path}: chunk {ordinal} is not a record payload"
+                f"page {page_id}: {where} is keyed {first!r}, not its "
+                f"first page {start}"
             )
-        pos = page_id - self._chunk_starts[ordinal]
-        if pos >= len(payload.records):
+        stop = (
+            self._chunk_starts[ordinal + 1]
+            if ordinal + 1 < len(self._chunk_starts)
+            else self._n_pages
+        )
+        pos = page_id - start
+        if len(ends) < stop - start or not 0 <= pos < len(ends):
             raise IndexCorruptError(
-                f"page {page_id} missing from chunk {ordinal} of "
-                f"{self._pages_path}"
+                f"page {page_id} missing from {where} ({len(ends)} offsets "
+                f"for pages {start}..{stop - 1})"
             )
-        key, blob = payload.records[pos]
-        if key != page_id or not isinstance(blob, (bytes, bytearray)):
-            raise IndexCorruptError(
-                f"page {page_id}: record mismatch in {self._pages_path} "
-                f"(found key {key!r})"
-            )
-        return bytes(blob)
+        return _page_slice(blocks, ends, pos, page_id, where)
 
 
 class _TreeQueries:
@@ -296,8 +355,9 @@ class PersistentRTree(_TreeQueries):
 
     Layout under ``path``:
 
-    * ``{path}/pages`` — ``(page_id, block_bytes)`` records, grouped
-      into ~``group_bytes`` chunks (the paging unit under a budget);
+    * ``{path}/pages`` — one ``(first_page_id, (blocks, ends))`` record
+      per ~``group_bytes`` chunk (the paging unit under a budget): the
+      group's blocks end to end and their int64 end offsets;
     * ``{path}/meta`` — one record: root page, page/entry counts,
       height, fanout, and the per-chunk first-page table that makes a
       page read one bisect instead of a scan.
@@ -326,26 +386,26 @@ class PersistentRTree(_TreeQueries):
         pages = _pages_from_tree(tree)
         payloads: list[RecordPayload] = []
         chunk_starts: list[int] = []
-        current: list[tuple[int, bytes]] = []
+        group: list[bytes] = []
         used = 0
         for page_id, blob in enumerate(pages):
-            # estimate_nbytes of an (int, bytes) record: ``used`` is the
-            # group's modelled size, handed to the payload below.
+            # A page costs what its own (int, bytes) record would:
+            # ``used`` is the group's modelled size.
             size = 8 + len(blob)
-            if current and used + size > group_bytes:
-                payloads.append(RecordPayload(current, used))
-                current, used = [], 0
-            if not current:
+            if group and used + size > group_bytes:
+                payloads.append(_group_record(chunk_starts[-1], group, used))
+                group, used = [], 0
+            if not group:
                 chunk_starts.append(page_id)
-            current.append((page_id, blob))
+            group.append(blob)
             used += size
-        if current:
-            payloads.append(RecordPayload(current, used))
+        if group:
+            payloads.append(_group_record(chunk_starts[-1], group, used))
         hdfs.delete(f"{path}/pages", missing_ok=True)
         hdfs.delete(f"{path}/meta", missing_ok=True)
         hdfs.put_chunks(f"{path}/pages", payloads)
         meta = {
-            "format": "rtree-pages-v1",
+            "format": PAGES_FORMAT,
             "root": 0,
             "n_pages": len(pages),
             "size": len(tree),
@@ -367,7 +427,7 @@ class PersistentRTree(_TreeQueries):
         if not records or records[0][0] != "meta" or not isinstance(records[0][1], dict):
             raise IndexCorruptError(f"{path}/meta is not an index meta record")
         meta = records[0][1]
-        if meta.get("format") != "rtree-pages-v1":
+        if meta.get("format") != PAGES_FORMAT:
             raise IndexCorruptError(
                 f"{path}: unknown index format {meta.get('format')!r}"
             )
@@ -386,16 +446,25 @@ class PersistentRTree(_TreeQueries):
         the driver's payload store), so the distributed-cache broadcast
         to process-pool workers ships this portable form instead.
         """
+        path = f"{self.path}/pages"
+        starts = self.meta["chunk_starts"]
         blobs: list[bytes] = [b""] * int(self.meta["n_pages"])
         seen = 0
-        for chunk in self._hdfs.chunks(f"{self.path}/pages"):
-            for page_id, blob in chunk.records():
-                if not 0 <= page_id < len(blobs):
-                    raise IndexCorruptError(
-                        f"page {page_id} out of range in {self.path}/pages"
-                    )
-                blobs[page_id] = bytes(blob)
-                seen += 1
+        for ordinal, chunk in enumerate(self._hdfs.chunks(path)):
+            where = f"chunk {ordinal} of {path}"
+            group = _group(concrete_payload(chunk.payload), where)
+            if group is None:
+                continue  # its pages are counted missing below
+            first, blocks, ends = group
+            if not 0 <= first <= first + len(ends) <= len(blobs):
+                raise IndexCorruptError(
+                    f"pages {first}..{first + len(ends) - 1} out of range in {path}"
+                )
+            if ordinal >= len(starts) or first != starts[ordinal]:
+                raise IndexCorruptError(f"{where} is keyed {first}, not its first page")
+            for pos in range(len(ends)):
+                blobs[first + pos] = bytes(_page_slice(blocks, ends, pos, first + pos, where))
+            seen += len(ends)
         if seen != len(blobs):
             raise IndexCorruptError(
                 f"{self.path}: expected {len(blobs)} pages, found {seen}"

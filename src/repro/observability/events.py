@@ -313,6 +313,10 @@ SweepCell = _kind(
 )
 
 
+#: The declared type of each field of an event record around its ``data``.
+_ENVELOPE = {"seq": int, "ts": float, "job": str, "task": str | None, "node": str | None}
+
+
 @dataclass(frozen=True, slots=True)
 class Event:
     """One observation in a job history.
@@ -355,17 +359,25 @@ class Event:
 
     @classmethod
     def from_dict(cls, record: Mapping[str, Any]) -> "Event":
-        unknown = record.keys() - {"seq", "ts", "kind", "job", "task", "node", "data"}
+        if not isinstance(record, Mapping):
+            raise ValueError(f"event record is not an object: {record!r}")
+        unknown = record.keys() - {*_ENVELOPE, "kind", "data"}
         if unknown:
             raise ValueError(f"event record has unknown field {sorted(unknown)[0]!r}")
         try:
             kind, data = str(record["kind"]), record.get("data", {})
             if not isinstance(data, Mapping):
                 raise ValueError(f"{kind} data is not an object: {data!r}")
+            for name, tp in _ENVELOPE.items():
+                if name in record and not _fits(record[name], tp):
+                    raise ValueError(
+                        f"malformed event record: {kind} event field {name!r} "
+                        f"must be {_type_name(tp)}, got {record[name]!r}"
+                    )
             return cls(
-                seq=int(record["seq"]),
+                seq=record["seq"],
                 ts=float(record["ts"]),
-                job=str(record["job"]),
+                job=record["job"],
                 payload=_payload_class(kind, data).from_dict(data),
                 task=record.get("task"),
                 node=record.get("node"),

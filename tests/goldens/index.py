@@ -58,11 +58,13 @@ from tests.goldens import dump, ids_sha, sha256
 
 def page_digest(tree, **save) -> tuple[int, str, PersistentRTree]:
     """``(n_pages, SHA-256 of the page blobs in page order, the index)`` of
-    ``tree`` saved to a fresh, unbudgeted deployment."""
+    ``tree`` saved to a fresh, unbudgeted deployment.  A page group's
+    buffer is its blobs end to end, so hashing the buffers in order hashes
+    the blobs in order."""
     hdfs = SimulatedHDFS(paper_cluster(2), seed=0)
     index = PersistentRTree.save(hdfs, "idx", tree, **save)
-    blobs = [blob for chunk in hdfs.chunks("idx/pages") for _, blob in chunk.records()]
-    return int(index.meta["n_pages"]), sha256(*blobs), index
+    buffers = [blocks for chunk in hdfs.chunks("idx/pages") for _, (blocks, _) in chunk.records()]
+    return int(index.meta["n_pages"]), sha256(*buffers), index
 
 
 # -- the Figure 6 build ------------------------------------------------------------

@@ -7,6 +7,9 @@ errors the single-chunk read must keep raising, and the one behaviour it
 changes on purpose: a lost page group only fails the queries that read it.
 """
 
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 
@@ -138,12 +141,16 @@ def test_saved_page_groups_carry_their_size():
 
 
 def test_in_place_corruption_is_still_caught_with_a_stale_size():
-    """The corruption suite swaps a record under a payload whose size was
-    fixed at write time.  The size goes stale (it describes the file as
-    written); detection does not depend on it."""
+    """The corruption suite rewrites one page inside a group's buffer
+    under a payload whose size was fixed at write time.  The size goes
+    stale (it describes the file as written); detection does not depend
+    on it."""
     hdfs, _, _ = _index()
     before = hdfs.file_nbytes("idx/pages")
+    ((_, (blocks, _)),) = hdfs._files["idx/pages"][0].payload.records
     _corrupt_record(hdfs, lambda pid, blob: (pid, blob[:7]))
+    ((_, (shorter, _)),) = hdfs._files["idx/pages"][0].payload.records
+    assert len(shorter) < len(blocks)
     assert hdfs.file_nbytes("idx/pages") == before
     with pytest.raises(IndexCorruptError, match="page 0"):
         PersistentRTree.open(hdfs, "idx").query_rect(EVERYWHERE)
@@ -194,3 +201,44 @@ def test_empty_chunk_table_is_typed_error():
     broken = PersistentRTree(hdfs, "idx", dict(index.meta, chunk_starts=[]))
     with pytest.raises(IndexCorruptError, match="chunk ordinal -1 missing"):
         broken.query_rect(EVERYWHERE)
+
+
+# -- the group record: residency and portability -------------------------------
+
+
+def _owner(array: np.ndarray):
+    """The object whose memory ``array`` views."""
+    while isinstance(array, np.ndarray) and array.base is not None:
+        array = array.base
+    return array.obj if isinstance(array, memoryview) else array
+
+
+def test_decoded_pages_never_pin_their_group():
+    """A decoded page copies its own block out of the group buffer, so
+    after the store pages a group out no cached node keeps it alive."""
+    hdfs, pts, _ = _index(budget_mb=0.02)
+    blocks = persistent._pages_from_tree(RTree.bulk_load(pts, max_entries=8))
+    index = PersistentRTree.open(hdfs, "idx")
+    index.query_rect(EVERYWHERE)
+    lat, lon = pts[0].tolist()
+    index.knn(lat, lon, 25)
+    assert hdfs.spill_stats.pages_out > 0 and hdfs.spill_stats.pages_in > 0
+    cache = index.tree._resolve.__self__._cache
+    assert len(cache) == 128
+    for page_id, node in cache.items():
+        arrays = [node.mbr, node.ids, node.points, node.child_mbrs]
+        for array in (a for a in arrays if a is not None):
+            assert len(_owner(array)) == len(blocks[page_id])
+
+
+def test_portable_copy_is_the_page_blobs_it_was():
+    """``to_portable`` slices the groups back into the per-page blobs,
+    and the broadcast form pickles to as many bytes as when the pages
+    file held one record per page (SHA-256 and length recorded then)."""
+    hdfs, pts, index = _index(budget_mb=0.02)
+    portable = index.to_portable()
+    assert portable._blobs == persistent._pages_from_tree(RTree.bulk_load(pts, max_entries=8))
+    assert hashlib.sha256(b"".join(portable._blobs)).hexdigest() == (
+        "f830c89b0a0da83f9776cd45dab808fb8c50a9cfeeb99964e6d8f5d092889687"
+    )
+    assert len(pickle.dumps(portable, protocol=5)) == 110072

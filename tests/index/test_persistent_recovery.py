@@ -1,10 +1,11 @@
 """Crash-recovery and corruption detection for the persistent R-tree.
 
 Every on-disk failure mode a serving path can meet — a truncated node
-block, a flipped body byte (checksum), a mangled magic, a record keyed
-by the wrong page, a missing meta, a missing or dangling catalog entry —
-must surface as the typed :class:`IndexCorruptError`, never as a wrong
-answer or a bare struct/numpy exception.  And after the catalog entry is
+block, a flipped body byte (checksum), a mangled magic, a page group
+keyed by the wrong page, a truncated group buffer, a torn offset table, a
+missing meta, a missing or dangling catalog entry — must surface as the
+typed :class:`IndexCorruptError`, never as a wrong answer or a bare
+struct/numpy exception.  And after the catalog entry is
 wiped, ``ensure`` must rebuild an index whose answers are byte-identical
 to the original's.
 """
@@ -47,11 +48,30 @@ def _deployment():
     return hdfs, tree
 
 
-def _corrupt_record(hdfs, mutate, chunk_i=0, record_j=0):
-    """Replace one (page_id, blob) record of ``idx/pages`` in place."""
+def _corrupt_group(hdfs, mutate, chunk_i=0):
+    """Replace page group ``chunk_i`` of ``idx/pages`` in place:
+    ``mutate(first_page_id, blocks, ends)`` returns the new triple."""
     payload = hdfs._files["idx/pages"][chunk_i].payload
-    page_id, blob = payload.records[record_j]
-    payload.records[record_j] = mutate(page_id, blob)
+    ((first, (blocks, ends)),) = payload.records
+    first, blocks, ends = mutate(first, blocks, ends.copy())
+    payload.records[0] = (first, (blocks, ends))
+
+
+def _corrupt_record(hdfs, mutate, chunk_i=0, record_j=0):
+    """Replace page ``record_j`` inside page group ``chunk_i``'s buffer:
+    ``mutate(page_id, blob)`` returns the new ``(page_id, blob)``, and the
+    group's buffer and end offsets are rewritten around the new blob.  A
+    new page id relabels the group: its key becomes that id less
+    ``record_j``."""
+
+    def replace_page(first, blocks, ends):
+        starts = [0, *ends[:-1].tolist()]
+        blobs = [blocks[a:b] for a, b in zip(starts, ends.tolist())]
+        page_id, blobs[record_j] = mutate(first + record_j, blobs[record_j])
+        ends = np.cumsum([len(b) for b in blobs], dtype=np.int64)
+        return page_id - record_j, b"".join(blobs), ends
+
+    _corrupt_group(hdfs, replace_page, chunk_i)
 
 
 def test_truncated_block_is_typed_error():
@@ -86,8 +106,8 @@ def test_bad_magic_is_typed_error():
 
 def test_mislabeled_page_record_is_typed_error():
     hdfs, _ = _deployment()
-    # Page bytes are fine; the record claims the wrong page id, so a read
-    # of page 0 would silently return another node's data.
+    # Page bytes are fine; the group claims the wrong first page id, so a
+    # read of page 0 would silently return another node's data.
     _corrupt_record(hdfs, lambda pid, blob: (pid + 1, blob))
     index = PersistentRTree.open(hdfs, "idx")
     with pytest.raises(IndexCorruptError):
@@ -260,3 +280,99 @@ def test_page_groups_must_hold_bytes():
     tree = RTree.bulk_load(np.array([[40.0, 116.0]]), max_entries=8)
     with pytest.raises(ValueError, match="group_bytes must be positive"):
         PersistentRTree.save(hdfs, "idx", tree, group_bytes=0)
+
+
+# -- the group record: buffer and offset table --------------------------------
+
+
+def _truncate_buffer(first, blocks, ends):
+    return first, blocks[:-5], ends
+
+
+def _swap_offsets(first, blocks, ends):
+    ends[1], ends[2] = ends[2], ends[1]
+    return first, blocks, ends
+
+
+def _offset_past_the_end(first, blocks, ends):
+    ends[1] = len(blocks) + 64
+    return first, blocks, ends
+
+
+def _last_offset_past_the_end(first, blocks, ends):
+    ends[-1] += 8
+    return first, blocks, ends
+
+
+def _drop_an_offset(first, blocks, ends):
+    return first, blocks, np.delete(ends, 1)
+
+
+def _drop_the_last_offset(first, blocks, ends):
+    return first, blocks, ends[:-1]
+
+
+def _wrong_first_page(first, blocks, ends):
+    return first + 1, blocks, ends
+
+
+GROUP_CORRUPTIONS = {
+    "truncated buffer": _truncate_buffer,
+    "non-monotone offsets": _swap_offsets,
+    "offset past the buffer's end": _offset_past_the_end,
+    "last offset past the buffer's end": _last_offset_past_the_end,
+    "table shorter than the group (inner)": _drop_an_offset,
+    "table shorter than the group (tail)": _drop_the_last_offset,
+    "group keyed by the wrong first page": _wrong_first_page,
+}
+
+
+@pytest.mark.parametrize("chunk_i", [0, 3])
+@pytest.mark.parametrize("corruption", sorted(GROUP_CORRUPTIONS))
+def test_corrupt_group_is_typed_error_everywhere(corruption, chunk_i):
+    """A damaged group fails the query that reads it, the serving engine
+    and the portable copy alike, and no query returns a wrong answer."""
+    hdfs, tree = _deployment()
+    assert len(hdfs.chunks("idx/pages")) > chunk_i
+    _corrupt_group(hdfs, GROUP_CORRUPTIONS[corruption], chunk_i)
+    index = PersistentRTree.open(hdfs, "idx")
+    with pytest.raises(IndexCorruptError):
+        index.query_rect(EVERYWHERE)
+    with pytest.raises(IndexCorruptError):
+        QueryEngine(index, hdfs=hdfs).range(-90.0, -180.0, 90.0, 180.0)
+    with pytest.raises(IndexCorruptError):
+        index.to_portable()
+    rs = np.random.RandomState(2)
+    fresh = PersistentRTree.open(hdfs, "idx")
+    for lat, lon in zip(rs.uniform(39.0, 41.0, 40), rs.uniform(115.0, 118.0, 40)):
+        rect = Rect(lat - 0.2, lon - 0.3, lat + 0.2, lon + 0.3)
+        try:
+            got = fresh.query_rect(rect)
+        except IndexCorruptError:
+            continue
+        assert np.array_equal(got, tree.query_rect(rect))
+
+
+@pytest.mark.parametrize(
+    ("records", "match"),
+    [
+        ([(0, b"RTP1")], "not one page group"),
+        ([(0, (b"x", np.ones(1, dtype=np.int32)))], "not one page group"),
+        ([(0, (b"x", np.ones(1, dtype=np.int64))), (1, (b"x", np.ones(1, dtype=np.int64)))],
+         "not one page group"),
+    ],
+)
+def test_a_chunk_that_is_not_one_group_is_typed_error(records, match):
+    hdfs, _ = _deployment()
+    hdfs._files["idx/pages"][0].payload.records[:] = records
+    with pytest.raises(IndexCorruptError, match=match):
+        PersistentRTree.open(hdfs, "idx").query_rect(RECT)
+    with pytest.raises(IndexCorruptError, match=match):
+        PersistentRTree.open(hdfs, "idx").to_portable()
+
+
+def test_an_older_format_is_refused():
+    hdfs, _ = _deployment()
+    _meta(hdfs)["format"] = "rtree-pages-v1"
+    with pytest.raises(IndexCorruptError, match="unknown index format 'rtree-pages-v1'"):
+        PersistentRTree.open(hdfs, "idx")

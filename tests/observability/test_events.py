@@ -81,6 +81,27 @@ class TestEvent:
         with pytest.raises(ValueError, match=re.escape(message)):
             Event.from_dict(_record(kind, data))
 
+    @pytest.mark.parametrize(("field", "value", "message"), [
+        ("node", ["w"], "field 'node' must be str | None, got ['w']"),
+        ("task", 3, "field 'task' must be str | None, got 3"),
+        ("job", 5, "field 'job' must be str, got 5"),
+        ("seq", "1", "field 'seq' must be int, got '1'"),
+        ("seq", True, "field 'seq' must be int, got True"),
+        ("seq", 1.0, "field 'seq' must be int, got 1.0"),
+        ("ts", "0.5", "field 'ts' must be float, got '0.5'"),
+        ("ts", False, "field 'ts' must be float, got False"),
+    ])
+    def test_envelope_of_the_wrong_type_rejected(self, field, value, message):
+        record = _record("phase_start", {"phase": "map"}, **{field: value})
+        with pytest.raises(ValueError, match=re.escape(f"malformed event record: phase_start event {message}")):
+            Event.from_dict(record)
+
+    def test_envelope_keeps_its_values(self):
+        record = _record("phase_start", {"phase": "map"}, ts=2, task="m0", node=None)
+        event = Event.from_dict(record)
+        assert (event.seq, event.ts, event.task, event.node) == (0, 2.0, "m0", None)
+        assert isinstance(event.ts, float)
+
     def test_an_int_is_a_float_and_an_optional_may_be_null(self):
         data = {"phase": "map", "duration_s": 2, "attempts": None}
         event = Event.from_dict(_record("task_finish", data))
@@ -126,6 +147,10 @@ class TestEvent:
     def test_malformed_record_rejected(self):
         with pytest.raises(ValueError, match="malformed event record"):
             Event.from_dict({**_record("phase_start", {"phase": "map"}), "seq": None})
+
+    def test_unhashable_driver_is_a_malformed_record(self):
+        with pytest.raises(ValueError, match="malformed event record: unhashable"):
+            Event.from_dict(_record("driver_annotation", {"driver": ["kmeans"]}))
 
     def test_from_dict_missing_field(self):
         with pytest.raises(ValueError, match="missing field"):

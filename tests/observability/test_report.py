@@ -216,6 +216,33 @@ class TestCli:
             main(["history", str(bad), *flags])
         assert str(exit_info.value.code) == f"cannot read {bad}: {expected}"
 
+    @pytest.mark.parametrize("flags", [[], ["--validate-only"]])
+    def test_mistyped_envelope_is_one_line_exit(self, tmp_path, flags):
+        """An event's own fields are typed too: a node that is not a
+        string fails the load instead of validating clean."""
+        doc = json.loads(GOLDEN.read_text())
+        start = next(e for e in doc["events"] if e["kind"] == "task_start")
+        start["node"] = ["w"]
+        bad = tmp_path / "mistyped_node.json"
+        bad.write_text(json.dumps(doc))
+        expected = (
+            "malformed event record: task_start event field 'node' must be "
+            "str | None, got ['w']"
+        )
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            load_history(bad)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["history", str(bad), *flags])
+        assert str(exit_info.value.code) == f"cannot read {bad}: {expected}"
+
+    @pytest.mark.parametrize("flags", [[], ["--validate-only"]])
+    def test_event_that_is_not_an_object_is_one_line_exit(self, tmp_path, flags):
+        bad = tmp_path / "scalar_event.json"
+        bad.write_text(json.dumps({"version": 1, "events": [5]}))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["history", str(bad), *flags])
+        assert str(exit_info.value.code) == f"cannot read {bad}: event record is not an object: 5"
+
     def test_corrupt_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -72,3 +72,40 @@ def test_trails_of_one_user_merge_in_the_order_given(pieces):
     comes first."""
     expected = stably_sorted([row for array in pieces for row in rows(array)])
     assert_model(GeolocatedDataset(pieces), expected)
+
+
+@st.composite
+def strided(draw):
+    """An array from ``arrays()`` with drawn float bits (NaNs and signed
+    zeros included), sometimes a strided view of a longer buffer."""
+    array = draw(arrays())
+    data = array._data.copy()
+    for field in ("latitude", "longitude", "timestamp", "altitude"):
+        data[field] = draw(st.lists(st.floats(), min_size=len(data), max_size=len(data)))
+    step = draw(st.integers(1, 3))
+    return TraceArray(data[::step], array.users)
+
+
+def fieldwise(pieces: list[TraceArray]) -> tuple[bytes, list[str]]:
+    """The concatenation built one field at a time: the packed bytes and
+    the user table (every table of a non-empty piece, first seen first)."""
+    pieces = [p for p in pieces if len(p)]
+    table = list(dict.fromkeys(u for p in pieces for u in p.users))
+    out = np.empty(sum(map(len, pieces)), dtype=_TRACE_DTYPE)
+    for field in ("latitude", "longitude", "timestamp", "altitude"):
+        out[field] = np.concatenate([p._data[field] for p in pieces]) if pieces else []
+    out["user_idx"] = [table.index(p.users[i]) for p in pieces for i in p.user_index]
+    return out.tobytes(), table
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(strided(), max_size=5))
+def test_concatenate_is_the_fieldwise_concatenation(pieces):
+    """Concatenating the packed rows as opaque records gives the bytes of
+    a field-by-field concatenation, over differing user tables, empty
+    inputs, no input and a single input."""
+    merged = TraceArray.concatenate(pieces)
+    want, table = fieldwise(pieces)
+    assert merged._data.tobytes() == want
+    assert list(merged.users) == table
+    assert merged._data.dtype == _TRACE_DTYPE
