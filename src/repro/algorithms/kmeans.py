@@ -20,12 +20,14 @@ task cross the shuffle instead of the whole dataset (ablation X3).
 Mappers are vectorized: :func:`nearest_centroid` assigns a chunk's traces
 at once, ranking candidates by a cheap key monotone in the distance
 (Section VI's squared-Euclidean argument, applied to Haversine as the dot
-product of unit vectors); one stable gather cuts the chunk into
-per-cluster point blocks, emitted so the shuffle-byte accounting still
-reflects the paper's per-trace intermediate volume.  The points never
-move, so a stored chunk's unit vectors are derived once and kept on its
-:class:`~repro.geo.trace.TraceArray`: a round pays trig only for the
-``k`` centroids.
+product of unit vectors), and the mapper emits the chunk as one column
+block of (cluster id, point) rows, sized so the shuffle-byte accounting
+still reflects the paper's per-trace intermediate volume.  The declared
+aggregation sums its clusters with weighted ``np.bincount``; only a path
+that reads records cuts the block into per-cluster point blocks.  The
+points never move, so a stored chunk's unit vectors are derived once and
+kept on its :class:`~repro.geo.trace.TraceArray`: a round pays trig only
+for the ``k`` centroids.
 """
 
 from __future__ import annotations
@@ -371,10 +373,12 @@ class KMeansMapper(Mapper):
     Loads current centroids from the distributed cache in ``setup`` (the
     paper's ``centroids <- load from file``), assigns every trace with one
     :func:`assign_points` call (Haversine against the unit vectors the
-    chunk keeps across rounds), groups the chunk with one stable sort of
-    the assignment and one gather, and emits each non-empty cluster's rows
-    (ascending id, chunk order inside) as one point block whose modelled
-    size equals the per-trace intermediate volume.
+    chunk keeps across rounds) and emits the chunk as one column block,
+    ``(cluster id, point)`` per trace, whose modelled size is the
+    per-trace intermediate volume.  A declared
+    :class:`KMeansAggregation` sums the columns as they are; everything
+    else sees the block's pairs: each non-empty cluster's rows, ascending
+    id, chunk order inside (:meth:`~repro.mapreduce.job.ColumnBlock.pairs`).
     """
 
     def setup(self, ctx) -> None:
@@ -385,21 +389,8 @@ class KMeansMapper(Mapper):
         if chunk.n_records == 0:
             return
         points, units = _chunk_points(chunk, self._metric)
-        k = len(self._centroids)
         assignment = assign_points(points, self._centroids, self._metric, units=units)
-        # Ids of at most 16 bits take NumPy's stable radix sort.
-        order = np.argsort(assignment.astype(np.min_scalar_type(k - 1)), kind="stable")
-        grouped = points[order]
-        counts = np.bincount(assignment, minlength=k)
-        ends = np.cumsum(counts)
-        for cid in np.flatnonzero(counts).tolist():
-            block = grouped[ends[cid] - counts[cid] : ends[cid]]
-            ctx.emit(
-                cid,
-                block,
-                nbytes=len(block) * _POINT_RECORD_BYTES,
-                n_records=len(block),
-            )
+        ctx.emit_columns(assignment, points, nbytes=len(points) * _POINT_RECORD_BYTES)
 
 
 class KMeansCombiner(Reducer):
@@ -449,16 +440,23 @@ class KMeansAggregation(Aggregation):
         centroid = total / count
         ctx.emit(int(key), (float(centroid[0]), float(centroid[1]), int(count)))
 
-    def lift_pairs(self, pairs):
-        # One block.sum per emitted block — the same NumPy reduction the
-        # combiner performs, folded per cluster id in arrival order (the
-        # mapper emits each cluster at most once per task, so this is
-        # trivially bit-identical to the object loop).
-        acc: dict[int, tuple] = {}
-        for key, block in pairs:
-            partial = (block.sum(axis=0), len(block))
-            acc[key] = self.merge(acc[key], partial) if key in acc else partial
-        return [(key, acc[key]) for key in sorted(acc)]
+    def lift_columns(self, keys, values):
+        counts = np.bincount(keys)
+        sums = np.column_stack(
+            [np.bincount(keys, weights=column, minlength=len(counts)) for column in values.T]
+        )
+        # ``np.bincount`` adds each cluster's rows in index order, as
+        # ``block.sum(axis=0)`` adds a block's, but from +0.0, where some
+        # NumPy builds start from the first row.  The two can differ only
+        # in the sign of a zero sum (a column of nothing but -0.0), so a
+        # cluster with a zero sum is summed the way ``lift`` sums it.
+        for key in np.flatnonzero((sums == 0.0).any(axis=1) & (counts > 0)).tolist():
+            sums[key] = values[keys == key].sum(axis=0)
+        present = np.flatnonzero(counts)
+        return [
+            (key, (total, n))
+            for key, total, n in zip(present.tolist(), sums[present], counts[present].tolist())
+        ]
 
 
 class KMeansReducer(Reducer):

@@ -165,18 +165,28 @@ class TraceArray:
 
     @classmethod
     def concatenate(cls, arrays: Sequence["TraceArray"]) -> "TraceArray":
-        """Concatenate several arrays, re-mapping user index tables."""
+        """Concatenate several arrays, re-mapping user index tables.
+
+        The merged table lists every non-empty input's names, first seen
+        first.  When those inputs share one table (equal tuples) whose
+        names are unique, that table is the merged one and the remap is
+        the identity, so the rows are concatenated as they are.
+        """
         arrays = [a for a in arrays if len(a)]
         if not arrays:
             return cls.empty()
+        # Rows travel as opaque records: concatenating the structured dtype
+        # itself promotes it once per input.
+        rows = [a._data.view(_ROW) for a in arrays]
+        table = arrays[0]._users
+        if all(a._users == table for a in arrays) and len(set(table)) == len(table):
+            return cls(np.concatenate(rows).view(_TRACE_DTYPE), table)
         users: dict[str, int] = {}
         remaps = [
             np.array([users.setdefault(u, len(users)) for u in a._users], dtype=np.int32)
             for a in arrays
         ]
-        # Rows travel as opaque records: concatenating the structured dtype
-        # itself promotes it once per input.
-        data = np.concatenate([a._data.view(_ROW) for a in arrays]).view(_TRACE_DTYPE)
+        data = np.concatenate(rows).view(_TRACE_DTYPE)
         data["user_idx"] = np.concatenate(
             [remap[a.user_index] for remap, a in zip(remaps, arrays)]
         )

@@ -11,7 +11,11 @@ over per-key partials:
 * ``finalize(key, acc, ctx)`` emits the reduce output for a key;
 * ``lift_pairs(pairs)`` optionally vectorizes the lift+merge of a whole
   map task's output in one NumPy pass (integer rollups use
-  ``np.add.reduceat`` on the columnar key/value arrays).
+  ``np.add.reduceat`` on the columnar key/value arrays);
+* ``lift_columns(keys, values)`` optionally does the same for a task
+  whose output is one :class:`~repro.mapreduce.job.ColumnBlock`, without
+  cutting it into pairs first (k-means sums its clusters with weighted
+  ``np.bincount``).
 
 A declared aggregation *is* the job's reduce: the runner pre-aggregates
 map output inside the backend attempt loop — each map task ships one
@@ -42,8 +46,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Sequence
 
+import numpy as np
+
 from repro.mapreduce.counters import Counters, STANDARD
-from repro.mapreduce.job import ReduceContext, Reducer
+from repro.mapreduce.job import ColumnBlock, ReduceContext, Reducer
 
 __all__ = [
     "Aggregation",
@@ -75,7 +81,13 @@ class AggregateEnvelope:
 
 
 class Aggregation:
-    """Base class for a job's declared reduce monoid."""
+    """Base class for a job's declared reduce monoid.
+
+    ``lift``, ``merge`` and ``finalize`` define it.  ``lift_pairs`` and
+    ``lift_columns`` optionally lift one map task's whole output at once,
+    as pairs or as the one column block it emitted: each returns ``None``
+    to fall back to the object loop, and otherwise the object loop's bits.
+    """
 
     #: Modelled wire size of one envelope: key + partial, as a packed
     #: binary record.  Subclasses override to match their partial layout.
@@ -107,37 +119,62 @@ class Aggregation:
         """
         return None
 
+    def lift_columns(
+        self, keys: np.ndarray, values: np.ndarray
+    ) -> list[tuple[int, Any]] | None:
+        """Vectorized lift of one task's column block, or ``None``.
+
+        Returns one ``(key, partial)`` per distinct key in ascending key
+        order, each partial bit-identical to ``lift`` of the rows
+        :meth:`~repro.mapreduce.job.ColumnBlock.pairs` gives that key;
+        ``None`` cuts the block into those pairs and lifts them instead.
+        """
+        return None
+
 
 def preaggregate(
     aggregation: Aggregation,
-    task_output: Sequence[tuple[Any, Any]],
+    task_output: "Sequence[tuple[Any, Any]] | ColumnBlock",
     node: str,
     task_id: str,
 ) -> tuple[list[tuple[Any, AggregateEnvelope]], Counters]:
     """Fold one map task's output into one envelope per key-group.
 
-    The vectorized ``lift_pairs`` fast path is tried first, its records
-    per key counted in one pass over the keys; otherwise values are
-    grouped (:func:`~repro.mapreduce.shuffle.group_sorted`) and folded
-    object-by-object in arrival order.  Returns the envelope pairs in
-    sorted key order plus pre-agg accounting counters.
+    A task whose output is one column block is lifted as columns
+    (``lift_columns``) when the aggregation can, and otherwise cut into
+    its pairs; either way it counts as those pairs, one raw record per
+    distinct key.  Pairs try the vectorized ``lift_pairs`` first, its
+    records per key counted in one pass over the keys; otherwise values
+    are grouped (:func:`~repro.mapreduce.shuffle.group_sorted`) and
+    folded object-by-object in arrival order.  Returns the envelope pairs
+    in sorted key order plus pre-agg accounting counters.
     """
     from repro.mapreduce.shuffle import group_sorted
 
     counters = Counters()
-    n_raw = len(task_output)
-    records_per_key: list[tuple[Any, Any, int]] = []
-    lifted = aggregation.lift_pairs(task_output)
+    lifted = None
+    if isinstance(task_output, ColumnBlock):
+        lifted = aggregation.lift_columns(task_output.keys, task_output.values)
+        if lifted is None:
+            task_output = task_output.pairs()
     if lifted is not None:
-        by_key = Counter(key for key, _ in task_output)
-        for key, partial in lifted:
-            records_per_key.append((key, partial, by_key[key]))
+        # The block's pairs: one per distinct key.
+        n_raw = len(lifted)
+        records_per_key = [(key, partial, 1) for key, partial in lifted]
     else:
-        for key, values in group_sorted(list(task_output)):
-            acc = aggregation.lift(key, values[0])
-            for value in values[1:]:
-                acc = aggregation.merge(acc, aggregation.lift(key, value))
-            records_per_key.append((key, acc, len(values)))
+        n_raw = len(task_output)
+        records_per_key = []
+        lifted = aggregation.lift_pairs(task_output)
+        if lifted is not None:
+            by_key = Counter(key for key, _ in task_output)
+            for key, partial in lifted:
+                records_per_key.append((key, partial, by_key[key]))
+        else:
+            for key, values in group_sorted(list(task_output)):
+                acc = aggregation.lift(key, values[0])
+                for value in values[1:]:
+                    acc = aggregation.merge(acc, aggregation.lift(key, value))
+                records_per_key.append((key, acc, len(values)))
     pairs = [
         (
             key,

@@ -279,6 +279,13 @@ def run_map_attempts(request: MapTaskRequest) -> MapOutcome:
         counters.increment(
             STANDARD.GROUP_SCHEDULER, STANDARD.FAILED_TASKS, attempt - 1
         )
+        # A column block is cut into pairs only for what reads pairs: the
+        # combiner, the raw output and the spill.  A spilling task cuts it
+        # first, so the pre-aggregation reuses those pairs.
+        spills = (
+            request.spill is not None
+            and ctx.output_nbytes > request.spill.threshold_bytes
+        )
         combined_output = combine_counters = None
         if request.aggregation is not None:
             # Vectorized pre-aggregation supersedes the object combiner:
@@ -286,7 +293,10 @@ def run_map_attempts(request: MapTaskRequest) -> MapOutcome:
             from repro.mapreduce.aggregation import preaggregate
 
             combined_output, combine_counters = preaggregate(
-                request.aggregation, ctx.output, request.node, request.task_id
+                request.aggregation,
+                ctx.output if spills else ctx.task_output,
+                request.node,
+                request.task_id,
             )
         elif request.combiner is not None:
             combined_output, combine_counters = run_combiner(
@@ -297,19 +307,16 @@ def run_map_attempts(request: MapTaskRequest) -> MapOutcome:
                 request.task_id,
                 request.node,
             )
-        output: "list[tuple[Any, Any]] | SpilledMapOutput | None" = ctx.output
-        if (
-            request.spill is not None
-            and ctx.output_nbytes > request.spill.threshold_bytes
-        ):
+        output: "list[tuple[Any, Any]] | SpilledMapOutput | None" = None
+        if spills:
             # Over-budget output spills where the attempt ran (in real
             # Hadoop, the tasktracker's local disk); the driver — and the
             # processes backend's IPC — only ever sees the handle.
             output = spill_map_output(
                 request.spill, request.task_id, ctx.output, ctx.output_nbytes
             )
-        elif combined_output is not None:
-            output = None  # superseded: the runner would never read it
+        elif combined_output is None:
+            output = ctx.output
         return MapOutcome(
             True,
             output,

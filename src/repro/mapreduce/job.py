@@ -12,13 +12,17 @@ k-means shuffle-volume optimization), and a *driver*
 A map **task** processes one HDFS chunk.  The default ``run`` iterates a
 chunk of records and calls ``map(key, value, ctx)`` per record, exactly
 like Hadoop; a mapper over traces overrides ``run`` and processes the
-chunk's columnar :class:`~repro.geo.trace.TraceArray` in one NumPy pass.
+chunk's columnar :class:`~repro.geo.trace.TraceArray` in one NumPy pass,
+and may hand its records back the same way, as one
+:class:`ColumnBlock` (:meth:`MapContext.emit_columns`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
+
+import numpy as np
 
 from repro.checks import count
 from repro.geo.trace import TraceArray
@@ -30,6 +34,7 @@ from repro.mapreduce.types import Chunk, DEFAULT_RECORD_BYTES, estimate_nbytes
 __all__ = [
     "MapContext",
     "ReduceContext",
+    "ColumnBlock",
     "Mapper",
     "Reducer",
     "Partitioner",
@@ -41,6 +46,42 @@ __all__ = [
 
 #: Sentinel key marking a vectorized array emission (see MapContext.emit_array).
 ARRAY_OUTPUT_KEY = "__trace_array__"
+
+
+@dataclass(frozen=True, eq=False)
+class ColumnBlock:
+    """Records as two columns: row ``i`` is the record ``(keys[i], values[i])``.
+
+    ``keys`` is a 1-D ``intp`` array of small non-negative integers,
+    ``values`` a 2-D array holding one row per key.  :meth:`pairs` is the
+    only way a block becomes records: the combiner, the raw shuffle, the
+    map-output spill, the process backend's outcome and
+    ``MapContext.output`` all see its pairs; only a declared aggregation's
+    ``lift_columns`` sees the columns (DESIGN.md, "Column blocks").
+    """
+
+    keys: np.ndarray
+    values: np.ndarray
+
+    def pairs(self) -> list[tuple[int, np.ndarray]]:
+        """One ``(key, rows)`` pair per distinct key, keys ascending, each
+        key's rows in block order.
+
+        One stable sort of the keys and one gather: each pair's rows are
+        a contiguous slice of that one gathered array, so
+        ``rows.sum(axis=0)`` adds them in block order.
+        """
+        counts = np.bincount(self.keys)
+        # Keys of at most 16 bits take NumPy's stable radix sort.
+        narrow = self.keys.astype(np.min_scalar_type(len(counts) - 1))
+        grouped = self.values[np.argsort(narrow, kind="stable")]
+        present = np.flatnonzero(counts)
+        ends = np.cumsum(counts)[present]
+        starts = ends - counts[present]
+        return [
+            (key, grouped[lo:hi])
+            for key, lo, hi in zip(present.tolist(), starts.tolist(), ends.tolist())
+        ]
 
 
 class _Context:
@@ -59,9 +100,33 @@ class _Context:
         self.cache = cache
         self.task_id = task_id
         self.node = node
-        self.output: list[tuple[Any, Any]] = []
+        # Emitted pairs and column blocks, in emission order.
+        self._parts: list[tuple[Any, Any] | ColumnBlock] = []
+        self._n_blocks = 0
         self.output_records = 0
         self.output_nbytes = 0
+
+    @property
+    def output(self) -> list[tuple[Any, Any]]:
+        """Every emitted record as a ``(key, value)`` pair, in emission
+        order, a column block contributing its :meth:`ColumnBlock.pairs`
+        where it was emitted (expanded once, on first read)."""
+        if self._n_blocks:
+            self._parts = [
+                pair
+                for part in self._parts
+                for pair in (part.pairs() if isinstance(part, ColumnBlock) else (part,))
+            ]
+            self._n_blocks = 0
+        return self._parts
+
+    @property
+    def task_output(self) -> "list[tuple[Any, Any]] | ColumnBlock":
+        """The output as a task hands it on: the column block itself when
+        one block is all the task emitted, otherwise :attr:`output`."""
+        if self._n_blocks == 1 and len(self._parts) == 1:
+            return self._parts[0]
+        return self.output
 
     def emit(self, key: Any, value: Any, nbytes: int | None = None, n_records: int = 1) -> None:
         """Emit an intermediate/output record.
@@ -70,7 +135,7 @@ class _Context:
         ``n_records`` lets a single block emission count as many logical
         records (for counter fidelity).
         """
-        self.output.append((key, value))
+        self._parts.append((key, value))
         self.output_records += n_records
         self.output_nbytes += (
             nbytes if nbytes is not None else estimate_nbytes(key) + estimate_nbytes(value)
@@ -93,6 +158,33 @@ class _Context:
 
 class MapContext(_Context):
     """Context handed to mapper ``setup``/``map``/``run``/``cleanup``."""
+
+    def emit_columns(self, keys: np.ndarray, values: np.ndarray, *, nbytes: int) -> None:
+        """Emit ``len(keys)`` records as one :class:`ColumnBlock`: row ``i``
+        is the record ``(keys[i], values[i])``.
+
+        Keys are non-negative integers and ``values`` holds one row per
+        key; ``nbytes`` is the block's modelled size.  Records, bytes and
+        counters are those of emitting each key's rows as one block
+        (``emit(key, rows, nbytes=..., n_records=len(rows))``).  The block
+        stays columns until something reads pairs; a declared
+        aggregation lifts it without any.  An empty block emits nothing.
+        """
+        keys, values = np.asarray(keys), np.asarray(values)
+        if keys.ndim != 1 or keys.dtype.kind not in "iu":
+            raise TypeError(f"keys must be a 1-D integer array, got {keys.dtype} {keys.shape}")
+        if values.ndim != 2 or len(values) != len(keys):
+            raise ValueError(
+                f"values must hold one row per key, got {values.shape} for {len(keys)} keys"
+            )
+        if not len(keys):
+            return
+        if keys.min() < 0:
+            raise ValueError("keys must be non-negative")
+        self._parts.append(ColumnBlock(keys.astype(np.intp, copy=False), values))
+        self._n_blocks += 1
+        self.output_records += len(keys)
+        self.output_nbytes += nbytes
 
 
 class ReduceContext(_Context):

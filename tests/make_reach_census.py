@@ -108,6 +108,7 @@ REASONS: dict[str, str] = {
     "repro.mapreduce.aggregation:Aggregation.merge": _BASE,
     "repro.mapreduce.aggregation:Aggregation.finalize": _BASE,
     "repro.mapreduce.aggregation:Aggregation.lift_pairs": _BASE,
+    "repro.mapreduce.aggregation:Aggregation.lift_columns": _BASE,
     "repro.mapreduce.backends:ExecutionBackend.run_map_tasks": _BASE,
     "repro.mapreduce.backends:ExecutionBackend.run_reduce_tasks": _BASE,
     "repro.mapreduce.job:Mapper.map": _BASE,
@@ -116,7 +117,7 @@ REASONS: dict[str, str] = {
     "repro.mapreduce.job:Partitioner.partition": _BASE,
     "repro.sanitization.base:Sanitizer.sanitize_array": _BASE,
     "repro.algorithms.kmeans:KMeansAggregation.lift": "oracle: test_aggregation's "
-        "test_kmeans_lift_pairs_matches_object_loop_bitwise folds it against lift_pairs",
+        "test_kmeans_lift_columns_matches_object_loop_bitwise folds it against lift_columns",
     "repro.mapreduce.shuffle:_group_sorted_generic": "oracle: test_shuffle_fastpath and "
         "test_shuffle_properties hold group_sorted's vectorized path to it; it also groups "
         "the mixed or tuple key streams that path declines",

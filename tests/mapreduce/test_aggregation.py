@@ -19,7 +19,7 @@ from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.counters import STANDARD
 from repro.mapreduce.failures import ChaosSchedule, Fault, FaultKind
 from repro.mapreduce.hdfs import SimulatedHDFS
-from repro.mapreduce.job import HashPartitioner, JobSpec, Mapper, ReduceContext
+from repro.mapreduce.job import ColumnBlock, HashPartitioner, JobSpec, Mapper, ReduceContext
 from repro.mapreduce.runner import JobRunner
 from repro.mapreduce.shuffle import _shuffle_generic, group_sorted, shuffle
 from tests.conftest import CountAggregation, CountSumReducer
@@ -35,11 +35,13 @@ class _ObjectOnlyCount(CountAggregation):
 
 
 class _ObjectOnlyKMeans(KMeansAggregation):
-    def lift_pairs(self, pairs):
+    """KMeansAggregation cutting a column block into pairs to fold them."""
+
+    def lift_columns(self, keys, values):
         return None
 
 
-# -- vectorized lift_pairs vs the object loop ---------------------------------
+# -- vectorized lifts vs the object loop --------------------------------------
 
 @pytest.mark.parametrize(
     "pairs",
@@ -68,29 +70,27 @@ def test_count_lift_pairs_declines_non_int_keys():
     assert [(k, e.value, e.records) for k, e in pairs] == [("a", 2, 1), ("b", 4, 2)]
 
 
-def test_kmeans_lift_pairs_matches_object_loop_bitwise():
+def test_kmeans_lift_columns_matches_object_loop_bitwise():
     rng = np.random.default_rng(7)
-    pairs = [
-        (int(cid), rng.normal(size=(n, 2)) * 10)
-        for cid, n in [(2, 17), (0, 3), (2, 5), (1, 1)]
-    ]
-    fast, _ = preaggregate(KMeansAggregation(), pairs, "n1", "map-0000")
-    slow, _ = preaggregate(_ObjectOnlyKMeans(), pairs, "n1", "map-0000")
-    assert [k for k, _ in fast] == [k for k, _ in slow]
+    keys = np.repeat([2, 0, 2, 1, 0, 4], [17, 3, 5, 1, 2, 9])
+    block = ColumnBlock(keys, rng.normal(size=(len(keys), 2)) * 10)
+    fast, fast_c = preaggregate(KMeansAggregation(), block, "n1", "map-0000")
+    slow, slow_c = preaggregate(_ObjectOnlyKMeans(), block, "n1", "map-0000")
+    assert [k for k, _ in fast] == [k for k, _ in slow] == [0, 1, 2, 4]
     for (_, fe), (_, se) in zip(fast, slow):
         assert fe.value[0].tobytes() == se.value[0].tobytes()
         assert fe.value[1] == se.value[1]
-        assert fe.records == se.records
+        assert fe.records == se.records == 1
+    assert fast_c.to_dict() == slow_c.to_dict()
 
 
 def test_lifted_records_per_key_equal_the_grouped_counts():
     """A mapper may emit one key several times per task: the fast path
     counts its records per key in one pass, and each envelope's
     ``records`` must be what grouping the task's output would count."""
-    rng = np.random.default_rng(3)
-    pairs = [(int(cid), rng.normal(size=(2, 2))) for cid in [2, 0, 2, 5, 2, 0, 1]]
-    fast, _ = preaggregate(KMeansAggregation(), pairs, "n1", "map-0000")
-    slow, _ = preaggregate(_ObjectOnlyKMeans(), pairs, "n1", "map-0000")
+    pairs = [(cid, 1) for cid in [2, 0, 2, 5, 2, 0, 1]]
+    fast, _ = preaggregate(CountAggregation(), pairs, "n1", "map-0000")
+    slow, _ = preaggregate(_ObjectOnlyCount(), pairs, "n1", "map-0000")
     grouped = [(key, len(values)) for key, values in group_sorted(list(pairs))]
     assert [(key, env.records) for key, env in fast] == grouped == [(0, 2), (1, 1), (2, 3), (5, 1)]
     assert [env.records for _, env in slow] == [env.records for _, env in fast]

@@ -33,7 +33,7 @@ from repro.mapreduce.config import BACKENDS, MapReduceConfig
 from repro.mapreduce.counters import STANDARD
 from repro.mapreduce.failures import ChaosSchedule
 from repro.mapreduce.hdfs import SimulatedHDFS
-from repro.mapreduce.job import Configuration, JobSpec, Mapper, Reducer
+from repro.mapreduce.job import ColumnBlock, Configuration, JobSpec, Mapper, Reducer
 from repro.mapreduce.runner import JobRunner
 from repro.mapreduce.scheduler import RetryPolicy
 from repro.mapreduce.spill import SpilledMapOutput, WorkerSpillSpec
@@ -408,6 +408,37 @@ def test_spill_stats_of_an_aggregated_budgeted_job(backend):
         )
         assert runner.spill_stats.map_spills == 3
         assert runner.spill_stats.map_spill_bytes == 20_000 * 16
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("budget", [None, 0.05], ids=["in-memory", "spilling"])
+def test_a_superseded_column_block_is_never_cut_into_pairs(backend, budget, tmp_path, monkeypatch):
+    """The envelopes supersede a k-means task's column block, so nothing
+    cuts it into pairs; a task over the spill threshold still spills its
+    pairs, cut exactly once.  The spy logs to a file so that pool workers,
+    forked after it is installed, report too."""
+    log = tmp_path / "cuts"
+    pairs = ColumnBlock.pairs
+
+    def spy(block):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return pairs(block)
+
+    monkeypatch.setattr(ColumnBlock, "pairs", spy)
+    hdfs = SimulatedHDFS(paper_cluster(4), chunk_size=512 * 1024, seed=0)
+    hdfs.put_trace_array("input/traces", synthetic_corpus(20_000, seed=1))
+    with JobRunner(
+        hdfs, executor=backend, max_workers=2, memory_budget_mb=budget
+    ) as runner:
+        run_kmeans_mapreduce(
+            runner, "input/traces", k=3, max_iter=2, use_aggregation=True
+        )
+        spills = runner.spill_stats.map_spills if budget else 0
+    cuts = log.read_text().split() if log.exists() else []
+    assert len(cuts) == spills == (6 if budget else 0)
+    if backend == "processes" and budget:
+        assert os.getpid() not in set(map(int, cuts))
 
 
 class _RecordingPool:

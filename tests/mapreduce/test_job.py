@@ -41,6 +41,45 @@ class TestContext:
         assert ctx.output_records == 3
         assert ctx.output_nbytes == 192
 
+    def test_emit_columns_is_its_pairs_where_it_was_emitted(self):
+        ctx = _ctx()
+        values = np.arange(10.0).reshape(5, 2)
+        ctx.emit("first", 1)
+        ctx.emit_columns(np.array([3, 0, 3, 1, 0]), values, nbytes=80)
+        assert ctx.task_output is ctx.output  # more than one block: pairs
+        keys = [key for key, _ in ctx.output]
+        assert keys == ["first", 0, 1, 3]
+        assert [rows.tolist() for _, rows in ctx.output[1:]] == [
+            [[2.0, 3.0], [8.0, 9.0]], [[6.0, 7.0]], [[0.0, 1.0], [4.0, 5.0]],
+        ]
+        assert (ctx.output_records, ctx.output_nbytes) == (6, (5 + 8) + 80)
+
+    def test_a_lone_column_block_stays_columns(self):
+        ctx = _ctx()
+        ctx.emit_columns(np.array([2, 2], dtype=np.uint8), np.ones((2, 2)), nbytes=32)
+        block = ctx.task_output
+        assert block.keys.dtype == np.intp and block.keys.tolist() == [2, 2]
+        assert [key for key, _ in ctx.output] == [2]
+        assert ctx.task_output is ctx.output  # cut once, then pairs
+
+    def test_an_empty_column_block_emits_nothing(self):
+        ctx = _ctx()
+        ctx.emit_columns(np.empty(0, dtype=np.int64), np.empty((0, 2)), nbytes=0)
+        assert ctx.output == [] and ctx.output_records == 0
+
+    @pytest.mark.parametrize("keys, values, error, match", [
+        (np.array([0.0, 1.0]), np.ones((2, 2)), TypeError, "keys must be a 1-D integer array"),
+        (np.array([[0, 1]]), np.ones((2, 2)), TypeError, "keys must be a 1-D integer array"),
+        (np.array([0, 1]), np.ones(2), ValueError, "values must hold one row per key"),
+        (np.array([0, 1]), np.ones((3, 2)), ValueError, "values must hold one row per key"),
+        (np.array([0, -1]), np.ones((2, 2)), ValueError, "keys must be non-negative"),
+    ])
+    def test_emit_columns_rejects_malformed_blocks(self, keys, values, error, match):
+        ctx = _ctx()
+        with pytest.raises(error, match=match):
+            ctx.emit_columns(keys, values, nbytes=32)
+        assert ctx.output == [] and ctx.output_records == 0
+
 
 class TestPartitioners:
     def test_hash_partitioner_stable_and_in_range(self):

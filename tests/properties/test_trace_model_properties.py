@@ -16,9 +16,11 @@ IDS = ("b", "a", "B", "aa", "10", "9", "u-2", "u-10")
 
 
 @st.composite
-def arrays(draw):
-    """A trace array whose table may repeat an id or name one with no rows."""
-    table = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=6))
+def arrays(draw, table=None):
+    """A trace array whose table may repeat an id or name one with no rows;
+    ``table``, when given, is the table it is built with."""
+    if table is None:
+        table = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=6))
     n = draw(st.integers(0, 30))
     rows = draw(st.lists(st.integers(0, len(table) - 1), min_size=n, max_size=n))
     stamps = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
@@ -75,15 +77,30 @@ def test_trails_of_one_user_merge_in_the_order_given(pieces):
 
 
 @st.composite
-def strided(draw):
-    """An array from ``arrays()`` with drawn float bits (NaNs and signed
-    zeros included), sometimes a strided view of a longer buffer."""
-    array = draw(arrays())
+def strided(draw, table=None):
+    """An array from ``arrays(table)`` with drawn float bits (NaNs and
+    signed zeros included), sometimes a strided view of a longer buffer."""
+    array = draw(arrays(table))
     data = array._data.copy()
     for field in ("latitude", "longitude", "timestamp", "altitude"):
         data[field] = draw(st.lists(st.floats(), min_size=len(data), max_size=len(data)))
     step = draw(st.integers(1, 3))
-    return TraceArray(data[::step], array.users)
+    return TraceArray(data[::step], array.users if table is None else table)
+
+
+@st.composite
+def concat_inputs(draw):
+    """Arrays to concatenate: each with its own table, all with one table
+    (the same tuple, or equal tuples; it may name an id twice), or one."""
+    how = draw(st.sampled_from(["own", "same", "equal", "single"]))
+    if how == "own":
+        return draw(st.lists(strided(), max_size=5))
+    if how == "single":
+        return [draw(strided())]
+    table = tuple(draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=6)))
+    pieces = draw(st.lists(strided(table), min_size=1, max_size=5))
+    # A list argument makes each array a table of its own, equal to the rest.
+    return pieces if how == "same" else [TraceArray(p._data, list(table)) for p in pieces]
 
 
 def fieldwise(pieces: list[TraceArray]) -> tuple[bytes, list[str]]:
@@ -98,12 +115,13 @@ def fieldwise(pieces: list[TraceArray]) -> tuple[bytes, list[str]]:
     return out.tobytes(), table
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(strided(), max_size=5))
+@settings(max_examples=300, deadline=None)
+@given(concat_inputs())
 def test_concatenate_is_the_fieldwise_concatenation(pieces):
     """Concatenating the packed rows as opaque records gives the bytes of
-    a field-by-field concatenation, over differing user tables, empty
-    inputs, no input and a single input."""
+    a field-by-field concatenation, over differing user tables, one shared
+    or equal table (with or without a repeated id), empty inputs, no input
+    and a single input."""
     merged = TraceArray.concatenate(pieces)
     want, table = fieldwise(pieces)
     assert merged._data.tobytes() == want
