@@ -108,7 +108,7 @@ def sample_dataset(
     technique: "str | SamplingTechnique" = SamplingTechnique.UPPER,
 ) -> GeolocatedDataset:
     """Down-sample every trail of a dataset (sequential reference path)."""
-    return dataset.map_trails(lambda trail: sample_array(trail, window_s, technique))
+    return GeolocatedDataset.from_array(sample_array(dataset.flat(), window_s, technique))
 
 
 class SamplingMapper(Mapper):

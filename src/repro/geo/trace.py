@@ -395,18 +395,6 @@ class GeolocatedDataset:
     def __repr__(self) -> str:
         return f"GeolocatedDataset(users={self.num_users()}, traces={len(self)})"
 
-    # -- transforms -----------------------------------------------------------
-    def map_trails(self, fn) -> "GeolocatedDataset":
-        """Apply ``fn(TraceArray) -> TraceArray | None`` to every trail.
-
-        The result holds the rows of every returned array under their own
-        user ids, so ``fn`` may rename a trail or split it between users;
-        ``None`` or an empty array drops the trail.  Used by sanitizers and
-        samplers.
-        """
-        outputs = (fn(trail) for trail in self.trails())
-        return GeolocatedDataset(out for out in outputs if out is not None)
-
 
 def as_array(data: "TraceArray | GeolocatedDataset") -> TraceArray:
     """The :class:`TraceArray` behind a dataset (its :meth:`~GeolocatedDataset.flat`)

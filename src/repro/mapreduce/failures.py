@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from repro.checks import count, finite, probability
-from repro.utils.hashrng import hash_uniform
+from repro.utils.hashrng import fnv1a64, hash_uniform
 
 __all__ = [
     "TaskFailure",
@@ -47,13 +47,6 @@ __all__ = [
 
 #: Hadoop's default maximum attempts per task before the job fails.
 MAX_TASK_ATTEMPTS = 4
-
-#: FNV-1a 64-bit offset basis / prime (the token-string hash feeding
-#: splitmix64; any good 64-bit string hash would do, FNV is dependency-free).
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_U64 = 0xFFFFFFFFFFFFFFFF
-
 
 class FaultKind:
     """The closed fault taxonomy a :class:`ChaosSchedule` can inject."""
@@ -197,10 +190,7 @@ def _hash_u01(seed: int, *tokens) -> float:
     :func:`repro.utils.hashrng.hash_uniform` — a counter-based draw whose
     value depends only on its inputs, never on draw order.
     """
-    text = "\x1f".join(str(t) for t in (seed, *tokens))
-    h = _FNV_OFFSET
-    for byte in text.encode("utf-8"):
-        h = ((h ^ byte) * _FNV_PRIME) & _U64
+    h = fnv1a64("\x1f".join(str(t) for t in (seed, *tokens)))
     return float(hash_uniform(np.array([h], dtype=np.uint64))[0])
 
 

@@ -8,8 +8,9 @@ geo-sanitization methods will also be integrated at a later stage, such
 as spatial cloaking techniques and mix zones." (Section VIII.)
 
 All mechanisms implement the :class:`~repro.sanitization.base.Sanitizer`
-protocol: a pure transformation ``GeolocatedDataset -> GeolocatedDataset``
-whose privacy/utility trade-off is measured by :mod:`repro.metrics`.
+protocol: a pure transformation ``TraceArray -> TraceArray``, applied once
+to a release's flat multi-user array, whose privacy/utility trade-off is
+measured by :mod:`repro.metrics`.
 """
 
 from repro.sanitization.base import Sanitizer

@@ -4,14 +4,13 @@
 coordinate" (Section VIII).  Two mechanisms:
 
 * :class:`SpatialAggregator` — replaces each trace's coordinate by the
-  centroid of its spatial-grid cell *computed over the trail*, so several
-  nearby traces collapse onto one shared coordinate;
+  centroid of its user's traces in its spatial-grid cell, so several
+  nearby traces of a trail collapse onto one shared coordinate;
 * :class:`TemporalAggregator` — the down-sampling of Section V reused as
-  a sanitizer (one representative trace per time window).
+  a sanitizer (one representative trace per user and time window).
 """
 
 from __future__ import annotations
-
 
 import numpy as np
 
@@ -25,14 +24,14 @@ __all__ = ["SpatialAggregator", "TemporalAggregator"]
 
 
 class SpatialAggregator(Sanitizer):
-    """Collapse each grid cell's traces onto the cell's mean coordinate.
+    """Collapse each user's traces in a grid cell onto their mean coordinate.
 
     Unlike :class:`~repro.sanitization.masks.RoundingMask` (cell centre),
     the aggregate is the *centroid of the observed traces* in the cell —
     utility-preserving for density analyses, privacy-degrading for exact
-    positions.  The centroid is computed within the processed array, so
-    this mechanism is chunk-local by construction: per-chunk centroids
-    approximate the global ones (documented MapReduce semantics).
+    positions.  User scope: a centroid is taken over one user's traces in
+    the cell, never mixing users, so a multi-user array gives each trail
+    the centroids it would get on its own.
     """
 
     def __init__(self, cell_m: float):
@@ -41,7 +40,7 @@ class SpatialAggregator(Sanitizer):
 
     def _cells(self, array: TraceArray) -> np.ndarray:
         cells = grid_cells(array.latitude, array.longitude, self.cell_m)
-        return unique_rows(*cells, return_inverse=True)[1]
+        return unique_rows(array.user_index, *cells, return_inverse=True)[1]
 
     def sanitize_array(self, array: TraceArray) -> TraceArray:
         if len(array) == 0:
@@ -58,7 +57,8 @@ class SpatialAggregator(Sanitizer):
 
 
 class TemporalAggregator(Sanitizer):
-    """Down-sampling (Section V) used as a sanitization mechanism."""
+    """Down-sampling (Section V) used as a sanitization mechanism; user
+    scope, one representative per (user, time window)."""
 
     def __init__(self, window_s: float, technique: "str | SamplingTechnique" = "upper"):
         positive("window_s", window_s)

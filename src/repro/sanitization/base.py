@@ -1,9 +1,11 @@
 """The sanitizer protocol.
 
 A sanitizer is a deterministic-given-its-seed transformation of a trace
-array; :meth:`Sanitizer.sanitize_dataset` applies it trail by trail, and
-the rows it returns land under whatever user ids they carry (a renamed
-trail, or one split between pseudonyms).
+array; :meth:`Sanitizer.sanitize_dataset` applies it once to the flat
+array of every user, and the rows it returns land under whatever user
+ids they carry.  Each mechanism states its scope: *row*, *user* (a
+multi-user array gives what sanitizing each user alone gives) or
+*release* (all users at once).
 """
 
 from __future__ import annotations
@@ -23,5 +25,6 @@ class Sanitizer(abc.ABC):
         """Return the sanitized version of ``array`` (never in place)."""
 
     def sanitize_dataset(self, dataset: GeolocatedDataset) -> GeolocatedDataset:
-        """Apply to every trail; trails sanitized to emptiness are dropped."""
-        return dataset.map_trails(self.sanitize_array)
+        """Sanitize every user's rows in one call; users sanitized to
+        emptiness are dropped."""
+        return GeolocatedDataset.from_array(self.sanitize_array(dataset.flat()))

@@ -8,27 +8,26 @@ fine cell, the cell is repeatedly doubled until it covers ≥ k distinct
 users in that window; traces whose cell never reaches k users (even at
 the coarsest level) are suppressed.
 
-Cloaking inherently needs cross-user context, so it is not chunk-local:
-a MapReduce adaptation would have to shuffle traces by time window
-first, so ``repro sanitize``, ``repro sweep`` and the facade cloak
-dataset-side (:meth:`SpatialCloaking.sanitize_dataset`).
+Cloaking inherently needs cross-user context (release scope), so it is
+not chunk-local: a MapReduce adaptation would have to shuffle traces by
+time window first.  Every entry point applies it once to the whole
+release, as it applies every sanitizer.
 """
 
 from __future__ import annotations
-
 
 import numpy as np
 
 from repro.checks import count, positive
 from repro.geo.grid import grid_cells, time_windows, unique_rows
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import TraceArray
 from repro.sanitization.base import Sanitizer
 
 __all__ = ["SpatialCloaking"]
 
 
 class SpatialCloaking(Sanitizer):
-    """k-anonymity cloaking over (time window, adaptive grid cell).
+    """k-anonymity cloaking over (time window, adaptive grid cell); release scope.
 
     Parameters
     ----------
@@ -106,11 +105,6 @@ class SpatialCloaking(Sanitizer):
                 resolved |= newly
         kept = array.with_coordinates(lat, lon)
         return kept[resolved]
-
-    def sanitize_dataset(self, dataset: GeolocatedDataset) -> GeolocatedDataset:
-        """Cloak the whole dataset at once (the correct cross-user scope)."""
-        cloaked = self.sanitize_array(dataset.flat())
-        return GeolocatedDataset.from_array(cloaked)
 
     def __repr__(self) -> str:
         return (

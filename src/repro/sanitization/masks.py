@@ -50,7 +50,7 @@ def _displace(array: TraceArray, north_m: np.ndarray, east_m: np.ndarray) -> Tra
 
 
 class GaussianMask(Sanitizer):
-    """Add isotropic Gaussian noise of ``sigma_m`` metres to coordinates."""
+    """Add isotropic Gaussian noise of ``sigma_m`` metres (row scope)."""
 
     def __init__(self, sigma_m: float, seed: int = 0):
         non_negative("sigma_m", sigma_m)
@@ -70,7 +70,7 @@ class GaussianMask(Sanitizer):
 
 
 class UniformNoiseMask(Sanitizer):
-    """Displace each trace uniformly within a disc of ``radius_m`` metres."""
+    """Displace each trace uniformly within a ``radius_m``-metre disc (row scope)."""
 
     def __init__(self, radius_m: float, seed: int = 0):
         non_negative("radius_m", radius_m)
@@ -91,7 +91,7 @@ class UniformNoiseMask(Sanitizer):
 
 
 class PlanarLaplaceMask(Sanitizer):
-    """Geo-indistinguishability: planar Laplace noise (Andrés et al. 2013).
+    """Geo-indistinguishability: planar Laplace noise (Andrés et al. 2013; row scope).
 
     The mechanism achieving ε-geo-indistinguishability: displacement
     direction uniform, radius drawn from the polar Laplace distribution
@@ -125,7 +125,7 @@ class PlanarLaplaceMask(Sanitizer):
 
 
 class DonutMask(Sanitizer):
-    """Donut geographical masking: displacement in an annulus.
+    """Donut geographical masking: displacement in an annulus (row scope).
 
     Each trace moves a distance uniform in ``[r_min, r_max]`` metres in a
     uniform direction — the classic public-health variant of geographic
@@ -155,7 +155,7 @@ class DonutMask(Sanitizer):
 
 
 class RoundingMask(Sanitizer):
-    """Snap coordinates to the centres of a ``cell_m``-metre grid.
+    """Snap coordinates to the centres of a ``cell_m``-metre grid (row scope).
 
     Deterministic coarsening: all traces in one cell become spatially
     indistinguishable, providing grid-level k-anonymity of location.

@@ -22,9 +22,10 @@ import numpy as np
 
 from repro.checks import positive
 from repro.geo.distance import haversine_m
+from repro.geo.grid import unique_rows
 from repro.geo.trace import TraceArray
 from repro.sanitization.base import Sanitizer
-from repro.utils.hashrng import splitmix64
+from repro.utils.hashrng import fnv1a64, splitmix64
 
 __all__ = ["MixZone", "MixZoneSanitizer"]
 
@@ -61,21 +62,23 @@ class MixZoneSanitizer(Sanitizer):
             inside |= zone.contains(lat, lon)
         return inside
 
-    def _pseudonym(self, user_id: str, segment: int) -> str:
-        # FNV-1a over the user id keeps pseudonyms stable across processes
-        # (Python's str hash is salted per interpreter).
-        h = 0xCBF29CE484222325
-        for byte in user_id.encode("utf-8"):
-            h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-        mixed = np.uint64(h) ^ np.uint64(segment * 2654435761 + self.seed)
-        token = splitmix64(np.array([mixed], dtype=np.uint64))[0]
-        return f"pseud-{int(token):016x}"
+    def _pseudonyms(self, user_ids: list[str], segments: np.ndarray) -> list[str]:
+        """The pseudonym of each (user id, segment) pair: FNV-1a of the id
+        (stable across processes, unlike Python's salted ``hash``) mixed
+        with the segment and the seed, one splitmix64 call for them all."""
+        digests = np.array([fnv1a64(u) for u in user_ids], dtype=np.uint64)
+        mixed = digests ^ (
+            segments.astype(np.uint64) * np.uint64(2654435761)
+            + np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF)
+        )
+        return [f"pseud-{token:016x}" for token in splitmix64(mixed).tolist()]
 
     def sanitize_array(self, array: TraceArray) -> TraceArray:
-        """Per-array application: suppress + re-pseudonymize segments.
+        """Suppress in-zone rows and re-pseudonymize each user's segments.
 
-        Assumes the array holds whole trails (the dataset-level entry
-        point passes one trail at a time).
+        User scope: a user's segments are numbered over that user's rows
+        alone, so on a multi-user array each user is renamed exactly as
+        if sanitized on their own.
         """
         if len(array) == 0:
             return array
@@ -84,20 +87,12 @@ class MixZoneSanitizer(Sanitizer):
         outside = ordered[~inside]
         if len(outside) == 0:
             return outside
-        # Segment index = number of suppressed gaps crossed so far.
-        inside_cum = np.cumsum(inside)
-        seg_raw = inside_cum[~inside]
-        # Only a *gap* (>=1 suppressed trace between two kept ones) forces
-        # a new pseudonym; renumber to consecutive segment ids.
-        _, segments = np.unique(seg_raw, return_inverse=True)
-        # One pseudonym per distinct (user, segment) pair, not per row.
-        n_segments = int(segments.max()) + 1
-        pairs, codes = np.unique(
-            outside.user_index.astype(np.int64) * n_segments + segments, return_inverse=True
-        )
-        users, segments = np.divmod(pairs, n_segments)
-        names = [
-            self._pseudonym(outside.users[user], segment)
-            for user, segment in zip(users.tolist(), segments.tolist())
-        ]
+        # A kept row's raw segment = suppressed rows so far; only a *gap*
+        # (>=1 suppressed row between two kept ones) forces a new pseudonym.
+        seg_raw = np.cumsum(inside)[~inside]
+        (users, _), codes = unique_rows(outside.user_index, seg_raw, return_inverse=True)
+        # Pairs are sorted by (user, raw segment): a pair's segment is its
+        # index minus the index of its user's first pair.
+        segments = np.arange(len(users)) - np.searchsorted(users, users)
+        names = self._pseudonyms([outside.users[u] for u in users.tolist()], segments)
         return outside.renamed(codes, names)

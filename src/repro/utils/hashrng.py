@@ -14,11 +14,20 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["splitmix64", "trace_keys", "hash_uniform", "hash_normal"]
+__all__ = ["fnv1a64", "splitmix64", "trace_keys", "hash_uniform", "hash_normal"]
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
+
+
+def fnv1a64(text: str) -> int:
+    """FNV-1a 64-bit digest of ``text``'s UTF-8 bytes: a string hash that,
+    unlike Python's salted ``hash``, is the same in every process."""
+    h = 0xCBF29CE484222325  # the offset basis; 0x100000001B3 is the prime
+    for byte in text.encode("utf-8"):
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
 
 
 def splitmix64(x: np.ndarray) -> np.ndarray:

@@ -497,6 +497,22 @@ class TestSweep:
                             params=SYNTH_ATTACK_PARAMS)
         assert str(info.value.__cause__) == "cell broke"
 
+    @pytest.mark.parametrize("spec", ["aggregate:500", "pseudonymize:7"])
+    def test_the_sweep_scores_the_release_repro_sanitize_writes(self, spec):
+        """One definition per mechanism: a sweep cell attacks the release
+        ``repro sanitize <spec>`` writes for the same rows, on a corpus
+        whose users share grid cells."""
+        from repro.attacks.sweep import _sanitize
+        from repro.cli import parse_mechanism
+        from repro.geo.synthetic import SyntheticConfig, generate_dataset
+        from repro.geo.trace import GeolocatedDataset
+
+        dataset, _ = generate_dataset(SyntheticConfig(n_users=4, days=1, seed=5))
+        _, target, _ = split_linkage_corpus(dataset.flat())
+        swept = GeolocatedDataset.from_array(_sanitize(spec, target))
+        written = parse_mechanism(spec).sanitize_dataset(GeolocatedDataset.from_array(target))
+        assert swept.flat().signature() == written.flat().signature()
+
     def test_sweep_cell_events_emitted(self, tmp_path):
         from repro.attacks.sweep import run_sweep
         from repro.observability.history import load_history

@@ -184,11 +184,6 @@ class TestGeolocatedDataset:
         grown = GeolocatedDataset([*ds.trails(), make_array("bob")])
         assert len(grown.flat()) == 2
 
-    def test_map_trails_drop(self):
-        ds = GeolocatedDataset.from_array(make_array(list("ab"), timestamps=(1.0, 1.0)))
-        kept = ds.map_trails(lambda t: t if t.users == ("a",) else None)
-        assert kept.user_ids == ["a"]
-
     def test_from_array_roundtrip(self):
         ds = GeolocatedDataset.from_array(make_array(list("aabb"), timestamps=range(4)))
         ds2 = GeolocatedDataset.from_array(ds.flat())

@@ -3,7 +3,9 @@
 import numpy as np
 
 from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.sanitization import pseudonyms
 from repro.sanitization.pseudonyms import ANONYMOUS_ID, Pseudonymizer
+from repro.utils.hashrng import fnv1a64
 
 
 def _ds(users=("alice", "bob")):
@@ -33,9 +35,10 @@ class TestPseudonymizer:
     def test_deterministic_and_seed_sensitive(self):
         p1 = Pseudonymizer(seed=1)
         p2 = Pseudonymizer(seed=2)
-        assert p1.pseudonym_for("alice") == p1.pseudonym_for("alice")
-        assert p1.pseudonym_for("alice") != p1.pseudonym_for("bob")
-        assert p1.pseudonym_for("alice") != p2.pseudonym_for("alice")
+        alice, bob = p1.pseudonyms(["alice", "bob"])
+        assert p1.pseudonyms(["alice"]) == [alice]
+        assert alice != bob
+        assert p2.pseudonyms(["alice"]) != [alice]
 
     def test_coordinates_untouched(self):
         ds = _ds()
@@ -70,9 +73,7 @@ class TestPseudonymizer:
         sampled = sample_dataset(dataset, 60.0)
         pseudonymizer = Pseudonymizer(seed=9)
         released = pseudonymizer.sanitize_dataset(sampled)
-        truth = {
-            pseudonymizer.pseudonym_for(u): u for u in sampled.user_ids
-        }
+        truth = dict(zip(pseudonymizer.pseudonyms(sampled.user_ids), sampled.user_ids))
         result = deanonymization_attack(
             sampled, released, truth, DJClusterParams(radius_m=80, min_pts=5)
         )
@@ -89,13 +90,12 @@ class TestLinearInUsers:
         training, _, _ = synthetic_linkage_corpus(n_users, seed=2)
         dataset = GeolocatedDataset.from_array(training)
         calls = []
-        hash_one = Pseudonymizer.pseudonym_for
 
-        def counted(self, user_id):
+        def counted(user_id):
             calls.append(user_id)
-            return hash_one(self, user_id)
+            return fnv1a64(user_id)
 
-        monkeypatch.setattr(Pseudonymizer, "pseudonym_for", counted)
+        monkeypatch.setattr(pseudonyms, "fnv1a64", counted)
         out = Pseudonymizer(seed=4).sanitize_dataset(dataset)
         assert sorted(calls) == dataset.user_ids
         assert out.num_users() == n_users
