@@ -100,11 +100,17 @@ def squared_euclidean(lat1, lon1, lat2, lon2) -> np.ndarray | float:
 
     Monotonically related to the Euclidean distance, so nearest-centroid
     assignment is identical while avoiding the square root (the speed
-    argument made in Section VI).
+    argument made in Section VI).  The two differences are the only
+    buffers: each is squared in place and the sum lands in whichever has
+    the result's shape (the same bits as ``dlat * dlat + dlon * dlon``).
     """
-    dlat = np.asarray(lat2, dtype=np.float64) - np.asarray(lat1, dtype=np.float64)
-    dlon = np.asarray(lon2, dtype=np.float64) - np.asarray(lon1, dtype=np.float64)
-    out = dlat * dlat + dlon * dlon
+    dlat = np.subtract(np.asarray(lat2, dtype=np.float64), np.asarray(lat1, dtype=np.float64))
+    dlon = np.subtract(np.asarray(lon2, dtype=np.float64), np.asarray(lon1, dtype=np.float64))
+    dlat = np.multiply(dlat, dlat, out=dlat if dlat.ndim else None)
+    dlon = np.multiply(dlon, dlon, out=dlon if dlon.ndim else None)
+    shape = np.broadcast_shapes(dlat.shape, dlon.shape)
+    into = dlat if dlat.shape == shape else dlon if dlon.shape == shape else None
+    out = np.add(dlat, dlon, out=into if shape else None)
     return out if out.ndim else float(out)
 
 

@@ -248,7 +248,20 @@ class TraceArray:
         return len(self._data)
 
     def __getitem__(self, item) -> "TraceArray":
-        """The rows a slice, boolean mask or index array selects."""
+        """The rows a slice, boolean mask or index array selects.
+
+        Masks and integer index arrays gather through ``np.compress`` and
+        ``np.take``, which copy a structured row several times faster
+        than fancy indexing does, with its answers and its ``IndexError``s.
+        A mask of another length is left to fancy indexing, because
+        ``np.compress`` would accept a short one.
+        """
+        if isinstance(item, (np.ndarray, list)):
+            index = np.asarray(item)
+            if index.ndim == 1 and index.dtype == np.bool_ and len(index) == len(self._data):
+                return TraceArray(np.compress(index, self._data), self._users)
+            if index.ndim == 1 and index.dtype.kind in "iu":
+                return TraceArray(np.take(self._data, index), self._users)
         rows = self._data[item]
         if rows.ndim != 1:
             raise TypeError("index a TraceArray with a slice, a mask or an index array")
@@ -290,7 +303,7 @@ class TraceArray:
     def sort_by_time(self) -> "TraceArray":
         """Return a copy sorted by (user, timestamp) — the trail order."""
         order = np.lexsort((self._data["timestamp"], self._data["user_idx"]))
-        return TraceArray(self._data[order], self._users)
+        return TraceArray(np.take(self._data, order), self._users)
 
     def time_span(self) -> tuple[float, float]:
         """(min, max) timestamp; raises on empty array."""
@@ -322,6 +335,26 @@ class TraceArray:
         )
 
 
+def _block_order(key: np.ndarray, timestamp: np.ndarray, n_users: int) -> np.ndarray | None:
+    """``np.lexsort((timestamp, key))`` without the sort, or ``None``.
+
+    When each of the ``n_users`` keys holds one contiguous block of rows
+    and every block is time-sorted (a renamed or concatenated dataset),
+    the stable sort only orders whole blocks by key: the permutation is
+    each block's row range, in key order.  Otherwise ``None``.
+    """
+    if not len(key):
+        return None
+    change = key[1:] != key[:-1]
+    starts = np.flatnonzero(np.concatenate(([True], change)))
+    if len(starts) != n_users or not np.all(change | (timestamp[1:] >= timestamp[:-1])):
+        return None
+    by_key = np.argsort(key[starts])
+    lengths = np.diff(np.append(starts, len(key)))[by_key]
+    shift = starts[by_key] - (np.cumsum(lengths) - lengths)
+    return np.arange(len(key)) + np.repeat(shift, lengths)
+
+
 class GeolocatedDataset:
     """A set of trails from different individuals (Section II).
 
@@ -342,9 +375,11 @@ class GeolocatedDataset:
         remap = np.zeros(len(table), dtype=np.int32)
         remap[present] = ranks
         key = remap[array.user_index]
-        order = np.lexsort((array.timestamp, key))
-        data = array._data[order]
-        data["user_idx"] = key[order]
+        order = _block_order(key, array.timestamp, len(users))
+        if order is None:
+            order = np.lexsort((array.timestamp, key))
+        data = np.take(array._data, order)
+        data["user_idx"] = np.take(key, order)
         self._array = TraceArray(data, users)
         self._offsets = np.searchsorted(data["user_idx"], np.arange(len(users) + 1))
 

@@ -117,9 +117,9 @@ class ReduceTaskRequest:
     """Everything a reduce task's pure attempt loop needs.
 
     ``groups`` may be a :class:`~repro.mapreduce.spill.SpilledPartition`
-    handle (external shuffle); the attempt loop loads it where it runs,
-    so spilled reduce input crosses a process boundary as a path, not
-    as data.
+    handle (external shuffle); the attempt loop merges its run segments
+    where it runs, once for all its attempts, so spilled reduce input
+    crosses a process boundary as paths and offsets, not as data.
     """
 
     task_id: str

@@ -74,7 +74,7 @@ class ColumnBlock:
         counts = np.bincount(self.keys)
         # Keys of at most 16 bits take NumPy's stable radix sort.
         narrow = self.keys.astype(np.min_scalar_type(len(counts) - 1))
-        grouped = self.values[np.argsort(narrow, kind="stable")]
+        grouped = np.take(self.values, np.argsort(narrow, kind="stable"), axis=0)
         present = np.flatnonzero(counts)
         ends = np.cumsum(counts)[present]
         starts = ends - counts[present]

@@ -440,8 +440,8 @@ class JobRunner:
         Out-of-core execution knob (``None`` = unbounded, the default).
         With a budget, map tasks spill over-budget output worker-side,
         the shuffle switches to an external merge sort when its buffer
-        exceeds the budget, and spilled reduce partitions are loaded by
-        the reduce attempt where it runs.  Outputs, counters and
+        exceeds the budget, and each reduce task merges its partition's
+        spilled run segments where it runs.  Outputs, counters and
         histories (minus the extra ``spill_*`` events and the reported
         ``spill_s``) are byte-identical to unbudgeted runs — the budget
         trades resident memory for local-disk IO, which the cost model
@@ -720,7 +720,7 @@ class JobRunner:
         """
         if self.hdfs.exists(job.output_path):
             raise FileExistsError(f"output path exists: {job.output_path}")
-        # Spill files (map output, shuffle partitions) are released here
+        # Spill files (map output, shuffle runs) are released here
         # whether the job returns or raises.
         with ExitStack() as cleanup:
             return self._execute(job, cleanup)

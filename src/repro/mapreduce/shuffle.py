@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.mapreduce.aggregation import AggregateEnvelope, coalesce_by_node
 from repro.mapreduce.job import ConstantKeyPartitioner, HashPartitioner, Partitioner
-from repro.mapreduce.spill import ShuffleSpiller, SpilledPartition, as_groups, as_pairs
+from repro.mapreduce.spill import ShuffleSpiller, SpilledPartition, as_groups, as_pairs, discard
 from repro.mapreduce.types import SIZED_WITHOUT_PICKLE, estimate_nbytes
 from repro.observability.events import ShufflePreagg, SpillMerge, SpillStart
 
@@ -200,10 +200,11 @@ class ShuffleResult:
 
     Partitions are either in-memory group lists or, after an external
     (spilled) shuffle, :class:`~repro.mapreduce.spill.SpilledPartition`
-    handles whose groups stay on disk until a reduce task loads them.
+    handles whose run segments stay on disk until a reduce task merges
+    them; the run files are the result's, deleted by :meth:`release`.
     Metadata queries (:meth:`records_for`, :meth:`groups_for`,
-    ``partition_bytes``) never touch disk; :attr:`partitions` and
-    :meth:`partition` materialize.
+    ``partition_bytes``) never touch disk; :attr:`partitions` loads
+    every partition.
     """
 
     def __init__(
@@ -222,6 +223,9 @@ class ShuffleResult:
         #: runner prices their IO and emits them.
         self.spill_runs: list[SpillStart] = []
         self.spill_merges: list[SpillMerge] = []
+        #: The external path's run files, which every spilled partition
+        #: reads from; :meth:`release` deletes them.
+        self.spill_files: list[str] = []
         #: Per-partition ``{source node: bytes}`` provenance, recorded by
         #: the metadata-only path — the input of the cross-node byte
         #: counter.  ``None`` when the shuffle has no provenance (every job without an aggregation).
@@ -273,10 +277,11 @@ class ShuffleResult:
         return len(p)
 
     def release(self) -> None:
-        """Delete spilled partition files (call once reducers are done)."""
-        for p in self._partitions:
-            if isinstance(p, SpilledPartition):
-                p.delete()
+        """Delete the run files (call once every reduce attempt is done;
+        idempotent)."""
+        for path in self.spill_files:
+            discard(path)
+        self.spill_files = []
 
 
 def shuffle(
@@ -407,11 +412,12 @@ def _shuffle_external(
     """Memory-budgeted shuffle: the routing stage into the spiller.
 
     Routed records are fed in task order; the spiller cuts a stably
-    sorted run to disk whenever its buffer exceeds the budget, then
-    k-way merges the runs per partition.  Because each run covers a
-    contiguous arrival window and both the per-run sort and
-    ``heapq.merge`` are stable, equal keys come out in arrival order —
-    the same groups, in the same order, as the in-memory sink.
+    sorted run to disk whenever its buffer exceeds the budget, then plans
+    each partition's k-way merge, which its reduce task performs.
+    Because each run covers a contiguous arrival window and both the
+    per-run sort and ``heapq.merge`` are stable, equal keys come out in
+    arrival order — the same groups, in the same order, as the in-memory
+    sink.
 
     When nothing spilled (everything fit in the budget) or the key
     stream turned out unsortable, the spiller hands back what it holds,
@@ -441,6 +447,7 @@ def _shuffle_external(
     )
     result.spill_runs = list(spiller.run_events)
     result.spill_merges = merge_events
+    result.spill_files = [str(run.path) for run in spiller.runs]
     return result
 
 

@@ -14,10 +14,13 @@ discipline under one knob, ``mapreduce.memory_budget_mb``:
   exceed the budget and rehydrate transparently on read
   (:class:`~repro.mapreduce.types.PagedPayload` is the in-namespace stub);
 * the **external-sort shuffle**: :class:`ShuffleSpiller` accumulates map
-  output, cuts stably-sorted runs to disk whenever the in-flight buffer
-  exceeds the budget, and :func:`merge_runs` k-way merges each reduce
-  partition's segments back — reproducing the in-memory shuffle's
-  stable-sort semantics byte for byte (see ``docs/PERFORMANCE.md``);
+  output and cuts stably-sorted runs to disk whenever the in-flight
+  buffer exceeds the budget; :meth:`ShuffleSpiller.merge` plans each
+  reduce partition's merge from run metadata alone, and the reduce task
+  k-way merges its own segments (:meth:`SpilledPartition.load`), as
+  Hadoop's reduce-side merge does — each record is written once and read
+  once, and the groups equal the in-memory shuffle's byte for byte (see
+  ``docs/PERFORMANCE.md``);
 * worker-side map-output spill for the execution backends:
   :func:`spill_map_output` writes a task's output where the task ran, so
   the processes backend ships a tiny :class:`SpilledMapOutput` handle
@@ -32,6 +35,7 @@ simulated IO charge the runner's cost model fills in.
 from __future__ import annotations
 
 import heapq
+import itertools
 import operator
 import os
 import pickle
@@ -93,6 +97,14 @@ class SpillStats:
 
 def _remove_tree(path: str) -> None:
     shutil.rmtree(path, ignore_errors=True)
+
+
+def discard(path: str | os.PathLike) -> None:
+    """Delete a spill file if it is still there."""
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
 
 
 class SpillDirectory:
@@ -285,10 +297,7 @@ class SpilledMapOutput:
             return pickle.load(fh)
 
     def delete(self) -> None:
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass
+        discard(self.path)
 
 
 def spill_map_output(
@@ -314,23 +323,46 @@ def as_pairs(output: Any) -> list[tuple[Any, Any]]:
 # -- external-sort shuffle -----------------------------------------------------
 
 
+_key_of = operator.itemgetter(1)
+
+
+def _load_segment(path: str | os.PathLike, offset: int) -> list[tuple[int, Any, Any]]:
+    """One pickled run segment: its ``(seq, key, value)`` triples."""
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        return pickle.load(fh)
+
+
 @dataclass(frozen=True)
 class SpilledPartition:
-    """Handle to one reduce partition's merged groups, resident on disk."""
+    """Handle to one reduce partition's sorted run segments, on disk.
 
-    path: str
+    ``segments`` names the partition's segment of each run that has one,
+    in run order, as ``(path, offset)``.  :meth:`load` merges them where
+    the reduce task runs — a worker process, on the processes backend —
+    so the data crosses no process boundary and is written only once.
+    The handle owns no file: several partitions share one run file, so
+    the shuffle result deletes the runs once every reduce attempt is done.
+    """
+
+    segments: tuple[tuple[str, int], ...]
     n_groups: int
     n_records: int
 
     def load(self) -> list[tuple[Any, list[Any]]]:
-        with open(self.path, "rb") as fh:
-            return pickle.load(fh)
-
-    def delete(self) -> None:
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass
+        """The partition's groups: a stable k-way merge of its segments,
+        equal adjacent keys grouped (loading twice gives equal groups)."""
+        streams = [_load_segment(path, offset) for path, offset in self.segments]
+        groups: list[tuple[Any, list[Any]]] = []
+        last_key: Any = None
+        have_last = False
+        for _, key, value in heapq.merge(*streams, key=_key_of):
+            if have_last and key == last_key:
+                groups[-1][1].append(value)
+            else:
+                groups.append((key, [value]))
+                last_key, have_last = key, True
+        return groups
 
 
 def as_groups(groups: Any) -> list[tuple[Any, list[Any]]]:
@@ -349,30 +381,16 @@ class _Run:
     stable key order, where ``seq`` is the record's global arrival index
     (runs cover contiguous arrival windows, so stable k-way merging in
     run order reproduces arrival order within equal keys exactly).
+    ``keys`` maps partition -> the segment's distinct keys, ascending,
+    recorded when the run is cut, so a merge is planned without
+    unpickling a value.
     """
 
     path: Path
     segments: dict[int, tuple[int, int]]
+    keys: dict[int, list[Any]]
     n_records: int
     nbytes: int
-
-    def segment(self, partition: int) -> list[tuple[int, Any, Any]]:
-        entry = self.segments.get(partition)
-        if entry is None:
-            return []
-        offset, _ = entry
-        with open(self.path, "rb") as fh:
-            fh.seek(offset)
-            return pickle.load(fh)
-
-    def delete(self) -> None:
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass
-
-
-_key_of = operator.itemgetter(1)
 
 
 def _sortable_with(kind: str | None, key: Any) -> str | None:
@@ -405,8 +423,8 @@ class ShuffleSpiller:
     by the shuffle's routing stage; whenever the in-flight buffer's bytes
     exceed the budget, the buffer is stably sorted by key and written as
     one run (per-partition pickled segments).  After the last task,
-    either :meth:`merge` k-way merges every partition's segments into
-    grouped reduce input, spilled per partition, or — no run was cut, or
+    either :meth:`merge` plans each partition's k-way merge of its
+    segments, which its reduce task performs, or — no run was cut, or
     the keys cannot be stream-merged — :meth:`drain` hands the routed
     records back for in-memory grouping.
 
@@ -471,12 +489,15 @@ class ShuffleSpiller:
             by_part.setdefault(self._parts[i], []).append(self._buffer[i])
         path = self.directory.new_path(self.stem)
         segments: dict[int, tuple[int, int]] = {}
+        keys: dict[int, list[Any]] = {}
         with open(path, "wb") as fh:
             for part in sorted(by_part):
+                triples = by_part[part]
                 offset = fh.tell()
-                pickle.dump(by_part[part], fh, protocol=_PICKLE)
-                segments[part] = (offset, len(by_part[part]))
-        run = _Run(path, segments, len(self._buffer), self._buffer_bytes)
+                pickle.dump(triples, fh, protocol=_PICKLE)
+                segments[part] = (offset, len(triples))
+                keys[part] = [k for k, _ in itertools.groupby(map(_key_of, triples))]
+        run = _Run(path, segments, keys, len(self._buffer), self._buffer_bytes)
         self.runs.append(run)
         self.stats.runs_spilled += 1
         self.stats.run_bytes += run.nbytes
@@ -506,9 +527,9 @@ class ShuffleSpiller:
             [] for _ in range(self.n_reducers)
         ]
         for run in self.runs:
-            for part in run.segments:
-                by_part[part].extend(run.segment(part))
-            run.delete()
+            for part, (offset, _) in run.segments.items():
+                by_part[part].extend(_load_segment(run.path, offset))
+            discard(run.path)
         self.runs = []
         for part, triple in zip(self._parts, self._buffer):
             by_part[part].append(triple)
@@ -518,44 +539,35 @@ class ShuffleSpiller:
         return [[(k, v) for _, k, v in triples] for triples in by_part]
 
     def merge(self) -> tuple[list[SpilledPartition], list[SpillMerge]]:
-        """K-way merge every partition's run segments into grouped input.
+        """Plan every partition's k-way merge from the runs' metadata.
 
         Returns per-partition :class:`SpilledPartition` handles plus one
         ``spill_merge`` payload per partition (``read_s`` not yet priced).
-        Run files are deleted once merged; each partition's groups live in
-        their own spill file until the reduce task (possibly in a worker
-        process) loads them.
+        Nothing is read back here: a partition's group count is the number
+        of distinct keys across its segments' recorded key lists, and the
+        reduce task merges the segments itself.  The run files
+        (:attr:`runs`) stay on disk for the handles: the shuffle result
+        that carries the handles owns them and deletes them.
         """
         partitions: list[SpilledPartition] = []
         merge_events: list[SpillMerge] = []
         for part in range(self.n_reducers):
-            streams = [run.segment(part) for run in self.runs]
-            merged = heapq.merge(*streams, key=_key_of)
-            groups: list[tuple[Any, list[Any]]] = []
-            last_key: Any = None
-            have_last = False
-            n_records = 0
-            for _, key, value in merged:
-                n_records += 1
-                if have_last and key == last_key:
-                    groups[-1][1].append(value)
-                else:
-                    groups.append((key, [value]))
-                    last_key, have_last = key, True
-            path = self.directory.new_path(f"{self.stem}-part{part:04d}")
-            with open(path, "wb") as fh:
-                pickle.dump(groups, fh, protocol=_PICKLE)
-            handle = SpilledPartition(str(path), len(groups), n_records)
-            partitions.append(handle)
+            runs = [run for run in self.runs if part in run.segments]
+            n_records = sum(run.segments[part][1] for run in runs)
+            n_groups = sum(1 for _ in itertools.groupby(
+                heapq.merge(*(run.keys[part] for run in runs))
+            ))
+            partitions.append(SpilledPartition(
+                tuple((str(run.path), run.segments[part][0]) for run in runs),
+                n_groups,
+                n_records,
+            ))
             self.stats.merges += 1
             self.stats.merge_bytes += self.partition_bytes[part]
             merge_events.append(SpillMerge(
-                runs=sum(1 for s in streams if s), records=n_records, groups=len(groups),
+                runs=len(runs), records=n_records, groups=n_groups,
                 bytes=self.partition_bytes[part], read_s=0.0,
             ))
-        for run in self.runs:
-            run.delete()
-        self.runs = []
         return partitions, merge_events
 
 

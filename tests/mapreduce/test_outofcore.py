@@ -163,6 +163,64 @@ def test_failed_job_leaves_no_spill_files(backend, tmp_path):
     assert set(os.listdir("/dev/shm")) <= shm_before
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "faults",
+    [(), crash_faults("reduce-0001", MAX_TASK_ATTEMPTS - 1)],
+    ids=["clean", "reduce-retries"],
+)
+def test_reduce_side_merge_matches_unbudgeted(backend, faults, tmp_path):
+    """Each reduce task merges its own run segments, on every backend and
+    through its retries: the output is the unbudgeted run's, and no run
+    file outlives the job."""
+    chaos = ChaosSchedule(faults=faults)
+    outputs = []
+    for budget in (None, 0.002):
+        hdfs, runner, spec = _fanout_deployment(
+            backend, budget, spill_dir=str(tmp_path / "spill"), chaos=chaos
+        )
+        with runner:
+            result = runner.run(spec)
+            if budget is not None:
+                assert runner.spill_stats.runs_spilled > 0
+                assert os.listdir(tmp_path / "spill") == []
+        assert result.counters.value("scheduler", "failed_tasks") == len(faults)
+        outputs.append(hdfs.read_records("out"))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_failed_reduce_leaves_no_run_files(backend, tmp_path):
+    """A reduce task past its retry budget fails the job after the runs
+    were cut; they are released on the exception path too."""
+    _, runner, spec = _fanout_deployment(
+        backend, 0.002, spill_dir=str(tmp_path / "spill"),
+        chaos=ChaosSchedule(faults=crash_faults("reduce-0001", MAX_TASK_ATTEMPTS)),
+    )
+    with runner:
+        with pytest.raises(JobFailedError, match="reduce-0001"):
+            runner.run(spec)
+        assert runner.spill_stats.runs_spilled > 0
+        assert os.listdir(tmp_path / "spill") == []
+
+
+def test_shuffle_writes_only_its_runs(monkeypatch):
+    """The driver writes each shuffled record once, into a run file: a
+    merge writes nothing."""
+    from repro.mapreduce.spill import SpillDirectory
+
+    stems = []
+    real_new_path = SpillDirectory.new_path
+    monkeypatch.setattr(
+        SpillDirectory, "new_path",
+        lambda self, stem: stems.append(stem) or real_new_path(self, stem),
+    )
+    _, stats, events = _fanout_job("serial", budget=0.002)
+    shuffle_stems = [stem for stem in stems if "shuffle" in stem]
+    assert shuffle_stems == ["j0001-shuffle"] * stats.runs_spilled
+    assert stats.merges == sum(1 for e in events if e["kind"] == "spill_merge") > 0
+
+
 class Poisoned(FanOut):
     """Raises something that is not a :class:`TaskFailure` — a bug in user
     code, not an injected fault — on one record of the middle chunk."""

@@ -30,9 +30,10 @@ from repro.mapreduce.spill import (
     WorkerSpillSpec,
     as_groups,
     as_pairs,
+    discard,
     spill_map_output,
 )
-from repro.mapreduce.shuffle import shuffle
+from repro.mapreduce.shuffle import ShuffleResult, group_sorted, shuffle
 from repro.mapreduce.types import RecordPayload
 
 
@@ -284,8 +285,8 @@ class TestShuffleSpillerEquivalence:
         spiller = ShuffleSpiller(64, SpillDirectory(tmp_path / "sp"), 1, SpillStats())
         spiller.feed((0, 16, i, i) for i in range(10))
         (run,) = spiller.runs
-        run.delete()
-        run.delete()
+        discard(run.path)
+        discard(run.path)
         assert not run.path.exists()
 
     def test_under_budget_uses_in_memory_path(self, tmp_path):
@@ -355,14 +356,23 @@ class TestBudgetedHDFS:
             assert (aw.user_index == ag.user_index).all()
 
 
+def _handles(tmp_path, n_reducers=2):
+    """A spiller that cut runs from routed records, and its merge plan."""
+    spiller = ShuffleSpiller(32, SpillDirectory(tmp_path / "sp"), n_reducers, SpillStats())
+    # Routed records, as the shuffle's routing stage feeds them.
+    spiller.feed([(i % 3 % 2, 16, i % 3, i) for i in range(40)])
+    spiller.finish()
+    assert spiller.spilled()
+    partitions, events = spiller.merge()
+    owner = ShuffleResult(partitions, sum(spiller.partition_bytes), spiller.partition_bytes)
+    owner.spill_files = [str(run.path) for run in spiller.runs]
+    return spiller, owner, events
+
+
 class TestSpilledReduceInput:
     def test_as_groups_round_trip(self, tmp_path):
-        spiller = ShuffleSpiller(32, SpillDirectory(tmp_path / "sp"), 2, SpillStats())
-        # Routed records, as the shuffle's routing stage feeds them.
-        spiller.feed([(i % 3 % 2, 16, i % 3, i) for i in range(40)])
-        spiller.finish()
-        assert spiller.spilled()
-        partitions, events = spiller.merge()
+        spiller, owner, events = _handles(tmp_path)
+        partitions = [owner.raw_partition(r) for r in range(owner.n_reducers)]
         assert len(partitions) == 2 and len(events) == 2
         assert [e.bytes for e in events] == spiller.partition_bytes == [27 * 16, 13 * 16]
         for handle in partitions:
@@ -370,4 +380,42 @@ class TestSpilledReduceInput:
             assert handle.n_groups == len(groups)
             assert handle.n_records == sum(len(vs) for _, vs in groups)
             assert as_groups(groups) is groups
-            handle.delete()
+        owner.release()
+        assert list((tmp_path / "sp").iterdir()) == []
+        owner.release()  # idempotent
+
+    def test_a_handle_loads_equal_groups_twice(self, tmp_path):
+        # A retried (or re-executed) reduce task merges the same segments.
+        spiller, owner, _ = _handles(tmp_path)  # the spiller keeps its directory
+        for r in range(owner.n_reducers):
+            handle = owner.raw_partition(r)
+            assert handle.load() == handle.load()
+        owner.release()
+
+    def test_a_handle_survives_a_pickle_round_trip(self, tmp_path):
+        # The processes backend ships the handle, not the data.
+        spiller, owner, _ = _handles(tmp_path)  # the spiller keeps its directory
+        for r in range(owner.n_reducers):
+            handle = owner.raw_partition(r)
+            shipped = pickle.loads(pickle.dumps(handle))
+            assert shipped == handle and shipped.load() == handle.load()
+        owner.release()
+
+    def test_merge_plans_without_unpickling(self, tmp_path, monkeypatch):
+        records = [(i % 3, 16, f"k{i % 7}", i) for i in range(90)]
+        spiller = ShuffleSpiller(64, SpillDirectory(tmp_path / "sp"), 3, SpillStats())
+        spiller.feed(records)
+        spiller.finish()
+        calls = []
+        real_load = pickle.load
+        monkeypatch.setattr(pickle, "load", lambda fh: calls.append(fh) or real_load(fh))
+        partitions, events = spiller.merge()
+        assert calls == []
+        groups = [handle.load() for handle in partitions]
+        assert len(calls) == sum(len(h.segments) for h in partitions) == sum(e.runs for e in events)
+        assert [h.n_groups for h in partitions] == [len(g) for g in groups]
+        assert [e.groups for e in events] == [len(g) for g in groups]
+        assert groups == [
+            group_sorted([(k, v) for p, _, k, v in records if p == part])
+            for part in range(3)
+        ]

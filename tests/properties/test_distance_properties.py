@@ -48,3 +48,47 @@ def test_squared_euclidean_preserves_nearest(p, a, b):
     sb = squared_euclidean(p[0], p[1], b[0], b[1])
     assert (da < db) == (sa < sb) or np.isclose(da, db)
 
+
+
+def _squared_euclidean_reference(lat1, lon1, lat2, lon2):
+    """The five-temporary expression :func:`squared_euclidean` replaced."""
+    dlat = np.asarray(lat2, dtype=np.float64) - np.asarray(lat1, dtype=np.float64)
+    dlon = np.asarray(lon2, dtype=np.float64) - np.asarray(lon1, dtype=np.float64)
+    out = dlat * dlat + dlon * dlon
+    return out if out.ndim else float(out)
+
+
+# Coordinates where the arithmetic is delicate: signed zeros, subnormals,
+# the antimeridian, and the overflow edge of a square.
+edge_float = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 180.0, -180.0, 1e200]),
+    st.floats(min_value=-180.0, max_value=180.0, allow_nan=False),
+    st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True),
+)
+#: Shapes that broadcast together: scalars, 0-d, row, column and full.
+_SHAPES = [(), (1,), (4,), (3, 1), (1, 4), (3, 4)]
+
+
+@st.composite
+def _operand(draw):
+    shape = draw(st.sampled_from(_SHAPES))
+    if not shape and draw(st.booleans()):
+        return draw(edge_float)  # a plain Python float
+    n = int(np.prod(shape))
+    values = draw(st.lists(edge_float, min_size=n, max_size=n))
+    return np.array(values, dtype=np.float64).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_operand(), _operand(), _operand(), _operand())
+def test_squared_euclidean_in_place_is_bit_identical(lat1, lon1, lat2, lon2):
+    """The in-place kernel returns the reference expression's bits, its
+    type (a ``float`` for scalar operands) and its broadcast shape."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _squared_euclidean_reference(lat1, lon1, lat2, lon2)
+        got = squared_euclidean(lat1, lon1, lat2, lon2)
+    assert type(got) is type(want)
+    got_bits = np.asarray(got, dtype=np.float64).view(np.uint64)
+    want_bits = np.asarray(want, dtype=np.float64).view(np.uint64)
+    assert got_bits.shape == want_bits.shape
+    assert (got_bits == want_bits).all()

@@ -184,8 +184,11 @@ def test_external_shuffle_matches_in_memory(map_outputs, n_reducers):
             assert _canon_groups(spilled.partitions[r]) == _canon_groups(
                 reference.partitions[r]
             )
+            assert spilled.groups_for(r) == reference.groups_for(r)
+            assert spilled.records_for(r) == reference.records_for(r)
         assert spilled.shuffled_bytes == reference.shuffled_bytes
         assert spilled.partition_bytes == reference.partition_bytes
         spilled.release()
+        assert list(directory.path.iterdir()) == []
     finally:
         directory.cleanup()
