@@ -42,15 +42,13 @@ def pytest_collection_modifyitems(config, items):
 @pytest.fixture(scope="session")
 def corpus_66mb():
     """~0.9 M traces from 90 users (the paper's 66 MB subset)."""
-    dataset, users = generate_dataset(SyntheticConfig(n_users=90, days=1, seed=66))
-    return dataset.flat().sort_by_time(), users
+    return generate_dataset(SyntheticConfig(n_users=90, days=1, seed=66))
 
 
 @pytest.fixture(scope="session")
 def corpus_128mb():
     """~1.8 M traces from 178 users (the paper's 128 MB subset)."""
-    dataset, users = generate_dataset(SyntheticConfig(n_users=178, days=1, seed=128))
-    return dataset.flat().sort_by_time(), users
+    return generate_dataset(SyntheticConfig(n_users=178, days=1, seed=128))
 
 
 def make_runner(

@@ -21,8 +21,7 @@ from repro.mapreduce.failures import ChaosSchedule, Fault, FaultKind
 
 @pytest.fixture(scope="module")
 def corpus():
-    dataset, _ = generate_dataset(SyntheticConfig(n_users=12, days=1, seed=7))
-    return dataset.flat().sort_by_time()
+    return generate_dataset(SyntheticConfig(n_users=12, days=1, seed=7))[0]
 
 
 def _makespan(corpus, chaos):

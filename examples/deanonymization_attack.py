@@ -22,7 +22,7 @@ from repro.algorithms.sampling import sample_dataset
 from repro.attacks.deanonymization import deanonymization_attack
 from repro.attacks.poi import poi_attack
 from repro.attacks.prediction import evaluate_next_place_prediction
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import TraceArray
 from repro.sanitization import GaussianMask
 
 
@@ -30,7 +30,7 @@ def split_and_pseudonymize(dataset, cut_ts):
     """Older identified data vs newer pseudonymized release."""
     training, release = [], []
     truth = {}
-    for i, (user, arr) in enumerate(zip(dataset.user_ids, dataset.trails())):
+    for i, (user, arr) in enumerate(zip(dataset.users, dataset.trails())):
         old = arr[arr.timestamp < cut_ts]
         new = arr[arr.timestamp >= cut_ts]
         if len(old):
@@ -43,7 +43,8 @@ def split_and_pseudonymize(dataset, cut_ts):
                 )
             )
             truth[pseud] = user
-    return GeolocatedDataset(training), GeolocatedDataset(release), truth
+    training, release = (TraceArray.concatenate(side).by_user() for side in (training, release))
+    return training, release, truth
 
 
 def main() -> None:
@@ -53,8 +54,9 @@ def main() -> None:
     training, release, truth = split_and_pseudonymize(sampled, cut)
     params = DJClusterParams(radius_m=80.0, min_pts=5)
 
-    print(f"Training (identified): {training}")
-    print(f"Release (pseudonymized): {release}\n")
+    for name, side in (("Training (identified)", training), ("Release (pseudonymized)", release)):
+        print(f"{name}: {len(side.users)} users, {len(side):,} traces")
+    print()
 
     result = deanonymization_attack(training, release, truth, params)
     print(f"{'pseudonym':<14} {'linked to':<10} {'truth':<6} {'correct':<8} score")
@@ -64,13 +66,11 @@ def main() -> None:
         score = result.scores.get(pseud, float("nan"))
         print(f"{pseud:<14} {str(link):<10} {truth[pseud]:<6} {ok:<8} {score:.3f}")
     print(f"\nRe-identification rate: {result.success_rate:.0%} "
-          f"(random guessing: {1.0 / training.num_users():.0%})")
+          f"(random guessing: {1.0 / len(training.users):.0%})")
 
     # A mask degrades the linkage.
     masked_release = GaussianMask(300.0, seed=5).sanitize_dataset(release)
-    masked_result = deanonymization_attack(
-        training, GeolocatedDataset(masked_release.trails()), truth, params
-    )
+    masked_result = deanonymization_attack(training, masked_release, truth, params)
     print(
         f"After a 300 m Gaussian mask on the release: "
         f"{masked_result.success_rate:.0%} re-identified"
@@ -84,7 +84,7 @@ def main() -> None:
 
     print("\nNext-place prediction and predictability (per identified user):")
     for user in users[:3]:
-        trail = sampled.trail(user.user_id) if user.user_id in sampled else None
+        trail = sampled.trail(user.user_id) if user.user_id in sampled.users else None
         if trail is None:
             continue
         pois = poi_attack(trail, params)

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.attacks.social import ColocationParams, colocation_graph
 from repro.geo.synthetic import SyntheticConfig, generate_user
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import TraceArray
 
 
 def shifted_clone(trail: TraceArray, new_user: str, jitter_m: float = 4.0, seed: int = 0) -> TraceArray:
@@ -49,8 +49,8 @@ def main() -> None:
         (colleague.timestamp >= lo) & (colleague.timestamp <= lo + (hi - lo) * 0.5)
     ]
 
-    dataset = GeolocatedDataset(trails.values())
-    print(f"Population: {dataset}")
+    dataset = TraceArray.concatenate(list(trails.values())).by_user()
+    print(f"Population: {len(dataset.users)} users, {len(dataset):,} traces")
     planted = {("000", "100"), ("001", "101"), ("002", "102")}
     print(f"Planted relationships: {sorted(planted)}\n")
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.checks import positive
 from repro.geo.grid import time_windows
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import TraceArray
 from repro.mapreduce.config import Configuration
 from repro.mapreduce.counters import STANDARD
 from repro.mapreduce.job import JobSpec, Mapper
@@ -103,12 +103,13 @@ def sample_array(
 
 
 def sample_dataset(
-    dataset: GeolocatedDataset,
+    dataset: TraceArray,
     window_s: float,
     technique: "str | SamplingTechnique" = SamplingTechnique.UPPER,
-) -> GeolocatedDataset:
-    """Down-sample every trail of a dataset (sequential reference path)."""
-    return GeolocatedDataset.from_array(sample_array(dataset.flat(), window_s, technique))
+) -> TraceArray:
+    """Down-sample every trail of a dataset (sequential reference path),
+    in by-user order."""
+    return sample_array(dataset, window_s, technique).by_user()
 
 
 class SamplingMapper(Mapper):

@@ -29,7 +29,7 @@ from repro.algorithms.djcluster import DJClusterParams, _dense_clusters, preproc
 from repro.attacks.mmc import MobilityMarkovChain, mmc_link_score, segmented_chains
 from repro.attacks.poi import segmented_pois
 from repro.checks import count, non_negative
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import TraceArray
 
 __all__ = [
     "fingerprint_user",
@@ -126,8 +126,8 @@ class DeanonymizationResult:
 
 
 def deanonymization_attack(
-    training: GeolocatedDataset,
-    target: GeolocatedDataset,
+    training: TraceArray,
+    target: TraceArray,
     ground_truth: dict[str, str],
     params: DJClusterParams = DJClusterParams(),
     max_pois: int = 8,
@@ -143,15 +143,16 @@ def deanonymization_attack(
     it (every candidate's :func:`~repro.attacks.mmc.mmc_link_score` is
     ``None``).
     """
+    training, target = training.by_user(), target.by_user()
     train_prints: dict[str, MobilityMarkovChain] = {}
-    for user, trail in zip(training.user_ids, training.trails()):
+    for user, trail in zip(training.users, training.trails()):
         fp = fingerprint_user(trail, params, max_pois, attach_radius_m)
         if fp is not None:
             train_prints[user] = fp
 
     linkage: dict[str, str | None] = {}
     scores: dict[str, float] = {}
-    for pseudonym, trail in zip(target.user_ids, target.trails()):
+    for pseudonym, trail in zip(target.users, target.trails()):
         fp = fingerprint_user(trail, params, max_pois, attach_radius_m)
         if fp is None or not train_prints:
             linkage[pseudonym] = None

@@ -69,12 +69,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.algorithms.djcluster import DJClusterParams
-from repro.attacks.deanonymization import DeanonymizationResult, fingerprint_users
+from repro.attacks.deanonymization import (
+    DeanonymizationResult,
+    deanonymization_attack,
+    fingerprint_users,
+)
 from repro.attacks.mmc import MobilityMarkovChain, _greedy_match, _pair_score
 from repro.checks import count, finite_column, non_negative, positive
 from repro.geo.distance import haversine_m
 from repro.geo.grid import ragged_arange, unique_rows
-from repro.geo.trace import _TRACE_DTYPE, GeolocatedDataset, TraceArray, digest
+from repro.geo.trace import _TRACE_DTYPE, TraceArray, digest
 from repro.mapreduce.config import Configuration
 from repro.mapreduce.job import JobSpec, Mapper, Reducer
 from repro.mapreduce.types import ArrayPayload, Chunk, concrete_payload
@@ -860,7 +864,7 @@ def run_attack_selfcheck(n_users: int = 8, seed: int = 11, verbose: bool = True)
     from repro.mapreduce.config import BACKENDS
 
     training, target, truth = synthetic_linkage_corpus(n_users, seed=seed)
-    serial = deanonymization_attack_reference(
+    serial = deanonymization_attack(
         training, target, truth, params=SYNTH_ATTACK_PARAMS
     )
     reference = linkage_signature(serial)
@@ -893,26 +897,3 @@ def run_attack_selfcheck(n_users: int = 8, seed: int = 11, verbose: bool = True)
     if verbose:
         print("\n".join(lines))
     return ok
-
-
-def deanonymization_attack_reference(
-    training: TraceArray,
-    target: TraceArray,
-    ground_truth: dict[str, str],
-    params: DJClusterParams = DJClusterParams(),
-    max_pois: int = 8,
-    max_match_dist_m: float = 500.0,
-    attach_radius_m: float = 200.0,
-) -> DeanonymizationResult:
-    """The serial attack on trace arrays (the MR job's ground truth)."""
-    from repro.attacks.deanonymization import deanonymization_attack
-
-    return deanonymization_attack(
-        GeolocatedDataset.from_array(training),
-        GeolocatedDataset.from_array(target),
-        ground_truth,
-        params=params,
-        max_pois=max_pois,
-        max_match_dist_m=max_match_dist_m,
-        attach_radius_m=attach_radius_m,
-    )

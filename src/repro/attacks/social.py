@@ -27,7 +27,7 @@ import numpy as np
 from repro.checks import non_negative, positive
 from repro.geo.distance import haversine_m
 from repro.geo.grid import grid_cells, time_windows
-from repro.geo.trace import GeolocatedDataset, TraceArray, as_array
+from repro.geo.trace import TraceArray
 
 __all__ = ["ColocationParams", "colocation_graph", "contact_events"]
 
@@ -62,7 +62,7 @@ def _window_cells(array: TraceArray, params: ColocationParams) -> np.ndarray:
 
 
 def contact_events(
-    dataset: GeolocatedDataset | TraceArray,
+    dataset: TraceArray,
     params: ColocationParams = ColocationParams(),
 ) -> dict[tuple[str, str], float]:
     """Total contact seconds per (user_a, user_b) pair, a < b.
@@ -72,11 +72,10 @@ def contact_events(
     Haversine after a coarse cell join over the window's 3x3 cell
     neighbourhood).
     """
-    array = as_array(dataset)
-    if len(array) == 0:
+    if len(dataset) == 0:
         return {}
-    buckets = _window_cells(array, params)
-    users = array.user_index
+    buckets = _window_cells(dataset, params)
+    users = dataset.user_index
     # Index traces by bucket for the hash join.
     order = np.lexsort((buckets[:, 2], buckets[:, 1], buckets[:, 0]))
     sorted_buckets = buckets[order]
@@ -88,8 +87,8 @@ def contact_events(
             bucket_index[key] = order[start:i].tolist()
             start = i
 
-    lat, lon, ts = array.latitude, array.longitude, array.timestamp
-    user_names = array.users
+    lat, lon, ts = dataset.latitude, dataset.longitude, dataset.timestamp
+    user_names = dataset.users
     #: (pair) -> set of windows in contact.
     contact_windows: dict[tuple[str, str], set[int]] = {}
     for (window, clat, clon), members in bucket_index.items():
@@ -129,14 +128,14 @@ def contact_events(
 
 
 def colocation_graph(
-    dataset: GeolocatedDataset | TraceArray,
+    dataset: TraceArray,
     params: ColocationParams = ColocationParams(),
 ) -> nx.Graph:
-    """The inferred social graph: nodes are users, edge weight is total
-    contact seconds; only pairs above ``min_contact_s`` survive."""
+    """The inferred social graph: nodes are the users that own traces, edge
+    weight is total contact seconds; only pairs above ``min_contact_s``
+    survive."""
     graph = nx.Graph()
-    array = as_array(dataset)
-    graph.add_nodes_from(array.users)
+    graph.add_nodes_from(dataset.users[i] for i in np.unique(dataset.user_index))
     for (a, b), seconds in contact_events(dataset, params).items():
         if seconds >= params.min_contact_s:
             graph.add_edge(a, b, contact_s=seconds)

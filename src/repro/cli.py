@@ -550,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(path: str):
     dataset = read_geolife_dataset(path) if os.path.isdir(path) else None
-    if dataset is None or dataset.num_users() == 0:
+    if dataset is None or not dataset.users:
         raise SystemExit(f"no GeoLife data found under {path}")
     return dataset
 
@@ -618,18 +618,17 @@ def _run(args: argparse.Namespace) -> int:
         )
         written = write_geolife_dataset(dataset, args.out)
         print(
-            f"wrote {len(dataset):,} traces for {dataset.num_users()} users "
+            f"wrote {len(dataset):,} traces for {len(dataset.users)} users "
             f"({len(written)} PLT files) under {args.out}"
         )
         return 0
 
     if args.command == "info":
         dataset = _load(args.input)
-        flat = dataset.flat()
-        lo, hi = flat.time_span()
-        bbox = flat.bounding_box()
-        print(f"users:  {dataset.num_users()}")
-        print(f"traces: {len(flat):,}")
+        lo, hi = dataset.time_span()
+        bbox = dataset.bounding_box()
+        print(f"users:  {len(dataset.users)}")
+        print(f"traces: {len(dataset):,}")
         print(
             "span:   "
             f"{_dt.datetime.fromtimestamp(lo, tz=_dt.timezone.utc):%Y-%m-%d %H:%M} .. "
@@ -645,7 +644,7 @@ def _run(args: argparse.Namespace) -> int:
                 f"(p90 {summary['p90_rg_m']:,.0f} m); "
                 f"median log interval: {summary['median_interval_s']:.1f} s"
             )
-            for user in dataset.user_ids:
+            for user in dataset.users:
                 s = user_stats(dataset.trail(user))
                 print(
                     f"  user {user}: {s.n_traces:,} traces, "
@@ -653,7 +652,7 @@ def _run(args: argparse.Namespace) -> int:
                     f"interval {s.median_interval_s:.1f} s"
                 )
         else:
-            for user in dataset.user_ids:
+            for user in dataset.users:
                 print(f"  user {user}: {len(dataset.trail(user)):,} traces")
         return 0
 
@@ -690,7 +689,7 @@ def _run(args: argparse.Namespace) -> int:
             from repro.mapreduce.runner import fresh_runner
 
             dataset = _load(args.input)
-            train, target, truth = split_linkage_corpus(dataset.flat())
+            train, target, truth = split_linkage_corpus(dataset)
             if len(train) == 0 or len(target) == 0:
                 raise SystemExit(
                     "attack: corpus too small to split into training/target halves"
@@ -747,9 +746,9 @@ def _run(args: argparse.Namespace) -> int:
             return 0
         dataset = _load(args.input)
         params = DJClusterParams(radius_m=args.radius, min_pts=args.min_pts)
-        users = [args.user] if args.user else dataset.user_ids
+        users = [args.user] if args.user else dataset.users
         for user in users:
-            if user not in dataset:
+            if user not in dataset.users:
                 raise SystemExit(f"unknown user {user!r}")
             pois = poi_attack(dataset.trail(user), params)
             print(f"\nuser {user}: {len(pois)} POIs")
@@ -774,7 +773,7 @@ def _run(args: argparse.Namespace) -> int:
         write_geolife_dataset(released, args.out)
         print(
             f"applied {sanitizer!r}: {len(dataset):,} -> "
-            f"{len(released.flat()):,} traces -> {args.out}"
+            f"{len(released):,} traces -> {args.out}"
         )
         return 0
 
@@ -791,7 +790,7 @@ def _run(args: argparse.Namespace) -> int:
             raise SystemExit("sweep: provide at least one --mechanisms spec")
         if args.input:
             dataset = _load(args.input)
-            train, target, truth = split_linkage_corpus(dataset.flat())
+            train, target, truth = split_linkage_corpus(dataset)
             defaults = DJClusterParams()
         else:
             train, target, truth = synthetic_linkage_corpus(
@@ -909,7 +908,7 @@ def _run(args: argparse.Namespace) -> int:
             SyntheticConfig(n_users=args.users, days=args.days, seed=args.seed)
         )
         hdfs = fresh_hdfs(
-            {"input/traces": dataset.flat()},
+            {"input/traces": dataset},
             chunk_size=64 * 1024, n_workers=3, record_bytes=64,
         )
         # Paused service: the future is observably QUEUED before start().
@@ -1158,10 +1157,9 @@ def _run(args: argparse.Namespace) -> int:
 
         positive("--tenants", args.tenants)
         positive("--window-s", args.window_s)
-        dataset, _ = generate_dataset(
+        array, _ = generate_dataset(
             SyntheticConfig(n_users=args.users, days=args.days, seed=args.seed)
         )
-        array = dataset.flat()
         chaos = None
         if args.late_prob or args.lost_prob or args.dup_prob:
             chaos = ChaosSchedule(

@@ -4,8 +4,8 @@ This subpackage provides the geolocated-data layer that GEPETO operates on:
 
 * :mod:`repro.geo.trace` — the one trace model (Section II of the paper):
   the columnar :class:`~repro.geo.trace.TraceArray`, of which a trail is a
-  one-user slice, and the :class:`~repro.geo.trace.GeolocatedDataset`, one
-  array sorted by user and time.
+  one-user slice and a dataset the array in by-user order
+  (:meth:`~repro.geo.trace.TraceArray.by_user`), sorted by user and time.
 * :mod:`repro.geo.distance` — vectorized distance metrics (Haversine,
   squared Euclidean).
 * :mod:`repro.geo.geolife` — reader/writer for the exact GeoLife PLT on-disk
@@ -14,7 +14,7 @@ This subpackage provides the geolocated-data layer that GEPETO operates on:
   datasets, used as the stand-in for the (proprietary-scale) GeoLife corpus.
 """
 
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import TraceArray
 from repro.geo.distance import (
     haversine_km,
     haversine_m,
@@ -45,7 +45,6 @@ from repro.geo.stats import (
 )
 
 __all__ = [
-    "GeolocatedDataset",
     "TraceArray",
     "haversine_km",
     "haversine_m",

@@ -36,7 +36,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.checks import finite, within
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import TraceArray
 
 __all__ = [
     "GEOLIFE_EPOCH",
@@ -202,7 +202,7 @@ def stream_geolife_trails(
     is yielded, so peak memory is one trajectory — never the corpus.  This
     is the ingestion path for datasets larger than RAM: feed the trails
     into ``SimulatedHDFS`` (which pages chunks to disk under a memory
-    budget) instead of building a :class:`GeolocatedDataset` first.
+    budget) instead of reading the whole corpus first.
     Empty trajectories are skipped, matching :func:`read_geolife_dataset`.
     """
     for user, plt_file in iter_plt_files(root, user_ids):
@@ -211,18 +211,18 @@ def stream_geolife_trails(
             yield trail
 
 
-def read_geolife_dataset(root: str | Path, user_ids: Iterable[str] | None = None) -> GeolocatedDataset:
-    """Read a GeoLife-layout directory tree into a :class:`GeolocatedDataset`.
+def read_geolife_dataset(root: str | Path, user_ids: Iterable[str] | None = None) -> TraceArray:
+    """Read a GeoLife-layout directory tree into one array in by-user order.
 
     ``root`` contains one directory per user; each user directory contains a
     ``Trajectory/`` folder of ``.plt`` files.  ``user_ids`` optionally
     restricts which users to load.  For corpora that should never be fully
     resident, use :func:`stream_geolife_trails` instead.
     """
-    return GeolocatedDataset(stream_geolife_trails(root, user_ids))
+    return TraceArray.concatenate(list(stream_geolife_trails(root, user_ids))).by_user()
 
 
-def write_geolife_dataset(dataset: GeolocatedDataset, root: str | Path) -> list[Path]:
+def write_geolife_dataset(dataset: TraceArray, root: str | Path) -> list[Path]:
     """Write a dataset in GeoLife directory layout; returns written paths.
 
     Each trail becomes a single PLT file named from its first timestamp,
@@ -230,7 +230,8 @@ def write_geolife_dataset(dataset: GeolocatedDataset, root: str | Path) -> list[
     """
     root = Path(root)
     written: list[Path] = []
-    for user, trail in zip(dataset.user_ids, dataset.trails()):
+    dataset = dataset.by_user()
+    for user, trail in zip(dataset.users, dataset.trails()):
         first = _dt.datetime.fromtimestamp(trail.timestamp[0], tz=_dt.timezone.utc)
         path = root / user / "Trajectory" / f"{first:%Y%m%d%H%M%S}.plt"
         write_plt(trail, path)

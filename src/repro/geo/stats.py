@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geo.distance import haversine_m
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import TraceArray
 
 __all__ = [
     "radius_of_gyration_m",
@@ -89,9 +89,9 @@ def user_stats(trail: TraceArray) -> UserStats:
     )
 
 
-def corpus_summary(dataset: GeolocatedDataset) -> dict[str, float]:
+def corpus_summary(dataset: TraceArray) -> dict[str, float]:
     """Corpus-level aggregates: counts plus the r_g distribution."""
-    stats = [user_stats(t) for t in dataset.trails()]
+    stats = [user_stats(t) for t in dataset.by_user().trails()]
     if not stats:
         return {
             "n_users": 0.0,

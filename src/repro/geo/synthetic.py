@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import TraceArray
 
 __all__ = [
     "SyntheticConfig",
@@ -245,12 +245,11 @@ def generate_user(cfg: SyntheticConfig, user_index: int) -> SyntheticUser:
     return SyntheticUser(user_id, pois, trail)
 
 
-def generate_dataset(cfg: SyntheticConfig) -> tuple[GeolocatedDataset, list[SyntheticUser]]:
+def generate_dataset(cfg: SyntheticConfig) -> tuple[TraceArray, list[SyntheticUser]]:
     """Generate the full synthetic corpus.
 
-    Returns the :class:`GeolocatedDataset` plus the per-user ground truth
+    Returns the corpus in by-user order plus the per-user ground truth
     (POIs), which the attack-evaluation metrics compare against.
     """
     users = [generate_user(cfg, i) for i in range(cfg.n_users)]
-    ds = GeolocatedDataset(u.trail for u in users)
-    return ds, users
+    return TraceArray.concatenate([u.trail for u in users]).by_user(), users

@@ -9,22 +9,22 @@ individuals.
 There is one trace model, the columnar :class:`TraceArray`: contiguous NumPy
 columns that every vectorized kernel and every MapReduce path works on.  A
 trace is one of its rows, never an object of its own; a trail is a
-one-user array in time order; a :class:`GeolocatedDataset` is one array
-sorted by user id and then by time, plus the offsets at which each user's
-rows start.
+one-user array in time order; a dataset is an array in *by-user order*
+(:meth:`TraceArray.by_user`): rows sorted by user id and then by time,
+under a table of exactly the ids that own rows, in ``sorted()`` order.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.geo.distance import unit_vectors
 
-__all__ = ["TraceArray", "GeolocatedDataset"]
+__all__ = ["TraceArray"]
 
 
 def digest(*blobs: bytes) -> str:
@@ -61,12 +61,14 @@ class TraceArray:
     deliberately append-free: build it in one shot with
     :meth:`from_columns`, then slice with NumPy masks.
 
-    One derived column is memoized: :meth:`unit_vectors`, filled on first
-    use and dropped with the array.  It is not part of the array's state:
-    a pickle is the same bytes whether or not it is filled.
+    Two derived values are memoized, each filled on first use and dropped
+    with the array: :meth:`unit_vectors`, and the row offsets of each
+    user's trail that :meth:`trail` and :meth:`trails` read.  Neither is
+    part of the array's state: a pickle is the same bytes whether or not
+    they are filled.
     """
 
-    __slots__ = ("_data", "_users", "_units")
+    __slots__ = ("_data", "_users", "_units", "_offsets")
 
     def __init__(self, data: np.ndarray, users: Sequence[str]):
         if data.dtype != _TRACE_DTYPE:
@@ -74,13 +76,15 @@ class TraceArray:
         self._data = data
         self._users = tuple(users)
         self._units: np.ndarray | None = None
+        self._offsets: np.ndarray | None = None
 
     def __getstate__(self):
         return None, {"_data": self._data, "_users": self._users}
 
     def __setstate__(self, state) -> None:
         _, slots = state
-        self._data, self._users, self._units = slots["_data"], slots["_users"], None
+        self._data, self._users = slots["_data"], slots["_users"]
+        self._units = self._offsets = None
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -300,6 +304,73 @@ class TraceArray:
         listed = list(table)
         return TraceArray(data, [listed[i] for i in by_first_row])
 
+    def by_user(self) -> "TraceArray":
+        """The rows in by-user order: sorted by user id, then stably by
+        timestamp (NaN last), under a table of the ids that own rows in
+        ``sorted()`` order.  Table entries naming one id merge.  An array
+        already in that order is returned as it is.
+        """
+        if self._user_offsets() is not None:
+            return self
+        table = np.asarray(self._users, dtype=object)
+        present = np.flatnonzero(np.bincount(self.user_index, minlength=len(table)))
+        users, ranks = np.unique(table[present], return_inverse=True)
+        remap = np.zeros(len(table), dtype=np.int32)
+        remap[present] = ranks
+        key = remap[self.user_index]
+        order = _block_order(key, self.timestamp, len(users))
+        if order is None:
+            order = np.lexsort((self.timestamp, key))
+        data = np.take(self._data, order)
+        data["user_idx"] = np.take(key, order)
+        out = TraceArray(data, users)
+        out._offsets = np.searchsorted(data["user_idx"], np.arange(len(users) + 1))
+        return out
+
+    def _user_offsets(self) -> np.ndarray | None:
+        """Where each user's rows start (and the last ends) when the array
+        is in by-user order, else ``None``; a found answer is kept."""
+        if self._offsets is None:
+            self._offsets = _by_user_offsets(self._users, self.user_index, self.timestamp)
+        return self._offsets
+
+    def _trail_offsets(self) -> np.ndarray:
+        offsets = self._user_offsets()
+        if offsets is None:
+            raise ValueError("the array is not in by-user order; call by_user() first")
+        return offsets
+
+    def _trail(self, i: int, offsets: np.ndarray) -> "TraceArray":
+        """User ``i``'s rows under a table of that one user."""
+        data = self._data[offsets[i] : offsets[i + 1]].copy()
+        data["user_idx"] = 0
+        return TraceArray(data, self._users[i : i + 1])
+
+    def trail(self, user_id: str) -> "TraceArray":
+        """``user_id``'s rows in time order, as a one-user array.
+
+        ``ValueError`` unless the array is in by-user order (see
+        :meth:`by_user`); ``KeyError`` for an id that owns no rows.
+        """
+        offsets = self._trail_offsets()
+        i = bisect.bisect_left(self._users, user_id)
+        if self._users[i : i + 1] != (user_id,):
+            raise KeyError(user_id)
+        return self._trail(i, offsets)
+
+    def trails(self) -> Iterator["TraceArray"]:
+        """Every user's trail, in :attr:`users` order; ``ValueError``
+        unless the array is in by-user order (see :meth:`by_user`)."""
+        offsets = self._trail_offsets()
+        return (self._trail(i, offsets) for i in range(len(self._users)))
+
+    def flat(self) -> "TraceArray":
+        """The array itself.  Kept because the end-to-end benchmark's
+        ``attack_chain`` workload (``benchmarks/e2e/workloads.py``) calls
+        ``generate_dataset(...)[0].flat()``, from when a dataset wrapped
+        its array."""
+        return self
+
     def sort_by_time(self) -> "TraceArray":
         """Return a copy sorted by (user, timestamp) — the trail order."""
         order = np.lexsort((self._data["timestamp"], self._data["user_idx"]))
@@ -355,85 +426,22 @@ def _block_order(key: np.ndarray, timestamp: np.ndarray, n_users: int) -> np.nda
     return np.arange(len(key)) + np.repeat(shift, lengths)
 
 
-class GeolocatedDataset:
-    """A set of trails from different individuals (Section II).
-
-    This is the object GEPETO's operations consume and produce.  It is one
-    :class:`TraceArray` sorted by user id, then by timestamp, whose user
-    table is the ids in ``sorted()`` order, plus ``offsets``: user ``i``'s
-    rows are ``offsets[i]:offsets[i + 1]``.  Building one is one stable
-    sort; :meth:`flat` is the stored array; a trail is one slice.
-    """
-
-    def __init__(self, arrays: Iterable[TraceArray] = ()):
-        """The rows of ``arrays``, under the ids they carry: the rows of one
-        user merge, in the order given on tied timestamps."""
-        array = TraceArray.concatenate(list(arrays))
-        table = np.asarray(array.users, dtype=object)
-        present = np.flatnonzero(np.bincount(array.user_index, minlength=len(table)))
-        users, ranks = np.unique(table[present], return_inverse=True)
-        remap = np.zeros(len(table), dtype=np.int32)
-        remap[present] = ranks
-        key = remap[array.user_index]
-        order = _block_order(key, array.timestamp, len(users))
-        if order is None:
-            order = np.lexsort((array.timestamp, key))
-        data = np.take(array._data, order)
-        data["user_idx"] = np.take(key, order)
-        self._array = TraceArray(data, users)
-        self._offsets = np.searchsorted(data["user_idx"], np.arange(len(users) + 1))
-
-    @classmethod
-    def from_array(cls, array: TraceArray) -> "GeolocatedDataset":
-        """One trail per user of ``array``'s rows."""
-        return cls([array])
-
-    # -- access --------------------------------------------------------------
-    @property
-    def user_ids(self) -> list[str]:
-        return list(self._array.users)
-
-    def _rank(self, user_id: str) -> int | None:
-        i = bisect.bisect_left(self._array.users, user_id)
-        return i if self._array.users[i : i + 1] == (user_id,) else None
-
-    def _trail(self, i: int) -> TraceArray:
-        """User ``i``'s rows, time-sorted, under a table of that one user."""
-        data = self._array._data[self._offsets[i] : self._offsets[i + 1]].copy()
-        data["user_idx"] = 0
-        return TraceArray(data, self._array.users[i : i + 1])
-
-    def trail(self, user_id: str) -> TraceArray:
-        i = self._rank(user_id)
-        if i is None:
-            raise KeyError(user_id)
-        return self._trail(i)
-
-    def trails(self) -> Iterator[TraceArray]:
-        """Every user's trail, in :attr:`user_ids` order."""
-        return map(self._trail, range(self.num_users()))
-
-    def flat(self) -> TraceArray:
-        """All traces of all users as one :class:`TraceArray`."""
-        return self._array
-
-    def __len__(self) -> int:
-        """Total number of traces across all trails."""
-        return len(self._array)
-
-    def num_users(self) -> int:
-        return len(self._array.users)
-
-    def __contains__(self, user_id: str) -> bool:
-        return self._rank(user_id) is not None
-
-    def __repr__(self) -> str:
-        return f"GeolocatedDataset(users={self.num_users()}, traces={len(self)})"
-
-
-def as_array(data: "TraceArray | GeolocatedDataset") -> TraceArray:
-    """The :class:`TraceArray` behind a dataset (its :meth:`~GeolocatedDataset.flat`)
-    or an array (itself)."""
-    if isinstance(data, GeolocatedDataset):
-        return data.flat()
-    return data
+def _by_user_offsets(
+    users: tuple[str, ...], key: np.ndarray, timestamp: np.ndarray
+) -> np.ndarray | None:
+    """Where each user's run of rows starts (and the last ends) when
+    ``users`` is strictly increasing, every entry owns a run, the runs
+    follow the table and each is time-sorted with NaN stamps last;
+    otherwise ``None``."""
+    if any(a >= b for a, b in zip(users, users[1:])):
+        return None
+    step = np.diff(key)
+    if np.any(step < 0):
+        return None
+    offsets = np.searchsorted(key, np.arange(len(users) + 1))
+    if np.any(offsets[1:] == offsets[:-1]):
+        return None
+    later = timestamp[1:]
+    if not np.all((step != 0) | (later >= timestamp[:-1]) | np.isnan(later)):
+        return None
+    return offsets

@@ -333,8 +333,7 @@ def _inputs(
     unknown = [d for d in chosen if d not in DRIVERS]
     if unknown:
         raise ValueError(f"unknown chaos driver(s) {unknown}; known: {list(DRIVERS)}")
-    dataset, _ = generate_dataset(SyntheticConfig(n_users=n_users, days=days, seed=data_seed))
-    array = dataset.flat()
+    array, _ = generate_dataset(SyntheticConfig(n_users=n_users, days=days, seed=data_seed))
     context: dict = {}
     if "mmc" in chosen:
         context["poi_coords"] = kmeans_sequential(array.coordinates(), k=4, seed=0).centroids

@@ -21,7 +21,7 @@ from repro.attacks.poi import PointOfInterestEstimate
 from repro.geo.distance import haversine_m
 from repro.geo.grid import grid_cells, time_windows, unique_rows
 from repro.geo.synthetic import PointOfInterest
-from repro.geo.trace import GeolocatedDataset, TraceArray, as_array
+from repro.geo.trace import TraceArray
 from repro.sanitization.mixzones import MixZone
 
 __all__ = [
@@ -142,7 +142,7 @@ def bucket_user_rows(array: TraceArray, cell_m: float, window_s: float):
 
 
 def anonymity_set_sizes(
-    dataset: GeolocatedDataset | TraceArray,
+    dataset: TraceArray,
     cell_m: float = 500.0,
     window_s: float = 3600.0,
 ) -> np.ndarray:
@@ -151,8 +151,7 @@ def anonymity_set_sizes(
     The distribution's minimum is the k-anonymity level the release
     actually achieves at that granularity.
     """
-    array = as_array(dataset)
-    *bucket, _ = bucket_user_rows(array, cell_m, window_s)
+    *bucket, _ = bucket_user_rows(dataset, cell_m, window_s)
     _, counts = unique_rows(*bucket, return_counts=True)
     return np.sort(counts)
 
@@ -186,7 +185,7 @@ class WindowRisk:
 
 
 def window_reidentification_risk(
-    dataset: GeolocatedDataset | TraceArray,
+    dataset: TraceArray,
     cell_m: float = 500.0,
     window_s: float = 3600.0,
 ) -> WindowRisk:
@@ -200,10 +199,9 @@ def window_reidentification_risk(
     lets the streaming layer treat it as part of its equivalence
     signature.
     """
-    array = as_array(dataset)
-    if len(array) == 0:
+    if len(dataset) == 0:
         return WindowRisk(0, 0, 0.0, 0, 0.0)
-    *bucket, user = bucket_user_rows(array, cell_m, window_s)
+    *bucket, user = bucket_user_rows(dataset, cell_m, window_s)
     _, bucket_ids, counts = unique_rows(
         *bucket, return_inverse=True, return_counts=True
     )
@@ -220,7 +218,7 @@ def window_reidentification_risk(
 
 
 def mixzone_anonymity_sets(
-    dataset: GeolocatedDataset | TraceArray,
+    dataset: TraceArray,
     zones: list[MixZone],
     window_s: float = 3600.0,
 ) -> dict[int, np.ndarray]:
@@ -229,12 +227,11 @@ def mixzone_anonymity_sets(
     Measured on the *original* dataset: it quantifies how much mixing
     each zone would provide if deployed.
     """
-    array = as_array(dataset)
     out: dict[int, np.ndarray] = {}
-    windows = time_windows(array.timestamp, window_s)
+    windows = time_windows(dataset.timestamp, window_s)
     for zi, zone in enumerate(zones):
-        inside = zone.contains(array.latitude, array.longitude)
-        zone_windows, _ = unique_rows(windows[inside], array.user_index[inside])
+        inside = zone.contains(dataset.latitude, dataset.longitude)
+        zone_windows, _ = unique_rows(windows[inside], dataset.user_index[inside])
         _, counts = np.unique(zone_windows, return_counts=True)
         out[zi] = np.sort(counts)
     return out

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.geo.distance import haversine_m
 from repro.geo.grid import grid_cells, time_windows, unique_rows
-from repro.geo.trace import GeolocatedDataset, TraceArray, as_array
+from repro.geo.trace import TraceArray
 
 __all__ = [
     "spatial_distortion_m",
@@ -53,27 +53,25 @@ def _match_by_time(original: TraceArray, sanitized: TraceArray) -> tuple[np.ndar
 
 
 def spatial_distortion_m(
-    original: GeolocatedDataset | TraceArray,
-    sanitized: GeolocatedDataset | TraceArray,
+    original: TraceArray,
+    sanitized: TraceArray,
 ) -> tuple[float, float]:
     """(mean, median) displacement in metres over matched traces.
 
     Returns ``(nan, nan)`` when no traces can be matched.
     """
-    orig = as_array(original)
-    san = as_array(sanitized)
-    oi, si = _match_by_time(orig, san)
+    oi, si = _match_by_time(original, sanitized)
     if len(oi) == 0:
         return float("nan"), float("nan")
-    d = np.asarray(
-        haversine_m(orig.latitude[oi], orig.longitude[oi], san.latitude[si], san.longitude[si])
-    )
+    d = np.asarray(haversine_m(
+        original.latitude[oi], original.longitude[oi], sanitized.latitude[si], sanitized.longitude[si]
+    ))
     return float(d.mean()), float(np.median(d))
 
 
 def trace_volume_ratio(
-    original: GeolocatedDataset | TraceArray,
-    sanitized: GeolocatedDataset | TraceArray,
+    original: TraceArray,
+    sanitized: TraceArray,
 ) -> float:
     """|sanitized| / |original| (0 when the original is empty)."""
     n_orig = len(original)
@@ -87,23 +85,21 @@ def _visited_cells(array: TraceArray, cell_m: float) -> set[tuple[int, int]]:
 
 
 def coverage_ratio(
-    original: GeolocatedDataset | TraceArray,
-    sanitized: GeolocatedDataset | TraceArray,
+    original: TraceArray,
+    sanitized: TraceArray,
     cell_m: float = 500.0,
 ) -> float:
     """Fraction of the original's visited cells still visited afterwards."""
-    orig = as_array(original)
-    san = as_array(sanitized)
-    orig_cells = _visited_cells(orig, cell_m)
+    orig_cells = _visited_cells(original, cell_m)
     if not orig_cells:
         return 1.0
-    san_cells = _visited_cells(san, cell_m)
+    san_cells = _visited_cells(sanitized, cell_m)
     return len(orig_cells & san_cells) / len(orig_cells)
 
 
 def range_query_error(
-    original: GeolocatedDataset | TraceArray,
-    sanitized: GeolocatedDataset | TraceArray,
+    original: TraceArray,
+    sanitized: TraceArray,
     n_queries: int = 200,
     cell_m: float = 1000.0,
     window_s: float = 3600.0,
@@ -118,9 +114,7 @@ def range_query_error(
     release answers density questions perfectly; 1 means all the mass
     moved or vanished.
     """
-    orig = as_array(original)
-    san = as_array(sanitized)
-    if len(orig) == 0:
+    if len(original) == 0:
         return 0.0
 
     def buckets(array: TraceArray) -> dict[tuple[int, int, int], int]:
@@ -129,8 +123,8 @@ def range_query_error(
         keys, counts = unique_rows(window, lat_band, lon_band, return_counts=True)
         return dict(zip(zip(*(key.tolist() for key in keys)), counts.tolist()))
 
-    orig_counts = buckets(orig)
-    san_counts = buckets(san)
+    orig_counts = buckets(original)
+    san_counts = buckets(sanitized)
     rng = np.random.default_rng(seed)
     keys = list(orig_counts)
     picks = rng.choice(len(keys), size=min(n_queries, len(keys)), replace=False)
@@ -154,8 +148,8 @@ class UtilityReport:
 
 
 def utility_report(
-    original: GeolocatedDataset | TraceArray,
-    sanitized: GeolocatedDataset | TraceArray,
+    original: TraceArray,
+    sanitized: TraceArray,
     cell_m: float = 500.0,
 ) -> UtilityReport:
     """Compute all utility metrics in one call."""

@@ -35,8 +35,7 @@ def run_selfcheck(verbose: bool = True) -> int:
         if verbose:
             print(message)
 
-    dataset, _ = generate_dataset(SyntheticConfig(n_users=3, days=1, seed=42))
-    array = dataset.flat()
+    array, _ = generate_dataset(SyntheticConfig(n_users=3, days=1, seed=42))
 
     timings = {}
     with fresh_runner(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import TraceArray
 
 __all__ = ["Sanitizer"]
 
@@ -24,7 +24,7 @@ class Sanitizer(abc.ABC):
     def sanitize_array(self, array: TraceArray) -> TraceArray:
         """Return the sanitized version of ``array`` (never in place)."""
 
-    def sanitize_dataset(self, dataset: GeolocatedDataset) -> GeolocatedDataset:
-        """Sanitize every user's rows in one call; users sanitized to
-        emptiness are dropped."""
-        return GeolocatedDataset.from_array(self.sanitize_array(dataset.flat()))
+    def sanitize_dataset(self, dataset: TraceArray) -> TraceArray:
+        """Sanitize every user's rows in one call, in by-user order; users
+        sanitized to emptiness are dropped."""
+        return self.sanitize_array(dataset).by_user()

@@ -212,8 +212,7 @@ def run_stream_selfcheck(verbose: bool = False) -> bool:
     from repro.algorithms.djcluster import DJClusterParams
     from repro.mapreduce.failures import Fault, FaultKind
 
-    dataset, _ = generate_dataset(SyntheticConfig(n_users=3, days=1, seed=11))
-    array = dataset.flat()
+    array, _ = generate_dataset(SyntheticConfig(n_users=3, days=1, seed=11))
     service = {"stream": 1.0}
     manager = dict(
         k=3, max_iter=8, sampling_window_s=1800.0,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.checks import positive
-from repro.geo.trace import GeolocatedDataset, TraceArray, as_array
+from repro.geo.trace import TraceArray
 from repro.mapreduce.failures import ChaosSchedule
 
 __all__ = ["FeedBatch", "StreamSource"]
@@ -52,16 +52,15 @@ class FeedBatch:
 class StreamSource:
     """Deterministic micro-batch view of a corpus, one feed per user.
 
-    ``array`` may be a :class:`TraceArray` or a
-    :class:`GeolocatedDataset`; it is canonically (user, time)-sorted
-    before cutting, so construction order never leaks into batches.
+    ``array`` is canonically (user, time)-sorted before cutting, so
+    construction order never leaks into batches.
     Window ``w`` covers event time ``[base + w*window_s,
     base + (w+1)*window_s)`` where ``base`` is the corpus' first window
     boundary on the epoch grid (the same alignment the sampling driver
     uses).
     """
 
-    array: "TraceArray | GeolocatedDataset"
+    array: TraceArray
     window_s: float
     chaos: ChaosSchedule | None = None
     name: str = "stream"
@@ -71,15 +70,13 @@ class StreamSource:
     lost_by_window: dict[int, int] = field(init=False, default_factory=dict)
     total_points: int = field(init=False, default=0)
     lost_points: int = field(init=False, default=0)
-    n_feeds: int = field(init=False, default=0)
     n_event_windows: int = field(init=False, default=0)
     n_windows: int = field(init=False, default=0)
     base_window: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         positive("window_s", self.window_s)
-        array = as_array(self.array)
-        ordered = array.sort_by_time().compact()
+        ordered = self.array.sort_by_time().compact()
         object.__setattr__(self, "array", ordered)
         n = len(ordered)
         self.total_points = n
@@ -91,7 +88,6 @@ class StreamSource:
         self.base_window = base
         win = np.floor_divide(ts, self.window_s).astype(np.int64) - base
         self.n_event_windows = int(win.max()) + 1
-        self.n_feeds = len(ordered.users)
         # One batch per contiguous (user, window) run of the sorted corpus.
         change = np.empty(n, dtype=bool)
         change[0] = True

@@ -29,7 +29,7 @@ from repro.algorithms.sampling import SamplingTechnique, run_sampling_job, sampl
 from repro.attacks.poi import PointOfInterestEstimate, poi_attack
 from repro.geo.geolife import read_geolife_dataset
 from repro.geo.synthetic import SyntheticConfig, SyntheticUser, generate_dataset
-from repro.geo.trace import GeolocatedDataset
+from repro.geo.trace import TraceArray
 from repro.index.rtree_mr import RTreeBuildResult, build_rtree_mapreduce
 from repro.mapreduce.cluster import paper_cluster
 from repro.mapreduce.hdfs import MB, SimulatedHDFS
@@ -45,8 +45,8 @@ __all__ = ["Gepeto", "GepetoCluster"]
 class Gepeto:
     """A geolocated dataset plus GEPETO's operations over it."""
 
-    def __init__(self, dataset: GeolocatedDataset):
-        self.dataset = dataset
+    def __init__(self, dataset: TraceArray):
+        self.dataset = dataset.by_user()
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -80,7 +80,7 @@ class Gepeto:
         """Run the POI inference attack on every user."""
         return {
             user: poi_attack(trail, params)
-            for user, trail in zip(self.dataset.user_ids, self.dataset.trails())
+            for user, trail in zip(self.dataset.users, self.dataset.trails())
         }
 
     def utility_versus(self, original: "Gepeto", cell_m: float = 500.0) -> UtilityReport:
@@ -109,7 +109,7 @@ class Gepeto:
         cluster = paper_cluster(n_workers=n_workers, map_slots=map_slots)
         hdfs = SimulatedHDFS(cluster, chunk_size=chunk_size_mb * MB)
         runner = JobRunner(hdfs, cost_model=cost_model, executor=executor)
-        hdfs.put_trace_array(path, self.dataset.flat())
+        hdfs.put_trace_array(path, self.dataset)
         return GepetoCluster(runner, path)
 
     # -- introspection ---------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.attacks.poi import PointOfInterestEstimate
 from repro.checks import count, finite_column
-from repro.geo.trace import GeolocatedDataset, TraceArray, as_array
+from repro.geo.trace import TraceArray
 
 __all__ = [
     "ascii_density_map",
@@ -30,7 +30,7 @@ _RAMP = " .:-=+*#%@"
 
 
 def ascii_density_map(
-    data: GeolocatedDataset | TraceArray,
+    data: TraceArray,
     width: int = 72,
     height: int = 24,
     markers: Sequence[tuple[float, float, str]] = (),
@@ -44,18 +44,17 @@ def ascii_density_map(
     """
     count("width", width, 2)
     count("height", height, 2)
-    array = as_array(data)
-    if len(array) == 0:
+    if len(data) == 0:
         return "(empty dataset)"
-    finite_column(array.latitude, "coordinates")
-    finite_column(array.longitude, "coordinates")
+    finite_column(data.latitude, "coordinates")
+    finite_column(data.longitude, "coordinates")
     finite_column([m[:2] for m in markers], "coordinates")
-    min_lat, min_lon, max_lat, max_lon = array.bounding_box()
+    min_lat, min_lon, max_lat, max_lon = data.bounding_box()
     span_lat = max(max_lat - min_lat, 1e-9)
     span_lon = max(max_lon - min_lon, 1e-9)
-    col = np.clip(((array.longitude - min_lon) / span_lon * (width - 1)).astype(int), 0, width - 1)
+    col = np.clip(((data.longitude - min_lon) / span_lon * (width - 1)).astype(int), 0, width - 1)
     # Row 0 is the top (max latitude).
-    row = np.clip(((max_lat - array.latitude) / span_lat * (height - 1)).astype(int), 0, height - 1)
+    row = np.clip(((max_lat - data.latitude) / span_lat * (height - 1)).astype(int), 0, height - 1)
     grid = np.zeros((height, width), dtype=np.int64)
     np.add.at(grid, (row, col), 1)
     log_grid = np.log1p(grid)
@@ -72,7 +71,7 @@ def ascii_density_map(
     body = "\n".join("|" + "".join(line) + "|" for line in canvas)
     legend = (
         f"lat [{min_lat:.4f}, {max_lat:.4f}]  lon [{min_lon:.4f}, {max_lon:.4f}]  "
-        f"n={len(array)}"
+        f"n={len(data)}"
     )
     return f"{border}\n{body}\n{border}\n{legend}"
 

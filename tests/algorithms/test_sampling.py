@@ -9,7 +9,7 @@ from repro.algorithms.sampling import (
     sample_array,
     sample_dataset,
 )
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import TraceArray
 
 
 def _array(timestamps, user="u", lat=None):
@@ -123,14 +123,14 @@ class TestTrailAndDataset:
         assert len(out) == 2
 
     def test_sample_dataset_all_users(self):
-        ds = GeolocatedDataset(
+        ds = TraceArray.concatenate(
             [
                 _array([1, 5, 70], user="a"),
                 _array([2, 80], user="b"),
             ]
-        )
+        ).by_user()
         out = sample_dataset(ds, 60.0)
-        assert out.user_ids == ["a", "b"]
+        assert out.users == ("a", "b")
         assert len(out) == 4
 
 

@@ -12,7 +12,7 @@ from repro.attacks.deanonymization import (
     fingerprint_user,
 )
 from repro.algorithms.sampling import sample_dataset
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import TraceArray
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +27,7 @@ def split_corpus():
     cut = cfg.start_timestamp + 2 * 86400.0
     training, target = [], []
     ground_truth = {}
-    for user, arr in zip(sampled.user_ids, sampled.trails()):
+    for user, arr in zip(sampled.users, sampled.trails()):
         first = arr[arr.timestamp < cut]
         second = arr[arr.timestamp >= cut]
         if len(first):
@@ -42,7 +42,8 @@ def split_corpus():
             )
             target.append(renamed)
             ground_truth[pseud] = user
-    return GeolocatedDataset(training), GeolocatedDataset(target), ground_truth
+    training, target = (TraceArray.concatenate(side).by_user() for side in (training, target))
+    return training, target, ground_truth
 
 
 PARAMS = DJClusterParams(radius_m=80, min_pts=5)
@@ -51,7 +52,7 @@ PARAMS = DJClusterParams(radius_m=80, min_pts=5)
 class TestFingerprint:
     def test_fingerprint_built_for_dense_trail(self, split_corpus):
         training, _, _ = split_corpus
-        trail = training.trail(training.user_ids[0])
+        trail = training.trail(training.users[0])
         fp = fingerprint_user(trail, PARAMS)
         assert fp is not None
         assert fp.n_states >= 1
@@ -87,7 +88,7 @@ class TestAttack:
 
     def test_empty_training_links_nothing(self, split_corpus):
         _, target, truth = split_corpus
-        result = deanonymization_attack(GeolocatedDataset(), target, truth, PARAMS)
+        result = deanonymization_attack(TraceArray.empty(), target, truth, PARAMS)
         assert all(v is None for v in result.linkage.values())
         assert result.success_rate == 0.0
 
@@ -118,13 +119,13 @@ class TestTieBreakAndEvidence:
         from repro.attacks.linkage_mr import SYNTH_ATTACK_PARAMS
 
         train, target = one_user_corpus
-        tgt = GeolocatedDataset([_renamed_trail(target, "anon-x")])
+        tgt = _renamed_trail(target, "anon-x").by_user()
         truth = {"anon-x": "alice"}
         # Two training identities with byte-identical trails are exactly
         # equidistant from the target; the winner must be the
         # lexicographically smaller id whatever the insertion order.
         for order in (("alice", "bob"), ("bob", "alice")):
-            training = GeolocatedDataset(_renamed_trail(train, user) for user in order)
+            training = TraceArray.concatenate([_renamed_trail(train, u) for u in order]).by_user()
             result = deanonymization_attack(
                 training, tgt, truth, SYNTH_ATTACK_PARAMS
             )
@@ -144,8 +145,8 @@ class TestTieBreakAndEvidence:
             train.longitude + 40.0,
             train.timestamp.copy(),
         )
-        training = GeolocatedDataset([far])
-        tgt = GeolocatedDataset([_renamed_trail(target, "anon-x")])
+        training = far.by_user()
+        tgt = _renamed_trail(target, "anon-x").by_user()
         result = deanonymization_attack(
             training, tgt, {"anon-x": "far"}, SYNTH_ATTACK_PARAMS
         )

@@ -6,11 +6,11 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.attacks.deanonymization import deanonymization_attack
 from repro.attacks.linkage_mr import (
     SYNTH_ATTACK_PARAMS,
     blocking_cells,
     cover_cells,
-    deanonymization_attack_reference,
     linkage_signature,
     run_linkage_attack,
     split_linkage_corpus,
@@ -162,7 +162,7 @@ class TestEquivalence:
     @pytest.fixture(scope="class")
     def reference(self, corpus):
         train, target, truth = corpus
-        return deanonymization_attack_reference(
+        return deanonymization_attack(
             train, target, truth, params=SYNTH_ATTACK_PARAMS
         )
 
@@ -205,7 +205,7 @@ class TestEquivalence:
         train, target, truth = synthetic_linkage_corpus(5, seed=0, pois_per_user=3)
         signatures = {}
         for radius in (3.0, 200.0):
-            reference = deanonymization_attack_reference(
+            reference = deanonymization_attack(
                 train, target, truth, params=SYNTH_ATTACK_PARAMS, attach_radius_m=radius
             )
             runner = _deployment(train, target)
@@ -505,13 +505,13 @@ class TestSweep:
         from repro.attacks.sweep import _sanitize
         from repro.cli import parse_mechanism
         from repro.geo.synthetic import SyntheticConfig, generate_dataset
-        from repro.geo.trace import GeolocatedDataset
+        from repro.geo.trace import TraceArray
 
         dataset, _ = generate_dataset(SyntheticConfig(n_users=4, days=1, seed=5))
-        _, target, _ = split_linkage_corpus(dataset.flat())
-        swept = GeolocatedDataset.from_array(_sanitize(spec, target))
-        written = parse_mechanism(spec).sanitize_dataset(GeolocatedDataset.from_array(target))
-        assert swept.flat().signature() == written.flat().signature()
+        _, target, _ = split_linkage_corpus(dataset)
+        swept = _sanitize(spec, target).by_user()
+        written = parse_mechanism(spec).sanitize_dataset(target.by_user())
+        assert swept.signature() == written.signature()
 
     def test_sweep_cell_events_emitted(self, tmp_path):
         from repro.attacks.sweep import run_sweep
@@ -568,6 +568,6 @@ class TestDegenerateInputs:
         outcome = run_linkage_attack(_deployment(train, target, chunk_size=64), "input/train",
                                      "input/target", truth, params=SYNTH_ATTACK_PARAMS)
         assert outcome.result.linkage["anon-stray"] is None
-        assert outcome.result.linkage == deanonymization_attack_reference(
+        assert outcome.result.linkage == deanonymization_attack(
             train, target, truth, SYNTH_ATTACK_PARAMS
         ).linkage

@@ -95,7 +95,7 @@ class TestAtScale:
         from repro.algorithms.sampling import sample_array
 
         dataset, users = small_corpus
-        sampled = sample_array(dataset.flat().sort_by_time(), 60.0)
+        sampled = sample_array(dataset.sort_by_time(), 60.0)
         clusters = djcluster_sequential(sampled, DJClusterParams(radius_m=80, min_pts=6))
         pois = clusters.cluster_centroids()
         assert len(pois) >= 4
@@ -103,7 +103,7 @@ class TestAtScale:
         hdfs.put_trace_array("traces", sampled)
         runner = JobRunner(hdfs)
         models = run_mmc_mapreduce(runner, "traces", pois)
-        assert len(models) == dataset.num_users()
+        assert len(models) == len(dataset.users)
         for mmc in models.values():
             assert np.allclose(mmc.transitions.sum(axis=1), 1.0)
             assert mmc.visit_counts.sum() > 0

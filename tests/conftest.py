@@ -36,7 +36,7 @@ def small_corpus():
 @pytest.fixture(scope="session")
 def small_array(small_corpus) -> TraceArray:
     dataset, _ = small_corpus
-    return dataset.flat().sort_by_time()
+    return dataset.sort_by_time()
 
 
 @pytest.fixture()

@@ -17,7 +17,7 @@ from repro.geo.geolife import (
     write_geolife_dataset,
     write_plt,
 )
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import TraceArray
 
 
 class TestEpochConversion:
@@ -159,26 +159,26 @@ class TestReadPltChecks:
 
 class TestDatasetLayout:
     def test_write_then_read_directory_tree(self, tmp_path):
-        ds = GeolocatedDataset([_trail(10, "000"), _trail(8, "001")])
+        ds = TraceArray.concatenate([_trail(10, "000"), _trail(8, "001")]).by_user()
         written = write_geolife_dataset(ds, tmp_path)
         assert len(written) == 2
         for path in written:
             assert path.suffix == ".plt"
             assert path.parent.name == "Trajectory"
         back = read_geolife_dataset(tmp_path)
-        assert back.user_ids == ["000", "001"]
+        assert back.users == ("000", "001")
         assert len(back) == 18
 
     def test_read_subset_of_users(self, tmp_path):
-        ds = GeolocatedDataset([_trail(3, "000"), _trail(3, "001")])
+        ds = TraceArray.concatenate([_trail(3, "000"), _trail(3, "001")]).by_user()
         write_geolife_dataset(ds, tmp_path)
         back = read_geolife_dataset(tmp_path, user_ids=["001"])
-        assert back.user_ids == ["001"]
+        assert back.users == ("001",)
 
     def test_user_directory_without_trajectories_is_skipped(self, tmp_path):
-        write_geolife_dataset(GeolocatedDataset([_trail(3, "000")]), tmp_path)
+        write_geolife_dataset(_trail(3, "000").by_user(), tmp_path)
         (tmp_path / "002").mkdir()
-        assert read_geolife_dataset(tmp_path).user_ids == ["000"]
+        assert read_geolife_dataset(tmp_path).users == ("000",)
 
     def test_read_missing_root(self, tmp_path):
         with pytest.raises(FileNotFoundError):

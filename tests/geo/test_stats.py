@@ -9,7 +9,7 @@ from repro.geo.stats import (
     sampling_interval_stats,
     user_stats,
 )
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import TraceArray
 
 
 def _trail(lat, lon, ts, user="u"):
@@ -73,7 +73,7 @@ class TestSummaries:
     def test_corpus_summary(self, small_corpus):
         dataset, _ = small_corpus
         summary = corpus_summary(dataset)
-        assert summary["n_users"] == dataset.num_users()
+        assert summary["n_users"] == len(dataset.users)
         assert summary["n_traces"] == len(dataset)
         # GeoLife-like logging: 1-5 s intervals.
         assert 1.0 <= summary["median_interval_s"] <= 5.0
@@ -81,7 +81,7 @@ class TestSummaries:
         assert 200 < summary["median_rg_m"] < 20_000
 
     def test_empty_corpus(self):
-        summary = corpus_summary(GeolocatedDataset())
+        summary = corpus_summary(TraceArray.empty())
         assert summary["n_users"] == 0.0
 
 

@@ -108,9 +108,9 @@ class TestGenerateDataset:
     def test_user_count_and_ids(self):
         cfg = SyntheticConfig(n_users=3, days=1, seed=2)
         ds, users = generate_dataset(cfg)
-        assert ds.num_users() == 3
+        assert len(ds.users) == 3
         assert [u.user_id for u in users] == ["000", "001", "002"]
-        assert ds.user_ids == ["000", "001", "002"]
+        assert ds.users == ("000", "001", "002")
 
     def test_total_traces_match(self):
         cfg = SyntheticConfig(n_users=2, days=1, seed=2)

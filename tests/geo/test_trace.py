@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import TraceArray
 
 
 def make_array(users="alice", latitude=39.9, longitude=116.4, timestamps=(1000.0,)):
@@ -148,54 +148,61 @@ class TestTrail:
     """A trail is a one-user array in time order, as a dataset slices it."""
 
     def test_requires_single_user(self):
-        ds = GeolocatedDataset.from_array(make_array(list("abab"), timestamps=range(4)))
-        for user, trail in zip(ds.user_ids, ds.trails()):
+        ds = make_array(list("abab"), timestamps=range(4)).by_user()
+        for user, trail in zip(ds.users, ds.trails()):
             assert trail.users == (user,)
             assert np.all(trail.user_index == 0)
 
     def test_auto_sorts(self):
-        ds = GeolocatedDataset([make_array("u", timestamps=(3.0, 1.0, 2.0))])
+        ds = make_array("u", timestamps=(3.0, 1.0, 2.0)).by_user()
         assert list(ds.trail("u").timestamp) == [1.0, 2.0, 3.0]
 
     def test_duration(self):
-        trail = GeolocatedDataset([make_array(timestamps=(70.0, 10.0))]).trail("alice")
+        trail = make_array(timestamps=(70.0, 10.0)).by_user().trail("alice")
         assert trail.time_span() == (10.0, 70.0)
 
 
 class TestGeolocatedDataset:
     def test_from_traces_groups_users(self):
-        ds = GeolocatedDataset.from_array(make_array(list("abab"), timestamps=range(4)))
-        assert ds.num_users() == 2
+        ds = make_array(list("abab"), timestamps=range(4)).by_user()
+        assert len(ds.users) == 2
         assert len(ds) == 4
         assert len(ds.trail("a")) == 2
 
     def test_add_trail_merges_same_user(self):
         t1 = make_array(timestamps=(2.0,))
         t2 = make_array(timestamps=(1.0, 3.0))
-        ds = GeolocatedDataset([t1, t2])
-        assert ds.num_users() == 1
+        ds = TraceArray.concatenate([t1, t2]).by_user()
+        assert len(ds.users) == 1
         assert ds.trail("alice").users == ("alice",)
         assert list(ds.trail("alice").timestamp) == [1.0, 2.0, 3.0]
 
     def test_flat_is_cached_and_invalidated(self):
-        ds = GeolocatedDataset.from_array(make_array(timestamps=(1.0,)))
-        flat1 = ds.flat()
-        assert ds.flat() is flat1
-        grown = GeolocatedDataset([*ds.trails(), make_array("bob")])
-        assert len(grown.flat()) == 2
+        ds = make_array(timestamps=(1.0,)).by_user()
+        assert ds.flat() is ds
+        grown = TraceArray.concatenate([*ds.trails(), make_array("bob")]).by_user()
+        assert len(grown) == 2
+        assert grown.users == ("alice", "bob")
 
     def test_from_array_roundtrip(self):
-        ds = GeolocatedDataset.from_array(make_array(list("aabb"), timestamps=range(4)))
-        ds2 = GeolocatedDataset.from_array(ds.flat())
-        assert ds2.user_ids == ds.user_ids
-        assert len(ds2) == len(ds)
+        ds = make_array(list("aabb"), timestamps=range(4)).by_user()
+        assert ds.by_user() is ds
+        assert ds.users == ("a", "b")
 
     def test_contains(self):
-        ds = GeolocatedDataset.from_array(make_array())
-        assert "alice" in ds
-        assert "bob" not in ds
+        ds = make_array().by_user()
+        assert "alice" in ds.users
+        assert "bob" not in ds.users
         with pytest.raises(KeyError):
             ds.trail("bob")
+
+    def test_an_unsorted_array_has_no_trails(self):
+        unsorted = make_array(list("ba"), timestamps=range(2))
+        with pytest.raises(ValueError, match=r"by_user\(\)"):
+            unsorted.trails()
+        with pytest.raises(ValueError, match=r"by_user\(\)"):
+            unsorted.trail("a")
+        assert [t.users for t in unsorted.by_user().trails()] == [("a",), ("b",)]
 
 
 def test_renamed_merges_names_in_first_row_order():

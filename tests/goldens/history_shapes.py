@@ -51,7 +51,7 @@ from tests.goldens import dump
 
 def _traces(n_users: int, seed: int):
     dataset, _ = generate_dataset(SyntheticConfig(n_users=n_users, days=1, seed=seed))
-    return dataset.flat().sort_by_time()
+    return dataset.sort_by_time()
 
 
 def kmeans_chaos() -> JobHistory:

@@ -226,7 +226,7 @@ def corpora() -> dict[str, TraceArray]:
     polar = np.column_stack((85.0 + rs.normal(0.0, 0.002, 300), 20.0 + rs.normal(0.0, 0.02, 300)))
     dups = np.tile([[47.3, -122.2]], (150, 1))
     dataset, _ = generate_dataset(SyntheticConfig(n_users=12, days=1, seed=7))
-    out = {"users12": sample_array(dataset.flat().sort_by_time(), 300.0)}
+    out = {"users12": sample_array(dataset.sort_by_time(), 300.0)}
     for name, points in (("city", city), ("lat85", polar), ("dups", dups)):
         n = len(points)
         users = [f"u{i % 4}" for i in range(n)]

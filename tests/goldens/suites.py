@@ -943,9 +943,9 @@ def _run_attack() -> str:
     (10^10 candidate pairs) on the serial backend, with the
     persistent-index audit proving the candidate blocking lossless.
     """
+    from repro.attacks.deanonymization import deanonymization_attack
     from repro.attacks.linkage_mr import (
         SYNTH_ATTACK_PARAMS,
-        deanonymization_attack_reference,
         linkage_signature,
         synthetic_linkage_corpus,
     )
@@ -956,7 +956,7 @@ def _run_attack() -> str:
     # Both corpora are (training, target, truth) triples.
     small = synthetic_linkage_corpus(equivalence_users, seed=seed)
     reference_signature = linkage_signature(
-        deanonymization_attack_reference(*small, params=SYNTH_ATTACK_PARAMS)
+        deanonymization_attack(*small, params=SYNTH_ATTACK_PARAMS)
     )
     cell = functools.partial(_attack_cell, chunk_mb=chunk_mb)
     equivalence = {backend: cell(*small, backend) for backend in BACKENDS}

@@ -1,14 +1,15 @@
-"""``golden_trace_model.json``: what a :class:`GeolocatedDataset` holds.
+"""``golden_trace_model.json``: what a dataset in by-user order holds.
 
-For each dataset below: its ``user_ids``, ``flat().signature()``, its
-trace count and a SHA-256 of each trail's latitude, longitude, timestamp
-and altitude columns.  The datasets are a seeded synthetic corpus, the
-``from_array`` of both sides of a linkage corpus, a down-sample of the
-first, every sanitizer's ``sanitize_dataset`` output (anonymous
-pseudonyms and two mix zones included), cloaking then pseudonymizing,
-and a GeoLife write/read round trip with two ``.plt`` files for one
-user.  Recorded before the dataset became one sorted array plus offsets,
-so the layout can never change what a dataset holds.
+For each dataset below: its ``users`` (recorded as ``user_ids``), its
+``signature()`` (recorded as ``flat``), its trace count and a SHA-256 of
+each trail's latitude, longitude, timestamp and altitude columns.  The
+datasets are a seeded synthetic corpus, the ``by_user()`` of both sides
+of a linkage corpus, a down-sample of the first, every sanitizer's
+``sanitize_dataset`` output (anonymous pseudonyms and two mix zones
+included), cloaking then pseudonymizing, and a GeoLife write/read round
+trip with two ``.plt`` files for one user.  Recorded while a dataset was
+still a type of its own, so the layout can never change what a dataset
+holds.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.algorithms.sampling import sample_dataset
 from repro.attacks.linkage_mr import synthetic_linkage_corpus
 from repro.geo.geolife import read_geolife_dataset, write_plt
 from repro.geo.synthetic import SyntheticConfig, generate_dataset
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import TraceArray
 from repro.sanitization import (
     DonutMask,
     GaussianMask,
@@ -41,27 +42,27 @@ from tests.goldens import dump, sha256
 SYNTHETIC = SyntheticConfig(n_users=6, days=1, seed=42)
 
 
-def describe(dataset: GeolocatedDataset) -> dict:
+def describe(dataset: TraceArray) -> dict:
     return {
-        "user_ids": dataset.user_ids,
+        "user_ids": list(dataset.users),
         "traces": len(dataset),
-        "flat": dataset.flat().signature(),
+        "flat": dataset.signature(),
         "trails": {
             user: sha256(trail.latitude, trail.longitude, trail.timestamp, trail.altitude)
-            for user, trail in zip(dataset.user_ids, dataset.trails())
+            for user, trail in zip(dataset.users, dataset.trails())
         },
     }
 
 
-def mix_zones(dataset: GeolocatedDataset) -> list[MixZone]:
+def mix_zones(dataset: TraceArray) -> list[MixZone]:
     """Two zones on rows of the first trail that the trail leaves again,
     so its segments take fresh pseudonyms."""
-    first = dataset.trail(dataset.user_ids[0])
+    first = dataset.trail(dataset.users[0])
     rows = (len(first) // 3, 2 * len(first) // 3)
     return [MixZone(float(first.latitude[i]), float(first.longitude[i]), 300.0) for i in rows]
 
 
-def geolife_round_trip() -> GeolocatedDataset:
+def geolife_round_trip() -> TraceArray:
     """Three ``.plt`` files, two of them one user's with a tied timestamp."""
     def trail(user: str, start: float, n: int, lat0: float) -> TraceArray:
         ts = start + 5.0 * np.arange(n)
@@ -96,8 +97,8 @@ def build() -> str:
     }
     doc = {
         "synthetic": describe(synthetic),
-        "linkage_training": describe(GeolocatedDataset.from_array(training)),
-        "linkage_target": describe(GeolocatedDataset.from_array(target)),
+        "linkage_training": describe(training.by_user()),
+        "linkage_target": describe(target.by_user()),
         "sampled": describe(sample_dataset(synthetic, 300.0)),
         "sanitized": {
             name: describe(sanitizer.sanitize_dataset(synthetic))

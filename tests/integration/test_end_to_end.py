@@ -14,7 +14,7 @@ from repro.algorithms.djcluster import DJClusterParams, djcluster_sequential
 from repro.algorithms.sampling import run_sampling_job
 from repro.attacks.poi import extract_pois, label_home_work
 from repro.geo.geolife import write_geolife_dataset
-from repro.geo.trace import GeolocatedDataset
+from repro.geo.trace import TraceArray
 from repro.metrics.privacy import poi_recovery
 from repro.metrics.utility import utility_report
 from repro.sanitization import GaussianMask
@@ -29,7 +29,7 @@ def workflow():
 class TestFullPipeline:
     def test_geolife_disk_roundtrip_feeds_pipeline(self, workflow, tmp_path):
         toolkit, _ = workflow
-        one_user = GeolocatedDataset([toolkit.dataset.trail(toolkit.dataset.user_ids[0])])
+        one_user = toolkit.dataset.trail(toolkit.dataset.users[0]).by_user()
         write_geolife_dataset(one_user, tmp_path)
         reloaded = Gepeto.from_geolife(tmp_path)
         assert len(reloaded) == len(one_user)
@@ -69,7 +69,7 @@ class TestFullPipeline:
         gt = [p for user in truth for p in user.pois]
 
         def attack(gep):
-            res = djcluster_sequential(gep.dataset.flat(), params)
+            res = djcluster_sequential(gep.dataset, params)
             return extract_pois(res)
 
         clean_recovery = poi_recovery(attack(sampled), gt, match_radius_m=150.0)
@@ -117,7 +117,7 @@ class TestScalingKnobs:
         from repro.mapreduce.runner import JobRunner
 
         toolkit, _ = workflow
-        arr = toolkit.dataset.flat().sort_by_time()
+        arr = toolkit.dataset.sort_by_time()
         results = {}
         for workers in (1, 8):
             hdfs = SimulatedHDFS(paper_cluster(workers), chunk_size=64 * 2000, seed=0)

@@ -22,7 +22,7 @@ from tests.conftest import crash_faults
 @pytest.fixture(scope="module")
 def sampled(small_corpus):
     dataset, _ = small_corpus
-    return sample_array(dataset.flat().sort_by_time(), 60.0)
+    return sample_array(dataset.sort_by_time(), 60.0)
 
 
 def _hdfs(sampled, chunk_traces=300):

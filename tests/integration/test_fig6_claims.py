@@ -35,7 +35,7 @@ CURVES = ("zorder", "hilbert")
 @pytest.fixture(scope="module")
 def indexed_corpus():
     dataset, _ = generate_dataset(SyntheticConfig(n_users=45, days=1, seed=128))
-    return sample_array(dataset.flat().sort_by_time(), 60.0)
+    return sample_array(dataset.sort_by_time(), 60.0)
 
 
 @pytest.fixture(scope="module")

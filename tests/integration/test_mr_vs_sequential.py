@@ -24,7 +24,7 @@ from repro.mapreduce.runner import JobRunner
 @pytest.fixture(scope="module")
 def sampled_data(small_corpus):
     dataset, _ = small_corpus
-    return sample_array(dataset.flat().sort_by_time(), 60.0)
+    return sample_array(dataset.sort_by_time(), 60.0)
 
 
 @pytest.fixture()
@@ -41,7 +41,7 @@ class TestSamplingEquivalence:
     @pytest.mark.parametrize("window", [60.0, 300.0, 600.0])
     def test_equal_for_all_parameters(self, small_corpus, technique, window):
         dataset, _ = small_corpus
-        arr = dataset.flat().sort_by_time()
+        arr = dataset.sort_by_time()
         hdfs = SimulatedHDFS(paper_cluster(5), chunk_size=64 * (len(arr) + 1), seed=0)
         hdfs.put_trace_array("traces", arr)
         runner = JobRunner(hdfs)

@@ -94,7 +94,7 @@ def _wordcount_hdfs():
 
 def _trace_hdfs():
     dataset, _ = generate_dataset(SyntheticConfig(n_users=2, days=1, seed=9))
-    corpus = dataset.flat().sort_by_time()
+    corpus = dataset.sort_by_time()
     hdfs = SimulatedHDFS(paper_cluster(4), chunk_size=64 * 1024, seed=0)
     hdfs.put_trace_array("input/traces", corpus)
     return hdfs

@@ -447,8 +447,7 @@ class TestFeedFaults:
         from repro.observability.history import JobHistory
         from repro.streaming import MicroBatcher, StreamSource
 
-        dataset, _ = generate_dataset(SyntheticConfig(n_users=2, days=1, seed=3))
-        corpus = dataset.flat()
+        corpus, _ = generate_dataset(SyntheticConfig(n_users=2, days=1, seed=3))
         feeds = sorted(set(corpus.users))
         chaos = ChaosSchedule(
             seed=2,

@@ -31,7 +31,7 @@ from tests.conftest import CountAggregation
 
 def _corpus():
     dataset, _ = generate_dataset(SyntheticConfig(n_users=2, days=1, seed=7))
-    return dataset.flat().sort_by_time()
+    return dataset.sort_by_time()
 
 
 def _hdfs(n_workers=3):

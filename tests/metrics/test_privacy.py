@@ -5,7 +5,7 @@ import pytest
 
 from repro.attacks.poi import PointOfInterestEstimate
 from repro.geo.synthetic import PointOfInterest
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import TraceArray
 from repro.metrics.privacy import (
     anonymity_set_sizes,
     mixzone_anonymity_sets,
@@ -72,44 +72,44 @@ class TestAnonymitySets:
                 [u], np.full(5, 39.9), np.full(5, 116.4), np.arange(5.0) * 60
             )
 
-        return GeolocatedDataset([mk("a"), mk("b")])
+        return TraceArray.concatenate([mk("a"), mk("b")]).by_user()
 
     def test_shared_cell_counts_both_users(self):
         sizes = anonymity_set_sizes(self._two_user_ds(), cell_m=500, window_s=3600)
         assert list(sizes) == [2]
 
     def test_separate_cells_are_singletons(self):
-        ds = GeolocatedDataset(
+        ds = TraceArray.concatenate(
             [
                 TraceArray.from_columns(["a"], np.full(3, 39.9), np.full(3, 116.4), np.arange(3.0)),
                 TraceArray.from_columns(["b"], np.full(3, 45.0), np.full(3, 10.0), np.arange(3.0)),
             ]
-        )
+        ).by_user()
         sizes = anonymity_set_sizes(ds, cell_m=500, window_s=3600)
         assert list(sizes) == [1, 1]
 
     def test_empty(self):
-        assert len(anonymity_set_sizes(GeolocatedDataset())) == 0
+        assert len(anonymity_set_sizes(TraceArray.empty())) == 0
 
 
 class TestMixzoneSets:
     def test_zone_traversal_counted_per_window(self):
         zone = MixZone(39.9, 116.4, 500.0)
-        ds = GeolocatedDataset(
+        ds = TraceArray.concatenate(
             [
                 TraceArray.from_columns(["a"], np.full(3, 39.9), np.full(3, 116.4), np.arange(3.0)),
                 TraceArray.from_columns(["b"], np.full(3, 39.9), np.full(3, 116.4), np.arange(3.0)),
                 TraceArray.from_columns(["c"], np.full(3, 45.0), np.full(3, 10.0), np.arange(3.0)),
             ]
-        )
+        ).by_user()
         sets = mixzone_anonymity_sets(ds, [zone], window_s=3600.0)
         assert list(sets[0]) == [2]
 
     def test_unvisited_zone_empty(self):
         zone = MixZone(0.0, 0.0, 100.0)
-        ds = GeolocatedDataset(
+        ds = TraceArray.concatenate(
             [TraceArray.from_columns(["a"], np.full(3, 39.9), np.full(3, 116.4), np.arange(3.0))]
-        )
+        ).by_user()
         sets = mixzone_anonymity_sets(ds, [zone])
         assert len(sets[0]) == 0
 

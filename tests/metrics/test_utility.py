@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import TraceArray
 from repro.metrics.utility import (
     UtilityReport,
     coverage_ratio,
@@ -16,7 +16,7 @@ from repro.sanitization.masks import GaussianMask
 
 def _ds(n=200, seed=0):
     rng = np.random.default_rng(seed)
-    return GeolocatedDataset(
+    return TraceArray.concatenate(
         [
             TraceArray.from_columns(
                 ["u"],
@@ -25,7 +25,7 @@ def _ds(n=200, seed=0):
                 np.arange(n, dtype=float),
             )
         ]
-    )
+    ).by_user()
 
 
 class TestDistortion:
@@ -43,13 +43,13 @@ class TestDistortion:
 
     def test_unmatchable_returns_nan(self):
         ds = _ds()
-        other = GeolocatedDataset(
+        other = TraceArray.concatenate(
             [
                 TraceArray.from_columns(
                     ["different-user"], np.zeros(3), np.zeros(3), np.arange(3.0)
                 )
             ]
-        )
+        ).by_user()
         mean, median = spatial_distortion_m(ds, other)
         assert np.isnan(mean) and np.isnan(median)
 
@@ -61,11 +61,11 @@ class TestVolume:
 
     def test_half_suppressed(self):
         ds = _ds(100)
-        half = GeolocatedDataset.from_array(ds.flat()[:50])
+        half = ds[:50].by_user()
         assert trace_volume_ratio(ds, half) == pytest.approx(0.5)
 
     def test_empty_original(self):
-        assert trace_volume_ratio(GeolocatedDataset(), _ds()) == 0.0
+        assert trace_volume_ratio(TraceArray.empty(), _ds()) == 0.0
 
 
 class TestCoverage:
@@ -75,14 +75,11 @@ class TestCoverage:
 
     def test_collapsing_everything_reduces_coverage(self):
         ds = _ds(500)
-        flat = ds.flat()
-        collapsed = GeolocatedDataset.from_array(
-            flat.with_coordinates(np.full(len(flat), 39.9), np.full(len(flat), 116.4))
-        )
+        collapsed = ds.with_coordinates(np.full(len(ds), 39.9), np.full(len(ds), 116.4)).by_user()
         assert coverage_ratio(ds, collapsed, cell_m=200.0) < 0.2
 
     def test_empty_original_counts_as_covered(self):
-        assert coverage_ratio(GeolocatedDataset(), _ds()) == 1.0
+        assert coverage_ratio(TraceArray.empty(), _ds()) == 1.0
 
 
 class TestRangeQueryError:
@@ -96,7 +93,7 @@ class TestRangeQueryError:
         from repro.metrics.utility import range_query_error
 
         ds = _ds(500)
-        empty = GeolocatedDataset()
+        empty = TraceArray.empty()
         assert range_query_error(ds, empty) == pytest.approx(1.0)
 
     def test_small_noise_small_error(self):
@@ -122,7 +119,7 @@ class TestRangeQueryError:
     def test_empty_original(self):
         from repro.metrics.utility import range_query_error
 
-        assert range_query_error(GeolocatedDataset(), _ds()) == 0.0
+        assert range_query_error(TraceArray.empty(), _ds()) == 0.0
 
 
 class TestReport:

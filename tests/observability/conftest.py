@@ -23,7 +23,7 @@ from tests.conftest import crash_faults
 def traced_run():
     """(runner, sampling JobResult, kmeans result) of a traced deployment."""
     dataset, _ = generate_dataset(SyntheticConfig(n_users=3, days=1, seed=9))
-    array = dataset.flat().sort_by_time()
+    array = dataset.sort_by_time()
     hdfs = SimulatedHDFS(paper_cluster(3), chunk_size=64 * 1024, seed=0)
     hdfs.put_trace_array("input/traces", array, record_bytes=64)
     runner = JobRunner(hdfs, chaos=ChaosSchedule(faults=crash_faults("map-0001")))

@@ -73,7 +73,7 @@ def chaotic_run():
     from repro.mapreduce.runner import JobRunner
 
     dataset, _ = generate_dataset(SyntheticConfig(n_users=3, days=1, seed=9))
-    array = dataset.flat().sort_by_time()
+    array = dataset.sort_by_time()
     hdfs = SimulatedHDFS(paper_cluster(3), chunk_size=64 * 1024, seed=0)
     hdfs.put_trace_array("input/traces", array, record_bytes=64)
     chaos = ChaosSchedule(

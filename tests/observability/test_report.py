@@ -131,7 +131,7 @@ class TestOptionalSections:
 
         dataset, _ = generate_dataset(SyntheticConfig(n_users=3, days=1, seed=9))
         hdfs = SimulatedHDFS(paper_cluster(3), chunk_size=64 * 1024, seed=0)
-        hdfs.put_trace_array("input/traces", dataset.flat().sort_by_time(), record_bytes=64)
+        hdfs.put_trace_array("input/traces", dataset.sort_by_time(), record_bytes=64)
         runner = JobRunner(hdfs)
         run_kmeans_mapreduce(runner, "input/traces", k=3, max_iter=1, seed=7,
                              use_aggregation=True)

@@ -42,7 +42,7 @@ MAX_EXAMPLES = 4
 @pytest.fixture(scope="module")
 def corpus():
     dataset, _ = generate_dataset(SyntheticConfig(n_users=3, days=1, seed=42))
-    return dataset.flat().sort_by_time()
+    return dataset.sort_by_time()
 
 
 @pytest.fixture(scope="module")

@@ -18,11 +18,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.attacks.deanonymization import deanonymization_attack
 from repro.attacks.linkage_mr import (
     _POLAR_BAND,
     SYNTH_ATTACK_PARAMS,
     _fold,
-    deanonymization_attack_reference,
     linkage_signature,
     run_linkage_attack,
     synthetic_linkage_corpus,
@@ -55,7 +55,7 @@ def test_mr_attack_equals_serial_reference(
     n_users, seed, backend, chunk_traces, max_pois, attach_radius_m
 ):
     train, target, truth = synthetic_linkage_corpus(n_users, seed=seed, pois_per_user=3)
-    reference = deanonymization_attack_reference(
+    reference = deanonymization_attack(
         train,
         target,
         truth,

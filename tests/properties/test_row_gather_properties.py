@@ -1,9 +1,9 @@
 """Property-based tests: row gathers and the block-order shortcut.
 
-``TraceArray.__getitem__``, ``sort_by_time``, ``GeolocatedDataset`` and
+``TraceArray.__getitem__``, ``sort_by_time``, ``TraceArray.by_user`` and
 ``ColumnBlock.pairs`` gather rows with ``np.take`` / ``np.compress``;
 each must answer as fancy indexing does, field by field, errors
-included.  ``GeolocatedDataset`` skips its ``lexsort`` when every user's
+included.  ``by_user`` skips its ``lexsort`` when every user's
 rows are one time-sorted block; the shortcut must give the sort's
 permutation and must decline everything else.
 """
@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geo import trace
-from repro.geo.trace import _TRACE_DTYPE, GeolocatedDataset, TraceArray
+from repro.geo.trace import _TRACE_DTYPE, TraceArray
 from repro.mapreduce.job import ColumnBlock
 
 
@@ -180,9 +180,9 @@ def test_out_of_order_stamps_fall_back(disturbed):
 def test_dataset_fast_path_equals_lexsort_path(array):
     """The whole dataset — rows, table, offsets — is the same whether the
     shortcut or the sort ordered it."""
-    fast = GeolocatedDataset.from_array(array)
+    fast = array.by_user()
     with mock.patch.object(trace, "_block_order", return_value=None):
-        slow = GeolocatedDataset.from_array(array)
-    _assert_same_rows(fast.flat()._data, slow.flat()._data)
-    assert fast.user_ids == slow.user_ids
+        slow = array.by_user()
+    _assert_same_rows(fast._data, slow._data)
+    assert fast.users == slow.users
     assert fast._offsets.tolist() == slow._offsets.tolist()

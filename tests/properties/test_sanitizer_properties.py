@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geo.distance import haversine_m
-from repro.geo.trace import _TRACE_DTYPE, GeolocatedDataset, TraceArray
+from repro.geo.trace import _TRACE_DTYPE, TraceArray
 from repro.sanitization.aggregation import SpatialAggregator, TemporalAggregator
 from repro.sanitization.masks import (
     DonutMask,
@@ -128,7 +128,7 @@ def release(arrays) -> str:
     (user, time) put in coordinate order: merged users (everyone
     ``unknown``) interleave tied rows by input order, which no per-user
     application can reproduce."""
-    flat = GeolocatedDataset(arrays).flat()
+    flat = TraceArray.concatenate(arrays).by_user()
     order = np.lexsort((flat.longitude, flat.latitude, flat.timestamp, flat.user_index))
     return flat[order].signature()
 

@@ -1,16 +1,21 @@
 """Property-based tests: a dataset is its rows sorted by (user id, time).
 
-Draws cover an empty array, no array at all, a single user, tied
-timestamps, user-table entries with no rows, a table naming one id twice,
-one user's rows spread over several arrays, and ids whose string order
-differs from the order they were first seen in.
+``TraceArray.by_user`` puts an array in that order; ``trail`` and
+``trails`` read it and refuse any other.  Draws cover an empty array, no
+array at all, a single user, tied and NaN timestamps, user-table entries
+with no rows, a table naming one id twice, one user's rows spread over
+several arrays, and ids whose string order differs from the order they
+were first seen in.
 """
 
+import pickle
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geo.trace import _TRACE_DTYPE, GeolocatedDataset, TraceArray
+from repro.geo.trace import _TRACE_DTYPE, TraceArray
 
 IDS = ("b", "a", "B", "aa", "10", "9", "u-2", "u-10")
 
@@ -45,25 +50,24 @@ def stably_sorted(rows: list[tuple]) -> list[tuple]:
     return sorted(rows, key=lambda row: (row[0], row[3]))
 
 
-def assert_model(dataset: GeolocatedDataset, expected: list[tuple]) -> None:
-    flat = dataset.flat()
-    assert rows(flat) == expected
+def assert_model(dataset: TraceArray, expected: list[tuple]) -> None:
+    assert rows(dataset) == expected
     present = sorted({row[0] for row in expected})
-    assert dataset.user_ids == present
-    assert list(flat.users) == present
+    assert list(dataset.users) == present
     assert len(dataset) == len(expected)
     trails = list(dataset.trails())
     assert [trail.users for trail in trails] == [(user,) for user in present]
     for user, trail in zip(present, trails):
         assert dataset.trail(user).signature() == trail.signature()
         assert np.all(np.diff(trail.timestamp) >= 0)
-    assert TraceArray.concatenate(trails).signature() == flat.signature()
+    assert TraceArray.concatenate(trails).signature() == dataset.signature()
+    assert dataset.by_user() is dataset
 
 
 @settings(max_examples=150, deadline=None)
 @given(arrays())
 def test_from_array_is_the_array_stably_sorted_by_user_then_time(array):
-    assert_model(GeolocatedDataset.from_array(array), stably_sorted(rows(array)))
+    assert_model(array.by_user(), stably_sorted(rows(array)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -73,7 +77,7 @@ def test_trails_of_one_user_merge_in_the_order_given(pieces):
     each row under its own id: on a tied timestamp the array given first
     comes first."""
     expected = stably_sorted([row for array in pieces for row in rows(array)])
-    assert_model(GeolocatedDataset(pieces), expected)
+    assert_model(TraceArray.concatenate(pieces).by_user(), expected)
 
 
 @st.composite
@@ -127,3 +131,82 @@ def test_concatenate_is_the_fieldwise_concatenation(pieces):
     assert merged._data.tobytes() == want
     assert list(merged.users) == table
     assert merged._data.dtype == _TRACE_DTYPE
+
+
+def lexsort_oracle(array: TraceArray) -> tuple[bytes, list[str]]:
+    """The packed rows and table ``by_user`` must give: ``np.lexsort`` by
+    (rank of the row's id among the sorted ids that own rows, timestamp),
+    so tied stamps keep their order and NaN stamps go last."""
+    ids = array.user_ids()
+    present = sorted(set(ids))
+    rank = np.array([present.index(u) for u in ids], dtype=np.int32)
+    order = np.lexsort((array.timestamp, rank))
+    data = array._data[order]
+    data["user_idx"] = rank[order]
+    return data.tobytes(), present
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(strided(), max_size=4))
+def test_by_user_is_a_lexsort_by_id_rank_then_time(pieces):
+    array = TraceArray.concatenate(pieces)
+    ordered = array.by_user()
+    want, table = lexsort_oracle(array)
+    assert ordered._data.tobytes() == want
+    assert list(ordered.users) == table
+    assert ordered.by_user() is ordered
+    assert len(list(ordered.trails())) == len(table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays())
+def test_trails_survive_a_pickle_round_trip_and_leave_its_bytes_alone(array):
+    ordered = array.by_user()
+    blank = pickle.dumps(TraceArray(ordered._data, ordered.users))
+    trails = [t.signature() for t in ordered.trails()]
+    assert ordered._offsets is not None
+    assert pickle.dumps(ordered) == blank
+    copy = pickle.loads(blank)
+    assert copy._offsets is None
+    assert [t.signature() for t in copy.trails()] == trails
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(IDS), min_size=1, max_size=30), st.data())
+def test_an_array_built_in_order_has_trails_as_it_is(ids, data):
+    """A ``from_columns`` array whose rows already run by sorted id and
+    time needs no ``by_user``: its trails are its own runs."""
+    ids = sorted(ids)
+    stamps = data.draw(st.lists(st.integers(0, 9), min_size=len(ids), max_size=len(ids)))
+    stamps = [s for _, s in sorted(zip(ids, stamps))]
+    array = TraceArray.from_columns(ids, np.zeros(len(ids)), np.arange(len(ids)), stamps)
+    assert array.by_user() is array
+    assert [t.users[0] for t in array.trails()] == sorted(set(ids))
+    assert TraceArray.concatenate(list(array.trails())).signature() == array.signature()
+
+
+def test_trails_refuse_an_array_out_of_by_user_order():
+    """An unsorted table, runs out of table order, a table entry with no
+    rows, and a user's run out of time order each raise: ``trails`` never
+    re-sorts or slices wrong."""
+    def array(table, user_idx, stamps):
+        data = np.zeros(len(user_idx), dtype=_TRACE_DTYPE)
+        data["user_idx"], data["timestamp"] = user_idx, stamps
+        return TraceArray(data, table)
+
+    refused = {
+        "unsorted table": array(("b", "a"), [0, 1], [0.0, 0.0]),
+        "runs out of table order": array(("a", "b"), [1, 0], [0.0, 0.0]),
+        "entry with no rows": array(("a", "b", "c"), [0, 2], [0.0, 0.0]),
+        "run out of time order": array(("a", "b"), [0, 0, 1], [2.0, 1.0, 0.0]),
+        "NaN before a stamp": array(("a",), [0, 0], [np.nan, 1.0]),
+    }
+    for name, bad in refused.items():
+        with pytest.raises(ValueError, match=r"by_user\(\)"):
+            bad.trails()
+        with pytest.raises(ValueError, match=r"by_user\(\)"):
+            bad.trail("a")
+        assert bad.by_user() is not bad, name
+        assert list(bad.by_user().trails())
+    assert [len(t) for t in array(("a",), [0, 0], [1.0, np.nan]).trails()] == [2]
+

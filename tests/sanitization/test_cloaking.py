@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import TraceArray
 from repro.sanitization.cloaking import SpatialCloaking
 
 
@@ -20,7 +20,7 @@ def _multi_user(n_users=5, n=60, spread=0.001, seed=0):
                 np.sort(rng.uniform(0, 3000, n)),
             )
         )
-    return GeolocatedDataset(trails)
+    return TraceArray.concatenate(trails).by_user()
 
 
 class TestCloaking:
@@ -28,24 +28,23 @@ class TestCloaking:
         ds = _multi_user()
         out = SpatialCloaking(k=3, base_cell_m=500.0, window_s=3600.0).sanitize_dataset(ds)
         # All users share one cell-window: everything is released.
-        assert len(out.flat()) == len(ds.flat())
+        assert len(out) == len(ds)
 
     def test_lone_user_suppressed(self):
         ds = _multi_user(n_users=1)
         cloak = SpatialCloaking(k=2, base_cell_m=250.0, window_s=3600.0, max_levels=3)
         out = cloak.sanitize_dataset(ds)
-        assert len(out.flat()) == 0
+        assert len(out) == 0
 
     def test_k1_releases_everything_at_base_cell(self):
         ds = _multi_user(n_users=1)
         out = SpatialCloaking(k=1, base_cell_m=250.0).sanitize_dataset(ds)
-        assert len(out.flat()) == len(ds.flat())
+        assert len(out) == len(ds)
 
     def test_reported_positions_shared_within_cell(self):
         ds = _multi_user()
         out = SpatialCloaking(k=3, base_cell_m=2000.0).sanitize_dataset(ds)
-        flat = out.flat()
-        coords = set(zip(flat.latitude.tolist(), flat.longitude.tolist()))
+        coords = set(zip(out.latitude.tolist(), out.longitude.tolist()))
         # Strong coarsening: few distinct reported positions.
         assert len(coords) < 10
 
@@ -59,10 +58,10 @@ class TestCloaking:
             np.full(10, 116.44),
             np.linspace(0, 3000, 10),
         )
-        ds = GeolocatedDataset([*ds.trails(), loner])
+        ds = TraceArray.concatenate([ds, loner]).by_user()
         cloak = SpatialCloaking(k=2, base_cell_m=250.0, window_s=3600.0, max_levels=6)
         out = cloak.sanitize_dataset(ds)
-        if "loner" in out:
+        if "loner" in out.users:
             from repro.geo.distance import haversine_m
 
             released = out.trail("loner")
@@ -82,8 +81,8 @@ class TestCloaking:
             SpatialCloaking(k=2, max_levels=0)
 
     def test_empty_dataset(self):
-        out = SpatialCloaking(k=2).sanitize_dataset(GeolocatedDataset())
-        assert len(out.flat()) == 0
+        out = SpatialCloaking(k=2).sanitize_dataset(TraceArray.empty())
+        assert len(out) == 0
 
     def test_a_cloaked_release_can_be_masked_per_trail(self):
         """Every cloaked trail holds its own user's rows, so a per-trail
@@ -92,5 +91,5 @@ class TestCloaking:
 
         cloaked = SpatialCloaking(k=2).sanitize_dataset(_multi_user(n_users=3))
         out = GaussianMask(sigma_m=50.0, seed=1).sanitize_dataset(cloaked)
-        assert out.user_ids == cloaked.user_ids == ["u0", "u1", "u2"]
+        assert out.users == cloaked.users == ("u0", "u1", "u2")
         assert [len(t) for t in out.trails()] == [len(t) for t in cloaked.trails()]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import TraceArray
 from repro.sanitization.mixzones import MixZone, MixZoneSanitizer
 
 
@@ -39,18 +39,17 @@ class TestMixZone:
 
 class TestSanitizer:
     def test_in_zone_traces_suppressed(self):
-        out = MixZoneSanitizer([ZONE]).sanitize_dataset(GeolocatedDataset([_commuter()]))
-        flat = out.flat()
-        assert not ZONE.contains(flat.latitude, flat.longitude).any()
+        out = MixZoneSanitizer([ZONE]).sanitize_dataset(_commuter().by_user())
+        assert not ZONE.contains(out.latitude, out.longitude).any()
 
     def test_pseudonym_changes_across_zone(self):
-        out = MixZoneSanitizer([ZONE]).sanitize_dataset(GeolocatedDataset([_commuter(reps=2)]))
+        out = MixZoneSanitizer([ZONE]).sanitize_dataset(_commuter(reps=2).by_user())
         # 2 round trips x 2 crossings -> >= 3 segments -> >= 3 pseudonyms.
-        assert out.num_users() >= 3
-        assert all(u.startswith("pseud-") for u in out.user_ids)
+        assert len(out.users) >= 3
+        assert all(u.startswith("pseud-") for u in out.users)
 
     def test_segments_are_time_contiguous(self):
-        out = MixZoneSanitizer([ZONE]).sanitize_dataset(GeolocatedDataset([_commuter()]))
+        out = MixZoneSanitizer([ZONE]).sanitize_dataset(_commuter().by_user())
         spans = sorted(
             (t.timestamp.min(), t.timestamp.max()) for t in out.trails()
         )
@@ -61,27 +60,27 @@ class TestSanitizer:
         trail = TraceArray.from_columns(
             ["u"], np.full(10, 39.90), np.full(10, 116.40), np.arange(10.0) * 60
         )
-        out = MixZoneSanitizer([ZONE]).sanitize_dataset(GeolocatedDataset([trail]))
-        assert out.num_users() == 1
-        assert len(out.flat()) == 10
+        out = MixZoneSanitizer([ZONE]).sanitize_dataset(trail.by_user())
+        assert len(out.users) == 1
+        assert len(out) == 10
 
     def test_deterministic_pseudonyms(self):
-        ds = GeolocatedDataset([_commuter()])
+        ds = _commuter().by_user()
         a = MixZoneSanitizer([ZONE], seed=9).sanitize_dataset(ds)
         b = MixZoneSanitizer([ZONE], seed=9).sanitize_dataset(ds)
-        assert a.user_ids == b.user_ids
+        assert a.users == b.users
 
     def test_different_users_get_different_pseudonyms(self):
-        ds = GeolocatedDataset([_commuter("a"), _commuter("b")])
+        ds = TraceArray.concatenate([_commuter("a"), _commuter("b")]).by_user()
         out = MixZoneSanitizer([ZONE]).sanitize_dataset(ds)
-        assert out.num_users() >= 6  # 3+ segments each, all distinct
+        assert len(out.users) >= 6  # 3+ segments each, all distinct
 
     def test_entirely_inside_zone_suppressed(self):
         trail = TraceArray.from_columns(
             ["u"], np.full(5, 39.92), np.full(5, 116.45), np.arange(5.0)
         )
-        out = MixZoneSanitizer([ZONE]).sanitize_dataset(GeolocatedDataset([trail]))
-        assert len(out.flat()) == 0
+        out = MixZoneSanitizer([ZONE]).sanitize_dataset(trail.by_user())
+        assert len(out) == 0
 
     def test_requires_zones(self):
         with pytest.raises(ValueError):

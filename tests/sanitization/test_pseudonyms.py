@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import TraceArray
 from repro.sanitization import pseudonyms
 from repro.sanitization.pseudonyms import ANONYMOUS_ID, Pseudonymizer
 from repro.utils.hashrng import fnv1a64
@@ -19,17 +19,17 @@ def _ds(users=("alice", "bob")):
                 np.arange(5.0),
             )
         )
-    return GeolocatedDataset(trails)
+    return TraceArray.concatenate(trails).by_user()
 
 
 class TestPseudonymizer:
     def test_identities_replaced_but_linkable(self):
         ds = _ds()
         out = Pseudonymizer(seed=1).sanitize_dataset(ds)
-        assert out.num_users() == 2
-        assert not set(out.user_ids) & {"alice", "bob"}
+        assert len(out.users) == 2
+        assert not set(out.users) & {"alice", "bob"}
         # Within-release linkability: each pseudonym still owns a full trail.
-        for user in out.user_ids:
+        for user in out.users:
             assert len(out.trail(user)) == 5
 
     def test_deterministic_and_seed_sensitive(self):
@@ -43,19 +43,19 @@ class TestPseudonymizer:
     def test_coordinates_untouched(self):
         ds = _ds()
         out = Pseudonymizer(seed=3).sanitize_dataset(ds)
-        assert len(out.flat()) == len(ds.flat())
+        assert len(out) == len(ds)
         assert np.allclose(
-            np.sort(out.flat().latitude), np.sort(ds.flat().latitude)
+            np.sort(out.latitude), np.sort(ds.latitude)
         )
 
     def test_anonymous_mode_merges_everyone(self):
         ds = _ds()
         out = Pseudonymizer(anonymous=True).sanitize_dataset(ds)
-        assert out.user_ids == [ANONYMOUS_ID]
-        assert len(out.flat()) == 10
+        assert out.users == (ANONYMOUS_ID,)
+        assert len(out) == 10
 
     def test_chunk_invariant(self):
-        arr = _ds().flat()
+        arr = _ds()
         p = Pseudonymizer(seed=5)
         whole = p.sanitize_array(arr)
         parts = [p.sanitize_array(arr[:4]), p.sanitize_array(arr[4:])]
@@ -73,7 +73,7 @@ class TestPseudonymizer:
         sampled = sample_dataset(dataset, 60.0)
         pseudonymizer = Pseudonymizer(seed=9)
         released = pseudonymizer.sanitize_dataset(sampled)
-        truth = dict(zip(pseudonymizer.pseudonyms(sampled.user_ids), sampled.user_ids))
+        truth = dict(zip(pseudonymizer.pseudonyms(sampled.users), sampled.users))
         result = deanonymization_attack(
             sampled, released, truth, DJClusterParams(radius_m=80, min_pts=5)
         )
@@ -88,7 +88,7 @@ class TestLinearInUsers:
 
         n_users = 60
         training, _, _ = synthetic_linkage_corpus(n_users, seed=2)
-        dataset = GeolocatedDataset.from_array(training)
+        dataset = training.by_user()
         calls = []
 
         def counted(user_id):
@@ -97,8 +97,8 @@ class TestLinearInUsers:
 
         monkeypatch.setattr(pseudonyms, "fnv1a64", counted)
         out = Pseudonymizer(seed=4).sanitize_dataset(dataset)
-        assert sorted(calls) == dataset.user_ids
-        assert out.num_users() == n_users
+        assert tuple(sorted(calls)) == dataset.users
+        assert len(out.users) == n_users
 
     def test_anonymous_release_is_the_recorded_trail(self):
         """Everyone merges into one ``unknown`` trail, tied timestamps in

@@ -41,7 +41,7 @@ SERVICE = {"stream": 1.0}
 @pytest.fixture(scope="module")
 def corpus():
     dataset, _ = generate_dataset(SyntheticConfig(n_users=3, days=1, seed=42))
-    return dataset.flat()
+    return dataset
 
 
 feed_faults = st.lists(

@@ -27,7 +27,7 @@ WINDOW_S = 3 * 3600.0
 @pytest.fixture(scope="module")
 def corpus():
     dataset, _ = generate_dataset(SyntheticConfig(n_users=3, days=1, seed=7))
-    return dataset.flat()
+    return dataset
 
 
 def fresh_hdfs():

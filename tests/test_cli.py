@@ -239,10 +239,10 @@ class TestArgumentErrors:
     @pytest.fixture()
     def lone_trace_dir(self, tmp_path):
         from repro.geo.geolife import write_geolife_dataset
-        from repro.geo.trace import GeolocatedDataset, TraceArray
+        from repro.geo.trace import TraceArray
 
         lone = TraceArray.from_columns(["000"], [40.0], [116.0], [1.3e9])
-        write_geolife_dataset(GeolocatedDataset([lone]), tmp_path / "lone")
+        write_geolife_dataset(lone, tmp_path / "lone")
         return tmp_path / "lone"
 
     @pytest.mark.parametrize(
@@ -335,13 +335,13 @@ class TestArgumentErrors:
     def test_an_unlinked_pseudonym_is_listed(self, tmp_path, capsys):
         from repro.geo.geolife import write_geolife_dataset
         from repro.geo.synthetic import SyntheticConfig, generate_dataset
-        from repro.geo.trace import GeolocatedDataset, TraceArray
+        from repro.geo.trace import TraceArray
 
         dataset, _ = generate_dataset(SyntheticConfig(n_users=2, days=1, seed=5))
-        ts = dataset.flat().timestamp
+        ts = dataset.timestamp
         late = ts.max() - np.arange(3.0)
         stray = TraceArray.from_columns(["999"], [10.0] * 3, [10.0] * 3, late)
-        write_geolife_dataset(GeolocatedDataset([*dataset.trails(), stray]), tmp_path / "c")
+        write_geolife_dataset(TraceArray.concatenate([dataset, stray]), tmp_path / "c")
         assert main(["attack", "--in", str(tmp_path / "c"), "--linkage"]) == 0
         assert "  anon-999         -> unlinked" in capsys.readouterr().out
 

@@ -49,7 +49,7 @@ SURFACE = {
         contact_events run_mmc_mapreduce SemanticPlace SemanticVisit
         label_places"""),
     "repro.geo": ("distance geolife grid stats synthetic trace trajectory", """
-        GeolocatedDataset TraceArray haversine_km
+        TraceArray haversine_km
         haversine_m squared_euclidean get_metric EARTH_RADIUS_KM read_plt
         write_plt read_geolife_dataset write_geolife_dataset GEOLIFE_EPOCH
         SyntheticConfig SyntheticUser generate_user generate_dataset Stay Trip

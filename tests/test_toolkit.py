@@ -12,7 +12,7 @@ from repro.attacks.mmc_mr import run_mmc_mapreduce
 from repro.attacks.semantics import label_places
 from repro.attacks.social import ColocationParams, colocation_graph
 from repro.geo.geolife import write_geolife_dataset
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import TraceArray
 from repro.metrics.predictability import predictability_report
 from repro.sanitization import GaussianMask
 
@@ -27,12 +27,12 @@ class TestConstruction:
     def test_synthetic_returns_ground_truth(self, gep):
         toolkit, truth = gep
         assert len(truth) == 3
-        assert toolkit.dataset.num_users() == 3
+        assert len(toolkit.dataset.users) == 3
         assert len(toolkit) == len(toolkit.dataset)
 
     def test_geolife_roundtrip(self, gep, tmp_path):
         toolkit, _ = gep
-        small = GeolocatedDataset([toolkit.dataset.trail(toolkit.dataset.user_ids[0])])
+        small = toolkit.dataset.trail(toolkit.dataset.users[0]).by_user()
         write_geolife_dataset(small, tmp_path)
         back = Gepeto.from_geolife(tmp_path)
         assert len(back) == len(small)
@@ -54,7 +54,7 @@ class TestLocalOperations:
 
     def test_kmeans(self, gep):
         toolkit, _ = gep
-        coords = toolkit.sample(300.0).dataset.flat().coordinates()
+        coords = toolkit.sample(300.0).dataset.coordinates()
         res = kmeans_sequential(coords, 4, seed=1, max_iter=30)
         assert res.centroids.shape == (4, 2)
 
@@ -62,10 +62,10 @@ class TestLocalOperations:
         toolkit, truth = gep
         sampled = toolkit.sample(60.0)
         params = DJClusterParams(radius_m=80, min_pts=5)
-        res = djcluster_sequential(sampled.dataset.flat(), params)
+        res = djcluster_sequential(sampled.dataset, params)
         assert res.n_clusters > 0
         pois = sampled.poi_attack_all(params)
-        assert set(pois) == set(sampled.dataset.user_ids)
+        assert set(pois) == set(sampled.dataset.users)
 
     def test_visualize(self, gep):
         toolkit, _ = gep
@@ -75,7 +75,7 @@ class TestLocalOperations:
     def test_social_graph(self, gep):
         toolkit, _ = gep
         graph = colocation_graph(toolkit.dataset, ColocationParams())
-        assert set(graph.nodes) == set(toolkit.dataset.user_ids)
+        assert set(graph.nodes) == set(toolkit.dataset.users)
 
     def test_semantic_places(self, gep):
         toolkit, truth = gep
@@ -136,7 +136,7 @@ class TestDeployment:
             [(p.latitude, p.longitude) for u in truth for p in u.pois]
         )
         models = run_mmc_mapreduce(cluster.runner, cluster.input_path, pois)
-        assert set(models) == set(sampled.dataset.user_ids)
+        assert set(models) == set(sampled.dataset.users)
 
 
 class TestDeanonymization:
@@ -146,7 +146,7 @@ class TestDeanonymization:
         # Pseudonymize a copy as the "released" dataset.
         released = []
         truth_map = {}
-        for user, arr in zip(sampled.dataset.user_ids, sampled.dataset.trails()):
+        for user, arr in zip(sampled.dataset.users, sampled.dataset.trails()):
             pseud = f"x-{user}"
             released.append(
                 TraceArray.from_columns(
@@ -154,7 +154,7 @@ class TestDeanonymization:
                 )
             )
             truth_map[pseud] = user
-        target = GeolocatedDataset(released)
+        target = TraceArray.concatenate(released).by_user()
         result = deanonymization_attack(
             sampled.dataset, target, truth_map, DJClusterParams(radius_m=80, min_pts=5)
         )

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.attacks.poi import PointOfInterestEstimate
-from repro.geo.trace import GeolocatedDataset, TraceArray
+from repro.geo.trace import TraceArray
 from repro.viz import ascii_density_map, cluster_summary_table
 
 
 def _ds(n=100, seed=0):
     rng = np.random.default_rng(seed)
-    return GeolocatedDataset(
+    return TraceArray.concatenate(
         [
             TraceArray.from_columns(
                 ["u"],
@@ -19,7 +19,7 @@ def _ds(n=100, seed=0):
                 np.arange(n, dtype=float),
             )
         ]
-    )
+    ).by_user()
 
 
 def _poi():
@@ -45,7 +45,7 @@ class TestAsciiMap:
         assert "H" in out
 
     def test_empty_dataset(self):
-        assert "empty" in ascii_density_map(GeolocatedDataset())
+        assert "empty" in ascii_density_map(TraceArray.empty())
 
     def test_size_validation(self):
         with pytest.raises(ValueError):
@@ -61,7 +61,7 @@ class TestAsciiMap:
         from repro.toolkit import Gepeto
 
         rows = TraceArray.from_columns(["u"], [10.0, bad, 10.1], [20.0, 21.0, 20.1], [0.0, 1.0, 2.0])
-        dirty = GeolocatedDataset([rows])
+        dirty = rows.by_user()
         with pytest.raises(ValueError, match="coordinates must be finite"):
             Gepeto(dirty).visualize()
         with pytest.raises(ValueError, match="coordinates must be finite"):
